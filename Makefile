@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-paper experiments examples clean
+.PHONY: all build test vet race bench bench-paper perf-smoke experiments examples clean
 
 all: build test
 
@@ -25,6 +25,13 @@ bench:
 # The paper's full parameter sweeps (several minutes).
 bench-paper:
 	PROVIO_BENCH_SCALE=paper $(GO) test -bench='Fig|Table' -benchtime=1x .
+
+# bench/perf is its own Go module, so `go build ./... && go test ./...` at
+# the root never compiles it: this target vets and tests it and drives every
+# workload once at smoke scale, failing unless the run ends with "failed":0.
+perf-smoke:
+	cd bench/perf && $(GO) vet ./... && $(GO) test ./...
+	bash bench/perf/run.sh --workload all -scale smoke -rounds 1 | tail -n 1 | tee /dev/stderr | grep -q '"failed":0'
 
 # Regenerate every table/figure with the CLI, writing artifacts to ./artifacts.
 experiments:

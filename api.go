@@ -1,6 +1,7 @@
 package provio
 
 import (
+	"fmt"
 	"io"
 
 	"github.com/hpc-io/prov-io/internal/adios"
@@ -297,44 +298,9 @@ type LevelResidency = core.LevelResidency
 var ErrStaleView = core.ErrStaleView
 
 // The federated lazy source must satisfy the morsel-parallel scan surface —
-// this is the contract that lets Eval/EvalParallel run unchanged over a
+// this is the contract that lets Query run the unchanged engine over a
 // store larger than the cache budget.
 var _ sparql.ScanSource = (*core.LazySource)(nil)
-
-// QueryLazyParallelInfo evaluates a SPARQL SELECT query against a lazy
-// source with the morsel-driven parallel executor. Results are
-// byte-identical to QueryParallelInfo over the eagerly merged store; only
-// the resident memory differs. The source's sticky view error (a concurrent
-// compaction, a corrupted unit) is surfaced here, since the engine's source
-// interface cannot carry errors.
-func QueryLazyParallelInfo(src *LazySource, query string, workers int) (*QueryResult, QueryInfo, error) {
-	q, err := sparql.Parse(query, model.Namespaces())
-	if err != nil {
-		return nil, QueryInfo{}, err
-	}
-	res, info, err := sparql.EvalParallelOnInfo(src, q, workers)
-	if err != nil {
-		return nil, info, err
-	}
-	if serr := src.Err(); serr != nil {
-		return nil, info, serr
-	}
-	return res, info, nil
-}
-
-// ExplainQueryWorkersLazy is ExplainQueryWorkers against a lazy source: the
-// plan, compiled from the units' statistics instead of exact graph
-// cardinalities, plus the parallel-execution decision.
-func ExplainQueryWorkersLazy(src *LazySource, query string, workers int) (string, error) {
-	out, err := sparql.ExplainWorkersOn(src, query, model.Namespaces(), workers)
-	if err != nil {
-		return "", err
-	}
-	if serr := src.Err(); serr != nil {
-		return "", serr
-	}
-	return out, nil
-}
 
 // ---- Integrity: verification, hash chains, crash harness ----
 
@@ -527,49 +493,78 @@ type QueryResult = sparql.Result
 // Binding maps variable names to terms.
 type Binding = sparql.Binding
 
-// Query parses and evaluates a SPARQL SELECT query against g, with the
-// PROV-IO namespaces pre-bound. Evaluation runs against an immutable
-// snapshot of g: the graph lock is taken once to pin the view, so queries
-// do not block concurrent tracking and vice versa.
-func Query(g *Graph, query string) (*QueryResult, error) {
-	return sparql.Exec(g, query, model.Namespaces())
-}
-
-// QueryParallel is Query with morsel-driven parallel execution: the plan's
-// leading operator (index scan, property path, or each UNION alternative)
-// is partitioned across `workers` goroutines over the same snapshot.
-// Results are identical — byte for byte — to Query; workers <= 1 is the
-// serial path.
-func QueryParallel(g *Graph, query string, workers int) (*QueryResult, error) {
-	return sparql.ExecParallel(g, query, model.Namespaces(), workers)
-}
-
 // QueryInfo reports how a query was served: from the epoch-keyed result
 // cache, by the parallel executor (with task count), or serially (with the
 // named reason).
 type QueryInfo = sparql.ExecInfo
 
-// QueryParallelInfo is QueryParallel exposing the execution report.
-func QueryParallelInfo(g *Graph, query string, workers int) (*QueryResult, QueryInfo, error) {
-	return sparql.ExecParallelInfo(g, query, model.Namespaces(), workers)
-}
+// QuerySource is what Query and Explain run over: a *Graph (a merged store
+// or a live tracker graph) or a *LazySource (LazyView.Source — out-of-core
+// execution over a store larger than memory).
+type QuerySource = sparql.Source
 
 // ParseQuery parses a SPARQL SELECT query without evaluating it.
 func ParseQuery(query string) (*sparql.Query, error) {
 	return sparql.Parse(query, model.Namespaces())
 }
 
-// ExplainQuery compiles the query against g and returns the planner's
-// EXPLAIN rendering — the cardinality-ordered join plan — without executing.
-func ExplainQuery(g *Graph, query string) (string, error) {
-	return sparql.Explain(g, query, model.Namespaces())
+// Query parses and evaluates a SPARQL SELECT query against src, with the
+// PROV-IO namespaces pre-bound. Over a *Graph, evaluation pins an immutable
+// snapshot — queries and concurrent tracking do not block each other — and
+// goes through the epoch-keyed result cache (any Add/Remove invalidates
+// it). Over a *LazySource the rows are byte-identical to the merged
+// graph's, and the source's sticky view error (ErrStaleView, a corrupted
+// unit) is checked after evaluation and returned instead of rows, since the
+// engine's source interface cannot carry errors. workers > 1 partitions the
+// plan's leading operator across that many goroutines; results are
+// byte-identical at any worker count.
+func Query(src QuerySource, query string, workers int) (*QueryResult, QueryInfo, error) {
+	switch src := src.(type) {
+	case *Graph:
+		return sparql.ExecParallelInfo(src, query, model.Namespaces(), workers)
+	case *LazySource:
+		q, err := ParseQuery(query)
+		if err != nil {
+			return nil, QueryInfo{Workers: workers}, err
+		}
+		res, info, err := sparql.EvalParallelOnInfo(src, q, workers)
+		if err == nil {
+			err = src.Err()
+		}
+		if err != nil {
+			return nil, info, err
+		}
+		return res, info, nil
+	default:
+		return nil, QueryInfo{Workers: workers}, errUnsupportedSource(src)
+	}
 }
 
-// ExplainQueryWorkers is ExplainQuery plus the parallel-execution decision
-// for the given worker count: the task decomposition, or the named reason
-// the plan would run serially.
-func ExplainQueryWorkers(g *Graph, query string, workers int) (string, error) {
-	return sparql.ExplainWorkers(g, query, model.Namespaces(), workers)
+// Explain compiles the query against src and returns the planner's EXPLAIN
+// rendering — the cardinality-ordered join plan (estimated from unit
+// statistics on a lazy source) — without executing, followed by the
+// parallel-execution decision for the given worker count: the task
+// decomposition, or the named reason the plan would run serially.
+func Explain(src QuerySource, query string, workers int) (string, error) {
+	switch src := src.(type) {
+	case *Graph:
+		return sparql.Explain(src.Snapshot(), query, model.Namespaces(), workers)
+	case *LazySource:
+		out, err := sparql.Explain(src, query, model.Namespaces(), workers)
+		if err == nil {
+			err = src.Err()
+		}
+		if err != nil {
+			return "", err
+		}
+		return out, nil
+	default:
+		return "", errUnsupportedSource(src)
+	}
+}
+
+func errUnsupportedSource(src QuerySource) error {
+	return fmt.Errorf("provio: unsupported query source %T (want *Graph or *LazySource)", src)
 }
 
 // VizOptions controls DOT rendering.

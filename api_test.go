@@ -58,7 +58,7 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := provio.Query(g, `SELECT ?f WHERE { ?f a provio:File ; prov:wasAttributedTo ?p . }`)
+	res, _, err := provio.Query(g, `SELECT ?f WHERE { ?f a provio:File ; prov:wasAttributedTo ?p . }`, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPublicQueryCount(t *testing.T) {
 	g := provio.NewGraph()
 	g.Add(provio.Triple{S: provio.IRI("http://e/a"), P: provio.IRI("http://e/p"), O: provio.Integer(1)})
 	g.Add(provio.Triple{S: provio.IRI("http://e/b"), P: provio.IRI("http://e/p"), O: provio.Integer(2)})
-	res, err := provio.Query(g, `SELECT (COUNT(*) AS ?n) WHERE { ?s <http://e/p> ?o . }`)
+	res, _, err := provio.Query(g, `SELECT (COUNT(*) AS ?n) WHERE { ?s <http://e/p> ?o . }`, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,7 +177,7 @@ func BenchmarkSPARQLLineage(b *testing.B) {
 	q := `SELECT ?anc WHERE { <https://x/f0> prov:wasDerivedFrom+ ?anc . }`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := provio.Query(g, q)
+		res, _, err := provio.Query(g, q, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -93,79 +93,36 @@ func main() {
 		*repeat = 1
 	}
 
+	src, err := cli.OpenSource(store, pruner, *workers, *lazy, *cacheBytes)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if *plan {
+		fmt.Printf("pushdown: %s\n", src.Pushdown())
+		out, err := provio.Explain(src.Query, query, *workers)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		fmt.Print(out)
+		return
+	}
 	var (
-		res      *provio.QueryResult
-		info     provio.QueryInfo
-		scanLine string // pushdown/cache report for the closing stderr line
-		triples  int
+		res  *provio.QueryResult
+		info provio.QueryInfo
 	)
-	if *lazy {
-		view, err := store.OpenLazy(provio.CacheConfig{MaxBytes: *cacheBytes})
+	stopCPU := startCPUProfile(*cpuprofile)
+	for i := 1; i <= *repeat; i++ {
+		res, info, err = provio.Query(src.Query, query, *workers)
 		if err != nil {
-			fatalf("open lazy view: %v", err)
+			break
 		}
-		src := view.Source(pruner)
-		if *plan {
-			st := src.Stats()
-			budget := "unbounded"
-			if *cacheBytes > 0 {
-				budget = fmt.Sprintf("%d bytes", *cacheBytes)
-			}
-			fmt.Printf("pushdown: %d/%d unit(s) admitted (lazy view, cache %s)\n", src.Admitted(), st.Units, budget)
-			out, err := provio.ExplainQueryWorkersLazy(src, query, *workers)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Print(out)
-			return
+		if *repeat > 1 {
+			fmt.Fprintf(os.Stderr, "run %d/%d: %d solution(s); %s\n", i, *repeat, len(res.Rows), info.Summary())
 		}
-		stopCPU := startCPUProfile(*cpuprofile)
-		for i := 1; i <= *repeat; i++ {
-			res, info, err = provio.QueryLazyParallelInfo(src, query, *workers)
-			if err != nil {
-				break
-			}
-			if *repeat > 1 {
-				fmt.Fprintf(os.Stderr, "run %d/%d: %d solution(s); %s\n", i, *repeat, len(res.Rows), info.Summary())
-			}
-		}
-		stopCPU()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		st := src.Stats()
-		scanLine = st.String()
-		triples = src.Len() // statistics estimate; the store is never merged
-	} else {
-		g, scan, err := store.MergePruned(pruner, *workers)
-		if err != nil {
-			fatalf("merge: %v", err)
-		}
-		if *plan {
-			fmt.Printf("pushdown: %s\n", scan)
-			out, err := provio.ExplainQueryWorkers(g, query, *workers)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Print(out)
-			return
-		}
-		stopCPU := startCPUProfile(*cpuprofile)
-		for i := 1; i <= *repeat; i++ {
-			res, info, err = provio.QueryParallelInfo(g, query, *workers)
-			if err != nil {
-				break
-			}
-			if *repeat > 1 {
-				fmt.Fprintf(os.Stderr, "run %d/%d: %d solution(s); %s\n", i, *repeat, len(res.Rows), info.Summary())
-			}
-		}
-		stopCPU()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		scanLine = scan.String()
-		triples = g.Len()
+	}
+	stopCPU()
+	if err != nil {
+		fatalf("%v", err)
 	}
 	writeMemProfile(*memprofile)
 
@@ -189,7 +146,9 @@ func main() {
 		}
 		fmt.Println(strings.Join(cells, "\t"))
 	}
-	fmt.Fprintf(os.Stderr, "%d solution(s) over %d triples; %s; %s\n", len(res.Rows), triples, info.Summary(), scanLine)
+	// Under -lazy the triple count is a statistics estimate: the store is
+	// never merged.
+	fmt.Fprintf(os.Stderr, "%d solution(s) over %d triples; %s; %s\n", len(res.Rows), src.Query.Len(), info.Summary(), src.Scan())
 }
 
 func renderTerm(t provio.Term, ns *provio.Namespaces) string {

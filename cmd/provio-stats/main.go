@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 
-	provio "github.com/hpc-io/prov-io"
 	"github.com/hpc-io/prov-io/internal/cli"
 	"github.com/hpc-io/prov-io/internal/stats"
 )
@@ -37,40 +36,22 @@ func main() {
 	flag.Parse()
 	store, err := cli.OpenStore(*storeSpec, *formatFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "provio-stats: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	levels, err := store.Levels()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "provio-stats: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 
-	var (
-		g         *provio.Graph
-		scan      *provio.ScanStats
-		residency map[int]provio.LevelResidency
-	)
-	if *lazy {
-		view, verr := store.OpenLazy(provio.CacheConfig{MaxBytes: *cacheBytes})
-		if verr != nil {
-			fmt.Fprintf(os.Stderr, "provio-stats: open lazy view: %v\n", verr)
-			os.Exit(1)
-		}
-		g, scan, err = view.MaterializeGraph(2)
-		if err == nil {
-			residency = make(map[int]provio.LevelResidency)
-			for _, lr := range view.LevelResidency() {
-				residency[lr.Level] = lr
-			}
-		}
-	} else {
-		g, scan, err = store.MergePruned(nil, 1)
-	}
+	src, err := cli.OpenSource(store, nil, 2, *lazy, *cacheBytes)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "provio-stats: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
+	g, scan, err := src.Graph()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	residency := src.Residency()
 
 	fmt.Println("store layout")
 	for _, li := range levels {
@@ -87,7 +68,11 @@ func main() {
 	}
 	fmt.Printf("  scan: %s\n\n", scan)
 	if err := stats.Compute(g).WriteWithAgents(os.Stdout, g); err != nil {
-		fmt.Fprintf(os.Stderr, "provio-stats: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
+}
+
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "provio-stats: "+format+"\n", args...)
+	os.Exit(1)
 }

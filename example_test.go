@@ -28,11 +28,11 @@ func Example() {
 	_ = tracker.Close()
 
 	g, _ := store.Merge()
-	res, _ := provio.Query(g, `
+	res, _, _ := provio.Query(g, `
 		SELECT ?p WHERE {
 			?f provio:name "/run.h5" ; prov:wasAttributedTo ?prog .
 			?prog provio:name ?p .
-		}`)
+		}`, 1)
 	fmt.Println("produced by:", res.Rows[0]["p"].Value)
 	// Output: produced by: simulate-a1
 }
@@ -44,7 +44,7 @@ func ExampleQuery() {
 	g.Add(provio.Triple{S: provio.IRI("https://x/c"), P: derived, O: provio.IRI("https://x/b")})
 	g.Add(provio.Triple{S: provio.IRI("https://x/b"), P: derived, O: provio.IRI("https://x/a")})
 
-	res, _ := provio.Query(g, `SELECT ?anc WHERE { <https://x/c> prov:wasDerivedFrom+ ?anc . }`)
+	res, _, _ := provio.Query(g, `SELECT ?anc WHERE { <https://x/c> prov:wasDerivedFrom+ ?anc . }`, 1)
 	for _, row := range res.Rows {
 		fmt.Println(row["anc"].Value)
 	}

@@ -55,22 +55,22 @@ func main() {
 	must(err)
 	fmt.Printf("provenance graph: %d triples\n\n", graph.Len())
 
-	res, err := provio.Query(graph, `
+	res, _, err := provio.Query(graph, `
 		SELECT (COUNT(?api) AS ?writes) WHERE {
 			?var a provio:Dataset ;
 			     provio:name "temperature" ;
 			     provio:wasWrittenBy ?api .
-		}`)
+		}`, 1)
 	must(err)
 	fmt.Printf("temperature was written %s times\n", res.Rows[0]["writes"].Value)
 
-	res, err = provio.Query(graph, `
+	res, _, err = provio.Query(graph, `
 		SELECT DISTINCT ?reader WHERE {
 			?var provio:name "temperature" ;
 			     provio:wasReadBy ?api .
 			?api prov:wasAssociatedWith ?prog .
 			?prog provio:name ?reader .
-		}`)
+		}`, 1)
 	must(err)
 	fmt.Println("programs that read temperature:")
 	for _, row := range res.Rows {
@@ -78,13 +78,13 @@ func main() {
 	}
 
 	// The engine file itself is attributed to the simulation.
-	res, err = provio.Query(graph, `
+	res, _, err = provio.Query(graph, `
 		SELECT ?prog WHERE {
 			?f a provio:File ;
 			   provio:name "/out/sim.bp" ;
 			   prov:wasAttributedTo ?p .
 			?p provio:name ?prog .
-		}`)
+		}`, 1)
 	must(err)
 	fmt.Printf("/out/sim.bp produced by: %s\n", res.Rows[0]["prog"].Value)
 }

@@ -81,8 +81,8 @@ func main() {
 	for step := 1; ; step++ {
 		node := provio.NodeIRI(provio.ModelFile, target)
 		// Statement 1: which program produced it?
-		r1, err := provio.Query(graph, fmt.Sprintf(
-			`SELECT ?program WHERE { <%s> prov:wasAttributedTo ?program . }`, node))
+		r1, _, err := provio.Query(graph, fmt.Sprintf(
+			`SELECT ?program WHERE { <%s> prov:wasAttributedTo ?program . }`, node), 1)
 		must(err)
 		if len(r1.Rows) == 0 {
 			fmt.Printf("  step %d: %s has no recorded producer (origin reached)\n", step, target)
@@ -90,14 +90,14 @@ func main() {
 		}
 		prog := r1.Rows[0]["program"]
 		// Statements 2+3: what did that program read?
-		r2, err := provio.Query(graph, fmt.Sprintf(`SELECT DISTINCT ?input WHERE {
+		r2, _, err := provio.Query(graph, fmt.Sprintf(`SELECT DISTINCT ?input WHERE {
 			?input provio:wasReadBy ?api .
 			?api prov:wasAssociatedWith <%s> .
-		}`, prog.Value))
+		}`, prog.Value), 1)
 		must(err)
 		name := func(t provio.Term) string {
-			r, err := provio.Query(graph, fmt.Sprintf(
-				`SELECT ?n WHERE { <%s> provio:name ?n . }`, t.Value))
+			r, _, err := provio.Query(graph, fmt.Sprintf(
+				`SELECT ?n WHERE { <%s> provio:name ?n . }`, t.Value), 1)
 			if err == nil && len(r.Rows) == 1 {
 				return r.Rows[0]["n"].Value
 			}
@@ -117,13 +117,13 @@ func main() {
 	}
 
 	// And who ran decimate?
-	r, err := provio.Query(graph, `SELECT ?user WHERE {
+	r, _, err := provio.Query(graph, `SELECT ?user WHERE {
 		?prog provio:name "decimate" ; prov:actedOnBehalfOf ?user .
-	}`)
+	}`, 1)
 	must(err)
 	if len(r.Rows) == 1 {
-		ru, _ := provio.Query(graph, fmt.Sprintf(
-			`SELECT ?n WHERE { <%s> provio:name ?n . }`, r.Rows[0]["user"].Value))
+		ru, _, _ := provio.Query(graph, fmt.Sprintf(
+			`SELECT ?n WHERE { <%s> provio:name ?n . }`, r.Rows[0]["user"].Value), 1)
 		fmt.Printf("\ndecimate was started by: %s\n", ru.Rows[0]["n"].Value)
 	}
 }

@@ -74,8 +74,8 @@ func main() {
 	must(err)
 
 	// Scenario 1: how many I/O operations of each type? (1 statement + GROUP-free aggregation)
-	res, err := provio.Query(graph, `
-		SELECT ?api WHERE { ?api prov:wasMemberOf prov:Activity . }`)
+	res, _, err := provio.Query(graph, `
+		SELECT ?api WHERE { ?api prov:wasMemberOf prov:Activity . }`, 1)
 	must(err)
 	counts := map[string]int{}
 	for _, row := range res.Rows {
@@ -98,11 +98,11 @@ func main() {
 	}
 
 	// Scenario 2: accumulated time per API type (2 statements).
-	res, err = provio.Query(graph, `
+	res, _, err = provio.Query(graph, `
 		SELECT ?api ?duration WHERE {
 			?api prov:wasMemberOf prov:Activity ;
 			     provio:elapsed ?duration .
-		}`)
+		}`, 1)
 	must(err)
 	totals := map[string]int64{}
 	for _, row := range res.Rows {
@@ -129,12 +129,12 @@ func main() {
 
 	// Scenario 3: who modified the shared file? (3 statements)
 	fileNode := provio.NodeIRI(provio.ModelFile, "/scratch/vpic.h5")
-	res, err = provio.Query(graph, fmt.Sprintf(`
+	res, _, err = provio.Query(graph, fmt.Sprintf(`
 		SELECT DISTINCT ?thread ?user WHERE {
 			<%s> provio:wasWrittenBy ?api .
 			?api prov:wasAssociatedWith ?thread .
 			?thread prov:actedOnBehalfOf/prov:actedOnBehalfOf ?user .
-		}`, fileNode))
+		}`, fileNode), 1)
 	must(err)
 	fmt.Println("\nscenario-3: threads that wrote /scratch/vpic.h5")
 	for _, row := range res.Rows {

@@ -70,21 +70,21 @@ func main() {
 	fmt.Printf("merged provenance graph: %d triples\n\n", graph.Len())
 
 	// Who produced /data/product.h5, and what did that program read?
-	res, err := provio.Query(graph, `
+	res, _, err := provio.Query(graph, `
 		SELECT ?program WHERE {
 			?product provio:name "/data/product.h5" ;
 			         prov:wasAttributedTo ?program .
-		}`)
+		}`, 1)
 	must(err)
 	fmt.Println("producer of /data/product.h5:")
 	printRows(res)
 
-	res, err = provio.Query(graph, `
+	res, _, err = provio.Query(graph, `
 		SELECT DISTINCT ?input WHERE {
 			?input provio:wasReadBy ?api .
 			?api prov:wasAssociatedWith ?program .
 			?program provio:name "analyze-a1" .
-		}`)
+		}`, 1)
 	must(err)
 	fmt.Println("\ninputs read by analyze-a1:")
 	printRows(res)

@@ -57,11 +57,11 @@ func main() {
 	fmt.Printf("provenance graph: %d triples\n\n", graph.Len())
 
 	// Table 5's Top Reco query: versions and their accuracies (2 statements).
-	res, err := provio.Query(graph, `
+	res, _, err := provio.Query(graph, `
 		SELECT ?version ?accuracy WHERE {
 			?configuration provio:Version ?version ;
 			               provio:hasAccuracy ?accuracy .
-		} ORDER BY DESC(?accuracy)`)
+		} ORDER BY DESC(?accuracy)`, 1)
 	must(err)
 	fmt.Println("configuration versions ranked by accuracy:")
 	for _, row := range res.Rows {
@@ -70,12 +70,12 @@ func main() {
 	best := res.Rows[0]["version"].Value
 
 	// Expand the winning version's full configuration.
-	res, err = provio.Query(graph, fmt.Sprintf(`
+	res, _, err = provio.Query(graph, fmt.Sprintf(`
 		SELECT ?name ?value WHERE {
 			?c provio:Version %s ;
 			   provio:name ?name ;
 			   provio:value ?value .
-		}`, best))
+		}`, best), 1)
 	must(err)
 	type kv struct{ k, v string }
 	var kvs []kv

@@ -105,8 +105,8 @@ func TestThreeInterfacesOneProvenanceGraph(t *testing.T) {
 	producers := []string{}
 	for hop := 0; hop < 5 && target != ""; hop++ {
 		node := provio.NodeIRI(provio.ModelFile, target)
-		r1, err := provio.Query(g, fmt.Sprintf(
-			`SELECT ?p WHERE { <%s> prov:wasAttributedTo ?prog . ?prog provio:name ?p . }`, node))
+		r1, _, err := provio.Query(g, fmt.Sprintf(
+			`SELECT ?p WHERE { <%s> prov:wasAttributedTo ?prog . ?prog provio:name ?p . }`, node), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,13 +117,13 @@ func TestThreeInterfacesOneProvenanceGraph(t *testing.T) {
 		producers = append(producers, prog)
 		// At full granularity reads attach to datasets, so a file-level
 		// backward step accepts either a read or an open access.
-		r2, err := provio.Query(g, fmt.Sprintf(`SELECT DISTINCT ?n WHERE {
+		r2, _, err := provio.Query(g, fmt.Sprintf(`SELECT DISTINCT ?n WHERE {
 			{ ?input provio:wasReadBy ?api . } UNION { ?input provio:wasOpenedBy ?api . }
 			?api prov:wasAssociatedWith ?pr .
 			?pr provio:name "%s" .
 			?input a provio:File ;
 			       provio:name ?n .
-		}`, prog))
+		}`, prog), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,10 +169,10 @@ func TestCrossRunBestConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := provio.Query(merged, `
+	res, _, err := provio.Query(merged, `
 		SELECT ?version ?acc WHERE {
 			?c provio:Version ?version ; provio:hasAccuracy ?acc .
-		} ORDER BY DESC(?acc) LIMIT 1`)
+		} ORDER BY DESC(?acc) LIMIT 1`, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func Fig9(s Scale) (*Report, error) {
 		var next []rdf.Term
 		for _, node := range frontier {
 			q := fmt.Sprintf(`SELECT ?program WHERE { <%s> prov:wasAttributedTo ?program . }`, node.Value)
-			r1, err := sparql.Exec(g, q, model.Namespaces())
+			r1, _, err := sparql.ExecParallelInfo(g, q, model.Namespaces(), 1)
 			if err != nil {
 				return nil, err
 			}
@@ -52,7 +52,7 @@ func Fig9(s Scale) (*Report, error) {
 					?file provio:wasReadBy ?api .
 					?api prov:wasAssociatedWith <%s> .
 				}`, prog.Value)
-				r2, err := sparql.Exec(g, q2, model.Namespaces())
+				r2, _, err := sparql.ExecParallelInfo(g, q2, model.Namespaces(), 1)
 				if err != nil {
 					return nil, err
 				}

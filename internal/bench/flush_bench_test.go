@@ -74,7 +74,7 @@ func benchMerge(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := store.MergeParallel(workers)
+		g, _, err := store.MergePruned(nil, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,11 +113,11 @@ func TestMergeParallelProducesSameGraphOn64Files(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seq, err := store.MergeParallel(1)
+	seq, _, err := store.MergePruned(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := store.MergeParallel(8)
+	par, _, err := store.MergePruned(nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/hpc-io/prov-io/internal/core"
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
 	"github.com/hpc-io/prov-io/internal/sparql"
@@ -25,14 +26,30 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 // or workload generation shows up as a fixture diff. Regenerate with
 // `go test ./internal/bench -run TestGoldenSection6Queries -update`.
 
-// section6Queries builds the Table 5 stores and returns each query with its
-// graph, keyed by a stable fixture name.
-func section6Queries(t *testing.T) []struct {
+// section6Case is one Table 5 query with the store it runs over and that
+// store's exhaustive merge, keyed by a stable fixture name.
+type section6Case struct {
 	name  string
+	store *core.Store
 	g     *rdf.Graph
 	query string
-} {
+}
+
+// section6Queries builds the Table 5 stores and returns each query with its
+// store and merged graph.
+func section6Queries(t *testing.T) []section6Case {
 	t.Helper()
+	runH5 := func(cfg h5bench.Config) (*core.Store, *rdf.Graph) {
+		res, err := h5bench.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := res.Store.Merge()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Store, g
+	}
 
 	// DASSA backward file lineage.
 	dassaCfg := dassa.Config{Files: 4, Ranks: 2, Lineage: dassa.FileLineage}
@@ -58,15 +75,9 @@ func section6Queries(t *testing.T) []struct {
 
 	// H5bench scenarios (2 answers q1+q2, 3 answers q3).
 	h5cfg := h5bench.Config{Ranks: 2, Steps: 2, Scenario: h5bench.Scenario2, Pattern: h5bench.WriteRead}
-	h5g2, err := runH5ForTable5(h5cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h5s2, h5g2 := runH5(h5cfg)
 	h5cfg.Scenario = h5bench.Scenario3
-	h5g3, err := runH5ForTable5(h5cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h5s3, h5g3 := runH5(h5cfg)
 	fileNode := model.NodeIRI(model.File, "/scratch/vpic.h5")
 
 	// Top Reco metadata version control.
@@ -80,26 +91,22 @@ func section6Queries(t *testing.T) []struct {
 		t.Fatal(err)
 	}
 
-	return []struct {
-		name  string
-		g     *rdf.Graph
-		query string
-	}{
-		{"dassa_lineage", dg, dassaQ},
-		{"h5bench_q1_op_counts", h5g2,
+	return []section6Case{
+		{"dassa_lineage", dres.Store, dg, dassaQ},
+		{"h5bench_q1_op_counts", h5s2, h5g2,
 			`SELECT (COUNT(?api) AS ?n) WHERE { ?api prov:wasMemberOf prov:Activity . }`},
-		{"h5bench_q2_op_durations", h5g2,
+		{"h5bench_q2_op_durations", h5s2, h5g2,
 			`SELECT ?api ?duration WHERE {
 				?api prov:wasMemberOf prov:Activity ;
 				     provio:elapsed ?duration .
 			} ORDER BY ?api LIMIT 20`},
-		{"h5bench_q3_who_modified", h5g3, fmt.Sprintf(
+		{"h5bench_q3_who_modified", h5s3, h5g3, fmt.Sprintf(
 			`SELECT DISTINCT ?user WHERE {
 				<%s> prov:wasAttributedTo ?program .
 				?thread prov:actedOnBehalfOf ?program .
 				?program prov:actedOnBehalfOf ?user .
 			}`, fileNode)},
-		{"topreco_version_accuracy", tg,
+		{"topreco_version_accuracy", tres.Store, tg,
 			`SELECT ?version ?accuracy WHERE {
 				?configuration provio:Version ?version ;
 				               provio:hasAccuracy ?accuracy .
@@ -109,7 +116,7 @@ func section6Queries(t *testing.T) []struct {
 
 func TestGoldenSection6Queries(t *testing.T) {
 	for _, c := range section6Queries(t) {
-		res, err := sparql.Exec(c.g, c.query, model.Namespaces())
+		res, _, err := sparql.ExecParallelInfo(c.g, c.query, model.Namespaces(), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -2,13 +2,16 @@
 // line tools: one place that resolves the -store flag (a spec string; a bare
 // directory path stays a valid alias for dir:) together with the store
 // format name, so every tool accepts every backend and their help text stays
-// in sync.
+// in sync — and one place (OpenSource) that turns the -lazy/-cache-bytes
+// flags into the source a tool reads through.
 package cli
 
 import (
 	"fmt"
 
 	"github.com/hpc-io/prov-io/internal/core"
+	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/sparql"
 )
 
 // StoreUsage is the shared help text of the -store flag.
@@ -29,4 +32,83 @@ func OpenStore(spec, format string) (*core.Store, error) {
 		return nil, err
 	}
 	return core.OpenStore(spec, f)
+}
+
+// Source is the read side of a store as a tool opened it: the eagerly
+// merged graph, or a lazy view decoding units on demand into a bounded
+// cache. Tools pick one with OpenSource and then read through the same
+// calls either way.
+type Source struct {
+	// Query is what provio.Query and provio.Explain run over: the merged
+	// *rdf.Graph, or the view's *core.LazySource.
+	Query sparql.Source
+
+	view       *core.LazyView  // nil for an eager merge
+	scan       *core.ScanStats // what the eager merge decoded
+	workers    int
+	cacheBytes int64
+}
+
+// OpenSource opens the store for reading. Eager (lazy=false) merges the
+// units the pruner admits up front with `workers` decode workers; lazy pins
+// the layout in a view whose decoded-unit cache holds at most cacheBytes
+// (0 = unbounded) and admits the same units into a query source.
+func OpenSource(store *core.Store, pruner *core.SegmentPruner, workers int, lazy bool, cacheBytes int64) (*Source, error) {
+	if !lazy {
+		g, scan, err := store.MergePruned(pruner, workers)
+		if err != nil {
+			return nil, fmt.Errorf("merge: %w", err)
+		}
+		return &Source{Query: g, scan: scan, workers: workers}, nil
+	}
+	view, err := store.OpenLazy(core.CacheConfig{MaxBytes: cacheBytes})
+	if err != nil {
+		return nil, fmt.Errorf("open lazy view: %w", err)
+	}
+	return &Source{Query: view.Source(pruner), view: view, workers: workers, cacheBytes: cacheBytes}, nil
+}
+
+// Pushdown is the report a plan opens with: what the eager merge decoded,
+// or how many units the lazy source admitted (nothing is decoded yet).
+func (s *Source) Pushdown() string {
+	ls, ok := s.Query.(*core.LazySource)
+	if !ok {
+		return s.scan.String()
+	}
+	budget := "unbounded"
+	if s.cacheBytes > 0 {
+		budget = fmt.Sprintf("%d bytes", s.cacheBytes)
+	}
+	return fmt.Sprintf("%d/%d unit(s) admitted (lazy view, cache %s)", ls.Admitted(), ls.Stats().Units, budget)
+}
+
+// Scan reports what reading has touched so far: the eager merge's scan, or
+// the units the lazy source's queries paged in plus the cache counters.
+func (s *Source) Scan() *core.ScanStats {
+	if ls, ok := s.Query.(*core.LazySource); ok {
+		return ls.Stats()
+	}
+	return s.scan
+}
+
+// Graph returns the whole store as one graph with the scan that produced
+// it: the eager merge itself, or the view materialized through its cache.
+func (s *Source) Graph() (*rdf.Graph, *core.ScanStats, error) {
+	if s.view == nil {
+		return s.Query.(*rdf.Graph), s.scan, nil
+	}
+	return s.view.MaterializeGraph(s.workers)
+}
+
+// Residency is the lazy view's per-level decoded/resident byte breakdown,
+// keyed by level; nil for an eager merge.
+func (s *Source) Residency() map[int]core.LevelResidency {
+	if s.view == nil {
+		return nil
+	}
+	out := make(map[int]core.LevelResidency)
+	for _, lr := range s.view.LevelResidency() {
+		out[lr.Level] = lr
+	}
+	return out
 }

@@ -125,7 +125,7 @@ func TestMixedFormatMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := reader.MergeParallel(4)
+		g, _, err := reader.MergePruned(nil, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestFormatAutoDetection(t *testing.T) {
 // fixture must decode back to the identical graph.
 func TestGoldenMergedBinary(t *testing.T) {
 	store := buildGoldenStore(t)
-	merged, err := store.MergeParallel(4)
+	merged, _, err := store.MergePruned(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

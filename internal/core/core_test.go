@@ -296,7 +296,7 @@ func TestWriteMergedProducesFile(t *testing.T) {
 	tr := NewTracker(DefaultConfig(), store, 0)
 	tr.RegisterUser("alice")
 	tr.Close()
-	g, err := store.WriteMerged()
+	g, err := store.WriteMergedParallel(1)
 	if err != nil {
 		t.Fatal(err)
 	}

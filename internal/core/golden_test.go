@@ -75,7 +75,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // parse -> Turtle is byte-stable.
 func TestGoldenMergedRoundTrip(t *testing.T) {
 	store := buildGoldenStore(t)
-	merged, err := store.MergeParallel(4)
+	merged, _, err := store.MergePruned(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/hpc-io/prov-io/internal/faultfs"
@@ -185,7 +186,7 @@ func TestLazyParityProperty(t *testing.T) {
 				}
 				ps := v.Source(pr)
 				gotPruned := rdf.NewGraph()
-				if err := v.hydrateUnits(ps.units, gotPruned, workers); err != nil {
+				if err := v.hydrateAll(ps.units, workers, gotPruned); err != nil {
 					t.Fatalf("%s: hydrating pruned source: %v", tag, err)
 				}
 				if !bytes.Equal(ntBytes(t, wantPruned), ntBytes(t, gotPruned)) {
@@ -390,8 +391,7 @@ func TestEagerScanStaleClassification(t *testing.T) {
 	if _, err := store.PackSegments(1); err != nil {
 		t.Fatal(err)
 	}
-	var st ScanStats
-	units, err := store.scanUnits(nil, &st)
+	l, err := store.listUnits()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,14 +399,14 @@ func TestEagerScanStaleClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := 0
-	for i := range units {
-		if units[i].member == "" {
+	for _, u := range l.units {
+		if u.member == "" {
 			continue
 		}
 		members++
-		units[i].data = nil
-		if _, err := units[i].fetch(store); !errors.Is(err, ErrStaleView) {
-			t.Fatalf("fetch of vanished pack member %s: err=%v, want ErrStaleView", units[i].member, err)
+		u.data = nil
+		if _, err := u.fetch(store); !errors.Is(err, ErrStaleView) {
+			t.Fatalf("fetch of vanished pack member %s: err=%v, want ErrStaleView", u.member, err)
 		}
 	}
 	if members == 0 {
@@ -469,5 +469,80 @@ func TestLazyReadFaultInjection(t *testing.T) {
 	}
 	if g, _, err := warm.MaterializeGraph(2); err != nil || !bytes.Equal(baseline, ntBytes(t, g)) {
 		t.Fatalf("warm view across crash: err=%v (cache must serve)", err)
+	}
+}
+
+// readCountingBackend records, per path, every whole-file read and the
+// offset of every range read that reaches the wrapped backend.
+type readCountingBackend struct {
+	VFSBackend
+	mu     sync.Mutex
+	whole  map[string]int
+	ranges map[string][]int64
+}
+
+func (b *readCountingBackend) ReadFile(path string) ([]byte, error) {
+	b.mu.Lock()
+	b.whole[path]++
+	b.mu.Unlock()
+	return b.VFSBackend.ReadFile(path)
+}
+
+func (b *readCountingBackend) ReadFileRange(path string, off, n int64) ([]byte, error) {
+	b.mu.Lock()
+	b.ranges[path] = append(b.ranges[path], off)
+	b.mu.Unlock()
+	return b.VFSBackend.ReadFileRange(path, off, n)
+}
+
+// TestOpenLazyReadsEachPackHeaderOnce: opening a view lists the store
+// through the one unit listing, so each pack costs exactly one header fetch
+// — a single range read at offset 0 — and no read of member bytes: no
+// whole-file read of a pack, no range read past the header prefix. (Loose
+// files are read whole once, to digest them.)
+func TestOpenLazyReadsEachPackHeaderOnce(t *testing.T) {
+	cb := &readCountingBackend{VFSBackend: VFSBackend{View: vfs.NewStore().NewView()},
+		whole: map[string]int{}, ranges: map[string][]int64{}}
+	store, err := NewStore(cb, "/prov", FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two L1 packs (a pack is never folded into one of its own level) plus
+	// the loose canonical files of all four pids.
+	for pid := 0; pid < 4; pid++ {
+		smallHistory(t, store, pid)
+		if pid%2 == 1 {
+			if _, err := store.PackSegments(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cb.whole, cb.ranges = map[string]int{}, map[string][]int64{}
+
+	view, err := store.OpenLazy(CacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	packs := map[string]bool{}
+	for _, u := range view.layout.units {
+		if u.member != "" {
+			packs[u.path] = true
+		}
+	}
+	if len(packs) != 2 {
+		t.Fatalf("layout has %d pack(s), want 2", len(packs))
+	}
+	for p := range packs {
+		if offs := cb.ranges[p]; len(offs) != 1 || offs[0] != 0 {
+			t.Errorf("%s: range reads at offsets %v during OpenLazy, want exactly one at 0 (the header)", p, offs)
+		}
+		if n := cb.whole[p]; n != 0 {
+			t.Errorf("%s: %d whole-file read(s) during OpenLazy, want 0", p, n)
+		}
+	}
+	for p, n := range cb.whole {
+		if n != 1 {
+			t.Errorf("%s: read whole %d times during OpenLazy, want once", p, n)
+		}
 	}
 }

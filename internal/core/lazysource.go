@@ -5,12 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io/fs"
 	"sort"
 	"sync"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
-	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
 
 // Out-of-core read path (DESIGN.md "Out-of-core execution"): a LazyView is a
@@ -40,14 +38,11 @@ import (
 // error matching this sentinel — never a partial mixture of generations.
 var ErrStaleView = errors.New("core: store layout changed under lazy view")
 
-// lazyUnit is one decodable unit of the view: its open-time identity
-// (scanUnit metadata plus the pinned content key) and the per-unit memo
-// state that must survive eviction so morsel offsets stay stable.
-type lazyUnit struct {
-	u         scanUnit // data dropped after open; stats retained for pruning
-	key       unitKey
-	packSize  int64              // container size recorded at open (pack members only)
-	packStats *segcodec.SegStats // pack-level stats for whole-pack pruning (nil for loose)
+// lazyState is what an open view adds to each scanUnit: the content key the
+// unit was pinned under at open time, and the per-unit memo state that must
+// survive eviction so morsel offsets stay stable.
+type lazyState struct {
+	key unitKey
 
 	mu sync.Mutex
 	// scanLens memoizes global-pattern -> unit morsel-domain size. It lives
@@ -66,70 +61,37 @@ type lazyUnit struct {
 // staleness or corruption error observed by any read sticks (Err) and fails
 // the queries that raced it.
 type LazyView struct {
-	store *Store
-	cfg   CacheConfig
-	dict  *rdf.SharedDict
-	cache *segCache
-	units []*lazyUnit
-	base  ScanStats // file/pack listing counts from open
+	store  *Store
+	dict   *rdf.SharedDict
+	cache  *segCache
+	layout *unitList // the listing pinned at open; units carry lazyState
 
 	errMu sync.Mutex
 	err   error
 }
 
 // OpenLazy pins the store's current layout into a LazyView without decoding
-// anything. Loose files are read once to record their content digest (their
-// bytes are then dropped); packs contribute only their headers, fetched via
-// range reads on capable backends. The returned view serves queries through
-// Source and lineage through ReduceLineagePruned with at most cfg.MaxBytes
-// of decoded units resident.
+// anything: the same listing an eager merge starts from, with each unit's
+// content key recorded and its bytes dropped. Loose files are therefore
+// read once (to digest them); packs contribute only their headers, fetched
+// once each via range reads on capable backends. The returned view serves
+// queries through Source and lineage through ReduceLineagePruned with at
+// most cfg.MaxBytes of decoded units resident.
 func (s *Store) OpenLazy(cfg CacheConfig) (*LazyView, error) {
-	var st ScanStats
-	units, err := s.scanUnits(nil, &st)
+	l, err := s.listUnits()
 	if err != nil {
 		return nil, err
 	}
-	v := &LazyView{
-		store: s,
-		cfg:   cfg,
-		dict:  rdf.NewSharedDict(),
-		cache: newSegCache(cfg.MaxBytes),
-		base:  st,
-	}
-	type packMeta struct {
-		size  int64
-		stats *segcodec.SegStats
-	}
-	packs := make(map[string]packMeta)
-	for i := range units {
-		u := units[i]
-		lu := &lazyUnit{u: u}
+	for _, u := range l.units {
+		u.lazy = &lazyState{}
 		if u.member == "" {
-			lu.key = unitKey{path: u.path, size: u.size, digest: fileDigest(u.data)}
+			u.lazy.key = unitKey{path: u.path, size: u.size, digest: fileDigest(u.data)}
 		} else {
-			pm, ok := packs[u.path]
-			if !ok {
-				// readPackHeader verifies the file's size against the header's
-				// WantSize, so this doubles as the open-time size recording.
-				h, _, err := s.readPackHeader(u.path)
-				if err != nil {
-					return nil, err
-				}
-				pm = packMeta{size: h.WantSize}
-				if h.HasStats {
-					hs := h.Stats
-					pm.stats = &hs
-				}
-				packs[u.path] = pm
-			}
-			lu.packSize = pm.size
-			lu.packStats = pm.stats
-			lu.key = memberKey(u.path, u.member, u.off, u.size, pm.size)
+			u.lazy.key = memberKey(u.path, u.member, u.off, u.size, u.packSize)
 		}
-		lu.u.data = nil // the cache re-fetches on demand; the view pins no bytes
-		v.units = append(v.units, lu)
+		u.data = nil // the cache re-fetches on demand; the view pins no bytes
 	}
-	return v, nil
+	return &LazyView{store: s, dict: rdf.NewSharedDict(), cache: newSegCache(cfg.MaxBytes), layout: l}, nil
 }
 
 // memberKey derives a pack member's cache key. Packs are written once and
@@ -175,28 +137,26 @@ func (v *LazyView) fail(err error) {
 // Stats returns the view's cache counters.
 func (v *LazyView) Stats() CacheStats { return v.cache.stats() }
 
-// loadUnit returns lu decoded, serving from the cache when resident.
-func (v *LazyView) loadUnit(lu *lazyUnit) (*decodedUnit, error) {
-	return v.cache.get(lu.key, func() (*decodedUnit, error) {
-		data, err := v.fetchVerified(lu)
+// loadUnit returns u decoded, serving from the cache when resident.
+func (v *LazyView) loadUnit(u *scanUnit) (*decodedUnit, error) {
+	return v.cache.get(u.lazy.key, func() (*decodedUnit, error) {
+		data, err := v.fetchVerified(u)
 		if err != nil {
 			return nil, err
 		}
 		g := rdf.NewGraph()
-		su := lu.u
-		su.data = data
-		if err := su.decodeInto(v.store, g); err != nil {
+		if err := u.decodeBytes(data, g); err != nil {
 			return nil, err
 		}
 		snap := g.Snapshot()
 		toGlobal, toLocal := v.dict.RemapSnapshot(snap)
 		du := &decodedUnit{snap: snap, toGlobal: toGlobal, toLocal: toLocal}
 		du.bytes = decodedBytesEstimate(snap, len(toLocal))
-		lu.mu.Lock()
-		if lu.decBytes == 0 {
-			lu.decBytes = du.bytes
+		u.lazy.mu.Lock()
+		if u.lazy.decBytes == 0 {
+			u.lazy.decBytes = du.bytes
 		}
-		lu.mu.Unlock()
+		u.lazy.mu.Unlock()
 		return du, nil
 	})
 }
@@ -206,36 +166,22 @@ func (v *LazyView) loadUnit(lu *lazyUnit) (*decodedUnit, error) {
 // canonicals in place), pack containers must still have their open-time
 // size (packs are write-once; a different size means replacement). A
 // mismatch or a vanished file classifies as ErrStaleView.
-func (v *LazyView) fetchVerified(lu *lazyUnit) ([]byte, error) {
-	if lu.u.member == "" {
-		data, err := v.store.backend.ReadFile(lu.u.path)
+func (v *LazyView) fetchVerified(u *scanUnit) ([]byte, error) {
+	if u.member != "" {
+		size, err := v.store.backend.Stat(u.path)
 		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil, fmt.Errorf("core: %s vanished under lazy view: %w (%v)", lu.u.path, ErrStaleView, err)
-			}
-			return nil, err
+			return nil, staleIfGone(u.path, err)
 		}
-		if fileDigest(data) != lu.key.digest {
-			return nil, fmt.Errorf("core: %s rewritten under lazy view: %w", lu.u.path, ErrStaleView)
+		if size != u.packSize {
+			return nil, fmt.Errorf("core: pack %s is %d bytes, was %d at open: %w", u.path, size, u.packSize, ErrStaleView)
 		}
-		return data, nil
 	}
-	size, err := v.store.backend.Stat(lu.u.path)
+	data, err := u.fetch(v.store)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("core: pack %s vanished under lazy view: %w (%v)", lu.u.path, ErrStaleView, err)
-		}
 		return nil, err
 	}
-	if size != lu.packSize {
-		return nil, fmt.Errorf("core: pack %s is %d bytes, was %d at open: %w", lu.u.path, size, lu.packSize, ErrStaleView)
-	}
-	data, err := lu.u.fetch(v.store)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("core: pack %s vanished under lazy view: %w (%v)", lu.u.path, ErrStaleView, err)
-		}
-		return nil, err
+	if u.member == "" && fileDigest(data) != u.lazy.key.digest {
+		return nil, fmt.Errorf("core: %s rewritten under lazy view: %w", u.path, ErrStaleView)
 	}
 	return data, nil
 }
@@ -255,32 +201,19 @@ func (v *LazyView) fetchVerified(lu *lazyUnit) ([]byte, error) {
 // partition of the domain remains exact and deterministic.
 type LazySource struct {
 	view         *LazyView
-	units        []*lazyUnit
+	units        []*scanUnit
 	packsSkipped int // packs dropped whole at their header stats
 
 	decMu   sync.Mutex
-	decoded map[*lazyUnit]bool // units this source decoded (ScanStats)
+	decoded map[*scanUnit]bool // units this source decoded (ScanStats)
 }
 
 // Source returns a query source over the view admitting exactly the units
-// whose statistics the pruner cannot rule out (nil admits everything) — the
-// same two-stage predicate MergePruned applies: a pack whose header stats
-// exclude every pattern drops all its members (stats-less ones included),
-// then surviving units are filtered on their own stats.
+// whose statistics the pruner cannot rule out (nil admits everything) —
+// through admit, the same predicate MergePruned applies.
 func (v *LazyView) Source(pr *SegmentPruner) *LazySource {
-	ls := &LazySource{view: v, decoded: make(map[*lazyUnit]bool)}
-	prunedPacks := make(map[string]bool)
-	for _, lu := range v.units {
-		if lu.packStats != nil && !pr.wantStats(lu.packStats) {
-			prunedPacks[lu.u.path] = true
-			continue
-		}
-		if lu.u.stats != nil && !pr.wantStats(lu.u.stats) {
-			continue
-		}
-		ls.units = append(ls.units, lu)
-	}
-	ls.packsSkipped = len(prunedPacks)
+	ls := &LazySource{view: v, decoded: make(map[*scanUnit]bool)}
+	ls.units, ls.packsSkipped = admit(v.layout.units, pr)
 	return ls
 }
 
@@ -292,7 +225,7 @@ func (ls *LazySource) Err() error { return ls.view.Err() }
 func (ls *LazySource) Admitted() int { return len(ls.units) }
 
 // load decodes lu through the view's cache, tracking it for scan stats.
-func (ls *LazySource) load(lu *lazyUnit) (*decodedUnit, error) {
+func (ls *LazySource) load(lu *scanUnit) (*decodedUnit, error) {
 	du, err := ls.view.loadUnit(lu)
 	if err != nil {
 		return nil, err
@@ -313,63 +246,61 @@ func (ls *LazySource) termPtr(id rdf.ID) *rdf.Term {
 	return &t
 }
 
-// mapLocal translates a global pattern ID into lu's local space; a bound
-// global the unit never interned matches nothing in it.
-func mapLocal(du *decodedUnit, g rdf.ID) (rdf.ID, bool) {
-	if g == rdf.NoID {
-		return rdf.NoID, true
+// localPattern translates a pattern of global IDs into the unit's local ID
+// space (NoID stays the wildcard); ok is false when a bound global is a term
+// the unit never interned, so the pattern matches nothing in it.
+func (du *decodedUnit) localPattern(s, p, o rdf.ID) (ls, lp, lo rdf.ID, ok bool) {
+	local := [3]rdf.ID{s, p, o}
+	for i, g := range local {
+		if g == rdf.NoID {
+			continue
+		}
+		if local[i], ok = du.toLocal[g]; !ok {
+			return 0, 0, 0, false
+		}
 	}
-	l, ok := du.toLocal[g]
-	return l, ok
+	return local[0], local[1], local[2], true
 }
 
 // unitScanLen returns lu's morsel-domain size for the pattern, memoized for
 // the unit's lifetime. Units whose statistics rule the pattern out answer 0
 // without decoding — the per-unit half of statistics pushdown.
-func (ls *LazySource) unitScanLen(lu *lazyUnit, s, p, o rdf.ID) int {
+func (ls *LazySource) unitScanLen(lu *scanUnit, s, p, o rdf.ID) int {
 	key := [3]rdf.ID{s, p, o}
-	lu.mu.Lock()
-	if n, ok := lu.scanLens[key]; ok {
-		lu.mu.Unlock()
+	lu.lazy.mu.Lock()
+	if n, ok := lu.lazy.scanLens[key]; ok {
+		lu.lazy.mu.Unlock()
 		return n
 	}
-	lu.mu.Unlock()
+	lu.lazy.mu.Unlock()
 
 	n, err := ls.computeUnitScanLen(lu, s, p, o)
 	if err != nil {
 		ls.view.fail(err)
 		return 0
 	}
-	lu.mu.Lock()
-	if lu.scanLens == nil {
-		lu.scanLens = make(map[[3]rdf.ID]int)
+	lu.lazy.mu.Lock()
+	if lu.lazy.scanLens == nil {
+		lu.lazy.scanLens = make(map[[3]rdf.ID]int)
 	}
-	if prev, ok := lu.scanLens[key]; ok {
+	if prev, ok := lu.lazy.scanLens[key]; ok {
 		n = prev // first memoized value wins: the domain must never move
 	} else {
-		lu.scanLens[key] = n
+		lu.lazy.scanLens[key] = n
 	}
-	lu.mu.Unlock()
+	lu.lazy.mu.Unlock()
 	return n
 }
 
-func (ls *LazySource) computeUnitScanLen(lu *lazyUnit, s, p, o rdf.ID) (int, error) {
-	if lu.u.stats != nil && !lu.u.stats.CanMatch(ls.termPtr(s), ls.termPtr(p), ls.termPtr(o)) {
+func (ls *LazySource) computeUnitScanLen(lu *scanUnit, s, p, o rdf.ID) (int, error) {
+	if lu.stats != nil && !lu.stats.CanMatch(ls.termPtr(s), ls.termPtr(p), ls.termPtr(o)) {
 		return 0, nil
 	}
 	du, err := ls.load(lu)
 	if err != nil {
 		return 0, err
 	}
-	lsid, ok := mapLocal(du, s)
-	if !ok {
-		return 0, nil
-	}
-	lpid, ok := mapLocal(du, p)
-	if !ok {
-		return 0, nil
-	}
-	loid, ok := mapLocal(du, o)
+	lsid, lpid, loid, ok := du.localPattern(s, p, o)
 	if !ok {
 		return 0, nil
 	}
@@ -388,14 +319,14 @@ func (ls *LazySource) ownedByEarlier(k int, gs, gp, go_ rdf.ID) bool {
 	var ts, tp, to rdf.Term
 	haveTerms := false
 	for _, uj := range ls.units[:k] {
-		if uj.u.stats != nil {
+		if uj.stats != nil {
 			if !haveTerms {
 				ts = ls.view.dict.TermAt(gs)
 				tp = ls.view.dict.TermAt(gp)
 				to = ls.view.dict.TermAt(go_)
 				haveTerms = true
 			}
-			if !uj.u.stats.CanMatch(&ts, &tp, &to) {
+			if !uj.stats.CanMatch(&ts, &tp, &to) {
 				continue
 			}
 		}
@@ -404,19 +335,8 @@ func (ls *LazySource) ownedByEarlier(k int, gs, gp, go_ rdf.ID) bool {
 			ls.view.fail(err)
 			return true // results are discarded once the view is failed
 		}
-		lsid, ok := du.toLocal[gs]
-		if !ok {
-			continue
-		}
-		lpid, ok := du.toLocal[gp]
-		if !ok {
-			continue
-		}
-		loid, ok := du.toLocal[go_]
-		if !ok {
-			continue
-		}
-		if du.snap.CountMatchIDs(lsid, lpid, loid) > 0 {
+		lsid, lpid, loid, ok := du.localPattern(gs, gp, go_)
+		if ok && du.snap.CountMatchIDs(lsid, lpid, loid) > 0 {
 			return true
 		}
 	}
@@ -477,10 +397,8 @@ func (ls *LazySource) ScanRange(s, p, o rdf.ID, lo, hi int, fn func(s, p, o rdf.
 				ls.view.fail(err)
 				return true
 			}
-			lsid, okS := mapLocal(du, s)
-			lpid, okP := mapLocal(du, p)
-			loid, okO := mapLocal(du, o)
-			if !okS || !okP || !okO {
+			lsid, lpid, loid, ok := du.localPattern(s, p, o)
+			if !ok {
 				// The memoized domain said n > 0, so the pattern's constants
 				// mapped at memo time; the dictionary is append-only, so they
 				// still do. Defensive only.
@@ -525,14 +443,14 @@ func (ls *LazySource) CountMatchIDs(s, p, o rdf.ID) int {
 }
 
 // estimateTriples is the unit's decode-free triple estimate for a pattern.
-func (lu *lazyUnit) estimateTriples(s, p, o *rdf.Term) int {
-	if lu.u.stats != nil {
-		if !lu.u.stats.CanMatch(s, p, o) {
+func (lu *scanUnit) estimateTriples(s, p, o *rdf.Term) int {
+	if lu.stats != nil {
+		if !lu.stats.CanMatch(s, p, o) {
 			return 0
 		}
-		return int(lu.u.stats.Triples)
+		return int(lu.stats.Triples)
 	}
-	return int(lu.u.size/32) + 1 // stats-less (legacy/text) unit: size heuristic
+	return int(lu.size/32) + 1 // stats-less (legacy/text) unit: size heuristic
 }
 
 // PredStats estimates a predicate's cardinalities from unit statistics.
@@ -546,10 +464,10 @@ func (ls *LazySource) PredStats(p rdf.ID) (triples, subjects, objects int) {
 func (ls *LazySource) IndexStats() (subjects, predicates, objects int) {
 	n := 0
 	for _, lu := range ls.units {
-		if lu.u.stats != nil {
-			n += int(lu.u.stats.Terms)
+		if lu.stats != nil {
+			n += int(lu.stats.Terms)
 		} else {
-			n += int(lu.u.size/32) + 1
+			n += int(lu.size/32) + 1
 		}
 	}
 	if n == 0 {
@@ -567,26 +485,16 @@ func (ls *LazySource) Len() int {
 // Units counts every unit of the view, Decoded the ones this source paged
 // in — with the view-wide cache counters folded in.
 func (ls *LazySource) Stats() *ScanStats {
-	st := ls.view.newScanStats()
+	st := ls.view.layout.newScanStats()
 	ls.decMu.Lock()
+	decoded := make([]*scanUnit, 0, len(ls.decoded))
 	for lu := range ls.decoded {
-		st.Decoded++
-		st.level(lu.u.level).Decoded++
+		decoded = append(decoded, lu)
 	}
 	ls.decMu.Unlock()
+	st.markDecoded(decoded)
 	st.PacksSkipped = ls.packsSkipped
-	st.Skipped = st.Units - st.Decoded
 	ls.view.foldCacheStats(st)
-	return st
-}
-
-// newScanStats seeds a ScanStats with the view's open-time layout counts.
-func (v *LazyView) newScanStats() *ScanStats {
-	st := &ScanStats{Files: v.base.Files, Packs: v.base.Packs}
-	for _, lu := range v.units {
-		st.Units++
-		st.level(lu.u.level).Units++
-	}
 	return st
 }
 
@@ -603,67 +511,28 @@ func (v *LazyView) foldCacheStats(st *ScanStats) {
 
 // ---- whole-graph consumers over the cache ----
 
-// hydrateUnits decodes units through the cache and unions their triples
-// into dst with a worker pool (graph union deduplicates, so no ownership
-// filtering is needed on this path).
-func (v *LazyView) hydrateUnits(units []*lazyUnit, dst *rdf.Graph, workers int) error {
-	hydrate := func(lu *lazyUnit) error {
-		du, err := v.loadUnit(lu)
-		if err != nil {
-			return err
-		}
-		ts := make([]rdf.Triple, 0, du.snap.Len())
-		du.snap.ScanRange(rdf.NoID, rdf.NoID, rdf.NoID, 0, du.snap.Len(), func(a, b, c rdf.ID) bool {
-			ts = append(ts, rdf.Triple{S: du.snap.TermOf(a), P: du.snap.TermOf(b), O: du.snap.TermOf(c)})
-			return true
-		})
-		dst.AddBatch(ts)
-		return nil
+// hydrateInto is the lazy read path's leaf: decode u through the cache and
+// union its triples into dst. Graph union deduplicates, so no ownership
+// filtering is needed here.
+func (v *LazyView) hydrateInto(u *scanUnit, dst *rdf.Graph) error {
+	du, err := v.loadUnit(u)
+	if err != nil {
+		return err
 	}
-	if workers <= 1 || len(units) < 2 {
-		for _, lu := range units {
-			if err := hydrate(lu); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-	jobs := make(chan *lazyUnit)
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for lu := range jobs {
-				errMu.Lock()
-				failed := firstErr != nil
-				errMu.Unlock()
-				if failed {
-					continue
-				}
-				if err := hydrate(lu); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, lu := range units {
-		jobs <- lu
-	}
-	close(jobs)
-	wg.Wait()
-	return firstErr
+	ts := make([]rdf.Triple, 0, du.snap.Len())
+	du.snap.ScanRange(rdf.NoID, rdf.NoID, rdf.NoID, 0, du.snap.Len(), func(a, b, c rdf.ID) bool {
+		ts = append(ts, rdf.Triple{S: du.snap.TermOf(a), P: du.snap.TermOf(b), O: du.snap.TermOf(c)})
+		return true
+	})
+	dst.AddBatch(ts)
+	return nil
+}
+
+// hydrateAll is the lazy counterpart of Store.decodeUnits over the same
+// pool: every worker hydrates straight into dst — one AddBatch per unit, so
+// private accumulators would only add a second insertion.
+func (v *LazyView) hydrateAll(units []*scanUnit, workers int, dst *rdf.Graph) error {
+	return forEachUnit(units, workers, func(_ int, u *scanUnit) error { return v.hydrateInto(u, dst) })
 }
 
 // MaterializeGraph unions every unit of the view into one graph through the
@@ -671,67 +540,28 @@ func (v *LazyView) hydrateUnits(units []*lazyUnit, dst *rdf.Graph, workers int) 
 // graph (provio-stats). Peak decoded-cache residency stays within the
 // budget; the returned graph itself is of course O(store).
 func (v *LazyView) MaterializeGraph(workers int) (*rdf.Graph, *ScanStats, error) {
-	st := v.newScanStats()
+	st := v.layout.newScanStats()
 	g := rdf.NewGraph()
-	if err := v.hydrateUnits(v.units, g, workers); err != nil {
+	if err := v.hydrateAll(v.layout.units, workers, g); err != nil {
 		return nil, nil, err
 	}
-	st.Decoded = len(v.units)
-	for _, lu := range v.units {
-		st.level(lu.u.level).Decoded++
-	}
+	st.markDecoded(v.layout.units)
 	v.foldCacheStats(st)
 	return g, st, nil
 }
 
 // ReduceLineagePruned is Store.ReduceLineagePruned through the view's
-// cache: the same probe-to-fixpoint expansion (identical results), but
-// every decode is cache-served and budget-bounded, and repeated lineage
-// queries on one view reuse resident units.
+// cache: the same lineageFixpoint (identical results), but every decode is
+// cache-served and budget-bounded, and repeated lineage queries on one view
+// reuse resident units.
 func (v *LazyView) ReduceLineagePruned(roots []rdf.Term, maxHops, workers int) (*rdf.Graph, *ScanStats, error) {
-	st := v.newScanStats()
-	loaded := rdf.NewGraph()
-	pending := append([]*lazyUnit(nil), v.units...)
-	probes := append([]rdf.Term(nil), roots...)
-	var reduced *rdf.Graph
-	for {
-		var take, rest []*lazyUnit
-		for _, lu := range pending {
-			want := lu.u.stats == nil
-			if !want {
-				for _, t := range probes {
-					if lu.u.stats.CanContainNode(t) {
-						want = true
-						break
-					}
-				}
-			}
-			if want {
-				take = append(take, lu)
-			} else {
-				rest = append(rest, lu)
-			}
-		}
-		if len(take) == 0 && reduced != nil {
-			break
-		}
-		pending = rest
-		if len(take) > 0 {
-			if err := v.hydrateUnits(take, loaded, workers); err != nil {
-				return nil, nil, err
-			}
-			st.Decoded += len(take)
-			for _, lu := range take {
-				st.level(lu.u.level).Decoded++
-			}
-		}
-		var kept []rdf.Term
-		reduced, kept = reduceLineageKept(loaded, roots, maxHops)
-		probes = kept
+	st := v.layout.newScanStats()
+	g, err := lineageFixpoint(v.layout.units, roots, maxHops, workers, st, v.hydrateAll)
+	if err != nil {
+		return nil, nil, err
 	}
-	st.Skipped = st.Units - st.Decoded
 	v.foldCacheStats(st)
-	return reduced, st, nil
+	return g, st, nil
 }
 
 // LevelResidency is one level's slice of the view's sizing report: what the
@@ -759,19 +589,19 @@ func (v *LazyView) LevelResidency() []LevelResidency {
 		}
 		return lr
 	}
-	byKey := make(map[unitKey]*lazyUnit, len(v.units))
-	for _, lu := range v.units {
-		lr := at(lu.u.level)
+	byKey := make(map[unitKey]*scanUnit, len(v.layout.units))
+	for _, lu := range v.layout.units {
+		lr := at(lu.level)
 		lr.Units++
-		lr.DiskBytes += lu.u.size
-		lu.mu.Lock()
-		lr.DecodedBytes += lu.decBytes
-		lu.mu.Unlock()
-		byKey[lu.key] = lu
+		lr.DiskBytes += lu.size
+		lu.lazy.mu.Lock()
+		lr.DecodedBytes += lu.lazy.decBytes
+		lu.lazy.mu.Unlock()
+		byKey[lu.lazy.key] = lu
 	}
 	v.cache.forEachResident(func(k unitKey, bytes int64) {
 		if lu := byKey[k]; lu != nil {
-			lr := at(lu.u.level)
+			lr := at(lu.level)
 			lr.ResidentUnits++
 			lr.ResidentBytes += bytes
 		}

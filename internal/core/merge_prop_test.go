@@ -67,7 +67,7 @@ func TestMergeParallelMatchesSequential(t *testing.T) {
 	}
 	want := ntBytes(t, seq)
 	for _, workers := range []int{2, 3, 8, 64} {
-		par, err := store.MergeParallel(workers)
+		par, _, err := store.MergePruned(nil, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -87,7 +87,7 @@ func TestMergeIdempotent(t *testing.T) {
 	}
 	want := ntBytes(t, first)
 	for i := 0; i < 3; i++ {
-		again, err := store.MergeParallel(4)
+		again, _, err := store.MergePruned(nil, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,6 +95,17 @@ func TestMergeIdempotent(t *testing.T) {
 			t.Fatalf("merge %d differs", i)
 		}
 	}
+}
+
+// mergeFiles decodes an explicit file list (in the given order) into one
+// graph through the store's unit path.
+func mergeFiles(s *Store, files []string, workers int) (*rdf.Graph, error) {
+	units := make([]*scanUnit, len(files))
+	for i, f := range files {
+		units[i] = &scanUnit{path: f}
+	}
+	g := rdf.NewGraph()
+	return g, s.decodeUnits(units, workers, g)
 }
 
 // TestMergeOrderIndependent: merging shuffled file lists yields
@@ -108,7 +119,7 @@ func TestMergeOrderIndependent(t *testing.T) {
 	if len(files) < 4 {
 		t.Fatalf("want several files, got %v", files)
 	}
-	base, err := store.mergeFiles(files, 1)
+	base, err := mergeFiles(store, files, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +129,7 @@ func TestMergeOrderIndependent(t *testing.T) {
 		shuffled := append([]string(nil), files...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		for _, workers := range []int{1, 4} {
-			g, err := store.mergeFiles(shuffled, workers)
+			g, err := mergeFiles(store, shuffled, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +158,7 @@ func TestMergeParallelPropagatesErrors(t *testing.T) {
 	if err := view.WriteFile("/prov/prov_p000003.ttl", []byte("@prefix broken <oops")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.MergeParallel(4); err == nil {
+	if _, _, err := store.MergePruned(nil, 4); err == nil {
 		t.Error("parallel merge accepted a corrupt sub-graph")
 	}
 }

@@ -9,14 +9,22 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"github.com/hpc-io/prov-io/internal/backend"
 	"github.com/hpc-io/prov-io/internal/rdf"
 	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
 
-// This file is the statistics-pushdown read path of the leveled store
-// (DESIGN.md "Leveled segments & pushdown"): reads that know what they are
-// looking for consult each segment's embedded stats frame — and each pack's
+// This file is the store's one reader (DESIGN.md "Leveled segments &
+// pushdown", paragraph "The store reader"): every read — exhaustive or
+// pruned merge, lazy view, either lineage reducer — lists the store's units
+// once (listUnits), admits them through one statistics predicate (admit),
+// fans the admitted ones over one worker pool (forEachUnit), and differs
+// only in the leaf that turns one unit into triples: Store.decodeInto here,
+// LazyView.hydrateInto through the budgeted cache in lazysource.go.
+//
+// Pushdown consults each segment's embedded stats frame — and each pack's
 // header — to skip whole segments whose zone maps, predicate lists, and
 // Bloom filters prove the answer cannot be there. Pruning is strictly
 // conservative: a unit without stats (legacy .pbs, text segments) always
@@ -40,11 +48,10 @@ type SegmentPruner struct {
 	Patterns []PrunePattern
 }
 
-// wantStats reports whether any pattern could match a unit with these stats.
+// wantStats reports whether any pattern could match a unit with these
+// stats. admit, its only caller, has already let everything through for a
+// nil or empty pruner.
 func (pr *SegmentPruner) wantStats(st *segcodec.SegStats) bool {
-	if pr == nil || len(pr.Patterns) == 0 {
-		return true
-	}
 	for _, p := range pr.Patterns {
 		if st.CanMatch(p.S, p.P, p.O) {
 			return true
@@ -140,8 +147,10 @@ func (st *ScanStats) String() string {
 }
 
 // scanUnit is one decodable unit of the store: a loose provenance file, or
-// one member of a pack. Units carry whatever was already read to stat them
-// (loose files: the whole file; pack members: nothing until fetched).
+// one member of a pack — the one unit representation every read works off.
+// Units carry whatever was already read to stat them (loose files: the
+// whole file; pack members: nothing until fetched, except on backends
+// without range reads, where the header fetch read the whole container).
 type scanUnit struct {
 	path   string // backend path of the file holding the unit
 	member string // member name inside a pack; "" for a loose file
@@ -150,67 +159,103 @@ type scanUnit struct {
 	level  int
 	stats  *segcodec.SegStats // nil = no stats, always matches
 	data   []byte             // unit bytes when already in hand
+
+	// Pack members only: the container's size (the header's WantSize,
+	// checked against the file at listing time) and its union statistics
+	// for whole-pack pruning (nil when the pack carries none).
+	packSize  int64
+	packStats *segcodec.SegStats
+
+	// lazy is the unit's state inside an open LazyView (content key, morsel
+	// memo); nil on eager reads, which never touch the cache.
+	lazy *lazyState
+}
+
+// unitList is the store's layout as one listing pass saw it.
+type unitList struct {
+	units        []*scanUnit
+	files, packs int // store files listed (a pack counts once); packs among them
+}
+
+// newScanStats seeds a ScanStats with the listing's layout counts; reads
+// then record what they decoded with markDecoded.
+func (l *unitList) newScanStats() *ScanStats {
+	st := &ScanStats{Files: l.files, Packs: l.packs, Units: len(l.units), Skipped: len(l.units)}
+	for _, u := range l.units {
+		st.level(u.level).Units++
+	}
+	return st
+}
+
+// markDecoded records units a read decoded.
+func (st *ScanStats) markDecoded(units []*scanUnit) {
+	st.Decoded += len(units)
+	st.Skipped = st.Units - st.Decoded
+	for _, u := range units {
+		st.level(u.level).Decoded++
+	}
 }
 
 // rangeReadable returns the backend's partial-read capability, or nil. Only
 // the outermost backend is consulted — never unwrapped decorators — so a
 // fault-injection or accounting wrapper that lacks the method keeps seeing
 // every read as a whole-file ReadFile.
-func rangeReadable(b StoreBackend) interface {
-	ReadFileRange(path string, off, n int64) ([]byte, error)
-} {
-	rr, ok := any(b).(interface {
-		ReadFileRange(path string, off, n int64) ([]byte, error)
-	})
-	if !ok {
-		return nil
-	}
+func rangeReadable(b StoreBackend) backend.RangeReader {
+	rr, _ := any(b).(backend.RangeReader)
 	return rr
 }
 
 // readPackHeader fetches and parses a pack's header. With a range-capable
 // backend only a prefix of the file is read (retried larger while the
 // header is truncated); otherwise the whole file is read and returned so
-// member fetches can slice it instead of re-reading.
-func (s *Store) readPackHeader(path string) (*segcodec.PackHeader, []byte, error) {
+// member fetches can slice it instead of re-reading. Either way the file's
+// size is checked against the size the header implies.
+func (s *Store) readPackHeader(path string) (h *segcodec.PackHeader, data []byte, err error) {
+	var size int64
 	if rr := rangeReadable(s.backend); rr != nil {
 		for n := int64(64 << 10); ; n *= 2 {
-			buf, err := rr.ReadFileRange(path, 0, n)
-			if err != nil {
-				return nil, nil, err
+			buf, rerr := rr.ReadFileRange(path, 0, n)
+			if rerr != nil {
+				return nil, nil, rerr
 			}
-			h, err := segcodec.DecodePackHeader(buf)
-			if err == nil {
-				// The header parsed from a prefix; check the file is whole.
-				size, serr := s.backend.Stat(path)
-				if serr != nil {
-					return nil, nil, serr
-				}
-				if size != h.WantSize {
-					return nil, nil, fmt.Errorf("core: %s: file is %d bytes, pack header implies %d: %w",
-						path, size, h.WantSize, segcodec.ErrTruncated)
-				}
-				return h, nil, nil
-			}
+			h, err = segcodec.DecodePackHeader(buf)
 			if errors.Is(err, segcodec.ErrTruncated) && int64(len(buf)) == n {
 				continue // header larger than the prefix: read more
 			}
-			return nil, nil, fmt.Errorf("core: %s: %w", path, err)
+			break
 		}
+		if err == nil {
+			// The header parsed from a prefix; check the file is whole.
+			if size, err = s.backend.Stat(path); err != nil {
+				return nil, nil, err
+			}
+		}
+	} else {
+		if data, err = s.backend.ReadFile(path); err != nil {
+			return nil, nil, err
+		}
+		h, err = segcodec.DecodePackHeader(data)
+		size = int64(len(data))
 	}
-	data, err := s.backend.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	h, err := segcodec.DecodePackHeader(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s: %w", path, err)
 	}
-	if int64(len(data)) != h.WantSize {
+	if size != h.WantSize {
 		return nil, nil, fmt.Errorf("core: %s: file is %d bytes, pack header implies %d: %w",
-			path, len(data), h.WantSize, segcodec.ErrTruncated)
+			path, size, h.WantSize, segcodec.ErrTruncated)
 	}
 	return h, data, nil
+}
+
+// staleIfGone classifies a read error on a file the listing saw: if the
+// file is gone by read time, a concurrent Compact/PackSegments moved the
+// layout under this reader — ErrStaleView, so racing readers can
+// distinguish maintenance from damage. Other errors pass through.
+func staleIfGone(path string, err error) error {
+	if errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("core: %s vanished after it was listed: %w (%v)", path, ErrStaleView, err)
+	}
+	return err
 }
 
 // fetch returns the unit's bytes, range-reading pack members on capable
@@ -219,23 +264,10 @@ func (u *scanUnit) fetch(s *Store) ([]byte, error) {
 	if u.data != nil {
 		return u.data, nil
 	}
-	if u.member == "" {
-		data, err := s.backend.ReadFile(u.path)
-		if err != nil && errors.Is(err, fs.ErrNotExist) {
-			// The file was listed but is gone by decode time: a concurrent
-			// Compact/PackSegments moved the layout under this scan. Classify
-			// so racing readers can distinguish maintenance from damage.
-			return nil, fmt.Errorf("core: %s vanished during scan: %w (%v)", u.path, ErrStaleView, err)
-		}
-		return data, err
-	}
-	if rr := rangeReadable(s.backend); rr != nil {
+	if rr := rangeReadable(s.backend); rr != nil && u.member != "" {
 		data, err := rr.ReadFileRange(u.path, u.off, u.size)
 		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil, fmt.Errorf("core: pack %s vanished during scan: %w (%v)", u.path, ErrStaleView, err)
-			}
-			return nil, err
+			return nil, staleIfGone(u.path, err)
 		}
 		if int64(len(data)) != u.size {
 			return nil, fmt.Errorf("core: %s!%s: member extent short: %w", u.path, u.member, segcodec.ErrTruncated)
@@ -244,10 +276,10 @@ func (u *scanUnit) fetch(s *Store) ([]byte, error) {
 	}
 	data, err := s.backend.ReadFile(u.path)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("core: pack %s vanished during scan: %w (%v)", u.path, ErrStaleView, err)
-		}
-		return nil, err
+		return nil, staleIfGone(u.path, err)
+	}
+	if u.member == "" {
+		return data, nil
 	}
 	if int64(len(data)) < u.off+u.size {
 		return nil, fmt.Errorf("core: %s!%s: member extent past EOF: %w", u.path, u.member, segcodec.ErrTruncated)
@@ -255,12 +287,10 @@ func (u *scanUnit) fetch(s *Store) ([]byte, error) {
 	return data[u.off : u.off+u.size], nil
 }
 
-// decodeInto decodes the unit's triples into g.
-func (u *scanUnit) decodeInto(s *Store, g *rdf.Graph) error {
-	data, err := u.fetch(s)
-	if err != nil {
-		return err
-	}
+// decodeBytes decodes the unit's bytes into g, routing through the codec
+// the magic bytes identify (text files, which carry no magic, fall back to
+// the N-Triples/Turtle superset parser).
+func (u *scanUnit) decodeBytes(data []byte, g *rdf.Graph) error {
 	if err := segcodec.Detect(data).Decode(bytes.NewReader(data), g); err != nil {
 		name := u.path
 		if u.member != "" {
@@ -278,51 +308,53 @@ func (u *scanUnit) decodeInto(s *Store, g *rdf.Graph) error {
 	return nil
 }
 
-// scanUnits lists the store's decodable units, expanding packs into member
-// units through their headers (lazily: member bytes are not read). Loose
-// files are read whole — their stats frame sits in the footer — and the
-// bytes are kept on the unit so a later decode does not re-read them.
-// Whole-pack pruning happens here: when the pack-level stats already rule
-// every pattern out, the pack's members are counted but never listed.
-func (s *Store) scanUnits(pr *SegmentPruner, st *ScanStats) ([]scanUnit, error) {
+// decodeInto is the eager read path's leaf: fetch the unit and decode it
+// straight into g (binary segments via AddBatch, no string parsing).
+func (s *Store) decodeInto(u *scanUnit, g *rdf.Graph) error {
+	data, err := u.fetch(s)
+	if err != nil {
+		return err
+	}
+	return u.decodeBytes(data, g)
+}
+
+// listUnits lists the store's decodable units, expanding packs into member
+// units through their headers (lazily: member bytes are not read, and each
+// header is fetched exactly once — its size and union stats ride on the
+// member units). Loose files are read whole — their stats frame sits in the
+// footer — and the bytes are kept on the unit so a later decode does not
+// re-read them.
+func (s *Store) listUnits() (*unitList, error) {
 	files, err := s.subgraphFiles()
 	if err != nil {
 		return nil, err
 	}
-	var units []scanUnit
+	l := &unitList{files: len(files)}
 	for _, f := range files {
-		st.Files++
 		if filepath.Ext(f) == segcodec.Pack.Ext() {
-			st.Packs++
+			l.packs++
 			h, data, err := s.readPackHeader(f)
 			if err != nil {
 				return nil, err
 			}
-			rdfMembers := 0
-			for _, m := range h.Members {
-				if isCodecFile(m.Name) {
-					rdfMembers++
-				}
+			var packStats *segcodec.SegStats
+			if h.HasStats {
+				packStats = &h.Stats
 			}
-			if h.HasStats && pr != nil && len(pr.Patterns) > 0 && !pr.wantStats(&h.Stats) {
-				st.PacksSkipped++
-				st.Units += rdfMembers
-				st.level(h.Level).Units += rdfMembers
-				continue
-			}
-			for _, m := range h.Members {
+			for i := range h.Members {
+				m := &h.Members[i]
 				if !isCodecFile(m.Name) {
 					continue // opaque member (.sum sidecar)
 				}
-				u := scanUnit{path: f, member: m.Name, off: m.Off, size: m.Size, level: h.Level}
+				u := &scanUnit{path: f, member: m.Name, off: m.Off, size: m.Size, level: h.Level,
+					packSize: h.WantSize, packStats: packStats}
 				if m.HasStats {
-					ms := m.Stats
-					u.stats = &ms
+					u.stats = &m.Stats
 				}
 				if data != nil {
 					u.data = data[m.Off : m.Off+m.Size]
 				}
-				units = append(units, u)
+				l.units = append(l.units, u)
 			}
 			continue
 		}
@@ -330,119 +362,138 @@ func (s *Store) scanUnits(pr *SegmentPruner, st *ScanStats) ([]scanUnit, error) 
 		if err != nil {
 			return nil, err
 		}
-		u := scanUnit{path: f, size: int64(len(data)), data: data}
+		u := &scanUnit{path: f, size: int64(len(data)), data: data}
 		if fst, ok := segcodec.StatsOf(data); ok {
 			u.stats = &fst
 		}
-		units = append(units, u)
+		l.units = append(l.units, u)
 	}
-	return units, nil
+	return l, nil
 }
 
-// MergePruned is MergeParallel with statistics pushdown: units whose stats
-// prove no pattern of the pruner can match are never decoded (pack members
-// on a range-capable backend are never even read). The merged graph is
-// exactly the exhaustive merge restricted to triples the pruner's patterns
-// could use — for a nil pruner it IS the exhaustive merge, which is how
-// Merge and MergeParallel route here (the one pruner-aware listing/merge
-// path of the store).
-func (s *Store) MergePruned(pr *SegmentPruner, workers int) (*rdf.Graph, *ScanStats, error) {
-	st := &ScanStats{}
-	units, err := s.scanUnits(pr, st)
-	if err != nil {
-		return nil, nil, err
+// admit is the store's one pushdown predicate, applied in two stages: a
+// pack whose union stats rule every pattern out drops all its members
+// (stats-less ones included) and counts as skipped whole; surviving units
+// are then filtered on their own stats. A nil or empty pruner admits
+// everything. Eager pruned merges and lazy sources both admit through
+// here, so a lazy query touches exactly the units the eager merge decodes.
+func admit(units []*scanUnit, pr *SegmentPruner) (keep []*scanUnit, packsSkipped int) {
+	if pr == nil || len(pr.Patterns) == 0 {
+		return units, 0
 	}
-	var keep []scanUnit
+	skipPack := make(map[string]bool) // pack path -> verdict, decided once per pack
 	for _, u := range units {
-		st.Units++
-		st.level(u.level).Units++
+		if u.packStats != nil {
+			skip, decided := skipPack[u.path]
+			if !decided {
+				skip = !pr.wantStats(u.packStats)
+				skipPack[u.path] = skip
+				if skip {
+					packsSkipped++
+				}
+			}
+			if skip {
+				continue
+			}
+		}
 		if u.stats != nil && !pr.wantStats(u.stats) {
 			continue
 		}
 		keep = append(keep, u)
 	}
-	g, err := s.decodeUnits(keep, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	st.Decoded = len(keep)
-	st.Skipped = st.Units - st.Decoded
-	for _, u := range keep {
-		st.level(u.level).Decoded++
-	}
-	return g, st, nil
+	return keep, packsSkipped
 }
 
-// decodeUnits unions the units' triples into one graph with a worker pool:
-// each worker owns a private accumulator (parsing and union parallelize with
-// no contention; accumulators arrive GUID-deduplicated at the final
-// combine). workers <= 1 decodes sequentially. The result is order-
-// independent: graph union is commutative and idempotent.
-func (s *Store) decodeUnits(units []scanUnit, workers int) (*rdf.Graph, error) {
-	if workers <= 1 || len(units) < 2 {
-		merged := rdf.NewGraph()
-		for i := range units {
-			if err := units[i].decodeInto(s, merged); err != nil {
-				return nil, err
-			}
-		}
-		return merged, nil
-	}
+// forEachUnit is the store's one worker pool over units: fn runs once per
+// unit on up to `workers` goroutines and is told which worker it runs on,
+// so callers can keep per-worker state without locks. After an error no
+// further unit starts, and one of the errors hit is returned. workers <= 1,
+// or fewer than two units, runs inline as worker 0.
+func forEachUnit(units []*scanUnit, workers int, fn func(worker int, u *scanUnit) error) error {
 	if workers > len(units) {
 		workers = len(units)
 	}
-	jobs := make(chan *scanUnit)
-	accs := make([]*rdf.Graph, workers)
-	var (
-		workerWG sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	if workers <= 1 {
+		for _, u := range units {
+			if err := fn(0, u); err != nil {
+				return err
+			}
 		}
-		errMu.Unlock()
+		return nil
 	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64 // index of the next unit to hand out
+		errs = make([]error, workers)
+	)
 	for w := 0; w < workers; w++ {
-		accs[w] = rdf.NewGraph()
-		workerWG.Add(1)
-		go func(acc *rdf.Graph) {
-			defer workerWG.Done()
-			for u := range jobs {
-				if failed() {
-					continue // drain remaining jobs after an error
-				}
-				if err := u.decodeInto(s, acc); err != nil {
-					fail(err)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(units)); i = next.Add(1) - 1 {
+				if errs[w] = fn(w, units[i]); errs[w] != nil {
+					next.Store(int64(len(units))) // no further unit starts
+					return
 				}
 			}
-		}(accs[w])
+		}(w)
 	}
-	for i := range units {
-		jobs <- &units[i]
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	close(jobs)
-	workerWG.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	merged := accs[0]
-	for _, acc := range accs[1:] {
-		merged.Merge(acc)
-	}
-	return merged, nil
+	return nil
 }
 
-// ReduceLineagePruned answers a lineage question without merging the whole
-// store: it loads only units that can contain a node already known to be in
-// the queried neighborhood, expanding to a fixpoint. Each round probes the
+// decodeUnits is the eager way to load units: each is fetched and decoded
+// straight into a graph (decodeInto). Worker 0 writes dst itself; every
+// other worker owns a private accumulator (parsing and union parallelize
+// with no contention) that is folded into dst at the end, already
+// GUID-deduplicated. The result is order-independent: graph union is
+// commutative and idempotent.
+func (s *Store) decodeUnits(units []*scanUnit, workers int, dst *rdf.Graph) error {
+	accs := []*rdf.Graph{dst}
+	for w := 1; w < workers && w < len(units); w++ {
+		accs = append(accs, rdf.NewGraph())
+	}
+	err := forEachUnit(units, len(accs), func(w int, u *scanUnit) error { return s.decodeInto(u, accs[w]) })
+	if err != nil {
+		return err
+	}
+	for _, acc := range accs[1:] {
+		dst.Merge(acc)
+	}
+	return nil
+}
+
+// MergePruned merges the store with statistics pushdown: units whose stats
+// prove no pattern of the pruner can match are never decoded (pack members
+// on a range-capable backend are never even read). The merged graph is
+// exactly the exhaustive merge restricted to triples the pruner's patterns
+// could use — for a nil pruner it IS the exhaustive merge, which is how
+// Merge routes here. Up to `workers` goroutines decode in parallel; the
+// result is triple-identical at any worker count.
+func (s *Store) MergePruned(pr *SegmentPruner, workers int) (*rdf.Graph, *ScanStats, error) {
+	l, err := s.listUnits()
+	if err != nil {
+		return nil, nil, err
+	}
+	st := l.newScanStats()
+	var keep []*scanUnit
+	keep, st.PacksSkipped = admit(l.units, pr)
+	g := rdf.NewGraph()
+	if err := s.decodeUnits(keep, workers, g); err != nil {
+		return nil, nil, err
+	}
+	st.markDecoded(keep)
+	return g, st, nil
+}
+
+// lineageFixpoint answers a lineage question without loading every unit: it
+// loads only units that can contain a node already known to be in the
+// queried neighborhood, expanding to a fixpoint. Each round probes the
 // still-unloaded units with the frontier of kept nodes (Bloom + S/O zone
 // maps via CanContainNode) and re-runs the reduction over everything loaded
 // so far; when a round loads nothing new, every store unit that could touch
@@ -450,26 +501,17 @@ func (s *Store) decodeUnits(units []scanUnit, workers int) (*rdf.Graph, error) {
 // ReduceLineage(Merge(), roots, maxHops) exactly (induction over BFS depth:
 // a node kept at depth d is reached through an edge incident to a depth-d-1
 // node, and the unit holding that edge cannot be pruned once the d-1 node is
-// in the probe set — stats have no false negatives).
-func (s *Store) ReduceLineagePruned(roots []rdf.Term, maxHops, workers int) (*rdf.Graph, *ScanStats, error) {
-	st := &ScanStats{}
-	units, err := s.scanUnits(nil, st)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, u := range units {
-		st.Units++
-		st.level(u.level).Units++
-	}
-
+// in the probe set — stats have no false negatives). load unions a round's
+// units into the loaded graph — Store.decodeUnits eagerly,
+// LazyView.hydrateAll through the cache; st records what was decoded.
+func lineageFixpoint(units []*scanUnit, roots []rdf.Term, maxHops, workers int, st *ScanStats,
+	load func(units []*scanUnit, workers int, dst *rdf.Graph) error) (*rdf.Graph, error) {
 	loaded := rdf.NewGraph()
-	pending := make([]scanUnit, len(units))
-	copy(pending, units)
-	probes := append([]rdf.Term(nil), roots...)
+	pending := units
+	probes := roots
 	var reduced *rdf.Graph
 	for {
-		var take []scanUnit
-		var rest []scanUnit
+		var take, rest []*scanUnit
 		for _, u := range pending {
 			want := u.stats == nil
 			if !want {
@@ -487,24 +529,31 @@ func (s *Store) ReduceLineagePruned(roots []rdf.Term, maxHops, workers int) (*rd
 			}
 		}
 		if len(take) == 0 && reduced != nil {
-			break
+			return reduced, nil
 		}
 		pending = rest
 		if len(take) > 0 {
-			g, err := s.decodeUnits(take, workers)
-			if err != nil {
-				return nil, nil, err
+			if err := load(take, workers, loaded); err != nil {
+				return nil, err
 			}
-			loaded.Merge(g)
-			st.Decoded += len(take)
-			for _, u := range take {
-				st.level(u.level).Decoded++
-			}
+			st.markDecoded(take)
 		}
-		var kept []rdf.Term
-		reduced, kept = reduceLineageKept(loaded, roots, maxHops)
-		probes = kept
+		reduced, probes = reduceLineageKept(loaded, roots, maxHops)
 	}
-	st.Skipped = st.Units - st.Decoded
-	return reduced, st, nil
+}
+
+// ReduceLineagePruned answers a lineage question without merging the whole
+// store (see lineageFixpoint); the result equals
+// ReduceLineage(Merge(), roots, maxHops) exactly.
+func (s *Store) ReduceLineagePruned(roots []rdf.Term, maxHops, workers int) (*rdf.Graph, *ScanStats, error) {
+	l, err := s.listUnits()
+	if err != nil {
+		return nil, nil, err
+	}
+	st := l.newScanStats()
+	g, err := lineageFixpoint(l.units, roots, maxHops, workers, st, s.decodeUnits)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, st, nil
 }

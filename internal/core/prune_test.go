@@ -82,7 +82,7 @@ func TestPackPreservesHeadsAndMerge(t *testing.T) {
 		if !anchored.Clean() {
 			t.Fatalf("pre-pack heads rejected after PackSegments(%d): %v", level, anchored.Defects)
 		}
-		g, err := store.MergeParallel(1 + i*3)
+		g, _, err := store.MergePruned(nil, 1+i*3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -446,50 +446,14 @@ func (s *Store) subgraphFiles() ([]string, error) {
 	return out, nil
 }
 
-// decodeFileInto reads one provenance file and unions its triples into g,
-// routing through the codec the file's magic bytes identify (text files
-// fall back to the N-Triples/Turtle superset parser). Binary segments
-// decode straight into g via AddBatch with no string parsing.
-func (s *Store) decodeFileInto(f string, g *rdf.Graph) error {
-	data, err := s.backend.ReadFile(f)
-	if err != nil {
-		return err
-	}
-	if err := segcodec.Detect(data).Decode(bytes.NewReader(data), g); err != nil {
-		return fmt.Errorf("core: parsing %s: %w", f, err)
-	}
-	return nil
-}
-
 // Merge parses every per-process sub-graph (canonical files and pending
 // delta segments) and unions them into a single graph. GUID-based node
 // identity makes this deduplicate shared nodes (paper §5): agents and data
-// objects minted by several processes collapse into single nodes.
+// objects minted by several processes collapse into single nodes. It is the
+// exhaustive, single-worker case of MergePruned, the store's one merge path.
 func (s *Store) Merge() (*rdf.Graph, error) {
-	return s.MergeParallel(1)
-}
-
-// MergeParallel is Merge with a worker pool: up to workers goroutines each
-// parse sub-graph files and union them into a private accumulator graph
-// (no lock contention), and the per-worker accumulators — already
-// GUID-deduplicated — are unioned at the end. The result is
-// triple-identical to Merge(): graph union is order-independent and
-// idempotent. workers <= 1 merges sequentially.
-func (s *Store) MergeParallel(workers int) (*rdf.Graph, error) {
-	g, _, err := s.MergePruned(nil, workers)
+	g, _, err := s.MergePruned(nil, 1)
 	return g, err
-}
-
-// mergeFiles decodes an explicit file list (packs included, through the
-// codec registry) into one graph — the order-independence property-test
-// entry point. Listing-driven merges go through MergePruned instead, the
-// store's one pruner-aware merge path.
-func (s *Store) mergeFiles(files []string, workers int) (*rdf.Graph, error) {
-	units := make([]scanUnit, len(files))
-	for i, f := range files {
-		units[i] = scanUnit{path: f}
-	}
-	return s.decodeUnits(units, workers)
 }
 
 // Compact folds every process's delta segments into its canonical sub-graph
@@ -596,7 +560,7 @@ func (s *Store) Compact() error {
 		for _, f := range append(append([]*auditFile{}, pa.canonicals...), pa.segs...) {
 			if f.graph != nil {
 				g.Merge(f.graph)
-			} else if err := s.decodeFileInto(filepath.ToSlash(filepath.Join(s.dir, f.name)), g); err != nil {
+			} else if err := s.decodeInto(&scanUnit{path: filepath.ToSlash(filepath.Join(s.dir, f.name))}, g); err != nil {
 				return err
 			}
 		}
@@ -640,15 +604,10 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// WriteMerged merges all sub-graphs and writes the result as
-// prov_merged.ttl, returning the merged graph.
-func (s *Store) WriteMerged() (*rdf.Graph, error) {
-	return s.WriteMergedParallel(1)
-}
-
-// WriteMergedParallel is WriteMerged with a parse worker pool.
+// WriteMergedParallel merges all sub-graphs with a pool of decode workers
+// and writes the result as prov_merged.<ext>, returning the merged graph.
 func (s *Store) WriteMergedParallel(workers int) (*rdf.Graph, error) {
-	g, err := s.MergeParallel(workers)
+	g, _, err := s.MergePruned(nil, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -156,5 +157,67 @@ func TestStressFlushDuringTracking(t *testing.T) {
 	acts := merged.Find(nil, rdf.IRI(rdf.RDFType).Ptr(), model.Write.IRI().Ptr())
 	if len(acts) != workers*perWorker {
 		t.Errorf("persisted activities = %d, want %d", len(acts), workers*perWorker)
+	}
+}
+
+// TestConcurrentFlushRemovesSegmentsOnce: Flush called from several
+// goroutines at once must not fail because two of them raced to remove the
+// same delta segment (and its .sum sidecar). Each round leaves a batch of
+// text segments behind, then releases the flushers together; before the
+// tracker serialized its canonical-write + segment-removal step the loser
+// of the race returned "remove ...: file does not exist".
+func TestConcurrentFlushRemovesSegmentsOnce(t *testing.T) {
+	view := vfs.NewStore().NewView()
+	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatTurtle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Mode = ModePeriodic
+	cfg.FlushEvery = 1
+	cfg.Pipeline = PipelineDelta // segments are on disk when TrackIO returns
+	tr := NewTracker(cfg, store, 0)
+
+	const flushers, rounds, segsPerRound = 8, 60, 16
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < segsPerRound; i++ {
+			tr.TrackIO(model.Write, "H5Dwrite", rdf.Term{}, rdf.Term{}, 0, 0)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for f := 0; f < flushers; f++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := tr.Flush(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := store.backend.List(store.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if strings.Contains(n, ".seg") {
+			t.Errorf("segment file %s survived the final flush", n)
+		}
+	}
+	merged, err := store.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acts := merged.Find(nil, rdf.IRI(rdf.RDFType).Ptr(), model.Write.IRI().Ptr()); len(acts) != rounds*segsPerRound {
+		t.Errorf("persisted activities = %d, want %d", len(acts), rounds*segsPerRound)
 	}
 }

@@ -46,6 +46,12 @@ type Tracker struct {
 	segSeq   int   // next delta segment number
 	deferred error // first error from a periodic/async flush, surfaced on Flush/Close/Drain
 
+	// flushMu serializes Flush's canonical-write + segment-removal step: two
+	// concurrent Flush calls would otherwise both list the same segments in
+	// Store.RemoveSegments and the loser's Remove would fail on a file the
+	// winner already deleted. Lock order: flushMu before mu.
+	flushMu sync.Mutex
+
 	// Async writer. flushCh is nil until the first async flush and again
 	// after Close stops the writer; pendingN counts enqueued-but-unwritten
 	// segments (incremented under mu, so a drain observes every prior
@@ -495,6 +501,8 @@ func (t *Tracker) Flush() error {
 		return t.takeDeferred(nil)
 	}
 	t.waitDrained()
+	t.flushMu.Lock()
+	defer t.flushMu.Unlock()
 	// Advance the cursor before snapshotting: triples logged before the
 	// cursor are guaranteed to be in the canonical write below; triples
 	// racing in afterwards may be included too, and will simply reappear in

@@ -17,7 +17,7 @@ import (
 // rejected rather than served.
 //
 // Cached *Result values are shared between callers and must be treated as
-// read-only; Exec returns them without copying.
+// read-only; ExecParallelInfo returns them without copying.
 
 // cacheEntry is one memoized query result plus the epochs it was computed at.
 type cacheEntry struct {

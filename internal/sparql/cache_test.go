@@ -159,16 +159,16 @@ func TestSerialReasonsNamed(t *testing.T) {
 // parallel decision — tasks for parallel plans, the named reason otherwise.
 func TestExplainWorkersShowsDecision(t *testing.T) {
 	g := bigDecisionGraph()
-	out, err := ExplainWorkers(g, `SELECT ?e ?s WHERE { ?e <`+exNS+`size> ?s . }`, nil, 4)
+	out, err := Explain(g.Snapshot(), `SELECT ?e ?s WHERE { ?e <`+exNS+`size> ?s . }`, nil, 4)
 	if err != nil {
-		t.Fatalf("ExplainWorkers: %v", err)
+		t.Fatalf("Explain: %v", err)
 	}
 	if !strings.Contains(out, "parallel:") || !strings.Contains(out, "task(s)") {
 		t.Errorf("EXPLAIN missing parallel decision:\n%s", out)
 	}
-	out, err = ExplainWorkers(g, `SELECT ?e ?s WHERE { ?e <`+exNS+`size> ?s . }`, nil, 1)
+	out, err = Explain(g.Snapshot(), `SELECT ?e ?s WHERE { ?e <`+exNS+`size> ?s . }`, nil, 1)
 	if err != nil {
-		t.Fatalf("ExplainWorkers: %v", err)
+		t.Fatalf("Explain: %v", err)
 	}
 	if !strings.Contains(out, "serial") || !strings.Contains(out, "workers <= 1") {
 		t.Errorf("EXPLAIN missing serial reason:\n%s", out)

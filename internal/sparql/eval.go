@@ -37,7 +37,7 @@ type Result struct {
 	Rows []Binding
 }
 
-// ExecInfo reports how one Exec/ExecParallel call was executed: whether the
+// ExecInfo reports how one query was executed: whether the
 // epoch-keyed result cache answered it, and if not, whether the plan was
 // morsel-parallelized or why it stayed serial.
 type ExecInfo struct {
@@ -64,22 +64,6 @@ func (i ExecInfo) Summary() string {
 	default:
 		return "serial: " + i.SerialReason
 	}
-}
-
-// Exec parses and evaluates a query against g in one call, through the
-// epoch-keyed result cache (see cache.go).
-func Exec(g *rdf.Graph, query string, base *rdf.Namespaces) (*Result, error) {
-	res, _, err := ExecParallelInfo(g, query, base, 1)
-	return res, err
-}
-
-// ExecParallel is Exec with a morsel-parallel executor: the leading
-// operator's domain is partitioned across a pool of `workers` goroutines
-// (see EvalParallel). workers <= 1 is the serial path. Results go through
-// the epoch-keyed cache like Exec's.
-func ExecParallel(g *rdf.Graph, query string, base *rdf.Namespaces, workers int) (*Result, error) {
-	res, _, err := ExecParallelInfo(g, query, base, workers)
-	return res, err
 }
 
 // Eval evaluates a parsed query against a graph.
@@ -135,22 +119,12 @@ func EvalParallelOnInfo(src ScanSource, q *Query, workers int) (*Result, ExecInf
 }
 
 // Explain parses the query and returns the planner's EXPLAIN rendering —
-// the operator pipeline with cardinality estimates — without executing it.
-func Explain(g *rdf.Graph, query string, base *rdf.Namespaces) (string, error) {
-	return ExplainWorkers(g, query, base, 1)
-}
-
-// ExplainWorkers is Explain plus the parallel-decomposition verdict for a
-// worker count: the number of independent tasks and the morsel domain when
-// the plan parallelizes, or the named reason it stays serial.
-func ExplainWorkers(g *rdf.Graph, query string, base *rdf.Namespaces, workers int) (string, error) {
-	return ExplainWorkersOn(g.Snapshot(), query, base, workers)
-}
-
-// ExplainWorkersOn is ExplainWorkers against an explicit ScanSource, so
-// plans can be explained over a federated out-of-core source as well as a
-// pinned snapshot.
-func ExplainWorkersOn(src ScanSource, query string, base *rdf.Namespaces, workers int) (string, error) {
+// the operator pipeline with cardinality estimates — without executing it,
+// followed by the parallel-decomposition verdict for a worker count: the
+// number of independent tasks and the morsel domain when the plan
+// parallelizes, or the named reason it stays serial. src is a pinned
+// snapshot or a federated out-of-core source.
+func Explain(src ScanSource, query string, base *rdf.Namespaces, workers int) (string, error) {
 	q, err := Parse(query, base)
 	if err != nil {
 		return "", err

@@ -191,16 +191,10 @@ func flattenTasks(src ScanSource, p *Plan, ops []physOp, tasks *[]parTask) {
 // morselRef is one claimable unit of work: task index plus domain range.
 type morselRef struct{ task, lo, hi int }
 
-// runPlanParallel executes a compiled plan with `workers` goroutines over a
-// scan source, falling back to the serial executor when decideParallel says
-// so.
-func runPlanParallel(src ScanSource, p *Plan, workers int) (*Result, error) {
-	res, _, err := runPlanParallelInfo(src, p, workers)
-	return res, err
-}
-
-// runPlanParallelInfo is runPlanParallel plus the execution report the CLI
-// and cache layer surface.
+// runPlanParallelInfo executes a compiled plan with `workers` goroutines
+// over a scan source, falling back to the serial executor when
+// decideParallel says so, and returns the execution report the CLI and
+// cache layer surface.
 func runPlanParallelInfo(src ScanSource, p *Plan, workers int) (*Result, ExecInfo, error) {
 	dec := decideParallel(src, p, workers)
 	if dec.reason != "" {

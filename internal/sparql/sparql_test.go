@@ -38,7 +38,7 @@ func lineageGraph() *rdf.Graph {
 
 func mustExec(t *testing.T, g *rdf.Graph, q string) *Result {
 	t.Helper()
-	res, err := Exec(g, q, testNS())
+	res, _, err := ExecParallelInfo(g, q, testNS(), 1)
 	if err != nil {
 		t.Fatalf("Exec(%q) error: %v", q, err)
 	}
@@ -374,7 +374,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestBadRegexPatternErrors(t *testing.T) {
 	g := lineageGraph()
-	_, err := Exec(g, `SELECT ?f WHERE { ?f ex:size ?s . FILTER(REGEX(STR(?f), "[")) }`, testNS())
+	_, _, err := ExecParallelInfo(g, `SELECT ?f WHERE { ?f ex:size ?s . FILTER(REGEX(STR(?f), "[")) }`, testNS(), 1)
 	if err == nil {
 		t.Error("expected error for invalid regex")
 	}
@@ -584,7 +584,7 @@ func TestSinglePatternMatchesFindOracle(t *testing.T) {
 			q = `SELECT ?s ?p WHERE { ?s ?p ex:o0 . }`
 			want = len(g.Find(nil, nil, &o0))
 		}
-		res, err := Exec(g, q, testNS())
+		res, _, err := ExecParallelInfo(g, q, testNS(), 1)
 		if err != nil {
 			return false
 		}

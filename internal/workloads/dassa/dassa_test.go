@@ -166,7 +166,7 @@ func TestBackwardLineageQuery(t *testing.T) {
 	// Step 1: which program produced the product?
 	product := rdf.IRI(model.NodeIRI(model.File, productPath(0)))
 	q1 := `SELECT ?program WHERE { <` + product.Value + `> prov:wasAttributedTo ?program . }`
-	r1, err := sparql.Exec(g, q1, model.Namespaces())
+	r1, _, err := sparql.ExecParallelInfo(g, q1, model.Namespaces(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestBackwardLineageQuery(t *testing.T) {
 		?file provio:wasReadBy ?api .
 		?api prov:wasAssociatedWith <` + prog.Value + `> .
 	}`
-	r2, err := sparql.Exec(g, q2, model.Namespaces())
+	r2, _, err := sparql.ExecParallelInfo(g, q2, model.Namespaces(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

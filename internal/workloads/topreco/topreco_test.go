@@ -270,7 +270,7 @@ func TestRunProvIOTracksConfigToAccuracyMapping(t *testing.T) {
 		?configuration provio:Version ?version ;
 		               provio:hasAccuracy ?accuracy .
 	}`
-	r, err := sparql.Exec(g, q, model.Namespaces())
+	r, _, err := sparql.ExecParallelInfo(g, q, model.Namespaces(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestRunProvIOTracksConfigToAccuracyMapping(t *testing.T) {
 	}
 	// The recorded hyperparameters are present.
 	q2 := `SELECT ?c WHERE { ?c provio:name "model.learning_rate" . }`
-	r2, err := sparql.Exec(g, q2, model.Namespaces())
+	r2, _, err := sparql.ExecParallelInfo(g, q2, model.Namespaces(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,9 @@
 //     pluggable codec layer — Turtle and N-Triples for interchange, a binary
 //     ID-space format (FormatBinary, .pbs) for speed — with GUID-based
 //     merging over auto-detected mixed-format directories.
-//   - A user engine: SPARQL queries (Query) and Graphviz visualization
-//     (WriteDOT) over the collected provenance.
+//   - A user engine: SPARQL queries (Query, Explain — the only two query
+//     entry points, over a merged *Graph or an out-of-core *LazySource) and
+//     Graphviz visualization (WriteDOT) over the collected provenance.
 //
 // A minimal end-to-end flow:
 //
@@ -29,7 +30,7 @@
 //	// ... perform I/O through conn; then:
 //	tracker.Close()
 //	graph, _ := store.Merge()
-//	res, _ := provio.Query(graph, `SELECT ?f WHERE { ?f a provio:File . }`)
+//	res, _, _ := provio.Query(graph, `SELECT ?f WHERE { ?f a provio:File . }`, 1 /* workers */)
 //
 // See examples/ for complete programs covering the paper's three use cases.
 package provio
