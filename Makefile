@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-paper perf-smoke experiments examples clean
+.PHONY: all build test vet race bench bench-paper perf-smoke perf-compare experiments examples clean
 
 all: build test
 
@@ -32,6 +32,30 @@ bench-paper:
 perf-smoke:
 	cd bench/perf && $(GO) vet ./... && $(GO) test ./...
 	bash bench/perf/run.sh --workload all -scale smoke -rounds 1 | tail -n 1 | tee /dev/stderr | grep -q '"failed":0'
+
+# The before/after a perf PR must show, in one command:
+#   make perf-compare BASE=<ref> [PAIRS=n]
+# checks BASE out into a git worktree under .bench_build/, runs every workload
+# on that tree and on this one PAIRS times, alternating which side goes first,
+# and ends with the harness's own -compare over the two record files (exit 1
+# on a regression).
+PAIRS ?= 3
+cmp := $(CURDIR)/.bench_build/compare
+perf-compare:
+	@test -n "$(BASE)" || { echo "usage: make perf-compare BASE=<ref> [PAIRS=n]" >&2; exit 2; }
+	rm -rf $(cmp)
+	git worktree prune
+	mkdir -p $(cmp)
+	git worktree add --detach $(cmp)/base $(BASE)
+	set -e; for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then tree=$(cmp)/base; else tree=$(CURDIR); fi; \
+			bash $$tree/bench/perf/run.sh --workload all -out $(cmp)/$$side.json; \
+		done; \
+	done
+	git worktree remove --force $(cmp)/base
+	bash bench/perf/run.sh -compare $(cmp)/base.json $(cmp)/head.json
 
 # Regenerate every table/figure with the CLI, writing artifacts to ./artifacts.
 experiments:

@@ -24,7 +24,6 @@ type pqQueryRow struct {
 	Query        string `json:"query"`
 	Executor     string `json:"executor"`
 	Millis       string `json:"ms"`
-	VsLocked     string `json:"speedup_vs_locked"`
 	VsSerialSnap string `json:"speedup_vs_snapshot_serial"`
 }
 
@@ -37,23 +36,24 @@ type pqMixedRow struct {
 	QueryAvgMs   string `json:"query_avg_ms,omitempty"`
 }
 
-// AblationParallelQuery measures what the snapshot-isolated, morsel-driven
-// query path buys over the locked read path it replaced:
+// AblationParallelQuery measures the snapshot-isolated, morsel-driven query
+// path:
 //
-//  1. Query latency: the §6-style queries against the live locked graph
-//     (EvalOn(*rdf.Graph): one RLock acquisition per index probe) vs the
-//     pinned-snapshot serial executor vs the morsel-driven parallel executor
-//     at 1/2/4/8 workers.
-//  2. Query-under-ingest interference: ingest wall time alone, with a
-//     concurrent locked-baseline query loop, and with a concurrent
-//     snapshot-parallel query loop on the same graph.
+//  1. Query latency: the §6-style queries through the pinned-snapshot serial
+//     executor vs the morsel-driven parallel executor at 1/2/4/8 workers.
+//  2. Query-under-ingest interference: ingest wall time alone, and with a
+//     concurrent serial or parallel snapshot query loop on the same graph.
+//
+// There is no locked-graph baseline row: the graph keeps no adjacency index
+// of its own, so a query against the live *rdf.Graph scans pinned snapshots
+// too and measures no distinct path.
 //
 // Multi-worker *speedups* need real cores; on a 1-vCPU runner the worker
 // ladder measures the parallel path's overhead instead, and the artifact's
-// environment section says so. The lock-elision comparison (locked vs
-// snapshot) and the ingest-interference comparison are meaningful at any
-// core count. The report's artifact is BENCH_parallel_query.json; a
-// reference copy is checked in at the repository root.
+// environment section says so. The ingest-interference comparison is
+// meaningful at any core count. The report's artifact is
+// BENCH_parallel_query.json; a reference copy is checked in at the
+// repository root.
 func AblationParallelQuery(s Scale) (*Report, error) {
 	files := 32
 	if s == ScalePaper {
@@ -75,10 +75,10 @@ func AblationParallelQuery(s Scale) (*Report, error) {
 
 	r := &Report{
 		ID:      "abl-parallel-query",
-		Title:   "Ablation: locked vs snapshot vs morsel-parallel query execution",
+		Title:   "Ablation: snapshot vs morsel-parallel query execution",
 		Columns: []string{"workload", "variant", "ms", "relative"},
 		Notes: []string{
-			"locked = EvalOn(*rdf.Graph), one RLock per index probe; snapshot = Eval (pinned immutable view, one lock acquisition per query)",
+			"snapshot = Eval (pinned immutable view, one lock acquisition per query)",
 			fmt.Sprintf("parallel rows use the morsel-driven executor; GOMAXPROCS=%d here, so multi-worker rows show overhead, not speedup, below 2 cores", runtime.GOMAXPROCS(0)),
 			"mixed rows run a continuous query loop against the graph while 4 goroutines AddBatch fresh records into it",
 		},
@@ -106,13 +106,6 @@ func AblationParallelQuery(s Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		lockedT, err := timeQuery(rounds, func() error {
-			_, err := sparql.EvalOn(g, q)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
 		snapT, err := timeQuery(rounds, func() error {
 			_, err := sparql.Eval(g, q)
 			return err
@@ -123,11 +116,10 @@ func AblationParallelQuery(s Scale) (*Report, error) {
 		add := func(executor string, d time.Duration) {
 			queryRows = append(queryRows, pqQueryRow{
 				Query: qc.name, Executor: executor, Millis: fmtMillis(d),
-				VsLocked: fmtSpeedup(lockedT, d), VsSerialSnap: fmtSpeedup(snapT, d),
+				VsSerialSnap: fmtSpeedup(snapT, d),
 			})
-			r.AddRow(qc.name, executor, fmtMillis(d), fmtSpeedup(lockedT, d)+" vs locked")
+			r.AddRow(qc.name, executor, fmtMillis(d), fmtSpeedup(snapT, d)+" vs snapshot serial")
 		}
-		add("locked live graph", lockedT)
 		add("snapshot serial", snapT)
 		for _, w := range parallelQueryWorkers {
 			w := w
@@ -162,12 +154,11 @@ func AblationParallelQuery(s Scale) (*Report, error) {
 		workers     int
 	}{
 		{"none", "no queries", 0},
-		{"locked", "locked query loop", 0},
 		{"snapshot", "snapshot query loop (serial)", 0},
 		{"parallel", "snapshot query loop w=4", 4},
 	}
 	// Each variant starts from a fresh merge of the same store (so no variant
-	// inherits a graph another one grew), and the three variants interleave
+	// inherits a graph another one grew), and the variants interleave
 	// across rounds with best-of kept — the same drift defense ingestCompare
 	// uses.
 	best := map[string]mixedBest{}
@@ -212,14 +203,14 @@ func AblationParallelQuery(s Scale) (*Report, error) {
 }
 
 // parallelMixedRun times ingesting workers disjoint record streams into graph
-// g while a concurrent query loop runs in the given mode ("none", "locked",
+// g while a concurrent query loop runs in the given mode ("none", "snapshot",
 // or "parallel" with queryWorkers morsel workers). It returns the ingest wall
 // time, the number of queries completed, and the average query latency. The
 // record streams use fresh pid-scoped IRIs each call so every run inserts new
 // triples instead of hitting the dedup probe.
 func parallelMixedRun(g *rdf.Graph, q *sparql.Query, mode string, workers, perWorker, queryWorkers int) (time.Duration, int64, time.Duration, error) {
 	// pidBase shifts each invocation into a fresh IRI space; the package-level
-	// counter survives across the three variants of one ablation run.
+	// counter survives across the variants of one ablation run.
 	base := int(parallelMixedPID.Add(int64(workers)))
 	streams := make([][][]rdf.Triple, workers)
 	for w := range streams {
@@ -244,12 +235,9 @@ func parallelMixedRun(g *rdf.Graph, q *sparql.Query, mode string, workers, perWo
 				}
 				start := time.Now()
 				var err error
-				switch mode {
-				case "locked":
-					_, err = sparql.EvalOn(g, q)
-				case "snapshot":
+				if mode == "snapshot" {
 					_, err = sparql.Eval(g, q)
-				default:
+				} else {
 					_, err = sparql.EvalParallel(g, q, queryWorkers)
 				}
 				if err != nil {
@@ -308,17 +296,15 @@ func parallelQueryArtifactJSON(queryRows []pqQueryRow, mixedRows []pqMixedRow) (
 		},
 		Queries: queryRows,
 		Mixed:   mixedRows,
-		Acceptance: "not measurable on this runner: both the >=2.5x-at-4-workers query gate and the " +
-			"<=10%-ingest-degradation gate assume spare cores. With 1 vCPU the worker ladder shows the " +
+		Acceptance: "not measurable without spare cores (see environment): both the >=2.5x-at-4-workers query gate and the " +
+			"<=10%-ingest-degradation gate assume them. On one or two vCPUs the worker ladder shows the " +
 			"parallel path's overhead instead of speedup, and every concurrent query loop slows ingest " +
-			"by stealing the only CPU — the snapshot loops additionally pay per-query snapshot " +
-			"extension (index map-header copies over the ingest delta) on that same CPU, so their " +
-			"ingest slowdown is the larger one here. The lock-elision comparison (locked vs snapshot " +
-			"on a quiescent graph) is the one gate-relevant number this environment can produce.",
+			"by competing for the same CPU and paying per-query snapshot extension (index map-header " +
+			"copies over the ingest delta) on it.",
 		Notes: []string{
 			"query_latency: avg of 20 rounds per variant on the quiescent merged DASSA provenance graph",
 			"query_under_ingest: 4 goroutines AddBatch disjoint record streams into the live graph while one query loop runs continuously; ingest_wall_vs_alone is the ingest slowdown that loop causes; best-of-3 interleaved rounds, fresh graph per run",
-			"with spare cores the comparison inverts: locked queries hold an RLock per index probe, which gates AddBatch writers, while snapshot queries touch the graph lock only to pin a view and then run on other cores",
+			"with spare cores snapshot queries touch the graph lock only to pin a view and then run on other cores",
 		},
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")

@@ -80,20 +80,6 @@ func BenchmarkQueryBGPLegacy(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryBGPLocked runs the §6 query against the live locked graph
-// (EvalOn(*rdf.Graph)): the lock-acquisition-per-probe baseline the
-// snapshot path (BenchmarkQueryBGP) eliminates.
-func BenchmarkQueryBGPLocked(b *testing.B) {
-	g, q, _ := queryBenchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sparql.EvalOn(g, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkQueryBGPParallel runs the §6 query through the morsel-driven
 // executor at 1/2/4/8 workers. Multi-worker speedups require multiple cores
 // (GOMAXPROCS); on a single-core runner the sub-benchmarks measure the

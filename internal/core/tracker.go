@@ -148,7 +148,12 @@ func (t *Tracker) addRecord(triples []rdf.Triple) {
 	// One lock acquisition in the graph for the whole record; interning
 	// happens against the striped dictionary before the graph lock is taken.
 	t.graph.AddBatch(triples)
-	graphSize := t.graph.Len()
+	var graphSize int
+	if t.charge {
+		// Only the cost model reads the size; an unclocked tracker skips the
+		// graph read lock.
+		graphSize = t.graph.Len()
+	}
 	t.mu.Lock()
 	t.nRecords++
 	t.nTriples += int64(len(triples))

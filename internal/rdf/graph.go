@@ -26,19 +26,18 @@ type termID = ID
 
 // Graph is an in-memory, dictionary-encoded RDF graph.
 //
-// Storage layout: each index level maps a single term ID to one pointer-held
-// adjacency node, and everything below that first map level lives inline in
-// the node — the SPO index keeps a subject's (predicate, object-set) entries
-// in a small in-node array, the OSP index inlines an object's first
-// (subject, predicate) source, and posting lists inline their first element.
-// Provenance workloads make the inline cases overwhelmingly common: a record
-// node has at most six predicates with one object each, and is referenced by
-// exactly one other node. Compared to the classic three-level nested-map
-// layout this removes roughly eight small heap objects per ingested record
-// and cuts per-insert hash-map operations by about two thirds, which matters
-// twice over on the ingest path: fewer allocations per insert, and far fewer
-// map entries to rehash and scan once a 4096-rank workload holds millions of
-// triples.
+// Storage layout: a striped term dictionary, the insertion log (12 bytes per
+// triple), and one flat open-addressed membership table of log positions.
+// That is everything the write side maintains: an insert interns its terms,
+// probes the table, and appends to the log — no per-triple heap objects, so
+// the tracker's hot path allocates only when the log or the table grows.
+//
+// The graph keeps no adjacency of its own. The SPO/POS/OSP index readers
+// need is derived from the log by Snapshot, and every pattern scan on Graph
+// (ForEachMatchIDs, CountMatchIDs, PredStats, IndexStats, Subjects) answers
+// from g.Snapshot(): an append-only hot path with the query-side structure
+// built from it on demand, instead of two indexes kept in step on every
+// insert.
 //
 // A Graph is safe for concurrent use. In the PROV-IO architecture each
 // process owns one sub-graph, but within a process many threads (simulated
@@ -52,29 +51,29 @@ type Graph struct {
 	// to map terms to IDs (see termDict).
 	dict termDict
 
-	// spo is the authoritative membership index: subject -> adjacency node.
-	// A key is present iff the subject has at least one triple.
-	spo map[termID]*subjNode
-	// pos maps predicate -> per-predicate node holding the o -> subjects
-	// posting lists plus the predicate's maintained cardinalities. The
-	// vocabulary is small, so this map stays tiny while its nodes carry the
-	// bulk; p-bound iteration is the query engine's workhorse.
-	pos map[termID]*predNode
-	// osp maps object -> (s, p) sources.
-	osp map[termID]*srcSet
+	// log records every successful Add in insertion order. It backs the delta
+	// cursor of the flush pipeline (a flusher serializes only the entries
+	// since its last flush), it is the value store the membership table
+	// points into, and — while nothing was ever removed — it is the pinned
+	// triple list of every Snapshot. Entries are never modified once
+	// appended.
+	log []TripleID
 
-	// log records every successful Add in insertion order (12 bytes per
-	// triple). It backs the delta cursor of the flush pipeline: a flusher
-	// remembers the log position of its last flush and serializes only
-	// TriplesSince(position) instead of the whole graph.
-	log []tripleRef
+	// table is the membership set: open addressing with linear probing over
+	// a power-of-two slot array. A slot holds 1 + the log position of a
+	// present triple (compared by value against the log), slotEmpty, or
+	// slotTomb where a Remove vacated it. used counts non-empty slots,
+	// tombstones included; the table is rebuilt when used would pass 3/4 of
+	// it.
+	table []uint32
+	used  int
 
 	size int
 
-	// removeEpoch counts successful Removes. A cached Snapshot is an exact
-	// log prefix only while no triple was removed since it was taken;
-	// comparing epochs tells Snapshot() whether the cheap log-delta extension
-	// is valid or a full rebuild from surviving log entries is needed.
+	// removeEpoch counts successful Removes. While it is zero the log is
+	// exactly the surviving triple list, which RefsSince, TriplesSince and
+	// Snapshot exploit; after a Remove, a cached Snapshot stays extensible by
+	// the log delta only as long as the epoch it was taken at still holds.
 	removeEpoch uint64
 
 	// snap caches the most recent Snapshot; snapMu serializes its (re)build
@@ -83,375 +82,41 @@ type Graph struct {
 	snap   atomic.Pointer[Snapshot]
 }
 
-// objSet is the set of objects under one (subject, predicate) pair. The
-// single object is stored inline; the set spills to a map on the second
-// distinct object. n is the set size.
-type objSet struct {
-	single termID
-	multi  map[termID]struct{}
-	n      int32
-}
+const (
+	slotEmpty = uint32(0)
+	slotTomb  = ^uint32(0)
+	// maxLogLen is the uint32 log-position limit: slots store position + 1
+	// and the top value is the tombstone.
+	maxLogLen = uint64(slotTomb) - 1
+	// minTable is the initial slot count; small, because the lazy reader
+	// decodes many units of a few hundred triples each.
+	minTable = 16
+)
 
-func (s *objSet) len() int { return int(s.n) }
-
-func (s *objSet) has(o termID) bool {
-	if s.multi != nil {
-		_, ok := s.multi[o]
-		return ok
-	}
-	return s.n == 1 && s.single == o
-}
-
-// add inserts o, reporting whether it was new.
-func (s *objSet) add(o termID) bool {
-	if s.multi != nil {
-		if _, dup := s.multi[o]; dup {
-			return false
-		}
-		s.multi[o] = struct{}{}
-		s.n++
-		return true
-	}
-	if s.n == 0 {
-		s.single, s.n = o, 1
-		return true
-	}
-	if s.single == o {
-		return false
-	}
-	s.multi = map[termID]struct{}{s.single: {}, o: {}}
-	s.n = 2
-	return true
-}
-
-// remove deletes o, reporting whether it was present. When the spilled set
-// shrinks back to one element it is re-inlined.
-func (s *objSet) remove(o termID) bool {
-	if s.multi != nil {
-		if _, ok := s.multi[o]; !ok {
-			return false
-		}
-		delete(s.multi, o)
-		s.n--
-		if s.n == 1 {
-			for v := range s.multi {
-				s.single = v
-			}
-			s.multi = nil
-		}
-		return true
-	}
-	if s.n == 1 && s.single == o {
-		s.n = 0
-		return true
-	}
-	return false
-}
-
-// forEach streams the objects; fn returning false stops early. Returns false
-// iff stopped.
-func (s *objSet) forEach(fn func(termID) bool) bool {
-	if s.multi != nil {
-		for o := range s.multi {
-			if !fn(o) {
-				return false
-			}
-		}
-		return true
-	}
-	if s.n == 1 {
-		return fn(s.single)
-	}
-	return true
-}
-
-// pentry is one (predicate, object set) adjacency entry of a subject.
-type pentry struct {
-	p    termID
-	objs objSet
-}
-
-// subjNode is a subject's adjacency: its distinct predicates with their
-// object sets. The first entries live in a small in-node array — five slots
-// cover every record shape the model emits — with overflow in a slice.
-// Entry order is unspecified. Probes are linear: a subject's distinct
-// predicate count is bounded by the vocabulary, and scanning a handful of
-// inline entries is cheaper than a hash lookup.
-type subjNode struct {
-	n    int32
-	arr  [5]pentry
-	rest []pentry
-}
-
-// entry returns the adjacency entry for p, or nil.
-func (nd *subjNode) entry(p termID) *pentry {
-	n := int(nd.n)
-	for i := 0; i < n && i < len(nd.arr); i++ {
-		if nd.arr[i].p == p {
-			return &nd.arr[i]
-		}
-	}
-	for i := range nd.rest {
-		if nd.rest[i].p == p {
-			return &nd.rest[i]
-		}
-	}
-	return nil
-}
-
-// entryOrNew returns the adjacency entry for p, creating it if absent, and
-// reports whether it was created. The pointer is valid until the next
-// mutation of the node.
-func (nd *subjNode) entryOrNew(p termID) (*pentry, bool) {
-	if pe := nd.entry(p); pe != nil {
-		return pe, false
-	}
-	if int(nd.n) < len(nd.arr) {
-		pe := &nd.arr[nd.n]
-		*pe = pentry{p: p}
-		nd.n++
-		return pe, true
-	}
-	nd.rest = append(nd.rest, pentry{p: p})
-	nd.n++
-	return &nd.rest[len(nd.rest)-1], true
-}
-
-// removeEntry drops the (now empty) entry for p by swap-delete.
-func (nd *subjNode) removeEntry(p termID) {
-	total := int(nd.n)
-	for i := 0; i < total; i++ {
-		var pe *pentry
-		if i < len(nd.arr) {
-			pe = &nd.arr[i]
-		} else {
-			pe = &nd.rest[i-len(nd.arr)]
-		}
-		if pe.p != p {
-			continue
-		}
-		last := total - 1
-		var lv pentry
-		if last < len(nd.arr) {
-			lv = nd.arr[last]
-			nd.arr[last] = pentry{}
-		} else {
-			lv = nd.rest[len(nd.rest)-1]
-			nd.rest = nd.rest[:len(nd.rest)-1]
-		}
-		if i != last {
-			if i < len(nd.arr) {
-				nd.arr[i] = lv
-			} else {
-				nd.rest[i-len(nd.arr)] = lv
-			}
-		} else if last < len(nd.arr) {
-			nd.arr[last] = pentry{}
-		}
-		nd.n--
-		return
-	}
-}
-
-// forEach streams the (predicate, object set) entries; fn returning false
-// stops early. Returns false iff stopped.
-func (nd *subjNode) forEach(fn func(p termID, objs *objSet) bool) bool {
-	n := int(nd.n)
-	for i := 0; i < n && i < len(nd.arr); i++ {
-		if !fn(nd.arr[i].p, &nd.arr[i].objs) {
-			return false
-		}
-	}
-	for i := range nd.rest {
-		if !fn(nd.rest[i].p, &nd.rest[i].objs) {
-			return false
-		}
-	}
-	return true
-}
-
-// idList is a posting list of term IDs (subjects under a (p, o) pair,
-// predicates under an (o, s) pair). The first element is inline; duplicates
-// are the caller's responsibility, as membership is established against the
-// SPO index before any posting list is touched. Order is unspecified.
-type idList struct {
-	single termID
-	rest   []termID
-	n      int32
-}
-
-func (l *idList) len() int { return int(l.n) }
-
-func (l *idList) add(v termID) {
-	if l.n == 0 {
-		l.single = v
-		l.n = 1
-		return
-	}
-	l.rest = append(l.rest, v)
-	l.n++
-}
-
-func (l *idList) remove(v termID) bool {
-	if l.n == 0 {
-		return false
-	}
-	if l.single == v {
-		if l.n == 1 {
-			l.n = 0
-			return true
-		}
-		l.single = l.rest[len(l.rest)-1]
-		l.rest = l.rest[:len(l.rest)-1]
-		l.n--
-		return true
-	}
-	for i, x := range l.rest {
-		if x == v {
-			l.rest[i] = l.rest[len(l.rest)-1]
-			l.rest = l.rest[:len(l.rest)-1]
-			l.n--
-			return true
-		}
-	}
-	return false
-}
-
-func (l *idList) forEach(fn func(termID) bool) bool {
-	if l.n >= 1 {
-		if !fn(l.single) {
-			return false
-		}
-	}
-	for _, v := range l.rest {
-		if !fn(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// predNode is the per-predicate index node: the o -> subjects posting lists
-// plus the predicate's maintained cardinalities (the stats the query planner
-// reads through PredStats). Folding the stats into the index node means one
-// map probe serves both on the insert path.
-type predNode struct {
-	m     map[termID]*idList
-	stats predStat
-}
-
-// predStat is the per-predicate cardinality record behind PredStats.
-type predStat struct {
-	triples  int // triples with this predicate
-	subjects int // distinct subjects among them
-	objects  int // distinct objects among them
-}
-
-// spair is one (subject, predicate) source pair of an OSP entry: 8 scalar
-// bytes, so source slices carry no pointers for the GC to trace.
-type spair struct{ s, p termID }
-
-// srcSet is one OSP entry: the (subject, predicate) sources of an object.
-// The first source is inline — a freshly minted record node is referenced
-// exactly once — with further sources in a flat append-only slice. Membership
-// is the SPO index's job (add is only called for triples established new
-// there), so appends need no dedup probe: inserting a source is a plain
-// append instead of a hash-map insert, which keeps hot objects — class IRIs,
-// super-class terms, shared agents, each referenced once per record — off
-// the map-growth path entirely. The trade is that predsOf and remove scan
-// the slice, which only serve the rare (s ? o) count pattern and Remove.
-type srcSet struct {
-	s1, p1 termID
-	pairs  []spair // sources beyond the first
-	n      int32
-}
-
-func (ss *srcSet) add(s, p termID) {
-	if ss.n == 0 {
-		ss.s1, ss.p1, ss.n = s, p, 1
-		return
-	}
-	ss.pairs = append(ss.pairs, spair{s, p})
-	ss.n++
-}
-
-func (ss *srcSet) remove(s, p termID) bool {
-	if ss.n == 0 {
-		return false
-	}
-	if ss.s1 == s && ss.p1 == p {
-		if ss.n > 1 {
-			last := ss.pairs[len(ss.pairs)-1]
-			ss.pairs = ss.pairs[:len(ss.pairs)-1]
-			ss.s1, ss.p1 = last.s, last.p
-		}
-		ss.n--
-		return true
-	}
-	for i, pr := range ss.pairs {
-		if pr.s == s && pr.p == p {
-			ss.pairs[i] = ss.pairs[len(ss.pairs)-1]
-			ss.pairs = ss.pairs[:len(ss.pairs)-1]
-			ss.n--
-			return true
-		}
-	}
-	return false
-}
-
-// predsOf returns the number of predicates linking s to this object.
-func (ss *srcSet) predsOf(s termID) int {
-	c := 0
-	if ss.n >= 1 && ss.s1 == s {
-		c++
-	}
-	for _, pr := range ss.pairs {
-		if pr.s == s {
-			c++
-		}
-	}
-	return c
-}
-
-func (ss *srcSet) forEach(fn func(s, p termID) bool) bool {
-	if ss.n >= 1 {
-		if !fn(ss.s1, ss.p1) {
-			return false
-		}
-	}
-	for _, pr := range ss.pairs {
-		if !fn(pr.s, pr.p) {
-			return false
-		}
-	}
-	return true
-}
-
-// tripleRef is one insertion-log entry: the dictionary IDs of an added
-// triple.
-type tripleRef struct{ s, p, o termID }
-
-// TripleID is a triple in dictionary-ID form: the public counterpart of the
-// insertion-log entry. The delta flush pipeline serializes segments straight
-// from these 12-byte refs (RefsSince + TermRenderer) instead of
-// materializing []Triple.
+// TripleID is a triple in dictionary-ID form: one insertion-log entry. The
+// delta flush pipeline serializes segments straight from these 12-byte refs
+// (RefsSince + TermRenderer) instead of materializing []Triple.
 type TripleID struct{ S, P, O ID }
+
+// hash mixes the three IDs. IDs are dense allocation-order indexes and a
+// record's triples differ in one or two of them by small amounts, so both
+// rounds multiply by an odd 64-bit constant and fold the high half down
+// before the low bits are used as a slot index.
+func (r TripleID) hash() uint32 {
+	h := (uint64(r.S)<<32 | uint64(r.O)) * 0x9E3779B97F4A7C15
+	h = (h ^ h>>32 ^ uint64(r.P)) * 0xD6E8FEB86659FD93
+	return uint32(h ^ h>>32)
+}
+
+// spair is one (subject, predicate) source pair of a snapshot's OSP entry:
+// 8 scalar bytes, so source slices carry no pointers for the GC to trace.
+type spair struct{ s, p termID }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	g := &Graph{
-		spo: make(map[termID]*subjNode),
-		pos: make(map[termID]*predNode),
-		osp: make(map[termID]*srcSet),
-	}
+	g := &Graph{}
 	g.dict.init()
 	return g
-}
-
-// lookup returns the ID for t and whether it is interned. The dictionary has
-// its own locks; holding g.mu is not required.
-func (g *Graph) lookup(t Term) (termID, bool) {
-	return g.dict.lookup(t)
 }
 
 // TermID returns the dictionary ID of t and whether t is interned. A term
@@ -466,73 +131,122 @@ func (g *Graph) TermOf(id ID) Term {
 	return g.dict.termAt(id)
 }
 
+// refOf resolves t to dictionary IDs without interning; !ok means one of
+// its terms was never interned, so t cannot be present. The dictionary has
+// its own locks; holding g.mu is not required.
+func (g *Graph) refOf(t Triple) (r TripleID, ok bool) {
+	if r.S, ok = g.dict.lookup(t.S); !ok {
+		return r, false
+	}
+	if r.P, ok = g.dict.lookup(t.P); !ok {
+		return r, false
+	}
+	r.O, ok = g.dict.lookup(t.O)
+	return r, ok
+}
+
+// findLocked returns the table slot holding r, or -1 when r is absent.
+// Caller must hold g.mu. The probe ends at the first empty slot; one always
+// exists because used never exceeds 3/4 of the table.
+func (g *Graph) findLocked(r TripleID) int {
+	if len(g.table) == 0 {
+		return -1
+	}
+	mask := len(g.table) - 1
+	for i := int(r.hash()) & mask; ; i = (i + 1) & mask {
+		switch v := g.table[i]; {
+		case v == slotEmpty:
+			return -1
+		case v != slotTomb && g.log[v-1] == r:
+			return i
+		}
+	}
+}
+
+// rehashLocked rebuilds the table without its tombstones, doubling it when
+// the present triples alone would fill more than half. Caller must hold g.mu
+// for writing.
+func (g *Graph) rehashLocked() {
+	n := len(g.table)
+	switch {
+	case n == 0:
+		n = minTable
+	case (g.size+1)*2 > n:
+		n *= 2
+	}
+	old := g.table
+	g.table = make([]uint32, n)
+	mask := n - 1
+	for _, v := range old {
+		if v == slotEmpty || v == slotTomb {
+			continue
+		}
+		i := int(g.log[v-1].hash()) & mask
+		for g.table[i] != slotEmpty {
+			i = (i + 1) & mask
+		}
+		g.table[i] = v
+	}
+	g.used = g.size
+}
+
+// addRefLocked inserts one pre-interned triple, appending it to the log and
+// pointing a table slot — the first tombstone on its probe path, else the
+// empty slot that ended the probe — at the new entry. It reports whether the
+// triple was new. Caller must hold g.mu for writing.
+func (g *Graph) addRefLocked(r TripleID) bool {
+	if (g.used+1)*4 > len(g.table)*3 {
+		g.rehashLocked()
+	}
+	mask := len(g.table) - 1
+	free := -1
+	i := int(r.hash()) & mask
+	for ; g.table[i] != slotEmpty; i = (i + 1) & mask {
+		if v := g.table[i]; v == slotTomb {
+			if free < 0 {
+				free = i
+			}
+		} else if g.log[v-1] == r {
+			return false
+		}
+	}
+	if uint64(len(g.log)) >= maxLogLen {
+		panic("rdf: graph insertion log exceeds the uint32 position limit")
+	}
+	if free < 0 {
+		free = i
+		g.used++
+	}
+	g.log = append(g.log, r)
+	g.table[free] = uint32(len(g.log))
+	g.size++
+	return true
+}
+
 // Add inserts a triple. It reports whether the triple was new.
 // Invalid triples are rejected (returns false).
 //
 // Add is a 1-element batch: the term interning happens against the striped
-// dictionary outside the graph lock, and only the index insertion runs under
-// g.mu.
+// dictionary outside the graph lock, and only the table probe and log append
+// run under g.mu.
 func (g *Graph) Add(t Triple) bool {
 	if !t.Valid() {
 		return false
 	}
-	r := tripleRef{g.dict.intern(t.S), g.dict.intern(t.P), g.dict.intern(t.O)}
+	r := TripleID{g.dict.intern(t.S), g.dict.intern(t.P), g.dict.intern(t.O)}
 	g.mu.Lock()
 	added := g.addRefLocked(r)
 	g.mu.Unlock()
 	return added
 }
 
-// addRefLocked inserts one pre-interned triple into the indexes, maintaining
-// predicate stats and the insertion log. It reports whether the triple was
-// new. Caller must hold g.mu for writing.
-func (g *Graph) addRefLocked(r tripleRef) bool {
-	s, p, o := r.s, r.p, r.o
-	nd := g.spo[s]
-	if nd == nil {
-		nd = &subjNode{}
-		g.spo[s] = nd
-	}
-	pe, pairNew := nd.entryOrNew(p)
-	if !pe.objs.add(o) {
-		return false
-	}
-	pn := g.pos[p]
-	if pn == nil {
-		pn = &predNode{m: make(map[termID]*idList, 1)}
-		g.pos[p] = pn
-	}
-	pn.stats.triples++
-	if pairNew {
-		// First object under (s, p): s is a new distinct subject for p.
-		pn.stats.subjects++
-	}
-	l := pn.m[o]
-	if l == nil {
-		// First subject under (p, o): o is a new distinct object for p.
-		l = &idList{}
-		pn.m[o] = l
-		pn.stats.objects++
-	}
-	l.add(s)
-	ss := g.osp[o]
-	if ss == nil {
-		ss = &srcSet{}
-		g.osp[o] = ss
-	}
-	ss.add(s, p)
-	g.log = append(g.log, r)
-	g.size++
-	return true
-}
-
 // AddBatch inserts a whole record's triples under one lock acquisition and
 // returns the number newly added. Invalid triples are skipped. The graph
-// state, per-predicate statistics, and insertion-log order are identical to
-// calling Add per triple; the difference is cost: terms are interned against
-// the striped dictionary before g.mu is taken, so the critical section is
-// just the index insertions, and concurrent rank threads contend once per
-// record instead of once per triple.
+// state and insertion-log order are identical to calling Add per triple; the
+// difference is cost: terms are interned against the striped dictionary
+// before g.mu is taken, so the critical section is just the table probes and
+// log appends, and concurrent rank threads contend once per record instead
+// of once per triple.
 func (g *Graph) AddBatch(ts []Triple) int {
 	if len(ts) == 0 {
 		return 0
@@ -542,33 +256,33 @@ func (g *Graph) AddBatch(ts []Triple) int {
 	// class IRIs recur), so reuse the previous triple's IDs when the term is
 	// identical — for terms minted once per record the comparison is a
 	// pointer-equal string check.
-	var arr [12]tripleRef
+	var arr [12]TripleID
 	refs := arr[:0]
 	if len(ts) > len(arr) {
-		refs = make([]tripleRef, 0, len(ts))
+		refs = make([]TripleID, 0, len(ts))
 	}
 	var prev Triple
-	var pref tripleRef
+	var pref TripleID
 	havePrev := false
 	for _, t := range ts {
 		if !t.Valid() {
 			continue
 		}
-		var r tripleRef
+		var r TripleID
 		if havePrev && t.S == prev.S {
-			r.s = pref.s
+			r.S = pref.S
 		} else {
-			r.s = g.dict.intern(t.S)
+			r.S = g.dict.intern(t.S)
 		}
 		if havePrev && t.P == prev.P {
-			r.p = pref.p
+			r.P = pref.P
 		} else {
-			r.p = g.dict.intern(t.P)
+			r.P = g.dict.intern(t.P)
 		}
 		if havePrev && t.O == prev.O {
-			r.o = pref.o
+			r.O = pref.O
 		} else {
-			r.o = g.dict.intern(t.O)
+			r.O = g.dict.intern(t.O)
 		}
 		prev, pref, havePrev = t, r, true
 		refs = append(refs, r)
@@ -590,85 +304,35 @@ func (g *Graph) AddAll(ts []Triple) int {
 	return g.AddBatch(ts)
 }
 
-// Remove deletes a triple. It reports whether the triple was present.
+// Remove deletes a triple. It reports whether the triple was present. The
+// triple's log entries stay (the log is append-only); its table slot becomes
+// a tombstone, so those entries no longer count as surviving.
 func (g *Graph) Remove(t Triple) bool {
+	r, ok := g.refOf(t)
+	if !ok {
+		return false
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	s, ok := g.lookup(t.S)
-	if !ok {
+	i := g.findLocked(r)
+	if i < 0 {
 		return false
 	}
-	p, ok := g.lookup(t.P)
-	if !ok {
-		return false
-	}
-	o, ok := g.lookup(t.O)
-	if !ok {
-		return false
-	}
-	nd := g.spo[s]
-	if nd == nil {
-		return false
-	}
-	pe := nd.entry(p)
-	if pe == nil || !pe.objs.remove(o) {
-		return false
-	}
-	pairEmptied := pe.objs.len() == 0
-	if pairEmptied {
-		nd.removeEntry(p)
-		if nd.n == 0 {
-			delete(g.spo, s)
-		}
-	}
-	if pn := g.pos[p]; pn != nil {
-		pn.stats.triples--
-		if pairEmptied {
-			pn.stats.subjects--
-		}
-		if l := pn.m[o]; l != nil && l.remove(s) && l.len() == 0 {
-			delete(pn.m, o)
-			pn.stats.objects--
-		}
-		if pn.stats.triples == 0 {
-			delete(g.pos, p)
-		}
-	}
-	if ss := g.osp[o]; ss != nil && ss.remove(s, p) && ss.n == 0 {
-		delete(g.osp, o)
-	}
+	g.table[i] = slotTomb
 	g.size--
 	g.removeEpoch++
 	return true
 }
 
-// hasLocked reports membership of (s, p, o). Caller must hold g.mu.
-func (g *Graph) hasLocked(s, p, o termID) bool {
-	nd := g.spo[s]
-	if nd == nil {
-		return false
-	}
-	pe := nd.entry(p)
-	return pe != nil && pe.objs.has(o)
-}
-
 // Has reports whether the graph contains the triple.
 func (g *Graph) Has(t Triple) bool {
+	r, ok := g.refOf(t)
+	if !ok {
+		return false
+	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	s, ok := g.lookup(t.S)
-	if !ok {
-		return false
-	}
-	p, ok := g.lookup(t.P)
-	if !ok {
-		return false
-	}
-	o, ok := g.lookup(t.O)
-	if !ok {
-		return false
-	}
-	return g.hasLocked(s, p, o)
+	return g.findLocked(r) >= 0
 }
 
 // Len returns the number of triples in the graph.
@@ -681,28 +345,6 @@ func (g *Graph) Len() int {
 // TermCount returns the number of distinct interned terms.
 func (g *Graph) TermCount() int {
 	return g.dict.count()
-}
-
-// PredStats returns the maintained cardinalities of predicate p: the number
-// of triples with that predicate, and the distinct subject and object counts
-// among them. All zero when p is not a predicate of any present triple.
-func (g *Graph) PredStats(p ID) (triples, subjects, objects int) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	pn := g.pos[p]
-	if pn == nil {
-		return 0, 0, 0
-	}
-	return pn.stats.triples, pn.stats.subjects, pn.stats.objects
-}
-
-// IndexStats returns the distinct subject, predicate, and object counts of
-// the graph — the global cardinalities the query planner divides by when a
-// join position is bound by an earlier pattern.
-func (g *Graph) IndexStats() (subjects, predicates, objects int) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.spo), len(g.pos), len(g.osp)
 }
 
 // LogLen returns the length of the insertion log: the total number of
@@ -735,8 +377,9 @@ func (g *Graph) TriplesSince(n int) []Triple {
 	terms := g.dict.snapshot()
 	out := make([]Triple, 0, len(g.log)-n)
 	for _, r := range g.log[n:] {
-		if g.hasLocked(r.s, r.p, r.o) {
-			out = append(out, Triple{S: terms[r.s], P: terms[r.p], O: terms[r.o]})
+		// Never removed: the log is the surviving list, no probe needed.
+		if g.removeEpoch == 0 || g.findLocked(r) >= 0 {
+			out = append(out, Triple{S: terms[r.S], P: terms[r.P], O: terms[r.O]})
 		}
 	}
 	return out
@@ -762,9 +405,12 @@ func (g *Graph) RefsSince(n int) (refs []TripleID, end int) {
 		return nil, end
 	}
 	refs = make([]TripleID, 0, end-n)
+	if g.removeEpoch == 0 {
+		return append(refs, g.log[n:]...), end
+	}
 	for _, r := range g.log[n:] {
-		if g.hasLocked(r.s, r.p, r.o) {
-			refs = append(refs, TripleID{S: r.s, P: r.p, O: r.o})
+		if g.findLocked(r) >= 0 {
+			refs = append(refs, r)
 		}
 	}
 	return refs, end
@@ -781,13 +427,16 @@ func (g *Graph) Find(s, p, o *Term) []Triple {
 	return out
 }
 
+// The pattern scans below all answer from g.Snapshot(), the only adjacency
+// index there is. No graph lock is held across a callback, so fn may call
+// Add, Remove, or any other graph method; mutations made during a scan are
+// not visible to it. Each call pins the current state, which under
+// concurrent ingest means extending the cached snapshot by the log delta: a
+// caller that probes many patterns per logical query should take one
+// Snapshot and scan that, for a consistent view and one extension.
+
 // ForEachMatch streams all triples matching the pattern to fn. fn returning
 // false stops the iteration early. A nil pointer matches any term.
-//
-// ForEachMatch iterates a Snapshot of the graph, so no lock is held across
-// the callback: fn may call Add, Remove, or any other graph method without
-// deadlocking. Mutations made during the iteration are not visible to it —
-// fn sees exactly the triples present when the iteration started.
 func (g *Graph) ForEachMatch(s, p, o *Term, fn func(Triple) bool) {
 	g.Snapshot().ForEachMatch(s, p, o, fn)
 }
@@ -796,154 +445,41 @@ func (g *Graph) ForEachMatch(s, p, o *Term, fn func(Triple) bool) {
 // pattern to fn, without materializing Terms. NoID matches any term in that
 // position; any other ID that is not interned matches nothing. fn returning
 // false stops the iteration early.
-//
-// Locking contract: the graph read lock IS held across fn, so fn must not
-// call Add, Remove, or any other mutating method — doing so deadlocks.
-// Nested read-only calls (TermOf, further ForEachMatchIDs) are permitted.
-// Callers that need re-entrancy, or that probe many patterns per logical
-// query, should take a Snapshot and use its lock-free scan methods instead;
-// this locked form is kept for one-shot probes against the live graph.
 func (g *Graph) ForEachMatchIDs(s, p, o ID, fn func(s, p, o ID) bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n := g.dict.count()
-	if (s != NoID && int(s) >= n) || (p != NoID && int(p) >= n) || (o != NoID && int(o) >= n) {
-		return
-	}
-	g.forEachIDs(s, p, o, fn)
-}
-
-// forEachIDs is the shared index-probe loop behind ForEachMatch and
-// ForEachMatchIDs. Caller must hold g.mu (read or write); NoID is the
-// wildcard.
-func (g *Graph) forEachIDs(sid, pid, oid ID, emit func(s, p, o ID) bool) {
-	switch {
-	case sid != NoID: // SPO index
-		nd := g.spo[sid]
-		if nd == nil {
-			return
-		}
-		if pid != NoID {
-			pe := nd.entry(pid)
-			if pe == nil {
-				return
-			}
-			if oid != NoID {
-				if pe.objs.has(oid) {
-					emit(sid, pid, oid)
-				}
-				return
-			}
-			pe.objs.forEach(func(oi termID) bool { return emit(sid, pid, oi) })
-			return
-		}
-		nd.forEach(func(pi termID, objs *objSet) bool {
-			if oid != NoID {
-				if objs.has(oid) {
-					return emit(sid, pi, oid)
-				}
-				return true
-			}
-			return objs.forEach(func(oi termID) bool { return emit(sid, pi, oi) })
-		})
-	case pid != NoID: // POS index
-		pn := g.pos[pid]
-		if pn == nil {
-			return
-		}
-		if oid != NoID {
-			if l := pn.m[oid]; l != nil {
-				l.forEach(func(si termID) bool { return emit(si, pid, oid) })
-			}
-			return
-		}
-		for oi, l := range pn.m {
-			if !l.forEach(func(si termID) bool { return emit(si, pid, oi) }) {
-				return
-			}
-		}
-	case oid != NoID: // OSP index
-		if ss := g.osp[oid]; ss != nil {
-			ss.forEach(func(si, pi termID) bool { return emit(si, pi, oid) })
-		}
-	default: // full scan
-		for si, nd := range g.spo {
-			ok := nd.forEach(func(pi termID, objs *objSet) bool {
-				return objs.forEach(func(oi termID) bool { return emit(si, pi, oi) })
-			})
-			if !ok {
-				return
-			}
-		}
-	}
+	g.Snapshot().ForEachMatchIDs(s, p, o, fn)
 }
 
 // CountMatchIDs returns the exact number of triples matching the ID pattern
-// (NoID = wildcard) without enumerating them where an index or maintained
-// counter answers directly:
-//
-//	(s p o) -> 0/1 membership probe     (s p ?) -> SPO object-set size
-//	(? p o) -> POS posting-list length  (s ? o) -> OSP per-subject count
-//	(? p ?) -> maintained predicate count
-//	(s ? ?) -> sum over the subject's adjacency entries
-//	(? ? o) -> OSP source count
-//	(? ? ?) -> graph size
-//
-// This is the cardinality oracle behind the query planner's join ordering.
+// (NoID = wildcard) — the cardinality oracle behind the query planner's join
+// ordering. See Snapshot.CountMatchIDs.
 func (g *Graph) CountMatchIDs(s, p, o ID) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n := g.dict.count()
-	if (s != NoID && int(s) >= n) || (p != NoID && int(p) >= n) || (o != NoID && int(o) >= n) {
-		return 0
+	return g.Snapshot().CountMatchIDs(s, p, o)
+}
+
+// PredStats returns the cardinalities of predicate p: the number of triples
+// with that predicate, and the distinct subject and object counts among
+// them. All zero when p is not a predicate of any present triple.
+func (g *Graph) PredStats(p ID) (triples, subjects, objects int) {
+	return g.Snapshot().PredStats(p)
+}
+
+// IndexStats returns the distinct subject, predicate, and object counts of
+// the graph — the global cardinalities the query planner divides by when a
+// join position is bound by an earlier pattern.
+func (g *Graph) IndexStats() (subjects, predicates, objects int) {
+	return g.Snapshot().IndexStats()
+}
+
+// Subjects returns the distinct subjects in the graph, sorted.
+func (g *Graph) Subjects() []Term {
+	s := g.Snapshot()
+	spo := s.index().spo
+	out := make([]Term, 0, len(spo))
+	for id := range spo {
+		out = append(out, s.terms[id])
 	}
-	switch {
-	case s != NoID && p != NoID && o != NoID:
-		if g.hasLocked(s, p, o) {
-			return 1
-		}
-		return 0
-	case s != NoID && p != NoID:
-		if nd := g.spo[s]; nd != nil {
-			if pe := nd.entry(p); pe != nil {
-				return pe.objs.len()
-			}
-		}
-		return 0
-	case p != NoID && o != NoID:
-		if pn := g.pos[p]; pn != nil {
-			if l := pn.m[o]; l != nil {
-				return l.len()
-			}
-		}
-		return 0
-	case s != NoID && o != NoID:
-		if ss := g.osp[o]; ss != nil {
-			return ss.predsOf(s)
-		}
-		return 0
-	case p != NoID:
-		if pn := g.pos[p]; pn != nil {
-			return pn.stats.triples
-		}
-		return 0
-	case s != NoID:
-		c := 0
-		if nd := g.spo[s]; nd != nil {
-			nd.forEach(func(_ termID, objs *objSet) bool {
-				c += objs.len()
-				return true
-			})
-		}
-		return c
-	case o != NoID:
-		if ss := g.osp[o]; ss != nil {
-			return int(ss.n)
-		}
-		return 0
-	default:
-		return g.size
-	}
+	sort.Slice(out, func(i, j int) bool { return termLess(out[i], out[j]) })
+	return out
 }
 
 // Triples returns every triple in the graph in an unspecified order.
@@ -977,26 +513,12 @@ func termLess(a, b Term) bool {
 	return a.Datatype < b.Datatype
 }
 
-// Subjects returns the distinct subjects in the graph, sorted.
-func (g *Graph) Subjects() []Term {
-	g.mu.RLock()
-	terms := g.dict.snapshot()
-	out := make([]Term, 0, len(g.spo))
-	for s := range g.spo {
-		out = append(out, terms[s])
-	}
-	g.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return termLess(out[i], out[j]) })
-	return out
-}
-
 // Merge adds every triple of other into g, returning the number newly added.
 // Because PROV-IO node IDs are globally unique, merging per-process
 // sub-graphs deduplicates shared nodes naturally (paper §5).
 //
-// Merging a graph into itself is a no-op (returns 0): without the guard,
-// g.Merge(g) would deadlock — the iteration holds the read lock while Add
-// waits for the write lock on the same mutex.
+// Merging a graph into itself is a no-op (returns 0): every triple is
+// already present.
 func (g *Graph) Merge(other *Graph) int {
 	if g == other {
 		return 0

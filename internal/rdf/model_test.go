@@ -1,0 +1,238 @@
+package rdf
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// graphModel is the obviously-right reference for Graph: a set of present
+// triples and the list of every successful add, in order.
+type graphModel struct {
+	present map[Triple]struct{}
+	log     []Triple
+}
+
+func (m *graphModel) add(t Triple) bool {
+	if _, dup := m.present[t]; dup {
+		return false
+	}
+	m.present[t] = struct{}{}
+	m.log = append(m.log, t)
+	return true
+}
+
+func (m *graphModel) remove(t Triple) bool {
+	if _, ok := m.present[t]; !ok {
+		return false
+	}
+	delete(m.present, t)
+	return true
+}
+
+// since is the TriplesSince contract: every log entry at position >= n whose
+// triple is present now — by value, so a triple removed and re-added counts
+// once per log entry.
+func (m *graphModel) since(n int) []Triple {
+	var out []Triple
+	for _, t := range m.log[n:] {
+		if _, ok := m.present[t]; ok {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// checkTable verifies the membership table's own invariants.
+func checkTable(t *testing.T, g *Graph) {
+	t.Helper()
+	n := len(g.table)
+	if n&(n-1) != 0 {
+		t.Fatalf("table length %d is not a power of two", n)
+	}
+	if g.used*4 > n*3 {
+		t.Fatalf("table load %d/%d above 3/4", g.used, n)
+	}
+	live, tombs := 0, 0
+	for _, v := range g.table {
+		switch v {
+		case slotEmpty:
+		case slotTomb:
+			tombs++
+		default:
+			live++
+		}
+	}
+	if live != g.size || live+tombs != g.used {
+		t.Fatalf("table holds %d live + %d tombstones, graph says size %d used %d", live, tombs, g.size, g.used)
+	}
+}
+
+// pinned is a snapshot with the contents it had when taken.
+type pinned struct {
+	snap *Snapshot
+	want []Triple
+}
+
+func snapTriples(s *Snapshot) []Triple {
+	var out []Triple
+	s.ForEachMatch(nil, nil, nil, func(t Triple) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
+}
+
+// TestGraphModelEquivalence drives random Add/AddBatch/Remove/re-add
+// interleavings through Graph and the model and checks everything the write
+// side promises: Len, Has, the delta cursor (TriplesSince/RefsSince), and
+// snapshot contents — pinned in place while nothing was removed, extended
+// incrementally, rebuilt after a Remove — across table growth and tombstone
+// reuse. Snapshots taken along the way must still read what they read then.
+func TestGraphModelEquivalence(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Seeds differ in how soon the first Remove comes, so the
+		// never-removed fast paths get both short and long runs.
+		firstRemove := int(seed-1) * 400
+		g := NewGraph()
+		m := &graphModel{present: map[Triple]struct{}{}}
+		randT := func() Triple {
+			return tr(fmt.Sprintf("s%d", rng.Intn(60)), fmt.Sprintf("p%d", rng.Intn(5)), fmt.Sprintf("o%d", rng.Intn(30)))
+		}
+		var pins []pinned
+		maxTable := 0
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				x := randT()
+				if got, want := g.Add(x), m.add(x); got != want {
+					t.Fatalf("seed %d step %d: Add(%v) = %v, model %v", seed, step, x, got, want)
+				}
+			case op < 7:
+				batch := make([]Triple, 1+rng.Intn(14))
+				want := 0
+				for i := range batch {
+					batch[i] = randT()
+					if i > 0 && rng.Intn(4) == 0 {
+						batch[i] = batch[i-1]
+					}
+					if m.add(batch[i]) {
+						want++
+					}
+				}
+				if got := g.AddBatch(batch); got != want {
+					t.Fatalf("seed %d step %d: AddBatch added %d, model %d", seed, step, got, want)
+				}
+			case step >= firstRemove:
+				// Half the removals target a triple known to be present, so
+				// tombstones accumulate and later adds reuse them.
+				x := randT()
+				if len(m.log) > 0 && rng.Intn(2) == 0 {
+					x = m.log[rng.Intn(len(m.log))]
+				}
+				if got, want := g.Remove(x), m.remove(x); got != want {
+					t.Fatalf("seed %d step %d: Remove(%v) = %v, model %v", seed, step, x, got, want)
+				}
+			}
+			if g.Len() != len(m.present) || g.LogLen() != len(m.log) {
+				t.Fatalf("seed %d step %d: Len %d LogLen %d, model %d %d", seed, step, g.Len(), g.LogLen(), len(m.present), len(m.log))
+			}
+			x := randT()
+			if _, want := m.present[x]; g.Has(x) != want {
+				t.Fatalf("seed %d step %d: Has(%v) = %v, model %v", seed, step, x, !want, want)
+			}
+			if len(g.table) > maxTable {
+				maxTable = len(g.table)
+			}
+			if step%37 != 0 {
+				continue
+			}
+			checkTable(t, g)
+
+			n := rng.Intn(len(m.log) + 1)
+			want := m.since(n)
+			if got := g.TriplesSince(n); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: TriplesSince(%d) has %d entries, model %d", seed, step, n, len(got), len(want))
+			}
+			refs, end := g.RefsSince(n)
+			if end != len(m.log) || len(refs) != len(want) {
+				t.Fatalf("seed %d step %d: RefsSince(%d) = %d refs to %d, model %d to %d", seed, step, n, len(refs), end, len(want), len(m.log))
+			}
+			for i, r := range refs {
+				if got := (Triple{S: g.TermOf(r.S), P: g.TermOf(r.P), O: g.TermOf(r.O)}); got != want[i] {
+					t.Fatalf("seed %d step %d: RefsSince(%d)[%d] = %v, model %v", seed, step, n, i, got, want[i])
+				}
+			}
+
+			snap := g.Snapshot()
+			got := snapTriples(snap)
+			if len(got) != len(m.present) || snap.Len() != len(m.present) {
+				t.Fatalf("seed %d step %d: snapshot holds %d triples (Len %d), model %d", seed, step, len(got), snap.Len(), len(m.present))
+			}
+			seen := make(map[Triple]struct{}, len(got))
+			for _, x := range got {
+				if _, ok := m.present[x]; !ok {
+					t.Fatalf("seed %d step %d: snapshot holds absent triple %v", seed, step, x)
+				}
+				seen[x] = struct{}{}
+			}
+			if len(seen) != len(got) {
+				t.Fatalf("seed %d step %d: snapshot repeats a triple", seed, step)
+			}
+			if snap.RemoveEpoch() == 0 && !slices.Equal(got, m.log) {
+				t.Fatalf("seed %d step %d: never-removed snapshot is not the log in order", seed, step)
+			}
+			// Build the index on every other pin, so later snapshots take
+			// both the extend-the-index and the build-it-lazily route.
+			if len(pins)%2 == 0 {
+				snap.IndexStats()
+			}
+			subjects := map[Term]struct{}{}
+			for x := range m.present {
+				subjects[x.S] = struct{}{}
+			}
+			if ns, _, _ := snap.IndexStats(); ns != len(subjects) {
+				t.Fatalf("seed %d step %d: snapshot index has %d subjects, model %d", seed, step, ns, len(subjects))
+			}
+			pins = append(pins, pinned{snap, got})
+		}
+		for i, p := range pins {
+			if !slices.Equal(snapTriples(p.snap), p.want) {
+				t.Fatalf("seed %d: snapshot %d changed after it was taken", seed, i)
+			}
+		}
+		if maxTable <= minTable {
+			t.Fatalf("seed %d: table never grew past %d slots", seed, minTable)
+		}
+	}
+}
+
+// TestTableTombstonesDoNotGrowTable: churn at a constant size keeps the
+// table at its size — removed slots are reused or purged by a same-size
+// rebuild, not papered over by doubling.
+func TestTableTombstonesDoNotGrowTable(t *testing.T) {
+	g := NewGraph()
+	const live = minTable / 4
+	for i := 0; i < live; i++ {
+		g.Add(tr("s", "p", fmt.Sprintf("o%d", i)))
+	}
+	for i := 0; i < 5000; i++ {
+		if !g.Remove(tr("s", "p", fmt.Sprintf("o%d", i))) {
+			t.Fatalf("round %d: oldest triple missing", i)
+		}
+		if !g.Add(tr("s", "p", fmt.Sprintf("o%d", i+live))) {
+			t.Fatalf("round %d: fresh triple reported present", i)
+		}
+		// Removed and re-added at once: the add lands on its own tombstone.
+		x := tr("s", "p", fmt.Sprintf("o%d", i+1))
+		if !g.Remove(x) || g.Has(x) || !g.Add(x) || !g.Has(x) {
+			t.Fatalf("round %d: remove/re-add of %v misbehaved", i, x)
+		}
+	}
+	checkTable(t, g)
+	if g.Len() != live || len(g.table) != minTable {
+		t.Fatalf("after churn: Len %d in %d slots, want %d in %d", g.Len(), len(g.table), live, minTable)
+	}
+}

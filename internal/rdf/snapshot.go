@@ -6,12 +6,14 @@ import (
 )
 
 // Snapshot is an immutable read view of a Graph, pinned at an insertion-log
-// watermark. All scan methods run lock-free: a snapshot holds its own term
-// table, triple list, and (lazily built) adjacency index, none of which the
-// live graph ever mutates, so a long query touches the graph mutex exactly
-// once — in Graph.Snapshot — instead of once per triple-pattern probe, and a
-// scan callback may freely call Add/Remove/Flush on the underlying graph
-// without deadlocking (the mutations are simply not visible to the snapshot).
+// watermark, and the home of the only adjacency index there is: the graph
+// itself keeps a log and a membership table, and its pattern scans delegate
+// here. All scan methods run lock-free: a snapshot holds its own term table,
+// triple list, and (lazily built) adjacency index, none of which the live
+// graph ever mutates, so a long query touches the graph mutex exactly once —
+// in Graph.Snapshot — and a scan callback may freely call Add/Remove/Flush
+// on the underlying graph without deadlocking (the mutations are simply not
+// visible to the snapshot).
 //
 // This is the reader half of the capture-vs-query split: writers keep
 // appending under the graph lock while queries run against a pinned prefix
@@ -23,10 +25,11 @@ type Snapshot struct {
 	dict  *termDict
 	terms []Term
 	// refs is the pinned triple list: the surviving insertion-log prefix at
-	// the watermark, one entry per present triple (deduplicated on the rare
-	// rebuild-after-Remove path). It is the morsel domain of full scans and
-	// the source the index is built from.
-	refs        []tripleRef
+	// the watermark, one entry per present triple — the log's own backing
+	// array while the graph never saw a Remove, an owned deduplicated copy
+	// after. It is the morsel domain of full scans and the source the index
+	// is built from.
+	refs        []TripleID
 	watermark   int
 	removeEpoch uint64
 
@@ -93,9 +96,6 @@ type snapIndex struct {
 // appends the next call extends the cached view with just the log delta.
 // After a Remove the view is rebuilt from the surviving log (removals are
 // rare in provenance workloads; appends are the steady state).
-//
-// Unlike the Graph scan methods, Snapshot scans take no locks and their
-// callbacks may mutate the underlying graph.
 func (g *Graph) Snapshot() *Snapshot {
 	g.mu.RLock()
 	w, re := len(g.log), g.removeEpoch
@@ -115,30 +115,33 @@ func (g *Graph) Snapshot() *Snapshot {
 		return base
 	}
 	incremental := base != nil && base.removeEpoch == re
-	var delta []tripleRef
-	var refs []tripleRef
+	// Entries below w in the log's backing array are immutable (the log is
+	// append-only and reallocation abandons the old array), so sub-slices
+	// stay valid after the lock is dropped.
+	var refs, delta []TripleID
 	if incremental {
-		// Entries below w in the log's backing array are immutable (the log
-		// is append-only and reallocation abandons the old array), so the
-		// sub-slice stays valid after the lock is dropped.
 		delta = g.log[base.watermark:w]
-	} else {
+	}
+	if re == 0 {
+		// Never removed: the log prefix is the surviving triple list. Pin it
+		// in place, capped so nothing can append through this header.
+		refs = g.log[:w:w]
+	} else if !incremental {
 		refs = g.survivingRefsLocked()
 	}
 	g.mu.RUnlock()
-	terms := g.dict.snapshot()
 
-	ns := &Snapshot{dict: &g.dict, terms: terms, watermark: w, removeEpoch: re}
+	ns := &Snapshot{dict: &g.dict, terms: g.dict.snapshot(), refs: refs, watermark: w, removeEpoch: re}
 	if incremental {
-		// Owned append: base.refs is never an alias of g.log, so growing it
-		// (serialized by snapMu) cannot collide with concurrent Adds, and
-		// base's readers only see their own length.
-		ns.refs = append(base.refs, delta...)
+		if re != 0 {
+			// Owned append: after a Remove, refs is never an alias of g.log,
+			// so growing it (serialized by snapMu) cannot collide with
+			// concurrent Adds, and base's readers only see their own length.
+			ns.refs = append(base.refs, delta...)
+		}
 		if bix := base.idx.Load(); bix != nil {
 			ns.idx.Store(extendSnapIndex(bix, delta))
 		}
-	} else {
-		ns.refs = refs
 	}
 	g.snap.Store(ns)
 	return ns
@@ -148,11 +151,11 @@ func (g *Graph) Snapshot() *Snapshot {
 // deduplicated (a triple removed and re-added has two surviving log entries;
 // the first is kept). Caller must hold g.mu. This is the O(graph) rebuild
 // path taken only after a Remove invalidated the cached snapshot.
-func (g *Graph) survivingRefsLocked() []tripleRef {
-	out := make([]tripleRef, 0, g.size)
-	seen := make(map[tripleRef]struct{}, g.size)
+func (g *Graph) survivingRefsLocked() []TripleID {
+	out := make([]TripleID, 0, g.size)
+	seen := make(map[TripleID]struct{}, g.size)
 	for _, r := range g.log {
-		if !g.hasLocked(r.s, r.p, r.o) {
+		if g.findLocked(r) < 0 {
 			continue
 		}
 		if _, dup := seen[r]; dup {
@@ -190,7 +193,7 @@ func (s *Snapshot) index() *snapIndex {
 // shared with base. Appends may write past base's slice lengths into shared
 // backing arrays — safe because builds are serialized and base's readers are
 // bounded by their own lengths.
-func extendSnapIndex(base *snapIndex, delta []tripleRef) *snapIndex {
+func extendSnapIndex(base *snapIndex, delta []TripleID) *snapIndex {
 	ix := &snapIndex{
 		spo: make(map[termID]snapSubj, len(base.spo)+len(delta)/4),
 		pos: make(map[termID]snapPred, len(base.pos)),
@@ -215,44 +218,44 @@ func extendSnapIndex(base *snapIndex, delta []tripleRef) *snapIndex {
 // predicates' byObj maps are already private to this build: nil means every
 // node is private (from-scratch build), non-nil means byObj maps are shared
 // with a base index and must be copied before the first mutation.
-func (ix *snapIndex) insertAll(refs []tripleRef, touchedByObj map[termID]bool) {
+func (ix *snapIndex) insertAll(refs []TripleID, touchedByObj map[termID]bool) {
 	for _, r := range refs {
-		sub := ix.spo[r.s]
+		sub := ix.spo[r.S]
 		pNew := true
 		for _, po := range sub.pairs {
-			if po.p == r.p {
+			if po.p == r.P {
 				pNew = false
 				break
 			}
 		}
-		sub.pairs = append(sub.pairs, snapPO{p: r.p, o: r.o})
-		ix.spo[r.s] = sub
+		sub.pairs = append(sub.pairs, snapPO{p: r.P, o: r.O})
+		ix.spo[r.S] = sub
 
-		pn, ok := ix.pos[r.p]
+		pn, ok := ix.pos[r.P]
 		if !ok {
 			pn = snapPred{byObj: make(map[termID][]termID)}
 			if touchedByObj != nil {
-				touchedByObj[r.p] = true
+				touchedByObj[r.P] = true
 			}
-		} else if touchedByObj != nil && !touchedByObj[r.p] {
+		} else if touchedByObj != nil && !touchedByObj[r.P] {
 			cp := make(map[termID][]termID, len(pn.byObj)+1)
 			for k, v := range pn.byObj {
 				cp[k] = v
 			}
 			pn.byObj = cp
-			touchedByObj[r.p] = true
+			touchedByObj[r.P] = true
 		}
 		pn.triples++
 		if pNew {
 			pn.subjects++
 		}
-		pn.flat = append(pn.flat, snapSO{s: r.s, o: r.o})
-		pn.byObj[r.o] = append(pn.byObj[r.o], r.s)
-		ix.pos[r.p] = pn
+		pn.flat = append(pn.flat, snapSO{s: r.S, o: r.O})
+		pn.byObj[r.O] = append(pn.byObj[r.O], r.S)
+		ix.pos[r.P] = pn
 
-		src := ix.osp[r.o]
-		src.pairs = append(src.pairs, spair{s: r.s, p: r.p})
-		ix.osp[r.o] = src
+		src := ix.osp[r.O]
+		src.pairs = append(src.pairs, spair{s: r.S, p: r.P})
+		ix.osp[r.O] = src
 	}
 }
 
@@ -305,8 +308,8 @@ func (s *Snapshot) inRange(ids ...ID) bool {
 }
 
 // ForEachMatchIDs streams the dictionary IDs of all triples matching the
-// pattern (NoID = wildcard) to fn; fn returning false stops early. Unlike
-// Graph.ForEachMatchIDs no lock is held: fn may mutate the underlying graph.
+// pattern (NoID = wildcard) to fn; fn returning false stops early. No lock is
+// held: fn may mutate the underlying graph.
 // Enumeration order is deterministic for a given snapshot (insertion order
 // within each index node), and identical to concatenating ScanRange over the
 // full domain.
@@ -420,7 +423,7 @@ func (s *Snapshot) ScanRange(sid, pid, oid ID, lo, hi int, fn func(s, p, o ID) b
 		}
 	default:
 		for _, r := range s.refs[lo:hi] {
-			if !fn(r.s, r.p, r.o) {
+			if !fn(r.S, r.P, r.O) {
 				return false
 			}
 		}
@@ -429,8 +432,12 @@ func (s *Snapshot) ScanRange(sid, pid, oid ID, lo, hi int, fn func(s, p, o ID) b
 }
 
 // CountMatchIDs returns the exact number of triples matching the ID pattern
-// (NoID = wildcard) — the same cardinality oracle as Graph.CountMatchIDs,
-// answered from the snapshot's index without locks.
+// (NoID = wildcard), read off the index without enumerating where a node
+// answers directly:
+//
+//	(? p o) -> POS posting-list length  (? p ?) -> per-predicate count
+//	(s ? ?) -> subject's adjacency size (? ? o) -> OSP source count
+//	(? ? ?) -> snapshot size            otherwise a walk of s's adjacency
 func (s *Snapshot) CountMatchIDs(sid, pid, oid ID) int {
 	if !s.inRange(sid, pid, oid) {
 		return 0

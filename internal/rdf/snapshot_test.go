@@ -23,26 +23,26 @@ func snapRandGraph(rng *rand.Rand, n int) *Graph {
 }
 
 // idsOf collects a pattern enumeration into a sorted-free slice of refs.
-func idsOf(fe func(func(s, p, o ID) bool)) []tripleRef {
-	var out []tripleRef
+func idsOf(fe func(func(s, p, o ID) bool)) []TripleID {
+	var out []TripleID
 	fe(func(s, p, o ID) bool {
-		out = append(out, tripleRef{s, p, o})
+		out = append(out, TripleID{s, p, o})
 		return true
 	})
 	return out
 }
 
-// multiset turns refs into a count map (enumeration order differs between
-// the live graph's map-walk and the snapshot's insertion-order walk).
-func multiset(refs []tripleRef) map[tripleRef]int {
-	m := make(map[tripleRef]int, len(refs))
+// multiset turns refs into a count map (index enumeration order is per index
+// node, not the full scan's log order).
+func multiset(refs []TripleID) map[TripleID]int {
+	m := make(map[TripleID]int, len(refs))
 	for _, r := range refs {
 		m[r]++
 	}
 	return m
 }
 
-func multisetEq(a, b []tripleRef) bool {
+func multisetEq(a, b []TripleID) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -79,8 +79,10 @@ func snapPatterns(g *Graph) [][3]ID {
 	return pats
 }
 
-// TestSnapshotMatchesGraph: every pattern probe (enumeration and count)
-// answers identically from the snapshot and from the live locked graph.
+// TestSnapshotMatchesGraph: every pattern probe (enumeration, count, stats)
+// answers the same from the snapshot, from the Graph methods that delegate to
+// it, and from a brute-force filter over the full triple list — the index's
+// independent oracle now that the graph keeps no adjacency of its own.
 func TestSnapshotMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 20; iter++ {
@@ -95,30 +97,50 @@ func TestSnapshotMatchesGraph(t *testing.T) {
 		if snap.Len() != g.Len() {
 			t.Fatalf("iter %d: snapshot Len = %d, graph Len = %d", iter, snap.Len(), g.Len())
 		}
+		all := idsOf(func(fn func(s, p, o ID) bool) { snap.ForEachMatchIDs(NoID, NoID, NoID, fn) })
 		for _, pat := range snapPatterns(g) {
 			s, p, o := pat[0], pat[1], pat[2]
+			var want []TripleID
+			subjects, objects := map[ID]struct{}{}, map[ID]struct{}{}
+			for _, r := range all {
+				if (s == NoID || r.S == s) && (p == NoID || r.P == p) && (o == NoID || r.O == o) {
+					want = append(want, r)
+					subjects[r.S], objects[r.O] = struct{}{}, struct{}{}
+				}
+			}
 			got := idsOf(func(fn func(s, p, o ID) bool) { snap.ForEachMatchIDs(s, p, o, fn) })
-			want := idsOf(func(fn func(s, p, o ID) bool) { g.ForEachMatchIDs(s, p, o, fn) })
 			if !multisetEq(got, want) {
-				t.Fatalf("iter %d pattern (%v %v %v): snapshot %d rows, graph %d rows",
+				t.Fatalf("iter %d pattern (%v %v %v): snapshot %d rows, brute force %d rows",
 					iter, s, p, o, len(got), len(want))
 			}
-			if gc, wc := snap.CountMatchIDs(s, p, o), len(want); gc != wc {
-				t.Fatalf("iter %d pattern (%v %v %v): snapshot count %d, want %d", iter, s, p, o, gc, wc)
+			if viaGraph := idsOf(func(fn func(s, p, o ID) bool) { g.ForEachMatchIDs(s, p, o, fn) }); !multisetEq(viaGraph, want) {
+				t.Fatalf("iter %d pattern (%v %v %v): graph %d rows, brute force %d rows",
+					iter, s, p, o, len(viaGraph), len(want))
+			}
+			if sc, gc := snap.CountMatchIDs(s, p, o), g.CountMatchIDs(s, p, o); sc != len(want) || gc != len(want) {
+				t.Fatalf("iter %d pattern (%v %v %v): snapshot count %d, graph count %d, want %d", iter, s, p, o, sc, gc, len(want))
 			}
 			if p != NoID && s == NoID && o == NoID {
 				t1, s1, o1 := snap.PredStats(p)
 				t2, s2, o2 := g.PredStats(p)
-				if t1 != t2 || s1 != s2 || o1 != o2 {
-					t.Fatalf("iter %d PredStats(%v): snapshot (%d,%d,%d) graph (%d,%d,%d)",
-						iter, p, t1, s1, o1, t2, s2, o2)
+				if t1 != len(want) || s1 != len(subjects) || o1 != len(objects) || t2 != t1 || s2 != s1 || o2 != o1 {
+					t.Fatalf("iter %d PredStats(%v): snapshot (%d,%d,%d) graph (%d,%d,%d) want (%d,%d,%d)",
+						iter, p, t1, s1, o1, t2, s2, o2, len(want), len(subjects), len(objects))
 				}
 			}
 		}
+		ds, dp, do := map[ID]struct{}{}, map[ID]struct{}{}, map[ID]struct{}{}
+		for _, r := range all {
+			ds[r.S], dp[r.P], do[r.O] = struct{}{}, struct{}{}, struct{}{}
+		}
 		s1, p1, o1 := snap.IndexStats()
 		s2, p2, o2 := g.IndexStats()
-		if s1 != s2 || p1 != p2 || o1 != o2 {
-			t.Fatalf("iter %d IndexStats: snapshot (%d,%d,%d) graph (%d,%d,%d)", iter, s1, p1, o1, s2, p2, o2)
+		if s1 != len(ds) || p1 != len(dp) || o1 != len(do) || s2 != s1 || p2 != p1 || o2 != o1 {
+			t.Fatalf("iter %d IndexStats: snapshot (%d,%d,%d) graph (%d,%d,%d) want (%d,%d,%d)",
+				iter, s1, p1, o1, s2, p2, o2, len(ds), len(dp), len(do))
+		}
+		if subs := g.Subjects(); len(subs) != len(ds) {
+			t.Fatalf("iter %d: Subjects() has %d entries, want %d", iter, len(subs), len(ds))
 		}
 	}
 }
@@ -218,14 +240,14 @@ func TestSnapshotScanRangePartition(t *testing.T) {
 				t.Fatalf("ScanLen(%v %v %v) = %d < %d emitted rows", s, p, o, n, len(full))
 			}
 			chunk := 1 + rng.Intn(7)
-			var cat []tripleRef
+			var cat []TripleID
 			for lo := 0; lo < n; lo += chunk {
 				hi := lo + chunk
 				if hi > n {
 					hi = n
 				}
 				snap.ScanRange(s, p, o, lo, hi, func(si, pi, oi ID) bool {
-					cat = append(cat, tripleRef{si, pi, oi})
+					cat = append(cat, TripleID{si, pi, oi})
 					return true
 				})
 			}
@@ -241,8 +263,8 @@ func TestSnapshotScanRangePartition(t *testing.T) {
 	}
 }
 
-// TestForEachMatchReentrant: a ForEachMatch callback may mutate the graph —
-// the former deadlock (RLock held across the callback) is gone, and the
+// TestForEachMatchReentrant: a scan callback may mutate the graph, in term
+// space and in ID space alike — no graph lock is held across it — and the
 // iteration still sees exactly the pre-mutation triples.
 func TestForEachMatchReentrant(t *testing.T) {
 	g := NewGraph()
@@ -261,6 +283,16 @@ func TestForEachMatchReentrant(t *testing.T) {
 	}
 	if g.Len() != 10 {
 		t.Fatalf("graph Len = %d after callback mutations, want 10", g.Len())
+	}
+	seen = 0
+	g.ForEachMatchIDs(NoID, mustID(t, g, "p"), NoID, func(s, p, o ID) bool {
+		seen++
+		g.Add(tr(fmt.Sprintf("newer%d", seen), "p", "o"))
+		g.Remove(Triple{S: g.TermOf(s), P: g.TermOf(p), O: g.TermOf(o)})
+		return true
+	})
+	if seen != 10 || g.Len() != 10 {
+		t.Fatalf("ID-space iteration saw %d triples and left %d, want 10 and 10", seen, g.Len())
 	}
 }
 

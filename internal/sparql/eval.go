@@ -84,10 +84,11 @@ func Eval(g *rdf.Graph, q *Query) (*Result, error) {
 	return EvalOn(g.Snapshot(), q)
 }
 
-// EvalOn evaluates a parsed query against an explicit Source — a pinned
-// *rdf.Snapshot (what Eval uses) or a live *rdf.Graph, where every index
-// probe takes the graph read lock. The live form is the lock-per-probe
-// baseline the parallel-query ablation measures against.
+// EvalOn evaluates a parsed query against an explicit Source — normally a
+// pinned *rdf.Snapshot (what Eval uses). A live *rdf.Graph is accepted too,
+// but each of its probes pins the graph's current snapshot, so under
+// concurrent ingest one query may read several graph states; pin once
+// instead.
 func EvalOn(src Source, q *Query) (*Result, error) {
 	return runPlan(src, Compile(src, q))
 }

@@ -3,13 +3,13 @@ package sparql
 import "github.com/hpc-io/prov-io/internal/rdf"
 
 // Source is the read surface the planner and executor run against: the
-// ID-level scan/count/stats API shared by the live *rdf.Graph (every probe
-// takes the graph read lock) and the immutable *rdf.Snapshot (lock-free).
+// ID-level scan/count/stats API of the immutable *rdf.Snapshot (lock-free),
+// which *rdf.Graph also offers by answering each call from its current
+// snapshot.
 //
-// Eval compiles and executes against a Snapshot, so a query acquires the
-// graph lock exactly once — when the snapshot is pinned — instead of once
-// per triple-pattern probe. EvalOn accepts either implementation, which
-// keeps the lock-per-probe live path available as an ablation baseline.
+// Eval compiles and executes against one Snapshot, so a query acquires the
+// graph lock exactly once — when the snapshot is pinned — and reads one
+// graph state throughout.
 type Source interface {
 	// TermID resolves a term to its dictionary ID, reporting whether it is
 	// interned (visible to this source).
