@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"time"
 
 	provio "github.com/hpc-io/prov-io"
 	"github.com/hpc-io/prov-io/internal/cli"
@@ -71,7 +72,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "provio-merge: -level requires -compact")
 			os.Exit(2)
 		}
+		// Sized before the fold, so the rate reads as bench/perf's
+		// pack_mb_per_s does; best effort, the fold does not depend on it.
+		total, sizeErr := store.TotalBytes()
+		start := time.Now()
 		name, err := store.PackSegments(*level)
+		elapsed := time.Since(start)
 		if err != nil {
 			if errors.Is(err, provio.ErrNothingToPack) {
 				fmt.Println("nothing to pack: no loose segments or lower-level packs")
@@ -88,6 +94,9 @@ func main() {
 		fmt.Printf("packed segments into %s (level %d)\n", name, *level)
 		for _, li := range levels {
 			fmt.Printf("  L%d: %d file(s), %d unit(s), %d bytes\n", li.Level, li.Files, li.Units, li.Bytes)
+		}
+		if sizeErr == nil {
+			fmt.Fprintf(os.Stderr, "packed %d bytes in %s (%s)\n", total, elapsed.Round(time.Microsecond), cli.Rate(total, elapsed))
 		}
 		return
 	}

@@ -8,6 +8,7 @@ package cli
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/hpc-io/prov-io/internal/core"
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -19,6 +20,12 @@ const StoreUsage = "provenance store: a directory, or a spec — dir:/path | mem
 
 // FormatUsage is the shared help text of the store-format flags.
 const FormatUsage = "store codec: auto | nt | ttl | pbs (reads auto-detect per file)"
+
+// Rate renders a maintenance step's throughput the way bench/perf reports
+// verify_mb_per_s and pack_mb_per_s: store bytes over wall time, in MB/s.
+func Rate(bytes int64, elapsed time.Duration) string {
+	return fmt.Sprintf("%.1f MB/s", float64(bytes)/1e6/elapsed.Seconds())
+}
 
 // OpenStore opens the store a tool's -store and format flags name. The empty
 // spec is rejected (-store is required everywhere); the format name goes

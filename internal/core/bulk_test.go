@@ -1,0 +1,395 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/hpc-io/prov-io/internal/faultfs"
+	"github.com/hpc-io/prov-io/internal/model"
+	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
+	"github.com/hpc-io/prov-io/internal/vfs"
+)
+
+// Tests and benchmarks of the store's bulk paths — Close, PackSegments,
+// Verify — which work on segment columns instead of graphs: byte parity with
+// the graph-based algorithms they replaced, the read-once property, and Go
+// benchmarks at the perf harness's h5bench shape for measuring while working.
+
+// referencePack is PackSegments as it was while it still built a union
+// graph: every loose segment and lower-level pack member of the snapshot,
+// member stats from the file's own frame (loose) or the old header (packed),
+// and pack-level stats from a graph every member was decoded into.
+func referencePack(t *testing.T, files map[string][]byte, level int) []byte {
+	t.Helper()
+	entries := make(map[string]segcodec.PackEntry)
+	for n, data := range files {
+		if lvl, _, ok := parsePackName(n); ok {
+			if lvl >= level {
+				continue
+			}
+			h, err := segcodec.DecodePackHeader(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range h.Members {
+				e := segcodec.PackEntry{Name: m.Name, Data: data[m.Off : m.Off+m.Size]}
+				if m.HasStats {
+					ms := m.Stats
+					e.Stats = &ms
+				}
+				entries[m.Name] = e
+			}
+			continue
+		}
+		_, seg, isSum, ok := parseStoreName(n)
+		if !ok || seg < 0 {
+			continue
+		}
+		e := segcodec.PackEntry{Name: n, Data: data}
+		if st, ok := segcodec.StatsOf(data); ok && !isSum {
+			e.Stats = &st
+		}
+		entries[n] = e
+	}
+	names := make([]string, 0, len(entries))
+	for n := range entries {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var ordered []segcodec.PackEntry
+	union := rdf.NewGraph()
+	for _, n := range names {
+		e := entries[n]
+		ordered = append(ordered, e)
+		if isCodecFile(e.Name) {
+			if err := segcodec.Detect(e.Data).Decode(bytes.NewReader(e.Data), union); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	packStats := segcodec.ComputeGraphStats(union)
+	var buf bytes.Buffer
+	if err := segcodec.EncodePack(&buf, level, ordered, &packStats); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPackBytesMatchReference: over randomized member sets — terms shared
+// between members, one triple slice written to two members, a member with no
+// triples, a text member with its sidecar — the pack PackSegments writes is
+// byte-identical to the union-graph algorithm's, at level 1 (loose members)
+// and at level 2 (the level-1 pack's members plus new loose ones).
+func TestPackBytesMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		backend := VFSBackend{View: vfs.NewStore().NewView()}
+		store, err := NewStore(backend, "/prov", FormatBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := NewStore(backend, "/prov", FormatNTriples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := func() rdf.Term { return rdf.IRI(fmt.Sprintf("urn:n%d", rng.Intn(30))) }
+		randomTriples := func() []rdf.Triple {
+			ts := make([]rdf.Triple, 1+rng.Intn(12))
+			for i := range ts {
+				o := node()
+				if rng.Intn(4) == 0 {
+					o = rdf.Literal(fmt.Sprintf("v%d", rng.Intn(8)))
+				}
+				ts[i] = rdf.Triple{S: node(), P: rdf.IRI(fmt.Sprintf("urn:p%d", rng.Intn(5))), O: o}
+			}
+			return ts
+		}
+		nextSeg := map[int]int{}
+		write := func(s *Store, pid int, ts []rdf.Triple) {
+			if err := s.WriteDeltaSegment(pid, nextSeg[pid], ts); err != nil {
+				t.Fatal(err)
+			}
+			nextSeg[pid]++
+		}
+		wave := func() {
+			for i := 0; i < 3+rng.Intn(5); i++ {
+				write(store, rng.Intn(3), randomTriples())
+			}
+			shared := randomTriples()
+			write(store, 0, append([]rdf.Triple(nil), shared...))
+			write(store, 1, shared)
+			write(store, 2, nil)
+			write(text, 7, randomTriples())
+		}
+		for level := 1; level <= 2; level++ {
+			wave()
+			before := storeFiles(t, store)
+			name, err := store.PackSegments(level)
+			if err != nil {
+				t.Fatalf("seed %d level %d: %v", seed, level, err)
+			}
+			after := storeFiles(t, store)
+			if want := referencePack(t, before, level); !bytes.Equal(after[name], want) {
+				t.Fatalf("seed %d level %d: %s (%d bytes) differs from the union-graph reference (%d bytes)",
+					seed, level, name, len(after[name]), len(want))
+			}
+			if len(after) != 1 {
+				t.Fatalf("seed %d level %d: %d files left after packing, want the pack alone", seed, level, len(after))
+			}
+		}
+	}
+}
+
+// demoStore is internal/tools/mkstore's demonstration store: one closed run
+// and one periodic run left as sealed delta segments.
+func demoStore(t *testing.T, backend Backend) *Store {
+	t.Helper()
+	const records = 24
+	store, err := NewStore(backend, "/prov", FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTracker(DefaultConfig(), store, 0)
+	prog := tr.RegisterProgram("demo.exe", tr.RegisterUser("demo-user"))
+	for i := 0; i < records; i++ {
+		obj := tr.TrackDataObject(model.File, fmt.Sprintf("/data/f%d", i%8), "", rdf.Term{}, prog)
+		tr.TrackIO(model.Write, "H5Dwrite", obj, prog, time.Duration(i)*time.Millisecond, 0)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Mode = ModePeriodic
+	cfg.FlushEvery = records/3 + 1
+	tr = NewTracker(cfg, store, 0)
+	for i := 0; i < records; i++ {
+		tr.TrackIO(model.Read, "H5Dread", rdf.Term{}, rdf.Term{}, time.Duration(i)*time.Millisecond, 0)
+	}
+	if err := tr.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// TestGoldenDemoStore pins, against fixtures written before the bulk paths
+// left term space, everything a Close and a PackSegments put on disk: the
+// chain heads of the demo store (a head is the digest of a whole file, so
+// the canonical file Close encodes and every delta segment are pinned with
+// it) and the level-1 pack, header statistics included.
+func TestGoldenDemoStore(t *testing.T) {
+	store := demoStore(t, VFSBackend{View: vfs.NewStore().NewView()})
+	checkGolden(t, "golden_demo_heads.txt", mustVerify(t, store).FormatHeads())
+	name, err := store.PackSegments(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "golden_demo_pack.psk", storeFiles(t, store)[name])
+}
+
+// TestBulkPathsReadEachFileOnce traces the backend under PackSegments and
+// Verify: each reads every store file exactly once — the audit's bytes and
+// decoded columns are all packing works from.
+func TestBulkPathsReadEachFileOnce(t *testing.T) {
+	fb := faultfs.New(VFSBackend{View: vfs.NewStore().NewView()}, 1)
+	store := demoStore(t, fb)
+	readsSince := func(mark int) map[string]int {
+		reads := map[string]int{}
+		for _, op := range fb.Trace()[mark:] {
+			if op.Kind == faultfs.OpRead {
+				reads[filepath.Base(op.Path)]++
+			}
+		}
+		return reads
+	}
+	check := func(what string, files map[string][]byte, reads map[string]int) {
+		t.Helper()
+		for n := range files {
+			if reads[n] != 1 {
+				t.Errorf("%s read %s %d times, want once", what, n, reads[n])
+			}
+		}
+		if len(reads) != len(files) {
+			t.Errorf("%s read %d distinct files, the store holds %d", what, len(reads), len(files))
+		}
+	}
+	for level := 1; level <= 2; level++ {
+		// Level 2 folds the level-1 pack together with a fresh loose segment.
+		if level == 2 {
+			if err := store.WriteDeltaSegment(5, 0, []rdf.Triple{{S: rdf.IRI("urn:s"), P: rdf.IRI("urn:p"), O: rdf.IRI("urn:o")}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		files := storeFiles(t, store)
+		mark := len(fb.Trace())
+		if _, err := store.PackSegments(level); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("PackSegments(%d)", level), files, readsSince(mark))
+
+		files = storeFiles(t, store)
+		mark = len(fb.Trace())
+		if rep := mustVerify(t, store); !rep.Clean() {
+			t.Fatalf("level %d: %v", level, rep.Defects)
+		}
+		check("Verify", files, readsSince(mark))
+	}
+}
+
+// ---- benchmarks at the perf harness's h5bench shape ----
+
+const (
+	benchRanks      = 16
+	benchPerRank    = 1024
+	benchFlushEvery = 512
+)
+
+// trackH5benchRank tracks one rank of the h5bench shape — few entities, many
+// timed I/O activities — and returns the tracker before Close or Drain.
+func trackH5benchRank(store *Store, pid int) *Tracker {
+	cfg := DefaultConfig()
+	cfg.Mode = ModePeriodic
+	cfg.FlushEvery = benchFlushEvery
+	cfg.Pipeline = PipelineAsync
+	cfg.Duration = true
+	tr := NewTracker(cfg, store, pid)
+	prog := tr.RegisterProgram("h5bench.exe", tr.RegisterUser("bench"))
+	thr := tr.RegisterThread(pid, prog)
+	var objs [8]rdf.Term
+	for i := range objs {
+		objs[i] = tr.TrackDataObject(model.Dataset, fmt.Sprintf("/bench.h5/r%d/d%d", pid, i), "", rdf.Term{}, prog)
+	}
+	for i := 3 + len(objs); i < benchPerRank; i++ {
+		tr.TrackIO(model.Write, "H5Dwrite", objs[i%len(objs)], thr,
+			time.Duration(i)*time.Millisecond, 250*time.Microsecond)
+	}
+	return tr
+}
+
+// h5benchStoreFiles builds the harness's store shape once: three ranks in
+// four end with Drain (delta segments), the fourth with Close (a canonical
+// file).
+func h5benchStoreFiles(b *testing.B) (files map[string][]byte, size int64) {
+	b.Helper()
+	store, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", FormatBinary)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var drained []*Tracker
+	for pid := 0; pid < benchRanks; pid++ {
+		tr := trackH5benchRank(store, pid)
+		if pid%4 == 3 {
+			err = tr.Close()
+		} else {
+			err = tr.Drain()
+			drained = append(drained, tr)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	files = storeFiles(b, store)
+	for _, tr := range drained {
+		_ = tr.Close() // stops the rank's flush writer; the snapshot is taken
+	}
+	for _, data := range files {
+		size += int64(len(data))
+	}
+	return files, size
+}
+
+func BenchmarkPackSegments(b *testing.B) {
+	files, size := h5benchStoreFiles(b)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		store := openDir(b, files)
+		b.StartTimer()
+		if _, err := store.PackSegments(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkVerify(b *testing.B) {
+	files, size := h5benchStoreFiles(b)
+	store := openDir(b, files)
+	if _, err := store.PackSegments(1); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := store.Verify()
+		if err != nil || !rep.Clean() {
+			b.Fatal(err, rep)
+		}
+	}
+}
+
+func BenchmarkTrackerClose(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		store, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", FormatBinary)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr := trackH5benchRank(store, 0)
+		if err := tr.Drain(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := tr.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestCloseEncodesTermSpaceBytes: Close serializes the graph from its
+// insertion log; the canonical file must hold the bytes the term-space
+// encoder derives from the graph's triples, also after removals and re-adds
+// left dead and repeated log entries behind.
+func TestCloseEncodesTermSpaceBytes(t *testing.T) {
+	store := newBinaryVFSStore(t)
+	tr := NewTracker(DefaultConfig(), store, 0)
+	prog := tr.RegisterProgram("close.exe", tr.RegisterUser("alice"))
+	for i := 0; i < 40; i++ {
+		tr.TrackIO(model.Write, "H5Dwrite", prog, rdf.Term{}, time.Duration(i)*time.Millisecond, 0)
+	}
+	g := tr.Graph()
+	for i, x := range g.Triples() {
+		switch i % 5 {
+		case 0:
+			g.Remove(x)
+		case 1:
+			g.Remove(x)
+			g.Add(x)
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := segcodec.Binary.(segcodec.TriplesEncoder).EncodeTriples(&want, g.Triples()); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for n, data := range storeFiles(t, store) {
+		if strings.HasSuffix(n, ".pbs") {
+			got = segcodec.StripChain(data)
+		}
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("canonical file payload (%d bytes) differs from the term-space encoding (%d bytes)", len(got), want.Len())
+	}
+}

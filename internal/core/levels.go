@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/hpc-io/prov-io/internal/rdf"
 	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
 
@@ -61,7 +60,9 @@ func (s *Store) PackSegments(level int) (string, error) {
 	if level < 1 {
 		return "", fmt.Errorf("core: pack level %d out of range (levels start at 1)", level)
 	}
-	a, err := s.audit(false)
+	// The audit is also the read: it holds every file's bytes and decoded
+	// content, so nothing below touches the backend until the pack is written.
+	a, err := s.audit(true)
 	if err != nil {
 		return "", err
 	}
@@ -75,94 +76,77 @@ func (s *Store) PackSegments(level int) (string, error) {
 		return "", &IntegrityError{Defects: defects}
 	}
 
-	names, err := s.backend.List(s.dir)
-	if err != nil {
-		return "", err
-	}
+	path := func(name string) string { return filepath.ToSlash(filepath.Join(s.dir, name)) }
 	maxSeq := -1
 	var sourceFiles []string // loose files to remove, sidecar before segment
 	var oldPacks []string
-	entries := make(map[string]segcodec.PackEntry) // by member name
-	for _, n := range names {
-		if lvl, seq, ok := parsePackName(n); ok {
-			if lvl == level && seq > maxSeq {
-				maxSeq = seq
-			}
-			if lvl >= level {
-				continue
-			}
-			path := filepath.ToSlash(filepath.Join(s.dir, n))
-			data, err := s.backend.ReadFile(path)
-			if err != nil {
-				return "", err
-			}
-			h, err := segcodec.DecodePackHeader(data)
-			if err != nil || int64(len(data)) != h.WantSize {
-				return "", fmt.Errorf("core: pack %s unreadable: %w", n, err)
-			}
-			for _, m := range h.Members {
-				e := segcodec.PackEntry{Name: m.Name, Data: data[m.Off : m.Off+m.Size]}
-				if m.HasStats {
-					ms := m.Stats
-					e.Stats = &ms
-				}
-				if prev, dup := entries[m.Name]; dup && !bytes.Equal(prev.Data, e.Data) {
-					return "", fmt.Errorf("core: member %s differs between packs", m.Name)
-				}
-				entries[m.Name] = e
-			}
-			oldPacks = append(oldPacks, path)
+	fold := make(map[string]bool) // member names of the new pack
+	for _, p := range a.packs {
+		lvl, seq, _ := parsePackName(p.name)
+		if lvl == level && seq > maxSeq {
+			maxSeq = seq
+		}
+		if lvl >= level {
 			continue
 		}
-		_, seg, isSum, ok := parseStoreName(n)
-		if !ok || seg < 0 {
-			continue // canonical files and foreign names stay loose
+		for _, m := range p.members {
+			fold[m] = true
 		}
-		path := filepath.ToSlash(filepath.Join(s.dir, n))
-		data, err := s.backend.ReadFile(path)
-		if err != nil {
-			return "", err
-		}
-		e := segcodec.PackEntry{Name: n, Data: data}
-		if !isSum {
-			if st, ok := segcodec.StatsOf(data); ok {
-				e.Stats = &st
-			}
-		}
-		if prev, dup := entries[n]; dup && !bytes.Equal(prev.Data, e.Data) {
-			return "", fmt.Errorf("core: member %s differs between source copies", n)
-		}
-		entries[n] = e
-		sourceFiles = append(sourceFiles, path)
+		oldPacks = append(oldPacks, path(p.name))
 	}
-	if len(entries) == 0 {
+	for _, n := range a.loose {
+		if _, seg, _, _ := parseStoreName(n); seg < 0 {
+			continue // canonical files stay loose
+		}
+		fold[n] = true
+		sourceFiles = append(sourceFiles, path(n))
+	}
+	if len(fold) == 0 {
 		return "", ErrNothingToPack
 	}
 
-	// Deterministic member order; zero-padded names sort by (pid, seg).
-	memberNames := make([]string, 0, len(entries))
-	for n := range entries {
+	// Deterministic member order; zero-padded names sort by (pid, seg). A
+	// name the audit holds several copies of (loose and packed) holds
+	// byte-identical ones, or it would have reported a defect above.
+	memberNames := make([]string, 0, len(fold))
+	for n := range fold {
 		memberNames = append(memberNames, n)
 	}
 	sort.Strings(memberNames)
-	ordered := make([]segcodec.PackEntry, 0, len(entries))
-	union := rdf.NewGraph()
-	for _, n := range memberNames {
-		e := entries[n]
-		ordered = append(ordered, e)
-		if isCodecFile(e.Name) {
-			if err := segcodec.Detect(e.Data).Decode(bytes.NewReader(e.Data), union); err != nil {
-				return "", fmt.Errorf("core: packing %s: %w", e.Name, err)
-			}
+	files := make(map[string]*auditFile)
+	for _, pa := range a.pids {
+		for _, f := range pa.canonicals {
+			files[f.name] = f
+		}
+		for _, f := range pa.segs {
+			files[f.name] = f
 		}
 	}
-	packStats := segcodec.ComputeGraphStats(union)
+	ordered := make([]segcodec.PackEntry, 0, len(fold))
+	var contents []*segcodec.Columns // what the pack-level union stats cover
+	for _, n := range memberNames {
+		f := files[n]
+		if f == nil {
+			ordered = append(ordered, segcodec.PackEntry{Name: n, Data: a.sums[n]})
+			continue
+		}
+		e := segcodec.PackEntry{Name: n, Data: f.data}
+		if f.cols != nil {
+			e.Stats = f.cols.Stats
+			contents = append(contents, f.cols)
+		} else {
+			// A text member decodes only into a graph and carries no stats.
+			contents = append(contents, segcodec.GraphColumns(f.graph))
+		}
+		ordered = append(ordered, e)
+	}
+	packStats := segcodec.UnionStats(contents)
 	var buf bytes.Buffer
 	if err := segcodec.EncodePack(&buf, level, ordered, &packStats); err != nil {
 		return "", err
 	}
 	name := packName(level, maxSeq+1)
-	if err := s.backend.WriteFile(filepath.ToSlash(filepath.Join(s.dir, name)), buf.Bytes()); err != nil {
+	if err := s.backend.WriteFile(path(name), buf.Bytes()); err != nil {
 		return "", err
 	}
 

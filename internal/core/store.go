@@ -558,10 +558,10 @@ func (s *Store) Compact() error {
 		}
 		g := rdf.NewGraph()
 		for _, f := range append(append([]*auditFile{}, pa.canonicals...), pa.segs...) {
-			if f.graph != nil {
+			if f.cols != nil {
+				f.cols.Materialize(g)
+			} else {
 				g.Merge(f.graph)
-			} else if err := s.decodeInto(&scanUnit{path: filepath.ToSlash(filepath.Join(s.dir, f.name))}, g); err != nil {
-				return err
 			}
 		}
 		// Seal the new root against the pid's actual chain head (the newest
@@ -596,8 +596,8 @@ func (s *Store) Compact() error {
 	}
 	// Every packed member is folded above (a pid with packed files is always
 	// dirty), so the pack containers are now superseded history.
-	for _, n := range a.packFiles {
-		if err := s.backend.Remove(filepath.ToSlash(filepath.Join(s.dir, n))); err != nil {
+	for _, p := range a.packs {
+		if err := s.backend.Remove(filepath.ToSlash(filepath.Join(s.dir, p.name))); err != nil {
 			return err
 		}
 	}

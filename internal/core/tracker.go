@@ -517,9 +517,11 @@ func (t *Tracker) Flush() error {
 	t.cursor = t.graph.LogLen()
 	hadSegments := t.segSeq > 0
 	t.mu.Unlock()
-	// The graph is internally synchronized; serialization snapshots it via
-	// SortedTriples without cloning (cloning would double peak memory when
-	// thousands of rank trackers flush together).
+	// The graph is internally synchronized and is serialized without cloning
+	// it (cloning would double peak memory when thousands of rank trackers
+	// flush together): the binary codec encodes from one copy of the
+	// insertion log's 12-byte refs and builds no reader-side index, the text
+	// codecs sort a snapshot's triples.
 	if t.charge {
 		t.clock.Advance(t.cost.SerializeCost(t.graph.Len()))
 	}

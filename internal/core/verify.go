@@ -221,9 +221,12 @@ type auditFile struct {
 	digest  [32]byte
 	meta    *segcodec.Chain // seal (embedded frame or sidecar), nil if unsealed
 	sumName string          // sidecar name, "" if none
-	graph   *rdf.Graph      // decoded content when audit(keepGraphs) and intact
-	bad     bool            // at least one defect charged to this file
-	packed  string          // pack file the bytes live in; "" for a loose file
+	// Decoded content, retained under audit(keep) when the file is intact:
+	// a binary file's validated columns, a text file's parsed graph.
+	cols   *segcodec.Columns
+	graph  *rdf.Graph
+	bad    bool   // at least one defect charged to this file
+	packed string // pack file the bytes live in; "" for a loose file
 }
 
 // pidAudit is the audit state of one process.
@@ -248,12 +251,23 @@ func (pa *pidAudit) addDefect(kind DefectKind, name, format string, args ...any)
 type storeAudit struct {
 	pids                    map[int]*pidAudit
 	files, sealed, segments int
-	packs                   int
-	packFiles               []string // pack names Compact deletes after folding
+	// What the one read pass saw, for the maintenance steps that run on an
+	// audit instead of listing and reading the store again: the pack
+	// containers with their member names (nil for an unreadable header), the
+	// loose store files in listing order, and every sidecar's bytes by name.
+	packs []auditPack
+	loose []string
+	sums  map[string][]byte
 	// packDefects are structural findings against pack containers themselves
 	// (unreadable header, foreign member names, conflicting duplicates) —
 	// kept apart from per-pid defects so they never perturb chain heads.
 	packDefects []Defect
+}
+
+// auditPack is one pack container the audit read.
+type auditPack struct {
+	name    string
+	members []string // member names, sidecars included
 }
 
 func (a *storeAudit) addPackDefect(kind DefectKind, name, format string, args ...any) {
@@ -286,15 +300,16 @@ func parseStoreName(name string) (pid, seg int, isSum, ok bool) {
 	return 0, 0, false, false
 }
 
-// audit reads and checks every provenance file in the store. keepGraphs
-// retains each intact file's decoded triples for Compact's fold step.
-func (s *Store) audit(keepGraphs bool) (*storeAudit, error) {
+// audit reads every provenance file in the store exactly once and checks it.
+// keep retains each intact file's decoded content (and the audit keeps every
+// file's bytes regardless) for the fold steps of Compact and PackSegments.
+func (s *Store) audit(keep bool) (*storeAudit, error) {
 	names, err := s.backend.List(s.dir)
 	if err != nil {
 		return nil, err
 	}
-	a := &storeAudit{pids: make(map[int]*pidAudit)}
-	sums := make(map[string][]byte)
+	a := &storeAudit{pids: make(map[int]*pidAudit), sums: make(map[string][]byte)}
+	sums := a.sums
 	sumFrom := make(map[string]string)
 	type entry struct {
 		name     string
@@ -323,8 +338,7 @@ func (s *Store) audit(keepGraphs bool) (*storeAudit, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: reading %s: %w", n, err)
 			}
-			a.packs++
-			a.packFiles = append(a.packFiles, n)
+			a.packs = append(a.packs, auditPack{name: n})
 			h, herr := segcodec.DecodePackHeader(data)
 			if herr == nil && int64(len(data)) != h.WantSize {
 				werr := segcodec.ErrCorrupt
@@ -341,7 +355,9 @@ func (s *Store) audit(keepGraphs bool) (*storeAudit, error) {
 				a.addPackDefect(kind, n, "%v", herr)
 				continue
 			}
+			ap := &a.packs[len(a.packs)-1]
 			for _, m := range h.Members {
+				ap.members = append(ap.members, m.Name)
 				mdata := data[m.Off : m.Off+m.Size]
 				pid, seg, isSum, ok := parseStoreName(m.Name)
 				if !ok {
@@ -364,6 +380,7 @@ func (s *Store) audit(keepGraphs bool) (*storeAudit, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: reading %s: %w", n, err)
 		}
+		a.loose = append(a.loose, n)
 		if isSum {
 			addSum(n, data, "the store directory")
 			continue
@@ -403,7 +420,7 @@ func (s *Store) audit(keepGraphs bool) (*storeAudit, error) {
 	}
 	for _, e := range entries {
 		pa := pidOf(e.pid)
-		f, err := s.auditOne(pa, e.name, e.seg, e.data, sums, keepGraphs)
+		f, err := s.auditOne(pa, e.name, e.seg, e.data, sums, keep)
 		if err != nil {
 			return nil, err
 		}
@@ -475,10 +492,12 @@ func packSrc(pack string) string {
 
 // auditOne integrity-checks a single store file (loose or a pack member —
 // the caller supplies the bytes either way).
-func (s *Store) auditOne(pa *pidAudit, name string, seg int, data []byte, sums map[string][]byte, keepGraph bool) (*auditFile, error) {
+func (s *Store) auditOne(pa *pidAudit, name string, seg int, data []byte, sums map[string][]byte, keep bool) (*auditFile, error) {
 	f := &auditFile{name: name, seg: seg, data: data, digest: fileDigest(data)}
 	codec, _ := segcodec.ByExt(filepath.Ext(name))
-	binary := len(codec.Magic()) > 0
+	// The pbs format by name, not "any codec with a magic": this branch reads
+	// the file with that format's own columnar decode and in-band seal.
+	binary := codec == segcodec.Binary
 
 	flag := func(kind DefectKind, fname, format string, args ...any) {
 		f.bad = true
@@ -491,19 +510,18 @@ func (s *Store) auditOne(pa *pidAudit, name string, seg int, data []byte, sums m
 			// planted (writes never produce it).
 			flag(DefectOrphaned, sumName, "unexpected sidecar next to a binary file")
 		}
-		g := rdf.NewGraph()
-		if err := codec.Decode(bytes.NewReader(data), g); err != nil {
+		// Validation needs no graph: the columnar decode makes every check.
+		cols, err := segcodec.DecodeColumns(data)
+		if err != nil {
 			kind := DefectTampered
 			if errors.Is(err, segcodec.ErrTruncated) {
 				kind = DefectTruncated
 			}
 			flag(kind, name, "decode: %v", err)
 		} else {
-			if ch, ok := segcodec.ChainOf(data); ok {
-				f.meta = &ch
-			}
-			if keepGraph {
-				f.graph = g
+			f.meta = cols.Chain
+			if keep {
+				f.cols = cols
 			}
 		}
 	} else {
@@ -529,7 +547,7 @@ func (s *Store) auditOne(pa *pidAudit, name string, seg int, data []byte, sums m
 			if !f.bad {
 				flag(DefectTampered, name, "parse: %v", err)
 			}
-		} else if keepGraph {
+		} else if keep {
 			f.graph = g
 		}
 	}
@@ -757,7 +775,7 @@ func sortDefects(ds []Defect) {
 func (a *storeAudit) report(dir string) *VerifyReport {
 	rep := &VerifyReport{
 		Dir: dir, Processes: len(a.pids),
-		Files: a.files, Sealed: a.sealed, Segments: a.segments, Packs: a.packs,
+		Files: a.files, Sealed: a.sealed, Segments: a.segments, Packs: len(a.packs),
 		Heads: make(map[int][32]byte, len(a.pids)),
 	}
 	rep.Defects = append(rep.Defects, a.packDefects...)

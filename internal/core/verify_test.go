@@ -41,7 +41,7 @@ func smallHistory(t *testing.T, store *Store, pid int) {
 }
 
 // storeFiles snapshots every file of a store directory (sidecars included).
-func storeFiles(t *testing.T, store *Store) map[string][]byte {
+func storeFiles(t testing.TB, store *Store) map[string][]byte {
 	t.Helper()
 	names, err := store.backend.List(store.dir)
 	if err != nil {
@@ -60,7 +60,7 @@ func storeFiles(t *testing.T, store *Store) map[string][]byte {
 
 // openDir materializes a file snapshot in a fresh view and opens it with
 // format auto-detection, exactly as provio-verify does.
-func openDir(t *testing.T, files map[string][]byte) *Store {
+func openDir(t testing.TB, files map[string][]byte) *Store {
 	t.Helper()
 	backend := VFSBackend{View: vfs.NewStore().NewView()}
 	if err := backend.MkdirAll("/prov"); err != nil {

@@ -304,6 +304,38 @@ func (g *Graph) AddAll(ts []Triple) int {
 	return g.AddBatch(ts)
 }
 
+// Intern returns the dictionary ID of t, interning it if new — the first half
+// of an insert, for bulk loaders that resolve each distinct term once and
+// then insert ID triples with AddRefs.
+func (g *Graph) Intern(t Term) ID {
+	return g.dict.intern(t)
+}
+
+// AddRefs inserts triples already in this graph's ID space (IDs from Intern
+// or TermID) under one lock acquisition and returns the number newly added:
+// AddBatch without the term hashing, for loaders that hold a dictionary of
+// their own — the segment decoder, Merge. A ref naming an ID the dictionary
+// has not handed out is skipped. RDF shape is the caller's to guarantee:
+// both loaders insert only triples that were valid where they came from.
+func (g *Graph) AddRefs(refs []TripleID) int {
+	if len(refs) == 0 {
+		return 0
+	}
+	nt := ID(g.dict.count())
+	n := 0
+	g.mu.Lock()
+	for _, r := range refs {
+		if r.S >= nt || r.P >= nt || r.O >= nt {
+			continue
+		}
+		if g.addRefLocked(r) {
+			n++
+		}
+	}
+	g.mu.Unlock()
+	return n
+}
+
 // Remove deletes a triple. It reports whether the triple was present. The
 // triple's log entries stay (the log is append-only); its table slot becomes
 // a tombstone, so those entries no longer count as surviving.
@@ -517,27 +549,35 @@ func termLess(a, b Term) bool {
 // Because PROV-IO node IDs are globally unique, merging per-process
 // sub-graphs deduplicates shared nodes naturally (paper §5).
 //
+// The merge stays in ID space: it walks other's surviving insertion log,
+// renumbers each ID through a remap slice filled on first use — one intern
+// into g per distinct term, in the order the log first mentions it — and
+// inserts the renumbered refs with AddRefs. g therefore hands out the IDs,
+// and logs the triples, in the order a per-triple Add of other's log would.
+//
 // Merging a graph into itself is a no-op (returns 0): every triple is
 // already present.
 func (g *Graph) Merge(other *Graph) int {
 	if g == other {
 		return 0
 	}
-	// Chunked AddBatch keeps lock acquisitions on g to one per chunk instead
-	// of one per triple while bounding the staging buffer.
-	const chunk = 512
-	n := 0
-	buf := make([]Triple, 0, chunk)
-	other.ForEachMatch(nil, nil, nil, func(t Triple) bool {
-		buf = append(buf, t)
-		if len(buf) == chunk {
-			n += g.AddBatch(buf)
-			buf = buf[:0]
+	refs, _ := other.RefsSince(0) // an owned copy, renumbered in place below
+	// Taken after the refs, so it covers every ID they name.
+	terms := other.dict.snapshot()
+	remap := make([]ID, len(terms))
+	for i := range remap {
+		remap[i] = NoID
+	}
+	local := func(id ID) ID {
+		if remap[id] == NoID {
+			remap[id] = g.dict.intern(terms[id])
 		}
-		return true
-	})
-	n += g.AddBatch(buf)
-	return n
+		return remap[id]
+	}
+	for i, r := range refs {
+		refs[i] = TripleID{S: local(r.S), P: local(r.P), O: local(r.O)}
+	}
+	return g.AddRefs(refs)
 }
 
 // Clone returns a deep copy of the graph.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -84,9 +85,10 @@ func snapTriples(s *Snapshot) []Triple {
 	return out
 }
 
-// TestGraphModelEquivalence drives random Add/AddBatch/Remove/re-add
+// TestGraphModelEquivalence drives random Add/AddBatch/AddRefs/Remove/re-add
 // interleavings through Graph and the model and checks everything the write
-// side promises: Len, Has, the delta cursor (TriplesSince/RefsSince), and
+// side promises: Len, Has, the delta cursor (TriplesSince/RefsSince), Merge
+// out of the graph (tombstones and repeated log entries included), and
 // snapshot contents — pinned in place while nothing was removed, extended
 // incrementally, rebuilt after a Remove — across table growth and tombstone
 // reuse. Snapshots taken along the way must still read what they read then.
@@ -109,6 +111,24 @@ func TestGraphModelEquivalence(t *testing.T) {
 				x := randT()
 				if got, want := g.Add(x), m.add(x); got != want {
 					t.Fatalf("seed %d step %d: Add(%v) = %v, model %v", seed, step, x, got, want)
+				}
+			case op < 5:
+				// AddRefs: pre-interned refs, one of them naming an ID the
+				// dictionary never handed out — skipped, not inserted.
+				refs := make([]TripleID, 1+rng.Intn(14))
+				want := 0
+				for i := range refs {
+					x := randT()
+					refs[i] = TripleID{g.Intern(x.S), g.Intern(x.P), g.Intern(x.O)}
+					if m.add(x) {
+						want++
+					}
+				}
+				bogus := refs[0]
+				bogus.O = ID(g.TermCount() + rng.Intn(3))
+				refs = append(refs, bogus)
+				if got := g.AddRefs(refs); got != want {
+					t.Fatalf("seed %d step %d: AddRefs added %d, model %d", seed, step, got, want)
 				}
 			case op < 7:
 				batch := make([]Triple, 1+rng.Intn(14))
@@ -166,6 +186,12 @@ func TestGraphModelEquivalence(t *testing.T) {
 				}
 			}
 
+			// Three merges and a rebuilt reference graph per call: every fourth
+			// checkpoint keeps the test's time under the race detector.
+			if len(pins)%4 == 0 {
+				checkMerge(t, g, m, rng, fmt.Sprintf("seed %d step %d", seed, step))
+			}
+
 			snap := g.Snapshot()
 			got := snapTriples(snap)
 			if len(got) != len(m.present) || snap.Len() != len(m.present) {
@@ -206,6 +232,97 @@ func TestGraphModelEquivalence(t *testing.T) {
 		if maxTable <= minTable {
 			t.Fatalf("seed %d: table never grew past %d slots", seed, minTable)
 		}
+	}
+}
+
+// checkMerge merges g into an empty graph and into one that already holds
+// some of its triples and terms, and merges g into itself. A merge must add
+// exactly the missing triples, log them in the order of their first
+// surviving entry in g's log, and intern terms in that order too.
+func checkMerge(t *testing.T, g *Graph, m *graphModel, rng *rand.Rand, at string) {
+	t.Helper()
+	var order []Triple // the model's surviving log, first occurrences only
+	seen := map[Triple]struct{}{}
+	for _, x := range m.since(0) {
+		if _, dup := seen[x]; !dup {
+			seen[x] = struct{}{}
+			order = append(order, x)
+		}
+	}
+	if n := g.Merge(g); n != 0 {
+		t.Fatalf("%s: self-merge added %d triples", at, n)
+	}
+
+	empty := NewGraph()
+	if n := empty.Merge(g); n != len(order) {
+		t.Fatalf("%s: Merge into an empty graph added %d, model %d", at, n, len(order))
+	}
+	if got := empty.TriplesSince(0); !slices.Equal(got, order) {
+		t.Fatalf("%s: merged log is not the source's surviving log in order", at)
+	}
+	byAdd := NewGraph()
+	for _, x := range order {
+		byAdd.Add(x)
+	}
+	for id := 0; id < byAdd.TermCount(); id++ {
+		if empty.TermOf(ID(id)) != byAdd.TermOf(ID(id)) {
+			t.Fatalf("%s: merged graph interned term %d out of first-use order", at, id)
+		}
+	}
+	if empty.TermCount() != byAdd.TermCount() {
+		t.Fatalf("%s: merged graph interned %d terms, per-triple adds %d", at, empty.TermCount(), byAdd.TermCount())
+	}
+
+	part := NewGraph()
+	part.Add(tr("elsewhere", "p0", "o0"))
+	had := 0
+	for _, x := range order {
+		if rng.Intn(3) == 0 {
+			part.Add(x)
+			had++
+		}
+	}
+	if n := part.Merge(g); n != len(order)-had {
+		t.Fatalf("%s: Merge into a graph holding %d of %d added %d", at, had, len(order), n)
+	}
+	if part.Len() != len(order)+1 {
+		t.Fatalf("%s: merged graph holds %d triples, want %d", at, part.Len(), len(order)+1)
+	}
+	for _, x := range order {
+		if !part.Has(x) {
+			t.Fatalf("%s: merged graph lacks %v", at, x)
+		}
+	}
+}
+
+// TestMergeConcurrentWithAdd merges while both graphs take inserts (run
+// under -race): every triple the source held when a merge started must be
+// in the destination when that merge returns.
+func TestMergeConcurrentWithAdd(t *testing.T) {
+	src, dst := NewGraph(), NewGraph()
+	var wg sync.WaitGroup
+	for w, g := range []*Graph{src, dst} {
+		wg.Add(1)
+		go func(w int, g *Graph) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				g.Add(tr(fmt.Sprintf("w%d-s%d", w, i%97), "p", fmt.Sprintf("o%d", i)))
+			}
+		}(w, g)
+	}
+	for round := 0; round < 20; round++ {
+		before := src.TriplesSince(0)
+		dst.Merge(src)
+		for _, x := range before {
+			if !dst.Has(x) {
+				t.Fatalf("round %d: merge lost %v", round, x)
+			}
+		}
+	}
+	wg.Wait()
+	dst.Merge(src)
+	if want := 4000; dst.Len() != want {
+		t.Fatalf("after the final merge the destination holds %d triples, want %d", dst.Len(), want)
 	}
 }
 

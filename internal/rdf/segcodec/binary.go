@@ -60,24 +60,24 @@ func (binCodec) Name() string  { return "pbs" }
 func (binCodec) Ext() string   { return ".pbs" }
 func (binCodec) Magic() []byte { return pbsMagic }
 
+// Encode serializes g from its insertion log: the surviving refs go through
+// the same integer-ID dictionary builder as a delta flush, so closing a
+// tracker builds no snapshot index and hashes no term.
 func (binCodec) Encode(w io.Writer, g *rdf.Graph, _ *rdf.Namespaces) error {
-	return encodeTermTriples(w, g.Triples())
+	c := GraphColumns(g)
+	return writeSegment(w, c.Terms, c.Tris)
 }
 
-// EncodeTriples serializes a bare (delta-segment) triple slice.
+// EncodeTriples serializes a bare (delta-segment) triple slice, building the
+// segment-local dictionary by term value.
 func (binCodec) EncodeTriples(w io.Writer, ts []rdf.Triple) error {
-	return encodeTermTriples(w, ts)
-}
-
-// encodeTermTriples builds the segment-local dictionary by term value.
-func encodeTermTriples(w io.Writer, ts []rdf.Triple) error {
 	terms, tris := termTriples(ts)
 	return writeSegment(w, terms, tris)
 }
 
 // termTriples builds the canonically sorted segment-local term dictionary of
 // a triple slice plus the triples as local-ID rows (unsorted, undeduplicated
-// — writeSegment and ComputeGraphStats normalize them).
+// — writeSegment normalizes them).
 func termTriples(ts []rdf.Triple) ([]rdf.Term, [][3]uint32) {
 	idx := make(map[rdf.Term]uint32, 3*len(ts)/2)
 	var terms []rdf.Term
@@ -107,6 +107,14 @@ func termTriples(ts []rdf.Triple) ([]rdf.Term, [][3]uint32) {
 // deduplicated on integer graph IDs (no term hashing), and terms are
 // fetched from the source dictionary once per distinct ID.
 func (binCodec) EncodeRefs(w io.Writer, refs []rdf.TripleID, src TermSource) error {
+	terms, tris := refTriples(refs, src)
+	return writeSegment(w, terms, tris)
+}
+
+// refTriples is termTriples over insertion-log refs: the canonically sorted
+// dictionary of the terms the refs name, and the refs as local-ID rows
+// (unsorted, undeduplicated).
+func refTriples(refs []rdf.TripleID, src TermSource) ([]rdf.Term, [][3]uint32) {
 	local := make(map[rdf.ID]uint32, 3*len(refs)/2)
 	var gids []rdf.ID
 	collect := func(id rdf.ID) {
@@ -138,7 +146,7 @@ func (binCodec) EncodeRefs(w io.Writer, refs []rdf.TripleID, src TermSource) err
 	for i, r := range refs {
 		tris[i] = [3]uint32{local[r.S], local[r.P], local[r.O]}
 	}
-	return writeSegment(w, sorted, tris)
+	return sorted, tris
 }
 
 // sortDedupTriples sorts local-ID triples into the canonical (s, p, o)
@@ -217,83 +225,151 @@ func writeSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 	return err
 }
 
+// Decode is DecodeColumns followed by Materialize: the segment is validated
+// whole before the first insert, so a rejected segment leaves into untouched.
 func (binCodec) Decode(r io.Reader, into *rdf.Graph) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return err
 	}
+	c, err := DecodeColumns(data)
+	if err != nil {
+		return err
+	}
+	c.Materialize(into)
+	return nil
+}
+
+// Columns is a binary segment decoded into its own shape and fully validated:
+// the interchange value of the bulk paths (decode, audit, packing), none of
+// which needs an rdf.Graph to do its work.
+type Columns struct {
+	// Terms is the segment's dictionary, strictly ascending under
+	// rdf.TermLess; a local ID is an index into it.
+	Terms []rdf.Term
+	// Tris holds the local-ID triples in file order, every one of valid RDF
+	// shape. The encoder writes them sorted and distinct.
+	Tris [][3]uint32
+	// Stats is the segment's stats frame, verified equal to the stats its
+	// contents derive; nil when the file carries none (legacy segments).
+	Stats *SegStats
+	// Chain is the embedded seal; nil when the file is unsealed.
+	Chain *Chain
+}
+
+// DecodeColumns parses and validates one binary segment file: magic, every
+// frame's CRC, the footer frames and their order, the chain seal, the
+// dictionary's strict order, every ID's range, the stats frame against the
+// contents, and the RDF shape of every triple. An error wraps ErrCorrupt (or
+// its ErrTruncated sub-class for a torn write).
+func DecodeColumns(data []byte) (*Columns, error) {
 	if !bytes.HasPrefix(data, pbsMagic) {
 		if len(data) < len(pbsMagic) && bytes.HasPrefix(pbsMagic, data) {
-			return fmt.Errorf("%w inside PBS magic", ErrTruncated)
+			return nil, fmt.Errorf("%w inside PBS magic", ErrTruncated)
 		}
-		return fmt.Errorf("%w: missing PBS magic", ErrCorrupt)
+		return nil, fmt.Errorf("%w: missing PBS magic", ErrCorrupt)
 	}
 	rest := data[len(pbsMagic):]
 	dict, rest, err := readFrame(rest)
 	if err != nil {
-		return fmt.Errorf("%w: dictionary block: %w", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: dictionary block: %w", ErrCorrupt, err)
 	}
 	cols, rest, err := readFrame(rest)
 	if err != nil {
-		return fmt.Errorf("%w: triple block: %w", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: triple block: %w", ErrCorrupt, err)
 	}
 	// After the data frames: an optional stats frame, then an optional chain
 	// frame (the integrity seal appended by the store), in that order.
 	// Anything else is structural damage.
+	c := &Columns{}
 	var statsPayload []byte
-	sawChain := false
 	for len(rest) != 0 {
-		if sawChain {
-			return fmt.Errorf("%w: %d trailing bytes after chain frame", ErrCorrupt, len(rest))
+		if c.Chain != nil {
+			return nil, fmt.Errorf("%w: %d trailing bytes after chain frame", ErrCorrupt, len(rest))
 		}
 		var fp []byte
 		fp, rest, err = readFrame(rest)
 		if err != nil {
-			return fmt.Errorf("%w: footer frame: %w", ErrCorrupt, err)
+			return nil, fmt.Errorf("%w: footer frame: %w", ErrCorrupt, err)
 		}
 		switch {
 		case bytes.HasPrefix(fp, staMagic):
 			if statsPayload != nil {
-				return fmt.Errorf("%w: duplicate stats frame", ErrCorrupt)
+				return nil, fmt.Errorf("%w: duplicate stats frame", ErrCorrupt)
 			}
 			statsPayload = fp
 		case bytes.HasPrefix(fp, chainMagic):
-			if _, err := parseChainPayload(fp); err != nil {
-				return fmt.Errorf("%w: chain frame: %v", ErrCorrupt, err)
+			ch, err := parseChainPayload(fp)
+			if err != nil {
+				return nil, fmt.Errorf("%w: chain frame: %v", ErrCorrupt, err)
 			}
-			sawChain = true
+			c.Chain = &ch
 		default:
-			return fmt.Errorf("%w: unrecognized footer frame", ErrCorrupt)
+			return nil, fmt.Errorf("%w: unrecognized footer frame", ErrCorrupt)
 		}
 	}
-	terms, err := decodeDict(dict)
-	if err != nil {
-		return fmt.Errorf("%w: dictionary block: %v", ErrCorrupt, err)
+	if c.Terms, err = decodeDict(dict); err != nil {
+		return nil, fmt.Errorf("%w: dictionary block: %v", ErrCorrupt, err)
 	}
-	ss, ps, os, err := decodeCols(cols, terms)
-	if err != nil {
-		return fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
+	if c.Tris, err = decodeCols(cols, len(c.Terms)); err != nil {
+		return nil, fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
 	}
 	if statsPayload != nil {
 		// The stats frame must be exactly what the encoder would derive from
 		// this content — a forged or stale summary could prune segments that
 		// still hold answers, so it is rejected instead of trusted.
-		tris := make([][3]uint32, len(ss))
-		for i := range tris {
-			tris[i] = [3]uint32{ss[i], ps[i], os[i]}
+		st := ComputeStats(c.Terms, c.Tris)
+		if !bytes.Equal(st.encode(), statsPayload) {
+			return nil, fmt.Errorf("%w: stats frame does not match segment contents", ErrCorrupt)
 		}
-		canon := ComputeStats(terms, tris)
-		if want := canon.encode(); !bytes.Equal(want, statsPayload) {
-			return fmt.Errorf("%w: stats frame does not match segment contents", ErrCorrupt)
-		}
+		c.Stats = &st
 	}
-	if err := materializeTriples(terms, ss, ps, os, into); err != nil {
-		return fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
+	if err := checkShape(c.Terms, c.Tris); err != nil {
+		return nil, fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
+	}
+	return c, nil
+}
+
+// checkShape validates the RDF shape of every triple: a subject is an IRI or
+// a blank node, a predicate an IRI. The dictionary is sorted kind-first, so
+// each rule is one comparison of a local ID with a kind boundary.
+func checkShape(terms []rdf.Term, tris [][3]uint32) error {
+	iris := uint32(sort.Search(len(terms), func(i int) bool { return terms[i].Kind > rdf.IRITerm }))
+	nonLiterals := uint32(sort.Search(len(terms), func(i int) bool { return terms[i].Kind > rdf.BlankTerm }))
+	for i, t := range tris {
+		if t[0] >= nonLiterals || t[1] >= iris {
+			return fmt.Errorf("triple %d is not valid RDF (S kind %d, P kind %d, O kind %d)",
+				i, terms[t[0]].Kind, terms[t[1]].Kind, terms[t[2]].Kind)
+		}
 	}
 	return nil
 }
 
-// decodeDict rebuilds the front-coded term dictionary.
+// Materialize unions the segment's triples into the graph. Each dictionary
+// entry is interned once, when a triple first uses it, walking the triples
+// in file order — the order per-triple inserts would intern in — so the IDs
+// into hands out, and its insertion-log order, are a function of the file
+// alone.
+func (c *Columns) Materialize(into *rdf.Graph) {
+	gids := make([]rdf.ID, len(c.Terms))
+	for i := range gids {
+		gids[i] = rdf.NoID
+	}
+	global := func(local uint32) rdf.ID {
+		if gids[local] == rdf.NoID {
+			gids[local] = into.Intern(c.Terms[local])
+		}
+		return gids[local]
+	}
+	refs := make([]rdf.TripleID, len(c.Tris))
+	for i, t := range c.Tris {
+		refs[i] = rdf.TripleID{S: global(t[0]), P: global(t[1]), O: global(t[2])}
+	}
+	into.AddRefs(refs)
+}
+
+// decodeDict rebuilds the front-coded term dictionary, rejecting one that is
+// not strictly ascending in the canonical term order.
 func decodeDict(p []byte) ([]rdf.Term, error) {
 	n, p, err := getUvarint(p)
 	if err != nil {
@@ -335,6 +411,12 @@ func decodeDict(p []byte) ([]rdf.Term, error) {
 				return nil, fmt.Errorf("term %d datatype: %v", i, err)
 			}
 		}
+		// Strict order is part of the format: stats derive zone maps from
+		// dictionary positions and the pack builder merges dictionaries, so an
+		// unsorted or repeating dictionary would prune or merge wrongly.
+		if i > 0 && !rdf.TermLess(terms[i-1], t) {
+			return nil, fmt.Errorf("term %d: dictionary is not strictly ascending", i)
+		}
 		prev = t.Value
 		terms = append(terms, t)
 	}
@@ -344,80 +426,58 @@ func decodeDict(p []byte) ([]rdf.Term, error) {
 	return terms, nil
 }
 
-// decodeCols walks the delta-encoded ID columns into per-column local-ID
-// arrays, range-checking every ID against the dictionary.
-func decodeCols(p []byte, terms []rdf.Term) (ss, ps, os []uint32, err error) {
+// decodeCols walks the delta-encoded ID columns into local-ID triples,
+// range-checking every ID against the dictionary's size.
+func decodeCols(p []byte, terms int) ([][3]uint32, error) {
 	n, p, err := getUvarint(p)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	// Three varints of at least one byte each per triple.
 	if n > uint64(len(p))/3+1 {
-		return nil, nil, nil, fmt.Errorf("triple count %d exceeds payload", n)
+		return nil, fmt.Errorf("triple count %d exceeds payload", n)
 	}
-	nt := uint64(len(terms))
-	ss = make([]uint32, n)
+	nt := uint64(terms)
+	tris := make([][3]uint32, n)
 	var s uint64
-	for i := range ss {
+	for i := range tris {
 		d, r, err := getUvarint(p)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("S column at %d: %v", i, err)
+			return nil, fmt.Errorf("S column at %d: %v", i, err)
 		}
 		p = r
 		s += d
 		if s >= nt {
-			return nil, nil, nil, fmt.Errorf("S column at %d: term ID %d out of range (%d terms)", i, s, nt)
+			return nil, fmt.Errorf("S column at %d: term ID %d out of range (%d terms)", i, s, nt)
 		}
-		ss[i] = uint32(s)
+		tris[i][0] = uint32(s)
 	}
-	readCol := func(name string) ([]uint32, error) {
-		col := make([]uint32, n)
+	readCol := func(c int, name string) error {
 		var v int64
-		for i := range col {
+		for i := range tris {
 			d, r, err := getSvarint(p)
 			if err != nil {
-				return nil, fmt.Errorf("%s column at %d: %v", name, i, err)
+				return fmt.Errorf("%s column at %d: %v", name, i, err)
 			}
 			p = r
 			v += d
 			if v < 0 || uint64(v) >= nt {
-				return nil, fmt.Errorf("%s column at %d: term ID %d out of range (%d terms)", name, i, v, nt)
+				return fmt.Errorf("%s column at %d: term ID %d out of range (%d terms)", name, i, v, nt)
 			}
-			col[i] = uint32(v)
+			tris[i][c] = uint32(v)
 		}
-		return col, nil
+		return nil
 	}
-	if ps, err = readCol("P"); err != nil {
-		return nil, nil, nil, err
+	if err := readCol(1, "P"); err != nil {
+		return nil, err
 	}
-	if os, err = readCol("O"); err != nil {
-		return nil, nil, nil, err
+	if err := readCol(2, "O"); err != nil {
+		return nil, err
 	}
 	if len(p) != 0 {
-		return nil, nil, nil, fmt.Errorf("%d trailing bytes", len(p))
+		return nil, fmt.Errorf("%d trailing bytes", len(p))
 	}
-	return ss, ps, os, nil
-}
-
-// materializeTriples unions the decoded ID columns into the graph in
-// batches, validating RDF shape per triple.
-func materializeTriples(terms []rdf.Term, ss, ps, os []uint32, into *rdf.Graph) error {
-	const chunk = 1024
-	batch := make([]rdf.Triple, 0, chunk)
-	for i := range ss {
-		t := rdf.Triple{S: terms[ss[i]], P: terms[ps[i]], O: terms[os[i]]}
-		if !t.Valid() {
-			return fmt.Errorf("triple %d is not valid RDF (S kind %d, P kind %d, O kind %d)",
-				i, t.S.Kind, t.P.Kind, t.O.Kind)
-		}
-		batch = append(batch, t)
-		if len(batch) == chunk {
-			into.AddBatch(batch)
-			batch = batch[:0]
-		}
-	}
-	into.AddBatch(batch)
-	return nil
+	return tris, nil
 }
 
 // ---- framing and varint primitives ----

@@ -1,0 +1,245 @@
+package segcodec
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"github.com/hpc-io/prov-io/internal/rdf"
+)
+
+// unsortedDictSegment hand-builds a segment whose dictionary is not strictly
+// ascending. writeSegment front-codes whatever order it is given and derives
+// the stats frame from the same arrays, so the result has valid CRCs and a
+// self-consistent stats frame — only the dictionary order is wrong.
+func unsortedDictSegment(t testing.TB, terms []rdf.Term, tris [][3]uint32) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeSegment(&buf, terms, tris); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// zMP is the dictionary of the regression: <urn:z> before <urn:m>.
+var zMP = []rdf.Term{rdf.IRI("urn:z"), rdf.IRI("urn:m"), rdf.IRI("urn:p")}
+
+// TestDecodeRejectsNonAscendingDictionary: zone maps are read off dictionary
+// positions, so a segment whose dictionary is out of order carries an
+// inverted zone that prunes a subject the file holds. Such a segment — and
+// one that lists a term twice — must not decode.
+func TestDecodeRejectsNonAscendingDictionary(t *testing.T) {
+	tris := [][3]uint32{{0, 2, 1}, {1, 2, 0}}
+	// What accepting it would cost: the derived zone map excludes <urn:m>,
+	// a subject of the second triple.
+	st := ComputeStats(zMP, tris)
+	m := rdf.IRI("urn:m")
+	if st.CanMatch(&m, nil, nil) {
+		t.Fatal("premise: the out-of-order dictionary should derive a zone that excludes urn:m")
+	}
+	for name, terms := range map[string][]rdf.Term{
+		"unsorted":  zMP,
+		"duplicate": {rdf.IRI("urn:m"), rdf.IRI("urn:m"), rdf.IRI("urn:p")},
+	} {
+		into := rdf.NewGraph()
+		err := Binary.Decode(bytes.NewReader(unsortedDictSegment(t, terms, tris)), into)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s dictionary: Decode returned %v, want ErrCorrupt", name, err)
+		}
+		if into.Len() != 0 || into.TermCount() != 0 {
+			t.Errorf("%s dictionary: rejected segment left %d triples, %d terms behind", name, into.Len(), into.TermCount())
+		}
+	}
+}
+
+// TestDecodeRejectsBeforeFirstInsert: a segment whose only invalid triple
+// (literal subject) sorts behind more valid ones than any staging buffer
+// holds must be rejected with the caller's graph untouched.
+func TestDecodeRejectsBeforeFirstInsert(t *testing.T) {
+	const valid = 3000
+	terms := []rdf.Term{rdf.IRI("urn:p")}
+	for i := 0; i < valid; i++ {
+		terms = append(terms, rdf.IRI(fmt.Sprintf("urn:s%05d", i)))
+	}
+	terms = append(terms, rdf.Literal("lit"))
+	lit := uint32(len(terms) - 1)
+	var tris [][3]uint32
+	for i := uint32(1); i <= valid; i++ {
+		tris = append(tris, [3]uint32{i, 0, lit})
+	}
+	tris = append(tris, [3]uint32{lit, 0, lit}) // the largest subject ID: sorts last
+	var buf bytes.Buffer
+	if err := writeSegment(&buf, terms, tris); err != nil {
+		t.Fatal(err)
+	}
+	into := rdf.NewGraph()
+	err := Binary.Decode(bytes.NewReader(buf.Bytes()), into)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decode returned %v, want ErrCorrupt", err)
+	}
+	if into.Len() != 0 || into.TermCount() != 0 {
+		t.Fatalf("rejected segment left %d triples and %d interned terms in the caller's graph", into.Len(), into.TermCount())
+	}
+}
+
+// referenceMaterialize is the decoder's insert step as it was before the
+// columnar split: every triple rehydrated to terms and inserted through
+// AddBatch in 1024-triple chunks. The ID-order pin compares against it.
+func referenceMaterialize(c *Columns, into *rdf.Graph) {
+	const chunk = 1024
+	batch := make([]rdf.Triple, 0, chunk)
+	for _, t := range c.Tris {
+		batch = append(batch, rdf.Triple{S: c.Terms[t[0]], P: c.Terms[t[1]], O: c.Terms[t[2]]})
+		if len(batch) == chunk {
+			into.AddBatch(batch)
+			batch = batch[:0]
+		}
+	}
+	into.AddBatch(batch)
+}
+
+// TestMaterializeKeepsIDOrder: decoding a segment must hand out the same
+// TermID for every term and log the triples in the same order as per-triple
+// inserts did, or result order without ORDER BY drifts.
+func TestMaterializeKeepsIDOrder(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "core", "testdata", "golden_merged.pbs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	segments := map[string][]byte{"golden_merged.pbs": golden}
+	for seed := int64(1); seed <= 3; seed++ {
+		var buf bytes.Buffer
+		if err := Binary.Encode(&buf, randomGraph(rand.New(rand.NewSource(seed)), 2500), nil); err != nil {
+			t.Fatal(err)
+		}
+		segments[fmt.Sprintf("random seed %d", seed)] = buf.Bytes()
+	}
+	for name, data := range segments {
+		c, err := DecodeColumns(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// Into an empty graph, and on top of a graph that already interned
+		// some of the segment's terms in another order.
+		for _, preload := range []int{0, 7} {
+			got, want := rdf.NewGraph(), rdf.NewGraph()
+			for i := 0; i < preload && i < len(c.Tris); i++ {
+				x := c.Tris[len(c.Tris)-1-i]
+				tr := rdf.Triple{S: c.Terms[x[0]], P: c.Terms[x[1]], O: c.Terms[x[2]]}
+				got.Add(tr)
+				want.Add(tr)
+			}
+			if err := Binary.Decode(bytes.NewReader(data), got); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			referenceMaterialize(c, want)
+			if got.TermCount() != want.TermCount() {
+				t.Fatalf("%s: interned %d terms, reference %d", name, got.TermCount(), want.TermCount())
+			}
+			for _, term := range c.Terms {
+				g, gok := got.TermID(term)
+				w, wok := want.TermID(term)
+				if g != w || gok != wok {
+					t.Fatalf("%s: %v has ID %d (%v), reference %d (%v)", name, term, g, gok, w, wok)
+				}
+			}
+			gr, _ := got.RefsSince(0)
+			wr, _ := want.RefsSince(0)
+			if !slices.Equal(gr, wr) {
+				t.Fatalf("%s: insertion log differs from the reference", name)
+			}
+		}
+	}
+}
+
+// churnedGraph is randomGraph after removals and re-adds, so its log holds
+// dead entries and entries that repeat a surviving triple.
+func churnedGraph(rng *rand.Rand, n int) *rdf.Graph {
+	g := randomGraph(rng, n)
+	ts := g.Triples()
+	for _, t := range ts {
+		switch rng.Intn(4) {
+		case 0:
+			g.Remove(t)
+		case 1:
+			g.Remove(t)
+			g.Add(t)
+		}
+	}
+	return g
+}
+
+// TestGraphEncodeMatchesTermSpace: Encode and ComputeGraphStats read the
+// insertion log; their bytes must equal the term-space composition they
+// replaced (dictionary built by hashing the snapshot's terms), also on
+// graphs whose log repeats triples.
+func TestGraphEncodeMatchesTermSpace(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng, 300)
+		if seed%2 == 0 {
+			g = churnedGraph(rng, 300)
+		}
+		var got, want bytes.Buffer
+		if err := Binary.Encode(&got, g, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := Binary.(TriplesEncoder).EncodeTriples(&want, g.Triples()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("seed %d: Encode from the log (%d bytes) differs from the term-space encoding (%d bytes)", seed, got.Len(), want.Len())
+		}
+		terms, tris := termTriples(g.Triples())
+		ref := ComputeStats(terms, sortDedupTriples(tris))
+		st := ComputeGraphStats(g)
+		if !bytes.Equal(st.encode(), ref.encode()) {
+			t.Fatalf("seed %d: ComputeGraphStats differs from the term-space stats", seed)
+		}
+	}
+}
+
+// TestUnionStatsMatchesUnionGraph: merging the members' dictionaries must
+// report exactly the stats of a graph holding every member — members sharing
+// terms, repeating each other's triples, empty, and graph-backed (text).
+func TestUnionStatsMatchesUnionGraph(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		union := rdf.NewGraph()
+		var members []*Columns
+		for m := 0; m < 1+rng.Intn(6); m++ {
+			g := randomGraph(rng, rng.Intn(80)) // small ranges: terms and triples recur across members
+			if rng.Intn(4) == 0 {
+				g = rdf.NewGraph()
+			}
+			union.Merge(g)
+			if rng.Intn(3) == 0 {
+				members = append(members, GraphColumns(g))
+				continue
+			}
+			var buf bytes.Buffer
+			if err := Binary.Encode(&buf, g, nil); err != nil {
+				t.Fatal(err)
+			}
+			c, err := DecodeColumns(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			members = append(members, c)
+		}
+		got, want := UnionStats(members), ComputeGraphStats(union)
+		if !bytes.Equal(got.encode(), want.encode()) {
+			t.Fatalf("seed %d: union of %d members: %d triples / %d terms, union graph %d / %d",
+				seed, len(members), got.Triples, got.Terms, want.Triples, want.Terms)
+		}
+	}
+	empty := UnionStats(nil)
+	if want := ComputeGraphStats(rdf.NewGraph()); !bytes.Equal(empty.encode(), want.encode()) {
+		t.Fatal("union of no members differs from the empty graph's stats")
+	}
+}

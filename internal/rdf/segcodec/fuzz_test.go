@@ -44,6 +44,9 @@ func FuzzSegcodecDecode(f *testing.F) {
 	flip := append([]byte{}, one.Bytes()...)
 	flip[len(flip)/2] ^= 0x80
 	f.Add(flip)
+	// A dictionary out of order behind valid CRCs and a self-consistent stats
+	// frame: accepted, it would re-encode to different bytes.
+	f.Add(unsortedDictSegment(f, zMP, [][3]uint32{{0, 2, 1}, {1, 2, 0}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		into := rdf.NewGraph()

@@ -195,13 +195,87 @@ func ComputeStats(terms []rdf.Term, tris [][3]uint32) SegStats {
 	return st
 }
 
-// ComputeGraphStats is ComputeStats over a whole graph — the pack encoder
-// uses it to build the pack-level union stats from its members' decoded
-// triples (text members included, which carry no stats of their own).
+// ComputeGraphStats is ComputeStats over a whole graph, read off its
+// insertion log like Encode.
 func ComputeGraphStats(g *rdf.Graph) SegStats {
-	terms, tris := termTriples(g.Triples())
-	sortDedupTriples(tris)
-	return ComputeStats(terms, tris)
+	c := GraphColumns(g)
+	return ComputeStats(c.Terms, sortDedupTriples(c.Tris))
+}
+
+// GraphColumns returns a graph's contents in segment shape, read off its
+// surviving insertion log through the EncodeRefs dictionary builder: what
+// Encode serializes, and how a member that is not a binary segment (a text
+// file, which decodes only into a graph) takes part in UnionStats. The rows
+// are in log order and repeat where a triple was removed and re-added.
+func GraphColumns(g *rdf.Graph) *Columns {
+	refs, _ := g.RefsSince(0)
+	terms, tris := refTriples(refs, g)
+	return &Columns{Terms: terms, Tris: tris}
+}
+
+// UnionStats computes the stats of the union of the members' triples — the
+// pack-level stats block — without building the union as a graph. Each
+// member's dictionary is strictly ascending (DecodeColumns rejects any
+// other), so the union dictionary is a merge of sorted lists, done pairwise
+// in rounds; one walk along it renumbers a member's local IDs, and the
+// renumbered triples are sorted and deduplicated like any segment's. The
+// result is what ComputeGraphStats reports for a graph holding every member.
+// A dictionary entry no triple uses still counts as a term of the union.
+func UnionStats(members []*Columns) SegStats {
+	dicts := make([][]rdf.Term, 0, len(members))
+	total := 0
+	for _, c := range members {
+		dicts = append(dicts, c.Terms)
+		total += len(c.Tris)
+	}
+	for len(dicts) > 1 {
+		merged := dicts[:0]
+		for i := 0; i+1 < len(dicts); i += 2 {
+			merged = append(merged, mergeDicts(dicts[i], dicts[i+1]))
+		}
+		if len(dicts)%2 == 1 {
+			merged = append(merged, dicts[len(dicts)-1])
+		}
+		dicts = merged
+	}
+	var terms []rdf.Term
+	if len(dicts) == 1 {
+		terms = dicts[0]
+	}
+	tris := make([][3]uint32, 0, total)
+	for _, c := range members {
+		remap := make([]uint32, len(c.Terms))
+		u := 0
+		for i, t := range c.Terms {
+			for terms[u] != t {
+				u++
+			}
+			remap[i] = uint32(u)
+		}
+		for _, t := range c.Tris {
+			tris = append(tris, [3]uint32{remap[t[0]], remap[t[1]], remap[t[2]]})
+		}
+	}
+	return ComputeStats(terms, sortDedupTriples(tris))
+}
+
+// mergeDicts returns the union of two strictly ascending dictionaries.
+func mergeDicts(a, b []rdf.Term) []rdf.Term {
+	out := make([]rdf.Term, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] == b[0]:
+			out = append(out, a[0])
+			a, b = a[1:], b[1:]
+		case rdf.TermLess(a[0], b[0]):
+			out = append(out, a[0])
+			a = a[1:]
+		default:
+			out = append(out, b[0])
+			b = b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // encode renders the canonical stats frame payload.
