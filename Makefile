@@ -68,5 +68,9 @@ examples:
 	$(GO) run ./examples/h5bench-stats
 	$(GO) run ./examples/adios-pipeline
 
+# .bench_build holds the harness's build cache, spans and perf-compare's
+# worktree of BASE; pruning drops git's record of that worktree, so a
+# perf-compare that died half-way cannot block the next one.
 clean:
-	rm -rf artifacts
+	rm -rf artifacts .bench_build
+	git worktree prune

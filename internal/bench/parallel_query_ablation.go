@@ -299,8 +299,7 @@ func parallelQueryArtifactJSON(queryRows []pqQueryRow, mixedRows []pqMixedRow) (
 		Acceptance: "not measurable without spare cores (see environment): both the >=2.5x-at-4-workers query gate and the " +
 			"<=10%-ingest-degradation gate assume them. On one or two vCPUs the worker ladder shows the " +
 			"parallel path's overhead instead of speedup, and every concurrent query loop slows ingest " +
-			"by competing for the same CPU and paying per-query snapshot extension (index map-header " +
-			"copies over the ingest delta) on it.",
+			"by competing for the same CPU and paying a snapshot index rebuild per query on it.",
 		Notes: []string{
 			"query_latency: avg of 20 rounds per variant on the quiescent merged DASSA provenance graph",
 			"query_under_ingest: 4 goroutines AddBatch disjoint record streams into the live graph while one query loop runs continuously; ingest_wall_vs_alone is the ingest slowdown that loop causes; best-of-3 interleaved rounds, fresh graph per run",

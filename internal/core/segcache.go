@@ -197,9 +197,12 @@ func (c *segCache) forEachResident(fn func(k unitKey, bytes int64)) {
 
 // decodedBytesEstimate charges a decoded unit for what it actually pins:
 // the snapshot's term table (string headers + bytes) and triple refs, plus
-// the remap tables. The estimate is deliberately on the heavy side — the
-// adjacency index a scan builds lazily is proportional to the refs — so a
-// budget of B keeps true resident memory near B rather than a multiple.
+// the remap tables. The per-triple charge is deliberately on the heavy side:
+// 64 B where the refs (12 B) and the index a scan builds lazily (four 8 B
+// postings; its offset tables are 12 B per term, not per triple) come to
+// 44 B. It stays at 64 because budgets are sized in these units: a store
+// that fitted a budget of B still does, and true resident memory stays near
+// B rather than a multiple.
 func decodedBytesEstimate(snap *rdf.Snapshot, toLocalLen int) int64 {
 	var b int64
 	n := snap.TermCount()
@@ -207,7 +210,7 @@ func decodedBytesEstimate(snap *rdf.Snapshot, toLocalLen int) int64 {
 		t := snap.TermOf(rdf.ID(i))
 		b += 48 + int64(len(t.Value)+len(t.Lang)+len(t.Datatype))
 	}
-	b += int64(snap.Len()) * 64 // refs + lazily built index postings
+	b += int64(snap.Len()) * 64 // refs + lazily built index, rounded up
 	b += int64(n) * 8           // toGlobal
 	b += int64(toLocalLen) * 32 // toLocal map entries
 	return b

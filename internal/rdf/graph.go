@@ -108,10 +108,6 @@ func (r TripleID) hash() uint32 {
 	return uint32(h ^ h>>32)
 }
 
-// spair is one (subject, predicate) source pair of a snapshot's OSP entry:
-// 8 scalar bytes, so source slices carry no pointers for the GC to trace.
-type spair struct{ s, p termID }
-
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
 	g := &Graph{}
@@ -463,9 +459,9 @@ func (g *Graph) Find(s, p, o *Term) []Triple {
 // index there is. No graph lock is held across a callback, so fn may call
 // Add, Remove, or any other graph method; mutations made during a scan are
 // not visible to it. Each call pins the current state, which under
-// concurrent ingest means extending the cached snapshot by the log delta: a
-// caller that probes many patterns per logical query should take one
-// Snapshot and scan that, for a consistent view and one extension.
+// concurrent ingest means a new snapshot and a new index build: a caller
+// that probes many patterns per logical query should take one Snapshot and
+// scan that, for a consistent view and one build.
 
 // ForEachMatch streams all triples matching the pattern to fn. fn returning
 // false stops the iteration early. A nil pointer matches any term.
@@ -505,10 +501,12 @@ func (g *Graph) IndexStats() (subjects, predicates, objects int) {
 // Subjects returns the distinct subjects in the graph, sorted.
 func (g *Graph) Subjects() []Term {
 	s := g.Snapshot()
-	spo := s.index().spo
-	out := make([]Term, 0, len(spo))
-	for id := range spo {
-		out = append(out, s.terms[id])
+	ix := s.index()
+	out := make([]Term, 0, ix.nSubjects)
+	for id, t := range s.terms {
+		if len(ix.subj(ID(id))) > 0 {
+			out = append(out, t)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return termLess(out[i], out[j]) })
 	return out

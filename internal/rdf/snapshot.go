@@ -1,6 +1,8 @@
 package rdf
 
 import (
+	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -18,9 +20,9 @@ import (
 // This is the reader half of the capture-vs-query split: writers keep
 // appending under the graph lock while queries run against a pinned prefix
 // of the insertion log. Snapshots are cheap when the graph is quiescent
-// (the last one is cached and reused until the watermark moves) and
-// incremental under ingest (a new snapshot extends the previous one's index
-// with the log delta, structurally sharing everything untouched).
+// (the last one is cached and reused until the watermark moves); under
+// ingest a new pin shares the log and the term table with the last one and
+// derives its own index from them in one linear pass (see buildSnapIndex).
 type Snapshot struct {
 	dict  *termDict
 	terms []Term
@@ -35,8 +37,8 @@ type Snapshot struct {
 
 	// idx is the lazily built adjacency index. Full-graph scans never need
 	// it (they walk refs); pattern probes build it on first use. When the
-	// previous snapshot's index was already built, Graph.Snapshot extends it
-	// eagerly instead, sharing every untouched node.
+	// previous snapshot's index was already built, Graph.Snapshot builds this
+	// one eagerly instead.
 	idxMu sync.Mutex
 	idx   atomic.Pointer[snapIndex]
 
@@ -56,46 +58,165 @@ func (s *Snapshot) Memo(key string) (any, bool) { return s.memo.Load(key) }
 // SetMemo caches a derived value under key for the snapshot's lifetime.
 func (s *Snapshot) SetMemo(key string, v any) { s.memo.Store(key, v) }
 
-// snapPO is one (predicate, object) adjacency entry of a subject.
-type snapPO struct{ p, o termID }
+// snapPO is one (predicate, object) adjacency entry of a subject, snapSO one
+// (subject, object) entry of a predicate's posting list, spair one (subject,
+// predicate) source pair of an object: 8 scalar bytes each, so the index
+// arrays carry no pointers for the GC to trace.
+type (
+	snapPO struct{ p, o termID }
+	snapSO struct{ s, o termID }
+	spair  struct{ s, p termID }
+)
 
-// snapSO is one (subject, object) entry of a predicate's flat posting list.
-type snapSO struct{ s, o termID }
-
-// snapSubj is a subject's adjacency in a snapshot index. Slices are
-// append-shared across snapshot generations: a newer snapshot may append
-// past this snapshot's length into the same backing array (builds are
-// serialized by Graph.snapMu), which never disturbs entries below it.
-type snapSubj struct{ pairs []snapPO }
-
-// snapSrc is an object's (subject, predicate) source list.
-type snapSrc struct{ pairs []spair }
-
-// snapPred is a predicate's index node: the flat (s, o) posting list that
-// morsel partitioning ranges over, the o -> subjects map behind (? p o)
-// probes, and the maintained cardinalities the query planner reads.
-type snapPred struct {
-	triples  int
-	subjects int
-	flat     []snapSO
-	byObj    map[termID][]termID
+// snapCard is the distinct subject and object count of one predicate.
+type snapCard struct {
+	p                 termID
+	subjects, objects uint32
 }
 
-// snapIndex is a snapshot's adjacency index. The maps are never mutated
-// after publication; an extension copies the map headers (and the touched
-// nodes) into fresh maps while sharing all untouched slices.
+// snapIndex is a snapshot's adjacency index in CSR form: four permutations
+// of the pinned refs, each 8 bytes per triple with the run key dropped, and
+// one offset table per key position, indexed by term ID (len(terms)+1
+// entries, so term k's run is [off[k], off[k+1])). Every run is in
+// insertion-log order; pso is additionally grouped by ascending object
+// inside each predicate's run, which makes (? p o) a binary search. Offsets
+// are 32-bit because log positions are (maxLogLen).
 type snapIndex struct {
-	spo map[termID]snapSubj
-	pos map[termID]snapPred
-	osp map[termID]snapSrc
+	sOff, pOff, oOff []uint32
+	spo              []snapPO // by S
+	flat             []snapSO // by P
+	osp              []spair  // by O
+	pso              []snapSO // by (P, O)
+
+	cards               []snapCard // ascending p, one per predicate in use
+	nSubjects, nObjects int
+}
+
+// buildSnapIndex derives the index from refs by counting sort: one histogram
+// pass, three stable scatters of the log, and a fourth that scatters the
+// O-major order stably by P (an LSD radix step) to get pso. The cardinalities
+// fall out of the finished arrays. O(len(refs) + nTerms) time, a fixed
+// number of allocations.
+func buildSnapIndex(refs []TripleID, nTerms int) *snapIndex {
+	n := len(refs)
+	ix := &snapIndex{
+		sOff: make([]uint32, nTerms+1), pOff: make([]uint32, nTerms+1), oOff: make([]uint32, nTerms+1),
+		spo: make([]snapPO, n), flat: make([]snapSO, n), osp: make([]spair, n), pso: make([]snapSO, n),
+	}
+	for _, r := range refs {
+		ix.sOff[r.S+1]++
+		ix.pOff[r.P+1]++
+		ix.oOff[r.O+1]++
+	}
+	var nPreds int
+	ix.nSubjects, nPreds, ix.nObjects = prefixSum(ix.sOff), prefixSum(ix.pOff), prefixSum(ix.oOff)
+
+	// cur is the write cursor of each scatter in turn, then the stamp array.
+	cur := make([]uint32, nTerms)
+	copy(cur, ix.sOff)
+	for _, r := range refs {
+		ix.spo[cur[r.S]] = snapPO{r.P, r.O}
+		cur[r.S]++
+	}
+	copy(cur, ix.pOff)
+	for _, r := range refs {
+		ix.flat[cur[r.P]] = snapSO{r.S, r.O}
+		cur[r.P]++
+	}
+	copy(cur, ix.oOff)
+	for _, r := range refs {
+		ix.osp[cur[r.O]] = spair{r.S, r.P}
+		cur[r.O]++
+	}
+	copy(cur, ix.pOff)
+	for o := 0; o < nTerms; o++ {
+		for _, pr := range ix.obj(termID(o)) {
+			ix.pso[cur[pr.p]] = snapSO{pr.s, termID(o)}
+			cur[pr.p]++
+		}
+	}
+
+	// Distinct objects of p are the run boundaries of its pso run; distinct
+	// subjects are counted by stamping cur[s] with p+1 over its flat run, so
+	// a subject with many pairs of several predicates costs one compare per
+	// pair.
+	clear(cur)
+	ix.cards = make([]snapCard, 0, nPreds)
+	for p := 0; p < nTerms; p++ {
+		run := ix.pso[ix.pOff[p]:ix.pOff[p+1]]
+		if len(run) == 0 {
+			continue
+		}
+		c := snapCard{p: termID(p), objects: 1}
+		for i := 1; i < len(run); i++ {
+			if run[i].o != run[i-1].o {
+				c.objects++
+			}
+		}
+		for _, so := range ix.pred(termID(p)) {
+			if cur[so.s] != uint32(p)+1 {
+				cur[so.s] = uint32(p) + 1
+				c.subjects++
+			}
+		}
+		ix.cards = append(ix.cards, c)
+	}
+	return ix
+}
+
+// prefixSum turns the histogram off (count of key k at off[k+1]) into run
+// starts in place and returns the number of non-empty runs.
+func prefixSum(off []uint32) (runs int) {
+	for k := 1; k < len(off); k++ {
+		if off[k] != 0 {
+			runs++
+		}
+		off[k] += off[k-1]
+	}
+	return runs
+}
+
+// The four run lookups. IDs must be below the term count (see inRange).
+
+func (ix *snapIndex) subj(s termID) []snapPO { return ix.spo[ix.sOff[s]:ix.sOff[s+1]] }
+func (ix *snapIndex) pred(p termID) []snapSO { return ix.flat[ix.pOff[p]:ix.pOff[p+1]] }
+func (ix *snapIndex) obj(o termID) []spair   { return ix.osp[ix.oOff[o]:ix.oOff[o+1]] }
+
+func (ix *snapIndex) predObj(p, o termID) []snapSO {
+	run := ix.pso[ix.pOff[p]:ix.pOff[p+1]]
+	run = run[firstObj(run, o):]
+	return run[:firstObj(run, o+1)]
+}
+
+// firstObj returns the position of the first entry of a pso run whose object
+// is at least o: len(run) when there is none.
+func firstObj(run []snapSO, o termID) int {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); run[m].o < o {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// card returns the distinct counts of predicate p, zero when p has no triple.
+func (ix *snapIndex) card(p termID) snapCard {
+	i := sort.Search(len(ix.cards), func(i int) bool { return ix.cards[i].p >= p })
+	if i < len(ix.cards) && ix.cards[i].p == p {
+		return ix.cards[i]
+	}
+	return snapCard{}
 }
 
 // Snapshot returns an immutable read view of the graph pinned at the current
 // insertion-log watermark. The view is internally cached: while no triples
 // are added or removed, every call returns the same *Snapshot, and after
-// appends the next call extends the cached view with just the log delta.
-// After a Remove the view is rebuilt from the surviving log (removals are
-// rare in provenance workloads; appends are the steady state).
+// appends the next call pins the longer log prefix in place. After a Remove
+// the triple list is rebuilt from the surviving log (removals are rare in
+// provenance workloads; appends are the steady state).
 func (g *Graph) Snapshot() *Snapshot {
 	g.mu.RLock()
 	w, re := len(g.log), g.removeEpoch
@@ -115,33 +236,29 @@ func (g *Graph) Snapshot() *Snapshot {
 		return base
 	}
 	incremental := base != nil && base.removeEpoch == re
-	// Entries below w in the log's backing array are immutable (the log is
-	// append-only and reallocation abandons the old array), so sub-slices
-	// stay valid after the lock is dropped.
-	var refs, delta []TripleID
-	if incremental {
-		delta = g.log[base.watermark:w]
-	}
-	if re == 0 {
+	var refs []TripleID
+	switch {
+	case re == 0:
 		// Never removed: the log prefix is the surviving triple list. Pin it
-		// in place, capped so nothing can append through this header.
+		// in place, capped so nothing can append through this header; entries
+		// below w are immutable (the log is append-only and reallocation
+		// abandons the old array), so it stays valid after the lock is dropped.
 		refs = g.log[:w:w]
-	} else if !incremental {
+	case incremental:
+		// Owned append: after a Remove, refs is never an alias of g.log, so
+		// growing it (serialized by snapMu) cannot collide with concurrent
+		// Adds, and base's readers only see their own length.
+		refs = append(base.refs, g.log[base.watermark:w]...)
+	default:
 		refs = g.survivingRefsLocked()
 	}
 	g.mu.RUnlock()
 
 	ns := &Snapshot{dict: &g.dict, terms: g.dict.snapshot(), refs: refs, watermark: w, removeEpoch: re}
-	if incremental {
-		if re != 0 {
-			// Owned append: after a Remove, refs is never an alias of g.log,
-			// so growing it (serialized by snapMu) cannot collide with
-			// concurrent Adds, and base's readers only see their own length.
-			ns.refs = append(base.refs, delta...)
-		}
-		if bix := base.idx.Load(); bix != nil {
-			ns.idx.Store(extendSnapIndex(bix, delta))
-		}
+	if incremental && base.idx.Load() != nil {
+		// The graph is being queried between appends: index the new pin now,
+		// under snapMu, not inside the next query's first probe.
+		ns.idx.Store(buildSnapIndex(ns.refs, len(ns.terms)))
 	}
 	g.snap.Store(ns)
 	return ns
@@ -178,85 +295,9 @@ func (s *Snapshot) index() *snapIndex {
 	if ix := s.idx.Load(); ix != nil {
 		return ix
 	}
-	ix := &snapIndex{
-		spo: make(map[termID]snapSubj),
-		pos: make(map[termID]snapPred),
-		osp: make(map[termID]snapSrc),
-	}
-	ix.insertAll(s.refs, nil)
+	ix := buildSnapIndex(s.refs, len(s.terms))
 	s.idx.Store(ix)
 	return ix
-}
-
-// extendSnapIndex builds the index of base + delta, copying the top-level
-// map headers and mutating only touched nodes; untouched posting lists are
-// shared with base. Appends may write past base's slice lengths into shared
-// backing arrays — safe because builds are serialized and base's readers are
-// bounded by their own lengths.
-func extendSnapIndex(base *snapIndex, delta []TripleID) *snapIndex {
-	ix := &snapIndex{
-		spo: make(map[termID]snapSubj, len(base.spo)+len(delta)/4),
-		pos: make(map[termID]snapPred, len(base.pos)),
-		osp: make(map[termID]snapSrc, len(base.osp)+len(delta)/4),
-	}
-	for k, v := range base.spo {
-		ix.spo[k] = v
-	}
-	for k, v := range base.pos {
-		ix.pos[k] = v
-	}
-	for k, v := range base.osp {
-		ix.osp[k] = v
-	}
-	// byObj maps are shared with base until first touch in this extension.
-	touched := make(map[termID]bool, len(base.pos))
-	ix.insertAll(delta, touched)
-	return ix
-}
-
-// insertAll inserts refs into the index. touchedByObj tracks which
-// predicates' byObj maps are already private to this build: nil means every
-// node is private (from-scratch build), non-nil means byObj maps are shared
-// with a base index and must be copied before the first mutation.
-func (ix *snapIndex) insertAll(refs []TripleID, touchedByObj map[termID]bool) {
-	for _, r := range refs {
-		sub := ix.spo[r.S]
-		pNew := true
-		for _, po := range sub.pairs {
-			if po.p == r.P {
-				pNew = false
-				break
-			}
-		}
-		sub.pairs = append(sub.pairs, snapPO{p: r.P, o: r.O})
-		ix.spo[r.S] = sub
-
-		pn, ok := ix.pos[r.P]
-		if !ok {
-			pn = snapPred{byObj: make(map[termID][]termID)}
-			if touchedByObj != nil {
-				touchedByObj[r.P] = true
-			}
-		} else if touchedByObj != nil && !touchedByObj[r.P] {
-			cp := make(map[termID][]termID, len(pn.byObj)+1)
-			for k, v := range pn.byObj {
-				cp[k] = v
-			}
-			pn.byObj = cp
-			touchedByObj[r.P] = true
-		}
-		pn.triples++
-		if pNew {
-			pn.subjects++
-		}
-		pn.flat = append(pn.flat, snapSO{s: r.S, o: r.O})
-		pn.byObj[r.O] = append(pn.byObj[r.O], r.S)
-		ix.pos[r.P] = pn
-
-		src := ix.osp[r.O]
-		src.pairs = append(src.pairs, spair{s: r.S, p: r.P})
-		ix.osp[r.O] = src
-	}
 }
 
 // ---- read API (mirrors the Graph ID-level API, lock-free) ----
@@ -298,23 +339,19 @@ func (s *Snapshot) TermID(t Term) (ID, bool) {
 
 // inRange reports whether the pattern IDs are answerable: NoID is the
 // wildcard, any other ID beyond the term table matches nothing.
-func (s *Snapshot) inRange(ids ...ID) bool {
-	for _, id := range ids {
-		if id != NoID && int(id) >= len(s.terms) {
-			return false
-		}
-	}
-	return true
+func (s *Snapshot) inRange(sid, pid, oid ID) bool {
+	n := ID(len(s.terms))
+	return (sid == NoID || sid < n) && (pid == NoID || pid < n) && (oid == NoID || oid < n)
 }
 
 // ForEachMatchIDs streams the dictionary IDs of all triples matching the
 // pattern (NoID = wildcard) to fn; fn returning false stops early. No lock is
 // held: fn may mutate the underlying graph.
-// Enumeration order is deterministic for a given snapshot (insertion order
-// within each index node), and identical to concatenating ScanRange over the
-// full domain.
+// Enumeration order is the matching refs in insertion-log order, for every
+// pattern shape, and identical to concatenating ScanRange over the full
+// domain.
 func (s *Snapshot) ForEachMatchIDs(sid, pid, oid ID, fn func(s, p, o ID) bool) {
-	s.ScanRange(sid, pid, oid, 0, s.ScanLen(sid, pid, oid), fn)
+	s.ScanRange(sid, pid, oid, 0, math.MaxInt, fn)
 }
 
 // ForEachMatch streams all triples matching the pattern to fn, rehydrating
@@ -347,26 +384,17 @@ func (s *Snapshot) ForEachMatch(sp, pp, op *Term, fn func(Triple) bool) {
 // at most one triple, so [0, ScanLen) ranges partition the scan exactly —
 // this is the domain the parallel executor splits into morsels.
 func (s *Snapshot) ScanLen(sid, pid, oid ID) int {
-	if !s.inRange(sid, pid, oid) {
-		return 0
-	}
 	switch {
+	case !s.inRange(sid, pid, oid):
+		return 0
 	case sid != NoID:
-		ix := s.index()
-		return len(ix.spo[sid].pairs)
+		return len(s.index().subj(sid))
+	case pid != NoID && oid != NoID:
+		return len(s.index().predObj(pid, oid))
 	case pid != NoID:
-		ix := s.index()
-		pn, ok := ix.pos[pid]
-		if !ok {
-			return 0
-		}
-		if oid != NoID {
-			return len(pn.byObj[oid])
-		}
-		return len(pn.flat)
+		return len(s.index().pred(pid))
 	case oid != NoID:
-		ix := s.index()
-		return len(ix.osp[oid].pairs)
+		return len(s.index().obj(oid))
 	default:
 		return len(s.refs)
 	}
@@ -378,18 +406,10 @@ func (s *Snapshot) ScanLen(sid, pid, oid ID) int {
 // (a bound position the domain does not already discriminate on) emit
 // nothing, so concatenating adjacent ranges reproduces the full scan.
 func (s *Snapshot) ScanRange(sid, pid, oid ID, lo, hi int, fn func(s, p, o ID) bool) bool {
-	if lo < 0 {
-		lo = 0
-	}
-	if n := s.ScanLen(sid, pid, oid); hi > n {
-		hi = n
-	}
-	if lo >= hi {
-		return true
-	}
 	switch {
+	case !s.inRange(sid, pid, oid):
 	case sid != NoID:
-		for _, po := range s.index().spo[sid].pairs[lo:hi] {
+		for _, po := range clip(s.index().subj(sid), lo, hi) {
 			if pid != NoID && po.p != pid {
 				continue
 			}
@@ -400,29 +420,26 @@ func (s *Snapshot) ScanRange(sid, pid, oid ID, lo, hi int, fn func(s, p, o ID) b
 				return false
 			}
 		}
-	case pid != NoID:
-		pn := s.index().pos[pid]
-		if oid != NoID {
-			for _, si := range pn.byObj[oid][lo:hi] {
-				if !fn(si, pid, oid) {
-					return false
-				}
+	case pid != NoID && oid != NoID:
+		for _, so := range clip(s.index().predObj(pid, oid), lo, hi) {
+			if !fn(so.s, pid, oid) {
+				return false
 			}
-			return true
 		}
-		for _, so := range pn.flat[lo:hi] {
+	case pid != NoID:
+		for _, so := range clip(s.index().pred(pid), lo, hi) {
 			if !fn(so.s, pid, so.o) {
 				return false
 			}
 		}
 	case oid != NoID:
-		for _, pr := range s.index().osp[oid].pairs[lo:hi] {
+		for _, pr := range clip(s.index().obj(oid), lo, hi) {
 			if !fn(pr.s, pr.p, oid) {
 				return false
 			}
 		}
 	default:
-		for _, r := range s.refs[lo:hi] {
+		for _, r := range clip(s.refs, lo, hi) {
 			if !fn(r.S, r.P, r.O) {
 				return false
 			}
@@ -431,62 +448,46 @@ func (s *Snapshot) ScanRange(sid, pid, oid ID, lo, hi int, fn func(s, p, o ID) b
 	return true
 }
 
-// CountMatchIDs returns the exact number of triples matching the ID pattern
-// (NoID = wildcard), read off the index without enumerating where a node
-// answers directly:
-//
-//	(? p o) -> POS posting-list length  (? p ?) -> per-predicate count
-//	(s ? ?) -> subject's adjacency size (? ? o) -> OSP source count
-//	(? ? ?) -> snapshot size            otherwise a walk of s's adjacency
-func (s *Snapshot) CountMatchIDs(sid, pid, oid ID) int {
-	if !s.inRange(sid, pid, oid) {
-		return 0
+// clip returns run[lo:hi] with the bounds clamped to the run.
+func clip[T any](run []T, lo, hi int) []T {
+	lo, hi = max(lo, 0), min(hi, len(run))
+	if lo >= hi {
+		return nil
 	}
-	switch {
-	case sid != NoID:
-		pairs := s.index().spo[sid].pairs
-		if pid == NoID && oid == NoID {
-			return len(pairs)
-		}
-		c := 0
-		for _, po := range pairs {
-			if (pid == NoID || po.p == pid) && (oid == NoID || po.o == oid) {
-				c++
-			}
-		}
-		return c
-	case pid != NoID:
-		pn, ok := s.index().pos[pid]
-		if !ok {
-			return 0
-		}
-		if oid != NoID {
-			return len(pn.byObj[oid])
-		}
-		return pn.triples
-	case oid != NoID:
-		return len(s.index().osp[oid].pairs)
-	default:
-		return len(s.refs)
-	}
+	return run[lo:hi]
 }
 
-// PredStats returns the maintained cardinalities of predicate p in the
-// snapshot: triple count and distinct subject/object counts.
+// CountMatchIDs returns the exact number of triples matching the ID pattern
+// (NoID = wildcard). Every shape but a subject with a bound predicate or
+// object is its ScanLen — a run length read off the index; that one walks
+// the subject's adjacency.
+func (s *Snapshot) CountMatchIDs(sid, pid, oid ID) int {
+	if sid == NoID || (pid == NoID && oid == NoID) || !s.inRange(sid, pid, oid) {
+		return s.ScanLen(sid, pid, oid)
+	}
+	c := 0
+	for _, po := range s.index().subj(sid) {
+		if (pid == NoID || po.p == pid) && (oid == NoID || po.o == oid) {
+			c++
+		}
+	}
+	return c
+}
+
+// PredStats returns the cardinalities of predicate p in the snapshot: triple
+// count and distinct subject/object counts.
 func (s *Snapshot) PredStats(p ID) (triples, subjects, objects int) {
-	if !s.inRange(p) || p == NoID {
+	if p == NoID || !s.inRange(NoID, p, NoID) {
 		return 0, 0, 0
 	}
-	pn, ok := s.index().pos[p]
-	if !ok {
-		return 0, 0, 0
-	}
-	return pn.triples, pn.subjects, len(pn.byObj)
+	ix := s.index()
+	c := ix.card(p)
+	return len(ix.pred(p)), int(c.subjects), int(c.objects)
 }
 
 // IndexStats returns the snapshot's distinct subject, predicate, and object
 // counts — the planner's global divisors.
 func (s *Snapshot) IndexStats() (subjects, predicates, objects int) {
 	ix := s.index()
-	return len(ix.spo), len(ix.pos), len(ix.osp)
+	return ix.nSubjects, len(ix.cards), ix.nObjects
 }

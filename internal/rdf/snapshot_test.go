@@ -32,8 +32,8 @@ func idsOf(fe func(func(s, p, o ID) bool)) []TripleID {
 	return out
 }
 
-// multiset turns refs into a count map (index enumeration order is per index
-// node, not the full scan's log order).
+// multiset turns refs into a count map, for comparisons that are about
+// content (TestSnapshotEnumerationOrderPinned is the one about order).
 func multiset(refs []TripleID) map[TripleID]int {
 	m := make(map[TripleID]int, len(refs))
 	for _, r := range refs {
@@ -93,54 +93,100 @@ func TestSnapshotMatchesGraph(t *testing.T) {
 				g.Remove(tp)
 			}
 		}
-		snap := g.Snapshot()
-		if snap.Len() != g.Len() {
-			t.Fatalf("iter %d: snapshot Len = %d, graph Len = %d", iter, snap.Len(), g.Len())
-		}
-		all := idsOf(func(fn func(s, p, o ID) bool) { snap.ForEachMatchIDs(NoID, NoID, NoID, fn) })
-		for _, pat := range snapPatterns(g) {
-			s, p, o := pat[0], pat[1], pat[2]
-			var want []TripleID
-			subjects, objects := map[ID]struct{}{}, map[ID]struct{}{}
-			for _, r := range all {
-				if (s == NoID || r.S == s) && (p == NoID || r.P == p) && (o == NoID || r.O == o) {
-					want = append(want, r)
-					subjects[r.S], objects[r.O] = struct{}{}, struct{}{}
-				}
-			}
-			got := idsOf(func(fn func(s, p, o ID) bool) { snap.ForEachMatchIDs(s, p, o, fn) })
-			if !multisetEq(got, want) {
-				t.Fatalf("iter %d pattern (%v %v %v): snapshot %d rows, brute force %d rows",
-					iter, s, p, o, len(got), len(want))
-			}
-			if viaGraph := idsOf(func(fn func(s, p, o ID) bool) { g.ForEachMatchIDs(s, p, o, fn) }); !multisetEq(viaGraph, want) {
-				t.Fatalf("iter %d pattern (%v %v %v): graph %d rows, brute force %d rows",
-					iter, s, p, o, len(viaGraph), len(want))
-			}
-			if sc, gc := snap.CountMatchIDs(s, p, o), g.CountMatchIDs(s, p, o); sc != len(want) || gc != len(want) {
-				t.Fatalf("iter %d pattern (%v %v %v): snapshot count %d, graph count %d, want %d", iter, s, p, o, sc, gc, len(want))
-			}
-			if p != NoID && s == NoID && o == NoID {
-				t1, s1, o1 := snap.PredStats(p)
-				t2, s2, o2 := g.PredStats(p)
-				if t1 != len(want) || s1 != len(subjects) || o1 != len(objects) || t2 != t1 || s2 != s1 || o2 != o1 {
-					t.Fatalf("iter %d PredStats(%v): snapshot (%d,%d,%d) graph (%d,%d,%d) want (%d,%d,%d)",
-						iter, p, t1, s1, o1, t2, s2, o2, len(want), len(subjects), len(objects))
-				}
-			}
-		}
-		ds, dp, do := map[ID]struct{}{}, map[ID]struct{}{}, map[ID]struct{}{}
+		checkSnapshotMatchesGraph(t, fmt.Sprintf("iter %d", iter), g, snapPatterns(g))
+	}
+
+	checkSnapshotMatchesGraph(t, "empty graph", NewGraph(), [][3]ID{{NoID, NoID, NoID}, {0, NoID, NoID}, {NoID, 0, 0}})
+
+	one := NewGraph()
+	one.Add(tr("s0", "p0", "o0"))
+	checkSnapshotMatchesGraph(t, "one triple", one, snapPatterns(one))
+
+	// Terms that name no triple own empty runs; the last of them sits at the
+	// end of the offset tables.
+	idle := snapRandGraph(rng, 40)
+	lone := idle.Intern(IRI("http://e/in-no-triple"))
+	last := idle.Intern(IRI("http://e/in-no-triple-either"))
+	checkSnapshotMatchesGraph(t, "idle terms", idle, [][3]ID{
+		{lone, NoID, NoID}, {NoID, lone, NoID}, {NoID, NoID, lone}, {NoID, lone, lone},
+		{last, NoID, NoID}, {NoID, last, NoID}, {NoID, NoID, last}, {NoID, last, last},
+		{NoID, mustID(t, idle, "p0"), last}, {mustID(t, idle, "s0"), last, NoID},
+	})
+
+	// A term interned after the pin is beyond the snapshot's term table (the
+	// watermark did not move, so the graph still answers from that snapshot).
+	pinned := idle.Snapshot()
+	late := idle.Intern(IRI("http://e/after-the-pin"))
+	if idle.Snapshot() != pinned || int(late) < pinned.TermCount() {
+		t.Fatalf("late term %d: snapshot repinned or term table grew (%d terms)", late, pinned.TermCount())
+	}
+	checkSnapshotMatchesGraph(t, "late term", idle, [][3]ID{
+		{late, NoID, NoID}, {NoID, late, NoID}, {NoID, NoID, late}, {NoID, late, late}, {late, late, late},
+		{NoID, mustID(t, idle, "p0"), late},
+	})
+}
+
+// checkSnapshotMatchesGraph is TestSnapshotMatchesGraph's body for one graph.
+func checkSnapshotMatchesGraph(t *testing.T, label string, g *Graph, pats [][3]ID) {
+	t.Helper()
+	snap := g.Snapshot()
+	if snap.Len() != g.Len() {
+		t.Fatalf("%s: snapshot Len = %d, graph Len = %d", label, snap.Len(), g.Len())
+	}
+	all := idsOf(func(fn func(s, p, o ID) bool) { snap.ForEachMatchIDs(NoID, NoID, NoID, fn) })
+	for _, pat := range pats {
+		s, p, o := pat[0], pat[1], pat[2]
+		var want []TripleID
+		subjects, objects := map[ID]struct{}{}, map[ID]struct{}{}
 		for _, r := range all {
-			ds[r.S], dp[r.P], do[r.O] = struct{}{}, struct{}{}, struct{}{}
+			if (s == NoID || r.S == s) && (p == NoID || r.P == p) && (o == NoID || r.O == o) {
+				want = append(want, r)
+				subjects[r.S], objects[r.O] = struct{}{}, struct{}{}
+			}
 		}
-		s1, p1, o1 := snap.IndexStats()
-		s2, p2, o2 := g.IndexStats()
-		if s1 != len(ds) || p1 != len(dp) || o1 != len(do) || s2 != s1 || p2 != p1 || o2 != o1 {
-			t.Fatalf("iter %d IndexStats: snapshot (%d,%d,%d) graph (%d,%d,%d) want (%d,%d,%d)",
-				iter, s1, p1, o1, s2, p2, o2, len(ds), len(dp), len(do))
+		got := idsOf(func(fn func(s, p, o ID) bool) { snap.ForEachMatchIDs(s, p, o, fn) })
+		if !multisetEq(got, want) {
+			t.Fatalf("%s pattern (%v %v %v): snapshot %d rows, brute force %d rows",
+				label, s, p, o, len(got), len(want))
 		}
-		if subs := g.Subjects(); len(subs) != len(ds) {
-			t.Fatalf("iter %d: Subjects() has %d entries, want %d", iter, len(subs), len(ds))
+		if viaGraph := idsOf(func(fn func(s, p, o ID) bool) { g.ForEachMatchIDs(s, p, o, fn) }); !multisetEq(viaGraph, want) {
+			t.Fatalf("%s pattern (%v %v %v): graph %d rows, brute force %d rows",
+				label, s, p, o, len(viaGraph), len(want))
+		}
+		if sc, gc := snap.CountMatchIDs(s, p, o), g.CountMatchIDs(s, p, o); sc != len(want) || gc != len(want) {
+			t.Fatalf("%s pattern (%v %v %v): snapshot count %d, graph count %d, want %d", label, s, p, o, sc, gc, len(want))
+		}
+		if n := snap.ScanLen(s, p, o); n < len(want) {
+			t.Fatalf("%s pattern (%v %v %v): ScanLen %d below the %d matches", label, s, p, o, n, len(want))
+		}
+		if p != NoID && s == NoID && o == NoID {
+			t1, s1, o1 := snap.PredStats(p)
+			t2, s2, o2 := g.PredStats(p)
+			if t1 != len(want) || s1 != len(subjects) || o1 != len(objects) || t2 != t1 || s2 != s1 || o2 != o1 {
+				t.Fatalf("%s PredStats(%v): snapshot (%d,%d,%d) graph (%d,%d,%d) want (%d,%d,%d)",
+					label, p, t1, s1, o1, t2, s2, o2, len(want), len(subjects), len(objects))
+			}
+		}
+	}
+	ds, dp, do := map[ID]struct{}{}, map[ID]struct{}{}, map[ID]struct{}{}
+	for _, r := range all {
+		ds[r.S], dp[r.P], do[r.O] = struct{}{}, struct{}{}, struct{}{}
+	}
+	s1, p1, o1 := snap.IndexStats()
+	s2, p2, o2 := g.IndexStats()
+	if s1 != len(ds) || p1 != len(dp) || o1 != len(do) || s2 != s1 || p2 != p1 || o2 != o1 {
+		t.Fatalf("%s IndexStats: snapshot (%d,%d,%d) graph (%d,%d,%d) want (%d,%d,%d)",
+			label, s1, p1, o1, s2, p2, o2, len(ds), len(dp), len(do))
+	}
+	subs := g.Subjects()
+	if len(subs) != len(ds) {
+		t.Fatalf("%s: Subjects() has %d entries, want %d", label, len(subs), len(ds))
+	}
+	for i, sub := range subs {
+		if id, ok := g.TermID(sub); !ok || i > 0 && !termLess(subs[i-1], sub) {
+			t.Fatalf("%s: Subjects()[%d] = %v is unsorted or not interned", label, i, sub)
+		} else if _, isSubj := ds[id]; !isSubj {
+			t.Fatalf("%s: Subjects()[%d] = %v is no triple's subject", label, i, sub)
 		}
 	}
 }
@@ -337,4 +383,240 @@ func TestSnapshotConcurrentIngest(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// snapChurnGraph is snapRandGraph with a third of the triples removed and
+// half of those added back, so the pinned refs are an owned, deduplicated
+// list and not the log itself.
+func snapChurnGraph(rng *rand.Rand, n int) *Graph {
+	g := snapRandGraph(rng, n)
+	gone := g.Triples()[:g.Len()/3]
+	for _, tp := range gone {
+		g.Remove(tp)
+	}
+	for _, tp := range gone[:len(gone)/2] {
+		g.Add(tp)
+	}
+	return g
+}
+
+// TestSnapshotIndexLayout pins the CSR invariants the read API leans on:
+// offset tables are monotone over [0, len(refs)], each of the four arrays is
+// a permutation of refs, every run is in log order, and a predicate's pso run
+// is grouped by ascending object.
+func TestSnapshotIndexLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 20; iter++ {
+		g := snapRandGraph(rng, 1+rng.Intn(400))
+		if iter%2 == 1 {
+			g = snapChurnGraph(rng, 30+rng.Intn(400))
+		}
+		g.Intern(IRI("http://e/in-no-triple"))
+		snap := g.Snapshot()
+		ix, n := snap.index(), snap.TermCount()
+		logPos := make(map[TripleID]int, len(snap.refs))
+		for i, r := range snap.refs {
+			logPos[r] = i
+		}
+		for name, off := range map[string][]uint32{"sOff": ix.sOff, "pOff": ix.pOff, "oOff": ix.oOff} {
+			if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(snap.refs) {
+				t.Fatalf("iter %d: %s has %d entries for %d terms, spans [%d, %d] of %d refs",
+					iter, name, len(off), n, off[0], off[len(off)-1], len(snap.refs))
+			}
+			for k := 1; k < len(off); k++ {
+				if off[k] < off[k-1] {
+					t.Fatalf("iter %d: %s[%d] = %d < %s[%d] = %d", iter, name, k, off[k], name, k-1, off[k-1])
+				}
+			}
+		}
+		// Rebuild each array as triples, run by run, checking run order.
+		var spo, flat, osp, pso []TripleID
+		inLogOrder := func(what string, run []TripleID) {
+			for i := 1; i < len(run); i++ {
+				if logPos[run[i-1]] >= logPos[run[i]] {
+					t.Fatalf("iter %d: %s run holds %v (log %d) before %v (log %d)",
+						iter, what, run[i-1], logPos[run[i-1]], run[i], logPos[run[i]])
+				}
+			}
+		}
+		for k := ID(0); int(k) < n; k++ {
+			mark := [4]int{len(spo), len(flat), len(osp), len(pso)}
+			for _, po := range ix.subj(k) {
+				spo = append(spo, TripleID{k, po.p, po.o})
+			}
+			for _, so := range ix.pred(k) {
+				flat = append(flat, TripleID{so.s, k, so.o})
+			}
+			for _, pr := range ix.obj(k) {
+				osp = append(osp, TripleID{pr.s, pr.p, k})
+			}
+			for _, so := range ix.pso[ix.pOff[k]:ix.pOff[k+1]] {
+				pso = append(pso, TripleID{so.s, k, so.o})
+			}
+			inLogOrder("spo", spo[mark[0]:])
+			inLogOrder("flat", flat[mark[1]:])
+			inLogOrder("osp", osp[mark[2]:])
+			for i := mark[3] + 1; i < len(pso); i++ {
+				if a, b := pso[i-1], pso[i]; a.O > b.O || a.O == b.O && logPos[a] >= logPos[b] {
+					t.Fatalf("iter %d: pso run of %d holds %v (log %d) before %v (log %d)", iter, k, a, logPos[a], b, logPos[b])
+				}
+			}
+		}
+		for name, arr := range map[string][]TripleID{"spo": spo, "flat": flat, "osp": osp, "pso": pso} {
+			if !multisetEq(arr, snap.refs) {
+				t.Fatalf("iter %d: %s is not a permutation of the %d refs (%d entries)", iter, name, len(snap.refs), len(arr))
+			}
+		}
+	}
+}
+
+// TestSnapshotEnumerationOrderPinned states the enumeration contract: for
+// every pattern shape, ForEachMatchIDs yields exactly the matching refs in
+// log order — the order parallel morsels are stitched back into and the
+// golden query fixtures were recorded in.
+func TestSnapshotEnumerationOrderPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for iter := 0; iter < 12; iter++ {
+		g := snapRandGraph(rng, 20+rng.Intn(400))
+		if iter%2 == 1 {
+			g = snapChurnGraph(rng, 30+rng.Intn(400))
+		}
+		snap := g.Snapshot()
+		for _, pat := range snapPatterns(g) {
+			s, p, o := pat[0], pat[1], pat[2]
+			var want []TripleID
+			for _, r := range snap.refs {
+				if (s == NoID || r.S == s) && (p == NoID || r.P == p) && (o == NoID || r.O == o) {
+					want = append(want, r)
+				}
+			}
+			got := idsOf(func(fn func(s, p, o ID) bool) { snap.ForEachMatchIDs(s, p, o, fn) })
+			if len(got) != len(want) {
+				t.Fatalf("iter %d pattern (%v %v %v): %d rows, log filter %d rows", iter, s, p, o, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("iter %d pattern (%v %v %v): row %d is %v, log order has %v", iter, s, p, o, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotOldViewDuringRebuilds: a snapshot with a built index stays
+// scannable, and unchanged, while the graph grows and every re-pin builds a
+// new index next to it (run under -race).
+func TestSnapshotOldViewDuringRebuilds(t *testing.T) {
+	g := snapRandGraph(rand.New(rand.NewSource(17)), 300)
+	old := g.Snapshot()
+	p := mustID(t, g, "p0")
+	want := idsOf(func(fn func(s, p, o ID) bool) { old.ForEachMatchIDs(NoID, p, NoID, fn) })
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			g.Add(tr(fmt.Sprintf("late-s%d", i), "p0", fmt.Sprintf("o%d", i%9)))
+			if g.Snapshot().idx.Load() == nil {
+				t.Error("re-pin after an indexed snapshot came without an index")
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		got := idsOf(func(fn func(s, p, o ID) bool) { old.ForEachMatchIDs(NoID, p, NoID, fn) })
+		if len(got) != len(want) || len(got) > 0 && got[len(got)-1] != want[len(want)-1] {
+			t.Fatalf("old snapshot now yields %d rows for p0, had %d", len(got), len(want))
+		}
+	}
+	if n := g.Snapshot().CountMatchIDs(NoID, p, NoID); n != len(want)+200 {
+		t.Fatalf("final snapshot counts %d p0 triples, want %d", n, len(want)+200)
+	}
+}
+
+// TestSnapshotIndexHubLinear: a hub subject whose pairs of one predicate are
+// followed by as many of a second must index in time linear in its pairs
+// (counting a predicate's subjects used to rescan the hub's earlier pairs per
+// insert), with exact cardinalities.
+func TestSnapshotIndexHubLinear(t *testing.T) {
+	const k = 20000
+	g := NewGraph()
+	hub, p1, p2 := g.Intern(IRI("http://e/hub")), g.Intern(IRI("http://e/p1")), g.Intern(IRI("http://e/p2"))
+	refs := make([]TripleID, 0, 2*k)
+	for _, p := range []ID{p1, p2} {
+		for i := 0; i < k; i++ {
+			refs = append(refs, TripleID{hub, p, g.Intern(IRI(fmt.Sprintf("http://e/n%d", i)))})
+		}
+	}
+	if n := g.AddRefs(refs); n != 2*k {
+		t.Fatalf("AddRefs = %d, want %d", n, 2*k)
+	}
+	for _, p := range []ID{p1, p2} {
+		if tr, su, ob := g.PredStats(p); tr != k || su != 1 || ob != k {
+			t.Errorf("PredStats(%d) = (%d,%d,%d), want (%d,1,%d)", p, tr, su, ob, k, k)
+		}
+	}
+	if su, pr, ob := g.IndexStats(); su != 1 || pr != 2 || ob != k {
+		t.Errorf("IndexStats = (%d,%d,%d), want (1,2,%d)", su, pr, ob, k)
+	}
+}
+
+// h5benchShaped returns the pinned refs and term count of a graph shaped like
+// the perf harness's h5bench workload: per rank one program and eight
+// datasets, per record one I/O activity of six triples — few entities, many
+// activities, a handful of predicates.
+func h5benchShaped(ranks, records int) ([]TripleID, int) {
+	g := NewGraph()
+	iri := func(format string, a ...any) ID { return g.Intern(IRI(fmt.Sprintf("http://e/"+format, a...))) }
+	typ, assoc, wrote, elapsed, started, rank := iri("type"), iri("wasAssociatedWith"), iri("wasWrittenBy"), iri("elapsed"), iri("startedAt"), iri("rank")
+	classes := []ID{iri("H5Dwrite"), iri("H5Dread"), iri("H5Fflush")}
+	var refs []TripleID
+	for r := 0; r < ranks; r++ {
+		prog := iri("prog%d", r)
+		for i := 0; i < records; i++ {
+			act := iri("r%d/io%d", r, i)
+			refs = append(refs,
+				TripleID{act, typ, classes[i%len(classes)]},
+				TripleID{act, assoc, prog},
+				TripleID{act, elapsed, g.Intern(Integer(int64(1000 + i%257)))},
+				TripleID{act, started, g.Intern(Integer(int64(r*records + i)))},
+				TripleID{iri("r%d/dset%d", r, i%8), wrote, act},
+				TripleID{act, rank, g.Intern(Integer(int64(r)))})
+		}
+	}
+	g.AddRefs(refs)
+	snap := g.Snapshot()
+	return snap.refs, snap.TermCount()
+}
+
+// TestSnapshotIndexAllocs: the index is a fixed set of flat arrays, so its
+// build allocates the same small number of objects at any size — not one per
+// subject, per object and per (predicate, object).
+func TestSnapshotIndexAllocs(t *testing.T) {
+	var allocs [2]float64
+	for i, records := range []int{1024 / 6, 64 * 1024 / 6} {
+		refs, nTerms := h5benchShaped(1, records)
+		allocs[i] = testing.AllocsPerRun(5, func() { buildSnapIndex(refs, nTerms) })
+	}
+	if allocs[0] > 16 || allocs[0] != allocs[1] {
+		t.Fatalf("index build allocates %v objects at 1k triples and %v at 64k, want equal and <= 16", allocs[0], allocs[1])
+	}
+}
+
+var sinkIndex *snapIndex
+
+// BenchmarkSnapshotIndex builds the index of an h5bench-shaped graph at the
+// perf harness's standard size (16 ranks x 1024 records, 98 304 triples).
+func BenchmarkSnapshotIndex(b *testing.B) {
+	refs, nTerms := h5benchShaped(16, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkIndex = buildSnapIndex(refs, nTerms)
+	}
 }
