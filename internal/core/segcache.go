@@ -202,7 +202,10 @@ func (c *segCache) forEachResident(fn func(k unitKey, bytes int64)) {
 // postings; its offset tables are 12 B per term, not per triple) come to
 // 44 B. It stays at 64 because budgets are sized in these units: a store
 // that fitted a budget of B still does, and true resident memory stays near
-// B rather than a multiple.
+// B rather than a multiple. The per-term charge over-approximates the same
+// way and for the same reason: 48 B + the string bytes was a Term-sized
+// table entry, where the dictionary now keeps a 24 B entry, 11–21 B of
+// hashed ID slots and one copy of each distinct (Lang, Datatype) pair.
 func decodedBytesEstimate(snap *rdf.Snapshot, toLocalLen int) int64 {
 	var b int64
 	n := snap.TermCount()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -40,5 +42,46 @@ func TestTrackIOAllocsPerRecord(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(32, run) / perRun; got > budget {
 		t.Fatalf("TrackIO allocates %.2f objects per record, budget %.1f", got, budget)
+	}
+}
+
+// TestDictBytesPerTerm pins what a resident term costs beyond its value
+// bytes: one 24-byte entry plus its share of a stripe's 8-byte slots at
+// 3/8–3/4 load. The budget must hold whatever the toolchain's built-in map
+// looks like — a dictionary that is a map[Term]ID plus a []Term again reads
+// 120–160 B here, depending on that map.
+func TestDictBytesPerTerm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	const (
+		n      = 100_000
+		budget = 56.0
+	)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("http://example.org/term/%08d", i) // 32 bytes
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	g := rdf.NewGraph()
+	for _, name := range names {
+		g.Intern(rdf.IRI(name))
+	}
+	after := liveHeap()
+	if g.TermCount() != n {
+		t.Fatalf("interned %d terms, want %d", g.TermCount(), n)
+	}
+	runtime.KeepAlive(names)
+	got := float64(after-before) / n
+	t.Logf("%.1f B per resident term beyond its value", got)
+	if got > budget {
+		t.Fatalf("a resident term costs %.1f B beyond its value, budget %.0f", got, budget)
 	}
 }

@@ -26,7 +26,8 @@ type termID = ID
 
 // Graph is an in-memory, dictionary-encoded RDF graph.
 //
-// Storage layout: a striped term dictionary, the insertion log (12 bytes per
+// Storage layout: a striped term dictionary (24 bytes per term plus hashed
+// ID slots, see termDict), the insertion log (12 bytes per
 // triple), and one flat open-addressed membership table of log positions.
 // That is everything the write side maintains: an insert interns its terms,
 // probes the table, and appends to the log — no per-triple heap objects, so
@@ -407,7 +408,7 @@ func (g *Graph) TriplesSince(n int) []Triple {
 	for _, r := range g.log[n:] {
 		// Never removed: the log is the surviving list, no probe needed.
 		if g.removeEpoch == 0 || g.findLocked(r) >= 0 {
-			out = append(out, Triple{S: terms[r.S], P: terms[r.P], O: terms[r.O]})
+			out = append(out, Triple{S: terms.at(r.S), P: terms.at(r.P), O: terms.at(r.O)})
 		}
 	}
 	return out
@@ -503,9 +504,9 @@ func (g *Graph) Subjects() []Term {
 	s := g.Snapshot()
 	ix := s.index()
 	out := make([]Term, 0, ix.nSubjects)
-	for id, t := range s.terms {
-		if len(ix.subj(ID(id))) > 0 {
-			out = append(out, t)
+	for id := ID(0); int(id) < s.terms.len(); id++ {
+		if len(ix.subj(id)) > 0 {
+			out = append(out, s.terms.at(id))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return termLess(out[i], out[j]) })
@@ -562,13 +563,13 @@ func (g *Graph) Merge(other *Graph) int {
 	refs, _ := other.RefsSince(0) // an owned copy, renumbered in place below
 	// Taken after the refs, so it covers every ID they name.
 	terms := other.dict.snapshot()
-	remap := make([]ID, len(terms))
+	remap := make([]ID, terms.len())
 	for i := range remap {
 		remap[i] = NoID
 	}
 	local := func(id ID) ID {
 		if remap[id] == NoID {
-			remap[id] = g.dict.intern(terms[id])
+			remap[id] = g.dict.intern(terms.at(id))
 		}
 		return remap[id]
 	}

@@ -136,7 +136,7 @@ func (p *turtleParser) parsePrefix() error {
 	if p.eof() {
 		return p.errf("unterminated @prefix")
 	}
-	prefix := strings.TrimSpace(p.src[start:p.pos])
+	prefix := strings.Clone(strings.TrimSpace(p.src[start:p.pos]))
 	p.advance() // ':'
 	p.skipWS()
 	iri, err := p.parseIRIRef()
@@ -295,7 +295,7 @@ func (p *turtleParser) parseBlank() (Term, error) {
 	if p.pos == start {
 		return Term{}, p.errf("empty blank node label")
 	}
-	return Blank(p.src[start:p.pos]), nil
+	return Blank(strings.Clone(p.src[start:p.pos])), nil
 }
 
 func (p *turtleParser) parseStringLiteral() (Term, error) {
@@ -363,7 +363,7 @@ func (p *turtleParser) parseStringLiteral() (Term, error) {
 		if p.pos == start {
 			return Term{}, p.errf("empty language tag")
 		}
-		return LangLiteral(lex, p.src[start:p.pos]), nil
+		return LangLiteral(lex, strings.Clone(p.src[start:p.pos])), nil
 	}
 	if strings.HasPrefix(p.src[p.pos:], "^^") {
 		p.pos += 2
@@ -412,6 +412,7 @@ done:
 	if lex == "" || lex == "+" || lex == "-" {
 		return Term{}, p.errf("malformed number")
 	}
+	lex = strings.Clone(lex)
 	if seenDot || seenExp {
 		return TypedLiteral(lex, XSDDouble), nil
 	}

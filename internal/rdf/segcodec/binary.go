@@ -369,7 +369,10 @@ func (c *Columns) Materialize(into *rdf.Graph) {
 }
 
 // decodeDict rebuilds the front-coded term dictionary, rejecting one that is
-// not strictly ascending in the canonical term order.
+// not strictly ascending in the canonical term order. A term costs one
+// allocation, its Value: val carries the previous value's bytes, so the
+// shared prefix is already in place when the suffix is appended, and a Lang
+// or Datatype seen before in this dictionary is reused.
 func decodeDict(p []byte) ([]rdf.Term, error) {
 	n, p, err := getUvarint(p)
 	if err != nil {
@@ -381,7 +384,10 @@ func decodeDict(p []byte) ([]rdf.Term, error) {
 		return nil, fmt.Errorf("term count %d exceeds payload", n)
 	}
 	terms := make([]rdf.Term, 0, n)
-	prev := ""
+	var (
+		val  []byte
+		memo stringMemo
+	)
 	for i := uint64(0); i < n; i++ {
 		if len(p) == 0 {
 			return nil, fmt.Errorf("truncated at term %d", i)
@@ -395,21 +401,24 @@ func decodeDict(p []byte) ([]rdf.Term, error) {
 		if shared, p, err = getUvarint(p); err != nil {
 			return nil, err
 		}
-		if shared > uint64(len(prev)) {
-			return nil, fmt.Errorf("term %d: shared prefix %d exceeds previous value length %d", i, shared, len(prev))
+		if shared > uint64(len(val)) {
+			return nil, fmt.Errorf("term %d: shared prefix %d exceeds previous value length %d", i, shared, len(val))
 		}
-		var suffix string
-		if suffix, p, err = getString(p); err != nil {
+		var b []byte
+		if b, p, err = getBytes(p); err != nil {
 			return nil, fmt.Errorf("term %d: %v", i, err)
 		}
-		t := rdf.Term{Kind: kind, Value: prev[:shared] + suffix}
+		val = append(val[:shared], b...)
+		t := rdf.Term{Kind: kind, Value: string(val)}
 		if kind == rdf.LiteralTerm {
-			if t.Lang, p, err = getString(p); err != nil {
+			if b, p, err = getBytes(p); err != nil {
 				return nil, fmt.Errorf("term %d lang: %v", i, err)
 			}
-			if t.Datatype, p, err = getString(p); err != nil {
+			t.Lang = memo.get(b)
+			if b, p, err = getBytes(p); err != nil {
 				return nil, fmt.Errorf("term %d datatype: %v", i, err)
 			}
+			t.Datatype = memo.get(b)
 		}
 		// Strict order is part of the format: stats derive zone maps from
 		// dictionary positions and the pack builder merges dictionaries, so an
@@ -417,13 +426,37 @@ func decodeDict(p []byte) ([]rdf.Term, error) {
 		if i > 0 && !rdf.TermLess(terms[i-1], t) {
 			return nil, fmt.Errorf("term %d: dictionary is not strictly ascending", i)
 		}
-		prev = t.Value
 		terms = append(terms, t)
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", len(p))
 	}
 	return terms, nil
+}
+
+// stringMemo hands out one string per distinct byte sequence, for the few
+// language tags and datatype IRIs a dictionary repeats on every literal. It
+// is bounded: past its capacity a string is simply a fresh copy.
+type stringMemo struct {
+	seen [8]string
+	n    int
+}
+
+func (m *stringMemo) get(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	for _, s := range m.seen[:m.n] {
+		if string(b) == s { // compiled without a conversion
+			return s
+		}
+	}
+	s := string(b)
+	if m.n < len(m.seen) {
+		m.seen[m.n] = s
+		m.n++
+	}
+	return s
 }
 
 // decodeCols walks the delta-encoded ID columns into local-ID triples,
@@ -546,16 +579,22 @@ func getSvarint(p []byte) (int64, []byte, error) {
 	return v, p[n:], nil
 }
 
-// getString reads uvarint length-prefixed bytes as a string.
-func getString(p []byte) (string, []byte, error) {
+// getBytes reads uvarint length-prefixed bytes, aliasing p.
+func getBytes(p []byte) ([]byte, []byte, error) {
 	n, p, err := getUvarint(p)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if n > uint64(len(p)) {
-		return "", nil, fmt.Errorf("string length %d exceeds remaining %d bytes", n, len(p))
+		return nil, nil, fmt.Errorf("string length %d exceeds remaining %d bytes", n, len(p))
 	}
-	return string(p[:n]), p[n:], nil
+	return p[:n], p[n:], nil
+}
+
+// getString reads uvarint length-prefixed bytes as a string.
+func getString(p []byte) (string, []byte, error) {
+	b, p, err := getBytes(p)
+	return string(b), p, err
 }
 
 func commonPrefixLen(a, b string) int {

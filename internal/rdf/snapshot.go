@@ -25,7 +25,7 @@ import (
 // derives its own index from them in one linear pass (see buildSnapIndex).
 type Snapshot struct {
 	dict  *termDict
-	terms []Term
+	terms termTable
 	// refs is the pinned triple list: the surviving insertion-log prefix at
 	// the watermark, one entry per present triple — the log's own backing
 	// array while the graph never saw a Remove, an owned deduplicated copy
@@ -258,7 +258,7 @@ func (g *Graph) Snapshot() *Snapshot {
 	if incremental && base.idx.Load() != nil {
 		// The graph is being queried between appends: index the new pin now,
 		// under snapMu, not inside the next query's first probe.
-		ns.idx.Store(buildSnapIndex(ns.refs, len(ns.terms)))
+		ns.idx.Store(buildSnapIndex(ns.refs, ns.terms.len()))
 	}
 	g.snap.Store(ns)
 	return ns
@@ -295,7 +295,7 @@ func (s *Snapshot) index() *snapIndex {
 	if ix := s.idx.Load(); ix != nil {
 		return ix
 	}
-	ix := buildSnapIndex(s.refs, len(s.terms))
+	ix := buildSnapIndex(s.refs, s.terms.len())
 	s.idx.Store(ix)
 	return ix
 }
@@ -316,22 +316,22 @@ func (s *Snapshot) Watermark() int { return s.watermark }
 func (s *Snapshot) RemoveEpoch() uint64 { return s.removeEpoch }
 
 // TermCount returns the number of terms in the snapshot's term table.
-func (s *Snapshot) TermCount() int { return len(s.terms) }
+func (s *Snapshot) TermCount() int { return s.terms.len() }
 
 // TermOf returns the term interned under id, or the zero Term if id is
 // outside the snapshot's term table (including NoID).
 func (s *Snapshot) TermOf(id ID) Term {
-	if int(id) >= len(s.terms) {
+	if int(id) >= s.terms.len() {
 		return Term{}
 	}
-	return s.terms[id]
+	return s.terms.at(id)
 }
 
 // TermID returns the snapshot-visible dictionary ID of t. Terms interned
 // after the snapshot was taken report !ok: the snapshot is self-consistent.
 func (s *Snapshot) TermID(t Term) (ID, bool) {
 	id, ok := s.dict.lookup(t)
-	if !ok || int(id) >= len(s.terms) {
+	if !ok || int(id) >= s.terms.len() {
 		return 0, false
 	}
 	return id, true
@@ -340,7 +340,7 @@ func (s *Snapshot) TermID(t Term) (ID, bool) {
 // inRange reports whether the pattern IDs are answerable: NoID is the
 // wildcard, any other ID beyond the term table matches nothing.
 func (s *Snapshot) inRange(sid, pid, oid ID) bool {
-	n := ID(len(s.terms))
+	n := ID(s.terms.len())
 	return (sid == NoID || sid < n) && (pid == NoID || pid < n) && (oid == NoID || oid < n)
 }
 
@@ -375,7 +375,7 @@ func (s *Snapshot) ForEachMatch(sp, pp, op *Term, fn func(Triple) bool) {
 		}
 	}
 	s.ForEachMatchIDs(sid, pid, oid, func(si, pi, oi ID) bool {
-		return fn(Triple{S: s.terms[si], P: s.terms[pi], O: s.terms[oi]})
+		return fn(Triple{S: s.terms.at(si), P: s.terms.at(pi), O: s.terms.at(oi)})
 	})
 }
 

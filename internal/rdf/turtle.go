@@ -161,19 +161,19 @@ func (r *TermRenderer) Render(id ID) string {
 }
 
 // render is Render against an already-taken dictionary snapshot.
-func (r *TermRenderer) render(id ID, terms []Term) string {
-	if int(id) >= len(terms) {
+func (r *TermRenderer) render(id ID, terms termTable) string {
+	if int(id) >= terms.len() {
 		return Term{}.String()
 	}
 	r.mu.Lock()
 	if int(id) >= len(r.cache) {
-		grown := make([]string, len(terms))
+		grown := make([]string, terms.len())
 		copy(grown, r.cache)
 		r.cache = grown
 	}
 	s := r.cache[id]
 	if s == "" {
-		s = terms[id].String()
+		s = terms.at(id).String()
 		r.cache[id] = s
 	}
 	r.mu.Unlock()
@@ -192,12 +192,12 @@ func (r *TermRenderer) WriteNTriples(w io.Writer, refs []TripleID) error {
 	sort.Slice(refs, func(i, j int) bool {
 		a, b := refs[i], refs[j]
 		if a.S != b.S {
-			return termLess(terms[a.S], terms[b.S])
+			return termLess(terms.at(a.S), terms.at(b.S))
 		}
 		if a.P != b.P {
-			return termLess(terms[a.P], terms[b.P])
+			return termLess(terms.at(a.P), terms.at(b.P))
 		}
-		return a.O != b.O && termLess(terms[a.O], terms[b.O])
+		return a.O != b.O && termLess(terms.at(a.O), terms.at(b.O))
 	})
 	bw := bufio.NewWriter(w)
 	for _, t := range refs {

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -264,4 +265,37 @@ func TestMustExpandPanics(t *testing.T) {
 		}
 	}()
 	ns.MustExpand("zzz:x")
+}
+
+// TestParseDoesNotPinSource: every string the parser hands the dictionary is
+// its own allocation. A blank-node label, a number or a language tag that is a
+// substring of the source keeps the whole document reachable for as long as
+// the graph lives.
+func TestParseDoesNotPinSource(t *testing.T) {
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	g, ns := func() (*Graph, *Namespaces) {
+		filler := strings.Repeat("# "+strings.Repeat("x", 125)+"\n", 4<<20/128)
+		doc := filler + "@prefix ex: <http://e/> .\n_:b7 ex:count 42 ;\n ex:ratio 2.5e3 ;\n ex:label \"forty-two\"@en .\n" + filler
+		g, ns, err := ParseTurtle(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, ns
+	}()
+	after := liveHeap()
+	if g.Len() != 3 || !g.Has(Triple{S: Blank("b7"), P: IRI("http://e/count"), O: Integer(42)}) ||
+		!g.Has(Triple{S: Blank("b7"), P: IRI("http://e/label"), O: LangLiteral("forty-two", "en")}) {
+		t.Fatalf("parsed graph is wrong: %v", g.Triples())
+	}
+	runtime.KeepAlive(ns)
+	if after > before && after-before > 1<<20 {
+		t.Fatalf("graph of 3 triples keeps %d bytes live after its 8 MB source was dropped", after-before)
+	}
 }
