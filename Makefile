@@ -29,9 +29,12 @@ bench-paper:
 # bench/perf is its own Go module, so `go build ./... && go test ./...` at
 # the root never compiles it: this target vets and tests it and drives every
 # workload once at smoke scale, failing unless the run ends with "failed":0.
+# The run's records land in .bench_build/perf-smoke.json (-out appends, so the
+# previous run's file is removed first); CI uploads that file.
 perf-smoke:
 	cd bench/perf && $(GO) vet ./... && $(GO) test ./...
-	bash bench/perf/run.sh --workload all -scale smoke -rounds 1 | tail -n 1 | tee /dev/stderr | grep -q '"failed":0'
+	rm -f .bench_build/perf-smoke.json
+	bash bench/perf/run.sh --workload all -scale smoke -rounds 1 -out .bench_build/perf-smoke.json | tail -n 1 | tee /dev/stderr | grep -q '"failed":0'
 
 # The before/after a perf PR must show, in one command:
 #   make perf-compare BASE=<ref> [PAIRS=n]

@@ -49,15 +49,8 @@ func main() {
 		fatalf("unknown scale %q (want small|paper)", *scaleFlag)
 	}
 
-	ids := bench.IDs()
-	switch *exp {
-	case "all":
-		// paper exhibits only
-	case "ablations":
-		ids = []string{"abl-flush", "abl-pipeline", "abl-granularity", "abl-format",
-			"abl-guid", "abl-query", "abl-ingest", "abl-codec", "abl-parallel-query",
-			"abl-sparql", "abl-integrity", "abl-backend"}
-	default:
+	ids := bench.IDs() // "all": paper exhibits only
+	if *exp != "all" {
 		ids = strings.Split(*exp, ",")
 	}
 

@@ -14,10 +14,9 @@
 //   - Mount: an overlay that routes writes across tiers (hot deltas vs
 //     compacted history) so one logical store spans backends.
 //
-// The package is import-free of internal/core on purpose: core declares the
-// structurally identical StoreBackend interface, so these types satisfy it
-// without adapters, and internal/faultfs can decorate any of them while
-// remaining importable from core itself.
+// The package imports neither internal/core nor internal/faultfs: both alias
+// Storage (core.StoreBackend, faultfs.Backend), so faultfs can decorate any
+// of these types while remaining importable from core itself.
 package backend
 
 import (
@@ -25,8 +24,7 @@ import (
 )
 
 // Storage is one provenance-store substrate: a flat namespace of files
-// grouped under directories, addressed by slash-separated paths. It is the
-// structural twin of core.StoreBackend — keep the two method sets identical.
+// grouped under directories, addressed by slash-separated paths.
 //
 // Contract:
 //   - WriteFile replaces the whole file; whether the replacement is atomic
@@ -40,6 +38,7 @@ type Storage interface {
 	MkdirAll(dir string) error
 	WriteFile(path string, data []byte) error
 	ReadFile(path string) ([]byte, error)
+	// List returns the file names (not paths) inside dir, sorted.
 	List(dir string) ([]string, error)
 	Remove(path string) error
 	// Stat returns the file's size in bytes.

@@ -2,14 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/hpc-io/prov-io/internal/core"
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
-	"github.com/hpc-io/prov-io/internal/sparql"
 	"github.com/hpc-io/prov-io/internal/vfs"
-	"github.com/hpc-io/prov-io/internal/workloads/dassa"
 	"github.com/hpc-io/prov-io/internal/workloads/h5bench"
 )
 
@@ -162,115 +159,6 @@ func AblationFormat(s Scale) (*Report, error) {
 	r.AddRow("turtle", fmt.Sprintf("%d", turtle), "1.00")
 	r.AddRow("ntriples", fmt.Sprintf("%d", nt), fmt.Sprintf("%.2f", float64(nt)/float64(turtle)))
 	return r, nil
-}
-
-// AblationQuery compares the read path's two engines on the same provenance
-// graph: the legacy term-space evaluator (materialized rdf.Term bindings,
-// static boundness join heuristic) against the ID-space engine (fixed-width
-// []rdf.ID registers, index-cardinality join ordering). Lineage reduction is
-// compared the same way (ReduceLineageLegacy vs ReduceLineage).
-func AblationQuery(s Scale) (*Report, error) {
-	r := &Report{
-		ID:      "abl-query",
-		Title:   "Ablation: term-space vs ID-space query engine",
-		Columns: []string{"operation", "term-space(ms)", "id-space(ms)", "speedup"},
-		Notes:   []string{"ID-space execution avoids per-row term materialization; join order from index cardinalities"},
-	}
-
-	files := 16
-	if s == ScalePaper {
-		files = 128
-	}
-	dassaCfg := dassa.Config{Files: files, Ranks: 4, Lineage: dassa.AttrLineage}
-	store := vfs.NewStore()
-	if err := dassa.GenerateInputs(store.NewView(), dassaCfg); err != nil {
-		return nil, err
-	}
-	dres, err := dassa.Run(store, dassaCfg)
-	if err != nil {
-		return nil, err
-	}
-	g, err := dres.Store.Merge()
-	if err != nil {
-		return nil, err
-	}
-
-	prog := model.NodeIRI(model.Program, "decimate-a1")
-	queries := []struct {
-		name  string
-		query string
-	}{
-		{"BGP join (read set of a program)", fmt.Sprintf(
-			`SELECT DISTINCT ?file WHERE {
-				?file provio:wasReadBy ?api .
-				?api prov:wasAssociatedWith <%s> .
-			}`, prog)},
-		{"star scan (typed objects + names)",
-			`SELECT ?f ?n WHERE { ?f a provio:File . ?f provio:name ?n . }`},
-	}
-	const rounds = 20
-	for _, qc := range queries {
-		q, err := sparql.Parse(qc.query, model.Namespaces())
-		if err != nil {
-			return nil, err
-		}
-		legacyT, err := timeQuery(rounds, func() error {
-			_, err := sparql.EvalLegacy(g, q)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		idT, err := timeQuery(rounds, func() error {
-			_, err := sparql.Eval(g, q)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.AddRow(qc.name, fmtMillis(legacyT), fmtMillis(idT), fmtSpeedup(legacyT, idT))
-	}
-
-	product := rdf.IRI(model.NodeIRI(model.File, "/das/products/WestSac_0000.decimate.h5"))
-	legacyT, err := timeQuery(rounds, func() error {
-		core.ReduceLineageLegacy(g, []rdf.Term{product}, 0)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	idT, err := timeQuery(rounds, func() error {
-		// Uncached: this row compares the traversals, not the snapshot memo.
-		core.ReduceLineageUncached(g, []rdf.Term{product}, 0)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.AddRow("lineage reduction (full component)", fmtMillis(legacyT), fmtMillis(idT), fmtSpeedup(legacyT, idT))
-	return r, nil
-}
-
-// timeQuery returns the average wall time of fn over n rounds.
-func timeQuery(n int, fn func() error) (time.Duration, error) {
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := fn(); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start) / time.Duration(n), nil
-}
-
-func fmtMillis(d time.Duration) string {
-	return fmt.Sprintf("%.3f", float64(d.Nanoseconds())/1e6)
-}
-
-func fmtSpeedup(legacy, id time.Duration) string {
-	if id <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2fx", float64(legacy)/float64(id))
 }
 
 // AblationGUIDMerge quantifies the GUID-based merge deduplication (§5):

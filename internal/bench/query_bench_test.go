@@ -13,11 +13,10 @@ import (
 	"github.com/hpc-io/prov-io/internal/workloads/dassa"
 )
 
-// Benchmark pairs for the read path: each operation runs once against the
-// legacy term-space engine and once against the ID-space engine, on the same
-// DASSA provenance graph. Run with -benchmem — the ID engine's headline win
-// is allocations (no per-row Binding maps, no term materialization until the
-// Result), which compounds into time on join-heavy queries.
+// Read-path benchmarks on one DASSA provenance graph: a §6 BGP join through
+// the serial and the morsel-driven executor, and the lineage BFS. Run with
+// -benchmem — allocations per query are the figure the ID-space engine is
+// built around.
 
 var (
 	queryBenchOnce  sync.Once
@@ -69,17 +68,6 @@ func BenchmarkQueryBGP(b *testing.B) {
 	}
 }
 
-func BenchmarkQueryBGPLegacy(b *testing.B) {
-	g, q, _ := queryBenchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sparql.EvalLegacy(g, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkQueryBGPParallel runs the §6 query through the morsel-driven
 // executor at 1/2/4/8 workers. Multi-worker speedups require multiple cores
 // (GOMAXPROCS); on a single-core runner the sub-benchmarks measure the
@@ -106,14 +94,5 @@ func BenchmarkLineageReduce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Uncached so the benchmark measures the BFS, not the snapshot memo.
 		core.ReduceLineageUncached(g, []rdf.Term{root}, 0)
-	}
-}
-
-func BenchmarkLineageReduceLegacy(b *testing.B) {
-	g, _, root := queryBenchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.ReduceLineageLegacy(g, []rdf.Term{root}, 0)
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Runner executes one experiment at a scale.
@@ -28,22 +29,14 @@ var registry = map[string]Runner{
 	"fig8":   Fig8,
 	"fig9":   Fig9,
 
-	// Ablations of DESIGN.md's called-out design choices (not paper
-	// exhibits; excluded from 'all').
-	"abl-flush":          AblationFlush,
-	"abl-pipeline":       AblationPipeline,
-	"abl-granularity":    AblationGranularity,
-	"abl-format":         AblationFormat,
-	"abl-guid":           AblationGUIDMerge,
-	"abl-query":          AblationQuery,
-	"abl-ingest":         AblationIngest,
-	"abl-codec":          AblationCodec,
-	"abl-parallel-query": AblationParallelQuery,
-	"abl-sparql":         AblationSPARQL,
-	"abl-integrity":      AblationIntegrity,
-	"abl-backend":        AblationBackend,
-	"abl-lsm":            AblationLSM,
-	"abl-outofcore":      AblationOutOfCore,
+	// Virtual-clock ablations of the paper's §4.2/§4.3/§5 design choices (not
+	// paper exhibits; excluded from 'all'). Wall-clock, per-layer measurements
+	// live in bench/perf.
+	"abl-flush":       AblationFlush,
+	"abl-pipeline":    AblationPipeline,
+	"abl-granularity": AblationGranularity,
+	"abl-format":      AblationFormat,
+	"abl-guid":        AblationGUIDMerge,
 }
 
 // order lists experiment IDs in presentation order.
@@ -71,6 +64,9 @@ func Lookup(id string) (Runner, bool) {
 func Run(id string, s Scale) (*Report, error) {
 	r, ok := registry[id]
 	if !ok {
+		if strings.HasPrefix(id, "abl-") {
+			return nil, fmt.Errorf("bench: %q is not an experiment; wall-clock and per-layer measurements are bench/perf rows (see bench/perf/README.md)", id)
+		}
 		known := make([]string, 0, len(registry))
 		for k := range registry {
 			known = append(known, k)

@@ -70,7 +70,7 @@ type LevelScan struct {
 // (loose files and pack members) the store holds, how many were actually
 // decoded, and how the work split across levels (level 0 = loose files,
 // level N = members of an L-N pack). provio-query -plan and provio-stats
-// render it; the abl-lsm benchmark records it.
+// render it.
 type ScanStats struct {
 	Files        int                `json:"files"`         // store files listed (a pack counts once)
 	Packs        int                `json:"packs"`         // pack containers among Files

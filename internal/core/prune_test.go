@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -353,6 +354,81 @@ func TestPrunedVsExhaustiveProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSelectiveReadsDecodeFewUnits: pushdown has to skip most of a store, not
+// merely never lose an answer. Twelve processes own disjoint entities; ten
+// leave sealed delta segments that PackSegments(1) folds into one pack, two
+// leave canonical files. A query on one process's file, and the 2-hop lineage
+// of that file, may each decode at most a quarter of the store's units —
+// counted from ScanStats, so the bound does not depend on the clock.
+func TestSelectiveReadsDecodeFewUnits(t *testing.T) {
+	const nPids, recordsPer = 12, 24
+	store := newBinaryVFSStore(t)
+	var probe rdf.Term // a data object private to pid 0
+	for pid := 0; pid < nPids; pid++ {
+		cfg := DefaultConfig()
+		canonical := pid >= nPids-2
+		if !canonical {
+			cfg.Mode = ModePeriodic
+			cfg.FlushEvery = 8
+		}
+		tr := NewTracker(cfg, store, pid)
+		user := tr.RegisterUser(fmt.Sprintf("user-p%02d", pid))
+		prog := tr.RegisterProgram(fmt.Sprintf("program-p%02d", pid), user)
+		for i := 0; i < recordsPer; i++ {
+			obj := tr.TrackDataObject(model.File, fmt.Sprintf("/exp/p%02d/f%03d", pid, i), "", rdf.Term{}, rdf.Term{})
+			if pid == 0 && i == 0 {
+				probe = obj
+			}
+			tr.TrackIO(model.Write, "write", obj, prog, time.Duration(i)*time.Microsecond, 0)
+		}
+		finish := tr.Drain
+		if canonical {
+			finish = tr.Close
+		}
+		if err := finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := store.PackSegments(1); err != nil {
+		t.Fatal(err)
+	}
+	full := mustMerge(t, store)
+
+	fewUnits := func(read string, scan *ScanStats) {
+		t.Helper()
+		t.Logf("%s: decoded %d of %d units (%d/%d packs pruned whole)", read, scan.Decoded, scan.Units, scan.PacksSkipped, scan.Packs)
+		if scan.Units < 4*nPids {
+			t.Fatalf("%s: store has only %d units; the 25%% bound needs a store worth pruning", read, scan.Units)
+		}
+		if scan.Decoded == 0 || 4*scan.Decoded > scan.Units {
+			t.Fatalf("%s: decoded %d of %d units, want between 1 and 25%%", read, scan.Decoded, scan.Units)
+		}
+		if scan.Decoded+scan.Skipped != scan.Units {
+			t.Fatalf("%s: scan accounting broken: %+v", read, scan)
+		}
+	}
+
+	pattern := PrunePattern{S: &probe}
+	pruned, qscan, err := store.MergePruned(&SegmentPruner{Patterns: []PrunePattern{pattern}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Find(&probe, nil, nil)) == 0 {
+		t.Fatal("probe has no triples in the full merge")
+	}
+	matchSubset(t, full, pruned, pattern, "selective query")
+	fewUnits("selective query", qscan)
+
+	lineage, lscan, err := store.ReduceLineagePruned([]rdf.Term{probe}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ReduceLineage(full, []rdf.Term{probe}, 2); want.Len() == 0 || !bytes.Equal(ntBytes(t, want), ntBytes(t, lineage)) {
+		t.Fatalf("pruned 2-hop lineage (%d triples) differs from reducing the full merge (%d triples)", lineage.Len(), want.Len())
+	}
+	fewUnits("2-hop lineage", lscan)
 }
 
 // TestPackCorruptionMatrix flips one bit at every byte offset of a pack file

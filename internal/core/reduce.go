@@ -49,9 +49,8 @@ func ReduceLineage(g *rdf.Graph, roots []rdf.Term, maxHops int) *rdf.Graph {
 }
 
 // ReduceLineageUncached is ReduceLineage without the snapshot memo: every
-// call runs the BFS and returns a graph the caller owns. The abl-query
-// ablation times this variant so the ID-space-vs-term-space comparison is
-// not short-circuited by the cache.
+// call runs the BFS and returns a graph the caller owns, so a benchmark of
+// the traversal is not short-circuited by the cache.
 func ReduceLineageUncached(g *rdf.Graph, roots []rdf.Term, maxHops int) *rdf.Graph {
 	out, _ := reduceLineageKept(g, roots, maxHops)
 	return out
@@ -186,81 +185,6 @@ func lineageRelationIDs(v *rdf.Snapshot) map[rdf.ID]bool {
 		add(rel.IRI())
 	}
 	return relations
-}
-
-// ReduceLineageLegacy is the previous term-space implementation of
-// ReduceLineage, kept as the ablation baseline for the abl-query benchmark.
-// It must stay semantically identical to ReduceLineage.
-func ReduceLineageLegacy(g *rdf.Graph, roots []rdf.Term, maxHops int) *rdf.Graph {
-	keep := map[rdf.Term]int{}
-	frontier := make([]rdf.Term, 0, len(roots))
-	for _, r := range roots {
-		if r.IsZero() {
-			continue
-		}
-		keep[r] = 0
-		frontier = append(frontier, r)
-	}
-
-	relations := map[rdf.Term]bool{}
-	for _, rel := range model.AllRelations() {
-		if rel.IRI() == model.WasMemberOf.IRI() {
-			continue
-		}
-		relations[rel.IRI()] = true
-	}
-	for _, rel := range []model.Relation{model.PropType, model.PropConfig, model.PropMetric} {
-		relations[rel.IRI()] = true
-	}
-
-	for len(frontier) > 0 {
-		node := frontier[0]
-		frontier = frontier[1:]
-		depth := keep[node]
-		if maxHops > 0 && depth >= maxHops {
-			continue
-		}
-		visit := func(next rdf.Term) {
-			if !next.IsIRI() && !next.IsBlank() {
-				return
-			}
-			if _, seen := keep[next]; seen {
-				return
-			}
-			keep[next] = depth + 1
-			frontier = append(frontier, next)
-		}
-		n := node
-		g.ForEachMatch(&n, nil, nil, func(t rdf.Triple) bool {
-			if relations[t.P] {
-				visit(t.O)
-			}
-			return true
-		})
-		g.ForEachMatch(nil, nil, &n, func(t rdf.Triple) bool {
-			if relations[t.P] {
-				visit(t.S)
-			}
-			return true
-		})
-	}
-
-	out := rdf.NewGraph()
-	g.ForEachMatch(nil, nil, nil, func(t rdf.Triple) bool {
-		_, sKept := keep[t.S]
-		if !sKept {
-			return true
-		}
-		if relations[t.P] {
-			if _, oKept := keep[t.O]; oKept {
-				out.Add(t)
-			}
-			return true
-		}
-		out.Add(t)
-		return true
-	})
-	return out
 }
 
 // MergeStores merges the sub-graphs of several provenance stores — the

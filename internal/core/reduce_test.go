@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/hpc-io/prov-io/internal/model"
@@ -151,5 +152,134 @@ func TestReduceLineageCache(t *testing.T) {
 	b := ReduceLineageUncached(g, []rdf.Term{nodes[3]}, 2)
 	if a == b {
 		t.Fatal("ReduceLineageUncached returned a shared graph")
+	}
+}
+
+// ReduceLineageLegacy is the term-space implementation ReduceLineage
+// replaced: rdf.Term-keyed visited set and relation set, probes through
+// ForEachMatch. It is the oracle of TestReduceLineageMatchesTermSpaceOracle.
+func ReduceLineageLegacy(g *rdf.Graph, roots []rdf.Term, maxHops int) *rdf.Graph {
+	keep := map[rdf.Term]int{}
+	frontier := make([]rdf.Term, 0, len(roots))
+	for _, r := range roots {
+		if r.IsZero() {
+			continue
+		}
+		keep[r] = 0
+		frontier = append(frontier, r)
+	}
+
+	relations := map[rdf.Term]bool{}
+	for _, rel := range model.AllRelations() {
+		if rel.IRI() == model.WasMemberOf.IRI() {
+			continue
+		}
+		relations[rel.IRI()] = true
+	}
+	for _, rel := range []model.Relation{model.PropType, model.PropConfig, model.PropMetric} {
+		relations[rel.IRI()] = true
+	}
+
+	for len(frontier) > 0 {
+		node := frontier[0]
+		frontier = frontier[1:]
+		depth := keep[node]
+		if maxHops > 0 && depth >= maxHops {
+			continue
+		}
+		visit := func(next rdf.Term) {
+			if !next.IsIRI() && !next.IsBlank() {
+				return
+			}
+			if _, seen := keep[next]; seen {
+				return
+			}
+			keep[next] = depth + 1
+			frontier = append(frontier, next)
+		}
+		n := node
+		g.ForEachMatch(&n, nil, nil, func(t rdf.Triple) bool {
+			if relations[t.P] {
+				visit(t.O)
+			}
+			return true
+		})
+		g.ForEachMatch(nil, nil, &n, func(t rdf.Triple) bool {
+			if relations[t.P] {
+				visit(t.S)
+			}
+			return true
+		})
+	}
+
+	out := rdf.NewGraph()
+	g.ForEachMatch(nil, nil, nil, func(t rdf.Triple) bool {
+		_, sKept := keep[t.S]
+		if !sKept {
+			return true
+		}
+		if relations[t.P] {
+			if _, oKept := keep[t.O]; oKept {
+				out.Add(t)
+			}
+			return true
+		}
+		out.Add(t)
+		return true
+	})
+	return out
+}
+
+// TestReduceLineageMatchesTermSpaceOracle: on random graphs the ID-space
+// reducer (memoized and uncached) returns exactly the oracle's triples. The
+// graphs mix traversable relation edges, annotation edges, wasMemberOf edges
+// into shared class nodes (kept as annotations, never followed) and literal
+// objects on relation predicates (kept out of the closure); root sets
+// include none, zero terms and nodes the graph has never seen.
+func TestReduceLineageMatchesTermSpaceOracle(t *testing.T) {
+	node := func(i int) rdf.Term { return rdf.IRI(model.NodeIRI(model.File, fmt.Sprintf("/n%d", i))) }
+	class := func(i int) rdf.Term { return rdf.IRI(model.NodeIRI(model.Program, fmt.Sprintf("class%d", i))) }
+	relations := []model.Relation{
+		model.WasDerivedFrom, model.WasReadBy, model.WasWrittenBy, model.Used, model.PropConfig,
+	}
+	annotations := []model.Relation{model.PropName, model.PropAccuracy}
+
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := 4 + rng.Intn(28)
+		g := rdf.NewGraph()
+		for i, edges := 0, nodes+rng.Intn(3*nodes); i < edges; i++ {
+			s := node(rng.Intn(nodes))
+			switch rng.Intn(6) {
+			case 0:
+				g.Add(rdf.Triple{S: s, P: annotations[rng.Intn(len(annotations))].IRI(), O: rdf.Literal(fmt.Sprintf("v%d", rng.Intn(5)))})
+			case 1:
+				g.Add(rdf.Triple{S: s, P: model.WasMemberOf.IRI(), O: class(rng.Intn(2))})
+			case 2:
+				g.Add(rdf.Triple{S: s, P: relations[rng.Intn(len(relations))].IRI(), O: rdf.Literal(fmt.Sprintf("lit%d", rng.Intn(3)))})
+			default:
+				g.Add(rdf.Triple{S: s, P: relations[rng.Intn(len(relations))].IRI(), O: node(rng.Intn(nodes))})
+			}
+		}
+		rootSets := [][]rdf.Term{
+			nil,
+			{{}},
+			{node(nodes + 7)}, // never added to the graph
+			{node(rng.Intn(nodes))},
+			{node(rng.Intn(nodes)), {}, node(nodes + 7), node(rng.Intn(nodes))},
+			{class(0)},
+			{rdf.Literal("lit0")},
+		}
+		for ri, roots := range rootSets {
+			for _, hops := range []int{0, 1, 2, 5} {
+				want := canonicalNT(t, ReduceLineageLegacy(g, roots, hops))
+				if got := canonicalNT(t, ReduceLineageUncached(g, roots, hops)); got != want {
+					t.Fatalf("seed %d roots #%d hops %d: ReduceLineageUncached differs from the oracle\ngot:\n%swant:\n%s", seed, ri, hops, got, want)
+				}
+				if got := canonicalNT(t, ReduceLineage(g, roots, hops)); got != want {
+					t.Fatalf("seed %d roots #%d hops %d: ReduceLineage differs from the oracle\ngot:\n%swant:\n%s", seed, ri, hops, got, want)
+				}
+			}
+		}
 	}
 }

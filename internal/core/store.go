@@ -22,33 +22,9 @@ import (
 // "Store backends & mounts"). The store's whole write model fits this
 // interface — whole-file reads and writes of named files inside one logical
 // directory — which is what keeps the chain, verification, and recovery code
-// backend-agnostic.
-//
-// The method set is the structural twin of backend.Storage (and of the
-// Backend interface internal/faultfs decorates); it is stated here rather
-// than aliased so core does not depend on the backend package for its
-// central abstraction, and so fault-injection wrappers satisfy it without
-// adapters. Keep the three in sync.
-//
-// Contract:
-//   - WriteFile replaces the whole file; whether the replacement is atomic
-//     is advertised by the CapAtomicWrite bit of Caps.
-//   - ReadFile and Stat report a missing file with an error satisfying
-//     errors.Is(err, fs.ErrNotExist).
-//   - List returns the sorted file names (not paths) directly inside dir.
-//   - Remove fails if the file does not exist.
-type StoreBackend interface {
-	MkdirAll(dir string) error
-	WriteFile(path string, data []byte) error
-	ReadFile(path string) ([]byte, error)
-	// List returns the file names (not paths) inside dir, sorted.
-	List(dir string) ([]string, error)
-	Remove(path string) error
-	// Stat returns the file's size in bytes.
-	Stat(path string) (int64, error)
-	// Caps advertises the backend's capability flags (backend.Cap* bits).
-	Caps() uint32
-}
+// backend-agnostic. The method set and its contract are declared once, as
+// backend.Storage.
+type StoreBackend = backend.Storage
 
 // Backend is the StoreBackend interface's historical name, kept for the
 // existing construction call sites.

@@ -5,15 +5,16 @@
 // backend.
 //
 // It grew out of the private faultBackend in internal/core's fault tests and
-// is shared by those tests, the crash-consistency sweep (core.RunCrashSweep),
-// the provio-bench integrity ablation, and fuzz targets. Everything is
-// deterministic: behavior depends only on the configured switches, the seed,
-// and the sequence of operations — never on wall-clock time or goroutine
-// scheduling — so any failing run replays exactly from its parameters.
+// is shared by those tests, the crash-consistency sweep (core.RunCrashSweep)
+// and fuzz targets. Everything is deterministic: behavior depends only on the
+// configured switches, the seed, and the sequence of operations — never on
+// wall-clock time or goroutine scheduling — so any failing run replays
+// exactly from its parameters.
 //
-// The package deliberately does not import internal/core: it declares the
-// same structural Backend interface, so core's VFSBackend and OSBackend
-// satisfy it without an adapter, and an *FS satisfies core.Backend.
+// The package deliberately does not import internal/core: Backend and
+// core.StoreBackend are both aliases of backend.Storage, so core's VFSBackend
+// and OSBackend can be decorated without an adapter, and an *FS is a
+// core.Backend.
 package faultfs
 
 import (
@@ -21,23 +22,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+
+	"github.com/hpc-io/prov-io/internal/backend"
 )
 
-// Backend is the storage interface faultfs decorates — structurally
-// identical to core.StoreBackend (and backend.Storage), redeclared here so
-// faultfs stays importable from core itself.
-type Backend interface {
-	MkdirAll(dir string) error
-	WriteFile(path string, data []byte) error
-	ReadFile(path string) ([]byte, error)
-	// List returns the file names (not paths) inside dir, sorted.
-	List(dir string) ([]string, error)
-	Remove(path string) error
-	// Stat returns the file's size in bytes.
-	Stat(path string) (int64, error)
-	// Caps advertises the backend's capability flags.
-	Caps() uint32
-}
+// Backend is the storage interface faultfs decorates.
+type Backend = backend.Storage
 
 // ErrInjected is the error returned by operations failed through the
 // FailWrites/FailReads/FailList/FailWritesAfter switches.

@@ -13,21 +13,6 @@ import (
 // Binding maps variable names to terms.
 type Binding map[string]rdf.Term
 
-// clone copies a binding.
-func (b Binding) clone() Binding {
-	nb := make(Binding, len(b)+1)
-	for k, v := range b {
-		nb[k] = v
-	}
-	return nb
-}
-
-// lookupVar implements env for the legacy term-space evaluator.
-func (b Binding) lookupVar(name string) (rdf.Term, bool) {
-	t, ok := b[name]
-	return t, ok
-}
-
 // Result is the solution sequence of a SELECT query.
 type Result struct {
 	// Vars are the projected variable names in order.
@@ -72,8 +57,7 @@ func (i ExecInfo) Summary() string {
 // §4.4): Compile builds a Plan whose basic graph patterns are join-ordered
 // by index-cardinality estimates, and the executor runs the plan entirely in
 // dictionary-ID space — bindings are fixed-width []rdf.ID registers, and
-// terms are rehydrated only when the Result is materialized. EvalLegacy
-// keeps the previous term-space evaluator as a baseline.
+// terms are rehydrated only when the Result is materialized.
 //
 // The plan runs against g.Snapshot(): the graph lock is taken once to pin
 // the view, and every index probe after that is lock-free, so queries no
@@ -322,8 +306,8 @@ func foldNumeric(fn AggFunc, vals []rdf.Term) (rdf.Term, bool) {
 
 // finishTermRows runs the shared term-space finish tail on materialized
 // output rows: DISTINCT, the deterministic sort, OFFSET/LIMIT. Both the
-// ID-space aggregate finisher and the legacy evaluator end here, so their
-// tails cannot diverge.
+// ID-space aggregate finisher and the test-only term-space oracle
+// (oracle_test.go) end here, so their tails cannot diverge.
 func finishTermRows(q *Query, project []string, rows []Binding) *Result {
 	if q.Distinct {
 		rows = dedupeRows(project, rows)
@@ -342,11 +326,68 @@ func finishTermRows(q *Query, project []string, rows []Binding) *Result {
 	return &Result{Vars: project, Rows: rows}
 }
 
+func dedupeRows(vars []string, rows []Binding) []Binding {
+	seen := make(map[string]struct{}, len(rows))
+	out := rows[:0]
+	for _, r := range rows {
+		k := rowKey(vars, r)
+		if _, dup := seen[k]; dup {
+			continue
+		}
+		seen[k] = struct{}{}
+		out = append(out, r)
+	}
+	return out
+}
+
+// rowKey builds a dedupe key by concatenating term strings with a \x00
+// separator. A literal containing the separator can collide with an
+// adjacent column; the ID-space executor keys on fixed-width IDs, which
+// cannot collide, so only the aggregate finisher's one row per group still
+// comes through here.
+func rowKey(vars []string, r Binding) string {
+	var b strings.Builder
+	for _, v := range vars {
+		if t, ok := r[v]; ok {
+			b.WriteString(t.String())
+		}
+		b.WriteByte('\x00')
+	}
+	return b.String()
+}
+
+func sortRows(rows []Binding, keys []OrderKey) {
+	sort.SliceStable(rows, func(i, j int) bool {
+		for _, k := range keys {
+			a, aok := rows[i][k.Var]
+			b, bok := rows[j][k.Var]
+			if !aok && !bok {
+				continue
+			}
+			if !aok {
+				return !k.Desc // unbound sorts first ascending
+			}
+			if !bok {
+				return k.Desc
+			}
+			c := compareTerms(a, b)
+			if c == 0 {
+				continue
+			}
+			if k.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+}
+
 // ---- FILTER expression evaluation ----
 
-// env resolves variable references during FILTER evaluation. The legacy
-// evaluator passes Binding maps; the ID-space executor passes register rows
-// that hydrate terms on demand.
+// env resolves variable references during FILTER evaluation. The ID-space
+// executor passes register rows that hydrate terms on demand; the term-space
+// test oracle passes Binding maps.
 type env interface {
 	lookupVar(name string) (rdf.Term, bool)
 }

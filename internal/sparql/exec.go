@@ -186,9 +186,8 @@ type groupAcc struct {
 
 // finishAggregate groups the solution rows by the GROUP BY registers and
 // folds each aggregate, then renders one output row per group. Output rows
-// are materialized into term space and finished with the legacy helpers
-// (dedupeRows/sortRows), so the ID-space and term-space engines share the
-// exact same tail.
+// are materialized into term space and finished by finishTermRows, the tail
+// the term-space test oracle ends in too.
 func (e *executor) finishAggregate(rows []idRow) (*Result, error) {
 	p, q := e.plan, e.plan.q
 

@@ -1,39 +1,24 @@
 package sparql
 
 import (
-	"sort"
 	"strings"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
 
-// This file preserves the term-space evaluator that predates the ID-space
-// planner/executor split. It materializes a map[string]rdf.Term binding per
-// candidate row and probes the graph through ForEachMatch, rehydrating every
-// matched triple into full Terms. It is kept verbatim as:
-//
-//   - the baseline of the abl-query ablation (ID-space vs term-space), and
-//   - the oracle of the planner parity tests: EvalLegacyNaive evaluates
-//     basic graph patterns in textual left-to-right order with no
-//     reordering, so any planner bug that changes the solution multiset
-//     shows up against it.
+// This file is the term-space reference evaluator the parity suites compare
+// the ID-space engine against (parity_test.go, parallel_test.go,
+// aggregate_test.go). It predates the planner/executor split: it materializes
+// a map[string]rdf.Term binding per candidate row, probes the graph through
+// ForEachMatch, and evaluates basic graph patterns in textual left-to-right
+// order with no reordering — join order is a pure optimization, so any
+// planner bug that changes the solution multiset shows up against it. It
+// shares only the finish tail and the aggregate arithmetic (finishTermRows,
+// foldNumeric, compareTerms) with the engine under test.
 
-// EvalLegacy evaluates a parsed query with the term-space evaluator, using
-// the static greedy selectivity heuristic for BGP join order.
-func EvalLegacy(g *rdf.Graph, q *Query) (*Result, error) {
-	return evalLegacy(g, q, true)
-}
-
-// EvalLegacyNaive evaluates a parsed query with the term-space evaluator in
-// naive textual order: basic graph patterns run left-to-right exactly as
-// written. Join order is a pure optimization, so the solution multiset must
-// equal Eval's for every query.
+// EvalLegacyNaive evaluates a parsed query with the term-space evaluator.
 func EvalLegacyNaive(g *rdf.Graph, q *Query) (*Result, error) {
-	return evalLegacy(g, q, false)
-}
-
-func evalLegacy(g *rdf.Graph, q *Query, reorder bool) (*Result, error) {
-	bindings, err := evalGroupTerms(g, q.Where, []Binding{{}}, reorder)
+	bindings, err := evalGroupTerms(g, q.Where, []Binding{{}})
 	if err != nil {
 		return nil, err
 	}
@@ -61,6 +46,22 @@ func evalLegacy(g *rdf.Graph, q *Query, reorder bool) (*Result, error) {
 	// The finish tail (DISTINCT, total-order sort, OFFSET/LIMIT) is shared
 	// with the ID-space executor so the two cannot diverge.
 	return finishTermRows(q, vars, rows), nil
+}
+
+// clone copies a binding.
+func (b Binding) clone() Binding {
+	nb := make(Binding, len(b)+1)
+	for k, v := range b {
+		nb[k] = v
+	}
+	return nb
+}
+
+// lookupVar implements env for the term-space evaluator: FILTER expressions read
+// bindings directly.
+func (b Binding) lookupVar(name string) (rdf.Term, bool) {
+	t, ok := b[name]
+	return t, ok
 }
 
 // legacyAggState accumulates one aggregate over one group in term space.
@@ -190,70 +191,14 @@ func legacyAggValue(a Aggregate, st *legacyAggState) (rdf.Term, bool) {
 	}
 }
 
-func dedupeRows(vars []string, rows []Binding) []Binding {
-	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		k := rowKey(vars, r)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, r)
-	}
-	return out
-}
-
-// rowKey builds a dedupe key by concatenating term strings with a \x00
-// separator. A literal containing the separator can collide with an
-// adjacent column; the ID-space executor replaced this with fixed-width
-// ID keys, which cannot collide. Kept for the legacy baseline only.
-func rowKey(vars []string, r Binding) string {
-	var b strings.Builder
-	for _, v := range vars {
-		if t, ok := r[v]; ok {
-			b.WriteString(t.String())
-		}
-		b.WriteByte('\x00')
-	}
-	return b.String()
-}
-
-func sortRows(rows []Binding, keys []OrderKey) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			a, aok := rows[i][k.Var]
-			b, bok := rows[j][k.Var]
-			if !aok && !bok {
-				continue
-			}
-			if !aok {
-				return !k.Desc // unbound sorts first ascending
-			}
-			if !bok {
-				return k.Desc
-			}
-			c := compareTerms(a, b)
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-}
-
 // ---- group evaluation ----
 
-func evalGroupTerms(g *rdf.Graph, grp *Group, in []Binding, reorder bool) ([]Binding, error) {
+func evalGroupTerms(g *rdf.Graph, grp *Group, in []Binding) ([]Binding, error) {
 	cur := in
 	var bgp []TriplePattern
 	flushBGP := func() {
 		if len(bgp) > 0 {
-			cur = evalBGPTerms(g, bgp, cur, reorder)
+			cur = evalBGPTerms(g, bgp, cur)
 			bgp = nil
 		}
 	}
@@ -262,8 +207,7 @@ func evalGroupTerms(g *rdf.Graph, grp *Group, in []Binding, reorder bool) ([]Bin
 		switch e := e.(type) {
 		case TriplePattern:
 			// Consecutive triple patterns form a basic graph pattern;
-			// they are join-order independent, so they are batched and
-			// (when reorder is set) reordered by selectivity.
+			// they are batched and run in textual order.
 			bgp = append(bgp, e)
 			continue
 		case FilterElem:
@@ -271,10 +215,10 @@ func evalGroupTerms(g *rdf.Graph, grp *Group, in []Binding, reorder bool) ([]Bin
 			cur, err = applyFilterTerms(e.Expr, cur)
 		case OptionalElem:
 			flushBGP()
-			cur, err = applyOptionalTerms(g, e.Group, cur, reorder)
+			cur, err = applyOptionalTerms(g, e.Group, cur)
 		case UnionElem:
 			flushBGP()
-			cur, err = applyUnionTerms(g, e.Alternatives, cur, reorder)
+			cur, err = applyUnionTerms(g, e.Alternatives, cur)
 		}
 		if err != nil {
 			return nil, err
@@ -290,84 +234,16 @@ func evalGroupTerms(g *rdf.Graph, grp *Group, in []Binding, reorder bool) ([]Bin
 	return cur, nil
 }
 
-// evalBGPTerms evaluates a basic graph pattern. With reorder set it uses
-// the static greedy heuristic (most constant/already-bound positions first);
-// otherwise patterns run in textual order.
-func evalBGPTerms(g *rdf.Graph, patterns []TriplePattern, in []Binding, reorder bool) []Binding {
-	if !reorder {
-		cur := in
-		for _, tp := range patterns {
-			if len(cur) == 0 {
-				return cur
-			}
-			cur = evalTriplePattern(g, tp, cur)
-		}
-		return cur
-	}
-	bound := map[string]bool{}
-	for _, b := range in {
-		for v := range b {
-			bound[v] = true
-		}
-	}
-	remaining := append([]TriplePattern(nil), patterns...)
+// evalBGPTerms evaluates a basic graph pattern in textual order.
+func evalBGPTerms(g *rdf.Graph, patterns []TriplePattern, in []Binding) []Binding {
 	cur := in
-	for len(remaining) > 0 && len(cur) > 0 {
-		best, bestScore := 0, -1
-		for i, tp := range remaining {
-			s := staticSelectivity(tp, bound)
-			if s > bestScore {
-				best, bestScore = i, s
-			}
+	for _, tp := range patterns {
+		if len(cur) == 0 {
+			return cur
 		}
-		tp := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
 		cur = evalTriplePattern(g, tp, cur)
-		markBound(tp, bound)
 	}
 	return cur
-}
-
-// staticSelectivity scores a pattern by how constrained it is under the
-// current bound-variable set: constants and bound variables count, with the
-// predicate position weighted highest. This is the pre-planner heuristic;
-// the ID-space planner replaced it with index-cardinality estimates.
-func staticSelectivity(tp TriplePattern, bound map[string]bool) int {
-	score := 0
-	posScore := func(n NodePattern, w int) int {
-		if !n.IsVar() || bound[n.Var] {
-			return w
-		}
-		return 0
-	}
-	score += posScore(tp.S, 2)
-	score += posScore(tp.O, 2)
-	if !tp.P.IsVar() {
-		score += 3
-		// Property paths with closure modifiers are costlier; prefer plain
-		// predicates at equal boundness.
-		for _, st := range tp.P.Steps {
-			if st.Mod != PathOnce {
-				score--
-				break
-			}
-		}
-	} else if bound[tp.P.Var] {
-		score += 3
-	}
-	return score
-}
-
-func markBound(tp TriplePattern, bound map[string]bool) {
-	if tp.S.IsVar() {
-		bound[tp.S.Var] = true
-	}
-	if tp.P.IsVar() {
-		bound[tp.P.Var] = true
-	}
-	if tp.O.IsVar() {
-		bound[tp.O.Var] = true
-	}
 }
 
 func applyFilterTerms(expr Expr, in []Binding) ([]Binding, error) {
@@ -384,10 +260,10 @@ func applyFilterTerms(expr Expr, in []Binding) ([]Binding, error) {
 	return out, nil
 }
 
-func applyOptionalTerms(g *rdf.Graph, sub *Group, in []Binding, reorder bool) ([]Binding, error) {
+func applyOptionalTerms(g *rdf.Graph, sub *Group, in []Binding) ([]Binding, error) {
 	var out []Binding
 	for _, b := range in {
-		matched, err := evalGroupTerms(g, sub, []Binding{b}, reorder)
+		matched, err := evalGroupTerms(g, sub, []Binding{b})
 		if err != nil {
 			return nil, err
 		}
@@ -400,10 +276,10 @@ func applyOptionalTerms(g *rdf.Graph, sub *Group, in []Binding, reorder bool) ([
 	return out, nil
 }
 
-func applyUnionTerms(g *rdf.Graph, alts []*Group, in []Binding, reorder bool) ([]Binding, error) {
+func applyUnionTerms(g *rdf.Graph, alts []*Group, in []Binding) ([]Binding, error) {
 	var out []Binding
 	for _, alt := range alts {
-		matched, err := evalGroupTerms(g, alt, cloneBindings(in), reorder)
+		matched, err := evalGroupTerms(g, alt, cloneBindings(in))
 		if err != nil {
 			return nil, err
 		}

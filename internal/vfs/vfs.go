@@ -649,14 +649,8 @@ func (f *File) Write(p []byte) (int, error) {
 	if !f.writable() {
 		return 0, &fs.PathError{Op: "write", Path: f.name, Err: ErrReadOnly}
 	}
-	if f.flag&O_APPEND != 0 {
-		f.node.mu.Lock()
-		f.off = int64(len(f.node.data))
-		f.node.mu.Unlock()
-	}
-	n, err := f.writeAtLocked(p, f.off)
-	f.off += int64(n)
-	return n, err
+	f.off = f.writeAtLocked(p, f.off, f.flag&O_APPEND != 0)
+	return len(p), nil
 }
 
 // WriteAt writes p at offset off.
@@ -669,12 +663,20 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if !f.writable() {
 		return 0, &fs.PathError{Op: "write", Path: f.name, Err: ErrReadOnly}
 	}
-	return f.writeAtLocked(p, off)
+	f.writeAtLocked(p, off, false)
+	return len(p), nil
 }
 
-func (f *File) writeAtLocked(p []byte, off int64) (int, error) {
+// writeAtLocked writes p at off — or, with atEnd, at the node's current end —
+// and returns the offset after it. The end is read inside the same node.mu
+// critical section that writes, so two O_APPEND handles on one node never
+// take the same offset.
+func (f *File) writeAtLocked(p []byte, off int64, atEnd bool) int64 {
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
+	if atEnd {
+		off = int64(len(f.node.data))
+	}
 	end := off + int64(len(p))
 	if end > int64(len(f.node.data)) {
 		if end <= int64(cap(f.node.data)) {
@@ -695,7 +697,7 @@ func (f *File) writeAtLocked(p []byte, off int64) (int, error) {
 	}
 	copy(f.node.data[off:end], p)
 	f.view.chargeWrite(int64(len(p)))
-	return len(p), nil
+	return end
 }
 
 // Seek sets the file offset.

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -127,7 +128,7 @@ func TestConcurrentAppendersInterleaveWithoutLoss(t *testing.T) {
 	v := newTestView()
 	v.WriteFile("/log", nil)
 	var wg sync.WaitGroup
-	const writers, per = 8, 50
+	const writers, per = 8, 500
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -147,6 +148,13 @@ func TestConcurrentAppendersInterleaveWithoutLoss(t *testing.T) {
 	data, _ := v.ReadFile("/log")
 	if len(data) != writers*per {
 		t.Errorf("len = %d, want %d (appends lost)", len(data), writers*per)
+	}
+	// Two handles that took the same offset overwrite each other; the
+	// per-writer counts say whose appends were lost.
+	for w := 0; w < writers; w++ {
+		if n := bytes.Count(data, []byte{byte('a' + w)}); n != per {
+			t.Errorf("writer %d: %d of its %d appends survived", w, n, per)
+		}
 	}
 }
 
