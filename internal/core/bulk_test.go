@@ -304,6 +304,28 @@ func h5benchStoreFiles(b *testing.B) (files map[string][]byte, size int64) {
 	return files, size
 }
 
+// BenchmarkTrackIO is the harness's h5bench ingest in one rank: each
+// iteration tracks 1024 records, all but eleven of them timed TrackIO over 8
+// datasets, flushing every 512 to a mem: store. allocs/op ÷ 1024 is the
+// harness's track_allocs_per_record, flush encoding included.
+func BenchmarkTrackIO(b *testing.B) {
+	store, err := OpenStore("mem:", FormatBinary)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr := trackH5benchRank(store, i)
+		if err := tr.Drain(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		_ = tr.Close() // stops the rank's flush writer
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchPerRank), "ns/record")
+}
+
 func BenchmarkPackSegments(b *testing.B) {
 	files, size := h5benchStoreFiles(b)
 	b.SetBytes(size)

@@ -134,13 +134,17 @@ func (t *Tracker) Stats() (records, triples int64) {
 	return t.nRecords, t.nTriples
 }
 
-// recordScratch recycles the per-record triple slice across tracking calls.
-// A record's triples are copied into the graph's dictionary and indexes by
-// AddBatch, so once addRecord returns nothing references the slice and it
-// can be handed to the next record.
+// scratchPool recycles the per-record triple slice and value buffer across
+// tracking calls. A record's triples are copied into the graph's dictionary
+// and log by AddBatch and its minted values into the dictionary's string
+// chunks, so once addRecord returns nothing references the scratch and it can
+// be handed to the next record.
 var scratchPool = sync.Pool{New: func() any { return &recordScratch{} }}
 
-type recordScratch struct{ ts []rdf.Triple }
+type recordScratch struct {
+	ts  []rdf.Triple
+	buf []byte // the values a record mints are formatted here
+}
 
 // addRecord inserts a record's triples, charges its cost, and handles
 // periodic flushing. Caller passes the triples already built.
@@ -326,19 +330,20 @@ func (t *Tracker) takeDeferred(primary error) error {
 }
 
 // record is any provenance record that can append its triples to a reusable
-// slice, returning the record node. Generic (not an interface parameter) so
+// slice, minting its values out of a reusable buffer through the tracker's
+// graph, and return the record node. Generic (not an interface parameter) so
 // the record value is not boxed on the hot path.
 type record interface {
-	AppendTriples([]rdf.Triple) ([]rdf.Triple, rdf.Term)
+	Build(*rdf.Graph, []rdf.Triple, []byte) ([]rdf.Triple, []byte, rdf.Term)
 }
 
-// track builds rec's triples into a pooled scratch slice, inserts them as
-// one batch, recycles the scratch, and returns the record node.
+// track builds rec's triples into a pooled scratch, inserts them as one
+// batch, recycles the scratch, and returns the record node.
 func track[R record](t *Tracker, rec R) rdf.Term {
 	sc := scratchPool.Get().(*recordScratch)
-	ts, node := rec.AppendTriples(sc.ts[:0])
-	t.addRecord(ts)
-	sc.ts = ts
+	var node rdf.Term
+	sc.ts, sc.buf, node = rec.Build(t.graph, sc.ts[:0], sc.buf)
+	t.addRecord(sc.ts)
 	scratchPool.Put(sc)
 	return node
 }
@@ -380,9 +385,10 @@ func (t *Tracker) RegisterThread(rank int, program rdf.Term) rdf.Term {
 	if !t.cfg.Enabled(model.Thread) {
 		return rdf.Term{}
 	}
+	var buf [32]byte
 	rec := model.AgentRecord{
 		Class: model.Thread,
-		ID:    "MPI_rank_" + strconv.Itoa(rank),
+		ID:    string(strconv.AppendInt(append(buf[:0], "MPI_rank_"...), int64(rank), 10)),
 		Rank:  rank,
 	}
 	if !program.IsZero() {
@@ -430,9 +436,8 @@ func (t *Tracker) TrackDerivation(product, source rdf.Term) {
 		return
 	}
 	sc := scratchPool.Get().(*recordScratch)
-	ts := append(sc.ts[:0], rdf.Triple{S: product, P: model.WasDerivedFrom.IRI(), O: source})
-	t.addRecord(ts)
-	sc.ts = ts
+	sc.ts = append(sc.ts[:0], rdf.Triple{S: product, P: model.WasDerivedFrom.IRI(), O: source})
+	t.addRecord(sc.ts)
 	scratchPool.Put(sc)
 }
 

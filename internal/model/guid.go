@@ -5,7 +5,13 @@ import (
 	"encoding/hex"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
+
+// iriStackLen sizes the stack buffers of the string-returning IRI helpers
+// and of AppendTriples: an IRI that fits is built with one allocation, the
+// final string.
+const iriStackLen = 160
 
 // NodeIRI mints the globally unique IRI (GUID) for a provenance node.
 //
@@ -16,62 +22,95 @@ import (
 // IRIs — which denote individual API invocations — additionally embed the
 // process and a per-process sequence number, mirroring the paper's
 // "H5Dcreate2-b1" style identifiers.
-//
-// The class's namespace prefix is precomputed at class construction, so for
-// the common already-IRI-safe identity this is one string concatenation.
 func NodeIRI(class Class, identity string) string {
-	prefix := class.nodePrefix
-	if prefix == "" {
+	var buf [iriStackLen]byte
+	return string(appendNodeIRI(buf[:0], class, identity))
+}
+
+// appendNodeIRI appends NodeIRI(class, identity) to dst. The class's
+// namespace prefix is precomputed at class construction.
+func appendNodeIRI(dst []byte, class Class, identity string) []byte {
+	dst = appendNodePrefix(dst, class)
+	from := len(dst)
+	return escapeIdentity(append(dst, identity...), from, true)
+}
+
+func appendNodePrefix(dst []byte, class Class) []byte {
+	if class.nodePrefix == "" {
 		// Zero or hand-built Class: fall back to computing the prefix.
-		prefix = ProvIONS + strings.ToLower(class.Name) + "/"
+		dst = append(dst, ProvIONS...)
+		dst = append(dst, strings.ToLower(class.Name)...)
+		return append(dst, '/')
 	}
-	return prefix + escapeIdentity(identity)
+	return append(dst, class.nodePrefix...)
 }
 
-// ActivityIRI mints the IRI of one I/O API invocation: the API name, the
-// process ID, and a per-process sequence number. Built by appending into a
-// stack buffer — one allocation for the final string, no fmt machinery.
+// ActivityIRI mints the IRI of one I/O API invocation: the API name (made
+// IRI-safe like a node identity), the process ID, and a per-process sequence
+// number.
 func ActivityIRI(apiName string, pid, seq int) string {
-	var buf [96]byte
-	b := append(buf[:0], ProvIONS...)
-	b = append(b, "api/"...)
-	b = append(b, apiName...)
-	b = append(b, "-p"...)
-	b = strconv.AppendInt(b, int64(pid), 10)
-	b = append(b, "-b"...)
-	b = strconv.AppendInt(b, int64(seq), 10)
-	return string(b)
+	var buf [iriStackLen]byte
+	return string(appendActivityIRI(buf[:0], apiName, pid, seq))
 }
 
-// escapeIdentity makes an arbitrary identity string safe inside an IRI while
-// keeping common path characters readable. Identities that contain unsafe
-// characters are suffixed with a short content hash to preserve uniqueness.
-func escapeIdentity(id string) string {
+func appendActivityIRI(dst []byte, apiName string, pid, seq int) []byte {
+	dst = append(dst, ProvIONS...)
+	dst = append(dst, "api/"...)
+	from := len(dst)
+	dst = escapeIdentity(append(dst, apiName...), from, false)
+	dst = append(dst, "-p"...)
+	dst = strconv.AppendInt(dst, int64(pid), 10)
+	dst = append(dst, "-b"...)
+	return strconv.AppendInt(dst, int64(seq), 10)
+}
+
+// identitySafe reports whether c may stand in an IRI as it is: the
+// characters of common paths and names.
+func identitySafe(c byte) bool {
+	switch {
+	case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
+		return true
+	}
+	return c == '/' || c == '.' || c == '-' || c == '_'
+}
+
+// escapeIdentity rewrites b[from:], an arbitrary identity, in place so it is
+// safe inside an IRI while common path characters stay readable: every other
+// character (a whole UTF-8 sequence, or one stray byte) becomes '_', and an
+// identity that needed that is suffixed with a short hash of its original
+// bytes to stay unique. trimSlash drops one leading '/', for identities that
+// follow a prefix already ending in one. The result is never longer than the
+// identity plus the 9-byte suffix, and a safe identity is left byte-identical.
+func escapeIdentity(b []byte, from int, trimSlash bool) []byte {
+	id := b[from:]
 	safe := true
-	for _, r := range id {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-		case r == '/' || r == '.' || r == '-' || r == '_':
-		default:
+	for _, c := range id {
+		if !identitySafe(c) {
 			safe = false
-		}
-		if !safe {
 			break
 		}
 	}
+	i := 0
+	if trimSlash && len(id) > 0 && id[0] == '/' {
+		i = 1
+	}
 	if safe {
-		return strings.TrimPrefix(id, "/")
+		return append(b[:from], id[i:]...)
 	}
-	sum := sha256.Sum256([]byte(id))
-	var b strings.Builder
-	for _, r := range id {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '/' || r == '.' || r == '-' || r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
+	sum := sha256.Sum256(id)
+	w := from
+	for i < len(id) {
+		c, n := id[i], 1
+		if !identitySafe(c) {
+			if c >= utf8.RuneSelf {
+				_, n = utf8.DecodeRune(id[i:])
+			}
+			c = '_'
 		}
+		b[w] = c
+		w++
+		i += n
 	}
-	return strings.TrimPrefix(b.String(), "/") + "-" + hex.EncodeToString(sum[:4])
+	b = append(b[:w], '-')
+	return hex.AppendEncode(b, sum[:4])
 }

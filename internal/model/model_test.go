@@ -314,15 +314,6 @@ func TestExtensibleRecordOwnerLinkByClass(t *testing.T) {
 	}
 }
 
-func TestItoa(t *testing.T) {
-	cases := map[int]string{0: "0", 7: "7", 42: "42", -3: "-3", 1234567: "1234567"}
-	for n, want := range cases {
-		if got := itoa(n); got != want {
-			t.Errorf("itoa(%d) = %q, want %q", n, got, want)
-		}
-	}
-}
-
 func TestAllRelationsHaveDescriptions(t *testing.T) {
 	rels := AllRelations()
 	if len(rels) != 12 {

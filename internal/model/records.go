@@ -1,10 +1,39 @@
 package model
 
 import (
+	"strconv"
+	"strings"
 	"time"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
+
+// Every record kind has one triple-building method,
+//
+//	Build(g, dst, buf) (dst, buf, node)
+//
+// which appends the record's triples to dst and returns the record node. The
+// values a record mints — node and activity IRIs, numeric literals — are
+// formatted into buf[:0], a buffer the caller reuses from one record to the
+// next (Build returns it, possibly grown), and turned into terms by mint.
+// AppendTriples is Build without a graph.
+
+// mint turns the value formatted in buf into a term. With a graph it is the
+// graph's own interned copy (rdf.Graph.InternBytes): nothing is allocated for
+// a value g already holds, and a new one is copied once, into g's dictionary.
+// Without one it is a fresh string.
+func mint(g *rdf.Graph, kind rdf.TermKind, buf []byte, datatype string) rdf.Term {
+	if g != nil {
+		return g.InternBytes(kind, buf, "", datatype)
+	}
+	return rdf.Term{Kind: kind, Value: string(buf), Datatype: datatype}
+}
+
+// mintInteger mints rdf.Integer(v).
+func mintInteger(g *rdf.Graph, buf []byte, v int64) ([]byte, rdf.Term) {
+	buf = strconv.AppendInt(buf[:0], v, 10)
+	return buf, mint(g, rdf.LiteralTerm, buf, rdf.XSDInteger)
+}
 
 // DataObjectRecord describes one Entity node (a Data Object sub-class
 // instance) plus its membership and attribution triples.
@@ -30,11 +59,20 @@ func (r DataObjectRecord) Triples() []rdf.Triple {
 	return ts
 }
 
-// AppendTriples appends the record's triples to dst — which the tracker
-// recycles across records — and returns the extended slice plus the record
-// node (same term IRI() mints, built once).
+// AppendTriples appends the record's triples to dst and returns the extended
+// slice plus the record node (same term IRI() mints, built once). It is
+// Build without a graph.
 func (r DataObjectRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Term) {
-	node := r.IRI()
+	var buf [iriStackLen]byte
+	dst, _, node := r.Build(nil, dst, buf[:0])
+	return dst, node
+}
+
+// Build appends the record's triples to dst and returns the record node,
+// minted through g when g is not nil (see mint).
+func (r DataObjectRecord) Build(g *rdf.Graph, dst []rdf.Triple, buf []byte) ([]rdf.Triple, []byte, rdf.Term) {
+	buf = appendNodeIRI(buf[:0], r.Class, r.ID)
+	node := mint(g, rdf.IRITerm, buf, "")
 	name := r.Name
 	if name == "" {
 		name = r.ID
@@ -50,7 +88,7 @@ func (r DataObjectRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Ter
 	if r.AttributedTo != "" {
 		dst = append(dst, rdf.Triple{S: node, P: WasAttributedTo.IRI(), O: rdf.IRI(r.AttributedTo)})
 	}
-	return dst, node
+	return dst, buf, node
 }
 
 // IOActivityRecord describes one I/O API invocation (an Activity node) and
@@ -81,10 +119,20 @@ func (r IOActivityRecord) Triples() []rdf.Triple {
 }
 
 // AppendTriples appends the record's triples to dst and returns the extended
-// slice plus the activity node (minted once — this record is the ingest hot
-// path, one per tracked API call).
+// slice plus the activity node. It is Build without a graph.
 func (r IOActivityRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Term) {
-	node := r.IRI()
+	var buf [iriStackLen]byte
+	dst, _, node := r.Build(nil, dst, buf[:0])
+	return dst, node
+}
+
+// Build appends the record's triples to dst and returns the activity node;
+// the node and the two duration literals are minted through g when g is not
+// nil (see mint). This record is the ingest hot path, one per tracked API
+// call.
+func (r IOActivityRecord) Build(g *rdf.Graph, dst []rdf.Triple, buf []byte) ([]rdf.Triple, []byte, rdf.Term) {
+	buf = appendActivityIRI(buf[:0], r.API, r.PID, r.Seq)
+	node := mint(g, rdf.IRITerm, buf, "")
 	dst = append(dst,
 		rdf.Triple{S: node, P: rdfTypeTerm, O: r.Class.IRI()},
 		rdf.Triple{S: node, P: WasMemberOf.IRI(), O: superActivityTerm},
@@ -98,12 +146,15 @@ func (r IOActivityRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Ter
 		dst = append(dst, rdf.Triple{S: node, P: AssociatedWith.IRI(), O: r.Agent})
 	}
 	if r.TrackDuration {
+		var elapsed, started rdf.Term
+		buf, elapsed = mintInteger(g, buf, r.Elapsed.Nanoseconds())
+		buf, started = mintInteger(g, buf, r.Started.Nanoseconds())
 		dst = append(dst,
-			rdf.Triple{S: node, P: PropElapsed.IRI(), O: rdf.Integer(r.Elapsed.Nanoseconds())},
-			rdf.Triple{S: node, P: PropTimestamp.IRI(), O: rdf.Integer(r.Started.Nanoseconds())},
+			rdf.Triple{S: node, P: PropElapsed.IRI(), O: elapsed},
+			rdf.Triple{S: node, P: PropTimestamp.IRI(), O: started},
 		)
 	}
-	return dst, node
+	return dst, buf, node
 }
 
 // AgentRecord describes a User, Thread, or Program agent.
@@ -128,9 +179,19 @@ func (r AgentRecord) Triples() []rdf.Triple {
 }
 
 // AppendTriples appends the record's triples to dst and returns the extended
-// slice plus the agent node (minted once).
+// slice plus the agent node. It is Build without a graph.
 func (r AgentRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Term) {
-	node := r.IRI()
+	var buf [iriStackLen]byte
+	dst, _, node := r.Build(nil, dst, buf[:0])
+	return dst, node
+}
+
+// Build appends the record's triples to dst and returns the agent node; the
+// node and the rank literal are minted through g when g is not nil (see
+// mint).
+func (r AgentRecord) Build(g *rdf.Graph, dst []rdf.Triple, buf []byte) ([]rdf.Triple, []byte, rdf.Term) {
+	buf = appendNodeIRI(buf[:0], r.Class, r.ID)
+	node := mint(g, rdf.IRITerm, buf, "")
 	name := r.Name
 	if name == "" {
 		name = r.ID
@@ -144,9 +205,11 @@ func (r AgentRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Term) {
 		dst = append(dst, rdf.Triple{S: node, P: ActedOnBehalfOf.IRI(), O: rdf.IRI(r.OnBehalfOf)})
 	}
 	if r.Class.Name == Thread.Name && r.Rank >= 0 {
-		dst = append(dst, rdf.Triple{S: node, P: PropRank.IRI(), O: rdf.Integer(int64(r.Rank))})
+		var rank rdf.Term
+		buf, rank = mintInteger(g, buf, int64(r.Rank))
+		dst = append(dst, rdf.Triple{S: node, P: PropRank.IRI(), O: rank})
 	}
-	return dst, node
+	return dst, buf, node
 }
 
 // ExtensibleRecord describes a Type, Configuration, or Metrics node — the
@@ -170,25 +233,25 @@ type ExtensibleRecord struct {
 // records never collide). Owners minted by this vocabulary are compacted to
 // their local part so record IRIs stay short in the store.
 func (r ExtensibleRecord) IRI() rdf.Term {
-	id := r.Key
-	if r.Owner != "" {
-		owner := r.Owner
-		if rest, ok := cutPrefix(owner, ProvIONS); ok {
-			owner = rest
-		}
-		id = owner + "/" + r.Key
-	}
-	if r.Version >= 0 {
-		id += "/v" + itoa(r.Version)
-	}
-	return rdf.IRI(NodeIRI(r.Class, id))
+	var buf [iriStackLen]byte
+	return rdf.IRI(string(r.appendIRI(buf[:0])))
 }
 
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
+// appendIRI appends the node IRI of the identity "owner/key/vN" — no owner
+// part without an Owner, no version part for a negative Version.
+func (r ExtensibleRecord) appendIRI(dst []byte) []byte {
+	dst = appendNodePrefix(dst, r.Class)
+	from := len(dst)
+	if r.Owner != "" {
+		dst = append(dst, strings.TrimPrefix(r.Owner, ProvIONS)...)
+		dst = append(dst, '/')
 	}
-	return s, false
+	dst = append(dst, r.Key...)
+	if r.Version >= 0 {
+		dst = append(dst, "/v"...)
+		dst = strconv.AppendInt(dst, int64(r.Version), 10)
+	}
+	return escapeIdentity(dst, from, true)
 }
 
 // Triples renders the record as RDF.
@@ -198,9 +261,19 @@ func (r ExtensibleRecord) Triples() []rdf.Triple {
 }
 
 // AppendTriples appends the record's triples to dst and returns the extended
-// slice plus the record node (minted once).
+// slice plus the record node. It is Build without a graph.
 func (r ExtensibleRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Term) {
-	node := r.IRI()
+	var buf [iriStackLen]byte
+	dst, _, node := r.Build(nil, dst, buf[:0])
+	return dst, node
+}
+
+// Build appends the record's triples to dst and returns the record node; the
+// node and the version and accuracy literals are minted through g when g is
+// not nil (see mint).
+func (r ExtensibleRecord) Build(g *rdf.Graph, dst []rdf.Triple, buf []byte) ([]rdf.Triple, []byte, rdf.Term) {
+	buf = r.appendIRI(buf[:0])
+	node := mint(g, rdf.IRITerm, buf, "")
 	dst = append(dst,
 		rdf.Triple{S: node, P: rdfTypeTerm, O: r.Class.IRI()},
 		rdf.Triple{S: node, P: PropName.IRI(), O: rdf.Literal(r.Key)},
@@ -209,10 +282,13 @@ func (r ExtensibleRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Ter
 		dst = append(dst, rdf.Triple{S: node, P: PropValue.IRI(), O: r.Value})
 	}
 	if r.Version >= 0 {
-		dst = append(dst, rdf.Triple{S: node, P: PropVersion.IRI(), O: rdf.Integer(int64(r.Version))})
+		var version rdf.Term
+		buf, version = mintInteger(g, buf, int64(r.Version))
+		dst = append(dst, rdf.Triple{S: node, P: PropVersion.IRI(), O: version})
 	}
 	if r.HasAccuracy {
-		dst = append(dst, rdf.Triple{S: node, P: PropAccuracy.IRI(), O: rdf.Double(r.Accuracy)})
+		buf = strconv.AppendFloat(buf[:0], r.Accuracy, 'g', -1, 64) // rdf.Double's form
+		dst = append(dst, rdf.Triple{S: node, P: PropAccuracy.IRI(), O: mint(g, rdf.LiteralTerm, buf, rdf.XSDDouble)})
 	}
 	if r.Owner != "" {
 		var link Relation
@@ -226,27 +302,5 @@ func (r ExtensibleRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Ter
 		}
 		dst = append(dst, rdf.Triple{S: rdf.IRI(r.Owner), P: link.IRI(), O: node})
 	}
-	return dst, node
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return dst, buf, node
 }

@@ -3,6 +3,7 @@ package rdf
 import (
 	"hash/maphash"
 	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -53,6 +54,14 @@ const (
 	dictChunkMinBits = 4
 	dictChunkMaxBits = 10
 
+	// Values interned from bytes are copied into string chunks the dictionary
+	// owns, sized like the entry chunks: the first holds 1<<strChunkMinBits
+	// bytes, each next one twice that until 1<<strChunkMaxBits, so a tracker
+	// with a handful of terms holds 256 bytes and a large one wastes at most
+	// the tail of one 4 KB chunk.
+	strChunkMinBits = 8
+	strChunkMaxBits = 12
+
 	// minDictSlots is a stripe's initial slot count.
 	minDictSlots = 8
 
@@ -82,6 +91,13 @@ func locate(id ID) (chunk int, off uint64) {
 //     the insertion log rely on. Writers append under tmu and publish through
 //     the atomics; readers never lock it.
 //
+// A term arrives either as a Term, whose value string the entry then shares
+// with whoever built it, or with its value as bytes (internBytes): the probe
+// (findBytes) compares the bytes in place, and only a miss copies them, into
+// a string chunk the dictionary owns. A caller that formats values into a reused
+// buffer therefore allocates nothing for a term the dictionary already holds
+// and retains nothing of it.
+//
 // Lock ordering: a shard lock may be held while acquiring tmu; tmu is never
 // held while acquiring a shard lock.
 //
@@ -97,6 +113,9 @@ type termDict struct {
 
 	tmu    sync.Mutex
 	auxIDs map[langType]uint32 // pair -> aux; guarded by tmu
+	// strs is the string chunk being filled; guarded by tmu. A full chunk is
+	// dropped from here and lives on through the entries cut from it.
+	strs strings.Builder
 
 	// Append-only and published by atomic store after the write they cover.
 	// chunks and aux are republished only when they grow (an append into
@@ -120,12 +139,19 @@ func (d *termDict) init() {
 // so a file with 10⁵ language tags on one lexical form does not pile onto one
 // probe chain. The top bits pick the stripe, the low 32 go into the slot.
 func (d *termDict) hash(t Term) uint64 {
-	h := maphash.String(d.seed, t.Value) ^ uint64(t.Kind)<<56
-	if t.Lang != "" {
-		h = (h ^ maphash.String(d.seed, t.Lang)) * 0x9E3779B97F4A7C15
+	return d.hashFrom(maphash.String(d.seed, t.Value), t.Kind, t.Lang, t.Datatype)
+}
+
+// hashFrom finishes a term's hash from the hash of its value: maphash hashes
+// bytes and the string of those bytes alike, so a value held either way
+// hashes to one number.
+func (d *termDict) hashFrom(h uint64, kind TermKind, lang, datatype string) uint64 {
+	h ^= uint64(kind) << 56
+	if lang != "" {
+		h = (h ^ maphash.String(d.seed, lang)) * 0x9E3779B97F4A7C15
 	}
-	if t.Datatype != "" {
-		h = (bits.RotateLeft64(h, 29) ^ maphash.String(d.seed, t.Datatype)) * 0xD6E8FEB86659FD93
+	if datatype != "" {
+		h = (bits.RotateLeft64(h, 29) ^ maphash.String(d.seed, datatype)) * 0xD6E8FEB86659FD93
 	}
 	return h ^ h>>32
 }
@@ -161,7 +187,18 @@ func (tt termTable) at(id ID) Term {
 // Term equality does: no normalisation.
 func (tt termTable) holds(id ID, t Term) bool {
 	e := tt.entry(id)
-	if e.kind != t.Kind || e.value != t.Value {
+	return e.value == t.Value && tt.holdsRest(e, t)
+}
+
+// holdsBytes is holds with string(raw) for t.Value, compared in place.
+func (tt termTable) holdsBytes(id ID, t Term, raw []byte) bool {
+	e := tt.entry(id)
+	return e.value == string(raw) && tt.holdsRest(e, t)
+}
+
+// holdsRest compares everything but the value.
+func (tt termTable) holdsRest(e dictEntry, t Term) bool {
+	if e.kind != t.Kind {
 		return false
 	}
 	if e.aux == 0 {
@@ -192,6 +229,26 @@ func (d *termDict) find(sh *dictShard, h uint32, t Term) (ID, bool) {
 			return 0, false
 		}
 		if s.hash == h && tt.holds(ID(s.ref-1), t) {
+			return ID(s.ref - 1), true
+		}
+	}
+}
+
+// findBytes is find for t with string(raw) as its value. It is a copy of the
+// loop, not a parameter of it: every insert of every graph runs find a dozen
+// times, and carrying raw through it cost those probes 7 %.
+func (d *termDict) findBytes(sh *dictShard, h uint32, t Term, raw []byte) (ID, bool) {
+	if len(sh.slots) == 0 {
+		return 0, false
+	}
+	tt := d.snapshot()
+	mask := uint32(len(sh.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := sh.slots[i]
+		if s.ref == 0 {
+			return 0, false
+		}
+		if s.hash == h && tt.holdsBytes(ID(s.ref-1), t, raw) {
 			return ID(s.ref - 1), true
 		}
 	}
@@ -233,10 +290,40 @@ func (d *termDict) intern(t Term) ID {
 	if id, ok := d.lookupHashed(h64, t); ok {
 		return id
 	}
+	return d.add(h64, t, nil)
+}
+
+// internBytes is intern for t with string(raw) as its value; t.Value must be
+// empty. Nothing is allocated for a term already held; a new term's value is
+// copied into a string chunk, so raw may be reused as soon as the call
+// returns.
+func (d *termDict) internBytes(t Term, raw []byte) ID {
+	h64 := d.hashFrom(maphash.Bytes(d.seed, raw), t.Kind, t.Lang, t.Datatype)
+	sh, h := d.split(h64)
+	sh.mu.RLock()
+	id, ok := d.findBytes(sh, h, t, raw)
+	sh.mu.RUnlock()
+	if ok {
+		return id
+	}
+	return d.add(h64, t, raw)
+}
+
+// add is the miss path of both interns: under the stripe's write lock it
+// looks again and, still absent, appends the term — its value string(raw)
+// when raw is not nil — and points a slot at it.
+func (d *termDict) add(h64 uint64, t Term, raw []byte) ID {
 	sh, h := d.split(h64)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if id, ok := d.find(sh, h, t); ok {
+	var id ID
+	var ok bool
+	if raw != nil {
+		id, ok = d.findBytes(sh, h, t, raw)
+	} else {
+		id, ok = d.find(sh, h, t)
+	}
+	if ok {
 		return id
 	}
 	if (sh.used+1)*4 > len(sh.slots)*3 {
@@ -249,14 +336,15 @@ func (d *termDict) intern(t Term) ID {
 		}
 		sh.slots = grown
 	}
-	id := d.append(t)
+	id = d.append(t, raw)
 	place(sh.slots, dictSlot{hash: h, ref: uint32(id) + 1})
 	sh.used++
 	return id
 }
 
-// append publishes t as the next entry and returns its ID.
-func (d *termDict) append(t Term) ID {
+// append publishes t as the next entry and returns its ID. A non-nil raw is
+// the entry's value, copied into the dictionary's own string chunk.
+func (d *termDict) append(t Term, raw []byte) ID {
 	d.tmu.Lock()
 	defer d.tmu.Unlock()
 	n := d.n.Load()
@@ -264,6 +352,9 @@ func (d *termDict) append(t Term) ID {
 		panic("rdf: term dictionary exceeds the uint32 ID limit")
 	}
 	e := dictEntry{value: t.Value, kind: t.Kind}
+	if raw != nil {
+		e.value = d.ownLocked(raw)
+	}
 	if t.Lang != "" || t.Datatype != "" {
 		e.aux = d.auxLocked(langType{t.Lang, t.Datatype})
 	}
@@ -279,6 +370,24 @@ func (d *termDict) append(t Term) ID {
 	return ID(n)
 }
 
+// ownLocked returns a copy of raw held in the current string chunk, starting
+// a new chunk when raw does not fit in what is left of this one. Writing into
+// a Builder's spare capacity never moves what it already holds, so strings
+// cut from it earlier stay valid. Caller holds tmu.
+func (d *termDict) ownLocked(raw []byte) string {
+	if len(raw) == 0 {
+		return ""
+	}
+	if d.strs.Cap()-d.strs.Len() < len(raw) {
+		size := min(max(2*d.strs.Cap(), 1<<strChunkMinBits), 1<<strChunkMaxBits)
+		d.strs = strings.Builder{}
+		d.strs.Grow(max(size, len(raw)))
+	}
+	at := d.strs.Len()
+	d.strs.Write(raw)
+	return d.strs.String()[at:]
+}
+
 // auxLocked returns the side-table reference of a non-empty pair, adding it
 // if new. Caller holds tmu.
 func (d *termDict) auxLocked(p langType) uint32 {
@@ -289,6 +398,13 @@ func (d *termDict) auxLocked(p langType) uint32 {
 	d.aux.Store(&aux)
 	d.auxIDs[p] = uint32(len(aux))
 	return uint32(len(aux))
+}
+
+// valueAt returns the value string of entry id, which must be an ID this
+// dictionary handed out: the chunk directory published before that covers it.
+func (d *termDict) valueAt(id ID) string {
+	c, off := locate(id)
+	return (*d.chunks.Load())[c][off].value
 }
 
 // count returns the number of interned terms.

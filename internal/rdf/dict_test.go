@@ -15,6 +15,7 @@ type dictModel struct {
 	d     termDict
 	ids   map[Term]ID
 	terms []Term
+	buf   []byte // the caller's reused buffer of internBytes
 }
 
 func newDictModel(t *testing.T) *dictModel {
@@ -25,13 +26,33 @@ func newDictModel(t *testing.T) *dictModel {
 
 func (m *dictModel) intern(term Term) {
 	m.t.Helper()
+	m.interned(term, m.d.intern(term))
+}
+
+// internBytes interns term with its value passed as bytes, then scribbles
+// over those bytes: the dictionary must have copied what it kept.
+func (m *dictModel) internBytes(term Term) {
+	m.t.Helper()
+	m.buf = append(m.buf[:0], term.Value...)
+	shape := term
+	shape.Value = ""
+	got := m.d.internBytes(shape, m.buf)
+	for i := range m.buf {
+		m.buf[i] ^= 0xff
+	}
+	m.interned(term, got)
+}
+
+// interned checks the ID either intern handed out for term.
+func (m *dictModel) interned(term Term, got ID) {
+	m.t.Helper()
 	want, seen := m.ids[term]
 	if !seen {
 		want = ID(len(m.terms))
 		m.ids[term] = want
 		m.terms = append(m.terms, term)
 	}
-	if got := m.d.intern(term); got != want {
+	if got != want {
 		m.t.Fatalf("intern(%#v) = %d, want %d (seen before: %v)", term, got, want, seen)
 	}
 	if got := m.d.termAt(want); got != term {
@@ -111,14 +132,17 @@ func adversarialTerm(a, b, c byte) Term {
 
 // runDictOps drives a fresh dictionary and its model through the op sequence
 // ops encodes: three bytes per op, the top two bits of the first choosing
-// lookup (one in four) or intern.
+// lookup, intern by bytes (one in four each) or intern.
 func runDictOps(t *testing.T, ops []byte) {
 	m := newDictModel(t)
 	for ; len(ops) >= 3; ops = ops[3:] {
 		term := adversarialTerm(ops[0]&0x3f, ops[1], ops[2])
-		if ops[0]>>6 == 3 {
+		switch ops[0] >> 6 {
+		case 3:
 			m.lookup(term)
-		} else {
+		case 2:
+			m.internBytes(term)
+		default:
 			m.intern(term)
 		}
 	}
@@ -189,10 +213,58 @@ func TestDictChunkLayout(t *testing.T) {
 	}
 }
 
-// TestDictConcurrentIntern: eight goroutines intern overlapping sets while a
-// reader pins snapshots and resolves through them. Every term ends with one
-// ID, no ID escapes the table, and a term interned after a pin is invisible
-// to it. Runs under `make race`.
+// TestDictStringChunks: values interned from bytes live in chunks that start
+// at 1<<strChunkMinBits bytes and double up to 1<<strChunkMaxBits; a hit
+// copies nothing, a value larger than a chunk gets one of its own, every
+// value survives its chunk being retired, and interning Terms — all a decoded
+// unit's graph ever does — never allocates a chunk.
+func TestDictStringChunks(t *testing.T) {
+	m := newDictModel(t)
+	for i := 0; i < 1000; i++ {
+		m.intern(IRI(fmt.Sprintf("http://e/term/%d", i)))
+	}
+	if c := m.d.strs.Cap(); c != 0 {
+		t.Fatalf("interning Terms allocated a %d-byte string chunk", c)
+	}
+
+	var caps []int // of each chunk, as it is started
+	for i, filled := 0, 0; len(caps) < strChunkMaxBits-strChunkMinBits+3; i++ {
+		m.internBytes(IRI(fmt.Sprintf("http://e/bytes/%06d", i))) // 21 bytes
+		at := m.d.strs.Len()
+		if i == 0 || at < filled {
+			caps = append(caps, m.d.strs.Cap())
+		}
+		filled = at
+		m.internBytes(IRI(fmt.Sprintf("http://e/bytes/%06d", i/2)))
+		m.internBytes(IRI(fmt.Sprintf("http://e/term/%d", i%1000)))
+		if m.d.strs.Len() != at {
+			t.Fatalf("re-interning held values copied %d bytes", m.d.strs.Len()-at)
+		}
+	}
+	for i, c := range caps {
+		if want := 1 << min(strChunkMinBits+i, strChunkMaxBits); c != want {
+			t.Fatalf("string chunk sizes %v: chunk %d is not %d bytes", caps, i, want)
+		}
+	}
+
+	big := strings.Repeat("x", 3<<strChunkMaxBits)
+	m.internBytes(Literal(big))
+	if c := m.d.strs.Cap(); c != len(big) {
+		t.Fatalf("an oversized value sits in a %d-byte chunk, want its own %d bytes", c, len(big))
+	}
+	m.internBytes(Literal("after"))
+	if c := m.d.strs.Cap(); c != 1<<strChunkMaxBits {
+		t.Fatalf("the chunk after an oversized value is %d bytes, want %d", c, 1<<strChunkMaxBits)
+	}
+	m.internBytes(Literal(""))
+	m.sweep()
+}
+
+// TestDictConcurrentIntern: eight goroutines intern overlapping sets — every
+// other one by bytes out of its own reused buffer, so a new value is minted
+// both ways at once — while a reader pins snapshots and resolves through
+// them. Every term ends with one ID, no ID escapes the table, and a term
+// interned after a pin is invisible to it. Runs under `make race`.
 func TestDictConcurrentIntern(t *testing.T) {
 	const (
 		workers = 8
@@ -215,8 +287,19 @@ func TestDictConcurrentIntern(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var buf []byte
 			for i := w * stride; i < w*stride+span; i++ {
-				got[w][i] = g.Intern(term(i))
+				tm := term(i)
+				if w%2 == 1 {
+					buf = append(buf[:0], tm.Value...)
+					own := g.InternBytes(tm.Kind, buf, tm.Lang, tm.Datatype)
+					if own != tm {
+						t.Errorf("InternBytes returned %#v, want %#v", own, tm)
+						return
+					}
+					tm = own
+				}
+				got[w][i] = g.Intern(tm)
 				if i%16 == 1 { // moves the watermark, so the reader pins anew
 					g.Add(Triple{S: term(i), P: pred, O: term(i)})
 				}
@@ -291,11 +374,12 @@ func TestDictConcurrentIntern(t *testing.T) {
 // model. The seed corpus runs under plain `go test`.
 func FuzzDictIntern(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 1, 0, 1, 1, 0, 2, 1, 0, 0xc0, 1, 0})                      // one value, three kinds, then a lookup
-	f.Add([]byte{2, 1, 0, 2, 1, 48, 2, 1, 49, 2, 1, 50, 2, 1, 51})            // "" vs xsd:string vs xsd:integer vs @en vs ^^en
-	f.Add([]byte{2, 0, 0, 2, 0, 50, 0xc2, 0, 49, 2, 0, 0})                    // the empty literal
-	f.Add([]byte{0, 8, 0, 0, 9, 0, 0, 10, 0, 0xc0, 11, 0, 0, 8, 0})           // long IRIs differing in byte 0
-	f.Add([]byte(strings.Repeat("\x02\x01\x60\x02\x01\xa0\x02\x40\xf0", 40))) // repeats
+	f.Add([]byte{0, 1, 0, 1, 1, 0, 2, 1, 0, 0xc0, 1, 0})                             // one value, three kinds, then a lookup
+	f.Add([]byte{2, 1, 0, 2, 1, 48, 2, 1, 49, 2, 1, 50, 2, 1, 51})                   // "" vs xsd:string vs xsd:integer vs @en vs ^^en
+	f.Add([]byte{2, 0, 0, 2, 0, 50, 0xc2, 0, 49, 2, 0, 0})                           // the empty literal
+	f.Add([]byte{0, 8, 0, 0, 9, 0, 0, 10, 0, 0xc0, 11, 0, 0, 8, 0})                  // long IRIs differing in byte 0
+	f.Add([]byte(strings.Repeat("\x02\x01\x60\x02\x01\xa0\x02\x40\xf0", 40)))        // repeats
+	f.Add([]byte{0x82, 1, 0, 2, 1, 0, 0x82, 0, 50, 0x80, 8, 0, 0, 8, 0, 0x80, 9, 0}) // by bytes, then as a Term, and back
 	seq := make([]byte, 0, 3*200)
 	for c := 54; c < 254; c++ { // 200 distinct pairs on one lexical form
 		seq = append(seq, 2, 1, byte(c))

@@ -248,11 +248,12 @@ func (g *Graph) AddBatch(ts []Triple) int {
 	if len(ts) == 0 {
 		return 0
 	}
-	// Intern outside the lock. Records repeat terms across adjacent triples
-	// (the subject of every triple is usually the record node; rdf:type and
-	// class IRIs recur), so reuse the previous triple's IDs when the term is
-	// identical — for terms minted once per record the comparison is a
-	// pointer-equal string check.
+	// Intern outside the lock. Records repeat terms: the subject of most
+	// triples is the record node, which also comes back as an object and again
+	// as subject after a triple about another node; rdf:type and class IRIs
+	// recur. So reuse the previous triple's IDs, and the first subject's,
+	// when the term is identical — for terms minted once per record the
+	// comparison is a pointer-equal string check.
 	var arr [12]TripleID
 	refs := arr[:0]
 	if len(ts) > len(arr) {
@@ -260,15 +261,20 @@ func (g *Graph) AddBatch(ts []Triple) int {
 	}
 	var prev Triple
 	var pref TripleID
+	var node Term
+	var nodeID ID
 	havePrev := false
 	for _, t := range ts {
 		if !t.Valid() {
 			continue
 		}
 		var r TripleID
-		if havePrev && t.S == prev.S {
+		switch {
+		case havePrev && t.S == prev.S:
 			r.S = pref.S
-		} else {
+		case havePrev && t.S == node:
+			r.S = nodeID
+		default:
 			r.S = g.dict.intern(t.S)
 		}
 		if havePrev && t.P == prev.P {
@@ -276,10 +282,16 @@ func (g *Graph) AddBatch(ts []Triple) int {
 		} else {
 			r.P = g.dict.intern(t.P)
 		}
-		if havePrev && t.O == prev.O {
+		switch {
+		case havePrev && t.O == prev.O:
 			r.O = pref.O
-		} else {
+		case havePrev && t.O == node:
+			r.O = nodeID
+		default:
 			r.O = g.dict.intern(t.O)
+		}
+		if !havePrev {
+			node, nodeID = t.S, r.S
 		}
 		prev, pref, havePrev = t, r, true
 		refs = append(refs, r)
@@ -306,6 +318,19 @@ func (g *Graph) AddAll(ts []Triple) int {
 // then insert ID triples with AddRefs.
 func (g *Graph) Intern(t Term) ID {
 	return g.dict.intern(t)
+}
+
+// InternBytes interns the term {kind, string(value), lang, datatype} — the
+// fields taken as given, no normalisation — and returns the dictionary's own
+// copy of it. It is Intern for a caller that formats values into a buffer it
+// reuses (the tracker's record builders): a term the graph already holds
+// costs no allocation and keeps nothing of value alive; a new one costs
+// len(value) bytes of a dictionary string chunk. value may be overwritten as
+// soon as the call returns.
+func (g *Graph) InternBytes(kind TermKind, value []byte, lang, datatype string) Term {
+	t := Term{Kind: kind, Lang: lang, Datatype: datatype}
+	t.Value = g.dict.valueAt(g.dict.internBytes(t, value))
+	return t
 }
 
 // AddRefs inserts triples already in this graph's ID space (IDs from Intern

@@ -85,16 +85,53 @@ func snapTriples(s *Snapshot) []Triple {
 	return out
 }
 
+// internBothWays interns x through Intern and through InternBytes, in either
+// order, and checks they are one operation: the same ID — the next dense one
+// if x is new — and the dictionary's own term equal to x in all four fields,
+// whatever happens to the caller's bytes afterwards.
+func internBothWays(t *testing.T, g *Graph, rng *rand.Rand, x Term, at string) {
+	t.Helper()
+	before := g.TermCount()
+	_, known := g.TermID(x)
+	buf := []byte(x.Value)
+	var id ID
+	var own Term
+	if rng.Intn(2) == 0 {
+		id = g.Intern(x)
+		own = g.InternBytes(x.Kind, buf, x.Lang, x.Datatype)
+	} else {
+		own = g.InternBytes(x.Kind, buf, x.Lang, x.Datatype)
+		id = g.Intern(x)
+	}
+	for i := range buf {
+		buf[i] ^= 0xff
+	}
+	if own != x || g.TermOf(id) != x {
+		t.Fatalf("%s: InternBytes returned %#v, TermOf(%d) = %#v, want %#v", at, own, id, g.TermOf(id), x)
+	}
+	if back, ok := g.TermID(own); !ok || back != id {
+		t.Fatalf("%s: %#v has ID %d by Intern, (%d, %v) by InternBytes", at, x, id, back, ok)
+	}
+	if want := before; !known && (id != ID(want) || g.TermCount() != want+1) {
+		t.Fatalf("%s: new term %#v got ID %d of %d terms, want the next dense ID %d", at, x, id, g.TermCount(), want)
+	}
+	if known && g.TermCount() != before {
+		t.Fatalf("%s: interning a held term grew the dictionary from %d to %d", at, before, g.TermCount())
+	}
+}
+
 // TestGraphModelEquivalence drives random Add/AddBatch/AddRefs/Remove/re-add
-// interleavings through Graph and the model and checks everything the write
-// side promises: Len, Has, the delta cursor (TriplesSince/RefsSince), Merge
-// out of the graph (tombstones and repeated log entries included), and
+// interleavings through Graph and the model, with terms — those of the
+// triples and an adversarial universe of others — interned by value bytes and
+// as Terms in between, and checks everything the write side promises: Len,
+// Has, the delta cursor (TriplesSince/RefsSince), Merge out of the graph (tombstones and repeated log entries included), and
 // snapshot contents — pinned in place while nothing was removed, extended
 // incrementally, rebuilt after a Remove — across table growth and tombstone
 // reuse. Snapshots taken along the way must still read what they read then.
 func TestGraphModelEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		irng := rand.New(rand.NewSource(-seed)) // interning draws from its own stream, not the graph ops'
 		// Seeds differ in how soon the first Remove comes, so the
 		// never-removed fast paths get both short and long runs.
 		firstRemove := int(seed-1) * 400
@@ -156,6 +193,11 @@ func TestGraphModelEquivalence(t *testing.T) {
 					t.Fatalf("seed %d step %d: Remove(%v) = %v, model %v", seed, step, x, got, want)
 				}
 			}
+			term := IRI(fmt.Sprintf("http://e/s%d", irng.Intn(120))) // half of them subjects of randT
+			if irng.Intn(2) == 0 {
+				term = adversarialTerm(byte(irng.Intn(3)), byte(irng.Intn(256)), byte(irng.Intn(64)))
+			}
+			internBothWays(t, g, irng, term, fmt.Sprintf("seed %d step %d", seed, step))
 			if g.Len() != len(m.present) || g.LogLen() != len(m.log) {
 				t.Fatalf("seed %d step %d: Len %d LogLen %d, model %d %d", seed, step, g.Len(), g.LogLen(), len(m.present), len(m.log))
 			}
