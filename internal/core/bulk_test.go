@@ -377,6 +377,36 @@ func BenchmarkTrackerClose(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeDelta is one periodic flush's encode at the harness's
+// h5bench shape: the second half of a rank's log — 512 records, about 3 k
+// triples naming 1.5 k terms, their graph IDs all above the first delta's —
+// through EncodeRefs, dictionary build, row sort and stats included.
+func BenchmarkEncodeDelta(b *testing.B) {
+	store, err := OpenStore("mem:", FormatBinary)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := trackH5benchRank(store, 0)
+	if err := tr.Close(); err != nil {
+		b.Fatal(err)
+	}
+	g := tr.Graph()
+	refs, _ := g.RefsSince(0)
+	refs = refs[len(refs)/2:]
+	enc := segcodec.Binary.(segcodec.RefsEncoder)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := enc.EncodeRefs(&buf, refs, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportMetric(float64(len(refs)), "triples")
+}
+
 // TestCloseEncodesTermSpaceBytes: Close serializes the graph from its
 // insertion log; the canonical file must hold the bytes the term-space
 // encoder derives from the graph's triples, also after removals and re-adds

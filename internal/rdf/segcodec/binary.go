@@ -46,8 +46,8 @@ import (
 // segment's dictionary, because Flush and Compact delete earlier segments
 // and a cross-segment delta chain would be unreadable after crash recovery.
 //
-// The triple block stores the (s, p, o) local-ID triples sorted ascending,
-// column-major, delta-encoded: the S column as non-negative uvarint deltas
+// The triple block stores the (s, p, o) local-ID triples strictly ascending
+// (sorted, no triple twice), column-major, delta-encoded: the S column as non-negative uvarint deltas
 // (sorted, so monotone), the P and O columns as zig-zag signed deltas.
 //
 //	uvarint tripleCount
@@ -63,121 +63,37 @@ func (binCodec) Magic() []byte { return pbsMagic }
 // Encode serializes g from its insertion log: the surviving refs go through
 // the same integer-ID dictionary builder as a delta flush, so closing a
 // tracker builds no snapshot index and hashes no term.
-func (binCodec) Encode(w io.Writer, g *rdf.Graph, _ *rdf.Namespaces) error {
-	c := GraphColumns(g)
-	return writeSegment(w, c.Terms, c.Tris)
+func (c binCodec) Encode(w io.Writer, g *rdf.Graph, _ *rdf.Namespaces) error {
+	refs, _ := g.RefsSince(0)
+	return c.EncodeRefs(w, refs, g)
 }
 
-// EncodeTriples serializes a bare (delta-segment) triple slice, building the
-// segment-local dictionary by term value.
-func (binCodec) EncodeTriples(w io.Writer, ts []rdf.Triple) error {
-	terms, tris := termTriples(ts)
-	return writeSegment(w, terms, tris)
-}
-
-// termTriples builds the canonically sorted segment-local term dictionary of
-// a triple slice plus the triples as local-ID rows (unsorted, undeduplicated
-// — writeSegment normalizes them).
-func termTriples(ts []rdf.Triple) ([]rdf.Term, [][3]uint32) {
-	idx := make(map[rdf.Term]uint32, 3*len(ts)/2)
-	var terms []rdf.Term
-	collect := func(t rdf.Term) {
-		if _, ok := idx[t]; !ok {
-			idx[t] = 0
-			terms = append(terms, t)
-		}
-	}
-	for _, t := range ts {
-		collect(t.S)
-		collect(t.P)
-		collect(t.O)
-	}
-	sort.Slice(terms, func(i, j int) bool { return rdf.TermLess(terms[i], terms[j]) })
-	for i, t := range terms {
-		idx[t] = uint32(i)
-	}
-	tris := make([][3]uint32, len(ts))
+// EncodeTriples serializes a bare (delta-segment) triple slice: a throwaway
+// graph's dictionary numbers the terms, and EncodeRefs does the rest.
+func (c binCodec) EncodeTriples(w io.Writer, ts []rdf.Triple) error {
+	g := rdf.NewGraph()
+	refs := make([]rdf.TripleID, len(ts))
 	for i, t := range ts {
-		tris[i] = [3]uint32{idx[t.S], idx[t.P], idx[t.O]}
+		refs[i] = rdf.TripleID{S: g.Intern(t.S), P: g.Intern(t.P), O: g.Intern(t.O)}
 	}
-	return terms, tris
+	return c.EncodeRefs(w, refs, g)
 }
 
 // EncodeRefs is the ID-space fast path: the segment-local dictionary is
 // deduplicated on integer graph IDs (no term hashing), and terms are
-// fetched from the source dictionary once per distinct ID.
+// fetched from the source dictionary once per distinct ID. Rows are sorted
+// and deduplicated, so the output is a function of the triple set alone,
+// whichever entry point and whatever log order produced it.
 func (binCodec) EncodeRefs(w io.Writer, refs []rdf.TripleID, src TermSource) error {
 	terms, tris := refTriples(refs, src)
-	return writeSegment(w, terms, tris)
+	return writeSegment(w, terms, sortDedupTriples(tris, len(terms)))
 }
 
-// refTriples is termTriples over insertion-log refs: the canonically sorted
-// dictionary of the terms the refs name, and the refs as local-ID rows
-// (unsorted, undeduplicated).
-func refTriples(refs []rdf.TripleID, src TermSource) ([]rdf.Term, [][3]uint32) {
-	local := make(map[rdf.ID]uint32, 3*len(refs)/2)
-	var gids []rdf.ID
-	collect := func(id rdf.ID) {
-		if _, ok := local[id]; !ok {
-			local[id] = 0
-			gids = append(gids, id)
-		}
-	}
-	for _, r := range refs {
-		collect(r.S)
-		collect(r.P)
-		collect(r.O)
-	}
-	terms := make([]rdf.Term, len(gids))
-	for i, id := range gids {
-		terms[i] = src.TermOf(id)
-	}
-	order := make([]int, len(gids))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return rdf.TermLess(terms[order[a]], terms[order[b]]) })
-	sorted := make([]rdf.Term, len(order))
-	for li, oi := range order {
-		sorted[li] = terms[oi]
-		local[gids[oi]] = uint32(li)
-	}
-	tris := make([][3]uint32, len(refs))
-	for i, r := range refs {
-		tris[i] = [3]uint32{local[r.S], local[r.P], local[r.O]}
-	}
-	return sorted, tris
-}
-
-// sortDedupTriples sorts local-ID triples into the canonical (s, p, o)
-// order and drops duplicates in place.
-func sortDedupTriples(tris [][3]uint32) [][3]uint32 {
-	sort.Slice(tris, func(i, j int) bool {
-		a, b := tris[i], tris[j]
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[2] < b[2]
-	})
-	dedup := tris[:0]
-	for i, t := range tris {
-		if i == 0 || t != tris[i-1] {
-			dedup = append(dedup, t)
-		}
-	}
-	return dedup
-}
-
-// writeSegment emits the framed segment: tris are local-ID triples (indexes
-// into terms), sorted and deduplicated here so output is deterministic and
-// identical whichever encode entry point produced them. A stats frame
-// summarizing the segment (see SegStats) follows the triple block.
+// writeSegment emits the framed segment of a canonical dictionary and its
+// sorted, distinct local-ID rows (indexes into terms), exactly as given. A
+// stats frame summarizing the segment (see SegStats) follows the triple
+// block.
 func writeSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
-	tris = sortDedupTriples(tris)
-
 	// Both blocks are sized up front so a flush does not double them up from
 	// empty. Tracked provenance measures 24–33 dictionary bytes per term
 	// (front-coded IRIs, literals spelling out their datatype) and 3–4.5
@@ -254,7 +170,9 @@ type Columns struct {
 	// rdf.TermLess; a local ID is an index into it.
 	Terms []rdf.Term
 	// Tris holds the local-ID triples in file order, every one of valid RDF
-	// shape. The encoder writes them sorted and distinct.
+	// shape. In a decoded segment they are strictly ascending in (s, p, o)
+	// order (DecodeColumns rejects any other file); GraphColumns returns
+	// them in log order.
 	Tris [][3]uint32
 	// Stats is the segment's stats frame, verified equal to the stats its
 	// contents derive; nil when the file carries none (legacy segments).
@@ -265,9 +183,9 @@ type Columns struct {
 
 // DecodeColumns parses and validates one binary segment file: magic, every
 // frame's CRC, the footer frames and their order, the chain seal, the
-// dictionary's strict order, every ID's range, the stats frame against the
-// contents, and the RDF shape of every triple. An error wraps ErrCorrupt (or
-// its ErrTruncated sub-class for a torn write).
+// dictionary's strict order, every ID's range, the rows' strict order, the
+// stats frame against the contents, and the RDF shape of every triple. An
+// error wraps ErrCorrupt (or its ErrTruncated sub-class for a torn write).
 func DecodeColumns(data []byte) (*Columns, error) {
 	if !bytes.HasPrefix(data, pbsMagic) {
 		if len(data) < len(pbsMagic) && bytes.HasPrefix(pbsMagic, data) {
@@ -466,7 +384,8 @@ func (m *stringMemo) get(b []byte) string {
 }
 
 // decodeCols walks the delta-encoded ID columns into local-ID triples,
-// range-checking every ID against the dictionary's size.
+// range-checking every ID against the dictionary's size and rejecting rows
+// that are not strictly ascending.
 func decodeCols(p []byte, terms int) ([][3]uint32, error) {
 	n, p, err := getUvarint(p)
 	if err != nil {
@@ -515,6 +434,16 @@ func decodeCols(p []byte, terms int) ([][3]uint32, error) {
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", len(p))
+	}
+	// Sorted and distinct is part of the format, like the dictionary's order:
+	// a repeated row would be counted by the stats frame, and a reader may
+	// merge rows on the strength of it. The S column cannot descend (its
+	// deltas are unsigned), so P and O inside an S run are what is left.
+	for i := 1; i < len(tris); i++ {
+		a, b := tris[i-1], tris[i]
+		if a[0] == b[0] && (a[1] > b[1] || a[1] == b[1] && a[2] >= b[2]) {
+			return nil, fmt.Errorf("triple %d is not above its predecessor in (s, p, o) order", i)
+		}
 	}
 	return tris, nil
 }

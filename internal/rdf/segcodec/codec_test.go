@@ -254,6 +254,12 @@ func TestBinaryDecodeCorruption(t *testing.T) {
 	// but build a properly re-framed bad-kind segment too below.
 	cases["wrong kind byte"] = kindBad
 
+	// Well-framed, CRCs and stats frame consistent, rows not strictly
+	// ascending (TestDecodeRejectsUnsortedRows has the variants).
+	ab := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b")}
+	cases["rows out of order"] = handBuiltSegment(t, ab, [][3]uint32{{0, 1, 1}, {0, 1, 0}})
+	cases["row repeated"] = handBuiltSegment(t, ab, [][3]uint32{{0, 1, 1}, {0, 1, 1}})
+
 	for name, data := range cases {
 		g := rdf.NewGraph()
 		err := Binary.Decode(bytes.NewReader(data), g)

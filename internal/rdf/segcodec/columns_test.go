@@ -13,11 +13,11 @@ import (
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
 
-// unsortedDictSegment hand-builds a segment whose dictionary is not strictly
-// ascending. writeSegment front-codes whatever order it is given and derives
-// the stats frame from the same arrays, so the result has valid CRCs and a
-// self-consistent stats frame — only the dictionary order is wrong.
-func unsortedDictSegment(t testing.TB, terms []rdf.Term, tris [][3]uint32) []byte {
+// handBuiltSegment serializes a dictionary and rows that need not be
+// canonical. writeSegment front-codes and delta-codes whatever order it is
+// given and derives the stats frame from the same arrays, so the result has
+// valid CRCs and a self-consistent stats frame — only the order is wrong.
+func handBuiltSegment(t testing.TB, terms []rdf.Term, tris [][3]uint32) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := writeSegment(&buf, terms, tris); err != nil {
@@ -47,7 +47,7 @@ func TestDecodeRejectsNonAscendingDictionary(t *testing.T) {
 		"duplicate": {rdf.IRI("urn:m"), rdf.IRI("urn:m"), rdf.IRI("urn:p")},
 	} {
 		into := rdf.NewGraph()
-		err := Binary.Decode(bytes.NewReader(unsortedDictSegment(t, terms, tris)), into)
+		err := Binary.Decode(bytes.NewReader(handBuiltSegment(t, terms, tris)), into)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s dictionary: Decode returned %v, want ErrCorrupt", name, err)
 		}
@@ -174,10 +174,10 @@ func churnedGraph(rng *rand.Rand, n int) *rdf.Graph {
 	return g
 }
 
-// TestGraphEncodeMatchesTermSpace: Encode and ComputeGraphStats read the
-// insertion log; their bytes must equal the term-space composition they
-// replaced (dictionary built by hashing the snapshot's terms), also on
-// graphs whose log repeats triples.
+// TestGraphEncodeMatchesTermSpace: Encode, EncodeTriples and
+// ComputeGraphStats must write the bytes of the term-space composition they
+// replaced (dictionary built by hashing the snapshot's terms, kept as
+// oracleEncodeTriples), also on graphs whose log repeats triples.
 func TestGraphEncodeMatchesTermSpace(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -185,18 +185,24 @@ func TestGraphEncodeMatchesTermSpace(t *testing.T) {
 		if seed%2 == 0 {
 			g = churnedGraph(rng, 300)
 		}
-		var got, want bytes.Buffer
+		var got, bare, want bytes.Buffer
 		if err := Binary.Encode(&got, g, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := Binary.(TriplesEncoder).EncodeTriples(&want, g.Triples()); err != nil {
+		if err := Binary.(TriplesEncoder).EncodeTriples(&bare, g.Triples()); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracleEncodeTriples(&want, g.Triples()); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("seed %d: Encode from the log (%d bytes) differs from the term-space encoding (%d bytes)", seed, got.Len(), want.Len())
 		}
-		terms, tris := termTriples(g.Triples())
-		ref := ComputeStats(terms, sortDedupTriples(tris))
+		if !bytes.Equal(bare.Bytes(), want.Bytes()) {
+			t.Fatalf("seed %d: EncodeTriples (%d bytes) differs from the term-space encoding (%d bytes)", seed, bare.Len(), want.Len())
+		}
+		terms, tris := oracleTermTriples(g.Triples())
+		ref := ComputeStats(terms, oracleSortDedup(tris))
 		st := ComputeGraphStats(g)
 		if !bytes.Equal(st.encode(), ref.encode()) {
 			t.Fatalf("seed %d: ComputeGraphStats differs from the term-space stats", seed)

@@ -46,7 +46,11 @@ func FuzzSegcodecDecode(f *testing.F) {
 	f.Add(flip)
 	// A dictionary out of order behind valid CRCs and a self-consistent stats
 	// frame: accepted, it would re-encode to different bytes.
-	f.Add(unsortedDictSegment(f, zMP, [][3]uint32{{0, 2, 1}, {1, 2, 0}}))
+	f.Add(handBuiltSegment(f, zMP, [][3]uint32{{0, 2, 1}, {1, 2, 0}}))
+	// Likewise rows out of order, and a row twice.
+	mPZ := []rdf.Term{rdf.IRI("urn:m"), rdf.IRI("urn:p"), rdf.IRI("urn:z")}
+	f.Add(handBuiltSegment(f, mPZ, [][3]uint32{{0, 1, 2}, {0, 1, 0}}))
+	f.Add(handBuiltSegment(f, mPZ, [][3]uint32{{0, 1, 2}, {2, 1, 0}, {2, 1, 0}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		into := rdf.NewGraph()
@@ -79,6 +83,92 @@ func FuzzSegcodecDecode(f *testing.F) {
 			resealed := AppendChain(canon, ch)
 			if !bytes.Equal(resealed, data) {
 				t.Fatal("seal did not survive the decode/re-seal round-trip")
+			}
+		}
+	})
+}
+
+// fuzzTriples reads arbitrary bytes as a triple list of valid RDF shape: per
+// term one selector byte (kind, value length, literal tags) followed by the
+// value's bytes, short values from few bytes so that terms recur, prefix one
+// another and tie on Value. Triples may repeat and arrive in any order.
+func fuzzTriples(data []byte) []rdf.Triple {
+	tags := []string{"", "en", rdf.XSDInteger, "\x80"}
+	term := func(kinds []rdf.TermKind) rdf.Term {
+		if len(data) == 0 {
+			return rdf.Term{Kind: kinds[0]}
+		}
+		sel := data[0]
+		data = data[1:]
+		n := min(int(sel>>2&7), len(data))
+		t := rdf.Term{Kind: kinds[int(sel&3)%len(kinds)], Value: string(data[:n])}
+		data = data[n:]
+		if t.Kind == rdf.LiteralTerm {
+			t.Lang, t.Datatype = tags[sel>>5&3], tags[sel>>6&3]
+		}
+		return t
+	}
+	var ts []rdf.Triple
+	for len(data) > 0 {
+		ts = append(ts, rdf.Triple{
+			S: term([]rdf.TermKind{rdf.IRITerm, rdf.BlankTerm}),
+			P: term([]rdf.TermKind{rdf.IRITerm}),
+			O: term([]rdf.TermKind{rdf.IRITerm, rdf.BlankTerm, rdf.LiteralTerm}),
+		})
+	}
+	return ts
+}
+
+// FuzzSegcodecEncode drives the encoder's kernels with arbitrary triple
+// lists. The decoder is the oracle: it accepts only a strictly ascending
+// dictionary, strictly ascending rows and the stats frame the contents
+// derive, so whatever EncodeRefs writes must decode, hold exactly the input's
+// triple set, and re-encode from the decoded columns to the same bytes — and
+// must equal what the parent's encoder writes.
+func FuzzSegcodecEncode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x04, 'a', 0x04, 'p', 0x06, 'x'})
+	// A value that prefixes another, bytes above 0x7f, and a repeated triple.
+	f.Add([]byte("\x08ab\x04p\x0a\xff\x80" + "\x04a\x04p\x04a" + "\x08ab\x04p\x0a\xff\x80"))
+	// One literal value under three Lang/Datatype pairs.
+	f.Add([]byte{0x04, 's', 0x04, 'p', 0x06, 'v', 0x04, 's', 0x04, 'p', 0x26, 'v', 0x04, 's', 0x04, 'p', 0x86, 'v'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ts := fuzzTriples(data)
+		g := rdf.NewGraph()
+		refs := make([]rdf.TripleID, len(ts))
+		for i, x := range ts {
+			refs[i] = rdf.TripleID{S: g.Intern(x.S), P: g.Intern(x.P), O: g.Intern(x.O)}
+		}
+		var enc, ref, re bytes.Buffer
+		if err := Binary.(RefsEncoder).EncodeRefs(&enc, refs, g); err != nil {
+			t.Fatal(err)
+		}
+		c, err := DecodeColumns(enc.Bytes())
+		if err != nil {
+			t.Fatalf("decoder rejects the encoder's output: %v", err)
+		}
+		if err := writeSegment(&re, c.Terms, c.Tris); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Bytes(), enc.Bytes()) {
+			t.Fatal("re-encoding the decoded columns does not reproduce the bytes")
+		}
+		if err := oracleEncodeRefs(&ref, refs, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ref.Bytes(), enc.Bytes()) {
+			t.Fatal("bytes differ from the parent's encoder")
+		}
+		want := rdf.NewGraph()
+		want.AddBatch(ts)
+		got := rdf.NewGraph()
+		c.Materialize(got)
+		if got.Len() != want.Len() {
+			t.Fatalf("decoded %d triples, input holds %d distinct", got.Len(), want.Len())
+		}
+		for _, x := range ts {
+			if !got.Has(x) {
+				t.Fatalf("decoded segment lacks %v", x)
 			}
 		}
 	})

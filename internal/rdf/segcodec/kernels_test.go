@@ -1,0 +1,332 @@
+package segcodec
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/hpc-io/prov-io/internal/model"
+	"github.com/hpc-io/prov-io/internal/rdf"
+)
+
+// The encoder's three kernels against the compositions they replaced
+// (oracle_test.go). A test's cases run back to back on one goroutine, so the
+// pool hands them the same scratch the way it does flush after flush, and
+// state a build leaves behind shows up as a wrong answer in a later case.
+
+// TestRowSortMatchesOracle: the counting sort equals sort.Slice + dedupe on
+// random rows — duplicates, empty and single-row inputs, and dictionary sizes
+// on both sides of a byte and a 16-bit boundary.
+func TestRowSortMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, nTerms := range []int{1, 2, 255, 256, 65537} {
+		cases := 2500
+		if nTerms > 256 {
+			cases = 200 // each clears three 65 538-entry histograms
+		}
+		for c := 0; c < cases; c++ {
+			n := rng.Intn(48)
+			if c%3 == 0 {
+				n = rng.Intn(3) // empty, single-row and two-row inputs, often
+			} else if c%97 == 0 {
+				n = 1000 + rng.Intn(2000)
+			}
+			// IDs from a narrow window repeat rows; a few from anywhere,
+			// and the largest ID, reach the histogram's ends.
+			span := 1 + rng.Intn(min(nTerms, 5))
+			base := rng.Intn(nTerms - span + 1)
+			id := func() uint32 {
+				switch rng.Intn(12) {
+				case 0:
+					return uint32(rng.Intn(nTerms))
+				case 1:
+					return uint32(nTerms - 1)
+				}
+				return uint32(base + rng.Intn(span))
+			}
+			rows := make([][3]uint32, n)
+			for i := range rows {
+				rows[i] = [3]uint32{id(), id(), id()}
+			}
+			want := oracleSortDedup(slices.Clone(rows))
+			got := sortDedupTriples(rows, nTerms)
+			if !slices.Equal(got, want) {
+				t.Fatalf("nTerms %d, case %d: %d rows sorted to %v, want %v", nTerms, c, n, got, want)
+			}
+		}
+	}
+}
+
+// hostileTerms draws n terms that stress the dictionary order: bytes at and
+// above 0x80, values that are prefixes of other values, empty values, equal
+// values that differ only in Lang or Datatype, a long shared prefix, and the
+// three kinds mixed. Terms may repeat.
+func hostileTerms(rng *rand.Rand, n int) []rdf.Term {
+	alphabet := []byte{0x00, 'a', 'b', 0x7f, 0x80, 0xc3, 0xff}
+	langs := []string{"", "en", "en-US", "\xff"}
+	dts := []string{"", rdf.XSDInteger, rdf.XSDString, "urn:dt"}
+	terms := make([]rdf.Term, n)
+	for i := range terms {
+		v := make([]byte, rng.Intn(5))
+		for j := range v {
+			v[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		value := string(v)
+		if rng.Intn(3) == 0 {
+			value = "http://provio.example/node/api/H5Dwrite-p0-b" + value
+		}
+		switch rng.Intn(3) {
+		case 0:
+			terms[i] = rdf.Term{Kind: rdf.IRITerm, Value: value}
+		case 1:
+			terms[i] = rdf.Term{Kind: rdf.BlankTerm, Value: value}
+		default:
+			terms[i] = rdf.Term{Kind: rdf.LiteralTerm, Value: value,
+				Lang: langs[rng.Intn(len(langs))], Datatype: dts[rng.Intn(len(dts))]}
+		}
+	}
+	return terms
+}
+
+// TestDictOrderMatchesTermLess: the radix quicksort orders any term list the
+// way sort.Slice by rdf.TermLess does.
+func TestDictOrderMatchesTermLess(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for c := 0; c < 10000; c++ {
+		n := rng.Intn(60)
+		if c%100 == 0 {
+			n = 500 + rng.Intn(1500)
+		}
+		terms := hostileTerms(rng, n)
+		perm := make([]uint32, n)
+		for i := range perm {
+			perm[i] = uint32(i)
+		}
+		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		sortTermPerm(terms, perm, 0)
+		got := make([]rdf.Term, n)
+		for i, at := range perm {
+			got[i] = terms[at]
+		}
+		want := slices.Clone(terms)
+		sort.Slice(want, func(i, j int) bool { return rdf.TermLess(want[i], want[j]) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("case %d: %d terms ordered\n%q\nwant\n%q", c, n, got, want)
+		}
+		permuteTerms(terms, perm)
+		if !slices.Equal(terms, want) {
+			t.Fatalf("case %d: permuting %d terms in place left\n%q\nwant\n%q", c, n, terms, want)
+		}
+	}
+}
+
+// TestDictOrderLongSharedPrefix: values that agree for a megabyte must not
+// cost a stack frame per shared byte.
+func TestDictOrderLongSharedPrefix(t *testing.T) {
+	prefix := string(bytes.Repeat([]byte{'x'}, 1<<20))
+	var terms []rdf.Term
+	for i := 0; i < 40; i++ {
+		terms = append(terms, rdf.IRI(prefix+fmt.Sprint(i%20)), rdf.LangLiteral(prefix, fmt.Sprint(i)))
+	}
+	perm := make([]uint32, len(terms))
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	sortTermPerm(terms, perm, 0)
+	for i := 1; i < len(perm); i++ {
+		if rdf.TermLess(terms[perm[i]], terms[perm[i-1]]) {
+			t.Fatalf("position %d is below its predecessor", i)
+		}
+	}
+}
+
+// trackerGraph builds a graph the way a tracker does — agent, data-object,
+// I/O-activity and extensible records through the model's builders, IDs
+// handed out in tracking order — and then removes and re-adds some of its
+// triples, so the log holds dead entries and entries that repeat a survivor.
+func trackerGraph(rng *rand.Rand, records int) *rdf.Graph {
+	g := rdf.NewGraph()
+	var dst []rdf.Triple
+	var buf []byte
+	add := func(ts []rdf.Triple, b []byte) {
+		g.AddBatch(ts)
+		dst, buf = ts[:0], b
+	}
+	pid := rng.Intn(4)
+	user := model.AgentRecord{Class: model.User, ID: "alice", Name: "alice", Rank: -1}
+	ts, b, userNode := user.Build(g, dst, buf)
+	add(ts, b)
+	prog := model.AgentRecord{Class: model.Program, ID: fmt.Sprintf("sim-%d", pid), Name: "sim", OnBehalfOf: userNode.Value, Rank: -1}
+	ts, b, progNode := prog.Build(g, dst, buf)
+	add(ts, b)
+	var objs []rdf.Term
+	apis := []struct {
+		class model.Class
+		name  string
+	}{{model.Write, "H5Dwrite"}, {model.Read, "H5Dread"}, {model.Create, "H5Dcreate2"}, {model.Open, "ünï\x80code open"}}
+	for i := 0; i < records; i++ {
+		switch k := rng.Intn(10); {
+		case k == 0 || len(objs) == 0:
+			o := model.DataObjectRecord{Class: model.Dataset, ID: fmt.Sprintf("/f.h5/r%d/d%d", pid, rng.Intn(12)), AttributedTo: progNode.Value}
+			var node rdf.Term
+			ts, b, node = o.Build(g, dst, buf)
+			add(ts, b)
+			objs = append(objs, node)
+		case k == 1:
+			x := model.ExtensibleRecord{Class: model.Configuration, Owner: progNode.Value, Key: fmt.Sprintf("lr%d", rng.Intn(3)),
+				Value: rdf.TypedLiteral(fmt.Sprint(rng.Intn(5)), rdf.XSDInteger), Version: rng.Intn(4) - 1}
+			ts, b, _ = x.Build(g, dst, buf)
+			add(ts, b)
+		default:
+			api := apis[rng.Intn(len(apis))]
+			io := model.IOActivityRecord{Class: api.class, API: api.name, PID: pid, Seq: i, Object: objs[rng.Intn(len(objs))],
+				Agent: progNode, Elapsed: time.Duration(rng.Intn(50)) * time.Microsecond,
+				Started: time.Duration(i) * time.Millisecond, TrackDuration: rng.Intn(4) != 0}
+			ts, b, _ = io.Build(g, dst, buf)
+			add(ts, b)
+		}
+	}
+	for _, x := range g.Triples() {
+		switch rng.Intn(12) {
+		case 0:
+			g.Remove(x)
+		case 1:
+			g.Remove(x)
+			g.Add(x)
+		}
+	}
+	return g
+}
+
+// TestEncodeRefsMatchesParentEncoder: on tracker-built graphs — the whole
+// surviving log and random windows of it, the shape of a periodic flush's
+// delta, whose graph IDs are sparse in the dense table — EncodeRefs writes
+// the bytes the parent's map-and-sort.Slice encoder writes.
+func TestEncodeRefsMatchesParentEncoder(t *testing.T) {
+	enc := Binary.(RefsEncoder)
+	check := func(what string, refs []rdf.TripleID, g *rdf.Graph) {
+		t.Helper()
+		var got, want bytes.Buffer
+		if err := enc.EncodeRefs(&got, refs, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracleEncodeRefs(&want, refs, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: EncodeRefs wrote %d bytes, the parent's encoder %d, and they differ", what, got.Len(), want.Len())
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for gi := 0; gi < 250; gi++ {
+		g := trackerGraph(rng, 20+rng.Intn(200))
+		refs, _ := g.RefsSince(0)
+		check(fmt.Sprintf("graph %d, whole log", gi), refs, g)
+		for w := 0; w < 40; w++ {
+			lo := rng.Intn(len(refs))
+			hi := lo + rng.Intn(min(len(refs)-lo, 64)+1)
+			check(fmt.Sprintf("graph %d, log[%d:%d]", gi, lo, hi), refs[lo:hi], g)
+		}
+	}
+	check("no refs", nil, rdf.NewGraph())
+}
+
+// TestEncodeRefsConcurrent: flushes of different trackers run at once, each
+// on a scratch of its own from the shared pool.
+func TestEncodeRefsConcurrent(t *testing.T) {
+	enc := Binary.(RefsEncoder)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		g := trackerGraph(rand.New(rand.NewSource(int64(30+w))), 40+60*w)
+		refs, _ := g.RefsSince(0)
+		var want bytes.Buffer
+		if err := oracleEncodeRefs(&want, refs, g); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				var got bytes.Buffer
+				if err := enc.EncodeRefs(&got, refs, g); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("concurrent encode %d: err %v, bytes equal %v", i, err, bytes.Equal(got.Bytes(), want.Bytes()))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestStatsPredListMatchesSet: the predicate list read off the bitmap is the
+// sorted distinct-predicate set, and is omitted exactly when the set exceeds
+// maxPredList.
+func TestStatsPredListMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	var terms []rdf.Term
+	for i := 0; i < 300; i++ {
+		terms = append(terms, rdf.IRI(fmt.Sprintf("urn:t%04d", i)))
+	}
+	for _, distinct := range []int{1, 2, maxPredList - 1, maxPredList, maxPredList + 1, 250} {
+		preds := rng.Perm(len(terms))[:distinct]
+		var tris [][3]uint32
+		for i := 0; i < 4*distinct; i++ {
+			tris = append(tris, [3]uint32{uint32(rng.Intn(len(terms))), uint32(preds[i%distinct]), uint32(rng.Intn(len(terms)))})
+		}
+		st := ComputeStats(terms, sortDedupTriples(tris, len(terms)))
+		if distinct > maxPredList {
+			if st.Preds != nil {
+				t.Fatalf("%d predicates: list of %d kept, want it omitted", distinct, len(st.Preds))
+			}
+			continue
+		}
+		sort.Ints(preds)
+		want := make([]rdf.Term, distinct)
+		for i, p := range preds {
+			want[i] = terms[p]
+		}
+		if !slices.Equal(st.Preds, want) {
+			t.Fatalf("%d predicates: list %v, want %v", distinct, st.Preds, want)
+		}
+	}
+}
+
+// TestDecodeRejectsUnsortedRows: rows out of (s, p, o) order, or repeated,
+// behind valid CRCs and the stats frame their own contents derive. Accepted,
+// the repeated row is counted by Stats.Triples and every reader that merges
+// rows on "sorted and distinct" is wrong on the file.
+func TestDecodeRejectsUnsortedRows(t *testing.T) {
+	terms := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b"), rdf.IRI("urn:p"), rdf.IRI("urn:q")}
+	for name, tris := range map[string][][3]uint32{
+		"P descends in an S run":  {{0, 3, 0}, {0, 2, 1}},
+		"O descends in a P run":   {{0, 2, 1}, {0, 2, 0}, {1, 2, 0}},
+		"repeated row":            {{0, 2, 1}, {1, 2, 0}, {1, 2, 0}},
+		"repeated row, the first": {{0, 2, 1}, {0, 2, 1}},
+	} {
+		data := handBuiltSegment(t, terms, tris)
+		if st, ok := StatsOf(data); !ok || st.Triples != uint64(len(tris)) {
+			t.Fatalf("%s: premise: the hand-built stats frame should count all %d rows", name, len(tris))
+		}
+		for form, file := range map[string][]byte{"with stats": data, "legacy": StripStats(data)} {
+			into := rdf.NewGraph()
+			err := Binary.Decode(bytes.NewReader(file), into)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s (%s): Decode returned %v, want ErrCorrupt", name, form, err)
+			}
+			if into.Len() != 0 || into.TermCount() != 0 {
+				t.Errorf("%s (%s): rejected segment left %d triples, %d terms behind", name, form, into.Len(), into.TermCount())
+			}
+		}
+	}
+	// Strictly ascending rows that differ only in O, only in P, only in S.
+	ok := handBuiltSegment(t, terms, [][3]uint32{{0, 2, 0}, {0, 2, 1}, {0, 3, 0}, {1, 2, 0}})
+	if _, err := DecodeColumns(ok); err != nil {
+		t.Fatalf("ascending rows rejected: %v", err)
+	}
+}

@@ -2,8 +2,9 @@ package segcodec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
@@ -160,7 +161,7 @@ func ComputeStats(terms []rdf.Term, tris [][3]uint32) SegStats {
 	for c := 0; c < 3; c++ {
 		mn[c], mx[c] = tris[0][c], tris[0][c]
 	}
-	predSet := make(map[uint32]bool)
+	isPred := make([]uint64, (len(terms)+63)/64) // a bit per local ID
 	for _, t := range tris {
 		for c := 0; c < 3; c++ {
 			if t[c] < mn[c] {
@@ -170,7 +171,7 @@ func ComputeStats(terms []rdf.Term, tris [][3]uint32) SegStats {
 				mx[c] = t[c]
 			}
 		}
-		predSet[t[1]] = true
+		isPred[t[1]/64] |= 1 << (t[1] % 64)
 	}
 	// The dictionary is sorted in canonical term order, so the boundary
 	// local IDs map straight to boundary terms.
@@ -181,16 +182,17 @@ func ComputeStats(terms []rdf.Term, tris [][3]uint32) SegStats {
 			st.Min[c], st.Max[c] = lo, hi
 		}
 	}
-	if len(predSet) <= maxPredList {
-		ids := make([]uint32, 0, len(predSet))
-		for id := range predSet {
-			ids = append(ids, id)
+	// For the same reason the set bits, walked upward, are the predicate
+	// list in its canonical order; one predicate past the cap settles that
+	// the list is omitted.
+	preds := make([]rdf.Term, 0, 16)
+	for w, word := range isPred {
+		for ; word != 0 && len(preds) <= maxPredList; word &= word - 1 {
+			preds = append(preds, terms[w*64+bits.TrailingZeros64(word)])
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		st.Preds = make([]rdf.Term, len(ids))
-		for i, id := range ids {
-			st.Preds[i] = terms[id]
-		}
+	}
+	if len(preds) <= maxPredList {
+		st.Preds = preds
 	}
 	return st
 }
@@ -199,7 +201,7 @@ func ComputeStats(terms []rdf.Term, tris [][3]uint32) SegStats {
 // insertion log like Encode.
 func ComputeGraphStats(g *rdf.Graph) SegStats {
 	c := GraphColumns(g)
-	return ComputeStats(c.Terms, sortDedupTriples(c.Tris))
+	return ComputeStats(c.Terms, sortDedupTriples(c.Tris, len(c.Terms)))
 }
 
 // GraphColumns returns a graph's contents in segment shape, read off its
@@ -256,7 +258,7 @@ func UnionStats(members []*Columns) SegStats {
 			tris = append(tris, [3]uint32{remap[t[0]], remap[t[1]], remap[t[2]]})
 		}
 	}
-	return ComputeStats(terms, sortDedupTriples(tris))
+	return ComputeStats(terms, sortDedupTriples(tris, len(terms)))
 }
 
 // mergeDicts returns the union of two strictly ascending dictionaries.
@@ -280,7 +282,15 @@ func mergeDicts(a, b []rdf.Term) []rdf.Term {
 
 // encode renders the canonical stats frame payload.
 func (st *SegStats) encode() []byte {
+	size := len(staMagic) + 2 + 4*binary.MaxVarintLen64 + len(st.Bloom.Bits)
+	for c := 0; c < 3; c++ {
+		size += termBound(st.Min[c]) + termBound(st.Max[c])
+	}
+	for _, p := range st.Preds {
+		size += termBound(p)
+	}
 	var b bytes.Buffer
+	b.Grow(size)
 	b.Write(staMagic)
 	putUvarint(&b, st.Triples)
 	putUvarint(&b, st.Terms)
@@ -401,6 +411,11 @@ func putTerm(b *bytes.Buffer, t rdf.Term) {
 		putUvarint(b, uint64(len(t.Datatype)))
 		b.WriteString(t.Datatype)
 	}
+}
+
+// termBound is an upper bound on the bytes putTerm writes for t.
+func termBound(t rdf.Term) int {
+	return 1 + 3*binary.MaxVarintLen64 + len(t.Value) + len(t.Lang) + len(t.Datatype)
 }
 
 // getTerm deserializes one putTerm-encoded term.

@@ -203,7 +203,7 @@ func TestStatsLegacySegmentsAlwaysMatch(t *testing.T) {
 func TestBloomNoFalseNegatives(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, 300)
-	terms, _ := termTriples(g.Triples())
+	terms, _ := oracleTermTriples(g.Triples())
 	b := newBloom(len(terms))
 	for _, tm := range terms {
 		b.Add(tm)
