@@ -16,7 +16,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/mpi/ ./internal/vfs/ ./internal/rdf/ ./internal/model/ ./internal/core/ ./internal/vol/
+	$(GO) test -race ./internal/mpi/ ./internal/vfs/ ./internal/par/ ./internal/rdf/ ./internal/rdf/segcodec/ ./internal/model/ ./internal/backend/ ./internal/faultfs/ ./internal/core/ ./internal/vol/
 
 # One iteration of every experiment benchmark at small scale.
 bench:

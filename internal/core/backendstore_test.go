@@ -19,7 +19,7 @@ import (
 // openSnapshotOn materializes a file snapshot on a fresh backend of the
 // given kind and opens it with format auto-detection, the cross-backend
 // analogue of openDir.
-func openSnapshotOn(t *testing.T, kind string, files map[string][]byte) *Store {
+func openSnapshotOn(t testing.TB, kind string, files map[string][]byte) *Store {
 	t.Helper()
 	var b Backend
 	switch kind {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -75,11 +77,11 @@ func referencePack(t *testing.T, files map[string][]byte, level int) []byte {
 		}
 	}
 	packStats := segcodec.ComputeGraphStats(union)
-	var buf bytes.Buffer
-	if err := segcodec.EncodePack(&buf, level, ordered, &packStats); err != nil {
+	pack, err := segcodec.EncodePack(level, ordered, &packStats)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return pack
 }
 
 // TestPackBytesMatchReference: over randomized member sets — terms shared
@@ -195,28 +197,34 @@ func TestGoldenDemoStore(t *testing.T) {
 
 // TestBulkPathsReadEachFileOnce traces the backend under PackSegments and
 // Verify: each reads every store file exactly once — the audit's bytes and
-// decoded columns are all packing works from.
+// decoded columns are all packing works from — and in listing order, on
+// whatever number of workers the check pass then runs: the read pass stays on
+// the calling goroutine, so a fault injected at "the n-th read" names the same
+// file on every run.
 func TestBulkPathsReadEachFileOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	fb := faultfs.New(VFSBackend{View: vfs.NewStore().NewView()}, 1)
 	store := demoStore(t, fb)
-	readsSince := func(mark int) map[string]int {
-		reads := map[string]int{}
+	readsSince := func(mark int) (reads []string) {
 		for _, op := range fb.Trace()[mark:] {
 			if op.Kind == faultfs.OpRead {
-				reads[filepath.Base(op.Path)]++
+				reads = append(reads, filepath.Base(op.Path))
 			}
 		}
 		return reads
 	}
-	check := func(what string, files map[string][]byte, reads map[string]int) {
+	list := func() []string {
 		t.Helper()
-		for n := range files {
-			if reads[n] != 1 {
-				t.Errorf("%s read %s %d times, want once", what, n, reads[n])
-			}
+		listing, err := store.backend.List(store.dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(reads) != len(files) {
-			t.Errorf("%s read %d distinct files, the store holds %d", what, len(reads), len(files))
+		return listing
+	}
+	check := func(what string, listing, reads []string) {
+		t.Helper()
+		if !reflect.DeepEqual(reads, listing) {
+			t.Errorf("%s read %v, want each file once in listing order %v", what, reads, listing)
 		}
 	}
 	for level := 1; level <= 2; level++ {
@@ -226,19 +234,19 @@ func TestBulkPathsReadEachFileOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		files := storeFiles(t, store)
+		listing := list()
 		mark := len(fb.Trace())
 		if _, err := store.PackSegments(level); err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("PackSegments(%d)", level), files, readsSince(mark))
+		check(fmt.Sprintf("PackSegments(%d)", level), listing, readsSince(mark))
 
-		files = storeFiles(t, store)
+		listing = list()
 		mark = len(fb.Trace())
 		if rep := mustVerify(t, store); !rep.Clean() {
 			t.Fatalf("level %d: %v", level, rep.Defects)
 		}
-		check("Verify", files, readsSince(mark))
+		check("Verify", listing, readsSince(mark))
 	}
 }
 
@@ -326,35 +334,47 @@ func BenchmarkTrackIO(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchPerRank), "ns/record")
 }
 
+// benchBackends are the substrates BenchmarkPackSegments and BenchmarkVerify
+// run on: the virtual filesystem the tests use, and the harness's mem:
+// backend, where the time is the store's rather than the filesystem model's.
+var benchBackends = []string{"vfs", "mem"}
+
 func BenchmarkPackSegments(b *testing.B) {
 	files, size := h5benchStoreFiles(b)
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		store := openDir(b, files)
-		b.StartTimer()
-		if _, err := store.PackSegments(1); err != nil {
-			b.Fatal(err)
-		}
+	for _, kind := range benchBackends {
+		b.Run(kind, func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				store := openSnapshotOn(b, kind, files)
+				b.StartTimer()
+				if _, err := store.PackSegments(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkVerify(b *testing.B) {
 	files, size := h5benchStoreFiles(b)
-	store := openDir(b, files)
-	if _, err := store.PackSegments(1); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := store.Verify()
-		if err != nil || !rep.Clean() {
-			b.Fatal(err, rep)
-		}
+	for _, kind := range benchBackends {
+		b.Run(kind, func(b *testing.B) {
+			store := openSnapshotOn(b, kind, files)
+			if _, err := store.PackSegments(1); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := store.Verify()
+				if err != nil || !rep.Clean() {
+					b.Fatal(err, rep)
+				}
+			}
+		})
 	}
 }
 

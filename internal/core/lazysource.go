@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/hpc-io/prov-io/internal/par"
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
 
@@ -532,7 +533,7 @@ func (v *LazyView) hydrateInto(u *scanUnit, dst *rdf.Graph) error {
 // pool: every worker hydrates straight into dst — one AddBatch per unit, so
 // private accumulators would only add a second insertion.
 func (v *LazyView) hydrateAll(units []*scanUnit, workers int, dst *rdf.Graph) error {
-	return forEachUnit(units, workers, func(_ int, u *scanUnit) error { return v.hydrateInto(u, dst) })
+	return par.ForEach(len(units), workers, func(_, i int) error { return v.hydrateInto(units[i], dst) })
 }
 
 // MaterializeGraph unions every unit of the view into one graph through the

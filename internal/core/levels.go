@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -140,13 +140,13 @@ func (s *Store) PackSegments(level int) (string, error) {
 		}
 		ordered = append(ordered, e)
 	}
-	packStats := segcodec.UnionStats(contents)
-	var buf bytes.Buffer
-	if err := segcodec.EncodePack(&buf, level, ordered, &packStats); err != nil {
+	packStats := segcodec.UnionStats(contents, runtime.GOMAXPROCS(0))
+	pack, err := segcodec.EncodePack(level, ordered, &packStats)
+	if err != nil {
 		return "", err
 	}
 	name := packName(level, maxSeq+1)
-	if err := s.backend.WriteFile(path(name), buf.Bytes()); err != nil {
+	if err := s.backend.WriteFile(path(name), pack); err != nil {
 		return "", err
 	}
 

@@ -8,10 +8,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/hpc-io/prov-io/internal/backend"
+	"github.com/hpc-io/prov-io/internal/par"
 	"github.com/hpc-io/prov-io/internal/rdf"
 	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
@@ -20,7 +19,7 @@ import (
 // pushdown", paragraph "The store reader"): every read — exhaustive or
 // pruned merge, lazy view, either lineage reducer — lists the store's units
 // once (listUnits), admits them through one statistics predicate (admit),
-// fans the admitted ones over one worker pool (forEachUnit), and differs
+// fans the admitted ones over one worker pool (par.ForEach), and differs
 // only in the leaf that turns one unit into triples: Store.decodeInto here,
 // LazyView.hydrateInto through the budgeted cache in lazysource.go.
 //
@@ -404,49 +403,6 @@ func admit(units []*scanUnit, pr *SegmentPruner) (keep []*scanUnit, packsSkipped
 	return keep, packsSkipped
 }
 
-// forEachUnit is the store's one worker pool over units: fn runs once per
-// unit on up to `workers` goroutines and is told which worker it runs on,
-// so callers can keep per-worker state without locks. After an error no
-// further unit starts, and one of the errors hit is returned. workers <= 1,
-// or fewer than two units, runs inline as worker 0.
-func forEachUnit(units []*scanUnit, workers int, fn func(worker int, u *scanUnit) error) error {
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers <= 1 {
-		for _, u := range units {
-			if err := fn(0, u); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64 // index of the next unit to hand out
-		errs = make([]error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := next.Add(1) - 1; i < int64(len(units)); i = next.Add(1) - 1 {
-				if errs[w] = fn(w, units[i]); errs[w] != nil {
-					next.Store(int64(len(units))) // no further unit starts
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // decodeUnits is the eager way to load units: each is fetched and decoded
 // straight into a graph (decodeInto). Worker 0 writes dst itself; every
 // other worker owns a private accumulator (parsing and union parallelize
@@ -458,7 +414,7 @@ func (s *Store) decodeUnits(units []*scanUnit, workers int, dst *rdf.Graph) erro
 	for w := 1; w < workers && w < len(units); w++ {
 		accs = append(accs, rdf.NewGraph())
 	}
-	err := forEachUnit(units, len(accs), func(w int, u *scanUnit) error { return s.decodeInto(u, accs[w]) })
+	err := par.ForEach(len(units), len(accs), func(w, i int) error { return s.decodeInto(units[i], accs[w]) })
 	if err != nil {
 		return err
 	}

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 
+	"github.com/hpc-io/prov-io/internal/par"
 	"github.com/hpc-io/prov-io/internal/rdf"
 	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
@@ -215,6 +217,7 @@ func (s *Store) VerifyAgainst(heads map[int][32]byte) (*VerifyReport, error) {
 
 // auditFile is one examined store file.
 type auditFile struct {
+	pid     int
 	name    string
 	seg     int // segment number, -1 for a canonical file
 	data    []byte
@@ -225,9 +228,14 @@ type auditFile struct {
 	// a binary file's validated columns, a text file's parsed graph.
 	cols   *segcodec.Columns
 	graph  *rdf.Graph
-	bad    bool   // at least one defect charged to this file
 	packed string // pack file the bytes live in; "" for a loose file
+	// defects are the per-file findings, charged by the check pass to the file
+	// alone (its worker shares nothing) and folded into the pid's in entry
+	// order; non-empty means the file's seal is no chain evidence.
+	defects []Defect
 }
+
+func (f *auditFile) bad() bool { return len(f.defects) > 0 }
 
 // pidAudit is the audit state of one process.
 type pidAudit struct {
@@ -300,8 +308,14 @@ func parseStoreName(name string) (pid, seg int, isSum, ok bool) {
 	return 0, 0, false, false
 }
 
-// audit reads every provenance file in the store exactly once and checks it.
-// keep retains each intact file's decoded content (and the audit keeps every
+// audit reads every provenance file in the store exactly once and checks it,
+// in three passes: a read pass on the calling goroutine, in listing order (so
+// backend traces and injected read faults do not depend on scheduling); a
+// check pass that fans the per-file work — digest, validated decode, seal —
+// over the store's worker pool, each file collecting its own defects; and a
+// fold that hands files and defects to their process in entry order, then
+// analyses each chain. The result is the same at any worker count. keep
+// retains each intact file's decoded content (and the audit keeps every
 // file's bytes regardless) for the fold steps of Compact and PackSegments.
 func (s *Store) audit(keep bool) (*storeAudit, error) {
 	names, err := s.backend.List(s.dir)
@@ -311,13 +325,7 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 	a := &storeAudit{pids: make(map[int]*pidAudit), sums: make(map[string][]byte)}
 	sums := a.sums
 	sumFrom := make(map[string]string)
-	type entry struct {
-		name     string
-		pid, seg int
-		data     []byte
-		packed   string // pack file the bytes came from; "" for loose
-	}
-	var entries []entry
+	var entries []*auditFile // what the read pass found, unchecked
 	addSum := func(n string, data []byte, src string) {
 		if prev, ok := sums[n]; ok {
 			if !bytes.Equal(prev, data) {
@@ -368,7 +376,7 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 					addSum(m.Name, mdata, n)
 					continue
 				}
-				entries = append(entries, entry{m.Name, pid, seg, mdata, n})
+				entries = append(entries, &auditFile{pid: pid, name: m.Name, seg: seg, data: mdata, packed: n})
 			}
 			continue
 		}
@@ -385,13 +393,13 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 			addSum(n, data, "the store directory")
 			continue
 		}
-		entries = append(entries, entry{n, pid, seg, data, ""})
+		entries = append(entries, &auditFile{pid: pid, name: n, seg: seg, data: data})
 	}
 	// Same-name copies (a crash between a pack write and source removal
 	// duplicates members as loose files) audit as one file when byte-identical
 	// — preferring the loose copy, which recovery can remove — and as damage
 	// when they conflict.
-	byName := make(map[string]int, len(entries))
+	byName := make(map[string]int, len(entries)) // audited name -> index in deduped
 	deduped := entries[:0:0]
 	for _, e := range entries {
 		i, seen := byName[e.name]
@@ -410,6 +418,10 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 		}
 	}
 	entries = deduped
+	// Check pass: the files are mutually independent, sums is read-only from
+	// here on, and a finding is a defect on the file, never an error.
+	par.Do(len(entries), runtime.GOMAXPROCS(0), func(i int) { entries[i].check(sums, keep) })
+	// Fold, in entry order.
 	pidOf := func(pid int) *pidAudit {
 		pa := a.pids[pid]
 		if pa == nil {
@@ -418,18 +430,14 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 		}
 		return pa
 	}
-	for _, e := range entries {
-		pa := pidOf(e.pid)
-		f, err := s.auditOne(pa, e.name, e.seg, e.data, sums, keep)
-		if err != nil {
-			return nil, err
-		}
-		f.packed = e.packed
+	for _, f := range entries {
+		pa := pidOf(f.pid)
+		pa.defects = append(pa.defects, f.defects...)
 		a.files++
 		if f.meta != nil {
 			a.sealed++
 		}
-		if e.seg >= 0 {
+		if f.seg >= 0 {
 			a.segments++
 			pa.segs = append(pa.segs, f)
 		} else {
@@ -440,20 +448,10 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 	for sumName := range sums {
 		pid, seg, _, _ := parseStoreName(sumName)
 		fileName := strings.TrimSuffix(sumName, chainSidecarExt)
-		claimed := false
-		pa := a.pids[pid]
-		if pa != nil {
-			for _, f := range append(append([]*auditFile{}, pa.canonicals...), pa.segs...) {
-				if f.name == fileName {
-					claimed = true
-					break
-				}
-			}
-		}
-		if claimed {
+		if _, present := byName[fileName]; present {
 			continue
 		}
-		pa = pidOf(pid)
+		pa := pidOf(pid)
 		// A segment sidecar below every present segment (or with none left),
 		// next to a canonical file, is the residue of a crash inside segment
 		// removal — the segment goes before its sidecar, so the sidecar can
@@ -490,18 +488,22 @@ func packSrc(pack string) string {
 	return pack
 }
 
-// auditOne integrity-checks a single store file (loose or a pack member —
-// the caller supplies the bytes either way).
-func (s *Store) auditOne(pa *pidAudit, name string, seg int, data []byte, sums map[string][]byte, keep bool) (*auditFile, error) {
-	f := &auditFile{name: name, seg: seg, data: data, digest: fileDigest(data)}
+// check integrity-checks a single store file (loose or a pack member — the
+// read pass supplied the bytes either way). It runs on a pool worker: it
+// reads sums, writes only f, and charges what it finds to f's own defect
+// list.
+func (f *auditFile) check(sums map[string][]byte, keep bool) {
+	name, seg, data := f.name, f.seg, f.data
+	f.digest = fileDigest(data)
 	codec, _ := segcodec.ByExt(filepath.Ext(name))
 	// The pbs format by name, not "any codec with a magic": this branch reads
 	// the file with that format's own columnar decode and in-band seal.
 	binary := codec == segcodec.Binary
 
 	flag := func(kind DefectKind, fname, format string, args ...any) {
-		f.bad = true
-		pa.addDefect(kind, fname, format, args...)
+		f.defects = append(f.defects, Defect{
+			PID: f.pid, Name: fname, Kind: kind, Detail: fmt.Sprintf(format, args...),
+		})
 	}
 
 	if binary {
@@ -544,7 +546,7 @@ func (s *Store) auditOne(pa *pidAudit, name string, seg int, data []byte, sums m
 		}
 		g := rdf.NewGraph()
 		if err := segcodec.Detect(data).Decode(bytes.NewReader(data), g); err != nil {
-			if !f.bad {
+			if !f.bad() {
 				flag(DefectTampered, name, "parse: %v", err)
 			}
 		} else if keep {
@@ -564,7 +566,6 @@ func (s *Store) auditOne(pa *pidAudit, name string, seg int, data []byte, sums m
 			flag(DefectTampered, name, "canonical file is sealed as a delta segment")
 		}
 	}
-	return f, nil
 }
 
 // auditChain checks the per-process chain: segment-name contiguity, link
@@ -783,7 +784,7 @@ func (a *storeAudit) report(dir string) *VerifyReport {
 		rep.Defects = append(rep.Defects, pa.defects...)
 		rep.Heads[pid] = pa.head
 		for _, f := range append(append([]*auditFile{}, pa.canonicals...), pa.segs...) {
-			if f.meta == nil && !f.bad {
+			if f.meta == nil && !f.bad() {
 				rep.Unsealed = append(rep.Unsealed, f.name)
 			}
 		}

@@ -3,6 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -353,20 +357,14 @@ func TestVerifyDeletionMatrix(t *testing.T) {
 	}
 }
 
-// TestVerifyReorderAndSplice: segments moved within a chain, replayed under a
-// later name, or spliced in from another process must all be rejected.
-func TestVerifyReorderAndSplice(t *testing.T) {
-	view := vfs.NewStore().NewView()
-	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smallHistory(t, store, 0)
-	smallHistory(t, store, 1)
-	clean := storeFiles(t, store)
+// spliceCases manipulate the chains of a binary store holding smallHistory
+// for pids 0 and 1.
+var spliceCases = func() []struct {
+	name   string
+	mutate func(map[string][]byte)
+} {
 	seg := func(pid, n int) string { return fmt.Sprintf("prov_p%06d.seg%04d.pbs", pid, n) }
-
-	cases := []struct {
+	return []struct {
 		name   string
 		mutate func(map[string][]byte)
 	}{
@@ -386,7 +384,20 @@ func TestVerifyReorderAndSplice(t *testing.T) {
 			m[seg(0, 1)], m[seg(0, 2)] = m[seg(1, 1)], m[seg(1, 2)]
 		}},
 	}
-	for _, tc := range cases {
+}()
+
+// TestVerifyReorderAndSplice: segments moved within a chain, replayed under a
+// later name, or spliced in from another process must all be rejected.
+func TestVerifyReorderAndSplice(t *testing.T) {
+	view := vfs.NewStore().NewView()
+	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallHistory(t, store, 0)
+	smallHistory(t, store, 1)
+	clean := storeFiles(t, store)
+	for _, tc := range spliceCases {
 		t.Run(tc.name, func(t *testing.T) {
 			mut := make(map[string][]byte, len(clean))
 			for n, d := range clean {
@@ -476,5 +487,157 @@ func TestCompactRecoversDroppableTail(t *testing.T) {
 				t.Fatal("IntegrityError carries no defects")
 			}
 		})
+	}
+}
+
+// auditFixture is one store snapshot of TestAuditParallelMatchesSerial.
+type auditFixture struct {
+	name  string
+	files map[string][]byte
+}
+
+// withFile copies a snapshot with one file replaced, or deleted (nil data).
+func withFile(files map[string][]byte, name string, data []byte) map[string][]byte {
+	mut := maps.Clone(files)
+	if data == nil {
+		delete(mut, name)
+	} else {
+		mut[name] = data
+	}
+	return mut
+}
+
+// auditFixtures builds the stores the tamper matrices, the pack tests and the
+// codec tests build — clean and damaged, loose and packed, every format —
+// each holding several processes so that the check pass has files to spread.
+func auditFixtures(t *testing.T) []auditFixture {
+	t.Helper()
+	var fx []auditFixture
+	add := func(name string, files map[string][]byte) { fx = append(fx, auditFixture{name, files}) }
+	history := func(format Format, pids ...int) *Store {
+		store, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pid := range pids {
+			smallHistory(t, store, pid)
+		}
+		return store
+	}
+
+	// The flip, truncation and deletion matrices, sampled.
+	for _, format := range []Format{FormatTurtle, FormatNTriples, FormatBinary} {
+		clean := storeFiles(t, history(format, 0, 1))
+		add(fmt.Sprintf("%v/clean", format), clean)
+		names := make([]string, 0, len(clean))
+		for n := range clean {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			data := clean[name]
+			for i := 0; i < len(data); i += 1 + len(data)/5 {
+				flipped := append([]byte(nil), data...)
+				flipped[i] ^= 1 << (i % 8)
+				add(fmt.Sprintf("%v/flip %s byte %d", format, name, i), withFile(clean, name, flipped))
+			}
+			for _, n := range []int{0, len(data) / 2, len(data) - 1} {
+				add(fmt.Sprintf("%v/truncate %s to %d", format, name, n), withFile(clean, name, data[:n:n]))
+			}
+			add(fmt.Sprintf("%v/delete %s", format, name), withFile(clean, name, nil))
+		}
+	}
+	clean := storeFiles(t, history(FormatBinary, 0, 1))
+	for _, tc := range spliceCases {
+		mut := maps.Clone(clean)
+		tc.mutate(mut)
+		add("splice/"+tc.name, mut)
+	}
+
+	// Packed stores: level 1, the crash state that duplicates its members as
+	// loose files, level 1 beside fresh loose segments, and level 2.
+	store := history(FormatBinary, 0, 1, 2)
+	loose := storeFiles(t, store)
+	pack, err := store.PackSegments(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1 := storeFiles(t, store)
+	add("packed/L1", l1)
+	add("packed/L1 crash-duplicated", withFile(loose, pack, l1[pack]))
+	smallHistory(t, store, 5)
+	add("packed/L1 and loose", storeFiles(t, store))
+	if _, err := store.PackSegments(2); err != nil {
+		t.Fatal(err)
+	}
+	add("packed/L2", storeFiles(t, store))
+	l1[pack] = append([]byte(nil), l1[pack]...)
+	l1[pack][len(l1[pack])/2] ^= 0x10
+	add("packed/L1 flipped member byte", l1)
+
+	// One directory holding all three formats, sidecars included.
+	mixed := make(map[string][]byte)
+	for pid, format := range []Format{FormatTurtle, FormatNTriples, FormatBinary} {
+		for n, d := range storeFiles(t, history(format, pid)) {
+			mixed[n] = d
+		}
+	}
+	add("mixed formats", mixed)
+	return fx
+}
+
+// TestAuditParallelMatchesSerial: the audit's check pass runs on GOMAXPROCS
+// workers, and nothing it feeds may depend on how many — Verify returns
+// deep-equal reports (defect order, heads, counts), PackSegments and Compact
+// equal errors and byte-equal stores — at 1, 2 and 8, over clean and damaged
+// stores of every format and layout.
+func TestAuditParallelMatchesSerial(t *testing.T) {
+	type outcome struct {
+		report              *VerifyReport
+		packErr, compactErr string
+		packed, compacted   map[string][]byte
+	}
+	fixtures := auditFixtures(t)
+	run := func(procs int) []outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out := make([]outcome, len(fixtures))
+		for i, fx := range fixtures {
+			o := &out[i]
+			o.report = mustVerify(t, openDir(t, fx.files))
+			store := openDir(t, fx.files)
+			_, err := store.PackSegments(3) // above every fixture's packs: folds them too
+			o.packErr, o.packed = fmt.Sprint(err), storeFiles(t, store)
+			store = openDir(t, fx.files)
+			o.compactErr, o.compacted = fmt.Sprint(store.Compact()), storeFiles(t, store)
+		}
+		return out
+	}
+	serial := run(1)
+	defective, refused := 0, 0
+	for _, o := range serial {
+		if !o.report.Clean() {
+			defective++
+		}
+		if o.packErr != "<nil>" {
+			refused++
+		}
+	}
+	t.Logf("%d fixtures: %d defective, %d packs refused", len(serial), defective, refused)
+	if defective == 0 || defective == len(serial) || refused == 0 || refused == len(serial) {
+		t.Fatalf("fixtures are one-sided: %d of %d defective, %d packs refused", defective, len(serial), refused)
+	}
+	for _, procs := range []int{2, 8} {
+		for i, got := range run(procs) {
+			want, name := serial[i], fixtures[i].name
+			if !reflect.DeepEqual(got.report, want.report) {
+				t.Errorf("%s: Verify at GOMAXPROCS=%d:\n got %+v\nwant %+v", name, procs, got.report, want.report)
+			}
+			if got.packErr != want.packErr || !reflect.DeepEqual(got.packed, want.packed) {
+				t.Errorf("%s: PackSegments at GOMAXPROCS=%d: err %q, serial %q (or the stores differ)", name, procs, got.packErr, want.packErr)
+			}
+			if got.compactErr != want.compactErr || !reflect.DeepEqual(got.compacted, want.compacted) {
+				t.Errorf("%s: Compact at GOMAXPROCS=%d: err %q, serial %q (or the stores differ)", name, procs, got.compactErr, want.compactErr)
+			}
+		}
 	}
 }

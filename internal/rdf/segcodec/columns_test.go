@@ -210,22 +210,61 @@ func TestGraphEncodeMatchesTermSpace(t *testing.T) {
 	}
 }
 
-// TestUnionStatsMatchesUnionGraph: merging the members' dictionaries must
-// report exactly the stats of a graph holding every member — members sharing
-// terms, repeating each other's triples, empty, and graph-backed (text).
+// TestUnionStatsMatchesUnionGraph: merging references to the members'
+// dictionaries must report exactly the stats of a graph holding every member.
+// Member counts run over 1, 2, 3, 2^k and 2^k+1, so every merge round carries
+// an odd run at least once; the shapes are members sharing terms and
+// repeating each other's triples, identical members, pairwise-disjoint
+// dictionaries, a member every term of which another member also holds, and
+// empty members first, last and alone; any member may be graph-backed (text).
+// One worker and four give the same bytes.
 func TestUnionStatsMatchesUnionGraph(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
+	counts := []int{1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33}
+	shapes := []string{"shared", "identical", "disjoint", "subset", "empty ends"}
+	disjointGraph := func(rng *rand.Rand, m int) *rdf.Graph {
+		g := rdf.NewGraph()
+		for i := 0; i < 1+rng.Intn(12); i++ {
+			g.Add(rdf.Triple{
+				S: rdf.IRI(fmt.Sprintf("urn:m%d:s%d", m, rng.Intn(6))),
+				P: rdf.IRI(fmt.Sprintf("urn:m%d:p%d", m, rng.Intn(3))),
+				O: rdf.Literal(fmt.Sprintf("m%d v%d", m, rng.Intn(6))),
+			})
+		}
+		return g
+	}
+	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		union := rdf.NewGraph()
-		var members []*Columns
-		for m := 0; m < 1+rng.Intn(6); m++ {
-			g := randomGraph(rng, rng.Intn(80)) // small ranges: terms and triples recur across members
-			if rng.Intn(4) == 0 {
-				g = rdf.NewGraph()
+		n := counts[int(seed)%len(counts)]
+		shape := shapes[int(seed)/len(counts)%len(shapes)]
+		graphs := make([]*rdf.Graph, n)
+		for m := range graphs {
+			switch {
+			case shape == "identical" && m > 0:
+				graphs[m] = graphs[0]
+			case shape == "disjoint":
+				graphs[m] = disjointGraph(rng, m)
+			case shape == "subset" && m == n-1 && n > 1:
+				// Some of member 0's triples: no term of its own.
+				graphs[m] = rdf.NewGraph()
+				for i, x := range graphs[0].Triples() {
+					if i%3 == 0 {
+						graphs[m].Add(x)
+					}
+				}
+			case shape == "empty ends" && (m == 0 || m == n-1):
+				graphs[m] = rdf.NewGraph()
+			case rng.Intn(6) == 0:
+				graphs[m] = rdf.NewGraph()
+			default:
+				graphs[m] = randomGraph(rng, rng.Intn(80)) // small ranges: terms and triples recur across members
 			}
+		}
+		union := rdf.NewGraph()
+		members := make([]*Columns, n)
+		for m, g := range graphs {
 			union.Merge(g)
 			if rng.Intn(3) == 0 {
-				members = append(members, GraphColumns(g))
+				members[m] = GraphColumns(g)
 				continue
 			}
 			var buf bytes.Buffer
@@ -236,15 +275,18 @@ func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			members = append(members, c)
+			members[m] = c
 		}
-		got, want := UnionStats(members), ComputeGraphStats(union)
-		if !bytes.Equal(got.encode(), want.encode()) {
-			t.Fatalf("seed %d: union of %d members: %d triples / %d terms, union graph %d / %d",
-				seed, len(members), got.Triples, got.Terms, want.Triples, want.Terms)
+		want := ComputeGraphStats(union)
+		for _, workers := range []int{1, 4} {
+			got := UnionStats(members, workers)
+			if !bytes.Equal(got.encode(), want.encode()) {
+				t.Fatalf("seed %d: union of %d %s members at %d worker(s): %d triples / %d terms, union graph %d / %d",
+					seed, n, shape, workers, got.Triples, got.Terms, want.Triples, want.Terms)
+			}
 		}
 	}
-	empty := UnionStats(nil)
+	empty := UnionStats(nil, 4)
 	if want := ComputeGraphStats(rdf.NewGraph()); !bytes.Equal(empty.encode(), want.encode()) {
 		t.Fatal("union of no members differs from the empty graph's stats")
 	}

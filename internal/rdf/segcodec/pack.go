@@ -123,12 +123,13 @@ func (m *PackMember) CanMatchMember(s, p, o *rdf.Term) bool {
 	return !m.HasStats || m.Stats.CanMatch(s, p, o)
 }
 
-// EncodePack writes a pack holding the entries verbatim. packStats is the
-// pack-level stats union (nil to omit). Nested packs are rejected: a pack
-// member must be an ordinary store file.
-func EncodePack(w io.Writer, level int, entries []PackEntry, packStats *SegStats) error {
+// EncodePack returns a pack holding the entries verbatim, built in one
+// buffer of the pack's size that the caller owns. packStats is the pack-level
+// stats union (nil to omit). Nested packs are rejected: a pack member must be
+// an ordinary store file.
+func EncodePack(level int, entries []PackEntry, packStats *SegStats) ([]byte, error) {
 	if level < 1 {
-		return fmt.Errorf("segcodec: pack level %d out of range (levels start at 1)", level)
+		return nil, fmt.Errorf("segcodec: pack level %d out of range (levels start at 1)", level)
 	}
 	var h bytes.Buffer
 	putUvarint(&h, uint64(level))
@@ -136,7 +137,7 @@ func EncodePack(w io.Writer, level int, entries []PackEntry, packStats *SegStats
 	var bodyLen int
 	for _, e := range entries {
 		if filepath.Ext(e.Name) == Pack.Ext() {
-			return fmt.Errorf("segcodec: pack member %s is itself a pack", e.Name)
+			return nil, fmt.Errorf("segcodec: pack member %s is itself a pack", e.Name)
 		}
 		putUvarint(&h, uint64(len(e.Name)))
 		h.WriteString(e.Name)
@@ -164,8 +165,7 @@ func EncodePack(w io.Writer, level int, entries []PackEntry, packStats *SegStats
 	for _, e := range entries {
 		out.Write(e.Data)
 	}
-	_, err := w.Write(out.Bytes())
-	return err
+	return out.Bytes(), nil
 }
 
 // DecodePackHeader parses a pack's header from data, which may be just a

@@ -38,11 +38,11 @@ func buildPack(t *testing.T, n int) ([]byte, *rdf.Graph, []PackEntry) {
 		Data: []byte("opaque sidecar bytes, not RDF"),
 	})
 	packStats := ComputeGraphStats(union)
-	var pack bytes.Buffer
-	if err := EncodePack(&pack, 1, entries, &packStats); err != nil {
+	pack, err := EncodePack(1, entries, &packStats)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return pack.Bytes(), union, entries
+	return pack, union, entries
 }
 
 // TestPackRoundTrip: a pack decodes (through the registered codec machinery)
@@ -157,8 +157,7 @@ func TestPackCorruption(t *testing.T) {
 // TestPackRejectsNestedPack: packs cannot contain packs.
 func TestPackRejectsNestedPack(t *testing.T) {
 	inner, _, _ := buildPack(t, 2)
-	var out bytes.Buffer
-	err := EncodePack(&out, 2, []PackEntry{{Name: "prov_pack.l01.0000.psk", Data: inner}}, nil)
+	_, err := EncodePack(2, []PackEntry{{Name: "prov_pack.l01.0000.psk", Data: inner}}, nil)
 	if err == nil {
 		t.Fatal("nested pack accepted")
 	}
@@ -167,8 +166,7 @@ func TestPackRejectsNestedPack(t *testing.T) {
 // TestPackEncodeRejectsLevelZero: L0 is by definition the loose-segment
 // tier; encoding a pack claiming it is invalid.
 func TestPackEncodeRejectsLevelZero(t *testing.T) {
-	var out bytes.Buffer
-	if err := EncodePack(&out, 0, nil, nil); err == nil {
+	if _, err := EncodePack(0, nil, nil); err == nil {
 		t.Fatal("level-0 pack accepted")
 	}
 }

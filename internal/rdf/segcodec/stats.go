@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"github.com/hpc-io/prov-io/internal/par"
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
 
@@ -146,13 +147,28 @@ func (b Bloom) Has(t rdf.Term) bool {
 // ComputeStats derives the stats block of a segment from its sorted term
 // dictionary and its sorted, deduplicated local-ID triples — the exact
 // arrays writeSegment serializes, so encode and decode agree byte-for-byte
-// on the canonical stats frame.
+// on the canonical stats frame. It is two independent halves: the Bloom
+// filter reads only the dictionary, everything else only the rows and the
+// boundary terms they name.
 func ComputeStats(terms []rdf.Term, tris [][3]uint32) SegStats {
-	st := SegStats{Triples: uint64(len(tris)), Terms: uint64(len(terms))}
-	st.Bloom = newBloom(len(terms))
+	st := rowStats(terms, tris)
+	st.Bloom = termBloom(terms)
+	return st
+}
+
+// termBloom is the membership filter over a dictionary.
+func termBloom(terms []rdf.Term) Bloom {
+	b := newBloom(len(terms))
 	for _, t := range terms {
-		st.Bloom.Add(t)
+		b.Add(t)
 	}
+	return b
+}
+
+// rowStats is ComputeStats without the Bloom filter: the counts, the zone
+// maps and the predicate list.
+func rowStats(terms []rdf.Term, tris [][3]uint32) SegStats {
+	st := SegStats{Triples: uint64(len(tris)), Terms: uint64(len(terms))}
 	if len(tris) == 0 {
 		st.Preds = []rdf.Term{}
 		return st
@@ -215,69 +231,114 @@ func GraphColumns(g *rdf.Graph) *Columns {
 	return &Columns{Terms: terms, Tris: tris}
 }
 
+// dictRef names one entry of one member's dictionary: what UnionStats merges
+// in place of the 64-byte term itself.
+type dictRef struct{ member, local uint32 }
+
 // UnionStats computes the stats of the union of the members' triples — the
-// pack-level stats block — without building the union as a graph. Each
-// member's dictionary is strictly ascending (DecodeColumns rejects any
-// other), so the union dictionary is a merge of sorted lists, done pairwise
-// in rounds; one walk along it renumbers a member's local IDs, and the
-// renumbered triples are sorted and deduplicated like any segment's. The
-// result is what ComputeGraphStats reports for a graph holding every member.
-// A dictionary entry no triple uses still counts as a term of the union.
-func UnionStats(members []*Columns) SegStats {
-	dicts := make([][]rdf.Term, 0, len(members))
-	total := 0
-	for _, c := range members {
-		dicts = append(dicts, c.Terms)
-		total += len(c.Tris)
+// pack-level stats block — without building the union as a graph, and
+// without copying a term until the union dictionary is final. Each member's
+// dictionary is strictly ascending (DecodeColumns rejects any other), so as
+// a run of references it is already sorted; the runs are merged pairwise in
+// rounds between two buffers, stably and keeping duplicates, by comparing
+// the terms the references name. One walk along the single run that is left
+// numbers the distinct terms, fills every member's local-to-union table and
+// leaves the union's references behind, from which the union dictionary is
+// built once, at its size. The members' rows, renumbered into disjoint
+// ranges of one array, are sorted and deduplicated like any segment's.
+//
+// The pairs of a round, the members' renumberings, and the Bloom filter
+// beside the row sort are independent of each other and run on up to
+// `workers` goroutines (inline at one). The result is what ComputeGraphStats
+// reports for a graph holding every member, at any worker count. A
+// dictionary entry no triple uses still counts as a term of the union.
+func UnionStats(members []*Columns, workers int) SegStats {
+	dicts := make([][]rdf.Term, len(members))
+	refOff := make([]int, len(members)+1) // member m's dictionary is refs [refOff[m], refOff[m+1])
+	rowOff := make([]int, len(members)+1) // and its rows are union rows [rowOff[m], rowOff[m+1])
+	for m, c := range members {
+		dicts[m] = c.Terms
+		refOff[m+1] = refOff[m] + len(c.Terms)
+		rowOff[m+1] = rowOff[m] + len(c.Tris)
 	}
-	for len(dicts) > 1 {
-		merged := dicts[:0]
-		for i := 0; i+1 < len(dicts); i += 2 {
-			merged = append(merged, mergeDicts(dicts[i], dicts[i+1]))
-		}
-		if len(dicts)%2 == 1 {
-			merged = append(merged, dicts[len(dicts)-1])
-		}
-		dicts = merged
-	}
-	var terms []rdf.Term
-	if len(dicts) == 1 {
-		terms = dicts[0]
-	}
-	tris := make([][3]uint32, 0, total)
-	for _, c := range members {
-		remap := make([]uint32, len(c.Terms))
-		u := 0
-		for i, t := range c.Terms {
-			for terms[u] != t {
-				u++
-			}
-			remap[i] = uint32(u)
-		}
-		for _, t := range c.Tris {
-			tris = append(tris, [3]uint32{remap[t[0]], remap[t[1]], remap[t[2]]})
+	nRefs, nRows := refOff[len(members)], rowOff[len(members)]
+	bufs := make([]dictRef, 2*nRefs)
+	src, dst := bufs[:nRefs], bufs[nRefs:]
+	for m, d := range dicts {
+		run := src[refOff[m]:refOff[m+1]]
+		for i := range d {
+			run[i] = dictRef{uint32(m), uint32(i)}
 		}
 	}
-	return ComputeStats(terms, sortDedupTriples(tris, len(terms)))
+
+	// Merge rounds. Going into a round every run covers `width` members (the
+	// last maybe fewer); the round merges runs 2p and 2p+1 into one, and an
+	// odd run out is carried over as a merge with nothing.
+	refAt := func(m int) int { return refOff[min(m, len(members))] }
+	for width := 1; width < len(members); width *= 2 {
+		pairs := (len(members) + 2*width - 1) / (2 * width)
+		par.Do(pairs, workers, func(p int) {
+			lo, mid, hi := refAt(2*p*width), refAt((2*p+1)*width), refAt((2*p+2)*width)
+			mergeRefs(dst[lo:hi], src[lo:mid], src[mid:hi], dicts)
+		})
+		src, dst = dst, src
+	}
+
+	// Equal terms are adjacent in src now. remap[refOff[m]+l] becomes the
+	// union ID of member m's local ID l; src[:nu] the first reference to each
+	// union term.
+	remap := make([]uint32, nRefs)
+	nu := 0
+	var prev *rdf.Term
+	for _, r := range src {
+		if t := &dicts[r.member][r.local]; prev == nil || *t != *prev {
+			src[nu] = r
+			nu++
+			prev = t
+		}
+		remap[refOff[r.member]+int(r.local)] = uint32(nu - 1)
+	}
+	terms := make([]rdf.Term, nu)
+	for u, r := range src[:nu] {
+		terms[u] = dicts[r.member][r.local]
+	}
+
+	tris := make([][3]uint32, nRows)
+	par.Do(len(members), workers, func(m int) {
+		to, out := remap[refOff[m]:refOff[m+1]], tris[rowOff[m]:rowOff[m+1]]
+		for i, t := range members[m].Tris {
+			out[i] = [3]uint32{to[t[0]], to[t[1]], to[t[2]]}
+		}
+	})
+
+	var st SegStats
+	var bloom Bloom
+	par.Do(2, workers, func(half int) {
+		if half == 0 {
+			bloom = termBloom(terms)
+		} else {
+			st = rowStats(terms, sortDedupTriples(tris, len(terms)))
+		}
+	})
+	st.Bloom = bloom
+	return st
 }
 
-// mergeDicts returns the union of two strictly ascending dictionaries.
-func mergeDicts(a, b []rdf.Term) []rdf.Term {
-	out := make([]rdf.Term, 0, len(a)+len(b))
+// mergeRefs merges two runs of references, each ascending by the term it
+// names, into dst (as long as both together). It is stable — on equal terms
+// a's reference goes first — and keeps duplicates.
+func mergeRefs(dst, a, b []dictRef, dicts [][]rdf.Term) {
+	k := 0
 	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] == b[0]:
-			out = append(out, a[0])
-			a, b = a[1:], b[1:]
-		case rdf.TermLess(a[0], b[0]):
-			out = append(out, a[0])
-			a = a[1:]
-		default:
-			out = append(out, b[0])
-			b = b[1:]
+		if rdf.TermLess(dicts[b[0].member][b[0].local], dicts[a[0].member][a[0].local]) {
+			dst[k], b = b[0], b[1:]
+		} else {
+			dst[k], a = a[0], a[1:]
 		}
+		k++
 	}
-	return append(append(out, a...), b...)
+	k += copy(dst[k:], a)
+	copy(dst[k:], b)
 }
 
 // encode renders the canonical stats frame payload.

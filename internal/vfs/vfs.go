@@ -541,14 +541,17 @@ func (v *View) Listxattr(p string) ([]string, error) {
 	return names, nil
 }
 
-// ReadFile reads the whole file at p.
+// ReadFile reads the whole file at p, into a slice of the file's size.
 func (v *View) ReadFile(p string) ([]byte, error) {
 	f, err := v.Open(p)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	f.node.mu.RLock()
+	defer f.node.mu.RUnlock()
+	v.chargeRead(int64(len(f.node.data)))
+	return append([]byte{}, f.node.data...), nil
 }
 
 // WriteFile writes data to the file at p, creating or truncating it.
