@@ -135,9 +135,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if !*quiet {
-		fmt.Fprintf(stdout, "%s: %d processes, %d files (%d sealed, %d segments, %d packs) [backend: %s]\n",
+		// A store of the current generation prints what it always did; files in
+		// the older layout read the same and are worth one rewrite.
+		legacy := ""
+		if n := rep.LegacyPBS(); n > 0 {
+			legacy = fmt.Sprintf(", %d file(s) in legacy pbs v1 (provio-merge -compact rewrites them)", n)
+		}
+		fmt.Fprintf(stdout, "%s: %d processes, %d files (%d sealed, %d segments, %d packs) [backend: %s]%s\n",
 			rep.Dir, rep.Processes, rep.Files, rep.Sealed, rep.Segments, rep.Packs,
-			provio.CapsString(store.Backend().Caps()))
+			provio.CapsString(store.Backend().Caps()), legacy)
 		if len(rep.Unsealed) > 0 && !*strict {
 			fmt.Fprintf(stdout, "note: %d files carry no seal (pre-integrity store; -strict flags them)\n",
 				len(rep.Unsealed))

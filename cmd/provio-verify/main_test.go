@@ -175,3 +175,39 @@ func TestSelftest(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreGenerations: the summary line of a store this build wrote is what
+// it always was; a store in the version 1 layout verifies just as clean and is
+// named as worth a rewrite; and a segment whose version this build does not
+// know is reported as that — tampered, by its own decoder — not as Turtle
+// syntax in a binary file.
+func TestStoreGenerations(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "prov")
+	buildStore(t, dir, provio.FormatBinary)
+	code, out, _ := runCLI(t, "-store", dir)
+	if code != exitClean || strings.Contains(out, "legacy") || !strings.Contains(out, "]\nclean") {
+		t.Fatalf("current store: code %d, output %q", code, out)
+	}
+
+	legacy := filepath.Join("..", "..", "internal", "core", "testdata", "legacy_pbs_v1")
+	for _, layout := range []string{"loose", "packed"} {
+		code, out, _ := runCLI(t, "-store", filepath.Join(legacy, layout), "-heads", filepath.Join(legacy, layout+".heads"))
+		if code != exitClean || !strings.Contains(out, ", 3 file(s) in legacy pbs v1 (provio-merge -compact rewrites them)\n") {
+			t.Errorf("%s legacy store: code %d, output %q", layout, code, out)
+		}
+	}
+
+	victim := filepath.Join(dir, segments(t, dir)[2])
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[3] = 9
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, _ = runCLI(t, "-store", dir)
+	if code != exitTampered || !strings.Contains(out, "unsupported pbs version 9") {
+		t.Errorf("unknown version: code %d, output %q", code, out)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -353,5 +354,42 @@ func TestCorruptBinarySegmentSurfacesError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "prov_p000000.pbs") {
 		t.Errorf("error %v does not name the corrupt file", err)
+	}
+}
+
+// TestUnknownPBSVersionIsClassified: a .pbs file of a version this build does
+// not know used to fail the magic match and fall through to the text parser,
+// which told the operator about Turtle syntax in a binary file. Every reader
+// — eager merge, out-of-core view, audit — now reports the codec's own
+// classified error.
+func TestUnknownPBSVersionIsClassified(t *testing.T) {
+	store := newBinaryVFSStore(t)
+	trackInto(t, store, 0, DefaultConfig(), false)
+	path := "/prov/prov_p000000.pbs"
+	data, err := store.backend.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[3] = 3
+	if err := store.backend.WriteFile(path, data); err != nil {
+		t.Fatal(err)
+	}
+	classified := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, segcodec.ErrCorrupt) || !strings.Contains(err.Error(), "unsupported pbs version 3") ||
+			!strings.Contains(err.Error(), "prov_p000000.pbs") {
+			t.Errorf("%s: %v, want ErrCorrupt naming the file and its version", what, err)
+		}
+	}
+	_, err = store.Merge()
+	classified("Merge", err)
+	v, err := store.OpenLazy(CacheConfig{})
+	if err == nil {
+		_, _, err = v.MaterializeGraph(2)
+	}
+	classified("lazy view", err)
+	rep := mustVerify(t, store)
+	if len(rep.Defects) == 0 || rep.Worst() != DefectTampered || !strings.Contains(rep.Defects[0].Detail, "unsupported pbs version 3") {
+		t.Errorf("Verify: %v", rep.Defects)
 	}
 }

@@ -1,0 +1,442 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/hpc-io/prov-io/internal/model"
+	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
+	"github.com/hpc-io/prov-io/internal/vfs"
+)
+
+// The version 1 fixtures under testdata/ are the only v1 bytes there are: the
+// parent of the commit that introduced the version 2 dictionary block wrote
+// them (internal/tools/mkstore -format pbs -records 24, and provio-merge
+// -compact -level 1 on a copy, with provio-verify -write-heads beside each),
+// and nothing in this repository can write that layout again.
+const legacyFixtures = "testdata/legacy_pbs_v1"
+
+const legacyVersion = segcodec.PBSVersion - 1
+
+// legacyStoreFiles reads one committed version 1 store and its recorded heads.
+func legacyStoreFiles(t *testing.T, layout string) (files map[string][]byte, heads map[int][32]byte) {
+	t.Helper()
+	dir := filepath.Join(legacyFixtures, layout)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	recorded, err := os.ReadFile(dir + ".heads")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heads, err = ParseHeads(recorded); err != nil {
+		t.Fatal(err)
+	}
+	return files, heads
+}
+
+// trackFreshSegments leaves a few sealed delta segments of a new process in
+// the store — what a tracker of this build adds to a store of any generation.
+func trackFreshSegments(t *testing.T, store *Store, pid int) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Mode = ModePeriodic
+	cfg.FlushEvery = 5
+	cfg.Duration = true
+	tr := NewTracker(cfg, store, pid)
+	prog := tr.RegisterProgram("fresh.exe", tr.RegisterUser("demo-user"))
+	for i := 0; i < 10; i++ {
+		obj := tr.TrackDataObject(model.File, fmt.Sprintf("/data/f%d", i%8), "", rdf.Term{}, prog)
+		tr.TrackIO(model.Read, "H5Dread", obj, prog, time.Duration(i)*time.Millisecond, time.Microsecond)
+	}
+	if err := tr.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storeAnswers is everything a reader can ask of a store, as bytes: the eager
+// merge, the out-of-core view at three budgets (queries and materialization),
+// a Table 5 select, an aggregate, and a 2-hop lineage reduction.
+func storeAnswers(t *testing.T, store *Store) map[string][]byte {
+	t.Helper()
+	queries := map[string]string{
+		"select": `SELECT ?obj ?api ?prog WHERE {
+			?obj provio:wasWrittenBy ?api .
+			?api prov:wasAssociatedWith ?prog .
+		}`,
+		"aggregate": `SELECT ?class (COUNT(?api) AS ?n) WHERE {
+			?api a ?class ; prov:wasMemberOf prov:Activity .
+		} GROUP BY ?class ORDER BY ?class`,
+	}
+	root := []rdf.Term{rdf.IRI(model.NodeIRI(model.File, "/data/f0"))}
+
+	out := map[string][]byte{}
+	merged, _, err := store.MergePruned(nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["merge"] = ntBytes(t, merged)
+	for name, q := range queries {
+		out["eager "+name] = queryBytes(t, merged.Snapshot(), q, 2)
+	}
+	lineage, _, err := store.ReduceLineagePruned(root, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["eager lineage"] = ntBytes(t, lineage)
+
+	unbounded, err := store.OpenLazy(CacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := unbounded.MaterializeGraph(2); err != nil {
+		t.Fatal(err)
+	}
+	total := unbounded.Stats().ResidentBytes
+	for _, view := range []struct {
+		tag    string
+		budget int64
+	}{{"lazy@1B", 1}, {"lazy@half", total / 2}, {"lazy@inf", 0}} {
+		v, err := store.OpenLazy(CacheConfig{MaxBytes: view.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := view.tag
+		src := v.Source(nil)
+		for name, q := range queries {
+			out[tag+" "+name] = queryBytes(t, src, q, 2)
+			if err := src.Err(); err != nil {
+				t.Fatalf("%s %s: %v", tag, name, err)
+			}
+		}
+		g, _, err := v.MaterializeGraph(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[tag+" merge"] = ntBytes(t, g)
+		hops, _, err := v.ReduceLineagePruned(root, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[tag+" lineage"] = ntBytes(t, hops)
+	}
+	return out
+}
+
+func sameAnswers(t *testing.T, what string, got, want map[string][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d answers, want %d", what, len(got), len(want))
+	}
+	for k, w := range want {
+		if len(w) == 0 {
+			t.Fatalf("%s: reference answer %q is empty", what, k)
+		}
+		if !bytes.Equal(got[k], w) {
+			t.Errorf("%s: %q differs (%d bytes, want %d)", what, k, len(got[k]), len(w))
+		}
+	}
+}
+
+// pbsVersions returns the format version of every binary file of a store
+// snapshot, pack members included, by file or member name.
+func pbsVersions(t *testing.T, files map[string][]byte) map[string]byte {
+	t.Helper()
+	out := map[string]byte{}
+	for name, data := range files {
+		switch filepath.Ext(name) {
+		case segcodec.Binary.Ext():
+			out[name] = data[3]
+		case segcodec.Pack.Ext():
+			h, err := segcodec.DecodePackHeader(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range h.Members {
+				out[name+"!"+m.Name] = data[m.Off+3]
+			}
+		}
+	}
+	return out
+}
+
+func fileNames(files map[string][]byte) []string {
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+func totalBytes(files map[string][]byte) (n int) {
+	for _, data := range files {
+		n += len(data)
+	}
+	return n
+}
+
+// TestLegacyV1Readable: a store written before the version 2 dictionary block
+// reads, verifies and answers exactly like the same history written today —
+// loose or packed, eagerly or out of core — and so does its Compact rewrite
+// (which is the migration, and at least 40 % smaller) and a store that mixes
+// the generations inside one pack, on every backend.
+func TestLegacyV1Readable(t *testing.T) {
+	for _, layout := range []string{"loose", "packed"} {
+		t.Run(layout, func(t *testing.T) {
+			files, heads := legacyStoreFiles(t, layout)
+			for name, v := range pbsVersions(t, files) {
+				if v != legacyVersion {
+					t.Fatalf("fixture %s is version %d, want %d", name, v, legacyVersion)
+				}
+			}
+
+			// The same history, written by this build.
+			twin := demoStore(t, VFSBackend{View: vfs.NewStore().NewView()})
+			if layout == "packed" {
+				if _, err := twin.PackSegments(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			twinFiles := storeFiles(t, twin)
+			if !slices.Equal(fileNames(files), fileNames(twinFiles)) {
+				t.Fatalf("fixture holds %v, its twin %v", fileNames(files), fileNames(twinFiles))
+			}
+			for name, data := range files {
+				old, cur := rdf.NewGraph(), rdf.NewGraph()
+				if err := segcodec.Detect(data).Decode(bytes.NewReader(data), old); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := segcodec.Detect(twinFiles[name]).Decode(bytes.NewReader(twinFiles[name]), cur); err != nil {
+					t.Fatalf("twin %s: %v", name, err)
+				}
+				if old.Len() == 0 || !bytes.Equal(ntBytes(t, old), ntBytes(t, cur)) {
+					t.Errorf("%s decodes to %d triples, its version %d twin to %d, or to others", name, old.Len(), segcodec.PBSVersion, cur.Len())
+				}
+				if len(twinFiles[name]) >= len(data) {
+					t.Errorf("%s: %d bytes in version %d, %d in version %d", name, len(data), legacyVersion, len(twinFiles[name]), segcodec.PBSVersion)
+				}
+			}
+
+			store := openDir(t, files)
+			rep, err := store.VerifyAgainst(heads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Clean() {
+				t.Fatalf("version %d store against its recorded heads: %v", legacyVersion, rep.Defects)
+			}
+			if rep.LegacyPBS() != 3 || rep.PBSVersions[legacyVersion] != 3 || len(rep.PBSVersions) != 1 {
+				t.Errorf("audit counted versions %v, want 3 files of version %d", rep.PBSVersions, legacyVersion)
+			}
+			if twinRep := mustVerify(t, twin); twinRep.LegacyPBS() != 0 || twinRep.PBSVersions[segcodec.PBSVersion] != 3 {
+				t.Errorf("twin's audit counted versions %v", twinRep.PBSVersions)
+			}
+			want := storeAnswers(t, twin)
+			sameAnswers(t, "version 1 store", storeAnswers(t, store), want)
+
+			// Compact is the migration: same answers, current version, smaller.
+			rewrite := openDir(t, files)
+			if err := rewrite.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			rewritten := storeFiles(t, rewrite)
+			for name, v := range pbsVersions(t, rewritten) {
+				if v != segcodec.PBSVersion {
+					t.Errorf("Compact left %s in version %d", name, v)
+				}
+			}
+			if rep := mustVerify(t, rewrite); !rep.Clean() || rep.LegacyPBS() != 0 {
+				t.Errorf("rewrite: defects %v, %d legacy file(s)", rep.Defects, rep.LegacyPBS())
+			}
+			sameAnswers(t, "Compact rewrite", storeAnswers(t, rewrite), want)
+			if before, after := totalBytes(files), totalBytes(rewritten); after*10 > before*6 {
+				t.Errorf("rewrite is %d bytes of %d: less than 40 %% smaller", after, before)
+			}
+
+			// Both generations in one store, then in one pack: the fixture plus
+			// segments this build tracks, against the twin plus the same.
+			mixed := openDir(t, files)
+			trackFreshSegments(t, mixed, 1)
+			trackFreshSegments(t, twin, 1)
+			before, err := mixed.Verify()
+			if err != nil || !before.Clean() {
+				t.Fatalf("mixed store: %v %v", err, before.Defects)
+			}
+			level := 1
+			if layout == "packed" {
+				level = 2 // the version 1 segments already sit in a level-1 pack
+			}
+			pack, err := mixed.PackSegments(level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := twin.PackSegments(level); err != nil {
+				t.Fatal(err)
+			}
+			mixedFiles := storeFiles(t, mixed)
+			members := map[byte]int{}
+			for name, v := range pbsVersions(t, mixedFiles) {
+				if strings.HasPrefix(name, pack+"!") {
+					members[v]++
+				}
+			}
+			if members[legacyVersion] != 2 || members[segcodec.PBSVersion] < 2 {
+				t.Fatalf("pack %s holds members by version %v, want both generations", pack, members)
+			}
+			want = storeAnswers(t, twin)
+			sameAnswers(t, "mixed pack", storeAnswers(t, mixed), want)
+
+			// The mixed pack on every substrate: verbatim copies keep the heads
+			// recorded before packing, and so does folding it one level up.
+			for _, kind := range []string{"vfs", "mem", "file", "mount"} {
+				moved := openSnapshotOn(t, kind, mixedFiles)
+				rep, err := moved.VerifyAgainst(before.Heads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Clean() || rep.LegacyPBS() != 3 || !maps.Equal(rep.PBSVersions, before.PBSVersions) {
+					t.Fatalf("%s: defects %v, versions %v (were %v)", kind, rep.Defects, rep.PBSVersions, before.PBSVersions)
+				}
+				if _, err := moved.PackSegments(level + 1); err != nil {
+					t.Fatalf("%s: re-pack: %v", kind, err)
+				}
+				if rep, err = moved.VerifyAgainst(before.Heads); err != nil || !rep.Clean() {
+					t.Fatalf("%s after re-pack: %v %v", kind, err, rep.Defects)
+				}
+				if kind == "mount" {
+					sameAnswers(t, "re-packed on "+kind, storeAnswers(t, moved), want)
+				}
+			}
+		})
+	}
+}
+
+// TestLegacyGoldensAreTheFixtures: the three golden files the version 2
+// encoder superseded stay in testdata as read fixtures. The segment decodes to
+// the graph its successor decodes to; the demo pack and heads are, byte for
+// byte, the packed legacy store's — so everything TestLegacyV1Readable proves
+// of that store it proves of them.
+func TestLegacyGoldensAreTheFixtures(t *testing.T) {
+	read := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	old, cur := rdf.NewGraph(), rdf.NewGraph()
+	if err := segcodec.Binary.Decode(bytes.NewReader(read("golden_merged_v1.pbs")), old); err != nil {
+		t.Fatal(err)
+	}
+	if err := segcodec.Binary.Decode(bytes.NewReader(read("golden_merged.pbs")), cur); err != nil {
+		t.Fatal(err)
+	}
+	if old.Len() == 0 || !bytes.Equal(ntBytes(t, old), ntBytes(t, cur)) {
+		t.Error("golden_merged_v1.pbs and golden_merged.pbs decode to different graphs")
+	}
+	if !bytes.Equal(ntBytes(t, old), read("golden_merged.nt")) {
+		t.Error("golden_merged_v1.pbs does not decode to golden_merged.nt")
+	}
+	files, _ := legacyStoreFiles(t, "packed")
+	if !bytes.Equal(read("golden_demo_pack_v1.psk"), files["prov_pack.l01.0000.psk"]) {
+		t.Error("golden_demo_pack_v1.psk is not the packed legacy store's pack")
+	}
+	if !bytes.Equal(read("golden_demo_heads_v1.txt"), read("legacy_pbs_v1/packed.heads")) {
+		t.Error("golden_demo_heads_v1.txt is not the packed legacy store's heads")
+	}
+}
+
+// TestEncoderWritesCurrentVersion: no path writes the old layout — the three
+// codec entry points, a tracker's Close, a delta flush, PackSegments (whose
+// members are the flushes' bytes) and Compact, on a fresh store and on top of
+// a version 1 one.
+func TestEncoderWritesCurrentVersion(t *testing.T) {
+	g := rdf.NewGraph()
+	g.Add(rdf.Triple{S: rdf.IRI("urn:s"), P: rdf.IRI("urn:p"), O: rdf.TypedLiteral("1", rdf.XSDInteger)})
+	refs, _ := g.RefsSince(0)
+	var enc, encRefs, encTriples bytes.Buffer
+	if err := segcodec.Binary.Encode(&enc, g, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := segcodec.Binary.(segcodec.RefsEncoder).EncodeRefs(&encRefs, refs, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := segcodec.Binary.(segcodec.TriplesEncoder).EncodeTriples(&encTriples, g.Triples()); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string]*bytes.Buffer{"Encode": &enc, "EncodeRefs": &encRefs, "EncodeTriples": &encTriples} {
+		if b.Bytes()[3] != segcodec.PBSVersion {
+			t.Errorf("%s wrote version %d", name, b.Bytes()[3])
+		}
+	}
+
+	check := func(what string, store *Store, skip map[string][]byte) {
+		t.Helper()
+		files := storeFiles(t, store)
+		for name, data := range skip {
+			if bytes.Equal(files[name], data) {
+				delete(files, name) // a fixture file nothing has rewritten yet
+			}
+		}
+		versions := pbsVersions(t, files)
+		if len(versions) == 0 {
+			t.Fatalf("%s: no binary file to look at", what)
+		}
+		for name, v := range versions {
+			if v != segcodec.PBSVersion {
+				t.Errorf("%s: %s is version %d", what, name, v)
+			}
+		}
+	}
+	fresh := newBinaryVFSStore(t)
+	smallHistory(t, fresh, 0) // a Close and three delta flushes
+	check("Close and delta flushes", fresh, nil)
+	if _, err := fresh.PackSegments(1); err != nil {
+		t.Fatal(err)
+	}
+	check("PackSegments", fresh, nil)
+	if err := fresh.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("Compact", fresh, nil)
+
+	legacy, _ := legacyStoreFiles(t, "loose")
+	onTop := openDir(t, legacy)
+	trackFreshSegments(t, onTop, 1)
+	if err := onTop.WriteDeltaSegment(2, 0, g.Triples()); err != nil {
+		t.Fatal(err)
+	}
+	check("tracking into a version 1 store", onTop, legacy)
+	if err := onTop.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("Compact of a version 1 store", onTop, nil)
+
+	// A version 1 canonical file with nothing to fold is still rewritten.
+	alone := openDir(t, map[string][]byte{"prov_p000000.pbs": legacy["prov_p000000.pbs"]})
+	if err := alone.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("Compact of a lone version 1 canonical file", alone, nil)
+	if rep := mustVerify(t, alone); !rep.Clean() {
+		t.Errorf("rewritten canonical file: %v", rep.Defects)
+	}
+}

@@ -439,7 +439,9 @@ func (s *Store) Merge() (*rdf.Graph, error) {
 // own format, and a pid whose canonical file carries a different codec's
 // extension is rewritten even when it has no segments — so compacting with a
 // binary store migrates a text store to .pbs (and vice versa), the
-// format-migration path of the codec layer. Same-format pids with no
+// format-migration path of the codec layer — and so is a .pbs file in an
+// older layout than the encoder writes, which makes Compact the one
+// migration between pbs generations too. Same-format pids with no
 // segments are left untouched — unless the store is mounted and their files
 // sit outside their routed tier, in which case Compact relocates them
 // verbatim, the cross-backend migration path of the mount layer.
@@ -497,7 +499,7 @@ func (s *Store) Compact() error {
 		pa := a.pids[pid]
 		dirty := len(pa.segs) > 0 || len(pa.staleSums) > 0 || len(pa.canonicals) > 1
 		for _, c := range pa.canonicals {
-			if filepath.Ext(c.name) != s.codec.Ext() || c.packed != "" {
+			if filepath.Ext(c.name) != s.codec.Ext() || c.packed != "" || c.version != 0 && c.version < segcodec.PBSVersion {
 				dirty = true
 			}
 		}

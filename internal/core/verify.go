@@ -88,6 +88,10 @@ type VerifyReport struct {
 	Sealed    int // files carrying a valid chain seal
 	Segments  int // delta segment files among Files
 	Packs     int // pack containers examined (their members audited like loose files)
+	// PBSVersions counts the intact binary files (loose or pack members) by
+	// the format version they were written in. Every version listed reads the
+	// same; anything below the current one is what Compact rewrites.
+	PBSVersions map[byte]int
 	// Unsealed lists intact files carrying no seal. Tolerated by default —
 	// they are what pre-integrity stores look like — but provio-verify
 	// -strict turns them into orphaned defects, closing the one local gap
@@ -100,6 +104,18 @@ type VerifyReport struct {
 	// re-verifying with VerifyAgainst closes the one gap local verification
 	// cannot: deletion of an entire chain suffix (or chain).
 	Heads map[int][32]byte
+}
+
+// LegacyPBS returns the number of intact binary files written in a layout
+// older than the one this build writes.
+func (r *VerifyReport) LegacyPBS() int {
+	n := 0
+	for v, files := range r.PBSVersions {
+		if v < segcodec.PBSVersion {
+			n += files
+		}
+	}
+	return n
 }
 
 // Clean reports whether the audit found no defects.
@@ -224,6 +240,7 @@ type auditFile struct {
 	digest  [32]byte
 	meta    *segcodec.Chain // seal (embedded frame or sidecar), nil if unsealed
 	sumName string          // sidecar name, "" if none
+	version byte            // pbs format version of an intact binary file, else 0
 	// Decoded content, retained under audit(keep) when the file is intact:
 	// a binary file's validated columns, a text file's parsed graph.
 	cols   *segcodec.Columns
@@ -259,6 +276,7 @@ func (pa *pidAudit) addDefect(kind DefectKind, name, format string, args ...any)
 type storeAudit struct {
 	pids                    map[int]*pidAudit
 	files, sealed, segments int
+	pbsVersions             map[byte]int // intact binary files by format version
 	// What the one read pass saw, for the maintenance steps that run on an
 	// audit instead of listing and reading the store again: the pack
 	// containers with their member names (nil for an unreadable header), the
@@ -322,7 +340,7 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &storeAudit{pids: make(map[int]*pidAudit), sums: make(map[string][]byte)}
+	a := &storeAudit{pids: make(map[int]*pidAudit), sums: make(map[string][]byte), pbsVersions: make(map[byte]int)}
 	sums := a.sums
 	sumFrom := make(map[string]string)
 	var entries []*auditFile // what the read pass found, unchecked
@@ -437,6 +455,9 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 		if f.meta != nil {
 			a.sealed++
 		}
+		if f.version != 0 {
+			a.pbsVersions[f.version]++
+		}
 		if f.seg >= 0 {
 			a.segments++
 			pa.segs = append(pa.segs, f)
@@ -521,7 +542,7 @@ func (f *auditFile) check(sums map[string][]byte, keep bool) {
 			}
 			flag(kind, name, "decode: %v", err)
 		} else {
-			f.meta = cols.Chain
+			f.meta, f.version = cols.Chain, cols.Version
 			if keep {
 				f.cols = cols
 			}
@@ -777,7 +798,8 @@ func (a *storeAudit) report(dir string) *VerifyReport {
 	rep := &VerifyReport{
 		Dir: dir, Processes: len(a.pids),
 		Files: a.files, Sealed: a.sealed, Segments: a.segments, Packs: len(a.packs),
-		Heads: make(map[int][32]byte, len(a.pids)),
+		PBSVersions: a.pbsVersions,
+		Heads:       make(map[int][32]byte, len(a.pids)),
 	}
 	rep.Defects = append(rep.Defects, a.packDefects...)
 	for pid, pa := range a.pids {

@@ -243,6 +243,28 @@ func TestVerifyFlipMatrix(t *testing.T) {
 			}
 		})
 	}
+	// The version byte takes two bit flips to name the other known layout, so
+	// the matrix above never tries it: a sealed segment under the other
+	// version byte is a defect, never a silent decode as that layout — of a
+	// store this build wrote, and of the committed version 1 store.
+	current := newBinaryVFSStore(t)
+	smallHistory(t, current, 0)
+	legacy, _ := legacyStoreFiles(t, "loose")
+	for what, clean := range map[string]map[string][]byte{"current": storeFiles(t, current), "legacy": legacy} {
+		for name, data := range clean {
+			mut := maps.Clone(clean)
+			mut[name] = append([]byte(nil), data...)
+			mut[name][3] ^= legacyVersion ^ segcodec.PBSVersion
+			rep := mustVerify(t, openDir(t, mut))
+			rejected := false
+			for _, d := range rep.Defects {
+				rejected = rejected || d.Name == name && strings.HasPrefix(d.Detail, "decode:")
+			}
+			if !rejected {
+				t.Errorf("%s store: %s under version byte %d was not rejected by its decode: %v", what, name, mut[name][3], rep.Defects)
+			}
+		}
+	}
 }
 
 // TestVerifyTruncationMatrix: every strict prefix of every store file must be

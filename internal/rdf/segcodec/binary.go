@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
@@ -17,7 +19,7 @@ import (
 //
 // On-disk layout (all integers are unsigned varints unless noted):
 //
-//	magic      4 bytes  'P' 'B' 'S' <version=0x01>
+//	magic      4 bytes  'P' 'B' 'S' <version>
 //	dict frame          frame{ term dictionary block }
 //	triple frame        frame{ triple ID columns }
 //	stats frame         frame{ 'S' 'T' 'A' 0x01 ... }   optional (see stats.go)
@@ -33,13 +35,35 @@ import (
 //
 // The dictionary block is the segment's delta of newly seen terms: every
 // distinct term the segment's triples use, exactly once, sorted in the
-// canonical term order and front-coded (each IRI stores only the byte length
+// canonical term order and front-coded (each value stores only the byte length
 // shared with its predecessor plus the differing suffix — PROV-IO IRIs share
-// long namespace prefixes, so this is where the size win comes from):
+// long namespace prefixes). The canonical order is kind-first, so the kinds
+// are three run lengths, and a literal names its (lang, datatype) pair by
+// its index in a table of the distinct pairs the segment's literals carry —
+// xsd:integer is spelled once per segment, not once per timestamp:
+//
+//	uvarint nIRI | uvarint nBlank | uvarint nLiteral
+//	uvarint nTags
+//	per tag:  uvarint langLen | lang | uvarint dtLen | dt
+//	per term: uvarint sharedPrefix | uvarint suffixLen | suffix
+//	          literals append: uvarint tagIndex
+//
+// The tag table is canonical like the dictionary: strictly ascending in
+// (lang, datatype) order, every pair used by at least one literal, every
+// index in range; the decoder rejects anything else, so a segment's bytes
+// stay a function of its triple set.
+//
+// That is version 2, the only one written. Version 1 files stay readable;
+// their dictionary block spells every term's kind and every literal's pair
+// inline:
 //
 //	uvarint termCount
 //	per term: kind byte | uvarint sharedPrefix | uvarint suffixLen | suffix
 //	          literals append: uvarint langLen | lang | uvarint dtLen | dt
+//
+// decodeDict is the only function that knows the difference: frames, columns,
+// stats, seals and packs are the same in both, and a v1 segment's stats frame
+// equals its v2 rewrite's byte for byte.
 //
 // Local IDs are positional: the i-th dictionary entry is ID i. Segments are
 // self-contained — a segment never references terms from an earlier
@@ -54,7 +78,33 @@ import (
 //	S column | P column | O column
 type binCodec struct{}
 
-var pbsMagic = []byte{'P', 'B', 'S', 0x01}
+// pbsMagic identifies a binary segment; the byte after it is the format
+// version.
+var pbsMagic = []byte{'P', 'B', 'S'}
+
+// PBSVersion is the format version every encoder entry point writes. The one
+// other layout the decoder reads is pbsLegacyVersion.
+const (
+	PBSVersion       = 2
+	pbsLegacyVersion = 1
+)
+
+// pbsBody splits a binary segment into its format version and the frames
+// after the magic. Every reader of the format enters through it, so an
+// unknown version is one classified error and never another layout's parse.
+func pbsBody(data []byte) (version byte, rest []byte, err error) {
+	if len(data) <= len(pbsMagic) && bytes.HasPrefix(pbsMagic, data) {
+		return 0, nil, fmt.Errorf("%w inside PBS magic", ErrTruncated)
+	}
+	if !bytes.HasPrefix(data, pbsMagic) {
+		return 0, nil, fmt.Errorf("%w: missing PBS magic", ErrCorrupt)
+	}
+	version = data[len(pbsMagic)]
+	if version != pbsLegacyVersion && version != PBSVersion {
+		return 0, nil, fmt.Errorf("%w: unsupported pbs version %d", ErrCorrupt, version)
+	}
+	return version, data[len(pbsMagic)+1:], nil
+}
 
 func (binCodec) Name() string  { return "pbs" }
 func (binCodec) Ext() string   { return ".pbs" }
@@ -89,62 +139,122 @@ func (binCodec) EncodeRefs(w io.Writer, refs []rdf.TripleID, src TermSource) err
 	return writeSegment(w, terms, sortDedupTriples(tris, len(terms)))
 }
 
+// tagPair is the (Lang, Datatype) pair of a literal: one entry of a
+// dictionary block's tag table.
+type tagPair struct{ lang, datatype string }
+
+func tagOf(t *rdf.Term) tagPair { return tagPair{t.Lang, t.Datatype} }
+
+// compare orders pairs the way rdf.TermLess orders two literals of one value.
+func (a tagPair) compare(b tagPair) int {
+	if c := strings.Compare(a.lang, b.lang); c != 0 {
+		return c
+	}
+	return strings.Compare(a.datatype, b.datatype)
+}
+
+// collectTags appends the distinct pairs of the literals to tags, strictly
+// ascending. A literal whose pair is its predecessor's costs two string
+// compares (a dictionary is sorted by value, so typed runs are long); the
+// rest are sorted and compacted, so a dictionary with as many pairs as
+// literals costs n log n and nothing more.
+func collectTags(tags []tagPair, literals []rdf.Term) []tagPair {
+	for i := range literals {
+		if tag := tagOf(&literals[i]); i == 0 || tag != tagOf(&literals[i-1]) {
+			tags = append(tags, tag)
+		}
+	}
+	slices.SortFunc(tags, tagPair.compare)
+	return slices.Compact(tags)
+}
+
 // writeSegment emits the framed segment of a canonical dictionary and its
 // sorted, distinct local-ID rows (indexes into terms), exactly as given. A
 // stats frame summarizing the segment (see SegStats) follows the triple
 // block.
 func writeSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
-	// Both blocks are sized up front so a flush does not double them up from
-	// empty. Tracked provenance measures 24–33 dictionary bytes per term
-	// (front-coded IRIs, literals spelling out their datatype) and 3–4.5
-	// column bytes per triple; a richer segment grows the buffer as before.
-	var dict bytes.Buffer
-	dict.Grow(32*len(terms) + binary.MaxVarintLen64)
-	putUvarint(&dict, uint64(len(terms)))
+	dict := encodeDict(terms)
+	col := encodeCols(tris)
+	st := ComputeStats(terms, tris)
+	sta := st.encode()
+
+	out := make([]byte, 0, len(pbsMagic)+1+len(dict)+len(col)+len(sta)+36)
+	out = append(append(out, pbsMagic...), PBSVersion)
+	out = appendFrame(out, dict)
+	out = appendFrame(out, col)
+	out = appendFrame(out, sta)
+	_, err := w.Write(out)
+	return err
+}
+
+// encodeDict renders the (version 2) dictionary block of a dictionary in the
+// canonical order. The block is sized up front so a flush does not double it
+// up from empty: tracked provenance measures 6.5–10 bytes per term
+// (front-coded values, one index byte of typing per literal) after a tag
+// table of some 50 bytes; a richer dictionary grows the slice.
+func encodeDict(terms []rdf.Term) []byte {
+	// Sorted kind-first, so the kinds are two boundaries.
+	nonLiterals := sort.Search(len(terms), func(i int) bool { return terms[i].Kind > rdf.BlankTerm })
+	iris := sort.Search(nonLiterals, func(i int) bool { return terms[i].Kind > rdf.IRITerm })
+
+	sc := encPool.Get().(*encScratch)
+	tags := collectTags(sc.tags[:0], terms[nonLiterals:])
+
+	dict := make([]byte, 0, 12*len(terms)+64)
+	dict = binary.AppendUvarint(dict, uint64(iris))
+	dict = binary.AppendUvarint(dict, uint64(nonLiterals-iris))
+	dict = binary.AppendUvarint(dict, uint64(len(terms)-nonLiterals))
+	dict = binary.AppendUvarint(dict, uint64(len(tags)))
+	for _, tag := range tags {
+		dict = binary.AppendUvarint(dict, uint64(len(tag.lang)))
+		dict = append(dict, tag.lang...)
+		dict = binary.AppendUvarint(dict, uint64(len(tag.datatype)))
+		dict = append(dict, tag.datatype...)
+	}
 	prev := ""
-	for _, t := range terms {
-		dict.WriteByte(byte(t.Kind))
+	at := -1 // the previous literal's index in tags
+	for i := range terms {
+		t := &terms[i]
 		shared := commonPrefixLen(prev, t.Value)
-		putUvarint(&dict, uint64(shared))
-		putUvarint(&dict, uint64(len(t.Value)-shared))
-		dict.WriteString(t.Value[shared:])
-		if t.Kind == rdf.LiteralTerm {
-			putUvarint(&dict, uint64(len(t.Lang)))
-			dict.WriteString(t.Lang)
-			putUvarint(&dict, uint64(len(t.Datatype)))
-			dict.WriteString(t.Datatype)
+		dict = binary.AppendUvarint(dict, uint64(shared))
+		dict = binary.AppendUvarint(dict, uint64(len(t.Value)-shared))
+		dict = append(dict, t.Value[shared:]...)
+		if i >= nonLiterals {
+			if tag := tagOf(t); at < 0 || tag != tags[at] {
+				at, _ = slices.BinarySearchFunc(tags, tag, tagPair.compare)
+			}
+			dict = binary.AppendUvarint(dict, uint64(at))
 		}
 		prev = t.Value
 	}
+	// The pairs point at the source dictionary's strings: drop them before the
+	// scratch goes back, so the pool never keeps a graph's memory alive.
+	clear(tags)
+	sc.tags = tags
+	encPool.Put(sc)
+	return dict
+}
 
-	var col bytes.Buffer
-	col.Grow(5*len(tris) + binary.MaxVarintLen64)
-	putUvarint(&col, uint64(len(tris)))
+// encodeCols renders the triple block of sorted, distinct rows: 3–4.5 bytes
+// per triple on tracked provenance.
+func encodeCols(tris [][3]uint32) []byte {
+	col := make([]byte, 0, 5*len(tris)+binary.MaxVarintLen64)
+	col = binary.AppendUvarint(col, uint64(len(tris)))
 	var prevS uint32
 	for _, t := range tris {
-		putUvarint(&col, uint64(t[0]-prevS))
+		col = binary.AppendUvarint(col, uint64(t[0]-prevS))
 		prevS = t[0]
 	}
 	var prevP, prevO int64
 	for _, t := range tris {
-		putSvarint(&col, int64(t[1])-prevP)
+		col = binary.AppendVarint(col, int64(t[1])-prevP)
 		prevP = int64(t[1])
 	}
 	for _, t := range tris {
-		putSvarint(&col, int64(t[2])-prevO)
+		col = binary.AppendVarint(col, int64(t[2])-prevO)
 		prevO = int64(t[2])
 	}
-
-	st := ComputeStats(terms, tris)
-	sta := st.encode()
-
-	bw := bytes.NewBuffer(make([]byte, 0, len(pbsMagic)+dict.Len()+col.Len()+len(sta)+36))
-	bw.Write(pbsMagic)
-	writeFrame(bw, dict.Bytes())
-	writeFrame(bw, col.Bytes())
-	writeFrame(bw, sta)
-	_, err := w.Write(bw.Bytes())
-	return err
+	return col
 }
 
 // Decode is DecodeColumns followed by Materialize: the segment is validated
@@ -174,6 +284,10 @@ type Columns struct {
 	// order (DecodeColumns rejects any other file); GraphColumns returns
 	// them in log order.
 	Tris [][3]uint32
+	// Version is the format version of the file the columns were decoded
+	// from; zero for columns that were not (GraphColumns). Nothing but
+	// operator-facing reporting reads it.
+	Version byte
 	// Stats is the segment's stats frame, verified equal to the stats its
 	// contents derive; nil when the file carries none (legacy segments).
 	Stats *SegStats
@@ -187,13 +301,10 @@ type Columns struct {
 // stats frame against the contents, and the RDF shape of every triple. An
 // error wraps ErrCorrupt (or its ErrTruncated sub-class for a torn write).
 func DecodeColumns(data []byte) (*Columns, error) {
-	if !bytes.HasPrefix(data, pbsMagic) {
-		if len(data) < len(pbsMagic) && bytes.HasPrefix(pbsMagic, data) {
-			return nil, fmt.Errorf("%w inside PBS magic", ErrTruncated)
-		}
-		return nil, fmt.Errorf("%w: missing PBS magic", ErrCorrupt)
+	version, rest, err := pbsBody(data)
+	if err != nil {
+		return nil, err
 	}
-	rest := data[len(pbsMagic):]
 	dict, rest, err := readFrame(rest)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dictionary block: %w", ErrCorrupt, err)
@@ -205,7 +316,7 @@ func DecodeColumns(data []byte) (*Columns, error) {
 	// After the data frames: an optional stats frame, then an optional chain
 	// frame (the integrity seal appended by the store), in that order.
 	// Anything else is structural damage.
-	c := &Columns{}
+	c := &Columns{Version: version}
 	var statsPayload []byte
 	for len(rest) != 0 {
 		if c.Chain != nil {
@@ -232,7 +343,8 @@ func DecodeColumns(data []byte) (*Columns, error) {
 			return nil, fmt.Errorf("%w: unrecognized footer frame", ErrCorrupt)
 		}
 	}
-	if c.Terms, err = decodeDict(dict); err != nil {
+	var iris, nonLiterals uint32
+	if c.Terms, iris, nonLiterals, err = decodeDict(dict, version); err != nil {
 		return nil, fmt.Errorf("%w: dictionary block: %v", ErrCorrupt, err)
 	}
 	if c.Tris, err = decodeCols(cols, len(c.Terms)); err != nil {
@@ -248,7 +360,7 @@ func DecodeColumns(data []byte) (*Columns, error) {
 		}
 		c.Stats = &st
 	}
-	if err := checkShape(c.Terms, c.Tris); err != nil {
+	if err := checkShape(c.Terms, iris, nonLiterals, c.Tris); err != nil {
 		return nil, fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
 	}
 	return c, nil
@@ -256,10 +368,9 @@ func DecodeColumns(data []byte) (*Columns, error) {
 
 // checkShape validates the RDF shape of every triple: a subject is an IRI or
 // a blank node, a predicate an IRI. The dictionary is sorted kind-first, so
-// each rule is one comparison of a local ID with a kind boundary.
-func checkShape(terms []rdf.Term, tris [][3]uint32) error {
-	iris := uint32(sort.Search(len(terms), func(i int) bool { return terms[i].Kind > rdf.IRITerm }))
-	nonLiterals := uint32(sort.Search(len(terms), func(i int) bool { return terms[i].Kind > rdf.BlankTerm }))
+// each rule is one comparison of a local ID with a kind boundary: the first
+// iris entries are the IRIs, the first nonLiterals the IRIs and blank nodes.
+func checkShape(terms []rdf.Term, iris, nonLiterals uint32, tris [][3]uint32) error {
 	for i, t := range tris {
 		if t[0] >= nonLiterals || t[1] >= iris {
 			return fmt.Errorf("triple %d is not valid RDF (S kind %d, P kind %d, O kind %d)",
@@ -293,95 +404,202 @@ func (c *Columns) Materialize(into *rdf.Graph) {
 }
 
 // decodeDict rebuilds the front-coded term dictionary, rejecting one that is
-// not strictly ascending in the canonical term order. A term costs one
-// allocation, its Value: val carries the previous value's bytes, so the
-// shared prefix is already in place when the suffix is appended, and a Lang
-// or Datatype seen before in this dictionary is reused.
-func decodeDict(p []byte) ([]rdf.Term, error) {
-	n, p, err := getUvarint(p)
-	if err != nil {
-		return nil, err
+// not strictly ascending in the canonical term order, and returns it with its
+// two kind boundaries (the number of IRIs, and of IRIs plus blank nodes). A
+// term costs one allocation, its Value, and every literal's Lang and Datatype
+// are the two strings of one entry of the block's tag table.
+//
+// This is the one place the format version matters: a version 1 block spells
+// each term's kind and each literal's pair inline and has a decoder of its
+// own, which hands back the same three results.
+func decodeDict(p []byte, version byte) (terms []rdf.Term, iris, nonLiterals uint32, err error) {
+	if version == pbsLegacyVersion {
+		return decodeLegacyDict(p)
 	}
-	// Every entry costs at least 3 payload bytes (kind + two varints), so a
-	// count beyond that is corrupt — checked before allocating.
-	if n > uint64(len(p))/3+1 {
-		return nil, fmt.Errorf("term count %d exceeds payload", n)
+	var counts [4]uint64 // IRIs, blank nodes, literals, tags
+	for i := range counts {
+		if counts[i], p, err = getUvarint(p); err != nil {
+			return dictError("%v", err)
+		}
+		// Bounded one by one first, so the sums below cannot overflow.
+		if counts[i] > uint64(len(p)) {
+			return dictError("count %d exceeds payload", counts[i])
+		}
 	}
-	terms := make([]rdf.Term, 0, n)
-	var (
-		val  []byte
-		memo stringMemo
-	)
+	// An entry costs at least two varints, a literal a third, a pair two
+	// lengths — so both counts are sized against the payload before anything
+	// is allocated — and a pair some literal must name cannot outnumber the
+	// literals.
+	nLit, nTags := counts[2], counts[3]
+	blanks, literals := counts[0], counts[0]+counts[1] // where each run starts
+	n := literals + nLit
+	if 2*n+nLit+2*nTags > uint64(len(p)) {
+		return dictError("%d terms and %d tags exceed payload", n, nTags)
+	}
+	if nTags > nLit {
+		return dictError("%d tags for %d literals", nTags, nLit)
+	}
+	tags := make([]tagPair, nTags)
+	for i := range tags {
+		var lang, dt []byte
+		if lang, dt, p, err = getTag(p); err != nil {
+			return dictError("tag %d %v", i, err)
+		}
+		tags[i] = tagPair{string(lang), string(dt)}
+		if i > 0 && tags[i-1].compare(tags[i]) >= 0 {
+			return dictError("tag %d: tag table is not strictly ascending", i)
+		}
+	}
+	named, unused := make([]bool, nTags), nTags // named[i] once a literal names tags[i]
+
+	terms = make([]rdf.Term, 0, n)
+	var val []byte
 	for i := uint64(0); i < n; i++ {
-		if len(p) == 0 {
-			return nil, fmt.Errorf("truncated at term %d", i)
+		if val, p, err = frontCoded(val, p); err != nil {
+			return dictError("term %d: %v", i, err)
 		}
-		kind := rdf.TermKind(p[0])
-		p = p[1:]
-		if kind != rdf.IRITerm && kind != rdf.BlankTerm && kind != rdf.LiteralTerm {
-			return nil, fmt.Errorf("term %d: invalid kind %d", i, kind)
-		}
-		var shared uint64
-		if shared, p, err = getUvarint(p); err != nil {
-			return nil, err
-		}
-		if shared > uint64(len(val)) {
-			return nil, fmt.Errorf("term %d: shared prefix %d exceeds previous value length %d", i, shared, len(val))
-		}
-		var b []byte
-		if b, p, err = getBytes(p); err != nil {
-			return nil, fmt.Errorf("term %d: %v", i, err)
-		}
-		val = append(val[:shared], b...)
-		t := rdf.Term{Kind: kind, Value: string(val)}
-		if kind == rdf.LiteralTerm {
-			if b, p, err = getBytes(p); err != nil {
-				return nil, fmt.Errorf("term %d lang: %v", i, err)
+		t := rdf.Term{Kind: rdf.IRITerm, Value: string(val)}
+		switch {
+		case i >= literals:
+			var at uint64
+			if at, p, err = getUvarint(p); err != nil {
+				return dictError("term %d tag: %v", i, err)
 			}
-			t.Lang = memo.get(b)
-			if b, p, err = getBytes(p); err != nil {
-				return nil, fmt.Errorf("term %d datatype: %v", i, err)
+			if at >= nTags {
+				return dictError("term %d: tag index %d out of range (%d tags)", i, at, nTags)
 			}
-			t.Datatype = memo.get(b)
+			if !named[at] {
+				named[at] = true
+				unused--
+			}
+			t.Kind, t.Lang, t.Datatype = rdf.LiteralTerm, tags[at].lang, tags[at].datatype
+		case i >= blanks:
+			t.Kind = rdf.BlankTerm
 		}
-		// Strict order is part of the format: stats derive zone maps from
-		// dictionary positions and the pack builder merges dictionaries, so an
-		// unsorted or repeating dictionary would prune or merge wrongly.
 		if i > 0 && !rdf.TermLess(terms[i-1], t) {
-			return nil, fmt.Errorf("term %d: dictionary is not strictly ascending", i)
+			return dictError("term %d: %s", i, errDictOrder)
 		}
 		terms = append(terms, t)
 	}
 	if len(p) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(p))
+		return dictError("%d trailing bytes", len(p))
 	}
-	return terms, nil
+	if unused != 0 {
+		return dictError("tag table holds %d pair(s) no literal uses", unused)
+	}
+	return terms, uint32(blanks), uint32(literals), nil
 }
 
-// stringMemo hands out one string per distinct byte sequence, for the few
-// language tags and datatype IRIs a dictionary repeats on every literal. It
-// is bounded: past its capacity a string is simply a fresh copy.
-type stringMemo struct {
-	seen [8]string
-	n    int
+// dictError is the error return of the two dictionary decoders.
+func dictError(format string, args ...any) ([]rdf.Term, uint32, uint32, error) {
+	return nil, 0, 0, fmt.Errorf(format, args...)
 }
 
-func (m *stringMemo) get(b []byte) string {
-	if len(b) == 0 {
-		return ""
+// errDictOrder: strict order is part of the format. Stats derive zone maps
+// from dictionary positions and the pack builder merges dictionaries, so an
+// unsorted or repeating dictionary would prune or merge wrongly; it is checked
+// across the kind boundaries too, so a version 1 block's kind bytes form the
+// three runs a version 2 block announces.
+const errDictOrder = "dictionary is not strictly ascending"
+
+// frontCoded reads one entry's `shared | suffixLen | suffix` and rebuilds its
+// value in val, which carries the previous entry's bytes: the shared prefix is
+// already in place when the suffix is appended.
+func frontCoded(val, p []byte) (value, rest []byte, err error) {
+	shared, p, err := getUvarint(p)
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, s := range m.seen[:m.n] {
-		if string(b) == s { // compiled without a conversion
-			return s
+	if shared > uint64(len(val)) {
+		return nil, nil, fmt.Errorf("shared prefix %d exceeds previous value length %d", shared, len(val))
+	}
+	suffix, p, err := getBytes(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	return append(val[:shared], suffix...), p, nil
+}
+
+// decodeLegacyDict is decodeDict for a version 1 block:
+//
+//	uvarint termCount
+//	per term: kind byte | uvarint sharedPrefix | uvarint suffixLen | suffix
+//	          literals append: uvarint langLen | lang | uvarint dtLen | dt
+//
+// The kind runs are counted as they are read (the order check makes them
+// runs), and the inline pairs are gathered into a tag table as they are met,
+// so a decoded version 1 dictionary shares its Lang and Datatype strings the
+// way a version 2 one does.
+func decodeLegacyDict(p []byte) (terms []rdf.Term, iris, nonLiterals uint32, err error) {
+	n, p, err := getUvarint(p)
+	if err != nil {
+		return dictError("%v", err)
+	}
+	// Every entry costs at least 3 payload bytes (kind + two varints), so a
+	// count beyond that is corrupt — checked before allocating.
+	if n > uint64(len(p))/3+1 {
+		return dictError("term count %d exceeds payload", n)
+	}
+	terms = make([]rdf.Term, 0, n)
+	var (
+		val  []byte
+		tags []tagPair
+	)
+	for i := uint64(0); i < n; i++ {
+		if len(p) == 0 {
+			return dictError("truncated at term %d", i)
+		}
+		t := rdf.Term{Kind: rdf.TermKind(p[0])}
+		if val, p, err = frontCoded(val, p[1:]); err != nil {
+			return dictError("term %d: %v", i, err)
+		}
+		t.Value = string(val)
+		switch t.Kind {
+		case rdf.IRITerm:
+			iris++
+			nonLiterals++
+		case rdf.BlankTerm:
+			nonLiterals++
+		case rdf.LiteralTerm:
+			var lang, dt []byte
+			if lang, dt, p, err = getTag(p); err != nil {
+				return dictError("term %d %v", i, err)
+			}
+			var tag tagPair
+			tags, tag = internTag(tags, lang, dt)
+			t.Lang, t.Datatype = tag.lang, tag.datatype
+		default:
+			return dictError("term %d: invalid kind %d", i, t.Kind)
+		}
+		if i > 0 && !rdf.TermLess(terms[i-1], t) {
+			return dictError("term %d: %s", i, errDictOrder)
+		}
+		terms = append(terms, t)
+	}
+	if len(p) != 0 {
+		return dictError("%d trailing bytes", len(p))
+	}
+	return terms, iris, nonLiterals, nil
+}
+
+// internTag returns the pair a version 1 literal spells inline, with the
+// strings of an equal pair met before in this dictionary when there is one.
+// The table is bounded: past maxInlineTags distinct pairs, a pair is simply a
+// fresh copy.
+func internTag(tags []tagPair, lang, dt []byte) ([]tagPair, tagPair) {
+	for _, tag := range tags {
+		if string(lang) == tag.lang && string(dt) == tag.datatype { // compiled without a conversion
+			return tags, tag
 		}
 	}
-	s := string(b)
-	if m.n < len(m.seen) {
-		m.seen[m.n] = s
-		m.n++
+	tag := tagPair{string(lang), string(dt)}
+	if len(tags) < maxInlineTags {
+		tags = append(tags, tag)
 	}
-	return s
+	return tags, tag
 }
+
+const maxInlineTags = 8
 
 // decodeCols walks the delta-encoded ID columns into local-ID triples,
 // range-checking every ID against the dictionary's size and rejecting rows
@@ -452,13 +670,11 @@ func decodeCols(p []byte, terms int) ([][3]uint32, error) {
 
 var crcTable = crc32.IEEETable
 
-// writeFrame appends uvarint(len) | payload | crc32(payload).
-func writeFrame(w *bytes.Buffer, payload []byte) {
-	putUvarint(w, uint64(len(payload)))
-	w.Write(payload)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, crcTable))
-	w.Write(crc[:])
+// appendFrame appends uvarint(len) | payload | crc32(payload) to dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
 }
 
 // readFrame consumes one frame, verifying length and checksum. A frame cut
@@ -493,11 +709,6 @@ func putUvarint(w *bytes.Buffer, v uint64) {
 	w.Write(buf[:binary.PutUvarint(buf[:], v)])
 }
 
-func putSvarint(w *bytes.Buffer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	w.Write(buf[:binary.PutVarint(buf[:], v)])
-}
-
 func getUvarint(p []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(p)
 	if n <= 0 {
@@ -524,6 +735,18 @@ func getBytes(p []byte) ([]byte, []byte, error) {
 		return nil, nil, fmt.Errorf("string length %d exceeds remaining %d bytes", n, len(p))
 	}
 	return p[:n], p[n:], nil
+}
+
+// getTag reads a (lang, datatype) pair, `langLen | lang | dtLen | dt`,
+// aliasing p.
+func getTag(p []byte) (lang, dt, rest []byte, err error) {
+	if lang, p, err = getBytes(p); err != nil {
+		return nil, nil, nil, fmt.Errorf("lang: %v", err)
+	}
+	if dt, p, err = getBytes(p); err != nil {
+		return nil, nil, nil, fmt.Errorf("datatype: %v", err)
+	}
+	return lang, dt, p, nil
 }
 
 // getString reads uvarint length-prefixed bytes as a string.

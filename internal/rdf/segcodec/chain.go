@@ -50,20 +50,17 @@ func (c Chain) PrevIsZero() bool { return c.Prev == [32]byte{} }
 // the result still decodes via the binary codec, which tolerates exactly one
 // trailing chain frame.
 func AppendChain(file []byte, c Chain) []byte {
-	var p bytes.Buffer
-	p.Write(chainMagic)
 	var flags byte
 	if c.Root {
 		flags |= chainRootFlag
 	}
-	p.WriteByte(flags)
-	putUvarint(&p, c.Seq)
-	p.Write(c.Prev[:])
+	p := make([]byte, 0, len(chainMagic)+1+binary.MaxVarintLen64+len(c.Prev))
+	p = append(append(p, chainMagic...), flags)
+	p = binary.AppendUvarint(p, c.Seq)
+	p = append(p, c.Prev[:]...)
 
-	out := bytes.NewBuffer(make([]byte, 0, len(file)+p.Len()+12))
-	out.Write(file)
-	writeFrame(out, p.Bytes())
-	return out.Bytes()
+	out := make([]byte, 0, len(file)+len(p)+12)
+	return appendFrame(append(out, file...), p)
 }
 
 // parseChainPayload decodes the chain frame payload (after CRC check).
@@ -100,10 +97,10 @@ func parseChainPayload(p []byte) (Chain, error) {
 // follows, returns the byte offset where it starts. ok is false when the
 // file carries no (valid, final) chain frame.
 func chainSplit(data []byte) (off int, c Chain, ok bool) {
-	if !bytes.HasPrefix(data, pbsMagic) {
+	_, rest, err := pbsBody(data)
+	if err != nil {
 		return 0, Chain{}, false
 	}
-	rest := data[len(pbsMagic):]
 	if _, rest, _ = readFrame(rest); rest == nil {
 		return 0, Chain{}, false
 	}

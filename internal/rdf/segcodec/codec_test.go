@@ -38,12 +38,67 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestDetect(t *testing.T) {
-	if c := Detect(pbsMagic); c.Name() != "pbs" {
-		t.Errorf("Detect(magic) = %s, want pbs", c.Name())
+	// Any version byte, also one this build cannot read: the file is a binary
+	// segment and its decoder says what is wrong with it.
+	for _, data := range [][]byte{pbsMagic, {'P', 'B', 'S', pbsLegacyVersion}, {'P', 'B', 'S', PBSVersion}, {'P', 'B', 'S', 0x7f, 0x00}} {
+		if c := Detect(data); c.Name() != "pbs" {
+			t.Errorf("Detect(%q) = %s, want pbs", data, c.Name())
+		}
 	}
 	for _, text := range []string{"", "<a> <b> <c> .", "@prefix x: <urn:x> .", "PBT not the magic"} {
 		if c := Detect([]byte(text)); c.Name() != "nt" {
 			t.Errorf("Detect(%q) = %s, want nt fallback", text, c.Name())
+		}
+	}
+}
+
+// TestUnknownVersionIsClassified: a segment of a version this build does not
+// know is reported as exactly that — by the columnar decode, by the codec
+// Detect routes it to, and by the seal and stats probes (which see no frame)
+// — and never handed to the text parser or read as another layout.
+func TestUnknownVersionIsClassified(t *testing.T) {
+	good := validSegment(t)
+	for _, v := range []byte{0, 3, 0x7f, 0xff} {
+		data := append([]byte{}, good...)
+		data[3] = v
+		want := fmt.Sprintf("unsupported pbs version %d", v)
+		_, err := DecodeColumns(data)
+		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: DecodeColumns returned %v, want ErrCorrupt: %s", v, err, want)
+		}
+		into := rdf.NewGraph()
+		err = Detect(data).Decode(bytes.NewReader(data), into)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: Detect(data).Decode returned %v, want ErrCorrupt: %s", v, err, want)
+		}
+		if into.Len() != 0 {
+			t.Errorf("version %d: %d triples decoded", v, into.Len())
+		}
+		sealed := AppendChain(good, Chain{Root: true})
+		sealed[3] = v
+		if _, ok := ChainOf(sealed); ok {
+			t.Errorf("version %d: ChainOf read a seal", v)
+		}
+		if _, ok := StatsOf(data); ok {
+			t.Errorf("version %d: StatsOf read a stats frame", v)
+		}
+	}
+}
+
+// TestVersionByteSwapIsRejected: the same frames under the other known
+// version byte are the other layout's garbage — a v2 block read as v1, or the
+// v1 golden read as v2, must fail, not decode to something else.
+func TestVersionByteSwapIsRejected(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"two-triple segment": validSegment(t),
+		"empty segment":      handBuiltSegment(t, nil, nil),
+		"golden v2":          coreGolden(t, "golden_merged.pbs"),
+		"golden v1":          coreGolden(t, "golden_merged_v1.pbs"),
+	} {
+		swapped := append([]byte{}, data...)
+		swapped[3] ^= pbsLegacyVersion ^ PBSVersion
+		if _, err := DecodeColumns(swapped); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s under the other version byte: DecodeColumns returned %v, want ErrCorrupt", name, err)
 		}
 	}
 }
@@ -237,38 +292,28 @@ func TestBinaryDecodeCorruption(t *testing.T) {
 		"truncated mid":   good[: len(good)/2 : len(good)/2],
 		"missing crc":     good[:len(good)-2],
 		"trailing bytes":  append(append([]byte{}, good...), 0x00),
-		"version bump":    append([]byte{'P', 'B', 'S', 0x02}, good[4:]...),
-		"wrong kind byte": nil, // built below
+		"unknown version": append([]byte{'P', 'B', 'S', 0x03}, good[4:]...),
 	}
 	// Flip a byte inside the dictionary payload so the CRC no longer holds.
 	crcFlip := append([]byte{}, good...)
 	crcFlip[8] ^= 0xFF
 	cases["crc mismatch"] = crcFlip
 
-	// A kind byte of 0x07 inside an otherwise well-framed segment.
-	kindBad := append([]byte{}, good...)
-	// dict frame starts after magic: uvarint len, then payload begins with
-	// uvarint termCount then kind byte.
-	kindBad[6] = 0x07 // first term's kind byte (len(varint)=1, count varint=1)
-	// refresh nothing: CRC now fails, which is also an ErrCorrupt — fine,
-	// but build a properly re-framed bad-kind segment too below.
-	cases["wrong kind byte"] = kindBad
+	// Kind counts that announce two IRIs over a block that holds one entry,
+	// behind valid CRCs (TestDecodeRejectsNonCanonicalDictBlock has the
+	// variants).
+	ab := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b")}
+	cases["kind counts != entries"] = handFramedSegment(PBSVersion,
+		handBuiltDict([4]uint64{2, 0, 0, 0}, nil, []dictEntry{{0, "urn:a", -1}}), ab, [][3]uint32{{0, 1, 1}})
 
 	// Well-framed, CRCs and stats frame consistent, rows not strictly
 	// ascending (TestDecodeRejectsUnsortedRows has the variants).
-	ab := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b")}
 	cases["rows out of order"] = handBuiltSegment(t, ab, [][3]uint32{{0, 1, 1}, {0, 1, 0}})
 	cases["row repeated"] = handBuiltSegment(t, ab, [][3]uint32{{0, 1, 1}, {0, 1, 1}})
 
 	for name, data := range cases {
 		g := rdf.NewGraph()
 		err := Binary.Decode(bytes.NewReader(data), g)
-		if name == "version bump" && err == nil {
-			// Version byte is part of the magic; a bumped version fails the
-			// prefix check.
-			t.Errorf("%s: decode accepted corrupt input", name)
-			continue
-		}
 		if err == nil {
 			t.Errorf("%s: decode accepted corrupt input", name)
 			continue
@@ -356,11 +401,11 @@ func TestTextTruncationExhaustive(t *testing.T) {
 // TestBinaryDecodeRejectsInvalidTriple frames a structurally valid segment
 // whose triple is not valid RDF (literal subject) and expects an error.
 func TestBinaryDecodeRejectsInvalidTriple(t *testing.T) {
-	// Encode a graph, then rebuild the segment with the object dictionary
-	// entry used in subject position by crafting it through writeSegment.
-	terms := []rdf.Term{rdf.Literal("lit"), rdf.IRI("urn:p")}
+	// A canonical dictionary whose literal entry is used in subject position,
+	// crafted through writeSegment.
+	terms := []rdf.Term{rdf.IRI("urn:p"), rdf.Literal("lit")}
 	var buf bytes.Buffer
-	if err := writeSegment(&buf, terms, [][3]uint32{{0, 1, 1}}); err != nil {
+	if err := writeSegment(&buf, terms, [][3]uint32{{1, 0, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	err := Binary.Decode(bytes.NewReader(buf.Bytes()), rdf.NewGraph())

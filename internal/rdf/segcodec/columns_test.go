@@ -2,13 +2,16 @@ package segcodec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
@@ -24,6 +27,173 @@ func handBuiltSegment(t testing.TB, terms []rdf.Term, tris [][3]uint32) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// dictEntry is one entry of a hand-built version 2 dictionary block: the
+// front-coded value and, for a literal, the tag index it names.
+type dictEntry struct {
+	shared int
+	suffix string
+	tag    int // < 0: not a literal, no index written
+}
+
+// handBuiltDict serializes a version 2 dictionary block field by field, with
+// whatever counts, table and indexes it is given.
+func handBuiltDict(counts [4]uint64, tags []tagPair, entries []dictEntry) []byte {
+	var b []byte
+	for _, c := range counts {
+		b = binary.AppendUvarint(b, c)
+	}
+	for _, tag := range tags {
+		b = binary.AppendUvarint(b, uint64(len(tag.lang)))
+		b = append(b, tag.lang...)
+		b = binary.AppendUvarint(b, uint64(len(tag.datatype)))
+		b = append(b, tag.datatype...)
+	}
+	for _, e := range entries {
+		b = binary.AppendUvarint(b, uint64(e.shared))
+		b = binary.AppendUvarint(b, uint64(len(e.suffix)))
+		b = append(b, e.suffix...)
+		if e.tag >= 0 {
+			b = binary.AppendUvarint(b, uint64(e.tag))
+		}
+	}
+	return b
+}
+
+// handFramedSegment frames a raw dictionary block, under any version byte,
+// with the triple block of tris and the stats frame (terms, tris) derive —
+// terms being what the block spells — so every CRC holds and the stats frame
+// is self-consistent: only the dictionary block is wrong.
+func handFramedSegment(version byte, dict []byte, terms []rdf.Term, tris [][3]uint32) []byte {
+	st := ComputeStats(terms, tris)
+	out := append(append([]byte{}, pbsMagic...), version)
+	out = appendFrame(out, dict)
+	out = appendFrame(out, encodeCols(tris))
+	return appendFrame(out, st.encode())
+}
+
+// tagTableCase is one hand-built version 2 segment that breaks a rule of the
+// dictionary block (want names the decoder's complaint), or none (want "").
+type tagTableCase struct {
+	name, want string
+	data       []byte
+}
+
+// tagTableCases are the tamper shapes of the version 2 dictionary block:
+// <urn:p> <urn:s> "1"^^xsd:integer "x"@en with the rows (s p "1"), (s p "x"),
+// spelled canonically once and then with one rule broken at a time.
+func tagTableCases() []tagTableCase {
+	integer, en := tagPair{"", rdf.XSDInteger}, tagPair{"en", ""}
+	terms := []rdf.Term{rdf.IRI("urn:p"), rdf.IRI("urn:s"), rdf.TypedLiteral("1", rdf.XSDInteger), rdf.LangLiteral("x", "en")}
+	bothInteger := append(append([]rdf.Term{}, terms[:3]...), rdf.TypedLiteral("x", rdf.XSDInteger))
+	tris := [][3]uint32{{1, 0, 2}, {1, 0, 3}}
+	entries := func(tag1, tagX int) []dictEntry {
+		return []dictEntry{{0, "urn:p", -1}, {4, "s", -1}, {0, "1", tag1}, {0, "x", tagX}}
+	}
+	counts := [4]uint64{2, 0, 2, 2}
+	with := func(i int, v uint64) [4]uint64 {
+		c := counts
+		c[i] = v
+		return c
+	}
+	build := func(name, want string, counts [4]uint64, tags []tagPair, e []dictEntry, terms []rdf.Term) tagTableCase {
+		return tagTableCase{name, want, handFramedSegment(PBSVersion, handBuiltDict(counts, tags, e), terms, tris)}
+	}
+	return []tagTableCase{
+		build("canonical", "", counts, []tagPair{integer, en}, entries(0, 1), terms),
+		build("tag table unsorted", "tag table is not strictly ascending", counts, []tagPair{en, integer}, entries(1, 0), terms),
+		build("tag table repeats a pair", "tag table is not strictly ascending", counts, []tagPair{integer, integer}, entries(0, 1), bothInteger),
+		build("pair no literal uses", "no literal uses", counts, []tagPair{integer, en}, entries(0, 0), bothInteger),
+		build("index = nTags", "out of range", counts, []tagPair{integer, en}, entries(0, 2), terms),
+		build("nTags beyond the payload", "exceed", with(3, 1<<40), []tagPair{integer, en}, entries(0, 1), terms),
+		build("nTags beyond the literals", "3 tags for 2 literals", with(3, 3), []tagPair{integer, en, {"fr", ""}}, entries(0, 1), terms),
+		build("kind counts overflow", "exceeds payload", [4]uint64{1 << 63, 1 << 63, 2, 2}, []tagPair{integer, en}, entries(0, 1), terms),
+		build("kind counts sum past the payload", "exceed", with(0, 30), []tagPair{integer, en}, entries(0, 1), terms),
+		build("one entry fewer than counted", "", with(0, 3), []tagPair{integer, en}, entries(0, 1), terms),
+		build("one entry more than counted", "", with(0, 1), []tagPair{integer, en}, entries(0, 1), terms),
+	}
+}
+
+// TestDecodeRejectsNonCanonicalDictBlock: the version 2 block is canonical by
+// rejection — an unsorted or repeating tag table, a pair nothing names, an
+// index past the table, counts that lie about the payload or about the
+// entries each fail with ErrCorrupt before anything reaches the caller's
+// graph, behind valid CRCs and a self-consistent stats frame. The canonical
+// spelling of the same segment is what the encoder writes, byte for byte.
+func TestDecodeRejectsNonCanonicalDictBlock(t *testing.T) {
+	for i, tc := range tagTableCases() {
+		into := rdf.NewGraph()
+		err := Binary.Decode(bytes.NewReader(tc.data), into)
+		if i == 0 {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			var enc bytes.Buffer
+			if err := Binary.Encode(&enc, into, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc.Bytes(), tc.data) {
+				t.Fatalf("%s: the hand-built block is not what the encoder writes", tc.name)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode returned %v, want ErrCorrupt", tc.name, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: rejected with %q, want a complaint about %q", tc.name, err, tc.want)
+		}
+		if into.Len() != 0 || into.TermCount() != 0 {
+			t.Errorf("%s: rejected segment left %d triples, %d terms behind", tc.name, into.Len(), into.TermCount())
+		}
+	}
+}
+
+// manyTagsGraph holds n literals of one value, each under a language tag of
+// its own: the dictionary whose tag table is as long as its literal run.
+func manyTagsGraph(n int) *rdf.Graph {
+	g := rdf.NewGraph()
+	s, p := rdf.IRI("urn:s"), rdf.IRI("urn:p")
+	batch := make([]rdf.Triple, n)
+	for i := range batch {
+		// Descending, so neither the literals nor their tags arrive sorted.
+		batch[i] = rdf.Triple{S: s, P: p, O: rdf.LangLiteral("v", fmt.Sprintf("x-%06d", n-i))}
+	}
+	g.AddBatch(batch)
+	return g
+}
+
+// TestManyTagsStayCheap: a hostile dictionary with 10⁵ language tags encodes
+// and decodes in n log n — a table kept sorted by insertion, or searched
+// linearly per literal, takes minutes here, not the fraction of a second this
+// does — and round-trips like any other.
+func TestManyTagsStayCheap(t *testing.T) {
+	const n = 100_000
+	g := manyTagsGraph(n)
+	start := time.Now()
+	var enc bytes.Buffer
+	if err := Binary.Encode(&enc, g, nil); err != nil {
+		t.Fatal(err)
+	}
+	c, err := DecodeColumns(enc.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 20*time.Second {
+		t.Errorf("encode + decode of %d tags took %v", n, took)
+	}
+	if len(c.Terms) != n+2 || len(c.Tris) != n {
+		t.Fatalf("decoded %d terms, %d triples; want %d, %d", len(c.Terms), len(c.Tris), n+2, n)
+	}
+	var re bytes.Buffer
+	if err := writeSegment(&re, c.Terms, c.Tris); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re.Bytes(), enc.Bytes()) {
+		t.Fatal("re-encoding the decoded columns does not reproduce the bytes")
+	}
 }
 
 // zMP is the dictionary of the regression: <urn:z> before <urn:m>.
@@ -87,6 +257,55 @@ func TestDecodeRejectsBeforeFirstInsert(t *testing.T) {
 	}
 }
 
+// coreGolden reads one of internal/core's golden segment fixtures: the
+// current golden_merged.pbs, or its version 1 parent golden_merged_v1.pbs,
+// written by the last encoder that wrote that layout.
+func coreGolden(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "core", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestLegacyDictBlockDecodesTheSame: the version 1 golden segment and its
+// version 2 twin hold the same dictionary, rows and stats — term for term,
+// and the stats frames byte for byte — and the v1 file re-encodes to the v2
+// bytes. Only Version tells the two decodes apart.
+func TestLegacyDictBlockDecodesTheSame(t *testing.T) {
+	v1, v2 := coreGolden(t, "golden_merged_v1.pbs"), coreGolden(t, "golden_merged.pbs")
+	if v1[3] != pbsLegacyVersion || v2[3] != PBSVersion {
+		t.Fatalf("fixtures carry versions %d and %d, want %d and %d", v1[3], v2[3], pbsLegacyVersion, PBSVersion)
+	}
+	old, err := DecodeColumns(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := DecodeColumns(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Version != pbsLegacyVersion || cur.Version != PBSVersion {
+		t.Errorf("Columns.Version = %d and %d", old.Version, cur.Version)
+	}
+	if !slices.Equal(old.Terms, cur.Terms) || !slices.Equal(old.Tris, cur.Tris) {
+		t.Fatal("the two generations decode to different columns")
+	}
+	oldSta, _, ok1 := statsSplit(v1)
+	curSta, _, ok2 := statsSplit(v2)
+	if !ok1 || !ok2 || !bytes.Equal(oldSta, curSta) {
+		t.Error("the two generations carry different stats frames")
+	}
+	var re bytes.Buffer
+	if err := writeSegment(&re, old.Terms, old.Tris); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re.Bytes(), v2) {
+		t.Error("re-encoding the version 1 golden does not give the version 2 golden")
+	}
+}
+
 // referenceMaterialize is the decoder's insert step as it was before the
 // columnar split: every triple rehydrated to terms and inserted through
 // AddBatch in 1024-triple chunks. The ID-order pin compares against it.
@@ -107,11 +326,10 @@ func referenceMaterialize(c *Columns, into *rdf.Graph) {
 // TermID for every term and log the triples in the same order as per-triple
 // inserts did, or result order without ORDER BY drifts.
 func TestMaterializeKeepsIDOrder(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("..", "..", "core", "testdata", "golden_merged.pbs"))
-	if err != nil {
-		t.Fatal(err)
+	segments := map[string][]byte{
+		"golden_merged.pbs":    coreGolden(t, "golden_merged.pbs"),
+		"golden_merged_v1.pbs": coreGolden(t, "golden_merged_v1.pbs"),
 	}
-	segments := map[string][]byte{"golden_merged.pbs": golden}
 	for seed := int64(1); seed <= 3; seed++ {
 		var buf bytes.Buffer
 		if err := Binary.Encode(&buf, randomGraph(rand.New(rand.NewSource(seed)), 2500), nil); err != nil {

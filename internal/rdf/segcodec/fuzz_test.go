@@ -2,6 +2,7 @@ package segcodec
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -51,6 +52,27 @@ func FuzzSegcodecDecode(f *testing.F) {
 	mPZ := []rdf.Term{rdf.IRI("urn:m"), rdf.IRI("urn:p"), rdf.IRI("urn:z")}
 	f.Add(handBuiltSegment(f, mPZ, [][3]uint32{{0, 1, 2}, {0, 1, 0}}))
 	f.Add(handBuiltSegment(f, mPZ, [][3]uint32{{0, 1, 2}, {2, 1, 0}, {2, 1, 0}}))
+	// The version 2 dictionary block with one rule broken at a time (and once
+	// with none), a tag table as long as the literal run, and both layouts
+	// under the other's version byte. The long table has 10³ pairs here: it
+	// takes the same paths as TestManyTagsStayCheap's 10⁵, and a 1.6 MB seed
+	// cuts the engine's executions per second to a third.
+	for _, tc := range tagTableCases() {
+		f.Add(tc.data)
+	}
+	many := &bytes.Buffer{}
+	if err := Binary.Encode(many, manyTagsGraph(1_000), nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(many.Bytes())
+	v1 := coreGolden(f, "golden_merged_v1.pbs")
+	f.Add(v1)
+	f.Add(AppendChain(v1, Chain{Seq: 7, Prev: [32]byte{4, 5, 6}}))
+	for _, data := range [][]byte{v1, one.Bytes()} {
+		swapped := append([]byte{}, data...)
+		swapped[3] ^= pbsLegacyVersion ^ PBSVersion
+		f.Add(swapped)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		into := rdf.NewGraph()
@@ -58,20 +80,44 @@ func FuzzSegcodecDecode(f *testing.F) {
 		if err != nil {
 			return // rejected: fine, as long as we did not panic
 		}
-		// Accepted input must re-encode to the identical bytes once any
-		// chain seal is stripped: the payload format is canonical, so
-		// encode(decode(x)) == StripChain(x) for any accepted x, and a seal
-		// survives a decode/strip round-trip unchanged. Legacy inputs from
-		// before the stats frame existed are the one tolerated divergence:
-		// re-encoding adds the canonical stats frame, so for them the
-		// equality holds after StripStats. (An accepted input WITH a stats
-		// frame always has the canonical one — Decode rejects mismatches —
-		// so no other divergence is possible.)
 		var re bytes.Buffer
 		if err := Binary.Encode(&re, into, nil); err != nil {
 			t.Fatalf("re-encode of accepted input failed: %v", err)
 		}
 		canon := re.Bytes()
+		if data[3] == pbsLegacyVersion {
+			// A version 1 input is readable, not canonical — nothing writes
+			// it. What holds across the generations: re-encoding it gives a
+			// version 2 segment of the same columns, and the seal moves over.
+			old, err := DecodeColumns(data)
+			if err != nil {
+				t.Fatalf("Decode accepted what DecodeColumns rejects: %v", err)
+			}
+			ch, sealed := ChainOf(data)
+			if sealed {
+				canon = AppendChain(canon, ch)
+			}
+			cur, err := DecodeColumns(canon)
+			if err != nil {
+				t.Fatalf("re-encoded version 1 input does not decode: %v", err)
+			}
+			if cur.Version != PBSVersion || !slices.Equal(cur.Terms, old.Terms) || !slices.Equal(cur.Tris, old.Tris) {
+				t.Fatal("re-encoding a version 1 input changed its columns")
+			}
+			if (cur.Chain != nil) != sealed || sealed && *cur.Chain != *old.Chain {
+				t.Fatal("seal did not survive the version 1 -> 2 re-encode")
+			}
+			return
+		}
+		// Accepted version 2 input must re-encode to the identical bytes once
+		// any chain seal is stripped: the payload format is canonical, so
+		// encode(decode(x)) == StripChain(x) for any accepted x, and a seal
+		// survives a decode/strip round-trip unchanged. Inputs without the
+		// stats frame are the one tolerated divergence: re-encoding adds the
+		// canonical stats frame, so for them the equality holds after
+		// StripStats. (An accepted input WITH a stats frame always has the
+		// canonical one — Decode rejects mismatches — so no other divergence
+		// is possible.)
 		if sc := StripChain(data); !bytes.Equal(canon, sc) {
 			canon = StripStats(canon)
 			if !bytes.Equal(canon, sc) {
@@ -124,7 +170,7 @@ func fuzzTriples(data []byte) []rdf.Triple {
 // dictionary, strictly ascending rows and the stats frame the contents
 // derive, so whatever EncodeRefs writes must decode, hold exactly the input's
 // triple set, and re-encode from the decoded columns to the same bytes — and
-// must equal what the parent's encoder writes.
+// must equal what the reference encoder (oracle_test.go) writes.
 func FuzzSegcodecEncode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x04, 'a', 0x04, 'p', 0x06, 'x'})
@@ -132,6 +178,13 @@ func FuzzSegcodecEncode(f *testing.F) {
 	f.Add([]byte("\x08ab\x04p\x0a\xff\x80" + "\x04a\x04p\x04a" + "\x08ab\x04p\x0a\xff\x80"))
 	// One literal value under three Lang/Datatype pairs.
 	f.Add([]byte{0x04, 's', 0x04, 'p', 0x06, 'v', 0x04, 's', 0x04, 'p', 0x26, 'v', 0x04, 's', 0x04, 'p', 0x86, 'v'})
+	// Six literal values whose pairs alternate among four, so the tag table
+	// is searched as well as carried over from the previous literal.
+	var alternating []byte
+	for i, sel := range []byte{0x06, 0x86, 0x06, 0x26, 0x86, 0xC6} {
+		alternating = append(alternating, 0x04, 's', 0x04, 'p', sel, 'a'+byte(i))
+	}
+	f.Add(alternating)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ts := fuzzTriples(data)
 		g := rdf.NewGraph()
@@ -157,7 +210,7 @@ func FuzzSegcodecEncode(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(ref.Bytes(), enc.Bytes()) {
-			t.Fatal("bytes differ from the parent's encoder")
+			t.Fatal("bytes differ from the reference encoder's")
 		}
 		want := rdf.NewGraph()
 		want.AddBatch(ts)

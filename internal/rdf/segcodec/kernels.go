@@ -17,7 +17,8 @@ import (
 // each term's distinguishing bytes once.
 
 // encScratch is the working memory of one segment build, pooled so a flush
-// allocates only what it returns. Nothing in it points into a graph.
+// allocates only what it returns. Nothing in it points into a graph between
+// builds.
 type encScratch struct {
 	// local maps a graph ID to its segment-local ID plus one. It is all zero
 	// between builds: a build clears only the entries it set (gids), so its
@@ -27,6 +28,7 @@ type encScratch struct {
 	perm  []uint32    // the dictionary order, as positions in gids
 	rows  [][3]uint32 // the row sort's second buffer
 	count []uint32    // the row sort's three histograms
+	tags  []tagPair   // the dictionary block's tag table (writeSegment clears it)
 }
 
 // encPool lends a scratch to one kernel call. A kernel puts it back on its

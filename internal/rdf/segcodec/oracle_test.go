@@ -1,6 +1,9 @@
 package segcodec
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"sort"
 
@@ -8,9 +11,10 @@ import (
 )
 
 // The encoder's kernels as they were before they became linear — hash maps
-// for the dictionary, sort.Slice for its order and for the rows — kept as the
-// reference the kernel tests and FuzzSegcodecEncode compare against. Nothing
-// outside _test.go calls them.
+// for the dictionary, sort.Slice for its order and for the rows — and the
+// version 2 segment written the plain way (a map for the tag table, one
+// bytes.Buffer write per field), kept as the reference the kernel tests and
+// FuzzSegcodecEncode compare against. Nothing outside _test.go calls them.
 
 // oracleTermTriples builds the canonically sorted dictionary of a triple
 // slice by hashing terms, plus the triples as local-ID rows in slice order.
@@ -97,14 +101,86 @@ func oracleSortDedup(tris [][3]uint32) [][3]uint32 {
 	return dedup
 }
 
-// oracleEncodeRefs and oracleEncodeTriples are the parent's two encode entry
-// points: the old dictionary builders and row sort in front of writeSegment.
+// oracleWriteSegment writes the version 2 segment of a canonical dictionary
+// and its sorted rows straight from the layout table in binary.go.
+func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
+	var kinds [rdf.LiteralTerm + 1]uint64
+	index := map[tagPair]int{}
+	var tags []tagPair
+	for i := range terms {
+		kinds[terms[i].Kind]++
+		if tag := tagOf(&terms[i]); terms[i].Kind == rdf.LiteralTerm {
+			if _, ok := index[tag]; !ok {
+				index[tag] = 0
+				tags = append(tags, tag)
+			}
+		}
+	}
+	sort.Slice(tags, func(i, j int) bool { return tags[i].compare(tags[j]) < 0 })
+	for i, tag := range tags {
+		index[tag] = i
+	}
+
+	var dict, col, out bytes.Buffer
+	putUvarint(&dict, kinds[rdf.IRITerm])
+	putUvarint(&dict, kinds[rdf.BlankTerm])
+	putUvarint(&dict, kinds[rdf.LiteralTerm])
+	putUvarint(&dict, uint64(len(tags)))
+	for _, tag := range tags {
+		putUvarint(&dict, uint64(len(tag.lang)))
+		dict.WriteString(tag.lang)
+		putUvarint(&dict, uint64(len(tag.datatype)))
+		dict.WriteString(tag.datatype)
+	}
+	prev := ""
+	for i := range terms {
+		t := &terms[i]
+		shared := commonPrefixLen(prev, t.Value)
+		putUvarint(&dict, uint64(shared))
+		putUvarint(&dict, uint64(len(t.Value)-shared))
+		dict.WriteString(t.Value[shared:])
+		if t.Kind == rdf.LiteralTerm {
+			putUvarint(&dict, uint64(index[tagOf(t)]))
+		}
+		prev = t.Value
+	}
+
+	putUvarint(&col, uint64(len(tris)))
+	for c := 0; c < 3; c++ {
+		var last int64
+		for _, t := range tris {
+			if d := int64(t[c]) - last; c == 0 {
+				putUvarint(&col, uint64(d))
+			} else {
+				var buf [binary.MaxVarintLen64]byte
+				col.Write(buf[:binary.PutVarint(buf[:], d)])
+			}
+			last = int64(t[c])
+		}
+	}
+
+	st := ComputeStats(terms, tris)
+	out.Write([]byte{'P', 'B', 'S', 2})
+	for _, payload := range [][]byte{dict.Bytes(), col.Bytes(), st.encode()} {
+		putUvarint(&out, uint64(len(payload)))
+		out.Write(payload)
+		var crc [4]byte
+		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
+		out.Write(crc[:])
+	}
+	_, err := w.Write(out.Bytes())
+	return err
+}
+
+// oracleEncodeRefs and oracleEncodeTriples are the reference encoder's two
+// entry points: the old dictionary builders and row sort in front of
+// oracleWriteSegment.
 func oracleEncodeRefs(w io.Writer, refs []rdf.TripleID, src TermSource) error {
 	terms, tris := oracleRefTriples(refs, src)
-	return writeSegment(w, terms, oracleSortDedup(tris))
+	return oracleWriteSegment(w, terms, oracleSortDedup(tris))
 }
 
 func oracleEncodeTriples(w io.Writer, ts []rdf.Triple) error {
 	terms, tris := oracleTermTriples(ts)
-	return writeSegment(w, terms, oracleSortDedup(tris))
+	return oracleWriteSegment(w, terms, oracleSortDedup(tris))
 }

@@ -159,13 +159,12 @@ func EncodePack(level int, entries []PackEntry, packStats *SegStats) ([]byte, er
 		putUvarint(&h, 0)
 	}
 
-	out := bytes.NewBuffer(make([]byte, 0, len(pskMagic)+h.Len()+bodyLen+16))
-	out.Write(pskMagic)
-	writeFrame(out, h.Bytes())
+	out := make([]byte, 0, len(pskMagic)+h.Len()+bodyLen+16)
+	out = appendFrame(append(out, pskMagic...), h.Bytes())
 	for _, e := range entries {
-		out.Write(e.Data)
+		out = append(out, e.Data...)
 	}
-	return out.Bytes(), nil
+	return out, nil
 }
 
 // DecodePackHeader parses a pack's header from data, which may be just a

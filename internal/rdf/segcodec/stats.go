@@ -579,10 +579,10 @@ func StatsOf(data []byte) (SegStats, bool) {
 // frame payload, off the byte offset where the frame starts. ok is false
 // when no structurally valid stats frame is present.
 func statsSplit(data []byte) (payload []byte, off int, ok bool) {
-	if !bytes.HasPrefix(data, pbsMagic) {
+	_, rest, err := pbsBody(data)
+	if err != nil {
 		return nil, 0, false
 	}
-	rest := data[len(pbsMagic):]
 	if _, rest, _ = readFrame(rest); rest == nil {
 		return nil, 0, false
 	}
@@ -590,7 +590,7 @@ func statsSplit(data []byte) (payload []byte, off int, ok bool) {
 		return nil, 0, false
 	}
 	off = len(data) - len(rest)
-	payload, _, err := readFrame(rest)
+	payload, _, err = readFrame(rest)
 	if err != nil || !bytes.HasPrefix(payload, staMagic) {
 		return nil, 0, false
 	}

@@ -155,10 +155,8 @@ func TestStatsForgedCanonicalFrameRejected(t *testing.T) {
 	if !ok {
 		t.Fatal("no stats frame in donor segment")
 	}
-	forged := append([]byte{}, StripStats(good)...)
-	fb := bytes.NewBuffer(forged)
-	writeFrame(fb, otherStats)
-	err := Binary.Decode(bytes.NewReader(fb.Bytes()), rdf.NewGraph())
+	forged := appendFrame(append([]byte{}, StripStats(good)...), otherStats)
+	err := Binary.Decode(bytes.NewReader(forged), rdf.NewGraph())
 	if err == nil {
 		t.Fatal("decode accepted a spliced stats frame from another segment")
 	}
