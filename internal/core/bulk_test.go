@@ -261,17 +261,22 @@ const (
 	benchFlushEvery = 512
 )
 
-// trackH5benchRank tracks one rank of the h5bench shape — few entities, many
-// timed I/O activities — and returns the tracker before Close or Drain.
-func trackH5benchRank(store *Store, pid int) *Tracker {
+// benchTracker is a tracker set up like the harness's, with its thread agent.
+func benchTracker(store *Store, pid int) (tr *Tracker, prog, thr rdf.Term) {
 	cfg := DefaultConfig()
 	cfg.Mode = ModePeriodic
 	cfg.FlushEvery = benchFlushEvery
 	cfg.Pipeline = PipelineAsync
 	cfg.Duration = true
-	tr := NewTracker(cfg, store, pid)
-	prog := tr.RegisterProgram("h5bench.exe", tr.RegisterUser("bench"))
-	thr := tr.RegisterThread(pid, prog)
+	tr = NewTracker(cfg, store, pid)
+	prog = tr.RegisterProgram("h5bench.exe", tr.RegisterUser("bench"))
+	return tr, prog, tr.RegisterThread(pid, prog)
+}
+
+// trackH5benchRank tracks one rank of the h5bench shape — few entities, many
+// timed I/O activities — and returns the tracker before Close or Drain.
+func trackH5benchRank(store *Store, pid int) *Tracker {
+	tr, prog, thr := benchTracker(store, pid)
 	var objs [8]rdf.Term
 	for i := range objs {
 		objs[i] = tr.TrackDataObject(model.Dataset, fmt.Sprintf("/bench.h5/r%d/d%d", pid, i), "", rdf.Term{}, prog)
@@ -315,26 +320,64 @@ func h5benchStoreFiles(b *testing.B) (files map[string][]byte, size int64) {
 	return files, size
 }
 
-// BenchmarkTrackIO is the harness's h5bench ingest in one rank: each
-// iteration tracks 1024 records, all but eleven of them timed TrackIO over 8
-// datasets, flushing every 512 to a mem: store. allocs/op ÷ 1024 is the
-// harness's track_allocs_per_record, flush encoding included.
+// trackDassaRank tracks one rank of the harness's DASSA shape: after the three
+// agents, 9-record groups — raw file, read, converted file and its dataset,
+// write, wasDerivedFrom, product dataset, write, wasDerivedFrom — all names
+// distinct, so nearly every record mints terms the graph has not seen.
+func trackDassaRank(store *Store, pid int) *Tracker {
+	tr, _, thr := benchTracker(store, pid)
+	var clock time.Duration
+	io := func(class model.Class, api string, obj rdf.Term) {
+		tr.TrackIO(class, api, obj, thr, clock, 250*time.Microsecond)
+		clock += time.Millisecond
+	}
+	for g := 0; 3+9*(g+1) <= benchPerRank; g++ {
+		base := fmt.Sprintf("/das/r%d/conv%05d.h5", pid, g)
+		raw := tr.TrackDataObject(model.File, fmt.Sprintf("/das/r%d/raw%05d.tdms", pid, g), "", rdf.Term{}, rdf.Term{})
+		io(model.Read, "read", raw)
+		cf := tr.TrackDataObject(model.File, base, "", rdf.Term{}, rdf.Term{})
+		conv := tr.TrackDataObject(model.Dataset, base+"/DataCT", "", cf, rdf.Term{})
+		io(model.Write, "H5Dwrite", conv)
+		tr.TrackDerivation(conv, raw)
+		prod := tr.TrackDataObject(model.Dataset, base+"/xcorr", "", cf, rdf.Term{})
+		io(model.Write, "H5Dwrite", prod)
+		tr.TrackDerivation(prod, conv)
+	}
+	return tr
+}
+
+// BenchmarkTrackIO is the harness's ingest in one rank, at its two shapes:
+// each iteration tracks about 1024 records, flushing every 512 to a mem:
+// store. /h5bench is all but eleven of them timed TrackIO over 8 datasets;
+// /dassa is 9-record groups of every record kind the DASSA workloads track,
+// a third of them TrackIO. allocs/op ÷ 1024 is the harness's
+// track_allocs_per_record, flush encoding included.
 func BenchmarkTrackIO(b *testing.B) {
-	store, err := OpenStore("mem:", FormatBinary)
-	if err != nil {
-		b.Fatal(err)
+	for _, shape := range []struct {
+		name  string
+		track func(*Store, int) *Tracker
+	}{{"h5bench", trackH5benchRank}, {"dassa", trackDassaRank}} {
+		b.Run(shape.name, func(b *testing.B) {
+			store, err := OpenStore("mem:", FormatBinary)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var records int64
+			for i := 0; i < b.N; i++ {
+				tr := shape.track(store, i)
+				if err := tr.Drain(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				n, _ := tr.Stats()
+				records += n
+				_ = tr.Close() // stops the rank's flush writer
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+		})
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr := trackH5benchRank(store, i)
-		if err := tr.Drain(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		_ = tr.Close() // stops the rank's flush writer
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchPerRank), "ns/record")
 }
 
 // benchBackends are the substrates BenchmarkPackSegments and BenchmarkVerify

@@ -3,7 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,17 +105,75 @@ func buildScript() []buildStep {
 			}, metric},
 		)
 	}
+	return append(steps, matrixSteps("")...)
+}
+
+// callerTerms are what a caller may put where a tracking call expects a node:
+// nothing, an IRI, a blank node, a literal.
+var callerTerms = []rdf.Term{{}, rdf.IRI("http://x/a> <http://x/b"), rdf.Blank("b0"), rdf.Literal("lit x")}
+
+// matrixSteps is every tracking call over identities plain, hostile and longer
+// than the builders' stack buffers, with every callerTerms entry in every
+// position a caller fills. tag keeps one caller's API names, and with them the
+// per-API sequence numbers, apart from another's.
+func matrixSteps(tag string) []buildStep {
+	var steps []buildStep
+	seqs := map[string]int{}
+	for n, id := range []string{"/plain.h5/x", "sp ace<>\"\\\n\xff", strings.Repeat("/long/path/component", 40)} {
+		for i, a := range callerTerms {
+			b := callerTerms[(i+n+1)%len(callerTerms)]
+			id, api, rank, version := id, id+tag, 16*n+i, 4*n+i-1
+			seqs[api]++
+			seq := seqs[api]
+			steps = append(steps,
+				buildStep{func(tr *Tracker) rdf.Term { return tr.RegisterUser(id) },
+					model.AgentRecord{Class: model.User, ID: id, Rank: -1}},
+				buildStep{func(tr *Tracker) rdf.Term { return tr.RegisterProgram(id, a) },
+					model.AgentRecord{Class: model.Program, ID: id, Rank: -1, OnBehalfOfTerm: a}},
+				buildStep{func(tr *Tracker) rdf.Term { return tr.RegisterThread(rank, a) },
+					model.AgentRecord{Class: model.Thread, ID: fmt.Sprintf("MPI_rank_%d", rank), Rank: rank, OnBehalfOfTerm: a}},
+				buildStep{func(tr *Tracker) rdf.Term { return tr.TrackDataObject(model.Group, id, "", a, b) },
+					model.DataObjectRecord{Class: model.Group, ID: id, ContainerTerm: a, AttributedToTerm: b}},
+				buildStep{func(tr *Tracker) rdf.Term {
+					return tr.TrackIO(model.Read, api, a, b, time.Duration(rank)*time.Millisecond, time.Microsecond)
+				}, model.IOActivityRecord{Class: model.Read, API: api, PID: 0, Seq: seq, Object: a, Agent: b,
+					Started: time.Duration(rank) * time.Millisecond, Elapsed: time.Microsecond, TrackDuration: true}},
+				buildStep{func(tr *Tracker) rdf.Term { return tr.TrackType(a, id) },
+					model.ExtensibleRecord{Class: model.Type, OwnerTerm: a, Key: "type", Value: rdf.Literal(id), Version: -1}},
+				buildStep{func(tr *Tracker) rdf.Term { return tr.TrackConfiguration(a, id, b, version) },
+					model.ExtensibleRecord{Class: model.Configuration, OwnerTerm: a, Key: id, Value: b, Version: version}},
+				buildStep{func(tr *Tracker) rdf.Term { return tr.TrackMetric(a, id, b, version) },
+					model.ExtensibleRecord{Class: model.Metrics, OwnerTerm: a, Key: id, Value: b, Version: version}},
+			)
+			if !a.IsZero() && !b.IsZero() { // TrackDerivation drops an edge with a missing end uncounted
+				steps = append(steps, buildStep{func(tr *Tracker) rdf.Term { tr.TrackDerivation(a, b); return rdf.Term{} },
+					model.DerivationRecord{Product: a, Source: b}})
+			}
+		}
+	}
 	return steps
 }
 
+// termTriples is g's insertion log as terms.
+func termTriples(g *rdf.Graph) []rdf.Triple {
+	refs, _ := g.RefsSince(0)
+	out := make([]rdf.Triple, len(refs))
+	for i, r := range refs {
+		out[i] = rdf.Triple{S: g.TermOf(r.S), P: g.TermOf(r.P), O: g.TermOf(r.O)}
+	}
+	return out
+}
+
 // TestTrackerWritesWhatAppendTriplesWrites feeds one script to a tracker
-// (records built through its graph out of the pooled scratch) and to the
-// layers called by hand the way the perf harness's probe calls them
-// (AppendTriples, AddBatch, WriteDeltaSegmentRefs, WriteSubgraph): delta
-// segments and canonical files must be the same bytes, text and binary.
+// (records resolved against its graph out of the pooled scratch, inserted as
+// IDs) and to the layers called by hand the way the perf harness's probe calls
+// them (AppendTriples, AddBatch, WriteDeltaSegmentRefs, WriteSubgraph): the
+// two graphs must log the same triples in the same order and count the same
+// records and triples, and delta segments and canonical files must be the
+// same bytes, in all three formats.
 func TestTrackerWritesWhatAppendTriplesWrites(t *testing.T) {
 	const flushEvery = 16
-	for _, format := range []Format{FormatBinary, FormatNTriples} {
+	for _, format := range []Format{FormatBinary, FormatNTriples, FormatTurtle} {
 		newStore := func() *Store {
 			store, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", format)
 			if err != nil {
@@ -131,7 +193,7 @@ func TestTrackerWritesWhatAppendTriplesWrites(t *testing.T) {
 		g := rdf.NewGraph()
 		render := rdf.NewTermRenderer(g)
 		var ts []rdf.Triple
-		cursor, seg := 0, 0
+		cursor, seg, listed := 0, 0, 0
 		for i, step := range script {
 			node := step.track(tr)
 			var want rdf.Term
@@ -140,6 +202,7 @@ func TestTrackerWritesWhatAppendTriplesWrites(t *testing.T) {
 				t.Fatalf("%v step %d: tracker returned %v, the record's node is %v", format, i, node, want)
 			}
 			g.AddBatch(ts)
+			listed += len(ts)
 			if (i+1)%flushEvery == 0 {
 				var refs []rdf.TripleID
 				refs, cursor = g.RefsSince(cursor)
@@ -154,6 +217,14 @@ func TestTrackerWritesWhatAppendTriplesWrites(t *testing.T) {
 		}
 		if seg < 8 {
 			t.Fatalf("%v: only %d delta segments written", format, seg)
+		}
+		if records, triples := tr.Stats(); records != int64(len(script)) || triples != int64(listed) {
+			t.Fatalf("%v: tracker counts %d records and %d triples, the script has %d and AppendTriples lists %d",
+				format, records, triples, len(script), listed)
+		}
+		if got, want := termTriples(tr.Graph()), termTriples(g); !slices.Equal(got, want) {
+			t.Fatalf("%v: the tracker's graph logs %d triples, AddBatch of the same records %d, or in another order",
+				format, len(got), len(want))
 		}
 		sameFiles(t, fmt.Sprintf("%v delta segments", format), storeFiles(t, tracked), storeFiles(t, byHand))
 
@@ -187,5 +258,184 @@ func sameFiles(t *testing.T, what string, got, want map[string][]byte) {
 		if !bytes.Equal(data, want[n]) {
 			t.Fatalf("%s: %s differs (%d bytes from the tracker, %d by hand)", what, n, len(data), len(want[n]))
 		}
+	}
+}
+
+// TestConcurrentTrackingEqualsSerial: one tracker driven by 8 goroutines over
+// every record kind holds the triples, and counts the records, of the same
+// calls made one after another. Each goroutine uses API names of its own, so
+// the per-API sequence numbers do not depend on the interleaving. Under the
+// race detector this is also the check that the tracker's table of static
+// vocabulary IDs, filled on first use, is safe to share.
+func TestConcurrentTrackingEqualsSerial(t *testing.T) {
+	const workers = 8
+	cfg := DefaultConfig()
+	cfg.Duration = true
+	serial, shared := NewTracker(cfg, nil, 0), NewTracker(cfg, nil, 0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		steps := matrixSteps(fmt.Sprintf("-w%d", w))
+		for _, step := range steps {
+			step.track(serial)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, step := range steps {
+				step.track(shared)
+			}
+		}()
+	}
+	wg.Wait()
+	sr, st := serial.Stats()
+	if r, n := shared.Stats(); r != sr || n != st {
+		t.Fatalf("8 goroutines counted %d records and %d triples, serial tracking %d and %d", r, n, sr, st)
+	}
+	got, want := shared.Graph().SortedTriples(), serial.Graph().SortedTriples()
+	if !slices.Equal(got, want) {
+		t.Fatalf("8 goroutines left %d triples, serial tracking %d, or other ones", len(got), len(want))
+	}
+	if a, b := shared.Graph().TermCount(), serial.Graph().TermCount(); a != b {
+		t.Fatalf("8 goroutines interned %d terms, serial tracking %d", a, b)
+	}
+}
+
+// TestTrackingKeepsCallerTermKinds: a term handed to a tracking call is stored
+// as the term it is. Every call that takes one used to keep its Value and
+// rebuild it as an IRI, so a blank node b0 came back as <b0> and a literal as
+// an IRI with spaces in it. A literal where RDF wants a subject now makes no
+// triple at all (and is still counted).
+func TestTrackingKeepsCallerTermKinds(t *testing.T) {
+	cfg := DefaultConfig()
+	lit := rdf.Literal("lit x")
+	for _, x := range []rdf.Term{rdf.IRI("http://x/n"), rdf.Blank("b0"), lit, rdf.LangLiteral("été", "fr")} {
+		for _, c := range []struct {
+			call string
+			// track makes the call with x and returns the triple that must
+			// hold x exactly where the call's contract puts it.
+			track func(tr *Tracker) rdf.Triple
+		}{
+			{"RegisterProgram(user)", func(tr *Tracker) rdf.Triple {
+				return rdf.Triple{S: tr.RegisterProgram("p", x), P: model.ActedOnBehalfOf.IRI(), O: x}
+			}},
+			{"RegisterThread(program)", func(tr *Tracker) rdf.Triple {
+				return rdf.Triple{S: tr.RegisterThread(3, x), P: model.ActedOnBehalfOf.IRI(), O: x}
+			}},
+			{"TrackDataObject(container)", func(tr *Tracker) rdf.Triple {
+				return rdf.Triple{S: tr.TrackDataObject(model.Dataset, "d", "", x, rdf.Term{}), P: model.WasDerivedFrom.IRI(), O: x}
+			}},
+			{"TrackDataObject(attributedTo)", func(tr *Tracker) rdf.Triple {
+				return rdf.Triple{S: tr.TrackDataObject(model.Dataset, "d", "", rdf.Term{}, x), P: model.WasAttributedTo.IRI(), O: x}
+			}},
+			{"TrackIO(object)", func(tr *Tracker) rdf.Triple {
+				return rdf.Triple{S: x, P: model.WasWrittenBy.IRI(), O: tr.TrackIO(model.Write, "w", x, rdf.Term{}, 0, 0)}
+			}},
+			{"TrackIO(agent)", func(tr *Tracker) rdf.Triple {
+				return rdf.Triple{S: tr.TrackIO(model.Write, "w", rdf.Term{}, x, 0, 0), P: model.AssociatedWith.IRI(), O: x}
+			}},
+			{"TrackDerivation(product)", func(tr *Tracker) rdf.Triple {
+				tr.TrackDerivation(x, rdf.IRI("http://x/src"))
+				return rdf.Triple{S: x, P: model.WasDerivedFrom.IRI(), O: rdf.IRI("http://x/src")}
+			}},
+			{"TrackDerivation(source)", func(tr *Tracker) rdf.Triple {
+				tr.TrackDerivation(rdf.IRI("http://x/prod"), x)
+				return rdf.Triple{S: rdf.IRI("http://x/prod"), P: model.WasDerivedFrom.IRI(), O: x}
+			}},
+			{"TrackType(owner)", func(tr *Tracker) rdf.Triple {
+				return rdf.Triple{S: x, P: model.PropType.IRI(), O: tr.TrackType(x, "ml")}
+			}},
+			{"TrackConfiguration(owner)", func(tr *Tracker) rdf.Triple {
+				return rdf.Triple{S: x, P: model.PropConfig.IRI(), O: tr.TrackConfiguration(x, "lr", lit, 1)}
+			}},
+			{"TrackConfigurationAccuracy(owner)", func(tr *Tracker) rdf.Triple {
+				return rdf.Triple{S: x, P: model.PropConfig.IRI(), O: tr.TrackConfigurationAccuracy(x, "lr", lit, 1, 0.5)}
+			}},
+			{"TrackMetric(owner)", func(tr *Tracker) rdf.Triple {
+				return rdf.Triple{S: x, P: model.PropMetric.IRI(), O: tr.TrackMetric(x, "loss", lit, 1)}
+			}},
+		} {
+			tr := NewTracker(cfg, nil, 0)
+			want := c.track(tr)
+			g := tr.Graph()
+			if got := g.Has(want); got != want.Valid() {
+				t.Errorf("%s with %v: graph holds %v: %v, want %v", c.call, x, want, got, want.Valid())
+			}
+			if _, rekinded := g.TermID(rdf.IRI(x.Value)); rekinded && !x.IsIRI() {
+				t.Errorf("%s with %v: the graph holds <%s>, an IRI made of the term's value", c.call, x, x.Value)
+			}
+			records, listed := tr.Stats()
+			if records != 1 || int(listed) != g.Len()+map[bool]int{true: 0, false: 1}[want.Valid()] {
+				t.Errorf("%s with %v: counted %d record(s), %d triples listed, %d stored", c.call, x, records, listed, g.Len())
+			}
+		}
+	}
+}
+
+// callerIRIRoundTrips tracks value as the IRI of every node a caller supplies
+// — object, agent, container, attribution, owner, product, source — closes the
+// tracker into a store of each format and checks that Merge reads back
+// exactly the tracker's triples, Term-equal.
+func callerIRIRoundTrips(t *testing.T, value string) {
+	t.Helper()
+	x := rdf.IRI(value)
+	for _, format := range []Format{FormatNTriples, FormatTurtle, FormatBinary} {
+		store, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Duration = true
+		tr := NewTracker(cfg, store, 0)
+		tr.RegisterProgram("p", x)
+		ds := tr.TrackDataObject(model.Dataset, "d", "", x, x)
+		tr.TrackIO(model.Write, "H5Dwrite", x, x, time.Millisecond, time.Microsecond)
+		tr.TrackConfiguration(x, "lr", x, 1)
+		tr.TrackDerivation(x, ds)
+		tr.TrackDerivation(ds, x)
+		if err := tr.Close(); err != nil {
+			t.Fatalf("%v, IRI %q: Close: %v", format, value, err)
+		}
+		g, err := store.Merge()
+		if err != nil {
+			t.Fatalf("%v, IRI %q: Merge: %v", format, value, err)
+		}
+		if got, want := g.SortedTriples(), tr.Graph().SortedTriples(); !slices.Equal(got, want) {
+			t.Fatalf("%v, IRI %q: merged %d triples, tracked %d, or other ones:\n%v\n%v", format, value, len(got), len(want), got, want)
+		}
+	}
+}
+
+// FuzzCallerIRIRoundTrips: any byte string, as the value of a caller-supplied
+// IRI, survives Close and Merge in every format. Written raw between angle
+// brackets, `http://x/a> <http://x/b` closed fine under nt and ttl and then
+// failed Merge with "expected ';' or '.' after object".
+func FuzzCallerIRIRoundTrips(f *testing.F) {
+	for _, seed := range []string{"http://x/a> <http://x/b", "http://x/ends-in\\", "http://x/nul\x00", "",
+		"http://x/plain", model.ProvIONS + "file/a.h5", "\\u0041", "a\nb\t\"{}|^`\x7f\x80\xff\u00e9"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, value []byte) { callerIRIRoundTrips(t, string(value)) })
+}
+
+// TestCallerIRIRoundTrips is the property over random byte strings, every
+// byte value among them.
+func TestCallerIRIRoundTrips(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	var all [256]byte
+	for i := range all {
+		all[i] = byte(i)
+	}
+	callerIRIRoundTrips(t, string(all[:]))
+	const unsafe = "<>\"{}|^`\\ \n\x00"
+	for i := 0; i < 200; i++ {
+		b := make([]byte, rng.Intn(24))
+		for j := range b {
+			if rng.Intn(3) == 0 {
+				b[j] = unsafe[rng.Intn(len(unsafe))]
+			} else {
+				b[j] = byte(rng.Intn(256))
+			}
+		}
+		callerIRIRoundTrips(t, string(b))
 	}
 }

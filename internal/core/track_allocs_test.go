@@ -54,6 +54,11 @@ func TestTrackIOAllocsPerRecord(t *testing.T) {
 		{"TrackMetric", 1, func(tr *Tracker, ds, prog rdf.Term, i int) {
 			tr.TrackMetric(prog, names[i], ds, i%4)
 		}},
+		// The one record without a node of its own: an edge to a product the
+		// graph has not seen, whose IRI string is the caller's.
+		{"TrackDerivation", 1, func(tr *Tracker, ds, prog rdf.Term, i int) {
+			tr.TrackDerivation(rdf.IRI(names[i]), ds)
+		}},
 		// A rank registering again (each step's loop over its threads) pays
 		// for the "MPI_rank_N" identity RegisterThread composes, nothing else.
 		{"RegisterThread", 1, func(tr *Tracker, ds, prog rdf.Term, i int) {

@@ -24,8 +24,12 @@ type Tracker struct {
 	store *Store
 	pid   int
 
-	mu      sync.Mutex
-	graph   *rdf.Graph
+	mu    sync.Mutex
+	graph *rdf.Graph
+	// in resolves records against graph: its dictionary IDs for the values a
+	// record mints and the terms its caller names, and this graph's IDs of the
+	// static vocabulary.
+	in      model.GraphInterner
 	records int // records since last flush
 	closed  bool
 
@@ -98,6 +102,7 @@ func NewTracker(cfg *Config, store *Store, pid int) *Tracker {
 		pid:   pid,
 		graph: rdf.NewGraph(),
 	}
+	t.in.Graph = t.graph
 	t.render = rdf.NewTermRenderer(t.graph)
 	t.drained = sync.NewCond(&t.mu)
 	return t
@@ -135,23 +140,30 @@ func (t *Tracker) Stats() (records, triples int64) {
 }
 
 // scratchPool recycles the per-record triple slice and value buffer across
-// tracking calls. A record's triples are copied into the graph's dictionary
-// and log by AddBatch and its minted values into the dictionary's string
-// chunks, so once addRecord returns nothing references the scratch and it can
-// be handed to the next record.
-var scratchPool = sync.Pool{New: func() any { return &recordScratch{} }}
+// tracking calls. AddRefs copies a record's triples into the graph's log and
+// its minted values are copied into the dictionary's string chunks, so once
+// addRecord returns nothing references the scratch and it can be handed to the
+// next record. The scratch holds IDs but no graph: it is emptied of meaning
+// the moment its record is inserted.
+var scratchPool = sync.Pool{New: func() any {
+	// Sized for any record, so refilling the pool after a collection costs
+	// three objects and not one per doubling.
+	return &recordScratch{refs: make([]rdf.TripleID, 0, 8), buf: make([]byte, 0, 128)}
+}}
 
 type recordScratch struct {
-	ts  []rdf.Triple
-	buf []byte // the values a record mints are formatted here
+	refs []rdf.TripleID
+	buf  []byte // the values a record mints are formatted here
 }
 
 // addRecord inserts a record's triples, charges its cost, and handles
-// periodic flushing. Caller passes the triples already built.
-func (t *Tracker) addRecord(triples []rdf.Triple) {
+// periodic flushing. Caller passes the triples already built, in the graph's
+// IDs; one naming rdf.NoID (a term RDF does not allow where the record put
+// it) is skipped by the graph and charged like any other.
+func (t *Tracker) addRecord(triples []rdf.TripleID) {
 	// One lock acquisition in the graph for the whole record; interning
-	// happens against the striped dictionary before the graph lock is taken.
-	t.graph.AddBatch(triples)
+	// happened against the striped dictionary while the record was built.
+	t.graph.AddRefs(triples)
 	var graphSize int
 	if t.charge {
 		// Only the cost model reads the size; an unclocked tracker skips the
@@ -329,23 +341,17 @@ func (t *Tracker) takeDeferred(primary error) error {
 	return def
 }
 
-// record is any provenance record that can append its triples to a reusable
-// slice, minting its values out of a reusable buffer through the tracker's
-// graph, and return the record node. Generic (not an interface parameter) so
-// the record value is not boxed on the hot path.
-type record interface {
-	Build(*rdf.Graph, []rdf.Triple, []byte) ([]rdf.Triple, []byte, rdf.Term)
-}
-
-// track builds rec's triples into a pooled scratch, inserts them as one
-// batch, recycles the scratch, and returns the record node.
-func track[R record](t *Tracker, rec R) rdf.Term {
+// track builds rec's triples into a pooled scratch in the graph's IDs,
+// inserts them as one batch, recycles the scratch, and returns the record
+// node. Generic (not an interface parameter) so the record value is not boxed
+// on the hot path.
+func track[R model.Record](t *Tracker, rec R) rdf.Term {
 	sc := scratchPool.Get().(*recordScratch)
-	var node rdf.Term
-	sc.ts, sc.buf, node = rec.Build(t.graph, sc.ts[:0], sc.buf)
-	t.addRecord(sc.ts)
+	var node rdf.ID
+	sc.refs, sc.buf, node = rec.AppendRefs(&t.in, sc.refs[:0], sc.buf)
+	t.addRecord(sc.refs)
 	scratchPool.Put(sc)
-	return node
+	return t.graph.TermOf(node)
 }
 
 // nextSeq returns the next per-API invocation sequence number (1-based),
@@ -372,11 +378,7 @@ func (t *Tracker) RegisterProgram(name string, user rdf.Term) rdf.Term {
 	if !t.cfg.Enabled(model.Program) {
 		return rdf.Term{}
 	}
-	rec := model.AgentRecord{Class: model.Program, ID: name, Rank: -1}
-	if !user.IsZero() {
-		rec.OnBehalfOf = user.Value
-	}
-	return track(t, rec)
+	return track(t, model.AgentRecord{Class: model.Program, ID: name, Rank: -1, OnBehalfOfTerm: user})
 }
 
 // RegisterThread records a Thread agent with its MPI rank (optionally on
@@ -386,15 +388,12 @@ func (t *Tracker) RegisterThread(rank int, program rdf.Term) rdf.Term {
 		return rdf.Term{}
 	}
 	var buf [32]byte
-	rec := model.AgentRecord{
-		Class: model.Thread,
-		ID:    string(strconv.AppendInt(append(buf[:0], "MPI_rank_"...), int64(rank), 10)),
-		Rank:  rank,
-	}
-	if !program.IsZero() {
-		rec.OnBehalfOf = program.Value
-	}
-	return track(t, rec)
+	return track(t, model.AgentRecord{
+		Class:          model.Thread,
+		ID:             string(strconv.AppendInt(append(buf[:0], "MPI_rank_"...), int64(rank), 10)),
+		Rank:           rank,
+		OnBehalfOfTerm: program,
+	})
 }
 
 // TrackDataObject records an Entity node of the given Data Object sub-class
@@ -403,14 +402,8 @@ func (t *Tracker) TrackDataObject(class model.Class, id, name string, container,
 	if !t.cfg.Enabled(class) {
 		return rdf.Term{}
 	}
-	rec := model.DataObjectRecord{Class: class, ID: id, Name: name}
-	if !container.IsZero() {
-		rec.Container = container.Value
-	}
-	if !attributedTo.IsZero() {
-		rec.AttributedTo = attributedTo.Value
-	}
-	return track(t, rec)
+	return track(t, model.DataObjectRecord{Class: class, ID: id, Name: name,
+		ContainerTerm: container, AttributedToTerm: attributedTo})
 }
 
 // TrackIO records one I/O API invocation of the given Activity sub-class.
@@ -435,10 +428,7 @@ func (t *Tracker) TrackDerivation(product, source rdf.Term) {
 	if product.IsZero() || source.IsZero() {
 		return
 	}
-	sc := scratchPool.Get().(*recordScratch)
-	sc.ts = append(sc.ts[:0], rdf.Triple{S: product, P: model.WasDerivedFrom.IRI(), O: source})
-	t.addRecord(sc.ts)
-	scratchPool.Put(sc)
+	track(t, model.DerivationRecord{Product: product, Source: source})
 }
 
 // TrackType records the workflow Type extensible record.
@@ -447,7 +437,7 @@ func (t *Tracker) TrackType(owner rdf.Term, workflowType string) rdf.Term {
 		return rdf.Term{}
 	}
 	rec := model.ExtensibleRecord{
-		Class: model.Type, Owner: owner.Value, Key: "type",
+		Class: model.Type, OwnerTerm: owner, Key: "type",
 		Value: rdf.Literal(workflowType), Version: -1,
 	}
 	return track(t, rec)
@@ -459,7 +449,7 @@ func (t *Tracker) TrackConfiguration(owner rdf.Term, key string, value rdf.Term,
 		return rdf.Term{}
 	}
 	rec := model.ExtensibleRecord{
-		Class: model.Configuration, Owner: owner.Value, Key: key,
+		Class: model.Configuration, OwnerTerm: owner, Key: key,
 		Value: value, Version: version,
 	}
 	return track(t, rec)
@@ -472,7 +462,7 @@ func (t *Tracker) TrackConfigurationAccuracy(owner rdf.Term, key string, value r
 		return rdf.Term{}
 	}
 	rec := model.ExtensibleRecord{
-		Class: model.Configuration, Owner: owner.Value, Key: key,
+		Class: model.Configuration, OwnerTerm: owner, Key: key,
 		Value: value, Version: version,
 		Accuracy: accuracy, HasAccuracy: true,
 	}
@@ -486,7 +476,7 @@ func (t *Tracker) TrackMetric(owner rdf.Term, key string, value rdf.Term, versio
 		return rdf.Term{}
 	}
 	rec := model.ExtensibleRecord{
-		Class: model.Metrics, Owner: owner.Value, Key: key,
+		Class: model.Metrics, OwnerTerm: owner, Key: key,
 		Value: value, Version: version,
 	}
 	return track(t, rec)

@@ -68,12 +68,13 @@ type Class struct {
 	// Description is the Table 2 description column.
 	Description string
 	iri         string
-	// iriTerm and nodePrefix are precomputed at class construction so the
-	// ingest hot path builds no strings for them: iriTerm is the class IRI
-	// as a ready Term, nodePrefix is the minted-node IRI prefix
-	// (namespace + lowercased class name + "/") NodeIRI concatenates
-	// identities onto.
+	// iriTerm, vocab and nodePrefix are precomputed at class construction so
+	// the ingest hot path builds no strings for them: iriTerm is the class IRI
+	// as a ready Term and vocab its static vocabulary index, nodePrefix is the
+	// minted-node IRI prefix (namespace + lowercased class name + "/") NodeIRI
+	// concatenates identities onto.
 	iriTerm    rdf.Term
+	vocab      Vocab
 	nodePrefix string
 }
 
@@ -87,12 +88,13 @@ func (c Class) String() string { return c.Name }
 func (c Class) IsZero() bool { return c.Name == "" }
 
 func newClass(super Super, stereotype, name, desc string) Class {
-	return Class{
+	c := Class{
 		Super: super, Stereotype: stereotype, Name: name, Description: desc,
 		iri:        ProvIONS + name,
-		iriTerm:    rdf.IRI(ProvIONS + name),
 		nodePrefix: ProvIONS + strings.ToLower(name) + "/",
 	}
+	c.iriTerm, c.vocab = staticTerm(c.iri)
+	return c
 }
 
 func entityClass(name, desc string) Class {
@@ -175,6 +177,7 @@ type Relation struct {
 	Description string
 	iri         string
 	iriTerm     rdf.Term
+	vocab       Vocab
 }
 
 // IRI returns the relation's predicate term (precomputed — the ingest path
@@ -185,11 +188,17 @@ func (r Relation) IRI() rdf.Term { return r.iriTerm }
 func (r Relation) CURIE() string { return r.Prefix + ":" + r.Name }
 
 func provRel(name, desc string) Relation {
-	return Relation{Prefix: "prov", Name: name, Description: desc, iri: ProvNS + name, iriTerm: rdf.IRI(ProvNS + name)}
+	return newRelation("prov", ProvNS, name, desc)
 }
 
 func provioRel(name, desc string) Relation {
-	return Relation{Prefix: "provio", Name: name, Description: desc, iri: ProvIONS + name, iriTerm: rdf.IRI(ProvIONS + name)}
+	return newRelation("provio", ProvIONS, name, desc)
+}
+
+func newRelation(prefix, ns, name, desc string) Relation {
+	r := Relation{Prefix: prefix, Name: name, Description: desc, iri: ns + name}
+	r.iriTerm, r.vocab = staticTerm(r.iri)
+	return r
 }
 
 // Relations inherited from W3C PROV.
@@ -256,14 +265,13 @@ func IORelationFor(api Class) (Relation, bool) {
 	return Relation{}, false
 }
 
-// Hot constant terms of the record builders, constructed once at package
-// initialization so the ingest path never rebuilds them.
+// The static vocabulary terms that are neither a Class nor a Relation.
 var (
-	rdfTypeTerm         = rdf.IRI(rdf.RDFType)
-	superEntityTerm     = rdf.IRI(ProvNS + "Entity")
-	superActivityTerm   = rdf.IRI(ProvNS + "Activity")
-	superAgentTerm      = rdf.IRI(ProvNS + "Agent")
-	superExtensibleTerm = rdf.IRI(ProvIONS + "ExtensibleClass")
+	_, vocabRDFType                  = staticTerm(rdf.RDFType)
+	superEntityTerm, vocabEntity     = staticTerm(ProvNS + "Entity")
+	superActivityTerm, vocabActivity = staticTerm(ProvNS + "Activity")
+	superAgentTerm, vocabAgent       = staticTerm(ProvNS + "Agent")
+	superExtensibleTerm              = rdf.IRI(ProvIONS + "ExtensibleClass")
 )
 
 // SuperIRI returns the W3C PROV super-class IRI for a sub-class, used for

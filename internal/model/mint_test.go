@@ -126,11 +126,21 @@ func TestActivityIRIEscapesAPIName(t *testing.T) {
 
 type record interface {
 	AppendTriples([]rdf.Triple) ([]rdf.Triple, rdf.Term)
-	Build(*rdf.Graph, []rdf.Triple, []byte) ([]rdf.Triple, []byte, rdf.Term)
+	Record
 }
 
-// randRecords draws n records of all four kinds, with values that repeat
-// (re-tracked objects, recurring durations) and values that never do.
+// callerTerms are what a caller may hand a tracking call where a node is
+// expected: nothing, the IRI the API means, a blank node, literals plain and
+// tagged (which RDF forbids as a subject), an IRI no text format takes raw,
+// and a term of no kind at all.
+var callerTerms = []rdf.Term{
+	{}, rdf.IRI(ProvIONS + "file/a.h5"), rdf.Blank("b0"), rdf.Literal("lit x"), rdf.Integer(7),
+	rdf.LangLiteral("été", "fr"), rdf.IRI("http://x/a> <http://x/b"), {Kind: 9, Value: "no such kind"},
+}
+
+// randRecords draws n records of all five kinds, with values that repeat
+// (re-tracked objects, recurring durations) and values that never do, and with
+// every callerTerms entry in every position a caller fills.
 func randRecords(rng *rand.Rand, n int) []record {
 	iri := func() string {
 		if rng.Intn(3) == 0 {
@@ -139,17 +149,29 @@ func randRecords(rng *rand.Rand, n int) []record {
 		return NodeIRI(randClass(rng), randIdentity(rng))
 	}
 	term := func() rdf.Term {
+		if rng.Intn(2) == 0 {
+			return callerTerms[rng.Intn(len(callerTerms))]
+		}
 		if v := iri(); v != "" {
 			return rdf.IRI(v)
 		}
 		return rdf.Term{}
 	}
+	// A caller's node, given as the string field or as the Term field.
+	either := func() (string, rdf.Term) {
+		if rng.Intn(2) == 0 {
+			return iri(), rdf.Term{}
+		}
+		return "", term()
+	}
 	out := make([]record, n)
 	for i := range out {
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
-			out[i] = DataObjectRecord{Class: randClass(rng), ID: randIdentity(rng),
-				Name: []string{"", "x"}[rng.Intn(2)], Container: iri(), AttributedTo: iri()}
+			rec := DataObjectRecord{Class: randClass(rng), ID: randIdentity(rng), Name: []string{"", "x"}[rng.Intn(2)]}
+			rec.Container, rec.ContainerTerm = either()
+			rec.AttributedTo, rec.AttributedToTerm = either()
+			out[i] = rec
 		case 1:
 			out[i] = IOActivityRecord{Class: []Class{Create, Open, Read, Write, Fsync, Rename}[rng.Intn(6)],
 				API: []string{"H5Dwrite", "write", "my api> <x"}[rng.Intn(3)], PID: rng.Intn(3), Seq: rng.Intn(40),
@@ -157,48 +179,90 @@ func randRecords(rng *rand.Rand, n int) []record {
 				Elapsed: time.Duration(rng.Intn(5)) * 250 * time.Microsecond,
 				Started: time.Duration(rng.Int63n(1 << 40))}
 		case 2:
-			out[i] = AgentRecord{Class: []Class{User, Program, Thread}[rng.Intn(3)], ID: randIdentity(rng),
-				Name: []string{"", "n"}[rng.Intn(2)], OnBehalfOf: iri(), Rank: rng.Intn(300) - 1}
-		default:
-			out[i] = ExtensibleRecord{Class: []Class{Type, Configuration, Metrics}[rng.Intn(3)],
-				Owner: iri(), Key: randIdentity(rng), Value: []rdf.Term{{}, rdf.Literal("v"), rdf.Double(0.5)}[rng.Intn(3)],
+			rec := AgentRecord{Class: []Class{User, Program, Thread}[rng.Intn(3)], ID: randIdentity(rng),
+				Name: []string{"", "n"}[rng.Intn(2)], Rank: rng.Intn(300) - 1}
+			rec.OnBehalfOf, rec.OnBehalfOfTerm = either()
+			out[i] = rec
+		case 3:
+			rec := ExtensibleRecord{Class: []Class{Type, Configuration, Metrics}[rng.Intn(3)],
+				Key: randIdentity(rng), Value: append(callerTerms, rdf.Literal("v"), rdf.Double(0.5))[rng.Intn(len(callerTerms)+2)],
 				Version: rng.Intn(12) - 1, Accuracy: rng.Float64(), HasAccuracy: rng.Intn(2) == 0}
+			rec.Owner, rec.OwnerTerm = either()
+			out[i] = rec
+		default:
+			out[i] = DerivationRecord{Product: term(), Source: term()}
 		}
 	}
 	return out
 }
 
-// TestBuildThroughGraphMatchesAppendTriples: a record kind has one
-// triple-building function, so minting through a graph out of a reused buffer
-// must yield the very triples AppendTriples builds from fresh strings — and
-// they must still read the same after the buffer and the dictionary's string
-// chunks have been reused and retired many times over.
+// termTriples is g's insertion log as terms.
+func termTriples(g *rdf.Graph) []rdf.Triple {
+	refs, _ := g.RefsSince(0)
+	out := make([]rdf.Triple, len(refs))
+	for i, r := range refs {
+		out[i] = rdf.Triple{S: g.TermOf(r.S), P: g.TermOf(r.P), O: g.TermOf(r.O)}
+	}
+	return out
+}
+
+// TestBuildThroughGraphMatchesAppendTriples: a record kind has one shape, so
+// resolving it against a graph's dictionary out of a reused buffer and
+// inserting the IDs must leave the graph that listing it as terms
+// (AppendTriples) and inserting those (AddBatch) leaves — the same node, the
+// same count of triples listed and of triples newly added, the same insertion
+// log — for every record kind, identities plain, hostile and over-long, and
+// caller terms of every kind in every position; and a triple the graph skips
+// must not have put a vocabulary term into its dictionary. The triples must
+// still read the same after the buffer and the dictionary's string chunks have
+// been reused and retired many times over.
 func TestBuildThroughGraphMatchesAppendTriples(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := rdf.NewGraph()
-	var ts, all, want []rdf.Triple
+	byID, byTerm := rdf.NewGraph(), rdf.NewGraph()
+	in := &GraphInterner{Graph: byID}
+	var refs []rdf.TripleID
 	var buf []byte
-	for i, rec := range randRecords(rng, 4000) {
+	for i, rec := range randRecords(rng, 6000) {
 		plain, plainNode := rec.AppendTriples(nil)
-		var node rdf.Term
-		ts, buf, node = rec.Build(g, ts[:0], buf)
-		if node != plainNode || !slices.Equal(ts, plain) {
-			t.Fatalf("record %d %+v:\n through the graph %v\n AppendTriples     %v", i, rec, ts, plain)
+		var nodeID rdf.ID
+		refs, buf, nodeID = rec.AppendRefs(in, refs[:0], buf)
+		if node := byID.TermOf(nodeID); node != plainNode {
+			t.Fatalf("record %d %+v: node %v through the graph, %v by AppendTriples", i, rec, node, plainNode)
 		}
-		if _, ok := g.TermID(node); !ok {
-			t.Fatalf("record %d: node %v is not interned in the graph it was minted through", i, node)
+		if len(refs) != len(plain) {
+			t.Fatalf("record %d %+v: %d triples through the graph, AppendTriples lists %d", i, rec, len(refs), len(plain))
 		}
-		g.AddBatch(ts)
-		all, want = append(all, ts...), append(want, plain...)
+		for j, r := range refs {
+			got := rdf.Triple{S: byID.TermOf(r.S), P: byID.TermOf(r.P), O: byID.TermOf(r.O)}
+			if plain[j].Valid() && got != plain[j] {
+				t.Fatalf("record %d %+v triple %d:\n through the graph %v\n AppendTriples     %v", i, rec, j, got, plain[j])
+			}
+			if !plain[j].Valid() && got.Valid() {
+				t.Fatalf("record %d %+v triple %d: %v is not RDF, yet resolved to %v", i, rec, j, plain[j], got)
+			}
+		}
+		if got, want := byID.AddRefs(refs), byTerm.AddBatch(plain); got != want {
+			t.Fatalf("record %d %+v: %d triples newly added through the graph, %d by AddBatch", i, rec, got, want)
+		}
+		for _, v := range vocabTerms[1:] {
+			if _, held := byID.TermID(v); held {
+				if _, used := byTerm.TermID(v); !used {
+					t.Fatalf("record %d %+v: the graph holds %v, which no triple references", i, rec, v)
+				}
+			}
+		}
 	}
-	if !slices.Equal(all, want) {
-		t.Fatal("triples minted through the graph changed after later records reused the buffer")
+	if got, want := termTriples(byID), termTriples(byTerm); !slices.Equal(got, want) {
+		t.Fatalf("insertion logs differ: %d triples through the graph, %d by AddBatch", len(got), len(want))
 	}
 }
 
-// TestAppendTriplesAllocs: without a graph a record still costs only its
-// value strings — the buffer they are formatted in stays on the stack.
+// TestAppendTriplesAllocs: listed as terms a record still costs only its
+// value strings — the list and the buffer they are formatted in are pooled.
 func TestAppendTriplesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	obj, agent := DataObjectRecord{Class: Dataset, ID: "/f.h5/x"}.IRI(), AgentRecord{Class: Program, ID: "p"}.IRI()
 	dst := make([]rdf.Triple, 0, 8)
 	seq := 0

@@ -154,7 +154,7 @@ func TestActivityIRI(t *testing.T) {
 
 func graphOf(ts []rdf.Triple) *rdf.Graph {
 	g := rdf.NewGraph()
-	g.AddAll(ts)
+	g.AddBatch(ts)
 	return g
 }
 
@@ -239,9 +239,9 @@ func TestAgentRecordTriples(t *testing.T) {
 	thr := AgentRecord{Class: Thread, ID: "MPI_rank_0", Rank: 0, OnBehalfOf: prog.IRI().Value}
 
 	g := rdf.NewGraph()
-	g.AddAll(user.Triples())
-	g.AddAll(prog.Triples())
-	g.AddAll(thr.Triples())
+	g.AddBatch(user.Triples())
+	g.AddBatch(prog.Triples())
+	g.AddBatch(thr.Triples())
 
 	if !g.Has(rdf.Triple{S: thr.IRI(), P: ActedOnBehalfOf.IRI(), O: prog.IRI()}) {
 		t.Error("thread delegation missing")
@@ -336,7 +336,7 @@ func TestTable2RecordsRoundTripThroughTurtle(t *testing.T) {
 
 	g := rdf.NewGraph()
 	for _, ts := range [][]rdf.Triple{user.Triples(), prog.Triples(), thr.Triples(), ds.Triples(), act.Triples()} {
-		g.AddAll(ts)
+		g.AddBatch(ts)
 	}
 	var sb strings.Builder
 	if err := rdf.WriteTurtle(&sb, g, Namespaces()); err != nil {

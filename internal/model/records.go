@@ -8,31 +8,19 @@ import (
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
 
-// Every record kind has one triple-building method,
-//
-//	Build(g, dst, buf) (dst, buf, node)
-//
-// which appends the record's triples to dst and returns the record node. The
-// values a record mints — node and activity IRIs, numeric literals — are
-// formatted into buf[:0], a buffer the caller reuses from one record to the
-// next (Build returns it, possibly grown), and turned into terms by mint.
-// AppendTriples is Build without a graph.
-
-// mint turns the value formatted in buf into a term. With a graph it is the
-// graph's own interned copy (rdf.Graph.InternBytes): nothing is allocated for
-// a value g already holds, and a new one is copied once, into g's dictionary.
-// Without one it is a fresh string.
-func mint(g *rdf.Graph, kind rdf.TermKind, buf []byte, datatype string) rdf.Term {
-	if g != nil {
-		return g.InternBytes(kind, buf, "", datatype)
+// callerTerm is the term a record names by a string field meaning "IRI" and
+// a Term field that, when set, stands in for it with a term of any kind.
+func callerTerm(iri string, t rdf.Term) rdf.Term {
+	if t.IsZero() && iri != "" {
+		return rdf.IRI(iri)
 	}
-	return rdf.Term{Kind: kind, Value: string(buf), Datatype: datatype}
+	return t
 }
 
 // mintInteger mints rdf.Integer(v).
-func mintInteger(g *rdf.Graph, buf []byte, v int64) ([]byte, rdf.Term) {
+func mintInteger(in Interner, buf []byte, v int64) ([]byte, rdf.ID) {
 	buf = strconv.AppendInt(buf[:0], v, 10)
-	return buf, mint(g, rdf.LiteralTerm, buf, rdf.XSDInteger)
+	return buf, in.Mint(rdf.LiteralTerm, buf, rdf.XSDInteger)
 }
 
 // DataObjectRecord describes one Entity node (a Data Object sub-class
@@ -48,6 +36,10 @@ type DataObjectRecord struct {
 	// AttributedTo, when set, is the IRI of the Program agent this object
 	// is attributed to (prov:wasAttributedTo).
 	AttributedTo string
+	// ContainerTerm and AttributedToTerm, when set, stand in for Container
+	// and AttributedTo with a term of any kind: the tracker passes its
+	// caller's terms through them as they are.
+	ContainerTerm, AttributedToTerm rdf.Term
 }
 
 // IRI returns the node IRI of the record.
@@ -60,33 +52,28 @@ func (r DataObjectRecord) Triples() []rdf.Triple {
 }
 
 // AppendTriples appends the record's triples to dst and returns the extended
-// slice plus the record node (same term IRI() mints, built once). It is
-// Build without a graph.
+// slice plus the record node (same term IRI() mints, built once).
 func (r DataObjectRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Term) {
-	var buf [iriStackLen]byte
-	dst, _, node := r.Build(nil, dst, buf[:0])
-	return dst, node
+	return appendTriples(r, dst)
 }
 
-// Build appends the record's triples to dst and returns the record node,
-// minted through g when g is not nil (see mint).
-func (r DataObjectRecord) Build(g *rdf.Graph, dst []rdf.Triple, buf []byte) ([]rdf.Triple, []byte, rdf.Term) {
+// AppendRefs appends the record's triples to dst, in in's IDs, and returns
+// the record node.
+func (r DataObjectRecord) AppendRefs(in Interner, dst []rdf.TripleID, buf []byte) ([]rdf.TripleID, []byte, rdf.ID) {
 	buf = appendNodeIRI(buf[:0], r.Class, r.ID)
-	node := mint(g, rdf.IRITerm, buf, "")
+	node := in.Mint(rdf.IRITerm, buf, "")
 	name := r.Name
 	if name == "" {
 		name = r.ID
 	}
-	dst = append(dst,
-		rdf.Triple{S: node, P: rdfTypeTerm, O: r.Class.IRI()},
-		rdf.Triple{S: node, P: WasMemberOf.IRI(), O: superEntityTerm},
-		rdf.Triple{S: node, P: PropName.IRI(), O: rdf.Literal(name)},
-	)
-	if r.Container != "" {
-		dst = append(dst, rdf.Triple{S: node, P: WasDerivedFrom.IRI(), O: rdf.IRI(r.Container)})
+	dst = triple(in, dst, node, vocabRDFType, in.Static(r.Class.vocab))
+	dst = triple(in, dst, node, WasMemberOf.vocab, in.Static(vocabEntity))
+	dst = triple(in, dst, node, PropName.vocab, in.Object(rdf.Literal(name)))
+	if c := callerTerm(r.Container, r.ContainerTerm); !c.IsZero() {
+		dst = triple(in, dst, node, WasDerivedFrom.vocab, in.Object(c))
 	}
-	if r.AttributedTo != "" {
-		dst = append(dst, rdf.Triple{S: node, P: WasAttributedTo.IRI(), O: rdf.IRI(r.AttributedTo)})
+	if a := callerTerm(r.AttributedTo, r.AttributedToTerm); !a.IsZero() {
+		dst = triple(in, dst, node, WasAttributedTo.vocab, in.Object(a))
 	}
 	return dst, buf, node
 }
@@ -119,40 +106,33 @@ func (r IOActivityRecord) Triples() []rdf.Triple {
 }
 
 // AppendTriples appends the record's triples to dst and returns the extended
-// slice plus the activity node. It is Build without a graph.
+// slice plus the activity node.
 func (r IOActivityRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Term) {
-	var buf [iriStackLen]byte
-	dst, _, node := r.Build(nil, dst, buf[:0])
-	return dst, node
+	return appendTriples(r, dst)
 }
 
-// Build appends the record's triples to dst and returns the activity node;
-// the node and the two duration literals are minted through g when g is not
-// nil (see mint). This record is the ingest hot path, one per tracked API
+// AppendRefs appends the record's triples to dst, in in's IDs, and returns
+// the activity node. This record is the ingest hot path, one per tracked API
 // call.
-func (r IOActivityRecord) Build(g *rdf.Graph, dst []rdf.Triple, buf []byte) ([]rdf.Triple, []byte, rdf.Term) {
+func (r IOActivityRecord) AppendRefs(in Interner, dst []rdf.TripleID, buf []byte) ([]rdf.TripleID, []byte, rdf.ID) {
 	buf = appendActivityIRI(buf[:0], r.API, r.PID, r.Seq)
-	node := mint(g, rdf.IRITerm, buf, "")
-	dst = append(dst,
-		rdf.Triple{S: node, P: rdfTypeTerm, O: r.Class.IRI()},
-		rdf.Triple{S: node, P: WasMemberOf.IRI(), O: superActivityTerm},
-	)
+	node := in.Mint(rdf.IRITerm, buf, "")
+	dst = triple(in, dst, node, vocabRDFType, in.Static(r.Class.vocab))
+	dst = triple(in, dst, node, WasMemberOf.vocab, in.Static(vocabActivity))
 	if !r.Object.IsZero() {
 		if rel, ok := IORelationFor(r.Class); ok {
-			dst = append(dst, rdf.Triple{S: r.Object, P: rel.IRI(), O: node})
+			dst = triple(in, dst, in.Subject(r.Object), rel.vocab, node)
 		}
 	}
 	if !r.Agent.IsZero() {
-		dst = append(dst, rdf.Triple{S: node, P: AssociatedWith.IRI(), O: r.Agent})
+		dst = triple(in, dst, node, AssociatedWith.vocab, in.Object(r.Agent))
 	}
 	if r.TrackDuration {
-		var elapsed, started rdf.Term
-		buf, elapsed = mintInteger(g, buf, r.Elapsed.Nanoseconds())
-		buf, started = mintInteger(g, buf, r.Started.Nanoseconds())
-		dst = append(dst,
-			rdf.Triple{S: node, P: PropElapsed.IRI(), O: elapsed},
-			rdf.Triple{S: node, P: PropTimestamp.IRI(), O: started},
-		)
+		var elapsed, started rdf.ID
+		buf, elapsed = mintInteger(in, buf, r.Elapsed.Nanoseconds())
+		buf, started = mintInteger(in, buf, r.Started.Nanoseconds())
+		dst = triple(in, dst, node, PropElapsed.vocab, elapsed)
+		dst = triple(in, dst, node, PropTimestamp.vocab, started)
 	}
 	return dst, buf, node
 }
@@ -163,8 +143,10 @@ type AgentRecord struct {
 	ID    string
 	Name  string
 	// OnBehalfOf links this agent to its principal (e.g. thread → program,
-	// program → user) with prov:actedOnBehalfOf.
-	OnBehalfOf string
+	// program → user) with prov:actedOnBehalfOf: the principal's IRI, or, in
+	// OnBehalfOfTerm, the principal as a term of any kind.
+	OnBehalfOf     string
+	OnBehalfOfTerm rdf.Term
 	// Rank is emitted for Thread agents (MPI rank); -1 suppresses it.
 	Rank int
 }
@@ -179,35 +161,30 @@ func (r AgentRecord) Triples() []rdf.Triple {
 }
 
 // AppendTriples appends the record's triples to dst and returns the extended
-// slice plus the agent node. It is Build without a graph.
+// slice plus the agent node.
 func (r AgentRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Term) {
-	var buf [iriStackLen]byte
-	dst, _, node := r.Build(nil, dst, buf[:0])
-	return dst, node
+	return appendTriples(r, dst)
 }
 
-// Build appends the record's triples to dst and returns the agent node; the
-// node and the rank literal are minted through g when g is not nil (see
-// mint).
-func (r AgentRecord) Build(g *rdf.Graph, dst []rdf.Triple, buf []byte) ([]rdf.Triple, []byte, rdf.Term) {
+// AppendRefs appends the record's triples to dst, in in's IDs, and returns
+// the agent node.
+func (r AgentRecord) AppendRefs(in Interner, dst []rdf.TripleID, buf []byte) ([]rdf.TripleID, []byte, rdf.ID) {
 	buf = appendNodeIRI(buf[:0], r.Class, r.ID)
-	node := mint(g, rdf.IRITerm, buf, "")
+	node := in.Mint(rdf.IRITerm, buf, "")
 	name := r.Name
 	if name == "" {
 		name = r.ID
 	}
-	dst = append(dst,
-		rdf.Triple{S: node, P: rdfTypeTerm, O: r.Class.IRI()},
-		rdf.Triple{S: node, P: WasMemberOf.IRI(), O: superAgentTerm},
-		rdf.Triple{S: node, P: PropName.IRI(), O: rdf.Literal(name)},
-	)
-	if r.OnBehalfOf != "" {
-		dst = append(dst, rdf.Triple{S: node, P: ActedOnBehalfOf.IRI(), O: rdf.IRI(r.OnBehalfOf)})
+	dst = triple(in, dst, node, vocabRDFType, in.Static(r.Class.vocab))
+	dst = triple(in, dst, node, WasMemberOf.vocab, in.Static(vocabAgent))
+	dst = triple(in, dst, node, PropName.vocab, in.Object(rdf.Literal(name)))
+	if p := callerTerm(r.OnBehalfOf, r.OnBehalfOfTerm); !p.IsZero() {
+		dst = triple(in, dst, node, ActedOnBehalfOf.vocab, in.Object(p))
 	}
 	if r.Class.Name == Thread.Name && r.Rank >= 0 {
-		var rank rdf.Term
-		buf, rank = mintInteger(g, buf, int64(r.Rank))
-		dst = append(dst, rdf.Triple{S: node, P: PropRank.IRI(), O: rank})
+		var rank rdf.ID
+		buf, rank = mintInteger(in, buf, int64(r.Rank))
+		dst = triple(in, dst, node, PropRank.vocab, rank)
 	}
 	return dst, buf, node
 }
@@ -216,10 +193,12 @@ func (r AgentRecord) Build(g *rdf.Graph, dst []rdf.Triple, buf []byte) ([]rdf.Tr
 // user-defined provenance conveyed through the PROV-IO APIs (paper §4.1.4).
 type ExtensibleRecord struct {
 	Class Class // Type, Configuration, or Metrics
-	// Owner is the IRI of the workflow/program node this record belongs to.
-	Owner string
-	Key   string
-	Value rdf.Term
+	// Owner is the IRI of the workflow/program node this record belongs to;
+	// OwnerTerm, when set, stands in for it with a term of any kind.
+	Owner     string
+	OwnerTerm rdf.Term
+	Key       string
+	Value     rdf.Term
 	// Version distinguishes repeated records of the same key across runs
 	// or epochs (the Top Reco versioning need); -1 suppresses it.
 	Version int
@@ -242,8 +221,8 @@ func (r ExtensibleRecord) IRI() rdf.Term {
 func (r ExtensibleRecord) appendIRI(dst []byte) []byte {
 	dst = appendNodePrefix(dst, r.Class)
 	from := len(dst)
-	if r.Owner != "" {
-		dst = append(dst, strings.TrimPrefix(r.Owner, ProvIONS)...)
+	if owner := callerTerm(r.Owner, r.OwnerTerm); !owner.IsZero() {
+		dst = append(dst, strings.TrimPrefix(owner.Value, ProvIONS)...)
 		dst = append(dst, '/')
 	}
 	dst = append(dst, r.Key...)
@@ -261,46 +240,62 @@ func (r ExtensibleRecord) Triples() []rdf.Triple {
 }
 
 // AppendTriples appends the record's triples to dst and returns the extended
-// slice plus the record node. It is Build without a graph.
+// slice plus the record node.
 func (r ExtensibleRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Term) {
-	var buf [iriStackLen]byte
-	dst, _, node := r.Build(nil, dst, buf[:0])
-	return dst, node
+	return appendTriples(r, dst)
 }
 
-// Build appends the record's triples to dst and returns the record node; the
-// node and the version and accuracy literals are minted through g when g is
-// not nil (see mint).
-func (r ExtensibleRecord) Build(g *rdf.Graph, dst []rdf.Triple, buf []byte) ([]rdf.Triple, []byte, rdf.Term) {
+// AppendRefs appends the record's triples to dst, in in's IDs, and returns
+// the record node.
+func (r ExtensibleRecord) AppendRefs(in Interner, dst []rdf.TripleID, buf []byte) ([]rdf.TripleID, []byte, rdf.ID) {
 	buf = r.appendIRI(buf[:0])
-	node := mint(g, rdf.IRITerm, buf, "")
-	dst = append(dst,
-		rdf.Triple{S: node, P: rdfTypeTerm, O: r.Class.IRI()},
-		rdf.Triple{S: node, P: PropName.IRI(), O: rdf.Literal(r.Key)},
-	)
+	node := in.Mint(rdf.IRITerm, buf, "")
+	dst = triple(in, dst, node, vocabRDFType, in.Static(r.Class.vocab))
+	dst = triple(in, dst, node, PropName.vocab, in.Object(rdf.Literal(r.Key)))
 	if !r.Value.IsZero() {
-		dst = append(dst, rdf.Triple{S: node, P: PropValue.IRI(), O: r.Value})
+		dst = triple(in, dst, node, PropValue.vocab, in.Object(r.Value))
 	}
 	if r.Version >= 0 {
-		var version rdf.Term
-		buf, version = mintInteger(g, buf, int64(r.Version))
-		dst = append(dst, rdf.Triple{S: node, P: PropVersion.IRI(), O: version})
+		var version rdf.ID
+		buf, version = mintInteger(in, buf, int64(r.Version))
+		dst = triple(in, dst, node, PropVersion.vocab, version)
 	}
 	if r.HasAccuracy {
 		buf = strconv.AppendFloat(buf[:0], r.Accuracy, 'g', -1, 64) // rdf.Double's form
-		dst = append(dst, rdf.Triple{S: node, P: PropAccuracy.IRI(), O: mint(g, rdf.LiteralTerm, buf, rdf.XSDDouble)})
+		dst = triple(in, dst, node, PropAccuracy.vocab, in.Mint(rdf.LiteralTerm, buf, rdf.XSDDouble))
 	}
-	if r.Owner != "" {
-		var link Relation
+	if owner := callerTerm(r.Owner, r.OwnerTerm); !owner.IsZero() {
+		link := PropMetric
 		switch r.Class.Name {
 		case Type.Name:
 			link = PropType
 		case Configuration.Name:
 			link = PropConfig
-		default:
-			link = PropMetric
 		}
-		dst = append(dst, rdf.Triple{S: rdf.IRI(r.Owner), P: link.IRI(), O: node})
+		dst = triple(in, dst, in.Subject(owner), link.vocab, node)
 	}
 	return dst, buf, node
+}
+
+// DerivationRecord is one prov:wasDerivedFrom edge between two entities the
+// caller names — the backward-lineage edge of the DASSA use case. It has no
+// node of its own.
+type DerivationRecord struct {
+	Product, Source rdf.Term
+}
+
+// AppendTriples appends the edge to dst; the node it returns is the zero Term.
+func (r DerivationRecord) AppendTriples(dst []rdf.Triple) ([]rdf.Triple, rdf.Term) {
+	return appendTriples(r, dst)
+}
+
+// AppendRefs appends the edge to dst, in in's IDs; the node is rdf.NoID. The
+// source is resolved only under a product that can be a subject, so an edge
+// skipped for its product leaves nothing behind in a graph's dictionary.
+func (r DerivationRecord) AppendRefs(in Interner, dst []rdf.TripleID, buf []byte) ([]rdf.TripleID, []byte, rdf.ID) {
+	s, o := in.Subject(r.Product), rdf.NoID
+	if s != rdf.NoID {
+		o = in.Object(r.Source)
+	}
+	return triple(in, dst, s, WasDerivedFrom.vocab, o), buf, rdf.NoID
 }

@@ -202,16 +202,15 @@ func TestAddBatchSkipsInvalid(t *testing.T) {
 	}
 }
 
-// TestAddAllDelegatesToBatch keeps AddAll's historical count semantics: the
-// number of newly added triples, with duplicates inside the slice counted
-// once.
-func TestAddAllDelegatesToBatch(t *testing.T) {
+// TestAddBatchCountsDuplicatesOnce: AddBatch returns the number of newly added
+// triples, with duplicates inside the slice counted once.
+func TestAddBatchCountsDuplicatesOnce(t *testing.T) {
 	g := NewGraph()
 	tr := Triple{S: IRI("http://x/a"), P: IRI("http://x/p"), O: Integer(1)}
-	if n := g.AddAll([]Triple{tr, tr, tr}); n != 1 {
-		t.Fatalf("AddAll = %d, want 1", n)
+	if n := g.AddBatch([]Triple{tr, tr, tr}); n != 1 {
+		t.Fatalf("AddBatch = %d, want 1", n)
 	}
-	if n := g.AddAll([]Triple{tr}); n != 0 {
-		t.Fatalf("AddAll of existing = %d, want 0", n)
+	if n := g.AddBatch([]Triple{tr}); n != 0 {
+		t.Fatalf("AddBatch of existing = %d, want 0", n)
 	}
 }

@@ -400,13 +400,6 @@ func (d *termDict) auxLocked(p langType) uint32 {
 	return uint32(len(aux))
 }
 
-// valueAt returns the value string of entry id, which must be an ID this
-// dictionary handed out: the chunk directory published before that covers it.
-func (d *termDict) valueAt(id ID) string {
-	c, off := locate(id)
-	return (*d.chunks.Load())[c][off].value
-}
-
 // count returns the number of interned terms.
 func (d *termDict) count() int { return int(d.n.Load()) }
 

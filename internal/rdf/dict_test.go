@@ -292,7 +292,7 @@ func TestDictConcurrentIntern(t *testing.T) {
 				tm := term(i)
 				if w%2 == 1 {
 					buf = append(buf[:0], tm.Value...)
-					own := g.InternBytes(tm.Kind, buf, tm.Lang, tm.Datatype)
+					own := g.TermOf(g.InternBytes(tm.Kind, buf, tm.Lang, tm.Datatype))
 					if own != tm {
 						t.Errorf("InternBytes returned %#v, want %#v", own, tm)
 						return

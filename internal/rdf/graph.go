@@ -307,12 +307,6 @@ func (g *Graph) AddBatch(ts []Triple) int {
 	return n
 }
 
-// AddAll inserts every triple in ts and returns the number newly added. It
-// is AddBatch under its historical name.
-func (g *Graph) AddAll(ts []Triple) int {
-	return g.AddBatch(ts)
-}
-
 // Intern returns the dictionary ID of t, interning it if new — the first half
 // of an insert, for bulk loaders that resolve each distinct term once and
 // then insert ID triples with AddRefs.
@@ -320,25 +314,23 @@ func (g *Graph) Intern(t Term) ID {
 	return g.dict.intern(t)
 }
 
-// InternBytes interns the term {kind, string(value), lang, datatype} — the
-// fields taken as given, no normalisation — and returns the dictionary's own
-// copy of it. It is Intern for a caller that formats values into a buffer it
-// reuses (the tracker's record builders): a term the graph already holds
-// costs no allocation and keeps nothing of value alive; a new one costs
-// len(value) bytes of a dictionary string chunk. value may be overwritten as
-// soon as the call returns.
-func (g *Graph) InternBytes(kind TermKind, value []byte, lang, datatype string) Term {
-	t := Term{Kind: kind, Lang: lang, Datatype: datatype}
-	t.Value = g.dict.valueAt(g.dict.internBytes(t, value))
-	return t
+// InternBytes is Intern for the term {kind, string(value), lang, datatype} —
+// the fields taken as given, no normalisation — of a caller that formats
+// values into a buffer it reuses (the tracker's record builders): a term the
+// graph already holds costs no allocation and keeps nothing of value alive; a
+// new one costs len(value) bytes of a dictionary string chunk. value may be
+// overwritten as soon as the call returns.
+func (g *Graph) InternBytes(kind TermKind, value []byte, lang, datatype string) ID {
+	return g.dict.internBytes(Term{Kind: kind, Lang: lang, Datatype: datatype}, value)
 }
 
-// AddRefs inserts triples already in this graph's ID space (IDs from Intern
-// or TermID) under one lock acquisition and returns the number newly added:
-// AddBatch without the term hashing, for loaders that hold a dictionary of
-// their own — the segment decoder, Merge. A ref naming an ID the dictionary
-// has not handed out is skipped. RDF shape is the caller's to guarantee:
-// both loaders insert only triples that were valid where they came from.
+// AddRefs inserts triples already in this graph's ID space (IDs from Intern,
+// InternBytes or TermID) under one lock acquisition and returns the number
+// newly added: AddBatch without the term hashing, for callers that resolve
+// terms themselves — the tracker's record builders, the segment decoder,
+// Merge. A ref naming an ID the dictionary has not handed out (NoID among
+// them, which is how a record builder marks a triple RDF does not allow) is
+// skipped. RDF shape is otherwise the caller's to guarantee.
 func (g *Graph) AddRefs(refs []TripleID) int {
 	if len(refs) == 0 {
 		return 0

@@ -94,23 +94,22 @@ func internBothWays(t *testing.T, g *Graph, rng *rand.Rand, x Term, at string) {
 	before := g.TermCount()
 	_, known := g.TermID(x)
 	buf := []byte(x.Value)
-	var id ID
-	var own Term
+	var id, byBytes ID
 	if rng.Intn(2) == 0 {
 		id = g.Intern(x)
-		own = g.InternBytes(x.Kind, buf, x.Lang, x.Datatype)
+		byBytes = g.InternBytes(x.Kind, buf, x.Lang, x.Datatype)
 	} else {
-		own = g.InternBytes(x.Kind, buf, x.Lang, x.Datatype)
+		byBytes = g.InternBytes(x.Kind, buf, x.Lang, x.Datatype)
 		id = g.Intern(x)
 	}
 	for i := range buf {
 		buf[i] ^= 0xff
 	}
-	if own != x || g.TermOf(id) != x {
-		t.Fatalf("%s: InternBytes returned %#v, TermOf(%d) = %#v, want %#v", at, own, id, g.TermOf(id), x)
+	if own := g.TermOf(byBytes); own != x || g.TermOf(id) != x {
+		t.Fatalf("%s: InternBytes holds %#v, TermOf(%d) = %#v, want %#v", at, own, id, g.TermOf(id), x)
 	}
-	if back, ok := g.TermID(own); !ok || back != id {
-		t.Fatalf("%s: %#v has ID %d by Intern, (%d, %v) by InternBytes", at, x, id, back, ok)
+	if back, ok := g.TermID(x); !ok || back != id || byBytes != id {
+		t.Fatalf("%s: %#v has ID %d by Intern, %d by InternBytes, (%d, %v) by TermID", at, x, id, byBytes, back, ok)
 	}
 	if want := before; !known && (id != ID(want) || g.TermCount() != want+1) {
 		t.Fatalf("%s: new term %#v got ID %d of %d terms, want the next dense ID %d", at, x, id, g.TermCount(), want)

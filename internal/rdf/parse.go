@@ -278,8 +278,44 @@ func (p *turtleParser) parseIRIRef() (string, error) {
 		if c == '\n' {
 			return "", p.errf("newline in IRI")
 		}
+		if c == '\\' {
+			// The grammar allows no other escape in an IRIREF.
+			if p.eof() || (p.peek() != 'u' && p.peek() != 'U') {
+				return "", p.errf("bad escape in IRI")
+			}
+			r, err := p.parseUChar(p.advance())
+			if err != nil {
+				return "", err
+			}
+			b.WriteRune(r)
+			continue
+		}
 		b.WriteByte(c)
 	}
+}
+
+// parseUChar reads the hex digits of a \uXXXX (e == 'u') or \UXXXXXXXX escape
+// whose introducer was just consumed.
+func (p *turtleParser) parseUChar(e byte) (rune, error) {
+	n := 4
+	if e == 'U' {
+		n = 8
+	}
+	if p.pos+n > len(p.src) {
+		return 0, p.errf("truncated \\%c escape", e)
+	}
+	var r rune
+	for i := 0; i < n; i++ {
+		d := hexVal(p.advance())
+		if d < 0 {
+			return 0, p.errf("bad hex digit in \\%c escape", e)
+		}
+		r = r<<4 | rune(d)
+	}
+	if !utf8.ValidRune(r) {
+		return 0, p.errf("invalid unicode escape")
+	}
+	return r, nil
 }
 
 func (p *turtleParser) parseBlank() (Term, error) {
@@ -326,23 +362,9 @@ func (p *turtleParser) parseStringLiteral() (Term, error) {
 			case '\\':
 				b.WriteByte('\\')
 			case 'u', 'U':
-				n := 4
-				if e == 'U' {
-					n = 8
-				}
-				if p.pos+n > len(p.src) {
-					return Term{}, p.errf("truncated \\%c escape", e)
-				}
-				var r rune
-				for i := 0; i < n; i++ {
-					d := hexVal(p.advance())
-					if d < 0 {
-						return Term{}, p.errf("bad hex digit in \\%c escape", e)
-					}
-					r = r<<4 | rune(d)
-				}
-				if !utf8.ValidRune(r) {
-					return Term{}, p.errf("invalid unicode escape")
+				r, err := p.parseUChar(e)
+				if err != nil {
+					return Term{}, err
 				}
 				b.WriteRune(r)
 			default:

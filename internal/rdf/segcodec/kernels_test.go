@@ -152,19 +152,18 @@ func TestDictOrderLongSharedPrefix(t *testing.T) {
 // triples, so the log holds dead entries and entries that repeat a survivor.
 func trackerGraph(rng *rand.Rand, records int) *rdf.Graph {
 	g := rdf.NewGraph()
-	var dst []rdf.Triple
+	in := &model.GraphInterner{Graph: g}
+	var refs []rdf.TripleID
 	var buf []byte
-	add := func(ts []rdf.Triple, b []byte) {
-		g.AddBatch(ts)
-		dst, buf = ts[:0], b
+	add := func(rec model.Record) rdf.Term {
+		var node rdf.ID
+		refs, buf, node = rec.AppendRefs(in, refs[:0], buf)
+		g.AddRefs(refs)
+		return g.TermOf(node)
 	}
 	pid := rng.Intn(4)
-	user := model.AgentRecord{Class: model.User, ID: "alice", Name: "alice", Rank: -1}
-	ts, b, userNode := user.Build(g, dst, buf)
-	add(ts, b)
-	prog := model.AgentRecord{Class: model.Program, ID: fmt.Sprintf("sim-%d", pid), Name: "sim", OnBehalfOf: userNode.Value, Rank: -1}
-	ts, b, progNode := prog.Build(g, dst, buf)
-	add(ts, b)
+	userNode := add(model.AgentRecord{Class: model.User, ID: "alice", Name: "alice", Rank: -1})
+	progNode := add(model.AgentRecord{Class: model.Program, ID: fmt.Sprintf("sim-%d", pid), Name: "sim", OnBehalfOf: userNode.Value, Rank: -1})
 	var objs []rdf.Term
 	apis := []struct {
 		class model.Class
@@ -173,23 +172,16 @@ func trackerGraph(rng *rand.Rand, records int) *rdf.Graph {
 	for i := 0; i < records; i++ {
 		switch k := rng.Intn(10); {
 		case k == 0 || len(objs) == 0:
-			o := model.DataObjectRecord{Class: model.Dataset, ID: fmt.Sprintf("/f.h5/r%d/d%d", pid, rng.Intn(12)), AttributedTo: progNode.Value}
-			var node rdf.Term
-			ts, b, node = o.Build(g, dst, buf)
-			add(ts, b)
-			objs = append(objs, node)
+			objs = append(objs, add(model.DataObjectRecord{Class: model.Dataset,
+				ID: fmt.Sprintf("/f.h5/r%d/d%d", pid, rng.Intn(12)), AttributedTo: progNode.Value}))
 		case k == 1:
-			x := model.ExtensibleRecord{Class: model.Configuration, Owner: progNode.Value, Key: fmt.Sprintf("lr%d", rng.Intn(3)),
-				Value: rdf.TypedLiteral(fmt.Sprint(rng.Intn(5)), rdf.XSDInteger), Version: rng.Intn(4) - 1}
-			ts, b, _ = x.Build(g, dst, buf)
-			add(ts, b)
+			add(model.ExtensibleRecord{Class: model.Configuration, Owner: progNode.Value, Key: fmt.Sprintf("lr%d", rng.Intn(3)),
+				Value: rdf.TypedLiteral(fmt.Sprint(rng.Intn(5)), rdf.XSDInteger), Version: rng.Intn(4) - 1})
 		default:
 			api := apis[rng.Intn(len(apis))]
-			io := model.IOActivityRecord{Class: api.class, API: api.name, PID: pid, Seq: i, Object: objs[rng.Intn(len(objs))],
+			add(model.IOActivityRecord{Class: api.class, API: api.name, PID: pid, Seq: i, Object: objs[rng.Intn(len(objs))],
 				Agent: progNode, Elapsed: time.Duration(rng.Intn(50)) * time.Microsecond,
-				Started: time.Duration(i) * time.Millisecond, TrackDuration: rng.Intn(4) != 0}
-			ts, b, _ = io.Build(g, dst, buf)
-			add(ts, b)
+				Started: time.Duration(i) * time.Millisecond, TrackDuration: rng.Intn(4) != 0})
 		}
 	}
 	for _, x := range g.Triples() {

@@ -96,20 +96,26 @@ func newBloom(n int) Bloom {
 	return Bloom{K: bloomHashes, Bits: make([]byte, bits/8)}
 }
 
-// termHash is the 64-bit FNV-1a over a term's identity.
+// FNV-1a, 64 bits.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// termHash is the 64-bit FNV-1a over a term's identity. With Add and Has it
+// is the definition of the filter; termBloom builds the same bits faster.
 func termHash(t rdf.Term) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
+	h := uint64(fnvOffset)
 	step := func(s string) {
 		for i := 0; i < len(s); i++ {
 			h ^= uint64(s[i])
-			h *= prime
+			h *= fnvPrime
 		}
 		h ^= 0xFF // field separator outside the byte alphabet boundary
-		h *= prime
+		h *= fnvPrime
 	}
 	h ^= uint64(t.Kind)
-	h *= prime
+	h *= fnvPrime
 	step(t.Value)
 	step(t.Lang)
 	step(t.Datatype)
@@ -156,13 +162,87 @@ func ComputeStats(terms []rdf.Term, tris [][3]uint32) SegStats {
 	return st
 }
 
-// termBloom is the membership filter over a dictionary.
+// termBloom is the membership filter over a dictionary: the bits Add sets
+// term by term, for terms in any order. A segment's dictionary is sorted, and
+// three things make that cheap. A term resumes the hash where it parts from
+// its predecessor's value (state keeps the hash after every byte of it):
+// minted IRIs share all but a few trailing bytes. The hash of a literal's
+// tags — a serial multiply per byte, 40 of them for xsd:integer — is run for
+// up to four consecutive terms with the same tags in step, the chains
+// overlapping in the multiplier. And the seven reductions modulo the filter
+// size multiply by one reciprocal, exact for 32-bit operands (Lemire's
+// fastmod), instead of dividing.
 func termBloom(terms []rdf.Term) Bloom {
 	b := newBloom(len(terms))
-	for _, t := range terms {
-		b.Add(t)
+	m := uint64(len(b.Bits) * 8)
+	recip := ^uint64(0)/m + 1
+	// state[i]: the hash after prev's kind and the first i bytes of its value.
+	// Values longer than the array, which lives on the stack, move it to the heap.
+	var short [192]uint64
+	state := short[:0]
+	var lane [4]uint64 // hashes up to their term's value, waiting for the tags they share
+	n := 0
+	filter, k := b.Bits, uint32(b.K)
+	flush := func(lang, datatype string) {
+		hashTags(&lane, lang, datatype)
+		for _, h := range lane[:n] {
+			h1, h2 := uint32(h), uint32(h>>32)|1
+			for i := uint32(0); i < k; i++ {
+				idx, _ := bits.Mul64(recip*uint64(h1+i*h2), m)
+				filter[idx/8] |= 1 << (idx % 8)
+			}
+		}
+		n = 0
+	}
+	var prev *rdf.Term
+	for i := range terms {
+		t := &terms[i]
+		if prev != nil && (n == len(lane) || prev.Lang != t.Lang || prev.Datatype != t.Datatype) {
+			flush(prev.Lang, prev.Datatype)
+		}
+		v, from := t.Value, 0
+		if cap(state) <= len(v) {
+			state = append(make([]uint64, 0, 2*len(v)+1), state...)
+		}
+		if prev != nil && prev.Kind == t.Kind {
+			p := prev.Value
+			for from+8 <= len(v) && from+8 <= len(p) && v[from:from+8] == p[from:from+8] {
+				from += 8
+			}
+			for from < len(v) && from < len(p) && v[from] == p[from] {
+				from++
+			}
+		} else {
+			state = append(state[:0], (fnvOffset^uint64(t.Kind))*fnvPrime)
+		}
+		state = state[:len(v)+1]
+		h := state[from]
+		for j := from; j < len(v); j++ {
+			h = (h ^ uint64(v[j])) * fnvPrime
+			state[j+1] = h
+		}
+		lane[n] = h
+		n++
+		prev = t
+	}
+	if prev != nil {
+		flush(prev.Lang, prev.Datatype)
 	}
 	return b
+}
+
+// hashTags continues four term hashes, each up to the end of its value, over
+// the field separators and the (lang, datatype) tags the four share.
+func hashTags(lane *[4]uint64, lang, datatype string) {
+	a, b, c, d := lane[0], lane[1], lane[2], lane[3]
+	for _, tag := range [2]string{lang, datatype} {
+		a, b, c, d = (a^0xFF)*fnvPrime, (b^0xFF)*fnvPrime, (c^0xFF)*fnvPrime, (d^0xFF)*fnvPrime
+		for i := 0; i < len(tag); i++ {
+			x := uint64(tag[i])
+			a, b, c, d = (a^x)*fnvPrime, (b^x)*fnvPrime, (c^x)*fnvPrime, (d^x)*fnvPrime
+		}
+	}
+	lane[0], lane[1], lane[2], lane[3] = (a^0xFF)*fnvPrime, (b^0xFF)*fnvPrime, (c^0xFF)*fnvPrime, (d^0xFF)*fnvPrime
 }
 
 // rowStats is ComputeStats without the Bloom filter: the counts, the zone

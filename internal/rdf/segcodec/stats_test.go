@@ -3,8 +3,13 @@ package segcodec
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
@@ -222,4 +227,90 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 	if misses < probes/2 {
 		t.Errorf("bloom rejects only %d/%d absent terms — filter is saturated", misses, probes)
 	}
+}
+
+// randDictionary draws n distinct terms with everything termBloom's kernel
+// keys on: values sharing prefixes within a kind and across kinds, a value
+// that is a prefix of the next, empty values, long values, a handful of
+// (lang, datatype) pairs in runs shorter and longer than the kernel's four
+// lanes, and kinds changing where the values do not.
+func randDictionary(rng *rand.Rand, n int) []rdf.Term {
+	stems := []string{"", "a", "http://x/api/H5Dwrite-p0-b", "http://x/api/H5Dwrite-p0-b1", "1000", "\xff\x00",
+		strings.Repeat("/long/component", 1+rng.Intn(20))}
+	tags := [][2]string{{"", ""}, {"", rdf.XSDInteger}, {"", rdf.XSDDouble}, {"fr", ""}, {"en", ""}, {"e", "n"}, {"", "en"}}
+	seen := map[rdf.Term]bool{}
+	var out []rdf.Term
+	for len(out) < n {
+		t := rdf.Term{Kind: rdf.TermKind(1 + rng.Intn(3)), Value: stems[rng.Intn(len(stems))]}
+		for k := rng.Intn(4); k > 0; k-- {
+			t.Value += string(rune('0' + rng.Intn(3)))
+		}
+		if t.Kind == rdf.LiteralTerm || rng.Intn(8) == 0 { // tags on an IRI: hashed all the same
+			tag := tags[rng.Intn(len(tags))]
+			t.Lang, t.Datatype = tag[0], tag[1]
+		}
+		if !seen[t] {
+			seen[t] = true
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// TestTermBloomMatchesAdd holds the filter kernel to its definition, Add term
+// by term, bit for bit: on sorted dictionaries of 1 to 5 terms and of
+// hundreds, and — the kernel reads order only for speed — on shuffled ones.
+func TestTermBloomMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	if got := termBloom(nil); !bytes.Equal(got.Bits, newBloom(0).Bits) || got.K != bloomHashes {
+		t.Fatalf("empty dictionary: K=%d, %d filter bytes", got.K, len(got.Bits))
+	}
+	for round := 0; round < 3000; round++ {
+		n := 1 + rng.Intn(5)
+		if round%10 == 0 {
+			n = 1 + rng.Intn(700)
+		}
+		terms := randDictionary(rng, n)
+		if round%4 != 3 {
+			sort.Slice(terms, func(i, j int) bool { return rdf.TermLess(terms[i], terms[j]) })
+		}
+		want := newBloom(len(terms))
+		for _, tm := range terms {
+			want.Add(tm)
+		}
+		got := termBloom(terms)
+		if got.K != want.K || !bytes.Equal(got.Bits, want.Bits) {
+			t.Fatalf("round %d, %d terms: the kernel's filter differs from Add's\n%v", round, len(terms), terms)
+		}
+	}
+}
+
+// BenchmarkTermBloom builds the filter of one h5bench-shaped delta dictionary
+// (about 1 550 terms: minted activity IRIs and their two integer literals).
+func BenchmarkTermBloom(b *testing.B) {
+	var terms []rdf.Term
+	for i := 0; i < 512; i++ {
+		terms = append(terms,
+			rdf.IRI(fmt.Sprintf("https://github.com/hpc-io/prov-io/ns#api/H5Dwrite-p3-b%d", i+1)),
+			rdf.Integer(int64(100000+7919*i%900000)),
+			rdf.Integer((time.Duration(i) * time.Millisecond).Nanoseconds()))
+	}
+	for i := 0; i < 20; i++ {
+		terms = append(terms, rdf.IRI(fmt.Sprintf("https://github.com/hpc-io/prov-io/ns#vocab%d", i)))
+	}
+	sort.Slice(terms, func(i, j int) bool { return rdf.TermLess(terms[i], terms[j]) })
+	terms = slices.Compact(terms)
+	b.Run("kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			termBloom(terms)
+		}
+	})
+	b.Run("add", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f := newBloom(len(terms))
+			for _, t := range terms {
+				f.Add(t)
+			}
+		}
+	})
 }

@@ -113,7 +113,7 @@ func (t Term) Ptr() *Term { return &t }
 func (t Term) String() string {
 	switch t.Kind {
 	case IRITerm:
-		return "<" + t.Value + ">"
+		return iriRef(t.Value)
 	case BlankTerm:
 		return "_:" + t.Value
 	case LiteralTerm:
@@ -122,12 +122,51 @@ func (t Term) String() string {
 			return s + "@" + t.Lang
 		}
 		if t.Datatype != "" {
-			return s + "^^<" + t.Datatype + ">"
+			return s + "^^" + iriRef(t.Datatype)
 		}
 		return s
 	default:
 		return "<invalid>"
 	}
+}
+
+// iriUnsafe marks the bytes that may not stand raw between the angle brackets
+// of an IRIREF: the characters the N-Triples and Turtle grammars exclude
+// there. A table, because every IRI ever rendered is scanned against it.
+var iriUnsafe = func() (t [256]bool) {
+	for c := 0; c <= ' '; c++ {
+		t[c] = true
+	}
+	for _, c := range []byte("<>\"{}|^`\\") {
+		t[c] = true
+	}
+	return t
+}()
+
+// iriRef renders an IRI as an IRIREF, "<" + iri + ">" with every character
+// the grammar forbids there written as a \uXXXX escape, which it allows. Any
+// other byte — valid UTF-8 or not — is written as it is, so an IRI of safe
+// characters renders exactly as it always did and the parser gets back the
+// bytes it was given.
+func iriRef(iri string) string {
+	first := 0
+	for first < len(iri) && !iriUnsafe[iri[first]] {
+		first++
+	}
+	if first == len(iri) {
+		return "<" + iri + ">"
+	}
+	const hex = "0123456789ABCDEF"
+	b := make([]byte, 0, len(iri)+2+5*(len(iri)-first))
+	b = append(append(b, '<'), iri[:first]...)
+	for i := first; i < len(iri); i++ {
+		if c := iri[i]; iriUnsafe[c] {
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&15])
+		} else {
+			b = append(b, c)
+		}
+	}
+	return string(append(b, '>'))
 }
 
 // quoteLiteral renders a literal lexical form with N-Triples escaping.

@@ -83,6 +83,12 @@ func TestTermString(t *testing.T) {
 		{Literal("a\nb"), `"a\nb"`},
 		{Literal(`a\b`), `"a\\b"`},
 		{Literal("a\tb"), `"a\tb"`},
+		// What IRIREF forbids between its brackets goes out as \uXXXX; every
+		// other byte, UTF-8 or not, as it is.
+		{IRI("http://x/a> <http://x/b"), `<http://x/a\u003E\u0020\u003Chttp://x/b>`},
+		{IRI("q\"{}|^`\\\x00\n"), `<q\u0022\u007B\u007D\u007C\u005E\u0060\u005C\u0000\u000A>`},
+		{IRI("é\xff\x7f#%"), "<é\xff\x7f#%>"},
+		{TypedLiteral("5", "http://x/d t"), `"5"^^<http://x/d\u0020t>`},
 	}
 	for _, c := range cases {
 		if got := c.term.String(); got != c.want {

@@ -77,6 +77,8 @@ func writeSubjectBlock(bw *bufio.Writer, ts []Triple, ns *Namespaces) error {
 }
 
 // renderTerm renders a term in Turtle, compacting IRIs with the prefix table.
+// An IRI iriRef would escape is never compacted: Shrink takes only local names
+// of letters, digits, '_', '-' and '.'.
 func renderTerm(t Term, ns *Namespaces) string {
 	switch t.Kind {
 	case IRITerm:
@@ -85,7 +87,7 @@ func renderTerm(t Term, ns *Namespaces) string {
 				return c
 			}
 		}
-		return "<" + t.Value + ">"
+		return iriRef(t.Value)
 	case LiteralTerm:
 		s := quoteLiteral(t.Value)
 		if t.Lang != "" {
@@ -97,7 +99,7 @@ func renderTerm(t Term, ns *Namespaces) string {
 					return s + "^^" + c
 				}
 			}
-			return s + "^^<" + t.Datatype + ">"
+			return s + "^^" + iriRef(t.Datatype)
 		}
 		return s
 	default:

@@ -158,6 +158,10 @@ func TestParseTurtleErrors(t *testing.T) {
 		{"missing-dot", `<http://e/s> <http://e/p> <http://e/o>`},
 		{"literal-subject", `"lit" <http://e/p> <http://e/o> .`},
 		{"bad-escape", `<http://e/s> <http://e/p> "a\q" .`},
+		{"iri-bad-escape", `<http://e/s\n> <http://e/p> <http://e/o> .`},
+		{"iri-truncated-escape", `<http://e/s\u00`},
+		{"iri-bad-hex", `<http://e/s\u00ZZ> <http://e/p> <http://e/o> .`},
+		{"iri-invalid-rune", `<http://e/s\UFFFFFFFF> <http://e/p> <http://e/o> .`},
 		{"base-unsupported", `@base <http://e/> .`},
 		{"blank-missing-colon", `_x <http://e/p> <http://e/o> .`},
 	}
@@ -193,6 +197,51 @@ func TestParseUnicodeEscapes(t *testing.T) {
 	}
 	if !g.Has(Triple{IRI("http://e/s"), IRI("http://e/p"), Literal("é😀")}) {
 		t.Errorf("unicode escapes not decoded: %v", g.Triples())
+	}
+}
+
+// TestIRIEscapesRoundTrip: UCHAR escapes are decoded inside <...>, in every
+// position an IRI takes, and an IRI the writers had to escape is never
+// abbreviated to a prefixed name and reads back as the bytes it was.
+func TestIRIEscapesRoundTrip(t *testing.T) {
+	doc := `<http://e/\u0073\U0001F600> <http://e/p\u003E> "5"^^<http://e/d\u0020t> .`
+	g, _, err := ParseTurtle(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Has(Triple{IRI("http://e/s😀"), IRI("http://e/p>"), TypedLiteral("5", "http://e/d t")}) {
+		t.Errorf("IRI escapes not decoded: %v", g.Triples())
+	}
+
+	ns := NewNamespaces()
+	ns.Bind("e", "http://e/")
+	hostile := []string{"http://e/a> <http://e/b", "http://e/ends-in\\", "http://e/nul\x00", "http://e/sp ace", "http://e/\xff\xfe", ""}
+	g = NewGraph()
+	for _, v := range hostile {
+		g.Add(Triple{IRI(v), IRI(v), IRI(v)})
+		g.Add(Triple{IRI("http://e/s"), IRI("http://e/p"), TypedLiteral("v", v+"#dt")})
+	}
+	for name, write := range map[string]func(*strings.Builder) error{
+		"turtle":   func(b *strings.Builder) error { return WriteTurtle(b, g, ns) },
+		"ntriples": func(b *strings.Builder) error { return WriteNTriples(b, g) },
+	} {
+		var b strings.Builder
+		if err := write(&b); err != nil {
+			t.Fatal(err)
+		}
+		back, _, err := ParseTurtle(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("%s: reparse: %v\n%s", name, err, b.String())
+		}
+		got, want := back.SortedTriples(), g.SortedTriples()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d triples back, wrote %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: read back %v, wrote %v", name, got[i], want[i])
+			}
+		}
 	}
 }
 
