@@ -213,9 +213,9 @@ func NewTracker(cfg *Config, store *Store, pid int) *Tracker {
 // ReduceLineage extracts the provenance sub-graph within maxHops lineage
 // edges of the roots (provenance reduction; maxHops<=0 is unbounded). The
 // closure is memoized on the graph's current snapshot — a repeat against an
-// unchanged graph is served from the cache, and any Add/Remove invalidates
-// it. Treat the returned graph as read-only; use ReduceLineageUncached for
-// a private copy.
+// unchanged graph is served from the cache, and any Add invalidates it.
+// Treat the returned graph as read-only; use ReduceLineageUncached for a
+// private copy.
 func ReduceLineage(g *Graph, roots []Term, maxHops int) *Graph {
 	return core.ReduceLineage(g, roots, maxHops)
 }
@@ -511,13 +511,13 @@ func ParseQuery(query string) (*sparql.Query, error) {
 // Query parses and evaluates a SPARQL SELECT query against src, with the
 // PROV-IO namespaces pre-bound. Over a *Graph, evaluation pins an immutable
 // snapshot — queries and concurrent tracking do not block each other — and
-// goes through the epoch-keyed result cache (any Add/Remove invalidates
-// it). Over a *LazySource the rows are byte-identical to the merged
-// graph's, and the source's sticky view error (ErrStaleView, a corrupted
-// unit) is checked after evaluation and returned instead of rows, since the
-// engine's source interface cannot carry errors. workers > 1 partitions the
-// plan's leading operator across that many goroutines; results are
-// byte-identical at any worker count.
+// goes through the snapshot-keyed result cache (any Add invalidates it).
+// Over a *LazySource the rows are byte-identical to the merged graph's, and
+// the source's sticky view error (ErrStaleView, a corrupted unit) is checked
+// after evaluation and returned instead of rows, since the engine's source
+// interface cannot carry errors. workers > 1 partitions the plan's leading
+// operator across that many goroutines; results are byte-identical at any
+// worker count.
 func Query(src QuerySource, query string, workers int) (*QueryResult, QueryInfo, error) {
 	switch src := src.(type) {
 	case *Graph:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/hpc-io/prov-io/internal/core"
@@ -127,25 +128,40 @@ func TestGoldenSection6Queries(t *testing.T) {
 		if err := res.WriteJSON(&buf); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		path := filepath.Join("testdata", "query_"+c.name+".json")
-		if *updateGolden {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v (run with -update to regenerate)", c.name, err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s: results JSON drifted from golden fixture %s\ngot:\n%s\nwant:\n%s",
-				c.name, path, buf.Bytes(), want)
-		}
+		checkGolden(t, "query_"+c.name+".json", buf.Bytes())
 	}
+}
+
+// checkGolden compares got with the fixture testdata/name, or rewrites the
+// fixture under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < min(len(gl), len(wl)) && gl[i] == wl[i] {
+		i++
+	}
+	line := func(ls []string) string {
+		if i < len(ls) {
+			return ls[i]
+		}
+		return "<end of file>"
+	}
+	t.Errorf("%s drifted from its golden fixture at line %d\ngot:  %s\nwant: %s", path, i+1, line(gl), line(wl))
 }
 
 // TestGoldenSection6QueriesParallel re-runs the §6 fixture queries through

@@ -14,7 +14,7 @@ import (
 )
 
 // Read-path benchmarks on one DASSA provenance graph: a §6 BGP join through
-// the serial and the morsel-driven executor, and the lineage BFS. Run with
+// the executor at several worker counts, and the lineage BFS. Run with
 // -benchmem — allocations per query are the figure the ID-space engine is
 // built around.
 
@@ -57,21 +57,10 @@ func queryBenchSetup(b *testing.B) (*rdf.Graph, *sparql.Query, rdf.Term) {
 	return queryBenchGraph, queryBenchQuery, queryBenchRoot
 }
 
-func BenchmarkQueryBGP(b *testing.B) {
-	g, q, _ := queryBenchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sparql.Eval(g, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQueryBGPParallel runs the §6 query through the morsel-driven
-// executor at 1/2/4/8 workers. Multi-worker speedups require multiple cores
-// (GOMAXPROCS); on a single-core runner the sub-benchmarks measure the
-// parallel path's overhead instead.
+// BenchmarkQueryBGPParallel runs the §6 query through the executor at
+// 1/2/4/8 workers; workers=1 is the serial run. Multi-worker speedups
+// require multiple cores (GOMAXPROCS); on a single-core runner the
+// sub-benchmarks measure the parallel path's overhead instead.
 func BenchmarkQueryBGPParallel(b *testing.B) {
 	g, q, _ := queryBenchSetup(b)
 	for _, w := range []int{1, 2, 4, 8} {

@@ -227,7 +227,7 @@ func runTable5Row(r *Report, g *rdf.Graph, workflow, need, query string, wantSta
 	if got := q.StatementCount(); got != wantStatements {
 		return fmt.Errorf("%s query has %d statements, expected %d", workflow, got, wantStatements)
 	}
-	res, err := sparql.Eval(g, q)
+	res, err := sparql.EvalParallel(g, q, 1)
 	if err != nil {
 		return err
 	}

@@ -62,7 +62,7 @@ func buildScatteredStore(t *testing.T, rng *rand.Rand) *Store {
 				}
 				triples = append(triples, rdf.Triple{S: node(), P: pred(), O: o})
 			}
-			if err := store.WriteDeltaSegment(pidBase+s%3, s/3, triples); err != nil {
+			if err := writeDelta(store, pidBase+s%3, s/3, triples); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -456,7 +456,7 @@ func TestLazyReadFaultInjection(t *testing.T) {
 	// Crash point during a lazy read epoch: the crash fires on the next
 	// mutating operation, after which every backend read returns ErrCrashed.
 	ffs.CrashAt(0, 0)
-	if err := store.WriteDeltaSegment(9, 0, []rdf.Triple{
+	if err := writeDelta(store, 9, 0, []rdf.Triple{
 		{S: rdf.IRI("urn:a"), P: rdf.IRI("urn:p"), O: rdf.IRI("urn:b")},
 	}); err == nil {
 		t.Fatal("write survived the armed crash point")

@@ -372,17 +372,14 @@ func TestEncoderWritesCurrentVersion(t *testing.T) {
 	g := rdf.NewGraph()
 	g.Add(rdf.Triple{S: rdf.IRI("urn:s"), P: rdf.IRI("urn:p"), O: rdf.TypedLiteral("1", rdf.XSDInteger)})
 	refs, _ := g.RefsSince(0)
-	var enc, encRefs, encTriples bytes.Buffer
+	var enc, encRefs bytes.Buffer
 	if err := segcodec.Binary.Encode(&enc, g, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := segcodec.Binary.(segcodec.RefsEncoder).EncodeRefs(&encRefs, refs, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := segcodec.Binary.(segcodec.TriplesEncoder).EncodeTriples(&encTriples, g.Triples()); err != nil {
-		t.Fatal(err)
-	}
-	for name, b := range map[string]*bytes.Buffer{"Encode": &enc, "EncodeRefs": &encRefs, "EncodeTriples": &encTriples} {
+	for name, b := range map[string]*bytes.Buffer{"Encode": &enc, "EncodeRefs": &encRefs} {
 		if b.Bytes()[3] != segcodec.PBSVersion {
 			t.Errorf("%s wrote version %d", name, b.Bytes()[3])
 		}
@@ -421,7 +418,7 @@ func TestEncoderWritesCurrentVersion(t *testing.T) {
 	legacy, _ := legacyStoreFiles(t, "loose")
 	onTop := openDir(t, legacy)
 	trackFreshSegments(t, onTop, 1)
-	if err := onTop.WriteDeltaSegment(2, 0, g.Triples()); err != nil {
+	if err := onTop.WriteDeltaSegmentRefs(2, 0, refs, rdf.NewTermRenderer(g)); err != nil {
 		t.Fatal(err)
 	}
 	check("tracking into a version 1 store", onTop, legacy)

@@ -19,8 +19,8 @@ import (
 // goroutine periodically flushes to the store. Designed for -race, and
 // asserts the snapshot guarantees queries rely on:
 //
-//   - the watermark never tears: successive snapshots observe monotonically
-//     non-decreasing log positions;
+//   - snapshots never tear: successive snapshots pin monotonically
+//     non-decreasing log prefixes;
 //   - records are atomic: a TrackIO(Write) commits its rdf:type triple, its
 //     provio:wasWrittenBy edge, and its prov:wasAssociatedWith edge in one
 //     batch, so in ANY snapshot the typed-write count equals the join count
@@ -100,7 +100,7 @@ func TestQueryUnderIngestStress(t *testing.T) {
 	aux.Add(1)
 	go func() {
 		defer aux.Done()
-		lastWatermark, lastCount := -1, -1
+		lastLen, lastCount := -1, -1
 		for iter := 0; ; iter++ {
 			select {
 			case <-ingestDone:
@@ -108,11 +108,11 @@ func TestQueryUnderIngestStress(t *testing.T) {
 			default:
 			}
 			snap := g.Snapshot()
-			if snap.Watermark() < lastWatermark {
-				errCh <- fmt.Errorf("watermark tore: %d after %d", snap.Watermark(), lastWatermark)
+			if snap.Len() < lastLen {
+				errCh <- fmt.Errorf("snapshot shrank: %d triples after %d", snap.Len(), lastLen)
 				return
 			}
-			lastWatermark = snap.Watermark()
+			lastLen = snap.Len()
 
 			typed := -1
 			if typeID, ok := snap.TermID(rdf.IRI(rdf.RDFType)); ok {
@@ -120,9 +120,9 @@ func TestQueryUnderIngestStress(t *testing.T) {
 					typed = snap.CountMatchIDs(rdf.NoID, typeID, writeID)
 				}
 			}
-			res, err := sparql.EvalOn(snap, joinQ)
+			res, _, err := sparql.EvalParallelOnInfo(snap, joinQ, 1)
 			if err != nil {
-				errCh <- fmt.Errorf("EvalOn: %w", err)
+				errCh <- fmt.Errorf("EvalParallelOnInfo: %w", err)
 				return
 			}
 			joined, err := countOf(res)
@@ -131,8 +131,8 @@ func TestQueryUnderIngestStress(t *testing.T) {
 				return
 			}
 			if typed >= 0 && joined != typed {
-				errCh <- fmt.Errorf("torn record visible: %d typed writes but %d joined (watermark %d)",
-					typed, joined, snap.Watermark())
+				errCh <- fmt.Errorf("torn record visible: %d typed writes but %d joined (snapshot of %d triples)",
+					typed, joined, snap.Len())
 				return
 			}
 			if joined < lastCount {

@@ -287,7 +287,7 @@ func TestPrunedVsExhaustiveProperty(t *testing.T) {
 					}
 					triples = append(triples, rdf.Triple{S: node(), P: pred(), O: o})
 				}
-				if err := store.WriteDeltaSegment(pidBase+s%3, s/3, triples); err != nil {
+				if err := writeDelta(store, pidBase+s%3, s/3, triples); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -498,7 +498,7 @@ func TestStatsFrameCorruptionMatrix(t *testing.T) {
 		{S: rdf.IRI("urn:a"), P: rdf.IRI("urn:p"), O: rdf.IRI("urn:b")},
 		{S: rdf.IRI("urn:b"), P: rdf.IRI("urn:p"), O: rdf.Literal("x")},
 	}
-	if err := store.WriteDeltaSegment(0, 0, triples); err != nil {
+	if err := writeDelta(store, 0, 0, triples); err != nil {
 		t.Fatal(err)
 	}
 	files, err := store.subgraphFiles()

@@ -30,21 +30,19 @@ import (
 //
 // The closure is memoized on the graph's current snapshot, keyed by
 // (roots, maxHops): Graph.Snapshot returns a fresh snapshot (with an empty
-// memo) whenever the (watermark, removeEpoch) pair moves, so any Add or
-// Remove invalidates every cached closure automatically, exactly like the
-// SPARQL result cache. A cached sub-graph is shared between callers and
-// must be treated as read-only; use ReduceLineageUncached to obtain a
-// private graph or to time the traversal itself.
+// memo) whenever the insertion log grows, so any Add invalidates every
+// cached closure automatically, exactly like the SPARQL result cache. A
+// cached sub-graph is shared between callers and must be treated as
+// read-only; use ReduceLineageUncached to obtain a private graph or to time
+// the traversal itself.
 func ReduceLineage(g *rdf.Graph, roots []rdf.Term, maxHops int) *rdf.Graph {
 	snap := g.Snapshot()
 	key := lineageMemoKey(roots, maxHops)
 	if v, ok := snap.Memo(key); ok {
-		if e, ok := v.(lineageEntry); ok && e.watermark == snap.Watermark() && e.removeEpoch == snap.RemoveEpoch() {
-			return e.out
-		}
+		return v.(*rdf.Graph)
 	}
 	out, _ := reduceLineageKept(g, roots, maxHops)
-	snap.SetMemo(key, lineageEntry{watermark: snap.Watermark(), removeEpoch: snap.RemoveEpoch(), out: out})
+	snap.SetMemo(key, out)
 	return out
 }
 
@@ -54,14 +52,6 @@ func ReduceLineage(g *rdf.Graph, roots []rdf.Term, maxHops int) *rdf.Graph {
 func ReduceLineageUncached(g *rdf.Graph, roots []rdf.Term, maxHops int) *rdf.Graph {
 	out, _ := reduceLineageKept(g, roots, maxHops)
 	return out
-}
-
-// lineageEntry is one memoized lineage closure plus the epochs it was
-// computed at (belt to the snapshot-identity keying, as in sparql/cache.go).
-type lineageEntry struct {
-	watermark   int
-	removeEpoch uint64
-	out         *rdf.Graph
 }
 
 // lineageMemoKey builds the snapshot-memo key for a lineage question. Root

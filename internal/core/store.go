@@ -316,31 +316,17 @@ func (s *Store) segmentFile(pid, seg int) string {
 // segmentPrefix is the file-name prefix of every delta segment of pid.
 func segmentPrefix(pid int) string { return fmt.Sprintf("prov_p%06d.seg", pid) }
 
-// WriteDeltaSegment appends one delta segment for a process: the triples a
-// periodic flush captured since the previous flush, as N-Triples. Segments
-// are append-only — each flush writes a fresh file — so concurrent periodic
-// flushes never rewrite earlier data, and the union of a process's canonical
-// file and its segments is its full sub-graph. Compaction (tracker Close or
-// Store.Compact) folds segments back into the canonical file.
-func (s *Store) WriteDeltaSegment(pid, seg int, triples []rdf.Triple) error {
-	te, ok := s.seg.(segcodec.TriplesEncoder)
-	if !ok {
-		return fmt.Errorf("core: segment codec %s cannot encode bare triples", s.seg.Name())
-	}
-	var buf bytes.Buffer
-	if err := te.EncodeTriples(&buf, triples); err != nil {
-		return err
-	}
-	return s.writeChained(s.seg, s.segmentFile(pid, seg), buf.Bytes(), false, uint64(seg), pid)
-}
-
-// WriteDeltaSegmentRefs is WriteDeltaSegment in ID space: the delta arrives
-// as insertion-log refs. Under a text segment codec they are rendered
-// through the tracker's memoized per-ID term cache, so a flush materializes
-// no []rdf.Triple and re-renders no term an earlier flush already rendered
-// (byte-identical to WriteDeltaSegment on the materialized triples). Under
-// the binary codec the refs are serialized straight to ID columns with no
-// term rendering at all.
+// WriteDeltaSegmentRefs appends one delta segment for a process: the
+// insertion-log refs a periodic flush captured since the previous flush.
+// Segments are append-only — each flush writes a fresh file — so concurrent
+// periodic flushes never rewrite earlier data, and the union of a process's
+// canonical file and its segments is its full sub-graph. Compaction (tracker
+// Close or Store.Compact) folds segments back into the canonical file.
+//
+// Under the binary codec the refs are serialized straight to ID columns with
+// no term rendering at all. Under a text codec they are rendered through the
+// tracker's memoized per-ID term cache, so a flush materializes no
+// []rdf.Triple and re-renders no term an earlier flush already rendered.
 func (s *Store) WriteDeltaSegmentRefs(pid, seg int, refs []rdf.TripleID, r *rdf.TermRenderer) error {
 	var buf bytes.Buffer
 	var err error

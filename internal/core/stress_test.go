@@ -60,9 +60,6 @@ func stressTracker(t *testing.T, pipeline Pipeline, workers, perWorker int) {
 		// equal the graph size exactly.
 		t.Errorf("triples = %d, graph holds %d", triples, g.Len())
 	}
-	if g.LogLen() != g.Len() {
-		t.Errorf("insertion log %d != graph size %d (unexpected duplicates)", g.LogLen(), g.Len())
-	}
 
 	acts := g.Find(nil, rdf.IRI(rdf.RDFType).Ptr(), model.Write.IRI().Ptr())
 	if len(acts) != workers*perWorker {

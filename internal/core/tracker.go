@@ -509,7 +509,7 @@ func (t *Tracker) Flush() error {
 	// a later segment (the union dedupes).
 	t.mu.Lock()
 	prevCursor := t.cursor
-	t.cursor = t.graph.LogLen()
+	t.cursor = t.graph.Len()
 	hadSegments := t.segSeq > 0
 	t.mu.Unlock()
 	// The graph is internally synchronized and is serialized without cloning

@@ -62,6 +62,15 @@ func storeFiles(t testing.TB, store *Store) map[string][]byte {
 	return files
 }
 
+// writeDelta writes ts as delta segment seg of pid through the flush path,
+// WriteDeltaSegmentRefs, with a graph of ts numbering the terms.
+func writeDelta(s *Store, pid, seg int, ts []rdf.Triple) error {
+	g := rdf.NewGraph()
+	g.AddBatch(ts)
+	refs, _ := g.RefsSince(0)
+	return s.WriteDeltaSegmentRefs(pid, seg, refs, rdf.NewTermRenderer(g))
+}
+
 // openDir materializes a file snapshot in a fresh view and opens it with
 // format auto-detection, exactly as provio-verify does.
 func openDir(t testing.TB, files map[string][]byte) *Store {

@@ -35,10 +35,20 @@ func graphsEqual(a, b *Graph) bool {
 	return equal
 }
 
-// TestTriplesSinceUnionEqualsGraph is the delta-path property: for any
-// interleaving of Adds and cursor snapshots, the union of all deltas equals
+// deltaOf renders RefsSince(n) as triples, in log order.
+func deltaOf(g *Graph, n int) []Triple {
+	refs, _ := g.RefsSince(n)
+	out := make([]Triple, len(refs))
+	for i, r := range refs {
+		out[i] = Triple{S: g.TermOf(r.S), P: g.TermOf(r.P), O: g.TermOf(r.O)}
+	}
+	return out
+}
+
+// TestRefsSinceUnionEqualsGraph is the delta-path property: for any
+// interleaving of Adds and cursor advances, the union of all deltas equals
 // the full graph.
-func TestTriplesSinceUnionEqualsGraph(t *testing.T) {
+func TestRefsSinceUnionEqualsGraph(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := NewGraph()
@@ -48,61 +58,37 @@ func TestTriplesSinceUnionEqualsGraph(t *testing.T) {
 		for i := 0; i < steps; i++ {
 			g.Add(randTriple(rng))
 			if rng.Intn(7) == 0 {
-				for _, tr := range g.TriplesSince(cursor) {
-					union.Add(tr)
-				}
-				cursor = g.LogLen()
+				union.AddBatch(deltaOf(g, cursor))
+				cursor = g.Len()
 			}
 		}
 		// Final delta closes the run (the tracker's Close analog).
-		for _, tr := range g.TriplesSince(cursor) {
-			union.Add(tr)
-		}
+		union.AddBatch(deltaOf(g, cursor))
 		if !graphsEqual(g, union) {
 			t.Fatalf("seed %d: union of deltas (%d) != graph (%d)", seed, union.Len(), g.Len())
 		}
 	}
 }
 
-// TestTriplesSinceSkipsRemoved: removed triples drop out of later deltas,
-// and a re-add after removal surfaces again.
-func TestTriplesSinceSkipsRemoved(t *testing.T) {
-	g := NewGraph()
-	a := Triple{S: IRI("http://x/a"), P: IRI("http://x/p"), O: Literal("1")}
-	b := Triple{S: IRI("http://x/b"), P: IRI("http://x/p"), O: Literal("2")}
-	g.Add(a)
-	g.Add(b)
-	g.Remove(a)
-	if d := g.TriplesSince(0); len(d) != 1 || d[0] != b {
-		t.Fatalf("delta after remove = %v, want just b", d)
-	}
-	if g.LogLen() != 2 {
-		t.Errorf("LogLen = %d, want 2 (monotone under Remove)", g.LogLen())
-	}
-	g.Add(a) // re-add: new log entry
-	if d := g.TriplesSince(2); len(d) != 1 || d[0] != a {
-		t.Fatalf("delta after re-add = %v, want just a", d)
-	}
-}
-
-func TestTriplesSinceBounds(t *testing.T) {
+func TestRefsSinceBounds(t *testing.T) {
 	g := NewGraph()
 	g.Add(Triple{S: IRI("http://x/a"), P: IRI("http://x/p"), O: Literal("1")})
-	if d := g.TriplesSince(-5); len(d) != 1 {
-		t.Errorf("negative cursor: %v", d)
+	if d, end := g.RefsSince(-5); len(d) != 1 || end != 1 {
+		t.Errorf("negative cursor: %v to %d", d, end)
 	}
-	if d := g.TriplesSince(1); d != nil {
-		t.Errorf("cursor at end: %v", d)
+	if d, end := g.RefsSince(1); d != nil || end != 1 {
+		t.Errorf("cursor at end: %v to %d", d, end)
 	}
-	if d := g.TriplesSince(99); d != nil {
-		t.Errorf("cursor past end: %v", d)
+	if d, end := g.RefsSince(99); d != nil || end != 1 {
+		t.Errorf("cursor past end: %v to %d", d, end)
 	}
 }
 
-// TestTriplesSinceConcurrent runs adders concurrently with a delta
-// collector; after a final catch-up delta, the union must equal the graph
-// exactly. This mirrors the tracker's threads-vs-async-flusher interleaving.
-func TestTriplesSinceConcurrent(t *testing.T) {
+// TestRefsSinceConcurrent runs adders concurrently with a delta collector;
+// after a final catch-up delta, the union must equal the graph exactly. This
+// mirrors the tracker's threads-vs-async-flusher interleaving: the cursor
+// advances to the end RefsSince captured under the same lock as the refs.
+func TestRefsSinceConcurrent(t *testing.T) {
 	g := NewGraph()
 	const adders = 6
 	const perAdder = 300
@@ -119,6 +105,13 @@ func TestTriplesSinceConcurrent(t *testing.T) {
 	}
 	union := NewGraph()
 	cursor := 0
+	collect := func() {
+		refs, end := g.RefsSince(cursor)
+		for _, r := range refs {
+			union.Add(Triple{S: g.TermOf(r.S), P: g.TermOf(r.P), O: g.TermOf(r.O)})
+		}
+		cursor = end
+	}
 	done := make(chan struct{})
 	go func() {
 		wg.Wait()
@@ -130,18 +123,10 @@ func TestTriplesSinceConcurrent(t *testing.T) {
 			alive = false
 		default:
 		}
-		// Capture the target position before extracting: triples added
-		// between the two calls are collected next round, never skipped.
-		next := g.LogLen()
-		for _, tr := range g.TriplesSince(cursor) {
-			union.Add(tr)
-		}
-		cursor = next
+		collect()
 	}
 	// One final catch-up after every adder finished.
-	for _, tr := range g.TriplesSince(cursor) {
-		union.Add(tr)
-	}
+	collect()
 	if !graphsEqual(g, union) {
 		t.Fatalf("concurrent deltas: union %d != graph %d", union.Len(), g.Len())
 	}

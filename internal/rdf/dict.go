@@ -66,7 +66,7 @@ const (
 	minDictSlots = 8
 
 	// maxDictTerms is the term-count limit implied by slots storing ID + 1 in
-	// 32 bits with NoID reserved (the dictionary's maxLogLen).
+	// 32 bits with NoID reserved (the dictionary's maxLogEntries).
 	maxDictTerms = uint64(NoID) - 1
 )
 
@@ -101,10 +101,10 @@ func locate(id ID) (chunk int, off uint64) {
 // Lock ordering: a shard lock may be held while acquiring tmu; tmu is never
 // held while acquiring a shard lock.
 //
-// Terms are never removed (Remove does not un-intern) and entries are never
-// rewritten, so a table view taken once (snapshot) stays valid forever and a
-// probe under a shard read lock reads entries without further locking: the
-// entry a slot names was published before the slot was written.
+// Terms are never removed and entries are never rewritten, so a table view
+// taken once (snapshot) stays valid forever and a probe under a shard read
+// lock reads entries without further locking: the entry a slot names was
+// published before the slot was written.
 //
 // Nothing iterates a slot table, so nothing observable depends on the seed.
 type termDict struct {

@@ -7,8 +7,8 @@ import (
 )
 
 // ID is the dictionary index of an interned term. IDs are stable for the
-// lifetime of a graph: once a term is interned its ID never changes, and
-// Remove does not un-intern terms. The zero ID is a valid term ID; the
+// lifetime of a graph: the dictionary is append-only, so once a term is
+// interned its ID never changes. The zero ID is a valid term ID; the
 // sentinel NoID never is.
 //
 // The ID-level API (TermID, TermOf, ForEachMatchIDs, CountMatchIDs) lets
@@ -52,30 +52,20 @@ type Graph struct {
 	// to map terms to IDs (see termDict).
 	dict termDict
 
-	// log records every successful Add in insertion order. It backs the delta
+	// log is the graph: every triple once, in insertion order. The graph is
+	// append-only, so entries are never modified once appended and every
+	// prefix of the log is an earlier state of the graph. It backs the delta
 	// cursor of the flush pipeline (a flusher serializes only the entries
 	// since its last flush), it is the value store the membership table
-	// points into, and — while nothing was ever removed — it is the pinned
-	// triple list of every Snapshot. Entries are never modified once
-	// appended.
+	// points into, and a prefix of it is the pinned triple list of every
+	// Snapshot.
 	log []TripleID
 
 	// table is the membership set: open addressing with linear probing over
 	// a power-of-two slot array. A slot holds 1 + the log position of a
-	// present triple (compared by value against the log), slotEmpty, or
-	// slotTomb where a Remove vacated it. used counts non-empty slots,
-	// tombstones included; the table is rebuilt when used would pass 3/4 of
-	// it.
+	// triple (compared by value against the log), or slotEmpty. The table
+	// doubles when the log would pass 3/4 of it.
 	table []uint32
-	used  int
-
-	size int
-
-	// removeEpoch counts successful Removes. While it is zero the log is
-	// exactly the surviving triple list, which RefsSince, TriplesSince and
-	// Snapshot exploit; after a Remove, a cached Snapshot stays extensible by
-	// the log delta only as long as the epoch it was taken at still holds.
-	removeEpoch uint64
 
 	// snap caches the most recent Snapshot; snapMu serializes its (re)build
 	// so concurrent Snapshot() callers do not duplicate the capture work.
@@ -85,10 +75,9 @@ type Graph struct {
 
 const (
 	slotEmpty = uint32(0)
-	slotTomb  = ^uint32(0)
-	// maxLogLen is the uint32 log-position limit: slots store position + 1
-	// and the top value is the tombstone.
-	maxLogLen = uint64(slotTomb) - 1
+	// maxLogEntries is the log-length limit: slots store position + 1 in 32
+	// bits, and the top value stays unused, as the dictionary's does.
+	maxLogEntries = uint64(^uint32(0)) - 1
 	// minTable is the initial slot count; small, because the lazy reader
 	// decodes many units of a few hundred triples each.
 	minTable = 16
@@ -142,81 +131,40 @@ func (g *Graph) refOf(t Triple) (r TripleID, ok bool) {
 	return r, ok
 }
 
-// findLocked returns the table slot holding r, or -1 when r is absent.
-// Caller must hold g.mu. The probe ends at the first empty slot; one always
-// exists because used never exceeds 3/4 of the table.
-func (g *Graph) findLocked(r TripleID) int {
-	if len(g.table) == 0 {
-		return -1
-	}
-	mask := len(g.table) - 1
-	for i := int(r.hash()) & mask; ; i = (i + 1) & mask {
-		switch v := g.table[i]; {
-		case v == slotEmpty:
-			return -1
-		case v != slotTomb && g.log[v-1] == r:
-			return i
-		}
-	}
-}
-
-// rehashLocked rebuilds the table without its tombstones, doubling it when
-// the present triples alone would fill more than half. Caller must hold g.mu
-// for writing.
-func (g *Graph) rehashLocked() {
-	n := len(g.table)
-	switch {
-	case n == 0:
-		n = minTable
-	case (g.size+1)*2 > n:
-		n *= 2
-	}
-	old := g.table
+// growLocked doubles the table (or allocates the first one) and re-points a
+// slot at every log position. Caller must hold g.mu for writing.
+func (g *Graph) growLocked() {
+	n := max(2*len(g.table), minTable)
 	g.table = make([]uint32, n)
 	mask := n - 1
-	for _, v := range old {
-		if v == slotEmpty || v == slotTomb {
-			continue
-		}
-		i := int(g.log[v-1].hash()) & mask
+	for pos, r := range g.log {
+		i := int(r.hash()) & mask
 		for g.table[i] != slotEmpty {
 			i = (i + 1) & mask
 		}
-		g.table[i] = v
+		g.table[i] = uint32(pos + 1)
 	}
-	g.used = g.size
 }
 
 // addRefLocked inserts one pre-interned triple, appending it to the log and
-// pointing a table slot — the first tombstone on its probe path, else the
-// empty slot that ended the probe — at the new entry. It reports whether the
-// triple was new. Caller must hold g.mu for writing.
+// pointing the empty slot that ended its probe at the new entry. It reports
+// whether the triple was new. Caller must hold g.mu for writing.
 func (g *Graph) addRefLocked(r TripleID) bool {
-	if (g.used+1)*4 > len(g.table)*3 {
-		g.rehashLocked()
+	if (len(g.log)+1)*4 > len(g.table)*3 {
+		g.growLocked()
 	}
 	mask := len(g.table) - 1
-	free := -1
 	i := int(r.hash()) & mask
 	for ; g.table[i] != slotEmpty; i = (i + 1) & mask {
-		if v := g.table[i]; v == slotTomb {
-			if free < 0 {
-				free = i
-			}
-		} else if g.log[v-1] == r {
+		if g.log[g.table[i]-1] == r {
 			return false
 		}
 	}
-	if uint64(len(g.log)) >= maxLogLen {
+	if uint64(len(g.log)) >= maxLogEntries {
 		panic("rdf: graph insertion log exceeds the uint32 position limit")
 	}
-	if free < 0 {
-		free = i
-		g.used++
-	}
 	g.log = append(g.log, r)
-	g.table[free] = uint32(len(g.log))
-	g.size++
+	g.table[i] = uint32(len(g.log))
 	return true
 }
 
@@ -350,27 +298,9 @@ func (g *Graph) AddRefs(refs []TripleID) int {
 	return n
 }
 
-// Remove deletes a triple. It reports whether the triple was present. The
-// triple's log entries stay (the log is append-only); its table slot becomes
-// a tombstone, so those entries no longer count as surviving.
-func (g *Graph) Remove(t Triple) bool {
-	r, ok := g.refOf(t)
-	if !ok {
-		return false
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	i := g.findLocked(r)
-	if i < 0 {
-		return false
-	}
-	g.table[i] = slotTomb
-	g.size--
-	g.removeEpoch++
-	return true
-}
-
-// Has reports whether the graph contains the triple.
+// Has reports whether the graph contains the triple. The probe ends at the
+// first empty slot; one always exists because the log never fills more than
+// 3/4 of the table.
 func (g *Graph) Has(t Triple) bool {
 	r, ok := g.refOf(t)
 	if !ok {
@@ -378,14 +308,25 @@ func (g *Graph) Has(t Triple) bool {
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.findLocked(r) >= 0
+	if len(g.table) == 0 {
+		return false
+	}
+	mask := len(g.table) - 1
+	for i := int(r.hash()) & mask; g.table[i] != slotEmpty; i = (i + 1) & mask {
+		if g.log[g.table[i]-1] == r {
+			return true
+		}
+	}
+	return false
 }
 
-// Len returns the number of triples in the graph.
+// Len returns the number of triples in the graph: the length of the
+// insertion log, which only grows, so it doubles as the flush pipeline's
+// delta cursor.
 func (g *Graph) Len() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.size
+	return len(g.log)
 }
 
 // TermCount returns the number of distinct interned terms.
@@ -393,73 +334,26 @@ func (g *Graph) TermCount() int {
 	return g.dict.count()
 }
 
-// LogLen returns the length of the insertion log: the total number of
-// successful Adds over the graph's lifetime. It is monotone — Remove does
-// not shrink it — which makes it usable as a delta cursor.
-func (g *Graph) LogLen() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.log)
-}
-
-// TriplesSince returns the triples appended at insertion-log positions >= n
-// that are still present in the graph, in insertion order.
+// RefsSince returns an owned copy of the insertion-log entries at positions
+// >= n as 12-byte TripleIDs, plus the log position the delta extends to (the
+// caller's next cursor). Capturing the end position under the same lock as
+// the refs means no insert can slip between the copy and the cursor advance.
 //
 // This is the delta cursor of the incremental flush pipeline: serializing
-// TriplesSince(c) and advancing c to LogLen() after each flush yields delta
-// segments whose union equals the full graph, while each flush stays
-// O(new triples) instead of O(graph). A triple removed and re-added after n
-// appears once per surviving log entry; downstream consumers union segments
-// into a set, so duplicates are harmless.
-func (g *Graph) TriplesSince(n int) []Triple {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if n < 0 {
-		n = 0
-	}
-	if n >= len(g.log) {
-		return nil
-	}
-	terms := g.dict.snapshot()
-	out := make([]Triple, 0, len(g.log)-n)
-	for _, r := range g.log[n:] {
-		// Never removed: the log is the surviving list, no probe needed.
-		if g.removeEpoch == 0 || g.findLocked(r) >= 0 {
-			out = append(out, Triple{S: terms.at(r.S), P: terms.at(r.P), O: terms.at(r.O)})
-		}
-	}
-	return out
-}
-
-// RefsSince is TriplesSince in ID space: the surviving insertion-log entries
-// at positions >= n as 12-byte TripleIDs, plus the log position the delta
-// extends to (the caller's next cursor). Capturing the end position under
-// the same lock as the refs closes the race TriplesSince+LogLen had: no
-// insert can slip between the snapshot and the cursor advance.
-//
-// This is the write-side ID-space path: the flush pipeline hands these refs
-// to a TermRenderer, which rehydrates each distinct term at most once across
-// all of a tracker's flushes, instead of materializing a []Triple per delta.
+// RefsSince(c) and advancing c to the returned end after each flush yields
+// delta segments whose union equals the full graph, while each flush stays
+// O(new triples) instead of O(graph). The flusher hands the refs to a
+// TermRenderer, which rehydrates each distinct term at most once across all
+// of a tracker's flushes, instead of materializing a []Triple per delta.
 func (g *Graph) RefsSince(n int) (refs []TripleID, end int) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if n < 0 {
-		n = 0
-	}
+	n = max(n, 0)
 	end = len(g.log)
 	if n >= end {
 		return nil, end
 	}
-	refs = make([]TripleID, 0, end-n)
-	if g.removeEpoch == 0 {
-		return append(refs, g.log[n:]...), end
-	}
-	for _, r := range g.log[n:] {
-		if g.findLocked(r) >= 0 {
-			refs = append(refs, r)
-		}
-	}
-	return refs, end
+	return append(make([]TripleID, 0, end-n), g.log[n:]...), end
 }
 
 // Find returns all triples matching the pattern. A nil pointer matches any
@@ -475,7 +369,7 @@ func (g *Graph) Find(s, p, o *Term) []Triple {
 
 // The pattern scans below all answer from g.Snapshot(), the only adjacency
 // index there is. No graph lock is held across a callback, so fn may call
-// Add, Remove, or any other graph method; mutations made during a scan are
+// Add or any other graph method; mutations made during a scan are
 // not visible to it. Each call pins the current state, which under
 // concurrent ingest means a new snapshot and a new index build: a caller
 // that probes many patterns per logical query should take one Snapshot and
@@ -565,7 +459,7 @@ func termLess(a, b Term) bool {
 // Because PROV-IO node IDs are globally unique, merging per-process
 // sub-graphs deduplicates shared nodes naturally (paper §5).
 //
-// The merge stays in ID space: it walks other's surviving insertion log,
+// The merge stays in ID space: it walks other's insertion log,
 // renumbers each ID through a remap slice filled on first use — one intern
 // into g per distinct term, in the order the log first mentions it — and
 // inserts the renumbered refs with AddRefs. g therefore hands out the IDs,

@@ -43,31 +43,6 @@ func TestGraphRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestGraphRemove(t *testing.T) {
-	g := NewGraph()
-	g.Add(tr("s", "p", "o"))
-	g.Add(tr("s", "p", "o2"))
-	if !g.Remove(tr("s", "p", "o")) {
-		t.Fatal("Remove returned false for present triple")
-	}
-	if g.Remove(tr("s", "p", "o")) {
-		t.Fatal("Remove returned true for absent triple")
-	}
-	if g.Has(tr("s", "p", "o")) {
-		t.Fatal("removed triple still present")
-	}
-	if !g.Has(tr("s", "p", "o2")) {
-		t.Fatal("sibling triple lost")
-	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
-	}
-	// Removing with never-seen terms must not panic and returns false.
-	if g.Remove(tr("zz", "zz", "zz")) {
-		t.Fatal("Remove of unknown terms returned true")
-	}
-}
-
 func TestGraphFindPatterns(t *testing.T) {
 	g := NewGraph()
 	g.Add(tr("s1", "p1", "o1"))
@@ -245,55 +220,6 @@ func TestGraphAddLenProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: Remove after Add restores the original size and membership.
-func TestGraphAddRemoveProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		g := NewGraph()
-		var ts []Triple
-		for _, v := range raw {
-			x := tr(fmt.Sprintf("s%d", v%7), "p", fmt.Sprintf("o%d", v%11))
-			if g.Add(x) {
-				ts = append(ts, x)
-			}
-		}
-		for _, x := range ts {
-			if !g.Remove(x) {
-				return false
-			}
-		}
-		return g.Len() == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRemoveFromSharedPredicateObjectList(t *testing.T) {
-	// Several subjects share one (p, o) pair: the POS index keeps them in
-	// one list; removing a middle entry must not disturb the others.
-	g := NewGraph()
-	for i := 0; i < 5; i++ {
-		g.Add(tr(fmt.Sprintf("s%d", i), "type", "File"))
-	}
-	if !g.Remove(tr("s2", "type", "File")) {
-		t.Fatal("remove failed")
-	}
-	p, o := IRI("http://e/type"), IRI("http://e/File")
-	got := g.Find(nil, &p, &o)
-	if len(got) != 4 {
-		t.Fatalf("POS list = %d entries, want 4", len(got))
-	}
-	for _, x := range got {
-		if x.S == IRI("http://e/s2") {
-			t.Error("removed subject still listed")
-		}
-	}
-	// OSP side as well.
-	if n := len(g.Find(nil, nil, &o)); n != 4 {
-		t.Errorf("OSP lookup = %d, want 4", n)
 	}
 }
 

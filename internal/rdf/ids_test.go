@@ -144,15 +144,6 @@ func TestPredStatsMaintained(t *testing.T) {
 	if tr, su, ob := g.PredStats(pid); tr != 3 || su != 2 || ob != 2 {
 		t.Fatalf("after dup add PredStats = (%d,%d,%d), want (3,2,2)", tr, su, ob)
 	}
-	g.Remove(Triple{S: IRI("http://e/a"), P: p, O: IRI("http://e/y")})
-	if tr, su, ob := g.PredStats(pid); tr != 2 || su != 2 || ob != 1 {
-		t.Fatalf("after remove PredStats = (%d,%d,%d), want (2,2,1)", tr, su, ob)
-	}
-	g.Remove(Triple{S: IRI("http://e/a"), P: p, O: IRI("http://e/x")})
-	g.Remove(Triple{S: IRI("http://e/b"), P: p, O: IRI("http://e/x")})
-	if tr, su, ob := g.PredStats(pid); tr != 0 || su != 0 || ob != 0 {
-		t.Fatalf("after removing all PredStats = (%d,%d,%d), want zeros", tr, su, ob)
-	}
 }
 
 func TestIndexStats(t *testing.T) {

@@ -24,49 +24,43 @@ func (m *graphModel) add(t Triple) bool {
 	return true
 }
 
-func (m *graphModel) remove(t Triple) bool {
-	if _, ok := m.present[t]; !ok {
-		return false
-	}
-	delete(m.present, t)
-	return true
-}
-
-// since is the TriplesSince contract: every log entry at position >= n whose
-// triple is present now — by value, so a triple removed and re-added counts
-// once per log entry.
-func (m *graphModel) since(n int) []Triple {
-	var out []Triple
-	for _, t := range m.log[n:] {
-		if _, ok := m.present[t]; ok {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// checkTable verifies the membership table's own invariants.
+// checkTable verifies the membership table's own invariants: a power-of-two
+// slot array at most 3/4 full, with exactly one slot per log position.
 func checkTable(t *testing.T, g *Graph) {
 	t.Helper()
 	n := len(g.table)
 	if n&(n-1) != 0 {
 		t.Fatalf("table length %d is not a power of two", n)
 	}
-	if g.used*4 > n*3 {
-		t.Fatalf("table load %d/%d above 3/4", g.used, n)
+	if len(g.log)*4 > n*3 {
+		t.Fatalf("table load %d/%d above 3/4", len(g.log), n)
 	}
-	live, tombs := 0, 0
+	seen := make([]bool, len(g.log))
 	for _, v := range g.table {
-		switch v {
-		case slotEmpty:
-		case slotTomb:
-			tombs++
-		default:
-			live++
+		if v == slotEmpty {
+			continue
+		}
+		if int(v) > len(g.log) || seen[v-1] {
+			t.Fatalf("slot value %d is out of the log (%d entries) or repeated", v, len(g.log))
+		}
+		seen[v-1] = true
+	}
+	for pos, ok := range seen {
+		if !ok {
+			t.Fatalf("log position %d has no table slot", pos)
 		}
 	}
-	if live != g.size || live+tombs != g.used {
-		t.Fatalf("table holds %d live + %d tombstones, graph says size %d used %d", live, tombs, g.size, g.used)
+}
+
+// checkPinned verifies that a snapshot pins the log prefix want in order,
+// with no spare capacity an append could write through.
+func checkPinned(t *testing.T, s *Snapshot, want []Triple, at string) {
+	t.Helper()
+	if got := snapTriples(s); !slices.Equal(got, want) || s.Len() != len(want) {
+		t.Fatalf("%s: snapshot holds %d triples (Len %d), not the %d-entry log prefix in order", at, len(got), s.Len(), len(want))
+	}
+	if cap(s.refs) != len(s.refs) {
+		t.Fatalf("%s: pinned refs have cap %d beyond len %d", at, cap(s.refs), len(s.refs))
 	}
 }
 
@@ -119,21 +113,18 @@ func internBothWays(t *testing.T, g *Graph, rng *rand.Rand, x Term, at string) {
 	}
 }
 
-// TestGraphModelEquivalence drives random Add/AddBatch/AddRefs/Remove/re-add
-// interleavings through Graph and the model, with terms — those of the
-// triples and an adversarial universe of others — interned by value bytes and
-// as Terms in between, and checks everything the write side promises: Len,
-// Has, the delta cursor (TriplesSince/RefsSince), Merge out of the graph (tombstones and repeated log entries included), and
-// snapshot contents — pinned in place while nothing was removed, extended
-// incrementally, rebuilt after a Remove — across table growth and tombstone
-// reuse. Snapshots taken along the way must still read what they read then.
+// TestGraphModelEquivalence drives random Add/AddBatch/AddRefs interleavings
+// through Graph and the model, with terms — those of the triples and an
+// adversarial universe of others — interned by value bytes and as Terms in
+// between, and checks everything the write side promises: Len, Has, the delta
+// cursor (RefsSince), Merge out of the graph, and snapshot contents — the log
+// prefix in order, pinned in place with cap == len, extended across table
+// growth with and without a built index. Snapshots taken along the way must
+// still read what they read then.
 func TestGraphModelEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		irng := rand.New(rand.NewSource(-seed)) // interning draws from its own stream, not the graph ops'
-		// Seeds differ in how soon the first Remove comes, so the
-		// never-removed fast paths get both short and long runs.
-		firstRemove := int(seed-1) * 400
 		g := NewGraph()
 		m := &graphModel{present: map[Triple]struct{}{}}
 		randT := func() Triple {
@@ -142,7 +133,7 @@ func TestGraphModelEquivalence(t *testing.T) {
 		var pins []pinned
 		maxTable := 0
 		for step := 0; step < 3000; step++ {
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(7); {
 			case op < 4:
 				x := randT()
 				if got, want := g.Add(x), m.add(x); got != want {
@@ -166,7 +157,7 @@ func TestGraphModelEquivalence(t *testing.T) {
 				if got := g.AddRefs(refs); got != want {
 					t.Fatalf("seed %d step %d: AddRefs added %d, model %d", seed, step, got, want)
 				}
-			case op < 7:
+			default:
 				batch := make([]Triple, 1+rng.Intn(14))
 				want := 0
 				for i := range batch {
@@ -181,24 +172,14 @@ func TestGraphModelEquivalence(t *testing.T) {
 				if got := g.AddBatch(batch); got != want {
 					t.Fatalf("seed %d step %d: AddBatch added %d, model %d", seed, step, got, want)
 				}
-			case step >= firstRemove:
-				// Half the removals target a triple known to be present, so
-				// tombstones accumulate and later adds reuse them.
-				x := randT()
-				if len(m.log) > 0 && rng.Intn(2) == 0 {
-					x = m.log[rng.Intn(len(m.log))]
-				}
-				if got, want := g.Remove(x), m.remove(x); got != want {
-					t.Fatalf("seed %d step %d: Remove(%v) = %v, model %v", seed, step, x, got, want)
-				}
 			}
 			term := IRI(fmt.Sprintf("http://e/s%d", irng.Intn(120))) // half of them subjects of randT
 			if irng.Intn(2) == 0 {
 				term = adversarialTerm(byte(irng.Intn(3)), byte(irng.Intn(256)), byte(irng.Intn(64)))
 			}
 			internBothWays(t, g, irng, term, fmt.Sprintf("seed %d step %d", seed, step))
-			if g.Len() != len(m.present) || g.LogLen() != len(m.log) {
-				t.Fatalf("seed %d step %d: Len %d LogLen %d, model %d %d", seed, step, g.Len(), g.LogLen(), len(m.present), len(m.log))
+			if g.Len() != len(m.log) {
+				t.Fatalf("seed %d step %d: Len %d, model %d", seed, step, g.Len(), len(m.log))
 			}
 			x := randT()
 			if _, want := m.present[x]; g.Has(x) != want {
@@ -211,46 +192,25 @@ func TestGraphModelEquivalence(t *testing.T) {
 				continue
 			}
 			checkTable(t, g)
+			at := fmt.Sprintf("seed %d step %d", seed, step)
 
 			n := rng.Intn(len(m.log) + 1)
-			want := m.since(n)
-			if got := g.TriplesSince(n); !slices.Equal(got, want) {
-				t.Fatalf("seed %d step %d: TriplesSince(%d) has %d entries, model %d", seed, step, n, len(got), len(want))
-			}
 			refs, end := g.RefsSince(n)
-			if end != len(m.log) || len(refs) != len(want) {
-				t.Fatalf("seed %d step %d: RefsSince(%d) = %d refs to %d, model %d to %d", seed, step, n, len(refs), end, len(want), len(m.log))
+			if end != len(m.log) || len(refs) != len(m.log)-n {
+				t.Fatalf("%s: RefsSince(%d) = %d refs to %d, model %d to %d", at, n, len(refs), end, len(m.log)-n, len(m.log))
 			}
-			for i, r := range refs {
-				if got := (Triple{S: g.TermOf(r.S), P: g.TermOf(r.P), O: g.TermOf(r.O)}); got != want[i] {
-					t.Fatalf("seed %d step %d: RefsSince(%d)[%d] = %v, model %v", seed, step, n, i, got, want[i])
-				}
+			if got := deltaOf(g, n); !slices.Equal(got, m.log[n:]) {
+				t.Fatalf("%s: RefsSince(%d) is not the model's log from %d in order", at, n, n)
 			}
 
 			// Three merges and a rebuilt reference graph per call: every fourth
 			// checkpoint keeps the test's time under the race detector.
 			if len(pins)%4 == 0 {
-				checkMerge(t, g, m, rng, fmt.Sprintf("seed %d step %d", seed, step))
+				checkMerge(t, g, m, rng, at)
 			}
 
 			snap := g.Snapshot()
-			got := snapTriples(snap)
-			if len(got) != len(m.present) || snap.Len() != len(m.present) {
-				t.Fatalf("seed %d step %d: snapshot holds %d triples (Len %d), model %d", seed, step, len(got), snap.Len(), len(m.present))
-			}
-			seen := make(map[Triple]struct{}, len(got))
-			for _, x := range got {
-				if _, ok := m.present[x]; !ok {
-					t.Fatalf("seed %d step %d: snapshot holds absent triple %v", seed, step, x)
-				}
-				seen[x] = struct{}{}
-			}
-			if len(seen) != len(got) {
-				t.Fatalf("seed %d step %d: snapshot repeats a triple", seed, step)
-			}
-			if snap.RemoveEpoch() == 0 && !slices.Equal(got, m.log) {
-				t.Fatalf("seed %d step %d: never-removed snapshot is not the log in order", seed, step)
-			}
+			checkPinned(t, snap, m.log, at)
 			// Build the index on every other pin, so later snapshots take
 			// both the extend-the-index and the build-it-lazily route.
 			if len(pins)%2 == 0 {
@@ -261,13 +221,14 @@ func TestGraphModelEquivalence(t *testing.T) {
 				subjects[x.S] = struct{}{}
 			}
 			if ns, _, _ := snap.IndexStats(); ns != len(subjects) {
-				t.Fatalf("seed %d step %d: snapshot index has %d subjects, model %d", seed, step, ns, len(subjects))
+				t.Fatalf("%s: snapshot index has %d subjects, model %d", at, ns, len(subjects))
 			}
-			pins = append(pins, pinned{snap, got})
+			pins = append(pins, pinned{snap, m.log})
 		}
 		for i, p := range pins {
-			if !slices.Equal(snapTriples(p.snap), p.want) {
-				t.Fatalf("seed %d: snapshot %d changed after it was taken", seed, i)
+			checkPinned(t, p.snap, p.want, fmt.Sprintf("seed %d: snapshot %d after the run", seed, i))
+			if !slices.Equal(p.want, m.log[:len(p.want)]) {
+				t.Fatalf("seed %d: snapshot %d is not a prefix of the final log", seed, i)
 			}
 		}
 		if maxTable <= minTable {
@@ -278,18 +239,11 @@ func TestGraphModelEquivalence(t *testing.T) {
 
 // checkMerge merges g into an empty graph and into one that already holds
 // some of its triples and terms, and merges g into itself. A merge must add
-// exactly the missing triples, log them in the order of their first
-// surviving entry in g's log, and intern terms in that order too.
+// exactly the missing triples, log them in g's log order after the
+// destination's own, and intern terms in that order too.
 func checkMerge(t *testing.T, g *Graph, m *graphModel, rng *rand.Rand, at string) {
 	t.Helper()
-	var order []Triple // the model's surviving log, first occurrences only
-	seen := map[Triple]struct{}{}
-	for _, x := range m.since(0) {
-		if _, dup := seen[x]; !dup {
-			seen[x] = struct{}{}
-			order = append(order, x)
-		}
-	}
+	order := m.log
 	if n := g.Merge(g); n != 0 {
 		t.Fatalf("%s: self-merge added %d triples", at, n)
 	}
@@ -298,9 +252,7 @@ func checkMerge(t *testing.T, g *Graph, m *graphModel, rng *rand.Rand, at string
 	if n := empty.Merge(g); n != len(order) {
 		t.Fatalf("%s: Merge into an empty graph added %d, model %d", at, n, len(order))
 	}
-	if got := empty.TriplesSince(0); !slices.Equal(got, order) {
-		t.Fatalf("%s: merged log is not the source's surviving log in order", at)
-	}
+	checkPinned(t, empty.Snapshot(), order, at+": merged into an empty graph")
 	byAdd := NewGraph()
 	for _, x := range order {
 		byAdd.Add(x)
@@ -315,25 +267,24 @@ func checkMerge(t *testing.T, g *Graph, m *graphModel, rng *rand.Rand, at string
 	}
 
 	part := NewGraph()
-	part.Add(tr("elsewhere", "p0", "o0"))
-	had := 0
+	partLog := []Triple{tr("elsewhere", "p0", "o0")}
+	had := map[Triple]bool{}
 	for _, x := range order {
 		if rng.Intn(3) == 0 {
-			part.Add(x)
-			had++
+			partLog = append(partLog, x)
+			had[x] = true
 		}
 	}
-	if n := part.Merge(g); n != len(order)-had {
-		t.Fatalf("%s: Merge into a graph holding %d of %d added %d", at, had, len(order), n)
-	}
-	if part.Len() != len(order)+1 {
-		t.Fatalf("%s: merged graph holds %d triples, want %d", at, part.Len(), len(order)+1)
-	}
+	part.AddBatch(partLog)
 	for _, x := range order {
-		if !part.Has(x) {
-			t.Fatalf("%s: merged graph lacks %v", at, x)
+		if !had[x] {
+			partLog = append(partLog, x)
 		}
 	}
+	if n := part.Merge(g); n != len(order)-len(had) {
+		t.Fatalf("%s: Merge into a graph holding %d of %d added %d", at, len(had), len(order), n)
+	}
+	checkPinned(t, part.Snapshot(), partLog, at+": merged into a graph holding some of it")
 }
 
 // TestMergeConcurrentWithAdd merges while both graphs take inserts (run
@@ -352,7 +303,7 @@ func TestMergeConcurrentWithAdd(t *testing.T) {
 		}(w, g)
 	}
 	for round := 0; round < 20; round++ {
-		before := src.TriplesSince(0)
+		before := deltaOf(src, 0)
 		dst.Merge(src)
 		for _, x := range before {
 			if !dst.Has(x) {
@@ -364,33 +315,5 @@ func TestMergeConcurrentWithAdd(t *testing.T) {
 	dst.Merge(src)
 	if want := 4000; dst.Len() != want {
 		t.Fatalf("after the final merge the destination holds %d triples, want %d", dst.Len(), want)
-	}
-}
-
-// TestTableTombstonesDoNotGrowTable: churn at a constant size keeps the
-// table at its size — removed slots are reused or purged by a same-size
-// rebuild, not papered over by doubling.
-func TestTableTombstonesDoNotGrowTable(t *testing.T) {
-	g := NewGraph()
-	const live = minTable / 4
-	for i := 0; i < live; i++ {
-		g.Add(tr("s", "p", fmt.Sprintf("o%d", i)))
-	}
-	for i := 0; i < 5000; i++ {
-		if !g.Remove(tr("s", "p", fmt.Sprintf("o%d", i))) {
-			t.Fatalf("round %d: oldest triple missing", i)
-		}
-		if !g.Add(tr("s", "p", fmt.Sprintf("o%d", i+live))) {
-			t.Fatalf("round %d: fresh triple reported present", i)
-		}
-		// Removed and re-added at once: the add lands on its own tombstone.
-		x := tr("s", "p", fmt.Sprintf("o%d", i+1))
-		if !g.Remove(x) || g.Has(x) || !g.Add(x) || !g.Has(x) {
-			t.Fatalf("round %d: remove/re-add of %v misbehaved", i, x)
-		}
-	}
-	checkTable(t, g)
-	if g.Len() != live || len(g.table) != minTable {
-		t.Fatalf("after churn: Len %d in %d slots, want %d in %d", g.Len(), len(g.table), live, minTable)
 	}
 }

@@ -110,22 +110,11 @@ func (binCodec) Name() string  { return "pbs" }
 func (binCodec) Ext() string   { return ".pbs" }
 func (binCodec) Magic() []byte { return pbsMagic }
 
-// Encode serializes g from its insertion log: the surviving refs go through
+// Encode serializes g from its insertion log: the refs go through
 // the same integer-ID dictionary builder as a delta flush, so closing a
 // tracker builds no snapshot index and hashes no term.
 func (c binCodec) Encode(w io.Writer, g *rdf.Graph, _ *rdf.Namespaces) error {
 	refs, _ := g.RefsSince(0)
-	return c.EncodeRefs(w, refs, g)
-}
-
-// EncodeTriples serializes a bare (delta-segment) triple slice: a throwaway
-// graph's dictionary numbers the terms, and EncodeRefs does the rest.
-func (c binCodec) EncodeTriples(w io.Writer, ts []rdf.Triple) error {
-	g := rdf.NewGraph()
-	refs := make([]rdf.TripleID, len(ts))
-	for i, t := range ts {
-		refs[i] = rdf.TripleID{S: g.Intern(t.S), P: g.Intern(t.P), O: g.Intern(t.O)}
-	}
 	return c.EncodeRefs(w, refs, g)
 }
 

@@ -55,12 +55,6 @@ type RefsEncoder interface {
 	EncodeRefs(w io.Writer, refs []rdf.TripleID, src TermSource) error
 }
 
-// TriplesEncoder is implemented by codecs that can serialize a bare triple
-// slice (a delta segment) without an enclosing graph.
-type TriplesEncoder interface {
-	EncodeTriples(w io.Writer, ts []rdf.Triple) error
-}
-
 // ErrCorrupt is wrapped by every structural decode failure of the binary
 // codec: bad magic, truncated frames, CRC mismatches, out-of-range IDs.
 var ErrCorrupt = errors.New("segcodec: corrupt segment")
@@ -87,10 +81,6 @@ var (
 
 // codecs holds the registry in registration order.
 var codecs = []Codec{NTriples, Turtle, Binary, Pack}
-
-// Register adds a codec to the registry. Codecs registered later win name
-// and extension collisions; built-ins are registered at init.
-func Register(c Codec) { codecs = append(codecs, c) }
 
 // All returns the registered codecs in registration order.
 func All() []Codec {

@@ -148,8 +148,7 @@ func TestDictOrderLongSharedPrefix(t *testing.T) {
 
 // trackerGraph builds a graph the way a tracker does — agent, data-object,
 // I/O-activity and extensible records through the model's builders, IDs
-// handed out in tracking order — and then removes and re-adds some of its
-// triples, so the log holds dead entries and entries that repeat a survivor.
+// handed out in tracking order.
 func trackerGraph(rng *rand.Rand, records int) *rdf.Graph {
 	g := rdf.NewGraph()
 	in := &model.GraphInterner{Graph: g}
@@ -184,20 +183,11 @@ func trackerGraph(rng *rand.Rand, records int) *rdf.Graph {
 				Started: time.Duration(i) * time.Millisecond, TrackDuration: rng.Intn(4) != 0})
 		}
 	}
-	for _, x := range g.Triples() {
-		switch rng.Intn(12) {
-		case 0:
-			g.Remove(x)
-		case 1:
-			g.Remove(x)
-			g.Add(x)
-		}
-	}
 	return g
 }
 
 // TestEncodeRefsMatchesParentEncoder: on tracker-built graphs — the whole
-// surviving log and random windows of it, the shape of a periodic flush's
+// log and random windows of it, the shape of a periodic flush's
 // delta, whose graph IDs are sparse in the dense table — EncodeRefs writes
 // the bytes the parent's map-and-sort.Slice encoder writes.
 func TestEncodeRefsMatchesParentEncoder(t *testing.T) {

@@ -172,7 +172,7 @@ func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 	return err
 }
 
-// oracleEncodeRefs and oracleEncodeTriples are the reference encoder's two
+// oracleEncodeRefs and oracleEncodeTerms are the reference encoder's two
 // entry points: the old dictionary builders and row sort in front of
 // oracleWriteSegment.
 func oracleEncodeRefs(w io.Writer, refs []rdf.TripleID, src TermSource) error {
@@ -180,7 +180,7 @@ func oracleEncodeRefs(w io.Writer, refs []rdf.TripleID, src TermSource) error {
 	return oracleWriteSegment(w, terms, oracleSortDedup(tris))
 }
 
-func oracleEncodeTriples(w io.Writer, ts []rdf.Triple) error {
+func oracleEncodeTerms(w io.Writer, ts []rdf.Triple) error {
 	terms, tris := oracleTermTriples(ts)
 	return oracleWriteSegment(w, terms, oracleSortDedup(tris))
 }

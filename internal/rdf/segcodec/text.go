@@ -1,7 +1,6 @@
 package segcodec
 
 import (
-	"bufio"
 	"io"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -28,23 +27,6 @@ func (ntCodec) Decode(r io.Reader, into *rdf.Graph) error {
 	}
 	into.Merge(g)
 	return nil
-}
-
-// EncodeTriples writes a bare triple slice sorted in place, one line per
-// triple — byte-identical to the store's pre-codec delta-segment writer
-// (duplicates are preserved; the merge union dedupes).
-func (ntCodec) EncodeTriples(w io.Writer, ts []rdf.Triple) error {
-	rdf.SortTriples(ts)
-	bw := bufio.NewWriter(w)
-	for _, t := range ts {
-		if _, err := bw.WriteString(t.String()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // ttlCodec is the Turtle text codec: subject-grouped, prefix-compacted —

@@ -7,33 +7,29 @@ import (
 	"sync/atomic"
 )
 
-// Snapshot is an immutable read view of a Graph, pinned at an insertion-log
-// watermark, and the home of the only adjacency index there is: the graph
-// itself keeps a log and a membership table, and its pattern scans delegate
-// here. All scan methods run lock-free: a snapshot holds its own term table,
-// triple list, and (lazily built) adjacency index, none of which the live
-// graph ever mutates, so a long query touches the graph mutex exactly once —
-// in Graph.Snapshot — and a scan callback may freely call Add/Remove/Flush
-// on the underlying graph without deadlocking (the mutations are simply not
-// visible to the snapshot).
+// Snapshot is an immutable read view of a Graph, pinned at a prefix of its
+// insertion log, and the home of the only adjacency index there is: the
+// graph itself keeps a log and a membership table, and its pattern scans
+// delegate here. All scan methods run lock-free: a snapshot holds its own
+// term table, triple list, and (lazily built) adjacency index, none of which
+// the live graph ever mutates, so a long query touches the graph mutex
+// exactly once — in Graph.Snapshot — and a scan callback may freely call
+// Add/Flush on the underlying graph without deadlocking (the mutations are
+// simply not visible to the snapshot).
 //
 // This is the reader half of the capture-vs-query split: writers keep
 // appending under the graph lock while queries run against a pinned prefix
 // of the insertion log. Snapshots are cheap when the graph is quiescent
-// (the last one is cached and reused until the watermark moves); under
-// ingest a new pin shares the log and the term table with the last one and
-// derives its own index from them in one linear pass (see buildSnapIndex).
+// (the last one is cached and reused until the log grows); under ingest a
+// new pin shares the log and the term table with the last one and derives
+// its own index from them in one linear pass (see buildSnapIndex).
 type Snapshot struct {
 	dict  *termDict
 	terms termTable
-	// refs is the pinned triple list: the surviving insertion-log prefix at
-	// the watermark, one entry per present triple — the log's own backing
-	// array while the graph never saw a Remove, an owned deduplicated copy
-	// after. It is the morsel domain of full scans and the source the index
-	// is built from.
-	refs        []TripleID
-	watermark   int
-	removeEpoch uint64
+	// refs is the pinned triple list: the insertion-log prefix at pin time,
+	// aliasing the log's own backing array. It is the morsel domain of full
+	// scans and the source the index is built from.
+	refs []TripleID
 
 	// idx is the lazily built adjacency index. Full-graph scans never need
 	// it (they walk refs); pattern probes build it on first use. When the
@@ -45,10 +41,9 @@ type Snapshot struct {
 	// memo caches derived results (query results, lineage closures) keyed by
 	// an arbitrary string. A snapshot is immutable, so anything computed from
 	// it stays valid for its whole lifetime; because Graph.Snapshot returns a
-	// fresh Snapshot whenever the (watermark, removeEpoch) pair moves, the
-	// memo dies with the snapshot on any Add or Remove — epoch-keyed
-	// invalidation for free. Entries should be treated as read-only by every
-	// consumer.
+	// fresh Snapshot whenever the log grows, the memo dies with the snapshot
+	// on any Add — invalidation for free. Entries should be treated as
+	// read-only by every consumer.
 	memo sync.Map
 }
 
@@ -80,7 +75,7 @@ type snapCard struct {
 // entries, so term k's run is [off[k], off[k+1])). Every run is in
 // insertion-log order; pso is additionally grouped by ascending object
 // inside each predicate's run, which makes (? p o) a binary search. Offsets
-// are 32-bit because log positions are (maxLogLen).
+// are 32-bit because log positions are (maxLogEntries).
 type snapIndex struct {
 	sOff, pOff, oOff []uint32
 	spo              []snapPO // by S
@@ -212,16 +207,14 @@ func (ix *snapIndex) card(p termID) snapCard {
 }
 
 // Snapshot returns an immutable read view of the graph pinned at the current
-// insertion-log watermark. The view is internally cached: while no triples
-// are added or removed, every call returns the same *Snapshot, and after
-// appends the next call pins the longer log prefix in place. After a Remove
-// the triple list is rebuilt from the surviving log (removals are rare in
-// provenance workloads; appends are the steady state).
+// insertion-log length. The view is internally cached: while no triples are
+// added, every call returns the same *Snapshot, and after appends the next
+// call pins the longer log prefix in place.
 func (g *Graph) Snapshot() *Snapshot {
 	g.mu.RLock()
-	w, re := len(g.log), g.removeEpoch
+	w := len(g.log)
 	g.mu.RUnlock()
-	if s := g.snap.Load(); s != nil && s.watermark == w && s.removeEpoch == re {
+	if s := g.snap.Load(); s != nil && len(s.refs) == w {
 		return s
 	}
 
@@ -229,59 +222,26 @@ func (g *Graph) Snapshot() *Snapshot {
 	defer g.snapMu.Unlock()
 	base := g.snap.Load()
 
+	// Pin the log prefix in place, capped so nothing can append through this
+	// header; entries below w are immutable (the log is append-only and
+	// reallocation abandons the old array), so it stays valid after the lock
+	// is dropped.
 	g.mu.RLock()
-	w, re = len(g.log), g.removeEpoch
-	if base != nil && base.watermark == w && base.removeEpoch == re {
-		g.mu.RUnlock()
+	w = len(g.log)
+	refs := g.log[:w:w]
+	g.mu.RUnlock()
+	if base != nil && len(base.refs) == w {
 		return base
 	}
-	incremental := base != nil && base.removeEpoch == re
-	var refs []TripleID
-	switch {
-	case re == 0:
-		// Never removed: the log prefix is the surviving triple list. Pin it
-		// in place, capped so nothing can append through this header; entries
-		// below w are immutable (the log is append-only and reallocation
-		// abandons the old array), so it stays valid after the lock is dropped.
-		refs = g.log[:w:w]
-	case incremental:
-		// Owned append: after a Remove, refs is never an alias of g.log, so
-		// growing it (serialized by snapMu) cannot collide with concurrent
-		// Adds, and base's readers only see their own length.
-		refs = append(base.refs, g.log[base.watermark:w]...)
-	default:
-		refs = g.survivingRefsLocked()
-	}
-	g.mu.RUnlock()
 
-	ns := &Snapshot{dict: &g.dict, terms: g.dict.snapshot(), refs: refs, watermark: w, removeEpoch: re}
-	if incremental && base.idx.Load() != nil {
+	ns := &Snapshot{dict: &g.dict, terms: g.dict.snapshot(), refs: refs}
+	if base != nil && base.idx.Load() != nil {
 		// The graph is being queried between appends: index the new pin now,
 		// under snapMu, not inside the next query's first probe.
 		ns.idx.Store(buildSnapIndex(ns.refs, ns.terms.len()))
 	}
 	g.snap.Store(ns)
 	return ns
-}
-
-// survivingRefsLocked returns the present triples in insertion-log order,
-// deduplicated (a triple removed and re-added has two surviving log entries;
-// the first is kept). Caller must hold g.mu. This is the O(graph) rebuild
-// path taken only after a Remove invalidated the cached snapshot.
-func (g *Graph) survivingRefsLocked() []TripleID {
-	out := make([]TripleID, 0, g.size)
-	seen := make(map[TripleID]struct{}, g.size)
-	for _, r := range g.log {
-		if g.findLocked(r) < 0 {
-			continue
-		}
-		if _, dup := seen[r]; dup {
-			continue
-		}
-		seen[r] = struct{}{}
-		out = append(out, r)
-	}
-	return out
 }
 
 // index returns the snapshot's adjacency index, building it from refs on
@@ -304,16 +264,6 @@ func (s *Snapshot) index() *snapIndex {
 
 // Len returns the number of triples in the snapshot.
 func (s *Snapshot) Len() int { return len(s.refs) }
-
-// Watermark returns the insertion-log position the snapshot is pinned at:
-// every triple visible in the snapshot was appended at a log position below
-// it.
-func (s *Snapshot) Watermark() int { return s.watermark }
-
-// RemoveEpoch returns the graph's remove epoch at pin time. Together with
-// Watermark it identifies the exact graph state a snapshot (and anything
-// memoized on it) was computed from.
-func (s *Snapshot) RemoveEpoch() uint64 { return s.removeEpoch }
 
 // TermCount returns the number of terms in the snapshot's term table.
 func (s *Snapshot) TermCount() int { return s.terms.len() }

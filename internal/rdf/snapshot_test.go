@@ -87,12 +87,6 @@ func TestSnapshotMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 20; iter++ {
 		g := snapRandGraph(rng, 5+rng.Intn(300))
-		if iter%3 == 1 {
-			// Exercise the post-Remove rebuild path too.
-			for _, tp := range g.Triples()[:g.Len()/3] {
-				g.Remove(tp)
-			}
-		}
 		checkSnapshotMatchesGraph(t, fmt.Sprintf("iter %d", iter), g, snapPatterns(g))
 	}
 
@@ -192,7 +186,7 @@ func checkSnapshotMatchesGraph(t *testing.T, label string, g *Graph, pats [][3]I
 }
 
 // TestSnapshotImmutable: mutations after capture are invisible to the
-// snapshot, visible to the next one, and removal forces a correct rebuild.
+// snapshot and visible to the next one.
 func TestSnapshotImmutable(t *testing.T) {
 	g := NewGraph()
 	g.Add(tr("a", "p", "b"))
@@ -229,21 +223,6 @@ func TestSnapshotImmutable(t *testing.T) {
 		t.Fatal("s2 missing its own term")
 	}
 
-	g.Remove(tr("b", "p", "c"))
-	s3 := g.Snapshot()
-	if s3.Len() != 3 {
-		t.Fatalf("s3 Len = %d, want 3 after Remove", s3.Len())
-	}
-	if s2.Len() != 4 {
-		t.Fatal("s2 changed after Remove")
-	}
-	// Remove + re-add: the log holds two surviving entries for the triple;
-	// the snapshot must deduplicate.
-	g.Add(tr("b", "p", "c"))
-	s4 := g.Snapshot()
-	if s4.Len() != 4 || s4.CountMatchIDs(NoID, NoID, NoID) != 4 {
-		t.Fatalf("s4 Len = %d, want 4 after re-add", s4.Len())
-	}
 }
 
 func mustID(t *testing.T, g *Graph, name string) ID {
@@ -321,24 +300,22 @@ func TestForEachMatchReentrant(t *testing.T) {
 	g.ForEachMatch(nil, nil, nil, func(x Triple) bool {
 		seen++
 		g.Add(tr(fmt.Sprintf("new%d", seen), "p", "o")) // would deadlock before
-		g.Remove(x)
 		return true
 	})
 	if seen != 10 {
 		t.Fatalf("iteration saw %d triples, want the 10 pre-mutation ones", seen)
 	}
-	if g.Len() != 10 {
-		t.Fatalf("graph Len = %d after callback mutations, want 10", g.Len())
+	if g.Len() != 20 {
+		t.Fatalf("graph Len = %d after callback mutations, want 20", g.Len())
 	}
 	seen = 0
 	g.ForEachMatchIDs(NoID, mustID(t, g, "p"), NoID, func(s, p, o ID) bool {
 		seen++
-		g.Add(tr(fmt.Sprintf("newer%d", seen), "p", "o"))
-		g.Remove(Triple{S: g.TermOf(s), P: g.TermOf(p), O: g.TermOf(o)})
+		g.AddRefs([]TripleID{{S: g.Intern(IRI(fmt.Sprintf("http://e/newer%d", seen))), P: p, O: o}})
 		return true
 	})
-	if seen != 10 || g.Len() != 10 {
-		t.Fatalf("ID-space iteration saw %d triples and left %d, want 10 and 10", seen, g.Len())
+	if seen != 20 || g.Len() != 40 {
+		t.Fatalf("ID-space iteration saw %d triples and left %d, want 20 and 40", seen, g.Len())
 	}
 }
 
@@ -377,27 +354,12 @@ func TestSnapshotConcurrentIngest(t *testing.T) {
 		if n != snap.Len() {
 			t.Fatalf("full scan %d rows, Len %d", n, snap.Len())
 		}
-		if snap.Watermark() > g.LogLen() {
-			t.Fatalf("watermark %d beyond log %d", snap.Watermark(), g.LogLen())
+		if snap.Len() > g.Len() {
+			t.Fatalf("snapshot pins %d triples, beyond the log's %d", snap.Len(), g.Len())
 		}
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// snapChurnGraph is snapRandGraph with a third of the triples removed and
-// half of those added back, so the pinned refs are an owned, deduplicated
-// list and not the log itself.
-func snapChurnGraph(rng *rand.Rand, n int) *Graph {
-	g := snapRandGraph(rng, n)
-	gone := g.Triples()[:g.Len()/3]
-	for _, tp := range gone {
-		g.Remove(tp)
-	}
-	for _, tp := range gone[:len(gone)/2] {
-		g.Add(tp)
-	}
-	return g
 }
 
 // TestSnapshotIndexLayout pins the CSR invariants the read API leans on:
@@ -408,9 +370,6 @@ func TestSnapshotIndexLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 20; iter++ {
 		g := snapRandGraph(rng, 1+rng.Intn(400))
-		if iter%2 == 1 {
-			g = snapChurnGraph(rng, 30+rng.Intn(400))
-		}
 		g.Intern(IRI("http://e/in-no-triple"))
 		snap := g.Snapshot()
 		ix, n := snap.index(), snap.TermCount()
@@ -478,9 +437,6 @@ func TestSnapshotEnumerationOrderPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 12; iter++ {
 		g := snapRandGraph(rng, 20+rng.Intn(400))
-		if iter%2 == 1 {
-			g = snapChurnGraph(rng, 30+rng.Intn(400))
-		}
 		snap := g.Snapshot()
 		for _, pat := range snapPatterns(g) {
 			s, p, o := pat[0], pat[1], pat[2]

@@ -135,16 +135,19 @@ func TestGroupByMultipleKeys(t *testing.T) {
 	}
 }
 
+// aggregateParseErrors are aggregate queries Parse must reject (also
+// FuzzParseQuery seeds).
+var aggregateParseErrors = []string{
+	`SELECT (SUM(*) AS ?n) WHERE { ?s ?p ?o . }`,
+	`SELECT (COUNT(DISTINCT *) AS ?n) WHERE { ?s ?p ?o . }`,
+	`SELECT * WHERE { ?s ?p ?o . } GROUP BY ?p`,
+	`SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p`,
+	`SELECT ?p WHERE { ?s ?p ?o . } GROUP BY`,
+	`SELECT (BOUND(?o) AS ?n) WHERE { ?s ?p ?o . }`,
+}
+
 func TestAggregateParseErrors(t *testing.T) {
-	cases := []string{
-		`SELECT (SUM(*) AS ?n) WHERE { ?s ?p ?o . }`,
-		`SELECT (COUNT(DISTINCT *) AS ?n) WHERE { ?s ?p ?o . }`,
-		`SELECT * WHERE { ?s ?p ?o . } GROUP BY ?p`,
-		`SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p`,
-		`SELECT ?p WHERE { ?s ?p ?o . } GROUP BY`,
-		`SELECT (BOUND(?o) AS ?n) WHERE { ?s ?p ?o . }`,
-	}
-	for _, query := range cases {
+	for _, query := range aggregateParseErrors {
 		if _, err := Parse(query, nil); err == nil {
 			t.Errorf("Parse(%q) accepted an invalid aggregate query", query)
 		}
@@ -213,7 +216,7 @@ func TestAggregateParityRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: parse %q: %v", iter, query, err)
 		}
-		serial, err := Eval(g, q)
+		serial, err := EvalParallel(g, q, 1)
 		if err != nil {
 			t.Fatalf("iter %d: serial %q: %v", iter, query, err)
 		}

@@ -4,27 +4,18 @@ import (
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
 
-// Materialized result cache, keyed on the snapshot epoch pair.
+// Materialized result cache, keyed on the snapshot.
 //
-// Every Graph mutation moves the (watermark, removeEpoch) pair — Add bumps
-// the watermark, Remove bumps removeEpoch — and Graph.Snapshot only reuses a
-// *Snapshot while that pair is unchanged. Memoizing a query's *Result on the
+// The graph is append-only, and Graph.Snapshot reuses a *Snapshot exactly
+// while the insertion log has not grown. Memoizing a query's *Result on the
 // snapshot itself therefore gives epoch-keyed invalidation for free: a
 // repeated query against an unchanged graph lands on the same snapshot and
-// hits; any Add or Remove produces a fresh snapshot with an empty memo and
-// misses. The epochs are still stored and compared on lookup as a belt —
-// if a caller holds a stale snapshot pointer across mutations the entry is
-// rejected rather than served.
+// hits; any Add produces a fresh snapshot with an empty memo and misses. A
+// snapshot never changes, so an entry can never be stale for the snapshot
+// that holds it.
 //
 // Cached *Result values are shared between callers and must be treated as
 // read-only; ExecParallelInfo returns them without copying.
-
-// cacheEntry is one memoized query result plus the epochs it was computed at.
-type cacheEntry struct {
-	watermark   int
-	removeEpoch uint64
-	res         *Result
-}
 
 // cacheKey namespaces SPARQL results within the snapshot memo (the lineage
 // reducer shares the same memo with its own prefix).
@@ -40,15 +31,13 @@ func ExecParallelInfo(g *rdf.Graph, query string, base *rdf.Namespaces, workers 
 	snap := g.Snapshot()
 	key := cacheKeyPrefix + query
 	if v, ok := snap.Memo(key); ok {
-		if e, ok := v.(cacheEntry); ok && e.watermark == snap.Watermark() && e.removeEpoch == snap.RemoveEpoch() {
-			return e.res, ExecInfo{Workers: workers, CacheHit: true}, nil
-		}
+		return v.(*Result), ExecInfo{Workers: workers, CacheHit: true}, nil
 	}
 	p := Compile(snap, q)
 	res, info, err := runPlanParallelInfo(snap, p, workers)
 	if err != nil {
 		return nil, info, err
 	}
-	snap.SetMemo(key, cacheEntry{watermark: snap.Watermark(), removeEpoch: snap.RemoveEpoch(), res: res})
+	snap.SetMemo(key, res)
 	return res, info, nil
 }

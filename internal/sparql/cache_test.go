@@ -50,21 +50,6 @@ func TestCacheMissAfterAdd(t *testing.T) {
 	}
 }
 
-func TestCacheMissAfterRemove(t *testing.T) {
-	g := lineageGraph()
-	cold, _ := execInfo(t, g, cacheQuery, 1)
-	if !g.Remove(rdf.Triple{S: exIRI("WestSac.tdms"), P: exIRI("size"), O: rdf.Integer(700)}) {
-		t.Fatal("Remove failed on a triple the fixture contains")
-	}
-	fresh, info := execInfo(t, g, cacheQuery, 1)
-	if info.CacheHit {
-		t.Fatal("Remove did not invalidate the result cache (removeEpoch ignored)")
-	}
-	if len(fresh.Rows) != len(cold.Rows)-1 {
-		t.Fatalf("post-Remove rows = %d, want %d", len(fresh.Rows), len(cold.Rows)-1)
-	}
-}
-
 func TestCacheKeyedByQueryText(t *testing.T) {
 	g := lineageGraph()
 	execInfo(t, g, cacheQuery, 1)

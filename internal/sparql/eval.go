@@ -51,41 +51,25 @@ func (i ExecInfo) Summary() string {
 	}
 }
 
-// Eval evaluates a parsed query against a graph.
+// EvalParallel evaluates a parsed query against a graph.
 //
 // Evaluation is split into two phases (the paper's "user engine" read path,
 // §4.4): Compile builds a Plan whose basic graph patterns are join-ordered
 // by index-cardinality estimates, and the executor runs the plan entirely in
 // dictionary-ID space — bindings are fixed-width []rdf.ID registers, and
-// terms are rehydrated only when the Result is materialized.
+// terms are rehydrated only when the Result is materialized. The plan runs
+// against g.Snapshot(): the graph lock is taken once to pin the view, every
+// index probe after that is lock-free, and the result reflects exactly the
+// triples present when EvalParallel was called.
 //
-// The plan runs against g.Snapshot(): the graph lock is taken once to pin
-// the view, and every index probe after that is lock-free, so queries no
-// longer serialize against concurrent ingest (and ingest no longer stalls
-// behind long scans). The result reflects exactly the triples present when
-// Eval was called.
-func Eval(g *rdf.Graph, q *Query) (*Result, error) {
-	return EvalOn(g.Snapshot(), q)
-}
-
-// EvalOn evaluates a parsed query against an explicit Source — normally a
-// pinned *rdf.Snapshot (what Eval uses). A live *rdf.Graph is accepted too,
-// but each of its probes pins the graph's current snapshot, so under
-// concurrent ingest one query may read several graph states; pin once
-// instead.
-func EvalOn(src Source, q *Query) (*Result, error) {
-	return runPlan(src, Compile(src, q))
-}
-
-// EvalParallel evaluates a parsed query with the morsel-driven parallel
-// executor: the plan decomposes into independent pipeline tasks (a leading
-// scan partitioned into morsels; a leading UNION flattened into
-// per-alternative tasks; a leading property path morselized over its start
-// domain) fanned out to `workers` goroutines, each running the identical
-// operator pipeline with its own register arena. The finish path's
-// multiset contract makes the output byte-identical to Eval. workers <= 1,
-// empty plans, dead leading constants, and domains below the parallel
-// threshold stay serial (decideParallel names the reason).
+// The executor is morsel-driven: the plan decomposes into independent
+// pipeline tasks (a leading scan partitioned into morsels; a leading UNION
+// flattened into per-alternative tasks; a leading property path morselized
+// over its start domain) fanned out to `workers` goroutines, each running
+// the identical operator pipeline with its own register arena. The finish
+// path's multiset contract makes the output byte-identical to the serial
+// run. workers <= 1, empty plans, dead leading constants, and domains below
+// the parallel threshold stay serial (decideParallel names the reason).
 func EvalParallel(g *rdf.Graph, q *Query, workers int) (*Result, error) {
 	snap := g.Snapshot()
 	res, _, err := runPlanParallelInfo(snap, Compile(snap, q), workers)

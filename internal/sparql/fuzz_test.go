@@ -1,0 +1,139 @@
+package sparql
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"github.com/hpc-io/prov-io/internal/model"
+	"github.com/hpc-io/prov-io/internal/rdf"
+)
+
+// fuzzGraph is the fixed graph FuzzParseQuery evaluates against: 28 triples
+// in the PROV-IO vocabulary the §6 queries ask about, plus the ex: lineage
+// chain the parser tests query, so seeds have answers to render.
+func fuzzGraph() *rdf.Graph {
+	g := lineageGraph()
+	node := func(c model.Class, id string) rdf.Term { return rdf.IRI(model.NodeIRI(c, id)) }
+	product, input := node(model.File, "/das/products/WestSac_0000.decimate.h5"), node(model.File, "/das/WestSac_0000.h5")
+	prog, user, thread := node(model.Program, "decimate-a1"), node(model.User, "alice"), node(model.Thread, "rank0")
+	read, write := node(model.Read, "H5Dread-1"), node(model.Write, "H5Dwrite-2")
+	cfg1, cfg2 := node(model.Configuration, "lr-v1"), node(model.Configuration, "lr-v2")
+	activity := model.SuperIRI(model.SuperActivity)
+	for _, t := range []rdf.Triple{
+		{S: product, P: model.WasAttributedTo.IRI(), O: prog},
+		{S: product, P: model.WasDerivedFrom.IRI(), O: input},
+		{S: product, P: model.WasWrittenBy.IRI(), O: write},
+		{S: product, P: rdf.IRI(rdf.RDFType), O: model.File.IRI()},
+		{S: input, P: rdf.IRI(rdf.RDFType), O: model.File.IRI()},
+		{S: input, P: model.WasReadBy.IRI(), O: read},
+		{S: read, P: model.AssociatedWith.IRI(), O: prog},
+		{S: read, P: model.WasMemberOf.IRI(), O: activity},
+		{S: read, P: model.PropElapsed.IRI(), O: rdf.Integer(1200)},
+		{S: write, P: model.AssociatedWith.IRI(), O: prog},
+		{S: write, P: model.WasMemberOf.IRI(), O: activity},
+		{S: write, P: model.PropElapsed.IRI(), O: rdf.Integer(800)},
+		{S: thread, P: model.ActedOnBehalfOf.IRI(), O: prog},
+		{S: prog, P: model.ActedOnBehalfOf.IRI(), O: user},
+		{S: cfg1, P: model.PropVersion.IRI(), O: rdf.Integer(1)},
+		{S: cfg1, P: model.PropAccuracy.IRI(), O: rdf.TypedLiteral("0.81", rdf.XSDDecimal)},
+		{S: cfg2, P: model.PropVersion.IRI(), O: rdf.Integer(2)},
+		{S: cfg2, P: model.PropAccuracy.IRI(), O: rdf.TypedLiteral("0.84", rdf.XSDDecimal)},
+		{S: cfg2, P: model.WasDerivedFrom.IRI(), O: cfg1},
+		{S: user, P: rdf.IRI(rdf.RDFType), O: model.User.IRI()},
+		{S: prog, P: rdf.IRI(rdf.RDFType), O: model.Program.IRI()},
+	} {
+		g.Add(t)
+	}
+	return g
+}
+
+// fuzzSeeds are the paper's §6 queries (Table 5, over fuzzGraph's nodes) and
+// queries the parser tests run, one per feature the grammar has.
+func fuzzSeeds() []string {
+	product := model.NodeIRI(model.File, "/das/products/WestSac_0000.decimate.h5")
+	prog := model.NodeIRI(model.Program, "decimate-a1")
+	seeds := []string{
+		fmt.Sprintf(`SELECT DISTINCT ?file WHERE {
+			<%s> prov:wasAttributedTo ?program .
+			?file provio:wasReadBy ?api .
+			?api prov:wasAssociatedWith <%s> .
+		}`, product, prog),
+		`SELECT (COUNT(?api) AS ?n) WHERE { ?api prov:wasMemberOf prov:Activity . }`,
+		`SELECT ?api ?duration WHERE {
+			?api prov:wasMemberOf prov:Activity ;
+			     provio:elapsed ?duration .
+		} ORDER BY ?api LIMIT 20`,
+		fmt.Sprintf(`SELECT DISTINCT ?user WHERE {
+			<%s> prov:wasAttributedTo ?program .
+			?thread prov:actedOnBehalfOf ?program .
+			?program prov:actedOnBehalfOf ?user .
+		}`, product),
+		`SELECT ?version ?accuracy WHERE {
+			?configuration provio:Version ?version ;
+			               provio:hasAccuracy ?accuracy .
+		}`,
+		`SELECT ?x WHERE { ?x <http://e/p> "s\n" ; a ex:C . FILTER(?x != 3.5) } # c`,
+		`SELECT ?anc WHERE { ex:decimate.h5 prov:wasDerivedFrom+ ?anc . }`,
+		`SELECT ?a WHERE { ex:decimate.h5 prov:wasDerivedFrom* ?a . }`,
+		`SELECT ?a WHERE { ex:WestSac.h5 prov:wasDerivedFrom? ?a . }`,
+		`SELECT ?x WHERE { ex:WestSac.h5 ^prov:wasDerivedFrom ?x . }`,
+		`SELECT ?x WHERE { ex:decimate.h5 prov:wasDerivedFrom/prov:wasAttributedTo ?x . }`,
+		`SELECT ?f WHERE { ?f ex:size ?s . FILTER(?s > 200 && !(?s = 700) || REGEX(STR(?f), "^http.*H5$", "i")) }`,
+		`SELECT ?f ?p WHERE { ?f ex:size ?s . OPTIONAL { ?f prov:wasAttributedTo ?p . FILTER(BOUND(?p)) } }`,
+		`SELECT ?x WHERE { { ?x prov:wasAttributedTo ex:decimate } UNION { ?x ex:size 700 } }`,
+		`SELECT (COUNT(DISTINCT ?p) AS ?n) (SUM(?s) AS ?t) (AVG(?s) AS ?m) (MIN(?s) AS ?lo) (MAX(?s) AS ?hi) WHERE { ?e ex:size ?s ; ?p ?o . }`,
+		`SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p ORDER BY DESC(?n) ?p LIMIT 3 OFFSET 1`,
+		`PREFIX q: <http://example.org/> SELECT * WHERE { ?s q:size ?o . FILTER(?o >= 100 && ?o <= 500) }`,
+		`SELECT ?s WHERE { ?s a provio:File ; ?p "0.84"^^xsd:decimal . }`,
+	}
+	for _, c := range parseErrorCases {
+		seeds = append(seeds, c.q)
+	}
+	return append(seeds, aggregateParseErrors...)
+}
+
+// FuzzParseQuery: Parse never panics and fails only with a *Error; a query it
+// accepts compiles to a plan that renders, and runs over fuzzGraph to the same
+// results JSON — or the same error — at 1 and at 4 workers.
+func FuzzParseQuery(f *testing.F) {
+	for _, q := range fuzzSeeds() {
+		f.Add(q)
+	}
+	g := fuzzGraph()
+	ns := model.Namespaces()
+	ns.Bind("ex", exNS)
+	f.Fuzz(func(t *testing.T, query string) {
+		q, err := Parse(query, ns)
+		if err != nil {
+			if _, ok := err.(*Error); !ok {
+				t.Fatalf("Parse error %v is a %T, not a *sparql.Error", err, err)
+			}
+			return
+		}
+		if Compile(g.Snapshot(), q).String() == "" {
+			t.Fatal("the plan renders empty")
+		}
+		// Three unselective patterns over the graph already make 28³ rows;
+		// more would time the fuzzer out on cross products, not find bugs.
+		if q.StatementCount() > 3 {
+			return
+		}
+		var out [2]string
+		for i, workers := range []int{1, 4} {
+			res, err := EvalParallel(g, q, workers)
+			if err != nil {
+				out[i] = "error: " + err.Error()
+				continue
+			}
+			var buf bytes.Buffer
+			if err := res.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = buf.String()
+		}
+		if out[0] != out[1] {
+			t.Fatalf("1 worker and 4 workers differ:\n%s\n---\n%s", out[0], out[1])
+		}
+	})
+}

@@ -13,7 +13,8 @@ var parityWorkers = []int{1, 2, 4, 8}
 
 // identicalResults checks bit-identical results: same vars, same rows in the
 // same order, term for term. Stricter than the multiset oracle — the
-// parallel executor promises Eval's exact output, not a reordering of it.
+// parallel executor promises the serial run's exact output, not a
+// reordering of it.
 func identicalResults(a, b *Result) bool {
 	if len(a.Vars) != len(b.Vars) || len(a.Rows) != len(b.Rows) {
 		return false
@@ -55,8 +56,8 @@ func bigParityGraph(rng *rand.Rand, n int) *rdf.Graph {
 }
 
 // TestParallelParityRandomBGP: over randomized graphs and BGPs, EvalParallel
-// at every worker count returns Eval's exact rows and EvalLegacyNaive's
-// multiset.
+// at every worker count returns the serial run's exact rows and
+// EvalLegacyNaive's multiset.
 func TestParallelParityRandomBGP(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 40; iter++ {
@@ -71,7 +72,7 @@ func TestParallelParityRandomBGP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: parse %q: %v", iter, query, err)
 		}
-		serial, err := Eval(g, q)
+		serial, err := EvalParallel(g, q, 1)
 		if err != nil {
 			t.Fatalf("iter %d: serial eval %q: %v", iter, query, err)
 		}
@@ -135,7 +136,7 @@ func TestParallelParityStructured(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", query, err)
 		}
-		serial, err := Eval(g, q)
+		serial, err := EvalParallel(g, q, 1)
 		if err != nil {
 			t.Fatalf("serial eval %q: %v", query, err)
 		}
@@ -172,7 +173,7 @@ func TestParallelSortLargeResult(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	serial, err := Eval(g, q)
+	serial, err := EvalParallel(g, q, 1)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
@@ -191,7 +192,7 @@ func TestParallelSortLargeResult(t *testing.T) {
 }
 
 // TestParallelFilterError: a FILTER error inside a morsel worker surfaces
-// from EvalParallel just as it does from Eval.
+// from EvalParallel just as it does from a serial run.
 func TestParallelFilterError(t *testing.T) {
 	g := rdf.NewGraph()
 	for i := 0; i < 400; i++ {
@@ -206,7 +207,7 @@ func TestParallelFilterError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if _, err := Eval(g, q); err == nil {
+	if _, err := EvalParallel(g, q, 1); err == nil {
 		t.Fatal("serial eval accepted bad regex")
 	}
 	for _, w := range parityWorkers {

@@ -11,8 +11,8 @@ import (
 )
 
 // Parity property: for randomized graphs and every permutation of the basic
-// graph pattern, the planner-ordered ID-space engine (Eval) returns exactly
-// the row multiset of the naive left-to-right term-space evaluator
+// graph pattern, the planner-ordered ID-space engine (EvalParallel) returns
+// exactly the row multiset of the naive left-to-right term-space evaluator
 // (EvalLegacyNaive). This pins the refactor to the legacy semantics — join
 // order and ID-space execution may change performance, never results.
 
@@ -133,7 +133,7 @@ func TestPlannerParityWithNaiveOrder(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d: naive eval %q: %v", iter, query, err)
 			}
-			planned, err := Eval(g, q)
+			planned, err := EvalParallel(g, q, 1)
 			if err != nil {
 				t.Fatalf("iter %d: planned eval %q: %v", iter, query, err)
 			}
@@ -179,7 +179,7 @@ func TestPlannerParityStructured(t *testing.T) {
 		if err != nil {
 			t.Fatalf("naive eval %q: %v", query, err)
 		}
-		planned, err := Eval(g, q)
+		planned, err := EvalParallel(g, q, 1)
 		if err != nil {
 			t.Fatalf("planned eval %q: %v", query, err)
 		}

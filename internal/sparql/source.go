@@ -7,9 +7,9 @@ import "github.com/hpc-io/prov-io/internal/rdf"
 // which *rdf.Graph also offers by answering each call from its current
 // snapshot.
 //
-// Eval compiles and executes against one Snapshot, so a query acquires the
-// graph lock exactly once — when the snapshot is pinned — and reads one
-// graph state throughout.
+// EvalParallel compiles and executes against one Snapshot, so a query
+// acquires the graph lock exactly once — when the snapshot is pinned — and
+// reads one graph state throughout.
 type Source interface {
 	// TermID resolves a term to its dictionary ID, reporting whether it is
 	// interned (visible to this source).

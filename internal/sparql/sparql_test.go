@@ -351,19 +351,21 @@ func TestStatementCount(t *testing.T) {
 	}
 }
 
+// parseErrorCases are queries Parse must reject (also FuzzParseQuery seeds).
+var parseErrorCases = []struct{ name, q string }{
+	{"no-select", `WHERE { ?x ?y ?z . }`},
+	{"unbound-prefix", `SELECT ?x WHERE { ?x zz:p ?y . }`},
+	{"unterminated-group", `SELECT ?x WHERE { ?x ex:p ?y .`},
+	{"bad-count", `SELECT (COUNT(?x) ?n) WHERE { ?x ex:p ?y . }`},
+	{"bad-limit", `SELECT ?x WHERE { ?x ex:p ?y . } LIMIT abc`},
+	{"trailing-garbage", `SELECT ?x WHERE { ?x ex:p ?y . } } }`},
+	{"literal-predicate", `SELECT ?x WHERE { ?x "p" ?y . }`},
+	{"empty-projection", `SELECT WHERE { ?x ex:p ?y . }`},
+	{"unterminated-string", `SELECT ?x WHERE { ?x ex:p "abc . }`},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct{ name, q string }{
-		{"no-select", `WHERE { ?x ?y ?z . }`},
-		{"unbound-prefix", `SELECT ?x WHERE { ?x zz:p ?y . }`},
-		{"unterminated-group", `SELECT ?x WHERE { ?x ex:p ?y .`},
-		{"bad-count", `SELECT (COUNT(?x) ?n) WHERE { ?x ex:p ?y . }`},
-		{"bad-limit", `SELECT ?x WHERE { ?x ex:p ?y . } LIMIT abc`},
-		{"trailing-garbage", `SELECT ?x WHERE { ?x ex:p ?y . } } }`},
-		{"literal-predicate", `SELECT ?x WHERE { ?x "p" ?y . }`},
-		{"empty-projection", `SELECT WHERE { ?x ex:p ?y . }`},
-		{"unterminated-string", `SELECT ?x WHERE { ?x ex:p "abc . }`},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		t.Run(c.name, func(t *testing.T) {
 			if _, err := Parse(c.q, testNS()); err == nil {
 				t.Errorf("expected error for %q", c.q)
