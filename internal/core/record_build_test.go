@@ -62,8 +62,9 @@ type buildStep struct {
 }
 
 // buildScript is a rank's worth of every record kind: objects re-tracked and
-// new, API names safe and not, literals that repeat and that do not.
-func buildScript() []buildStep {
+// new, API names safe and not, literals that repeat and that do not. hostile
+// is matrixSteps' hostile identity.
+func buildScript(hostile string) []buildStep {
 	user := model.AgentRecord{Class: model.User, ID: "alice", Rank: -1}
 	prog := model.AgentRecord{Class: model.Program, ID: "same.exe", Rank: -1, OnBehalfOf: user.IRI().Value}
 	thr := model.AgentRecord{Class: model.Thread, ID: "MPI_rank_3", Rank: 3, OnBehalfOf: prog.IRI().Value}
@@ -105,21 +106,26 @@ func buildScript() []buildStep {
 			}, metric},
 		)
 	}
-	return append(steps, matrixSteps("")...)
+	return append(steps, matrixSteps("", hostile)...)
 }
 
 // callerTerms are what a caller may put where a tracking call expects a node:
 // nothing, an IRI, a blank node, a literal.
 var callerTerms = []rdf.Term{{}, rdf.IRI("http://x/a> <http://x/b"), rdf.Blank("b0"), rdf.Literal("lit x")}
 
+// hostileID is an identity with every byte an IRI must escape, and one that
+// is not UTF-8. A text store refuses it where it lands in a literal (rdf
+// textError); textHostileID is the same identity in UTF-8.
+const hostileID, textHostileID = "sp ace<>\"\\\n\xff", "sp ace<>\"\\\nÿ"
+
 // matrixSteps is every tracking call over identities plain, hostile and longer
 // than the builders' stack buffers, with every callerTerms entry in every
 // position a caller fills. tag keeps one caller's API names, and with them the
 // per-API sequence numbers, apart from another's.
-func matrixSteps(tag string) []buildStep {
+func matrixSteps(tag, hostile string) []buildStep {
 	var steps []buildStep
 	seqs := map[string]int{}
-	for n, id := range []string{"/plain.h5/x", "sp ace<>\"\\\n\xff", strings.Repeat("/long/path/component", 40)} {
+	for n, id := range []string{"/plain.h5/x", hostile, strings.Repeat("/long/path/component", 40)} {
 		for i, a := range callerTerms {
 			b := callerTerms[(i+n+1)%len(callerTerms)]
 			id, api, rank, version := id, id+tag, 16*n+i, 4*n+i-1
@@ -181,7 +187,11 @@ func TestTrackerWritesWhatAppendTriplesWrites(t *testing.T) {
 			}
 			return store
 		}
-		script := buildScript()
+		hostile := hostileID
+		if format != FormatBinary {
+			hostile = textHostileID
+		}
+		script := buildScript(hostile)
 
 		tracked := newStore()
 		cfg := DefaultConfig()
@@ -241,6 +251,28 @@ func TestTrackerWritesWhatAppendTriplesWrites(t *testing.T) {
 	}
 }
 
+// TestTextStoresRefuseNonUTF8Literals: a literal that is not UTF-8 is kept
+// byte for byte by a pbs store and refused by a text store, whose writer
+// would have put U+FFFD in its place; the tracker hands the writer's error,
+// which names the term, back to its caller.
+func TestTextStoresRefuseNonUTF8Literals(t *testing.T) {
+	for _, format := range []Format{FormatBinary, FormatNTriples, FormatTurtle} {
+		store, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := NewTracker(DefaultConfig(), store, 0)
+		tr.TrackType(rdf.IRI("http://x/a"), hostileID)
+		err = tr.Close()
+		switch {
+		case format == FormatBinary && err != nil:
+			t.Errorf("%v: %v", format, err)
+		case format != FormatBinary && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", hostileID))):
+			t.Errorf("%v: Close returned %v, want the writer's refusal of %q", format, err, hostileID)
+		}
+	}
+}
+
 func sameFiles(t *testing.T, what string, got, want map[string][]byte) {
 	t.Helper()
 	names := func(m map[string][]byte) []string {
@@ -274,7 +306,7 @@ func TestConcurrentTrackingEqualsSerial(t *testing.T) {
 	serial, shared := NewTracker(cfg, nil, 0), NewTracker(cfg, nil, 0)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		steps := matrixSteps(fmt.Sprintf("-w%d", w))
+		steps := matrixSteps(fmt.Sprintf("-w%d", w), hostileID)
 		for _, step := range steps {
 			step.track(serial)
 		}

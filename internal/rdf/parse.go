@@ -375,6 +375,11 @@ func (p *turtleParser) parseStringLiteral() (Term, error) {
 		b.WriteByte(c)
 	}
 	lex := b.String()
+	// The writers refuse a literal that is not UTF-8 (textError), so a
+	// document holding one is not one of theirs; the grammar forbids it too.
+	if !utf8.ValidString(lex) {
+		return Term{}, p.errf("string literal is not valid UTF-8")
+	}
 	// Optional language tag or datatype.
 	if !p.eof() && p.peek() == '@' {
 		p.advance()

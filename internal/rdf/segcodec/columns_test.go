@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -401,17 +402,20 @@ func TestGraphEncodeMatchesTermSpace(t *testing.T) {
 	}
 }
 
-// TestUnionStatsMatchesUnionGraph: merging references to the members'
-// dictionaries must report exactly the stats of a graph holding every member.
-// Member counts run over 1, 2, 3, 2^k and 2^k+1, so every merge round carries
-// an odd run at least once; the shapes are members sharing terms and
-// repeating each other's triples, identical members, pairwise-disjoint
-// dictionaries, a member every term of which another member also holds, and
-// empty members first, last and alone; any member may be graph-backed (text).
-// One worker and four give the same bytes.
+// TestUnionStatsMatchesUnionGraph: the hash union of the members must report
+// exactly the stats of a graph holding every member. Member counts run over
+// 1, 2, 3, 2^k and 2^k+1; the shapes are members sharing terms and repeating
+// each other's triples, identical members, pairwise-disjoint dictionaries, a
+// member every term of which another member also holds, empty members first,
+// last and alone, members whose column boundaries are terms too long for a
+// zone map (their own zone maps are omitted; shorter terms beyond them in
+// another member decide the union's), and members each under the predicate
+// cap whose union may exceed it. Any member may be graph-backed (text). One
+// worker and four give the same bytes, and so does a table in which every
+// term hashes alike, where only comparing terms tells them apart.
 func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 	counts := []int{1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33}
-	shapes := []string{"shared", "identical", "disjoint", "subset", "empty ends"}
+	shapes := []string{"shared", "identical", "disjoint", "subset", "empty ends", "long boundaries", "many predicates"}
 	disjointGraph := func(rng *rand.Rand, m int) *rdf.Graph {
 		g := rdf.NewGraph()
 		for i := 0; i < 1+rng.Intn(12); i++ {
@@ -423,10 +427,55 @@ func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 		}
 		return g
 	}
-	for seed := int64(0); seed < 200; seed++ {
+	// Rows past randomGraph's terms in every column, above and below: a long
+	// boundary omits the member's zone map, a short one beyond it restores
+	// the union's.
+	long := strings.Repeat("x", maxZoneValueLen)
+	edges := [][3]rdf.Term{
+		{rdf.Blank("z" + long), rdf.IRI("http://www.w3.org/ns/prov#p9" + long), rdf.Literal("\xff" + long)},
+		{rdf.Blank("zz"), rdf.IRI("http://www.w3.org/ns/prov#q"), rdf.Literal("\xff\xff")},
+		{rdf.IRI("http://a/" + long), rdf.IRI("http://a" + long), rdf.IRI("http://a/" + long)},
+		{rdf.IRI("http://"), rdf.IRI("http:"), rdf.IRI("http:")},
+	}
+	longBoundaryGraph := func(rng *rand.Rand) *rdf.Graph {
+		g := randomGraph(rng, rng.Intn(30))
+		for _, e := range edges {
+			if rng.Intn(3) == 0 {
+				g.Add(rdf.Triple{S: e[0], P: e[1], O: e[2]})
+			}
+		}
+		return g
+	}
+	// Up to 40 of 60–69 predicates: every member under the cap of 64, the
+	// union of many members at the whole pool, on either side of the cap.
+	manyPredicateGraph := func(rng *rand.Rand, pool int) *rdf.Graph {
+		g := rdf.NewGraph()
+		for i := 0; i < 1+rng.Intn(40); i++ {
+			g.Add(rdf.Triple{
+				S: rdf.IRI(fmt.Sprintf("urn:s%d", rng.Intn(4))),
+				P: rdf.IRI(fmt.Sprintf("urn:p%02d", rng.Intn(pool))),
+				O: rdf.Integer(int64(rng.Intn(4))),
+			})
+		}
+		return g
+	}
+	sameHash := func(terms []rdf.Term) []uint64 {
+		hs := make([]uint64, len(terms))
+		for i := range hs {
+			hs[i] = 0x9E3779B97F4A7C15
+		}
+		return hs
+	}
+	withoutBloom := func(st SegStats) []byte {
+		st.Bloom = Bloom{}
+		return st.encode()
+	}
+	var reopened, overCap, underCap int // zone maps the union restored; predicate lists it omitted / kept
+	for seed := int64(0); seed < int64(3*len(counts)*len(shapes)); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := counts[int(seed)%len(counts)]
 		shape := shapes[int(seed)/len(counts)%len(shapes)]
+		pool := 60 + int(seed)%10
 		graphs := make([]*rdf.Graph, n)
 		for m := range graphs {
 			switch {
@@ -444,6 +493,10 @@ func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 				}
 			case shape == "empty ends" && (m == 0 || m == n-1):
 				graphs[m] = rdf.NewGraph()
+			case shape == "long boundaries":
+				graphs[m] = longBoundaryGraph(rng)
+			case shape == "many predicates":
+				graphs[m] = manyPredicateGraph(rng, pool)
 			case rng.Intn(6) == 0:
 				graphs[m] = rdf.NewGraph()
 			default:
@@ -452,21 +505,25 @@ func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 		}
 		union := rdf.NewGraph()
 		members := make([]*Columns, n)
+		own := make([]SegStats, n)
+		refs := 0
 		for m, g := range graphs {
 			union.Merge(g)
+			own[m] = ComputeGraphStats(g)
 			if rng.Intn(3) == 0 {
 				members[m] = GraphColumns(g)
-				continue
+			} else {
+				var buf bytes.Buffer
+				if err := Binary.Encode(&buf, g, nil); err != nil {
+					t.Fatal(err)
+				}
+				c, err := DecodeColumns(buf.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				members[m] = c
 			}
-			var buf bytes.Buffer
-			if err := Binary.Encode(&buf, g, nil); err != nil {
-				t.Fatal(err)
-			}
-			c, err := DecodeColumns(buf.Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			members[m] = c
+			refs += len(members[m].Terms)
 		}
 		want := ComputeGraphStats(union)
 		for _, workers := range []int{1, 4} {
@@ -475,10 +532,87 @@ func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 				t.Fatalf("seed %d: union of %d %s members at %d worker(s): %d triples / %d terms, union graph %d / %d",
 					seed, n, shape, workers, got.Triples, got.Terms, want.Triples, want.Terms)
 			}
+			if refs > 600 { // every insert walks the one probe chain
+				continue
+			}
+			if got := unionStats(members, workers, sameHash); !bytes.Equal(withoutBloom(got), withoutBloom(want)) {
+				t.Fatalf("seed %d: union of %d %s members at %d worker(s), every term hashing alike: %d triples / %d terms, union graph %d / %d",
+					seed, n, shape, workers, got.Triples, got.Terms, want.Triples, want.Terms)
+			}
 		}
+		for c := 0; c < 3; c++ {
+			for m := range own {
+				if own[m].Triples > 0 && !own[m].ZoneOK[c] && want.ZoneOK[c] {
+					reopened++
+				}
+			}
+		}
+		if shape == "many predicates" {
+			if want.Preds == nil {
+				overCap++
+			} else {
+				underCap++
+			}
+			for m := range own {
+				if own[m].Preds == nil {
+					t.Fatalf("seed %d: member %d has more than %d predicates", seed, m, maxPredList)
+				}
+			}
+		}
+	}
+	if reopened == 0 || overCap == 0 || underCap == 0 {
+		t.Fatalf("shapes not exercised: %d zone maps restored by the union, %d predicate lists over the cap, %d under", reopened, overCap, underCap)
 	}
 	empty := UnionStats(nil, 4)
 	if want := ComputeGraphStats(rdf.NewGraph()); !bytes.Equal(empty.encode(), want.encode()) {
 		t.Fatal("union of no members differs from the empty graph's stats")
 	}
+}
+
+// BenchmarkUnionStats folds the pack-level stats of the harness's
+// h5bench-resident pack: 24 delta segments, two from each of twelve ranks, of
+// 512 tracked writes each — about 1.5 k terms and 2.6 k triples a member,
+// three new terms a record. Members share the vocabulary, the user and the
+// datasets, so every member repeats the datasets' type triples.
+func BenchmarkUnionStats(b *testing.B) {
+	const ns = "https://github.com/hpc-io/prov-io/ns#"
+	vocab := func(name string) rdf.Term { return rdf.IRI(ns + name) }
+	typ := rdf.IRI(rdf.RDFType)
+	members := make([]*Columns, 24)
+	terms := 0
+	for m := range members {
+		rank, seg := m/2, m%2
+		g := rdf.NewGraph()
+		prog := rdf.IRI(fmt.Sprintf("%sprogram/h5bench-r%d", ns, rank))
+		g.Add(rdf.Triple{S: prog, P: typ, O: vocab("Program")})
+		g.Add(rdf.Triple{S: prog, P: vocab("actedOnBehalfOf"), O: rdf.IRI(ns + "user/alice")})
+		for i := 512 * seg; i < 512*(seg+1); i++ {
+			act := rdf.IRI(fmt.Sprintf("%sapi/H5Dwrite-p%d-b%d", ns, rank, i+1))
+			obj := rdf.IRI(fmt.Sprintf("%sdataset/f.h5/d%d", ns, i%8))
+			g.AddBatch([]rdf.Triple{
+				{S: act, P: typ, O: vocab("Write")},
+				{S: act, P: vocab("wasAssociatedWith"), O: prog},
+				{S: obj, P: typ, O: vocab("Dataset")},
+				{S: obj, P: vocab("wasWrittenBy"), O: act},
+				{S: act, P: vocab("startedAtTime"), O: rdf.Integer(int64(1_000_000*rank + 1000*i))},
+				{S: act, P: vocab("elapsed"), O: rdf.Integer(int64(100_000 + 7919*(1024*rank+i)%900_000))},
+			})
+		}
+		var buf bytes.Buffer
+		if err := Binary.Encode(&buf, g, nil); err != nil {
+			b.Fatal(err)
+		}
+		c, err := DecodeColumns(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		members[m] = c
+		terms += len(c.Terms)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		UnionStats(members, runtime.GOMAXPROCS(0))
+	}
+	b.ReportMetric(float64(terms)/float64(len(members)), "terms/member")
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/hpc-io/prov-io/internal/par"
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -163,35 +164,63 @@ func ComputeStats(terms []rdf.Term, tris [][3]uint32) SegStats {
 }
 
 // termBloom is the membership filter over a dictionary: the bits Add sets
-// term by term, for terms in any order. A segment's dictionary is sorted, and
-// three things make that cheap. A term resumes the hash where it parts from
-// its predecessor's value (state keeps the hash after every byte of it):
-// minted IRIs share all but a few trailing bytes. The hash of a literal's
-// tags — a serial multiply per byte, 40 of them for xsd:integer — is run for
-// up to four consecutive terms with the same tags in step, the chains
-// overlapping in the multiplier. And the seven reductions modulo the filter
-// size multiply by one reciprocal, exact for 32-bit operands (Lemire's
-// fastmod), instead of dividing.
+// term by term, for terms in any order. The hashes go through a buffer on the
+// stack, a chunk of terms at a time; a chunk restarts the prefix walk, which
+// costs one term's full hash per chunk.
 func termBloom(terms []rdf.Term) Bloom {
 	b := newBloom(len(terms))
+	set := b.setter()
+	var buf [256]uint64
+	for len(terms) > 0 {
+		chunk := terms[:min(len(terms), len(buf))]
+		for _, h := range hashTerms(buf[:0], chunk) {
+			set.add(h)
+		}
+		terms = terms[len(chunk):]
+	}
+	return b
+}
+
+// bloomSetter sets the bits Add sets for a term, given its termHash. The
+// seven reductions modulo the filter size multiply by one reciprocal, exact
+// for 32-bit operands (Lemire's fastmod), instead of dividing.
+type bloomSetter struct {
+	filter   []byte
+	m, recip uint64
+	k        uint32
+}
+
+func (b Bloom) setter() bloomSetter {
 	m := uint64(len(b.Bits) * 8)
-	recip := ^uint64(0)/m + 1
+	return bloomSetter{filter: b.Bits, m: m, recip: ^uint64(0)/m + 1, k: uint32(b.K)}
+}
+
+func (s *bloomSetter) add(h uint64) {
+	h1, h2 := uint32(h), uint32(h>>32)|1
+	for i := uint32(0); i < s.k; i++ {
+		idx, _ := bits.Mul64(s.recip*uint64(h1+i*h2), s.m)
+		s.filter[idx/8] |= 1 << (idx % 8)
+	}
+}
+
+// hashTerms appends the termHash of every term to dst, in order. A segment's
+// dictionary is sorted, and two things make that cheap. A term resumes the
+// hash where it parts from its predecessor's value (state keeps the hash
+// after every byte of it): minted IRIs share all but a few trailing bytes.
+// And the hash of a literal's tags — a serial multiply per byte, 40 of them
+// for xsd:integer — is run for up to four consecutive terms with the same
+// tags in step, the chains overlapping in the multiplier. Any order gives the
+// same hashes; only the speed depends on it.
+func hashTerms(dst []uint64, terms []rdf.Term) []uint64 {
 	// state[i]: the hash after prev's kind and the first i bytes of its value.
 	// Values longer than the array, which lives on the stack, move it to the heap.
 	var short [192]uint64
 	state := short[:0]
 	var lane [4]uint64 // hashes up to their term's value, waiting for the tags they share
 	n := 0
-	filter, k := b.Bits, uint32(b.K)
 	flush := func(lang, datatype string) {
 		hashTags(&lane, lang, datatype)
-		for _, h := range lane[:n] {
-			h1, h2 := uint32(h), uint32(h>>32)|1
-			for i := uint32(0); i < k; i++ {
-				idx, _ := bits.Mul64(recip*uint64(h1+i*h2), m)
-				filter[idx/8] |= 1 << (idx % 8)
-			}
-		}
+		dst = append(dst, lane[:n]...)
 		n = 0
 	}
 	var prev *rdf.Term
@@ -228,7 +257,7 @@ func termBloom(terms []rdf.Term) Bloom {
 	if prev != nil {
 		flush(prev.Lang, prev.Datatype)
 	}
-	return b
+	return dst
 }
 
 // hashTags continues four term hashes, each up to the end of its value, over
@@ -253,36 +282,17 @@ func rowStats(terms []rdf.Term, tris [][3]uint32) SegStats {
 		st.Preds = []rdf.Term{}
 		return st
 	}
-	var mn, mx [3]uint32
-	for c := 0; c < 3; c++ {
-		mn[c], mx[c] = tris[0][c], tris[0][c]
-	}
-	isPred := make([]uint64, (len(terms)+63)/64) // a bit per local ID
-	for _, t := range tris {
-		for c := 0; c < 3; c++ {
-			if t[c] < mn[c] {
-				mn[c] = t[c]
-			}
-			if t[c] > mx[c] {
-				mx[c] = t[c]
-			}
-		}
-		isPred[t[1]/64] |= 1 << (t[1] % 64)
-	}
+	b := boundsOf(terms, tris)
 	// The dictionary is sorted in canonical term order, so the boundary
 	// local IDs map straight to boundary terms.
 	for c := 0; c < 3; c++ {
-		lo, hi := terms[mn[c]], terms[mx[c]]
-		if len(lo.Value) <= maxZoneValueLen && len(hi.Value) <= maxZoneValueLen {
-			st.ZoneOK[c] = true
-			st.Min[c], st.Max[c] = lo, hi
-		}
+		st.setZone(c, terms[b.min[c]], terms[b.max[c]])
 	}
 	// For the same reason the set bits, walked upward, are the predicate
 	// list in its canonical order; one predicate past the cap settles that
 	// the list is omitted.
 	preds := make([]rdf.Term, 0, 16)
-	for w, word := range isPred {
+	for w, word := range b.isPred {
 		for ; word != 0 && len(preds) <= maxPredList; word &= word - 1 {
 			preds = append(preds, terms[w*64+bits.TrailingZeros64(word)])
 		}
@@ -293,6 +303,35 @@ func rowStats(terms []rdf.Term, tris [][3]uint32) SegStats {
 	return st
 }
 
+// rowBounds is what a segment's rows say about its dictionary: the least and
+// greatest local ID each column (S, P, O) references, and which local IDs
+// stand as predicates, a bit per ID.
+type rowBounds struct {
+	min, max [3]uint32
+	isPred   []uint64
+}
+
+// boundsOf reads the bounds off non-empty rows over a dictionary of terms.
+func boundsOf(terms []rdf.Term, tris [][3]uint32) rowBounds {
+	b := rowBounds{min: tris[0], max: tris[0], isPred: make([]uint64, (len(terms)+63)/64)}
+	for _, t := range tris {
+		for c := 0; c < 3; c++ {
+			b.min[c] = min(b.min[c], t[c])
+			b.max[c] = max(b.max[c], t[c])
+		}
+		b.isPred[t[1]/64] |= 1 << (t[1] % 64)
+	}
+	return b
+}
+
+// setZone records column c's zone map, unless a boundary term is too long to.
+func (st *SegStats) setZone(c int, lo, hi rdf.Term) {
+	if len(lo.Value) <= maxZoneValueLen && len(hi.Value) <= maxZoneValueLen {
+		st.ZoneOK[c] = true
+		st.Min[c], st.Max[c] = lo, hi
+	}
+}
+
 // ComputeGraphStats is ComputeStats over a whole graph, read off its
 // insertion log like Encode.
 func ComputeGraphStats(g *rdf.Graph) SegStats {
@@ -301,124 +340,173 @@ func ComputeGraphStats(g *rdf.Graph) SegStats {
 }
 
 // GraphColumns returns a graph's contents in segment shape, read off its
-// surviving insertion log through the EncodeRefs dictionary builder: what
-// Encode serializes, and how a member that is not a binary segment (a text
-// file, which decodes only into a graph) takes part in UnionStats. The rows
-// are in log order and repeat where a triple was removed and re-added.
+// insertion log through the EncodeRefs dictionary builder: what Encode
+// serializes, and how a member that is not a binary segment (a text file,
+// which decodes only into a graph) takes part in UnionStats. The rows are
+// distinct, in log order.
 func GraphColumns(g *rdf.Graph) *Columns {
 	refs, _ := g.RefsSince(0)
 	terms, tris := refTriples(refs, g)
 	return &Columns{Terms: terms, Tris: tris}
 }
 
-// dictRef names one entry of one member's dictionary: what UnionStats merges
-// in place of the 64-byte term itself.
-type dictRef struct{ member, local uint32 }
-
 // UnionStats computes the stats of the union of the members' triples — the
-// pack-level stats block — without building the union as a graph, and
-// without copying a term until the union dictionary is final. Each member's
-// dictionary is strictly ascending (DecodeColumns rejects any other), so as
-// a run of references it is already sorted; the runs are merged pairwise in
-// rounds between two buffers, stably and keeping duplicates, by comparing
-// the terms the references name. One walk along the single run that is left
-// numbers the distinct terms, fills every member's local-to-union table and
-// leaves the union's references behind, from which the union dictionary is
-// built once, at its size. The members' rows, renumbered into disjoint
-// ranges of one array, are sorted and deduplicated like any segment's.
+// pack-level stats block — without building the union: there is no union
+// dictionary and no union row array, sorted or not. Every member's terms
+// are distinct and so are its rows (DecodeColumns and GraphColumns both
+// guarantee it), and no field of the stats needs the union in order:
 //
-// The pairs of a round, the members' renumberings, and the Bloom filter
-// beside the row sort are independent of each other and run on up to
-// `workers` goroutines (inline at one). The result is what ComputeGraphStats
-// reports for a graph holding every member, at any worker count. A
-// dictionary entry no triple uses still counts as a term of the union.
+//   - Terms: one open-addressed table, keyed by each member term's termHash
+//     and settled by comparing the terms, numbers the distinct terms and
+//     marks those that occur in two or more members;
+//   - Bloom: the distinct terms' hashes, set in any order;
+//   - Triples: the members' row total less the rows one member repeats from
+//     another — only a row whose three terms are all marked can be one;
+//   - zone maps: the least and greatest of the members' boundary terms;
+//   - predicate list: the members' predicates, numbered by the table.
+//
+// Hashing each member's dictionary and reading its row bounds, then finding
+// its repeat candidates, run on up to `workers` goroutines (inline at one);
+// the table is filled serially, member by member. Nothing concurrent writes
+// what another part reads, so the result is what ComputeGraphStats reports
+// for a graph holding every member, at any worker count. A dictionary entry
+// no triple uses still counts as a term of the union.
 func UnionStats(members []*Columns, workers int) SegStats {
-	dicts := make([][]rdf.Term, len(members))
-	refOff := make([]int, len(members)+1) // member m's dictionary is refs [refOff[m], refOff[m+1])
-	rowOff := make([]int, len(members)+1) // and its rows are union rows [rowOff[m], rowOff[m+1])
-	for m, c := range members {
-		dicts[m] = c.Terms
-		refOff[m+1] = refOff[m] + len(c.Terms)
-		rowOff[m+1] = rowOff[m] + len(c.Tris)
-	}
-	nRefs, nRows := refOff[len(members)], rowOff[len(members)]
-	bufs := make([]dictRef, 2*nRefs)
-	src, dst := bufs[:nRefs], bufs[nRefs:]
-	for m, d := range dicts {
-		run := src[refOff[m]:refOff[m+1]]
-		for i := range d {
-			run[i] = dictRef{uint32(m), uint32(i)}
-		}
-	}
-
-	// Merge rounds. Going into a round every run covers `width` members (the
-	// last maybe fewer); the round merges runs 2p and 2p+1 into one, and an
-	// odd run out is carried over as a merge with nothing.
-	refAt := func(m int) int { return refOff[min(m, len(members))] }
-	for width := 1; width < len(members); width *= 2 {
-		pairs := (len(members) + 2*width - 1) / (2 * width)
-		par.Do(pairs, workers, func(p int) {
-			lo, mid, hi := refAt(2*p*width), refAt((2*p+1)*width), refAt((2*p+2)*width)
-			mergeRefs(dst[lo:hi], src[lo:mid], src[mid:hi], dicts)
-		})
-		src, dst = dst, src
-	}
-
-	// Equal terms are adjacent in src now. remap[refOff[m]+l] becomes the
-	// union ID of member m's local ID l; src[:nu] the first reference to each
-	// union term.
-	remap := make([]uint32, nRefs)
-	nu := 0
-	var prev *rdf.Term
-	for _, r := range src {
-		if t := &dicts[r.member][r.local]; prev == nil || *t != *prev {
-			src[nu] = r
-			nu++
-			prev = t
-		}
-		remap[refOff[r.member]+int(r.local)] = uint32(nu - 1)
-	}
-	terms := make([]rdf.Term, nu)
-	for u, r := range src[:nu] {
-		terms[u] = dicts[r.member][r.local]
-	}
-
-	tris := make([][3]uint32, nRows)
-	par.Do(len(members), workers, func(m int) {
-		to, out := remap[refOff[m]:refOff[m+1]], tris[rowOff[m]:rowOff[m+1]]
-		for i, t := range members[m].Tris {
-			out[i] = [3]uint32{to[t[0]], to[t[1]], to[t[2]]}
-		}
+	return unionStats(members, workers, func(terms []rdf.Term) []uint64 {
+		return hashTerms(make([]uint64, 0, len(terms)), terms)
 	})
-
-	var st SegStats
-	var bloom Bloom
-	par.Do(2, workers, func(half int) {
-		if half == 0 {
-			bloom = termBloom(terms)
-		} else {
-			st = rowStats(terms, sortDedupTriples(tris, len(terms)))
-		}
-	})
-	st.Bloom = bloom
-	return st
 }
 
-// mergeRefs merges two runs of references, each ascending by the term it
-// names, into dst (as long as both together). It is stable — on equal terms
-// a's reference goes first — and keeps duplicates.
-func mergeRefs(dst, a, b []dictRef, dicts [][]rdf.Term) {
-	k := 0
-	for len(a) > 0 && len(b) > 0 {
-		if rdf.TermLess(dicts[b[0].member][b[0].local], dicts[a[0].member][a[0].local]) {
-			dst[k], b = b[0], b[1:]
-		} else {
-			dst[k], a = a[0], a[1:]
-		}
-		k++
+// unionStats is UnionStats with the term hash as a parameter, so a test can
+// make every term collide.
+func unionStats(members []*Columns, workers int, hash func([]rdf.Term) []uint64) SegStats {
+	hashes := make([][]uint64, len(members))
+	bounds := make([]rowBounds, len(members))
+	refOff := make([]int, len(members)+1) // member m's terms are refs [refOff[m], refOff[m+1])
+	rows := 0
+	for m, c := range members {
+		refOff[m+1] = refOff[m] + len(c.Terms)
+		rows += len(c.Tris)
 	}
-	k += copy(dst[k:], a)
-	copy(dst[k:], b)
+	par.Do(len(members), workers, func(m int) {
+		c := members[m]
+		hashes[m] = hash(c.Terms)
+		if len(c.Tris) > 0 {
+			bounds[m] = boundsOf(c.Terms, c.Tris)
+		}
+	})
+
+	// The table: a slot holds a union ID plus one (zero = empty) in its low
+	// half and the low half of the term's hash in its high half, so a probe
+	// compares terms only when 32 more bits of hash agree. It is indexed by
+	// the hash's top bits, FNV's best mixed, and at most two thirds full.
+	nRefs := refOff[len(members)]
+	shift := 64 - 4
+	for 1<<(64-shift) < nRefs+nRefs/2 {
+		shift--
+	}
+	table := make([]uint64, 1<<(64-shift))
+	mask := uint64(len(table) - 1)
+	remap := make([]uint32, nRefs)       // union ID of member m's local ID l at refOff[m]+l
+	first := make([]*rdf.Term, 0, nRefs) // the first occurrence of each union term,
+	uhash := make([]uint64, 0, nRefs)    // its hash,
+	shared := make([]bool, 0, nRefs)     // and whether a second member holds it
+	for m, c := range members {
+		to := remap[refOff[m]:refOff[m+1]]
+		for l := range c.Terms {
+			t, h := &c.Terms[l], hashes[m][l]
+			tag := h << 32
+			for i := h >> shift; ; i = (i + 1) & mask {
+				slot := table[i]
+				if slot == 0 {
+					to[l] = uint32(len(first))
+					table[i] = tag | uint64(len(first)+1)
+					first, uhash, shared = append(first, t), append(uhash, h), append(shared, false)
+					break
+				}
+				if u := uint32(slot) - 1; slot&^0xFFFFFFFF == tag && *first[u] == *t {
+					to[l] = u
+					shared[u] = true
+					break
+				}
+			}
+		}
+	}
+
+	// A row one member repeats from another has all three of its terms in
+	// both: collect the rows that could be, then count the repeats among them.
+	candidates := make([][][3]uint32, len(members))
+	var st SegStats
+	par.Do(len(members)+1, workers, func(m int) {
+		if m == len(members) {
+			st.Bloom = newBloom(len(first))
+			set := st.Bloom.setter()
+			for _, h := range uhash {
+				set.add(h)
+			}
+			return
+		}
+		to := remap[refOff[m]:refOff[m+1]]
+		for _, t := range members[m].Tris {
+			s, p, o := to[t[0]], to[t[1]], to[t[2]]
+			if shared[s] && shared[p] && shared[o] {
+				candidates[m] = append(candidates[m], [3]uint32{s, p, o})
+			}
+		}
+	})
+	seen := make(map[[3]uint32]struct{})
+	for _, cs := range candidates {
+		for _, r := range cs {
+			if _, ok := seen[r]; ok {
+				rows--
+			} else {
+				seen[r] = struct{}{}
+			}
+		}
+	}
+	st.Triples, st.Terms = uint64(rows), uint64(len(first))
+	if rows == 0 {
+		st.Preds = []rdf.Term{}
+		return st
+	}
+
+	var lo, hi [3]*rdf.Term
+	var preds []uint32 // union IDs, one past the cap at most
+	for m, c := range members {
+		if len(c.Tris) == 0 {
+			continue
+		}
+		b := &bounds[m]
+		for col := 0; col < 3; col++ {
+			if t := &c.Terms[b.min[col]]; lo[col] == nil || rdf.TermLess(*t, *lo[col]) {
+				lo[col] = t
+			}
+			if t := &c.Terms[b.max[col]]; hi[col] == nil || rdf.TermLess(*hi[col], *t) {
+				hi[col] = t
+			}
+		}
+		to := remap[refOff[m]:refOff[m+1]]
+		for w, word := range b.isPred {
+			for ; word != 0 && len(preds) <= maxPredList; word &= word - 1 {
+				if u := to[w*64+bits.TrailingZeros64(word)]; !slices.Contains(preds, u) {
+					preds = append(preds, u)
+				}
+			}
+		}
+	}
+	for col := 0; col < 3; col++ {
+		st.setZone(col, *lo[col], *hi[col])
+	}
+	if len(preds) <= maxPredList {
+		st.Preds = make([]rdf.Term, len(preds))
+		perm := make([]uint32, len(preds))
+		for i, u := range preds {
+			st.Preds[i], perm[i] = *first[u], uint32(i)
+		}
+		sortTermPerm(st.Preds, perm, 0)
+		permuteTerms(st.Preds, perm)
+	}
+	return st
 }
 
 // encode renders the canonical stats frame payload.

@@ -9,8 +9,10 @@
 package rdf
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three RDF term kinds.
@@ -194,6 +196,55 @@ func quoteLiteral(s string) string {
 	return b.String()
 }
 
+// textError reports why a term cannot be written as N-Triples or Turtle
+// text that parses back to it, naming the term; nil when it can. The text
+// writers refuse such a term rather than write another in its place: a
+// literal that is not UTF-8 would come back with U+FFFD for its bad bytes,
+// and a language tag or blank-node label outside the grammar would not parse.
+func textError(t Term) error {
+	var why string
+	switch {
+	case t.Kind == BlankTerm && !isBlankLabel(t.Value):
+		why = "blank node label is not a name (letters, digits, '_', '-')"
+	case t.Kind != LiteralTerm:
+		// An IRI is always writable: iriRef escapes what IRIREF forbids.
+	case !utf8.ValidString(t.Value):
+		why = "literal is not valid UTF-8"
+	case t.Lang != "" && t.Datatype != "":
+		why = "literal has both a language tag and a datatype"
+	case t.Lang != "" && !isLangTag(t.Lang):
+		why = "language tag is not letters, digits and '-'"
+	case t.Datatype == XSDString:
+		why = "an xsd:string literal has no datatype"
+	}
+	if why == "" {
+		return nil
+	}
+	return fmt.Errorf("rdf: cannot write term (kind %d, value %q, lang %q, datatype %q) as text: %s",
+		t.Kind, t.Value, t.Lang, t.Datatype, why)
+}
+
+// isBlankLabel reports whether the parser reads s back whole after "_:". It
+// tests each byte as the parser does.
+func isBlankLabel(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !isNameChar(rune(s[i])) {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// isLangTag reports whether the parser reads s back whole after "@".
+func isLangTag(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !isAlphaNum(s[i]) && s[i] != '-' {
+			return false
+		}
+	}
+	return s != ""
+}
+
 // Triple is a single RDF statement.
 type Triple struct {
 	S, P, O Term
@@ -202,6 +253,16 @@ type Triple struct {
 // String renders the triple in N-Triples syntax (without trailing newline).
 func (t Triple) String() string {
 	return t.S.String() + " " + t.P.String() + " " + t.O.String() + " ."
+}
+
+// textError is the first of the triple's terms' textErrors.
+func (t Triple) textError() error {
+	for _, x := range [3]Term{t.S, t.P, t.O} {
+		if err := textError(x); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Valid reports whether the triple is structurally valid RDF: subject must be

@@ -10,8 +10,15 @@ import (
 // WriteTurtle serializes the graph in Turtle format, grouping triples by
 // subject with ';' predicate lists and ',' object lists — the layout the
 // PROV-IO paper shows in its provenance snippets. Output is deterministic
-// (sorted by subject, predicate, object).
+// (sorted by subject, predicate, object). A term the syntax cannot carry
+// exactly (see textError) fails the write before anything is written.
 func WriteTurtle(w io.Writer, g *Graph, ns *Namespaces) error {
+	ts := g.SortedTriples()
+	for _, t := range ts {
+		if err := t.textError(); err != nil {
+			return err
+		}
+	}
 	bw := bufio.NewWriter(w)
 	if ns != nil {
 		for _, p := range ns.Prefixes() {
@@ -27,7 +34,6 @@ func WriteTurtle(w io.Writer, g *Graph, ns *Namespaces) error {
 		}
 	}
 
-	ts := g.SortedTriples()
 	// Group by subject, then by predicate.
 	for i := 0; i < len(ts); {
 		s := ts[i].S
@@ -117,10 +123,17 @@ func renderPredicate(p Term, ns *Namespaces) string {
 }
 
 // WriteNTriples serializes the graph one triple per line in deterministic
-// order.
+// order. A term the syntax cannot carry exactly (see textError) fails the
+// write before anything is written.
 func WriteNTriples(w io.Writer, g *Graph) error {
+	ts := g.SortedTriples()
+	for _, t := range ts {
+		if err := t.textError(); err != nil {
+			return err
+		}
+	}
 	bw := bufio.NewWriter(w)
-	for _, t := range g.SortedTriples() {
+	for _, t := range ts {
 		if _, err := bw.WriteString(t.String() + "\n"); err != nil {
 			return err
 		}
@@ -155,19 +168,12 @@ func NewTermRenderer(g *Graph) *TermRenderer {
 // serializes straight from triple IDs instead of rendered text.
 func (r *TermRenderer) Graph() *Graph { return r.g }
 
-// Render returns the N-Triples rendering of the term interned under id,
-// computing and caching it on first use. IDs that are not interned (including
-// NoID) render as the zero Term.
-func (r *TermRenderer) Render(id ID) string {
-	return r.render(id, r.g.dict.snapshot())
-}
-
-// render is Render against an already-taken dictionary snapshot.
-func (r *TermRenderer) render(id ID, terms termTable) string {
-	if int(id) >= terms.len() {
-		return Term{}.String()
-	}
+// render returns the N-Triples rendering of the term interned under id in
+// the dictionary snapshot terms, computing and caching it on first use, or
+// the term's textError. Every id must be interned.
+func (r *TermRenderer) render(id ID, terms termTable) (string, error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if int(id) >= len(r.cache) {
 		grown := make([]string, terms.len())
 		copy(grown, r.cache)
@@ -175,11 +181,14 @@ func (r *TermRenderer) render(id ID, terms termTable) string {
 	}
 	s := r.cache[id]
 	if s == "" {
-		s = terms.at(id).String()
+		t := terms.at(id)
+		if err := textError(t); err != nil {
+			return "", err
+		}
+		s = t.String()
 		r.cache[id] = s
 	}
-	r.mu.Unlock()
-	return s
+	return s, nil
 }
 
 // WriteNTriples serializes refs of the renderer's graph as N-Triples in
@@ -187,7 +196,8 @@ func (r *TermRenderer) render(id ID, terms termTable) string {
 // delta-segment serializer: it renders from 12-byte TripleIDs and the
 // memoized per-ID term cache, so a flush materializes no []Triple and
 // re-renders no term a previous flush already rendered. The byte output is
-// identical to sorting the materialized triples and writing Triple.String.
+// identical to sorting the materialized triples and writing Triple.String,
+// and a term the syntax cannot carry exactly (see textError) fails the write.
 func (r *TermRenderer) WriteNTriples(w io.Writer, refs []TripleID) error {
 	terms := r.g.dict.snapshot()
 	// Interning is injective, so distinct IDs always hold distinct terms.
@@ -203,14 +213,15 @@ func (r *TermRenderer) WriteNTriples(w io.Writer, refs []TripleID) error {
 	})
 	bw := bufio.NewWriter(w)
 	for _, t := range refs {
-		if _, err := bw.WriteString(r.render(t.S, terms)); err != nil {
-			return err
+		for _, id := range [3]ID{t.S, t.P, t.O} {
+			s, err := r.render(id, terms)
+			if err != nil {
+				return err
+			}
+			bw.WriteString(s)
+			bw.WriteByte(' ')
 		}
-		bw.WriteByte(' ')
-		bw.WriteString(r.render(t.P, terms))
-		bw.WriteByte(' ')
-		bw.WriteString(r.render(t.O, terms))
-		if _, err := bw.WriteString(" .\n"); err != nil {
+		if _, err := bw.WriteString(".\n"); err != nil {
 			return err
 		}
 	}

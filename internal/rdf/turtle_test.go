@@ -1,6 +1,8 @@
 package rdf
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -241,6 +243,138 @@ func TestIRIEscapesRoundTrip(t *testing.T) {
 			if got[i] != want[i] {
 				t.Errorf("%s: read back %v, wrote %v", name, got[i], want[i])
 			}
+		}
+	}
+}
+
+// textWriters are the three ways a graph becomes text, each with the parser
+// that reads it back: N-Triples, the delta-segment renderer over the whole
+// insertion log, and Turtle under prefixes the terms below can shrink to.
+func textWriters() map[string]func(*strings.Builder, *Graph) error {
+	ns := NewNamespaces()
+	ns.Bind("e", "http://e/")
+	ns.Bind("xsd", "http://www.w3.org/2001/XMLSchema#")
+	return map[string]func(*strings.Builder, *Graph) error{
+		"nt":  func(b *strings.Builder, g *Graph) error { return WriteNTriples(b, g) },
+		"ttl": func(b *strings.Builder, g *Graph) error { return WriteTurtle(b, g, ns) },
+		"renderer": func(b *strings.Builder, g *Graph) error {
+			refs, _ := g.RefsSince(0)
+			return NewTermRenderer(g).WriteNTriples(b, refs)
+		},
+	}
+}
+
+// TestTextWritersRefuseWhatWouldNotParseBack: a literal that is not UTF-8
+// used to come back with U+FFFD in place of its bad bytes, and a language
+// tag or blank-node label outside the grammar was written raw and did not
+// parse. Each writer now fails, naming the term, and writes nothing.
+func TestTextWritersRefuseWhatWouldNotParseBack(t *testing.T) {
+	s, p := IRI("http://e/s"), IRI("http://e/p")
+	for _, bad := range []Term{
+		Literal("a\xffb"),
+		LangLiteral("x", "en US"),
+		LangLiteral("x", "en\xff"),
+		Blank("a b"),
+		Blank(""),
+		{Kind: LiteralTerm, Value: "both tags", Lang: "en", Datatype: XSDInteger},
+		{Kind: LiteralTerm, Value: "explicit", Datatype: XSDString},
+	} {
+		g := NewGraph()
+		g.Add(Triple{s, p, Literal("fine")})
+		g.Add(Triple{s, p, bad})
+		for name, write := range textWriters() {
+			var b strings.Builder
+			err := write(&b, g)
+			if err == nil {
+				t.Errorf("%s wrote %#v:\n%s", name, bad, b.String())
+				continue
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("value %q, lang %q", bad.Value, bad.Lang)) {
+				t.Errorf("%s: error %q does not name %#v", name, err, bad)
+			}
+			if name != "renderer" && b.Len() != 0 {
+				t.Errorf("%s: wrote %d bytes before refusing", name, b.Len())
+			}
+		}
+	}
+}
+
+// TestTextWritersRoundTripOrRefuse is the property: every graph either
+// reads back exactly — the same triples, term for term — from what each
+// writer wrote, or the writer fails. Terms are drawn hostile: bytes that are
+// not UTF-8, the escapes, spaces, '@' and '^' in every field, blank labels
+// and language tags in and out of their grammars, both tags on one literal,
+// an explicit xsd:string.
+func TestTextWritersRoundTripOrRefuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	pieces := []string{"", "a", "b0", "e", "-", "_", "1", " ", "\"", "\\", "\n", "\r", "\t", "@", "^^", "<", ">", ".", ":", "é", "数据", "\xff", "\xc3", "\x00", "\u2028"}
+	str := func() string {
+		var b strings.Builder
+		for i := rng.Intn(4); i > 0; i-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	iri := func() Term {
+		if rng.Intn(2) == 0 {
+			return IRI("http://e/" + str())
+		}
+		return IRI(str())
+	}
+	node := func() Term {
+		if rng.Intn(3) == 0 {
+			return Blank(str())
+		}
+		return iri()
+	}
+	object := func() Term {
+		if rng.Intn(2) == 0 {
+			return node()
+		}
+		lit := Term{Kind: LiteralTerm, Value: str()}
+		switch rng.Intn(6) {
+		case 0:
+			lit.Lang = str()
+		case 1:
+			lit.Datatype = []string{XSDInteger, XSDString, "http://e/dt"}[rng.Intn(3)]
+		case 2:
+			lit.Datatype = str()
+		case 3:
+			lit.Lang, lit.Datatype = "en", XSDInteger
+		}
+		return lit
+	}
+	written := map[string]int{}
+	for round := 0; round < 3000; round++ {
+		g := NewGraph()
+		for i := 1 + rng.Intn(5); i > 0; i-- {
+			g.Add(Triple{node(), iri(), object()})
+		}
+		for name, write := range textWriters() {
+			var b strings.Builder
+			if err := write(&b, g); err != nil {
+				continue
+			}
+			written[name]++
+			back, _, err := ParseTurtle(strings.NewReader(b.String()))
+			if err != nil {
+				t.Fatalf("round %d, %s: own output does not parse: %v\n%q", round, name, err, b.String())
+			}
+			got, want := back.SortedTriples(), g.SortedTriples()
+			if len(got) != len(want) {
+				t.Fatalf("round %d, %s: %d triples back, wrote %d\n%q", round, name, len(got), len(want), b.String())
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("round %d, %s: read back %#v, wrote %#v\n%q", round, name, got[i], want[i], b.String())
+				}
+			}
+		}
+	}
+	t.Logf("graphs written: %v of 3000", written)
+	for name := range textWriters() {
+		if written[name] < 300 {
+			t.Errorf("%s wrote only %d of 3000 graphs: the generator hardly reaches the round trip", name, written[name])
 		}
 	}
 }
