@@ -37,10 +37,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	provio "github.com/hpc-io/prov-io"
 	"github.com/hpc-io/prov-io/internal/cli"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
 
 // Exit codes, keyed by the worst defect kind found.
@@ -135,15 +137,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if !*quiet {
-		// A store of the current generation prints what it always did; files in
-		// the older layout read the same and are worth one rewrite.
-		legacy := ""
-		if n := rep.LegacyPBS(); n > 0 {
-			legacy = fmt.Sprintf(", %d file(s) in legacy pbs v1 (provio-merge -compact rewrites them)", n)
-		}
 		fmt.Fprintf(stdout, "%s: %d processes, %d files (%d sealed, %d segments, %d packs) [backend: %s]%s\n",
 			rep.Dir, rep.Processes, rep.Files, rep.Sealed, rep.Segments, rep.Packs,
-			provio.CapsString(store.Backend().Caps()), legacy)
+			provio.CapsString(store.Backend().Caps()), legacyNote(rep.PBSVersions))
 		if len(rep.Unsealed) > 0 && !*strict {
 			fmt.Fprintf(stdout, "note: %d files carry no seal (pre-integrity store; -strict flags them)\n",
 				len(rep.Unsealed))
@@ -164,6 +160,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitClean
 	}
 	return exitCode(rep.Worst())
+}
+
+// legacyNote ends the summary line. A store of the current generation prints
+// what it always did; files in an older layout read the same and are worth
+// one rewrite, so each older version's count is named, oldest first.
+func legacyNote(versions map[byte]int) string {
+	var counts []string
+	for v := byte(1); v < segcodec.PBSVersion; v++ {
+		switch n := versions[v]; {
+		case n == 0:
+		case len(counts) == 0:
+			counts = append(counts, fmt.Sprintf("%d file(s) in legacy pbs v%d", n, v))
+		default:
+			counts = append(counts, fmt.Sprintf("%d in v%d", n, v))
+		}
+	}
+	if len(counts) == 0 {
+		return ""
+	}
+	return ", " + strings.Join(counts, ", ") + " (provio-merge -compact rewrites them)"
 }
 
 func runSelftest(stdout, stderr io.Writer) int {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	provio "github.com/hpc-io/prov-io"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
 
 // buildStore writes a small two-run history (sealed canonical + sealed delta
@@ -177,10 +179,10 @@ func TestSelftest(t *testing.T) {
 }
 
 // TestStoreGenerations: the summary line of a store this build wrote is what
-// it always was; a store in the version 1 layout verifies just as clean and is
-// named as worth a rewrite; and a segment whose version this build does not
-// know is reported as that — tampered, by its own decoder — not as Turtle
-// syntax in a binary file.
+// it always was; a store in an older layout verifies just as clean and is
+// named, with its version, as worth a rewrite; and a segment whose version
+// this build does not know is reported as that — tampered, by its own decoder
+// — not as Turtle syntax in a binary file.
 func TestStoreGenerations(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "prov")
 	buildStore(t, dir, provio.FormatBinary)
@@ -189,11 +191,27 @@ func TestStoreGenerations(t *testing.T) {
 		t.Fatalf("current store: code %d, output %q", code, out)
 	}
 
-	legacy := filepath.Join("..", "..", "internal", "core", "testdata", "legacy_pbs_v1")
-	for _, layout := range []string{"loose", "packed"} {
-		code, out, _ := runCLI(t, "-store", filepath.Join(legacy, layout), "-heads", filepath.Join(legacy, layout+".heads"))
-		if code != exitClean || !strings.Contains(out, ", 3 file(s) in legacy pbs v1 (provio-merge -compact rewrites them)\n") {
-			t.Errorf("%s legacy store: code %d, output %q", layout, code, out)
+	for v := 1; v < segcodec.PBSVersion; v++ {
+		legacy := filepath.Join("..", "..", "internal", "core", "testdata", fmt.Sprintf("legacy_pbs_v%d", v))
+		want := fmt.Sprintf(", 3 file(s) in legacy pbs v%d (provio-merge -compact rewrites them)\n", v)
+		for _, layout := range []string{"loose", "packed"} {
+			code, out, _ := runCLI(t, "-store", filepath.Join(legacy, layout), "-heads", filepath.Join(legacy, layout+".heads"))
+			if code != exitClean || !strings.Contains(out, want) {
+				t.Errorf("version %d %s store: code %d, output %q", v, layout, code, out)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		versions map[byte]int
+		want     string
+	}{
+		{nil, ""},
+		{map[byte]int{segcodec.PBSVersion: 4}, ""},
+		{map[byte]int{2: 5, 1: 3, segcodec.PBSVersion: 2}, ", 3 file(s) in legacy pbs v1, 5 in v2 (provio-merge -compact rewrites them)"},
+		{map[byte]int{2: 5}, ", 5 file(s) in legacy pbs v2 (provio-merge -compact rewrites them)"},
+	} {
+		if got := legacyNote(tc.versions); got != tc.want {
+			t.Errorf("legacyNote(%v) = %q, want %q", tc.versions, got, tc.want)
 		}
 	}
 

@@ -184,9 +184,9 @@ func demoStore(t *testing.T, backend Backend) *Store {
 // the chain heads of the demo store (a head is the digest of a whole file, so
 // the canonical file Close encodes and every delta segment are pinned with
 // it) and the level-1 pack, header statistics included. The fixtures change
-// only with the format: their version 1 parents — written before the bulk
-// paths left term space, and equal to `mkstore` + `provio-merge -compact
-// -level 1` byte for byte — stay beside them as golden_demo_*_v1 (see
+// only with the format: the ones each older version wrote — equal to
+// `mkstore` + `provio-merge -compact -level 1` of that version byte for byte
+// — stay beside them as golden_demo_*_vN (see
 // TestLegacyGoldensAreTheFixtures).
 func TestGoldenDemoStore(t *testing.T) {
 	store := demoStore(t, VFSBackend{View: vfs.NewStore().NewView()})

@@ -370,13 +370,14 @@ func TestUnknownPBSVersionIsClassified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[3] = 3
+	data[3] = segcodec.PBSVersion + 1
 	if err := store.backend.WriteFile(path, data); err != nil {
 		t.Fatal(err)
 	}
+	unsupported := fmt.Sprintf("unsupported pbs version %d", data[3])
 	classified := func(what string, err error) {
 		t.Helper()
-		if !errors.Is(err, segcodec.ErrCorrupt) || !strings.Contains(err.Error(), "unsupported pbs version 3") ||
+		if !errors.Is(err, segcodec.ErrCorrupt) || !strings.Contains(err.Error(), unsupported) ||
 			!strings.Contains(err.Error(), "prov_p000000.pbs") {
 			t.Errorf("%s: %v, want ErrCorrupt naming the file and its version", what, err)
 		}
@@ -389,7 +390,7 @@ func TestUnknownPBSVersionIsClassified(t *testing.T) {
 	}
 	classified("lazy view", err)
 	rep := mustVerify(t, store)
-	if len(rep.Defects) == 0 || rep.Worst() != DefectTampered || !strings.Contains(rep.Defects[0].Detail, "unsupported pbs version 3") {
+	if len(rep.Defects) == 0 || rep.Worst() != DefectTampered || !strings.Contains(rep.Defects[0].Detail, unsupported) {
 		t.Errorf("Verify: %v", rep.Defects)
 	}
 }

@@ -17,19 +17,27 @@ import (
 	"github.com/hpc-io/prov-io/internal/vfs"
 )
 
-// The version 1 fixtures under testdata/ are the only v1 bytes there are: the
-// parent of the commit that introduced the version 2 dictionary block wrote
-// them (internal/tools/mkstore -format pbs -records 24, and provio-merge
-// -compact -level 1 on a copy, with provio-verify -write-heads beside each),
-// and nothing in this repository can write that layout again.
-const legacyFixtures = "testdata/legacy_pbs_v1"
+// The fixtures under testdata/legacy_pbs_vN are the only version N bytes
+// there are: the last commit whose encoder wrote version N wrote them
+// (internal/tools/mkstore -format pbs -records 24, and provio-merge -compact
+// -level 1 on a copy, with provio-verify -write-heads beside each), and
+// nothing in this repository can write those layouts again.
 
-const legacyVersion = segcodec.PBSVersion - 1
+// legacyVersions lists every pbs version older than the one this build
+// writes, each of which has a committed store.
+func legacyVersions() []byte {
+	var vs []byte
+	for v := byte(1); v < segcodec.PBSVersion; v++ {
+		vs = append(vs, v)
+	}
+	return vs
+}
 
-// legacyStoreFiles reads one committed version 1 store and its recorded heads.
-func legacyStoreFiles(t *testing.T, layout string) (files map[string][]byte, heads map[int][32]byte) {
+// legacyStoreFiles reads one committed store of an older version and its
+// recorded heads.
+func legacyStoreFiles(t *testing.T, version byte, layout string) (files map[string][]byte, heads map[int][32]byte) {
 	t.Helper()
-	dir := filepath.Join(legacyFixtures, layout)
+	dir := filepath.Join("testdata", fmt.Sprintf("legacy_pbs_v%d", version), layout)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -193,147 +201,151 @@ func totalBytes(files map[string][]byte) (n int) {
 	return n
 }
 
-// TestLegacyV1Readable: a store written before the version 2 dictionary block
-// reads, verifies and answers exactly like the same history written today —
-// loose or packed, eagerly or out of core — and so does its Compact rewrite
-// (which is the migration, and at least 40 % smaller) and a store that mixes
-// the generations inside one pack, on every backend.
-func TestLegacyV1Readable(t *testing.T) {
-	for _, layout := range []string{"loose", "packed"} {
-		t.Run(layout, func(t *testing.T) {
-			files, heads := legacyStoreFiles(t, layout)
-			for name, v := range pbsVersions(t, files) {
-				if v != legacyVersion {
-					t.Fatalf("fixture %s is version %d, want %d", name, v, legacyVersion)
-				}
-			}
-
-			// The same history, written by this build.
-			twin := demoStore(t, VFSBackend{View: vfs.NewStore().NewView()})
-			if layout == "packed" {
-				if _, err := twin.PackSegments(1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			twinFiles := storeFiles(t, twin)
-			if !slices.Equal(fileNames(files), fileNames(twinFiles)) {
-				t.Fatalf("fixture holds %v, its twin %v", fileNames(files), fileNames(twinFiles))
-			}
-			for name, data := range files {
-				old, cur := rdf.NewGraph(), rdf.NewGraph()
-				if err := segcodec.Detect(data).Decode(bytes.NewReader(data), old); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if err := segcodec.Detect(twinFiles[name]).Decode(bytes.NewReader(twinFiles[name]), cur); err != nil {
-					t.Fatalf("twin %s: %v", name, err)
-				}
-				if old.Len() == 0 || !bytes.Equal(ntBytes(t, old), ntBytes(t, cur)) {
-					t.Errorf("%s decodes to %d triples, its version %d twin to %d, or to others", name, old.Len(), segcodec.PBSVersion, cur.Len())
-				}
-				if len(twinFiles[name]) >= len(data) {
-					t.Errorf("%s: %d bytes in version %d, %d in version %d", name, len(data), legacyVersion, len(twinFiles[name]), segcodec.PBSVersion)
-				}
-			}
-
-			store := openDir(t, files)
-			rep, err := store.VerifyAgainst(heads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Clean() {
-				t.Fatalf("version %d store against its recorded heads: %v", legacyVersion, rep.Defects)
-			}
-			if rep.LegacyPBS() != 3 || rep.PBSVersions[legacyVersion] != 3 || len(rep.PBSVersions) != 1 {
-				t.Errorf("audit counted versions %v, want 3 files of version %d", rep.PBSVersions, legacyVersion)
-			}
-			if twinRep := mustVerify(t, twin); twinRep.LegacyPBS() != 0 || twinRep.PBSVersions[segcodec.PBSVersion] != 3 {
-				t.Errorf("twin's audit counted versions %v", twinRep.PBSVersions)
-			}
-			want := storeAnswers(t, twin)
-			sameAnswers(t, "version 1 store", storeAnswers(t, store), want)
-
-			// Compact is the migration: same answers, current version, smaller.
-			rewrite := openDir(t, files)
-			if err := rewrite.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			rewritten := storeFiles(t, rewrite)
-			for name, v := range pbsVersions(t, rewritten) {
-				if v != segcodec.PBSVersion {
-					t.Errorf("Compact left %s in version %d", name, v)
-				}
-			}
-			if rep := mustVerify(t, rewrite); !rep.Clean() || rep.LegacyPBS() != 0 {
-				t.Errorf("rewrite: defects %v, %d legacy file(s)", rep.Defects, rep.LegacyPBS())
-			}
-			sameAnswers(t, "Compact rewrite", storeAnswers(t, rewrite), want)
-			if before, after := totalBytes(files), totalBytes(rewritten); after*10 > before*6 {
-				t.Errorf("rewrite is %d bytes of %d: less than 40 %% smaller", after, before)
-			}
-
-			// Both generations in one store, then in one pack: the fixture plus
-			// segments this build tracks, against the twin plus the same.
-			mixed := openDir(t, files)
-			trackFreshSegments(t, mixed, 1)
-			trackFreshSegments(t, twin, 1)
-			before, err := mixed.Verify()
-			if err != nil || !before.Clean() {
-				t.Fatalf("mixed store: %v %v", err, before.Defects)
-			}
-			level := 1
-			if layout == "packed" {
-				level = 2 // the version 1 segments already sit in a level-1 pack
-			}
-			pack, err := mixed.PackSegments(level)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := twin.PackSegments(level); err != nil {
-				t.Fatal(err)
-			}
-			mixedFiles := storeFiles(t, mixed)
-			members := map[byte]int{}
-			for name, v := range pbsVersions(t, mixedFiles) {
-				if strings.HasPrefix(name, pack+"!") {
-					members[v]++
-				}
-			}
-			if members[legacyVersion] != 2 || members[segcodec.PBSVersion] < 2 {
-				t.Fatalf("pack %s holds members by version %v, want both generations", pack, members)
-			}
-			want = storeAnswers(t, twin)
-			sameAnswers(t, "mixed pack", storeAnswers(t, mixed), want)
-
-			// The mixed pack on every substrate: verbatim copies keep the heads
-			// recorded before packing, and so does folding it one level up.
-			for _, kind := range []string{"vfs", "mem", "file", "mount"} {
-				moved := openSnapshotOn(t, kind, mixedFiles)
-				rep, err := moved.VerifyAgainst(before.Heads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Clean() || rep.LegacyPBS() != 3 || !maps.Equal(rep.PBSVersions, before.PBSVersions) {
-					t.Fatalf("%s: defects %v, versions %v (were %v)", kind, rep.Defects, rep.PBSVersions, before.PBSVersions)
-				}
-				if _, err := moved.PackSegments(level + 1); err != nil {
-					t.Fatalf("%s: re-pack: %v", kind, err)
-				}
-				if rep, err = moved.VerifyAgainst(before.Heads); err != nil || !rep.Clean() {
-					t.Fatalf("%s after re-pack: %v %v", kind, err, rep.Defects)
-				}
-				if kind == "mount" {
-					sameAnswers(t, "re-packed on "+kind, storeAnswers(t, moved), want)
-				}
-			}
-		})
+// TestLegacyReadable: a store written in any older pbs version reads,
+// verifies and answers exactly like the same history written today — loose
+// or packed, eagerly or out of core — and so does its Compact rewrite (which
+// is the migration, and at least 40 % smaller) and a store that mixes the
+// generations inside one pack, on every backend.
+func TestLegacyReadable(t *testing.T) {
+	for _, v := range legacyVersions() {
+		for _, layout := range []string{"loose", "packed"} {
+			t.Run(fmt.Sprintf("v%d/%s", v, layout), func(t *testing.T) { checkLegacyReadable(t, v, layout) })
+		}
 	}
 }
 
-// TestLegacyGoldensAreTheFixtures: the three golden files the version 2
-// encoder superseded stay in testdata as read fixtures. The segment decodes to
-// the graph its successor decodes to; the demo pack and heads are, byte for
-// byte, the packed legacy store's — so everything TestLegacyV1Readable proves
-// of that store it proves of them.
+func checkLegacyReadable(t *testing.T, legacyVersion byte, layout string) {
+	files, heads := legacyStoreFiles(t, legacyVersion, layout)
+	for name, v := range pbsVersions(t, files) {
+		if v != legacyVersion {
+			t.Fatalf("fixture %s is version %d, want %d", name, v, legacyVersion)
+		}
+	}
+
+	// The same history, written by this build.
+	twin := demoStore(t, VFSBackend{View: vfs.NewStore().NewView()})
+	if layout == "packed" {
+		if _, err := twin.PackSegments(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twinFiles := storeFiles(t, twin)
+	if !slices.Equal(fileNames(files), fileNames(twinFiles)) {
+		t.Fatalf("fixture holds %v, its twin %v", fileNames(files), fileNames(twinFiles))
+	}
+	for name, data := range files {
+		old, cur := rdf.NewGraph(), rdf.NewGraph()
+		if err := segcodec.Detect(data).Decode(bytes.NewReader(data), old); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := segcodec.Detect(twinFiles[name]).Decode(bytes.NewReader(twinFiles[name]), cur); err != nil {
+			t.Fatalf("twin %s: %v", name, err)
+		}
+		if old.Len() == 0 || !bytes.Equal(ntBytes(t, old), ntBytes(t, cur)) {
+			t.Errorf("%s decodes to %d triples, its version %d twin to %d, or to others", name, old.Len(), segcodec.PBSVersion, cur.Len())
+		}
+		if len(twinFiles[name]) >= len(data) {
+			t.Errorf("%s: %d bytes in version %d, %d in version %d", name, len(data), legacyVersion, len(twinFiles[name]), segcodec.PBSVersion)
+		}
+	}
+
+	store := openDir(t, files)
+	rep, err := store.VerifyAgainst(heads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("version %d store against its recorded heads: %v", legacyVersion, rep.Defects)
+	}
+	if rep.LegacyPBS() != 3 || rep.PBSVersions[legacyVersion] != 3 || len(rep.PBSVersions) != 1 {
+		t.Errorf("audit counted versions %v, want 3 files of version %d", rep.PBSVersions, legacyVersion)
+	}
+	if twinRep := mustVerify(t, twin); twinRep.LegacyPBS() != 0 || twinRep.PBSVersions[segcodec.PBSVersion] != 3 {
+		t.Errorf("twin's audit counted versions %v", twinRep.PBSVersions)
+	}
+	want := storeAnswers(t, twin)
+	sameAnswers(t, fmt.Sprintf("version %d store", legacyVersion), storeAnswers(t, store), want)
+
+	// Compact is the migration: same answers, current version, smaller.
+	rewrite := openDir(t, files)
+	if err := rewrite.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	rewritten := storeFiles(t, rewrite)
+	for name, v := range pbsVersions(t, rewritten) {
+		if v != segcodec.PBSVersion {
+			t.Errorf("Compact left %s in version %d", name, v)
+		}
+	}
+	if rep := mustVerify(t, rewrite); !rep.Clean() || rep.LegacyPBS() != 0 {
+		t.Errorf("rewrite: defects %v, %d legacy file(s)", rep.Defects, rep.LegacyPBS())
+	}
+	sameAnswers(t, "Compact rewrite", storeAnswers(t, rewrite), want)
+	if before, after := totalBytes(files), totalBytes(rewritten); after*10 > before*6 {
+		t.Errorf("rewrite is %d bytes of %d: less than 40 %% smaller", after, before)
+	}
+
+	// Both generations in one store, then in one pack: the fixture plus
+	// segments this build tracks, against the twin plus the same.
+	mixed := openDir(t, files)
+	trackFreshSegments(t, mixed, 1)
+	trackFreshSegments(t, twin, 1)
+	before, err := mixed.Verify()
+	if err != nil || !before.Clean() {
+		t.Fatalf("mixed store: %v %v", err, before.Defects)
+	}
+	level := 1
+	if layout == "packed" {
+		level = 2 // the fixture's segments already sit in a level-1 pack
+	}
+	pack, err := mixed.PackSegments(level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.PackSegments(level); err != nil {
+		t.Fatal(err)
+	}
+	mixedFiles := storeFiles(t, mixed)
+	members := map[byte]int{}
+	for name, v := range pbsVersions(t, mixedFiles) {
+		if strings.HasPrefix(name, pack+"!") {
+			members[v]++
+		}
+	}
+	if members[legacyVersion] != 2 || members[segcodec.PBSVersion] < 2 {
+		t.Fatalf("pack %s holds members by version %v, want both generations", pack, members)
+	}
+	want = storeAnswers(t, twin)
+	sameAnswers(t, "mixed pack", storeAnswers(t, mixed), want)
+
+	// The mixed pack on every substrate: verbatim copies keep the heads
+	// recorded before packing, and so does folding it one level up.
+	for _, kind := range []string{"vfs", "mem", "file", "mount"} {
+		moved := openSnapshotOn(t, kind, mixedFiles)
+		rep, err := moved.VerifyAgainst(before.Heads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Clean() || rep.LegacyPBS() != 3 || !maps.Equal(rep.PBSVersions, before.PBSVersions) {
+			t.Fatalf("%s: defects %v, versions %v (were %v)", kind, rep.Defects, rep.PBSVersions, before.PBSVersions)
+		}
+		if _, err := moved.PackSegments(level + 1); err != nil {
+			t.Fatalf("%s: re-pack: %v", kind, err)
+		}
+		if rep, err = moved.VerifyAgainst(before.Heads); err != nil || !rep.Clean() {
+			t.Fatalf("%s after re-pack: %v %v", kind, err, rep.Defects)
+		}
+		if kind == "mount" {
+			sameAnswers(t, "re-packed on "+kind, storeAnswers(t, moved), want)
+		}
+	}
+}
+
+// TestLegacyGoldensAreTheFixtures: the three golden files each older encoder
+// wrote stay in testdata as read fixtures, suffixed _vN. The segment decodes
+// to the graph its successor decodes to; the demo pack and heads are, byte
+// for byte, the packed legacy store's of that version — so everything
+// TestLegacyReadable proves of that store it proves of them.
 func TestLegacyGoldensAreTheFixtures(t *testing.T) {
 	read := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -342,32 +354,36 @@ func TestLegacyGoldensAreTheFixtures(t *testing.T) {
 		}
 		return data
 	}
-	old, cur := rdf.NewGraph(), rdf.NewGraph()
-	if err := segcodec.Binary.Decode(bytes.NewReader(read("golden_merged_v1.pbs")), old); err != nil {
-		t.Fatal(err)
-	}
+	cur := rdf.NewGraph()
 	if err := segcodec.Binary.Decode(bytes.NewReader(read("golden_merged.pbs")), cur); err != nil {
 		t.Fatal(err)
 	}
-	if old.Len() == 0 || !bytes.Equal(ntBytes(t, old), ntBytes(t, cur)) {
-		t.Error("golden_merged_v1.pbs and golden_merged.pbs decode to different graphs")
-	}
-	if !bytes.Equal(ntBytes(t, old), read("golden_merged.nt")) {
-		t.Error("golden_merged_v1.pbs does not decode to golden_merged.nt")
-	}
-	files, _ := legacyStoreFiles(t, "packed")
-	if !bytes.Equal(read("golden_demo_pack_v1.psk"), files["prov_pack.l01.0000.psk"]) {
-		t.Error("golden_demo_pack_v1.psk is not the packed legacy store's pack")
-	}
-	if !bytes.Equal(read("golden_demo_heads_v1.txt"), read("legacy_pbs_v1/packed.heads")) {
-		t.Error("golden_demo_heads_v1.txt is not the packed legacy store's heads")
+	for _, v := range legacyVersions() {
+		golden := func(base, ext string) string { return fmt.Sprintf("%s_v%d%s", base, v, ext) }
+		old := rdf.NewGraph()
+		if err := segcodec.Binary.Decode(bytes.NewReader(read(golden("golden_merged", ".pbs"))), old); err != nil {
+			t.Fatal(err)
+		}
+		if old.Len() == 0 || !bytes.Equal(ntBytes(t, old), ntBytes(t, cur)) {
+			t.Errorf("%s and golden_merged.pbs decode to different graphs", golden("golden_merged", ".pbs"))
+		}
+		if !bytes.Equal(ntBytes(t, old), read("golden_merged.nt")) {
+			t.Errorf("%s does not decode to golden_merged.nt", golden("golden_merged", ".pbs"))
+		}
+		files, _ := legacyStoreFiles(t, v, "packed")
+		if !bytes.Equal(read(golden("golden_demo_pack", ".psk")), files["prov_pack.l01.0000.psk"]) {
+			t.Errorf("%s is not the packed version %d store's pack", golden("golden_demo_pack", ".psk"), v)
+		}
+		if !bytes.Equal(read(golden("golden_demo_heads", ".txt")), read(fmt.Sprintf("legacy_pbs_v%d/packed.heads", v))) {
+			t.Errorf("%s is not the packed version %d store's heads", golden("golden_demo_heads", ".txt"), v)
+		}
 	}
 }
 
 // TestEncoderWritesCurrentVersion: no path writes the old layout — the three
 // codec entry points, a tracker's Close, a delta flush, PackSegments (whose
 // members are the flushes' bytes) and Compact, on a fresh store and on top of
-// a version 1 one.
+// a store of every older version.
 func TestEncoderWritesCurrentVersion(t *testing.T) {
 	g := rdf.NewGraph()
 	g.Add(rdf.Triple{S: rdf.IRI("urn:s"), P: rdf.IRI("urn:p"), O: rdf.TypedLiteral("1", rdf.XSDInteger)})
@@ -415,25 +431,27 @@ func TestEncoderWritesCurrentVersion(t *testing.T) {
 	}
 	check("Compact", fresh, nil)
 
-	legacy, _ := legacyStoreFiles(t, "loose")
-	onTop := openDir(t, legacy)
-	trackFreshSegments(t, onTop, 1)
-	if err := onTop.WriteDeltaSegmentRefs(2, 0, refs, rdf.NewTermRenderer(g)); err != nil {
-		t.Fatal(err)
-	}
-	check("tracking into a version 1 store", onTop, legacy)
-	if err := onTop.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check("Compact of a version 1 store", onTop, nil)
+	for _, v := range legacyVersions() {
+		legacy, _ := legacyStoreFiles(t, v, "loose")
+		onTop := openDir(t, legacy)
+		trackFreshSegments(t, onTop, 1)
+		if err := onTop.WriteDeltaSegmentRefs(2, 0, refs, rdf.NewTermRenderer(g)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("tracking into a version %d store", v), onTop, legacy)
+		if err := onTop.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("Compact of a version %d store", v), onTop, nil)
 
-	// A version 1 canonical file with nothing to fold is still rewritten.
-	alone := openDir(t, map[string][]byte{"prov_p000000.pbs": legacy["prov_p000000.pbs"]})
-	if err := alone.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check("Compact of a lone version 1 canonical file", alone, nil)
-	if rep := mustVerify(t, alone); !rep.Clean() {
-		t.Errorf("rewritten canonical file: %v", rep.Defects)
+		// An older canonical file with nothing to fold is still rewritten.
+		alone := openDir(t, map[string][]byte{"prov_p000000.pbs": legacy["prov_p000000.pbs"]})
+		if err := alone.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("Compact of a lone version %d canonical file", v), alone, nil)
+		if rep := mustVerify(t, alone); !rep.Clean() {
+			t.Errorf("rewritten version %d canonical file: %v", v, rep.Defects)
+		}
 	}
 }

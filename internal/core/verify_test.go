@@ -252,25 +252,33 @@ func TestVerifyFlipMatrix(t *testing.T) {
 			}
 		})
 	}
-	// The version byte takes two bit flips to name the other known layout, so
-	// the matrix above never tries it: a sealed segment under the other
-	// version byte is a defect, never a silent decode as that layout — of a
-	// store this build wrote, and of the committed version 1 store.
+	// Naming another known layout takes more than one bit flip, so the matrix
+	// above never tries it: a sealed segment under another known version byte
+	// is a defect, never a silent decode as that layout — of a store this
+	// build wrote, and of the committed store of every older version.
 	current := newBinaryVFSStore(t)
 	smallHistory(t, current, 0)
-	legacy, _ := legacyStoreFiles(t, "loose")
-	for what, clean := range map[string]map[string][]byte{"current": storeFiles(t, current), "legacy": legacy} {
+	stores := map[string]map[string][]byte{"current": storeFiles(t, current)}
+	for _, v := range legacyVersions() {
+		stores[fmt.Sprintf("version %d", v)], _ = legacyStoreFiles(t, v, "loose")
+	}
+	for what, clean := range stores {
 		for name, data := range clean {
-			mut := maps.Clone(clean)
-			mut[name] = append([]byte(nil), data...)
-			mut[name][3] ^= legacyVersion ^ segcodec.PBSVersion
-			rep := mustVerify(t, openDir(t, mut))
-			rejected := false
-			for _, d := range rep.Defects {
-				rejected = rejected || d.Name == name && strings.HasPrefix(d.Detail, "decode:")
-			}
-			if !rejected {
-				t.Errorf("%s store: %s under version byte %d was not rejected by its decode: %v", what, name, mut[name][3], rep.Defects)
+			for v := byte(1); v <= segcodec.PBSVersion; v++ {
+				if v == data[3] {
+					continue
+				}
+				mut := maps.Clone(clean)
+				mut[name] = append([]byte(nil), data...)
+				mut[name][3] = v
+				rep := mustVerify(t, openDir(t, mut))
+				rejected := false
+				for _, d := range rep.Defects {
+					rejected = rejected || d.Name == name && strings.HasPrefix(d.Detail, "decode:")
+				}
+				if !rejected {
+					t.Errorf("%s store: %s under version byte %d was not rejected by its decode: %v", what, name, v, rep.Defects)
+				}
 			}
 		}
 	}

@@ -21,7 +21,7 @@ import (
 //
 //	magic      4 bytes  'P' 'B' 'S' <version>
 //	dict frame          frame{ term dictionary block }
-//	triple frame        frame{ triple ID columns }
+//	triple frame        frame{ triple block }
 //	stats frame         frame{ 'S' 'T' 'A' 0x01 ... }   optional (see stats.go)
 //	chain frame         frame{ 'C' 'H' 'N' 0x01 ... }   optional (see chain.go)
 //
@@ -53,40 +53,48 @@ import (
 // index in range; the decoder rejects anything else, so a segment's bytes
 // stay a function of its triple set.
 //
-// That is version 2, the only one written. Version 1 files stay readable;
-// their dictionary block spells every term's kind and every literal's pair
-// inline:
-//
-//	uvarint termCount
-//	per term: kind byte | uvarint sharedPrefix | uvarint suffixLen | suffix
-//	          literals append: uvarint langLen | lang | uvarint dtLen | dt
-//
-// decodeDict is the only function that knows the difference: frames, columns,
-// stats, seals and packs are the same in both, and a v1 segment's stats frame
-// equals its v2 rewrite's byte for byte.
-//
 // Local IDs are positional: the i-th dictionary entry is ID i. Segments are
 // self-contained — a segment never references terms from an earlier
 // segment's dictionary, because Flush and Compact delete earlier segments
 // and a cross-segment delta chain would be unreadable after crash recovery.
 //
-// The triple block stores the (s, p, o) local-ID triples strictly ascending
-// (sorted, no triple twice), column-major, delta-encoded: the S column as non-negative uvarint deltas
-// (sorted, so monotone), the P and O columns as zig-zag signed deltas.
+// The triple block holds the local-ID rows strictly ascending in (s, p, o)
+// order (sorted, no triple twice), a subject once per run of its rows and the
+// predicates of a run as the index of its shape (see triples.go):
 //
 //	uvarint tripleCount
-//	S column | P column | O column
+//	uvarint nPreds  | per predicate: uvarint local-ID delta
+//	uvarint nShapes | per shape: uvarint nPairs | per pair: uvarint predIndexDelta, uvarint count
+//	uvarint nRuns   | per subject run: uvarint subjectDelta, uvarint shapeIndex
+//	O column        | per row: zig-zag delta from the previous object of the same predicate
+//
+// That is version 3, the only one written. Older files stay readable, and
+// only the two blocks above changed between the versions: version 2 wrote
+// the triple block column-major (uvarint tripleCount | S column as uvarint
+// deltas | P and O columns as zig-zag deltas, each from the previous row),
+// and version 1 that triple block behind a dictionary block spelling every
+// term's kind and every literal's pair inline:
+//
+//	uvarint termCount
+//	per term: kind byte | uvarint sharedPrefix | uvarint suffixLen | suffix
+//	          literals append: uvarint langLen | lang | uvarint dtLen | dt
+//
+// decodeDict and decodeCols are the only functions that know the difference:
+// frames, stats, seals and packs are the same in all three, and a segment's
+// stats frame equals its rewrite's byte for byte.
 type binCodec struct{}
 
 // pbsMagic identifies a binary segment; the byte after it is the format
 // version.
 var pbsMagic = []byte{'P', 'B', 'S'}
 
-// PBSVersion is the format version every encoder entry point writes. The one
-// other layout the decoder reads is pbsLegacyVersion.
+// PBSVersion is the format version every encoder entry point writes. The
+// decoder reads every version from 1 up to it: version 2 brought the
+// dictionary block's tag table, version 3 the subject-run triple block.
 const (
-	PBSVersion       = 2
-	pbsLegacyVersion = 1
+	PBSVersion         = 3
+	pbsTagTableVersion = 2
+	pbsRunsVersion     = 3
 )
 
 // pbsBody splits a binary segment into its format version and the frames
@@ -100,7 +108,7 @@ func pbsBody(data []byte) (version byte, rest []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: missing PBS magic", ErrCorrupt)
 	}
 	version = data[len(pbsMagic)]
-	if version != pbsLegacyVersion && version != PBSVersion {
+	if version == 0 || version > PBSVersion {
 		return 0, nil, fmt.Errorf("%w: unsupported pbs version %d", ErrCorrupt, version)
 	}
 	return version, data[len(pbsMagic)+1:], nil
@@ -163,22 +171,27 @@ func collectTags(tags []tagPair, literals []rdf.Term) []tagPair {
 // block.
 func writeSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 	dict := encodeDict(terms)
-	col := encodeCols(tris)
 	st := ComputeStats(terms, tris)
 	sta := st.encode()
 
+	// The triple block is built in the scratch, so the file is the one buffer
+	// a segment allocates beyond the dictionary block and the stats.
+	sc := encPool.Get().(*encScratch)
+	col := sc.appendCols(sc.col[:0], tris)
 	out := make([]byte, 0, len(pbsMagic)+1+len(dict)+len(col)+len(sta)+36)
 	out = append(append(out, pbsMagic...), PBSVersion)
 	out = appendFrame(out, dict)
 	out = appendFrame(out, col)
 	out = appendFrame(out, sta)
+	sc.col = col
+	encPool.Put(sc)
 	_, err := w.Write(out)
 	return err
 }
 
-// encodeDict renders the (version 2) dictionary block of a dictionary in the
-// canonical order. The block is sized up front so a flush does not double it
-// up from empty: tracked provenance measures 6.5–10 bytes per term
+// encodeDict renders the dictionary block (versions 2 and 3) of a dictionary
+// in the canonical order. The block is sized up front so a flush does not
+// double it up from empty: tracked provenance measures 6.5–10 bytes per term
 // (front-coded values, one index byte of typing per literal) after a tag
 // table of some 50 bytes; a richer dictionary grows the slice.
 func encodeDict(terms []rdf.Term) []byte {
@@ -222,28 +235,6 @@ func encodeDict(terms []rdf.Term) []byte {
 	sc.tags = tags
 	encPool.Put(sc)
 	return dict
-}
-
-// encodeCols renders the triple block of sorted, distinct rows: 3–4.5 bytes
-// per triple on tracked provenance.
-func encodeCols(tris [][3]uint32) []byte {
-	col := make([]byte, 0, 5*len(tris)+binary.MaxVarintLen64)
-	col = binary.AppendUvarint(col, uint64(len(tris)))
-	var prevS uint32
-	for _, t := range tris {
-		col = binary.AppendUvarint(col, uint64(t[0]-prevS))
-		prevS = t[0]
-	}
-	var prevP, prevO int64
-	for _, t := range tris {
-		col = binary.AppendVarint(col, int64(t[1])-prevP)
-		prevP = int64(t[1])
-	}
-	for _, t := range tris {
-		col = binary.AppendVarint(col, int64(t[2])-prevO)
-		prevO = int64(t[2])
-	}
-	return col
 }
 
 // Decode is DecodeColumns followed by Materialize: the segment is validated
@@ -336,7 +327,7 @@ func DecodeColumns(data []byte) (*Columns, error) {
 	if c.Terms, iris, nonLiterals, err = decodeDict(dict, version); err != nil {
 		return nil, fmt.Errorf("%w: dictionary block: %v", ErrCorrupt, err)
 	}
-	if c.Tris, err = decodeCols(cols, len(c.Terms)); err != nil {
+	if c.Tris, err = decodeCols(cols, version, c.Terms, iris, nonLiterals); err != nil {
 		return nil, fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
 	}
 	if statsPayload != nil {
@@ -349,16 +340,15 @@ func DecodeColumns(data []byte) (*Columns, error) {
 		}
 		c.Stats = &st
 	}
-	if err := checkShape(c.Terms, iris, nonLiterals, c.Tris); err != nil {
-		return nil, fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
-	}
 	return c, nil
 }
 
-// checkShape validates the RDF shape of every triple: a subject is an IRI or
-// a blank node, a predicate an IRI. The dictionary is sorted kind-first, so
-// each rule is one comparison of a local ID with a kind boundary: the first
-// iris entries are the IRIs, the first nonLiterals the IRIs and blank nodes.
+// checkShape validates the RDF shape of every row of a version 1 or 2 triple
+// block: a subject is an IRI or a blank node, a predicate an IRI. The
+// dictionary is sorted kind-first, so each rule is one comparison of a local
+// ID with a kind boundary: the first iris entries are the IRIs, the first
+// nonLiterals the IRIs and blank nodes. (A version 3 block names each subject
+// and predicate once, and its decoder checks them there.)
 func checkShape(terms []rdf.Term, iris, nonLiterals uint32, tris [][3]uint32) error {
 	for i, t := range tris {
 		if t[0] >= nonLiterals || t[1] >= iris {
@@ -398,11 +388,12 @@ func (c *Columns) Materialize(into *rdf.Graph) {
 // term costs one allocation, its Value, and every literal's Lang and Datatype
 // are the two strings of one entry of the block's tag table.
 //
-// This is the one place the format version matters: a version 1 block spells
-// each term's kind and each literal's pair inline and has a decoder of its
-// own, which hands back the same three results.
+// Besides decodeCols this is the one place the format version matters: a
+// version 1 block spells each term's kind and each literal's pair inline and
+// has a decoder of its own, which hands back the same three results; versions
+// 2 and 3 share this one.
 func decodeDict(p []byte, version byte) (terms []rdf.Term, iris, nonLiterals uint32, err error) {
-	if version == pbsLegacyVersion {
+	if version < pbsTagTableVersion {
 		return decodeLegacyDict(p)
 	}
 	var counts [4]uint64 // IRIs, blank nodes, literals, tags
@@ -590,10 +581,31 @@ func internTag(tags []tagPair, lang, dt []byte) ([]tagPair, tagPair) {
 
 const maxInlineTags = 8
 
-// decodeCols walks the delta-encoded ID columns into local-ID triples,
-// range-checking every ID against the dictionary's size and rejecting rows
-// that are not strictly ascending.
-func decodeCols(p []byte, terms int) ([][3]uint32, error) {
+// decodeCols rebuilds the rows of a triple block, rejecting any that are not
+// strictly ascending, not of valid RDF shape, or name a term the dictionary
+// does not hold. Besides decodeDict it is the one function the format version
+// reaches: a version 3 block goes to decodeRuns, an older one to
+// decodeLegacyCols.
+func decodeCols(p []byte, version byte, terms []rdf.Term, iris, nonLiterals uint32) ([][3]uint32, error) {
+	if version >= pbsRunsVersion {
+		return decodeRuns(p, uint32(len(terms)), iris, nonLiterals)
+	}
+	tris, err := decodeLegacyCols(p, len(terms))
+	if err != nil {
+		return nil, err
+	}
+	return tris, checkShape(terms, iris, nonLiterals, tris)
+}
+
+// decodeLegacyCols walks the column-major triple block of versions 1 and 2 —
+// the S column as uvarint deltas, the P and O columns as zig-zag deltas, each
+// from the previous row —
+//
+//	uvarint tripleCount | S column | P column | O column
+//
+// into local-ID triples, range-checking every ID against the dictionary's
+// size and rejecting rows that are not strictly ascending.
+func decodeLegacyCols(p []byte, terms int) ([][3]uint32, error) {
 	n, p, err := getUvarint(p)
 	if err != nil {
 		return nil, err
@@ -698,9 +710,12 @@ func putUvarint(w *bytes.Buffer, v uint64) {
 	w.Write(buf[:binary.PutUvarint(buf[:], v)])
 }
 
+// getUvarint reads one uvarint. A varint padded with a zero last byte reads
+// as the value it pads, so it is rejected: every number has one spelling,
+// and a file that decodes re-encodes to its own bytes.
 func getUvarint(p []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(p)
-	if n <= 0 {
+	if n <= 0 || n > 1 && p[n-1] == 0 {
 		return 0, nil, fmt.Errorf("bad uvarint")
 	}
 	return v, p[n:], nil
@@ -708,7 +723,7 @@ func getUvarint(p []byte) (uint64, []byte, error) {
 
 func getSvarint(p []byte) (int64, []byte, error) {
 	v, n := binary.Varint(p)
-	if n <= 0 {
+	if n <= 0 || n > 1 && p[n-1] == 0 {
 		return 0, nil, fmt.Errorf("bad varint")
 	}
 	return v, p[n:], nil

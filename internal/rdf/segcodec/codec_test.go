@@ -40,7 +40,7 @@ func TestRegistry(t *testing.T) {
 func TestDetect(t *testing.T) {
 	// Any version byte, also one this build cannot read: the file is a binary
 	// segment and its decoder says what is wrong with it.
-	for _, data := range [][]byte{pbsMagic, {'P', 'B', 'S', pbsLegacyVersion}, {'P', 'B', 'S', PBSVersion}, {'P', 'B', 'S', 0x7f, 0x00}} {
+	for _, data := range [][]byte{pbsMagic, {'P', 'B', 'S', 1}, {'P', 'B', 'S', 2}, {'P', 'B', 'S', PBSVersion}, {'P', 'B', 'S', 0x7f, 0x00}} {
 		if c := Detect(data); c.Name() != "pbs" {
 			t.Errorf("Detect(%q) = %s, want pbs", data, c.Name())
 		}
@@ -58,7 +58,7 @@ func TestDetect(t *testing.T) {
 // — and never handed to the text parser or read as another layout.
 func TestUnknownVersionIsClassified(t *testing.T) {
 	good := validSegment(t)
-	for _, v := range []byte{0, 3, 0x7f, 0xff} {
+	for _, v := range []byte{0, PBSVersion + 1, 0x7f, 0xff} {
 		data := append([]byte{}, good...)
 		data[3] = v
 		want := fmt.Sprintf("unsupported pbs version %d", v)
@@ -85,20 +85,28 @@ func TestUnknownVersionIsClassified(t *testing.T) {
 	}
 }
 
-// TestVersionByteSwapIsRejected: the same frames under the other known
-// version byte are the other layout's garbage — a v2 block read as v1, or the
-// v1 golden read as v2, must fail, not decode to something else.
+// TestVersionByteSwapIsRejected: the same frames under another known version
+// byte are that layout's garbage — a v3 triple block read as v2, the v2
+// golden read as v3 or v1, any generation under any other — and must fail,
+// not decode to something else.
 func TestVersionByteSwapIsRejected(t *testing.T) {
-	for name, data := range map[string][]byte{
+	samples := map[string][]byte{
 		"two-triple segment": validSegment(t),
 		"empty segment":      handBuiltSegment(t, nil, nil),
-		"golden v2":          coreGolden(t, "golden_merged.pbs"),
-		"golden v1":          coreGolden(t, "golden_merged_v1.pbs"),
-	} {
-		swapped := append([]byte{}, data...)
-		swapped[3] ^= pbsLegacyVersion ^ PBSVersion
-		if _, err := DecodeColumns(swapped); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s under the other version byte: DecodeColumns returned %v, want ErrCorrupt", name, err)
+	}
+	for i, data := range goldenGenerations(t) {
+		samples[fmt.Sprintf("golden v%d", i+1)] = data
+	}
+	for name, data := range samples {
+		for v := byte(1); v <= PBSVersion; v++ {
+			if v == data[3] {
+				continue
+			}
+			swapped := append([]byte{}, data...)
+			swapped[3] = v
+			if _, err := DecodeColumns(swapped); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s under version byte %d: DecodeColumns returned %v, want ErrCorrupt", name, v, err)
+			}
 		}
 	}
 }
@@ -292,7 +300,7 @@ func TestBinaryDecodeCorruption(t *testing.T) {
 		"truncated mid":   good[: len(good)/2 : len(good)/2],
 		"missing crc":     good[:len(good)-2],
 		"trailing bytes":  append(append([]byte{}, good...), 0x00),
-		"unknown version": append([]byte{'P', 'B', 'S', 0x03}, good[4:]...),
+		"unknown version": append([]byte{'P', 'B', 'S', PBSVersion + 1}, good[4:]...),
 	}
 	// Flip a byte inside the dictionary payload so the CRC no longer holds.
 	crcFlip := append([]byte{}, good...)
@@ -303,8 +311,9 @@ func TestBinaryDecodeCorruption(t *testing.T) {
 	// behind valid CRCs (TestDecodeRejectsNonCanonicalDictBlock has the
 	// variants).
 	ab := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b")}
+	abRows := [][3]uint32{{0, 1, 1}}
 	cases["kind counts != entries"] = handFramedSegment(PBSVersion,
-		handBuiltDict([4]uint64{2, 0, 0, 0}, nil, []dictEntry{{0, "urn:a", -1}}), ab, [][3]uint32{{0, 1, 1}})
+		handBuiltDict([4]uint64{2, 0, 0, 0}, nil, []dictEntry{{0, "urn:a", -1}}), new(encScratch).appendCols(nil, abRows), ab, abRows)
 
 	// Well-framed, CRCs and stats frame consistent, rows not strictly
 	// ascending (TestDecodeRejectsUnsortedRows has the variants).

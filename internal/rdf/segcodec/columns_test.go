@@ -19,8 +19,9 @@ import (
 
 // handBuiltSegment serializes a dictionary and rows that need not be
 // canonical. writeSegment front-codes and delta-codes whatever order it is
-// given and derives the stats frame from the same arrays, so the result has
-// valid CRCs and a self-consistent stats frame — only the order is wrong.
+// given (a subject or predicate that descends wraps to a delta no decoder
+// accepts) and derives the stats frame from the same arrays, so the result
+// has valid CRCs and a self-consistent stats frame — only the order is wrong.
 func handBuiltSegment(t testing.TB, terms []rdf.Term, tris [][3]uint32) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -62,20 +63,193 @@ func handBuiltDict(counts [4]uint64, tags []tagPair, entries []dictEntry) []byte
 	return b
 }
 
-// handFramedSegment frames a raw dictionary block, under any version byte,
-// with the triple block of tris and the stats frame (terms, tris) derive —
-// terms being what the block spells — so every CRC holds and the stats frame
-// is self-consistent: only the dictionary block is wrong.
-func handFramedSegment(version byte, dict []byte, terms []rdf.Term, tris [][3]uint32) []byte {
+// handFramedSegment frames a raw dictionary block and a raw triple block,
+// under any version byte, with the stats frame (terms, tris) derive — terms
+// and tris being what the blocks mean to spell — so every CRC holds and the
+// stats frame is self-consistent: only the blocks can be wrong.
+func handFramedSegment(version byte, dict, cols []byte, terms []rdf.Term, tris [][3]uint32) []byte {
 	st := ComputeStats(terms, tris)
 	out := append(append([]byte{}, pbsMagic...), version)
 	out = appendFrame(out, dict)
-	out = appendFrame(out, encodeCols(tris))
+	out = appendFrame(out, cols)
 	return appendFrame(out, st.encode())
 }
 
-// tagTableCase is one hand-built version 2 segment that breaks a rule of the
-// dictionary block (want names the decoder's complaint), or none (want "").
+// runsBlock is a version 3 triple block field by field, every list already
+// delta-coded and written as given: shapes holds each shape's flat
+// (predIndexDelta, count) pairs, runs each (subjectDelta, shapeIndex).
+type runsBlock struct {
+	n      uint64
+	preds  []uint64
+	shapes [][]uint64
+	runs   [][2]uint64
+	o      []int64
+}
+
+func (b runsBlock) bytes() []byte {
+	out := binary.AppendUvarint(nil, b.n)
+	out = binary.AppendUvarint(out, uint64(len(b.preds)))
+	for _, d := range b.preds {
+		out = binary.AppendUvarint(out, d)
+	}
+	out = binary.AppendUvarint(out, uint64(len(b.shapes)))
+	for _, pairs := range b.shapes {
+		out = binary.AppendUvarint(out, uint64(len(pairs)/2))
+		for _, v := range pairs {
+			out = binary.AppendUvarint(out, v)
+		}
+	}
+	out = binary.AppendUvarint(out, uint64(len(b.runs)))
+	for _, r := range b.runs {
+		out = binary.AppendUvarint(out, r[0])
+		out = binary.AppendUvarint(out, r[1])
+	}
+	for _, d := range b.o {
+		out = binary.AppendVarint(out, d)
+	}
+	return out
+}
+
+// runsCase is one hand-built version 3 segment that breaks a rule of the
+// triple block (want names the decoder's complaint), or none (want "").
+type runsCase struct {
+	name, want string
+	data       []byte
+}
+
+// runsCases are the tamper shapes of the version 3 triple block over the
+// dictionary <urn:a> <urn:b> <urn:p> <urn:q> _:x "1" "2" and eight rows:
+//
+//	a p "1", a p "2", a q <urn:b>   shape 0: (p, 2) (q, 1)
+//	b p "1", b q <urn:a>            shape 1: (p, 1) (q, 1)
+//	x p "1", x p "2", x q <urn:b>   shape 0
+//
+// spelled canonically once and then with one rule broken at a time.
+func runsCases() []runsCase {
+	terms := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b"), rdf.IRI("urn:p"), rdf.IRI("urn:q"),
+		rdf.Blank("x"), rdf.Literal("1"), rdf.Literal("2")}
+	tris := [][3]uint32{{0, 2, 5}, {0, 2, 6}, {0, 3, 1}, {1, 2, 5}, {1, 3, 0}, {4, 2, 5}, {4, 2, 6}, {4, 3, 1}}
+	canon := func() runsBlock {
+		return runsBlock{
+			n:      8,
+			preds:  []uint64{2, 1},
+			shapes: [][]uint64{{0, 2, 1, 1}, {0, 1, 1, 1}},
+			runs:   [][2]uint64{{0, 0}, {1, 1}, {3, 0}},
+			o:      []int64{5, 1, 1, -1, -1, 0, 1, 1},
+		}
+	}
+	dict := encodeDict(terms)
+	framed := func(name, want string, cols []byte) runsCase {
+		return runsCase{name, want, handFramedSegment(PBSVersion, dict, cols, terms, tris)}
+	}
+	build := func(name, want string, edit func(b *runsBlock)) runsCase {
+		b := canon()
+		edit(&b)
+		return framed(name, want, b.bytes())
+	}
+	// A block that ends at the shape count (or the run count), which lies.
+	// tripleCount drops to a small lie, so that such a lie passes the bound
+	// by the rows and only the payload bound refuses it.
+	lying := func(name, want string, runs bool, count uint64) runsCase {
+		b := canon()
+		b.n = min(b.n, count)
+		b.runs, b.o = nil, nil
+		if !runs {
+			b.shapes = nil
+		}
+		cols := b.bytes()
+		cols = cols[:len(cols)-1] // nRuns = 0
+		if !runs {
+			cols = cols[:len(cols)-1] // nShapes = 0
+		}
+		return framed(name, want, binary.AppendUvarint(cols, count))
+	}
+	return []runsCase{
+		build("canonical", "", func(*runsBlock) {}),
+		build("predicate table repeats an entry", "predicate table is not strictly ascending", func(b *runsBlock) { b.preds[1] = 0 }),
+		build("predicate is a blank node", "leaves the 4 IRIs", func(b *runsBlock) { b.preds[1] = 2 }),
+		build("predicate no shape names", "predicate 0: no shape names it", func(b *runsBlock) {
+			b.preds = []uint64{0, 2, 1}
+			b.shapes = [][]uint64{{1, 2, 1, 1}, {1, 1, 1, 1}}
+		}),
+		build("duplicate shape", "shape 2 repeats an earlier shape", func(b *runsBlock) {
+			b.shapes = append(b.shapes, b.shapes[0])
+			b.runs[2][1] = 2
+		}),
+		build("shape used before a lower-numbered one", "run 0: shape 1 used before shape 0", func(b *runsBlock) {
+			b.shapes[0], b.shapes[1] = b.shapes[1], b.shapes[0]
+			b.runs = [][2]uint64{{0, 1}, {1, 0}, {3, 1}}
+		}),
+		build("shape no run uses", "shape 2: no run uses it", func(b *runsBlock) { b.shapes = append(b.shapes, []uint64{1, 1}) }),
+		build("pairs not ascending", "pairs are not strictly ascending", func(b *runsBlock) { b.shapes[0] = []uint64{0, 2, 0, 1} }),
+		build("pair with count zero", "count 0", func(b *runsBlock) { b.shapes[1] = []uint64{0, 0, 1, 1} }),
+		build("empty shape", "0 pairs", func(b *runsBlock) { b.shapes[1] = nil }),
+		build("pair index past the table", "predicate index out of range", func(b *runsBlock) { b.shapes[1] = []uint64{0, 1, 2, 1} }),
+		build("subject repeats", "subjects are not strictly ascending", func(b *runsBlock) { b.runs[1][0] = 0 }),
+		build("subject is a literal", "leaves the 5 IRIs and blank nodes", func(b *runsBlock) { b.runs[2][0] = 4 }),
+		build("shape index past the table", "shape 2 out of range", func(b *runsBlock) { b.runs[2][1] = 2 }),
+		build("runs hold fewer rows than counted", "runs hold 8 triples, count says 9", func(b *runsBlock) { b.n = 9 }),
+		build("runs hold more rows than counted", "runs hold more than 7 triples", func(b *runsBlock) { b.n = 7 }),
+		build("object past the dictionary", "O column at 0", func(b *runsBlock) { b.o[0] = 7 }),
+		build("object below zero", "O column at 3", func(b *runsBlock) { b.o[3] = -7 }),
+		build("object repeats in its (s, p) group", "triple 1 is not above its predecessor", func(b *runsBlock) { b.o[1] = 0 }),
+		build("object descends in its (s, p) group", "triple 6 is not above its predecessor", func(b *runsBlock) { b.o[6] = -1 }),
+		build("O column cut short", "O column at 7", func(b *runsBlock) { b.o = b.o[:7] }),
+		build("trailing bytes", "1 trailing bytes", func(b *runsBlock) { b.o = append(b.o, 0) }),
+		// Counts that lie about the payload: each is refused before anything
+		// is sized by it.
+		build("tripleCount past the payload", "triple count 4194304 exceeds payload", func(b *runsBlock) { b.n = 1 << 22 }),
+		build("nPreds past the rows", "predicates for 8 triples", func(b *runsBlock) { b.preds = make([]uint64, 9) }),
+		lying("nShapes past the rows", "1099511627776 shapes for 8 triples exceed payload", false, 1<<40),
+		lying("nShapes past the payload", "4 shapes for 4 triples exceed payload", false, 4),
+		lying("nRuns past the rows", "1099511627776 runs for 8 triples exceed payload", true, 1<<40),
+		lying("nRuns past the payload", "8 runs for 8 triples exceed payload", true, 8),
+	}
+}
+
+// TestDecodeRejectsHostileRunsBlock: the version 3 triple block is canonical
+// by rejection. Each broken rule is an ErrCorrupt from the triple block,
+// behind valid CRCs and a self-consistent stats frame, with nothing left in
+// the caller's graph, no panic, and no allocation sized by a count the
+// payload does not back; the canonical spelling is what the encoder writes.
+func TestDecodeRejectsHostileRunsBlock(t *testing.T) {
+	for i, tc := range runsCases() {
+		into := rdf.NewGraph()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := Binary.Decode(bytes.NewReader(tc.data), into)
+		runtime.ReadMemStats(&after)
+		if allocated := after.TotalAlloc - before.TotalAlloc; allocated > 1<<20 {
+			t.Errorf("%s: decoding %d bytes allocated %d", tc.name, len(tc.data), allocated)
+		}
+		if i == 0 {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			var enc bytes.Buffer
+			if err := Binary.Encode(&enc, into, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc.Bytes(), tc.data) {
+				t.Fatalf("%s: the hand-built block is not what the encoder writes", tc.name)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode returned %v, want ErrCorrupt", tc.name, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "triple block") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: rejected with %q, want a triple-block complaint about %q", tc.name, err, tc.want)
+		}
+		if into.Len() != 0 || into.TermCount() != 0 {
+			t.Errorf("%s: rejected segment left %d triples, %d terms behind", tc.name, into.Len(), into.TermCount())
+		}
+	}
+}
+
+// tagTableCase is one hand-built segment that breaks a rule of the dictionary
+// block (want names the decoder's complaint), or none (want "").
 type tagTableCase struct {
 	name, want string
 	data       []byte
@@ -99,7 +273,7 @@ func tagTableCases() []tagTableCase {
 		return c
 	}
 	build := func(name, want string, counts [4]uint64, tags []tagPair, e []dictEntry, terms []rdf.Term) tagTableCase {
-		return tagTableCase{name, want, handFramedSegment(PBSVersion, handBuiltDict(counts, tags, e), terms, tris)}
+		return tagTableCase{name, want, handFramedSegment(PBSVersion, handBuiltDict(counts, tags, e), new(encScratch).appendCols(nil, tris), terms, tris)}
 	}
 	return []tagTableCase{
 		build("canonical", "", counts, []tagPair{integer, en}, entries(0, 1), terms),
@@ -259,7 +433,7 @@ func TestDecodeRejectsBeforeFirstInsert(t *testing.T) {
 }
 
 // coreGolden reads one of internal/core's golden segment fixtures: the
-// current golden_merged.pbs, or its version 1 parent golden_merged_v1.pbs,
+// current golden_merged.pbs, or an older generation golden_merged_vN.pbs,
 // written by the last encoder that wrote that layout.
 func coreGolden(t testing.TB, name string) []byte {
 	t.Helper()
@@ -270,40 +444,55 @@ func coreGolden(t testing.TB, name string) []byte {
 	return data
 }
 
-// TestLegacyDictBlockDecodesTheSame: the version 1 golden segment and its
-// version 2 twin hold the same dictionary, rows and stats — term for term,
-// and the stats frames byte for byte — and the v1 file re-encodes to the v2
-// bytes. Only Version tells the two decodes apart.
+// goldenGenerations returns the golden segment in every version this build
+// reads, oldest first: element v-1 is version v.
+func goldenGenerations(t testing.TB) [][]byte {
+	var out [][]byte
+	for v := 1; v < PBSVersion; v++ {
+		out = append(out, coreGolden(t, fmt.Sprintf("golden_merged_v%d.pbs", v)))
+	}
+	return append(out, coreGolden(t, "golden_merged.pbs"))
+}
+
+// TestLegacyDictBlockDecodesTheSame: the golden segment in versions 1, 2 and
+// 3 holds the same dictionary, rows and stats — term for term, and the stats
+// frames byte for byte — and every older file re-encodes to the current
+// bytes. Only Version tells the decodes apart.
 func TestLegacyDictBlockDecodesTheSame(t *testing.T) {
-	v1, v2 := coreGolden(t, "golden_merged_v1.pbs"), coreGolden(t, "golden_merged.pbs")
-	if v1[3] != pbsLegacyVersion || v2[3] != PBSVersion {
-		t.Fatalf("fixtures carry versions %d and %d, want %d and %d", v1[3], v2[3], pbsLegacyVersion, PBSVersion)
-	}
-	old, err := DecodeColumns(v1)
+	gens := goldenGenerations(t)
+	cur, err := DecodeColumns(gens[PBSVersion-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := DecodeColumns(v2)
-	if err != nil {
-		t.Fatal(err)
+	curSta, _, ok := statsSplit(gens[PBSVersion-1])
+	if !ok {
+		t.Fatal("the current golden carries no stats frame")
 	}
-	if old.Version != pbsLegacyVersion || cur.Version != PBSVersion {
-		t.Errorf("Columns.Version = %d and %d", old.Version, cur.Version)
-	}
-	if !slices.Equal(old.Terms, cur.Terms) || !slices.Equal(old.Tris, cur.Tris) {
-		t.Fatal("the two generations decode to different columns")
-	}
-	oldSta, _, ok1 := statsSplit(v1)
-	curSta, _, ok2 := statsSplit(v2)
-	if !ok1 || !ok2 || !bytes.Equal(oldSta, curSta) {
-		t.Error("the two generations carry different stats frames")
-	}
-	var re bytes.Buffer
-	if err := writeSegment(&re, old.Terms, old.Tris); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(re.Bytes(), v2) {
-		t.Error("re-encoding the version 1 golden does not give the version 2 golden")
+	for i, data := range gens {
+		v := byte(i + 1)
+		if data[3] != v {
+			t.Fatalf("fixture of version %d carries version byte %d", v, data[3])
+		}
+		c, err := DecodeColumns(data)
+		if err != nil {
+			t.Fatalf("version %d: %v", v, err)
+		}
+		if c.Version != v {
+			t.Errorf("version %d: Columns.Version = %d", v, c.Version)
+		}
+		if !slices.Equal(c.Terms, cur.Terms) || !slices.Equal(c.Tris, cur.Tris) {
+			t.Fatalf("version %d decodes to other columns than version %d", v, PBSVersion)
+		}
+		if sta, _, ok := statsSplit(data); !ok || !bytes.Equal(sta, curSta) {
+			t.Errorf("version %d carries another stats frame than version %d", v, PBSVersion)
+		}
+		var re bytes.Buffer
+		if err := writeSegment(&re, c.Terms, c.Tris); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Bytes(), gens[PBSVersion-1]) {
+			t.Errorf("re-encoding the version %d golden does not give the current golden", v)
+		}
 	}
 }
 
@@ -327,9 +516,9 @@ func referenceMaterialize(c *Columns, into *rdf.Graph) {
 // TermID for every term and log the triples in the same order as per-triple
 // inserts did, or result order without ORDER BY drifts.
 func TestMaterializeKeepsIDOrder(t *testing.T) {
-	segments := map[string][]byte{
-		"golden_merged.pbs":    coreGolden(t, "golden_merged.pbs"),
-		"golden_merged_v1.pbs": coreGolden(t, "golden_merged_v1.pbs"),
+	segments := map[string][]byte{}
+	for i, data := range goldenGenerations(t) {
+		segments[fmt.Sprintf("golden segment, version %d", i+1)] = data
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		var buf bytes.Buffer
@@ -569,40 +758,98 @@ func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 	}
 }
 
-// BenchmarkUnionStats folds the pack-level stats of the harness's
-// h5bench-resident pack: 24 delta segments, two from each of twelve ranks, of
-// 512 tracked writes each — about 1.5 k terms and 2.6 k triples a member,
-// three new terms a record. Members share the vocabulary, the user and the
-// datasets, so every member repeats the datasets' type triples.
-func BenchmarkUnionStats(b *testing.B) {
+// h5benchMember is member m of the harness's h5bench-resident pack: 24 delta
+// segments, two from each of twelve ranks, of 512 tracked writes each — about
+// 1.5 k terms and 2.6 k triples a member, three new terms a record. Members
+// share the vocabulary, the user and the datasets, so every member repeats
+// the datasets' type triples.
+func h5benchMember(m int) *rdf.Graph {
 	const ns = "https://github.com/hpc-io/prov-io/ns#"
 	vocab := func(name string) rdf.Term { return rdf.IRI(ns + name) }
 	typ := rdf.IRI(rdf.RDFType)
+	rank, seg := m/2, m%2
+	g := rdf.NewGraph()
+	prog := rdf.IRI(fmt.Sprintf("%sprogram/h5bench-r%d", ns, rank))
+	g.Add(rdf.Triple{S: prog, P: typ, O: vocab("Program")})
+	g.Add(rdf.Triple{S: prog, P: vocab("actedOnBehalfOf"), O: rdf.IRI(ns + "user/alice")})
+	for i := 512 * seg; i < 512*(seg+1); i++ {
+		act := rdf.IRI(fmt.Sprintf("%sapi/H5Dwrite-p%d-b%d", ns, rank, i+1))
+		obj := rdf.IRI(fmt.Sprintf("%sdataset/f.h5/d%d", ns, i%8))
+		g.AddBatch([]rdf.Triple{
+			{S: act, P: typ, O: vocab("Write")},
+			{S: act, P: vocab("wasAssociatedWith"), O: prog},
+			{S: obj, P: typ, O: vocab("Dataset")},
+			{S: obj, P: vocab("wasWrittenBy"), O: act},
+			{S: act, P: vocab("startedAtTime"), O: rdf.Integer(int64(1_000_000*rank + 1000*i))},
+			{S: act, P: vocab("elapsed"), O: rdf.Integer(int64(100_000 + 7919*(1024*rank+i)%900_000))},
+		})
+	}
+	return g
+}
+
+// h5benchSegment is the encoded h5benchMember(m).
+func h5benchSegment(b *testing.B, m int) []byte {
+	var buf bytes.Buffer
+	if err := Binary.Encode(&buf, h5benchMember(m), nil); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reportBytesPerTriple reports the triple block's size per triple.
+func reportBytesPerTriple(b *testing.B, data []byte) {
+	c, err := DecodeColumns(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, rest, _ := pbsBody(data)
+	_, rest, _ = readFrame(rest)
+	cols, _, _ := readFrame(rest)
+	b.ReportMetric(float64(len(cols))/float64(len(c.Tris)), "B/triple")
+}
+
+// BenchmarkEncodeColumns writes one harness-shaped delta segment from its
+// insertion log, the way a tracker's flush does.
+func BenchmarkEncodeColumns(b *testing.B) {
+	g := h5benchMember(3)
+	refs, _ := g.RefsSince(0)
+	enc := Binary.(RefsEncoder)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := enc.EncodeRefs(&buf, refs, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportBytesPerTriple(b, buf.Bytes())
+}
+
+// BenchmarkDecodeColumns validates one harness-shaped delta segment into its
+// columns, the way the audit and the pack builder read every file.
+func BenchmarkDecodeColumns(b *testing.B) {
+	data := h5benchSegment(b, 3)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeColumns(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportBytesPerTriple(b, data)
+}
+
+// BenchmarkUnionStats folds the pack-level stats of the harness's
+// h5bench-resident pack (h5benchMember).
+func BenchmarkUnionStats(b *testing.B) {
 	members := make([]*Columns, 24)
 	terms := 0
 	for m := range members {
-		rank, seg := m/2, m%2
-		g := rdf.NewGraph()
-		prog := rdf.IRI(fmt.Sprintf("%sprogram/h5bench-r%d", ns, rank))
-		g.Add(rdf.Triple{S: prog, P: typ, O: vocab("Program")})
-		g.Add(rdf.Triple{S: prog, P: vocab("actedOnBehalfOf"), O: rdf.IRI(ns + "user/alice")})
-		for i := 512 * seg; i < 512*(seg+1); i++ {
-			act := rdf.IRI(fmt.Sprintf("%sapi/H5Dwrite-p%d-b%d", ns, rank, i+1))
-			obj := rdf.IRI(fmt.Sprintf("%sdataset/f.h5/d%d", ns, i%8))
-			g.AddBatch([]rdf.Triple{
-				{S: act, P: typ, O: vocab("Write")},
-				{S: act, P: vocab("wasAssociatedWith"), O: prog},
-				{S: obj, P: typ, O: vocab("Dataset")},
-				{S: obj, P: vocab("wasWrittenBy"), O: act},
-				{S: act, P: vocab("startedAtTime"), O: rdf.Integer(int64(1_000_000*rank + 1000*i))},
-				{S: act, P: vocab("elapsed"), O: rdf.Integer(int64(100_000 + 7919*(1024*rank+i)%900_000))},
-			})
-		}
-		var buf bytes.Buffer
-		if err := Binary.Encode(&buf, g, nil); err != nil {
-			b.Fatal(err)
-		}
-		c, err := DecodeColumns(buf.Bytes())
+		c, err := DecodeColumns(h5benchSegment(b, m))
 		if err != nil {
 			b.Fatal(err)
 		}

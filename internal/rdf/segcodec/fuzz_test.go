@@ -52,11 +52,10 @@ func FuzzSegcodecDecode(f *testing.F) {
 	mPZ := []rdf.Term{rdf.IRI("urn:m"), rdf.IRI("urn:p"), rdf.IRI("urn:z")}
 	f.Add(handBuiltSegment(f, mPZ, [][3]uint32{{0, 1, 2}, {0, 1, 0}}))
 	f.Add(handBuiltSegment(f, mPZ, [][3]uint32{{0, 1, 2}, {2, 1, 0}, {2, 1, 0}}))
-	// The version 2 dictionary block with one rule broken at a time (and once
-	// with none), a tag table as long as the literal run, and both layouts
-	// under the other's version byte. The long table has 10³ pairs here: it
-	// takes the same paths as TestManyTagsStayCheap's 10⁵, and a 1.6 MB seed
-	// cuts the engine's executions per second to a third.
+	// The dictionary block with one rule broken at a time (and once with
+	// none), and a tag table as long as the literal run. The long table has
+	// 10³ pairs here: it takes the same paths as TestManyTagsStayCheap's 10⁵,
+	// and a 1.6 MB seed cuts the engine's executions per second to a third.
 	for _, tc := range tagTableCases() {
 		f.Add(tc.data)
 	}
@@ -65,13 +64,22 @@ func FuzzSegcodecDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(many.Bytes())
-	v1 := coreGolden(f, "golden_merged_v1.pbs")
-	f.Add(v1)
-	f.Add(AppendChain(v1, Chain{Seq: 7, Prev: [32]byte{4, 5, 6}}))
-	for _, data := range [][]byte{v1, one.Bytes()} {
-		swapped := append([]byte{}, data...)
-		swapped[3] ^= pbsLegacyVersion ^ PBSVersion
-		f.Add(swapped)
+	// The version 3 triple block with one rule broken at a time (and once
+	// with none), every generation of the golden segment, sealed, and under
+	// each other generation's version byte.
+	for _, tc := range runsCases() {
+		f.Add(tc.data)
+	}
+	for _, data := range append(goldenGenerations(f), one.Bytes()) {
+		f.Add(data)
+		f.Add(AppendChain(data, Chain{Seq: 7, Prev: [32]byte{4, 5, 6}}))
+		for v := byte(1); v <= PBSVersion; v++ {
+			if v != data[3] {
+				swapped := append([]byte{}, data...)
+				swapped[3] = v
+				f.Add(swapped)
+			}
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -85,10 +93,10 @@ func FuzzSegcodecDecode(f *testing.F) {
 			t.Fatalf("re-encode of accepted input failed: %v", err)
 		}
 		canon := re.Bytes()
-		if data[3] == pbsLegacyVersion {
-			// A version 1 input is readable, not canonical — nothing writes
-			// it. What holds across the generations: re-encoding it gives a
-			// version 2 segment of the same columns, and the seal moves over.
+		if data[3] < PBSVersion {
+			// An older input is readable, not canonical — nothing writes it.
+			// What holds across the generations: re-encoding it gives a
+			// current segment of the same columns, and the seal moves over.
 			old, err := DecodeColumns(data)
 			if err != nil {
 				t.Fatalf("Decode accepted what DecodeColumns rejects: %v", err)
@@ -99,17 +107,17 @@ func FuzzSegcodecDecode(f *testing.F) {
 			}
 			cur, err := DecodeColumns(canon)
 			if err != nil {
-				t.Fatalf("re-encoded version 1 input does not decode: %v", err)
+				t.Fatalf("re-encoded version %d input does not decode: %v", data[3], err)
 			}
 			if cur.Version != PBSVersion || !slices.Equal(cur.Terms, old.Terms) || !slices.Equal(cur.Tris, old.Tris) {
-				t.Fatal("re-encoding a version 1 input changed its columns")
+				t.Fatalf("re-encoding a version %d input changed its columns", data[3])
 			}
 			if (cur.Chain != nil) != sealed || sealed && *cur.Chain != *old.Chain {
-				t.Fatal("seal did not survive the version 1 -> 2 re-encode")
+				t.Fatalf("seal did not survive the version %d -> %d re-encode", data[3], PBSVersion)
 			}
 			return
 		}
-		// Accepted version 2 input must re-encode to the identical bytes once
+		// Accepted current input must re-encode to the identical bytes once
 		// any chain seal is stripped: the payload format is canonical, so
 		// encode(decode(x)) == StripChain(x) for any accepted x, and a seal
 		// survives a decode/strip round-trip unchanged. Inputs without the
@@ -130,6 +138,35 @@ func FuzzSegcodecDecode(f *testing.F) {
 			if !bytes.Equal(resealed, data) {
 				t.Fatal("seal did not survive the decode/re-seal round-trip")
 			}
+		}
+	})
+}
+
+// FuzzRunsBlock frames arbitrary bytes as the version 3 triple block behind
+// the dictionary of runsCases, every CRC valid and no stats frame to match,
+// so the fuzzer works on the block's rules instead of on the checksum that
+// guards them in FuzzSegcodecDecode. The block is canonical by rejection: an
+// accepted one is what the encoder writes for the rows it decodes to.
+func FuzzRunsBlock(f *testing.F) {
+	var dict []byte
+	for _, tc := range runsCases() {
+		_, rest, _ := pbsBody(tc.data)
+		dict, rest, _ = readFrame(rest)
+		cols, _, _ := readFrame(rest)
+		f.Add(cols)
+	}
+	f.Fuzz(func(t *testing.T, cols []byte) {
+		data := appendFrame(appendFrame(append(slices.Clone(pbsMagic), PBSVersion), dict), cols)
+		c, err := DecodeColumns(data)
+		if err != nil {
+			return
+		}
+		var re bytes.Buffer
+		if err := writeSegment(&re, c.Terms, c.Tris); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(StripStats(re.Bytes()), data) {
+			t.Fatalf("accepted triple block %x is not canonical", cols)
 		}
 	})
 }

@@ -29,6 +29,17 @@ type encScratch struct {
 	rows  [][3]uint32 // the row sort's second buffer
 	count []uint32    // the row sort's three histograms
 	tags  []tagPair   // the dictionary block's tag table (writeSegment clears it)
+
+	// The triple block's: predAt maps a predicate's local ID to its table
+	// position plus one (all zero between builds, like local), preds is the
+	// table, lastO the last object per table entry, runs the (subject, shape)
+	// of every subject run, and col the block writeSegment frames.
+	predAt []uint32
+	preds  []uint32
+	lastO  []uint32
+	runs   [][2]uint32
+	shapes shapeSet
+	col    []byte
 }
 
 // encPool lends a scratch to one kernel call. A kernel puts it back on its

@@ -3,6 +3,7 @@ package segcodec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"sort"
@@ -12,7 +13,8 @@ import (
 
 // The encoder's kernels as they were before they became linear — hash maps
 // for the dictionary, sort.Slice for its order and for the rows — and the
-// version 2 segment written the plain way (a map for the tag table, one
+// version 3 segment written the plain way (maps for the tag table, the
+// predicate table, the shapes and the last object per predicate, one
 // bytes.Buffer write per field), kept as the reference the kernel tests and
 // FuzzSegcodecEncode compare against. Nothing outside _test.go calls them.
 
@@ -101,7 +103,7 @@ func oracleSortDedup(tris [][3]uint32) [][3]uint32 {
 	return dedup
 }
 
-// oracleWriteSegment writes the version 2 segment of a canonical dictionary
+// oracleWriteSegment writes the version 3 segment of a canonical dictionary
 // and its sorted rows straight from the layout table in binary.go.
 func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 	var kinds [rdf.LiteralTerm + 1]uint64
@@ -145,22 +147,80 @@ func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 		prev = t.Value
 	}
 
-	putUvarint(&col, uint64(len(tris)))
-	for c := 0; c < 3; c++ {
-		var last int64
-		for _, t := range tris {
-			if d := int64(t[c]) - last; c == 0 {
-				putUvarint(&col, uint64(d))
+	// The triple block: the predicate table from a set, each subject's run
+	// as a string key into a map of shapes numbered in first-use order.
+	predSet := map[uint32]bool{}
+	for _, t := range tris {
+		predSet[t[1]] = true
+	}
+	var preds []uint32
+	for p := range predSet {
+		preds = append(preds, p)
+	}
+	sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
+	predIndex := map[uint32]uint32{}
+	for i, p := range preds {
+		predIndex[p] = uint32(i)
+	}
+	shapeIndex := map[string]int{}
+	var shapes [][]uint32
+	var runs [][2]uint32
+	for i := 0; i < len(tris); {
+		var pairs []uint32
+		s := tris[i][0]
+		for ; i < len(tris) && tris[i][0] == s; i++ {
+			if k := predIndex[tris[i][1]]; len(pairs) > 0 && pairs[len(pairs)-2] == k {
+				pairs[len(pairs)-1]++
 			} else {
-				var buf [binary.MaxVarintLen64]byte
-				col.Write(buf[:binary.PutVarint(buf[:], d)])
+				pairs = append(pairs, k, 1)
 			}
-			last = int64(t[c])
 		}
+		key := fmt.Sprint(pairs)
+		if _, ok := shapeIndex[key]; !ok {
+			shapeIndex[key] = len(shapes)
+			shapes = append(shapes, pairs)
+		}
+		runs = append(runs, [2]uint32{s, uint32(shapeIndex[key])})
+	}
+	putUvarint(&col, uint64(len(tris)))
+	putUvarint(&col, uint64(len(preds)))
+	for i, p := range preds {
+		if i == 0 {
+			putUvarint(&col, uint64(p))
+		} else {
+			putUvarint(&col, uint64(p-preds[i-1]))
+		}
+	}
+	putUvarint(&col, uint64(len(shapes)))
+	for _, pairs := range shapes {
+		putUvarint(&col, uint64(len(pairs)/2))
+		for j := 0; j < len(pairs); j += 2 {
+			if j == 0 {
+				putUvarint(&col, uint64(pairs[j]))
+			} else {
+				putUvarint(&col, uint64(pairs[j]-pairs[j-2]))
+			}
+			putUvarint(&col, uint64(pairs[j+1]))
+		}
+	}
+	putUvarint(&col, uint64(len(runs)))
+	for i, r := range runs {
+		if i == 0 {
+			putUvarint(&col, uint64(r[0]))
+		} else {
+			putUvarint(&col, uint64(r[0]-runs[i-1][0]))
+		}
+		putUvarint(&col, uint64(r[1]))
+	}
+	lastObject := map[uint32]int64{}
+	for _, t := range tris {
+		var buf [binary.MaxVarintLen64]byte
+		col.Write(buf[:binary.PutVarint(buf[:], int64(t[2])-lastObject[t[1]])])
+		lastObject[t[1]] = int64(t[2])
 	}
 
 	st := ComputeStats(terms, tris)
-	out.Write([]byte{'P', 'B', 'S', 2})
+	out.Write([]byte{'P', 'B', 'S', 3})
 	for _, payload := range [][]byte{dict.Bytes(), col.Bytes(), st.encode()} {
 		putUvarint(&out, uint64(len(payload)))
 		out.Write(payload)
