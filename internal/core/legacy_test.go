@@ -163,22 +163,23 @@ func sameAnswers(t *testing.T, what string, got, want map[string][]byte) {
 	}
 }
 
-// pbsVersions returns the format version of every binary file of a store
-// snapshot, pack members included, by file or member name.
-func pbsVersions(t *testing.T, files map[string][]byte) map[string]byte {
+// pbsSegments returns every binary segment of a store snapshot, pack members
+// included, by file or "pack!member" name; a segment's byte 3 is its format
+// version.
+func pbsSegments(t *testing.T, files map[string][]byte) map[string][]byte {
 	t.Helper()
-	out := map[string]byte{}
+	out := map[string][]byte{}
 	for name, data := range files {
 		switch filepath.Ext(name) {
 		case segcodec.Binary.Ext():
-			out[name] = data[3]
+			out[name] = data
 		case segcodec.Pack.Ext():
 			h, err := segcodec.DecodePackHeader(data)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, m := range h.Members {
-				out[name+"!"+m.Name] = data[m.Off+3]
+				out[name+"!"+m.Name] = data[m.Off : m.Off+m.Size]
 			}
 		}
 	}
@@ -216,9 +217,10 @@ func TestLegacyReadable(t *testing.T) {
 
 func checkLegacyReadable(t *testing.T, legacyVersion byte, layout string) {
 	files, heads := legacyStoreFiles(t, legacyVersion, layout)
-	for name, v := range pbsVersions(t, files) {
-		if v != legacyVersion {
-			t.Fatalf("fixture %s is version %d, want %d", name, v, legacyVersion)
+	segments := pbsSegments(t, files)
+	for name, seg := range segments {
+		if seg[3] != legacyVersion {
+			t.Fatalf("fixture %s is version %d, want %d", name, seg[3], legacyVersion)
 		}
 	}
 
@@ -244,9 +246,25 @@ func checkLegacyReadable(t *testing.T, legacyVersion byte, layout string) {
 		if old.Len() == 0 || !bytes.Equal(ntBytes(t, old), ntBytes(t, cur)) {
 			t.Errorf("%s decodes to %d triples, its version %d twin to %d, or to others", name, old.Len(), segcodec.PBSVersion, cur.Len())
 		}
-		if len(twinFiles[name]) >= len(data) {
-			t.Errorf("%s: %d bytes in version %d, %d in version %d", name, len(data), legacyVersion, len(twinFiles[name]), segcodec.PBSVersion)
+	}
+	// Every segment, loose or packed, shrinks, except that a version 4
+	// dictionary without literals spends one byte more than version 3 did, on
+	// its run count 0; the store shrinks as a whole.
+	twinSegments := pbsSegments(t, twinFiles)
+	if !slices.Equal(fileNames(segments), fileNames(twinSegments)) {
+		t.Fatalf("fixture holds segments %v, its twin %v", fileNames(segments), fileNames(twinSegments))
+	}
+	for name, seg := range segments {
+		limit := len(seg) - 1
+		if legacyVersion == 3 {
+			limit = len(seg) + 1
 		}
+		if n := len(twinSegments[name]); n > limit {
+			t.Errorf("%s: %d bytes in version %d, %d in version %d", name, len(seg), legacyVersion, n, segcodec.PBSVersion)
+		}
+	}
+	if before, now := totalBytes(files), totalBytes(twinFiles); now >= before {
+		t.Errorf("%d bytes in version %d, %d in version %d", before, legacyVersion, now, segcodec.PBSVersion)
 	}
 
 	store := openDir(t, files)
@@ -272,9 +290,9 @@ func checkLegacyReadable(t *testing.T, legacyVersion byte, layout string) {
 		t.Fatal(err)
 	}
 	rewritten := storeFiles(t, rewrite)
-	for name, v := range pbsVersions(t, rewritten) {
-		if v != segcodec.PBSVersion {
-			t.Errorf("Compact left %s in version %d", name, v)
+	for name, seg := range pbsSegments(t, rewritten) {
+		if seg[3] != segcodec.PBSVersion {
+			t.Errorf("Compact left %s in version %d", name, seg[3])
 		}
 	}
 	if rep := mustVerify(t, rewrite); !rep.Clean() || rep.LegacyPBS() != 0 {
@@ -307,9 +325,9 @@ func checkLegacyReadable(t *testing.T, legacyVersion byte, layout string) {
 	}
 	mixedFiles := storeFiles(t, mixed)
 	members := map[byte]int{}
-	for name, v := range pbsVersions(t, mixedFiles) {
+	for name, seg := range pbsSegments(t, mixedFiles) {
 		if strings.HasPrefix(name, pack+"!") {
-			members[v]++
+			members[seg[3]]++
 		}
 	}
 	if members[legacyVersion] != 2 || members[segcodec.PBSVersion] < 2 {
@@ -409,13 +427,13 @@ func TestEncoderWritesCurrentVersion(t *testing.T) {
 				delete(files, name) // a fixture file nothing has rewritten yet
 			}
 		}
-		versions := pbsVersions(t, files)
-		if len(versions) == 0 {
+		segments := pbsSegments(t, files)
+		if len(segments) == 0 {
 			t.Fatalf("%s: no binary file to look at", what)
 		}
-		for name, v := range versions {
-			if v != segcodec.PBSVersion {
-				t.Errorf("%s: %s is version %d", what, name, v)
+		for name, seg := range segments {
+			if seg[3] != segcodec.PBSVersion {
+				t.Errorf("%s: %s is version %d", what, name, seg[3])
 			}
 		}
 	}

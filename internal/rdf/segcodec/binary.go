@@ -8,6 +8,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -38,20 +39,32 @@ import (
 // canonical term order and front-coded (each value stores only the byte length
 // shared with its predecessor plus the differing suffix — PROV-IO IRIs share
 // long namespace prefixes). The canonical order is kind-first, so the kinds
-// are three run lengths, and a literal names its (lang, datatype) pair by
-// its index in a table of the distinct pairs the segment's literals carry —
-// xsd:integer is spelled once per segment, not once per timestamp:
+// are three run lengths; a literal's (lang, datatype) pair is an index into a
+// table of the distinct pairs the segment's literals carry, and the literals
+// are runs of one pair each. A literal is numeric when its pair is
+// ("", xsd:integer) and its value the canonical spelling of an int64 ("0" or
+// -?[1-9][0-9]*): it is stored as its difference from the previous numeric
+// literal, since a timestamp's decimal text shares little with its
+// predecessor's:
 //
 //	uvarint nIRI | uvarint nBlank | uvarint nLiteral
-//	uvarint nTags
-//	per tag:  uvarint langLen | lang | uvarint dtLen | dt
-//	per term: uvarint sharedPrefix | uvarint suffixLen | suffix
-//	          literals append: uvarint tagIndex
+//	uvarint nTags    | per tag: uvarint langLen | lang | uvarint dtLen | dt
+//	uvarint nLitRuns | per run: uvarint (tagIndex<<1 | numeric), uvarint count
+//	per IRI, blank node and text literal: uvarint sharedPrefix | uvarint suffixLen | suffix
+//	per numeric literal: zig-zag varint delta from the previous numeric literal's value
 //
-// The tag table is canonical like the dictionary: strictly ascending in
-// (lang, datatype) order, every pair used by at least one literal, every
-// index in range; the decoder rejects anything else, so a segment's bytes
-// stay a function of its triple set.
+// The prefix is shared with the previous term, numeric or not; the first
+// numeric delta is taken from 0, and deltas wrap modulo 2⁶⁴ (-2⁶³ followed
+// by 1 is a pair whose difference int64 does not hold). The run count is
+// written even when it is 0: no CRC covers the version byte, so a block
+// without literals must not read the same as a version 3 block.
+//
+// The block is canonical by rejection, so a segment's bytes stay a function
+// of its triple set: the tag table is strictly ascending in (lang, datatype)
+// order and every pair is named by a run; runs have a count of at least one,
+// no two adjacent runs share a head, and their counts sum to nLiteral; a
+// numeric run is under ("", xsd:integer), and a text run under that pair
+// holds no canonical int64; every prefix shared is the longest there is.
 //
 // Local IDs are positional: the i-th dictionary entry is ID i. Segments are
 // self-contained — a segment never references terms from an earlier
@@ -68,20 +81,23 @@ import (
 //	uvarint nRuns   | per subject run: uvarint subjectDelta, uvarint shapeIndex
 //	O column        | per row: zig-zag delta from the previous object of the same predicate
 //
-// That is version 3, the only one written. Older files stay readable, and
-// only the two blocks above changed between the versions: version 2 wrote
-// the triple block column-major (uvarint tripleCount | S column as uvarint
-// deltas | P and O columns as zig-zag deltas, each from the previous row),
-// and version 1 that triple block behind a dictionary block spelling every
-// term's kind and every literal's pair inline:
+// That is version 4, the only one written. Older files stay readable, and
+// only the two blocks above changed between the versions: version 3 wrote
+// every literal front-coded, with its tag index after it and no run table;
+// version 2 wrote that dictionary block too, and the triple block
+// column-major (uvarint tripleCount | S column as uvarint deltas | P and O
+// columns as zig-zag deltas, each from the previous row); and version 1 that
+// triple block behind a dictionary block spelling every term's kind and every
+// literal's pair inline:
 //
 //	uvarint termCount
 //	per term: kind byte | uvarint sharedPrefix | uvarint suffixLen | suffix
 //	          literals append: uvarint langLen | lang | uvarint dtLen | dt
 //
 // decodeDict and decodeCols are the only functions that know the difference:
-// frames, stats, seals and packs are the same in all three, and a segment's
-// stats frame equals its rewrite's byte for byte.
+// frames, stats, seals and packs are the same in all four, and a segment's
+// stats frame equals its rewrite's byte for byte. In every version, each
+// dictionary entry is named by some row.
 type binCodec struct{}
 
 // pbsMagic identifies a binary segment; the byte after it is the format
@@ -90,11 +106,13 @@ var pbsMagic = []byte{'P', 'B', 'S'}
 
 // PBSVersion is the format version every encoder entry point writes. The
 // decoder reads every version from 1 up to it: version 2 brought the
-// dictionary block's tag table, version 3 the subject-run triple block.
+// dictionary block's tag table, version 3 the subject-run triple block,
+// version 4 the literal runs and numeric literals.
 const (
-	PBSVersion         = 3
+	PBSVersion         = 4
 	pbsTagTableVersion = 2
 	pbsRunsVersion     = 3
+	pbsLitRunsVersion  = 4
 )
 
 // pbsBody splits a binary segment into its format version and the frames
@@ -189,50 +207,118 @@ func writeSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 	return err
 }
 
-// encodeDict renders the dictionary block (versions 2 and 3) of a dictionary
-// in the canonical order. The block is sized up front so a flush does not
-// double it up from empty: tracked provenance measures 6.5–10 bytes per term
-// (front-coded values, one index byte of typing per literal) after a tag
-// table of some 50 bytes; a richer dictionary grows the slice.
+// integerTag is the pair of the literals a dictionary block may store as
+// numbers.
+var integerTag = tagPair{"", rdf.XSDInteger}
+
+// canonicalInt reports whether s is the canonical decimal spelling of an
+// int64 — "0" or -?[1-9][0-9]*, in range — and its value. It decides which
+// xsd:integer literals are numeric, on both sides of the format, and
+// allocates on neither answer (strconv.ParseInt's error does, and accepts
+// "+5" and "007").
+func canonicalInt(s string) (int64, bool) {
+	digits := s
+	neg := len(s) > 0 && s[0] == '-'
+	if neg {
+		digits = s[1:]
+	}
+	// Nineteen digits hold every int64 and cannot overflow a uint64.
+	if len(digits) == 0 || len(digits) > 19 || digits[0] == '0' && (neg || len(digits) > 1) {
+		return 0, false
+	}
+	var u uint64
+	for i := 0; i < len(digits); i++ {
+		d := digits[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		u = 10*u + uint64(d)
+	}
+	if neg && u <= 1<<63 {
+		return int64(-u), true
+	}
+	return int64(u), !neg && u < 1<<63
+}
+
+// encodeDict renders the dictionary block of a dictionary in the canonical
+// order. The block is sized up front so a flush does not double it up from
+// empty: tracked provenance measures 3.7–8.1 bytes per term (front-coded
+// IRIs, an integer literal's delta in a few bytes) after a tag table of some
+// 50 bytes; a richer dictionary grows the slice.
 func encodeDict(terms []rdf.Term) []byte {
 	// Sorted kind-first, so the kinds are two boundaries.
 	nonLiterals := sort.Search(len(terms), func(i int) bool { return terms[i].Kind > rdf.BlankTerm })
 	iris := sort.Search(nonLiterals, func(i int) bool { return terms[i].Kind > rdf.IRITerm })
+	literals := terms[nonLiterals:]
 
 	sc := encPool.Get().(*encScratch)
-	tags := collectTags(sc.tags[:0], terms[nonLiterals:])
+	tags := collectTags(sc.tags[:0], literals)
+	integer, ok := slices.BinarySearchFunc(tags, integerTag, tagPair.compare)
+	if !ok {
+		integer = -1
+	}
+	// The run table: a literal's head is its tag index and whether it is
+	// numeric, and the literals of one head in a row are one run.
+	runs := sc.litRuns[:0]
+	at := -1 // the previous literal's index in tags
+	for i := range literals {
+		t := &literals[i]
+		if tag := tagOf(t); at < 0 || tag != tags[at] {
+			at, _ = slices.BinarySearchFunc(tags, tag, tagPair.compare)
+		}
+		head := uint32(at) << 1
+		if at == integer {
+			if _, numeric := canonicalInt(t.Value); numeric {
+				head |= 1
+			}
+		}
+		if n := len(runs); n > 0 && runs[n-1][0] == head {
+			runs[n-1][1]++
+		} else {
+			runs = append(runs, [2]uint32{head, 1})
+		}
+	}
 
-	dict := make([]byte, 0, 12*len(terms)+64)
+	dict := make([]byte, 0, 10*len(terms)+64)
 	dict = binary.AppendUvarint(dict, uint64(iris))
 	dict = binary.AppendUvarint(dict, uint64(nonLiterals-iris))
-	dict = binary.AppendUvarint(dict, uint64(len(terms)-nonLiterals))
+	dict = binary.AppendUvarint(dict, uint64(len(literals)))
 	dict = binary.AppendUvarint(dict, uint64(len(tags)))
 	for _, tag := range tags {
-		dict = binary.AppendUvarint(dict, uint64(len(tag.lang)))
-		dict = append(dict, tag.lang...)
-		dict = binary.AppendUvarint(dict, uint64(len(tag.datatype)))
-		dict = append(dict, tag.datatype...)
+		dict = appendTag(dict, tag)
+	}
+	dict = binary.AppendUvarint(dict, uint64(len(runs)))
+	for _, r := range runs {
+		dict = binary.AppendUvarint(dict, uint64(r[0]))
+		dict = binary.AppendUvarint(dict, uint64(r[1]))
 	}
 	prev := ""
-	at := -1 // the previous literal's index in tags
+	var num int64 // the previous numeric literal's value
+	run, left := 0, uint32(0)
 	for i := range terms {
 		t := &terms[i]
+		if i >= nonLiterals {
+			if left == 0 {
+				run, left = run+1, runs[run][1]
+			}
+			left--
+			if runs[run-1][0]&1 != 0 {
+				v, _ := canonicalInt(t.Value)
+				dict = binary.AppendVarint(dict, v-num) // wraps like the decoder's sum
+				num, prev = v, t.Value
+				continue
+			}
+		}
 		shared := commonPrefixLen(prev, t.Value)
 		dict = binary.AppendUvarint(dict, uint64(shared))
 		dict = binary.AppendUvarint(dict, uint64(len(t.Value)-shared))
 		dict = append(dict, t.Value[shared:]...)
-		if i >= nonLiterals {
-			if tag := tagOf(t); at < 0 || tag != tags[at] {
-				at, _ = slices.BinarySearchFunc(tags, tag, tagPair.compare)
-			}
-			dict = binary.AppendUvarint(dict, uint64(at))
-		}
 		prev = t.Value
 	}
 	// The pairs point at the source dictionary's strings: drop them before the
 	// scratch goes back, so the pool never keeps a graph's memory alive.
 	clear(tags)
-	sc.tags = tags
+	sc.tags, sc.litRuns = tags, runs
 	encPool.Put(sc)
 	return dict
 }
@@ -330,6 +416,9 @@ func DecodeColumns(data []byte) (*Columns, error) {
 	if c.Tris, err = decodeCols(cols, version, c.Terms, iris, nonLiterals); err != nil {
 		return nil, fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
 	}
+	if err := checkNamed(len(c.Terms), c.Tris); err != nil {
+		return nil, fmt.Errorf("%w: dictionary block: %v", ErrCorrupt, err)
+	}
 	if statsPayload != nil {
 		// The stats frame must be exactly what the encoder would derive from
 		// this content — a forged or stale summary could prune segments that
@@ -341,6 +430,22 @@ func DecodeColumns(data []byte) (*Columns, error) {
 		c.Stats = &st
 	}
 	return c, nil
+}
+
+// checkNamed rejects a dictionary entry that no row names. No encoder writes
+// one, and accepting it would give one triple set two spellings, and put a
+// term the segment does not hold into its Bloom filter, its zone maps and
+// the term count of a pack's stats. A mark is a byte, stored without reading
+// it back.
+func checkNamed(nTerms int, tris [][3]uint32) error {
+	named := make([]bool, nTerms)
+	for _, t := range tris {
+		named[t[0]], named[t[1]], named[t[2]] = true, true, true
+	}
+	if id := slices.Index(named, false); id >= 0 {
+		return fmt.Errorf("term %d: no triple names it", id)
+	}
+	return nil
 }
 
 // checkShape validates the RDF shape of every row of a version 1 or 2 triple
@@ -391,7 +496,9 @@ func (c *Columns) Materialize(into *rdf.Graph) {
 // Besides decodeCols this is the one place the format version matters: a
 // version 1 block spells each term's kind and each literal's pair inline and
 // has a decoder of its own, which hands back the same three results; versions
-// 2 and 3 share this one.
+// 2 and 3 share this one with version 4, and differ only in how a literal
+// names its pair (an index after its value, where version 4 has the run
+// table) and in having no numeric literals.
 func decodeDict(p []byte, version byte) (terms []rdf.Term, iris, nonLiterals uint32, err error) {
 	if version < pbsTagTableVersion {
 		return decodeLegacyDict(p)
@@ -406,14 +513,21 @@ func decodeDict(p []byte, version byte) (terms []rdf.Term, iris, nonLiterals uin
 			return dictError("count %d exceeds payload", counts[i])
 		}
 	}
-	// An entry costs at least two varints, a literal a third, a pair two
-	// lengths — so both counts are sized against the payload before anything
-	// is allocated — and a pair some literal must name cannot outnumber the
-	// literals.
+	// A pair costs two lengths. An entry costs at least two varints, and a
+	// literal a third before version 4, which spends one varint on a numeric
+	// literal and one on the run count; the entries are sized again against
+	// the run table below. So both counts are bounded by the payload before
+	// anything is allocated, and a pair some literal must name cannot
+	// outnumber the literals.
 	nLit, nTags := counts[2], counts[3]
 	blanks, literals := counts[0], counts[0]+counts[1] // where each run starts
 	n := literals + nLit
-	if 2*n+nLit+2*nTags > uint64(len(p)) {
+	least := 2*n + nLit
+	runs := version >= pbsLitRunsVersion
+	if runs {
+		least = n + 1
+	}
+	if least+2*nTags > uint64(len(p)) {
 		return dictError("%d terms and %d tags exceed payload", n, nTags)
 	}
 	if nTags > nLit {
@@ -430,16 +544,52 @@ func decodeDict(p []byte, version byte) (terms []rdf.Term, iris, nonLiterals uin
 			return dictError("tag %d: tag table is not strictly ascending", i)
 		}
 	}
-	named, unused := make([]bool, nTags), nTags // named[i] once a literal names tags[i]
+	integer, ok := slices.BinarySearchFunc(tags, integerTag, tagPair.compare)
+	if !ok {
+		integer = len(tags) // no run can name it
+	}
+	named := make([]bool, nTags) // named[i] once a literal names tags[i]
+	var lit litRuns
+	if runs {
+		var numeric uint64
+		if lit, numeric, p, err = readLitRuns(p, nLit, uint64(integer), named); err != nil {
+			return dictError("%v", err)
+		}
+		if 2*n-numeric > uint64(len(p)) {
+			return dictError("%d terms, %d of them numeric, exceed payload", n, numeric)
+		}
+	}
 
 	terms = make([]rdf.Term, 0, n)
-	var val []byte
+	var (
+		val  []byte
+		num  int64  // the previous numeric literal's value
+		head uint64 // the literal's run head (version 4)
+	)
 	for i := uint64(0); i < n; i++ {
-		if val, p, err = frontCoded(val, p); err != nil {
+		t := rdf.Term{Kind: rdf.IRITerm}
+		if i >= literals && runs {
+			head = lit.next()
+			t.Kind, t.Lang, t.Datatype = rdf.LiteralTerm, tags[head>>1].lang, tags[head>>1].datatype
+		}
+		if head&1 != 0 {
+			var d int64
+			if d, p, err = getSvarint(p); err != nil {
+				return dictError("term %d numeric delta: %v", i, err)
+			}
+			num += d // modulo 2⁶⁴, as the encoder took it
+			val = strconv.AppendInt(val[:0], num, 10)
+		} else if val, p, err = frontCoded(val, p); err != nil {
 			return dictError("term %d: %v", i, err)
 		}
-		t := rdf.Term{Kind: rdf.IRITerm, Value: string(val)}
+		t.Value = string(val)
 		switch {
+		case i >= literals && runs:
+			if head == uint64(integer)<<1 {
+				if _, ok := canonicalInt(t.Value); ok {
+					return dictError("term %d: %q is a canonical xsd:integer in a text run", i, t.Value)
+				}
+			}
 		case i >= literals:
 			var at uint64
 			if at, p, err = getUvarint(p); err != nil {
@@ -448,10 +598,7 @@ func decodeDict(p []byte, version byte) (terms []rdf.Term, iris, nonLiterals uin
 			if at >= nTags {
 				return dictError("term %d: tag index %d out of range (%d tags)", i, at, nTags)
 			}
-			if !named[at] {
-				named[at] = true
-				unused--
-			}
+			named[at] = true
 			t.Kind, t.Lang, t.Datatype = rdf.LiteralTerm, tags[at].lang, tags[at].datatype
 		case i >= blanks:
 			t.Kind = rdf.BlankTerm
@@ -464,10 +611,76 @@ func decodeDict(p []byte, version byte) (terms []rdf.Term, iris, nonLiterals uin
 	if len(p) != 0 {
 		return dictError("%d trailing bytes", len(p))
 	}
-	if unused != 0 {
-		return dictError("tag table holds %d pair(s) no literal uses", unused)
+	if unused := slices.Index(named, false); unused >= 0 {
+		return dictError("tag %d: no literal uses it", unused)
 	}
 	return terms, uint32(blanks), uint32(literals), nil
+}
+
+// litRuns walks a version 4 literal run table that readLitRuns validated:
+// next returns the head of the run the next literal is in.
+type litRuns struct {
+	table      []byte
+	head, left uint64
+}
+
+func (r *litRuns) next() uint64 {
+	if r.left == 0 {
+		r.head, r.table, _ = getUvarint(r.table)
+		r.left, r.table, _ = getUvarint(r.table)
+	}
+	r.left--
+	return r.head
+}
+
+// readLitRuns reads the run table of a version 4 dictionary block of nLit
+// literals and validates it whole, marking in named the tags its runs name:
+// every count at least one, no two adjacent heads alike, every tag index in
+// range, a numeric run only under the pair at index integer, and counts that
+// sum to nLit. It returns the table to walk, the number of numeric literals,
+// and the payload after it.
+func readLitRuns(p []byte, nLit, integer uint64, named []bool) (lit litRuns, numeric uint64, rest []byte, err error) {
+	var n uint64
+	if n, p, err = getUvarint(p); err != nil {
+		return lit, 0, nil, fmt.Errorf("literal run count: %v", err)
+	}
+	if n > nLit || 2*n > uint64(len(p)) { // a run covers a literal and costs two bytes
+		return lit, 0, nil, fmt.Errorf("%d literal runs for %d literals exceed payload", n, nLit)
+	}
+	table := p
+	var sum, prev uint64
+	for r := range n {
+		var head, count uint64
+		if head, p, err = getUvarint(p); err != nil {
+			return lit, 0, nil, fmt.Errorf("literal run %d: %v", r, err)
+		}
+		if count, p, err = getUvarint(p); err != nil {
+			return lit, 0, nil, fmt.Errorf("literal run %d: %v", r, err)
+		}
+		tag := head >> 1
+		switch {
+		case count == 0:
+			return lit, 0, nil, fmt.Errorf("literal run %d: count 0", r)
+		case r > 0 && head == prev:
+			return lit, 0, nil, fmt.Errorf("literal run %d has the head of run %d", r, r-1)
+		case tag >= uint64(len(named)):
+			return lit, 0, nil, fmt.Errorf("literal run %d: tag index %d out of range (%d tags)", r, tag, len(named))
+		case head&1 != 0 && tag != integer:
+			return lit, 0, nil, fmt.Errorf("literal run %d: numeric run under tag %d, not (\"\", xsd:integer)", r, tag)
+		case count > nLit-sum:
+			return lit, 0, nil, fmt.Errorf("literal run %d: runs hold more than %d literals", r, nLit)
+		}
+		sum += count
+		if head&1 != 0 {
+			numeric += count
+		}
+		named[tag] = true
+		prev = head
+	}
+	if sum != nLit {
+		return lit, 0, nil, fmt.Errorf("literal runs hold %d literals, count says %d", sum, nLit)
+	}
+	return litRuns{table: table[:len(table)-len(p)]}, numeric, p, nil
 }
 
 // dictError is the error return of the two dictionary decoders.
@@ -484,7 +697,9 @@ const errDictOrder = "dictionary is not strictly ascending"
 
 // frontCoded reads one entry's `shared | suffixLen | suffix` and rebuilds its
 // value in val, which carries the previous entry's bytes: the shared prefix is
-// already in place when the suffix is appended.
+// already in place when the suffix is appended. The prefix must be the
+// longest the two values share, as every encoder wrote it, so that a value
+// has one spelling.
 func frontCoded(val, p []byte) (value, rest []byte, err error) {
 	shared, p, err := getUvarint(p)
 	if err != nil {
@@ -496,6 +711,9 @@ func frontCoded(val, p []byte) (value, rest []byte, err error) {
 	suffix, p, err := getBytes(p)
 	if err != nil {
 		return nil, nil, err
+	}
+	if len(suffix) > 0 && shared < uint64(len(val)) && suffix[0] == val[shared] {
+		return nil, nil, fmt.Errorf("shared prefix %d is not the longest", shared)
 	}
 	return append(val[:shared], suffix...), p, nil
 }
@@ -751,6 +969,14 @@ func getTag(p []byte) (lang, dt, rest []byte, err error) {
 		return nil, nil, nil, fmt.Errorf("datatype: %v", err)
 	}
 	return lang, dt, p, nil
+}
+
+// appendTag appends a (lang, datatype) pair as getTag reads it.
+func appendTag(dst []byte, tag tagPair) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(tag.lang)))
+	dst = append(dst, tag.lang...)
+	dst = binary.AppendUvarint(dst, uint64(len(tag.datatype)))
+	return append(dst, tag.datatype...)
 }
 
 // getString reads uvarint length-prefixed bytes as a string.

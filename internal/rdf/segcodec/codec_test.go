@@ -88,11 +88,17 @@ func TestUnknownVersionIsClassified(t *testing.T) {
 // TestVersionByteSwapIsRejected: the same frames under another known version
 // byte are that layout's garbage — a v3 triple block read as v2, the v2
 // golden read as v3 or v1, any generation under any other — and must fail,
-// not decode to something else.
+// not decode to something else. No CRC covers the version byte, so this
+// holds only because no two layouts spell a segment alike: a version 4
+// dictionary block without literals still carries its run count, 0, where
+// version 3 starts the entries.
 func TestVersionByteSwapIsRejected(t *testing.T) {
+	ab := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b")}
 	samples := map[string][]byte{
-		"two-triple segment": validSegment(t),
-		"empty segment":      handBuiltSegment(t, nil, nil),
+		"two-triple segment":   validSegment(t),
+		"empty segment":        handBuiltSegment(t, nil, nil),
+		"literal-free segment": handBuiltSegment(t, ab, [][3]uint32{{0, 1, 1}}),
+		"integer-only segment": handBuiltSegment(t, append(ab, rdf.TypedLiteral("7", rdf.XSDInteger)), [][3]uint32{{0, 1, 2}}),
 	}
 	for i, data := range goldenGenerations(t) {
 		samples[fmt.Sprintf("golden v%d", i+1)] = data
@@ -307,12 +313,12 @@ func TestBinaryDecodeCorruption(t *testing.T) {
 	crcFlip[8] ^= 0xFF
 	cases["crc mismatch"] = crcFlip
 
-	// Kind counts that announce two IRIs over a block that holds one entry,
-	// behind valid CRCs (TestDecodeRejectsNonCanonicalDictBlock has the
-	// variants).
+	// Kind counts that announce two IRIs over a version 3 block that holds
+	// one entry, behind valid CRCs (TestDecodeRejectsNonCanonicalDictBlock
+	// has the variants).
 	ab := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b")}
 	abRows := [][3]uint32{{0, 1, 1}}
-	cases["kind counts != entries"] = handFramedSegment(PBSVersion,
+	cases["kind counts != entries"] = handFramedSegment(pbsRunsVersion,
 		handBuiltDict([4]uint64{2, 0, 0, 0}, nil, []dictEntry{{0, "urn:a", -1}}), new(encScratch).appendCols(nil, abRows), ab, abRows)
 
 	// Well-framed, CRCs and stats frame consistent, rows not strictly

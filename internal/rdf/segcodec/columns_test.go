@@ -31,26 +31,23 @@ func handBuiltSegment(t testing.TB, terms []rdf.Term, tris [][3]uint32) []byte {
 	return buf.Bytes()
 }
 
-// dictEntry is one entry of a hand-built version 2 dictionary block: the
-// front-coded value and, for a literal, the tag index it names.
+// dictEntry is one entry of a hand-built dictionary block: the front-coded
+// value and, for a literal of a version 2 or 3 block, the tag index it names.
 type dictEntry struct {
 	shared int
 	suffix string
 	tag    int // < 0: not a literal, no index written
 }
 
-// handBuiltDict serializes a version 2 dictionary block field by field, with
-// whatever counts, table and indexes it is given.
+// handBuiltDict serializes a version 2 or 3 dictionary block field by field,
+// with whatever counts, table and indexes it is given.
 func handBuiltDict(counts [4]uint64, tags []tagPair, entries []dictEntry) []byte {
 	var b []byte
 	for _, c := range counts {
 		b = binary.AppendUvarint(b, c)
 	}
 	for _, tag := range tags {
-		b = binary.AppendUvarint(b, uint64(len(tag.lang)))
-		b = append(b, tag.lang...)
-		b = binary.AppendUvarint(b, uint64(len(tag.datatype)))
-		b = append(b, tag.datatype...)
+		b = appendTag(b, tag)
 	}
 	for _, e := range entries {
 		b = binary.AppendUvarint(b, uint64(e.shared))
@@ -110,9 +107,9 @@ func (b runsBlock) bytes() []byte {
 	return out
 }
 
-// runsCase is one hand-built version 3 segment that breaks a rule of the
-// triple block (want names the decoder's complaint), or none (want "").
-type runsCase struct {
+// blockCase is one hand-built segment that breaks a rule of one block (want
+// names the decoder's complaint), or none (want "").
+type blockCase struct {
 	name, want string
 	data       []byte
 }
@@ -125,7 +122,7 @@ type runsCase struct {
 //	x p "1", x p "2", x q <urn:b>   shape 0
 //
 // spelled canonically once and then with one rule broken at a time.
-func runsCases() []runsCase {
+func runsCases() []blockCase {
 	terms := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b"), rdf.IRI("urn:p"), rdf.IRI("urn:q"),
 		rdf.Blank("x"), rdf.Literal("1"), rdf.Literal("2")}
 	tris := [][3]uint32{{0, 2, 5}, {0, 2, 6}, {0, 3, 1}, {1, 2, 5}, {1, 3, 0}, {4, 2, 5}, {4, 2, 6}, {4, 3, 1}}
@@ -139,10 +136,10 @@ func runsCases() []runsCase {
 		}
 	}
 	dict := encodeDict(terms)
-	framed := func(name, want string, cols []byte) runsCase {
-		return runsCase{name, want, handFramedSegment(PBSVersion, dict, cols, terms, tris)}
+	framed := func(name, want string, cols []byte) blockCase {
+		return blockCase{name, want, handFramedSegment(PBSVersion, dict, cols, terms, tris)}
 	}
-	build := func(name, want string, edit func(b *runsBlock)) runsCase {
+	build := func(name, want string, edit func(b *runsBlock)) blockCase {
 		b := canon()
 		edit(&b)
 		return framed(name, want, b.bytes())
@@ -150,7 +147,7 @@ func runsCases() []runsCase {
 	// A block that ends at the shape count (or the run count), which lies.
 	// tripleCount drops to a small lie, so that such a lie passes the bound
 	// by the rows and only the payload bound refuses it.
-	lying := func(name, want string, runs bool, count uint64) runsCase {
+	lying := func(name, want string, runs bool, count uint64) blockCase {
 		b := canon()
 		b.n = min(b.n, count)
 		b.runs, b.o = nil, nil
@@ -164,7 +161,7 @@ func runsCases() []runsCase {
 		}
 		return framed(name, want, binary.AppendUvarint(cols, count))
 	}
-	return []runsCase{
+	return []blockCase{
 		build("canonical", "", func(*runsBlock) {}),
 		build("predicate table repeats an entry", "predicate table is not strictly ascending", func(b *runsBlock) { b.preds[1] = 0 }),
 		build("predicate is a blank node", "leaves the 4 IRIs", func(b *runsBlock) { b.preds[1] = 2 }),
@@ -207,13 +204,17 @@ func runsCases() []runsCase {
 	}
 }
 
-// TestDecodeRejectsHostileRunsBlock: the version 3 triple block is canonical
-// by rejection. Each broken rule is an ErrCorrupt from the triple block,
-// behind valid CRCs and a self-consistent stats frame, with nothing left in
-// the caller's graph, no panic, and no allocation sized by a count the
-// payload does not back; the canonical spelling is what the encoder writes.
-func TestDecodeRejectsHostileRunsBlock(t *testing.T) {
-	for i, tc := range runsCases() {
+// checkBlockCases decodes hand-built segments the first of which is
+// canonical and every other of which breaks one rule of one block. Each
+// broken rule is an ErrCorrupt from that block naming the rule, behind valid
+// CRCs and a self-consistent stats frame, with nothing left in the caller's
+// graph, no panic, and no allocation sized by a count the payload does not
+// back. The canonical spelling decodes and is what its version's encoder
+// writes: Binary.Encode for the current version, segmentOf (held to each
+// golden generation's bytes) for an older one.
+func checkBlockCases(t *testing.T, block string, cases []blockCase) {
+	t.Helper()
+	for i, tc := range cases {
 		into := rdf.NewGraph()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -227,11 +228,19 @@ func TestDecodeRejectsHostileRunsBlock(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			var enc bytes.Buffer
-			if err := Binary.Encode(&enc, into, nil); err != nil {
-				t.Fatal(err)
+			if v := tc.data[3]; v == PBSVersion {
+				if err := Binary.Encode(&enc, into, nil); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				c, err := DecodeColumns(tc.data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				enc.Write(segmentOf(v, c.Terms, c.Tris))
 			}
 			if !bytes.Equal(enc.Bytes(), tc.data) {
-				t.Fatalf("%s: the hand-built block is not what the encoder writes", tc.name)
+				t.Fatalf("%s: the hand-built block is not what the version %d encoder writes", tc.name, tc.data[3])
 			}
 			continue
 		}
@@ -239,8 +248,8 @@ func TestDecodeRejectsHostileRunsBlock(t *testing.T) {
 			t.Errorf("%s: Decode returned %v, want ErrCorrupt", tc.name, err)
 			continue
 		}
-		if !strings.Contains(err.Error(), "triple block") || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: rejected with %q, want a triple-block complaint about %q", tc.name, err, tc.want)
+		if !strings.Contains(err.Error(), block) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: rejected with %q, want a %s complaint about %q", tc.name, err, block, tc.want)
 		}
 		if into.Len() != 0 || into.TermCount() != 0 {
 			t.Errorf("%s: rejected segment left %d triples, %d terms behind", tc.name, into.Len(), into.TermCount())
@@ -248,17 +257,17 @@ func TestDecodeRejectsHostileRunsBlock(t *testing.T) {
 	}
 }
 
-// tagTableCase is one hand-built segment that breaks a rule of the dictionary
-// block (want names the decoder's complaint), or none (want "").
-type tagTableCase struct {
-	name, want string
-	data       []byte
+// TestDecodeRejectsHostileRunsBlock: the version 3 triple block is canonical
+// by rejection.
+func TestDecodeRejectsHostileRunsBlock(t *testing.T) {
+	checkBlockCases(t, "triple block", runsCases())
 }
 
-// tagTableCases are the tamper shapes of the version 2 dictionary block:
-// <urn:p> <urn:s> "1"^^xsd:integer "x"@en with the rows (s p "1"), (s p "x"),
-// spelled canonically once and then with one rule broken at a time.
-func tagTableCases() []tagTableCase {
+// tagTableCases are the tamper shapes of the version 2 and 3 dictionary
+// block, under version byte 3: <urn:p> <urn:s> "1"^^xsd:integer "x"@en with
+// the rows (s p "1"), (s p "x"), spelled canonically once and then with one
+// rule broken at a time.
+func tagTableCases() []blockCase {
 	integer, en := tagPair{"", rdf.XSDInteger}, tagPair{"en", ""}
 	terms := []rdf.Term{rdf.IRI("urn:p"), rdf.IRI("urn:s"), rdf.TypedLiteral("1", rdf.XSDInteger), rdf.LangLiteral("x", "en")}
 	bothInteger := append(append([]rdf.Term{}, terms[:3]...), rdf.TypedLiteral("x", rdf.XSDInteger))
@@ -272,10 +281,10 @@ func tagTableCases() []tagTableCase {
 		c[i] = v
 		return c
 	}
-	build := func(name, want string, counts [4]uint64, tags []tagPair, e []dictEntry, terms []rdf.Term) tagTableCase {
-		return tagTableCase{name, want, handFramedSegment(PBSVersion, handBuiltDict(counts, tags, e), new(encScratch).appendCols(nil, tris), terms, tris)}
+	build := func(name, want string, counts [4]uint64, tags []tagPair, e []dictEntry, terms []rdf.Term) blockCase {
+		return blockCase{name, want, handFramedSegment(pbsRunsVersion, handBuiltDict(counts, tags, e), new(encScratch).appendCols(nil, tris), terms, tris)}
 	}
-	return []tagTableCase{
+	return []blockCase{
 		build("canonical", "", counts, []tagPair{integer, en}, entries(0, 1), terms),
 		build("tag table unsorted", "tag table is not strictly ascending", counts, []tagPair{en, integer}, entries(1, 0), terms),
 		build("tag table repeats a pair", "tag table is not strictly ascending", counts, []tagPair{integer, integer}, entries(0, 1), bothInteger),
@@ -290,40 +299,12 @@ func tagTableCases() []tagTableCase {
 	}
 }
 
-// TestDecodeRejectsNonCanonicalDictBlock: the version 2 block is canonical by
-// rejection — an unsorted or repeating tag table, a pair nothing names, an
-// index past the table, counts that lie about the payload or about the
-// entries each fail with ErrCorrupt before anything reaches the caller's
-// graph, behind valid CRCs and a self-consistent stats frame. The canonical
-// spelling of the same segment is what the encoder writes, byte for byte.
+// TestDecodeRejectsNonCanonicalDictBlock: the version 2 and 3 dictionary
+// block is canonical by rejection — an unsorted or repeating tag table, a
+// pair nothing names, an index past the table, counts that lie about the
+// payload or about the entries.
 func TestDecodeRejectsNonCanonicalDictBlock(t *testing.T) {
-	for i, tc := range tagTableCases() {
-		into := rdf.NewGraph()
-		err := Binary.Decode(bytes.NewReader(tc.data), into)
-		if i == 0 {
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			var enc bytes.Buffer
-			if err := Binary.Encode(&enc, into, nil); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(enc.Bytes(), tc.data) {
-				t.Fatalf("%s: the hand-built block is not what the encoder writes", tc.name)
-			}
-			continue
-		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: Decode returned %v, want ErrCorrupt", tc.name, err)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: rejected with %q, want a complaint about %q", tc.name, err, tc.want)
-		}
-		if into.Len() != 0 || into.TermCount() != 0 {
-			t.Errorf("%s: rejected segment left %d triples, %d terms behind", tc.name, into.Len(), into.TermCount())
-		}
-	}
+	checkBlockCases(t, "dictionary block", tagTableCases())
 }
 
 // manyTagsGraph holds n literals of one value, each under a language tag of
@@ -454,10 +435,11 @@ func goldenGenerations(t testing.TB) [][]byte {
 	return append(out, coreGolden(t, "golden_merged.pbs"))
 }
 
-// TestLegacyDictBlockDecodesTheSame: the golden segment in versions 1, 2 and
-// 3 holds the same dictionary, rows and stats — term for term, and the stats
+// TestLegacyDictBlockDecodesTheSame: the golden segment in versions 1 to 4
+// holds the same dictionary, rows and stats — term for term, and the stats
 // frames byte for byte — and every older file re-encodes to the current
-// bytes. Only Version tells the decodes apart.
+// bytes. Only Version tells the decodes apart, and segmentOf spells each
+// generation as its encoder did.
 func TestLegacyDictBlockDecodesTheSame(t *testing.T) {
 	gens := goldenGenerations(t)
 	cur, err := DecodeColumns(gens[PBSVersion-1])
@@ -485,6 +467,9 @@ func TestLegacyDictBlockDecodesTheSame(t *testing.T) {
 		}
 		if sta, _, ok := statsSplit(data); !ok || !bytes.Equal(sta, curSta) {
 			t.Errorf("version %d carries another stats frame than version %d", v, PBSVersion)
+		}
+		if !bytes.Equal(segmentOf(v, c.Terms, c.Tris), data) {
+			t.Errorf("segmentOf spells version %d otherwise than its encoder did", v)
 		}
 		var re bytes.Buffer
 		if err := writeSegment(&re, c.Terms, c.Tris); err != nil {
@@ -796,16 +781,18 @@ func h5benchSegment(b *testing.B, m int) []byte {
 	return buf.Bytes()
 }
 
-// reportBytesPerTriple reports the triple block's size per triple.
-func reportBytesPerTriple(b *testing.B, data []byte) {
+// reportBlockSizes reports the triple block's size per triple and the
+// dictionary block's per term.
+func reportBlockSizes(b *testing.B, data []byte) {
 	c, err := DecodeColumns(data)
 	if err != nil {
 		b.Fatal(err)
 	}
 	_, rest, _ := pbsBody(data)
-	_, rest, _ = readFrame(rest)
+	dict, rest, _ := readFrame(rest)
 	cols, _, _ := readFrame(rest)
 	b.ReportMetric(float64(len(cols))/float64(len(c.Tris)), "B/triple")
+	b.ReportMetric(float64(len(dict))/float64(len(c.Terms)), "B/term")
 }
 
 // BenchmarkEncodeColumns writes one harness-shaped delta segment from its
@@ -824,7 +811,7 @@ func BenchmarkEncodeColumns(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportBytesPerTriple(b, buf.Bytes())
+	reportBlockSizes(b, buf.Bytes())
 }
 
 // BenchmarkDecodeColumns validates one harness-shaped delta segment into its
@@ -840,7 +827,7 @@ func BenchmarkDecodeColumns(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportBytesPerTriple(b, data)
+	reportBlockSizes(b, data)
 }
 
 // BenchmarkUnionStats folds the pack-level stats of the harness's

@@ -64,11 +64,16 @@ func FuzzSegcodecDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(many.Bytes())
-	// The version 3 triple block with one rule broken at a time (and once
-	// with none), every generation of the golden segment, sealed, and under
-	// each other generation's version byte.
-	for _, tc := range runsCases() {
+	// The version 3 triple block and the version 4 dictionary block with one
+	// rule broken at a time (and once with none), a dictionary entry no row
+	// names in every version, every generation of the golden segment, sealed,
+	// and under each other generation's version byte.
+	for _, tc := range append(runsCases(), dictCases()...) {
 		f.Add(tc.data)
+	}
+	withZZ, _, _ := unnamedEntry()
+	for v := byte(1); v <= PBSVersion; v++ {
+		f.Add(segmentOf(v, withZZ, [][3]uint32{{0, 1, 3}}))
 	}
 	for _, data := range append(goldenGenerations(f), one.Bytes()) {
 		f.Add(data)
@@ -171,6 +176,36 @@ func FuzzRunsBlock(f *testing.F) {
 	})
 }
 
+// FuzzDictBlock is FuzzRunsBlock for the version 4 dictionary block: it
+// frames arbitrary bytes as the block in front of the triple block of
+// dictCases, which names fourteen terms — the first two as predicate and
+// subject, so they are IRIs or blank nodes, and the rest as objects of any
+// kind. An accepted block is what the encoder writes for the terms it
+// decodes to.
+func FuzzDictBlock(f *testing.F) {
+	var cols []byte
+	for _, tc := range dictCases() {
+		_, rest, _ := pbsBody(tc.data)
+		dict, rest, _ := readFrame(rest)
+		cols, _, _ = readFrame(rest)
+		f.Add(dict)
+	}
+	f.Fuzz(func(t *testing.T, dict []byte) {
+		data := appendFrame(appendFrame(append(slices.Clone(pbsMagic), PBSVersion), dict), cols)
+		c, err := DecodeColumns(data)
+		if err != nil {
+			return
+		}
+		var re bytes.Buffer
+		if err := writeSegment(&re, c.Terms, c.Tris); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(StripStats(re.Bytes()), data) {
+			t.Fatalf("accepted dictionary block %x is not canonical", dict)
+		}
+	})
+}
+
 // fuzzTriples reads arbitrary bytes as a triple list of valid RDF shape: per
 // term one selector byte (kind, value length, literal tags) followed by the
 // value's bytes, short values from few bytes so that terms recur, prefix one
@@ -222,6 +257,14 @@ func FuzzSegcodecEncode(f *testing.F) {
 		alternating = append(alternating, 0x04, 's', 0x04, 'p', sel, 'a'+byte(i))
 	}
 	f.Add(alternating)
+	// xsd:integer values (selector 0x82 | length<<2), numeric and not, whose
+	// lexicographic order is not their numeric one, around a text literal.
+	var integers []byte
+	for _, v := range []string{"-10", "-2", "0", "007", "+5", "-0", "1", "19", "123"} {
+		integers = append(integers, 0x04, 's', 0x04, 'p', 0x82|byte(len(v))<<2)
+		integers = append(integers, v...)
+	}
+	f.Add(append(integers, 0x04, 's', 0x04, 'p', 0x06, '1'))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ts := fuzzTriples(data)
 		g := rdf.NewGraph()

@@ -28,7 +28,9 @@ type encScratch struct {
 	perm  []uint32    // the dictionary order, as positions in gids
 	rows  [][3]uint32 // the row sort's second buffer
 	count []uint32    // the row sort's three histograms
-	tags  []tagPair   // the dictionary block's tag table (writeSegment clears it)
+	tags  []tagPair   // the dictionary block's tag table (encodeDict clears it)
+	// The dictionary block's literal runs: (tagIndex<<1 | numeric, count).
+	litRuns [][2]uint32
 
 	// The triple block's: predAt maps a predicate's local ID to its table
 	// position plus one (all zero between builds, like local), preds is the

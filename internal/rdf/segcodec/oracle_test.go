@@ -7,16 +7,18 @@ import (
 	"hash/crc32"
 	"io"
 	"sort"
+	"strconv"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
 
 // The encoder's kernels as they were before they became linear — hash maps
 // for the dictionary, sort.Slice for its order and for the rows — and the
-// version 3 segment written the plain way (maps for the tag table, the
-// predicate table, the shapes and the last object per predicate, one
-// bytes.Buffer write per field), kept as the reference the kernel tests and
-// FuzzSegcodecEncode compare against. Nothing outside _test.go calls them.
+// version 4 segment written the plain way (maps for the tag table, the
+// numeric literals, the predicate table, the shapes and the last object per
+// predicate, strconv for the integers, one bytes.Buffer write per field),
+// kept as the reference the kernel tests and FuzzSegcodecEncode compare
+// against. Nothing outside _test.go calls them.
 
 // oracleTermTriples builds the canonically sorted dictionary of a triple
 // slice by hashing terms, plus the triples as local-ID rows in slice order.
@@ -103,7 +105,7 @@ func oracleSortDedup(tris [][3]uint32) [][3]uint32 {
 	return dedup
 }
 
-// oracleWriteSegment writes the version 3 segment of a canonical dictionary
+// oracleWriteSegment writes the version 4 segment of a canonical dictionary
 // and its sorted rows straight from the layout table in binary.go.
 func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 	var kinds [rdf.LiteralTerm + 1]uint64
@@ -123,6 +125,27 @@ func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 		index[tag] = i
 	}
 
+	// A literal is numeric when strconv reads its xsd:integer value back to
+	// the same text; its run head is its tag index and that bit.
+	numeric := map[int]int64{} // by position in terms
+	var heads, counts []uint64
+	for i := range terms {
+		t := &terms[i]
+		if t.Kind != rdf.LiteralTerm {
+			continue
+		}
+		head := uint64(index[tagOf(t)]) << 1
+		if v, err := strconv.ParseInt(t.Value, 10, 64); err == nil && t.Lang == "" && t.Datatype == rdf.XSDInteger && strconv.FormatInt(v, 10) == t.Value {
+			numeric[i] = v
+			head |= 1
+		}
+		if len(heads) > 0 && heads[len(heads)-1] == head {
+			counts[len(counts)-1]++
+		} else {
+			heads, counts = append(heads, head), append(counts, 1)
+		}
+	}
+
 	var dict, col, out bytes.Buffer
 	putUvarint(&dict, kinds[rdf.IRITerm])
 	putUvarint(&dict, kinds[rdf.BlankTerm])
@@ -134,16 +157,25 @@ func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 		putUvarint(&dict, uint64(len(tag.datatype)))
 		dict.WriteString(tag.datatype)
 	}
+	putUvarint(&dict, uint64(len(heads)))
+	for r := range heads {
+		putUvarint(&dict, heads[r])
+		putUvarint(&dict, counts[r])
+	}
 	prev := ""
+	var prevNum int64
 	for i := range terms {
 		t := &terms[i]
+		if v, ok := numeric[i]; ok {
+			var buf [binary.MaxVarintLen64]byte
+			dict.Write(buf[:binary.PutVarint(buf[:], v-prevNum)])
+			prevNum, prev = v, t.Value
+			continue
+		}
 		shared := commonPrefixLen(prev, t.Value)
 		putUvarint(&dict, uint64(shared))
 		putUvarint(&dict, uint64(len(t.Value)-shared))
 		dict.WriteString(t.Value[shared:])
-		if t.Kind == rdf.LiteralTerm {
-			putUvarint(&dict, uint64(index[tagOf(t)]))
-		}
 		prev = t.Value
 	}
 
@@ -220,7 +252,7 @@ func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 	}
 
 	st := ComputeStats(terms, tris)
-	out.Write([]byte{'P', 'B', 'S', 3})
+	out.Write([]byte{'P', 'B', 'S', 4})
 	for _, payload := range [][]byte{dict.Bytes(), col.Bytes(), st.encode()} {
 		putUvarint(&out, uint64(len(payload)))
 		out.Write(payload)
