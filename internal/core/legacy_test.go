@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -247,19 +248,16 @@ func checkLegacyReadable(t *testing.T, legacyVersion byte, layout string) {
 			t.Errorf("%s decodes to %d triples, its version %d twin to %d, or to others", name, old.Len(), segcodec.PBSVersion, cur.Len())
 		}
 	}
-	// Every segment, loose or packed, shrinks, except that a version 4
-	// dictionary without literals spends one byte more than version 3 did, on
-	// its run count 0; the store shrinks as a whole.
+	// Every segment, loose or packed, shrinks, and so does the store. (The
+	// demo's delta segments hold no literal, so a version 4 dictionary spent
+	// one byte more on them than version 3, its run count 0; the version 5
+	// stats frame more than makes up for it.)
 	twinSegments := pbsSegments(t, twinFiles)
 	if !slices.Equal(fileNames(segments), fileNames(twinSegments)) {
 		t.Fatalf("fixture holds segments %v, its twin %v", fileNames(segments), fileNames(twinSegments))
 	}
 	for name, seg := range segments {
-		limit := len(seg) - 1
-		if legacyVersion == 3 {
-			limit = len(seg) + 1
-		}
-		if n := len(twinSegments[name]); n > limit {
+		if n := len(twinSegments[name]); n >= len(seg) {
 			t.Errorf("%s: %d bytes in version %d, %d in version %d", name, len(seg), legacyVersion, n, segcodec.PBSVersion)
 		}
 	}
@@ -332,6 +330,27 @@ func checkLegacyReadable(t *testing.T, legacyVersion byte, layout string) {
 	}
 	if members[legacyVersion] != 2 || members[segcodec.PBSVersion] < 2 {
 		t.Fatalf("pack %s holds members by version %v, want both generations", pack, members)
+	}
+	// The header carries each member's own stats frame, in the generation the
+	// member was written in, and a union of the generation this build writes.
+	h, err := segcodec.DecodePackHeader(mixedFiles[pack])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range h.Members {
+		seg := mixedFiles[pack][m.Off : m.Off+m.Size]
+		own, ok := segcodec.StatsOf(seg)
+		wantGen := byte(2)
+		if seg[3] < segcodec.PBSVersion {
+			wantGen = 1
+		}
+		if !ok || !m.HasStats || !reflect.DeepEqual(m.Stats, own) || own.Gen != wantGen {
+			t.Errorf("pack member %s (version %d): header stats %v (generation %d), its own frame %v (generation %d), want generation %d",
+				m.Name, seg[3], m.HasStats, m.Stats.Gen, ok, own.Gen, wantGen)
+		}
+	}
+	if !h.HasStats || h.Stats.Gen != 2 {
+		t.Errorf("pack %s: union present %v, generation %d; want generation 2", pack, h.HasStats, h.Stats.Gen)
 	}
 	want = storeAnswers(t, twin)
 	sameAnswers(t, "mixed pack", storeAnswers(t, mixed), want)

@@ -294,6 +294,10 @@ type storeAudit struct {
 type auditPack struct {
 	name    string
 	members []string // member names, sidecars included
+	// header is the decoded header (nil when unreadable); files[i] is the
+	// audited file of header.Members[i], nil for a sidecar or a foreign name.
+	header *segcodec.PackHeader
+	files  []*auditFile
 }
 
 func (a *storeAudit) addPackDefect(kind DefectKind, name, format string, args ...any) {
@@ -382,7 +386,8 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 				continue
 			}
 			ap := &a.packs[len(a.packs)-1]
-			for _, m := range h.Members {
+			ap.header, ap.files = h, make([]*auditFile, len(h.Members))
+			for i, m := range h.Members {
 				ap.members = append(ap.members, m.Name)
 				mdata := data[m.Off : m.Off+m.Size]
 				pid, seg, isSum, ok := parseStoreName(m.Name)
@@ -394,7 +399,8 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 					addSum(m.Name, mdata, n)
 					continue
 				}
-				entries = append(entries, &auditFile{pid: pid, name: m.Name, seg: seg, data: mdata, packed: n})
+				ap.files[i] = &auditFile{pid: pid, name: m.Name, seg: seg, data: mdata, packed: n}
+				entries = append(entries, ap.files[i])
 			}
 			continue
 		}
@@ -437,8 +443,20 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 	}
 	entries = deduped
 	// Check pass: the files are mutually independent, sums is read-only from
-	// here on, and a finding is a defect on the file, never an error.
-	par.Do(len(entries), runtime.GOMAXPROCS(0), func(i int) { entries[i].check(sums, keep) })
+	// here on, and a finding is a defect on the file, never an error. A packed
+	// member's content is kept for its pack's stats check below.
+	packed := make(map[string]bool)
+	for _, p := range a.packs {
+		for _, f := range p.files {
+			if f != nil {
+				packed[f.name] = true
+			}
+		}
+	}
+	par.Do(len(entries), runtime.GOMAXPROCS(0), func(i int) { entries[i].check(sums, keep || packed[entries[i].name]) })
+	for i := range a.packs {
+		a.checkPackStats(&a.packs[i], func(name string) *auditFile { return entries[byName[name]] })
+	}
 	// Fold, in entry order.
 	pidOf := func(pid int) *pidAudit {
 		pa := a.pids[pid]
@@ -499,6 +517,43 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 		sortDefects(pa.defects)
 	}
 	return a, nil
+}
+
+// checkPackStats holds a readable pack's header stats to its members'
+// contents (segcodec.CheckPackStats): pruned and lazy reads trust the header
+// instead of fetching the members, so a header that says less than they hold
+// drops answers. audited returns the file the check pass audited under a
+// member's name. A pack with a member that has no content to compare — a
+// foreign name, an undecodable file, a conflicting copy — is left to that
+// member's own defect.
+func (a *storeAudit) checkPackStats(p *auditPack, audited func(name string) *auditFile) {
+	if p.header == nil {
+		return
+	}
+	members := make([]*segcodec.Columns, len(p.files))
+	for i, pf := range p.files {
+		if pf == nil {
+			if !strings.HasSuffix(p.header.Members[i].Name, chainSidecarExt) {
+				return
+			}
+			continue // opaque
+		}
+		f := audited(pf.name)
+		if !bytes.Equal(f.data, pf.data) {
+			return
+		}
+		switch {
+		case f.cols != nil:
+			members[i] = f.cols
+		case f.graph != nil:
+			members[i] = segcodec.GraphColumns(f.graph)
+		default:
+			return
+		}
+	}
+	if err := segcodec.CheckPackStats(p.header, members, runtime.GOMAXPROCS(0)); err != nil {
+		a.addPackDefect(DefectTampered, p.name, "header stats: %v", err)
+	}
 }
 
 // packSrc names where a duplicated file copy lives, for defect messages.

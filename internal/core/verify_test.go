@@ -284,6 +284,80 @@ func TestVerifyFlipMatrix(t *testing.T) {
 	}
 }
 
+// TestVerifyChecksPackHeaderStats: pruned and lazy reads trust a pack's
+// header stats instead of fetching its members, so a header rewritten behind
+// a valid CRC is a tampered pack — a union that holds no triples, which
+// prunes the whole pack from every pattern; a member's stats taken from
+// another member; a member's stats or the union dropped.
+func TestVerifyChecksPackHeaderStats(t *testing.T) {
+	store := demoStore(t, VFSBackend{View: vfs.NewStore().NewView()})
+	name, err := store.PackSegments(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := storeFiles(t, store)
+	h, err := segcodec.DecodePackHeader(clean[name])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrite := func(edit func(entries []segcodec.PackEntry, union **segcodec.SegStats)) *Store {
+		t.Helper()
+		entries := make([]segcodec.PackEntry, len(h.Members))
+		for i, m := range h.Members {
+			entries[i] = segcodec.PackEntry{Name: m.Name, Data: clean[name][m.Off : m.Off+m.Size], Stats: &h.Members[i].Stats}
+		}
+		union := h.Stats
+		pu := &union
+		edit(entries, &pu)
+		pack, err := segcodec.EncodePack(h.Level, entries, pu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := maps.Clone(clean)
+		files[name] = pack
+		return openDir(t, files)
+	}
+	if len(h.Members) < 2 {
+		t.Fatalf("premise: the demo pack holds %d members", len(h.Members))
+	}
+	noTriples := rewrite(func(_ []segcodec.PackEntry, u **segcodec.SegStats) { (*u).Triples = 0 })
+	full, err := noTriples.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, _, err := noTriples.MergePruned(&SegmentPruner{Patterns: []PrunePattern{{}}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pruned.Len() >= full.Len() {
+		t.Fatalf("premise: a union of no triples should prune the pack's %d triples away (pruned read %d of %d)",
+			full.Len()-pruned.Len(), pruned.Len(), full.Len())
+	}
+	for what, forged := range map[string]*Store{
+		"union of no triples": noTriples,
+		"member stats of another member": rewrite(func(es []segcodec.PackEntry, _ **segcodec.SegStats) {
+			es[0].Stats = es[1].Stats
+		}),
+		"member stats dropped": rewrite(func(es []segcodec.PackEntry, _ **segcodec.SegStats) { es[1].Stats = nil }),
+		"union dropped":        rewrite(func(_ []segcodec.PackEntry, u **segcodec.SegStats) { *u = nil }),
+	} {
+		rep := mustVerify(t, forged)
+		found := false
+		for _, d := range rep.Defects {
+			found = found || d.Name == name && d.Kind == DefectTampered && strings.HasPrefix(d.Detail, "header stats: ")
+		}
+		if !found || len(rep.Defects) != 1 {
+			t.Errorf("%s: defects %v, want the one tampered pack %s", what, rep.Defects, name)
+		}
+		if err := forged.Compact(); err == nil {
+			t.Errorf("%s: Compact folded a pack whose header lies", what)
+		}
+	}
+	if rep := mustVerify(t, rewrite(func([]segcodec.PackEntry, **segcodec.SegStats) {})); !rep.Clean() {
+		t.Fatalf("the pack re-encoded as it was: %v", rep.Defects)
+	}
+}
+
 // TestVerifyTruncationMatrix: every strict prefix of every store file must be
 // detected — locally where possible, and by heads-anchored verification in
 // the one documented blind spot (a binary canonical truncated exactly at a

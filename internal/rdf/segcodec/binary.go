@@ -23,16 +23,17 @@ import (
 //	magic      4 bytes  'P' 'B' 'S' <version>
 //	dict frame          frame{ term dictionary block }
 //	triple frame        frame{ triple block }
-//	stats frame         frame{ 'S' 'T' 'A' 0x01 ... }   optional (see stats.go)
+//	stats frame         frame{ 'S' 'T' 'A' 0x02 ... }   optional (see stats.go)
 //	chain frame         frame{ 'C' 'H' 'N' 0x01 ... }   optional (see chain.go)
 //
 //	frame{payload} = uvarint(len(payload)) | payload | crc32-IEEE(payload), LE
 //
 // The encoder always writes the stats frame; files from before it existed
 // (or with the frame stripped) decode identically — stats only gate segment
-// pruning, never correctness. When present, the frame must byte-match the
-// stats recomputed from the decoded contents, so a decodable segment can
-// never carry stats that would prune wrongly.
+// pruning, never correctness. When present, the frame must be of the
+// version's generation and byte-match the stats recomputed from the decoded
+// contents, so a decodable segment can never carry stats that would prune
+// wrongly.
 //
 // The dictionary block is the segment's delta of newly seen terms: every
 // distinct term the segment's triples use, exactly once, sorted in the
@@ -81,8 +82,9 @@ import (
 //	uvarint nRuns   | per subject run: uvarint subjectDelta, uvarint shapeIndex
 //	O column        | per row: zig-zag delta from the previous object of the same predicate
 //
-// That is version 4, the only one written. Older files stay readable, and
-// only the two blocks above changed between the versions: version 3 wrote
+// That is version 5, the only one written. Older files stay readable.
+// Version 4 differs only in its stats frame, generation 1 ('STA\x01', see
+// stats.go), and before it only the two blocks above changed: version 3 wrote
 // every literal front-coded, with its tag index after it and no run table;
 // version 2 wrote that dictionary block too, and the triple block
 // column-major (uvarint tripleCount | S column as uvarint deltas | P and O
@@ -94,9 +96,10 @@ import (
 //	per term: kind byte | uvarint sharedPrefix | uvarint suffixLen | suffix
 //	          literals append: uvarint langLen | lang | uvarint dtLen | dt
 //
-// decodeDict and decodeCols are the only functions that know the difference:
-// frames, stats, seals and packs are the same in all four, and a segment's
-// stats frame equals its rewrite's byte for byte. In every version, each
+// decodeDict and decodeCols are the only functions that know those
+// differences, and statsGen the stats frame's: frames, seals and packs are
+// the same in all five, and a segment's stats frame equals that of its
+// rewrite in its own version byte for byte. In every version, each
 // dictionary entry is named by some row.
 type binCodec struct{}
 
@@ -107,12 +110,14 @@ var pbsMagic = []byte{'P', 'B', 'S'}
 // PBSVersion is the format version every encoder entry point writes. The
 // decoder reads every version from 1 up to it: version 2 brought the
 // dictionary block's tag table, version 3 the subject-run triple block,
-// version 4 the literal runs and numeric literals.
+// version 4 the literal runs and numeric literals, version 5 the stats
+// frame's numeric range (generation 2, see stats.go).
 const (
-	PBSVersion         = 4
-	pbsTagTableVersion = 2
-	pbsRunsVersion     = 3
-	pbsLitRunsVersion  = 4
+	PBSVersion           = 5
+	pbsTagTableVersion   = 2
+	pbsRunsVersion       = 3
+	pbsLitRunsVersion    = 4
+	pbsRangeStatsVersion = 5
 )
 
 // pbsBody splits a binary segment into its format version and the frames
@@ -189,7 +194,7 @@ func collectTags(tags []tagPair, literals []rdf.Term) []tagPair {
 // block.
 func writeSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 	dict := encodeDict(terms)
-	st := ComputeStats(terms, tris)
+	st := ComputeStats(terms, tris, statsGen(PBSVersion))
 	sta := st.encode()
 
 	// The triple block is built in the scratch, so the file is the one buffer
@@ -238,6 +243,17 @@ func canonicalInt(s string) (int64, bool) {
 		return int64(-u), true
 	}
 	return int64(u), !neg && u < 1<<63
+}
+
+// numericValue reports whether t is a numeric literal — its pair is
+// ("", xsd:integer) and canonicalInt accepts its value — and the value. The
+// dictionary block stores such a literal as a number, and a generation 2
+// stats frame keeps it in its range instead of its Bloom filter.
+func numericValue(t *rdf.Term) (int64, bool) {
+	if t.Kind != rdf.LiteralTerm || t.Lang != "" || t.Datatype != rdf.XSDInteger {
+		return 0, false
+	}
+	return canonicalInt(t.Value)
 }
 
 // encodeDict renders the dictionary block of a dictionary in the canonical
@@ -309,10 +325,7 @@ func encodeDict(terms []rdf.Term) []byte {
 				continue
 			}
 		}
-		shared := commonPrefixLen(prev, t.Value)
-		dict = binary.AppendUvarint(dict, uint64(shared))
-		dict = binary.AppendUvarint(dict, uint64(len(t.Value)-shared))
-		dict = append(dict, t.Value[shared:]...)
+		dict = appendFrontCoded(dict, prev, t.Value)
 		prev = t.Value
 	}
 	// The pairs point at the source dictionary's strings: drop them before the
@@ -394,9 +407,14 @@ func DecodeColumns(data []byte) (*Columns, error) {
 			return nil, fmt.Errorf("%w: footer frame: %w", ErrCorrupt, err)
 		}
 		switch {
-		case bytes.HasPrefix(fp, staMagic):
+		case bytes.HasPrefix(fp, staTag):
 			if statsPayload != nil {
 				return nil, fmt.Errorf("%w: duplicate stats frame", ErrCorrupt)
+			}
+			// One generation per version, so no two versions spell a segment
+			// that carries stats alike.
+			if want := statsGen(version); len(fp) == len(staTag) || fp[len(staTag)] != want {
+				return nil, fmt.Errorf("%w: stats frame: a pbs v%d file carries generation %d only", ErrCorrupt, version, want)
 			}
 			statsPayload = fp
 		case bytes.HasPrefix(fp, chainMagic):
@@ -423,9 +441,9 @@ func DecodeColumns(data []byte) (*Columns, error) {
 		// The stats frame must be exactly what the encoder would derive from
 		// this content — a forged or stale summary could prune segments that
 		// still hold answers, so it is rejected instead of trusted.
-		st := ComputeStats(c.Terms, c.Tris)
+		st := ComputeStats(c.Terms, c.Tris, statsGen(version))
 		if !bytes.Equal(st.encode(), statsPayload) {
-			return nil, fmt.Errorf("%w: stats frame does not match segment contents", ErrCorrupt)
+			return nil, fmt.Errorf("%w: stats frame: %s", ErrCorrupt, statsMismatch(statsPayload, &st))
 		}
 		c.Stats = &st
 	}
@@ -716,6 +734,15 @@ func frontCoded(val, p []byte) (value, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("shared prefix %d is not the longest", shared)
 	}
 	return append(val[:shared], suffix...), p, nil
+}
+
+// appendFrontCoded appends v as frontCoded reads it after prev: the longest
+// prefix the two share, then the rest.
+func appendFrontCoded(dst []byte, prev, v string) []byte {
+	shared := commonPrefixLen(prev, v)
+	dst = binary.AppendUvarint(dst, uint64(shared))
+	dst = binary.AppendUvarint(dst, uint64(len(v)-shared))
+	return append(dst, v[shared:]...)
 }
 
 // decodeLegacyDict is decodeDict for a version 1 block:

@@ -108,7 +108,7 @@ func chainSplit(data []byte) (off int, c Chain, ok bool) {
 		return 0, Chain{}, false
 	}
 	// Skip the optional stats frame so the seal stays the final frame.
-	if fp, after, err := readFrame(rest); err == nil && bytes.HasPrefix(fp, staMagic) {
+	if fp, after, err := readFrame(rest); err == nil && bytes.HasPrefix(fp, staTag) {
 		rest = after
 	}
 	off = len(data) - len(rest)

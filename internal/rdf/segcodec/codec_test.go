@@ -91,7 +91,9 @@ func TestUnknownVersionIsClassified(t *testing.T) {
 // not decode to something else. No CRC covers the version byte, so this
 // holds only because no two layouts spell a segment alike: a version 4
 // dictionary block without literals still carries its run count, 0, where
-// version 3 starts the entries.
+// version 3 starts the entries; and versions 4 and 5, whose blocks are the
+// same, carry stats frames of different generations, so a swap between
+// them is the stats frame's to refuse.
 func TestVersionByteSwapIsRejected(t *testing.T) {
 	ab := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b")}
 	samples := map[string][]byte{
@@ -110,8 +112,12 @@ func TestVersionByteSwapIsRejected(t *testing.T) {
 			}
 			swapped := append([]byte{}, data...)
 			swapped[3] = v
-			if _, err := DecodeColumns(swapped); !errors.Is(err, ErrCorrupt) {
+			_, err := DecodeColumns(swapped)
+			if !errors.Is(err, ErrCorrupt) {
 				t.Errorf("%s under version byte %d: DecodeColumns returned %v, want ErrCorrupt", name, v, err)
+			}
+			if v >= pbsLitRunsVersion && data[3] >= pbsLitRunsVersion && !strings.Contains(err.Error(), "stats frame: a pbs v") {
+				t.Errorf("%s under version byte %d: rejected with %v, want the stats frame's generation rule", name, v, err)
 			}
 		}
 	}

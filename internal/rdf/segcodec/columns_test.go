@@ -65,11 +65,17 @@ func handBuiltDict(counts [4]uint64, tags []tagPair, entries []dictEntry) []byte
 // and tris being what the blocks mean to spell — so every CRC holds and the
 // stats frame is self-consistent: only the blocks can be wrong.
 func handFramedSegment(version byte, dict, cols []byte, terms []rdf.Term, tris [][3]uint32) []byte {
-	st := ComputeStats(terms, tris)
+	st := ComputeStats(terms, tris, statsGen(version))
+	return handFramedStats(version, dict, cols, st.encode())
+}
+
+// handFramedStats frames a raw dictionary block, triple block and stats frame
+// payload under any version byte, every CRC valid.
+func handFramedStats(version byte, dict, cols, sta []byte) []byte {
 	out := append(append([]byte{}, pbsMagic...), version)
 	out = appendFrame(out, dict)
 	out = appendFrame(out, cols)
-	return appendFrame(out, st.encode())
+	return appendFrame(out, sta)
 }
 
 // runsBlock is a version 3 triple block field by field, every list already
@@ -363,7 +369,7 @@ func TestDecodeRejectsNonAscendingDictionary(t *testing.T) {
 	tris := [][3]uint32{{0, 2, 1}, {1, 2, 0}}
 	// What accepting it would cost: the derived zone map excludes <urn:m>,
 	// a subject of the second triple.
-	st := ComputeStats(zMP, tris)
+	st := ComputeStats(zMP, tris, staGenRange)
 	m := rdf.IRI("urn:m")
 	if st.CanMatch(&m, nil, nil) {
 		t.Fatal("premise: the out-of-order dictionary should derive a zone that excludes urn:m")
@@ -435,20 +441,28 @@ func goldenGenerations(t testing.TB) [][]byte {
 	return append(out, coreGolden(t, "golden_merged.pbs"))
 }
 
-// TestLegacyDictBlockDecodesTheSame: the golden segment in versions 1 to 4
+// TestLegacyDictBlockDecodesTheSame: the golden segment in versions 1 to 5
 // holds the same dictionary, rows and stats — term for term, and the stats
-// frames byte for byte — and every older file re-encodes to the current
-// bytes. Only Version tells the decodes apart, and segmentOf spells each
-// generation as its encoder did.
+// frames byte for byte within a frame generation (versions 1 to 4 carry the
+// first, version 5 the second) — and every older file re-encodes to the
+// current bytes. Only Version tells the decodes apart, and segmentOf spells
+// each version as its encoder did.
 func TestLegacyDictBlockDecodesTheSame(t *testing.T) {
 	gens := goldenGenerations(t)
 	cur, err := DecodeColumns(gens[PBSVersion-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	curSta, _, ok := statsSplit(gens[PBSVersion-1])
-	if !ok {
-		t.Fatal("the current golden carries no stats frame")
+	frames := map[byte][]byte{} // the stats frame payload of each generation
+	for _, v := range []byte{1, PBSVersion} {
+		sta, _, ok := statsSplit(gens[v-1])
+		if !ok {
+			t.Fatalf("the version %d golden carries no stats frame", v)
+		}
+		frames[statsGen(v)] = sta
+	}
+	if bytes.Equal(frames[staGenBloom], frames[staGenRange]) {
+		t.Fatal("both stats frame generations spell the golden alike")
 	}
 	for i, data := range gens {
 		v := byte(i + 1)
@@ -465,8 +479,8 @@ func TestLegacyDictBlockDecodesTheSame(t *testing.T) {
 		if !slices.Equal(c.Terms, cur.Terms) || !slices.Equal(c.Tris, cur.Tris) {
 			t.Fatalf("version %d decodes to other columns than version %d", v, PBSVersion)
 		}
-		if sta, _, ok := statsSplit(data); !ok || !bytes.Equal(sta, curSta) {
-			t.Errorf("version %d carries another stats frame than version %d", v, PBSVersion)
+		if sta, _, ok := statsSplit(data); !ok || !bytes.Equal(sta, frames[statsGen(v)]) {
+			t.Errorf("version %d carries another stats frame than the other versions of generation %d", v, statsGen(v))
 		}
 		if !bytes.Equal(segmentOf(v, c.Terms, c.Tris), data) {
 			t.Errorf("segmentOf spells version %d otherwise than its encoder did", v)
@@ -568,7 +582,7 @@ func TestGraphEncodeMatchesTermSpace(t *testing.T) {
 			t.Fatalf("seed %d: Encode from the log (%d bytes) differs from the term-space encoding (%d bytes)", seed, got.Len(), want.Len())
 		}
 		terms, tris := oracleTermTriples(g.Triples())
-		ref := ComputeStats(terms, oracleSortDedup(tris))
+		ref := ComputeStats(terms, oracleSortDedup(tris), staGenRange)
 		st := ComputeGraphStats(g)
 		if !bytes.Equal(st.encode(), ref.encode()) {
 			t.Fatalf("seed %d: ComputeGraphStats differs from the term-space stats", seed)
@@ -585,8 +599,10 @@ func TestGraphEncodeMatchesTermSpace(t *testing.T) {
 // zone map (their own zone maps are omitted; shorter terms beyond them in
 // another member decide the union's), and members each under the predicate
 // cap whose union may exceed it. Any member may be graph-backed (text). One
-// worker and four give the same bytes, and so does a table in which every
-// term hashes alike, where only comparing terms tells them apart.
+// worker and four give the same bytes, in both frame generations, and so does
+// a table in which every term hashes alike — in generation 2 every term but
+// the numeric literals, which are keyed by value — where only comparing terms
+// tells them apart.
 func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 	counts := []int{1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33}
 	shapes := []string{"shared", "identical", "disjoint", "subset", "empty ends", "long boundaries", "many predicates"}
@@ -633,12 +649,11 @@ func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 		}
 		return g
 	}
-	sameHash := func(terms []rdf.Term) []uint64 {
-		hs := make([]uint64, len(terms))
-		for i := range hs {
-			hs[i] = 0x9E3779B97F4A7C15
+	sameHash := func(dst []uint64, terms []rdf.Term) []uint64 {
+		for range terms {
+			dst = append(dst, 0x9E3779B97F4A7C15)
 		}
-		return hs
+		return dst
 	}
 	withoutBloom := func(st SegStats) []byte {
 		st.Bloom = Bloom{}
@@ -700,18 +715,25 @@ func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 			refs += len(members[m].Terms)
 		}
 		want := ComputeGraphStats(union)
+		uc := GraphColumns(union)
+		wantGen1 := ComputeStats(uc.Terms, sortDedupTriples(uc.Tris, len(uc.Terms)), staGenBloom)
 		for _, workers := range []int{1, 4} {
 			got := UnionStats(members, workers)
 			if !bytes.Equal(got.encode(), want.encode()) {
 				t.Fatalf("seed %d: union of %d %s members at %d worker(s): %d triples / %d terms, union graph %d / %d",
 					seed, n, shape, workers, got.Triples, got.Terms, want.Triples, want.Terms)
 			}
+			if got := unionStats(members, workers, staGenBloom, hashTerms); !bytes.Equal(got.encode(), wantGen1.encode()) {
+				t.Fatalf("seed %d: generation 1 union of %d %s members at %d worker(s) differs from the union graph's", seed, n, shape, workers)
+			}
 			if refs > 600 { // every insert walks the one probe chain
 				continue
 			}
-			if got := unionStats(members, workers, sameHash); !bytes.Equal(withoutBloom(got), withoutBloom(want)) {
-				t.Fatalf("seed %d: union of %d %s members at %d worker(s), every term hashing alike: %d triples / %d terms, union graph %d / %d",
-					seed, n, shape, workers, got.Triples, got.Terms, want.Triples, want.Terms)
+			for _, w := range []SegStats{want, wantGen1} {
+				if got := unionStats(members, workers, w.Gen, sameHash); !bytes.Equal(withoutBloom(got), withoutBloom(w)) {
+					t.Fatalf("seed %d: generation %d union of %d %s members at %d worker(s), every term hashing alike: %d triples / %d terms, union graph %d / %d",
+						seed, w.Gen, n, shape, workers, got.Triples, got.Terms, w.Triples, w.Terms)
+				}
 			}
 		}
 		for c := 0; c < 3; c++ {
@@ -781,8 +803,8 @@ func h5benchSegment(b *testing.B, m int) []byte {
 	return buf.Bytes()
 }
 
-// reportBlockSizes reports the triple block's size per triple and the
-// dictionary block's per term.
+// reportBlockSizes reports the triple block's size per triple, the
+// dictionary block's per term, and the stats frame's per triple.
 func reportBlockSizes(b *testing.B, data []byte) {
 	c, err := DecodeColumns(data)
 	if err != nil {
@@ -790,9 +812,11 @@ func reportBlockSizes(b *testing.B, data []byte) {
 	}
 	_, rest, _ := pbsBody(data)
 	dict, rest, _ := readFrame(rest)
-	cols, _, _ := readFrame(rest)
+	cols, rest, _ := readFrame(rest)
+	sta, _, _ := readFrame(rest)
 	b.ReportMetric(float64(len(cols))/float64(len(c.Tris)), "B/triple")
 	b.ReportMetric(float64(len(dict))/float64(len(c.Terms)), "B/term")
+	b.ReportMetric(float64(len(sta))/float64(len(c.Tris)), "stats-B/triple")
 }
 
 // BenchmarkEncodeColumns writes one harness-shaped delta segment from its

@@ -219,8 +219,8 @@ func TestCanonicalInt(t *testing.T) {
 }
 
 // segmentOf frames a dictionary and rows, canonical or not, in the layout of
-// any version, with the stats frame they derive: version 4 as the encoder
-// writes it, the older ones as their encoders did.
+// any version, with the stats frame they derive in that version's generation:
+// version 5 as the encoder writes it, the older ones as their encoders did.
 func segmentOf(version byte, terms []rdf.Term, tris [][3]uint32) []byte {
 	var dict []byte
 	switch {

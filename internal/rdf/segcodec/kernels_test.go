@@ -261,7 +261,7 @@ func TestStatsPredListMatchesSet(t *testing.T) {
 		for i := 0; i < 4*distinct; i++ {
 			tris = append(tris, [3]uint32{uint32(rng.Intn(len(terms))), uint32(preds[i%distinct]), uint32(rng.Intn(len(terms)))})
 		}
-		st := ComputeStats(terms, sortDedupTriples(tris, len(terms)))
+		st := ComputeStats(terms, sortDedupTriples(tris, len(terms)), staGenRange)
 		if distinct > maxPredList {
 			if st.Preds != nil {
 				t.Fatalf("%d predicates: list of %d kept, want it omitted", distinct, len(st.Preds))

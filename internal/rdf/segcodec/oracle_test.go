@@ -14,11 +14,12 @@ import (
 
 // The encoder's kernels as they were before they became linear — hash maps
 // for the dictionary, sort.Slice for its order and for the rows — and the
-// version 4 segment written the plain way (maps for the tag table, the
+// version 5 segment written the plain way (maps for the tag table, the
 // numeric literals, the predicate table, the shapes and the last object per
-// predicate, strconv for the integers, one bytes.Buffer write per field),
-// kept as the reference the kernel tests and FuzzSegcodecEncode compare
-// against. Nothing outside _test.go calls them.
+// predicate, strconv for the integers, one bytes.Buffer write per field, the
+// stats frame from its layout table), kept as the reference the kernel tests
+// and FuzzSegcodecEncode compare against. Nothing outside _test.go calls
+// them.
 
 // oracleTermTriples builds the canonically sorted dictionary of a triple
 // slice by hashing terms, plus the triples as local-ID rows in slice order.
@@ -105,7 +106,7 @@ func oracleSortDedup(tris [][3]uint32) [][3]uint32 {
 	return dedup
 }
 
-// oracleWriteSegment writes the version 4 segment of a canonical dictionary
+// oracleWriteSegment writes the version 5 segment of a canonical dictionary
 // and its sorted rows straight from the layout table in binary.go.
 func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 	var kinds [rdf.LiteralTerm + 1]uint64
@@ -125,8 +126,7 @@ func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 		index[tag] = i
 	}
 
-	// A literal is numeric when strconv reads its xsd:integer value back to
-	// the same text; its run head is its tag index and that bit.
+	// A numeric literal's run head is its tag index and that bit.
 	numeric := map[int]int64{} // by position in terms
 	var heads, counts []uint64
 	for i := range terms {
@@ -135,7 +135,7 @@ func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 			continue
 		}
 		head := uint64(index[tagOf(t)]) << 1
-		if v, err := strconv.ParseInt(t.Value, 10, 64); err == nil && t.Lang == "" && t.Datatype == rdf.XSDInteger && strconv.FormatInt(v, 10) == t.Value {
+		if v, ok := oracleNumeric(t); ok {
 			numeric[i] = v
 			head |= 1
 		}
@@ -251,9 +251,8 @@ func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 		lastObject[t[1]] = int64(t[2])
 	}
 
-	st := ComputeStats(terms, tris)
-	out.Write([]byte{'P', 'B', 'S', 4})
-	for _, payload := range [][]byte{dict.Bytes(), col.Bytes(), st.encode()} {
+	out.Write([]byte{'P', 'B', 'S', 5})
+	for _, payload := range [][]byte{dict.Bytes(), col.Bytes(), oracleStatsFrame(terms, tris)} {
 		putUvarint(&out, uint64(len(payload)))
 		out.Write(payload)
 		var crc [4]byte
@@ -262,6 +261,117 @@ func oracleWriteSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 	}
 	_, err := w.Write(out.Bytes())
 	return err
+}
+
+// oracleNumeric: a literal is numeric when strconv reads its xsd:integer
+// value back to the same text.
+func oracleNumeric(t *rdf.Term) (int64, bool) {
+	v, err := strconv.ParseInt(t.Value, 10, 64)
+	return v, err == nil && t.Kind == rdf.LiteralTerm && t.Lang == "" && t.Datatype == rdf.XSDInteger && strconv.FormatInt(v, 10) == t.Value
+}
+
+// oracleStatsFrame writes the generation 2 stats frame payload of a canonical
+// dictionary and its sorted rows from the layout table in stats.go: column
+// bounds by scanning the rows, the predicates from a set, the numeric
+// literals by strconv, the filter term by term through Add, the front coding
+// by commonPrefixLen.
+func oracleStatsFrame(terms []rdf.Term, tris [][3]uint32) []byte {
+	var b bytes.Buffer
+	b.WriteString("STA\x02")
+	putUvarint(&b, uint64(len(tris)))
+	putUvarint(&b, uint64(len(terms)))
+	var lo, hi [3]uint32
+	predSet := map[uint32]bool{}
+	for i, t := range tris {
+		for c := range 3 {
+			if i == 0 || t[c] < lo[c] {
+				lo[c] = t[c]
+			}
+			if i == 0 || t[c] > hi[c] {
+				hi[c] = t[c]
+			}
+		}
+		predSet[t[1]] = true
+	}
+	var preds []uint32
+	for p := range predSet {
+		preds = append(preds, p)
+	}
+	sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
+	var nums []int64
+	for _, t := range terms {
+		if v, ok := oracleNumeric(&t); ok {
+			nums = append(nums, v)
+		}
+	}
+	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
+
+	var flags byte
+	zoned := [3]bool{}
+	for c := range 3 {
+		zoned[c] = len(tris) > 0 && len(terms[lo[c]].Value) <= maxZoneValueLen && len(terms[hi[c]].Value) <= maxZoneValueLen
+		if zoned[c] {
+			flags |= 1 << c
+		}
+	}
+	if len(preds) <= maxPredList {
+		flags |= staPreds
+	}
+	flags |= staBloom
+	if len(nums) > 0 {
+		flags |= staNums
+	}
+	b.WriteByte(flags)
+	tags := func(t rdf.Term) {
+		if t.Kind == rdf.LiteralTerm {
+			putUvarint(&b, uint64(len(t.Lang)))
+			b.WriteString(t.Lang)
+			putUvarint(&b, uint64(len(t.Datatype)))
+			b.WriteString(t.Datatype)
+		}
+	}
+	frontCode := func(prev, v string) {
+		shared := commonPrefixLen(prev, v)
+		putUvarint(&b, uint64(shared))
+		putUvarint(&b, uint64(len(v)-shared))
+		b.WriteString(v[shared:])
+	}
+	for c := range 3 {
+		if !zoned[c] {
+			continue
+		}
+		min, max := terms[lo[c]], terms[hi[c]]
+		b.WriteByte(byte(min.Kind))
+		putUvarint(&b, uint64(len(min.Value)))
+		b.WriteString(min.Value)
+		tags(min)
+		b.WriteByte(byte(max.Kind))
+		frontCode(min.Value, max.Value)
+		tags(max)
+	}
+	if len(preds) <= maxPredList {
+		putUvarint(&b, uint64(len(preds)))
+		prev := ""
+		for _, p := range preds {
+			frontCode(prev, terms[p].Value)
+			prev = terms[p].Value
+		}
+	}
+	if len(nums) > 0 {
+		var buf [binary.MaxVarintLen64]byte
+		b.Write(buf[:binary.PutVarint(buf[:], nums[0])])
+		putUvarint(&b, uint64(nums[len(nums)-1]-nums[0]))
+	}
+	filter := newBloom(len(terms) - len(nums))
+	for _, t := range terms {
+		if _, ok := oracleNumeric(&t); !ok {
+			filter.Add(t)
+		}
+	}
+	b.WriteByte(filter.K)
+	putUvarint(&b, uint64(len(filter.Bits)))
+	b.Write(filter.Bits)
+	return b.Bytes()
 }
 
 // oracleEncodeRefs and oracleEncodeTerms are the reference encoder's two

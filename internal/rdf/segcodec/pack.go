@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -38,8 +39,11 @@ import (
 //
 // Member names keep their original store-file names; opaque members (chain
 // sidecar files, which are not RDF) ride along for the auditor and are
-// skipped by Decode. Stats payloads reuse the 'STA\x01' encoding of the
-// segment stats frame.
+// skipped by Decode. Stats payloads are stats frame payloads (stats.go): a
+// member's is its own frame's, byte for byte and in that frame's generation,
+// so a pbs v4 member keeps 'STA\x01' in a pack written today; the pack's is
+// the union of its members' contents, generation 2 since pbs v5 (an older
+// pack's is generation 1). CheckPackStats holds a header to both.
 type packCodec struct{}
 
 var pskMagic = []byte{'P', 'S', 'K', 0x01}
@@ -170,7 +174,10 @@ func EncodePack(level int, entries []PackEntry, packStats *SegStats) ([]byte, er
 // DecodePackHeader parses a pack's header from data, which may be just a
 // prefix of the file (the lazy-read path fetches the head of the pack and
 // retries with more bytes on ErrTruncated). Member offsets are absolute file
-// offsets; member bytes need not be present in data.
+// offsets; member bytes need not be present in data. A header EncodePack
+// would not write — level 0, a member that is a pack, an extent past the
+// largest int64 offset — is ErrCorrupt, so the extents of an accepted header
+// are non-negative and contiguous up to WantSize.
 func DecodePackHeader(data []byte) (*PackHeader, error) {
 	if !bytes.HasPrefix(data, pskMagic) {
 		if len(data) < len(pskMagic) && bytes.HasPrefix(pskMagic, data) {
@@ -189,6 +196,9 @@ func DecodePackHeader(data []byte) (*PackHeader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: pack level: %v", ErrCorrupt, err)
 	}
+	if level < 1 || level > math.MaxInt {
+		return nil, fmt.Errorf("%w: pack level %d out of range", ErrCorrupt, level)
+	}
 	h.Level = int(level)
 	count, payload, err := getUvarint(payload)
 	if err != nil {
@@ -205,16 +215,24 @@ func DecodePackHeader(data []byte) (*PackHeader, error) {
 		if m.Name, payload, err = getString(payload); err != nil {
 			return nil, fmt.Errorf("%w: member %d name: %v", ErrCorrupt, i, err)
 		}
+		if filepath.Ext(m.Name) == Pack.Ext() {
+			return nil, fmt.Errorf("%w: member %s is itself a pack", ErrCorrupt, m.Name)
+		}
 		var size uint64
 		if size, payload, err = getUvarint(payload); err != nil {
 			return nil, fmt.Errorf("%w: member %d size: %v", ErrCorrupt, i, err)
 		}
-		var sp string
-		if sp, payload, err = getString(payload); err != nil {
+		// Extents are int64 file offsets: a size that carries the running
+		// offset past the largest one would wrap it negative.
+		if size > uint64(math.MaxInt64-off) {
+			return nil, fmt.Errorf("%w: member %d size %d overflows the pack's extent", ErrCorrupt, i, size)
+		}
+		var sp []byte // parseStatsPayload copies what it keeps
+		if sp, payload, err = getBytes(payload); err != nil {
 			return nil, fmt.Errorf("%w: member %d stats: %v", ErrCorrupt, i, err)
 		}
 		if len(sp) > 0 {
-			if m.Stats, err = parseStatsPayload([]byte(sp)); err != nil {
+			if m.Stats, err = parseStatsPayload(sp); err != nil {
 				return nil, fmt.Errorf("%w: member %d stats: %v", ErrCorrupt, i, err)
 			}
 			m.HasStats = true
@@ -223,12 +241,12 @@ func DecodePackHeader(data []byte) (*PackHeader, error) {
 		off += int64(size)
 		h.Members = append(h.Members, m)
 	}
-	var sp string
-	if sp, payload, err = getString(payload); err != nil {
+	sp, payload, err := getBytes(payload)
+	if err != nil {
 		return nil, fmt.Errorf("%w: pack stats: %v", ErrCorrupt, err)
 	}
 	if len(sp) > 0 {
-		if h.Stats, err = parseStatsPayload([]byte(sp)); err != nil {
+		if h.Stats, err = parseStatsPayload(sp); err != nil {
 			return nil, fmt.Errorf("%w: pack stats: %v", ErrCorrupt, err)
 		}
 		h.HasStats = true
@@ -238,4 +256,46 @@ func DecodePackHeader(data []byte) (*PackHeader, error) {
 	}
 	h.WantSize = off
 	return h, nil
+}
+
+// CheckPackStats reports whether a pack header's stats are the ones its
+// members' contents derive: a pruned or lazy read trusts them without
+// fetching a member, so a header that says less than the members hold would
+// drop answers. members[i] is the content of h.Members[i] — a validated binary
+// member's columns, whose Stats are its own frame; a text member's
+// GraphColumns; nil for an opaque member. Each member's header stats must
+// equal its own stats frame, and be absent exactly when it carries none. The
+// pack's stats must be present and equal the union of the members' contents
+// in their own generation, which is generation 1 only in a pack without a
+// pbs v5 member.
+func CheckPackStats(h *PackHeader, members []*Columns, workers int) error {
+	var union []*Columns
+	hasV5 := false
+	for i := range h.Members {
+		m, c := &h.Members[i], members[i]
+		var own *SegStats
+		if c != nil {
+			own = c.Stats
+			union = append(union, c)
+			hasV5 = hasV5 || c.Version >= pbsRangeStatsVersion
+		}
+		switch {
+		case m.HasStats && own == nil:
+			return fmt.Errorf("member %s: header carries stats, the member no stats frame", m.Name)
+		case !m.HasStats && own != nil:
+			return fmt.Errorf("member %s: header carries no stats, the member a stats frame", m.Name)
+		case own != nil && !bytes.Equal(m.Stats.encode(), own.encode()):
+			return fmt.Errorf("member %s: header stats differ from the member's stats frame", m.Name)
+		}
+	}
+	switch {
+	case !h.HasStats:
+		return fmt.Errorf("no pack-level stats")
+	case h.Stats.Gen == staGenBloom && hasV5:
+		return fmt.Errorf("pack-level stats of generation %d beside a pbs v%d member", staGenBloom, pbsRangeStatsVersion)
+	}
+	if want := unionStats(union, workers, h.Stats.Gen, hashTerms); !bytes.Equal(h.Stats.encode(), want.encode()) {
+		return fmt.Errorf("pack-level stats differ from the union of the members' contents")
+	}
+	return nil
 }

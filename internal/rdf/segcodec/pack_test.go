@@ -2,8 +2,12 @@ package segcodec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -11,7 +15,7 @@ import (
 
 // buildPack encodes n small member segments plus an opaque sidecar-like
 // member and returns the pack bytes, the member graphs' union, and entries.
-func buildPack(t *testing.T, n int) ([]byte, *rdf.Graph, []PackEntry) {
+func buildPack(t testing.TB, n int) ([]byte, *rdf.Graph, []PackEntry) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(n)))
 	union := rdf.NewGraph()
@@ -169,4 +173,178 @@ func TestPackEncodeRejectsLevelZero(t *testing.T) {
 	if _, err := EncodePack(0, nil, nil); err == nil {
 		t.Fatal("level-0 pack accepted")
 	}
+}
+
+// wrappingPack is the regression of member sizes that wrap the running int64
+// offset: 2⁶³ and 2⁶³+4 bring it back to 4 bytes past the header, so until
+// the header rejected them it promised exactly the length of this file, and
+// every reader that sliced a member by its extent panicked.
+func wrappingPack() []byte {
+	h := binary.AppendUvarint(nil, 1) // level
+	h = binary.AppendUvarint(h, 2)
+	for i, size := range []uint64{1 << 63, 1<<63 + 4} {
+		name := fmt.Sprintf("prov_p000000.seg%04d.pbs", i)
+		h = binary.AppendUvarint(h, uint64(len(name)))
+		h = append(h, name...)
+		h = binary.AppendUvarint(h, size)
+		h = binary.AppendUvarint(h, 0) // no member stats
+	}
+	h = binary.AppendUvarint(h, 0) // no pack stats
+	return append(appendFrame(slices.Clone(pskMagic), h), 1, 2, 3, 4)
+}
+
+// TestPackHeaderRejectsWrappingSizes: a member size that carries the running
+// offset past int64 is ErrCorrupt, from the header parse and from a decode.
+func TestPackHeaderRejectsWrappingSizes(t *testing.T) {
+	pack := wrappingPack()
+	if _, err := DecodePackHeader(pack); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "member 0 size 9223372036854775808 overflows") {
+		t.Fatalf("DecodePackHeader returned %v, want ErrCorrupt naming member 0's size", err)
+	}
+	if err := Pack.Decode(bytes.NewReader(pack), rdf.NewGraph()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Pack.Decode returned %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzPackHeader: parsing a pack header never panics, and neither does
+// decoding the pack; an accepted header's extents are non-negative and
+// contiguous from BodyOff to WantSize; and an accepted header is what
+// EncodePack writes — given the members' bytes, their stats and the level it
+// reports, EncodePack reproduces the file byte for byte.
+func FuzzPackHeader(f *testing.F) {
+	pack, _, _ := buildPack(f, 3)
+	f.Add(pack)
+	h, err := DecodePackHeader(pack)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pack[:h.BodyOff]) // the lazy path's prefix
+	for _, name := range []string{"golden_demo_pack.psk", "golden_demo_pack_v1.psk", "golden_demo_pack_v4.psk"} {
+		f.Add(coreGolden(f, name))
+	}
+	f.Add(wrappingPack())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_ = Pack.Decode(bytes.NewReader(data), rdf.NewGraph())
+		h, err := DecodePackHeader(data)
+		if err != nil {
+			return
+		}
+		off := h.BodyOff
+		for i, m := range h.Members {
+			if m.Off != off || m.Size < 0 {
+				t.Fatalf("member %d at [%d, +%d), want it to start at %d", i, m.Off, m.Size, off)
+			}
+			off += m.Size
+		}
+		if off != h.WantSize || off < h.BodyOff {
+			t.Fatalf("members end at %d, WantSize %d, body at %d", off, h.WantSize, h.BodyOff)
+		}
+		if h.WantSize > int64(len(data)) {
+			return // a prefix: the members are not here to re-encode
+		}
+		entries := make([]PackEntry, len(h.Members))
+		for i, m := range h.Members {
+			entries[i] = PackEntry{Name: m.Name, Data: data[m.Off : m.Off+m.Size]}
+			if m.HasStats {
+				entries[i].Stats = &h.Members[i].Stats
+			}
+		}
+		var union *SegStats
+		if h.HasStats {
+			union = &h.Stats
+		}
+		re, err := EncodePack(h.Level, entries, union)
+		if err != nil {
+			t.Fatalf("EncodePack refuses an accepted header: %v", err)
+		}
+		if !bytes.Equal(re, data[:h.WantSize]) {
+			t.Fatal("EncodePack of an accepted header's members writes other bytes")
+		}
+	})
+}
+
+// TestCheckPackStats: a pack header's stats are held to its members'
+// contents. A pack of pbs v4 and v5 members carries each member's own frame,
+// in that frame's generation, and the union of the contents in generation 2;
+// generation 1 is a union's only beside no v5 member. Any header that says
+// other than the contents do is refused, naming what it says.
+func TestCheckPackStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var members []*Columns
+	var entries []PackEntry
+	for i := 0; i < 4; i++ {
+		g := randomGraph(rng, 4+rng.Intn(20))
+		g.Add(rdf.Triple{S: rdf.IRI("urn:s"), P: rdf.IRI("urn:at"), O: rdf.Integer(int64(i) - 2)})
+		var data []byte
+		if i%2 == 0 { // a pbs v4 member, packed as an older store holds it
+			c := GraphColumns(g)
+			data = segmentOf(4, c.Terms, sortDedupTriples(c.Tris, len(c.Terms)))
+		} else {
+			var buf bytes.Buffer
+			if err := Binary.Encode(&buf, g, nil); err != nil {
+				t.Fatal(err)
+			}
+			data = buf.Bytes()
+		}
+		c, err := DecodeColumns(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, c)
+		entries = append(entries, PackEntry{Name: fmt.Sprintf("prov_p000000.seg%04d.pbs", i), Data: data, Stats: c.Stats})
+	}
+	entries = append(entries, PackEntry{Name: "prov_p000000.seg0000.pbs.sum", Data: []byte("sidecar")})
+	contents := append(slices.Clone(members), nil)
+	check := func(what string, entries []PackEntry, contents []*Columns, union *SegStats, want string) *PackHeader {
+		t.Helper()
+		pack, err := EncodePack(1, entries, union)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := DecodePackHeader(pack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = CheckPackStats(h, contents, 2)
+		if want == "" && err != nil || want != "" && (err == nil || !strings.Contains(err.Error(), want)) {
+			t.Errorf("%s: CheckPackStats returned %v, want %q", what, err, want)
+		}
+		return h
+	}
+	union := UnionStats(members, 2)
+	h := check("as packed", entries, contents, &union, "")
+	for i, c := range members {
+		if got, want := h.Members[i].Stats.Gen, statsGen(c.Version); got != want {
+			t.Errorf("member %d (pbs v%d) carries a generation %d frame in the header, want %d", i, c.Version, got, want)
+		}
+	}
+	if h.Stats.Gen != staGenRange || !h.Stats.NumOK || h.Stats.NumMin != -2 || h.Stats.NumMax != 1 {
+		t.Errorf("union: generation %d, range %v [%d, %d]; want generation 2 over [-2, 1]", h.Stats.Gen, h.Stats.NumOK, h.Stats.NumMin, h.Stats.NumMax)
+	}
+	older := []*Columns{members[0], members[2]}
+	olderUnion := unionStats(older, 2, staGenBloom, hashTerms)
+	check("v4 members under a generation 1 union", []PackEntry{entries[0], entries[2]}, older, &olderUnion, "")
+	gen1 := unionStats(members, 2, staGenBloom, hashTerms)
+	check("generation 1 union beside a v5 member", entries, contents, &gen1, "pack-level stats of generation 1 beside a pbs v5 member")
+
+	edited := func(edit func(es []PackEntry)) []PackEntry {
+		es := slices.Clone(entries)
+		edit(es)
+		return es
+	}
+	empty := union
+	empty.Triples = 0
+	check("union that holds no triples", entries, contents, &empty, "pack-level stats differ from the union")
+	blind := union
+	blind.NumMax = 0
+	check("union whose range stops short", entries, contents, &blind, "pack-level stats differ from the union")
+	check("no union", entries, contents, nil, "no pack-level stats")
+	check("member stats of another member", edited(func(es []PackEntry) { es[0].Stats = es[2].Stats }), contents, &union,
+		"member prov_p000000.seg0000.pbs: header stats differ")
+	respelled := ComputeStats(members[0].Terms, members[0].Tris, staGenRange)
+	check("v4 member's stats respelled in generation 2", edited(func(es []PackEntry) { es[0].Stats = &respelled }), contents, &union,
+		"member prov_p000000.seg0000.pbs: header stats differ")
+	check("member stats dropped", edited(func(es []PackEntry) { es[1].Stats = nil }), contents, &union,
+		"member prov_p000000.seg0001.pbs: header carries no stats, the member a stats frame")
+	check("stats on a sidecar", edited(func(es []PackEntry) { es[4].Stats = &union }), contents, &union,
+		"member prov_p000000.seg0000.pbs.sum: header carries stats, the member no stats frame")
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -12,11 +13,11 @@ import (
 )
 
 // SegStats is the per-segment statistics block behind query pushdown
-// (DESIGN.md "Leveled segments & pushdown"): a summary of what a segment can
+// (DESIGN.md "Per-segment statistics"): a summary of what a segment can
 // possibly contain, cheap enough to consult without decoding the segment.
-// Binary segments carry it as a CRC32-framed 'STA\x01' frame between the
-// triple block and the chain seal; pack files additionally carry one per
-// member plus a pack-level union in their header.
+// Binary segments carry it as a CRC32-framed stats frame between the triple
+// block and the chain seal; pack files additionally carry one per member plus
+// a pack-level union in their header.
 //
 // Every field is conservative: a reader may skip a segment only when the
 // stats PROVE no triple of interest can be inside. Absent fields (legacy
@@ -33,9 +34,31 @@ import (
 //     column references;
 //   - the exact distinct-predicate list (capped; beyond the cap the list is
 //     omitted rather than truncated, which would be unsound);
-//   - a Bloom filter over every term in the segment's dictionary, so "does
-//     term X appear here at all" is answerable with no false negatives.
+//   - the range of the segment's numeric literals (see numericValue);
+//   - a Bloom filter over every other term, so "does term X appear here at
+//     all" is answerable with no false negatives.
+//
+// The frame payload, generation 2 ('STA\x02', written by pbs v5):
+//
+//	'S' 'T' 'A' 0x02
+//	uvarint triples | uvarint terms | flags byte
+//	per zoned column: Min: kind | uvarint len | value [| lang | dt]
+//	                  Max: kind | uvarint shared | uvarint suffixLen | suffix [| lang | dt]
+//	staPreds: uvarint n | per predicate: uvarint shared | uvarint suffixLen | suffix
+//	staNums:  zig-zag varint min | uvarint (max − min)
+//	staBloom: K | uvarint len | bits
+//
+// where lang and dt are uvarint-length-prefixed strings, Max is front-coded
+// against Min and each predicate (an IRI) against the one before it, the
+// first against "". The range is present exactly when the segment holds a
+// numeric literal, and the Bloom filter, sized newBloom(terms − numerics),
+// leaves the numeric literals out. Generation 1 ('STA\x01', pbs v1–v4) spells
+// Max and every predicate like Min, has no range, and puts every term in a
+// filter sized newBloom(terms).
 type SegStats struct {
+	// Gen is the frame generation the stats are spelled in: staGenBloom or
+	// staGenRange.
+	Gen     byte
 	Triples uint64
 	Terms   uint64
 	// ZoneOK marks which per-column zone maps are present; Min/Max are the
@@ -48,13 +71,32 @@ type SegStats struct {
 	// or nil when the segment has more than maxPredList distinct predicates
 	// (or the stats block predates the field).
 	Preds []rdf.Term
-	// Bloom is the term membership filter; an empty filter means absent.
+	// NumOK marks the range NumMin..NumMax of the segment's numeric literals:
+	// set in generation 2 exactly when the segment holds one.
+	NumOK          bool
+	NumMin, NumMax int64
+	// Bloom is the term membership filter; an empty filter means absent. In
+	// generation 2 it holds every term but the numeric literals.
 	Bloom Bloom
 }
 
-// staMagic leads the stats frame payload, distinguishing it from the chain
-// frame and from a stray data frame.
-var staMagic = []byte{'S', 'T', 'A', 0x01}
+// staTag leads the stats frame payload, distinguishing it from the chain
+// frame and from a stray data frame; the byte after it is the generation.
+var staTag = []byte{'S', 'T', 'A'}
+
+// Stats frame generations: pbs v1–v4 carry the first, v5 the second.
+const (
+	staGenBloom = 1 // every term in the Bloom filter
+	staGenRange = 2 // numeric literals in a range, front-coded bounds and predicates
+)
+
+// statsGen is the stats frame generation a pbs version carries.
+func statsGen(version byte) byte {
+	if version >= pbsRangeStatsVersion {
+		return staGenRange
+	}
+	return staGenBloom
+}
 
 const (
 	// maxZoneValueLen bounds the boundary-term values stored in a zone map;
@@ -75,6 +117,7 @@ const (
 	staZoneO
 	staPreds
 	staBloom
+	staNums // generation 2 only
 )
 
 // Bloom is a split Bloom filter over term identities (double hashing over a
@@ -104,7 +147,7 @@ const (
 )
 
 // termHash is the 64-bit FNV-1a over a term's identity. With Add and Has it
-// is the definition of the filter; termBloom builds the same bits faster.
+// is the definition of the filter; addTerms builds the same bits faster.
 func termHash(t rdf.Term) uint64 {
 	h := uint64(fnvOffset)
 	step := func(s string) {
@@ -151,34 +194,100 @@ func (b Bloom) Has(t rdf.Term) bool {
 	return true
 }
 
-// ComputeStats derives the stats block of a segment from its sorted term
-// dictionary and its sorted, deduplicated local-ID triples — the exact
-// arrays writeSegment serializes, so encode and decode agree byte-for-byte
-// on the canonical stats frame. It is two independent halves: the Bloom
-// filter reads only the dictionary, everything else only the rows and the
-// boundary terms they name.
-func ComputeStats(terms []rdf.Term, tris [][3]uint32) SegStats {
+// ComputeStats derives the stats block of a segment, in frame generation gen,
+// from its sorted term dictionary and its sorted, deduplicated local-ID
+// triples — the exact arrays writeSegment serializes, so encode and decode
+// agree byte-for-byte on the canonical stats frame. It is two independent
+// halves: the range and the Bloom filter read only the dictionary,
+// everything else only the rows and the boundary terms they name.
+func ComputeStats(terms []rdf.Term, tris [][3]uint32, gen byte) SegStats {
 	st := rowStats(terms, tris)
-	st.Bloom = termBloom(terms)
+	st.Gen = gen
+	var numeric []uint64 // a bit per term; on the stack for a flush-sized dictionary
+	numerics := 0
+	if gen == staGenRange {
+		var stack [64]uint64
+		if words := (len(terms) + 63) / 64; words <= len(stack) {
+			numeric = stack[:words]
+		} else {
+			numeric = make([]uint64, words)
+		}
+		numerics = st.markNumeric(terms, numeric, nil)
+	}
+	st.Bloom = newBloom(len(terms) - numerics)
+	st.Bloom.addTerms(terms, numeric)
 	return st
 }
 
-// termBloom is the membership filter over a dictionary: the bits Add sets
-// term by term, for terms in any order. The hashes go through a buffer on the
-// stack, a chunk of terms at a time; a chunk restarts the prefix walk, which
-// costs one term's full hash per chunk.
-func termBloom(terms []rdf.Term) Bloom {
-	b := newBloom(len(terms))
+// markNumeric sets the bit in mark (a bit per term) of every numeric literal
+// among terms, widens the range to hold them, and returns how many there are.
+// A non-nil keys gets each one's valueKey at its position.
+func (st *SegStats) markNumeric(terms []rdf.Term, mark, keys []uint64) int {
+	n := 0
+	for i := range terms {
+		if v, ok := numericValue(&terms[i]); ok {
+			st.addNumeric(v)
+			mark[i/64] |= 1 << (i % 64)
+			if keys != nil {
+				keys[i] = valueKey(v)
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// valueKey is the key the union table numbers a numeric literal by: a mix of
+// its value (splitmix64's finalizer). A value has one canonical spelling, so
+// equal literals get equal keys, as they do under termHash, and the table
+// settles a key match by comparing terms either way; it costs a few
+// multiplies where termHash walks the 40-byte xsd:integer tag, and a
+// generation 2 filter, the other use of termHash, leaves these literals out.
+func valueKey(v int64) uint64 {
+	x := uint64(v)
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// addNumeric widens the numeric range to hold v.
+func (st *SegStats) addNumeric(v int64) {
+	if !st.NumOK {
+		st.NumOK, st.NumMin, st.NumMax = true, v, v
+	}
+	st.NumMin, st.NumMax = min(st.NumMin, v), max(st.NumMax, v)
+}
+
+// addTerms sets the bits Add sets for each of the terms, in any order, but
+// for those whose bit in skip is set (nil skips none). The hashes go through
+// a buffer on the stack, a stretch of consecutive terms at a time; a stretch
+// restarts the prefix walk, which costs one term's full hash per stretch.
+func (b Bloom) addTerms(terms []rdf.Term, skip []uint64) {
 	set := b.setter()
 	var buf [256]uint64
-	for len(terms) > 0 {
-		chunk := terms[:min(len(terms), len(buf))]
-		for _, h := range hashTerms(buf[:0], chunk) {
+	eachRun(len(terms), skip, len(buf), func(i, j int) {
+		for _, h := range hashTerms(buf[:0], terms[i:j]) {
 			set.add(h)
 		}
-		terms = terms[len(chunk):]
+	})
+}
+
+// eachRun calls f(i, j) for each run [i, j) of consecutive indexes below n
+// whose bit in skip is clear (nil skips none), cut at most long.
+func eachRun(n int, skip []uint64, most int, f func(i, j int)) {
+	skipped := func(i int) bool { return skip != nil && skip[i/64]&(1<<(i%64)) != 0 }
+	for i := 0; i < n; {
+		if skipped(i) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < n && j-i < most && !skipped(j) {
+			j++
+		}
+		f(i, j)
+		i = j
 	}
-	return b
 }
 
 // bloomSetter sets the bits Add sets for a term, given its termHash. The
@@ -333,10 +442,10 @@ func (st *SegStats) setZone(c int, lo, hi rdf.Term) {
 }
 
 // ComputeGraphStats is ComputeStats over a whole graph, read off its
-// insertion log like Encode.
+// insertion log like Encode, in the generation Encode writes.
 func ComputeGraphStats(g *rdf.Graph) SegStats {
 	c := GraphColumns(g)
-	return ComputeStats(c.Terms, sortDedupTriples(c.Tris, len(c.Terms)))
+	return ComputeStats(c.Terms, sortDedupTriples(c.Tris, len(c.Terms)), statsGen(PBSVersion))
 }
 
 // GraphColumns returns a graph's contents in segment shape, read off its
@@ -359,28 +468,33 @@ func GraphColumns(g *rdf.Graph) *Columns {
 //   - Terms: one open-addressed table, keyed by each member term's termHash
 //     and settled by comparing the terms, numbers the distinct terms and
 //     marks those that occur in two or more members;
-//   - Bloom: the distinct terms' hashes, set in any order;
+//   - numeric range: folded over the members' numeric literals;
+//   - Bloom: the other distinct terms' hashes, set in any order;
 //   - Triples: the members' row total less the rows one member repeats from
 //     another — only a row whose three terms are all marked can be one;
 //   - zone maps: the least and greatest of the members' boundary terms;
 //   - predicate list: the members' predicates, numbered by the table.
 //
-// Hashing each member's dictionary and reading its row bounds, then finding
-// its repeat candidates, run on up to `workers` goroutines (inline at one);
+// Hashing each member's dictionary, marking its numeric literals and reading
+// its row bounds, then finding its repeat candidates, run on up to `workers`
+// goroutines (inline at one);
 // the table is filled serially, member by member. Nothing concurrent writes
 // what another part reads, so the result is what ComputeGraphStats reports
 // for a graph holding every member, at any worker count. A dictionary entry
-// no triple uses still counts as a term of the union.
+// no triple uses still counts as a term of the union. The stats are
+// generation 2 whatever the members' own frames are: they derive from
+// content.
 func UnionStats(members []*Columns, workers int) SegStats {
-	return unionStats(members, workers, func(terms []rdf.Term) []uint64 {
-		return hashTerms(make([]uint64, 0, len(terms)), terms)
-	})
+	return unionStats(members, workers, staGenRange, hashTerms)
 }
 
-// unionStats is UnionStats with the term hash as a parameter, so a test can
-// make every term collide.
-func unionStats(members []*Columns, workers int, hash func([]rdf.Term) []uint64) SegStats {
+// unionStats is UnionStats in any frame generation — an older pack's union
+// is checked in its own — with the term hash kernel as a parameter, so a test
+// can make every term but the numeric literals (keyed by valueKey) collide.
+func unionStats(members []*Columns, workers int, gen byte, hash func(dst []uint64, terms []rdf.Term) []uint64) SegStats {
 	hashes := make([][]uint64, len(members))
+	numeric := make([][]uint64, len(members)) // generation 2: each member's numeric literals, a bit per term
+	ranges := make([]SegStats, len(members))  // and their range
 	bounds := make([]rowBounds, len(members))
 	refOff := make([]int, len(members)+1) // member m's terms are refs [refOff[m], refOff[m+1])
 	rows := 0
@@ -390,7 +504,13 @@ func unionStats(members []*Columns, workers int, hash func([]rdf.Term) []uint64)
 	}
 	par.Do(len(members), workers, func(m int) {
 		c := members[m]
-		hashes[m] = hash(c.Terms)
+		keys := make([]uint64, len(c.Terms))
+		if gen == staGenRange {
+			numeric[m] = make([]uint64, (len(c.Terms)+63)/64)
+			ranges[m].markNumeric(c.Terms, numeric[m], keys)
+		}
+		eachRun(len(c.Terms), numeric[m], len(c.Terms), func(i, j int) { hash(keys[i:i], c.Terms[i:j]) })
+		hashes[m] = keys
 		if len(c.Tris) > 0 {
 			bounds[m] = boundsOf(c.Terms, c.Tris)
 		}
@@ -409,8 +529,8 @@ func unionStats(members []*Columns, workers int, hash func([]rdf.Term) []uint64)
 	mask := uint64(len(table) - 1)
 	remap := make([]uint32, nRefs)       // union ID of member m's local ID l at refOff[m]+l
 	first := make([]*rdf.Term, 0, nRefs) // the first occurrence of each union term,
-	uhash := make([]uint64, 0, nRefs)    // its hash,
-	shared := make([]bool, 0, nRefs)     // and whether a second member holds it
+	shared := make([]bool, 0, nRefs)     // whether a second member holds it,
+	filtered := make([]uint64, 0, nRefs) // and the termHash of those the filter holds
 	for m, c := range members {
 		to := remap[refOff[m]:refOff[m+1]]
 		for l := range c.Terms {
@@ -421,7 +541,10 @@ func unionStats(members []*Columns, workers int, hash func([]rdf.Term) []uint64)
 				if slot == 0 {
 					to[l] = uint32(len(first))
 					table[i] = tag | uint64(len(first)+1)
-					first, uhash, shared = append(first, t), append(uhash, h), append(shared, false)
+					first, shared = append(first, t), append(shared, false)
+					if numeric[m] == nil || numeric[m][l/64]&(1<<(l%64)) == 0 {
+						filtered = append(filtered, h)
+					}
 					break
 				}
 				if u := uint32(slot) - 1; slot&^0xFFFFFFFF == tag && *first[u] == *t {
@@ -436,12 +559,18 @@ func unionStats(members []*Columns, workers int, hash func([]rdf.Term) []uint64)
 	// A row one member repeats from another has all three of its terms in
 	// both: collect the rows that could be, then count the repeats among them.
 	candidates := make([][][3]uint32, len(members))
-	var st SegStats
+	st := SegStats{Gen: gen}
+	for _, r := range ranges {
+		if r.NumOK {
+			st.addNumeric(r.NumMin)
+			st.addNumeric(r.NumMax)
+		}
+	}
 	par.Do(len(members)+1, workers, func(m int) {
 		if m == len(members) {
-			st.Bloom = newBloom(len(first))
+			st.Bloom = newBloom(len(filtered))
 			set := st.Bloom.setter()
-			for _, h := range uhash {
+			for _, h := range filtered {
 				set.add(h)
 			}
 			return
@@ -509,20 +638,20 @@ func unionStats(members []*Columns, workers int, hash func([]rdf.Term) []uint64)
 	return st
 }
 
-// encode renders the canonical stats frame payload.
+// encode renders the canonical stats frame payload of the stats' generation,
+// in one buffer sized up front.
 func (st *SegStats) encode() []byte {
-	size := len(staMagic) + 2 + 4*binary.MaxVarintLen64 + len(st.Bloom.Bits)
+	size := len(staTag) + 2 + 5*binary.MaxVarintLen64 + len(st.Bloom.Bits)
 	for c := 0; c < 3; c++ {
 		size += termBound(st.Min[c]) + termBound(st.Max[c])
 	}
 	for _, p := range st.Preds {
 		size += termBound(p)
 	}
-	var b bytes.Buffer
-	b.Grow(size)
-	b.Write(staMagic)
-	putUvarint(&b, st.Triples)
-	putUvarint(&b, st.Terms)
+	b := append(make([]byte, 0, size), staTag...)
+	b = append(b, st.Gen)
+	b = binary.AppendUvarint(b, st.Triples)
+	b = binary.AppendUvarint(b, st.Terms)
 	var flags byte
 	for c := 0; c < 3; c++ {
 		if st.ZoneOK[c] {
@@ -535,34 +664,68 @@ func (st *SegStats) encode() []byte {
 	if !st.Bloom.Empty() {
 		flags |= staBloom
 	}
-	b.WriteByte(flags)
+	if st.NumOK {
+		flags |= staNums
+	}
+	b = append(b, flags)
+	ranged := st.Gen == staGenRange
 	for c := 0; c < 3; c++ {
-		if st.ZoneOK[c] {
-			putTerm(&b, st.Min[c])
-			putTerm(&b, st.Max[c])
+		if !st.ZoneOK[c] {
+			continue
+		}
+		b = appendTerm(b, st.Min[c])
+		if !ranged {
+			b = appendTerm(b, st.Max[c])
+			continue
+		}
+		hi := &st.Max[c]
+		b = appendFrontCoded(append(b, byte(hi.Kind)), st.Min[c].Value, hi.Value)
+		if hi.Kind == rdf.LiteralTerm {
+			b = appendTag(b, tagOf(hi))
 		}
 	}
 	if st.Preds != nil {
-		putUvarint(&b, uint64(len(st.Preds)))
+		b = binary.AppendUvarint(b, uint64(len(st.Preds)))
+		prev := ""
 		for _, p := range st.Preds {
-			putTerm(&b, p)
+			if !ranged {
+				b = appendTerm(b, p)
+				continue
+			}
+			b = appendFrontCoded(b, prev, p.Value)
+			prev = p.Value
 		}
 	}
-	if !st.Bloom.Empty() {
-		b.WriteByte(st.Bloom.K)
-		putUvarint(&b, uint64(len(st.Bloom.Bits)))
-		b.Write(st.Bloom.Bits)
+	if st.NumOK {
+		b = binary.AppendVarint(b, st.NumMin)
+		b = binary.AppendUvarint(b, uint64(st.NumMax)-uint64(st.NumMin))
 	}
-	return b.Bytes()
+	if !st.Bloom.Empty() {
+		b = append(b, st.Bloom.K)
+		b = binary.AppendUvarint(b, uint64(len(st.Bloom.Bits)))
+		b = append(b, st.Bloom.Bits...)
+	}
+	return b
 }
 
-// parseStatsPayload decodes a stats frame payload (after the CRC check).
+// parseStatsPayload decodes a stats frame payload (after the CRC check) of
+// either generation. It rejects what no encoder writes and a pack header's
+// stats must not carry either: an unknown generation or flag, a zone map
+// whose Max sorts before its Min, and in generation 2 a front-coded prefix
+// that is not the longest, predicates that do not ascend, and a range whose
+// maximum overflows int64. What only the contents can tell — which
+// terms are numeric, the filter's size — DecodeColumns checks.
 func parseStatsPayload(p []byte) (SegStats, error) {
 	var st SegStats
-	if !bytes.HasPrefix(p, staMagic) {
+	if len(p) <= len(staTag) || !bytes.HasPrefix(p, staTag) {
 		return st, fmt.Errorf("missing stats magic")
 	}
-	p = p[len(staMagic):]
+	st.Gen = p[len(staTag)]
+	if st.Gen != staGenBloom && st.Gen != staGenRange {
+		return st, fmt.Errorf("unknown stats frame generation %d", st.Gen)
+	}
+	ranged := st.Gen == staGenRange
+	p = p[len(staTag)+1:]
 	var err error
 	if st.Triples, p, err = getUvarint(p); err != nil {
 		return st, fmt.Errorf("triple count: %v", err)
@@ -575,9 +738,14 @@ func parseStatsPayload(p []byte) (SegStats, error) {
 	}
 	flags := p[0]
 	p = p[1:]
-	if flags&^(staZoneS|staZoneP|staZoneO|staPreds|staBloom) != 0 {
+	known := byte(staZoneS | staZoneP | staZoneO | staPreds | staBloom)
+	if ranged {
+		known |= staNums
+	}
+	if flags&^known != 0 {
 		return st, fmt.Errorf("unknown stats flags %#02x", flags)
 	}
+	var val []byte // a front-coded value, over the bytes of the one before it
 	for c := 0; c < 3; c++ {
 		if flags&(staZoneS<<c) == 0 {
 			continue
@@ -586,8 +754,15 @@ func parseStatsPayload(p []byte) (SegStats, error) {
 		if st.Min[c], p, err = getTerm(p); err != nil {
 			return st, fmt.Errorf("zone %d min: %v", c, err)
 		}
-		if st.Max[c], p, err = getTerm(p); err != nil {
+		if !ranged {
+			if st.Max[c], p, err = getTerm(p); err != nil {
+				return st, fmt.Errorf("zone %d max: %v", c, err)
+			}
+		} else if st.Max[c], p, err = getFrontCodedTerm(append(val[:0], st.Min[c].Value...), p); err != nil {
 			return st, fmt.Errorf("zone %d max: %v", c, err)
+		}
+		if rdf.TermLess(st.Max[c], st.Min[c]) {
+			return st, fmt.Errorf("zone %d: max sorts before min", c)
 		}
 	}
 	if flags&staPreds != 0 {
@@ -599,13 +774,35 @@ func parseStatsPayload(p []byte) (SegStats, error) {
 			return st, fmt.Errorf("predicate list of %d exceeds cap %d", n, maxPredList)
 		}
 		st.Preds = make([]rdf.Term, 0, n)
+		val = val[:0]
 		for i := uint64(0); i < n; i++ {
 			var t rdf.Term
-			if t, p, err = getTerm(p); err != nil {
+			if !ranged {
+				t, p, err = getTerm(p)
+			} else if val, p, err = frontCoded(val, p); err == nil {
+				t = rdf.IRI(string(val))
+				if i > 0 && st.Preds[i-1].Value >= t.Value {
+					err = fmt.Errorf("predicate list is not strictly ascending")
+				}
+			}
+			if err != nil {
 				return st, fmt.Errorf("predicate %d: %v", i, err)
 			}
 			st.Preds = append(st.Preds, t)
 		}
+	}
+	if flags&staNums != 0 {
+		var span uint64
+		if st.NumMin, p, err = getSvarint(p); err != nil {
+			return st, fmt.Errorf("numeric range min: %v", err)
+		}
+		if span, p, err = getUvarint(p); err != nil {
+			return st, fmt.Errorf("numeric range span: %v", err)
+		}
+		if span > uint64(math.MaxInt64)-uint64(st.NumMin) {
+			return st, fmt.Errorf("numeric range max overflows int64 (min %d, span %d)", st.NumMin, span)
+		}
+		st.NumOK, st.NumMax = true, int64(uint64(st.NumMin)+span)
 	}
 	if flags&staBloom != 0 {
 		if len(p) == 0 {
@@ -629,26 +826,60 @@ func parseStatsPayload(p []byte) (SegStats, error) {
 	return st, nil
 }
 
-// putTerm serializes one term (kind, value, and literal tags).
-func putTerm(b *bytes.Buffer, t rdf.Term) {
-	b.WriteByte(byte(t.Kind))
-	putUvarint(b, uint64(len(t.Value)))
-	b.WriteString(t.Value)
-	if t.Kind == rdf.LiteralTerm {
-		putUvarint(b, uint64(len(t.Lang)))
-		b.WriteString(t.Lang)
-		putUvarint(b, uint64(len(t.Datatype)))
-		b.WriteString(t.Datatype)
+// statsMismatch names what is wrong with a stats frame payload that differs
+// from want, the stats the segment's contents derive: a rule of the frame's
+// own structure, or one only the contents decide — whether there is a range
+// and what it spans, and the size of the filter over the other terms.
+func statsMismatch(payload []byte, want *SegStats) string {
+	got, err := parseStatsPayload(payload)
+	switch {
+	case err != nil:
+		return err.Error()
+	case got.NumOK && !want.NumOK:
+		return "numeric range over a segment without numeric literals"
+	case !got.NumOK && want.NumOK:
+		return "no numeric range over a segment with numeric literals"
+	case got.NumOK && (got.NumMin != want.NumMin || got.NumMax != want.NumMax):
+		return fmt.Sprintf("numeric range [%d, %d], the segment's is [%d, %d]", got.NumMin, got.NumMax, want.NumMin, want.NumMax)
+	case len(got.Bloom.Bits) != len(want.Bloom.Bits):
+		return fmt.Sprintf("bloom of %d bytes, the segment's terms size it %d", len(got.Bloom.Bits), len(want.Bloom.Bits))
 	}
+	return "does not match segment contents"
 }
 
-// termBound is an upper bound on the bytes putTerm writes for t.
+// appendTerm serializes one term: kind, value, and a literal's tags.
+func appendTerm(b []byte, t rdf.Term) []byte {
+	b = binary.AppendUvarint(append(b, byte(t.Kind)), uint64(len(t.Value)))
+	b = append(b, t.Value...)
+	if t.Kind == rdf.LiteralTerm {
+		b = appendTag(b, tagOf(&t))
+	}
+	return b
+}
+
+// termBound is an upper bound on the bytes appendTerm writes for t.
 func termBound(t rdf.Term) int {
 	return 1 + 3*binary.MaxVarintLen64 + len(t.Value) + len(t.Lang) + len(t.Datatype)
 }
 
-// getTerm deserializes one putTerm-encoded term.
+// getTerm deserializes one appendTerm-encoded term.
 func getTerm(p []byte) (rdf.Term, []byte, error) {
+	return getTermWith(p, func(p []byte) (string, []byte, error) { return getString(p) })
+}
+
+// getFrontCodedTerm deserializes a term whose value is front-coded against
+// prev, which holds the previous value's bytes: kind, shared prefix, suffix,
+// and a literal's tags.
+func getFrontCodedTerm(prev, p []byte) (rdf.Term, []byte, error) {
+	return getTermWith(p, func(p []byte) (string, []byte, error) {
+		val, p, err := frontCoded(prev, p)
+		return string(val), p, err
+	})
+}
+
+// getTermWith reads a kind byte, then the value through value, then a
+// literal's tags.
+func getTermWith(p []byte, value func([]byte) (string, []byte, error)) (rdf.Term, []byte, error) {
 	var t rdf.Term
 	if len(p) == 0 {
 		return t, nil, fmt.Errorf("missing kind byte")
@@ -659,16 +890,15 @@ func getTerm(p []byte) (rdf.Term, []byte, error) {
 		return t, nil, fmt.Errorf("invalid term kind %d", t.Kind)
 	}
 	var err error
-	if t.Value, p, err = getString(p); err != nil {
+	if t.Value, p, err = value(p); err != nil {
 		return t, nil, err
 	}
 	if t.Kind == rdf.LiteralTerm {
-		if t.Lang, p, err = getString(p); err != nil {
+		var lang, dt []byte
+		if lang, dt, p, err = getTag(p); err != nil {
 			return t, nil, err
 		}
-		if t.Datatype, p, err = getString(p); err != nil {
-			return t, nil, err
-		}
+		t.Lang, t.Datatype = string(lang), string(dt)
 	}
 	return t, p, nil
 }
@@ -705,7 +935,7 @@ func (st *SegStats) CanMatch(s, p, o *rdf.Term) bool {
 		if t == nil {
 			continue
 		}
-		if !st.Bloom.Has(*t) {
+		if !st.mayHold(t) {
 			return false
 		}
 		if !st.inZone(c, *t) {
@@ -722,10 +952,25 @@ func (st *SegStats) CanContainNode(t rdf.Term) bool {
 	if st.Triples == 0 {
 		return false
 	}
-	if !st.Bloom.Has(t) {
+	if !st.mayHold(&t) {
 		return false
 	}
 	return st.inZone(0, t) || st.inZone(2, t)
+}
+
+// mayHold reports whether the term can be one of the segment's at all: a
+// numeric literal against the range when the frame has one, any other term
+// against the Bloom filter. That is sound for every frame: a generation 1
+// filter holds every term, and a generation 2 frame without a range
+// describes a segment without numeric literals, where the filter's "no" is
+// right.
+func (st *SegStats) mayHold(t *rdf.Term) bool {
+	if st.NumOK {
+		if v, ok := numericValue(t); ok {
+			return st.NumMin <= v && v <= st.NumMax
+		}
+	}
+	return st.Bloom.Has(*t)
 }
 
 // StatsOf extracts the embedded stats frame of a binary segment file.
@@ -759,7 +1004,7 @@ func statsSplit(data []byte) (payload []byte, off int, ok bool) {
 	}
 	off = len(data) - len(rest)
 	payload, _, err = readFrame(rest)
-	if err != nil || !bytes.HasPrefix(payload, staMagic) {
+	if err != nil || !bytes.HasPrefix(payload, staTag) {
 		return nil, 0, false
 	}
 	return payload, off, true

@@ -2,8 +2,10 @@ package segcodec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -29,35 +31,74 @@ func statsOfGraph(t *testing.T, g *rdf.Graph) (SegStats, []byte) {
 }
 
 // TestStatsNeverFalseNegative is the soundness property pruning rests on:
-// for randomized graphs, every term actually present in a column must pass
-// CanMatch when probed in that position — a stats block may only ever say
-// "definitely absent" about terms that are absent.
+// for randomized segments, in both frame generations and read back from the
+// frame's bytes, every term actually present in a column must pass CanMatch
+// when probed in that position, and CanContainNode as a subject or object —
+// a stats block may only ever say "definitely absent" about terms that are
+// absent. The objects include numeric literals up to both int64 bounds, and
+// xsd:integer text no int64 spells canonically ("-0", "007", "+5"), which a
+// generation 2 frame keeps in its Bloom filter. A numeric literal outside a
+// generation 2 frame's range answers false.
 func TestStatsNeverFalseNegative(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
+	integer := func(v string) rdf.Term { return rdf.TypedLiteral(v, rdf.XSDInteger) }
+	edges := []rdf.Term{rdf.Integer(math.MinInt64), rdf.Integer(math.MaxInt64), rdf.Integer(0), rdf.Integer(-1),
+		integer("-0"), integer("007"), integer("+5"), integer("9223372036854775808")}
+	outside := 0
+	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 3+rng.Intn(80))
-		st, _ := statsOfGraph(t, g)
-		for _, tr := range g.Triples() {
-			s, p, o := tr.S, tr.P, tr.O
-			if !st.CanMatch(&s, nil, nil) {
-				t.Fatalf("seed %d: subject %v pruned despite being present", seed, s)
+		for i := rng.Intn(12); i > 0; i-- {
+			o := rdf.Integer(rng.Int63n(2000) - 1000)
+			if rng.Intn(3) == 0 {
+				o = edges[rng.Intn(len(edges))]
 			}
-			if !st.CanMatch(nil, &p, nil) {
-				t.Fatalf("seed %d: predicate %v pruned despite being present", seed, p)
+			g.Add(rdf.Triple{S: rdf.IRI(fmt.Sprintf("urn:n%d", rng.Intn(5))), P: rdf.IRI("urn:at"), O: o})
+		}
+		c := GraphColumns(g)
+		tris := sortDedupTriples(c.Tris, len(c.Terms))
+		for _, gen := range []byte{staGenBloom, staGenRange} {
+			computed := ComputeStats(c.Terms, tris, gen)
+			st, err := parseStatsPayload(computed.encode())
+			if err != nil {
+				t.Fatalf("seed %d, generation %d: %v", seed, gen, err)
 			}
-			if !st.CanMatch(nil, nil, &o) {
-				t.Fatalf("seed %d: object %v pruned despite being present", seed, o)
+			for _, tr := range g.Triples() {
+				s, p, o := tr.S, tr.P, tr.O
+				if !st.CanMatch(&s, nil, nil) {
+					t.Fatalf("seed %d, generation %d: subject %v pruned despite being present", seed, gen, s)
+				}
+				if !st.CanMatch(nil, &p, nil) {
+					t.Fatalf("seed %d, generation %d: predicate %v pruned despite being present", seed, gen, p)
+				}
+				if !st.CanMatch(nil, nil, &o) {
+					t.Fatalf("seed %d, generation %d: object %v pruned despite being present", seed, gen, o)
+				}
+				if !st.CanMatch(&s, &p, &o) {
+					t.Fatalf("seed %d, generation %d: full triple pruned despite being present", seed, gen)
+				}
+				if !st.CanContainNode(s) || !st.CanContainNode(o) {
+					t.Fatalf("seed %d, generation %d: node probe pruned a present S/O term", seed, gen)
+				}
 			}
-			if !st.CanMatch(&s, &p, &o) {
-				t.Fatalf("seed %d: full triple pruned despite being present", seed)
+			if !st.CanMatch(nil, nil, nil) && g.Len() > 0 {
+				t.Fatalf("seed %d, generation %d: wildcard pattern pruned a non-empty segment", seed, gen)
 			}
-			if !st.CanContainNode(s) || !st.CanContainNode(o) {
-				t.Fatalf("seed %d: node probe pruned a present S/O term", seed)
+			if gen == staGenBloom || !st.NumOK {
+				continue
+			}
+			for _, v := range []int64{st.NumMin - 1, st.NumMax + 1} {
+				if v < st.NumMin || v > st.NumMax { // not wrapped into a range that spans int64
+					x := rdf.Integer(v)
+					if st.CanMatch(nil, nil, &x) || st.CanContainNode(x) {
+						t.Fatalf("seed %d: %d outside the range [%d, %d] not pruned", seed, v, st.NumMin, st.NumMax)
+					}
+					outside++
+				}
 			}
 		}
-		if !st.CanMatch(nil, nil, nil) && g.Len() > 0 {
-			t.Fatalf("seed %d: wildcard pattern pruned a non-empty segment", seed)
-		}
+	}
+	if outside == 0 {
+		t.Fatal("no segment had a range to probe outside of")
 	}
 }
 
@@ -170,6 +211,195 @@ func TestStatsForgedCanonicalFrameRejected(t *testing.T) {
 	}
 }
 
+// staFrame is a generation 2 stats frame payload field by field, every field
+// written as given: each zoned column's Min and its Max front-coded against
+// it, each predicate front-coded against the one before it.
+type staFrame struct {
+	triples, terms uint64
+	flags          byte
+	zones          []staZone
+	preds          []v4Entry
+	numMin         int64
+	span           uint64
+	bloom          Bloom
+}
+
+// staZone is one zone map of a staFrame: Min whole, Max as its kind and tags
+// and the front-coded value.
+type staZone struct {
+	min, max rdf.Term
+	shared   int
+	suffix   string
+}
+
+// frameOf spells stats canonically as a staFrame.
+func frameOf(st SegStats) staFrame {
+	f := staFrame{triples: st.Triples, terms: st.Terms, numMin: st.NumMin,
+		span: uint64(st.NumMax) - uint64(st.NumMin), bloom: st.Bloom, flags: staBloom}
+	for c := 0; c < 3; c++ {
+		if st.ZoneOK[c] {
+			f.flags |= staZoneS << c
+			shared := commonPrefixLen(st.Min[c].Value, st.Max[c].Value)
+			f.zones = append(f.zones, staZone{st.Min[c], st.Max[c], shared, st.Max[c].Value[shared:]})
+		}
+	}
+	if st.Preds != nil {
+		f.flags |= staPreds
+	}
+	prev := ""
+	for _, p := range st.Preds {
+		shared := commonPrefixLen(prev, p.Value)
+		f.preds = append(f.preds, text(shared, p.Value[shared:]))
+		prev = p.Value
+	}
+	if st.NumOK {
+		f.flags |= staNums
+	}
+	return f
+}
+
+func (f staFrame) bytes() []byte {
+	b := append(append([]byte{}, staTag...), staGenRange)
+	b = binary.AppendUvarint(b, f.triples)
+	b = binary.AppendUvarint(b, f.terms)
+	b = append(b, f.flags)
+	for _, z := range f.zones {
+		b = append(appendTerm(b, z.min), byte(z.max.Kind))
+		b = binary.AppendUvarint(b, uint64(z.shared))
+		b = binary.AppendUvarint(b, uint64(len(z.suffix)))
+		b = append(b, z.suffix...)
+		if z.max.Kind == rdf.LiteralTerm {
+			b = appendTag(b, tagOf(&z.max))
+		}
+	}
+	if f.flags&staPreds != 0 {
+		b = binary.AppendUvarint(b, uint64(len(f.preds)))
+		for _, p := range f.preds {
+			b = binary.AppendUvarint(b, uint64(p.shared))
+			b = binary.AppendUvarint(b, uint64(len(p.suffix)))
+			b = append(b, p.suffix...)
+		}
+	}
+	if f.flags&staNums != 0 {
+		b = binary.AppendVarint(b, f.numMin)
+		b = binary.AppendUvarint(b, f.span)
+	}
+	if f.flags&staBloom != 0 {
+		b = append(b, f.bloom.K)
+		b = binary.AppendUvarint(b, uint64(len(f.bloom.Bits)))
+		b = append(b, f.bloom.Bits...)
+	}
+	return b
+}
+
+// staCases are the tamper shapes of the generation 2 stats frame, over the
+// segment
+//
+//	<urn:s/1> <urn:p/a> "5"^^xsd:integer     zone S: <urn:s/1> .. <urn:s/2>
+//	<urn:s/1> <urn:p/b> "x"                  zone P: <urn:p/a> .. <urn:p/b>
+//	<urn:s/2> <urn:p/a> "-3"^^xsd:integer    zone O: <urn:s/1> .. "x"
+//	<urn:s/2> <urn:p/b> <urn:s/1>            range -3 .. 5, a filter over 5 terms
+//
+// spelled canonically once and then with one rule broken at a time, and one
+// over a segment without numeric literals.
+func staCases(t *testing.T) []blockCase {
+	s1, s2, pa, pb := rdf.IRI("urn:s/1"), rdf.IRI("urn:s/2"), rdf.IRI("urn:p/a"), rdf.IRI("urn:p/b")
+	g := rdf.NewGraph()
+	g.AddBatch([]rdf.Triple{{S: s1, P: pa, O: rdf.Integer(5)}, {S: s1, P: pb, O: rdf.Literal("x")},
+		{S: s2, P: pa, O: rdf.Integer(-3)}, {S: s2, P: pb, O: s1}})
+	framed := func(g *rdf.Graph) (dict, cols []byte, st SegStats) {
+		var buf bytes.Buffer
+		if err := Binary.Encode(&buf, g, nil); err != nil {
+			t.Fatal(err)
+		}
+		_, rest, _ := pbsBody(buf.Bytes())
+		dict, rest, _ = readFrame(rest)
+		cols, rest, _ = readFrame(rest)
+		sta, _, _ := readFrame(rest)
+		if st, err := parseStatsPayload(sta); err != nil || !bytes.Equal(frameOf(st).bytes(), sta) {
+			t.Fatalf("frameOf does not spell the encoder's frame (%v)", err)
+		}
+		st, _ = parseStatsPayload(sta)
+		return dict, cols, st
+	}
+	dict, cols, st := framed(g)
+	build := func(name, want string, edit func(f *staFrame)) blockCase {
+		f := frameOf(st)
+		edit(&f)
+		return blockCase{name, want, handFramedStats(PBSVersion, dict, cols, f.bytes())}
+	}
+	plain := rdf.NewGraph()
+	plain.Add(rdf.Triple{S: s1, P: pa, O: rdf.Literal("x")})
+	plainDict, plainCols, plainSt := framed(plain)
+	everyTerm := ComputeStats([]rdf.Term{pa, pb, s1, s2, rdf.Integer(-3), rdf.Integer(5), rdf.Literal("x")}, nil, staGenBloom).Bloom
+	generation1 := ComputeStats([]rdf.Term{pa, pb, s1, s2, rdf.Integer(-3), rdf.Integer(5), rdf.Literal("x")},
+		[][3]uint32{{2, 0, 5}, {2, 1, 6}, {3, 0, 4}, {3, 1, 2}}, staGenBloom)
+	return []blockCase{
+		build("canonical", "", func(*staFrame) {}),
+		build("Max's prefix shorter than the longest", "zone 0 max: shared prefix 5 is not the longest", func(f *staFrame) {
+			f.zones[0].shared, f.zones[0].suffix = 5, "/2"
+		}),
+		build("Max's prefix past Min", "zone 0 max: shared prefix 8 exceeds previous value length 7", func(f *staFrame) {
+			f.zones[0].shared, f.zones[0].suffix = 8, ""
+		}),
+		build("Max sorts before Min", "zone 0: max sorts before min", func(f *staFrame) {
+			f.zones[0].min, f.zones[0].max, f.zones[0].suffix = s2, s1, "1"
+		}),
+		build("predicate's prefix shorter than the longest", "predicate 1: shared prefix 5 is not the longest", func(f *staFrame) {
+			f.preds[1] = text(5, "/b")
+		}),
+		build("first predicate's prefix past \"\"", "predicate 0: shared prefix 1 exceeds previous value length 0", func(f *staFrame) {
+			f.preds[0] = text(1, "rn:p/a")
+		}),
+		build("predicates descend", "predicate 1: predicate list is not strictly ascending", func(f *staFrame) {
+			f.preds = []v4Entry{text(0, "urn:p/b"), text(6, "a")}
+		}),
+		build("numeric literals without a range", "no numeric range over a segment with numeric literals", func(f *staFrame) {
+			f.flags &^= staNums
+		}),
+		build("range max past int64", "numeric range max overflows int64", func(f *staFrame) {
+			f.span = math.MaxUint64 // max = min - 1, modulo 2⁶⁴
+		}),
+		build("range narrower than the literals", "numeric range [-2, 5], the segment's is [-3, 5]", func(f *staFrame) {
+			f.numMin, f.span = -2, 7
+		}),
+		build("filter over every term", "bloom of 16 bytes, the segment's terms size it 8", func(f *staFrame) {
+			f.bloom = everyTerm
+		}),
+		build("unknown flag bit", "unknown stats flags 0x7f", func(f *staFrame) {
+			f.flags |= 0x40
+		}),
+		{"generation 1 frame", "a pbs v5 file carries generation 2 only", handFramedStats(PBSVersion, dict, cols, generation1.encode())},
+		{"range over a segment without numeric literals", "numeric range over a segment without numeric literals", func() []byte {
+			f := frameOf(plainSt)
+			f.flags |= staNums
+			return handFramedStats(PBSVersion, plainDict, plainCols, f.bytes())
+		}()},
+	}
+}
+
+// TestDecodeRejectsHostileStatsFrame: the generation 2 stats frame is
+// canonical by rejection — by its own rules, or by the contents' — and the
+// reference encoder writes its canonical spelling too.
+func TestDecodeRejectsHostileStatsFrame(t *testing.T) {
+	cases := staCases(t)
+	checkBlockCases(t, "stats frame", cases)
+	c, err := DecodeColumns(cases[0].data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Stats.NumOK || c.Stats.NumMin != -3 || c.Stats.NumMax != 5 {
+		t.Fatalf("premise: the canonical frame ranges over [-3, 5], not %+v", c.Stats)
+	}
+	var ref bytes.Buffer
+	if err := oracleWriteSegment(&ref, c.Terms, c.Tris); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ref.Bytes(), cases[0].data) {
+		t.Fatal("the reference encoder spells the canonical frame otherwise")
+	}
+}
+
 // TestStatsLegacySegmentsAlwaysMatch: files without a stats frame (pre-stats
 // .pbs, text formats) must answer "could match" so pruning degrades to
 // decoding, never to dropping.
@@ -229,7 +459,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 	}
 }
 
-// randDictionary draws n distinct terms with everything termBloom's kernel
+// randDictionary draws n distinct terms with everything the filter kernel
 // keys on: values sharing prefixes within a kind and across kinds, a value
 // that is a prefix of the next, empty values, long values, a handful of
 // (lang, datatype) pairs in runs shorter and longer than the kernel's four
@@ -258,13 +488,12 @@ func randDictionary(rng *rand.Rand, n int) []rdf.Term {
 }
 
 // TestTermBloomMatchesAdd holds the filter kernel to its definition, Add term
-// by term, bit for bit: on sorted dictionaries of 1 to 5 terms and of
-// hundreds, and — the kernel reads order only for speed — on shuffled ones.
+// by term, bit for bit — over every term, and over every term but the
+// numeric literals: on sorted dictionaries of 1 to 5 terms and of hundreds,
+// and — the kernel reads order only for speed — on shuffled ones.
 func TestTermBloomMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	if got := termBloom(nil); !bytes.Equal(got.Bits, newBloom(0).Bits) || got.K != bloomHashes {
-		t.Fatalf("empty dictionary: K=%d, %d filter bytes", got.K, len(got.Bits))
-	}
+	skipped := 0
 	for round := 0; round < 3000; round++ {
 		n := 1 + rng.Intn(5)
 		if round%10 == 0 {
@@ -274,15 +503,32 @@ func TestTermBloomMatchesAdd(t *testing.T) {
 		if round%4 != 3 {
 			sort.Slice(terms, func(i, j int) bool { return rdf.TermLess(terms[i], terms[j]) })
 		}
-		want := newBloom(len(terms))
-		for _, tm := range terms {
-			want.Add(tm)
-		}
-		got := termBloom(terms)
-		if got.K != want.K || !bytes.Equal(got.Bits, want.Bits) {
-			t.Fatalf("round %d, %d terms: the kernel's filter differs from Add's\n%v", round, len(terms), terms)
+		for _, skip := range [][]uint64{nil, numericBits(terms)} {
+			want := newBloom(len(terms))
+			for i, tm := range terms {
+				if skip == nil || skip[i/64]&(1<<(i%64)) == 0 {
+					want.Add(tm)
+				} else {
+					skipped++
+				}
+			}
+			got := newBloom(len(terms))
+			got.addTerms(terms, skip)
+			if !bytes.Equal(got.Bits, want.Bits) {
+				t.Fatalf("round %d, %d terms, numeric literals skipped %v: the kernel's filter differs from Add's\n%v", round, len(terms), skip != nil, terms)
+			}
 		}
 	}
+	if skipped == 0 {
+		t.Fatal("no dictionary held a numeric literal")
+	}
+}
+
+// numericBits marks the numeric literals among terms, a bit per term.
+func numericBits(terms []rdf.Term) []uint64 {
+	bits := make([]uint64, (len(terms)+63)/64)
+	new(SegStats).markNumeric(terms, bits, nil)
+	return bits
 }
 
 // BenchmarkTermBloom builds the filter of one h5bench-shaped delta dictionary
@@ -302,7 +548,14 @@ func BenchmarkTermBloom(b *testing.B) {
 	terms = slices.Compact(terms)
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			termBloom(terms)
+			newBloom(len(terms)).addTerms(terms, nil)
+		}
+	})
+	// What a generation 2 frame hashes: the IRIs, the integers left out.
+	numeric := numericBits(terms)
+	b.Run("non-numeric", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			newBloom(len(terms)).addTerms(terms, numeric)
 		}
 	})
 	b.Run("add", func(b *testing.B) {
