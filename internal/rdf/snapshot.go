@@ -53,16 +53,6 @@ func (s *Snapshot) Memo(key string) (any, bool) { return s.memo.Load(key) }
 // SetMemo caches a derived value under key for the snapshot's lifetime.
 func (s *Snapshot) SetMemo(key string, v any) { s.memo.Store(key, v) }
 
-// snapPO is one (predicate, object) adjacency entry of a subject, snapSO one
-// (subject, object) entry of a predicate's posting list, spair one (subject,
-// predicate) source pair of an object: 8 scalar bytes each, so the index
-// arrays carry no pointers for the GC to trace.
-type (
-	snapPO struct{ p, o termID }
-	snapSO struct{ s, o termID }
-	spair  struct{ s, p termID }
-)
-
 // snapCard is the distinct subject and object count of one predicate.
 type snapCard struct {
 	p                 termID
@@ -70,33 +60,38 @@ type snapCard struct {
 }
 
 // snapIndex is a snapshot's adjacency index in CSR form: four permutations
-// of the pinned refs, each 8 bytes per triple with the run key dropped, and
-// one offset table per key position, indexed by term ID (len(terms)+1
-// entries, so term k's run is [off[k], off[k+1])). Every run is in
-// insertion-log order; pso is additionally grouped by ascending object
-// inside each predicate's run, which makes (? p o) a binary search. Offsets
-// are 32-bit because log positions are (maxLogEntries).
+// of the log positions of the pinned refs, 4 bytes per triple each, and one
+// offset table per key position, indexed by term ID (len(terms)+1 entries,
+// so term k's run is [off[k], off[k+1])). An entry is a position into refs,
+// so the triple it stands for is refs[pos]. Every run is ascending in
+// position, which is insertion-log order; pso is additionally grouped by
+// ascending object inside each predicate's run, which makes (? p o) a binary
+// search. Positions and offsets are 32-bit because log positions are
+// (maxLogEntries).
 type snapIndex struct {
+	refs             []TripleID // the snapshot's pinned refs, which the positions index
 	sOff, pOff, oOff []uint32
-	spo              []snapPO // by S
-	flat             []snapSO // by P
-	osp              []spair  // by O
-	pso              []snapSO // by (P, O)
+	spo              []uint32 // by S
+	flat             []uint32 // by P
+	osp              []uint32 // by O
+	pso              []uint32 // by (P, O)
 
 	cards               []snapCard // ascending p, one per predicate in use
 	nSubjects, nObjects int
 }
 
 // buildSnapIndex derives the index from refs by counting sort: one histogram
-// pass, three stable scatters of the log, and a fourth that scatters the
-// O-major order stably by P (an LSD radix step) to get pso. The cardinalities
-// fall out of the finished arrays. O(len(refs) + nTerms) time, a fixed
-// number of allocations.
+// pass, three stable scatters of the log positions, and a fourth that
+// scatters osp's O-major order stably by refs[pos].P (an LSD radix step) to
+// get pso. The cardinalities fall out of the finished arrays.
+// O(len(refs) + nTerms) time, a fixed number of allocations, 16 bytes per
+// triple and 12 per term retained.
 func buildSnapIndex(refs []TripleID, nTerms int) *snapIndex {
 	n := len(refs)
 	ix := &snapIndex{
+		refs: refs,
 		sOff: make([]uint32, nTerms+1), pOff: make([]uint32, nTerms+1), oOff: make([]uint32, nTerms+1),
-		spo: make([]snapPO, n), flat: make([]snapSO, n), osp: make([]spair, n), pso: make([]snapSO, n),
+		spo: make([]uint32, n), flat: make([]uint32, n), osp: make([]uint32, n), pso: make([]uint32, n),
 	}
 	for _, r := range refs {
 		ix.sOff[r.S+1]++
@@ -107,28 +102,31 @@ func buildSnapIndex(refs []TripleID, nTerms int) *snapIndex {
 	ix.nSubjects, nPreds, ix.nObjects = prefixSum(ix.sOff), prefixSum(ix.pOff), prefixSum(ix.oOff)
 
 	// cur is the write cursor of each scatter in turn, then the stamp array.
+	// Until its own scatter, flat holds the predicate of each osp entry, so
+	// the pso step reads both arrays front to back instead of refs[pos] in
+	// object order.
 	cur := make([]uint32, nTerms)
-	copy(cur, ix.sOff)
-	for _, r := range refs {
-		ix.spo[cur[r.S]] = snapPO{r.P, r.O}
-		cur[r.S]++
-	}
-	copy(cur, ix.pOff)
-	for _, r := range refs {
-		ix.flat[cur[r.P]] = snapSO{r.S, r.O}
-		cur[r.P]++
-	}
 	copy(cur, ix.oOff)
-	for _, r := range refs {
-		ix.osp[cur[r.O]] = spair{r.S, r.P}
+	for i, r := range refs {
+		ix.osp[cur[r.O]] = uint32(i)
+		ix.flat[cur[r.O]] = uint32(r.P)
 		cur[r.O]++
 	}
 	copy(cur, ix.pOff)
-	for o := 0; o < nTerms; o++ {
-		for _, pr := range ix.obj(termID(o)) {
-			ix.pso[cur[pr.p]] = snapSO{pr.s, termID(o)}
-			cur[pr.p]++
-		}
+	for k, pos := range ix.osp {
+		p := ix.flat[k]
+		ix.pso[cur[p]] = pos
+		cur[p]++
+	}
+	copy(cur, ix.sOff)
+	for i, r := range refs {
+		ix.spo[cur[r.S]] = uint32(i)
+		cur[r.S]++
+	}
+	copy(cur, ix.pOff)
+	for i, r := range refs {
+		ix.flat[cur[r.P]] = uint32(i)
+		cur[r.P]++
 	}
 
 	// Distinct objects of p are the run boundaries of its pso run; distinct
@@ -144,13 +142,13 @@ func buildSnapIndex(refs []TripleID, nTerms int) *snapIndex {
 		}
 		c := snapCard{p: termID(p), objects: 1}
 		for i := 1; i < len(run); i++ {
-			if run[i].o != run[i-1].o {
+			if refs[run[i]].O != refs[run[i-1]].O {
 				c.objects++
 			}
 		}
-		for _, so := range ix.pred(termID(p)) {
-			if cur[so.s] != uint32(p)+1 {
-				cur[so.s] = uint32(p) + 1
+		for _, pos := range ix.pred(termID(p)) {
+			if s := refs[pos].S; cur[s] != uint32(p)+1 {
+				cur[s] = uint32(p) + 1
 				c.subjects++
 			}
 		}
@@ -171,24 +169,25 @@ func prefixSum(off []uint32) (runs int) {
 	return runs
 }
 
-// The four run lookups. IDs must be below the term count (see inRange).
+// The four run lookups return log positions, ascending. IDs must be below
+// the term count (see inRange).
 
-func (ix *snapIndex) subj(s termID) []snapPO { return ix.spo[ix.sOff[s]:ix.sOff[s+1]] }
-func (ix *snapIndex) pred(p termID) []snapSO { return ix.flat[ix.pOff[p]:ix.pOff[p+1]] }
-func (ix *snapIndex) obj(o termID) []spair   { return ix.osp[ix.oOff[o]:ix.oOff[o+1]] }
+func (ix *snapIndex) subj(s termID) []uint32 { return ix.spo[ix.sOff[s]:ix.sOff[s+1]] }
+func (ix *snapIndex) pred(p termID) []uint32 { return ix.flat[ix.pOff[p]:ix.pOff[p+1]] }
+func (ix *snapIndex) obj(o termID) []uint32  { return ix.osp[ix.oOff[o]:ix.oOff[o+1]] }
 
-func (ix *snapIndex) predObj(p, o termID) []snapSO {
+func (ix *snapIndex) predObj(p, o termID) []uint32 {
 	run := ix.pso[ix.pOff[p]:ix.pOff[p+1]]
-	run = run[firstObj(run, o):]
-	return run[:firstObj(run, o+1)]
+	run = run[ix.firstObj(run, o):]
+	return run[:ix.firstObj(run, o+1)]
 }
 
-// firstObj returns the position of the first entry of a pso run whose object
+// firstObj returns the index of the first entry of a pso run whose object
 // is at least o: len(run) when there is none.
-func firstObj(run []snapSO, o termID) int {
+func (ix *snapIndex) firstObj(run []uint32, o termID) int {
 	lo, hi := 0, len(run)
 	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); run[m].o < o {
+		if m := int(uint(lo+hi) >> 1); ix.refs[run[m]].O < o {
 			lo = m + 1
 		} else {
 			hi = m
@@ -356,40 +355,42 @@ func (s *Snapshot) ScanLen(sid, pid, oid ID) int {
 // (a bound position the domain does not already discriminate on) emit
 // nothing, so concatenating adjacent ranges reproduces the full scan.
 func (s *Snapshot) ScanRange(sid, pid, oid ID, lo, hi int, fn func(s, p, o ID) bool) bool {
+	refs := s.refs
 	switch {
 	case !s.inRange(sid, pid, oid):
 	case sid != NoID:
-		for _, po := range clip(s.index().subj(sid), lo, hi) {
-			if pid != NoID && po.p != pid {
+		for _, pos := range clip(s.index().subj(sid), lo, hi) {
+			r := refs[pos]
+			if pid != NoID && r.P != pid {
 				continue
 			}
-			if oid != NoID && po.o != oid {
+			if oid != NoID && r.O != oid {
 				continue
 			}
-			if !fn(sid, po.p, po.o) {
+			if !fn(sid, r.P, r.O) {
 				return false
 			}
 		}
 	case pid != NoID && oid != NoID:
-		for _, so := range clip(s.index().predObj(pid, oid), lo, hi) {
-			if !fn(so.s, pid, oid) {
+		for _, pos := range clip(s.index().predObj(pid, oid), lo, hi) {
+			if !fn(refs[pos].S, pid, oid) {
 				return false
 			}
 		}
 	case pid != NoID:
-		for _, so := range clip(s.index().pred(pid), lo, hi) {
-			if !fn(so.s, pid, so.o) {
+		for _, pos := range clip(s.index().pred(pid), lo, hi) {
+			if r := refs[pos]; !fn(r.S, pid, r.O) {
 				return false
 			}
 		}
 	case oid != NoID:
-		for _, pr := range clip(s.index().obj(oid), lo, hi) {
-			if !fn(pr.s, pr.p, oid) {
+		for _, pos := range clip(s.index().obj(oid), lo, hi) {
+			if r := refs[pos]; !fn(r.S, r.P, oid) {
 				return false
 			}
 		}
 	default:
-		for _, r := range clip(s.refs, lo, hi) {
+		for _, r := range clip(refs, lo, hi) {
 			if !fn(r.S, r.P, r.O) {
 				return false
 			}
@@ -416,8 +417,8 @@ func (s *Snapshot) CountMatchIDs(sid, pid, oid ID) int {
 		return s.ScanLen(sid, pid, oid)
 	}
 	c := 0
-	for _, po := range s.index().subj(sid) {
-		if (pid == NoID || po.p == pid) && (oid == NoID || po.o == oid) {
+	for _, pos := range s.index().subj(sid) {
+		if r := s.refs[pos]; (pid == NoID || r.P == pid) && (oid == NoID || r.O == oid) {
 			c++
 		}
 	}

@@ -3,6 +3,7 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -364,19 +365,16 @@ func TestSnapshotConcurrentIngest(t *testing.T) {
 
 // TestSnapshotIndexLayout pins the CSR invariants the read API leans on:
 // offset tables are monotone over [0, len(refs)], each of the four arrays is
-// a permutation of refs, every run is in log order, and a predicate's pso run
-// is grouped by ascending object.
+// a permutation of the log positions 0..len(refs)-1, every run holds exactly
+// its key's triples in ascending position, and a predicate's pso run is
+// grouped by ascending refs[pos].O.
 func TestSnapshotIndexLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 20; iter++ {
 		g := snapRandGraph(rng, 1+rng.Intn(400))
 		g.Intern(IRI("http://e/in-no-triple"))
 		snap := g.Snapshot()
-		ix, n := snap.index(), snap.TermCount()
-		logPos := make(map[TripleID]int, len(snap.refs))
-		for i, r := range snap.refs {
-			logPos[r] = i
-		}
+		ix, n, refs := snap.index(), snap.TermCount(), snap.refs
 		for name, off := range map[string][]uint32{"sOff": ix.sOff, "pOff": ix.pOff, "oOff": ix.oOff} {
 			if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(snap.refs) {
 				t.Fatalf("iter %d: %s has %d entries for %d terms, spans [%d, %d] of %d refs",
@@ -388,42 +386,46 @@ func TestSnapshotIndexLayout(t *testing.T) {
 				}
 			}
 		}
-		// Rebuild each array as triples, run by run, checking run order.
-		var spo, flat, osp, pso []TripleID
-		inLogOrder := func(what string, run []TripleID) {
-			for i := 1; i < len(run); i++ {
-				if logPos[run[i-1]] >= logPos[run[i]] {
-					t.Fatalf("iter %d: %s run holds %v (log %d) before %v (log %d)",
-						iter, what, run[i-1], logPos[run[i-1]], run[i], logPos[run[i]])
+		// Walk each array run by run: every entry is its key's triple, and
+		// positions ascend (inside an object group, for pso).
+		for _, a := range []struct {
+			name     string
+			arr, off []uint32
+			key      func(TripleID) ID
+		}{
+			{"spo", ix.spo, ix.sOff, func(r TripleID) ID { return r.S }},
+			{"flat", ix.flat, ix.pOff, func(r TripleID) ID { return r.P }},
+			{"osp", ix.osp, ix.oOff, func(r TripleID) ID { return r.O }},
+			{"pso", ix.pso, ix.pOff, func(r TripleID) ID { return r.P }},
+		} {
+			name, arr, off := a.name, a.arr, a.off
+			if len(arr) != len(refs) {
+				t.Fatalf("iter %d: %s has %d entries for %d refs", iter, name, len(arr), len(refs))
+			}
+			seen := make([]bool, len(refs))
+			for k := ID(0); int(k) < n; k++ {
+				run := arr[off[k]:off[k+1]]
+				for i, pos := range run {
+					if int(pos) >= len(refs) || seen[pos] {
+						t.Fatalf("iter %d: %s holds position %d twice or beyond the %d refs", iter, name, pos, len(refs))
+					}
+					seen[pos] = true
+					if got := a.key(refs[pos]); got != k {
+						t.Fatalf("iter %d: %s run of %d holds position %d, the triple %v of %d", iter, name, k, pos, refs[pos], got)
+					}
+					if i == 0 {
+						continue
+					}
+					prev := run[i-1]
+					ordered := prev < pos
+					if name == "pso" {
+						a, b := refs[prev].O, refs[pos].O
+						ordered = a < b || a == b && prev < pos
+					}
+					if !ordered {
+						t.Fatalf("iter %d: %s run of %d holds position %d (%v) before %d (%v)", iter, name, k, prev, refs[prev], pos, refs[pos])
+					}
 				}
-			}
-		}
-		for k := ID(0); int(k) < n; k++ {
-			mark := [4]int{len(spo), len(flat), len(osp), len(pso)}
-			for _, po := range ix.subj(k) {
-				spo = append(spo, TripleID{k, po.p, po.o})
-			}
-			for _, so := range ix.pred(k) {
-				flat = append(flat, TripleID{so.s, k, so.o})
-			}
-			for _, pr := range ix.obj(k) {
-				osp = append(osp, TripleID{pr.s, pr.p, k})
-			}
-			for _, so := range ix.pso[ix.pOff[k]:ix.pOff[k+1]] {
-				pso = append(pso, TripleID{so.s, k, so.o})
-			}
-			inLogOrder("spo", spo[mark[0]:])
-			inLogOrder("flat", flat[mark[1]:])
-			inLogOrder("osp", osp[mark[2]:])
-			for i := mark[3] + 1; i < len(pso); i++ {
-				if a, b := pso[i-1], pso[i]; a.O > b.O || a.O == b.O && logPos[a] >= logPos[b] {
-					t.Fatalf("iter %d: pso run of %d holds %v (log %d) before %v (log %d)", iter, k, a, logPos[a], b, logPos[b])
-				}
-			}
-		}
-		for name, arr := range map[string][]TripleID{"spo": spo, "flat": flat, "osp": osp, "pso": pso} {
-			if !multisetEq(arr, snap.refs) {
-				t.Fatalf("iter %d: %s is not a permutation of the %d refs (%d entries)", iter, name, len(snap.refs), len(arr))
 			}
 		}
 	}
@@ -564,15 +566,59 @@ func TestSnapshotIndexAllocs(t *testing.T) {
 	}
 }
 
+// liveHeap returns the heap bytes in use after two collections, so that
+// everything unreachable, finalizers included, is gone.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// indexBytesPerTriple returns what the index of refs keeps live, offset
+// tables included, per triple. The refs are held across both readings: they
+// belong to the snapshot, not to its index.
+func indexBytesPerTriple(refs []TripleID, nTerms int) float64 {
+	before := liveHeap()
+	ix := buildSnapIndex(refs, nTerms)
+	after := liveHeap()
+	runtime.KeepAlive(ix)
+	runtime.KeepAlive(refs)
+	return float64(after-before) / float64(len(refs))
+}
+
+// TestSnapshotIndexBytesPerTriple pins what a resident triple costs in the
+// index over the harness's h5bench shape: four 4-byte log positions, plus the
+// offset tables' 12 bytes per term spread over the triples (4.02 here: 32 921
+// terms for 98 304 triples), plus the page rounding of the large arrays —
+// 20.25 in all. An index of 8-byte pairs reads 36.25.
+func TestSnapshotIndexBytesPerTriple(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	const budget = 21.0
+	refs, nTerms := h5benchShaped(16, 1024)
+	got := indexBytesPerTriple(refs, nTerms)
+	t.Logf("%.2f B per triple retained by the index (%d triples, %d terms)", got, len(refs), nTerms)
+	if got > budget {
+		t.Fatalf("the index keeps %.2f B per triple live, budget %.0f", got, budget)
+	}
+}
+
 var sinkIndex *snapIndex
 
 // BenchmarkSnapshotIndex builds the index of an h5bench-shaped graph at the
-// perf harness's standard size (16 ranks x 1024 records, 98 304 triples).
+// perf harness's standard size (16 ranks x 1024 records, 98 304 triples), and
+// reports the retained index bytes per triple TestSnapshotIndexBytesPerTriple
+// guards.
 func BenchmarkSnapshotIndex(b *testing.B) {
 	refs, nTerms := h5benchShaped(16, 1024)
+	perTriple := indexBytesPerTriple(refs, nTerms)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkIndex = buildSnapIndex(refs, nTerms)
 	}
+	b.ReportMetric(perTriple, "B/triple")
 }

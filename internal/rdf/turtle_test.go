@@ -455,13 +455,6 @@ func TestMustExpandPanics(t *testing.T) {
 // substring of the source keeps the whole document reachable for as long as
 // the graph lives.
 func TestParseDoesNotPinSource(t *testing.T) {
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	before := liveHeap()
 	g, ns := func() (*Graph, *Namespaces) {
 		filler := strings.Repeat("# "+strings.Repeat("x", 125)+"\n", 4<<20/128)
