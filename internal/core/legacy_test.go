@@ -2,11 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -206,8 +206,8 @@ func totalBytes(files map[string][]byte) (n int) {
 // TestLegacyReadable: a store written in any older pbs version reads,
 // verifies and answers exactly like the same history written today — loose
 // or packed, eagerly or out of core — and so does its Compact rewrite (which
-// is the migration, and at least 40 % smaller) and a store that mixes the
-// generations inside one pack, on every backend.
+// is the migration, and at least 40 % smaller) and a pack an older build
+// wrote with the generations mixed inside it, on every backend.
 func TestLegacyReadable(t *testing.T) {
 	for _, v := range legacyVersions() {
 		for _, layout := range []string{"loose", "packed"} {
@@ -301,8 +301,9 @@ func checkLegacyReadable(t *testing.T, legacyVersion byte, layout string) {
 		t.Errorf("rewrite is %d bytes of %d: less than 40 %% smaller", after, before)
 	}
 
-	// Both generations in one store, then in one pack: the fixture plus
-	// segments this build tracks, against the twin plus the same.
+	// Both generations in one store, then in one pack as the build before
+	// PackSegments refused older members wrote it: the fixture plus segments
+	// this build tracks, against the twin plus the same packed by this build.
 	mixed := openDir(t, files)
 	trackFreshSegments(t, mixed, 1)
 	trackFreshSegments(t, twin, 1)
@@ -314,14 +315,10 @@ func checkLegacyReadable(t *testing.T, legacyVersion byte, layout string) {
 	if layout == "packed" {
 		level = 2 // the fixture's segments already sit in a level-1 pack
 	}
-	pack, err := mixed.PackSegments(level)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mixedFiles, pack := encodeMixedPack(t, storeFiles(t, mixed), level)
 	if _, err := twin.PackSegments(level); err != nil {
 		t.Fatal(err)
 	}
-	mixedFiles := storeFiles(t, mixed)
 	members := map[byte]int{}
 	for name, seg := range pbsSegments(t, mixedFiles) {
 		if strings.HasPrefix(name, pack+"!") {
@@ -331,32 +328,11 @@ func checkLegacyReadable(t *testing.T, legacyVersion byte, layout string) {
 	if members[legacyVersion] != 2 || members[segcodec.PBSVersion] < 2 {
 		t.Fatalf("pack %s holds members by version %v, want both generations", pack, members)
 	}
-	// The header carries each member's own stats frame, in the generation the
-	// member was written in, and a union of the generation this build writes.
-	h, err := segcodec.DecodePackHeader(mixedFiles[pack])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range h.Members {
-		seg := mixedFiles[pack][m.Off : m.Off+m.Size]
-		own, ok := segcodec.StatsOf(seg)
-		wantGen := byte(2)
-		if seg[3] < segcodec.PBSVersion {
-			wantGen = 1
-		}
-		if !ok || !m.HasStats || !reflect.DeepEqual(m.Stats, own) || own.Gen != wantGen {
-			t.Errorf("pack member %s (version %d): header stats %v (generation %d), its own frame %v (generation %d), want generation %d",
-				m.Name, seg[3], m.HasStats, m.Stats.Gen, ok, own.Gen, wantGen)
-		}
-	}
-	if !h.HasStats || h.Stats.Gen != 2 {
-		t.Errorf("pack %s: union present %v, generation %d; want generation 2", pack, h.HasStats, h.Stats.Gen)
-	}
 	want = storeAnswers(t, twin)
-	sameAnswers(t, "mixed pack", storeAnswers(t, mixed), want)
 
 	// The mixed pack on every substrate: verbatim copies keep the heads
-	// recorded before packing, and so does folding it one level up.
+	// recorded before packing. Folding it one level up is refused until
+	// Compact rewrites its older members.
 	for _, kind := range []string{"vfs", "mem", "file", "mount"} {
 		moved := openSnapshotOn(t, kind, mixedFiles)
 		rep, err := moved.VerifyAgainst(before.Heads)
@@ -366,23 +342,108 @@ func checkLegacyReadable(t *testing.T, legacyVersion byte, layout string) {
 		if !rep.Clean() || rep.LegacyPBS() != 3 || !maps.Equal(rep.PBSVersions, before.PBSVersions) {
 			t.Fatalf("%s: defects %v, versions %v (were %v)", kind, rep.Defects, rep.PBSVersions, before.PBSVersions)
 		}
-		if _, err := moved.PackSegments(level + 1); err != nil {
-			t.Fatalf("%s: re-pack: %v", kind, err)
-		}
-		if rep, err = moved.VerifyAgainst(before.Heads); err != nil || !rep.Clean() {
-			t.Fatalf("%s after re-pack: %v %v", kind, err, rep.Defects)
-		}
 		if kind == "mount" {
-			sameAnswers(t, "re-packed on "+kind, storeAnswers(t, moved), want)
+			sameAnswers(t, "mixed pack on "+kind, storeAnswers(t, moved), want)
+		}
+		if _, err := moved.PackSegments(level + 1); err == nil || !strings.Contains(err.Error(), "provio-merge -compact") {
+			t.Fatalf("%s: re-pack of older members returned %v", kind, err)
+		}
+	}
+	moved := openSnapshotOn(t, "vfs", mixedFiles)
+	sameAnswers(t, "mixed pack", storeAnswers(t, moved), want)
+	if err := moved.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := mustVerify(t, moved); !rep.Clean() || rep.LegacyPBS() != 0 {
+		t.Fatalf("Compact of the mixed pack: defects %v, %d legacy file(s)", rep.Defects, rep.LegacyPBS())
+	}
+	sameAnswers(t, "Compact of the mixed pack", storeAnswers(t, moved), want)
+}
+
+// encodeMixedPack folds every delta segment of a store snapshot, loose or in
+// a pack, into one new pack of the level, as PackSegments did before it
+// refused older members: each member's own stats frame in the header, and
+// the generation 2 union of the members' contents. It returns the snapshot
+// with the pack in the segments' place, and the pack's name.
+func encodeMixedPack(t *testing.T, files map[string][]byte, level int) (map[string][]byte, string) {
+	t.Helper()
+	out, segs := map[string][]byte{}, map[string][]byte{}
+	for name, data := range files {
+		switch _, seg, _, _ := parseStoreName(name); {
+		case filepath.Ext(name) == segcodec.Pack.Ext():
+		case seg >= 0:
+			segs[name] = data
+		default:
+			out[name] = data
+		}
+	}
+	for name, seg := range pbsSegments(t, files) {
+		if _, member, inPack := strings.Cut(name, "!"); inPack {
+			segs[member] = seg
+		}
+	}
+	var entries []segcodec.PackEntry
+	var contents []*segcodec.Columns
+	for _, name := range fileNames(segs) {
+		c, err := segcodec.DecodeColumns(segs[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, segcodec.PackEntry{Name: name, Data: segs[name], Stats: c.Stats})
+		contents = append(contents, c)
+	}
+	union := segcodec.UnionStats(contents, 2)
+	pack, err := segcodec.EncodePack(level, entries, &union)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := packName(level, 0)
+	out[name] = pack
+	return out, name
+}
+
+// TestPackSegmentsRefusesOlderMembers: PackSegments writes packs of current
+// members only. On a store of any older version, loose or packed, with
+// segments this build tracked beside it, it names an older file and the
+// migration, and leaves every byte of the store as it was; once Compact has
+// rewritten the store, it packs.
+func TestPackSegmentsRefusesOlderMembers(t *testing.T) {
+	for _, v := range legacyVersions() {
+		for level, layout := range []string{1: "loose", 2: "packed"} {
+			if layout == "" {
+				continue
+			}
+			files, _ := legacyStoreFiles(t, v, layout)
+			store := openDir(t, files)
+			trackFreshSegments(t, store, 1)
+			before := storeFiles(t, store)
+			_, err := store.PackSegments(level)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("prov_p000000.seg0000.pbs is pbs v%d", v)) ||
+				!strings.Contains(err.Error(), "run provio-merge -compact first") {
+				t.Errorf("version %d %s store: PackSegments returned %v", v, layout, err)
+			}
+			if after := storeFiles(t, store); !maps.EqualFunc(before, after, bytes.Equal) {
+				t.Errorf("version %d %s store: a refused PackSegments changed the store", v, layout)
+			}
+			if err := store.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			trackFreshSegments(t, store, 2)
+			if _, err := store.PackSegments(level); err != nil {
+				t.Errorf("version %d %s store after Compact: %v", v, layout, err)
+			}
+			if rep := mustVerify(t, store); !rep.Clean() || rep.LegacyPBS() != 0 {
+				t.Errorf("version %d %s store packed after Compact: defects %v, %d legacy file(s)", v, layout, rep.Defects, rep.LegacyPBS())
+			}
 		}
 	}
 }
 
-// TestLegacyGoldensAreTheFixtures: the three golden files each older encoder
-// wrote stay in testdata as read fixtures, suffixed _vN. The segment decodes
-// to the graph its successor decodes to; the demo pack and heads are, byte
-// for byte, the packed legacy store's of that version — so everything
-// TestLegacyReadable proves of that store it proves of them.
+// TestLegacyGoldensAreTheFixtures: the golden segment each older encoder
+// wrote stays in testdata as a read fixture, golden_merged_vN.pbs, and
+// decodes to the graph its successor decodes to. (Each older encoder's demo
+// pack and heads are the packed legacy_pbs_vN store's, which
+// TestLegacyReadable reads.)
 func TestLegacyGoldensAreTheFixtures(t *testing.T) {
 	read := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -406,13 +467,6 @@ func TestLegacyGoldensAreTheFixtures(t *testing.T) {
 		}
 		if !bytes.Equal(ntBytes(t, old), read("golden_merged.nt")) {
 			t.Errorf("%s does not decode to golden_merged.nt", golden("golden_merged", ".pbs"))
-		}
-		files, _ := legacyStoreFiles(t, v, "packed")
-		if !bytes.Equal(read(golden("golden_demo_pack", ".psk")), files["prov_pack.l01.0000.psk"]) {
-			t.Errorf("%s is not the packed version %d store's pack", golden("golden_demo_pack", ".psk"), v)
-		}
-		if !bytes.Equal(read(golden("golden_demo_heads", ".txt")), read(fmt.Sprintf("legacy_pbs_v%d/packed.heads", v))) {
-			t.Errorf("%s is not the packed version %d store's heads", golden("golden_demo_heads", ".txt"), v)
 		}
 	}
 }
@@ -491,4 +545,21 @@ func TestEncoderWritesCurrentVersion(t *testing.T) {
 			t.Errorf("rewritten version %d canonical file: %v", v, rep.Defects)
 		}
 	}
+}
+
+// statsFrameAt returns where a binary segment's stats frame starts and ends:
+// the frame after the dictionary and triple blocks.
+func statsFrameAt(t *testing.T, data []byte) (start, end int) {
+	t.Helper()
+	end = 4 // magic and version byte
+	var payload []byte
+	for range 3 {
+		n, k := binary.Uvarint(data[end:])
+		start, end = end, end+k+int(n)+4
+		payload = data[start+k : end-4]
+	}
+	if !bytes.HasPrefix(payload, []byte("STA")) {
+		t.Fatal("the segment carries no stats frame")
+	}
+	return start, end
 }

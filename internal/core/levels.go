@@ -48,7 +48,9 @@ func parsePackName(name string) (level, seq int, ok bool) {
 // PackSegments folds every loose delta segment (sidecars included) and every
 // pack below the target level into one new level-`level` pack, then removes
 // the sources. It refuses on an unclean audit — packing damaged history
-// would seal the damage in — and is an offline operation: run it on a
+// would seal the damage in — and on a member in an older pbs version, which
+// Compact rewrites first, so a pack it writes holds one format; it writes
+// nothing when it refuses. It is an offline operation: run it on a
 // quiescent store (no live trackers), like Compact. Returns the new pack's
 // file name, or ErrNothingToPack when there is nothing to fold.
 //
@@ -132,6 +134,10 @@ func (s *Store) PackSegments(level int) (string, error) {
 		}
 		e := segcodec.PackEntry{Name: n, Data: f.data}
 		if f.cols != nil {
+			if f.cols.Version != segcodec.PBSVersion {
+				return "", fmt.Errorf("core: %s is pbs v%d and a pack takes v%d files only: run provio-merge -compact first",
+					n, f.cols.Version, segcodec.PBSVersion)
+			}
 			e.Stats = f.cols.Stats
 			contents = append(contents, f.cols)
 		} else {

@@ -165,14 +165,16 @@ func TestCompactFoldsPacks(t *testing.T) {
 
 // TestMixedFormatPruningNeverDropsResults is the always-match regression for
 // stats-less units (satellite of the pushdown design): a store mixing text
-// segments, legacy binary files with the stats frame stripped, and new
+// segments, a pbs v1 file from before the stats frame, and new
 // stats-carrying binary files must answer every pattern identically with and
 // without pruning — stats-less units always match, so they are always
 // decoded. The same holds after the mixed population is packed.
 func TestMixedFormatPruningNeverDropsResults(t *testing.T) {
 	// Text store (pids 0,1) and binary store (pids 2,3), disjoint names,
-	// merged into one directory; pid 2's files get their stats frames
-	// stripped to fake a pre-stats binary store.
+	// merged into one directory beside pid 4: the version 1 store's canonical
+	// file with its stats frame and seal stripped, the shape of a store
+	// written before both the stats and the integrity layers. A canonical
+	// file never enters a pack, so it stays loose beside the pack below.
 	text, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", FormatNTriples)
 	if err != nil {
 		t.Fatal(err)
@@ -192,17 +194,13 @@ func TestMixedFormatPruningNeverDropsResults(t *testing.T) {
 		}
 	}
 	for n, data := range storeFiles(t, binary) {
-		if strings.Contains(n, "p000002") {
-			// Full legacy treatment: no stats, no seal, no sidecar — a store
-			// written before both the stats and the integrity layers.
-			if strings.HasSuffix(n, chainSidecarExt) {
-				continue
-			}
-			data = segcodec.StripChain(segcodec.StripStats(data))
-			statsless++
-		}
 		combined[n] = data
 	}
+	v1, _ := legacyStoreFiles(t, 1, "loose")
+	old := v1["prov_p000000.pbs"]
+	start, end := statsFrameAt(t, old)
+	combined["prov_p000004.pbs"] = segcodec.StripChain(append(old[:start:start], old[end:]...))
+	statsless++
 	store := openDir(t, combined)
 
 	full, err := store.Merge()
@@ -515,22 +513,11 @@ func TestStatsFrameCorruptionMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripped := segcodec.StripStats(data)
-	frameLen := len(data) - len(stripped)
-	if frameLen <= 0 {
-		t.Fatalf("segment carries no stats frame (%d vs %d bytes)", len(data), len(stripped))
-	}
-	// StripStats splices the frame out, so the frame starts where data and
-	// stripped first diverge and runs frameLen bytes (a chain frame may
-	// follow it).
-	statsOff := 0
-	for statsOff < len(stripped) && data[statsOff] == stripped[statsOff] {
-		statsOff++
-	}
+	statsOff, statsEnd := statsFrameAt(t, data) // a chain frame may follow it
 
 	subj := rdf.IRI("urn:a")
 	pruner := &SegmentPruner{Patterns: []PrunePattern{{S: &subj}}}
-	for i := statsOff; i < statsOff+frameLen; i++ {
+	for i := statsOff; i < statsEnd; i++ {
 		for bit := 0; bit < 8; bit++ {
 			flipped := append([]byte(nil), data...)
 			flipped[i] ^= 1 << bit

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -355,6 +356,115 @@ func TestVerifyChecksPackHeaderStats(t *testing.T) {
 	}
 	if rep := mustVerify(t, rewrite(func([]segcodec.PackEntry, **segcodec.SegStats) {})); !rep.Clean() {
 		t.Fatalf("the pack re-encoded as it was: %v", rep.Defects)
+	}
+}
+
+// TestVerifyChecksLegacyPackHeaderStats: an older build's pack is held to
+// its members like a current one. In the packed store of every older
+// version, each of these rewritten behind a valid CRC is the one tampered
+// pack: a generation 1 union that holds no triples; a member's generation 1
+// entry re-spelled as generation 2 with the same fields; and the fixture's
+// own generation 1 union over the same contents once the last member is
+// this build's rewrite of itself, which a pack with a generation 1 union
+// never held. The pack rewritten as it was verifies clean.
+func TestVerifyChecksLegacyPackHeaderStats(t *testing.T) {
+	for _, v := range legacyVersions() {
+		clean, _ := legacyStoreFiles(t, v, "packed")
+		const name = "prov_pack.l01.0000.psk"
+		h, err := segcodec.DecodePackHeader(clean[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Stats.Gen != 1 || len(h.Members) != 2 {
+			t.Fatalf("version %d: premise: a generation 1 union over two members, got generation %d over %d", v, h.Stats.Gen, len(h.Members))
+		}
+		rewrite := func(edit func(entries []segcodec.PackEntry, union *segcodec.SegStats)) map[string][]byte {
+			t.Helper()
+			entries := make([]segcodec.PackEntry, len(h.Members))
+			for i, m := range h.Members {
+				st := m.Stats
+				entries[i] = segcodec.PackEntry{Name: m.Name, Data: clean[name][m.Off : m.Off+m.Size], Stats: &st}
+			}
+			union := h.Stats
+			edit(entries, &union)
+			pack, err := segcodec.EncodePack(h.Level, entries, &union)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := maps.Clone(clean)
+			files[name] = pack
+			return files
+		}
+		// The last member in this build's version: the same triples and seal,
+		// so the chain holds and only the union's generation is wrong for it.
+		current := func(seg []byte) []byte {
+			c, err := segcodec.DecodeColumns(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := rdf.NewGraph()
+			c.Materialize(g)
+			var buf bytes.Buffer
+			if err := segcodec.Binary.Encode(&buf, g, nil); err != nil {
+				t.Fatal(err)
+			}
+			return segcodec.AppendChain(buf.Bytes(), *c.Chain)
+		}
+		for what, c := range map[string]struct {
+			files map[string][]byte
+			want  string
+		}{
+			"generation 1 union of no triples": {rewrite(func(_ []segcodec.PackEntry, u *segcodec.SegStats) { u.Triples = 0 }),
+				"pack-level stats differ from the union of the members' contents"},
+			"member entry re-spelled in generation 2": {rewrite(func(es []segcodec.PackEntry, _ *segcodec.SegStats) { es[0].Stats.Gen = 2 }),
+				"member " + h.Members[0].Name + ": header stats differ from the member's stats frame"},
+			"generation 1 union beside a current member": {rewrite(func(es []segcodec.PackEntry, _ *segcodec.SegStats) {
+				last := &es[len(es)-1]
+				last.Data = current(last.Data)
+				own, _ := segcodec.StatsOf(last.Data)
+				last.Stats = &own
+			}), fmt.Sprintf("pack-level stats of generation 1 beside a pbs v%d member", segcodec.PBSVersion)},
+		} {
+			rep := mustVerify(t, openDir(t, c.files))
+			if len(rep.Defects) != 1 || rep.Defects[0].Name != name || rep.Defects[0].Kind != DefectTampered ||
+				rep.Defects[0].Detail != "header stats: "+c.want {
+				t.Errorf("version %d, %s: defects %v, want the one tampered pack %s: %q", v, what, rep.Defects, name, c.want)
+			}
+		}
+		if rep := mustVerify(t, openDir(t, rewrite(func([]segcodec.PackEntry, *segcodec.SegStats) {}))); !rep.Clean() {
+			t.Errorf("version %d: the pack re-encoded as it was: %v", v, rep.Defects)
+		}
+	}
+}
+
+// TestVerifyCurrentSegmentWithoutStatsIsTruncated: the stats frame is part of
+// the current format, so a current segment cut between its triple block and
+// its stats frame is a torn write on its own, without recorded heads — in a
+// sealed store, and in the same store with every seal stripped, where it
+// would otherwise pass for a clean unsealed file of an older shape.
+func TestVerifyCurrentSegmentWithoutStatsIsTruncated(t *testing.T) {
+	store := newBinaryVFSStore(t)
+	smallHistory(t, store, 0)
+	sealed := storeFiles(t, store)
+	unsealed := map[string][]byte{}
+	for name, data := range sealed {
+		unsealed[name] = segcodec.StripChain(data)
+	}
+	for what, clean := range map[string]map[string][]byte{"sealed": sealed, "unsealed": unsealed} {
+		var last string
+		for name := range clean {
+			if strings.Contains(name, ".seg") && name > last {
+				last = name
+			}
+		}
+		start, _ := statsFrameAt(t, clean[last])
+		cut := maps.Clone(clean)
+		cut[last] = clean[last][:start]
+		rep := mustVerify(t, openDir(t, cut))
+		if len(rep.Defects) != 1 || rep.Defects[0].Name != last || rep.Defects[0].Kind != DefectTruncated ||
+			!strings.Contains(rep.Defects[0].Detail, "ends before its stats frame") {
+			t.Errorf("%s store, %s cut before its stats frame: defects %v, want it truncated", what, last, rep.Defects)
+		}
 	}
 }
 

@@ -23,17 +23,15 @@ import (
 //	magic      4 bytes  'P' 'B' 'S' <version>
 //	dict frame          frame{ term dictionary block }
 //	triple frame        frame{ triple block }
-//	stats frame         frame{ 'S' 'T' 'A' 0x02 ... }   optional (see stats.go)
+//	stats frame         frame{ 'S' 'T' 'A' 0x02 ... }   (see stats.go)
 //	chain frame         frame{ 'C' 'H' 'N' 0x01 ... }   optional (see chain.go)
 //
 //	frame{payload} = uvarint(len(payload)) | payload | crc32-IEEE(payload), LE
 //
-// The encoder always writes the stats frame; files from before it existed
-// (or with the frame stripped) decode identically — stats only gate segment
-// pruning, never correctness. When present, the frame must be of the
-// version's generation and byte-match the stats recomputed from the decoded
-// contents, so a decodable segment can never carry stats that would prune
-// wrongly.
+// The stats frame is part of the format: a file that ends after its triple
+// block is torn, and one whose seal follows the triple block is damaged. It
+// must byte-match the stats recomputed from the decoded contents, so a
+// decodable segment can never carry stats that would prune wrongly.
 //
 // The dictionary block is the segment's delta of newly seen terms: every
 // distinct term the segment's triples use, exactly once, sorted in the
@@ -82,25 +80,9 @@ import (
 //	uvarint nRuns   | per subject run: uvarint subjectDelta, uvarint shapeIndex
 //	O column        | per row: zig-zag delta from the previous object of the same predicate
 //
-// That is version 5, the only one written. Older files stay readable.
-// Version 4 differs only in its stats frame, generation 1 ('STA\x01', see
-// stats.go), and before it only the two blocks above changed: version 3 wrote
-// every literal front-coded, with its tag index after it and no run table;
-// version 2 wrote that dictionary block too, and the triple block
-// column-major (uvarint tripleCount | S column as uvarint deltas | P and O
-// columns as zig-zag deltas, each from the previous row); and version 1 that
-// triple block behind a dictionary block spelling every term's kind and every
-// literal's pair inline:
-//
-//	uvarint termCount
-//	per term: kind byte | uvarint sharedPrefix | uvarint suffixLen | suffix
-//	          literals append: uvarint langLen | lang | uvarint dtLen | dt
-//
-// decodeDict and decodeCols are the only functions that know those
-// differences, and statsGen the stats frame's: frames, seals and packs are
-// the same in all five, and a segment's stats frame equals that of its
-// rewrite in its own version byte for byte. In every version, each
-// dictionary entry is named by some row.
+// That is version 5, the only one written. Versions 1 to 4 stay readable
+// through their frozen reader (legacy.go), and nothing outside it knows how
+// they differ. In every version, each dictionary entry is named by some row.
 type binCodec struct{}
 
 // pbsMagic identifies a binary segment; the byte after it is the format
@@ -108,17 +90,8 @@ type binCodec struct{}
 var pbsMagic = []byte{'P', 'B', 'S'}
 
 // PBSVersion is the format version every encoder entry point writes. The
-// decoder reads every version from 1 up to it: version 2 brought the
-// dictionary block's tag table, version 3 the subject-run triple block,
-// version 4 the literal runs and numeric literals, version 5 the stats
-// frame's numeric range (generation 2, see stats.go).
-const (
-	PBSVersion           = 5
-	pbsTagTableVersion   = 2
-	pbsRunsVersion       = 3
-	pbsLitRunsVersion    = 4
-	pbsRangeStatsVersion = 5
-)
+// decoder reads every version from 1 up to it, the older ones in legacy.go.
+const PBSVersion = 5
 
 // pbsBody splits a binary segment into its format version and the frames
 // after the magic. Every reader of the format enters through it, so an
@@ -194,7 +167,7 @@ func collectTags(tags []tagPair, literals []rdf.Term) []tagPair {
 // block.
 func writeSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 	dict := encodeDict(terms)
-	st := ComputeStats(terms, tris, statsGen(PBSVersion))
+	st := ComputeStats(terms, tris)
 	sta := st.encode()
 
 	// The triple block is built in the scratch, so the file is the one buffer
@@ -364,11 +337,13 @@ type Columns struct {
 	// them in log order.
 	Tris [][3]uint32
 	// Version is the format version of the file the columns were decoded
-	// from; zero for columns that were not (GraphColumns). Nothing but
-	// operator-facing reporting reads it.
+	// from; zero for columns that were not (GraphColumns). Besides
+	// operator-facing reporting, packing reads it (PackSegments takes only
+	// current members) and so does CheckPackStats (a generation 1 union is
+	// an older pack's, never one beside a current member).
 	Version byte
 	// Stats is the segment's stats frame, verified equal to the stats its
-	// contents derive; nil when the file carries none (legacy segments).
+	// contents derive; nil only for an older file that carries none.
 	Stats *SegStats
 	// Chain is the embedded seal; nil when the file is unsealed.
 	Chain *Chain
@@ -384,70 +359,102 @@ func DecodeColumns(data []byte) (*Columns, error) {
 	if err != nil {
 		return nil, err
 	}
-	dict, rest, err := readFrame(rest)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dictionary block: %w", ErrCorrupt, err)
+	if version < PBSVersion {
+		return legacyColumns(version, rest)
 	}
-	cols, rest, err := readFrame(rest)
-	if err != nil {
-		return nil, fmt.Errorf("%w: triple block: %w", ErrCorrupt, err)
+	f, err := readFrames(rest, version, staGenRange)
+	switch {
+	case err != nil:
+		return nil, err
+	case f.stats == nil && f.chain == nil:
+		return nil, fmt.Errorf("%w: pbs v%d file ends before its stats frame", ErrTruncated, version)
+	case f.stats == nil:
+		return nil, fmt.Errorf("%w: pbs v%d file carries no stats frame", ErrCorrupt, version)
 	}
-	// After the data frames: an optional stats frame, then an optional chain
-	// frame (the integrity seal appended by the store), in that order.
-	// Anything else is structural damage.
-	c := &Columns{Version: version}
-	var statsPayload []byte
+	c := &Columns{Version: version, Chain: f.chain}
+	if c.Terms, c.Tris, err = decodeBlocks(f.dict, f.cols); err != nil {
+		return nil, err
+	}
+	st := ComputeStats(c.Terms, c.Tris)
+	if err := checkStats(f.stats, &st); err != nil {
+		return nil, err
+	}
+	c.Stats = &st
+	return c, nil
+}
+
+// segFrames are a segment's frames after the magic; stats and chain are nil
+// when the file carries no such frame.
+type segFrames struct {
+	dict, cols, stats []byte
+	chain             *Chain
+}
+
+// readFrames splits a segment's frames: the dictionary and triple blocks,
+// then a stats frame, then a chain frame, in that order; anything else is
+// structural damage. A stats frame must be of generation gen, the version's
+// only one, so no two versions spell a segment that carries stats alike.
+func readFrames(rest []byte, version, gen byte) (f segFrames, err error) {
+	if f.dict, rest, err = readFrame(rest); err != nil {
+		return f, fmt.Errorf("%w: dictionary block: %w", ErrCorrupt, err)
+	}
+	if f.cols, rest, err = readFrame(rest); err != nil {
+		return f, fmt.Errorf("%w: triple block: %w", ErrCorrupt, err)
+	}
 	for len(rest) != 0 {
-		if c.Chain != nil {
-			return nil, fmt.Errorf("%w: %d trailing bytes after chain frame", ErrCorrupt, len(rest))
+		if f.chain != nil {
+			return f, fmt.Errorf("%w: %d trailing bytes after chain frame", ErrCorrupt, len(rest))
 		}
 		var fp []byte
-		fp, rest, err = readFrame(rest)
-		if err != nil {
-			return nil, fmt.Errorf("%w: footer frame: %w", ErrCorrupt, err)
+		if fp, rest, err = readFrame(rest); err != nil {
+			return f, fmt.Errorf("%w: footer frame: %w", ErrCorrupt, err)
 		}
 		switch {
 		case bytes.HasPrefix(fp, staTag):
-			if statsPayload != nil {
-				return nil, fmt.Errorf("%w: duplicate stats frame", ErrCorrupt)
+			if f.stats != nil {
+				return f, fmt.Errorf("%w: duplicate stats frame", ErrCorrupt)
 			}
-			// One generation per version, so no two versions spell a segment
-			// that carries stats alike.
-			if want := statsGen(version); len(fp) == len(staTag) || fp[len(staTag)] != want {
-				return nil, fmt.Errorf("%w: stats frame: a pbs v%d file carries generation %d only", ErrCorrupt, version, want)
+			if len(fp) == len(staTag) || fp[len(staTag)] != gen {
+				return f, fmt.Errorf("%w: stats frame: a pbs v%d file carries generation %d only", ErrCorrupt, version, gen)
 			}
-			statsPayload = fp
+			f.stats = fp
 		case bytes.HasPrefix(fp, chainMagic):
 			ch, err := parseChainPayload(fp)
 			if err != nil {
-				return nil, fmt.Errorf("%w: chain frame: %v", ErrCorrupt, err)
+				return f, fmt.Errorf("%w: chain frame: %v", ErrCorrupt, err)
 			}
-			c.Chain = &ch
+			f.chain = &ch
 		default:
-			return nil, fmt.Errorf("%w: unrecognized footer frame", ErrCorrupt)
+			return f, fmt.Errorf("%w: unrecognized footer frame", ErrCorrupt)
 		}
 	}
-	var iris, nonLiterals uint32
-	if c.Terms, iris, nonLiterals, err = decodeDict(dict, version); err != nil {
-		return nil, fmt.Errorf("%w: dictionary block: %v", ErrCorrupt, err)
+	return f, nil
+}
+
+// decodeBlocks decodes and validates the dictionary and triple blocks of a
+// current segment.
+func decodeBlocks(dict, cols []byte) (terms []rdf.Term, tris [][3]uint32, err error) {
+	terms, iris, nonLiterals, err := decodeDict(dict)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: dictionary block: %v", ErrCorrupt, err)
 	}
-	if c.Tris, err = decodeCols(cols, version, c.Terms, iris, nonLiterals); err != nil {
-		return nil, fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
+	if tris, err = decodeRuns(cols, uint32(len(terms)), iris, nonLiterals); err != nil {
+		return nil, nil, fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
 	}
-	if err := checkNamed(len(c.Terms), c.Tris); err != nil {
-		return nil, fmt.Errorf("%w: dictionary block: %v", ErrCorrupt, err)
+	if err := checkNamed(len(terms), tris); err != nil {
+		return nil, nil, fmt.Errorf("%w: dictionary block: %v", ErrCorrupt, err)
 	}
-	if statsPayload != nil {
-		// The stats frame must be exactly what the encoder would derive from
-		// this content — a forged or stale summary could prune segments that
-		// still hold answers, so it is rejected instead of trusted.
-		st := ComputeStats(c.Terms, c.Tris, statsGen(version))
-		if !bytes.Equal(st.encode(), statsPayload) {
-			return nil, fmt.Errorf("%w: stats frame: %s", ErrCorrupt, statsMismatch(statsPayload, &st))
-		}
-		c.Stats = &st
+	return terms, tris, nil
+}
+
+// checkStats holds a stats frame payload to want, the stats the segment's
+// contents derive: a forged or stale summary could prune segments that still
+// hold answers, so it is rejected instead of trusted.
+func checkStats(payload []byte, want *SegStats) error {
+	if !bytes.Equal(want.encode(), payload) {
+		return fmt.Errorf("%w: stats frame: %s", ErrCorrupt, statsMismatch(payload, want))
 	}
-	return c, nil
+	return nil
 }
 
 // checkNamed rejects a dictionary entry that no row names. No encoder writes
@@ -462,22 +469,6 @@ func checkNamed(nTerms int, tris [][3]uint32) error {
 	}
 	if id := slices.Index(named, false); id >= 0 {
 		return fmt.Errorf("term %d: no triple names it", id)
-	}
-	return nil
-}
-
-// checkShape validates the RDF shape of every row of a version 1 or 2 triple
-// block: a subject is an IRI or a blank node, a predicate an IRI. The
-// dictionary is sorted kind-first, so each rule is one comparison of a local
-// ID with a kind boundary: the first iris entries are the IRIs, the first
-// nonLiterals the IRIs and blank nodes. (A version 3 block names each subject
-// and predicate once, and its decoder checks them there.)
-func checkShape(terms []rdf.Term, iris, nonLiterals uint32, tris [][3]uint32) error {
-	for i, t := range tris {
-		if t[0] >= nonLiterals || t[1] >= iris {
-			return fmt.Errorf("triple %d is not valid RDF (S kind %d, P kind %d, O kind %d)",
-				i, terms[t[0]].Kind, terms[t[1]].Kind, terms[t[2]].Kind)
-		}
 	}
 	return nil
 }
@@ -505,90 +496,46 @@ func (c *Columns) Materialize(into *rdf.Graph) {
 	into.AddRefs(refs)
 }
 
-// decodeDict rebuilds the front-coded term dictionary, rejecting one that is
-// not strictly ascending in the canonical term order, and returns it with its
-// two kind boundaries (the number of IRIs, and of IRIs plus blank nodes). A
-// term costs one allocation, its Value, and every literal's Lang and Datatype
-// are the two strings of one entry of the block's tag table.
-//
-// Besides decodeCols this is the one place the format version matters: a
-// version 1 block spells each term's kind and each literal's pair inline and
-// has a decoder of its own, which hands back the same three results; versions
-// 2 and 3 share this one with version 4, and differ only in how a literal
-// names its pair (an index after its value, where version 4 has the run
-// table) and in having no numeric literals.
-func decodeDict(p []byte, version byte) (terms []rdf.Term, iris, nonLiterals uint32, err error) {
-	if version < pbsTagTableVersion {
-		return decodeLegacyDict(p)
+// decodeDict rebuilds the front-coded term dictionary of a version 4 or 5
+// block, rejecting one that is not strictly ascending in the canonical term
+// order, and returns it with its two kind boundaries (the number of IRIs, and
+// of IRIs plus blank nodes). A term costs one allocation, its Value, and
+// every literal's Lang and Datatype are the two strings of one entry of the
+// block's tag table.
+func decodeDict(p []byte) (terms []rdf.Term, iris, nonLiterals uint32, err error) {
+	h, p, err := readDictHead(p)
+	if err != nil {
+		return dictError("%v", err)
 	}
-	var counts [4]uint64 // IRIs, blank nodes, literals, tags
-	for i := range counts {
-		if counts[i], p, err = getUvarint(p); err != nil {
-			return dictError("%v", err)
-		}
-		// Bounded one by one first, so the sums below cannot overflow.
-		if counts[i] > uint64(len(p)) {
-			return dictError("count %d exceeds payload", counts[i])
-		}
-	}
-	// A pair costs two lengths. An entry costs at least two varints, and a
-	// literal a third before version 4, which spends one varint on a numeric
-	// literal and one on the run count; the entries are sized again against
-	// the run table below. So both counts are bounded by the payload before
-	// anything is allocated, and a pair some literal must name cannot
-	// outnumber the literals.
-	nLit, nTags := counts[2], counts[3]
-	blanks, literals := counts[0], counts[0]+counts[1] // where each run starts
-	n := literals + nLit
-	least := 2*n + nLit
-	runs := version >= pbsLitRunsVersion
-	if runs {
-		least = n + 1
-	}
-	if least+2*nTags > uint64(len(p)) {
-		return dictError("%d terms and %d tags exceed payload", n, nTags)
-	}
-	if nTags > nLit {
-		return dictError("%d tags for %d literals", nTags, nLit)
-	}
-	tags := make([]tagPair, nTags)
-	for i := range tags {
-		var lang, dt []byte
-		if lang, dt, p, err = getTag(p); err != nil {
-			return dictError("tag %d %v", i, err)
-		}
-		tags[i] = tagPair{string(lang), string(dt)}
-		if i > 0 && tags[i-1].compare(tags[i]) >= 0 {
-			return dictError("tag %d: tag table is not strictly ascending", i)
-		}
-	}
-	integer, ok := slices.BinarySearchFunc(tags, integerTag, tagPair.compare)
+	integer, ok := slices.BinarySearchFunc(h.tags, integerTag, tagPair.compare)
 	if !ok {
-		integer = len(tags) // no run can name it
+		integer = len(h.tags) // no run can name it
 	}
-	named := make([]bool, nTags) // named[i] once a literal names tags[i]
-	var lit litRuns
-	if runs {
-		var numeric uint64
-		if lit, numeric, p, err = readLitRuns(p, nLit, uint64(integer), named); err != nil {
-			return dictError("%v", err)
-		}
-		if 2*n-numeric > uint64(len(p)) {
-			return dictError("%d terms, %d of them numeric, exceed payload", n, numeric)
-		}
+	named := make([]bool, len(h.tags)) // named[i] once a run names tags[i]
+	lit, numeric, p, err := readLitRuns(p, h.n-h.literals, uint64(integer), named)
+	if err != nil {
+		return dictError("%v", err)
+	}
+	// An entry costs two varints, a numeric literal's delta one: the entries
+	// are bounded by the payload before they are allocated.
+	if 2*h.n-numeric > uint64(len(p)) {
+		return dictError("%d terms, %d of them numeric, exceed payload", h.n, numeric)
 	}
 
-	terms = make([]rdf.Term, 0, n)
+	terms = make([]rdf.Term, 0, h.n)
 	var (
 		val  []byte
 		num  int64  // the previous numeric literal's value
-		head uint64 // the literal's run head (version 4)
+		head uint64 // the literal's run head
 	)
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < h.n; i++ {
 		t := rdf.Term{Kind: rdf.IRITerm}
-		if i >= literals && runs {
+		switch {
+		case i >= h.literals:
 			head = lit.next()
-			t.Kind, t.Lang, t.Datatype = rdf.LiteralTerm, tags[head>>1].lang, tags[head>>1].datatype
+			t.Kind, t.Lang, t.Datatype = rdf.LiteralTerm, h.tags[head>>1].lang, h.tags[head>>1].datatype
+		case i >= h.blanks:
+			t.Kind = rdf.BlankTerm
 		}
 		if head&1 != 0 {
 			var d int64
@@ -601,38 +548,76 @@ func decodeDict(p []byte, version byte) (terms []rdf.Term, iris, nonLiterals uin
 			return dictError("term %d: %v", i, err)
 		}
 		t.Value = string(val)
-		switch {
-		case i >= literals && runs:
-			if head == uint64(integer)<<1 {
-				if _, ok := canonicalInt(t.Value); ok {
-					return dictError("term %d: %q is a canonical xsd:integer in a text run", i, t.Value)
-				}
+		if i >= h.literals && head == uint64(integer)<<1 {
+			if _, ok := canonicalInt(t.Value); ok {
+				return dictError("term %d: %q is a canonical xsd:integer in a text run", i, t.Value)
 			}
-		case i >= literals:
-			var at uint64
-			if at, p, err = getUvarint(p); err != nil {
-				return dictError("term %d tag: %v", i, err)
-			}
-			if at >= nTags {
-				return dictError("term %d: tag index %d out of range (%d tags)", i, at, nTags)
-			}
-			named[at] = true
-			t.Kind, t.Lang, t.Datatype = rdf.LiteralTerm, tags[at].lang, tags[at].datatype
-		case i >= blanks:
-			t.Kind = rdf.BlankTerm
 		}
 		if i > 0 && !rdf.TermLess(terms[i-1], t) {
 			return dictError("term %d: %s", i, errDictOrder)
 		}
 		terms = append(terms, t)
 	}
+	if err := dictTail(p, named); err != nil {
+		return dictError("%v", err)
+	}
+	return terms, uint32(h.blanks), uint32(h.literals), nil
+}
+
+// dictHead is what a dictionary block of version 2 or later states before
+// its entries: where the blank nodes and the literals start, the entry
+// count, and the tag table.
+type dictHead struct {
+	blanks, literals, n uint64
+	tags                []tagPair
+}
+
+// readDictHead reads the kind counts and the tag table, strictly ascending.
+// Each count is bounded by the payload before the next is read, so their sum
+// cannot overflow, and the table before it is allocated; a pair some literal
+// must name cannot outnumber the literals.
+func readDictHead(p []byte) (h dictHead, rest []byte, err error) {
+	var counts [4]uint64 // IRIs, blank nodes, literals, tags
+	for i := range counts {
+		if counts[i], p, err = getUvarint(p); err != nil {
+			return h, nil, err
+		}
+		if counts[i] > uint64(len(p)) {
+			return h, nil, fmt.Errorf("count %d exceeds payload", counts[i])
+		}
+	}
+	h.blanks, h.literals = counts[0], counts[0]+counts[1]
+	h.n = h.literals + counts[2]
+	switch nTags := counts[3]; {
+	case 2*nTags > uint64(len(p)): // a pair costs two lengths
+		return h, nil, fmt.Errorf("%d tags exceed payload", nTags)
+	case nTags > counts[2]:
+		return h, nil, fmt.Errorf("%d tags for %d literals", nTags, counts[2])
+	}
+	h.tags = make([]tagPair, counts[3])
+	for i := range h.tags {
+		var lang, dt []byte
+		if lang, dt, p, err = getTag(p); err != nil {
+			return h, nil, fmt.Errorf("tag %d %v", i, err)
+		}
+		h.tags[i] = tagPair{string(lang), string(dt)}
+		if i > 0 && h.tags[i-1].compare(h.tags[i]) >= 0 {
+			return h, nil, fmt.Errorf("tag %d: tag table is not strictly ascending", i)
+		}
+	}
+	return h, p, nil
+}
+
+// dictTail rejects what may not follow a dictionary block's entries: any
+// byte, and a tag no literal named.
+func dictTail(p []byte, named []bool) error {
 	if len(p) != 0 {
-		return dictError("%d trailing bytes", len(p))
+		return fmt.Errorf("%d trailing bytes", len(p))
 	}
 	if unused := slices.Index(named, false); unused >= 0 {
-		return dictError("tag %d: no literal uses it", unused)
+		return fmt.Errorf("tag %d: no literal uses it", unused)
 	}
-	return terms, uint32(blanks), uint32(literals), nil
+	return nil
 }
 
 // litRuns walks a version 4 literal run table that readLitRuns validated:
@@ -701,7 +686,7 @@ func readLitRuns(p []byte, nLit, integer uint64, named []bool) (lit litRuns, num
 	return litRuns{table: table[:len(table)-len(p)]}, numeric, p, nil
 }
 
-// dictError is the error return of the two dictionary decoders.
+// dictError is the error return of the dictionary decoders.
 func dictError(format string, args ...any) ([]rdf.Term, uint32, uint32, error) {
 	return nil, 0, 0, fmt.Errorf(format, args...)
 }
@@ -710,7 +695,7 @@ func dictError(format string, args ...any) ([]rdf.Term, uint32, uint32, error) {
 // from dictionary positions and the pack builder merges dictionaries, so an
 // unsorted or repeating dictionary would prune or merge wrongly; it is checked
 // across the kind boundaries too, so a version 1 block's kind bytes form the
-// three runs a version 2 block announces.
+// three runs a later block announces.
 const errDictOrder = "dictionary is not strictly ascending"
 
 // frontCoded reads one entry's `shared | suffixLen | suffix` and rebuilds its
@@ -743,173 +728,6 @@ func appendFrontCoded(dst []byte, prev, v string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(shared))
 	dst = binary.AppendUvarint(dst, uint64(len(v)-shared))
 	return append(dst, v[shared:]...)
-}
-
-// decodeLegacyDict is decodeDict for a version 1 block:
-//
-//	uvarint termCount
-//	per term: kind byte | uvarint sharedPrefix | uvarint suffixLen | suffix
-//	          literals append: uvarint langLen | lang | uvarint dtLen | dt
-//
-// The kind runs are counted as they are read (the order check makes them
-// runs), and the inline pairs are gathered into a tag table as they are met,
-// so a decoded version 1 dictionary shares its Lang and Datatype strings the
-// way a version 2 one does.
-func decodeLegacyDict(p []byte) (terms []rdf.Term, iris, nonLiterals uint32, err error) {
-	n, p, err := getUvarint(p)
-	if err != nil {
-		return dictError("%v", err)
-	}
-	// Every entry costs at least 3 payload bytes (kind + two varints), so a
-	// count beyond that is corrupt — checked before allocating.
-	if n > uint64(len(p))/3+1 {
-		return dictError("term count %d exceeds payload", n)
-	}
-	terms = make([]rdf.Term, 0, n)
-	var (
-		val  []byte
-		tags []tagPair
-	)
-	for i := uint64(0); i < n; i++ {
-		if len(p) == 0 {
-			return dictError("truncated at term %d", i)
-		}
-		t := rdf.Term{Kind: rdf.TermKind(p[0])}
-		if val, p, err = frontCoded(val, p[1:]); err != nil {
-			return dictError("term %d: %v", i, err)
-		}
-		t.Value = string(val)
-		switch t.Kind {
-		case rdf.IRITerm:
-			iris++
-			nonLiterals++
-		case rdf.BlankTerm:
-			nonLiterals++
-		case rdf.LiteralTerm:
-			var lang, dt []byte
-			if lang, dt, p, err = getTag(p); err != nil {
-				return dictError("term %d %v", i, err)
-			}
-			var tag tagPair
-			tags, tag = internTag(tags, lang, dt)
-			t.Lang, t.Datatype = tag.lang, tag.datatype
-		default:
-			return dictError("term %d: invalid kind %d", i, t.Kind)
-		}
-		if i > 0 && !rdf.TermLess(terms[i-1], t) {
-			return dictError("term %d: %s", i, errDictOrder)
-		}
-		terms = append(terms, t)
-	}
-	if len(p) != 0 {
-		return dictError("%d trailing bytes", len(p))
-	}
-	return terms, iris, nonLiterals, nil
-}
-
-// internTag returns the pair a version 1 literal spells inline, with the
-// strings of an equal pair met before in this dictionary when there is one.
-// The table is bounded: past maxInlineTags distinct pairs, a pair is simply a
-// fresh copy.
-func internTag(tags []tagPair, lang, dt []byte) ([]tagPair, tagPair) {
-	for _, tag := range tags {
-		if string(lang) == tag.lang && string(dt) == tag.datatype { // compiled without a conversion
-			return tags, tag
-		}
-	}
-	tag := tagPair{string(lang), string(dt)}
-	if len(tags) < maxInlineTags {
-		tags = append(tags, tag)
-	}
-	return tags, tag
-}
-
-const maxInlineTags = 8
-
-// decodeCols rebuilds the rows of a triple block, rejecting any that are not
-// strictly ascending, not of valid RDF shape, or name a term the dictionary
-// does not hold. Besides decodeDict it is the one function the format version
-// reaches: a version 3 block goes to decodeRuns, an older one to
-// decodeLegacyCols.
-func decodeCols(p []byte, version byte, terms []rdf.Term, iris, nonLiterals uint32) ([][3]uint32, error) {
-	if version >= pbsRunsVersion {
-		return decodeRuns(p, uint32(len(terms)), iris, nonLiterals)
-	}
-	tris, err := decodeLegacyCols(p, len(terms))
-	if err != nil {
-		return nil, err
-	}
-	return tris, checkShape(terms, iris, nonLiterals, tris)
-}
-
-// decodeLegacyCols walks the column-major triple block of versions 1 and 2 —
-// the S column as uvarint deltas, the P and O columns as zig-zag deltas, each
-// from the previous row —
-//
-//	uvarint tripleCount | S column | P column | O column
-//
-// into local-ID triples, range-checking every ID against the dictionary's
-// size and rejecting rows that are not strictly ascending.
-func decodeLegacyCols(p []byte, terms int) ([][3]uint32, error) {
-	n, p, err := getUvarint(p)
-	if err != nil {
-		return nil, err
-	}
-	// Three varints of at least one byte each per triple.
-	if n > uint64(len(p))/3+1 {
-		return nil, fmt.Errorf("triple count %d exceeds payload", n)
-	}
-	nt := uint64(terms)
-	tris := make([][3]uint32, n)
-	var s uint64
-	for i := range tris {
-		d, r, err := getUvarint(p)
-		if err != nil {
-			return nil, fmt.Errorf("S column at %d: %v", i, err)
-		}
-		p = r
-		s += d
-		if s >= nt {
-			return nil, fmt.Errorf("S column at %d: term ID %d out of range (%d terms)", i, s, nt)
-		}
-		tris[i][0] = uint32(s)
-	}
-	readCol := func(c int, name string) error {
-		var v int64
-		for i := range tris {
-			d, r, err := getSvarint(p)
-			if err != nil {
-				return fmt.Errorf("%s column at %d: %v", name, i, err)
-			}
-			p = r
-			v += d
-			if v < 0 || uint64(v) >= nt {
-				return fmt.Errorf("%s column at %d: term ID %d out of range (%d terms)", name, i, v, nt)
-			}
-			tris[i][c] = uint32(v)
-		}
-		return nil
-	}
-	if err := readCol(1, "P"); err != nil {
-		return nil, err
-	}
-	if err := readCol(2, "O"); err != nil {
-		return nil, err
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(p))
-	}
-	// Sorted and distinct is part of the format, like the dictionary's order:
-	// a repeated row would be counted by the stats frame, and a reader may
-	// merge rows on the strength of it. The S column cannot descend (its
-	// deltas are unsigned), so P and O inside an S run are what is left.
-	for i := 1; i < len(tris); i++ {
-		a, b := tris[i-1], tris[i]
-		if a[0] == b[0] && (a[1] > b[1] || a[1] == b[1] && a[2] >= b[2]) {
-			return nil, fmt.Errorf("triple %d is not above its predecessor in (s, p, o) order", i)
-		}
-	}
-	return tris, nil
 }
 
 // ---- framing and varint primitives ----

@@ -79,12 +79,10 @@ func parseChainPayload(p []byte) (Chain, error) {
 		return c, fmt.Errorf("unknown chain flags %#02x", flags)
 	}
 	c.Root = flags&chainRootFlag != 0
-	seq, n := binary.Uvarint(p)
-	if n <= 0 {
-		return c, fmt.Errorf("bad seq varint")
+	var err error
+	if c.Seq, p, err = getUvarint(p); err != nil {
+		return c, fmt.Errorf("seq: %v", err)
 	}
-	c.Seq = seq
-	p = p[n:]
 	if len(p) != len(c.Prev) {
 		return c, fmt.Errorf("prev digest is %d bytes, want %d", len(p), len(c.Prev))
 	}

@@ -3,6 +3,8 @@ package segcodec
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -115,5 +117,27 @@ func TestChainTruncationClassified(t *testing.T) {
 	}
 	if err := Binary.Decode(bytes.NewReader(data[:2]), rdf.NewGraph()); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("magic truncation not classified as ErrTruncated: %v", err)
+	}
+}
+
+// TestChainSeqHasOneSpelling: a seal whose seq is a zero-padded varint (7 as
+// 0x87 0x00) behind a valid CRC is damage, not a second spelling of seq 7 —
+// AppendChain of what it would decode to writes other bytes.
+func TestChainSeqHasOneSpelling(t *testing.T) {
+	canonical := sealedSegment(t, Chain{Seq: 7})
+	body := StripChain(canonical)
+	payload := append(append(slices.Clone(chainMagic), 0, 0x87, 0x00), make([]byte, 32)...)
+	padded := appendFrame(slices.Clone(body), payload)
+	if bytes.Equal(padded, canonical) {
+		t.Fatal("premise: the padded seal should spell seq 7 otherwise")
+	}
+	if _, err := DecodeColumns(padded); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "chain frame: seq: bad uvarint") {
+		t.Fatalf("DecodeColumns returned %v, want ErrCorrupt naming the seq", err)
+	}
+	if c, ok := ChainOf(padded); ok {
+		t.Fatalf("ChainOf read the padded seal as %+v", c)
+	}
+	if c, err := DecodeColumns(canonical); err != nil || c.Chain == nil || c.Chain.Seq != 7 {
+		t.Fatalf("the canonical seal: %v", err)
 	}
 }

@@ -116,7 +116,7 @@ func TestVersionByteSwapIsRejected(t *testing.T) {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Errorf("%s under version byte %d: DecodeColumns returned %v, want ErrCorrupt", name, v, err)
 			}
-			if v >= pbsLitRunsVersion && data[3] >= pbsLitRunsVersion && !strings.Contains(err.Error(), "stats frame: a pbs v") {
+			if v >= 4 && data[3] >= 4 && !strings.Contains(err.Error(), "stats frame: a pbs v") {
 				t.Errorf("%s under version byte %d: rejected with %v, want the stats frame's generation rule", name, v, err)
 			}
 		}
@@ -324,7 +324,7 @@ func TestBinaryDecodeCorruption(t *testing.T) {
 	// has the variants).
 	ab := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b")}
 	abRows := [][3]uint32{{0, 1, 1}}
-	cases["kind counts != entries"] = handFramedSegment(pbsRunsVersion,
+	cases["kind counts != entries"] = handFramedSegment(3,
 		handBuiltDict([4]uint64{2, 0, 0, 0}, nil, []dictEntry{{0, "urn:a", -1}}), new(encScratch).appendCols(nil, abRows), ab, abRows)
 
 	// Well-framed, CRCs and stats frame consistent, rows not strictly
@@ -352,17 +352,24 @@ func TestBinaryDecodeCorruption(t *testing.T) {
 
 // TestBinaryTruncationExhaustive: EVERY strict prefix of a binary segment —
 // sealed or unsealed — must be rejected with an error wrapping ErrCorrupt.
-// The exceptions are structural frame boundaries: cutting at the end of the
-// triple frame yields a valid legacy (pre-stats) segment, and cutting a
-// sealed segment at its payload/seal boundary yields the valid unsealed
-// payload. Those prefixes are indistinguishable from older files at codec
-// level; the store auditor closes them with chain analysis (internal/core
-// verify).
+// The one exception is a structural frame boundary: cutting a sealed segment
+// at its payload/seal boundary yields the valid unsealed payload, which the
+// store auditor tells apart with chain analysis (internal/core verify). The
+// cut at the end of the triple block is torn: the stats frame is part of
+// the format, so it is ErrTruncated, and the seal right after the triple
+// block is damage.
 func TestBinaryTruncationExhaustive(t *testing.T) {
 	payload := validSegment(t)
-	legacy := StripStats(payload)
-	if len(legacy) == len(payload) {
+	blocks := len(stripStats(payload))
+	if blocks == len(payload) {
 		t.Fatal("validSegment carries no stats frame")
+	}
+	if _, err := DecodeColumns(payload[:blocks]); !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), "ends before its stats frame") {
+		t.Errorf("cut after the triple block: %v, want ErrTruncated", err)
+	}
+	noStats := AppendChain(payload[:blocks], Chain{Seq: 3, Prev: [32]byte{9}})
+	if _, err := DecodeColumns(noStats); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), "carries no stats frame") {
+		t.Errorf("seal after the triple block: %v, want ErrCorrupt", err)
 	}
 	sealed := AppendChain(payload, Chain{Seq: 3, Prev: [32]byte{9}})
 	cases := []struct {
@@ -370,15 +377,15 @@ func TestBinaryTruncationExhaustive(t *testing.T) {
 		data       []byte
 		boundaries map[int]bool // prefix lengths that legitimately decode
 	}{
-		{"unsealed", payload, map[int]bool{len(legacy): true}},
-		{"sealed", sealed, map[int]bool{len(legacy): true, len(payload): true}},
+		{"unsealed", payload, nil},
+		{"sealed", sealed, map[int]bool{len(payload): true}},
 	}
 	for _, tc := range cases {
 		for n := 0; n < len(tc.data); n++ {
 			err := Binary.Decode(bytes.NewReader(tc.data[:n]), rdf.NewGraph())
 			if tc.boundaries[n] {
 				if err != nil {
-					t.Errorf("%s: frame-boundary prefix %d must decode as a legacy segment: %v", tc.name, n, err)
+					t.Errorf("%s: frame-boundary prefix %d must decode as the unsealed segment: %v", tc.name, n, err)
 				}
 				continue
 			}

@@ -65,7 +65,10 @@ func handBuiltDict(counts [4]uint64, tags []tagPair, entries []dictEntry) []byte
 // and tris being what the blocks mean to spell — so every CRC holds and the
 // stats frame is self-consistent: only the blocks can be wrong.
 func handFramedSegment(version byte, dict, cols []byte, terms []rdf.Term, tris [][3]uint32) []byte {
-	st := ComputeStats(terms, tris, statsGen(version))
+	st := ComputeStats(terms, tris)
+	if version < PBSVersion {
+		st = legacyStats(terms, tris)
+	}
 	return handFramedStats(version, dict, cols, st.encode())
 }
 
@@ -288,7 +291,7 @@ func tagTableCases() []blockCase {
 		return c
 	}
 	build := func(name, want string, counts [4]uint64, tags []tagPair, e []dictEntry, terms []rdf.Term) blockCase {
-		return blockCase{name, want, handFramedSegment(pbsRunsVersion, handBuiltDict(counts, tags, e), new(encScratch).appendCols(nil, tris), terms, tris)}
+		return blockCase{name, want, handFramedSegment(3, handBuiltDict(counts, tags, e), new(encScratch).appendCols(nil, tris), terms, tris)}
 	}
 	return []blockCase{
 		build("canonical", "", counts, []tagPair{integer, en}, entries(0, 1), terms),
@@ -369,7 +372,7 @@ func TestDecodeRejectsNonAscendingDictionary(t *testing.T) {
 	tris := [][3]uint32{{0, 2, 1}, {1, 2, 0}}
 	// What accepting it would cost: the derived zone map excludes <urn:m>,
 	// a subject of the second triple.
-	st := ComputeStats(zMP, tris, staGenRange)
+	st := ComputeStats(zMP, tris)
 	m := rdf.IRI("urn:m")
 	if st.CanMatch(&m, nil, nil) {
 		t.Fatal("premise: the out-of-order dictionary should derive a zone that excludes urn:m")
@@ -459,7 +462,7 @@ func TestLegacyDictBlockDecodesTheSame(t *testing.T) {
 		if !ok {
 			t.Fatalf("the version %d golden carries no stats frame", v)
 		}
-		frames[statsGen(v)] = sta
+		frames[genOf(v)] = sta
 	}
 	if bytes.Equal(frames[staGenBloom], frames[staGenRange]) {
 		t.Fatal("both stats frame generations spell the golden alike")
@@ -479,8 +482,8 @@ func TestLegacyDictBlockDecodesTheSame(t *testing.T) {
 		if !slices.Equal(c.Terms, cur.Terms) || !slices.Equal(c.Tris, cur.Tris) {
 			t.Fatalf("version %d decodes to other columns than version %d", v, PBSVersion)
 		}
-		if sta, _, ok := statsSplit(data); !ok || !bytes.Equal(sta, frames[statsGen(v)]) {
-			t.Errorf("version %d carries another stats frame than the other versions of generation %d", v, statsGen(v))
+		if sta, _, ok := statsSplit(data); !ok || !bytes.Equal(sta, frames[genOf(v)]) {
+			t.Errorf("version %d carries another stats frame than the other versions of generation %d", v, genOf(v))
 		}
 		if !bytes.Equal(segmentOf(v, c.Terms, c.Tris), data) {
 			t.Errorf("segmentOf spells version %d otherwise than its encoder did", v)
@@ -582,7 +585,7 @@ func TestGraphEncodeMatchesTermSpace(t *testing.T) {
 			t.Fatalf("seed %d: Encode from the log (%d bytes) differs from the term-space encoding (%d bytes)", seed, got.Len(), want.Len())
 		}
 		terms, tris := oracleTermTriples(g.Triples())
-		ref := ComputeStats(terms, oracleSortDedup(tris), staGenRange)
+		ref := ComputeStats(terms, oracleSortDedup(tris))
 		st := ComputeGraphStats(g)
 		if !bytes.Equal(st.encode(), ref.encode()) {
 			t.Fatalf("seed %d: ComputeGraphStats differs from the term-space stats", seed)
@@ -599,10 +602,10 @@ func TestGraphEncodeMatchesTermSpace(t *testing.T) {
 // zone map (their own zone maps are omitted; shorter terms beyond them in
 // another member decide the union's), and members each under the predicate
 // cap whose union may exceed it. Any member may be graph-backed (text). One
-// worker and four give the same bytes, in both frame generations, and so does
-// a table in which every term hashes alike — in generation 2 every term but
-// the numeric literals, which are keyed by value — where only comparing terms
-// tells them apart.
+// worker and four give the same bytes, and so does a table in which every
+// term but the numeric literals, which are keyed by value, hashes alike —
+// where only comparing terms tells them apart. (legacyUnion, the generation 1
+// union, is TestLegacyUnionMatchesUnionGraph'.)
 func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 	counts := []int{1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33}
 	shapes := []string{"shared", "identical", "disjoint", "subset", "empty ends", "long boundaries", "many predicates"}
@@ -715,25 +718,18 @@ func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 			refs += len(members[m].Terms)
 		}
 		want := ComputeGraphStats(union)
-		uc := GraphColumns(union)
-		wantGen1 := ComputeStats(uc.Terms, sortDedupTriples(uc.Tris, len(uc.Terms)), staGenBloom)
 		for _, workers := range []int{1, 4} {
 			got := UnionStats(members, workers)
 			if !bytes.Equal(got.encode(), want.encode()) {
 				t.Fatalf("seed %d: union of %d %s members at %d worker(s): %d triples / %d terms, union graph %d / %d",
 					seed, n, shape, workers, got.Triples, got.Terms, want.Triples, want.Terms)
 			}
-			if got := unionStats(members, workers, staGenBloom, hashTerms); !bytes.Equal(got.encode(), wantGen1.encode()) {
-				t.Fatalf("seed %d: generation 1 union of %d %s members at %d worker(s) differs from the union graph's", seed, n, shape, workers)
-			}
 			if refs > 600 { // every insert walks the one probe chain
 				continue
 			}
-			for _, w := range []SegStats{want, wantGen1} {
-				if got := unionStats(members, workers, w.Gen, sameHash); !bytes.Equal(withoutBloom(got), withoutBloom(w)) {
-					t.Fatalf("seed %d: generation %d union of %d %s members at %d worker(s), every term hashing alike: %d triples / %d terms, union graph %d / %d",
-						seed, w.Gen, n, shape, workers, got.Triples, got.Terms, w.Triples, w.Terms)
-				}
+			if got := unionStats(members, workers, sameHash); !bytes.Equal(withoutBloom(got), withoutBloom(want)) {
+				t.Fatalf("seed %d: union of %d %s members at %d worker(s), every term hashing alike: %d triples / %d terms, union graph %d / %d",
+					seed, n, shape, workers, got.Triples, got.Terms, want.Triples, want.Terms)
 			}
 		}
 		for c := 0; c < 3; c++ {

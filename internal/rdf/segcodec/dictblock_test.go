@@ -224,9 +224,9 @@ func TestCanonicalInt(t *testing.T) {
 func segmentOf(version byte, terms []rdf.Term, tris [][3]uint32) []byte {
 	var dict []byte
 	switch {
-	case version >= pbsLitRunsVersion:
+	case version >= 4:
 		dict = encodeDict(terms)
-	case version >= pbsTagTableVersion:
+	case version >= 2:
 		var counts [4]uint64 // IRIs, blank nodes, literals, tags
 		for _, t := range terms {
 			counts[t.Kind-rdf.IRITerm]++
@@ -261,7 +261,7 @@ func segmentOf(version byte, terms []rdf.Term, tris [][3]uint32) []byte {
 		}
 	}
 	var cols []byte
-	if version >= pbsRunsVersion {
+	if version >= 3 {
 		cols = new(encScratch).appendCols(nil, tris)
 	} else {
 		cols = binary.AppendUvarint(nil, uint64(len(tris)))

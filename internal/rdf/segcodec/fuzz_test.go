@@ -123,20 +123,12 @@ func FuzzSegcodecDecode(f *testing.F) {
 			return
 		}
 		// Accepted current input must re-encode to the identical bytes once
-		// any chain seal is stripped: the payload format is canonical, so
-		// encode(decode(x)) == StripChain(x) for any accepted x, and a seal
-		// survives a decode/strip round-trip unchanged. Inputs without the
-		// stats frame are the one tolerated divergence: re-encoding adds the
-		// canonical stats frame, so for them the equality holds after
-		// StripStats. (An accepted input WITH a stats frame always has the
-		// canonical one — Decode rejects mismatches — so no other divergence
-		// is possible.)
+		// any chain seal is stripped: the payload format is canonical, its
+		// stats frame included (Decode rejects a missing or mismatched one),
+		// so encode(decode(x)) == StripChain(x) for any accepted x, and a
+		// seal survives a decode/strip round-trip unchanged.
 		if sc := StripChain(data); !bytes.Equal(canon, sc) {
-			canon = StripStats(canon)
-			if !bytes.Equal(canon, sc) {
-				t.Fatalf("accepted input is not canonical: %d payload bytes in, %d bytes re-encoded",
-					len(sc), re.Len())
-			}
+			t.Fatalf("accepted input is not canonical: %d payload bytes in, %d bytes re-encoded", len(sc), re.Len())
 		}
 		if ch, ok := ChainOf(data); ok {
 			resealed := AppendChain(canon, ch)
@@ -147,11 +139,12 @@ func FuzzSegcodecDecode(f *testing.F) {
 	})
 }
 
-// FuzzRunsBlock frames arbitrary bytes as the version 3 triple block behind
-// the dictionary of runsCases, every CRC valid and no stats frame to match,
-// so the fuzzer works on the block's rules instead of on the checksum that
-// guards them in FuzzSegcodecDecode. The block is canonical by rejection: an
-// accepted one is what the encoder writes for the rows it decodes to.
+// FuzzRunsBlock hands arbitrary bytes to decodeBlocks as the version 3
+// triple block behind the dictionary of runsCases, with no CRC and no stats
+// frame to match, so the fuzzer works on the block's rules instead of on the
+// checksum that guards them in FuzzSegcodecDecode. The block is canonical by
+// rejection: an accepted one is what the encoder writes for the rows it
+// decodes to.
 func FuzzRunsBlock(f *testing.F) {
 	var dict []byte
 	for _, tc := range runsCases() {
@@ -161,23 +154,14 @@ func FuzzRunsBlock(f *testing.F) {
 		f.Add(cols)
 	}
 	f.Fuzz(func(t *testing.T, cols []byte) {
-		data := appendFrame(appendFrame(append(slices.Clone(pbsMagic), PBSVersion), dict), cols)
-		c, err := DecodeColumns(data)
-		if err != nil {
-			return
-		}
-		var re bytes.Buffer
-		if err := writeSegment(&re, c.Terms, c.Tris); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(StripStats(re.Bytes()), data) {
+		if !blocksCanonical(t, dict, cols) {
 			t.Fatalf("accepted triple block %x is not canonical", cols)
 		}
 	})
 }
 
 // FuzzDictBlock is FuzzRunsBlock for the version 4 dictionary block: it
-// frames arbitrary bytes as the block in front of the triple block of
+// takes arbitrary bytes as the block in front of the triple block of
 // dictCases, which names fourteen terms — the first two as predicate and
 // subject, so they are IRIs or blank nodes, and the rest as objects of any
 // kind. An accepted block is what the encoder writes for the terms it
@@ -191,19 +175,24 @@ func FuzzDictBlock(f *testing.F) {
 		f.Add(dict)
 	}
 	f.Fuzz(func(t *testing.T, dict []byte) {
-		data := appendFrame(appendFrame(append(slices.Clone(pbsMagic), PBSVersion), dict), cols)
-		c, err := DecodeColumns(data)
-		if err != nil {
-			return
-		}
-		var re bytes.Buffer
-		if err := writeSegment(&re, c.Terms, c.Tris); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(StripStats(re.Bytes()), data) {
+		if !blocksCanonical(t, dict, cols) {
 			t.Fatalf("accepted dictionary block %x is not canonical", dict)
 		}
 	})
+}
+
+// blocksCanonical reports whether the two blocks are what the encoder writes
+// for what they decode to, or do not decode at all.
+func blocksCanonical(t *testing.T, dict, cols []byte) bool {
+	terms, tris, err := decodeBlocks(dict, cols)
+	if err != nil {
+		return true
+	}
+	var re bytes.Buffer
+	if err := writeSegment(&re, terms, tris); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.HasPrefix(re.Bytes(), appendFrame(appendFrame(append(slices.Clone(pbsMagic), PBSVersion), dict), cols))
 }
 
 // fuzzTriples reads arbitrary bytes as a triple list of valid RDF shape: per

@@ -261,7 +261,7 @@ func TestStatsPredListMatchesSet(t *testing.T) {
 		for i := 0; i < 4*distinct; i++ {
 			tris = append(tris, [3]uint32{uint32(rng.Intn(len(terms))), uint32(preds[i%distinct]), uint32(rng.Intn(len(terms)))})
 		}
-		st := ComputeStats(terms, sortDedupTriples(tris, len(terms)), staGenRange)
+		st := ComputeStats(terms, sortDedupTriples(tris, len(terms)))
 		if distinct > maxPredList {
 			if st.Preds != nil {
 				t.Fatalf("%d predicates: list of %d kept, want it omitted", distinct, len(st.Preds))
@@ -295,7 +295,7 @@ func TestDecodeRejectsUnsortedRows(t *testing.T) {
 		if st, ok := StatsOf(data); !ok || st.Triples != uint64(len(tris)) {
 			t.Fatalf("%s: premise: the hand-built stats frame should count all %d rows", name, len(tris))
 		}
-		for form, file := range map[string][]byte{"with stats": data, "legacy": StripStats(data)} {
+		for form, file := range map[string][]byte{"with stats": data, "v4 without stats": stripStats(segmentOf(4, terms, tris))} {
 			into := rdf.NewGraph()
 			err := Binary.Decode(bytes.NewReader(file), into)
 			if !errors.Is(err, ErrCorrupt) {

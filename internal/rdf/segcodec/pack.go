@@ -40,10 +40,12 @@ import (
 // Member names keep their original store-file names; opaque members (chain
 // sidecar files, which are not RDF) ride along for the auditor and are
 // skipped by Decode. Stats payloads are stats frame payloads (stats.go): a
-// member's is its own frame's, byte for byte and in that frame's generation,
-// so a pbs v4 member keeps 'STA\x01' in a pack written today; the pack's is
-// the union of its members' contents, generation 2 since pbs v5 (an older
-// pack's is generation 1). CheckPackStats holds a header to both.
+// member's is its own frame's, byte for byte; the pack's is the union of its
+// members' contents. A pack written by this build holds only pbs v5 members
+// (PackSegments refuses an older one), so both are generation 2. Packs of
+// older builds stay readable: before v5 every stats payload was generation 1,
+// and a pack of v4 and v5 members carries each member's own frame beside a
+// generation 2 union. CheckPackStats holds a header to its members.
 type packCodec struct{}
 
 var pskMagic = []byte{'P', 'S', 'K', 0x01}
@@ -119,12 +121,6 @@ type PackHeader struct {
 	// the header implies.
 	BodyOff  int64
 	WantSize int64
-}
-
-// CanMatchMember reports whether a triple pattern could match the member —
-// always true for members without stats.
-func (m *PackMember) CanMatchMember(s, p, o *rdf.Term) bool {
-	return !m.HasStats || m.Stats.CanMatch(s, p, o)
 }
 
 // EncodePack returns a pack holding the entries verbatim, built in one
@@ -266,18 +262,16 @@ func DecodePackHeader(data []byte) (*PackHeader, error) {
 // GraphColumns; nil for an opaque member. Each member's header stats must
 // equal its own stats frame, and be absent exactly when it carries none. The
 // pack's stats must be present and equal the union of the members' contents
-// in their own generation, which is generation 1 only in a pack without a
-// pbs v5 member.
+// in their own generation; a generation 1 union is an older pack's, checked
+// by legacyUnion.
 func CheckPackStats(h *PackHeader, members []*Columns, workers int) error {
 	var union []*Columns
-	hasV5 := false
 	for i := range h.Members {
 		m, c := &h.Members[i], members[i]
 		var own *SegStats
 		if c != nil {
 			own = c.Stats
 			union = append(union, c)
-			hasV5 = hasV5 || c.Version >= pbsRangeStatsVersion
 		}
 		switch {
 		case m.HasStats && own == nil:
@@ -288,13 +282,17 @@ func CheckPackStats(h *PackHeader, members []*Columns, workers int) error {
 			return fmt.Errorf("member %s: header stats differ from the member's stats frame", m.Name)
 		}
 	}
-	switch {
-	case !h.HasStats:
+	if !h.HasStats {
 		return fmt.Errorf("no pack-level stats")
-	case h.Stats.Gen == staGenBloom && hasV5:
-		return fmt.Errorf("pack-level stats of generation %d beside a pbs v%d member", staGenBloom, pbsRangeStatsVersion)
 	}
-	if want := unionStats(union, workers, h.Stats.Gen, hashTerms); !bytes.Equal(h.Stats.encode(), want.encode()) {
+	var want SegStats
+	var err error
+	if h.Stats.Gen != staGenBloom {
+		want = UnionStats(union, workers)
+	} else if want, err = legacyUnion(union); err != nil {
+		return err
+	}
+	if !bytes.Equal(h.Stats.encode(), want.encode()) {
 		return fmt.Errorf("pack-level stats differ from the union of the members' contents")
 	}
 	return nil

@@ -218,7 +218,7 @@ func FuzzPackHeader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(pack[:h.BodyOff]) // the lazy path's prefix
-	for _, name := range []string{"golden_demo_pack.psk", "golden_demo_pack_v1.psk", "golden_demo_pack_v4.psk"} {
+	for _, name := range []string{"golden_demo_pack.psk", "legacy_pbs_v1/packed/prov_pack.l01.0000.psk", "legacy_pbs_v4/packed/prov_pack.l01.0000.psk"} {
 		f.Add(coreGolden(f, name))
 	}
 	f.Add(wrappingPack())
@@ -263,8 +263,9 @@ func FuzzPackHeader(f *testing.F) {
 }
 
 // TestCheckPackStats: a pack header's stats are held to its members'
-// contents. A pack of pbs v4 and v5 members carries each member's own frame,
-// in that frame's generation, and the union of the contents in generation 2;
+// contents. A pack of pbs v4 and v5 members, as the build before PackSegments
+// refused older members wrote it, carries each member's own frame, in that
+// frame's generation, and the union of the contents in generation 2;
 // generation 1 is a union's only beside no v5 member. Any header that says
 // other than the contents do is refused, naming what it says.
 func TestCheckPackStats(t *testing.T) {
@@ -313,7 +314,7 @@ func TestCheckPackStats(t *testing.T) {
 	union := UnionStats(members, 2)
 	h := check("as packed", entries, contents, &union, "")
 	for i, c := range members {
-		if got, want := h.Members[i].Stats.Gen, statsGen(c.Version); got != want {
+		if got, want := h.Members[i].Stats.Gen, genOf(c.Version); got != want {
 			t.Errorf("member %d (pbs v%d) carries a generation %d frame in the header, want %d", i, c.Version, got, want)
 		}
 	}
@@ -321,9 +322,17 @@ func TestCheckPackStats(t *testing.T) {
 		t.Errorf("union: generation %d, range %v [%d, %d]; want generation 2 over [-2, 1]", h.Stats.Gen, h.Stats.NumOK, h.Stats.NumMin, h.Stats.NumMax)
 	}
 	older := []*Columns{members[0], members[2]}
-	olderUnion := unionStats(older, 2, staGenBloom, hashTerms)
+	olderUnion, err := legacyUnion(older)
+	if err != nil {
+		t.Fatal(err)
+	}
 	check("v4 members under a generation 1 union", []PackEntry{entries[0], entries[2]}, older, &olderUnion, "")
-	gen1 := unionStats(members, 2, staGenBloom, hashTerms)
+	all := rdf.NewGraph()
+	for _, c := range members {
+		c.Materialize(all)
+	}
+	ac := GraphColumns(all)
+	gen1 := legacyStats(ac.Terms, sortDedupTriples(ac.Tris, len(ac.Terms)))
 	check("generation 1 union beside a v5 member", entries, contents, &gen1, "pack-level stats of generation 1 beside a pbs v5 member")
 
 	edited := func(edit func(es []PackEntry)) []PackEntry {
@@ -340,7 +349,7 @@ func TestCheckPackStats(t *testing.T) {
 	check("no union", entries, contents, nil, "no pack-level stats")
 	check("member stats of another member", edited(func(es []PackEntry) { es[0].Stats = es[2].Stats }), contents, &union,
 		"member prov_p000000.seg0000.pbs: header stats differ")
-	respelled := ComputeStats(members[0].Terms, members[0].Tris, staGenRange)
+	respelled := ComputeStats(members[0].Terms, members[0].Tris)
 	check("v4 member's stats respelled in generation 2", edited(func(es []PackEntry) { es[0].Stats = &respelled }), contents, &union,
 		"member prov_p000000.seg0000.pbs: header stats differ")
 	check("member stats dropped", edited(func(es []PackEntry) { es[1].Stats = nil }), contents, &union,

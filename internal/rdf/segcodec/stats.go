@@ -20,10 +20,10 @@ import (
 // a pack-level union in their header.
 //
 // Every field is conservative: a reader may skip a segment only when the
-// stats PROVE no triple of interest can be inside. Absent fields (legacy
-// files, oversized boundary terms, too many predicates) always read as
-// "could match", so pruning can never drop results — at worst it decodes a
-// segment it did not need.
+// stats PROVE no triple of interest can be inside. Absent fields (older files
+// without a frame, oversized boundary terms, too many predicates) always read
+// as "could match", so pruning can never drop results — at worst it decodes
+// a segment it did not need.
 //
 // The block holds:
 //
@@ -54,7 +54,8 @@ import (
 // numeric literal, and the Bloom filter, sized newBloom(terms − numerics),
 // leaves the numeric literals out. Generation 1 ('STA\x01', pbs v1–v4) spells
 // Max and every predicate like Min, has no range, and puts every term in a
-// filter sized newBloom(terms).
+// filter sized newBloom(terms): encode and parseStatsPayload spell both, and
+// the pruner trusts both, but only legacy.go computes generation 1.
 type SegStats struct {
 	// Gen is the frame generation the stats are spelled in: staGenBloom or
 	// staGenRange.
@@ -89,14 +90,6 @@ const (
 	staGenBloom = 1 // every term in the Bloom filter
 	staGenRange = 2 // numeric literals in a range, front-coded bounds and predicates
 )
-
-// statsGen is the stats frame generation a pbs version carries.
-func statsGen(version byte) byte {
-	if version >= pbsRangeStatsVersion {
-		return staGenRange
-	}
-	return staGenBloom
-}
 
 const (
 	// maxZoneValueLen bounds the boundary-term values stored in a zone map;
@@ -194,27 +187,23 @@ func (b Bloom) Has(t rdf.Term) bool {
 	return true
 }
 
-// ComputeStats derives the stats block of a segment, in frame generation gen,
-// from its sorted term dictionary and its sorted, deduplicated local-ID
-// triples — the exact arrays writeSegment serializes, so encode and decode
-// agree byte-for-byte on the canonical stats frame. It is two independent
-// halves: the range and the Bloom filter read only the dictionary,
-// everything else only the rows and the boundary terms they name.
-func ComputeStats(terms []rdf.Term, tris [][3]uint32, gen byte) SegStats {
+// ComputeStats derives the stats block of a segment from its sorted term
+// dictionary and its sorted, deduplicated local-ID triples — the exact arrays
+// writeSegment serializes, so encode and decode agree byte-for-byte on the
+// canonical stats frame. It is two independent halves: the range and the
+// Bloom filter read only the dictionary, everything else only the rows and
+// the boundary terms they name.
+func ComputeStats(terms []rdf.Term, tris [][3]uint32) SegStats {
 	st := rowStats(terms, tris)
-	st.Gen = gen
+	st.Gen = staGenRange
+	var stack [64]uint64
 	var numeric []uint64 // a bit per term; on the stack for a flush-sized dictionary
-	numerics := 0
-	if gen == staGenRange {
-		var stack [64]uint64
-		if words := (len(terms) + 63) / 64; words <= len(stack) {
-			numeric = stack[:words]
-		} else {
-			numeric = make([]uint64, words)
-		}
-		numerics = st.markNumeric(terms, numeric, nil)
+	if words := (len(terms) + 63) / 64; words <= len(stack) {
+		numeric = stack[:words]
+	} else {
+		numeric = make([]uint64, words)
 	}
-	st.Bloom = newBloom(len(terms) - numerics)
+	st.Bloom = newBloom(len(terms) - st.markNumeric(terms, numeric, nil))
 	st.Bloom.addTerms(terms, numeric)
 	return st
 }
@@ -241,8 +230,8 @@ func (st *SegStats) markNumeric(terms []rdf.Term, mark, keys []uint64) int {
 // its value (splitmix64's finalizer). A value has one canonical spelling, so
 // equal literals get equal keys, as they do under termHash, and the table
 // settles a key match by comparing terms either way; it costs a few
-// multiplies where termHash walks the 40-byte xsd:integer tag, and a
-// generation 2 filter, the other use of termHash, leaves these literals out.
+// multiplies where termHash walks the 40-byte xsd:integer tag, and the
+// filter, the other use of termHash, leaves these literals out.
 func valueKey(v int64) uint64 {
 	x := uint64(v)
 	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
@@ -442,10 +431,10 @@ func (st *SegStats) setZone(c int, lo, hi rdf.Term) {
 }
 
 // ComputeGraphStats is ComputeStats over a whole graph, read off its
-// insertion log like Encode, in the generation Encode writes.
+// insertion log like Encode.
 func ComputeGraphStats(g *rdf.Graph) SegStats {
 	c := GraphColumns(g)
-	return ComputeStats(c.Terms, sortDedupTriples(c.Tris, len(c.Terms)), statsGen(PBSVersion))
+	return ComputeStats(c.Terms, sortDedupTriples(c.Tris, len(c.Terms)))
 }
 
 // GraphColumns returns a graph's contents in segment shape, read off its
@@ -485,15 +474,15 @@ func GraphColumns(g *rdf.Graph) *Columns {
 // generation 2 whatever the members' own frames are: they derive from
 // content.
 func UnionStats(members []*Columns, workers int) SegStats {
-	return unionStats(members, workers, staGenRange, hashTerms)
+	return unionStats(members, workers, hashTerms)
 }
 
-// unionStats is UnionStats in any frame generation — an older pack's union
-// is checked in its own — with the term hash kernel as a parameter, so a test
-// can make every term but the numeric literals (keyed by valueKey) collide.
-func unionStats(members []*Columns, workers int, gen byte, hash func(dst []uint64, terms []rdf.Term) []uint64) SegStats {
+// unionStats is UnionStats with the term hash kernel as a parameter, so a
+// test can make every term but the numeric literals (keyed by valueKey)
+// collide.
+func unionStats(members []*Columns, workers int, hash func(dst []uint64, terms []rdf.Term) []uint64) SegStats {
 	hashes := make([][]uint64, len(members))
-	numeric := make([][]uint64, len(members)) // generation 2: each member's numeric literals, a bit per term
+	numeric := make([][]uint64, len(members)) // each member's numeric literals, a bit per term
 	ranges := make([]SegStats, len(members))  // and their range
 	bounds := make([]rowBounds, len(members))
 	refOff := make([]int, len(members)+1) // member m's terms are refs [refOff[m], refOff[m+1])
@@ -505,10 +494,8 @@ func unionStats(members []*Columns, workers int, gen byte, hash func(dst []uint6
 	par.Do(len(members), workers, func(m int) {
 		c := members[m]
 		keys := make([]uint64, len(c.Terms))
-		if gen == staGenRange {
-			numeric[m] = make([]uint64, (len(c.Terms)+63)/64)
-			ranges[m].markNumeric(c.Terms, numeric[m], keys)
-		}
+		numeric[m] = make([]uint64, (len(c.Terms)+63)/64)
+		ranges[m].markNumeric(c.Terms, numeric[m], keys)
 		eachRun(len(c.Terms), numeric[m], len(c.Terms), func(i, j int) { hash(keys[i:i], c.Terms[i:j]) })
 		hashes[m] = keys
 		if len(c.Tris) > 0 {
@@ -542,7 +529,7 @@ func unionStats(members []*Columns, workers int, gen byte, hash func(dst []uint6
 					to[l] = uint32(len(first))
 					table[i] = tag | uint64(len(first)+1)
 					first, shared = append(first, t), append(shared, false)
-					if numeric[m] == nil || numeric[m][l/64]&(1<<(l%64)) == 0 {
+					if numeric[m][l/64]&(1<<(l%64)) == 0 {
 						filtered = append(filtered, h)
 					}
 					break
@@ -559,7 +546,7 @@ func unionStats(members []*Columns, workers int, gen byte, hash func(dst []uint6
 	// A row one member repeats from another has all three of its terms in
 	// both: collect the rows that could be, then count the repeats among them.
 	candidates := make([][][3]uint32, len(members))
-	st := SegStats{Gen: gen}
+	st := SegStats{Gen: staGenRange}
 	for _, r := range ranges {
 		if r.NumOK {
 			st.addNumeric(r.NumMin)
@@ -974,8 +961,8 @@ func (st *SegStats) mayHold(t *rdf.Term) bool {
 }
 
 // StatsOf extracts the embedded stats frame of a binary segment file.
-// ok is false for legacy (pre-stats), non-binary, or damaged files — the
-// always-match answer, so callers degrade to decoding.
+// ok is false for older files without one, non-binary, or damaged files —
+// the always-match answer, so callers degrade to decoding.
 func StatsOf(data []byte) (SegStats, bool) {
 	payload, _, ok := statsSplit(data)
 	if !ok {
@@ -1008,21 +995,4 @@ func statsSplit(data []byte) (payload []byte, off int, ok bool) {
 		return nil, 0, false
 	}
 	return payload, off, true
-}
-
-// StripStats returns data without its embedded stats frame (data itself when
-// none is present) — the pre-stats payload form, used by canonicality checks
-// that compare across format generations.
-func StripStats(data []byte) []byte {
-	payload, off, ok := statsSplit(data)
-	if !ok {
-		return data
-	}
-	var lenBytes bytes.Buffer
-	putUvarint(&lenBytes, uint64(len(payload)))
-	frameLen := lenBytes.Len() + len(payload) + 4
-	out := make([]byte, 0, len(data)-frameLen)
-	out = append(out, data[:off]...)
-	out = append(out, data[off+frameLen:]...)
-	return out
 }

@@ -56,8 +56,8 @@ func TestStatsNeverFalseNegative(t *testing.T) {
 		}
 		c := GraphColumns(g)
 		tris := sortDedupTriples(c.Tris, len(c.Terms))
-		for _, gen := range []byte{staGenBloom, staGenRange} {
-			computed := ComputeStats(c.Terms, tris, gen)
+		for _, computed := range []SegStats{legacyStats(c.Terms, tris), ComputeStats(c.Terms, tris)} {
+			gen := computed.Gen
 			st, err := parseStatsPayload(computed.encode())
 			if err != nil {
 				t.Fatalf("seed %d, generation %d: %v", seed, gen, err)
@@ -154,7 +154,7 @@ func TestStatsRoundTrip(t *testing.T) {
 // — never wrong stats, never a panic.
 func TestStatsFrameCorruptionMatrix(t *testing.T) {
 	good := validSegment(t)
-	legacyLen := len(StripStats(good))
+	legacyLen := len(stripStats(good))
 	if legacyLen == len(good) {
 		t.Fatal("segment carries no stats frame")
 	}
@@ -201,7 +201,7 @@ func TestStatsForgedCanonicalFrameRejected(t *testing.T) {
 	if !ok {
 		t.Fatal("no stats frame in donor segment")
 	}
-	forged := appendFrame(append([]byte{}, StripStats(good)...), otherStats)
+	forged := appendFrame(append([]byte{}, stripStats(good)...), otherStats)
 	err := Binary.Decode(bytes.NewReader(forged), rdf.NewGraph())
 	if err == nil {
 		t.Fatal("decode accepted a spliced stats frame from another segment")
@@ -331,9 +331,9 @@ func staCases(t *testing.T) []blockCase {
 	plain := rdf.NewGraph()
 	plain.Add(rdf.Triple{S: s1, P: pa, O: rdf.Literal("x")})
 	plainDict, plainCols, plainSt := framed(plain)
-	everyTerm := ComputeStats([]rdf.Term{pa, pb, s1, s2, rdf.Integer(-3), rdf.Integer(5), rdf.Literal("x")}, nil, staGenBloom).Bloom
-	generation1 := ComputeStats([]rdf.Term{pa, pb, s1, s2, rdf.Integer(-3), rdf.Integer(5), rdf.Literal("x")},
-		[][3]uint32{{2, 0, 5}, {2, 1, 6}, {3, 0, 4}, {3, 1, 2}}, staGenBloom)
+	everyTerm := legacyStats([]rdf.Term{pa, pb, s1, s2, rdf.Integer(-3), rdf.Integer(5), rdf.Literal("x")}, nil).Bloom
+	generation1 := legacyStats([]rdf.Term{pa, pb, s1, s2, rdf.Integer(-3), rdf.Integer(5), rdf.Literal("x")},
+		[][3]uint32{{2, 0, 5}, {2, 1, 6}, {3, 0, 4}, {3, 1, 2}})
 	return []blockCase{
 		build("canonical", "", func(*staFrame) {}),
 		build("Max's prefix shorter than the longest", "zone 0 max: shared prefix 5 is not the longest", func(f *staFrame) {
@@ -400,11 +400,18 @@ func TestDecodeRejectsHostileStatsFrame(t *testing.T) {
 	}
 }
 
-// TestStatsLegacySegmentsAlwaysMatch: files without a stats frame (pre-stats
-// .pbs, text formats) must answer "could match" so pruning degrades to
-// decoding, never to dropping.
+// TestStatsLegacySegmentsAlwaysMatch: files without a stats frame (pbs v1
+// from before the frame existed, text formats) must answer "could match" so
+// pruning degrades to decoding, never to dropping.
 func TestStatsLegacySegmentsAlwaysMatch(t *testing.T) {
-	legacy := StripStats(validSegment(t))
+	c, err := DecodeColumns(validSegment(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := stripStats(segmentOf(1, c.Terms, c.Tris))
+	if old, err := DecodeColumns(legacy); err != nil || old.Stats != nil {
+		t.Fatalf("a version 1 segment without a stats frame: %v", err)
+	}
 	if _, ok := StatsOf(legacy); ok {
 		t.Fatal("legacy segment without a stats frame reported stats")
 	}
