@@ -238,7 +238,7 @@ type SegmentPruner = core.SegmentPruner
 type PrunePattern = core.PrunePattern
 
 // ScanStats reports what a pruned read decoded versus skipped, per level
-// (Store.MergePruned, Store.ReduceLineagePruned).
+// (Store.MergePruned, LazySource.Stats, LazyView.ReduceLineagePruned).
 type ScanStats = core.ScanStats
 
 // LevelScan is one level's slice of a ScanStats.

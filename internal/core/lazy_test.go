@@ -160,10 +160,7 @@ func TestLazyParityProperty(t *testing.T) {
 				for trial := 0; trial < 2; trial++ {
 					roots := []rdf.Term{node()}
 					hops := 1 + rng.Intn(3)
-					want, _, err := store.ReduceLineagePruned(roots, hops, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := ReduceLineage(full, roots, hops)
 					got, _, err := v.ReduceLineagePruned(roots, hops, workers)
 					if err != nil {
 						t.Fatalf("%s: lazy lineage: %v", tag, err)
@@ -322,10 +319,11 @@ func TestLazyViewServesOldLayoutFromCache(t *testing.T) {
 
 // TestLazyViewStaleAfterMaintenance: a view that must re-fetch (tiny budget,
 // nothing resident) after Compact/PackSegments rewrote the layout fails with
-// an error classified as ErrStaleView — the other half of the race contract:
-// never a partial mixture of generations.
+// an error classified as ErrStaleView, and the error sticks in Err() whichever
+// read saw it — the other half of the race contract: never a partial mixture
+// of generations.
 func TestLazyViewStaleAfterMaintenance(t *testing.T) {
-	t.Run("compact", func(t *testing.T) {
+	compacted := func(t *testing.T) *LazyView {
 		store := newBinaryVFSStore(t)
 		smallHistory(t, store, 0)
 		smallHistory(t, store, 1)
@@ -339,8 +337,25 @@ func TestLazyViewStaleAfterMaintenance(t *testing.T) {
 		if err := store.Compact(); err != nil {
 			t.Fatal(err)
 		}
+		return v
+	}
+	t.Run("compact", func(t *testing.T) {
+		v := compacted(t)
 		if _, _, err := v.MaterializeGraph(1); !errors.Is(err, ErrStaleView) {
 			t.Fatalf("materialize after Compact: err=%v, want ErrStaleView", err)
+		}
+		if err := v.Err(); !errors.Is(err, ErrStaleView) {
+			t.Fatalf("materialize after Compact: Err()=%v, want ErrStaleView", err)
+		}
+	})
+	t.Run("lineage", func(t *testing.T) {
+		v := compacted(t)
+		root := []rdf.Term{rdf.IRI(model.NodeIRI(model.Program, "verify.exe"))}
+		if _, _, err := v.ReduceLineagePruned(root, 2, 1); !errors.Is(err, ErrStaleView) {
+			t.Fatalf("lineage after Compact: err=%v, want ErrStaleView", err)
+		}
+		if err := v.Err(); !errors.Is(err, ErrStaleView) {
+			t.Fatalf("lineage after Compact: Err()=%v, want ErrStaleView", err)
 		}
 	})
 	t.Run("pack", func(t *testing.T) {

@@ -76,8 +76,8 @@ type LazyView struct {
 // content key recorded and its bytes dropped. Loose files are therefore
 // read once (to digest them); packs contribute only their headers, fetched
 // once each via range reads on capable backends. The returned view serves
-// queries through Source and lineage through ReduceLineagePruned with at
-// most cfg.MaxBytes of decoded units resident.
+// queries and lineage (ReduceLineagePruned) through Source, with at most
+// cfg.MaxBytes of decoded units resident.
 func (s *Store) OpenLazy(cfg CacheConfig) (*LazyView, error) {
 	l, err := s.listUnits()
 	if err != nil {
@@ -518,6 +518,7 @@ func (v *LazyView) foldCacheStats(st *ScanStats) {
 func (v *LazyView) hydrateInto(u *scanUnit, dst *rdf.Graph) error {
 	du, err := v.loadUnit(u)
 	if err != nil {
+		v.fail(err)
 		return err
 	}
 	ts := make([]rdf.Triple, 0, du.snap.Len())
@@ -551,18 +552,20 @@ func (v *LazyView) MaterializeGraph(workers int) (*rdf.Graph, *ScanStats, error)
 	return g, st, nil
 }
 
-// ReduceLineagePruned is Store.ReduceLineagePruned through the view's
-// cache: the same lineageFixpoint (identical results), but every decode is
-// cache-served and budget-bounded, and repeated lineage queries on one view
-// reuse resident units.
+// ReduceLineagePruned is ReduceLineage over the view: the same reducer,
+// run on Source(nil), so every probe of the walk and of the triple copy is
+// a pattern with one node bound, and a unit whose statistics cannot hold
+// that node in that position is never decoded. The result equals
+// ReduceLineage(Merge(), roots, maxHops) exactly; a stale or corrupt read
+// fails it with the view's sticky error. workers is unused: the walk is
+// serial.
 func (v *LazyView) ReduceLineagePruned(roots []rdf.Term, maxHops, workers int) (*rdf.Graph, *ScanStats, error) {
-	st := v.layout.newScanStats()
-	g, err := lineageFixpoint(v.layout.units, roots, maxHops, workers, st, v.hydrateAll)
-	if err != nil {
+	src := v.Source(nil)
+	g := reduceLineage(src, roots, maxHops)
+	if err := v.Err(); err != nil {
 		return nil, nil, err
 	}
-	v.foldCacheStats(st)
-	return g, st, nil
+	return g, src.Stats(), nil
 }
 
 // LevelResidency is one level's slice of the view's sizing report: what the

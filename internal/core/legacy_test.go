@@ -105,11 +105,7 @@ func storeAnswers(t *testing.T, store *Store) map[string][]byte {
 	for name, q := range queries {
 		out["eager "+name] = queryBytes(t, merged.Snapshot(), q, 2)
 	}
-	lineage, _, err := store.ReduceLineagePruned(root, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["eager lineage"] = ntBytes(t, lineage)
+	out["eager lineage"] = ntBytes(t, ReduceLineage(merged, root, 2))
 
 	unbounded, err := store.OpenLazy(CacheConfig{})
 	if err != nil {

@@ -17,10 +17,10 @@ import (
 
 // This file is the store's one reader (DESIGN.md "Leveled segments &
 // pushdown", paragraph "The store reader"): every read — exhaustive or
-// pruned merge, lazy view, either lineage reducer — lists the store's units
-// once (listUnits), admits them through one statistics predicate (admit),
-// fans the admitted ones over one worker pool (par.ForEach), and differs
-// only in the leaf that turns one unit into triples: Store.decodeInto here,
+// pruned merge, lazy view — lists the store's units once (listUnits),
+// admits them through one statistics predicate (admit), fans the admitted
+// ones over one worker pool (par.ForEach), and differs only in the leaf
+// that turns one unit into triples: Store.decodeInto here,
 // LazyView.hydrateInto through the budgeted cache in lazysource.go.
 //
 // Pushdown consults each segment's embedded stats frame — and each pack's
@@ -444,72 +444,5 @@ func (s *Store) MergePruned(pr *SegmentPruner, workers int) (*rdf.Graph, *ScanSt
 		return nil, nil, err
 	}
 	st.markDecoded(keep)
-	return g, st, nil
-}
-
-// lineageFixpoint answers a lineage question without loading every unit: it
-// loads only units that can contain a node already known to be in the
-// queried neighborhood, expanding to a fixpoint. Each round probes the
-// still-unloaded units with the frontier of kept nodes (Bloom + S/O zone
-// maps via CanContainNode) and re-runs the reduction over everything loaded
-// so far; when a round loads nothing new, every store unit that could touch
-// a kept node has been folded in, so the result equals
-// ReduceLineage(Merge(), roots, maxHops) exactly (induction over BFS depth:
-// a node kept at depth d is reached through an edge incident to a depth-d-1
-// node, and the unit holding that edge cannot be pruned once the d-1 node is
-// in the probe set — stats have no false negatives). load unions a round's
-// units into the loaded graph — Store.decodeUnits eagerly,
-// LazyView.hydrateAll through the cache; st records what was decoded.
-func lineageFixpoint(units []*scanUnit, roots []rdf.Term, maxHops, workers int, st *ScanStats,
-	load func(units []*scanUnit, workers int, dst *rdf.Graph) error) (*rdf.Graph, error) {
-	loaded := rdf.NewGraph()
-	pending := units
-	probes := roots
-	var reduced *rdf.Graph
-	for {
-		var take, rest []*scanUnit
-		for _, u := range pending {
-			want := u.stats == nil
-			if !want {
-				for _, t := range probes {
-					if u.stats.CanContainNode(t) {
-						want = true
-						break
-					}
-				}
-			}
-			if want {
-				take = append(take, u)
-			} else {
-				rest = append(rest, u)
-			}
-		}
-		if len(take) == 0 && reduced != nil {
-			return reduced, nil
-		}
-		pending = rest
-		if len(take) > 0 {
-			if err := load(take, workers, loaded); err != nil {
-				return nil, err
-			}
-			st.markDecoded(take)
-		}
-		reduced, probes = reduceLineageKept(loaded, roots, maxHops)
-	}
-}
-
-// ReduceLineagePruned answers a lineage question without merging the whole
-// store (see lineageFixpoint); the result equals
-// ReduceLineage(Merge(), roots, maxHops) exactly.
-func (s *Store) ReduceLineagePruned(roots []rdf.Term, maxHops, workers int) (*rdf.Graph, *ScanStats, error) {
-	l, err := s.listUnits()
-	if err != nil {
-		return nil, nil, err
-	}
-	st := l.newScanStats()
-	g, err := lineageFixpoint(l.units, roots, maxHops, workers, st, s.decodeUnits)
-	if err != nil {
-		return nil, nil, err
-	}
 	return g, st, nil
 }

@@ -259,7 +259,8 @@ func termPtr(t rdf.Term) *rdf.Term { return &t }
 // mixed pack + loose layouts: for arbitrary graphs scattered across delta
 // segments, (a) a nil-pruner MergePruned equals the exhaustive merge, (b) for
 // random patterns the pruned merge retains every matching triple, and (c) the
-// pruned lineage fixpoint is triple-identical to reducing the full graph.
+// lineage of a lazy view, which decodes only the units its probes can hit,
+// is triple-identical to reducing the full graph.
 func TestPrunedVsExhaustiveProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -332,6 +333,10 @@ func TestPrunedVsExhaustiveProperty(t *testing.T) {
 			matchSubset(t, full, pruned, p, fmt.Sprintf("seed %d trial %d", seed, trial))
 		}
 
+		view, err := store.OpenLazy(CacheConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for trial := 0; trial < 4; trial++ {
 			roots := []rdf.Term{node()}
 			if rng.Intn(2) == 0 {
@@ -339,7 +344,7 @@ func TestPrunedVsExhaustiveProperty(t *testing.T) {
 			}
 			hops := 1 + rng.Intn(3)
 			want := ReduceLineage(full, roots, hops)
-			got, lscan, err := store.ReduceLineagePruned(roots, hops, 1+rng.Intn(3))
+			got, lscan, err := view.ReduceLineagePruned(roots, hops, 1+rng.Intn(3))
 			if err != nil {
 				t.Fatalf("seed %d lineage %d: %v", seed, trial, err)
 			}
@@ -419,7 +424,11 @@ func TestSelectiveReadsDecodeFewUnits(t *testing.T) {
 	matchSubset(t, full, pruned, pattern, "selective query")
 	fewUnits("selective query", qscan)
 
-	lineage, lscan, err := store.ReduceLineagePruned([]rdf.Term{probe}, 2, 1)
+	view, err := store.OpenLazy(CacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineage, lscan, err := view.ReduceLineagePruned([]rdf.Term{probe}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

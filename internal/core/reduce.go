@@ -6,6 +6,7 @@ import (
 
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/sparql"
 )
 
 // ReduceLineage extracts the provenance sub-graph relevant to the given
@@ -19,14 +20,9 @@ import (
 // before visualization keeps Figure-9-style renderings readable, and
 // reducing before repeated querying shrinks the search space.
 //
-// The traversal runs in dictionary-ID space (rdf.ForEachMatchIDs): the BFS
-// frontier, visited set, and relation-predicate set all hold uint32 IDs, and
-// terms are rehydrated only for the triples copied into the output graph.
-// All probes go through one pinned rdf.Snapshot, so the whole BFS costs a
-// single graph-lock acquisition and runs against a consistent view even
-// while ingest continues.
-//
-// maxHops <= 0 means unbounded (full connected component).
+// The reduction is reduceLineage over one pinned rdf.Snapshot: a single
+// graph-lock acquisition, and a consistent view even while ingest
+// continues. maxHops <= 0 means unbounded (full connected component).
 //
 // The closure is memoized on the graph's current snapshot, keyed by
 // (roots, maxHops): Graph.Snapshot returns a fresh snapshot (with an empty
@@ -41,17 +37,16 @@ func ReduceLineage(g *rdf.Graph, roots []rdf.Term, maxHops int) *rdf.Graph {
 	if v, ok := snap.Memo(key); ok {
 		return v.(*rdf.Graph)
 	}
-	out, _ := reduceLineageKept(g, roots, maxHops)
+	out := reduceLineage(snap, roots, maxHops)
 	snap.SetMemo(key, out)
 	return out
 }
 
 // ReduceLineageUncached is ReduceLineage without the snapshot memo: every
-// call runs the BFS and returns a graph the caller owns, so a benchmark of
+// call runs the walk and returns a graph the caller owns, so a benchmark of
 // the traversal is not short-circuited by the cache.
 func ReduceLineageUncached(g *rdf.Graph, roots []rdf.Term, maxHops int) *rdf.Graph {
-	out, _ := reduceLineageKept(g, roots, maxHops)
-	return out
+	return reduceLineage(g.Snapshot(), roots, maxHops)
 }
 
 // lineageMemoKey builds the snapshot-memo key for a lineage question. Root
@@ -69,99 +64,49 @@ func lineageMemoKey(roots []rdf.Term, maxHops int) string {
 	return b.String()
 }
 
-// reduceLineageKept is ReduceLineage exposing the kept-node terms alongside
-// the reduced graph — the probe set the store's pruned lineage fixpoint
-// (Store.ReduceLineagePruned) feeds back into segment-stats probes.
-func reduceLineageKept(g *rdf.Graph, roots []rdf.Term, maxHops int) (*rdf.Graph, []rdf.Term) {
-	v := g.Snapshot()
-	keep := map[rdf.ID]int{}
-	var frontier []rdf.ID
+// reduceLineage is the one lineage reducer, over any query source (a
+// snapshot, or a lazy view's source): sparql.Reach finds the kept nodes,
+// then each kept node's own triples are copied — probed with only the node
+// bound as subject, so nothing outside the kept set is enumerated. A
+// relation edge is kept only when its object is kept too; every other
+// triple of a kept node is an annotation and is kept.
+func reduceLineage(src sparql.Source, roots []rdf.Term, maxHops int) *rdf.Graph {
+	var ids []rdf.ID
 	for _, r := range roots {
 		if r.IsZero() {
 			continue
 		}
-		id, ok := v.TermID(r)
-		if !ok {
-			continue // a root absent from the graph has no neighborhood
+		if id, ok := src.TermID(r); ok { // a root absent from the graph has no neighborhood
+			ids = append(ids, id)
 		}
-		keep[id] = 0
-		frontier = append(frontier, id)
 	}
-
-	relations := lineageRelationIDs(v)
-	terms := map[rdf.ID]rdf.Term{}
-	termOf := func(id rdf.ID) rdf.Term {
-		t, ok := terms[id]
-		if !ok {
-			t = v.TermOf(id)
-			terms[id] = t
-		}
-		return t
+	relations := lineageRelationIDs(src)
+	reached := sparql.Reach(src, ids, relations, sparql.Both, maxHops)
+	kept := make(map[rdf.ID]bool, len(reached))
+	for _, n := range reached {
+		kept[n.ID] = true
 	}
-
-	for len(frontier) > 0 {
-		node := frontier[0]
-		frontier = frontier[1:]
-		depth := keep[node]
-		if maxHops > 0 && depth >= maxHops {
-			continue
-		}
-		visit := func(next rdf.ID) {
-			if _, seen := keep[next]; seen {
-				return
-			}
-			if t := termOf(next); !t.IsIRI() && !t.IsBlank() {
-				return
-			}
-			keep[next] = depth + 1
-			frontier = append(frontier, next)
-		}
-		v.ForEachMatchIDs(node, rdf.NoID, rdf.NoID, func(_, p, o rdf.ID) bool {
-			if relations[p] {
-				visit(o)
-			}
-			return true
-		})
-		v.ForEachMatchIDs(rdf.NoID, rdf.NoID, node, func(s, p, _ rdf.ID) bool {
-			if relations[p] {
-				visit(s)
-			}
-			return true
-		})
-	}
-
 	out := rdf.NewGraph()
-	v.ForEachMatchIDs(rdf.NoID, rdf.NoID, rdf.NoID, func(s, p, o rdf.ID) bool {
-		if _, sKept := keep[s]; !sKept {
-			return true
-		}
-		if relations[p] {
-			// Relation edges only between kept nodes.
-			if _, oKept := keep[o]; oKept {
-				out.Add(rdf.Triple{S: termOf(s), P: termOf(p), O: termOf(o)})
+	for _, n := range reached {
+		src.ForEachMatchIDs(n.ID, rdf.NoID, rdf.NoID, func(s, p, o rdf.ID) bool {
+			if !relations[p] || kept[o] {
+				out.Add(rdf.Triple{S: src.TermOf(s), P: src.TermOf(p), O: src.TermOf(o)})
 			}
 			return true
-		}
-		// Annotation triples (type, name, literals) of kept nodes.
-		out.Add(rdf.Triple{S: termOf(s), P: termOf(p), O: termOf(o)})
-		return true
-	})
-	kept := make([]rdf.Term, 0, len(keep))
-	for id := range keep {
-		kept = append(kept, termOf(id))
+		})
 	}
-	return out, kept
+	return out
 }
 
 // lineageRelationIDs resolves the traversable relation predicates to their
-// dictionary IDs in the snapshot. prov:wasMemberOf is classification, not
+// dictionary IDs in the source. prov:wasMemberOf is classification, not
 // lineage — following it would connect every entity through the shared
 // super-class nodes; it is kept as an annotation of retained nodes instead.
-// Predicates absent from the snapshot are simply omitted.
-func lineageRelationIDs(v *rdf.Snapshot) map[rdf.ID]bool {
+// Predicates absent from the source are simply omitted.
+func lineageRelationIDs(src sparql.Source) map[rdf.ID]bool {
 	relations := map[rdf.ID]bool{}
 	add := func(t rdf.Term) {
-		if id, ok := v.TermID(t); ok {
+		if id, ok := src.TermID(t); ok {
 			relations[id] = true
 		}
 	}

@@ -231,8 +231,10 @@ func ReduceLineageLegacy(g *rdf.Graph, roots []rdf.Term, maxHops int) *rdf.Graph
 }
 
 // TestReduceLineageMatchesTermSpaceOracle: on random graphs the ID-space
-// reducer (memoized and uncached) returns exactly the oracle's triples. The
-// graphs mix traversable relation edges, annotation edges, wasMemberOf edges
+// reducer returns exactly the oracle's triples — memoized and uncached over
+// the resident graph, and through a lazy view of a store holding the same
+// triples scattered over delta segments (packed for even seeds), at a 1-byte
+// cache budget and an unbounded one. The graphs mix traversable relation edges, annotation edges, wasMemberOf edges
 // into shared class nodes (kept as annotations, never followed) and literal
 // objects on relation predicates (kept out of the closure); root sets
 // include none, zero terms and nodes the graph has never seen.
@@ -270,9 +272,44 @@ func TestReduceLineageMatchesTermSpaceOracle(t *testing.T) {
 			{class(0)},
 			{rdf.Literal("lit0")},
 		}
+		store := newBinaryVFSStore(t)
+		ts := g.Triples()
+		for i, lo := 0, 0; lo < len(ts); i++ {
+			hi := min(len(ts), lo+1+rng.Intn(8))
+			if err := writeDelta(store, i%3, i/3, ts[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			lo = hi
+		}
+		if seed%2 == 0 {
+			if _, err := store.PackSegments(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		views := []struct {
+			tag    string
+			budget int64
+			v      *LazyView
+		}{{tag: "lazy@1B", budget: 1}, {tag: "lazy@inf"}}
+		for i := range views {
+			v, err := store.OpenLazy(CacheConfig{MaxBytes: views[i].budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			views[i].v = v
+		}
 		for ri, roots := range rootSets {
 			for _, hops := range []int{0, 1, 2, 5} {
 				want := canonicalNT(t, ReduceLineageLegacy(g, roots, hops))
+				for _, lv := range views {
+					got, _, err := lv.v.ReduceLineagePruned(roots, hops, 1)
+					if err != nil {
+						t.Fatalf("seed %d roots #%d hops %d: %s: %v", seed, ri, hops, lv.tag, err)
+					}
+					if canonicalNT(t, got) != want {
+						t.Fatalf("seed %d roots #%d hops %d: %s lineage differs from the oracle\ngot:\n%swant:\n%s", seed, ri, hops, lv.tag, canonicalNT(t, got), want)
+					}
+				}
 				if got := canonicalNT(t, ReduceLineageUncached(g, roots, hops)); got != want {
 					t.Fatalf("seed %d roots #%d hops %d: ReduceLineageUncached differs from the oracle\ngot:\n%swant:\n%s", seed, ri, hops, got, want)
 				}

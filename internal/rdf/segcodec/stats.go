@@ -932,19 +932,6 @@ func (st *SegStats) CanMatch(s, p, o *rdf.Term) bool {
 	return true
 }
 
-// CanContainNode reports whether the term could appear in the segment's
-// subject or object column — the probe the pruned lineage traversal uses for
-// frontier nodes (edges and annotations both touch a node as S or O).
-func (st *SegStats) CanContainNode(t rdf.Term) bool {
-	if st.Triples == 0 {
-		return false
-	}
-	if !st.mayHold(&t) {
-		return false
-	}
-	return st.inZone(0, t) || st.inZone(2, t)
-}
-
 // mayHold reports whether the term can be one of the segment's at all: a
 // numeric literal against the range when the frame has one, any other term
 // against the Bloom filter. That is sound for every frame: a generation 1

@@ -33,9 +33,8 @@ func statsOfGraph(t *testing.T, g *rdf.Graph) (SegStats, []byte) {
 // TestStatsNeverFalseNegative is the soundness property pruning rests on:
 // for randomized segments, in both frame generations and read back from the
 // frame's bytes, every term actually present in a column must pass CanMatch
-// when probed in that position, and CanContainNode as a subject or object —
-// a stats block may only ever say "definitely absent" about terms that are
-// absent. The objects include numeric literals up to both int64 bounds, and
+// when probed in that position — a stats block may only ever say
+// "definitely absent" about terms that are absent. The objects include numeric literals up to both int64 bounds, and
 // xsd:integer text no int64 spells canonically ("-0", "007", "+5"), which a
 // generation 2 frame keeps in its Bloom filter. A numeric literal outside a
 // generation 2 frame's range answers false.
@@ -76,9 +75,6 @@ func TestStatsNeverFalseNegative(t *testing.T) {
 				if !st.CanMatch(&s, &p, &o) {
 					t.Fatalf("seed %d, generation %d: full triple pruned despite being present", seed, gen)
 				}
-				if !st.CanContainNode(s) || !st.CanContainNode(o) {
-					t.Fatalf("seed %d, generation %d: node probe pruned a present S/O term", seed, gen)
-				}
 			}
 			if !st.CanMatch(nil, nil, nil) && g.Len() > 0 {
 				t.Fatalf("seed %d, generation %d: wildcard pattern pruned a non-empty segment", seed, gen)
@@ -89,7 +85,7 @@ func TestStatsNeverFalseNegative(t *testing.T) {
 			for _, v := range []int64{st.NumMin - 1, st.NumMax + 1} {
 				if v < st.NumMin || v > st.NumMax { // not wrapped into a range that spans int64
 					x := rdf.Integer(v)
-					if st.CanMatch(nil, nil, &x) || st.CanContainNode(x) {
+					if st.CanMatch(nil, nil, &x) {
 						t.Fatalf("seed %d: %d outside the range [%d, %d] not pruned", seed, v, st.NumMin, st.NumMax)
 					}
 					outside++
@@ -117,9 +113,6 @@ func TestStatsPrunesAbsent(t *testing.T) {
 	absentNode := rdf.IRI("urn:zzzz/way-past-the-zone")
 	if st.CanMatch(&absentNode, nil, nil) {
 		t.Error("absent subject not pruned")
-	}
-	if st.CanContainNode(absentNode) {
-		t.Error("absent node not pruned by the node probe")
 	}
 
 	empty, _ := statsOfGraph(t, rdf.NewGraph())

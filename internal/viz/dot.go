@@ -14,6 +14,7 @@ import (
 
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/sparql"
 )
 
 // Options controls DOT rendering.
@@ -222,9 +223,11 @@ func shortIRI(iri string, ns *rdf.Namespaces) string {
 	return iri
 }
 
-// LineageHighlight computes the highlight set for a backward lineage: the
-// product node plus everything reachable over prov:wasDerivedFrom and the
-// programs those entities are attributed to — the blue path of Figure 9.
+// LineageHighlight computes the highlight set for a backward lineage — the
+// blue path of Figure 9: the product node, its prov:wasDerivedFrom
+// out-closure (sparql.Reach), and the prov:wasAttributedTo objects of that
+// closure. The set depends only on the graph's triples, never on the order
+// its terms were interned in.
 func LineageHighlight(g *rdf.Graph, product rdf.Term) map[string]bool {
 	v := g.Snapshot()
 	out := map[string]bool{product.Value: true}
@@ -232,35 +235,14 @@ func LineageHighlight(g *rdf.Graph, product rdf.Term) map[string]bool {
 	if !ok {
 		return out
 	}
-	idOf := func(t rdf.Term) rdf.ID {
-		if id, ok := v.TermID(t); ok {
-			return id
-		}
-		return rdf.NoID
-	}
-	derived := idOf(model.WasDerivedFrom.IRI())
-	attr := idOf(model.WasAttributedTo.IRI())
-	seen := map[rdf.ID]bool{root: true}
-	frontier := []rdf.ID{root}
-	for len(frontier) > 0 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		if derived != rdf.NoID {
-			v.ForEachMatchIDs(cur, derived, rdf.NoID, func(_, _, o rdf.ID) bool {
-				if !seen[o] {
-					seen[o] = true
-					out[v.TermOf(o).Value] = true
-					frontier = append(frontier, o)
-				}
-				return true
-			})
-		}
-		if attr != rdf.NoID {
-			v.ForEachMatchIDs(cur, attr, rdf.NoID, func(_, _, o rdf.ID) bool {
-				if !seen[o] {
-					seen[o] = true
-					out[v.TermOf(o).Value] = true
-				}
+	derived, ok := v.TermID(model.WasDerivedFrom.IRI())
+	closure := sparql.Reach(v, []rdf.ID{root}, map[rdf.ID]bool{derived: ok}, sparql.Out, 0)
+	attr, aok := v.TermID(model.WasAttributedTo.IRI())
+	for _, n := range closure {
+		out[v.TermOf(n.ID).Value] = true
+		if aok {
+			v.ForEachMatchIDs(n.ID, attr, rdf.NoID, func(_, _, o rdf.ID) bool {
+				out[v.TermOf(o).Value] = true
 				return true
 			})
 		}

@@ -90,6 +90,33 @@ func TestLineageHighlight(t *testing.T) {
 	}
 }
 
+// TestLineageHighlightOrderIndependent: B is both the attributed agent of A
+// and an ancestor of C, siblings at one depth under the product X. B's own
+// ancestor D is in the wasDerivedFrom closure whichever of A and C the
+// dictionary numbered first.
+func TestLineageHighlightOrderIndependent(t *testing.T) {
+	node := func(n string) rdf.Term { return rdf.IRI("urn:node:" + n) }
+	derived, attributed := model.WasDerivedFrom.IRI(), model.WasAttributedTo.IRI()
+	for _, first := range []string{"A", "C"} {
+		g := rdf.NewGraph()
+		g.Intern(node(first)) // A and C in either ID order
+		g.Add(rdf.Triple{S: node("X"), P: derived, O: node("A")})
+		g.Add(rdf.Triple{S: node("X"), P: derived, O: node("C")})
+		g.Add(rdf.Triple{S: node("A"), P: attributed, O: node("B")})
+		g.Add(rdf.Triple{S: node("C"), P: derived, O: node("B")})
+		g.Add(rdf.Triple{S: node("B"), P: derived, O: node("D")})
+		hl := LineageHighlight(g, node("X"))
+		for _, n := range []string{"X", "A", "B", "C", "D"} {
+			if !hl[node(n).Value] {
+				t.Errorf("%s interned first: %s not highlighted (%v)", first, n, hl)
+			}
+		}
+		if len(hl) != 5 {
+			t.Errorf("%s interned first: highlight %v, want exactly X, A, B, C, D", first, hl)
+		}
+	}
+}
+
 func TestWriteDOTHighlightsInBlue(t *testing.T) {
 	g, product, _ := dassaGraph()
 	hl := LineageHighlight(g, product)
