@@ -144,25 +144,13 @@ const (
 // CapsString renders capability bits for display.
 func CapsString(caps uint32) string { return core.CapsString(caps) }
 
-// Format selects the store serialization codec. Reads always auto-detect
-// each file's codec from its magic bytes, so any Format opens any store
-// directory; Format only governs what the store writes.
+// Format names the store's write codec: pbs, the zero value and the only
+// one NewStore accepts. Reads detect each file's codec from its bytes, so
+// text stores an older build wrote still open, verify and migrate.
 type Format = core.Format
 
-// Store formats.
-const (
-	FormatTurtle   = core.FormatTurtle
-	FormatNTriples = core.FormatNTriples
-	// FormatBinary is the ID-space binary segment codec (.pbs).
-	FormatBinary = core.FormatBinary
-	// FormatAuto resolves to the format already present in the store
-	// directory (Turtle when empty).
-	FormatAuto = core.FormatAuto
-)
-
-// ParseFormat parses a -format flag value: auto | nt | ttl | pbs (plus the
-// aliases turtle, ntriples, binary).
-func ParseFormat(s string) (Format, error) { return core.ParseFormat(s) }
+// FormatBinary is the ID-space binary segment codec (.pbs).
+const FormatBinary = core.FormatBinary
 
 // Mode selects when the in-memory sub-graph is serialized: once at the end
 // of the workflow, or periodically every FlushEvery records.

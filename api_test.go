@@ -17,7 +17,7 @@ func TestEndToEndPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatTurtle)
+	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,10 +188,10 @@ func BenchmarkSPARQLLineage(b *testing.B) {
 }
 
 // BenchmarkStoreMerge measures sub-graph merge (parse + union) over per-
-// process Turtle files.
+// process pbs files.
 func BenchmarkStoreMerge(b *testing.B) {
 	fs := provio.NewMemStore()
-	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatTurtle)
+	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatBinary)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,0 +1,88 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	provio "github.com/hpc-io/prov-io"
+	"github.com/hpc-io/prov-io/internal/rdf"
+)
+
+// TestExportSyntaxFollowsFileName: -o NAME.ttl writes Turtle and -o NAME.nt
+// N-Triples, each parsing back to exactly the store's merged graph — of a
+// pbs store and of the text store an older build wrote — and any other name
+// gets PROV-JSON.
+func TestExportSyntaxFollowsFileName(t *testing.T) {
+	pbs := filepath.Join(t.TempDir(), "prov")
+	store, err := provio.NewStore(provio.OSBackend{}, pbs, provio.FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := provio.DefaultConfig()
+	cfg.Mode, cfg.FlushEvery = provio.ModePeriodic, 3
+	tr := provio.NewTracker(cfg, store, 0)
+	prog := tr.RegisterProgram("export.exe", tr.RegisterUser("alice"))
+	for i := 0; i < 7; i++ {
+		obj := tr.TrackDataObject(provio.ModelFile, "/data/in.h5", "", provio.Term{}, prog)
+		tr.TrackIO(provio.ModelRead, "H5Dread", obj, prog, time.Duration(i)*time.Millisecond, time.Microsecond)
+	}
+	if err := tr.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	text := filepath.Join("..", "..", "internal", "core", "testdata", "legacy_text", "loose")
+
+	for _, dir := range []string{pbs, text} {
+		store, err := provio.OpenStore(dir, provio.FormatBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := store.Merge()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"out.ttl", "out.nt"} {
+			out := filepath.Join(t.TempDir(), name)
+			if err := run([]string{"-store", dir, "-o", out}); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := provio.ParseTurtle(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("%s of %s: %v", name, dir, err)
+			}
+			if !equalGraphs(got, want) {
+				t.Errorf("%s of %s parses to %d triples, the store merges to %d, or to others", name, dir, got.Len(), want.Len())
+			}
+			if name == "out.ttl" && !bytes.Contains(data, []byte("@prefix prov:")) {
+				t.Errorf("%s of %s is not Turtle under the PROV-IO prefixes", name, dir)
+			}
+			if name == "out.nt" && bytes.Contains(data, []byte("@prefix")) {
+				t.Errorf("%s of %s is not N-Triples", name, dir)
+			}
+		}
+		out := filepath.Join(t.TempDir(), "out.json")
+		if err := run([]string{"-store", dir, "-o", out}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil || doc["prefix"] == nil {
+			t.Errorf("out.json of %s is not a PROV-JSON document: %v", dir, err)
+		}
+	}
+}
+
+func equalGraphs(a, b *rdf.Graph) bool {
+	var x, y bytes.Buffer
+	return rdf.WriteNTriples(&x, a) == nil && rdf.WriteNTriples(&y, b) == nil && bytes.Equal(x.Bytes(), y.Bytes())
+}

@@ -6,14 +6,13 @@
 //
 // Usage:
 //
-//	provio-merge -store ./prov [-format auto|nt|ttl|pbs] [-parallel N] [-compact]
+//	provio-merge -store ./prov [-parallel N] [-compact]
 //	provio-merge -store ./prov -compact -level 1
 //
-// Reading auto-detects each file's codec from its magic bytes, so stores
-// mixing .nt, .ttl, and .pbs files merge correctly regardless of -format;
-// the flag selects what gets written (the merged output, and — with
-// -compact — the rewritten canonical files, which is how a text store is
-// migrated to the binary format).
+// The merged graph is written as prov_merged.pbs. Reading detects each
+// file's codec from its bytes, so a text store an older build wrote merges
+// too, and -compact rewrites its canonical files as pbs: that is its
+// migration. provio-export writes Turtle or N-Triples.
 //
 // -store accepts a directory or any store spec (dir:/path, file:/run.pvs,
 // mount:hot=...,cold=...). On a mounted store, -compact additionally
@@ -44,10 +43,6 @@ import (
 
 func main() {
 	storeSpec := flag.String("store", "", cli.StoreUsage+" (required)")
-	formatFlag := flag.String("format", "auto",
-		"write format: auto | nt | ttl | pbs (auto keeps the store's existing format)")
-	ntriples := flag.Bool("ntriples", false,
-		"deprecated alias for -format=nt")
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"parse worker pool size for the merge (1 = sequential)")
 	compact := flag.Bool("compact", false,
@@ -56,13 +51,7 @@ func main() {
 		"with -compact: fold delta segments into a level-N pack (leveled compaction) instead of canonical files")
 	flag.Parse()
 
-	if *ntriples {
-		fmt.Fprintln(os.Stderr, "provio-merge: -ntriples is deprecated, use -format=nt")
-		if *formatFlag == "auto" {
-			*formatFlag = "nt"
-		}
-	}
-	store, err := cli.OpenStore(*storeSpec, *formatFlag)
+	store, err := cli.OpenStore(*storeSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "provio-merge: open store: %v\n", err)
 		os.Exit(1)

@@ -51,7 +51,6 @@ func main() {
 	storeSpec := flag.String("store", "", cli.StoreUsage+" (required)")
 	queryFile := flag.String("file", "", "read the query from this file instead of argv")
 	format := flag.String("format", "tsv", "output format: tsv | json (W3C SPARQL results JSON)")
-	storeFormat := flag.String("store-format", "auto", cli.FormatUsage)
 	plan := flag.Bool("plan", false, "print the pushdown report and query plan (EXPLAIN) instead of executing")
 	noPrune := flag.Bool("no-prune", false, "disable segment-statistics pushdown (decode every segment)")
 	workers := flag.Int("workers", 1, "parallel query workers (1 = serial executor)")
@@ -85,7 +84,7 @@ func main() {
 		pruner = provio.PrunerForQuery(q)
 	}
 
-	store, err := cli.OpenStore(*storeSpec, *storeFormat)
+	store, err := cli.OpenStore(*storeSpec)
 	if err != nil {
 		fatalf("open store: %v", err)
 	}

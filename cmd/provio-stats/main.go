@@ -30,11 +30,10 @@ import (
 
 func main() {
 	storeSpec := flag.String("store", "", cli.StoreUsage+" (required)")
-	formatFlag := flag.String("format", "auto", cli.FormatUsage)
 	lazy := flag.Bool("lazy", false, "derive statistics through an out-of-core lazy view")
 	cacheBytes := flag.Int64("cache-bytes", 0, "decoded-unit cache budget in bytes for -lazy (0 = unbounded)")
 	flag.Parse()
-	store, err := cli.OpenStore(*storeSpec, *formatFlag)
+	store, err := cli.OpenStore(*storeSpec)
 	if err != nil {
 		fatalf("%v", err)
 	}

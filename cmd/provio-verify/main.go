@@ -15,8 +15,7 @@
 // whole processes spliced in or removed — manipulations that are locally
 // self-consistent. -strict additionally flags files carrying no seal (stores
 // written before the integrity layer are otherwise tolerated). -selftest
-// runs the deterministic crash-consistency sweep for every store format and
-// backend kind.
+// runs the deterministic crash-consistency sweep over every backend kind.
 //
 // -store accepts a directory or any store spec (dir:/path, file:/run.pvs,
 // mount:hot=...,cold=...), so an archive or a mounted hot/cold store audits
@@ -89,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *selftest {
 		return runSelftest(stdout, stderr)
 	}
-	store, err := cli.OpenStore(*storeSpec, "auto")
+	store, err := cli.OpenStore(*storeSpec)
 	if err != nil {
 		fmt.Fprintf(stderr, "provio-verify: open store: %v\n", err)
 		return exitOperational
@@ -183,31 +182,15 @@ func legacyNote(versions map[byte]int) string {
 }
 
 func runSelftest(stdout, stderr io.Writer) int {
-	// Every store format over the fault-injecting VFS backend, then the
-	// binary format over each real backend kind (the store logic under test
-	// is format × backend; the full cross product adds time, not coverage).
-	cases := []provio.CrashSweepConfig{
-		{Format: provio.FormatTurtle},
-		{Format: provio.FormatNTriples},
-		{Format: provio.FormatBinary},
-		{Format: provio.FormatBinary, Backend: "mem"},
-		{Format: provio.FormatBinary, Backend: "file"},
-		{Format: provio.FormatBinary, Backend: "mount"},
-	}
+	// The fault-injecting VFS backend, then each real backend kind.
 	fail := false
-	for _, cfg := range cases {
-		cfg.Seed = 1
-		cfg.Torn = true
-		rep, err := provio.RunCrashSweep(cfg)
+	for _, backend := range []string{"vfs", "mem", "file", "mount"} {
+		rep, err := provio.RunCrashSweep(provio.CrashSweepConfig{Seed: 1, Torn: true, Backend: backend})
 		if err != nil {
-			fmt.Fprintf(stderr, "provio-verify: selftest %v: %v\n", cfg.Format, err)
+			fmt.Fprintf(stderr, "provio-verify: selftest %s: %v\n", backend, err)
 			return exitOperational
 		}
-		backend := cfg.Backend
-		if backend == "" {
-			backend = "vfs"
-		}
-		fmt.Fprintf(stdout, "%s %v %s\n", backend, cfg.Format, rep)
+		fmt.Fprintf(stdout, "%s pbs %s\n", backend, rep)
 		for _, v := range rep.Violations {
 			fmt.Fprintf(stderr, "provio-verify: %s\n", v)
 			fail = true

@@ -16,9 +16,9 @@ import (
 
 // buildStore writes a small two-run history (sealed canonical + sealed delta
 // segments) into dir with the real OS backend, as a production run would.
-func buildStore(t *testing.T, dir string, format provio.Format) {
+func buildStore(t *testing.T, dir string) {
 	t.Helper()
-	store, err := provio.NewStore(provio.OSBackend{}, dir, format)
+	store, err := provio.NewStore(provio.OSBackend{}, dir, provio.FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +39,33 @@ func buildStore(t *testing.T, dir string, format provio.Format) {
 	if err := tr.Drain(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// textStore copies the committed loose text store, the store older builds
+// wrote (a Turtle canonical file, N-Triples segments, a .sum sidecar
+// sealing each), into a fresh directory and returns it with its recorded
+// heads file.
+func textStore(t *testing.T) (dir, heads string) {
+	t.Helper()
+	src := filepath.Join("..", "..", "internal", "core", "testdata", "legacy_text", "loose")
+	dir = filepath.Join(t.TempDir(), "prov")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, src + ".heads"
 }
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -67,7 +94,7 @@ func segments(t *testing.T, dir string) []string {
 
 func TestExitCodes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "prov")
-	buildStore(t, dir, provio.FormatBinary)
+	buildStore(t, dir)
 
 	code, out, _ := runCLI(t, "-store", dir)
 	if code != exitClean || !strings.Contains(out, "clean") {
@@ -108,8 +135,10 @@ func TestExitCodes(t *testing.T) {
 }
 
 func TestHeadsAnchoring(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "prov")
-	buildStore(t, dir, provio.FormatTurtle)
+	dir, recorded := textStore(t)
+	if code, out, _ := runCLI(t, "-store", dir, "-heads", recorded); code != exitClean {
+		t.Fatalf("text store against its recorded heads: code %d, output %q", code, out)
+	}
 	heads := filepath.Join(t.TempDir(), "heads.txt")
 
 	if code, _, errb := runCLI(t, "-store", dir, "-q", "-write-heads", heads); code != exitClean {
@@ -137,8 +166,7 @@ func TestHeadsAnchoring(t *testing.T) {
 }
 
 func TestStrictFlagsUnsealed(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "prov")
-	buildStore(t, dir, provio.FormatNTriples)
+	dir, _ := textStore(t)
 
 	// Deleting a mid-chain sidecar demotes its file to unsealed: tolerated by
 	// default, orphaned under -strict.
@@ -168,10 +196,10 @@ func TestSelftest(t *testing.T) {
 	if code != exitClean {
 		t.Fatalf("selftest: code %d, stderr %q", code, errb)
 	}
-	if strings.Count(out, "crash sweep:") != 6 {
+	if strings.Count(out, "crash sweep:") != 4 {
 		t.Fatalf("selftest output missing per-case reports: %q", out)
 	}
-	for _, want := range []string{"vfs ttl", "vfs nt", "vfs pbs", "mem pbs", "file pbs", "mount pbs"} {
+	for _, want := range []string{"vfs pbs", "mem pbs", "file pbs", "mount pbs"} {
 		if !strings.Contains(out, want+" crash sweep:") {
 			t.Fatalf("selftest output missing %q sweep: %q", want, out)
 		}
@@ -185,7 +213,7 @@ func TestSelftest(t *testing.T) {
 // — not as Turtle syntax in a binary file.
 func TestStoreGenerations(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "prov")
-	buildStore(t, dir, provio.FormatBinary)
+	buildStore(t, dir)
 	code, out, _ := runCLI(t, "-store", dir)
 	if code != exitClean || strings.Contains(out, "legacy") || !strings.Contains(out, "]\nclean") {
 		t.Fatalf("current store: code %d, output %q", code, out)

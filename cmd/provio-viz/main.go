@@ -20,13 +20,12 @@ import (
 
 func main() {
 	storeSpec := flag.String("store", "", cli.StoreUsage+" (required)")
-	formatFlag := flag.String("format", "auto", cli.FormatUsage)
 	out := flag.String("o", "", "output DOT file (default stdout)")
 	product := flag.String("product", "", "file path of a data product whose lineage to highlight")
 	title := flag.String("title", "PROV-IO provenance", "graph title")
 	flag.Parse()
 
-	store, err := cli.OpenStore(*storeSpec, *formatFlag)
+	store, err := cli.OpenStore(*storeSpec)
 	if err != nil {
 		fatalf("open store: %v", err)
 	}

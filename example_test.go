@@ -13,7 +13,7 @@ import (
 func Example() {
 	fs := provio.NewMemStore()
 	view := fs.NewView()
-	store, _ := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatTurtle)
+	store, _ := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatBinary)
 
 	tracker := provio.NewTracker(provio.DefaultConfig(), store, 0)
 	user := tracker.RegisterUser("alice")

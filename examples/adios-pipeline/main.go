@@ -20,7 +20,7 @@ func main() {
 	fs := provio.NewMemStore()
 	view := fs.NewView()
 	must(view.MkdirAll("/out"))
-	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatTurtle)
+	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatBinary)
 	must(err)
 
 	tracker := provio.NewTracker(provio.DefaultConfig(), store, 0)

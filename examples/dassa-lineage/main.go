@@ -20,7 +20,7 @@ func main() {
 	view := fs.NewView()
 	must(view.MkdirAll("/das"))
 
-	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatTurtle)
+	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatBinary)
 	must(err)
 
 	// File-granularity lineage configuration (Table 3, DASSA row 1).

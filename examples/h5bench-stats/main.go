@@ -21,7 +21,7 @@ func main() {
 	fs := provio.NewMemStore()
 	view := fs.NewView()
 	must(view.MkdirAll("/scratch"))
-	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatTurtle)
+	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatBinary)
 	must(err)
 
 	// I/O API + durations + agents + file: scenarios 2 and 3 combined.

@@ -21,7 +21,7 @@ func main() {
 	view := fs.NewView()
 	must(view.MkdirAll("/data"))
 
-	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatTurtle)
+	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatBinary)
 	must(err)
 
 	// Process 0: a "simulate" program produces a hierarchical file.

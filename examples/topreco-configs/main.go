@@ -26,7 +26,7 @@ type runCfg struct {
 
 func main() {
 	fs := provio.NewMemStore()
-	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatTurtle)
+	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatBinary)
 	must(err)
 
 	// Track only the extensible classes (Table 3's Top Reco row).

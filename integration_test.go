@@ -24,7 +24,7 @@ func TestThreeInterfacesOneProvenanceGraph(t *testing.T) {
 	if err := view.MkdirAll("/pipe"); err != nil {
 		t.Fatal(err)
 	}
-	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatTurtle)
+	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestCrossRunBestConfiguration(t *testing.T) {
 	accs := []float64{0.81, 0.93}
 	for run, acc := range accs {
 		store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()},
-			fmt.Sprintf("/prov/run%d", run), provio.FormatTurtle)
+			fmt.Sprintf("/prov/run%d", run), provio.FormatBinary)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestReduceBeforeVisualize(t *testing.T) {
 	fs := provio.NewMemStore()
 	view := fs.NewView()
 	view.MkdirAll("/d")
-	store, _ := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatTurtle)
+	store, _ := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatBinary)
 	tracker := provio.NewTracker(provio.DefaultConfig(), store, 0)
 	prog := tracker.RegisterProgram("writer", tracker.RegisterUser("u"))
 	conn := provio.NewProvConnector(provio.NewNativeConnector(view), tracker,

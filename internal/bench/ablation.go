@@ -6,6 +6,7 @@ import (
 	"github.com/hpc-io/prov-io/internal/core"
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 	"github.com/hpc-io/prov-io/internal/vfs"
 	"github.com/hpc-io/prov-io/internal/workloads/h5bench"
 )
@@ -122,8 +123,9 @@ func AblationGranularity(s Scale) (*Report, error) {
 	return r, nil
 }
 
-// AblationFormat compares the two store serializations: Turtle's
-// subject-grouping amortizes long IRIs, N-Triples repeats them per triple.
+// AblationFormat compares the two text serializations a store once wrote:
+// Turtle's subject-grouping amortizes long IRIs, N-Triples repeats them per
+// triple.
 func AblationFormat(s Scale) (*Report, error) {
 	r := &Report{
 		ID:      "abl-format",
@@ -131,28 +133,19 @@ func AblationFormat(s Scale) (*Report, error) {
 		Columns: []string{"format", "bytes", "ratio"},
 		Notes:   []string{"Turtle's predicate lists amortize subject IRIs (paper stores Turtle 'for simplicity')"},
 	}
-	build := func(format core.Format) (int64, error) {
-		view := vfs.NewStore().NewView()
-		store, err := core.NewStore(core.VFSBackend{View: view}, "/prov", format)
-		if err != nil {
-			return 0, err
-		}
-		tr := core.NewTracker(core.DefaultConfig(), store, 0)
-		prog := tr.RegisterProgram("p", rdf.Term{})
-		for i := 0; i < 500; i++ {
-			obj := tr.TrackDataObject(model.Dataset, fmt.Sprintf("/f.h5/d%d", i), "", rdf.Term{}, prog)
-			tr.TrackIO(model.Write, "H5Dwrite", obj, prog, 0, 0)
-		}
-		if err := tr.Close(); err != nil {
-			return 0, err
-		}
-		return store.TotalBytes()
+	// The store writes pbs; the two sizes are the graph's text encodings,
+	// what a store of each text format held for it.
+	tr := core.NewTracker(core.DefaultConfig(), nil, 0)
+	prog := tr.RegisterProgram("p", rdf.Term{})
+	for i := 0; i < 500; i++ {
+		obj := tr.TrackDataObject(model.Dataset, fmt.Sprintf("/f.h5/d%d", i), "", rdf.Term{}, prog)
+		tr.TrackIO(model.Write, "H5Dwrite", obj, prog, 0, 0)
 	}
-	turtle, err := build(core.FormatTurtle)
+	turtle, err := core.TextBytes(segcodec.Turtle, tr.Graph())
 	if err != nil {
 		return nil, err
 	}
-	nt, err := build(core.FormatNTriples)
+	nt, err := core.TextBytes(segcodec.NTriples, tr.Graph())
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +165,7 @@ func AblationGUIDMerge(s Scale) (*Report, error) {
 	}
 	for _, procs := range []int{2, 8, 32} {
 		view := vfs.NewStore().NewView()
-		store, err := core.NewStore(core.VFSBackend{View: view}, "/prov", core.FormatTurtle)
+		store, err := core.NewStore(core.VFSBackend{View: view}, "/prov", core.FormatBinary)
 		if err != nil {
 			return nil, err
 		}

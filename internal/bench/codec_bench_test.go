@@ -1,23 +1,25 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"github.com/hpc-io/prov-io/internal/core"
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 	"github.com/hpc-io/prov-io/internal/vfs"
 )
 
-// buildFormatStore is buildMergeStore parameterized by store format: nFiles
+// buildFormatStore is buildMergeStore parameterized by codec: nFiles
 // per-process sub-graphs with overlapping nodes, written through the full
-// tracker pipeline so each format's canonical files land on the simulated
-// PFS in its own codec.
-func buildFormatStore(b *testing.B, format core.Format, nFiles, recordsPer int) *core.Store {
+// tracker pipeline, then — for a text codec — each canonical file rewritten
+// in it, the store an older build wrote in that format.
+func buildFormatStore(b *testing.B, codec segcodec.Codec, nFiles, recordsPer int) *core.Store {
 	b.Helper()
 	view := vfs.NewStore().NewView()
-	store, err := core.NewStore(core.VFSBackend{View: view}, "/prov", format)
+	store, err := core.NewStore(core.VFSBackend{View: view}, "/prov", core.FormatBinary)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -32,29 +34,36 @@ func buildFormatStore(b *testing.B, format core.Format, nFiles, recordsPer int) 
 		if err := tr.Close(); err != nil {
 			b.Fatal(err)
 		}
+		if codec == segcodec.Binary {
+			continue
+		}
+		var text bytes.Buffer
+		if err := codec.Encode(&text, tr.Graph(), model.Namespaces()); err != nil {
+			b.Fatal(err)
+		}
+		base := fmt.Sprintf("/prov/prov_p%06d", pid)
+		if err := view.WriteFile(base+codec.Ext(), text.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+		if err := view.Remove(base + segcodec.Binary.Ext()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return store
 }
 
-var codecBenchFormats = []struct {
-	name   string
-	format core.Format
-}{
-	{"nt", core.FormatNTriples},
-	{"ttl", core.FormatTurtle},
-	{"pbs", core.FormatBinary},
-}
+var codecBenchFormats = []segcodec.Codec{segcodec.NTriples, segcodec.Turtle, segcodec.Binary}
 
 // BenchmarkMerge measures Store.Merge (sequential decode of every sub-graph
 // into one graph) per codec at equal triple counts — the codec-layer
 // acceptance comparison: pbs must beat nt by >= 3x.
 func BenchmarkMerge(b *testing.B) {
 	for _, fc := range codecBenchFormats {
-		if fc.name == "ttl" {
+		if fc == segcodec.Turtle {
 			continue // merge acceptance compares the segment-capable codecs
 		}
-		b.Run(fc.name, func(b *testing.B) {
-			store := buildFormatStore(b, fc.format, 64, 60)
+		b.Run(fc.Name(), func(b *testing.B) {
+			store := buildFormatStore(b, fc, 64, 60)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -74,8 +83,8 @@ func BenchmarkMerge(b *testing.B) {
 // the per-file cost Merge is built from, isolated from listing and union.
 func BenchmarkStoreLoad(b *testing.B) {
 	for _, fc := range codecBenchFormats {
-		b.Run(fc.name, func(b *testing.B) {
-			store := buildFormatStore(b, fc.format, 1, 4000)
+		b.Run(fc.Name(), func(b *testing.B) {
+			store := buildFormatStore(b, fc, 1, 4000)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -98,12 +107,12 @@ func TestBinaryMergeMatchesText(t *testing.T) {
 	b := &testing.B{}
 	graphs := map[string]*rdf.Graph{}
 	for _, fc := range codecBenchFormats {
-		store := buildFormatStore(b, fc.format, 4, 50)
+		store := buildFormatStore(b, fc, 4, 50)
 		g, err := store.Merge()
 		if err != nil {
 			t.Fatal(err)
 		}
-		graphs[fc.name] = g
+		graphs[fc.Name()] = g
 	}
 	if graphs["pbs"].Len() != graphs["nt"].Len() || graphs["ttl"].Len() != graphs["nt"].Len() {
 		t.Fatalf("per-format stores diverged: nt=%d ttl=%d pbs=%d triples",

@@ -18,7 +18,7 @@ import (
 func benchPeriodicFlush(b *testing.B, p core.Pipeline) {
 	b.Helper()
 	view := vfs.NewStore().NewView()
-	store, err := core.NewStore(core.VFSBackend{View: view}, "/prov", core.FormatNTriples)
+	store, err := core.NewStore(core.VFSBackend{View: view}, "/prov", core.FormatBinary)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func BenchmarkPeriodicFlushAsyncDelta(b *testing.B)  { benchPeriodicFlush(b, cor
 func buildMergeStore(b *testing.B, nFiles, recordsPer int) *core.Store {
 	b.Helper()
 	view := vfs.NewStore().NewView()
-	store, err := core.NewStore(core.VFSBackend{View: view}, "/prov", core.FormatTurtle)
+	store, err := core.NewStore(core.VFSBackend{View: view}, "/prov", core.FormatBinary)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func BenchmarkStoreMerge64Parallel(b *testing.B) { benchMerge(b, 8) }
 // assertions are fragile in CI, so this only checks a generous bound.
 func TestMergeParallelProducesSameGraphOn64Files(t *testing.T) {
 	view := vfs.NewStore().NewView()
-	store, err := core.NewStore(core.VFSBackend{View: view}, "/prov", core.FormatTurtle)
+	store, err := core.NewStore(core.VFSBackend{View: view}, "/prov", core.FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Package cli is the store-opening plumbing shared by the provio command
 // line tools: one place that resolves the -store flag (a spec string; a bare
-// directory path stays a valid alias for dir:) together with the store
-// format name, so every tool accepts every backend and their help text stays
-// in sync — and one place (OpenSource) that turns the -lazy/-cache-bytes
-// flags into the source a tool reads through.
+// directory path stays a valid alias for dir:), so every tool accepts every
+// backend and their help text stays in sync — and one place (OpenSource)
+// that turns the -lazy/-cache-bytes flags into the source a tool reads
+// through.
 package cli
 
 import (
@@ -18,27 +18,19 @@ import (
 // StoreUsage is the shared help text of the -store flag.
 const StoreUsage = "provenance store: a directory, or a spec — dir:/path | mem: | file:/store.pvs | mount:hot=SPEC,cold=SPEC"
 
-// FormatUsage is the shared help text of the store-format flags.
-const FormatUsage = "store codec: auto | nt | ttl | pbs (reads auto-detect per file)"
-
 // Rate renders a maintenance step's throughput the way bench/perf reports
 // verify_mb_per_s and pack_mb_per_s: store bytes over wall time, in MB/s.
 func Rate(bytes int64, elapsed time.Duration) string {
 	return fmt.Sprintf("%.1f MB/s", float64(bytes)/1e6/elapsed.Seconds())
 }
 
-// OpenStore opens the store a tool's -store and format flags name. The empty
-// spec is rejected (-store is required everywhere); the format name goes
-// through core.ParseFormat.
-func OpenStore(spec, format string) (*core.Store, error) {
+// OpenStore opens the store a tool's -store flag names. The empty spec is
+// rejected (-store is required everywhere).
+func OpenStore(spec string) (*core.Store, error) {
 	if spec == "" {
 		return nil, fmt.Errorf("-store is required")
 	}
-	f, err := core.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	return core.OpenStore(spec, f)
+	return core.OpenStore(spec, core.FormatBinary)
 }
 
 // Source is the read side of a store as a tool opened it: the eagerly

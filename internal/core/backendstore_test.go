@@ -17,8 +17,7 @@ import (
 // doubles as cross-backend migration.
 
 // openSnapshotOn materializes a file snapshot on a fresh backend of the
-// given kind and opens it with format auto-detection, the cross-backend
-// analogue of openDir.
+// given kind and opens it, the cross-backend analogue of openDir.
 func openSnapshotOn(t testing.TB, kind string, files map[string][]byte) *Store {
 	t.Helper()
 	var b Backend
@@ -52,7 +51,7 @@ func openSnapshotOn(t testing.TB, kind string, files map[string][]byte) *Store {
 			t.Fatal(err)
 		}
 	}
-	store, err := NewStore(b, "/prov", FormatAuto)
+	store, err := NewStore(b, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,18 +65,15 @@ func openSnapshotOn(t testing.TB, kind string, files map[string][]byte) *Store {
 // substrates run the exhaustive per-byte matrix; the file backend (real disk
 // I/O per snapshot) samples several offsets per file, every file covered.
 func TestVerifyMatrixAcrossBackends(t *testing.T) {
-	for _, format := range []Format{FormatTurtle, FormatBinary} {
-		src, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", format)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, layout := range []string{"ttl", "pbs"} {
+		src := newLayoutStore(t, layout)
 		smallHistory(t, src, 0)
 		clean := storeFiles(t, src)
 		srcRep := mustVerify(t, src)
 		heads := srcRep.Heads
 
 		for _, kind := range []string{"mem", "file", "mount"} {
-			t.Run(format.String()+"/"+kind, func(t *testing.T) {
+			t.Run(layout+"/"+kind, func(t *testing.T) {
 				// The untouched snapshot verifies clean with identical heads:
 				// chain digests depend on file bytes, never on the substrate.
 				rep := mustVerify(t, openSnapshotOn(t, kind, clean))
@@ -145,21 +141,17 @@ func TestVerifyMatrixAcrossBackends(t *testing.T) {
 // pluggable substrate under the fault injector. The file sweep reopens the
 // on-disk archive for every recovery, putting journal replay inside the
 // crash loop; the mount sweep exercises tier routing and fallback at every
-// crash point.
+// crash point. A text store's migration is swept on mem and mount.
 func TestCrashSweepBackends(t *testing.T) {
-	cases := []struct {
-		kind   string
-		format Format
-	}{
-		{"mem", FormatBinary},
-		{"mem", FormatTurtle},
-		{"file", FormatBinary},
-		{"mount", FormatBinary},
-		{"mount", FormatTurtle},
-	}
-	for _, c := range cases {
-		t.Run(c.kind+"/"+c.format.String(), func(t *testing.T) {
-			rep, err := RunCrashSweep(CrashSweepConfig{Seed: 1, Format: c.format, Torn: true, Backend: c.kind})
+	for _, c := range []struct{ kind, layout string }{
+		{"mem", "pbs"}, {"mem", "ttl"}, {"file", "pbs"}, {"mount", "pbs"}, {"mount", "ttl"},
+	} {
+		t.Run(c.kind+"/"+c.layout, func(t *testing.T) {
+			if c.layout != "pbs" {
+				migrationCrashSweep(t, c.layout, c.kind)
+				return
+			}
+			rep, err := RunCrashSweep(CrashSweepConfig{Seed: 1, Torn: true, Backend: c.kind})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,17 +191,15 @@ func mergedNT(t *testing.T, s *Store) []byte {
 // to byte-identical output — before Compact, after Compact (which drains the
 // hot tier into the archive), and when the archive is reopened cold.
 func TestMountStoreParity(t *testing.T) {
-	for _, format := range []Format{FormatTurtle, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			plain, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", format)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, layout := range []string{"ttl", "pbs"} {
+		t.Run(layout, func(t *testing.T) {
+			plain := newLayoutStore(t, layout)
 			pvs := filepath.Join(t.TempDir(), "cold.pvs")
-			mounted, err := OpenStore("mount:hot=mem:,cold=file:"+pvs, format)
+			mount, dir, err := backend.Open("mount:hot=mem:,cold=file:" + pvs)
 			if err != nil {
 				t.Fatal(err)
 			}
+			mounted := layoutStoreOn(t, mount, dir, layout)
 			for pid := 0; pid < 2; pid++ {
 				smallHistory(t, plain, pid)
 				smallHistory(t, mounted, pid)
@@ -224,6 +214,8 @@ func TestMountStoreParity(t *testing.T) {
 				t.Fatalf("mounted store defects: %v", rep.Defects)
 			}
 
+			// Compact also migrates a text store to pbs.
+			mounted = plainStore(t, mounted)
 			if err := mounted.Compact(); err != nil {
 				t.Fatalf("Compact on mounted store: %v", err)
 			}
@@ -233,7 +225,7 @@ func TestMountStoreParity(t *testing.T) {
 
 			// After Compact every segment is folded: the whole history must
 			// now live in the cold archive, readable on its own.
-			cold, err := OpenStore("file:"+pvs, format)
+			cold, err := OpenStore("file:"+pvs, FormatBinary)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,7 +277,7 @@ func TestCompactMigratesBetweenBackends(t *testing.T) {
 	if names, err := (backend.Dir{}).List(oldDir); err != nil || len(names) != 0 {
 		t.Fatalf("old dir still holds %v (err %v) after migration", names, err)
 	}
-	arch, err := OpenStore("file:"+pvs, FormatAuto)
+	arch, err := OpenStore("file:"+pvs, FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +301,7 @@ func TestCompactMigratesBetweenBackends(t *testing.T) {
 	if err := back.Compact(); err != nil {
 		t.Fatalf("reverse migrating Compact: %v", err)
 	}
-	dst, err := OpenStore("dir:"+newDir, FormatAuto)
+	dst, err := OpenStore("dir:"+newDir, FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

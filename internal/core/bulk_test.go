@@ -25,9 +25,10 @@ import (
 // benchmarks at the perf harness's h5bench shape for measuring while working.
 
 // referencePack is PackSegments as it was while it still built a union
-// graph: every loose segment and lower-level pack member of the snapshot,
-// member stats from the file's own frame (loose) or the old header (packed),
-// and pack-level stats from a graph every member was decoded into.
+// graph and took text members: every loose segment (text segments' sidecars
+// included) and lower-level pack member of the snapshot, member stats from
+// the file's own frame (loose) or the old header (packed), and pack-level
+// stats from a graph every member was decoded into.
 func referencePack(t *testing.T, files map[string][]byte, level int) []byte {
 	t.Helper()
 	entries := make(map[string]segcodec.PackEntry)
@@ -86,7 +87,7 @@ func referencePack(t *testing.T, files map[string][]byte, level int) []byte {
 
 // TestPackBytesMatchReference: over randomized member sets — terms shared
 // between members, one triple slice written to two members, a member with no
-// triples, a text member with its sidecar — the pack PackSegments writes is
+// triples — the pack PackSegments writes is
 // byte-identical to the union-graph algorithm's, at level 1 (loose members)
 // and at level 2 (the level-1 pack's members plus new loose ones).
 func TestPackBytesMatchReference(t *testing.T) {
@@ -94,10 +95,6 @@ func TestPackBytesMatchReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		backend := VFSBackend{View: vfs.NewStore().NewView()}
 		store, err := NewStore(backend, "/prov", FormatBinary)
-		if err != nil {
-			t.Fatal(err)
-		}
-		text, err := NewStore(backend, "/prov", FormatNTriples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +125,6 @@ func TestPackBytesMatchReference(t *testing.T) {
 			write(store, 0, append([]rdf.Triple(nil), shared...))
 			write(store, 1, shared)
 			write(store, 2, nil)
-			write(text, 7, randomTriples())
 		}
 		for level := 1; level <= 2; level++ {
 			wave()

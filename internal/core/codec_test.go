@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,37 +58,32 @@ func canonicalNT(t *testing.T, g *rdf.Graph) string {
 // store and checks the merged graph equals a Turtle store fed the same
 // records.
 func TestBinaryStoreRoundTrip(t *testing.T) {
-	graphs := make(map[Format]*rdf.Graph)
-	for _, format := range []Format{FormatTurtle, FormatBinary} {
-		view := vfs.NewStore().NewView()
-		store, err := NewStore(VFSBackend{View: view}, "/prov", format)
-		if err != nil {
-			t.Fatal(err)
-		}
+	graphs := make(map[string]*rdf.Graph)
+	for layout, wantExts := range map[string][]string{"ttl": {".ttl", ".ttl.sum"}, "pbs": {".pbs"}} {
+		store := newLayoutStore(t, layout)
 		for pid := 0; pid < 2; pid++ {
 			trackInto(t, store, pid, DefaultConfig(), false)
 		}
 		g, err := store.Merge()
 		if err != nil {
-			t.Fatalf("%v store merge: %v", format, err)
+			t.Fatalf("%s store merge: %v", layout, err)
 		}
-		graphs[format] = g
+		graphs[layout] = g
 
-		// The canonical files must carry the codec's extension.
+		// The canonical files must carry the codec's extension. Text stores
+		// carry a .sum integrity sidecar per file; binary files embed their
+		// seal and must not have one.
 		names, err := store.backend.List("/prov")
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Text stores carry a .sum integrity sidecar per file; binary files
-		// embed their seal and must not have one.
-		wantExt := format.codecOf().Ext()
 		for _, n := range names {
-			if !strings.HasSuffix(n, wantExt) && !strings.HasSuffix(n, wantExt+chainSidecarExt) {
-				t.Errorf("%v store left unexpected file %s", format, n)
+			if !slices.ContainsFunc(wantExts, func(ext string) bool { return strings.HasSuffix(n, ext) }) {
+				t.Errorf("%s store left unexpected file %s", layout, n)
 			}
 		}
 	}
-	if canonicalNT(t, graphs[FormatBinary]) != canonicalNT(t, graphs[FormatTurtle]) {
+	if canonicalNT(t, graphs["pbs"]) != canonicalNT(t, graphs["ttl"]) {
 		t.Error("binary store merged to a different graph than the Turtle store")
 	}
 }
@@ -105,14 +101,11 @@ func TestMixedFormatMerge(t *testing.T) {
 		return cfg
 	}
 
-	build := func(t *testing.T, formats []Format) *rdf.Graph {
+	build := func(t *testing.T, layouts []string) *rdf.Graph {
 		t.Helper()
 		view := vfs.NewStore().NewView()
-		for pid, format := range formats {
-			store, err := NewStore(VFSBackend{View: view}, "/prov", format)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for pid, layout := range layouts {
+			store := layoutStoreOn(t, VFSBackend{View: view}, "/prov", layout)
 			cfg, leaveSegments := DefaultConfig(), false
 			if pid%2 == 1 {
 				// Odd pids drain without closing: their delta segments stay
@@ -121,8 +114,8 @@ func TestMixedFormatMerge(t *testing.T) {
 			}
 			trackInto(t, store, pid, cfg, leaveSegments)
 		}
-		// Read the shared directory back with auto-detection.
-		reader, err := NewStore(VFSBackend{View: view}, "/prov", FormatAuto)
+		// Read the shared directory back, each file by its own codec.
+		reader, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,8 +126,8 @@ func TestMixedFormatMerge(t *testing.T) {
 		return g
 	}
 
-	baseline := build(t, []Format{FormatTurtle, FormatTurtle, FormatTurtle})
-	mixed := build(t, []Format{FormatTurtle, FormatNTriples, FormatBinary})
+	baseline := build(t, []string{"ttl", "ttl", "ttl"})
+	mixed := build(t, []string{"ttl", "nt", "pbs"})
 	if canonicalNT(t, mixed) != canonicalNT(t, baseline) {
 		t.Fatal("mixed .ttl/.nt/.pbs directory merged to a different triple multiset than the all-text baseline")
 	}
@@ -143,15 +136,11 @@ func TestMixedFormatMerge(t *testing.T) {
 	}
 }
 
-// TestCompactMigratesTextToBinary: opening a text-format directory with a
-// binary store and compacting rewrites the canonical files as .pbs — the
-// codec layer's migration path.
+// TestCompactMigratesTextToBinary: compacting a text store rewrites the
+// canonical files as .pbs — the codec layer's migration path.
 func TestCompactMigratesTextToBinary(t *testing.T) {
 	view := vfs.NewStore().NewView()
-	text, err := NewStore(VFSBackend{View: view}, "/prov", FormatNTriples)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := layoutStoreOn(t, VFSBackend{View: view}, "/prov", "nt")
 	cfg := DefaultConfig()
 	cfg.Mode = ModePeriodic
 	cfg.FlushEvery = 3
@@ -202,15 +191,12 @@ func TestCompactMigratesTextToBinary(t *testing.T) {
 }
 
 // TestCompactMigratesCanonicalOnly: a text store with NO pending segments —
-// the common provio-merge -format=pbs -compact input — must still have its
-// canonical files rewritten to the store codec, with the old-format files
-// removed; and a second Compact must be a no-op (idempotent migration).
+// the common provio-merge -compact input — must still have its canonical
+// files rewritten as pbs, with the text files and their sidecars removed;
+// and a second Compact must be a no-op (idempotent migration).
 func TestCompactMigratesCanonicalOnly(t *testing.T) {
 	view := vfs.NewStore().NewView()
-	text, err := NewStore(VFSBackend{View: view}, "/prov", FormatTurtle)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := layoutStoreOn(t, VFSBackend{View: view}, "/prov", "ttl")
 	for pid := 0; pid < 2; pid++ {
 		trackInto(t, text, pid, DefaultConfig(), false) // Close: canonical only
 	}
@@ -228,8 +214,8 @@ func TestCompactMigratesCanonicalOnly(t *testing.T) {
 	}
 	names, _ := bin.backend.List("/prov")
 	for _, n := range names {
-		if strings.HasSuffix(n, ".ttl") {
-			t.Errorf("old-format canonical file %s survived migration", n)
+		if isTextOrSidecar(n) {
+			t.Errorf("text store file %s survived migration", n)
 		}
 	}
 	for pid := 0; pid < 2; pid++ {
@@ -266,21 +252,21 @@ func TestCompactMigratesCanonicalOnly(t *testing.T) {
 	}
 }
 
-// TestFormatAutoDetection pins FormatAuto's directory sniffing: canonical
-// file extensions win, segments decide only alone, empty dirs are Turtle.
+// TestFormatAutoDetection: there is no format left to detect. Whatever a
+// store directory holds — nothing, text or pbs canonical files or segments,
+// foreign files — a tracker writes its canonical file as pbs.
 func TestFormatAutoDetection(t *testing.T) {
 	cases := []struct {
 		name  string
 		files []string
-		want  Format
 	}{
-		{"empty", nil, FormatTurtle},
-		{"canonical ttl", []string{"prov_p000000.ttl"}, FormatTurtle},
-		{"canonical nt", []string{"prov_p000000.nt"}, FormatNTriples},
-		{"canonical pbs", []string{"prov_p000000.pbs"}, FormatBinary},
-		{"segment only", []string{"prov_p000000.seg0000.pbs"}, FormatBinary},
-		{"canonical wins over segment", []string{"prov_p000000.seg0000.nt", "prov_p000001.pbs"}, FormatBinary},
-		{"foreign files ignored", []string{"README.txt", "prov_merged.ttl"}, FormatTurtle},
+		{"empty", nil},
+		{"canonical ttl", []string{"prov_p000000.ttl"}},
+		{"canonical nt", []string{"prov_p000000.nt"}},
+		{"canonical pbs", []string{"prov_p000000.pbs"}},
+		{"segment only", []string{"prov_p000000.seg0000.pbs"}},
+		{"canonical wins over segment", []string{"prov_p000000.seg0000.nt", "prov_p000001.pbs"}},
+		{"foreign files ignored", []string{"README.txt", "prov_merged.ttl"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -294,12 +280,17 @@ func TestFormatAutoDetection(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			store, err := NewStore(backend, "/prov", FormatAuto)
+			store, err := NewStore(backend, "/prov", FormatBinary)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if store.Format() != tc.want {
-				t.Errorf("detected %v, want %v", store.Format(), tc.want)
+			tr := NewTracker(DefaultConfig(), store, 2)
+			tr.RegisterUser("u")
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !view.Exists("/prov/prov_p000002.pbs") {
+				t.Error("no pbs canonical file written")
 			}
 		})
 	}

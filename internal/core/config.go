@@ -1,8 +1,8 @@
 // Package core implements the PROV-IO Library (paper §4.2/§5): the
 // configurable provenance tracker that the VOL connector, the POSIX syscall
 // wrapper, and the user-facing PROV-IO APIs all feed, the provenance store
-// that persists per-process sub-graphs as Turtle, and the merge step that
-// unifies sub-graphs after a run.
+// that persists per-process sub-graphs, and the merge step that unifies
+// sub-graphs after a run.
 package core
 
 import (
@@ -16,59 +16,16 @@ import (
 	"github.com/hpc-io/prov-io/internal/model"
 )
 
-// Format selects the on-disk serialization codec of a store's canonical
-// files (DESIGN.md "Store codecs"). Reading never depends on it: every read
-// path auto-detects each file's codec from its magic bytes, so directories
-// mixing formats merge correctly whatever a store was opened with.
+// Format names the store's write codec. There is one, pbs (DESIGN.md "Store
+// codecs"), and it is the zero Format: NewStore refuses any other value. Text
+// stores an older build wrote are still read, verified and migrated
+// (legacytext.go); text leaves the store through provio-export.
 type Format uint8
 
-// Supported store formats.
-const (
-	FormatTurtle Format = iota
-	FormatNTriples
-	// FormatBinary writes the ID-space binary segment format (.pbs):
-	// dictionary-delta blocks plus varint-encoded triple ID columns, so
-	// flushes render no term text and merges re-parse none.
-	FormatBinary
-
-	// FormatAuto resolves, at NewStore, to the format of the canonical
-	// files already present in the store directory (Turtle when empty).
-	// It is only meaningful as a NewStore/config input, never a stored
-	// state: Store.Format() reports the resolved format.
-	FormatAuto Format = 0xFF
-)
-
-// String returns the short format name (the -format flag vocabulary).
-func (f Format) String() string {
-	switch f {
-	case FormatNTriples:
-		return "nt"
-	case FormatBinary:
-		return "pbs"
-	case FormatAuto:
-		return "auto"
-	default:
-		return "ttl"
-	}
-}
-
-// ParseFormat parses a format name as accepted by the CLI -format flags and
-// the config file's format key: auto | nt | ttl | pbs, plus the historical
-// long names ntriples | turtle and the alias binary.
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "turtle", "ttl":
-		return FormatTurtle, nil
-	case "ntriples", "nt":
-		return FormatNTriples, nil
-	case "pbs", "binary":
-		return FormatBinary, nil
-	case "auto":
-		return FormatAuto, nil
-	default:
-		return FormatTurtle, fmt.Errorf("core: unknown format %q (want auto|nt|ttl|pbs)", s)
-	}
-}
+// FormatBinary is the ID-space binary segment format (.pbs): dictionary-delta
+// blocks plus varint-encoded triple ID columns, so flushes render no term
+// text and merges re-parse none.
+const FormatBinary Format = 0
 
 // Mode selects when the in-memory sub-graph is serialized (paper §4.2: "the
 // serialization operation may be triggered either periodically or by the end
@@ -92,7 +49,7 @@ type Pipeline uint8
 const (
 	// PipelineAsync snapshots the delta since the last flush and hands it
 	// to a per-tracker background writer over a bounded queue; the writer
-	// appends it to the store as an N-Triples delta segment. The hot path
+	// appends it to the store as a delta segment. The hot path
 	// pays only the handoff, plus backpressure when the queue is full.
 	PipelineAsync Pipeline = iota
 	// PipelineDelta writes the delta segment inline on the tracking thread.
@@ -131,7 +88,8 @@ type Config struct {
 	// spec string (the OpenStore grammar): dir:/path, mem:, file:/path.pvs,
 	// or mount:hot=SPEC,cold=SPEC. It supersedes StoreDir; StoreDir remains
 	// the plain-directory shorthand.
-	Store  string
+	Store string
+	// Format is the store codec; pbs, its zero value, is the only one.
 	Format Format
 	Mode   Mode
 	// FlushEvery triggers a periodic flush after this many records when
@@ -144,12 +102,11 @@ type Config struct {
 	FlushQueue int
 }
 
-// DefaultConfig enables every sub-class, Turtle format, at-end flushing.
+// DefaultConfig enables every sub-class, at-end flushing.
 func DefaultConfig() *Config {
 	c := &Config{
 		enabled:    make(map[string]bool),
 		StoreDir:   "/provenance",
-		Format:     FormatTurtle,
 		Mode:       ModeAtEnd,
 		FlushEvery: 4096,
 		Pipeline:   PipelineAsync,
@@ -214,7 +171,7 @@ func (c *Config) StoreSpec() string {
 	return "dir:" + c.StoreDir
 }
 
-// OpenStore opens the store the config selects, in the config's format.
+// OpenStore opens the store the config selects.
 func (c *Config) OpenStore() (*Store, error) {
 	return OpenStore(c.StoreSpec(), c.Format)
 }
@@ -234,7 +191,6 @@ func (c *Config) Clone() *Config {
 //
 //	store_dir   = /path/to/store
 //	store       = dir:/path | mem: | file:/path.pvs | mount:hot=SPEC,cold=SPEC
-//	format      = auto | nt | ttl | pbs   (also: turtle, ntriples, binary)
 //	mode        = at_end | periodic
 //	flush_every = 4096
 //	pipeline    = async | delta | inline
@@ -246,7 +202,8 @@ func (c *Config) Clone() *Config {
 //
 // This is the "configuration file" transparency mechanism Table 4 credits
 // PROV-IO with: users select provenance features without touching workflow
-// source.
+// source. A format line is an error: the store writes pbs only, and
+// provio-export writes Turtle or N-Triples from it.
 func LoadConfig(r io.Reader) (*Config, error) {
 	cfg := DefaultConfig()
 	sc := bufio.NewScanner(r)
@@ -272,11 +229,7 @@ func LoadConfig(r io.Reader) (*Config, error) {
 			}
 			cfg.Store = val
 		case "format":
-			f, err := ParseFormat(val)
-			if err != nil {
-				return nil, fmt.Errorf("core: config line %d: unknown format %q", lineNo, val)
-			}
-			cfg.Format = f
+			return nil, fmt.Errorf("core: config line %d: key format is gone: the store writes pbs only (provio-export -o FILE.ttl or FILE.nt writes text)", lineNo)
 		case "mode":
 			switch val {
 			case "at_end":

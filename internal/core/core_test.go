@@ -13,7 +13,7 @@ import (
 
 func newTestStore(t *testing.T) *Store {
 	t.Helper()
-	s, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", FormatTurtle)
+	s, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,6 @@ func TestLoadConfig(t *testing.T) {
 	doc := `
 # PROV-IO configuration
 store_dir = /run1/prov
-format = ntriples
 mode = periodic
 flush_every = 128
 duration = on
@@ -87,7 +86,7 @@ disable = Open
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.StoreDir != "/run1/prov" || cfg.Format != FormatNTriples ||
+	if cfg.StoreDir != "/run1/prov" ||
 		cfg.Mode != ModePeriodic || cfg.FlushEvery != 128 || !cfg.Duration {
 		t.Errorf("config = %+v", cfg)
 	}
@@ -289,7 +288,7 @@ func TestFlushAndMergeRoundTrip(t *testing.T) {
 
 func TestWriteMergedProducesFile(t *testing.T) {
 	view := vfs.NewStore().NewView()
-	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatTurtle)
+	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +302,7 @@ func TestWriteMergedProducesFile(t *testing.T) {
 	if g.Len() == 0 {
 		t.Error("merged graph empty")
 	}
-	if !view.Exists("/prov/prov_merged.ttl") {
+	if !view.Exists("/prov/prov_merged.pbs") {
 		t.Error("merged file not written")
 	}
 }
@@ -329,7 +328,7 @@ func TestStoreTotalBytesGrows(t *testing.T) {
 
 func TestPeriodicModeFlushes(t *testing.T) {
 	view := vfs.NewStore().NewView()
-	store, _ := NewStore(VFSBackend{View: view}, "/prov", FormatTurtle)
+	store, _ := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 	cfg := DefaultConfig()
 	cfg.Mode = ModePeriodic
 	cfg.FlushEvery = 10
@@ -347,10 +346,10 @@ func TestPeriodicModeFlushes(t *testing.T) {
 	if err != nil || n == 0 {
 		t.Errorf("periodic flush did not write: %d bytes, %v", n, err)
 	}
-	if view.Exists("/prov/prov_p000000.ttl") {
+	if view.Exists("/prov/prov_p000000.pbs") {
 		t.Error("periodic delta flush rewrote the canonical file")
 	}
-	if !view.Exists("/prov/prov_p000000.seg0000.nt") {
+	if !view.Exists("/prov/prov_p000000.seg0000.pbs") {
 		t.Error("delta segment not written")
 	}
 	// The merged view already includes the segment's records.
@@ -365,7 +364,7 @@ func TestPeriodicModeFlushes(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if view.Exists("/prov/prov_p000000.seg0000.nt") {
+	if view.Exists("/prov/prov_p000000.seg0000.pbs") {
 		t.Error("Close did not compact delta segments")
 	}
 	g, err = store.Merge()
@@ -434,16 +433,17 @@ func TestTrackerCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestNTriplesStoreFormat: an N-Triples store an older build wrote merges.
 func TestNTriplesStoreFormat(t *testing.T) {
 	view := vfs.NewStore().NewView()
-	store, _ := NewStore(VFSBackend{View: view}, "/prov", FormatNTriples)
+	store := layoutStoreOn(t, VFSBackend{View: view}, "/prov", "nt")
 	tr := NewTracker(DefaultConfig(), store, 7)
 	tr.RegisterUser("u")
 	tr.Close()
 	if !view.Exists("/prov/prov_p000007.nt") {
 		t.Error(".nt file not written")
 	}
-	g, err := store.Merge()
+	g, err := plainStore(t, store).Merge()
 	if err != nil || g.Len() == 0 {
 		t.Errorf("merge over ntriples failed: %v", err)
 	}
@@ -451,7 +451,7 @@ func TestNTriplesStoreFormat(t *testing.T) {
 
 func TestOSBackend(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(OSBackend{}, dir+"/prov", FormatTurtle)
+	store, err := NewStore(OSBackend{}, dir+"/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,9 @@ import (
 
 // CrashSweepConfig parameterizes one sweep. The zero value of Records and
 // FlushEvery picks a small workload that still exercises segment writes,
-// canonical rewrites, sidecar writes, and segment removal.
+// canonical rewrites, and segment removal.
 type CrashSweepConfig struct {
 	Seed       int64
-	Format     Format
 	Records    int
 	FlushEvery int
 	// Torn adds prefix-truncated variants of each crashing write (none,
@@ -154,7 +153,7 @@ func ntLines(g *rdf.Graph) map[string]bool {
 // identical on every run and crash points enumerate deterministically.
 func crashWorkload(backend Backend, cfg CrashSweepConfig) (acked, tracked map[string]bool) {
 	acked = map[string]bool{}
-	store, err := NewStore(backend, "/prov", cfg.Format)
+	store, err := NewStore(backend, "/prov", FormatBinary)
 	if err != nil {
 		return acked, map[string]bool{}
 	}
@@ -196,7 +195,7 @@ func subset(a, b map[string]bool) bool {
 // non-empty violation when any invariant broke.
 func runCrashPoint(cfg CrashSweepConfig, point, torn int) (recovered bool, violation string) {
 	cfg = cfg.withDefaults()
-	tag := fmt.Sprintf("%v/%s point %d torn %d", cfg.Format, cfg.Backend, point, torn)
+	tag := fmt.Sprintf("%s point %d torn %d", cfg.Backend, point, torn)
 	inner, reopen, cleanup, err := cfg.newInner()
 	if err != nil {
 		return false, fmt.Sprintf("%s: building substrate: %v", tag, err)
@@ -213,7 +212,7 @@ func runCrashPoint(cfg CrashSweepConfig, point, torn int) (recovered bool, viola
 	if err != nil {
 		return false, fmt.Sprintf("%s: reopening the substrate: %v", tag, err)
 	}
-	rstore, err := NewStore(rinner, "/prov", cfg.Format)
+	rstore, err := NewStore(rinner, "/prov", FormatBinary)
 	if err != nil {
 		return false, fmt.Sprintf("%s: reopening the store: %v", tag, err)
 	}

@@ -19,7 +19,7 @@ func newFaultBackend(view *vfs.View) *faultfs.FS {
 
 func TestFlushPropagatesWriteFailure(t *testing.T) {
 	fb := newFaultBackend(vfs.NewStore().NewView())
-	store, err := NewStore(fb, "/prov", FormatTurtle)
+	store, err := NewStore(fb, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFlushPropagatesWriteFailure(t *testing.T) {
 
 func TestMergePropagatesReadFailure(t *testing.T) {
 	fb := newFaultBackend(vfs.NewStore().NewView())
-	store, _ := NewStore(fb, "/prov", FormatTurtle)
+	store, _ := NewStore(fb, "/prov", FormatBinary)
 	tr := NewTracker(DefaultConfig(), store, 0)
 	tr.RegisterUser("u")
 	if err := tr.Close(); err != nil {
@@ -68,12 +68,12 @@ func TestMergePropagatesReadFailure(t *testing.T) {
 
 func TestMergeRejectsCorruptSubgraph(t *testing.T) {
 	view := vfs.NewStore().NewView()
-	store, _ := NewStore(VFSBackend{View: view}, "/prov", FormatTurtle)
+	store, _ := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 	tr := NewTracker(DefaultConfig(), store, 0)
 	tr.RegisterUser("u")
 	tr.Close()
 	// Corrupt the flushed file.
-	view.WriteFile("/prov/prov_p000000.ttl", []byte("@prefix broken <oops"))
+	view.WriteFile("/prov/prov_p000000.pbs", []byte("PBS broken"))
 	if _, err := store.Merge(); err == nil {
 		t.Error("corrupt sub-graph merged without error")
 	}
@@ -83,7 +83,7 @@ func TestPeriodicFlushSurvivesTransientFailure(t *testing.T) {
 	// A failing periodic flush must not corrupt the in-memory graph; the
 	// final Close (after recovery) persists everything.
 	fb := newFaultBackend(vfs.NewStore().NewView())
-	store, _ := NewStore(fb, "/prov", FormatTurtle)
+	store, _ := NewStore(fb, "/prov", FormatBinary)
 	cfg := DefaultConfig()
 	cfg.Mode = ModePeriodic
 	cfg.FlushEvery = 5
@@ -113,10 +113,10 @@ func TestPeriodicFlushSurvivesTransientFailure(t *testing.T) {
 
 func TestPartialFlushThenFinalClose(t *testing.T) {
 	fb := newFaultBackend(vfs.NewStore().NewView())
-	// A text-store flush is two writes — canonical file, then its .sum
-	// integrity sidecar. Let the first flush's pair through, fail later ones.
-	fb.FailWritesAfter(2)
-	store, _ := NewStore(fb, "/prov", FormatTurtle)
+	// A flush is one write, the sealed canonical file. Let the first
+	// flush's through, fail later ones.
+	fb.FailWritesAfter(1)
+	store, _ := NewStore(fb, "/prov", FormatBinary)
 	tr := NewTracker(DefaultConfig(), store, 0)
 	tr.RegisterUser("u")
 	if err := tr.Flush(); err != nil {

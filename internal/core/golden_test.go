@@ -22,7 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 func buildGoldenStore(t *testing.T) *Store {
 	t.Helper()
 	view := vfs.NewStore().NewView()
-	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatTurtle)
+	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

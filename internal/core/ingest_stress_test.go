@@ -24,7 +24,7 @@ func TestStressIngestWithConcurrentReaders(t *testing.T) {
 	}
 
 	view := vfs.NewStore().NewView()
-	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatNTriples)
+	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,27 +38,7 @@ func legacyVersions() []byte {
 // recorded heads.
 func legacyStoreFiles(t *testing.T, version byte, layout string) (files map[string][]byte, heads map[int][32]byte) {
 	t.Helper()
-	dir := filepath.Join("testdata", fmt.Sprintf("legacy_pbs_v%d", version), layout)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files = make(map[string][]byte, len(entries))
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[e.Name()] = data
-	}
-	recorded, err := os.ReadFile(dir + ".heads")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heads, err = ParseHeads(recorded); err != nil {
-		t.Fatal(err)
-	}
-	return files, heads
+	return readFixtureStore(t, filepath.Join("testdata", fmt.Sprintf("legacy_pbs_v%d", version), layout))
 }
 
 // trackFreshSegments leaves a few sealed delta segments of a new process in
@@ -199,16 +179,63 @@ func totalBytes(files map[string][]byte) (n int) {
 	return n
 }
 
-// TestLegacyReadable: a store written in any older pbs version reads,
-// verifies and answers exactly like the same history written today — loose
-// or packed, eagerly or out of core — and so does its Compact rewrite (which
-// is the migration, and at least 40 % smaller) and a pack an older build
-// wrote with the generations mixed inside it, on every backend.
+// TestLegacyReadable: a store written in any older pbs version, or as text,
+// reads, verifies and answers exactly like the same history written today —
+// loose or packed, eagerly or out of core — and so does its Compact rewrite
+// (which is the migration, and at least 40 % smaller) and a pack an older
+// build wrote with the pbs generations mixed inside it, on every backend.
 func TestLegacyReadable(t *testing.T) {
-	for _, v := range legacyVersions() {
-		for _, layout := range []string{"loose", "packed"} {
+	for _, layout := range []string{"loose", "packed"} {
+		for _, v := range legacyVersions() {
 			t.Run(fmt.Sprintf("v%d/%s", v, layout), func(t *testing.T) { checkLegacyReadable(t, v, layout) })
 		}
+		t.Run("text/"+layout, func(t *testing.T) { checkLegacyTextReadable(t, layout) })
+	}
+}
+
+// checkLegacyTextReadable holds the committed text store of a layout to the
+// demo history written today: it verifies clean against its recorded heads,
+// every seal intact, and answers the same, as does its Compact rewrite, which
+// holds pbs files only and is at least 80 % smaller.
+func checkLegacyTextReadable(t *testing.T, layout string) {
+	files, heads := legacyTextFiles(t, layout)
+	twin := demoStore(t, VFSBackend{View: vfs.NewStore().NewView()})
+	if layout == "packed" {
+		if _, err := twin.PackSegments(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := storeAnswers(t, twin)
+
+	for _, kind := range []string{"vfs", "mem", "file", "mount"} {
+		store := openSnapshotOn(t, kind, files)
+		rep, err := store.VerifyAgainst(heads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Clean() || rep.Files != 3 || rep.Sealed != 3 || len(rep.PBSVersions) != 0 {
+			t.Fatalf("%s: text store against its recorded heads: defects %v, %d of %d files sealed, pbs versions %v",
+				kind, rep.Defects, rep.Sealed, rep.Files, rep.PBSVersions)
+		}
+		if kind == "vfs" || kind == "mount" {
+			sameAnswers(t, "text store on "+kind, storeAnswers(t, store), want)
+		}
+	}
+
+	rewrite := openDir(t, files)
+	if err := rewrite.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	rewritten := storeFiles(t, rewrite)
+	if got := fileNames(rewritten); !slices.Equal(got, []string{"prov_p000000.pbs"}) {
+		t.Errorf("Compact left %v", got)
+	}
+	if rep := mustVerify(t, rewrite); !rep.Clean() || rep.PBSVersions[segcodec.PBSVersion] != 1 {
+		t.Errorf("rewrite: defects %v, pbs versions %v", rep.Defects, rep.PBSVersions)
+	}
+	sameAnswers(t, "Compact rewrite", storeAnswers(t, rewrite), want)
+	if before, after := totalBytes(files), totalBytes(rewritten); after*10 > before*2 {
+		t.Errorf("rewrite is %d bytes of %d: less than 80 %% smaller", after, before)
 	}
 }
 

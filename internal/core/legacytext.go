@@ -1,0 +1,300 @@
+package core
+
+import (
+	"bytes"
+	"encoding/hex"
+	"fmt"
+	"hash/crc32"
+	"path/filepath"
+	"strconv"
+	"strings"
+
+	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
+)
+
+// This file is the frozen reader of text stores: everything the store knows
+// about text store files — Turtle (.ttl) and N-Triples (.nt) canonicals and
+// N-Triples delta segments — and about the .sum sidecars that sealed them
+// lives here, and nothing writes either again. A text store merges, answers
+// queries and verifies as it is (reads detect each file's codec from its
+// bytes), a tracker chains fresh pbs files onto it, Compact (provio-merge
+// -compact) migrates it to pbs, and PackSegments refuses to fold a text file
+// or a sidecar until it has.
+//
+// A text file cannot carry an in-band seal, so its seal lives in a sidecar,
+// <file>.sum: a small key/value document describing the exact bytes of its
+// companion. The sidecar was written after its file, and is removed before
+// it, so a crash strands at worst a sidecar-less file (authenticated through
+// its successor's seal, or the unacknowledged torn tail recovery drops),
+// never a sidecar whose file is gone — except inside segment removal, which
+// is why a sidecar below a pid's segment range is stale, not evidence of
+// loss.
+
+// chainSidecarExt is the extension appended to a text store file's name to
+// form its integrity sidecar. It is not a codec extension, so sidecars are
+// invisible to merging, listing, and TotalBytes.
+const chainSidecarExt = ".sum"
+
+const sidecarHeader = "provio-chain v1"
+
+// sidecarInfo is one parsed .sum sidecar: the seal of a text store file.
+type sidecarInfo struct {
+	root   bool
+	seq    uint64
+	bytes  int64
+	digest [32]byte // SHA-256 of the companion file's bytes
+	prev   [32]byte // chain predecessor's digest
+}
+
+func (si sidecarInfo) chain() segcodec.Chain {
+	return segcodec.Chain{Root: si.root, Seq: si.seq, Prev: si.prev}
+}
+
+// marshalSidecar renders the sidecar document for a file of n bytes, the
+// canonical form parseSidecar holds every sidecar to. The final "check" line
+// is a CRC32 of every line above it, so any single-byte damage to the
+// sidecar itself — the prev digest included, which no other file
+// cross-references — is locally detectable.
+func marshalSidecar(c segcodec.Chain, n int64, digest [32]byte) []byte {
+	kind := "segment"
+	if c.Root {
+		kind = "root"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n", sidecarHeader)
+	fmt.Fprintf(&b, "kind: %s\n", kind)
+	fmt.Fprintf(&b, "seq: %d\n", c.Seq)
+	fmt.Fprintf(&b, "bytes: %d\n", n)
+	fmt.Fprintf(&b, "sha256: %s\n", hex.EncodeToString(digest[:]))
+	fmt.Fprintf(&b, "prev: %s\n", hex.EncodeToString(c.Prev[:]))
+	fmt.Fprintf(&b, "check: %08x\n", crc32.ChecksumIEEE([]byte(b.String())))
+	return []byte(b.String())
+}
+
+// parseSidecar decodes a sidecar document, rejecting anything malformed —
+// a torn or tampered sidecar must read as damage, never as a weaker seal.
+func parseSidecar(data []byte) (sidecarInfo, error) {
+	var si sidecarInfo
+	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+	if len(lines) != 7 || lines[0] != sidecarHeader {
+		return si, fmt.Errorf("not a %q document", sidecarHeader)
+	}
+	check, ok := strings.CutPrefix(lines[6], "check: ")
+	if !ok || len(check) != 8 {
+		return si, fmt.Errorf("malformed check line %q", lines[6])
+	}
+	sum, err := strconv.ParseUint(check, 16, 32)
+	if err != nil {
+		return si, fmt.Errorf("check line: %v", err)
+	}
+	body := strings.Join(lines[:6], "\n") + "\n"
+	if crc32.ChecksumIEEE([]byte(body)) != uint32(sum) {
+		return si, fmt.Errorf("sidecar checksum mismatch")
+	}
+	seen := map[string]bool{}
+	for _, line := range lines[1 : len(lines)-1] {
+		key, val, ok := strings.Cut(line, ": ")
+		if !ok || seen[key] {
+			return si, fmt.Errorf("malformed line %q", line)
+		}
+		seen[key] = true
+		var err error
+		switch key {
+		case "kind":
+			switch val {
+			case "root":
+				si.root = true
+			case "segment":
+				si.root = false
+			default:
+				err = fmt.Errorf("unknown kind %q", val)
+			}
+		case "seq":
+			si.seq, err = strconv.ParseUint(val, 10, 64)
+		case "bytes":
+			si.bytes, err = strconv.ParseInt(val, 10, 64)
+		case "sha256":
+			err = parseDigest(val, &si.digest)
+		case "prev":
+			err = parseDigest(val, &si.prev)
+		default:
+			err = fmt.Errorf("unknown key %q", key)
+		}
+		if err != nil {
+			return si, fmt.Errorf("field %q: %v", key, err)
+		}
+	}
+	if len(seen) != 5 {
+		return si, fmt.Errorf("missing fields (%d of 5 present)", len(seen))
+	}
+	// The document must be byte-identical to its canonical rendering: hex
+	// case variants and newline games re-parse to the same seal and would
+	// otherwise slip past every field check.
+	if !bytes.Equal(data, marshalSidecar(si.chain(), si.bytes, si.digest)) {
+		return si, fmt.Errorf("sidecar is not in canonical form")
+	}
+	return si, nil
+}
+
+// sidecarName is the name of a store file's sidecar.
+func sidecarName(name string) string { return name + chainSidecarExt }
+
+// trimSidecar returns the companion file name of a sidecar name, and whether
+// the name was one.
+func trimSidecar(name string) (string, bool) { return strings.CutSuffix(name, chainSidecarExt) }
+
+// isLegacyText reports whether a pack member or store file name is a text
+// store file or a sidecar: what a pbs pack never holds.
+func isLegacyText(name string) bool {
+	if base, isSum := trimSidecar(name); isSum {
+		return isCodecFile(base)
+	}
+	ext := filepath.Ext(name)
+	return ext == segcodec.Turtle.Ext() || ext == segcodec.NTriples.Ext()
+}
+
+// refuseLegacyText is PackSegments' gate: a pack takes pbs files only, so the
+// first text file or sidecar among the names to fold refuses the pack.
+func refuseLegacyText(names []string) error {
+	for _, n := range names {
+		if isLegacyText(n) {
+			return fmt.Errorf("core: %s is a text store file and a pack takes pbs files only: run provio-merge -compact first", n)
+		}
+	}
+	return nil
+}
+
+// addSidecar records a sidecar the read pass found. A second copy of one name
+// (a pack member and a loose file) must be byte-identical.
+func (a *storeAudit) addSidecar(name string, data []byte, src string) {
+	if prev, ok := a.sums[name]; ok {
+		if !bytes.Equal(prev, data) {
+			a.addPackDefect(DefectTampered, name,
+				"sidecar copies differ between %s and %s", a.sumFrom[name], src)
+		}
+		return
+	}
+	a.sums[name] = data
+	a.sumFrom[name] = src
+}
+
+// flagPlantedSidecar flags a sidecar next to a binary file: binary files are
+// sealed in-band, so no write ever produced it.
+func (f *auditFile) flagPlantedSidecar(sums map[string][]byte) {
+	if sumName := sidecarName(f.name); sums[sumName] != nil {
+		f.flag(DefectOrphaned, sumName, "unexpected sidecar next to a binary file")
+	}
+}
+
+// checkText checks a text store file: its sidecar seal, when it has one,
+// against the file's bytes, then the parse. keep retains the parsed triples
+// in segment shape, which is how Compact folds them and how a pack's stats
+// check compares them.
+func (f *auditFile) checkText(sums map[string][]byte, keep bool) {
+	name, data := f.name, f.data
+	if sumData, ok := sums[sidecarName(name)]; ok {
+		f.sumName = sidecarName(name)
+		si, err := parseSidecar(sumData)
+		switch {
+		case err != nil:
+			f.flag(DefectTampered, f.sumName, "sidecar: %v", err)
+		case int64(len(data)) < si.bytes:
+			f.flag(DefectTruncated, name, "file is %d bytes, sealed length is %d", len(data), si.bytes)
+		case int64(len(data)) > si.bytes:
+			f.flag(DefectTampered, name, "file is %d bytes, sealed length is %d", len(data), si.bytes)
+		case f.digest != si.digest:
+			f.flag(DefectTampered, name, "content does not match its sealed sha256")
+		default:
+			ch := si.chain()
+			f.meta = &ch
+		}
+	}
+	g := rdf.NewGraph()
+	if err := segcodec.Detect(data).Decode(bytes.NewReader(data), g); err != nil {
+		if !f.bad() {
+			f.flag(DefectTampered, name, "parse: %v", err)
+		}
+	} else if keep {
+		f.cols = segcodec.GraphColumns(g)
+	}
+}
+
+// withSidecar returns the file's name, and its sidecar's when it has one.
+func (f *auditFile) withSidecar() []string {
+	if f.sumName == "" {
+		return []string{f.name}
+	}
+	return []string{f.name, f.sumName}
+}
+
+// routeSidecars charges every sidecar whose companion file is gone to its
+// process. audited holds the name of every file the audit examines.
+func (a *storeAudit) routeSidecars(audited map[string]int, pidOf func(pid int) *pidAudit) {
+	for sumName := range a.sums {
+		pid, seg, _, _ := parseStoreName(sumName)
+		fileName, _ := trimSidecar(sumName)
+		if _, present := audited[fileName]; present {
+			continue
+		}
+		pa := pidOf(pid)
+		// A segment sidecar below every present segment (or with none left),
+		// next to a canonical file, is the residue of a crash inside segment
+		// removal — the segment goes before its sidecar, so the sidecar can
+		// outlive it. It references superseded history: GC material, not
+		// evidence of loss.
+		minSeg := -1
+		for _, sf := range pa.segs {
+			if minSeg == -1 || sf.seg < minSeg {
+				minSeg = sf.seg
+			}
+		}
+		stale := len(pa.canonicals) > 0 && seg >= 0 && (minSeg == -1 || seg < minSeg)
+		if stale {
+			pa.staleSums = append(pa.staleSums, sumName)
+		} else {
+			pa.addDefect(DefectMissing, fileName,
+				"file is gone but its integrity sidecar %s remains", sumName)
+		}
+	}
+}
+
+// removeWithSidecar removes a store file the audit read, its sidecar first.
+func (s *Store) removeWithSidecar(f *auditFile) error {
+	if f.sumName != "" {
+		if err := s.backend.Remove(s.path(f.sumName)); err != nil {
+			return err
+		}
+	}
+	return s.backend.Remove(s.path(f.name))
+}
+
+// segmentRemovalOrder picks, from a store listing, the delta segment files
+// whose names start with prefix and the sidecars of text ones, in the order
+// RemoveSegments deletes them: each sidecar just before its segment, and a
+// sidecar whose segment is already gone where it lists.
+func segmentRemovalOrder(names []string, prefix string) []string {
+	present := make(map[string]bool, len(names))
+	for _, n := range names {
+		present[n] = true
+	}
+	var out []string
+	for _, n := range names {
+		if !strings.HasPrefix(n, prefix) {
+			continue
+		}
+		base, isSum := trimSidecar(n)
+		switch {
+		case isSum && (!isCodecFile(base) || present[base]):
+			// Not a store sidecar, or removed just before its segment below.
+		case isSum:
+			out = append(out, n)
+		case isCodecFile(n):
+			if present[sidecarName(n)] {
+				out = append(out, sidecarName(n))
+			}
+			out = append(out, n)
+		}
+	}
+	return out
+}

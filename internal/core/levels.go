@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 
 	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
@@ -45,14 +44,15 @@ func parsePackName(name string) (level, seq int, ok bool) {
 	return level, seq, true
 }
 
-// PackSegments folds every loose delta segment (sidecars included) and every
-// pack below the target level into one new level-`level` pack, then removes
-// the sources. It refuses on an unclean audit — packing damaged history
-// would seal the damage in — and on a member in an older pbs version, which
-// Compact rewrites first, so a pack it writes holds one format; it writes
-// nothing when it refuses. It is an offline operation: run it on a
-// quiescent store (no live trackers), like Compact. Returns the new pack's
-// file name, or ErrNothingToPack when there is nothing to fold.
+// PackSegments folds every loose delta segment and every pack below the
+// target level into one new level-`level` pack, then removes the sources. It
+// refuses on an unclean audit — packing damaged history would seal the
+// damage in — and on a member that is a text file, a sidecar, or a pbs file
+// in an older version, all of which Compact rewrites first, so a pack it
+// writes holds one format; it writes nothing when it refuses. It is an
+// offline operation: run it on a quiescent store (no live trackers), like
+// Compact. Returns the new pack's file name, or ErrNothingToPack when there
+// is nothing to fold.
 //
 // A crash between the pack write and source removal leaves members
 // duplicated as loose files; the audit treats byte-identical duplicates as
@@ -78,10 +78,8 @@ func (s *Store) PackSegments(level int) (string, error) {
 		return "", &IntegrityError{Defects: defects}
 	}
 
-	path := func(name string) string { return filepath.ToSlash(filepath.Join(s.dir, name)) }
 	maxSeq := -1
-	var sourceFiles []string // loose files to remove, sidecar before segment
-	var oldPacks []string
+	var loose, oldPacks []string  // sources to remove
 	fold := make(map[string]bool) // member names of the new pack
 	for _, p := range a.packs {
 		lvl, seq, _ := parsePackName(p.name)
@@ -94,15 +92,16 @@ func (s *Store) PackSegments(level int) (string, error) {
 		for _, m := range p.members {
 			fold[m] = true
 		}
-		oldPacks = append(oldPacks, path(p.name))
+		oldPacks = append(oldPacks, p.name)
 	}
 	for _, n := range a.loose {
 		if _, seg, _, _ := parseStoreName(n); seg < 0 {
 			continue // canonical files stay loose
 		}
 		fold[n] = true
-		sourceFiles = append(sourceFiles, path(n))
+		loose = append(loose, n)
 	}
+	sort.Strings(loose)
 	if len(fold) == 0 {
 		return "", ErrNothingToPack
 	}
@@ -115,6 +114,9 @@ func (s *Store) PackSegments(level int) (string, error) {
 		memberNames = append(memberNames, n)
 	}
 	sort.Strings(memberNames)
+	if err := refuseLegacyText(memberNames); err != nil {
+		return "", err
+	}
 	files := make(map[string]*auditFile)
 	for _, pa := range a.pids {
 		for _, f := range pa.canonicals {
@@ -128,23 +130,12 @@ func (s *Store) PackSegments(level int) (string, error) {
 	var contents []*segcodec.Columns // what the pack-level union stats cover
 	for _, n := range memberNames {
 		f := files[n]
-		if f == nil {
-			ordered = append(ordered, segcodec.PackEntry{Name: n, Data: a.sums[n]})
-			continue
+		if f.cols.Version != segcodec.PBSVersion {
+			return "", fmt.Errorf("core: %s is pbs v%d and a pack takes v%d files only: run provio-merge -compact first",
+				n, f.cols.Version, segcodec.PBSVersion)
 		}
-		e := segcodec.PackEntry{Name: n, Data: f.data}
-		if f.cols != nil {
-			if f.cols.Version != segcodec.PBSVersion {
-				return "", fmt.Errorf("core: %s is pbs v%d and a pack takes v%d files only: run provio-merge -compact first",
-					n, f.cols.Version, segcodec.PBSVersion)
-			}
-			e.Stats = f.cols.Stats
-			contents = append(contents, f.cols)
-		} else {
-			// A text member decodes only into a graph and carries no stats.
-			contents = append(contents, segcodec.GraphColumns(f.graph))
-		}
-		ordered = append(ordered, e)
+		ordered = append(ordered, segcodec.PackEntry{Name: n, Data: f.data, Stats: f.cols.Stats})
+		contents = append(contents, f.cols)
 	}
 	packStats := segcodec.UnionStats(contents, runtime.GOMAXPROCS(0))
 	pack, err := segcodec.EncodePack(level, ordered, &packStats)
@@ -152,22 +143,12 @@ func (s *Store) PackSegments(level int) (string, error) {
 		return "", err
 	}
 	name := packName(level, maxSeq+1)
-	if err := s.backend.WriteFile(path(name), pack); err != nil {
+	if err := s.backend.WriteFile(s.path(name), pack); err != nil {
 		return "", err
 	}
-
-	// Sources go only after the pack is durable. Sidecars before their
-	// segments (a crash must never strand a sidecar whose file is gone), old
-	// packs last.
-	sort.Slice(sourceFiles, func(i, j int) bool {
-		si, sj := strings.HasSuffix(sourceFiles[i], chainSidecarExt), strings.HasSuffix(sourceFiles[j], chainSidecarExt)
-		if si != sj {
-			return si
-		}
-		return sourceFiles[i] < sourceFiles[j]
-	})
-	for _, p := range append(sourceFiles, oldPacks...) {
-		if err := s.backend.Remove(p); err != nil {
+	// Sources go only after the pack is durable, old packs last.
+	for _, n := range append(loose, oldPacks...) {
+		if err := s.backend.Remove(s.path(n)); err != nil {
 			return "", err
 		}
 	}

@@ -18,7 +18,7 @@ import (
 func buildMultiProcessStore(t *testing.T, procs int) *Store {
 	t.Helper()
 	view := vfs.NewStore().NewView()
-	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatTurtle)
+	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestMergeOrderIndependent(t *testing.T) {
 // merge just like the sequential one.
 func TestMergeParallelPropagatesErrors(t *testing.T) {
 	view := vfs.NewStore().NewView()
-	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatTurtle)
+	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

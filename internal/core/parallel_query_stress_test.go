@@ -34,7 +34,7 @@ func TestQueryUnderIngestStress(t *testing.T) {
 	}
 
 	view := vfs.NewStore().NewView()
-	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatNTriples)
+	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -168,17 +169,15 @@ func TestCompactFoldsPacks(t *testing.T) {
 // segments, a pbs v1 file from before the stats frame, and new
 // stats-carrying binary files must answer every pattern identically with and
 // without pruning — stats-less units always match, so they are always
-// decoded. The same holds after the mixed population is packed.
+// decoded. The same holds once the mixed population sits in a pack, as an
+// older build packed it (PackSegments now refuses the text members).
 func TestMixedFormatPruningNeverDropsResults(t *testing.T) {
 	// Text store (pids 0,1) and binary store (pids 2,3), disjoint names,
 	// merged into one directory beside pid 4: the version 1 store's canonical
 	// file with its stats frame and seal stripped, the shape of a store
 	// written before both the stats and the integrity layers. A canonical
 	// file never enters a pack, so it stays loose beside the pack below.
-	text, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", FormatNTriples)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := newLayoutStore(t, "nt")
 	smallHistory(t, text, 0)
 	smallHistory(t, text, 1)
 	binary := newBinaryVFSStore(t)
@@ -189,7 +188,7 @@ func TestMixedFormatPruningNeverDropsResults(t *testing.T) {
 	statsless := 0
 	for n, data := range storeFiles(t, text) {
 		combined[n] = data
-		if !strings.HasSuffix(n, chainSidecarExt) {
+		if filepath.Ext(n) != ".sum" {
 			statsless++
 		}
 	}
@@ -247,9 +246,18 @@ func TestMixedFormatPruningNeverDropsResults(t *testing.T) {
 	}
 	check("loose")
 
-	if _, err := store.PackSegments(1); err != nil {
-		t.Fatalf("PackSegments on mixed store: %v", err)
+	if _, err := store.PackSegments(1); err == nil || !strings.Contains(err.Error(), "provio-merge -compact") {
+		t.Fatalf("PackSegments on a store with text segments: %v", err)
 	}
+	files := storeFiles(t, store)
+	pack := referencePack(t, files, 1)
+	for n := range files {
+		if _, seg, _, _ := parseStoreName(n); seg >= 0 {
+			delete(files, n)
+		}
+	}
+	files[packName(1, 0)] = pack
+	store = openDir(t, files)
 	check("packed")
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
-	"github.com/hpc-io/prov-io/internal/vfs"
 )
 
 // TestUnsafeAPINameRoundTrips: an API name is caller text like a path is, and
@@ -21,11 +20,8 @@ import (
 // raw, `my api> <x` closed fine under nt and ttl and then failed Merge with
 // "expected ';' or '.' after object".
 func TestUnsafeAPINameRoundTrips(t *testing.T) {
-	for _, format := range []Format{FormatNTriples, FormatTurtle, FormatBinary} {
-		store, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", format)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, format := range layouts {
+		store := newLayoutStore(t, format)
 		cfg := DefaultConfig()
 		cfg.Duration = true
 		tr := NewTracker(cfg, store, 0)
@@ -179,16 +175,10 @@ func termTriples(g *rdf.Graph) []rdf.Triple {
 // same bytes, in all three formats.
 func TestTrackerWritesWhatAppendTriplesWrites(t *testing.T) {
 	const flushEvery = 16
-	for _, format := range []Format{FormatBinary, FormatNTriples, FormatTurtle} {
-		newStore := func() *Store {
-			store, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return store
-		}
+	for _, format := range layouts {
+		newStore := func() *Store { return newLayoutStore(t, format) }
 		hostile := hostileID
-		if format != FormatBinary {
+		if format != "pbs" {
 			hostile = textHostileID
 		}
 		script := buildScript(hostile)
@@ -256,18 +246,15 @@ func TestTrackerWritesWhatAppendTriplesWrites(t *testing.T) {
 // would have put U+FFFD in its place; the tracker hands the writer's error,
 // which names the term, back to its caller.
 func TestTextStoresRefuseNonUTF8Literals(t *testing.T) {
-	for _, format := range []Format{FormatBinary, FormatNTriples, FormatTurtle} {
-		store, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", format)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, format := range layouts {
+		store := newLayoutStore(t, format)
 		tr := NewTracker(DefaultConfig(), store, 0)
 		tr.TrackType(rdf.IRI("http://x/a"), hostileID)
-		err = tr.Close()
+		err := tr.Close()
 		switch {
-		case format == FormatBinary && err != nil:
+		case format == "pbs" && err != nil:
 			t.Errorf("%v: %v", format, err)
-		case format != FormatBinary && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", hostileID))):
+		case format != "pbs" && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", hostileID))):
 			t.Errorf("%v: Close returned %v, want the writer's refusal of %q", format, err, hostileID)
 		}
 	}
@@ -410,11 +397,8 @@ func TestTrackingKeepsCallerTermKinds(t *testing.T) {
 func callerIRIRoundTrips(t *testing.T, value string) {
 	t.Helper()
 	x := rdf.IRI(value)
-	for _, format := range []Format{FormatNTriples, FormatTurtle, FormatBinary} {
-		store, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", format)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, format := range layouts {
+		store := newLayoutStore(t, format)
 		cfg := DefaultConfig()
 		cfg.Duration = true
 		tr := NewTracker(cfg, store, 0)

@@ -96,7 +96,7 @@ func TestMergeStoresCrossRun(t *testing.T) {
 	view := vfs.NewStore().NewView()
 	var stores []*Store
 	for run := 0; run < 2; run++ {
-		store, err := NewStore(VFSBackend{View: view}, fmt.Sprintf("/prov/run%d", run), FormatTurtle)
+		store, err := NewStore(VFSBackend{View: view}, fmt.Sprintf("/prov/run%d", run), FormatBinary)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,18 +113,13 @@ type OSBackend = backend.Dir
 // Store is the Provenance Store component: a directory of per-process
 // sub-graph files plus merge support.
 //
-// The store's write format is one of the registered segment codecs
-// (DESIGN.md "Store codecs"); reads never consult it — every file is
-// decoded by the codec its magic bytes identify (text files, which carry no
-// magic, fall back to the N-Triples/Turtle superset parser), so mixed-format
-// directories merge correctly.
+// The store writes one codec, pbs (DESIGN.md "Store codecs"), every file
+// sealed in-band. Reads decode each file by the codec its magic bytes
+// identify, so text files an older build wrote (legacytext.go) merge, answer
+// and verify beside pbs ones until Compact migrates them.
 type Store struct {
 	backend Backend
 	dir     string
-	format  Format
-	codec   segcodec.Codec // canonical sub-graph + merged-output codec
-	seg     segcodec.Codec // delta-segment codec
-	ns      *rdf.Namespaces
 
 	// Per-process hash-chain heads (DESIGN.md "Integrity & fault
 	// injection"): the SHA-256 of the last file sealed for each pid. Every
@@ -135,38 +130,16 @@ type Store struct {
 	chainHead map[int][32]byte
 }
 
-// codec returns the segment codec serializing a store format.
-func (f Format) codecOf() segcodec.Codec {
-	switch f {
-	case FormatNTriples:
-		return segcodec.NTriples
-	case FormatBinary:
-		return segcodec.Binary
-	default:
-		return segcodec.Turtle
-	}
-}
-
-// NewStore creates (and mkdir-alls) a provenance store. FormatAuto resolves
-// to the format of the canonical files already in dir (Turtle when empty).
+// NewStore creates (and mkdir-alls) a provenance store. The store writes
+// pbs, the zero Format; any other value is refused.
 func NewStore(backend Backend, dir string, format Format) (*Store, error) {
+	if format != FormatBinary {
+		return nil, fmt.Errorf("core: store format %d: the store writes pbs only (text stores are read as they are, and provio-merge -compact migrates them)", format)
+	}
 	if err := backend.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	if format == FormatAuto {
-		format = detectDirFormat(backend, dir)
-	}
-	s := &Store{backend: backend, dir: dir, format: format, ns: model.Namespaces(),
-		chainHead: make(map[int][32]byte)}
-	s.codec = format.codecOf()
-	// Delta segments stay N-Triples for both text formats (the historical
-	// segment format); the binary format carries its own segments.
-	if format == FormatBinary {
-		s.seg = segcodec.Binary
-	} else {
-		s.seg = segcodec.NTriples
-	}
-	return s, nil
+	return &Store{backend: backend, dir: dir, chainHead: make(map[int][32]byte)}, nil
 }
 
 // OpenStore opens a store from a spec string — the URI-style form every CLI
@@ -188,56 +161,18 @@ func OpenStore(spec string, format Format) (*Store, error) {
 	return NewStore(b, dir, format)
 }
 
-// detectDirFormat resolves FormatAuto: the codec extension of the first
-// canonical sub-graph file present (segments decide only if no canonical
-// file exists), defaulting to Turtle for an empty directory.
-func detectDirFormat(backend Backend, dir string) Format {
-	names, err := backend.List(dir)
-	if err != nil {
-		return FormatTurtle
-	}
-	fromExt := func(name string) (Format, bool) {
-		c, ok := segcodec.ByExt(filepath.Ext(name))
-		if !ok {
-			return FormatTurtle, false
-		}
-		f, err := ParseFormat(c.Name())
-		if err != nil {
-			return FormatTurtle, false
-		}
-		return f, true
-	}
-	segFormat, haveSeg := FormatTurtle, false
-	for _, n := range names {
-		if !strings.HasPrefix(n, "prov_p") {
-			continue
-		}
-		f, ok := fromExt(n)
-		if !ok {
-			continue
-		}
-		if !strings.Contains(n, ".seg") {
-			return f
-		}
-		if !haveSeg {
-			segFormat, haveSeg = f, true
-		}
-	}
-	return segFormat
-}
-
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
 // Backend returns the store's backend.
 func (s *Store) Backend() StoreBackend { return s.backend }
 
-// Format returns the store's resolved write format.
-func (s *Store) Format() Format { return s.format }
+// path returns the path of a file in the store directory.
+func (s *Store) path(name string) string { return filepath.ToSlash(filepath.Join(s.dir, name)) }
 
 // processFile returns the sub-graph file path for a process.
 func (s *Store) processFile(pid int) string {
-	return filepath.ToSlash(filepath.Join(s.dir, fmt.Sprintf("prov_p%06d%s", pid, s.codec.Ext())))
+	return s.path(fmt.Sprintf("prov_p%06d%s", pid, segcodec.Binary.Ext()))
 }
 
 // WriteSubgraph serializes a process sub-graph to its canonical store file,
@@ -247,31 +182,31 @@ func (s *Store) processFile(pid int) string {
 // their removal.
 func (s *Store) WriteSubgraph(pid int, g *rdf.Graph) error {
 	var buf bytes.Buffer
-	if err := s.codec.Encode(&buf, g, s.ns); err != nil {
+	if err := segcodec.Binary.Encode(&buf, g, nil); err != nil {
 		return err
 	}
-	return s.writeChained(s.codec, s.processFile(pid), buf.Bytes(), true, 0, pid)
+	return s.writeChained(s.processFile(pid), buf.Bytes(), true, 0, pid)
 }
 
 // chainPrevLocked returns pid's current chain head, lazily initializing it
 // for a store object that did not write the history so far (a restarted
 // process, a recovery tool): the chain continues from the digest of the
-// pid's existing canonical file, or from zero for a brand-new process.
-// Caller holds s.chainMu.
+// pid's existing canonical file — a pbs one first, then one of an older
+// codec — or from zero for a brand-new process. Caller holds s.chainMu.
 func (s *Store) chainPrevLocked(pid int) [32]byte {
 	if h, ok := s.chainHead[pid]; ok {
 		return h
 	}
 	var head [32]byte
 	base := fmt.Sprintf("prov_p%06d", pid)
-	exts := []string{s.codec.Ext()}
+	exts := []string{segcodec.Binary.Ext()}
 	for _, c := range segcodec.All() {
-		if c.Ext() != s.codec.Ext() {
+		if c != segcodec.Binary {
 			exts = append(exts, c.Ext())
 		}
 	}
 	for _, ext := range exts {
-		data, err := s.backend.ReadFile(filepath.ToSlash(filepath.Join(s.dir, base+ext)))
+		data, err := s.backend.ReadFile(s.path(base + ext))
 		if err == nil {
 			head = fileDigest(data)
 			break
@@ -281,36 +216,22 @@ func (s *Store) chainPrevLocked(pid int) [32]byte {
 	return head
 }
 
-// writeChained writes one store file sealed into pid's hash chain. Binary
-// codecs embed the seal as a trailing chain frame (file and seal are
-// atomic); text codecs get a .sum sidecar written after the file. The chain
-// head advances as soon as the file itself is durable, so a failed sidecar
-// write leaves a file later writes still chain to (verification confirms
-// such a file through its successor's seal).
-func (s *Store) writeChained(c segcodec.Codec, path string, payload []byte, root bool, seq uint64, pid int) error {
+// writeChained writes one pbs file sealed into pid's hash chain: the seal is
+// a trailing chain frame, so file and seal land in one atomic write.
+func (s *Store) writeChained(path string, payload []byte, root bool, seq uint64, pid int) error {
 	s.chainMu.Lock()
 	defer s.chainMu.Unlock()
-	prev := s.chainPrevLocked(pid)
-	ch := segcodec.Chain{Root: root, Seq: seq, Prev: prev}
-	if len(c.Magic()) > 0 {
-		sealed := segcodec.AppendChain(payload, ch)
-		if err := s.backend.WriteFile(path, sealed); err != nil {
-			return err
-		}
-		s.chainHead[pid] = fileDigest(sealed)
-		return nil
-	}
-	if err := s.backend.WriteFile(path, payload); err != nil {
+	sealed := segcodec.AppendChain(payload, segcodec.Chain{Root: root, Seq: seq, Prev: s.chainPrevLocked(pid)})
+	if err := s.backend.WriteFile(path, sealed); err != nil {
 		return err
 	}
-	d := fileDigest(payload)
-	s.chainHead[pid] = d
-	return s.backend.WriteFile(path+chainSidecarExt, marshalSidecar(ch, int64(len(payload)), d))
+	s.chainHead[pid] = fileDigest(sealed)
+	return nil
 }
 
 // segmentFile returns the path of one delta segment of a process.
 func (s *Store) segmentFile(pid, seg int) string {
-	return filepath.ToSlash(filepath.Join(s.dir, fmt.Sprintf("prov_p%06d.seg%04d%s", pid, seg, s.seg.Ext())))
+	return s.path(fmt.Sprintf("prov_p%06d.seg%04d%s", pid, seg, segcodec.Binary.Ext()))
 }
 
 // segmentPrefix is the file-name prefix of every delta segment of pid.
@@ -323,58 +244,26 @@ func segmentPrefix(pid int) string { return fmt.Sprintf("prov_p%06d.seg", pid) }
 // canonical file and its segments is its full sub-graph. Compaction (tracker
 // Close or Store.Compact) folds segments back into the canonical file.
 //
-// Under the binary codec the refs are serialized straight to ID columns with
-// no term rendering at all. Under a text codec they are rendered through the
-// tracker's memoized per-ID term cache, so a flush materializes no
-// []rdf.Triple and re-renders no term an earlier flush already rendered.
+// The refs are serialized straight to ID columns with no term rendering at
+// all; the renderer only names the graph whose dictionary they index.
 func (s *Store) WriteDeltaSegmentRefs(pid, seg int, refs []rdf.TripleID, r *rdf.TermRenderer) error {
 	var buf bytes.Buffer
-	var err error
-	if re, ok := s.seg.(segcodec.RefsEncoder); ok {
-		err = re.EncodeRefs(&buf, refs, r.Graph())
-	} else {
-		err = r.WriteNTriples(&buf, refs)
-	}
-	if err != nil {
+	if err := segcodec.Binary.(segcodec.RefsEncoder).EncodeRefs(&buf, refs, r.Graph()); err != nil {
 		return err
 	}
-	return s.writeChained(s.seg, s.segmentFile(pid, seg), buf.Bytes(), false, uint64(seg), pid)
+	return s.writeChained(s.segmentFile(pid, seg), buf.Bytes(), false, uint64(seg), pid)
 }
 
 // RemoveSegments deletes every delta segment of a process (after its
-// contents were folded into the canonical file), integrity sidecars
-// included. Each segment's sidecar goes before the segment itself, so a
-// crash mid-removal strands at worst a sidecar-less segment — a state the
-// verifier already authenticates through successor seals — never a sidecar
-// whose segment is gone.
+// contents were folded into the canonical file), and the sidecars of text
+// segments an older build wrote, each before its segment.
 func (s *Store) RemoveSegments(pid int) error {
 	names, err := s.backend.List(s.dir)
 	if err != nil {
 		return err
 	}
-	prefix := segmentPrefix(pid)
-	present := make(map[string]bool, len(names))
-	for _, n := range names {
-		present[n] = true
-	}
-	for _, n := range names {
-		if !strings.HasPrefix(n, prefix) {
-			continue
-		}
-		isSum := strings.HasSuffix(n, chainSidecarExt) &&
-			isCodecFile(strings.TrimSuffix(n, chainSidecarExt))
-		if !isSum && !isCodecFile(n) {
-			continue
-		}
-		if isSum && present[strings.TrimSuffix(n, chainSidecarExt)] {
-			continue // removed just before its segment below
-		}
-		if !isSum && present[n+chainSidecarExt] {
-			if err := s.backend.Remove(filepath.ToSlash(filepath.Join(s.dir, n+chainSidecarExt))); err != nil {
-				return err
-			}
-		}
-		if err := s.backend.Remove(filepath.ToSlash(filepath.Join(s.dir, n))); err != nil {
+	for _, n := range segmentRemovalOrder(names, segmentPrefix(pid)) {
+		if err := s.backend.Remove(s.path(n)); err != nil {
 			return err
 		}
 	}
@@ -401,7 +290,7 @@ func (s *Store) subgraphFiles() ([]string, error) {
 	var out []string
 	for _, n := range names {
 		if strings.HasPrefix(n, "prov_p") && isCodecFile(n) {
-			out = append(out, filepath.ToSlash(filepath.Join(s.dir, n)))
+			out = append(out, s.path(n))
 		}
 	}
 	sort.Strings(out)
@@ -421,26 +310,23 @@ func (s *Store) Merge() (*rdf.Graph, error) {
 // Compact folds every process's delta segments into its canonical sub-graph
 // file and removes the segments. It is the store-level recovery path for
 // runs that crashed between a periodic flush and Close (trackers compact
-// their own process on Close). Canonical files are rewritten in the store's
-// own format, and a pid whose canonical file carries a different codec's
-// extension is rewritten even when it has no segments — so compacting with a
-// binary store migrates a text store to .pbs (and vice versa), the
-// format-migration path of the codec layer — and so is a .pbs file in an
-// older layout than the encoder writes, which makes Compact the one
-// migration between pbs generations too. Same-format pids with no
-// segments are left untouched — unless the store is mounted and their files
-// sit outside their routed tier, in which case Compact relocates them
-// verbatim, the cross-backend migration path of the mount layer.
+// their own process on Close). A pid whose canonical file is a text file an
+// older build wrote, or a .pbs file in an older layout than the encoder
+// writes, is rewritten even when it has no segments, which makes Compact the
+// one migration to the current pbs. Current pids with no segments are left
+// untouched — unless the store is mounted and their files sit outside their
+// routed tier, in which case Compact relocates them verbatim, the
+// cross-backend migration path of the mount layer.
 //
 // Compact audits before it folds (the same audit provio-verify runs) and
 // recovers exactly the damage an interrupted write of unacknowledged data
 // can cause: a defective newest segment — torn, bit-flipped before its seal
 // landed, or sealed-but-unconfirmable — is dropped (it was never
 // acknowledged: acknowledgement happens strictly after the write completes),
-// and stale sidecars a crash stranded are collected. Any other defect means
-// the store's acknowledged history itself is damaged or manipulated; Compact
-// refuses with an *IntegrityError rather than guess, and provio-verify
-// classifies the damage.
+// and stale text-file sidecars a crash stranded are collected. Any other
+// defect means the store's acknowledged history itself is damaged or
+// manipulated; Compact refuses with an *IntegrityError rather than guess,
+// and provio-verify classifies the damage.
 func (s *Store) Compact() error {
 	a, err := s.audit(true)
 	if err != nil {
@@ -454,7 +340,7 @@ func (s *Store) Compact() error {
 			continue
 		}
 		for _, n := range pa.drop {
-			if err := s.backend.Remove(filepath.ToSlash(filepath.Join(s.dir, n))); err != nil {
+			if err := s.backend.Remove(s.path(n)); err != nil {
 				return err
 			}
 		}
@@ -485,26 +371,21 @@ func (s *Store) Compact() error {
 		pa := a.pids[pid]
 		dirty := len(pa.segs) > 0 || len(pa.staleSums) > 0 || len(pa.canonicals) > 1
 		for _, c := range pa.canonicals {
-			if filepath.Ext(c.name) != s.codec.Ext() || c.packed != "" || c.version != 0 && c.version < segcodec.PBSVersion {
+			if c.version != segcodec.PBSVersion || c.packed != "" {
 				dirty = true
 			}
 		}
-		// On a mounted store, a clean pid whose canonical file (or its
-		// sidecar) lives outside its routed tier is migration work: rewrite
-		// the same bytes through the mount, which homes them on the routed
-		// tier and drops the stale copy (write-through cleanup). The files
-		// move verbatim — no re-encode, no new seal — so chain heads survive
-		// a cross-backend migration byte-for-byte.
+		// On a mounted store, a clean pid whose canonical file lives outside
+		// its routed tier is migration work: rewrite the same bytes through
+		// the mount, which homes them on the routed tier and drops the stale
+		// copy (write-through cleanup). The files move verbatim — no
+		// re-encode, no new seal — so chain heads survive a cross-backend
+		// migration byte-for-byte.
 		if !dirty && mis != nil {
 			var moves []string
 			for _, c := range pa.canonicals {
-				for _, n := range []string{c.name, c.sumName} {
-					if n == "" {
-						continue
-					}
-					if p := filepath.ToSlash(filepath.Join(s.dir, n)); mis.Misplaced(p) {
-						moves = append(moves, p)
-					}
+				if p := s.path(c.name); mis.Misplaced(p) {
+					moves = append(moves, p)
 				}
 			}
 			for _, p := range moves {
@@ -522,11 +403,7 @@ func (s *Store) Compact() error {
 		}
 		g := rdf.NewGraph()
 		for _, f := range append(append([]*auditFile{}, pa.canonicals...), pa.segs...) {
-			if f.cols != nil {
-				f.cols.Materialize(g)
-			} else {
-				g.Merge(f.graph)
-			}
+			f.cols.Materialize(g)
 		}
 		// Seal the new root against the pid's actual chain head (the newest
 		// authenticated file the audit found), not whatever canonical this
@@ -541,19 +418,14 @@ func (s *Store) Compact() error {
 		if err := s.RemoveSegments(pid); err != nil {
 			return err
 		}
-		// Drop the old-format canonical files the rewrite replaced, their
-		// sidecars included. Packed copies have no loose file to remove —
-		// their container goes below.
+		// Drop the text canonical files the rewrite replaced, their sidecars
+		// included. Packed copies have no loose file to remove — their
+		// container goes below.
 		for _, c := range pa.canonicals {
 			if c.name == filepath.Base(s.processFile(pid)) || c.packed != "" {
 				continue
 			}
-			if c.sumName != "" {
-				if err := s.backend.Remove(filepath.ToSlash(filepath.Join(s.dir, c.sumName))); err != nil {
-					return err
-				}
-			}
-			if err := s.backend.Remove(filepath.ToSlash(filepath.Join(s.dir, c.name))); err != nil {
+			if err := s.removeWithSidecar(c); err != nil {
 				return err
 			}
 		}
@@ -561,7 +433,7 @@ func (s *Store) Compact() error {
 	// Every packed member is folded above (a pid with packed files is always
 	// dirty), so the pack containers are now superseded history.
 	for _, p := range a.packs {
-		if err := s.backend.Remove(filepath.ToSlash(filepath.Join(s.dir, p.name))); err != nil {
+		if err := s.backend.Remove(s.path(p.name)); err != nil {
 			return err
 		}
 	}
@@ -569,18 +441,17 @@ func (s *Store) Compact() error {
 }
 
 // WriteMergedParallel merges all sub-graphs with a pool of decode workers
-// and writes the result as prov_merged.<ext>, returning the merged graph.
+// and writes the result as prov_merged.pbs, returning the merged graph.
 func (s *Store) WriteMergedParallel(workers int) (*rdf.Graph, error) {
 	g, _, err := s.MergePruned(nil, workers)
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := s.codec.Encode(&buf, g, s.ns); err != nil {
+	if err := segcodec.Binary.Encode(&buf, g, nil); err != nil {
 		return nil, err
 	}
-	name := "prov_merged" + s.codec.Ext()
-	if err := s.backend.WriteFile(filepath.ToSlash(filepath.Join(s.dir, name)), buf.Bytes()); err != nil {
+	if err := s.backend.WriteFile(s.path("prov_merged"+segcodec.Binary.Ext()), buf.Bytes()); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -624,6 +495,24 @@ func (s *Store) TotalBytes() (int64, error) {
 		total += f.size
 	}
 	return total, nil
+}
+
+// TextBytes returns the size of g encoded by a text codec under the PROV-IO
+// prefixes. segcodec.Turtle's is what a Turtle store file held for the same
+// graph: the bytes the paper's Figure 7 counts, which the exhibits keep
+// reporting while the store itself writes pbs.
+func TextBytes(c segcodec.Codec, g *rdf.Graph) (int64, error) {
+	var n byteCount
+	err := c.Encode(&n, g, model.Namespaces())
+	return int64(n), err
+}
+
+// byteCount is an io.Writer that only counts.
+type byteCount int64
+
+func (n *byteCount) Write(p []byte) (int, error) {
+	*n += byteCount(len(p))
+	return len(p), nil
 }
 
 // misplacer unwraps decorator chains (anything exposing Inner() any, such as

@@ -18,7 +18,7 @@ import (
 func stressTracker(t *testing.T, pipeline Pipeline, workers, perWorker int) {
 	t.Helper()
 	view := vfs.NewStore().NewView()
-	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatTurtle)
+	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestStressInlinePipeline(t *testing.T) {
 // exactly once.
 func TestStressFlushDuringTracking(t *testing.T) {
 	view := vfs.NewStore().NewView()
-	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatTurtle)
+	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +159,12 @@ func TestStressFlushDuringTracking(t *testing.T) {
 
 // TestConcurrentFlushRemovesSegmentsOnce: Flush called from several
 // goroutines at once must not fail because two of them raced to remove the
-// same delta segment (and its .sum sidecar). Each round leaves a batch of
-// text segments behind, then releases the flushers together; before the
-// tracker serialized its canonical-write + segment-removal step the loser
+// same delta segment. Each round leaves a batch of segments behind, then
+// releases the flushers together; before the tracker serialized its canonical-write + segment-removal step the loser
 // of the race returned "remove ...: file does not exist".
 func TestConcurrentFlushRemovesSegmentsOnce(t *testing.T) {
 	view := vfs.NewStore().NewView()
-	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatTurtle)
+	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,7 @@ type Tracker struct {
 	// under mu would be the one remaining cross-thread serialization point.
 	seqs sync.Map
 
-	// render memoizes the N-Triples rendering of this tracker's terms by
-	// dictionary ID, so across all delta flushes each distinct term is
-	// rendered once (the read path's memoization trick applied to the write
-	// side).
+	// render names the graph a delta flush's refs index.
 	render *rdf.TermRenderer
 
 	// Flush pipeline state (all guarded by mu).
@@ -85,9 +82,8 @@ type Tracker struct {
 }
 
 // flushJob is one delta segment handed to the background writer: the
-// insertion-log refs of the delta (12 bytes per triple — the terms are
-// rehydrated by the tracker's memoized renderer at write time, not
-// materialized at snapshot time).
+// insertion-log refs of the delta (12 bytes per triple, encoded straight
+// to ID columns at write time).
 type flushJob struct {
 	seg  int
 	refs []rdf.TripleID
@@ -514,9 +510,8 @@ func (t *Tracker) Flush() error {
 	t.mu.Unlock()
 	// The graph is internally synchronized and is serialized without cloning
 	// it (cloning would double peak memory when thousands of rank trackers
-	// flush together): the binary codec encodes from one copy of the
-	// insertion log's 12-byte refs and builds no reader-side index, the text
-	// codecs sort a snapshot's triples.
+	// flush together): the encoder works from one copy of the insertion
+	// log's 12-byte refs and builds no reader-side index.
 	if t.charge {
 		t.clock.Advance(t.cost.SerializeCost(t.graph.Len()))
 	}

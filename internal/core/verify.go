@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -11,7 +12,6 @@ import (
 	"strings"
 
 	"github.com/hpc-io/prov-io/internal/par"
-	"github.com/hpc-io/prov-io/internal/rdf"
 	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
 
@@ -171,6 +171,22 @@ func ParseHeads(data []byte) (map[int][32]byte, error) {
 	return heads, nil
 }
 
+// parseDigest decodes a hex-encoded SHA-256 digest.
+func parseDigest(s string, out *[32]byte) error {
+	raw, err := hex.DecodeString(s)
+	if err != nil {
+		return err
+	}
+	if len(raw) != len(out) {
+		return fmt.Errorf("digest is %d bytes, want %d", len(raw), len(out))
+	}
+	copy(out[:], raw)
+	return nil
+}
+
+// fileDigest is the chain digest of a store file's complete bytes.
+func fileDigest(data []byte) [32]byte { return sha256.Sum256(data) }
+
 // IntegrityError is returned by Compact when a store's damage is not
 // attributable to an interrupted write of unacknowledged data — recovery
 // refuses to guess, and the defects say what a human (or provio-verify) is
@@ -241,10 +257,9 @@ type auditFile struct {
 	meta    *segcodec.Chain // seal (embedded frame or sidecar), nil if unsealed
 	sumName string          // sidecar name, "" if none
 	version byte            // pbs format version of an intact binary file, else 0
-	// Decoded content, retained under audit(keep) when the file is intact:
-	// a binary file's validated columns, a text file's parsed graph.
+	// cols is the decoded content, retained under audit(keep) when the file
+	// is intact: a binary file's validated columns, a text file's triples.
 	cols   *segcodec.Columns
-	graph  *rdf.Graph
 	packed string // pack file the bytes live in; "" for a loose file
 	// defects are the per-file findings, charged by the check pass to the file
 	// alone (its worker shares nothing) and folded into the pid's in entry
@@ -254,12 +269,18 @@ type auditFile struct {
 
 func (f *auditFile) bad() bool { return len(f.defects) > 0 }
 
+func (f *auditFile) flag(kind DefectKind, name, format string, args ...any) {
+	f.defects = append(f.defects, Defect{
+		PID: f.pid, Name: name, Kind: kind, Detail: fmt.Sprintf(format, args...),
+	})
+}
+
 // pidAudit is the audit state of one process.
 type pidAudit struct {
 	pid        int
 	canonicals []*auditFile // canonical files (several only mid-migration)
 	segs       []*auditFile // sorted by segment number
-	staleSums  []string     // leftover sidecars recovery may GC
+	staleSums  []string     // leftover text-file sidecars recovery may GC
 	defects    []Defect
 	head       [32]byte
 	// drop lists file names removable as an unacknowledged torn tail: set
@@ -280,10 +301,12 @@ type storeAudit struct {
 	// What the one read pass saw, for the maintenance steps that run on an
 	// audit instead of listing and reading the store again: the pack
 	// containers with their member names (nil for an unreadable header), the
-	// loose store files in listing order, and every sidecar's bytes by name.
-	packs []auditPack
-	loose []string
-	sums  map[string][]byte
+	// loose store files in listing order, and every text-file sidecar's bytes
+	// by name, with where it was read.
+	packs   []auditPack
+	loose   []string
+	sums    map[string][]byte
+	sumFrom map[string]string
 	// packDefects are structural findings against pack containers themselves
 	// (unreadable header, foreign member names, conflicting duplicates) —
 	// kept apart from per-pid defects so they never perturb chain heads.
@@ -309,11 +332,7 @@ func (a *storeAudit) addPackDefect(kind DefectKind, name, format string, args ..
 // parseStoreName splits a store file name into its parts. ok is false for
 // names that are not provenance files (merged output, OS temp files, ...).
 func parseStoreName(name string) (pid, seg int, isSum, ok bool) {
-	base := name
-	if strings.HasSuffix(base, chainSidecarExt) {
-		isSum = true
-		base = strings.TrimSuffix(base, chainSidecarExt)
-	}
+	base, isSum := trimSidecar(name)
 	ext := filepath.Ext(base)
 	if _, codecOK := segcodec.ByExt(ext); !codecOK {
 		return 0, 0, false, false
@@ -344,21 +363,9 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &storeAudit{pids: make(map[int]*pidAudit), sums: make(map[string][]byte), pbsVersions: make(map[byte]int)}
-	sums := a.sums
-	sumFrom := make(map[string]string)
+	a := &storeAudit{pids: make(map[int]*pidAudit), pbsVersions: make(map[byte]int),
+		sums: make(map[string][]byte), sumFrom: make(map[string]string)}
 	var entries []*auditFile // what the read pass found, unchecked
-	addSum := func(n string, data []byte, src string) {
-		if prev, ok := sums[n]; ok {
-			if !bytes.Equal(prev, data) {
-				a.addPackDefect(DefectTampered, n,
-					"sidecar copies differ between %s and %s", sumFrom[n], src)
-			}
-			return
-		}
-		sums[n] = data
-		sumFrom[n] = src
-	}
 	for _, n := range names {
 		if _, _, isPack := parsePackName(n); isPack {
 			// A pack container: structural checks here, then its members join
@@ -396,7 +403,7 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 					continue
 				}
 				if isSum {
-					addSum(m.Name, mdata, n)
+					a.addSidecar(m.Name, mdata, n)
 					continue
 				}
 				ap.files[i] = &auditFile{pid: pid, name: m.Name, seg: seg, data: mdata, packed: n}
@@ -414,7 +421,7 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 		}
 		a.loose = append(a.loose, n)
 		if isSum {
-			addSum(n, data, "the store directory")
+			a.addSidecar(n, data, "the store directory")
 			continue
 		}
 		entries = append(entries, &auditFile{pid: pid, name: n, seg: seg, data: data})
@@ -442,7 +449,7 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 		}
 	}
 	entries = deduped
-	// Check pass: the files are mutually independent, sums is read-only from
+	// Check pass: the files are mutually independent, a.sums is read-only from
 	// here on, and a finding is a defect on the file, never an error. A packed
 	// member's content is kept for its pack's stats check below.
 	packed := make(map[string]bool)
@@ -453,7 +460,7 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 			}
 		}
 	}
-	par.Do(len(entries), runtime.GOMAXPROCS(0), func(i int) { entries[i].check(sums, keep || packed[entries[i].name]) })
+	par.Do(len(entries), runtime.GOMAXPROCS(0), func(i int) { entries[i].check(a.sums, keep || packed[entries[i].name]) })
 	for i := range a.packs {
 		a.checkPackStats(&a.packs[i], func(name string) *auditFile { return entries[byName[name]] })
 	}
@@ -483,33 +490,7 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 			pa.canonicals = append(pa.canonicals, f)
 		}
 	}
-	// Route sidecars whose companion file is gone.
-	for sumName := range sums {
-		pid, seg, _, _ := parseStoreName(sumName)
-		fileName := strings.TrimSuffix(sumName, chainSidecarExt)
-		if _, present := byName[fileName]; present {
-			continue
-		}
-		pa := pidOf(pid)
-		// A segment sidecar below every present segment (or with none left),
-		// next to a canonical file, is the residue of a crash inside segment
-		// removal — the segment goes before its sidecar, so the sidecar can
-		// outlive it. It references superseded history: GC material, not
-		// evidence of loss.
-		minSeg := -1
-		for _, sf := range pa.segs {
-			if minSeg == -1 || sf.seg < minSeg {
-				minSeg = sf.seg
-			}
-		}
-		stale := len(pa.canonicals) > 0 && seg >= 0 && (minSeg == -1 || seg < minSeg)
-		if stale {
-			pa.staleSums = append(pa.staleSums, sumName)
-		} else {
-			pa.addDefect(DefectMissing, fileName,
-				"file is gone but its integrity sidecar %s remains", sumName)
-		}
-	}
+	a.routeSidecars(byName, pidOf)
 	for _, pa := range a.pids {
 		sort.Slice(pa.segs, func(i, j int) bool { return pa.segs[i].seg < pa.segs[j].seg })
 		sort.Slice(pa.canonicals, func(i, j int) bool { return pa.canonicals[i].name < pa.canonicals[j].name })
@@ -533,23 +514,16 @@ func (a *storeAudit) checkPackStats(p *auditPack, audited func(name string) *aud
 	members := make([]*segcodec.Columns, len(p.files))
 	for i, pf := range p.files {
 		if pf == nil {
-			if !strings.HasSuffix(p.header.Members[i].Name, chainSidecarExt) {
+			if _, isSum := trimSidecar(p.header.Members[i].Name); !isSum {
 				return
 			}
 			continue // opaque
 		}
 		f := audited(pf.name)
-		if !bytes.Equal(f.data, pf.data) {
+		if !bytes.Equal(f.data, pf.data) || f.cols == nil {
 			return
 		}
-		switch {
-		case f.cols != nil:
-			members[i] = f.cols
-		case f.graph != nil:
-			members[i] = segcodec.GraphColumns(f.graph)
-		default:
-			return
-		}
+		members[i] = f.cols
 	}
 	if err := segcodec.CheckPackStats(p.header, members, runtime.GOMAXPROCS(0)); err != nil {
 		a.addPackDefect(DefectTampered, p.name, "header stats: %v", err)
@@ -569,64 +543,27 @@ func packSrc(pack string) string {
 // reads sums, writes only f, and charges what it finds to f's own defect
 // list.
 func (f *auditFile) check(sums map[string][]byte, keep bool) {
-	name, seg, data := f.name, f.seg, f.data
-	f.digest = fileDigest(data)
-	codec, _ := segcodec.ByExt(filepath.Ext(name))
-	// The pbs format by name, not "any codec with a magic": this branch reads
-	// the file with that format's own columnar decode and in-band seal.
-	binary := codec == segcodec.Binary
-
-	flag := func(kind DefectKind, fname, format string, args ...any) {
-		f.defects = append(f.defects, Defect{
-			PID: f.pid, Name: fname, Kind: kind, Detail: fmt.Sprintf(format, args...),
-		})
-	}
-
-	if binary {
-		if sumName := name + chainSidecarExt; sums[sumName] != nil {
-			// Binary files are sealed in-band; a sidecar next to one was
-			// planted (writes never produce it).
-			flag(DefectOrphaned, sumName, "unexpected sidecar next to a binary file")
-		}
+	name, seg := f.name, f.seg
+	f.digest = fileDigest(f.data)
+	// The pbs format by name: it is read with its own columnar decode and
+	// in-band seal; anything else is a text file an older build wrote.
+	if filepath.Ext(name) != segcodec.Binary.Ext() {
+		f.checkText(sums, keep)
+	} else {
+		f.flagPlantedSidecar(sums)
 		// Validation needs no graph: the columnar decode makes every check.
-		cols, err := segcodec.DecodeColumns(data)
+		cols, err := segcodec.DecodeColumns(f.data)
 		if err != nil {
 			kind := DefectTampered
 			if errors.Is(err, segcodec.ErrTruncated) {
 				kind = DefectTruncated
 			}
-			flag(kind, name, "decode: %v", err)
+			f.flag(kind, name, "decode: %v", err)
 		} else {
 			f.meta, f.version = cols.Chain, cols.Version
 			if keep {
 				f.cols = cols
 			}
-		}
-	} else {
-		if sumData, ok := sums[name+chainSidecarExt]; ok {
-			f.sumName = name + chainSidecarExt
-			si, err := parseSidecar(sumData)
-			switch {
-			case err != nil:
-				flag(DefectTampered, f.sumName, "sidecar: %v", err)
-			case int64(len(data)) < si.bytes:
-				flag(DefectTruncated, name, "file is %d bytes, sealed length is %d", len(data), si.bytes)
-			case int64(len(data)) > si.bytes:
-				flag(DefectTampered, name, "file is %d bytes, sealed length is %d", len(data), si.bytes)
-			case f.digest != si.digest:
-				flag(DefectTampered, name, "content does not match its sealed sha256")
-			default:
-				ch := si.chain()
-				f.meta = &ch
-			}
-		}
-		g := rdf.NewGraph()
-		if err := segcodec.Detect(data).Decode(bytes.NewReader(data), g); err != nil {
-			if !f.bad() {
-				flag(DefectTampered, name, "parse: %v", err)
-			}
-		} else if keep {
-			f.graph = g
 		}
 	}
 
@@ -635,11 +572,11 @@ func (f *auditFile) check(sums map[string][]byte, keep bool) {
 	if f.meta != nil {
 		switch {
 		case seg >= 0 && f.meta.Root:
-			flag(DefectTampered, name, "segment is sealed as a chain root")
+			f.flag(DefectTampered, name, "segment is sealed as a chain root")
 		case seg >= 0 && f.meta.Seq != uint64(seg):
-			flag(DefectTampered, name, "seal names segment %d, file name says %d (reordered or spliced)", f.meta.Seq, seg)
+			f.flag(DefectTampered, name, "seal names segment %d, file name says %d (reordered or spliced)", f.meta.Seq, seg)
 		case seg < 0 && !f.meta.Root:
-			flag(DefectTampered, name, "canonical file is sealed as a delta segment")
+			f.flag(DefectTampered, name, "canonical file is sealed as a delta segment")
 		}
 	}
 }
@@ -813,9 +750,9 @@ func (s *Store) auditChain(pa *pidAudit) {
 }
 
 // markDroppableTail decides whether every defect of the pid is confined to
-// the newest segment file (or its sidecar) — the only damage an interrupted
-// write of unacknowledged data can leave — and if so records the files
-// recovery may drop.
+// the newest segment file (or, for a text segment, its sidecar) — the only
+// damage an interrupted write of unacknowledged data can leave — and if so
+// records the files recovery may drop.
 func (pa *pidAudit) markDroppableTail() {
 	if len(pa.defects) == 0 || len(pa.segs) == 0 {
 		return
@@ -824,16 +761,12 @@ func (pa *pidAudit) markDroppableTail() {
 	if tail.packed != "" {
 		return // a packed member is not individually removable
 	}
-	tailNames := map[string]bool{tail.name: true, tail.name + chainSidecarExt: true}
 	for _, d := range pa.defects {
-		if d.Kind == DefectMissing || !tailNames[d.Name] {
+		if d.Kind == DefectMissing || d.Name != tail.name && d.Name != sidecarName(tail.name) {
 			return
 		}
 	}
-	pa.drop = []string{tail.name}
-	if tail.sumName != "" {
-		pa.drop = append(pa.drop, tail.sumName)
-	}
+	pa.drop = tail.withSidecar()
 }
 
 func sortDefects(ds []Defect) {

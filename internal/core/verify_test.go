@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -72,8 +73,8 @@ func writeDelta(s *Store, pid, seg int, ts []rdf.Triple) error {
 	return s.WriteDeltaSegmentRefs(pid, seg, refs, rdf.NewTermRenderer(g))
 }
 
-// openDir materializes a file snapshot in a fresh view and opens it with
-// format auto-detection, exactly as provio-verify does.
+// openDir materializes a file snapshot in a fresh view and opens it, exactly
+// as provio-verify does.
 func openDir(t testing.TB, files map[string][]byte) *Store {
 	t.Helper()
 	backend := VFSBackend{View: vfs.NewStore().NewView()}
@@ -85,7 +86,7 @@ func openDir(t testing.TB, files map[string][]byte) *Store {
 			t.Fatal(err)
 		}
 	}
-	store, err := NewStore(backend, "/prov", FormatAuto)
+	store, err := NewStore(backend, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,18 +103,15 @@ func mustVerify(t *testing.T, store *Store) *VerifyReport {
 }
 
 // TestVerifyCleanMatrix pins the zero-false-positive requirement: stores
-// built by every format and flush pipeline — canonical-only, segments-only,
-// and full histories, before and after Compact — must verify clean, fully
-// sealed, and stable against their own recorded heads.
+// of every layout built by every flush pipeline — canonical-only,
+// segments-only, and full histories, before and after Compact (which
+// migrates a text store) — must verify clean, fully sealed, and stable
+// against their own recorded heads.
 func TestVerifyCleanMatrix(t *testing.T) {
-	for _, format := range []Format{FormatTurtle, FormatNTriples, FormatBinary} {
+	for _, format := range layouts {
 		for _, shape := range []string{"close", "drain", "history"} {
 			t.Run(fmt.Sprintf("%v/%s", format, shape), func(t *testing.T) {
-				view := vfs.NewStore().NewView()
-				store, err := NewStore(VFSBackend{View: view}, "/prov", format)
-				if err != nil {
-					t.Fatal(err)
-				}
+				store := newLayoutStore(t, format)
 				for pid := 0; pid < 2; pid++ {
 					switch shape {
 					case "close":
@@ -149,6 +147,7 @@ func TestVerifyCleanMatrix(t *testing.T) {
 				if rep2, err := store.VerifyAgainst(heads); err != nil || !rep2.Clean() {
 					t.Fatalf("VerifyAgainst own heads: %v, %v", err, rep2.Defects)
 				}
+				store = plainStore(t, store)
 				if err := store.Compact(); err != nil {
 					t.Fatalf("Compact on clean store: %v", err)
 				}
@@ -167,18 +166,14 @@ func TestVerifyCleanMatrix(t *testing.T) {
 // sealed segments written on top of the legacy canonical (the upgrade path)
 // keep the store clean.
 func TestVerifyLegacyUnsealedTolerated(t *testing.T) {
-	for _, format := range []Format{FormatTurtle, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			view := vfs.NewStore().NewView()
-			store, err := NewStore(VFSBackend{View: view}, "/prov", format)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, format := range []string{"ttl", "pbs"} {
+		t.Run(format, func(t *testing.T) {
+			store := newLayoutStore(t, format)
 			trackInto(t, store, 0, DefaultConfig(), false)
 			// Strip the seals: remove sidecars, strip embedded chain frames.
 			legacy := make(map[string][]byte)
 			for n, data := range storeFiles(t, store) {
-				if strings.HasSuffix(n, chainSidecarExt) {
+				if filepath.Ext(n) == ".sum" {
 					continue
 				}
 				legacy[n] = segcodec.StripChain(data)
@@ -220,13 +215,9 @@ func TestVerifyLegacyUnsealedTolerated(t *testing.T) {
 // of any byte must be detected. Detection kinds vary (a flipped frame length
 // reads as truncation), but no flip may verify clean.
 func TestVerifyFlipMatrix(t *testing.T) {
-	for _, format := range []Format{FormatTurtle, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			view := vfs.NewStore().NewView()
-			store, err := NewStore(VFSBackend{View: view}, "/prov", format)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, format := range []string{"ttl", "pbs"} {
+		t.Run(format, func(t *testing.T) {
+			store := newLayoutStore(t, format)
 			smallHistory(t, store, 0)
 			clean := storeFiles(t, store)
 			total, missed := 0, 0
@@ -253,6 +244,32 @@ func TestVerifyFlipMatrix(t *testing.T) {
 			}
 		})
 	}
+	// The committed text stores, loose and packed: every bit of each sidecar
+	// flipped is tampering (the sidecar's own CRC, or a seal that no longer
+	// holds its file), and so is a bit of a text file, sampled, against the
+	// recorded heads.
+	for _, layout := range []string{"loose", "packed"} {
+		clean, heads := legacyTextFiles(t, layout)
+		for name, data := range clean {
+			step := 7
+			if filepath.Ext(name) == ".sum" {
+				step = 1
+			}
+			for i := 0; i < len(data); i += step {
+				mut := maps.Clone(clean)
+				mut[name] = append([]byte(nil), data...)
+				mut[name][i] ^= 1 << (i % 8)
+				rep, err := openDir(t, mut).VerifyAgainst(heads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Clean() || step == 1 && rep.Worst() != DefectTampered {
+					t.Errorf("text store %s: flip of %s byte %d: defects %v", layout, name, i, rep.Defects)
+				}
+			}
+		}
+	}
+
 	// Naming another known layout takes more than one bit flip, so the matrix
 	// above never tries it: a sealed segment under another known version byte
 	// is a defect, never a silent decode as that layout — of a store this
@@ -473,13 +490,9 @@ func TestVerifyCurrentSegmentWithoutStatsIsTruncated(t *testing.T) {
 // the one documented blind spot (a binary canonical truncated exactly at a
 // frame boundary is indistinguishable from a legacy unsealed file).
 func TestVerifyTruncationMatrix(t *testing.T) {
-	for _, format := range []Format{FormatTurtle, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			view := vfs.NewStore().NewView()
-			store, err := NewStore(VFSBackend{View: view}, "/prov", format)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, format := range []string{"ttl", "pbs"} {
+		t.Run(format, func(t *testing.T) {
+			store := newLayoutStore(t, format)
 			smallHistory(t, store, 0)
 			clean := storeFiles(t, store)
 			heads := mustVerify(t, store).Heads
@@ -520,22 +533,18 @@ func TestVerifyTruncationMatrix(t *testing.T) {
 // recorded heads; deleting only a sidecar must at least demote its file to
 // the unsealed list so strict auditing flags it.
 func TestVerifyDeletionMatrix(t *testing.T) {
-	for _, format := range []Format{FormatTurtle, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			view := vfs.NewStore().NewView()
-			store, err := NewStore(VFSBackend{View: view}, "/prov", format)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, format := range []string{"ttl", "pbs"} {
+		t.Run(format, func(t *testing.T) {
+			store := newLayoutStore(t, format)
 			smallHistory(t, store, 0)
 			clean := storeFiles(t, store)
 			heads := mustVerify(t, store).Heads
 			for name := range clean {
 				victims := []string{name}
-				if !strings.HasSuffix(name, chainSidecarExt) {
+				if filepath.Ext(name) != ".sum" {
 					// Also try deleting the file together with its sidecar.
-					if _, ok := clean[name+chainSidecarExt]; ok {
-						victims = append(victims, name+chainSidecarExt)
+					if _, ok := clean[name+".sum"]; ok {
+						victims = append(victims, name+".sum")
 					}
 				}
 				for _, pair := range [][]string{victims[:1], victims} {
@@ -556,7 +565,7 @@ func TestVerifyDeletionMatrix(t *testing.T) {
 						}
 						detected = !anchored.Clean()
 					}
-					if !detected && strings.HasSuffix(pair[len(pair)-1], chainSidecarExt) && len(pair) == 1 {
+					if !detected && filepath.Ext(pair[len(pair)-1]) == ".sum" && len(pair) == 1 {
 						// Sidecar-only deletion: must surface as unsealed.
 						detected = len(rep.Unsealed) > 0
 					}
@@ -655,20 +664,16 @@ func TestVerifyReorderAndSplice(t *testing.T) {
 // with an IntegrityError naming the damage — when the defect is not confined
 // to the unacknowledged tail.
 func TestCompactRecoversDroppableTail(t *testing.T) {
-	for _, format := range []Format{FormatTurtle, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			view := vfs.NewStore().NewView()
-			store, err := NewStore(VFSBackend{View: view}, "/prov", format)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, format := range []string{"ttl", "pbs"} {
+		t.Run(format, func(t *testing.T) {
+			store := newLayoutStore(t, format)
 			smallHistory(t, store, 0)
 			clean := storeFiles(t, store)
 
 			// Tear the newest segment (simulating a crash mid-write).
 			var tail string
 			for n := range clean {
-				if strings.Contains(n, ".seg") && !strings.HasSuffix(n, chainSidecarExt) {
+				if strings.Contains(n, ".seg") && filepath.Ext(n) != ".sum" {
 					if tail == "" || n > tail {
 						tail = n
 					}
@@ -679,7 +684,7 @@ func TestCompactRecoversDroppableTail(t *testing.T) {
 				mut[n] = d
 			}
 			mut[tail] = mut[tail][:len(mut[tail])/2]
-			delete(mut, tail+chainSidecarExt) // the sidecar write never happened
+			delete(mut, tail+".sum") // the sidecar write never happened
 			tstore := openDir(t, mut)
 			if rep := mustVerify(t, tstore); rep.Clean() {
 				t.Fatal("torn tail verified clean")
@@ -701,7 +706,7 @@ func TestCompactRecoversDroppableTail(t *testing.T) {
 			first := strings.Replace(tail, ".seg0002", ".seg0000", 1)
 			mut[first] = mut[first][:len(mut[first])/2]
 			bstore := openDir(t, mut)
-			err = bstore.Compact()
+			err := bstore.Compact()
 			var ierr *IntegrityError
 			if err == nil || !errors.As(err, &ierr) {
 				t.Fatalf("Compact on damaged history: err=%v, want IntegrityError", err)
@@ -737,11 +742,8 @@ func auditFixtures(t *testing.T) []auditFixture {
 	t.Helper()
 	var fx []auditFixture
 	add := func(name string, files map[string][]byte) { fx = append(fx, auditFixture{name, files}) }
-	history := func(format Format, pids ...int) *Store {
-		store, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", format)
-		if err != nil {
-			t.Fatal(err)
-		}
+	history := func(format string, pids ...int) *Store {
+		store := newLayoutStore(t, format)
 		for _, pid := range pids {
 			smallHistory(t, store, pid)
 		}
@@ -749,7 +751,7 @@ func auditFixtures(t *testing.T) []auditFixture {
 	}
 
 	// The flip, truncation and deletion matrices, sampled.
-	for _, format := range []Format{FormatTurtle, FormatNTriples, FormatBinary} {
+	for _, format := range layouts {
 		clean := storeFiles(t, history(format, 0, 1))
 		add(fmt.Sprintf("%v/clean", format), clean)
 		names := make([]string, 0, len(clean))
@@ -770,7 +772,7 @@ func auditFixtures(t *testing.T) []auditFixture {
 			add(fmt.Sprintf("%v/delete %s", format, name), withFile(clean, name, nil))
 		}
 	}
-	clean := storeFiles(t, history(FormatBinary, 0, 1))
+	clean := storeFiles(t, history("pbs", 0, 1))
 	for _, tc := range spliceCases {
 		mut := maps.Clone(clean)
 		tc.mutate(mut)
@@ -779,7 +781,7 @@ func auditFixtures(t *testing.T) []auditFixture {
 
 	// Packed stores: level 1, the crash state that duplicates its members as
 	// loose files, level 1 beside fresh loose segments, and level 2.
-	store := history(FormatBinary, 0, 1, 2)
+	store := history("pbs", 0, 1, 2)
 	loose := storeFiles(t, store)
 	pack, err := store.PackSegments(1)
 	if err != nil {
@@ -800,7 +802,7 @@ func auditFixtures(t *testing.T) []auditFixture {
 
 	// One directory holding all three formats, sidecars included.
 	mixed := make(map[string][]byte)
-	for pid, format := range []Format{FormatTurtle, FormatNTriples, FormatBinary} {
+	for pid, format := range layouts {
 		for n, d := range storeFiles(t, history(format, pid)) {
 			mixed[n] = d
 		}

@@ -85,7 +85,7 @@ const (
 
 // TripleID is a triple in dictionary-ID form: one insertion-log entry. The
 // delta flush pipeline serializes segments straight from these 12-byte refs
-// (RefsSince + TermRenderer) instead of materializing []Triple.
+// (RefsSince) instead of materializing []Triple.
 type TripleID struct{ S, P, O ID }
 
 // hash mixes the three IDs. IDs are dense allocation-order indexes and a
@@ -342,9 +342,8 @@ func (g *Graph) TermCount() int {
 // This is the delta cursor of the incremental flush pipeline: serializing
 // RefsSince(c) and advancing c to the returned end after each flush yields
 // delta segments whose union equals the full graph, while each flush stays
-// O(new triples) instead of O(graph). The flusher hands the refs to a
-// TermRenderer, which rehydrates each distinct term at most once across all
-// of a tracker's flushes, instead of materializing a []Triple per delta.
+// O(new triples) instead of O(graph). The flusher encodes the refs straight
+// to ID columns instead of materializing a []Triple per delta.
 func (g *Graph) RefsSince(n int) (refs []TripleID, end int) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()

@@ -2,12 +2,12 @@
 // store: it decouples what a store file contains (an RDF sub-graph or delta
 // segment) from how it is laid out on disk.
 //
-// Three codecs are registered: the text formats the store always spoke —
-// N-Triples ("nt") and Turtle ("ttl") — and a binary ID-space format
-// ("pbs") that serializes dictionary IDs instead of rendered terms, so the
-// hot flush/merge paths never tokenize, escape, or re-parse term strings.
-// Text formats remain the interchange surface; the binary format is the
-// performance surface (DESIGN.md "Store codecs").
+// Three codecs are registered: a binary ID-space format ("pbs") that
+// serializes dictionary IDs instead of rendered terms, so the hot
+// flush/merge paths never tokenize, escape, or re-parse term strings — the
+// one format the store writes — and the text formats older builds wrote,
+// N-Triples ("nt") and Turtle ("ttl"), which stores still read (DESIGN.md
+// "Store codecs").
 //
 // Readers never need to be told a file's format: Detect sniffs the magic
 // bytes of every registered codec and falls back to the text parser (which
@@ -26,7 +26,7 @@ import (
 
 // Codec serializes and deserializes one on-disk store format.
 type Codec interface {
-	// Name is the short format name used by -format flags and config files.
+	// Name is the short format name.
 	Name() string
 	// Ext is the file extension including the leading dot.
 	Ext() string

@@ -7,7 +7,7 @@ import (
 )
 
 // ntCodec is the N-Triples text codec: one triple per line, deterministic
-// (S, P, O) order. It is the historical delta-segment format and the
+// (S, P, O) order. It is the delta-segment format of text stores and the
 // fallback decoder for every non-binary file (its parser accepts the
 // N-Triples/Turtle superset, matching the store's old parseFile behavior).
 type ntCodec struct{}

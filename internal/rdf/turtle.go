@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"io"
 	"sort"
-	"sync"
 )
 
 // WriteTurtle serializes the graph in Turtle format, grouping triples by
@@ -141,92 +140,16 @@ func WriteNTriples(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// TermRenderer memoizes the N-Triples rendering of one graph's terms by
-// dictionary ID. Because IDs are stable for the lifetime of a graph, a
-// renderer owned by a tracker renders each distinct term exactly once across
-// all of that tracker's delta flushes — the write-side twin of the query
-// executor's memoized ORDER BY term rendering. The cache grows to one string
-// per rendered term and is never invalidated (terms are immutable once
-// interned).
-//
-// A TermRenderer is safe for concurrent use; in the flush pipeline the async
-// writer goroutine and inline delta flushes may touch it from different
-// threads.
-type TermRenderer struct {
-	g     *Graph
-	mu    sync.Mutex
-	cache []string
-}
+// TermRenderer names the graph whose dictionary a flush's insertion-log refs
+// index: the store's delta-segment path serializes the refs straight to ID
+// columns through it, rendering no term text.
+type TermRenderer struct{ g *Graph }
 
-// NewTermRenderer returns a renderer memoizing g's terms.
-func NewTermRenderer(g *Graph) *TermRenderer {
-	return &TermRenderer{g: g}
-}
+// NewTermRenderer returns the renderer of g's refs.
+func NewTermRenderer(g *Graph) *TermRenderer { return &TermRenderer{g: g} }
 
-// Graph returns the graph whose terms the renderer memoizes. The store's
-// delta-segment path uses it to reach the dictionary when a binary codec
-// serializes straight from triple IDs instead of rendered text.
+// Graph returns the graph whose dictionary the refs index.
 func (r *TermRenderer) Graph() *Graph { return r.g }
-
-// render returns the N-Triples rendering of the term interned under id in
-// the dictionary snapshot terms, computing and caching it on first use, or
-// the term's textError. Every id must be interned.
-func (r *TermRenderer) render(id ID, terms termTable) (string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if int(id) >= len(r.cache) {
-		grown := make([]string, terms.len())
-		copy(grown, r.cache)
-		r.cache = grown
-	}
-	s := r.cache[id]
-	if s == "" {
-		t := terms.at(id)
-		if err := textError(t); err != nil {
-			return "", err
-		}
-		s = t.String()
-		r.cache[id] = s
-	}
-	return s, nil
-}
-
-// WriteNTriples serializes refs of the renderer's graph as N-Triples in
-// deterministic (S, P, O) term order, sorting refs in place. This is the
-// delta-segment serializer: it renders from 12-byte TripleIDs and the
-// memoized per-ID term cache, so a flush materializes no []Triple and
-// re-renders no term a previous flush already rendered. The byte output is
-// identical to sorting the materialized triples and writing Triple.String,
-// and a term the syntax cannot carry exactly (see textError) fails the write.
-func (r *TermRenderer) WriteNTriples(w io.Writer, refs []TripleID) error {
-	terms := r.g.dict.snapshot()
-	// Interning is injective, so distinct IDs always hold distinct terms.
-	sort.Slice(refs, func(i, j int) bool {
-		a, b := refs[i], refs[j]
-		if a.S != b.S {
-			return termLess(terms.at(a.S), terms.at(b.S))
-		}
-		if a.P != b.P {
-			return termLess(terms.at(a.P), terms.at(b.P))
-		}
-		return a.O != b.O && termLess(terms.at(a.O), terms.at(b.O))
-	})
-	bw := bufio.NewWriter(w)
-	for _, t := range refs {
-		for _, id := range [3]ID{t.S, t.P, t.O} {
-			s, err := r.render(id, terms)
-			if err != nil {
-				return err
-			}
-			bw.WriteString(s)
-			bw.WriteByte(' ')
-		}
-		if _, err := bw.WriteString(".\n"); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
 
 // SortTriples sorts ts in place by (S, P, O); exported for callers that
 // serialize partial graphs.

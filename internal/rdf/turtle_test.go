@@ -247,9 +247,9 @@ func TestIRIEscapesRoundTrip(t *testing.T) {
 	}
 }
 
-// textWriters are the three ways a graph becomes text, each with the parser
-// that reads it back: N-Triples, the delta-segment renderer over the whole
-// insertion log, and Turtle under prefixes the terms below can shrink to.
+// textWriters are the two ways a graph becomes text, each with the parser
+// that reads it back: N-Triples, and Turtle under prefixes the terms below
+// can shrink to.
 func textWriters() map[string]func(*strings.Builder, *Graph) error {
 	ns := NewNamespaces()
 	ns.Bind("e", "http://e/")
@@ -257,10 +257,6 @@ func textWriters() map[string]func(*strings.Builder, *Graph) error {
 	return map[string]func(*strings.Builder, *Graph) error{
 		"nt":  func(b *strings.Builder, g *Graph) error { return WriteNTriples(b, g) },
 		"ttl": func(b *strings.Builder, g *Graph) error { return WriteTurtle(b, g, ns) },
-		"renderer": func(b *strings.Builder, g *Graph) error {
-			refs, _ := g.RefsSince(0)
-			return NewTermRenderer(g).WriteNTriples(b, refs)
-		},
 	}
 }
 
@@ -292,7 +288,7 @@ func TestTextWritersRefuseWhatWouldNotParseBack(t *testing.T) {
 			if !strings.Contains(err.Error(), fmt.Sprintf("value %q, lang %q", bad.Value, bad.Lang)) {
 				t.Errorf("%s: error %q does not name %#v", name, err, bad)
 			}
-			if name != "renderer" && b.Len() != 0 {
+			if b.Len() != 0 {
 				t.Errorf("%s: wrote %d bytes before refusing", name, b.Len())
 			}
 		}

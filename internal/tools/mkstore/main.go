@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	go run ./internal/tools/mkstore -dir ./prov [-format nt|ttl|pbs] [-records N]
+//	go run ./internal/tools/mkstore -dir ./prov [-records N]
 package main
 
 import (
@@ -20,27 +20,21 @@ import (
 
 func main() {
 	dir := flag.String("dir", "", "store directory or spec to create (required; dir:/path | file:/run.pvs | mount:hot=...,cold=...)")
-	formatFlag := flag.String("format", "pbs", "store codec: nt | ttl | pbs")
 	records := flag.Int("records", 24, "I/O records per run")
 	flag.Parse()
 	if *dir == "" {
 		fmt.Fprintln(os.Stderr, "mkstore: -dir is required")
 		os.Exit(1)
 	}
-	format, err := provio.ParseFormat(*formatFlag)
-	if err != nil {
+	if err := build(*dir, *records); err != nil {
 		fmt.Fprintf(os.Stderr, "mkstore: %v\n", err)
 		os.Exit(1)
 	}
-	if err := build(*dir, format, *records); err != nil {
-		fmt.Fprintf(os.Stderr, "mkstore: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("mkstore: wrote %s store to %s\n", *formatFlag, *dir)
+	fmt.Printf("mkstore: wrote pbs store to %s\n", *dir)
 }
 
-func build(spec string, format provio.Format, records int) error {
-	store, err := provio.OpenStore(spec, format)
+func build(spec string, records int) error {
+	store, err := provio.OpenStore(spec, provio.FormatBinary)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"github.com/hpc-io/prov-io/internal/hdf5"
 	"github.com/hpc-io/prov-io/internal/mpi"
 	"github.com/hpc-io/prov-io/internal/posixio"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 	"github.com/hpc-io/prov-io/internal/simclock"
 	"github.com/hpc-io/prov-io/internal/vfs"
 	"github.com/hpc-io/prov-io/internal/vol"
@@ -191,7 +192,7 @@ func Run(fsStore *vfs.Store, cfg Config) (Result, error) {
 	provCfg := cfg.Lineage.ProvConfig()
 	if provCfg != nil {
 		var err error
-		provStore, err = core.NewStore(core.VFSBackend{View: fsStore.NewView()}, "/prov", core.FormatTurtle)
+		provStore, err = core.NewStore(core.VFSBackend{View: fsStore.NewView()}, "/prov", core.FormatBinary)
 		if err != nil {
 			return Result{}, err
 		}
@@ -277,13 +278,13 @@ func Run(fsStore *vfs.Store, cfg Config) (Result, error) {
 				recs, tris := tr.Stats()
 				res.Records += recs
 				res.Triples += tris
+				b, err := core.TextBytes(segcodec.Turtle, tr.Graph())
+				if err != nil {
+					return Result{}, err
+				}
+				res.ProvBytes += b
 			}
 		}
-		b, err := provStore.TotalBytes()
-		if err != nil {
-			return Result{}, err
-		}
-		res.ProvBytes = b
 	}
 	return res, nil
 }

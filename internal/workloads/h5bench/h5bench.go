@@ -17,6 +17,7 @@ import (
 	"github.com/hpc-io/prov-io/internal/core"
 	"github.com/hpc-io/prov-io/internal/hdf5"
 	"github.com/hpc-io/prov-io/internal/mpi"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 	"github.com/hpc-io/prov-io/internal/simclock"
 	"github.com/hpc-io/prov-io/internal/vfs"
 	"github.com/hpc-io/prov-io/internal/vol"
@@ -172,7 +173,8 @@ var particleVars = []struct {
 // Result summarizes one run.
 type Result struct {
 	Completion time.Duration
-	// ProvBytes is the total persisted provenance size (0 for baseline).
+	// ProvBytes is the provenance's size as Turtle, what a Turtle store held
+	// (0 for baseline).
 	ProvBytes int64
 	// Records/Triples are summed across rank trackers.
 	Records int64
@@ -202,7 +204,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	if provCfg != nil {
 		var err error
-		provStore, err = core.NewStore(core.VFSBackend{View: fsStore.NewView()}, "/prov", core.FormatTurtle)
+		provStore, err = core.NewStore(core.VFSBackend{View: fsStore.NewView()}, "/prov", core.FormatBinary)
 		if err != nil {
 			return Result{}, err
 		}
@@ -419,13 +421,13 @@ func Run(cfg Config) (Result, error) {
 				recs, tris := st.tracker.Stats()
 				res.Records += recs
 				res.Triples += tris
+				b, err := core.TextBytes(segcodec.Turtle, st.tracker.Graph())
+				if err != nil {
+					return Result{}, err
+				}
+				res.ProvBytes += b
 			}
 		}
-		b, err := provStore.TotalBytes()
-		if err != nil {
-			return Result{}, err
-		}
-		res.ProvBytes = b
 	}
 	return res, nil
 }

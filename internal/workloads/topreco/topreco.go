@@ -13,6 +13,7 @@ import (
 	"github.com/hpc-io/prov-io/internal/posixio"
 	"github.com/hpc-io/prov-io/internal/provlake"
 	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 	"github.com/hpc-io/prov-io/internal/simclock"
 	"github.com/hpc-io/prov-io/internal/vfs"
 )
@@ -155,7 +156,7 @@ func Run(cfg Config) (Result, error) {
 	switch cfg.Instrument {
 	case InstrumentProvIO:
 		var err error
-		provStore, err = core.NewStore(core.VFSBackend{View: fsStore.NewView()}, "/prov", core.FormatTurtle)
+		provStore, err = core.NewStore(core.VFSBackend{View: fsStore.NewView()}, "/prov", core.FormatBinary)
 		if err != nil {
 			return Result{}, err
 		}
@@ -301,7 +302,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		recs, _ := tracker.Stats()
 		res.Records = recs
-		b, err := provStore.TotalBytes()
+		b, err := core.TextBytes(segcodec.Turtle, tracker.Graph())
 		if err != nil {
 			return Result{}, err
 		}

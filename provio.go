@@ -10,10 +10,9 @@
 //   - Provenance tracking: a VOL connector (NewProvConnector) that
 //     transparently intercepts hierarchical-format I/O, and a POSIX syscall
 //     wrapper (WrapPOSIX) for raw file I/O; both feed a Tracker.
-//   - A provenance store (Store) persisting per-process sub-graphs behind a
-//     pluggable codec layer — Turtle and N-Triples for interchange, a binary
-//     ID-space format (FormatBinary, .pbs) for speed — with GUID-based
-//     merging over auto-detected mixed-format directories.
+//   - A provenance store (Store) persisting per-process sub-graphs in a
+//     binary ID-space format (FormatBinary, .pbs), with GUID-based merging;
+//     Turtle and N-Triples leave it through provio-export.
 //   - A user engine: SPARQL queries (Query, Explain — the only two query
 //     entry points, over a merged *Graph or an out-of-core *LazySource) and
 //     Graphviz visualization (WriteDOT) over the collected provenance.
@@ -21,7 +20,7 @@
 // A minimal end-to-end flow:
 //
 //	fs := provio.NewMemStore()
-//	store, _ := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatTurtle)
+//	store, _ := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatBinary)
 //	tracker := provio.NewTracker(provio.DefaultConfig(), store, 0)
 //	user := tracker.RegisterUser("alice")
 //	prog := tracker.RegisterProgram("convert-a1", user)
