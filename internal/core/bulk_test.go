@@ -33,8 +33,9 @@ func referencePack(t *testing.T, files map[string][]byte, level int) []byte {
 	t.Helper()
 	entries := make(map[string]segcodec.PackEntry)
 	for n, data := range files {
-		if lvl, _, ok := parsePackName(n); ok {
-			if lvl >= level {
+		sn, ok := parseStoreName(n)
+		if ok && sn.kind == kindPack {
+			if sn.level >= level {
 				continue
 			}
 			h, err := segcodec.DecodePackHeader(data)
@@ -51,12 +52,11 @@ func referencePack(t *testing.T, files map[string][]byte, level int) []byte {
 			}
 			continue
 		}
-		_, seg, isSum, ok := parseStoreName(n)
-		if !ok || seg < 0 {
+		if !ok || sn.kind != kindSegment {
 			continue
 		}
 		e := segcodec.PackEntry{Name: n, Data: data}
-		if st, ok := segcodec.StatsOf(data); ok && !isSum {
+		if st, ok := segcodec.StatsOf(data); ok && !sn.sum {
 			e.Stats = &st
 		}
 		entries[n] = e
@@ -71,7 +71,7 @@ func referencePack(t *testing.T, files map[string][]byte, level int) []byte {
 	for _, n := range names {
 		e := entries[n]
 		ordered = append(ordered, e)
-		if isCodecFile(e.Name) {
+		if sn, _ := parseStoreName(e.Name); sn.unit() {
 			if err := segcodec.Detect(e.Data).Decode(bytes.NewReader(e.Data), union); err != nil {
 				t.Fatal(err)
 			}

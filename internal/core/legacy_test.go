@@ -392,9 +392,9 @@ func encodeMixedPack(t *testing.T, files map[string][]byte, level int) (map[stri
 	t.Helper()
 	out, segs := map[string][]byte{}, map[string][]byte{}
 	for name, data := range files {
-		switch _, seg, _, _ := parseStoreName(name); {
-		case filepath.Ext(name) == segcodec.Pack.Ext():
-		case seg >= 0:
+		switch n, _ := parseStoreName(name); n.kind {
+		case kindPack:
+		case kindSegment:
 			segs[name] = data
 		default:
 			out[name] = data

@@ -5,7 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
-	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,8 +32,8 @@ import (
 // loss.
 
 // chainSidecarExt is the extension appended to a text store file's name to
-// form its integrity sidecar. It is not a codec extension, so sidecars are
-// invisible to merging, listing, and TotalBytes.
+// form its integrity sidecar. The name grammar (layout.go) marks a sidecar
+// name as one, so no read decodes it and TotalBytes does not count it.
 const chainSidecarExt = ".sum"
 
 const sidecarHeader = "provio-chain v1"
@@ -140,62 +140,26 @@ func parseSidecar(data []byte) (sidecarInfo, error) {
 // sidecarName is the name of a store file's sidecar.
 func sidecarName(name string) string { return name + chainSidecarExt }
 
-// trimSidecar returns the companion file name of a sidecar name, and whether
-// the name was one.
-func trimSidecar(name string) (string, bool) { return strings.CutSuffix(name, chainSidecarExt) }
-
-// isLegacyText reports whether a pack member or store file name is a text
-// store file or a sidecar: what a pbs pack never holds.
-func isLegacyText(name string) bool {
-	if base, isSum := trimSidecar(name); isSum {
-		return isCodecFile(base)
-	}
-	ext := filepath.Ext(name)
-	return ext == segcodec.Turtle.Ext() || ext == segcodec.NTriples.Ext()
-}
-
 // refuseLegacyText is PackSegments' gate: a pack takes pbs files only, so the
-// first text file or sidecar among the names to fold refuses the pack.
-func refuseLegacyText(names []string) error {
-	for _, n := range names {
-		if isLegacyText(n) {
-			return fmt.Errorf("core: %s is a text store file and a pack takes pbs files only: run provio-merge -compact first", n)
+// first text file or sidecar among the files to fold refuses the pack.
+func refuseLegacyText(files []layoutFile) error {
+	for _, f := range files {
+		if f.sum || f.text() {
+			return fmt.Errorf("core: %s is a text store file and a pack takes pbs files only: run provio-merge -compact first", f.name)
 		}
 	}
 	return nil
-}
-
-// addSidecar records a sidecar the read pass found. A second copy of one name
-// (a pack member and a loose file) must be byte-identical.
-func (a *storeAudit) addSidecar(name string, data []byte, src string) {
-	if prev, ok := a.sums[name]; ok {
-		if !bytes.Equal(prev, data) {
-			a.addPackDefect(DefectTampered, name,
-				"sidecar copies differ between %s and %s", a.sumFrom[name], src)
-		}
-		return
-	}
-	a.sums[name] = data
-	a.sumFrom[name] = src
-}
-
-// flagPlantedSidecar flags a sidecar next to a binary file: binary files are
-// sealed in-band, so no write ever produced it.
-func (f *auditFile) flagPlantedSidecar(sums map[string][]byte) {
-	if sumName := sidecarName(f.name); sums[sumName] != nil {
-		f.flag(DefectOrphaned, sumName, "unexpected sidecar next to a binary file")
-	}
 }
 
 // checkText checks a text store file: its sidecar seal, when it has one,
 // against the file's bytes, then the parse. keep retains the parsed triples
 // in segment shape, which is how Compact folds them and how a pack's stats
 // check compares them.
-func (f *auditFile) checkText(sums map[string][]byte, keep bool) {
+func (f *auditFile) checkText(sums map[string]*auditFile, keep bool) {
 	name, data := f.name, f.data
-	if sumData, ok := sums[sidecarName(name)]; ok {
-		f.sumName = sidecarName(name)
-		si, err := parseSidecar(sumData)
+	if sum, ok := sums[sidecarName(name)]; ok {
+		f.sumName = sum.name
+		si, err := parseSidecar(sum.data)
 		switch {
 		case err != nil:
 			f.flag(DefectTampered, f.sumName, "sidecar: %v", err)
@@ -229,12 +193,12 @@ func (f *auditFile) withSidecar() []string {
 }
 
 // routeSidecars charges every sidecar whose companion file is gone to its
-// process. audited holds the name of every file the audit examines.
-func (a *storeAudit) routeSidecars(audited map[string]int, pidOf func(pid int) *pidAudit) {
-	for sumName := range a.sums {
-		pid, seg, _, _ := parseStoreName(sumName)
-		fileName, _ := trimSidecar(sumName)
-		if _, present := audited[fileName]; present {
+// process; it runs once each process's files are sorted.
+func (a *storeAudit) routeSidecars(pidOf func(pid int) *pidAudit) {
+	for sumName, sum := range a.sums {
+		pid, seg := sum.pid, sum.seg
+		fileName := strings.TrimSuffix(sumName, chainSidecarExt)
+		if a.audited[fileName] != nil {
 			continue
 		}
 		pa := pidOf(pid)
@@ -242,14 +206,8 @@ func (a *storeAudit) routeSidecars(audited map[string]int, pidOf func(pid int) *
 		// next to a canonical file, is the residue of a crash inside segment
 		// removal — the segment goes before its sidecar, so the sidecar can
 		// outlive it. It references superseded history: GC material, not
-		// evidence of loss.
-		minSeg := -1
-		for _, sf := range pa.segs {
-			if minSeg == -1 || sf.seg < minSeg {
-				minSeg = sf.seg
-			}
-		}
-		stale := len(pa.canonicals) > 0 && seg >= 0 && (minSeg == -1 || seg < minSeg)
+		// evidence of loss. pa.segs is sorted by segment number.
+		stale := len(pa.canonicals) > 0 && seg >= 0 && (len(pa.segs) == 0 || seg < pa.segs[0].seg)
 		if stale {
 			pa.staleSums = append(pa.staleSums, sumName)
 		} else {
@@ -269,31 +227,21 @@ func (s *Store) removeWithSidecar(f *auditFile) error {
 	return s.backend.Remove(s.path(f.name))
 }
 
-// segmentRemovalOrder picks, from a store listing, the delta segment files
-// whose names start with prefix and the sidecars of text ones, in the order
-// RemoveSegments deletes them: each sidecar just before its segment, and a
-// sidecar whose segment is already gone where it lists.
-func segmentRemovalOrder(names []string, prefix string) []string {
-	present := make(map[string]bool, len(names))
-	for _, n := range names {
-		present[n] = true
-	}
+// segmentRemovalOrder picks, from a store listing, pid's delta segment files
+// and the sidecars of text ones, in the order RemoveSegments deletes them:
+// each sidecar just before its segment, and a sidecar whose segment is
+// already gone where it lists. A sidecar lists right after its segment (no
+// other store name sorts between them), so that is where it moves from.
+func segmentRemovalOrder(files []layoutFile, pid int) []string {
 	var out []string
-	for _, n := range names {
-		if !strings.HasPrefix(n, prefix) {
+	for _, f := range files {
+		if f.kind != kindSegment || f.pid != pid {
 			continue
 		}
-		base, isSum := trimSidecar(n)
-		switch {
-		case isSum && (!isCodecFile(base) || present[base]):
-			// Not a store sidecar, or removed just before its segment below.
-		case isSum:
-			out = append(out, n)
-		case isCodecFile(n):
-			if present[sidecarName(n)] {
-				out = append(out, sidecarName(n))
-			}
-			out = append(out, n)
+		if n := len(out); f.sum && n > 0 && sidecarName(out[n-1]) == f.name {
+			out = slices.Insert(out, n-1, f.name)
+		} else {
+			out = append(out, f.name)
 		}
 	}
 	return out

@@ -44,8 +44,8 @@ func newLegacyTextBackend(inner Backend, canonical segcodec.Codec) *legacyTextBa
 }
 
 func (b *legacyTextBackend) WriteFile(path string, data []byte) error {
-	_, seg, isSum, ok := parseStoreName(filepath.Base(path))
-	if !ok || isSum || filepath.Ext(path) != segcodec.Binary.Ext() {
+	n, ok := parseStoreName(filepath.Base(path))
+	if !ok || n.sum || n.text() {
 		return b.Backend.WriteFile(path, data)
 	}
 	cols, err := segcodec.DecodeColumns(data)
@@ -55,7 +55,7 @@ func (b *legacyTextBackend) WriteFile(path string, data []byte) error {
 	g := rdf.NewGraph()
 	cols.Materialize(g)
 	codec := segcodec.NTriples
-	if seg < 0 {
+	if n.kind == kindCanonical {
 		codec = b.canonical
 	}
 	var text bytes.Buffer

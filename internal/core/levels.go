@@ -3,8 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 
 	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
@@ -23,26 +23,6 @@ import (
 // ErrNothingToPack is returned by PackSegments when the store holds no
 // segments or lower-level packs to fold.
 var ErrNothingToPack = errors.New("core: no segments to pack at this level")
-
-// packName formats a pack file name. The "prov_p" prefix keeps packs inside
-// the store's provenance-file listing (exhaustive merges pick them up through
-// the codec registry); the name deliberately matches neither the canonical
-// nor the segment pattern, so per-process chain logic never mistakes a pack
-// for chain history.
-func packName(level, seq int) string {
-	return fmt.Sprintf("prov_pack.l%02d.%04d%s", level, seq, segcodec.Pack.Ext())
-}
-
-// parsePackName is packName's inverse; ok is false for non-pack names.
-func parsePackName(name string) (level, seq int, ok bool) {
-	if _, err := fmt.Sscanf(name, "prov_pack.l%02d.%04d.psk", &level, &seq); err != nil {
-		return 0, 0, false
-	}
-	if name != packName(level, seq) {
-		return 0, 0, false
-	}
-	return level, seq, true
-}
 
 // PackSegments folds every loose delta segment and every pack below the
 // target level into one new level-`level` pack, then removes the sources. It
@@ -68,73 +48,55 @@ func (s *Store) PackSegments(level int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var defects []Defect
-	for _, pa := range a.pids {
-		defects = append(defects, pa.defects...)
-	}
-	defects = append(defects, a.packDefects...)
-	if len(defects) > 0 {
-		sortDefects(defects)
-		return "", &IntegrityError{Defects: defects}
+	if err := a.refuseDefects(); err != nil {
+		return "", err
 	}
 
 	maxSeq := -1
-	var loose, oldPacks []string  // sources to remove
-	fold := make(map[string]bool) // member names of the new pack
+	var loose, oldPacks []string // sources to remove
+	var members []layoutFile     // of the new pack
 	for _, p := range a.packs {
-		lvl, seq, _ := parsePackName(p.name)
-		if lvl == level && seq > maxSeq {
-			maxSeq = seq
+		if p.level == level && p.seq > maxSeq {
+			maxSeq = p.seq
 		}
-		if lvl >= level {
+		if p.level >= level {
 			continue
 		}
 		for _, m := range p.members {
-			fold[m] = true
+			if m != nil { // a foreign name is a defect, refused above
+				members = append(members, m.layoutFile)
+			}
 		}
 		oldPacks = append(oldPacks, p.name)
 	}
-	for _, n := range a.loose {
-		if _, seg, _, _ := parseStoreName(n); seg < 0 {
-			continue // canonical files stay loose
+	for _, f := range a.layout.files {
+		if f.kind == kindSegment { // canonical files stay loose
+			members = append(members, f)
+			loose = append(loose, f.name)
 		}
-		fold[n] = true
-		loose = append(loose, n)
 	}
-	sort.Strings(loose)
-	if len(fold) == 0 {
+	if len(members) == 0 {
 		return "", ErrNothingToPack
 	}
 
-	// Deterministic member order; zero-padded names sort by (pid, seg). A
-	// name the audit holds several copies of (loose and packed) holds
-	// byte-identical ones, or it would have reported a defect above.
-	memberNames := make([]string, 0, len(fold))
-	for n := range fold {
-		memberNames = append(memberNames, n)
-	}
-	sort.Strings(memberNames)
-	if err := refuseLegacyText(memberNames); err != nil {
+	// Deterministic member order: the names' sorted order, which is (pid,
+	// seg) order below pid 10^6 and seg 10^4. A name the audit holds several
+	// copies of (loose and packed) holds byte-identical ones, or it would
+	// have reported a defect above, so one copy stands for all.
+	sort.Slice(members, func(i, j int) bool { return members[i].name < members[j].name })
+	members = slices.CompactFunc(members, func(x, y layoutFile) bool { return x.name == y.name })
+	if err := refuseLegacyText(members); err != nil {
 		return "", err
 	}
-	files := make(map[string]*auditFile)
-	for _, pa := range a.pids {
-		for _, f := range pa.canonicals {
-			files[f.name] = f
-		}
-		for _, f := range pa.segs {
-			files[f.name] = f
-		}
-	}
-	ordered := make([]segcodec.PackEntry, 0, len(fold))
+	ordered := make([]segcodec.PackEntry, 0, len(members))
 	var contents []*segcodec.Columns // what the pack-level union stats cover
-	for _, n := range memberNames {
-		f := files[n]
+	for _, m := range members {
+		f := a.audited[m.name]
 		if f.cols.Version != segcodec.PBSVersion {
 			return "", fmt.Errorf("core: %s is pbs v%d and a pack takes v%d files only: run provio-merge -compact first",
-				n, f.cols.Version, segcodec.PBSVersion)
+				m.name, f.cols.Version, segcodec.PBSVersion)
 		}
-		ordered = append(ordered, segcodec.PackEntry{Name: n, Data: f.data, Stats: f.cols.Stats})
+		ordered = append(ordered, segcodec.PackEntry{Name: m.name, Data: f.data, Stats: f.cols.Stats})
 		contents = append(contents, f.cols)
 	}
 	packStats := segcodec.UnionStats(contents, runtime.GOMAXPROCS(0))
@@ -163,47 +125,41 @@ type LevelInfo struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// Levels reports the store's leveled layout for tooling (provio-stats). It
-// runs off the same single List+Stat pass TotalBytes uses.
+// Levels reports the store's leveled layout for tooling (provio-stats): one
+// listing, a Stat per file, and a header read per pack.
 func (s *Store) Levels() ([]LevelInfo, error) {
-	files, err := s.sizedSubgraphFiles()
+	files, sizes, err := s.stored()
 	if err != nil {
 		return nil, err
 	}
-	byLevel := map[int]*LevelInfo{}
+	out := []LevelInfo{} // sorted by level
 	at := func(l int) *LevelInfo {
-		li := byLevel[l]
-		if li == nil {
-			li = &LevelInfo{Level: l}
-			byLevel[l] = li
+		i := sort.Search(len(out), func(i int) bool { return out[i].Level >= l })
+		if i == len(out) || out[i].Level != l {
+			out = slices.Insert(out, i, LevelInfo{Level: l})
 		}
-		return li
+		return &out[i]
 	}
-	for _, f := range files {
-		if filepath.Ext(f.path) == segcodec.Pack.Ext() {
-			h, _, err := s.readPackHeader(f.path)
-			if err != nil {
-				return nil, err
-			}
-			li := at(h.Level)
+	for i, f := range files {
+		if f.kind != kindPack {
+			li := at(0)
 			li.Files++
-			li.Bytes += f.size
-			for _, m := range h.Members {
-				if isCodecFile(m.Name) {
-					li.Units++
-				}
-			}
+			li.Units++
+			li.Bytes += sizes[i]
 			continue
 		}
-		li := at(0)
+		h, _, err := s.readPackHeader(s.path(f.name))
+		if err != nil {
+			return nil, err
+		}
+		li := at(h.Level)
 		li.Files++
-		li.Units++
-		li.Bytes += f.size
+		li.Bytes += sizes[i]
+		for _, m := range h.Members {
+			if n, ok := parseStoreName(m.Name); ok && n.unit() {
+				li.Units++
+			}
+		}
 	}
-	out := make([]LevelInfo, 0, len(byLevel))
-	for _, li := range byLevel {
-		out = append(out, *li)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Level < out[j].Level })
 	return out, nil
 }

@@ -112,10 +112,7 @@ func mergeFiles(s *Store, files []string, workers int) (*rdf.Graph, error) {
 // triple-identical graphs — graph union commutes.
 func TestMergeOrderIndependent(t *testing.T) {
 	store := buildMultiProcessStore(t, 7)
-	files, err := store.subgraphFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := provFiles(t, store)
 	if len(files) < 4 {
 		t.Fatalf("want several files, got %v", files)
 	}
@@ -175,10 +172,7 @@ func TestCompactFoldsSegments(t *testing.T) {
 	if err := store.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	files, err := store.subgraphFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := provFiles(t, store)
 	for _, f := range files {
 		if bytes.Contains([]byte(f), []byte(".seg")) {
 			t.Errorf("segment survived compaction: %s", f)

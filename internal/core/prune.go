@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -236,12 +235,11 @@ func (s *Store) readPackHeader(path string) (h *segcodec.PackHeader, data []byte
 		h, err = segcodec.DecodePackHeader(data)
 		size = int64(len(data))
 	}
+	if err == nil {
+		err = checkPackSize(h, size)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s: %w", path, err)
-	}
-	if size != h.WantSize {
-		return nil, nil, fmt.Errorf("core: %s: file is %d bytes, pack header implies %d: %w",
-			path, size, h.WantSize, segcodec.ErrTruncated)
 	}
 	return h, data, nil
 }
@@ -324,15 +322,20 @@ func (s *Store) decodeInto(u *scanUnit, g *rdf.Graph) error {
 // footer — and the bytes are kept on the unit so a later decode does not
 // re-read them.
 func (s *Store) listUnits() (*unitList, error) {
-	files, err := s.subgraphFiles()
+	lay, err := s.listLayout()
 	if err != nil {
 		return nil, err
 	}
-	l := &unitList{files: len(files)}
-	for _, f := range files {
-		if filepath.Ext(f) == segcodec.Pack.Ext() {
+	l := &unitList{}
+	for _, f := range lay.files {
+		if f.sum {
+			continue // a text file's seal, not provenance
+		}
+		l.files++
+		path := s.path(f.name)
+		if f.kind == kindPack {
 			l.packs++
-			h, data, err := s.readPackHeader(f)
+			h, data, err := s.readPackHeader(path)
 			if err != nil {
 				return nil, err
 			}
@@ -342,10 +345,10 @@ func (s *Store) listUnits() (*unitList, error) {
 			}
 			for i := range h.Members {
 				m := &h.Members[i]
-				if !isCodecFile(m.Name) {
-					continue // opaque member (.sum sidecar)
+				if n, ok := parseStoreName(m.Name); !ok || !n.unit() {
+					continue // a sidecar, or a name the audit flags
 				}
-				u := &scanUnit{path: f, member: m.Name, off: m.Off, size: m.Size, level: h.Level,
+				u := &scanUnit{path: path, member: m.Name, off: m.Off, size: m.Size, level: h.Level,
 					packSize: h.WantSize, packStats: packStats}
 				if m.HasStats {
 					u.stats = &m.Stats
@@ -357,11 +360,11 @@ func (s *Store) listUnits() (*unitList, error) {
 			}
 			continue
 		}
-		data, err := s.backend.ReadFile(f)
+		data, err := s.backend.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		u := &scanUnit{path: f, size: int64(len(data)), data: data}
+		u := &scanUnit{path: path, size: int64(len(data)), data: data}
 		if fst, ok := segcodec.StatsOf(data); ok {
 			u.stats = &fst
 		}

@@ -67,7 +67,7 @@ func TestPackPreservesHeadsAndMerge(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PackSegments(%d): %v", level, err)
 		}
-		if lvl, _, ok := parsePackName(name); !ok || lvl != level {
+		if n, ok := parseStoreName(name); !ok || n.kind != kindPack || n.level != level {
 			t.Fatalf("pack name %q does not parse back to level %d", name, level)
 		}
 		rep := mustVerify(t, store)
@@ -94,10 +94,7 @@ func TestPackPreservesHeadsAndMerge(t *testing.T) {
 	}
 
 	// Loose segments are gone; the canonical anchors stay loose.
-	files, err := store.subgraphFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := provFiles(t, store)
 	packs, canonicals := 0, 0
 	for _, f := range files {
 		switch {
@@ -140,10 +137,7 @@ func TestCompactFoldsPacks(t *testing.T) {
 	if err := store.Compact(); err != nil {
 		t.Fatalf("Compact on packed store: %v", err)
 	}
-	files, err := store.subgraphFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := provFiles(t, store)
 	for _, f := range files {
 		if strings.HasSuffix(f, segcodec.Pack.Ext()) {
 			t.Fatalf("pack survived Compact: %s", f)
@@ -252,7 +246,7 @@ func TestMixedFormatPruningNeverDropsResults(t *testing.T) {
 	files := storeFiles(t, store)
 	pack := referencePack(t, files, 1)
 	for n := range files {
-		if _, seg, _, _ := parseStoreName(n); seg >= 0 {
+		if sn, _ := parseStoreName(n); sn.kind == kindSegment {
 			delete(files, n)
 		}
 	}
@@ -516,10 +510,7 @@ func TestStatsFrameCorruptionMatrix(t *testing.T) {
 	if err := writeDelta(store, 0, 0, triples); err != nil {
 		t.Fatal(err)
 	}
-	files, err := store.subgraphFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := provFiles(t, store)
 	var segPath string
 	for _, f := range files {
 		if strings.Contains(f, ".seg") {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/hpc-io/prov-io/internal/backend"
@@ -170,11 +169,6 @@ func (s *Store) Backend() StoreBackend { return s.backend }
 // path returns the path of a file in the store directory.
 func (s *Store) path(name string) string { return filepath.ToSlash(filepath.Join(s.dir, name)) }
 
-// processFile returns the sub-graph file path for a process.
-func (s *Store) processFile(pid int) string {
-	return s.path(fmt.Sprintf("prov_p%06d%s", pid, segcodec.Binary.Ext()))
-}
-
 // WriteSubgraph serializes a process sub-graph to its canonical store file,
 // replacing any previous flush from the same process. The write seals a new
 // chain root: its seal's prev is the chain head it supersedes, which is what
@@ -185,57 +179,57 @@ func (s *Store) WriteSubgraph(pid int, g *rdf.Graph) error {
 	if err := segcodec.Binary.Encode(&buf, g, nil); err != nil {
 		return err
 	}
-	return s.writeChained(s.processFile(pid), buf.Bytes(), true, 0, pid)
+	return s.writeChained(canonicalName(pid), buf.Bytes(), true, 0, pid)
 }
 
 // chainPrevLocked returns pid's current chain head, lazily initializing it
 // for a store object that did not write the history so far (a restarted
 // process, a recovery tool): the chain continues from the digest of the
-// pid's existing canonical file — a pbs one first, then one of an older
-// codec — or from zero for a brand-new process. Caller holds s.chainMu.
-func (s *Store) chainPrevLocked(pid int) [32]byte {
+// pid's existing loose canonical file — a pbs one first, then one of an
+// older codec — or from zero for a brand-new process. Caller holds
+// s.chainMu.
+func (s *Store) chainPrevLocked(pid int) ([32]byte, error) {
 	if h, ok := s.chainHead[pid]; ok {
-		return h
+		return h, nil
+	}
+	l, err := s.listLayout()
+	if err != nil {
+		return [32]byte{}, err
 	}
 	var head [32]byte
-	base := fmt.Sprintf("prov_p%06d", pid)
-	exts := []string{segcodec.Binary.Ext()}
-	for _, c := range segcodec.All() {
-		if c != segcodec.Binary {
-			exts = append(exts, c.Ext())
+	from := ""
+	for _, f := range l.files {
+		if f.kind == kindCanonical && f.pid == pid && !f.sum && (from == "" || !f.text()) {
+			from = f.name
 		}
 	}
-	for _, ext := range exts {
-		data, err := s.backend.ReadFile(s.path(base + ext))
-		if err == nil {
-			head = fileDigest(data)
-			break
+	if from != "" {
+		data, err := s.backend.ReadFile(s.path(from))
+		if err != nil {
+			return head, err
 		}
+		head = fileDigest(data)
 	}
 	s.chainHead[pid] = head
-	return head
+	return head, nil
 }
 
 // writeChained writes one pbs file sealed into pid's hash chain: the seal is
 // a trailing chain frame, so file and seal land in one atomic write.
-func (s *Store) writeChained(path string, payload []byte, root bool, seq uint64, pid int) error {
+func (s *Store) writeChained(name string, payload []byte, root bool, seq uint64, pid int) error {
 	s.chainMu.Lock()
 	defer s.chainMu.Unlock()
-	sealed := segcodec.AppendChain(payload, segcodec.Chain{Root: root, Seq: seq, Prev: s.chainPrevLocked(pid)})
-	if err := s.backend.WriteFile(path, sealed); err != nil {
+	prev, err := s.chainPrevLocked(pid)
+	if err != nil {
+		return err
+	}
+	sealed := segcodec.AppendChain(payload, segcodec.Chain{Root: root, Seq: seq, Prev: prev})
+	if err := s.backend.WriteFile(s.path(name), sealed); err != nil {
 		return err
 	}
 	s.chainHead[pid] = fileDigest(sealed)
 	return nil
 }
-
-// segmentFile returns the path of one delta segment of a process.
-func (s *Store) segmentFile(pid, seg int) string {
-	return s.path(fmt.Sprintf("prov_p%06d.seg%04d%s", pid, seg, segcodec.Binary.Ext()))
-}
-
-// segmentPrefix is the file-name prefix of every delta segment of pid.
-func segmentPrefix(pid int) string { return fmt.Sprintf("prov_p%06d.seg", pid) }
 
 // WriteDeltaSegmentRefs appends one delta segment for a process: the
 // insertion-log refs a periodic flush captured since the previous flush.
@@ -251,50 +245,28 @@ func (s *Store) WriteDeltaSegmentRefs(pid, seg int, refs []rdf.TripleID, r *rdf.
 	if err := segcodec.Binary.(segcodec.RefsEncoder).EncodeRefs(&buf, refs, r.Graph()); err != nil {
 		return err
 	}
-	return s.writeChained(s.segmentFile(pid, seg), buf.Bytes(), false, uint64(seg), pid)
+	return s.writeChained(segmentName(pid, seg), buf.Bytes(), false, uint64(seg), pid)
 }
 
 // RemoveSegments deletes every delta segment of a process (after its
 // contents were folded into the canonical file), and the sidecars of text
 // segments an older build wrote, each before its segment.
 func (s *Store) RemoveSegments(pid int) error {
-	names, err := s.backend.List(s.dir)
+	l, err := s.listLayout()
 	if err != nil {
 		return err
 	}
-	for _, n := range segmentRemovalOrder(names, segmentPrefix(pid)) {
+	return s.removeSegments(l, pid)
+}
+
+// removeSegments deletes pid's delta segments as the listing l saw them.
+func (s *Store) removeSegments(l *storeLayout, pid int) error {
+	for _, n := range segmentRemovalOrder(l.files, pid) {
 		if err := s.backend.Remove(s.path(n)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// isCodecFile reports whether a file name carries a registered codec
-// extension — the single source of truth for which store files hold
-// provenance, shared by sub-graph listing and segment removal.
-func isCodecFile(name string) bool {
-	_, ok := segcodec.ByExt(filepath.Ext(name))
-	return ok
-}
-
-// subgraphFiles lists the per-process provenance files in the store,
-// including delta segments not yet compacted. Accepted extensions come from
-// the codec registry, so new codecs are picked up without touching the
-// listing logic.
-func (s *Store) subgraphFiles() ([]string, error) {
-	names, err := s.backend.List(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, n := range names {
-		if strings.HasPrefix(n, "prov_p") && isCodecFile(n) {
-			out = append(out, s.path(n))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // Merge parses every per-process sub-graph (canonical files and pending
@@ -351,14 +323,8 @@ func (s *Store) Compact() error {
 			return err
 		}
 	}
-	var defects []Defect
-	for _, pa := range a.pids {
-		defects = append(defects, pa.defects...)
-	}
-	defects = append(defects, a.packDefects...)
-	if len(defects) > 0 {
-		sortDefects(defects)
-		return &IntegrityError{Defects: defects}
+	if err := a.refuseDefects(); err != nil {
+		return err
 	}
 
 	pids := make([]int, 0, len(a.pids))
@@ -382,19 +348,11 @@ func (s *Store) Compact() error {
 		// re-encode, no new seal — so chain heads survive a cross-backend
 		// migration byte-for-byte.
 		if !dirty && mis != nil {
-			var moves []string
 			for _, c := range pa.canonicals {
 				if p := s.path(c.name); mis.Misplaced(p) {
-					moves = append(moves, p)
-				}
-			}
-			for _, p := range moves {
-				data, err := s.backend.ReadFile(p)
-				if err != nil {
-					return err
-				}
-				if err := s.backend.WriteFile(p, data); err != nil {
-					return err
+					if err := s.backend.WriteFile(p, c.data); err != nil {
+						return err
+					}
 				}
 			}
 		}
@@ -415,14 +373,14 @@ func (s *Store) Compact() error {
 		if err := s.WriteSubgraph(pid, g); err != nil {
 			return err
 		}
-		if err := s.RemoveSegments(pid); err != nil {
+		if err := s.removeSegments(a.layout, pid); err != nil {
 			return err
 		}
 		// Drop the text canonical files the rewrite replaced, their sidecars
 		// included. Packed copies have no loose file to remove — their
 		// container goes below.
 		for _, c := range pa.canonicals {
-			if c.name == filepath.Base(s.processFile(pid)) || c.packed != "" {
+			if !c.text() || c.packed != "" {
 				continue
 			}
 			if err := s.removeWithSidecar(c); err != nil {
@@ -457,44 +415,15 @@ func (s *Store) WriteMergedParallel(workers int) (*rdf.Graph, error) {
 	return g, nil
 }
 
-// sizedFile is one provenance file with its size, from a single List+Stat
-// pass shared by TotalBytes and Levels (one round of backend metadata
-// traffic instead of one per consumer — visible on mount:/file: backends
-// where List re-reads the archive journal).
-type sizedFile struct {
-	path string
-	size int64
-}
-
-// sizedSubgraphFiles lists the store's provenance files with their sizes.
-func (s *Store) sizedSubgraphFiles() ([]sizedFile, error) {
-	files, err := s.subgraphFiles()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]sizedFile, len(files))
-	for i, f := range files {
-		n, err := s.backend.Stat(f)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = sizedFile{path: f, size: n}
-	}
-	return out, nil
-}
-
 // TotalBytes returns the summed size of all per-process provenance files —
 // the storage metric of the paper's Figure 7.
 func (s *Store) TotalBytes() (int64, error) {
-	files, err := s.sizedSubgraphFiles()
-	if err != nil {
-		return 0, err
-	}
+	_, sizes, err := s.stored()
 	var total int64
-	for _, f := range files {
-		total += f.size
+	for _, n := range sizes {
+		total += n
 	}
-	return total, nil
+	return total, err
 }
 
 // TextBytes returns the size of g encoded by a text codec under the PROV-IO

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -149,7 +148,8 @@ func (r *VerifyReport) FormatHeads() []byte {
 	return []byte(b.String())
 }
 
-// ParseHeads parses a FormatHeads document.
+// ParseHeads parses a FormatHeads document. A pid reads as the store name
+// grammar reads one (cutPadded), so every pid FormatHeads writes parses.
 func ParseHeads(data []byte) (map[int][32]byte, error) {
 	heads := make(map[int][32]byte)
 	for ln, line := range strings.Split(string(data), "\n") {
@@ -157,13 +157,13 @@ func ParseHeads(data []byte) (map[int][32]byte, error) {
 		if line == "" {
 			continue
 		}
-		var pid int
-		var hx string
-		if _, err := fmt.Sscanf(line, "p%06d %s", &pid, &hx); err != nil {
+		p, hx, _ := strings.Cut(line, " ")
+		pid, rest, ok := cutPadded(strings.TrimPrefix(p, "p"), 6)
+		if !ok || rest != "" || !strings.HasPrefix(p, "p") {
 			return nil, fmt.Errorf("heads line %d: %q", ln+1, line)
 		}
 		var h [32]byte
-		if err := parseDigest(hx, &h); err != nil {
+		if err := parseDigest(strings.TrimSpace(hx), &h); err != nil {
 			return nil, fmt.Errorf("heads line %d: %v", ln+1, err)
 		}
 		heads[pid] = h
@@ -249,9 +249,7 @@ func (s *Store) VerifyAgainst(heads map[int][32]byte) (*VerifyReport, error) {
 
 // auditFile is one examined store file.
 type auditFile struct {
-	pid     int
-	name    string
-	seg     int // segment number, -1 for a canonical file
+	layoutFile
 	data    []byte
 	digest  [32]byte
 	meta    *segcodec.Chain // seal (embedded frame or sidecar), nil if unsealed
@@ -299,54 +297,35 @@ type storeAudit struct {
 	files, sealed, segments int
 	pbsVersions             map[byte]int // intact binary files by format version
 	// What the one read pass saw, for the maintenance steps that run on an
-	// audit instead of listing and reading the store again: the pack
-	// containers with their member names (nil for an unreadable header), the
-	// loose store files in listing order, and every text-file sidecar's bytes
-	// by name, with where it was read.
-	packs   []auditPack
-	loose   []string
-	sums    map[string][]byte
-	sumFrom map[string]string
+	// audit instead of listing and reading the store again: the listing, the
+	// pack containers, and every text-file sidecar by name.
+	layout *storeLayout
+	packs  []auditPack
+	sums   map[string]*auditFile
+	// audited is every file the check pass audited, by name; inPack the
+	// names some pack holds.
+	audited map[string]*auditFile
+	inPack  map[string]bool
 	// packDefects are structural findings against pack containers themselves
 	// (unreadable header, foreign member names, conflicting duplicates) —
-	// kept apart from per-pid defects so they never perturb chain heads.
+	// kept apart from per-pid defects so they never perturb chain heads —
+	// and names that claim to be store files but are not.
 	packDefects []Defect
 }
 
 // auditPack is one pack container the audit read.
 type auditPack struct {
-	name    string
-	members []string // member names, sidecars included
-	// header is the decoded header (nil when unreadable); files[i] is the
-	// audited file of header.Members[i], nil for a sidecar or a foreign name.
-	header *segcodec.PackHeader
-	files  []*auditFile
+	layoutFile
+	// header is the decoded header (nil when unreadable); members[i] is
+	// header.Members[i] as the read pass found it, nil for a foreign name.
+	header  *segcodec.PackHeader
+	members []*auditFile
 }
 
 func (a *storeAudit) addPackDefect(kind DefectKind, name, format string, args ...any) {
 	a.packDefects = append(a.packDefects, Defect{
 		Name: name, Kind: kind, Detail: fmt.Sprintf(format, args...),
 	})
-}
-
-// parseStoreName splits a store file name into its parts. ok is false for
-// names that are not provenance files (merged output, OS temp files, ...).
-func parseStoreName(name string) (pid, seg int, isSum, ok bool) {
-	base, isSum := trimSidecar(name)
-	ext := filepath.Ext(base)
-	if _, codecOK := segcodec.ByExt(ext); !codecOK {
-		return 0, 0, false, false
-	}
-	stem := strings.TrimSuffix(base, ext)
-	if _, err := fmt.Sscanf(stem, "prov_p%06d.seg%04d", &pid, &seg); err == nil &&
-		stem == fmt.Sprintf("prov_p%06d.seg%04d", pid, seg) {
-		return pid, seg, isSum, true
-	}
-	if _, err := fmt.Sscanf(stem, "prov_p%06d", &pid); err == nil &&
-		stem == fmt.Sprintf("prov_p%06d", pid) {
-		return pid, -1, isSum, true
-	}
-	return 0, 0, false, false
 }
 
 // audit reads every provenance file in the store exactly once and checks it,
@@ -359,110 +338,57 @@ func parseStoreName(name string) (pid, seg int, isSum, ok bool) {
 // retains each intact file's decoded content (and the audit keeps every
 // file's bytes regardless) for the fold steps of Compact and PackSegments.
 func (s *Store) audit(keep bool) (*storeAudit, error) {
-	names, err := s.backend.List(s.dir)
+	l, err := s.listLayout()
 	if err != nil {
 		return nil, err
 	}
-	a := &storeAudit{pids: make(map[int]*pidAudit), pbsVersions: make(map[byte]int),
-		sums: make(map[string][]byte), sumFrom: make(map[string]string)}
+	a := &storeAudit{layout: l, pids: make(map[int]*pidAudit), pbsVersions: make(map[byte]int),
+		sums: make(map[string]*auditFile), inPack: make(map[string]bool)}
+	for _, n := range l.orphans {
+		a.addPackDefect(DefectOrphaned, n, "not a store file name: no read decodes it")
+	}
 	var entries []*auditFile // what the read pass found, unchecked
-	for _, n := range names {
-		if _, _, isPack := parsePackName(n); isPack {
-			// A pack container: structural checks here, then its members join
-			// the audit exactly as if they were loose files — packing must be
-			// invisible to chain analysis.
-			data, err := s.backend.ReadFile(filepath.ToSlash(filepath.Join(s.dir, n)))
-			if err != nil {
-				return nil, fmt.Errorf("core: reading %s: %w", n, err)
-			}
-			a.packs = append(a.packs, auditPack{name: n})
-			h, herr := segcodec.DecodePackHeader(data)
-			if herr == nil && int64(len(data)) != h.WantSize {
-				werr := segcodec.ErrCorrupt
-				if int64(len(data)) < h.WantSize {
-					werr = segcodec.ErrTruncated
-				}
-				herr = fmt.Errorf("pack is %d bytes, header implies %d: %w", len(data), h.WantSize, werr)
-			}
-			if herr != nil {
-				kind := DefectTampered
-				if errors.Is(herr, segcodec.ErrTruncated) {
-					kind = DefectTruncated
-				}
-				a.addPackDefect(kind, n, "%v", herr)
-				continue
-			}
-			ap := &a.packs[len(a.packs)-1]
-			ap.header, ap.files = h, make([]*auditFile, len(h.Members))
-			for i, m := range h.Members {
-				ap.members = append(ap.members, m.Name)
-				mdata := data[m.Off : m.Off+m.Size]
-				pid, seg, isSum, ok := parseStoreName(m.Name)
-				if !ok {
-					a.addPackDefect(DefectOrphaned, n, "pack member %s is not a store file name", m.Name)
-					continue
-				}
-				if isSum {
-					a.addSidecar(m.Name, mdata, n)
-					continue
-				}
-				ap.files[i] = &auditFile{pid: pid, name: m.Name, seg: seg, data: mdata, packed: n}
-				entries = append(entries, ap.files[i])
-			}
-			continue
-		}
-		pid, seg, isSum, ok := parseStoreName(n)
-		if !ok {
-			continue
-		}
-		data, err := s.backend.ReadFile(filepath.ToSlash(filepath.Join(s.dir, n)))
+	for _, f := range l.files {
+		data, err := s.backend.ReadFile(s.path(f.name))
 		if err != nil {
-			return nil, fmt.Errorf("core: reading %s: %w", n, err)
+			return nil, fmt.Errorf("core: reading %s: %w", f.name, err)
 		}
-		a.loose = append(a.loose, n)
-		if isSum {
-			a.addSidecar(n, data, "the store directory")
-			continue
+		if f.kind == kindPack {
+			entries = append(entries, a.addPack(f, data)...)
+		} else {
+			entries = append(entries, &auditFile{layoutFile: f, data: data})
 		}
-		entries = append(entries, &auditFile{pid: pid, name: n, seg: seg, data: data})
 	}
 	// Same-name copies (a crash between a pack write and source removal
 	// duplicates members as loose files) audit as one file when byte-identical
-	// — preferring the loose copy, which recovery can remove — and as damage
-	// when they conflict.
-	byName := make(map[string]int, len(entries)) // audited name -> index in deduped
+	// — the first copy, which is the loose one when there is one, since
+	// prov_p<digit> lists before prov_pack — and as damage when they conflict.
+	// Sidecars go to a.sums, the seals the check pass looks up.
+	a.audited = make(map[string]*auditFile, len(entries))
 	deduped := entries[:0:0]
 	for _, e := range entries {
-		i, seen := byName[e.name]
-		if !seen {
-			byName[e.name] = len(deduped)
-			deduped = append(deduped, e)
-			continue
+		seen := a.audited
+		if e.sum {
+			seen = a.sums
 		}
-		if !bytes.Equal(deduped[i].data, e.data) {
+		switch first := seen[e.name]; {
+		case first == nil:
+			seen[e.name] = e
+			if !e.sum {
+				deduped = append(deduped, e)
+			}
+		case !bytes.Equal(first.data, e.data):
 			a.addPackDefect(DefectTampered, e.name, "copies differ between %s and %s",
-				packSrc(deduped[i].packed), packSrc(e.packed))
-			continue
-		}
-		if deduped[i].packed != "" && e.packed == "" {
-			deduped[i] = e
+				packSrc(first.packed), packSrc(e.packed))
 		}
 	}
 	entries = deduped
 	// Check pass: the files are mutually independent, a.sums is read-only from
 	// here on, and a finding is a defect on the file, never an error. A packed
 	// member's content is kept for its pack's stats check below.
-	packed := make(map[string]bool)
-	for _, p := range a.packs {
-		for _, f := range p.files {
-			if f != nil {
-				packed[f.name] = true
-			}
-		}
-	}
-	par.Do(len(entries), runtime.GOMAXPROCS(0), func(i int) { entries[i].check(a.sums, keep || packed[entries[i].name]) })
+	par.Do(len(entries), runtime.GOMAXPROCS(0), func(i int) { entries[i].check(a.sums, keep || a.inPack[entries[i].name]) })
 	for i := range a.packs {
-		a.checkPackStats(&a.packs[i], func(name string) *auditFile { return entries[byName[name]] })
+		a.checkPackStats(&a.packs[i])
 	}
 	// Fold, in entry order.
 	pidOf := func(pid int) *pidAudit {
@@ -490,36 +416,70 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 			pa.canonicals = append(pa.canonicals, f)
 		}
 	}
-	a.routeSidecars(byName, pidOf)
 	for _, pa := range a.pids {
 		sort.Slice(pa.segs, func(i, j int) bool { return pa.segs[i].seg < pa.segs[j].seg })
 		sort.Slice(pa.canonicals, func(i, j int) bool { return pa.canonicals[i].name < pa.canonicals[j].name })
+	}
+	a.routeSidecars(pidOf)
+	for _, pa := range a.pids {
 		s.auditChain(pa)
 		sortDefects(pa.defects)
 	}
 	return a, nil
 }
 
+// addPack records a pack container the read pass read: structural checks
+// here, then its members join the audit exactly as if they were loose files —
+// packing must be invisible to chain analysis. It returns the members to
+// audit.
+func (a *storeAudit) addPack(f layoutFile, data []byte) (audit []*auditFile) {
+	a.packs = append(a.packs, auditPack{layoutFile: f})
+	h, err := segcodec.DecodePackHeader(data)
+	if err == nil {
+		err = checkPackSize(h, int64(len(data)))
+	}
+	if err != nil {
+		kind := DefectTampered
+		if errors.Is(err, segcodec.ErrTruncated) {
+			kind = DefectTruncated
+		}
+		a.addPackDefect(kind, f.name, "%v", err)
+		return nil
+	}
+	p := &a.packs[len(a.packs)-1]
+	p.header, p.members = h, make([]*auditFile, len(h.Members))
+	for i, m := range h.Members {
+		n, ok := parseStoreName(m.Name)
+		if !ok || n.kind == kindPack {
+			a.addPackDefect(DefectOrphaned, f.name, "pack member %s is not a store file name", m.Name)
+			continue
+		}
+		p.members[i] = &auditFile{layoutFile: layoutFile{name: m.Name, storeName: n}, data: data[m.Off : m.Off+m.Size], packed: f.name}
+		a.inPack[m.Name] = true
+		audit = append(audit, p.members[i])
+	}
+	return audit
+}
+
 // checkPackStats holds a readable pack's header stats to its members'
 // contents (segcodec.CheckPackStats): pruned and lazy reads trust the header
 // instead of fetching the members, so a header that says less than they hold
-// drops answers. audited returns the file the check pass audited under a
-// member's name. A pack with a member that has no content to compare — a
+// drops answers. A pack with a member that has no content to compare — a
 // foreign name, an undecodable file, a conflicting copy — is left to that
 // member's own defect.
-func (a *storeAudit) checkPackStats(p *auditPack, audited func(name string) *auditFile) {
+func (a *storeAudit) checkPackStats(p *auditPack) {
 	if p.header == nil {
 		return
 	}
-	members := make([]*segcodec.Columns, len(p.files))
-	for i, pf := range p.files {
+	members := make([]*segcodec.Columns, len(p.members))
+	for i, pf := range p.members {
 		if pf == nil {
-			if _, isSum := trimSidecar(p.header.Members[i].Name); !isSum {
-				return
-			}
+			return
+		}
+		if pf.sum {
 			continue // opaque
 		}
-		f := audited(pf.name)
+		f := a.audited[pf.name]
 		if !bytes.Equal(f.data, pf.data) || f.cols == nil {
 			return
 		}
@@ -542,15 +502,14 @@ func packSrc(pack string) string {
 // read pass supplied the bytes either way). It runs on a pool worker: it
 // reads sums, writes only f, and charges what it finds to f's own defect
 // list.
-func (f *auditFile) check(sums map[string][]byte, keep bool) {
+func (f *auditFile) check(sums map[string]*auditFile, keep bool) {
 	name, seg := f.name, f.seg
 	f.digest = fileDigest(f.data)
 	// The pbs format by name: it is read with its own columnar decode and
 	// in-band seal; anything else is a text file an older build wrote.
-	if filepath.Ext(name) != segcodec.Binary.Ext() {
+	if f.text() {
 		f.checkText(sums, keep)
 	} else {
-		f.flagPlantedSidecar(sums)
 		// Validation needs no graph: the columnar decode makes every check.
 		cols, err := segcodec.DecodeColumns(f.data)
 		if err != nil {
@@ -767,6 +726,20 @@ func (pa *pidAudit) markDroppableTail() {
 		}
 	}
 	pa.drop = tail.withSidecar()
+}
+
+// refuseDefects is the maintenance gate: Compact and PackSegments refuse a
+// store whose audit found any defect.
+func (a *storeAudit) refuseDefects() error {
+	defects := append([]Defect(nil), a.packDefects...)
+	for _, pa := range a.pids {
+		defects = append(defects, pa.defects...)
+	}
+	if len(defects) == 0 {
+		return nil
+	}
+	sortDefects(defects)
+	return &IntegrityError{Defects: defects}
 }
 
 func sortDefects(ds []Defect) {
