@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -372,6 +373,55 @@ func BenchmarkTrackIO(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+		})
+	}
+}
+
+// TestTrackerRankAllocs pins the heap objects one rank of each
+// BenchmarkTrackIO shape costs, its flushes and Drain included: the count
+// behind the harness's track_allocs_per_record. The first two ranks on a
+// store pay for pools and lazy state every later rank shares, so the count is
+// the median of five ranks after those two. Collection is off while they run:
+// a collection during a rank empties the pools, and refilling them adds up to
+// 60 objects to that rank. A term dictionary that grew 16 slot tables of its
+// own read 237–240 for h5bench here (and 654–657 for dassa).
+func TestTrackerRankAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const warm, ranks = 2, 5
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range []struct {
+		name   string
+		track  func(*Store, int) *Tracker
+		budget uint64
+	}{{"h5bench", trackH5benchRank, 200}, {"dassa", trackDassaRank, 750}} {
+		t.Run(c.name, func(t *testing.T) {
+			store, err := OpenStore("mem:", FormatBinary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var counts []uint64
+			for pid := 0; pid < warm+ranks; pid++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				tr := c.track(store, pid)
+				err := tr.Drain()
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = tr.Close() // stops the rank's flush writer
+				if pid >= warm {
+					counts = append(counts, after.Mallocs-before.Mallocs)
+				}
+			}
+			sort.Slice(counts, func(i, j int) bool { return counts[i] < counts[j] })
+			got := counts[ranks/2]
+			t.Logf("%d heap objects for one rank (of %v)", got, counts)
+			if got > c.budget {
+				t.Fatalf("one rank allocates %d heap objects, budget %d", got, c.budget)
+			}
 		})
 	}
 }

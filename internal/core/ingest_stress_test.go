@@ -11,12 +11,12 @@ import (
 )
 
 // TestStressIngestWithConcurrentReaders drives the batched ingest path
-// (AddBatch + striped term dictionary + pooled record scratch) from many
-// writer goroutines while reader goroutines concurrently scan, query, and
-// replay the same live graph. Run under -race in CI, this is the
-// lock-striping torture test: readers take the graph RLock and dictionary shard
-// locks in every order the query planner can produce while writers intern
-// terms and append to the insertion log.
+// (AddBatch + lock-free term dictionary probes + pooled record scratch) from
+// many writer goroutines while reader goroutines concurrently scan, query,
+// and replay the same live graph. Run under -race in CI, this is the ingest
+// torture test: readers take the graph RLock and probe the dictionary in
+// every order the query planner can produce while writers intern terms, grow
+// the dictionary's slot table and append to the insertion log.
 func TestStressIngestWithConcurrentReaders(t *testing.T) {
 	workers, perWorker := 8, 150
 	if testing.Short() {

@@ -14,7 +14,7 @@ import (
 // once the graph is warm and no flush is due. A record's values — its IRI,
 // its literals — are formatted into the pooled scratch and copied into the
 // dictionary's string chunks only when new, so what is left is amortized
-// growth: dictionary chunks, stripe tables, the log and the membership table.
+// growth: dictionary chunks, the slot table, the log and the membership table.
 // A call that builds a string per record again reads 1 or more above its row
 // (TrackIO read 3.02 when each of its three values was a heap string, and
 // 8.07 with a live adjacency index on top).
@@ -131,8 +131,8 @@ func TestRetrackedValuesRetainNothing(t *testing.T) {
 }
 
 // TestDictBytesPerTerm pins what a resident term costs beyond its value
-// bytes: one 24-byte entry plus its share of a stripe's 8-byte slots at
-// 3/8–3/4 load. The budget must hold whatever the toolchain's built-in map
+// bytes: one 24-byte entry plus its share of the slot table's 8-byte slots
+// at 3/8–3/4 load (100 k terms fill 262 144 slots). The budget must hold whatever the toolchain's built-in map
 // looks like — a dictionary that is a map[Term]ID plus a []Term again reads
 // 120–160 B here, depending on that map.
 func TestDictBytesPerTerm(t *testing.T) {

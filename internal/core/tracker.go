@@ -35,8 +35,9 @@ type Tracker struct {
 
 	// seqs holds the per-API invocation counters off the tracker mutex:
 	// apiName -> *atomic.Int64. TrackIO is the hottest tracking call, and
-	// with the graph's own ingest path batched and striped, a shared map
-	// under mu would be the one remaining cross-thread serialization point.
+	// with the graph's own ingest path batched and its term probes lock-free,
+	// a shared map under mu would be the one remaining cross-thread
+	// serialization point.
 	seqs sync.Map
 
 	// render names the graph a delta flush's refs index.
@@ -158,7 +159,7 @@ type recordScratch struct {
 // it) is skipped by the graph and charged like any other.
 func (t *Tracker) addRecord(triples []rdf.TripleID) {
 	// One lock acquisition in the graph for the whole record; interning
-	// happened against the striped dictionary while the record was built.
+	// happened against the dictionary while the record was built.
 	t.graph.AddRefs(triples)
 	var graphSize int
 	if t.charge {

@@ -8,17 +8,6 @@ import (
 	"sync/atomic"
 )
 
-// dictShardCount is the number of stripes in the term dictionary. Interning
-// is the first step of every insert, and before striping all rank threads of
-// a process serialized on the graph mutex just to map terms to IDs. 16 shards
-// push the collision probability low enough that interning is effectively
-// uncontended at realistic thread counts, while keeping the per-graph
-// footprint (16 small slot tables) negligible.
-const (
-	dictShardBits  = 4
-	dictShardCount = 1 << dictShardBits
-)
-
 // dictEntry is a resident term: 24 bytes. Lang and Datatype are not stored
 // per term — a workload has a handful of distinct (Lang, Datatype) pairs, so
 // aux names one in the dictionary's side table (pair aux-1; 0 = both empty).
@@ -30,20 +19,6 @@ type dictEntry struct {
 
 // langType is one distinct (Lang, Datatype) pair of the side table.
 type langType struct{ lang, datatype string }
-
-// dictSlot is one slot of a stripe's open-addressed table: the low 32 bits of
-// the term's hash and 1 + its ID. ref 0 marks an empty slot.
-type dictSlot struct{ hash, ref uint32 }
-
-// dictShard is one stripe: a flat power-of-two slot table under its own
-// read-write lock, probed linearly and kept at most 3/4 full. The read lock
-// is the fast path — after warm-up nearly every record's terms (predicates,
-// class IRIs, repeated subjects) are already interned.
-type dictShard struct {
-	mu    sync.RWMutex
-	slots []dictSlot
-	used  int
-}
 
 const (
 	// The entry table is a directory of chunks that are never moved or
@@ -62,7 +37,8 @@ const (
 	strChunkMinBits = 8
 	strChunkMaxBits = 12
 
-	// minDictSlots is a stripe's initial slot count.
+	// minDictSlots is the slot count of the first table: a decoded unit's
+	// graph with a few terms holds 64 bytes of slots.
 	minDictSlots = 8
 
 	// maxDictTerms is the term-count limit implied by slots storing ID + 1 in
@@ -80,16 +56,25 @@ func locate(id ID) (chunk int, off uint64) {
 	return int(j>>dictChunkMaxBits) + dictChunkMaxBits - dictChunkMinBits - 1, j & (1<<dictChunkMaxBits - 1)
 }
 
-// termDict is the striped, append-only term dictionary shared by Graph and
-// SharedDict. It has two halves:
+// termDict is the append-only term dictionary shared by Graph and SharedDict.
+// It has two halves:
 //
-//   - per-shard slot tables mapping a term's hash to its ID, striped by the
-//     hash's top bits, so concurrent interning by many rank threads does not
-//     serialize;
+//   - one open-addressed slot table mapping a term's hash to its ID, which
+//     readers probe without a lock;
 //   - one append-only ID -> entry table (chunks, aux side table, count) whose
 //     IDs are dense indexes in allocation order, which the query planner and
-//     the insertion log rely on. Writers append under tmu and publish through
-//     the atomics; readers never lock it.
+//     the insertion log rely on.
+//
+// Every write — a new entry, a slot, a grown table — happens under tmu and
+// is published by an atomic store; a hit takes no lock at all. Two orders
+// make that safe:
+//
+//   - an entry is published (n stored) before the slot naming it, so a reader
+//     that loaded the slot and then takes a table view sees the entry;
+//   - a grown slot table is published (one pointer store) after every stored
+//     hash is re-placed in it, so a reader sees a table either before or
+//     after a doubling, whole. A reader still on the old table can miss only
+//     a term whose intern had not returned when it loaded the pointer.
 //
 // A term arrives either as a Term, whose value string the entry then shares
 // with whoever built it, or with its value as bytes (internBytes): the probe
@@ -98,18 +83,14 @@ func locate(id ID) (chunk int, off uint64) {
 // buffer therefore allocates nothing for a term the dictionary already holds
 // and retains nothing of it.
 //
-// Lock ordering: a shard lock may be held while acquiring tmu; tmu is never
-// held while acquiring a shard lock.
-//
-// Terms are never removed and entries are never rewritten, so a table view
-// taken once (snapshot) stays valid forever and a probe under a shard read
-// lock reads entries without further locking: the entry a slot names was
-// published before the slot was written.
-//
-// Nothing iterates a slot table, so nothing observable depends on the seed.
+// Nothing iterates the slot table, so nothing observable depends on the seed.
 type termDict struct {
-	seed   maphash.Seed
-	shards [dictShardCount]dictShard
+	seed maphash.Seed
+
+	// slots is a power-of-two table, probed linearly and kept at most 3/4
+	// full. Each word is a term's 32-bit hash over 1 + its ID; 0 is empty.
+	// A table is replaced, never resized in place.
+	slots atomic.Pointer[[]atomic.Uint64]
 
 	tmu    sync.Mutex
 	auxIDs map[langType]uint32 // pair -> aux; guarded by tmu
@@ -119,17 +100,23 @@ type termDict struct {
 
 	// Append-only and published by atomic store after the write they cover.
 	// chunks and aux are republished only when they grow (an append into
-	// spare capacity lands beyond every published length); n is stored last,
-	// so a reader that loads n first sees chunks and aux covering n entries.
+	// spare capacity lands beyond every published length); n is stored after
+	// both, so a reader that loads n first sees chunks and aux covering n
+	// entries.
 	chunks atomic.Pointer[[][]dictEntry]
 	aux    atomic.Pointer[[]langType]
 	n      atomic.Uint32
 }
 
+// noSlots is every dictionary's table until its first term: empty, so no
+// probe reads it and no write lands in it.
+var noSlots []atomic.Uint64
+
 // init seeds the hash and publishes the empty tables. Called once from
 // NewGraph / NewSharedDict.
 func (d *termDict) init() {
 	d.seed = maphash.MakeSeed()
+	d.slots.Store(&noSlots)
 	d.chunks.Store(new([][]dictEntry))
 	d.aux.Store(new([]langType))
 	d.auxIDs = make(map[langType]uint32)
@@ -137,15 +124,15 @@ func (d *termDict) init() {
 
 // hash mixes all four Term fields: Lang and Datatype by content, not length,
 // so a file with 10⁵ language tags on one lexical form does not pile onto one
-// probe chain. The top bits pick the stripe, the low 32 go into the slot.
-func (d *termDict) hash(t Term) uint64 {
+// probe chain.
+func (d *termDict) hash(t Term) uint32 {
 	return d.hashFrom(maphash.String(d.seed, t.Value), t.Kind, t.Lang, t.Datatype)
 }
 
 // hashFrom finishes a term's hash from the hash of its value: maphash hashes
 // bytes and the string of those bytes alike, so a value held either way
 // hashes to one number.
-func (d *termDict) hashFrom(h uint64, kind TermKind, lang, datatype string) uint64 {
+func (d *termDict) hashFrom(h uint64, kind TermKind, lang, datatype string) uint32 {
 	h ^= uint64(kind) << 56
 	if lang != "" {
 		h = (h ^ maphash.String(d.seed, lang)) * 0x9E3779B97F4A7C15
@@ -153,7 +140,7 @@ func (d *termDict) hashFrom(h uint64, kind TermKind, lang, datatype string) uint
 	if datatype != "" {
 		h = (bits.RotateLeft64(h, 29) ^ maphash.String(d.seed, datatype)) * 0xD6E8FEB86659FD93
 	}
-	return h ^ h>>32
+	return uint32(h ^ h>>32)
 }
 
 // termTable is an immutable view of the ID -> entry table: the first n
@@ -214,83 +201,65 @@ func (d *termDict) snapshot() termTable {
 	return termTable{chunks: *d.chunks.Load(), aux: *d.aux.Load(), n: n}
 }
 
-// find probes sh for t. Caller holds sh.mu (either mode), which also orders
-// this read of the entry table after the publication of every entry sh's
-// slots name.
-func (d *termDict) find(sh *dictShard, h uint32, t Term) (ID, bool) {
-	if len(sh.slots) == 0 {
-		return 0, false
-	}
-	tt := d.snapshot()
-	mask := uint32(len(sh.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		s := sh.slots[i]
-		if s.ref == 0 {
-			return 0, false
+// find probes the slot table for t. The table view is taken after the slot
+// load that names the entry, so it covers that entry.
+func (d *termDict) find(h uint32, t Term) (ID, bool) {
+	slots := *d.slots.Load()
+	mask := uint32(len(slots) - 1)
+	for i := h & mask; len(slots) > 0; i = (i + 1) & mask {
+		w := slots[i].Load()
+		if w == 0 {
+			break
 		}
-		if s.hash == h && tt.holds(ID(s.ref-1), t) {
-			return ID(s.ref - 1), true
+		if uint32(w>>32) == h && d.snapshot().holds(ID(w-1), t) {
+			return ID(w - 1), true
 		}
 	}
+	return 0, false
 }
 
 // findBytes is find for t with string(raw) as its value. It is a copy of the
 // loop, not a parameter of it: every insert of every graph runs find a dozen
 // times, and carrying raw through it cost those probes 7 %.
-func (d *termDict) findBytes(sh *dictShard, h uint32, t Term, raw []byte) (ID, bool) {
-	if len(sh.slots) == 0 {
-		return 0, false
-	}
-	tt := d.snapshot()
-	mask := uint32(len(sh.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		s := sh.slots[i]
-		if s.ref == 0 {
-			return 0, false
+func (d *termDict) findBytes(h uint32, t Term, raw []byte) (ID, bool) {
+	slots := *d.slots.Load()
+	mask := uint32(len(slots) - 1)
+	for i := h & mask; len(slots) > 0; i = (i + 1) & mask {
+		w := slots[i].Load()
+		if w == 0 {
+			break
 		}
-		if s.hash == h && tt.holdsBytes(ID(s.ref-1), t, raw) {
-			return ID(s.ref - 1), true
+		if uint32(w>>32) == h && d.snapshot().holdsBytes(ID(w-1), t, raw) {
+			return ID(w - 1), true
 		}
 	}
+	return 0, false
 }
 
-// place stores s in the first empty slot of its probe sequence.
-func place(slots []dictSlot, s dictSlot) {
+// free returns the first empty slot of h's probe sequence. Caller holds tmu,
+// or owns a table not yet published.
+func free(slots []atomic.Uint64, h uint32) int {
 	mask := uint32(len(slots) - 1)
-	i := s.hash & mask
-	for slots[i].ref != 0 {
+	i := h & mask
+	for slots[i].Load() != 0 {
 		i = (i + 1) & mask
 	}
-	slots[i] = s
+	return int(i)
 }
 
 // lookup returns the ID for t and whether it is interned.
 func (d *termDict) lookup(t Term) (ID, bool) {
-	return d.lookupHashed(d.hash(t), t)
-}
-
-// split returns the stripe a hash selects and the slot hash stored there.
-func (d *termDict) split(h64 uint64) (*dictShard, uint32) {
-	return &d.shards[h64>>(64-dictShardBits)], uint32(h64)
-}
-
-func (d *termDict) lookupHashed(h64 uint64, t Term) (ID, bool) {
-	sh, h := d.split(h64)
-	sh.mu.RLock()
-	id, ok := d.find(sh, h, t)
-	sh.mu.RUnlock()
-	return id, ok
+	return d.find(d.hash(t), t)
 }
 
 // intern returns the dictionary ID for t, adding it if new. Safe for
-// concurrent use; the common (already-interned) case takes only one shard
-// read lock.
+// concurrent use; the common (already-interned) case takes no lock.
 func (d *termDict) intern(t Term) ID {
-	h64 := d.hash(t)
-	if id, ok := d.lookupHashed(h64, t); ok {
+	h := d.hash(t)
+	if id, ok := d.find(h, t); ok {
 		return id
 	}
-	return d.add(h64, t, nil)
+	return d.add(h, t, nil)
 }
 
 // internBytes is intern for t with string(raw) as its value; t.Value must be
@@ -298,59 +267,46 @@ func (d *termDict) intern(t Term) ID {
 // copied into a string chunk, so raw may be reused as soon as the call
 // returns.
 func (d *termDict) internBytes(t Term, raw []byte) ID {
-	h64 := d.hashFrom(maphash.Bytes(d.seed, raw), t.Kind, t.Lang, t.Datatype)
-	sh, h := d.split(h64)
-	sh.mu.RLock()
-	id, ok := d.findBytes(sh, h, t, raw)
-	sh.mu.RUnlock()
-	if ok {
+	h := d.hashFrom(maphash.Bytes(d.seed, raw), t.Kind, t.Lang, t.Datatype)
+	if id, ok := d.findBytes(h, t, raw); ok {
 		return id
 	}
-	return d.add(h64, t, raw)
+	return d.add(h, t, raw)
 }
 
-// add is the miss path of both interns: under the stripe's write lock it
-// looks again and, still absent, appends the term — its value string(raw)
-// when raw is not nil — and points a slot at it.
-func (d *termDict) add(h64 uint64, t Term, raw []byte) ID {
-	sh, h := d.split(h64)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// add is the miss path of both interns: under tmu it looks again and, still
+// absent, appends the term — its value string(raw) when raw is not nil —
+// publishes it, and then points a slot at it.
+func (d *termDict) add(h uint32, t Term, raw []byte) ID {
+	d.tmu.Lock()
+	defer d.tmu.Unlock()
 	var id ID
 	var ok bool
 	if raw != nil {
-		id, ok = d.findBytes(sh, h, t, raw)
+		id, ok = d.findBytes(h, t, raw)
 	} else {
-		id, ok = d.find(sh, h, t)
+		id, ok = d.find(h, t)
 	}
 	if ok {
 		return id
 	}
-	if (sh.used+1)*4 > len(sh.slots)*3 {
-		// Double by re-placing the stored hashes: no string is re-hashed.
-		grown := make([]dictSlot, max(2*len(sh.slots), minDictSlots))
-		for _, s := range sh.slots {
-			if s.ref != 0 {
-				place(grown, s)
-			}
-		}
-		sh.slots = grown
-	}
-	id = d.append(t, raw)
-	place(sh.slots, dictSlot{hash: h, ref: uint32(id) + 1})
-	sh.used++
-	return id
-}
-
-// append publishes t as the next entry and returns its ID. A non-nil raw is
-// the entry's value, copied into the dictionary's own string chunk.
-func (d *termDict) append(t Term, raw []byte) ID {
-	d.tmu.Lock()
-	defer d.tmu.Unlock()
 	n := d.n.Load()
 	if uint64(n) >= maxDictTerms {
 		panic("rdf: term dictionary exceeds the uint32 ID limit")
 	}
+	slots := *d.slots.Load()
+	if (int(n)+1)*4 > len(slots)*3 {
+		// Double by re-placing the stored hashes: no string is re-hashed.
+		grown := make([]atomic.Uint64, max(2*len(slots), minDictSlots))
+		for i := range slots {
+			if w := slots[i].Load(); w != 0 {
+				grown[free(grown, uint32(w>>32))].Store(w)
+			}
+		}
+		d.slots.Store(&grown)
+		slots = grown
+	}
+
 	e := dictEntry{value: t.Value, kind: t.Kind}
 	if raw != nil {
 		e.value = d.ownLocked(raw)
@@ -367,6 +323,7 @@ func (d *termDict) append(t Term, raw []byte) ID {
 	}
 	chunks[c][off] = e
 	d.n.Store(n + 1)
+	slots[free(slots, h)].Store(uint64(h)<<32 | uint64(n) + 1)
 	return ID(n)
 }
 

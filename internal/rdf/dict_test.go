@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -151,8 +152,8 @@ func runDictOps(t *testing.T, ops []byte) {
 
 // TestDictModelEquivalence: IDs are dense in first-intern order, TermOf
 // inverts Intern, and an absent term is !ok — over random ops on the
-// adversarial universe, and over enough distinct terms to double every
-// stripe's table several times.
+// adversarial universe, and over enough distinct terms to double the slot
+// table at least 8 times.
 func TestDictModelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for round := 0; round < 7; round++ {
@@ -187,10 +188,8 @@ func TestDictModelEquivalence(t *testing.T) {
 	if len(m.terms) != before+40000 {
 		t.Fatalf("interned %d terms, want %d", len(m.terms)-before, 40000)
 	}
-	for i := range m.d.shards {
-		if n := len(m.d.shards[i].slots); n < 8*minDictSlots {
-			t.Fatalf("stripe %d has %d slots after 40 k terms: never doubled", i, n)
-		}
+	if n := len(*m.d.slots.Load()); n < minDictSlots<<8 {
+		t.Fatalf("the table has %d slots after 40 k terms: doubled fewer than 8 times", n)
 	}
 	m.sweep()
 }
@@ -367,6 +366,106 @@ func TestDictConcurrentIntern(t *testing.T) {
 	}
 	if back, ok := g.TermID(late); !ok || back != id || int(id) < pin.TermCount() {
 		t.Fatalf("late term: TermID = (%d, %v), Intern = %d, pinned count %d", back, ok, id, pin.TermCount())
+	}
+}
+
+// TestDictLockFreeReaders: readers probe with no lock while two writers grow
+// the slot table through many doublings, each writer interning its own terms,
+// every other one by bytes out of a reused buffer. Every term whose intern
+// has returned is found by TermID, whichever table the reader loaded, and
+// comes back through TermOf; a term never interned is never found. Runs
+// under `go test -race -short` and in CI at -cpu 1,4.
+func TestDictLockFreeReaders(t *testing.T) {
+	const writers, readers = 2, 2
+	perWriter := 1 << 14 // 32 k terms: the table doubles from 8 to 65 536 slots
+	if testing.Short() {
+		perWriter = 1 << 12
+	}
+	term := func(w, i int) Term {
+		if i%4 == 3 {
+			return LangLiteral(fmt.Sprintf("w%d t%d", w, i), "en")
+		}
+		return IRI(fmt.Sprintf("http://e/w%d/t%d", w, i))
+	}
+	g := NewGraph()
+	var done [writers]atomic.Int64 // terms of each writer whose intern returned
+	var writing sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			var buf []byte
+			for i := 0; i < perWriter; i++ {
+				tm := term(w, i)
+				if i%2 == 1 {
+					buf = append(buf[:0], tm.Value...)
+					g.InternBytes(tm.Kind, buf, tm.Lang, tm.Datatype)
+				} else {
+					g.Intern(tm)
+				}
+				done[w].Store(int64(i + 1))
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var reading sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			var checked [writers]int // each writer's terms this reader has checked
+			check := func(w, i int) bool {
+				tm := term(w, i)
+				id, ok := g.TermID(tm)
+				if !ok {
+					t.Errorf("writer %d's term %d was interned, but TermID does not find it", w, i)
+					return false
+				}
+				if back := g.TermOf(id); back != tm {
+					t.Errorf("TermOf(TermID(%#v)) = %#v", tm, back)
+					return false
+				}
+				return true
+			}
+			for last := false; !last; {
+				select {
+				case <-stop:
+					last = true // one more pass sees every term
+				default:
+				}
+				for w := range checked {
+					n := int(done[w].Load())
+					for ; checked[w] < n; checked[w]++ {
+						if !check(w, checked[w]) {
+							return
+						}
+					}
+					// The term being interned now: found already or not, but
+					// found means whole.
+					if tm := term(w, n); n < perWriter {
+						if id, ok := g.TermID(tm); ok && g.TermOf(id) != tm {
+							t.Errorf("TermID found %#v in flight as %d, and TermOf(%d) = %#v", tm, id, id, g.TermOf(id))
+							return
+						}
+					}
+					if _, ok := g.TermID(term(w, perWriter)); ok {
+						t.Errorf("writer %d's term %d was never interned, but TermID finds it", w, perWriter)
+						return
+					}
+				}
+			}
+			for w, n := range checked {
+				if n != perWriter {
+					t.Errorf("checked %d of writer %d's %d terms", n, w, perWriter)
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+	if n := g.TermCount(); n != writers*perWriter {
+		t.Fatalf("TermCount = %d, want %d", n, writers*perWriter)
 	}
 }
 

@@ -26,8 +26,8 @@ type termID = ID
 
 // Graph is an in-memory, dictionary-encoded RDF graph.
 //
-// Storage layout: a striped term dictionary (24 bytes per term plus hashed
-// ID slots, see termDict), the insertion log (12 bytes per
+// Storage layout: a term dictionary (24 bytes per term plus hashed ID
+// slots, see termDict), the insertion log (12 bytes per
 // triple), and one flat open-addressed membership table of log positions.
 // That is everything the write side maintains: an insert interns its terms,
 // probes the table, and appends to the log — no per-triple heap objects, so
@@ -46,10 +46,10 @@ type termID = ID
 type Graph struct {
 	mu sync.RWMutex
 
-	// dict is the striped term dictionary. It has its own internal locks so
-	// interning — the first step of every insert — happens outside g.mu and
-	// concurrent rank threads do not serialize on the graph write lock just
-	// to map terms to IDs (see termDict).
+	// dict is the term dictionary. Its probes take no lock and its misses
+	// take its own, so interning — the first step of every insert — happens
+	// outside g.mu and concurrent rank threads do not serialize on the graph
+	// write lock just to map terms to IDs (see termDict).
 	dict termDict
 
 	// log is the graph: every triple once, in insertion order. The graph is
@@ -171,7 +171,7 @@ func (g *Graph) addRefLocked(r TripleID) bool {
 // Add inserts a triple. It reports whether the triple was new.
 // Invalid triples are rejected (returns false).
 //
-// Add is a 1-element batch: the term interning happens against the striped
+// Add is a 1-element batch: the term interning happens against the
 // dictionary outside the graph lock, and only the table probe and log append
 // run under g.mu.
 func (g *Graph) Add(t Triple) bool {
@@ -188,10 +188,10 @@ func (g *Graph) Add(t Triple) bool {
 // AddBatch inserts a whole record's triples under one lock acquisition and
 // returns the number newly added. Invalid triples are skipped. The graph
 // state and insertion-log order are identical to calling Add per triple; the
-// difference is cost: terms are interned against the striped dictionary
-// before g.mu is taken, so the critical section is just the table probes and
-// log appends, and concurrent rank threads contend once per record instead
-// of once per triple.
+// difference is cost: terms are interned against the dictionary before g.mu
+// is taken, so the critical section is just the table probes and log
+// appends, and concurrent rank threads contend once per record instead of
+// once per triple.
 func (g *Graph) AddBatch(ts []Triple) int {
 	if len(ts) == 0 {
 		return 0

@@ -1,7 +1,7 @@
 package rdf
 
-// SharedDict is a standalone interning dictionary with the same striped
-// layout and ID semantics as the per-graph term dictionary: dense IDs in
+// SharedDict is a standalone interning dictionary with the same lock-free
+// probes and ID semantics as the per-graph term dictionary: dense IDs in
 // allocation order, append-only, safe for concurrent use. It exists so a
 // federation of independently-decoded graphs (each with its own local ID
 // space) can be bridged into one global ID space — core's out-of-core
