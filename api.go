@@ -12,6 +12,7 @@ import (
 	"github.com/hpc-io/prov-io/internal/posixio"
 	"github.com/hpc-io/prov-io/internal/provjson"
 	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 	"github.com/hpc-io/prov-io/internal/simclock"
 	"github.com/hpc-io/prov-io/internal/sparql"
 	"github.com/hpc-io/prov-io/internal/vfs"
@@ -145,8 +146,9 @@ const (
 func CapsString(caps uint32) string { return core.CapsString(caps) }
 
 // Format names the store's write codec: pbs, the zero value and the only
-// one NewStore accepts. Reads detect each file's codec from its bytes, so
-// text stores an older build wrote still open, verify and migrate.
+// one NewStore accepts, and the only one reads take. A store an older build
+// wrote, as text or in an older pbs version, still opens, verifies and
+// migrates (Store.Compact); its reads return ErrNeedsMigration until then.
 type Format = core.Format
 
 // FormatBinary is the ID-space binary segment codec (.pbs).
@@ -284,6 +286,13 @@ type LevelResidency = core.LevelResidency
 // under an open view (a concurrent Compact or PackSegments); reopen with
 // Store.OpenLazy.
 var ErrStaleView = core.ErrStaleView
+
+// ErrNeedsMigration classifies a read — a merge, a lazy view or query,
+// PackSegments — of a store holding a file only an older build wrote: a text
+// store file or its sidecar, a pbs v1–v4 file, or a pack of such files.
+// Store.Compact (provio-merge -compact) migrates the store to pbs v5;
+// Store.Verify audits it as it is.
+var ErrNeedsMigration = segcodec.ErrNeedsMigration
 
 // The federated lazy source must satisfy the morsel-parallel scan surface —
 // this is the contract that lets Query run the unchanged engine over a

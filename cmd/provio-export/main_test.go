@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,8 +16,9 @@ import (
 
 // TestExportSyntaxFollowsFileName: -o NAME.ttl writes Turtle and -o NAME.nt
 // N-Triples, each parsing back to exactly the store's merged graph — of a
-// pbs store and of the text store an older build wrote — and any other name
-// gets PROV-JSON.
+// pbs store and of the text store an older build wrote, which export refuses
+// until provio-merge -compact has migrated it — and any other name gets
+// PROV-JSON.
 func TestExportSyntaxFollowsFileName(t *testing.T) {
 	pbs := filepath.Join(t.TempDir(), "prov")
 	store, err := provio.NewStore(provio.OSBackend{}, pbs, provio.FormatBinary)
@@ -33,7 +36,31 @@ func TestExportSyntaxFollowsFileName(t *testing.T) {
 	if err := tr.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	text := filepath.Join("..", "..", "internal", "core", "testdata", "legacy_text", "loose")
+	fixture := filepath.Join("..", "..", "internal", "core", "testdata", "legacy_text", "loose")
+	text := t.TempDir()
+	entries, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(text, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = run([]string{"-store", text, "-o", filepath.Join(t.TempDir(), "out.ttl")})
+	if !errors.Is(err, provio.ErrNeedsMigration) || !strings.Contains(err.Error(), "prov_p000000.seg0000.nt") ||
+		!strings.Contains(err.Error(), "provio-merge -compact") {
+		t.Fatalf("export of a text store: %v, want ErrNeedsMigration naming its first file", err)
+	}
+	if migrated, err := provio.OpenStore(text, provio.FormatBinary); err != nil {
+		t.Fatal(err)
+	} else if err := migrated.Compact(); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, dir := range []string{pbs, text} {
 		store, err := provio.OpenStore(dir, provio.FormatBinary)

@@ -138,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !*quiet {
 		fmt.Fprintf(stdout, "%s: %d processes, %d files (%d sealed, %d segments, %d packs) [backend: %s]%s\n",
 			rep.Dir, rep.Processes, rep.Files, rep.Sealed, rep.Segments, rep.Packs,
-			provio.CapsString(store.Backend().Caps()), legacyNote(rep.PBSVersions))
+			provio.CapsString(store.Backend().Caps()), legacyNote(rep))
 		if len(rep.Unsealed) > 0 && !*strict {
 			fmt.Fprintf(stdout, "note: %d files carry no seal (pre-integrity store; -strict flags them)\n",
 				len(rep.Unsealed))
@@ -162,17 +162,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // legacyNote ends the summary line. A store of the current generation prints
-// what it always did; files in an older layout read the same and are worth
-// one rewrite, so each older version's count is named, oldest first.
-func legacyNote(versions map[byte]int) string {
+// what it always did; reads refuse a store holding files only an older build
+// wrote until one rewrite, so their count is named: text files first, then
+// each older pbs version, oldest first.
+func legacyNote(rep *provio.VerifyReport) string {
 	var counts []string
+	if rep.Text > 0 {
+		counts = append(counts, fmt.Sprintf("%d text file(s)", rep.Text))
+	}
+	in := "file(s) in legacy pbs"
 	for v := byte(1); v < segcodec.PBSVersion; v++ {
-		switch n := versions[v]; {
-		case n == 0:
-		case len(counts) == 0:
-			counts = append(counts, fmt.Sprintf("%d file(s) in legacy pbs v%d", n, v))
-		default:
-			counts = append(counts, fmt.Sprintf("%d in v%d", n, v))
+		if n := rep.PBSVersions[v]; n > 0 {
+			counts = append(counts, fmt.Sprintf("%d %s v%d", n, in, v))
+			in = "in"
 		}
 	}
 	if len(counts) == 0 {

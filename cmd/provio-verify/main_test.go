@@ -207,10 +207,11 @@ func TestSelftest(t *testing.T) {
 }
 
 // TestStoreGenerations: the summary line of a store this build wrote is what
-// it always was; a store in an older layout verifies just as clean and is
-// named, with its version, as worth a rewrite; and a segment whose version
-// this build does not know is reported as that — tampered, by its own decoder
-// — not as Turtle syntax in a binary file.
+// it always was; a store in an older pbs layout, or a text store, verifies
+// just as clean (exit 0: a verdict, not a defect), with its files counted by
+// version or as text, since reads refuse them until the one rewrite; and a
+// segment whose version this build does not know is reported as that —
+// tampered, by its own decoder — not as Turtle syntax in a binary file.
 func TestStoreGenerations(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "prov")
 	buildStore(t, dir)
@@ -229,17 +230,27 @@ func TestStoreGenerations(t *testing.T) {
 			}
 		}
 	}
+	text := filepath.Join("..", "..", "internal", "core", "testdata", "legacy_text")
+	for _, layout := range []string{"loose", "packed"} {
+		code, out, _ := runCLI(t, "-store", filepath.Join(text, layout), "-heads", filepath.Join(text, layout+".heads"))
+		if code != exitClean || !strings.Contains(out, ", 3 text file(s) (provio-merge -compact rewrites them)\n") {
+			t.Errorf("text %s store: code %d, output %q", layout, code, out)
+		}
+	}
 	for _, tc := range []struct {
 		versions map[byte]int
+		text     int
 		want     string
 	}{
-		{nil, ""},
-		{map[byte]int{segcodec.PBSVersion: 4}, ""},
-		{map[byte]int{2: 5, 1: 3, segcodec.PBSVersion: 2}, ", 3 file(s) in legacy pbs v1, 5 in v2 (provio-merge -compact rewrites them)"},
-		{map[byte]int{2: 5}, ", 5 file(s) in legacy pbs v2 (provio-merge -compact rewrites them)"},
+		{nil, 0, ""},
+		{map[byte]int{segcodec.PBSVersion: 4}, 0, ""},
+		{map[byte]int{2: 5, 1: 3, segcodec.PBSVersion: 2}, 0, ", 3 file(s) in legacy pbs v1, 5 in v2 (provio-merge -compact rewrites them)"},
+		{map[byte]int{2: 5}, 0, ", 5 file(s) in legacy pbs v2 (provio-merge -compact rewrites them)"},
+		{nil, 2, ", 2 text file(s) (provio-merge -compact rewrites them)"},
+		{map[byte]int{4: 1, 3: 6, segcodec.PBSVersion: 2}, 2, ", 2 text file(s), 6 file(s) in legacy pbs v3, 1 in v4 (provio-merge -compact rewrites them)"},
 	} {
-		if got := legacyNote(tc.versions); got != tc.want {
-			t.Errorf("legacyNote(%v) = %q, want %q", tc.versions, got, tc.want)
+		if got := legacyNote(&provio.VerifyReport{PBSVersions: tc.versions, Text: tc.text}); got != tc.want {
+			t.Errorf("legacyNote(%v, %d text) = %q, want %q", tc.versions, tc.text, got, tc.want)
 		}
 	}
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -55,59 +56,60 @@ func buildFormatStore(b *testing.B, codec segcodec.Codec, nFiles, recordsPer int
 var codecBenchFormats = []segcodec.Codec{segcodec.NTriples, segcodec.Turtle, segcodec.Binary}
 
 // BenchmarkMerge measures Store.Merge (sequential decode of every sub-graph
-// into one graph) per codec at equal triple counts — the codec-layer
-// acceptance comparison: pbs must beat nt by >= 3x.
+// into one graph). Reads take pbs only; a text store is Compact's to
+// migrate, so there is no text merge to compare against.
 func BenchmarkMerge(b *testing.B) {
-	for _, fc := range codecBenchFormats {
-		if fc == segcodec.Turtle {
-			continue // merge acceptance compares the segment-capable codecs
-		}
-		b.Run(fc.Name(), func(b *testing.B) {
-			store := buildFormatStore(b, fc, 64, 60)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g, err := store.Merge()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if g.Len() == 0 {
-					b.Fatal("empty merge")
-				}
+	b.Run("pbs", func(b *testing.B) {
+		store := buildFormatStore(b, segcodec.Binary, 64, 60)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g, err := store.Merge()
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if g.Len() == 0 {
+				b.Fatal("empty merge")
+			}
+		}
+	})
 }
 
 // BenchmarkStoreLoad measures decoding one large canonical sub-graph file —
 // the per-file cost Merge is built from, isolated from listing and union.
 func BenchmarkStoreLoad(b *testing.B) {
-	for _, fc := range codecBenchFormats {
-		b.Run(fc.Name(), func(b *testing.B) {
-			store := buildFormatStore(b, fc, 1, 4000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g, err := store.Merge()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if g.Len() == 0 {
-					b.Fatal("empty load")
-				}
+	b.Run("pbs", func(b *testing.B) {
+		store := buildFormatStore(b, segcodec.Binary, 1, 4000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g, err := store.Merge()
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if g.Len() == 0 {
+				b.Fatal("empty load")
+			}
+		}
+	})
 }
 
-// TestBinaryMergeMatchesText guards the benchmark's premise: each format's
-// store holds the same triple multiset, so the per-codec timings compare
-// equal work.
+// TestBinaryMergeMatchesText guards the format stores' premise: each holds
+// the same triple multiset — a text store read through its migration, which
+// its merge refuses until Compact has run.
 func TestBinaryMergeMatchesText(t *testing.T) {
 	b := &testing.B{}
 	graphs := map[string]*rdf.Graph{}
 	for _, fc := range codecBenchFormats {
 		store := buildFormatStore(b, fc, 4, 50)
+		if fc != segcodec.Binary {
+			if _, err := store.Merge(); !errors.Is(err, segcodec.ErrNeedsMigration) {
+				t.Fatalf("%s store merged before its migration: %v", fc.Name(), err)
+			}
+			if err := store.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		g, err := store.Merge()
 		if err != nil {
 			t.Fatal(err)

@@ -26,10 +26,9 @@ import (
 // benchmarks at the perf harness's h5bench shape for measuring while working.
 
 // referencePack is PackSegments as it was while it still built a union
-// graph and took text members: every loose segment (text segments' sidecars
-// included) and lower-level pack member of the snapshot, member stats from
-// the file's own frame (loose) or the old header (packed), and pack-level
-// stats from a graph every member was decoded into.
+// graph: every loose segment and lower-level pack member of the snapshot,
+// member stats from the file's own frame (loose) or the old header (packed),
+// and pack-level stats from a graph every member was decoded into.
 func referencePack(t *testing.T, files map[string][]byte, level int) []byte {
 	t.Helper()
 	entries := make(map[string]segcodec.PackEntry)
@@ -44,23 +43,18 @@ func referencePack(t *testing.T, files map[string][]byte, level int) []byte {
 				t.Fatal(err)
 			}
 			for _, m := range h.Members {
-				e := segcodec.PackEntry{Name: m.Name, Data: data[m.Off : m.Off+m.Size]}
-				if m.HasStats {
-					ms := m.Stats
-					e.Stats = &ms
-				}
-				entries[m.Name] = e
+				entries[m.Name] = segcodec.PackEntry{Name: m.Name, Data: data[m.Off : m.Off+m.Size], Stats: &m.Stats}
 			}
 			continue
 		}
 		if !ok || sn.kind != kindSegment {
 			continue
 		}
-		e := segcodec.PackEntry{Name: n, Data: data}
-		if st, ok := segcodec.StatsOf(data); ok && !sn.sum {
-			e.Stats = &st
+		st, err := segcodec.StatsOf(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		entries[n] = e
+		entries[n] = segcodec.PackEntry{Name: n, Data: data, Stats: st}
 	}
 	names := make([]string, 0, len(entries))
 	for n := range entries {
@@ -72,10 +66,8 @@ func referencePack(t *testing.T, files map[string][]byte, level int) []byte {
 	for _, n := range names {
 		e := entries[n]
 		ordered = append(ordered, e)
-		if sn, _ := parseStoreName(e.Name); sn.unit() {
-			if err := segcodec.Detect(e.Data).Decode(bytes.NewReader(e.Data), union); err != nil {
-				t.Fatal(err)
-			}
+		if err := segcodec.Binary.Decode(bytes.NewReader(e.Data), union); err != nil {
+			t.Fatal(err)
 		}
 	}
 	packStats := segcodec.ComputeGraphStats(union)

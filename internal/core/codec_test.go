@@ -56,7 +56,7 @@ func canonicalNT(t *testing.T, g *rdf.Graph) string {
 
 // TestBinaryStoreRoundTrip runs the full tracker pipeline against a binary
 // store and checks the merged graph equals a Turtle store fed the same
-// records.
+// records, read through its migration.
 func TestBinaryStoreRoundTrip(t *testing.T) {
 	graphs := make(map[string]*rdf.Graph)
 	for layout, wantExts := range map[string][]string{"ttl": {".ttl", ".ttl.sum"}, "pbs": {".pbs"}} {
@@ -64,12 +64,6 @@ func TestBinaryStoreRoundTrip(t *testing.T) {
 		for pid := 0; pid < 2; pid++ {
 			trackInto(t, store, pid, DefaultConfig(), false)
 		}
-		g, err := store.Merge()
-		if err != nil {
-			t.Fatalf("%s store merge: %v", layout, err)
-		}
-		graphs[layout] = g
-
 		// The canonical files must carry the codec's extension. Text stores
 		// carry a .sum integrity sidecar per file; binary files embed their
 		// seal and must not have one.
@@ -82,6 +76,11 @@ func TestBinaryStoreRoundTrip(t *testing.T) {
 				t.Errorf("%s store left unexpected file %s", layout, n)
 			}
 		}
+		g, err := mergeLayout(t, store)
+		if err != nil {
+			t.Fatalf("%s store merge: %v", layout, err)
+		}
+		graphs[layout] = g
 	}
 	if canonicalNT(t, graphs["pbs"]) != canonicalNT(t, graphs["ttl"]) {
 		t.Error("binary store merged to a different graph than the Turtle store")
@@ -90,8 +89,9 @@ func TestBinaryStoreRoundTrip(t *testing.T) {
 
 // TestMixedFormatMerge is the acceptance pin of the codec layer: a store
 // directory holding .ttl, .nt, and .pbs files at once — canonical sub-graphs
-// AND un-compacted delta segments — must merge to a triple multiset
-// identical to an all-text baseline fed the same records.
+// AND un-compacted delta segments — is refused by the merge until Compact
+// migrates it, and then merges to a triple multiset identical to an all-pbs
+// baseline fed the same records.
 func TestMixedFormatMerge(t *testing.T) {
 	// Periodic flush with no Close-compaction leaves delta segments behind.
 	segCfg := func() *Config {
@@ -114,22 +114,32 @@ func TestMixedFormatMerge(t *testing.T) {
 			}
 			trackInto(t, store, pid, cfg, leaveSegments)
 		}
-		// Read the shared directory back, each file by its own codec.
+		// Read the shared directory back: a text file refuses the read until
+		// Compact migrates the directory.
 		reader, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g, _, err := reader.MergePruned(nil, 4)
+		if slices.ContainsFunc(layouts, func(l string) bool { return l != "pbs" }) {
+			if !errors.Is(err, segcodec.ErrNeedsMigration) {
+				t.Fatalf("%v directory merged before its migration: %v", layouts, err)
+			}
+			if err := reader.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			g, _, err = reader.MergePruned(nil, 4)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		return g
 	}
 
-	baseline := build(t, []string{"ttl", "ttl", "ttl"})
+	baseline := build(t, []string{"pbs", "pbs", "pbs"})
 	mixed := build(t, []string{"ttl", "nt", "pbs"})
 	if canonicalNT(t, mixed) != canonicalNT(t, baseline) {
-		t.Fatal("mixed .ttl/.nt/.pbs directory merged to a different triple multiset than the all-text baseline")
+		t.Fatal("mixed .ttl/.nt/.pbs directory migrated to a different triple multiset than the all-pbs baseline")
 	}
 	if mixed.Len() == 0 {
 		t.Fatal("merge produced an empty graph")
@@ -145,7 +155,12 @@ func TestCompactMigratesTextToBinary(t *testing.T) {
 	cfg.Mode = ModePeriodic
 	cfg.FlushEvery = 3
 	trackInto(t, text, 0, cfg, true) // leaves un-compacted .nt segments
-	before, err := text.Merge()
+	if _, err := text.Merge(); !errors.Is(err, segcodec.ErrNeedsMigration) {
+		t.Fatalf("text store merged before its migration: %v", err)
+	}
+	twin := newLayoutStore(t, "pbs") // the same records, written as pbs
+	trackInto(t, twin, 0, cfg, true)
+	before, err := twin.Merge()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +212,12 @@ func TestCompactMigratesTextToBinary(t *testing.T) {
 func TestCompactMigratesCanonicalOnly(t *testing.T) {
 	view := vfs.NewStore().NewView()
 	text := layoutStoreOn(t, VFSBackend{View: view}, "/prov", "ttl")
+	twin := newLayoutStore(t, "pbs") // the same records, written as pbs
 	for pid := 0; pid < 2; pid++ {
 		trackInto(t, text, pid, DefaultConfig(), false) // Close: canonical only
+		trackInto(t, twin, pid, DefaultConfig(), false)
 	}
-	before, err := text.Merge()
+	before, err := twin.Merge()
 	if err != nil {
 		t.Fatal(err)
 	}

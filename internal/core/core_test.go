@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 	"github.com/hpc-io/prov-io/internal/simclock"
 	"github.com/hpc-io/prov-io/internal/vfs"
 )
@@ -433,7 +435,9 @@ func TestTrackerCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestNTriplesStoreFormat: an N-Triples store an older build wrote merges.
+// TestNTriplesStoreFormat: an N-Triples store an older build wrote is
+// refused by Merge, naming the file and the migration, and merges once
+// Compact has migrated it.
 func TestNTriplesStoreFormat(t *testing.T) {
 	view := vfs.NewStore().NewView()
 	store := layoutStoreOn(t, VFSBackend{View: view}, "/prov", "nt")
@@ -443,9 +447,14 @@ func TestNTriplesStoreFormat(t *testing.T) {
 	if !view.Exists("/prov/prov_p000007.nt") {
 		t.Error(".nt file not written")
 	}
-	g, err := plainStore(t, store).Merge()
+	_, err := plainStore(t, store).Merge()
+	if !errors.Is(err, segcodec.ErrNeedsMigration) || !strings.Contains(err.Error(), "prov_p000007.nt") ||
+		!strings.Contains(err.Error(), "provio-merge -compact") {
+		t.Errorf("merge over ntriples returned %v, want ErrNeedsMigration naming the file", err)
+	}
+	g, err := mergeLayout(t, store)
 	if err != nil || g.Len() == 0 {
-		t.Errorf("merge over ntriples failed: %v", err)
+		t.Errorf("merge over the migrated ntriples store failed: %v", err)
 	}
 }
 

@@ -51,7 +51,11 @@ func migrationCrashSweep(t *testing.T, layout, kind string) {
 	smallHistory(t, src, 0)
 	smallHistory(t, src, 1)
 	files := storeFiles(t, src)
-	want := mergedNT(t, openDir(t, files))
+	// The text store's graph: the same history, written as pbs.
+	twin := newLayoutStore(t, "pbs")
+	smallHistory(t, twin, 0)
+	smallHistory(t, twin, 1)
+	want := mergedNT(t, twin)
 	cfg := CrashSweepConfig{Backend: kind}
 
 	// migrate runs Compact on a fresh substrate holding the text store under

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/hpc-io/prov-io/internal/model"
@@ -122,8 +124,9 @@ func TestParseHeadsRoundTrip(t *testing.T) {
 }
 
 // TestLayoutAgreement: the audit, the eager and lazy reads, Levels and
-// TotalBytes see one file and unit set on every committed fixture store, the
-// golden demo-pack store and a fresh store with packs and loose segments.
+// TotalBytes see one file and unit set on the golden demo-pack store, a
+// fresh store with packs and loose segments, and the migration of every
+// committed fixture store, which both reads refuse before it.
 func TestLayoutAgreement(t *testing.T) {
 	stores := map[string]map[string][]byte{}
 	for _, layout := range []string{"loose", "packed"} {
@@ -156,6 +159,18 @@ func TestLayoutAgreement(t *testing.T) {
 		rep := mustVerify(t, store)
 		if !rep.Clean() {
 			t.Fatalf("%s: %v", what, rep.Defects)
+		}
+		if strings.HasPrefix(what, "legacy_") {
+			if _, _, err := store.MergePruned(nil, 2); !errors.Is(err, segcodec.ErrNeedsMigration) {
+				t.Errorf("%s: merge before migration: %v", what, err)
+			}
+			if _, err := store.OpenLazy(CacheConfig{}); !errors.Is(err, segcodec.ErrNeedsMigration) {
+				t.Errorf("%s: lazy view before migration: %v", what, err)
+			}
+			if err := store.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			files, rep = storeFiles(t, store), mustVerify(t, store)
 		}
 		_, st, err := store.MergePruned(nil, 2)
 		if err != nil {

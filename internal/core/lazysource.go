@@ -294,7 +294,7 @@ func (ls *LazySource) unitScanLen(lu *scanUnit, s, p, o rdf.ID) int {
 }
 
 func (ls *LazySource) computeUnitScanLen(lu *scanUnit, s, p, o rdf.ID) (int, error) {
-	if lu.stats != nil && !lu.stats.CanMatch(ls.termPtr(s), ls.termPtr(p), ls.termPtr(o)) {
+	if !lu.stats.CanMatch(ls.termPtr(s), ls.termPtr(p), ls.termPtr(o)) {
 		return 0, nil
 	}
 	du, err := ls.load(lu)
@@ -317,19 +317,10 @@ func (ls *LazySource) ownedByEarlier(k int, gs, gp, go_ rdf.ID) bool {
 	if k == 0 {
 		return false
 	}
-	var ts, tp, to rdf.Term
-	haveTerms := false
+	ts, tp, to := ls.view.dict.TermAt(gs), ls.view.dict.TermAt(gp), ls.view.dict.TermAt(go_)
 	for _, uj := range ls.units[:k] {
-		if uj.stats != nil {
-			if !haveTerms {
-				ts = ls.view.dict.TermAt(gs)
-				tp = ls.view.dict.TermAt(gp)
-				to = ls.view.dict.TermAt(go_)
-				haveTerms = true
-			}
-			if !uj.stats.CanMatch(&ts, &tp, &to) {
-				continue
-			}
+		if !uj.stats.CanMatch(&ts, &tp, &to) {
+			continue
 		}
 		du, err := ls.load(uj)
 		if err != nil {
@@ -438,20 +429,11 @@ func (ls *LazySource) CountMatchIDs(s, p, o rdf.ID) int {
 	sp, pp, op := ls.termPtr(s), ls.termPtr(p), ls.termPtr(o)
 	n := 0
 	for _, lu := range ls.units {
-		n += lu.estimateTriples(sp, pp, op)
+		if lu.stats.CanMatch(sp, pp, op) {
+			n += int(lu.stats.Triples)
+		}
 	}
 	return n
-}
-
-// estimateTriples is the unit's decode-free triple estimate for a pattern.
-func (lu *scanUnit) estimateTriples(s, p, o *rdf.Term) int {
-	if lu.stats != nil {
-		if !lu.stats.CanMatch(s, p, o) {
-			return 0
-		}
-		return int(lu.stats.Triples)
-	}
-	return int(lu.size/32) + 1 // stats-less (legacy/text) unit: size heuristic
 }
 
 // PredStats estimates a predicate's cardinalities from unit statistics.
@@ -465,11 +447,7 @@ func (ls *LazySource) PredStats(p rdf.ID) (triples, subjects, objects int) {
 func (ls *LazySource) IndexStats() (subjects, predicates, objects int) {
 	n := 0
 	for _, lu := range ls.units {
-		if lu.stats != nil {
-			n += int(lu.stats.Terms)
-		} else {
-			n += int(lu.size/32) + 1
-		}
+		n += int(lu.stats.Terms)
 	}
 	if n == 0 {
 		n = 1

@@ -16,11 +16,10 @@ import (
 // This file is the frozen reader of text stores: everything the store knows
 // about text store files — Turtle (.ttl) and N-Triples (.nt) canonicals and
 // N-Triples delta segments — and about the .sum sidecars that sealed them
-// lives here, and nothing writes either again. A text store merges, answers
-// queries and verifies as it is (reads detect each file's codec from its
-// bytes), a tracker chains fresh pbs files onto it, Compact (provio-merge
-// -compact) migrates it to pbs, and PackSegments refuses to fold a text file
-// or a sidecar until it has.
+// lives here, and nothing writes either again. A text store verifies as it
+// is (the audit's per-file check parses each file here), a tracker chains
+// fresh pbs files onto it, and Compact (provio-merge -compact) migrates it to
+// pbs; until then every read and PackSegments refuse it (readable).
 //
 // A text file cannot carry an in-band seal, so its seal lives in a sidecar,
 // <file>.sum: a small key/value document describing the exact bytes of its
@@ -139,17 +138,6 @@ func parseSidecar(data []byte) (sidecarInfo, error) {
 
 // sidecarName is the name of a store file's sidecar.
 func sidecarName(name string) string { return name + chainSidecarExt }
-
-// refuseLegacyText is PackSegments' gate: a pack takes pbs files only, so the
-// first text file or sidecar among the files to fold refuses the pack.
-func refuseLegacyText(files []layoutFile) error {
-	for _, f := range files {
-		if f.sum || f.text() {
-			return fmt.Errorf("core: %s is a text store file and a pack takes pbs files only: run provio-merge -compact first", f.name)
-		}
-	}
-	return nil
-}
 
 // checkText checks a text store file: its sidecar seal, when it has one,
 // against the file's bytes, then the parse. keep retains the parsed triples

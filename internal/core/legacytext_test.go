@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"maps"
 	"os"
 	"path/filepath"
@@ -119,6 +120,20 @@ func plainStore(t testing.TB, s *Store) *Store {
 	return store
 }
 
+// mergeLayout merges a store of any layout the way it can be read: a text
+// store after its migration (Compact, on the inner backend), which rewrites
+// it in place, and a pbs store as it is.
+func mergeLayout(t testing.TB, store *Store) (*rdf.Graph, error) {
+	t.Helper()
+	plain := plainStore(t, store)
+	if _, text := store.backend.(*legacyTextBackend); text {
+		if err := plain.Compact(); err != nil {
+			return nil, err
+		}
+	}
+	return plain.Merge()
+}
+
 // readFixtureStore reads one committed store under testdata and its recorded
 // heads.
 func readFixtureStore(t *testing.T, dir string) (files map[string][]byte, heads map[int][32]byte) {
@@ -179,8 +194,9 @@ func TestLegacyTextWriterIsTheFixture(t *testing.T) {
 
 // TestLegacyTextTakesFreshSegments: a fresh tracker chains pbs delta
 // segments onto a text canonical file (its digest is their chain's anchor),
-// the mixed store verifies clean, and Compact leaves one pbs file per pid
-// holding the same merged graph.
+// the mixed store verifies clean and reads refuse it, naming the text file,
+// and Compact leaves one pbs file per pid holding the union of the files'
+// graphs.
 func TestLegacyTextTakesFreshSegments(t *testing.T) {
 	files, _ := legacyTextFiles(t, "loose")
 	canonical := map[string][]byte{}
@@ -196,7 +212,21 @@ func TestLegacyTextTakesFreshSegments(t *testing.T) {
 	if !rep.Clean() || rep.Sealed != rep.Files || rep.Segments == 0 {
 		t.Fatalf("text canonical with fresh segments: defects %v, %d of %d files sealed, %d segments", rep.Defects, rep.Sealed, rep.Files, rep.Segments)
 	}
-	want := mergedNT(t, store)
+	checkRefused(t, "text canonical with fresh segments", store, "prov_p000000.ttl")
+	union := rdf.NewGraph()
+	for name, data := range storeFiles(t, store) {
+		codec := segcodec.Binary
+		switch n, _ := parseStoreName(name); {
+		case n.sum:
+			continue
+		case n.text():
+			codec = segcodec.Turtle
+		}
+		if err := codec.Decode(bytes.NewReader(data), union); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := ntBytes(t, union)
 	if err := store.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +336,10 @@ func TestConfigFormatKeyRefused(t *testing.T) {
 	}
 }
 
-// TestPackSegmentsRefusesText: a pack takes pbs files only, so a text
-// segment, loose or in an older pack, and its sidecar are refused, naming
-// the migration, with every byte of the store left as it was.
+// TestPackSegmentsRefusesText: a pack takes pbs files only, so a store
+// holding text files, loose or in an older pack, is refused, naming its
+// first text file and the migration, with every byte of the store left as
+// it was.
 func TestPackSegmentsRefusesText(t *testing.T) {
 	for level, layout := range []string{1: "loose", 2: "packed"} {
 		if layout == "" {
@@ -317,7 +348,7 @@ func TestPackSegmentsRefusesText(t *testing.T) {
 		files, _ := legacyTextFiles(t, layout)
 		store := openDir(t, files)
 		_, err := store.PackSegments(level)
-		if err == nil || !strings.Contains(err.Error(), "prov_p000000.seg0000.nt is a text store file") ||
+		if !errors.Is(err, segcodec.ErrNeedsMigration) || !strings.Contains(err.Error(), fileNames(files)[0]+": text store file") ||
 			!strings.Contains(err.Error(), "run provio-merge -compact first") {
 			t.Errorf("%s text store: PackSegments returned %v", layout, err)
 		}

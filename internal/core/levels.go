@@ -25,14 +25,14 @@ import (
 var ErrNothingToPack = errors.New("core: no segments to pack at this level")
 
 // PackSegments folds every loose delta segment and every pack below the
-// target level into one new level-`level` pack, then removes the sources. It
-// refuses on an unclean audit — packing damaged history would seal the
-// damage in — and on a member that is a text file, a sidecar, or a pbs file
-// in an older version, all of which Compact rewrites first, so a pack it
-// writes holds one format; it writes nothing when it refuses. It is an
-// offline operation: run it on a quiescent store (no live trackers), like
-// Compact. Returns the new pack's file name, or ErrNothingToPack when there
-// is nothing to fold.
+// target level into one new level-`level` pack, then removes the sources.
+// Like every reader, it refuses a store holding a file only an older build
+// wrote (readable, on the audit's read pass, before the check pass opens a
+// file), so a pack it writes holds pbs v5 only; and it refuses on an unclean
+// audit — packing damaged history would seal the damage in. It writes
+// nothing when it refuses. It is an offline operation: run it on a quiescent
+// store (no live trackers), like Compact. Returns the new pack's file name,
+// or ErrNothingToPack when there is nothing to fold.
 //
 // A crash between the pack write and source removal leaves members
 // duplicated as loose files; the audit treats byte-identical duplicates as
@@ -44,7 +44,7 @@ func (s *Store) PackSegments(level int) (string, error) {
 	}
 	// The audit is also the read: it holds every file's bytes and decoded
 	// content, so nothing below touches the backend until the pack is written.
-	a, err := s.audit(true)
+	a, err := s.audit(true, true)
 	if err != nil {
 		return "", err
 	}
@@ -85,17 +85,10 @@ func (s *Store) PackSegments(level int) (string, error) {
 	// have reported a defect above, so one copy stands for all.
 	sort.Slice(members, func(i, j int) bool { return members[i].name < members[j].name })
 	members = slices.CompactFunc(members, func(x, y layoutFile) bool { return x.name == y.name })
-	if err := refuseLegacyText(members); err != nil {
-		return "", err
-	}
 	ordered := make([]segcodec.PackEntry, 0, len(members))
 	var contents []*segcodec.Columns // what the pack-level union stats cover
 	for _, m := range members {
 		f := a.audited[m.name]
-		if f.cols.Version != segcodec.PBSVersion {
-			return "", fmt.Errorf("core: %s is pbs v%d and a pack takes v%d files only: run provio-merge -compact first",
-				m.name, f.cols.Version, segcodec.PBSVersion)
-		}
 		ordered = append(ordered, segcodec.PackEntry{Name: m.name, Data: f.data, Stats: f.cols.Stats})
 		contents = append(contents, f.cols)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -22,13 +21,36 @@ import (
 // that turns one unit into triples: Store.decodeInto here,
 // LazyView.hydrateInto through the budgeted cache in lazysource.go.
 //
-// Pushdown consults each segment's embedded stats frame — and each pack's
-// header — to skip whole segments whose zone maps, predicate lists, and
-// Bloom filters prove the answer cannot be there. Pruning is strictly
-// conservative: a unit without stats (legacy .pbs, text segments) always
-// matches, a Bloom filter has false positives only, and the codec layer
+// Every reader takes pbs v5 only: before it decodes a byte, the listing
+// refuses a store holding a file only an older build wrote (readable), so
+// every unit it admits carries generation 2 stats. Pushdown consults each
+// segment's embedded stats frame — and each pack's header — to skip whole
+// segments whose zone maps, predicate lists, and Bloom filters prove the
+// answer cannot be there. Pruning is strictly
+// conservative: a Bloom filter has false positives only, and the codec layer
 // rejects any stats frame that does not byte-match its segment's contents —
 // so a pruned read returns exactly what the exhaustive read would.
+
+// readable is every reader's gate, run on each store file before any is
+// decoded: segcodec.ErrNeedsMigration naming f when it is a file only an
+// older build wrote — a text file or its sidecar, a pbs v1–v4 file (data
+// holds a loose file's bytes), or a pack whose header h carries stats that
+// are not all generation 2. A loose pbs v5 file's stats frame is what a read prunes on:
+// readable returns it, or the damage that keeps it from being read.
+func readable(f layoutFile, data []byte, h *segcodec.PackHeader) (st *segcodec.SegStats, err error) {
+	switch {
+	case f.kind == kindPack:
+		err = h.NeedsMigration()
+	case f.sum || f.text():
+		err = fmt.Errorf("text store file: %w", segcodec.ErrNeedsMigration)
+	default:
+		st, err = segcodec.StatsOf(data)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", f.name, err)
+	}
+	return st, nil
+}
 
 // PrunePattern is one triple pattern of a pruning hint; nil positions are
 // unbound. The zero pattern matches everything.
@@ -155,12 +177,12 @@ type scanUnit struct {
 	off    int64  // member extent (pack members only)
 	size   int64
 	level  int
-	stats  *segcodec.SegStats // nil = no stats, always matches
-	data   []byte             // unit bytes when already in hand
+	stats  *segcodec.SegStats
+	data   []byte // unit bytes when already in hand
 
 	// Pack members only: the container's size (the header's WantSize,
 	// checked against the file at listing time) and its union statistics
-	// for whole-pack pruning (nil when the pack carries none).
+	// for whole-pack pruning.
 	packSize  int64
 	packStats *segcodec.SegStats
 
@@ -284,24 +306,17 @@ func (u *scanUnit) fetch(s *Store) ([]byte, error) {
 	return data[u.off : u.off+u.size], nil
 }
 
-// decodeBytes decodes the unit's bytes into g, routing through the codec
-// the magic bytes identify (text files, which carry no magic, fall back to
-// the N-Triples/Turtle superset parser).
+// decodeBytes decodes the unit's pbs v5 bytes into g.
 func (u *scanUnit) decodeBytes(data []byte, g *rdf.Graph) error {
-	if err := segcodec.Detect(data).Decode(bytes.NewReader(data), g); err != nil {
+	c, err := segcodec.DecodeColumns(data)
+	if err != nil {
 		name := u.path
 		if u.member != "" {
 			name += "!" + u.member
-			// Members were decodable when the pack was written, so any decode
-			// failure here is pack damage — classify it as such when the
-			// codec layer hasn't already (a flipped magic byte, for example,
-			// demotes a binary member to a failed text parse).
-			if !errors.Is(err, segcodec.ErrCorrupt) && !errors.Is(err, segcodec.ErrTruncated) {
-				err = fmt.Errorf("%w: %v", segcodec.ErrCorrupt, err)
-			}
 		}
 		return fmt.Errorf("core: parsing %s: %w", name, err)
 	}
+	c.Materialize(g)
 	return nil
 }
 
@@ -320,7 +335,8 @@ func (s *Store) decodeInto(u *scanUnit, g *rdf.Graph) error {
 // header is fetched exactly once — its size and union stats ride on the
 // member units). Loose files are read whole — their stats frame sits in the
 // footer — and the bytes are kept on the unit so a later decode does not
-// re-read them.
+// re-read them. Every file passes readable first, so the first file only an
+// older build wrote refuses the read before any unit is decoded.
 func (s *Store) listUnits() (*unitList, error) {
 	lay, err := s.listLayout()
 	if err != nil {
@@ -328,9 +344,6 @@ func (s *Store) listUnits() (*unitList, error) {
 	}
 	l := &unitList{}
 	for _, f := range lay.files {
-		if f.sum {
-			continue // a text file's seal, not provenance
-		}
 		l.files++
 		path := s.path(f.name)
 		if f.kind == kindPack {
@@ -339,20 +352,16 @@ func (s *Store) listUnits() (*unitList, error) {
 			if err != nil {
 				return nil, err
 			}
-			var packStats *segcodec.SegStats
-			if h.HasStats {
-				packStats = &h.Stats
+			if _, err := readable(f, nil, h); err != nil {
+				return nil, err
 			}
 			for i := range h.Members {
 				m := &h.Members[i]
-				if n, ok := parseStoreName(m.Name); !ok || !n.unit() {
-					continue // a sidecar, or a name the audit flags
+				if _, ok := parseStoreName(m.Name); !ok {
+					continue // a name the audit flags
 				}
 				u := &scanUnit{path: path, member: m.Name, off: m.Off, size: m.Size, level: h.Level,
-					packSize: h.WantSize, packStats: packStats}
-				if m.HasStats {
-					u.stats = &m.Stats
-				}
+					stats: &m.Stats, packSize: h.WantSize, packStats: &h.Stats}
 				if data != nil {
 					u.data = data[m.Off : m.Off+m.Size]
 				}
@@ -364,19 +373,19 @@ func (s *Store) listUnits() (*unitList, error) {
 		if err != nil {
 			return nil, err
 		}
-		u := &scanUnit{path: path, size: int64(len(data)), data: data}
-		if fst, ok := segcodec.StatsOf(data); ok {
-			u.stats = &fst
+		st, err := readable(f, data, nil)
+		if err != nil {
+			return nil, err
 		}
-		l.units = append(l.units, u)
+		l.units = append(l.units, &scanUnit{path: path, size: int64(len(data)), data: data, stats: st})
 	}
 	return l, nil
 }
 
 // admit is the store's one pushdown predicate, applied in two stages: a
-// pack whose union stats rule every pattern out drops all its members
-// (stats-less ones included) and counts as skipped whole; surviving units
-// are then filtered on their own stats. A nil or empty pruner admits
+// pack whose union stats rule every pattern out drops all its members and
+// counts as skipped whole; surviving units are then filtered on their own
+// stats. A nil or empty pruner admits
 // everything. Eager pruned merges and lazy sources both admit through
 // here, so a lazy query touches exactly the units the eager merge decodes.
 func admit(units []*scanUnit, pr *SegmentPruner) (keep []*scanUnit, packsSkipped int) {
@@ -385,7 +394,7 @@ func admit(units []*scanUnit, pr *SegmentPruner) (keep []*scanUnit, packsSkipped
 	}
 	skipPack := make(map[string]bool) // pack path -> verdict, decided once per pack
 	for _, u := range units {
-		if u.packStats != nil {
+		if u.member != "" {
 			skip, decided := skipPack[u.path]
 			if !decided {
 				skip = !pr.wantStats(u.packStats)
@@ -398,7 +407,7 @@ func admit(units []*scanUnit, pr *SegmentPruner) (keep []*scanUnit, packsSkipped
 				continue
 			}
 		}
-		if u.stats != nil && !pr.wantStats(u.stats) {
+		if !pr.wantStats(u.stats) {
 			continue
 		}
 		keep = append(keep, u)

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -158,33 +158,32 @@ func TestCompactFoldsPacks(t *testing.T) {
 	}
 }
 
-// TestMixedFormatPruningNeverDropsResults is the always-match regression for
-// stats-less units (satellite of the pushdown design): a store mixing text
-// segments, a pbs v1 file from before the stats frame, and new
-// stats-carrying binary files must answer every pattern identically with and
-// without pruning — stats-less units always match, so they are always
-// decoded. The same holds once the mixed population sits in a pack, as an
-// older build packed it (PackSegments now refuses the text members).
+// TestMixedFormatPruningNeverDropsResults: a store mixing text segments, a
+// pbs v1 file from before the stats frame, and current binary files — loose,
+// or packed as an older build packed them, stats-less members beside
+// stats-carrying ones — holds units without generation 2 stats, which no
+// read admits: every pruned and exhaustive merge, the lazy view and
+// PackSegments refuse it with ErrNeedsMigration. Compact migrates it to the
+// union of its sources' graphs, which then answers every pattern identically
+// with and without pruning.
 func TestMixedFormatPruningNeverDropsResults(t *testing.T) {
 	// Text store (pids 0,1) and binary store (pids 2,3), disjoint names,
 	// merged into one directory beside pid 4: the version 1 store's canonical
 	// file with its stats frame and seal stripped, the shape of a store
-	// written before both the stats and the integrity layers. A canonical
-	// file never enters a pack, so it stays loose beside the pack below.
+	// written before both the stats and the integrity layers.
 	text := newLayoutStore(t, "nt")
-	smallHistory(t, text, 0)
-	smallHistory(t, text, 1)
+	twin := newBinaryVFSStore(t) // the text store's history, written as pbs
+	for pid := 0; pid < 2; pid++ {
+		smallHistory(t, text, pid)
+		smallHistory(t, twin, pid)
+	}
 	binary := newBinaryVFSStore(t)
 	smallHistory(t, binary, 2)
 	smallHistory(t, binary, 3)
 
 	combined := map[string][]byte{}
-	statsless := 0
 	for n, data := range storeFiles(t, text) {
 		combined[n] = data
-		if filepath.Ext(n) != ".sum" {
-			statsless++
-		}
 	}
 	for n, data := range storeFiles(t, binary) {
 		combined[n] = data
@@ -193,13 +192,52 @@ func TestMixedFormatPruningNeverDropsResults(t *testing.T) {
 	old := v1["prov_p000000.pbs"]
 	start, end := statsFrameAt(t, old)
 	combined["prov_p000004.pbs"] = segcodec.StripChain(append(old[:start:start], old[end:]...))
-	statsless++
-	store := openDir(t, combined)
-
-	full, err := store.Merge()
+	want := rdf.NewGraph()
+	for _, g := range []*rdf.Graph{mustMerge(t, twin), mustMerge(t, binary)} {
+		want.Merge(g)
+	}
+	cols, err := segcodec.DecodeAnyVersion(combined["prov_p000004.pbs"])
 	if err != nil {
 		t.Fatal(err)
 	}
+	cols.Materialize(want)
+
+	// The same population with its segments (and sidecars) in one pack, as
+	// an older build packed it: each member's own stats, none for a text one,
+	// and the union of every member's contents.
+	packed := maps.Clone(combined)
+	var entries []segcodec.PackEntry
+	var contents []*segcodec.Columns
+	for _, n := range fileNames(combined) {
+		sn, _ := parseStoreName(n)
+		if sn.kind != kindSegment {
+			continue
+		}
+		e := segcodec.PackEntry{Name: n, Data: combined[n]}
+		switch {
+		case sn.sum:
+		case sn.text():
+			g := rdf.NewGraph()
+			if err := segcodec.NTriples.Decode(bytes.NewReader(e.Data), g); err != nil {
+				t.Fatal(err)
+			}
+			contents = append(contents, segcodec.GraphColumns(g))
+		default:
+			c, err := segcodec.DecodeColumns(e.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Stats, contents = c.Stats, append(contents, c)
+		}
+		entries = append(entries, e)
+		delete(packed, n)
+	}
+	union := segcodec.UnionStats(contents, 1)
+	pack, err := segcodec.EncodePack(1, entries, &union)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed[packName(1, 0)] = pack
 
 	user := rdf.IRI(model.ProvIONS + "user/alice")
 	patterns := []PrunePattern{
@@ -209,50 +247,42 @@ func TestMixedFormatPruningNeverDropsResults(t *testing.T) {
 		{S: termPtr(rdf.IRI("urn:absent"))}, // matches nothing
 		{P: termPtr(rdf.IRI(model.AssociatedWith.IRI().Value))}, // predicate hint
 	}
-	check := func(stage string) {
-		t.Helper()
+	for stage, files := range map[string]map[string][]byte{"loose": combined, "packed": packed} {
+		store := openDir(t, files)
+		if _, _, err := store.MergePruned(nil, 2); !errors.Is(err, segcodec.ErrNeedsMigration) {
+			t.Fatalf("%s: merge before migration: %v", stage, err)
+		}
 		for i, p := range patterns {
-			pruned, scan, err := store.MergePruned(&SegmentPruner{Patterns: []PrunePattern{p}}, 1)
+			if _, _, err := store.MergePruned(&SegmentPruner{Patterns: []PrunePattern{p}}, 1); !errors.Is(err, segcodec.ErrNeedsMigration) {
+				t.Fatalf("%s pattern %d: pruned merge before migration: %v", stage, i, err)
+			}
+		}
+		if _, err := store.OpenLazy(CacheConfig{}); !errors.Is(err, segcodec.ErrNeedsMigration) {
+			t.Fatalf("%s: lazy view before migration: %v", stage, err)
+		}
+		if _, err := store.PackSegments(2); !errors.Is(err, segcodec.ErrNeedsMigration) ||
+			!strings.Contains(err.Error(), "provio-merge -compact") {
+			t.Fatalf("%s: PackSegments before migration: %v", stage, err)
+		}
+		if after := storeFiles(t, store); !maps.EqualFunc(files, after, bytes.Equal) {
+			t.Fatalf("%s: a refused read changed the store", stage)
+		}
+
+		if err := store.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		full := mustMerge(t, store)
+		if !bytes.Equal(ntBytes(t, full), ntBytes(t, want)) {
+			t.Fatalf("%s: the migration holds %d triples, its sources %d, or others", stage, full.Len(), want.Len())
+		}
+		for i, p := range patterns {
+			pruned, _, err := store.MergePruned(&SegmentPruner{Patterns: []PrunePattern{p}}, 1)
 			if err != nil {
 				t.Fatalf("%s pattern %d: %v", stage, i, err)
 			}
 			matchSubset(t, full, pruned, p, fmt.Sprintf("%s pattern %d", stage, i))
-			// LOOSE stats-less units can never be skipped, no matter the
-			// pattern. (Once packed, the pack header carries authoritative
-			// stats computed from the members' actual contents, so even
-			// stats-less members may be skipped through a whole-pack prune.)
-			if stage == "loose" && scan.Decoded < statsless {
-				t.Fatalf("%s pattern %d: decoded %d < %d stats-less units — a stats-less unit was pruned",
-					stage, i, scan.Decoded, statsless)
-			}
-		}
-		// And the nil pruner is exactly the exhaustive merge.
-		all, scan, err := store.MergePruned(nil, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ntBytes(t, full), ntBytes(t, all)) {
-			t.Fatalf("%s: nil-pruner merge differs from exhaustive", stage)
-		}
-		if scan.Skipped != 0 {
-			t.Fatalf("%s: nil pruner skipped %d units", stage, scan.Skipped)
 		}
 	}
-	check("loose")
-
-	if _, err := store.PackSegments(1); err == nil || !strings.Contains(err.Error(), "provio-merge -compact") {
-		t.Fatalf("PackSegments on a store with text segments: %v", err)
-	}
-	files := storeFiles(t, store)
-	pack := referencePack(t, files, 1)
-	for n := range files {
-		if sn, _ := parseStoreName(n); sn.kind == kindSegment {
-			delete(files, n)
-		}
-	}
-	files[packName(1, 0)] = pack
-	store = openDir(t, files)
-	check("packed")
 }
 
 func termPtr(t rdf.Term) *rdf.Term { return &t }
@@ -496,11 +526,12 @@ func TestPackCorruptionMatrix(t *testing.T) {
 }
 
 // TestStatsFrameCorruptionMatrix flips every byte of a LOOSE segment's stats
-// frame region: the pruner-facing reader (StatsOf) must degrade to
-// always-match (ok=false) or — if the damaged frame still parses — the strict
-// decode must reject the segment as ErrCorrupt. A damaged stats frame must
-// never silently mis-prune: a pruned merge for a pattern matching the
-// segment's triples either errors or still returns them all.
+// frame region: the pruner-facing reader (StatsOf) must refuse the segment as
+// ErrCorrupt or — if the damaged frame still parses — the strict decode must.
+// A damaged stats frame must never silently mis-prune: a pruned merge for a
+// pattern matching the segment's triples either errors or still returns them
+// all. And a current file with a damaged magic is damage to every read, as it
+// is to the audit — never text, and never a file in need of migration.
 func TestStatsFrameCorruptionMatrix(t *testing.T) {
 	store := newBinaryVFSStore(t)
 	triples := []rdf.Triple{
@@ -548,6 +579,27 @@ func TestStatsFrameCorruptionMatrix(t *testing.T) {
 	}
 	if err := store.backend.WriteFile(segPath, data); err != nil {
 		t.Fatal(err)
+	}
+
+	demo := storeFiles(t, demoStore(t, VFSBackend{View: vfs.NewStore().NewView()}))
+	seg := append([]byte(nil), demo["prov_p000000.seg0000.pbs"]...)
+	seg[1] ^= 1
+	demo["prov_p000000.seg0000.pbs"] = seg
+	damaged := openDir(t, demo)
+	_, _, merr := damaged.MergePruned(nil, 1)
+	view, lerr := damaged.OpenLazy(CacheConfig{})
+	if lerr == nil {
+		_, _, lerr = view.MaterializeGraph(1)
+	}
+	for op, err := range map[string]error{"MergePruned": merr, "lazy MaterializeGraph": lerr} {
+		if !errors.Is(err, segcodec.ErrCorrupt) || errors.Is(err, segcodec.ErrNeedsMigration) {
+			t.Errorf("damaged magic: %s returned %v, want ErrCorrupt", op, err)
+		}
+	}
+	rep := mustVerify(t, damaged)
+	if len(rep.Defects) == 0 || rep.Defects[0].Name != "prov_p000000.seg0000.pbs" || rep.Defects[0].Kind != DefectTampered ||
+		!strings.Contains(rep.Defects[0].Detail, "missing PBS magic") {
+		t.Errorf("damaged magic: Verify found %v", rep.Defects)
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 )
 
 // TestUnsafeAPINameRoundTrips: an API name is caller text like a path is, and
-// the activity IRI it is pasted into must survive every store format. Pasted
-// raw, `my api> <x` closed fine under nt and ttl and then failed Merge with
-// "expected ';' or '.' after object".
+// the activity IRI it is pasted into must survive every store format (a text
+// store's into its migration). Pasted raw, `my api> <x` closed fine under nt
+// and ttl and then failed Merge with "expected ';' or '.' after object".
 func TestUnsafeAPINameRoundTrips(t *testing.T) {
 	for _, format := range layouts {
 		store := newLayoutStore(t, format)
@@ -34,7 +34,7 @@ func TestUnsafeAPINameRoundTrips(t *testing.T) {
 		if err := tr.Close(); err != nil {
 			t.Fatalf("%v: Close: %v", format, err)
 		}
-		g, err := store.Merge()
+		g, err := mergeLayout(t, store)
 		if err != nil {
 			t.Fatalf("%v: Merge: %v", format, err)
 		}
@@ -393,7 +393,8 @@ func TestTrackingKeepsCallerTermKinds(t *testing.T) {
 // callerIRIRoundTrips tracks value as the IRI of every node a caller supplies
 // — object, agent, container, attribution, owner, product, source — closes the
 // tracker into a store of each format and checks that Merge reads back
-// exactly the tracker's triples, Term-equal.
+// exactly the tracker's triples, Term-equal (a text store's after its
+// migration).
 func callerIRIRoundTrips(t *testing.T, value string) {
 	t.Helper()
 	x := rdf.IRI(value)
@@ -411,7 +412,7 @@ func callerIRIRoundTrips(t *testing.T, value string) {
 		if err := tr.Close(); err != nil {
 			t.Fatalf("%v, IRI %q: Close: %v", format, value, err)
 		}
-		g, err := store.Merge()
+		g, err := mergeLayout(t, store)
 		if err != nil {
 			t.Fatalf("%v, IRI %q: Merge: %v", format, value, err)
 		}

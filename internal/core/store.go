@@ -112,10 +112,10 @@ type OSBackend = backend.Dir
 // Store is the Provenance Store component: a directory of per-process
 // sub-graph files plus merge support.
 //
-// The store writes one codec, pbs (DESIGN.md "Store codecs"), every file
-// sealed in-band. Reads decode each file by the codec its magic bytes
-// identify, so text files an older build wrote (legacytext.go) merge, answer
-// and verify beside pbs ones until Compact migrates them.
+// The store writes one codec, pbs v5 (DESIGN.md "Store codecs"), every file
+// sealed in-band, and its reads take nothing else. Files an older build
+// wrote — text (legacytext.go) or older pbs — verify beside pbs v5 ones, and
+// refuse every read until Compact migrates them.
 type Store struct {
 	backend Backend
 	dir     string
@@ -133,7 +133,7 @@ type Store struct {
 // pbs, the zero Format; any other value is refused.
 func NewStore(backend Backend, dir string, format Format) (*Store, error) {
 	if format != FormatBinary {
-		return nil, fmt.Errorf("core: store format %d: the store writes pbs only (text stores are read as they are, and provio-merge -compact migrates them)", format)
+		return nil, fmt.Errorf("core: store format %d: the store writes pbs only (provio-merge -compact migrates text stores)", format)
 	}
 	if err := backend.MkdirAll(dir); err != nil {
 		return nil, err
@@ -300,7 +300,7 @@ func (s *Store) Merge() (*rdf.Graph, error) {
 // manipulated; Compact refuses with an *IntegrityError rather than guess,
 // and provio-verify classifies the damage.
 func (s *Store) Compact() error {
-	a, err := s.audit(true)
+	a, err := s.audit(true, false)
 	if err != nil {
 		return err
 	}
@@ -319,7 +319,7 @@ func (s *Store) Compact() error {
 		dropped = true
 	}
 	if dropped {
-		if a, err = s.audit(true); err != nil {
+		if a, err = s.audit(true, false); err != nil {
 			return err
 		}
 	}

@@ -88,9 +88,12 @@ type VerifyReport struct {
 	Segments  int // delta segment files among Files
 	Packs     int // pack containers examined (their members audited like loose files)
 	// PBSVersions counts the intact binary files (loose or pack members) by
-	// the format version they were written in. Every version listed reads the
-	// same; anything below the current one is what Compact rewrites.
+	// the format version they were written in, and Text the intact text
+	// files. Reads take pbs v5 only: a store holding a file of an older
+	// version, or a text file, reads as ErrNeedsMigration until Compact
+	// rewrites it.
 	PBSVersions map[byte]int
+	Text        int
 	// Unsealed lists intact files carrying no seal. Tolerated by default —
 	// they are what pre-integrity stores look like — but provio-verify
 	// -strict turns them into orphaned defects, closing the one local gap
@@ -205,7 +208,7 @@ func (e *IntegrityError) Error() string {
 // operational failures only (unlistable directory, unreadable files);
 // integrity findings land in the report's Defects.
 func (s *Store) Verify() (*VerifyReport, error) {
-	a, err := s.audit(false)
+	a, err := s.audit(false, false)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +340,11 @@ func (a *storeAudit) addPackDefect(kind DefectKind, name, format string, args ..
 // analyses each chain. The result is the same at any worker count. keep
 // retains each intact file's decoded content (and the audit keeps every
 // file's bytes regardless) for the fold steps of Compact and PackSegments.
-func (s *Store) audit(keep bool) (*storeAudit, error) {
+// With gate, the read pass holds each file to readable, every reader's gate,
+// and returns its first ErrNeedsMigration before the check pass opens a file:
+// PackSegments, a reader, audits so, and only Verify and Compact (the
+// migration) audit a file only an older build wrote.
+func (s *Store) audit(keep, gate bool) (*storeAudit, error) {
 	l, err := s.listLayout()
 	if err != nil {
 		return nil, err
@@ -353,10 +360,17 @@ func (s *Store) audit(keep bool) (*storeAudit, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: reading %s: %w", f.name, err)
 		}
+		var h *segcodec.PackHeader
 		if f.kind == kindPack {
 			entries = append(entries, a.addPack(f, data)...)
+			h = a.packs[len(a.packs)-1].header
 		} else {
 			entries = append(entries, &auditFile{layoutFile: f, data: data})
+		}
+		if gate && (h != nil || f.kind != kindPack) {
+			if _, err := readable(f, data, h); errors.Is(err, segcodec.ErrNeedsMigration) {
+				return nil, err // damage is the check pass's to classify
+			}
 		}
 	}
 	// Same-name copies (a crash between a pack write and source removal
@@ -506,12 +520,14 @@ func (f *auditFile) check(sums map[string]*auditFile, keep bool) {
 	name, seg := f.name, f.seg
 	f.digest = fileDigest(f.data)
 	// The pbs format by name: it is read with its own columnar decode and
-	// in-band seal; anything else is a text file an older build wrote.
+	// in-band seal; anything else is a text file an older build wrote. Both
+	// open the frozen readers: the audit holds every file any build wrote to
+	// its seal, which is what makes Compact a trustworthy migration.
 	if f.text() {
 		f.checkText(sums, keep)
 	} else {
 		// Validation needs no graph: the columnar decode makes every check.
-		cols, err := segcodec.DecodeColumns(f.data)
+		cols, err := segcodec.DecodeAnyVersion(f.data)
 		if err != nil {
 			kind := DefectTampered
 			if errors.Is(err, segcodec.ErrTruncated) {
@@ -769,6 +785,9 @@ func (a *storeAudit) report(dir string) *VerifyReport {
 		for _, f := range append(append([]*auditFile{}, pa.canonicals...), pa.segs...) {
 			if f.meta == nil && !f.bad() {
 				rep.Unsealed = append(rep.Unsealed, f.name)
+			}
+			if f.text() && !f.bad() {
+				rep.Text++
 			}
 		}
 	}

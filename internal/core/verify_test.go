@@ -415,7 +415,7 @@ func TestVerifyChecksLegacyPackHeaderStats(t *testing.T) {
 		// The last member in this build's version: the same triples and seal,
 		// so the chain holds and only the union's generation is wrong for it.
 		current := func(seg []byte) []byte {
-			c, err := segcodec.DecodeColumns(seg)
+			c, err := segcodec.DecodeAnyVersion(seg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -438,8 +438,7 @@ func TestVerifyChecksLegacyPackHeaderStats(t *testing.T) {
 			"generation 1 union beside a current member": {rewrite(func(es []segcodec.PackEntry, _ *segcodec.SegStats) {
 				last := &es[len(es)-1]
 				last.Data = current(last.Data)
-				own, _ := segcodec.StatsOf(last.Data)
-				last.Stats = &own
+				last.Stats, _ = segcodec.StatsOf(last.Data)
 			}), fmt.Sprintf("pack-level stats of generation 1 beside a pbs v%d member", segcodec.PBSVersion)},
 		} {
 			rep := mustVerify(t, openDir(t, c.files))

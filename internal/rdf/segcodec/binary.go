@@ -80,17 +80,18 @@ import (
 //	uvarint nRuns   | per subject run: uvarint subjectDelta, uvarint shapeIndex
 //	O column        | per row: zig-zag delta from the previous object of the same predicate
 //
-// That is version 5, the only one written. Versions 1 to 4 stay readable
-// through their frozen reader (legacy.go), and nothing outside it knows how
-// they differ. In every version, each dictionary entry is named by some row.
+// That is version 5, the only one written and the only one DecodeColumns
+// reads. Versions 1 to 4 open only through DecodeAnyVersion (legacy.go), the
+// audit's door, and nothing outside legacy.go knows how they differ. In every
+// version, each dictionary entry is named by some row.
 type binCodec struct{}
 
 // pbsMagic identifies a binary segment; the byte after it is the format
 // version.
 var pbsMagic = []byte{'P', 'B', 'S'}
 
-// PBSVersion is the format version every encoder entry point writes. The
-// decoder reads every version from 1 up to it, the older ones in legacy.go.
+// PBSVersion is the format version every encoder entry point writes and
+// every reader takes.
 const PBSVersion = 5
 
 // pbsBody splits a binary segment into its format version and the frames
@@ -337,41 +338,32 @@ type Columns struct {
 	// them in log order.
 	Tris [][3]uint32
 	// Version is the format version of the file the columns were decoded
-	// from; zero for columns that were not (GraphColumns). Besides
-	// operator-facing reporting, packing reads it (PackSegments takes only
-	// current members) and so does CheckPackStats (a generation 1 union is
-	// an older pack's, never one beside a current member).
+	// from: PBSVersion from DecodeColumns, any from DecodeAnyVersion, zero
+	// for columns that were not decoded (GraphColumns). Besides
+	// operator-facing reporting, Compact reads it (it rewrites an older
+	// file) and so does CheckPackStats (a generation 1 union is an older
+	// pack's, never one beside a current member).
 	Version byte
 	// Stats is the segment's stats frame, verified equal to the stats its
-	// contents derive; nil only for an older file that carries none.
+	// contents derive; nil only for an older file that carries none, which
+	// only DecodeAnyVersion returns.
 	Stats *SegStats
 	// Chain is the embedded seal; nil when the file is unsealed.
 	Chain *Chain
 }
 
-// DecodeColumns parses and validates one binary segment file: magic, every
-// frame's CRC, the footer frames and their order, the chain seal, the
-// dictionary's strict order, every ID's range, the rows' strict order, the
-// stats frame against the contents, and the RDF shape of every triple. An
-// error wraps ErrCorrupt (or its ErrTruncated sub-class for a torn write).
+// DecodeColumns parses and validates one pbs v5 file: magic, every frame's
+// CRC, the footer frames and their order, the chain seal, the dictionary's
+// strict order, every ID's range, the rows' strict order, the stats frame
+// against the contents, and the RDF shape of every triple. An error wraps
+// ErrCorrupt (or its ErrTruncated sub-class for a torn write), or is
+// ErrNeedsMigration for a file of an older version.
 func DecodeColumns(data []byte) (*Columns, error) {
-	version, rest, err := pbsBody(data)
+	f, err := currentFrames(data)
 	if err != nil {
 		return nil, err
 	}
-	if version < PBSVersion {
-		return legacyColumns(version, rest)
-	}
-	f, err := readFrames(rest, version, staGenRange)
-	switch {
-	case err != nil:
-		return nil, err
-	case f.stats == nil && f.chain == nil:
-		return nil, fmt.Errorf("%w: pbs v%d file ends before its stats frame", ErrTruncated, version)
-	case f.stats == nil:
-		return nil, fmt.Errorf("%w: pbs v%d file carries no stats frame", ErrCorrupt, version)
-	}
-	c := &Columns{Version: version, Chain: f.chain}
+	c := &Columns{Version: PBSVersion, Chain: f.chain}
 	if c.Terms, c.Tris, err = decodeBlocks(f.dict, f.cols); err != nil {
 		return nil, err
 	}
@@ -381,6 +373,33 @@ func DecodeColumns(data []byte) (*Columns, error) {
 	}
 	c.Stats = &st
 	return c, nil
+}
+
+// currentFrames splits a pbs v5 file into its frames: the one entry of every
+// read, through DecodeColumns and StatsOf.
+func currentFrames(data []byte) (f segFrames, err error) {
+	version, rest, err := pbsBody(data)
+	if err != nil {
+		return f, err
+	}
+	gen := byte(staGenRange)
+	if version < PBSVersion {
+		gen = staGenBloom
+	}
+	// A current file whose version byte was damaged carries the generation 2
+	// stats frame no older version has: readFrames refuses it as damage.
+	f, err = readFrames(rest, version, gen)
+	switch {
+	case err != nil:
+		return f, err
+	case version < PBSVersion:
+		return f, fmt.Errorf("pbs v%d file: %w", version, ErrNeedsMigration)
+	case f.stats == nil && f.chain == nil:
+		return f, fmt.Errorf("%w: pbs v%d file ends before its stats frame", ErrTruncated, version)
+	case f.stats == nil:
+		return f, fmt.Errorf("%w: pbs v%d file carries no stats frame", ErrCorrupt, version)
+	}
+	return f, nil
 }
 
 // segFrames are a segment's frames after the magic; stats and chain are nil

@@ -5,14 +5,12 @@
 // Three codecs are registered: a binary ID-space format ("pbs") that
 // serializes dictionary IDs instead of rendered terms, so the hot
 // flush/merge paths never tokenize, escape, or re-parse term strings — the
-// one format the store writes — and the text formats older builds wrote,
-// N-Triples ("nt") and Turtle ("ttl"), which stores still read (DESIGN.md
-// "Store codecs").
-//
-// Readers never need to be told a file's format: Detect sniffs the magic
-// bytes of every registered codec and falls back to the text parser (which
-// accepts the N-Triples/Turtle superset), so directories mixing .nt, .ttl,
-// and .pbs files merge correctly.
+// one format the store writes, and the only one its reads take (v5, through
+// DecodeColumns) — and the text formats older builds wrote, N-Triples ("nt")
+// and Turtle ("ttl"), which export writes and the audit reads (DESIGN.md
+// "Store codecs"). Files an older build wrote reach a decoder only through
+// the audit: text through Detect's fallback, pbs v1–v4 through
+// DecodeAnyVersion (legacy.go).
 package segcodec
 
 import (
@@ -58,6 +56,12 @@ type RefsEncoder interface {
 // ErrCorrupt is wrapped by every structural decode failure of the binary
 // codec: bad magic, truncated frames, CRC mismatches, out-of-range IDs.
 var ErrCorrupt = errors.New("segcodec: corrupt segment")
+
+// ErrNeedsMigration is what every read returns for a file only an older
+// build wrote — a pbs v1–v4 file, a text store file or its sidecar — and
+// what provio-merge -compact (Store.Compact) rewrites as pbs v5. It is a
+// verdict, not damage: it never wraps ErrCorrupt, nor ErrCorrupt it.
+var ErrNeedsMigration = errors.New("store needs migration: run provio-merge -compact first")
 
 // ErrTruncated is the truncation sub-class of ErrCorrupt: the input is a
 // strict prefix of a well-formed segment (a torn write cut it short).

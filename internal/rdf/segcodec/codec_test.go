@@ -54,8 +54,8 @@ func TestDetect(t *testing.T) {
 
 // TestUnknownVersionIsClassified: a segment of a version this build does not
 // know is reported as exactly that — by the columnar decode, by the codec
-// Detect routes it to, and by the seal and stats probes (which see no frame)
-// — and never handed to the text parser or read as another layout.
+// Detect routes it to, and by the stats probe, while the seal probe sees no
+// frame — and never handed to the text parser or read as another layout.
 func TestUnknownVersionIsClassified(t *testing.T) {
 	good := validSegment(t)
 	for _, v := range []byte{0, PBSVersion + 1, 0x7f, 0xff} {
@@ -79,21 +79,23 @@ func TestUnknownVersionIsClassified(t *testing.T) {
 		if _, ok := ChainOf(sealed); ok {
 			t.Errorf("version %d: ChainOf read a seal", v)
 		}
-		if _, ok := StatsOf(data); ok {
-			t.Errorf("version %d: StatsOf read a stats frame", v)
+		if _, err := StatsOf(data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: StatsOf returned %v, want ErrCorrupt: %s", v, err, want)
 		}
 	}
 }
 
 // TestVersionByteSwapIsRejected: the same frames under another known version
 // byte are that layout's garbage — a v3 triple block read as v2, the v2
-// golden read as v3 or v1, any generation under any other — and must fail,
-// not decode to something else. No CRC covers the version byte, so this
-// holds only because no two layouts spell a segment alike: a version 4
-// dictionary block without literals still carries its run count, 0, where
-// version 3 starts the entries; and versions 4 and 5, whose blocks are the
-// same, carry stats frames of different generations, so a swap between
-// them is the stats frame's to refuse.
+// golden read as v3 or v1, any generation under any other — and the audit's
+// door must fail on them, not decode to something else; a read refuses them
+// all. No CRC covers the version byte, so this holds only because no two
+// layouts spell a segment alike: a version 4 dictionary block without
+// literals still carries its run count, 0, where version 3 starts the
+// entries; and versions 4 and 5, whose blocks are the same, carry stats
+// frames of different generations, so a swap between them is the stats
+// frame's to refuse — which is also what keeps a current file under an older
+// version byte damage, not an older file, for the read.
 func TestVersionByteSwapIsRejected(t *testing.T) {
 	ab := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b")}
 	samples := map[string][]byte{
@@ -112,12 +114,16 @@ func TestVersionByteSwapIsRejected(t *testing.T) {
 			}
 			swapped := append([]byte{}, data...)
 			swapped[3] = v
-			_, err := DecodeColumns(swapped)
+			_, err := DecodeAnyVersion(swapped)
 			if !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s under version byte %d: DecodeColumns returned %v, want ErrCorrupt", name, v, err)
+				t.Errorf("%s under version byte %d: DecodeAnyVersion returned %v, want ErrCorrupt", name, v, err)
 			}
 			if v >= 4 && data[3] >= 4 && !strings.Contains(err.Error(), "stats frame: a pbs v") {
 				t.Errorf("%s under version byte %d: rejected with %v, want the stats frame's generation rule", name, v, err)
+			}
+			_, err = DecodeColumns(swapped)
+			if data[3] == PBSVersion && !errors.Is(err, ErrCorrupt) || err == nil {
+				t.Errorf("%s under version byte %d: DecodeColumns returned %v", name, v, err)
 			}
 		}
 	}
@@ -334,7 +340,7 @@ func TestBinaryDecodeCorruption(t *testing.T) {
 
 	for name, data := range cases {
 		g := rdf.NewGraph()
-		err := Binary.Decode(bytes.NewReader(data), g)
+		err := decodeAny(data, g)
 		if err == nil {
 			t.Errorf("%s: decode accepted corrupt input", name)
 			continue

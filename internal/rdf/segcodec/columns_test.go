@@ -227,7 +227,7 @@ func checkBlockCases(t *testing.T, block string, cases []blockCase) {
 		into := rdf.NewGraph()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := Binary.Decode(bytes.NewReader(tc.data), into)
+		err := decodeAny(tc.data, into)
 		runtime.ReadMemStats(&after)
 		if allocated := after.TotalAlloc - before.TotalAlloc; allocated > 1<<20 {
 			t.Errorf("%s: decoding %d bytes allocated %d", tc.name, len(tc.data), allocated)
@@ -242,7 +242,7 @@ func checkBlockCases(t *testing.T, block string, cases []blockCase) {
 					t.Fatal(err)
 				}
 			} else {
-				c, err := DecodeColumns(tc.data)
+				c, err := DecodeAnyVersion(tc.data)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -472,7 +472,7 @@ func TestLegacyDictBlockDecodesTheSame(t *testing.T) {
 		if data[3] != v {
 			t.Fatalf("fixture of version %d carries version byte %d", v, data[3])
 		}
-		c, err := DecodeColumns(data)
+		c, err := DecodeAnyVersion(data)
 		if err != nil {
 			t.Fatalf("version %d: %v", v, err)
 		}
@@ -530,7 +530,7 @@ func TestMaterializeKeepsIDOrder(t *testing.T) {
 		segments[fmt.Sprintf("random seed %d", seed)] = buf.Bytes()
 	}
 	for name, data := range segments {
-		c, err := DecodeColumns(data)
+		c, err := DecodeAnyVersion(data)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -544,7 +544,7 @@ func TestMaterializeKeepsIDOrder(t *testing.T) {
 				got.Add(tr)
 				want.Add(tr)
 			}
-			if err := Binary.Decode(bytes.NewReader(data), got); err != nil {
+			if err := decodeAny(data, got); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			referenceMaterialize(c, want)

@@ -297,11 +297,11 @@ func unnamedEntry() (withZZ, without []rdf.Term, tris [][3]uint32) {
 func TestDecodeRejectsUnnamedDictEntry(t *testing.T) {
 	withZZ, without, tris := unnamedEntry()
 	for v := byte(1); v <= PBSVersion; v++ {
-		if _, err := DecodeColumns(segmentOf(v, without, tris)); err != nil {
+		if _, err := DecodeAnyVersion(segmentOf(v, without, tris)); err != nil {
 			t.Fatalf("version %d without the unnamed entry: %v", v, err)
 		}
 		into := rdf.NewGraph()
-		err := Binary.Decode(bytes.NewReader(segmentOf(v, withZZ, [][3]uint32{{0, 1, 3}})), into)
+		err := decodeAny(segmentOf(v, withZZ, [][3]uint32{{0, 1, 3}}), into)
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "dictionary block: term 2: no triple names it") {
 			t.Errorf("version %d: Decode returned %v, want ErrCorrupt naming term 2", v, err)
 		}

@@ -2,6 +2,8 @@ package segcodec
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -11,7 +13,12 @@ import (
 // FuzzSegcodecDecode hammers the binary decoder with arbitrary bytes. The
 // contract under test: Decode returns an error for anything that is not a
 // well-formed segment and never panics, over-allocates on lying counts, or
-// loops. Valid encodings must round-trip.
+// loops. Valid encodings must round-trip. The read path's decoder and the
+// audit's any-version door split the versions between them: DecodeColumns
+// accepts pbs v5 only, with its stats, which StatsOf reads alike; whatever
+// the door accepts at an older version, DecodeColumns and StatsOf refuse
+// with ErrNeedsMigration and nothing else; and a current file decodes
+// identically through both doors.
 func FuzzSegcodecDecode(f *testing.F) {
 	// Seed with valid segments of increasing shape complexity...
 	empty := &bytes.Buffer{}
@@ -88,24 +95,35 @@ func FuzzSegcodecDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		into := rdf.NewGraph()
-		err := Binary.Decode(bytes.NewReader(data), into)
-		if err != nil {
-			return // rejected: fine, as long as we did not panic
+		cur, err := DecodeColumns(data)
+		if err == nil && (cur.Version != PBSVersion || cur.Stats == nil) {
+			t.Fatalf("DecodeColumns accepted a version %d file, stats %v", cur.Version, cur.Stats)
 		}
-		var re bytes.Buffer
-		if err := Binary.Encode(&re, into, nil); err != nil {
-			t.Fatalf("re-encode of accepted input failed: %v", err)
+		if st, serr := StatsOf(data); err == nil && (serr != nil || !bytes.Equal(st.encode(), cur.Stats.encode())) ||
+			errors.Is(err, ErrNeedsMigration) && !errors.Is(serr, ErrNeedsMigration) {
+			t.Fatalf("StatsOf returned %v, DecodeColumns %v", serr, err)
 		}
-		canon := re.Bytes()
-		if data[3] < PBSVersion {
-			// An older input is readable, not canonical — nothing writes it.
-			// What holds across the generations: re-encoding it gives a
-			// current segment of the same columns, and the seal moves over.
-			old, err := DecodeColumns(data)
-			if err != nil {
-				t.Fatalf("Decode accepted what DecodeColumns rejects: %v", err)
+		old, anyErr := DecodeAnyVersion(data)
+		switch {
+		case anyErr != nil:
+			if err == nil {
+				t.Fatalf("DecodeColumns accepted what the audit's door refuses: %v", anyErr)
 			}
+			return
+		case old.Version < PBSVersion:
+			if !errors.Is(err, ErrNeedsMigration) || errors.Is(err, ErrCorrupt) {
+				t.Fatalf("version %d input the audit's door accepts: DecodeColumns returned %v, want ErrNeedsMigration", old.Version, err)
+			}
+			// An older input is not canonical — nothing writes it. What holds
+			// across the generations: re-encoding it gives a current segment
+			// of the same columns, and the seal moves over.
+			g := rdf.NewGraph()
+			old.Materialize(g)
+			var re bytes.Buffer
+			if err := Binary.Encode(&re, g, nil); err != nil {
+				t.Fatalf("re-encode of accepted input failed: %v", err)
+			}
+			canon := re.Bytes()
 			ch, sealed := ChainOf(data)
 			if sealed {
 				canon = AppendChain(canon, ch)
@@ -114,14 +132,27 @@ func FuzzSegcodecDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded version %d input does not decode: %v", data[3], err)
 			}
-			if cur.Version != PBSVersion || !slices.Equal(cur.Terms, old.Terms) || !slices.Equal(cur.Tris, old.Tris) {
+			if !slices.Equal(cur.Terms, old.Terms) || !slices.Equal(cur.Tris, old.Tris) {
 				t.Fatalf("re-encoding a version %d input changed its columns", data[3])
 			}
 			if (cur.Chain != nil) != sealed || sealed && *cur.Chain != *old.Chain {
 				t.Fatalf("seal did not survive the version %d -> %d re-encode", data[3], PBSVersion)
 			}
 			return
+		case err != nil:
+			t.Fatalf("the audit's door accepted a current file DecodeColumns refuses: %v", err)
+		case !reflect.DeepEqual(old, cur):
+			t.Fatal("a current file decodes differently through the two doors")
 		}
+		into := rdf.NewGraph()
+		if err := Binary.Decode(bytes.NewReader(data), into); err != nil {
+			t.Fatalf("Decode refused what DecodeColumns accepts: %v", err)
+		}
+		var re bytes.Buffer
+		if err := Binary.Encode(&re, into, nil); err != nil {
+			t.Fatalf("re-encode of accepted input failed: %v", err)
+		}
+		canon := re.Bytes()
 		// Accepted current input must re-encode to the identical bytes once
 		// any chain seal is stripped: the payload format is canonical, its
 		// stats frame included (Decode rejects a missing or mismatched one),

@@ -47,7 +47,25 @@ type encScratch struct {
 // encPool lends a scratch to one kernel call. A kernel puts it back on its
 // way out, never deferred: a call that panicked leaves local dirty, and such
 // a scratch must not reach the next build.
+//
+// Whether a call finds a used scratch or a fresh one depends on the P it runs
+// on and on the collections since the last Put, not on the segment, so a
+// kernel sizes each slice it fills once, to a bound of what the build needs
+// (grow), rather than doubling it up from empty: a fresh scratch then costs a
+// flush about one allocation per slice (TestFreshScratchAllocs), and the
+// allocations of an ingest hardly depend on how its flushes were scheduled.
 var encPool = sync.Pool{New: func() any { return new(encScratch) }}
+
+// grow returns s with room for n more elements. When s must move it takes
+// room for 2n: one scratch serves a tracker's delta flushes and, at Close,
+// the canonical file of its whole graph, about twice a delta, and a scratch
+// that had to grow for the one should not grow again for the other.
+func grow[S ~[]E, E any](s S, n int) S {
+	if n <= cap(s)-len(s) {
+		return s
+	}
+	return slices.Grow(s, 2*n)
+}
 
 // refTriples builds the canonically sorted segment-local dictionary of the
 // terms the refs name, and the refs as local-ID rows in the order given
@@ -60,11 +78,13 @@ func refTriples(refs []rdf.TripleID, src TermSource) ([]rdf.Term, [][3]uint32) {
 		top = max(top, r.S, r.P, r.O)
 	}
 	if need := int(top) + 1; len(refs) > 0 && need > len(sc.local) {
-		// Doubling, so a growing graph's flushes do not each pay for a table
-		// the size of the graph. The old table is all zero: nothing to copy.
-		sc.local = make([]uint32, max(need, 2*len(sc.local)))
+		// Twice the need, as grow does, so a growing graph's flushes do not
+		// each pay for a table the size of the graph. The old table is all
+		// zero: nothing to copy.
+		sc.local = make([]uint32, 2*need)
 	}
-	local, gids := sc.local, sc.gids[:0]
+	// No more distinct IDs than the table holds or the rows name.
+	local, gids := sc.local, grow(sc.gids[:0], min(len(sc.local), 3*len(refs)))
 	for _, r := range refs {
 		for _, id := range [3]rdf.ID{r.S, r.P, r.O} {
 			if local[id] == 0 {
@@ -74,7 +94,7 @@ func refTriples(refs []rdf.TripleID, src TermSource) ([]rdf.Term, [][3]uint32) {
 		}
 	}
 	terms := make([]rdf.Term, len(gids))
-	perm := slices.Grow(sc.perm[:0], len(gids))
+	perm := grow(sc.perm[:0], len(gids))
 	for i, id := range gids {
 		terms[i] = src.TermOf(id)
 		perm = append(perm, uint32(i))
@@ -211,7 +231,7 @@ func sortDedupTriples(tris [][3]uint32, nTerms int) [][3]uint32 {
 	sc := encPool.Get().(*encScratch)
 	// start[c][k] becomes the position of column c's first row with key k.
 	n := nTerms + 1
-	sc.count = slices.Grow(sc.count[:0], 3*n)[:3*n]
+	sc.count = grow(sc.count[:0], 3*n)[:3*n]
 	clear(sc.count)
 	start := [3][]uint32{sc.count[:n], sc.count[n : 2*n], sc.count[2*n:]}
 	for _, t := range tris {
@@ -224,7 +244,7 @@ func sortDedupTriples(tris [][3]uint32, nTerms int) [][3]uint32 {
 			start[c][k] += start[c][k-1]
 		}
 	}
-	sc.rows = slices.Grow(sc.rows[:0], len(tris))[:len(tris)]
+	sc.rows = grow(sc.rows[:0], len(tris))[:len(tris)]
 	scatter := func(dst, src [][3]uint32, c int) {
 		next := start[c]
 		for _, t := range src {

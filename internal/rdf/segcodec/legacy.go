@@ -39,9 +39,21 @@ import (
 // with its own stats frame, which is optional here: files from before the
 // frame existed decode without one. The frame is generation 1, held byte for
 // byte to legacyStats of the contents, and a pack header's generation 1 union
-// to legacyUnion. Generation 1 is read, checked and trusted for pruning; it is
-// computed nowhere else and written never. A version that replaces version 5
-// moves version 5's reader here.
+// to legacyUnion. Generation 1 is read and checked by the audit only — no
+// read prunes on it — computed nowhere else and written never. A version
+// that replaces version 5 moves version 5's reader here.
+
+// DecodeAnyVersion is the one door to this reader: a pbs v5 file through
+// DecodeColumns, versions 1 to 4 through legacyColumns. The audit's per-file
+// check, which Verify and Compact (the migration) read through, is its only
+// caller; every read takes DecodeColumns, which refuses an older file with
+// ErrNeedsMigration.
+func DecodeAnyVersion(data []byte) (*Columns, error) {
+	if version, rest, err := pbsBody(data); err == nil && version < PBSVersion {
+		return legacyColumns(version, rest)
+	}
+	return DecodeColumns(data)
+}
 
 // legacyColumns is DecodeColumns for versions 1 to 4.
 func legacyColumns(version byte, rest []byte) (*Columns, error) {

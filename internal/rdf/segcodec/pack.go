@@ -42,10 +42,11 @@ import (
 // skipped by Decode. Stats payloads are stats frame payloads (stats.go): a
 // member's is its own frame's, byte for byte; the pack's is the union of its
 // members' contents. A pack written by this build holds only pbs v5 members
-// (PackSegments refuses an older one), so both are generation 2. Packs of
-// older builds stay readable: before v5 every stats payload was generation 1,
-// and a pack of v4 and v5 members carries each member's own frame beside a
-// generation 2 union. CheckPackStats holds a header to its members.
+// (PackSegments refuses an older one), so both are generation 2, and a read
+// takes no other pack (NeedsMigration). Packs of older builds are the audit's
+// and Compact's: before v5 every stats payload was generation 1, and a pack
+// of v4 and v5 members carries each member's own frame beside a generation 2
+// union. CheckPackStats holds a header to its members.
 type packCodec struct{}
 
 var pskMagic = []byte{'P', 'S', 'K', 0x01}
@@ -95,28 +96,26 @@ func (packCodec) Decode(r io.Reader, into *rdf.Graph) error {
 type PackEntry struct {
 	Name string
 	Data []byte
-	// Stats is the member's stats block (nil = none; the member then always
-	// matches during pruning).
+	// Stats is the member's stats block; nil writes none, as a pack of an
+	// older build's members carries, which every read refuses.
 	Stats *SegStats
 }
 
 // PackMember is one member of a decoded pack header.
 type PackMember struct {
-	Name     string
-	Off      int64 // byte offset of the member's verbatim bytes in the pack file
-	Size     int64
-	Stats    SegStats
-	HasStats bool
+	Name  string
+	Off   int64 // byte offset of the member's verbatim bytes in the pack file
+	Size  int64
+	Stats SegStats // generation 0, the zero value, when the header carries none
 }
 
 // PackHeader is the decoded header of a pack file.
 type PackHeader struct {
 	Level   int
 	Members []PackMember
-	// Stats is the pack-level union (zero SegStats with HasStats false when
+	// Stats is the pack-level union (generation 0, the zero value, when
 	// absent): if it cannot match, no member can.
-	Stats    SegStats
-	HasStats bool
+	Stats SegStats
 	// BodyOff is where member bytes start; WantSize is the total file size
 	// the header implies.
 	BodyOff  int64
@@ -231,7 +230,6 @@ func DecodePackHeader(data []byte) (*PackHeader, error) {
 			if m.Stats, err = parseStatsPayload(sp); err != nil {
 				return nil, fmt.Errorf("%w: member %d stats: %v", ErrCorrupt, i, err)
 			}
-			m.HasStats = true
 		}
 		m.Off, m.Size = off, int64(size)
 		off += int64(size)
@@ -245,13 +243,28 @@ func DecodePackHeader(data []byte) (*PackHeader, error) {
 		if h.Stats, err = parseStatsPayload(sp); err != nil {
 			return nil, fmt.Errorf("%w: pack stats: %v", ErrCorrupt, err)
 		}
-		h.HasStats = true
 	}
 	if len(payload) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes in pack header", ErrCorrupt, len(payload))
 	}
 	h.WantSize = off
 	return h, nil
+}
+
+// NeedsMigration returns ErrNeedsMigration for a pack only an older build
+// wrote — one whose pack stats, or a member's, are missing or generation 1,
+// which no pbs v5 member's are — naming the first such member; nil for a pack
+// of this build.
+func (h *PackHeader) NeedsMigration() error {
+	if h.Stats.Gen != staGenRange {
+		return fmt.Errorf("pack stats older than generation %d: %w", staGenRange, ErrNeedsMigration)
+	}
+	for _, m := range h.Members {
+		if m.Stats.Gen != staGenRange {
+			return fmt.Errorf("member %s: stats older than generation %d: %w", m.Name, staGenRange, ErrNeedsMigration)
+		}
+	}
+	return nil
 }
 
 // CheckPackStats reports whether a pack header's stats are the ones its
@@ -274,15 +287,15 @@ func CheckPackStats(h *PackHeader, members []*Columns, workers int) error {
 			union = append(union, c)
 		}
 		switch {
-		case m.HasStats && own == nil:
+		case m.Stats.Gen != 0 && own == nil:
 			return fmt.Errorf("member %s: header carries stats, the member no stats frame", m.Name)
-		case !m.HasStats && own != nil:
+		case m.Stats.Gen == 0 && own != nil:
 			return fmt.Errorf("member %s: header carries no stats, the member a stats frame", m.Name)
 		case own != nil && !bytes.Equal(m.Stats.encode(), own.encode()):
 			return fmt.Errorf("member %s: header stats differ from the member's stats frame", m.Name)
 		}
 	}
-	if !h.HasStats {
+	if h.Stats.Gen == 0 {
 		return fmt.Errorf("no pack-level stats")
 	}
 	var want SegStats

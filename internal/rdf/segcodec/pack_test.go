@@ -27,14 +27,14 @@ func buildPack(t testing.TB, n int) ([]byte, *rdf.Graph, []PackEntry) {
 		if err := Binary.Encode(&buf, g, nil); err != nil {
 			t.Fatal(err)
 		}
-		st, ok := StatsOf(buf.Bytes())
-		if !ok {
-			t.Fatal("member has no stats")
+		st, err := StatsOf(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
 		}
 		entries = append(entries, PackEntry{
 			Name:  "prov_p000000.seg000" + string(rune('0'+i)) + ".pbs",
 			Data:  buf.Bytes(),
-			Stats: &st,
+			Stats: st,
 		})
 	}
 	entries = append(entries, PackEntry{
@@ -73,7 +73,7 @@ func TestPackRoundTrip(t *testing.T) {
 	if h.Level != 1 || len(h.Members) != len(entries) {
 		t.Fatalf("header: level %d, %d members; want 1, %d", h.Level, len(h.Members), len(entries))
 	}
-	if !h.HasStats {
+	if h.Stats.Gen == 0 {
 		t.Fatal("pack-level stats missing")
 	}
 	if h.WantSize != int64(len(pack)) {
@@ -86,7 +86,7 @@ func TestPackRoundTrip(t *testing.T) {
 		if !bytes.Equal(pack[m.Off:m.Off+m.Size], entries[i].Data) {
 			t.Fatalf("member %d bytes are not verbatim", i)
 		}
-		if (entries[i].Stats != nil) != m.HasStats {
+		if (entries[i].Stats != nil) != (m.Stats.Gen != 0) {
 			t.Fatalf("member %d stats presence mismatch", i)
 		}
 	}
@@ -244,12 +244,12 @@ func FuzzPackHeader(f *testing.F) {
 		entries := make([]PackEntry, len(h.Members))
 		for i, m := range h.Members {
 			entries[i] = PackEntry{Name: m.Name, Data: data[m.Off : m.Off+m.Size]}
-			if m.HasStats {
+			if m.Stats.Gen != 0 {
 				entries[i].Stats = &h.Members[i].Stats
 			}
 		}
 		var union *SegStats
-		if h.HasStats {
+		if h.Stats.Gen != 0 {
 			union = &h.Stats
 		}
 		re, err := EncodePack(h.Level, entries, union)
@@ -286,7 +286,7 @@ func TestCheckPackStats(t *testing.T) {
 			}
 			data = buf.Bytes()
 		}
-		c, err := DecodeColumns(data)
+		c, err := DecodeAnyVersion(data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -947,39 +947,18 @@ func (st *SegStats) mayHold(t *rdf.Term) bool {
 	return st.Bloom.Has(*t)
 }
 
-// StatsOf extracts the embedded stats frame of a binary segment file.
-// ok is false for older files without one, non-binary, or damaged files —
-// the always-match answer, so callers degrade to decoding.
-func StatsOf(data []byte) (SegStats, bool) {
-	payload, _, ok := statsSplit(data)
-	if !ok {
-		return SegStats{}, false
-	}
-	st, err := parseStatsPayload(payload)
+// StatsOf returns a pbs v5 file's stats frame, which a read prunes on
+// before it decodes the file, without decoding the blocks the frame
+// describes. It refuses what DecodeColumns refuses at the frames, with the
+// same error; the frame itself is held to the contents at decode.
+func StatsOf(data []byte) (*SegStats, error) {
+	f, err := currentFrames(data)
 	if err != nil {
-		return SegStats{}, false
+		return nil, err
 	}
-	return st, true
-}
-
-// statsSplit locates the stats frame of a binary segment: payload is the
-// frame payload, off the byte offset where the frame starts. ok is false
-// when no structurally valid stats frame is present.
-func statsSplit(data []byte) (payload []byte, off int, ok bool) {
-	_, rest, err := pbsBody(data)
+	st, err := parseStatsPayload(f.stats)
 	if err != nil {
-		return nil, 0, false
+		return nil, fmt.Errorf("%w: stats frame: %v", ErrCorrupt, err)
 	}
-	if _, rest, _ = readFrame(rest); rest == nil {
-		return nil, 0, false
-	}
-	if _, rest, _ = readFrame(rest); rest == nil {
-		return nil, 0, false
-	}
-	off = len(data) - len(rest)
-	payload, _, err = readFrame(rest)
-	if err != nil || !bytes.HasPrefix(payload, staTag) {
-		return nil, 0, false
-	}
-	return payload, off, true
+	return &st, nil
 }

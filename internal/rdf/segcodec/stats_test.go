@@ -23,11 +23,11 @@ func statsOfGraph(t *testing.T, g *rdf.Graph) (SegStats, []byte) {
 	if err := Binary.Encode(&buf, g, nil); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := StatsOf(buf.Bytes())
-	if !ok {
-		t.Fatal("freshly encoded segment carries no stats frame")
+	st, err := StatsOf(buf.Bytes())
+	if err != nil {
+		t.Fatalf("freshly encoded segment: %v", err)
 	}
-	return st, buf.Bytes()
+	return *st, buf.Bytes()
 }
 
 // TestStatsNeverFalseNegative is the soundness property pruning rests on:
@@ -143,29 +143,28 @@ func TestStatsRoundTrip(t *testing.T) {
 
 // TestStatsFrameCorruptionMatrix is the corruption-matrix entry for the new
 // frame: flipping any bit of the stats frame must yield a classified
-// ErrCorrupt from Decode and an always-match (ok=false) answer from StatsOf
-// — never wrong stats, never a panic.
+// ErrCorrupt from Decode and from StatsOf, which a read prunes on — never
+// wrong stats, never ErrNeedsMigration, never a panic.
 func TestStatsFrameCorruptionMatrix(t *testing.T) {
 	good := validSegment(t)
 	legacyLen := len(stripStats(good))
 	if legacyLen == len(good) {
 		t.Fatal("segment carries no stats frame")
 	}
-	want, ok := StatsOf(good)
-	if !ok {
-		t.Fatal("intact segment must expose stats")
+	want, err := StatsOf(good)
+	if err != nil {
+		t.Fatalf("intact segment must expose stats: %v", err)
 	}
 	for off := legacyLen; off < len(good); off++ {
 		for bit := uint(0); bit < 8; bit++ {
 			mut := append([]byte{}, good...)
 			mut[off] ^= 1 << bit
-			if st, ok := StatsOf(mut); ok {
-				// The CRC covers the whole frame, so any accepted read must
-				// be byte-identical stats — and a flip inside the frame that
-				// still reads back the same stats cannot happen.
-				if !bytes.Equal(st.encode(), want.encode()) {
-					t.Fatalf("offset %d bit %d: corrupted stats accepted with different contents", off, bit)
-				}
+			// The CRC covers the whole frame, so a flip inside it never reads
+			// back, as other stats or as the same.
+			if st, err := StatsOf(mut); err == nil {
+				t.Fatalf("offset %d bit %d: corrupted stats accepted (same contents: %v)", off, bit, bytes.Equal(st.encode(), want.encode()))
+			} else if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNeedsMigration) {
+				t.Fatalf("offset %d bit %d: StatsOf returned %v, want ErrCorrupt", off, bit, err)
 			}
 			err := Binary.Decode(bytes.NewReader(mut), rdf.NewGraph())
 			if err == nil {
@@ -393,28 +392,31 @@ func TestDecodeRejectsHostileStatsFrame(t *testing.T) {
 	}
 }
 
-// TestStatsLegacySegmentsAlwaysMatch: files without a stats frame (pbs v1
-// from before the frame existed, text formats) must answer "could match" so
-// pruning degrades to decoding, never to dropping.
+// TestStatsLegacySegmentsAlwaysMatch: files without a generation 2 stats
+// frame — pbs v1 from before the frame existed, sealed or not, and text —
+// give a read no stats to prune on, so StatsOf refuses them: the older pbs
+// file with ErrNeedsMigration, which the audit's door still decodes, and text
+// as the damage a pbs reader sees in it. The seal still resolves on both
+// sides of the frame.
 func TestStatsLegacySegmentsAlwaysMatch(t *testing.T) {
 	c, err := DecodeColumns(validSegment(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	legacy := stripStats(segmentOf(1, c.Terms, c.Tris))
-	if old, err := DecodeColumns(legacy); err != nil || old.Stats != nil {
+	if old, err := DecodeAnyVersion(legacy); err != nil || old.Stats != nil {
 		t.Fatalf("a version 1 segment without a stats frame: %v", err)
 	}
-	if _, ok := StatsOf(legacy); ok {
-		t.Fatal("legacy segment without a stats frame reported stats")
+	if _, err := StatsOf(legacy); !errors.Is(err, ErrNeedsMigration) {
+		t.Fatalf("legacy segment without a stats frame: StatsOf returned %v", err)
 	}
-	if _, ok := StatsOf([]byte("<urn:a> <urn:p> <urn:b> .\n")); ok {
-		t.Fatal("text file reported stats")
+	if _, err := StatsOf([]byte("<urn:a> <urn:p> <urn:b> .\n")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("text file: StatsOf returned %v", err)
 	}
 	// Sealed legacy file: chain frame present, no stats frame.
 	sealedLegacy := AppendChain(legacy, Chain{Seq: 1, Prev: [32]byte{4}})
-	if _, ok := StatsOf(sealedLegacy); ok {
-		t.Fatal("sealed legacy segment reported stats")
+	if _, err := StatsOf(sealedLegacy); !errors.Is(err, ErrNeedsMigration) {
+		t.Fatalf("sealed legacy segment: StatsOf returned %v", err)
 	}
 	if _, ok := ChainOf(sealedLegacy); !ok {
 		t.Fatal("chain seal lost on a legacy segment")
@@ -424,8 +426,8 @@ func TestStatsLegacySegmentsAlwaysMatch(t *testing.T) {
 	if ch, ok := ChainOf(sealedNew); !ok || ch.Seq != 2 {
 		t.Fatal("chain seal not found behind the stats frame")
 	}
-	if _, ok := StatsOf(sealedNew); !ok {
-		t.Fatal("stats frame not found on a sealed segment")
+	if _, err := StatsOf(sealedNew); err != nil {
+		t.Fatalf("stats frame not found on a sealed segment: %v", err)
 	}
 	if !bytes.Equal(StripChain(sealedNew), validSegment(t)) {
 		t.Fatal("StripChain must preserve the stats frame")

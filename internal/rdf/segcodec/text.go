@@ -7,9 +7,9 @@ import (
 )
 
 // ntCodec is the N-Triples text codec: one triple per line, deterministic
-// (S, P, O) order. It is the delta-segment format of text stores and the
-// fallback decoder for every non-binary file (its parser accepts the
-// N-Triples/Turtle superset, matching the store's old parseFile behavior).
+// (S, P, O) order. It is the delta-segment format of text stores and Detect's
+// fallback decoder for every non-binary file, which the audit of a text
+// store reads through (its parser accepts the N-Triples/Turtle superset).
 type ntCodec struct{}
 
 func (ntCodec) Name() string  { return "nt" }
@@ -30,22 +30,13 @@ func (ntCodec) Decode(r io.Reader, into *rdf.Graph) error {
 }
 
 // ttlCodec is the Turtle text codec: subject-grouped, prefix-compacted —
-// the interchange format the paper's snippets use.
-type ttlCodec struct{}
+// the interchange format the paper's snippets use. It decodes as ntCodec
+// does: one parser reads the N-Triples/Turtle superset.
+type ttlCodec struct{ ntCodec }
 
-func (ttlCodec) Name() string  { return "ttl" }
-func (ttlCodec) Ext() string   { return ".ttl" }
-func (ttlCodec) Magic() []byte { return nil }
+func (ttlCodec) Name() string { return "ttl" }
+func (ttlCodec) Ext() string  { return ".ttl" }
 
 func (ttlCodec) Encode(w io.Writer, g *rdf.Graph, ns *rdf.Namespaces) error {
 	return rdf.WriteTurtle(w, g, ns)
-}
-
-func (ttlCodec) Decode(r io.Reader, into *rdf.Graph) error {
-	g, _, err := rdf.ParseTurtle(r)
-	if err != nil {
-		return err
-	}
-	into.Merge(g)
-	return nil
 }

@@ -47,9 +47,9 @@ func (sc *encScratch) appendCols(dst []byte, tris [][3]uint32) []byte {
 		}
 	}
 	if need := int(top) + 1; len(tris) > 0 && need > len(sc.predAt) {
-		sc.predAt = make([]uint32, max(need, 2*len(sc.predAt)))
+		sc.predAt = make([]uint32, 2*need)
 	}
-	predAt, preds := sc.predAt, sc.preds[:0]
+	predAt, preds := sc.predAt, grow(sc.preds[:0], min(int(top)+1, len(tris)))
 	for _, t := range tris {
 		if predAt[t[1]] == 0 {
 			predAt[t[1]] = 1
@@ -62,10 +62,13 @@ func (sc *encScratch) appendCols(dst []byte, tris [][3]uint32) []byte {
 	}
 
 	// One pass over the runs: each appends its pairs to the shape set, which
-	// keeps them only when the shape is new.
+	// keeps them only when the shape is new. A run is one shape and its pairs
+	// count its rows, so the set never holds more than runs shapes and two
+	// words a row.
 	set := &sc.shapes
 	set.reset(runs)
-	sc.runs = slices.Grow(sc.runs[:0], runs)
+	set.ends, set.pairs = grow(set.ends, runs), grow(set.pairs, 2*len(tris))
+	sc.runs = grow(sc.runs[:0], runs)
 	for i := 0; i < len(tris); {
 		s, from := tris[i][0], len(set.pairs)
 		for i < len(tris) && tris[i][0] == s {
@@ -79,6 +82,8 @@ func (sc *encScratch) appendCols(dst []byte, tris [][3]uint32) []byte {
 		sc.runs = append(sc.runs, [2]uint32{s, shape})
 	}
 
+	// Every count, delta and ID below takes at most five bytes.
+	dst = grow(dst, 5*(4+len(preds)+set.len()+len(set.pairs)+2*len(sc.runs)+len(tris)))
 	dst = binary.AppendUvarint(dst, uint64(len(tris)))
 	dst = binary.AppendUvarint(dst, uint64(len(preds)))
 	var prev uint32
@@ -105,7 +110,7 @@ func (sc *encScratch) appendCols(dst []byte, tris [][3]uint32) []byte {
 		prev = r[0]
 	}
 
-	last := slices.Grow(sc.lastO[:0], len(preds))[:len(preds)]
+	last := grow(sc.lastO[:0], len(preds))[:len(preds)]
 	clear(last)
 	for _, t := range tris {
 		k := predAt[t[1]] - 1
