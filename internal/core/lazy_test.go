@@ -40,7 +40,7 @@ func queryBytes(t *testing.T, src sparql.ScanSource, query string, workers int) 
 // packs the first wave, and leaves a second wave loose — the mixed pack +
 // loose layout every out-of-core read has to federate. Same generator family
 // as TestPrunedVsExhaustiveProperty.
-func buildScatteredStore(t *testing.T, rng *rand.Rand) *Store {
+func buildScatteredStore(t testing.TB, rng *rand.Rand) *Store {
 	t.Helper()
 	store := newBinaryVFSStore(t)
 	node := func() rdf.Term { return rdf.IRI(fmt.Sprintf("urn:n%d", rng.Intn(40))) }
@@ -78,7 +78,8 @@ func buildScatteredStore(t *testing.T, rng *rand.Rand) *Store {
 // lazyParityQueries is the fixed query mix of the parity property: full
 // scans, bound positions, a join, and a union — enough shapes to exercise
 // morsel partitioning, constant resolution through the shared dictionary,
-// and cross-unit joins.
+// and cross-unit joins — plus constants no unit holds, in a BGP, a property
+// path and a FILTER, which must resolve as absent as they do on a snapshot.
 func lazyParityQueries(rng *rand.Rand) []string {
 	rel := model.AllRelations()[rng.Intn(len(model.AllRelations()))].IRI().Value
 	return []string{
@@ -88,6 +89,12 @@ func lazyParityQueries(rng *rand.Rand) []string {
 		fmt.Sprintf(`SELECT ?s ?p WHERE { ?s ?p <urn:n%d> }`, rng.Intn(40)),
 		fmt.Sprintf(`SELECT ?a ?c WHERE { ?a <%s> ?b . ?b ?p ?c }`, rel),
 		fmt.Sprintf(`SELECT ?s WHERE { { ?s <urn:p%d> ?o } UNION { ?s <%s> ?o } }`, rng.Intn(6), rel),
+		`SELECT ?s ?o WHERE { ?s <urn:absent-p> ?o }`,
+		fmt.Sprintf(`SELECT ?s ?x WHERE { ?s <%s> ?o OPTIONAL { ?o <urn:absent-p> ?x } }`, rel),
+		fmt.Sprintf(`SELECT ?s ?o WHERE { ?s <%s>/<urn:absent-p>* ?o }`, rel),
+		fmt.Sprintf(`SELECT ?o WHERE { <urn:absent-n> <%s>* ?o }`, rel),
+		`SELECT ?s ?o WHERE { ?s ?p ?o FILTER(?o != <urn:absent-n>) }`,
+		`SELECT ?s WHERE { ?s ?p ?o FILTER(?o = <urn:absent-n>) }`,
 	}
 }
 

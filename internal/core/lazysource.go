@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -40,19 +41,13 @@ import (
 var ErrStaleView = errors.New("core: store layout changed under lazy view")
 
 // lazyState is what an open view adds to each scanUnit: the content key the
-// unit was pinned under at open time, and the per-unit memo state that must
-// survive eviction so morsel offsets stay stable.
+// unit was pinned under at open time, and its decoded-footprint estimate
+// (recorded on first decode, for LevelResidency). Nothing a query asks is
+// kept here: a probe's state lives on its LazySource.
 type lazyState struct {
 	key unitKey
 
-	mu sync.Mutex
-	// scanLens memoizes global-pattern -> unit morsel-domain size. It lives
-	// on the unit, not the cached decode, because the parallel executor
-	// partitions with ScanLen and later scans morsels with ScanRange: the
-	// domain must not change in between even if the decode was evicted and
-	// rebuilt. (Rebuilds are deterministic, so the memo is consistency
-	// insurance plus a decode-free fast path for repeated patterns.)
-	scanLens map[[3]rdf.ID]int
+	mu       sync.Mutex
 	decBytes int64 // decoded-footprint estimate, recorded on first decode
 }
 
@@ -200,6 +195,12 @@ func (v *LazyView) fetchVerified(u *scanUnit) ([]byte, error) {
 // nothing), which makes the federation's emitted triple set exactly the
 // eager merged graph's — graph union deduplicates — while every ScanRange
 // partition of the domain remains exact and deterministic.
+//
+// A probe (ForEachMatchIDs) streams the admitted units and keeps nothing
+// after it returns. Only a root scan's domain outlives its call: the first
+// ScanLen of a pattern records it (domains), and the ScanRange morsels that
+// follow walk that record, so the domain cannot move for the source's
+// lifetime even if a unit is evicted and decoded again in between.
 type LazySource struct {
 	view         *LazyView
 	units        []*scanUnit
@@ -207,13 +208,26 @@ type LazySource struct {
 
 	decMu   sync.Mutex
 	decoded map[*scanUnit]bool // units this source decoded (ScanStats)
+
+	domMu   sync.Mutex
+	domains map[[3]rdf.ID][]domainRun // root patterns asked through ScanLen
+}
+
+// domainRun is one admitted unit's slice of a root pattern's morsel domain:
+// items [start, start+n) of the federated domain are the unit's local run
+// for the pattern. A domain lists only units whose run is non-empty, in
+// unit order.
+type domainRun struct {
+	k        int       // index into the source's admitted units
+	local    [3]rdf.ID // the pattern in the unit's local ID space
+	start, n int
 }
 
 // Source returns a query source over the view admitting exactly the units
 // whose statistics the pruner cannot rule out (nil admits everything) —
 // through admit, the same predicate MergePruned applies.
 func (v *LazyView) Source(pr *SegmentPruner) *LazySource {
-	ls := &LazySource{view: v, decoded: make(map[*scanUnit]bool)}
+	ls := &LazySource{view: v, decoded: make(map[*scanUnit]bool), domains: make(map[[3]rdf.ID][]domainRun)}
 	ls.units, ls.packsSkipped = admit(v.layout.units, pr)
 	return ls
 }
@@ -263,49 +277,64 @@ func (du *decodedUnit) localPattern(s, p, o rdf.ID) (ls, lp, lo rdf.ID, ok bool)
 	return local[0], local[1], local[2], true
 }
 
-// unitScanLen returns lu's morsel-domain size for the pattern, memoized for
-// the unit's lifetime. Units whose statistics rule the pattern out answer 0
-// without decoding — the per-unit half of statistics pushdown.
-func (ls *LazySource) unitScanLen(lu *scanUnit, s, p, o rdf.ID) int {
-	key := [3]rdf.ID{s, p, o}
-	lu.lazy.mu.Lock()
-	if n, ok := lu.lazy.scanLens[key]; ok {
-		lu.lazy.mu.Unlock()
-		return n
+// unitRuns calls fn, in unit order, for each admitted unit whose statistics
+// admit the pattern and whose decode interns every bound term, with the
+// decode and the pattern in its local ID space; fn returning false stops
+// the walk. Units the statistics rule out are never decoded — the per-unit
+// half of statistics pushdown. A failed load fails the view and ends the
+// walk (results are discarded once the view is failed).
+func (ls *LazySource) unitRuns(s, p, o rdf.ID, fn func(k int, du *decodedUnit, local [3]rdf.ID) bool) {
+	sp, pp, op := ls.termPtr(s), ls.termPtr(p), ls.termPtr(o)
+	for k, lu := range ls.units {
+		if !lu.stats.CanMatch(sp, pp, op) {
+			continue
+		}
+		du, err := ls.load(lu)
+		if err != nil {
+			ls.view.fail(err)
+			return
+		}
+		lsid, lpid, loid, ok := du.localPattern(s, p, o)
+		if ok && !fn(k, du, [3]rdf.ID{lsid, lpid, loid}) {
+			return
+		}
 	}
-	lu.lazy.mu.Unlock()
-
-	n, err := ls.computeUnitScanLen(lu, s, p, o)
-	if err != nil {
-		ls.view.fail(err)
-		return 0
-	}
-	lu.lazy.mu.Lock()
-	if lu.lazy.scanLens == nil {
-		lu.lazy.scanLens = make(map[[3]rdf.ID]int)
-	}
-	if prev, ok := lu.lazy.scanLens[key]; ok {
-		n = prev // first memoized value wins: the domain must never move
-	} else {
-		lu.lazy.scanLens[key] = n
-	}
-	lu.lazy.mu.Unlock()
-	return n
 }
 
-func (ls *LazySource) computeUnitScanLen(lu *scanUnit, s, p, o rdf.ID) (int, error) {
-	if !lu.stats.CanMatch(ls.termPtr(s), ls.termPtr(p), ls.termPtr(o)) {
-		return 0, nil
+// emitOwned adapts fn to unit k's local scan: local IDs are translated to
+// global, and an item whose triple an earlier admitted unit also holds
+// emits nothing.
+func (ls *LazySource) emitOwned(k int, du *decodedUnit, fn func(s, p, o rdf.ID) bool) func(s, p, o rdf.ID) bool {
+	return func(a, b, c rdf.ID) bool {
+		gs, gp, gob := du.toGlobal[a], du.toGlobal[b], du.toGlobal[c]
+		if ls.ownedByEarlier(k, gs, gp, gob) {
+			return true
+		}
+		return fn(gs, gp, gob)
 	}
-	du, err := ls.load(lu)
-	if err != nil {
-		return 0, err
+}
+
+// domain returns the root pattern's morsel domain, recording it on first
+// use so that every later ScanLen and ScanRange of the pattern on this
+// source sees the same one.
+func (ls *LazySource) domain(s, p, o rdf.ID) []domainRun {
+	key := [3]rdf.ID{s, p, o}
+	ls.domMu.Lock()
+	defer ls.domMu.Unlock()
+	if d, ok := ls.domains[key]; ok {
+		return d
 	}
-	lsid, lpid, loid, ok := du.localPattern(s, p, o)
-	if !ok {
-		return 0, nil
-	}
-	return du.snap.ScanLen(lsid, lpid, loid), nil
+	var d []domainRun
+	pos := 0
+	ls.unitRuns(s, p, o, func(k int, du *decodedUnit, l [3]rdf.ID) bool {
+		if n := du.snap.ScanLen(l[0], l[1], l[2]); n > 0 {
+			d = append(d, domainRun{k: k, local: l, start: pos, n: n})
+			pos += n
+		}
+		return true
+	})
+	ls.domains[key] = d
+	return d
 }
 
 // ownedByEarlier reports whether an admitted unit before index k also holds
@@ -337,87 +366,74 @@ func (ls *LazySource) ownedByEarlier(k int, gs, gp, go_ rdf.ID) bool {
 
 // ---- sparql.Source / sparql.ScanSource (structural) ----
 
-// TermID interns t into the view's shared dictionary. Interning always
-// succeeds: a term present in no unit simply maps into no unit's local
-// space, so its patterns scan empty. (Reporting ok=false would require
-// proving absence from every unit, which statistics cannot do for all term
-// positions.)
+// TermID resolves t to its global ID. A term already in the view's shared
+// dictionary keeps its ID; any other term is interned only when some
+// admitted unit's statistics admit it in some position. A term no admitted
+// unit can hold answers (0, false), as rdf.Snapshot.TermID does for an
+// absent term, so the planner compiles it into a dead constant and the
+// dictionary, which lives as long as the view, never holds it.
 func (ls *LazySource) TermID(t rdf.Term) (rdf.ID, bool) {
-	return ls.view.dict.Intern(t), true
+	if id, ok := ls.view.dict.Lookup(t); ok {
+		return id, true
+	}
+	for _, lu := range ls.units {
+		if lu.stats.CanMatch(&t, nil, nil) || lu.stats.CanMatch(nil, &t, nil) || lu.stats.CanMatch(nil, nil, &t) {
+			return ls.view.dict.Intern(t), true
+		}
+	}
+	return 0, false
 }
 
 // TermOf rehydrates a global dictionary ID.
 func (ls *LazySource) TermOf(id rdf.ID) rdf.Term { return ls.view.dict.TermAt(id) }
 
-// ScanLen returns the federated morsel-domain size: the sum of the admitted
-// units' local domains for the pattern.
+// ScanLen returns the federated morsel-domain size of a root pattern: the
+// sum of the admitted units' local runs. The first call for a pattern
+// decodes the units its statistics admit and records the domain on the
+// source; ScanRange walks that record.
 func (ls *LazySource) ScanLen(s, p, o rdf.ID) int {
-	n := 0
-	for _, lu := range ls.units {
-		n += ls.unitScanLen(lu, s, p, o)
+	d := ls.domain(s, p, o)
+	if len(d) == 0 {
+		return 0
 	}
-	return n
+	last := d[len(d)-1]
+	return last.start + last.n
 }
 
-// ScanRange enumerates [lo, hi) of the federated domain: unit sub-ranges in
-// unit order, local IDs translated to global on emit, duplicate items
-// suppressed by ownership. Concatenating adjacent ranges reproduces the
-// full scan exactly.
+// ScanRange enumerates [lo, hi) of the federated domain: the recorded unit
+// runs overlapping the window in unit order, local IDs translated to global
+// on emit, duplicate items suppressed by ownership. Concatenating adjacent
+// ranges reproduces the full scan exactly.
 func (ls *LazySource) ScanRange(s, p, o rdf.ID, lo, hi int, fn func(s, p, o rdf.ID) bool) bool {
 	if ls.view.Err() != nil {
 		return true
 	}
-	pos := 0
-	for k, lu := range ls.units {
-		if pos >= hi {
-			break
+	d := ls.domain(s, p, o)
+	for i := sort.Search(len(d), func(i int) bool { return d[i].start+d[i].n > lo }); i < len(d) && d[i].start < hi; i++ {
+		r := d[i]
+		du, err := ls.load(ls.units[r.k])
+		if err != nil {
+			ls.view.fail(err)
+			return true
 		}
-		n := ls.unitScanLen(lu, s, p, o)
-		if n == 0 {
-			continue
+		ulo, uhi := max(lo-r.start, 0), min(hi-r.start, r.n)
+		if !du.snap.ScanRange(r.local[0], r.local[1], r.local[2], ulo, uhi, ls.emitOwned(r.k, du, fn)) {
+			return false
 		}
-		ulo, uhi := lo-pos, hi-pos
-		if ulo < 0 {
-			ulo = 0
-		}
-		if uhi > n {
-			uhi = n
-		}
-		if ulo < uhi {
-			du, err := ls.load(lu)
-			if err != nil {
-				ls.view.fail(err)
-				return true
-			}
-			lsid, lpid, loid, ok := du.localPattern(s, p, o)
-			if !ok {
-				// The memoized domain said n > 0, so the pattern's constants
-				// mapped at memo time; the dictionary is append-only, so they
-				// still do. Defensive only.
-				pos += n
-				continue
-			}
-			unitIdx := k
-			cont := du.snap.ScanRange(lsid, lpid, loid, ulo, uhi, func(a, b, c rdf.ID) bool {
-				gs, gp, gob := du.toGlobal[a], du.toGlobal[b], du.toGlobal[c]
-				if ls.ownedByEarlier(unitIdx, gs, gp, gob) {
-					return true
-				}
-				return fn(gs, gp, gob)
-			})
-			if !cont {
-				return false
-			}
-		}
-		pos += n
 	}
 	return true
 }
 
 // ForEachMatchIDs streams every distinct matching triple of the federation
-// in global ID space.
+// in global ID space, unit by unit: the order of ScanRange over the whole
+// domain, but with one cache touch per admitted unit and nothing recorded.
 func (ls *LazySource) ForEachMatchIDs(s, p, o rdf.ID, fn func(s, p, o rdf.ID) bool) {
-	ls.ScanRange(s, p, o, 0, ls.ScanLen(s, p, o), fn)
+	if ls.view.Err() != nil {
+		return
+	}
+	ls.unitRuns(s, p, o, func(k int, du *decodedUnit, l [3]rdf.ID) bool {
+		return du.snap.ScanRange(l[0], l[1], l[2], 0, math.MaxInt, ls.emitOwned(k, du, fn))
+	})
 }
 
 // CountMatchIDs is the planner's cardinality oracle. For a lazy source it

@@ -186,8 +186,9 @@ type scanUnit struct {
 	packSize  int64
 	packStats *segcodec.SegStats
 
-	// lazy is the unit's state inside an open LazyView (content key, morsel
-	// memo); nil on eager reads, which never touch the cache.
+	// lazy is the unit's state inside an open LazyView (content key,
+	// decoded-footprint estimate); nil on eager reads, which never touch the
+	// cache.
 	lazy *lazyState
 }
 

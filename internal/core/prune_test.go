@@ -17,7 +17,7 @@ import (
 )
 
 // newBinaryVFSStore opens an empty binary-format store on a fresh VFS view.
-func newBinaryVFSStore(t *testing.T) *Store {
+func newBinaryVFSStore(t testing.TB) *Store {
 	t.Helper()
 	store, err := NewStore(VFSBackend{View: vfs.NewStore().NewView()}, "/prov", FormatBinary)
 	if err != nil {

@@ -45,7 +45,9 @@ type Source interface {
 //
 // core's out-of-core LazySource federates many per-unit snapshots behind
 // this interface, which is how a store larger than RAM runs the unchanged
-// parallel executor.
+// parallel executor. Its lifetime is one query's: the first ScanLen of a
+// pattern records the pattern's domain on the source and ScanRange walks
+// that record, while ForEachMatchIDs streams the units and records nothing.
 type ScanSource interface {
 	Source
 	ScanLen(s, p, o rdf.ID) int
