@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hpc-io/prov-io/internal/par"
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -23,13 +24,17 @@ import (
 // the touched ones stay decoded.
 //
 // ID bridging: every unit decodes into its own graph with a private, dense
-// local term-ID space. At decode time the unit's terms are interned into the
-// view's shared dictionary (rdf.SharedDict, append-only), producing a
-// local->global slice and a global->local map. Scans emit global IDs, query
-// constants resolve to global IDs, and joins across units just work — the
-// executor never learns the store is not one graph. Because interning
-// identical bytes against an append-only dictionary is deterministic, an
-// evicted unit that reloads resumes serving exactly the same global IDs.
+// local term-ID space, and the cache holds it in that space. The global ID
+// space belongs to the query: each LazySource owns a dictionary (rdf.SharedDict)
+// and one remap slot per admitted unit, whose entry for a local ID is filled
+// the first time the source emits that ID, by interning its term. Scans emit
+// the source's IDs, query constants resolve to them, and joins across units
+// just work — the executor never learns the store is not one graph. A query
+// therefore interns only the terms it emits or names, not every term of the
+// units it touches. A unit evicted and decoded again under the same content
+// key has the same local IDs (the key pins the bytes, and decoding interns in
+// file order), so the slot stays valid; and the dictionary dies with the
+// source.
 
 // ErrStaleView is the classification for a lazy read that found the store
 // layout changed under an open view — a Compact rewrote a canonical file, a
@@ -52,13 +57,12 @@ type lazyState struct {
 }
 
 // LazyView is the out-of-core read handle returned by Store.OpenLazy: the
-// store's unit layout pinned at open time, a shared interning dictionary,
-// and the bounded decoded-unit cache. Views are safe for concurrent use; a
-// staleness or corruption error observed by any read sticks (Err) and fails
-// the queries that raced it.
+// store's unit layout pinned at open time and the bounded decoded-unit
+// cache, nothing more — every ID a query uses lives on its source. Views are
+// safe for concurrent use; a staleness or corruption error observed by any
+// read sticks (Err) and fails the queries that raced it.
 type LazyView struct {
 	store  *Store
-	dict   *rdf.SharedDict
 	cache  *segCache
 	layout *unitList // the listing pinned at open; units carry lazyState
 
@@ -87,7 +91,7 @@ func (s *Store) OpenLazy(cfg CacheConfig) (*LazyView, error) {
 		}
 		u.data = nil // the cache re-fetches on demand; the view pins no bytes
 	}
-	return &LazyView{store: s, dict: rdf.NewSharedDict(), cache: newSegCache(cfg.MaxBytes), layout: l}, nil
+	return &LazyView{store: s, cache: newSegCache(cfg.MaxBytes), layout: l}, nil
 }
 
 // memberKey derives a pack member's cache key. Packs are written once and
@@ -145,9 +149,7 @@ func (v *LazyView) loadUnit(u *scanUnit) (*decodedUnit, error) {
 			return nil, err
 		}
 		snap := g.Snapshot()
-		toGlobal, toLocal := v.dict.RemapSnapshot(snap)
-		du := &decodedUnit{snap: snap, toGlobal: toGlobal, toLocal: toLocal}
-		du.bytes = decodedBytesEstimate(snap, len(toLocal))
+		du := &decodedUnit{snap: snap, bytes: decodedBytesEstimate(snap)}
 		u.lazy.mu.Lock()
 		if u.lazy.decBytes == 0 {
 			u.lazy.decBytes = du.bytes
@@ -196,21 +198,36 @@ func (v *LazyView) fetchVerified(u *scanUnit) ([]byte, error) {
 // eager merged graph's — graph union deduplicates — while every ScanRange
 // partition of the domain remains exact and deterministic.
 //
-// A probe (ForEachMatchIDs) streams the admitted units and keeps nothing
-// after it returns. Only a root scan's domain outlives its call: the first
-// ScanLen of a pattern records it (domains), and the ScanRange morsels that
-// follow walk that record, so the domain cannot move for the source's
-// lifetime even if a unit is evicted and decoded again in between.
+// The source owns its query's ID space: a dictionary, and a remap slot per
+// admitted unit that bridges the unit's local IDs into it. Both die with the
+// source, as do the root-pattern domains. A probe (ForEachMatchIDs) streams
+// the admitted units and records nothing else. Only a root scan's domain
+// outlives its call: the first ScanLen of a pattern records it (domains),
+// and the ScanRange morsels that follow walk that record, so the domain
+// cannot move for the source's lifetime even if a unit is evicted and
+// decoded again in between.
 type LazySource struct {
 	view         *LazyView
 	units        []*scanUnit
 	packsSkipped int // packs dropped whole at their header stats
+
+	dict   *rdf.SharedDict
+	remaps []unitRemap // one per admitted unit, indexed like units
 
 	decMu   sync.Mutex
 	decoded map[*scanUnit]bool // units this source decoded (ScanStats)
 
 	domMu   sync.Mutex
 	domains map[[3]rdf.ID][]domainRun // root patterns asked through ScanLen
+}
+
+// unitRemap is one admitted unit's local->source ID table, sized once per
+// source and filled one entry per local ID the source emits (an entry holds
+// the source ID + 1; 0 is unfilled). It outlives the unit's cache residency:
+// a unit decoded again under its content key has the same local IDs.
+type unitRemap struct {
+	once sync.Once
+	ids  []atomic.Uint32
 }
 
 // domainRun is one admitted unit's slice of a root pattern's morsel domain:
@@ -227,8 +244,9 @@ type domainRun struct {
 // whose statistics the pruner cannot rule out (nil admits everything) —
 // through admit, the same predicate MergePruned applies.
 func (v *LazyView) Source(pr *SegmentPruner) *LazySource {
-	ls := &LazySource{view: v, decoded: make(map[*scanUnit]bool), domains: make(map[[3]rdf.ID][]domainRun)}
+	ls := &LazySource{view: v, dict: rdf.NewSharedDict(), decoded: make(map[*scanUnit]bool), domains: make(map[[3]rdf.ID][]domainRun)}
 	ls.units, ls.packsSkipped = admit(v.layout.units, pr)
+	ls.remaps = make([]unitRemap, len(ls.units))
 	return ls
 }
 
@@ -257,24 +275,44 @@ func (ls *LazySource) termPtr(id rdf.ID) *rdf.Term {
 	if id == rdf.NoID {
 		return nil
 	}
-	t := ls.view.dict.TermAt(id)
+	t := ls.dict.TermAt(id)
 	return &t
 }
 
-// localPattern translates a pattern of global IDs into the unit's local ID
-// space (NoID stays the wildcard); ok is false when a bound global is a term
-// the unit never interned, so the pattern matches nothing in it.
-func (du *decodedUnit) localPattern(s, p, o rdf.ID) (ls, lp, lo rdf.ID, ok bool) {
-	local := [3]rdf.ID{s, p, o}
-	for i, g := range local {
-		if g == rdf.NoID {
+// remap returns admitted unit k's remap slot, sized to du's terms on first
+// use.
+func (ls *LazySource) remap(k int, du *decodedUnit) *unitRemap {
+	r := &ls.remaps[k]
+	r.once.Do(func() { r.ids = make([]atomic.Uint32, du.snap.TermCount()) })
+	return r
+}
+
+// toGlobal returns the source ID of du's local ID l, interning its term on
+// first use. Concurrent morsel workers may both fill an entry: Intern gives
+// them the same ID.
+func (ls *LazySource) toGlobal(r *unitRemap, du *decodedUnit, l rdf.ID) rdf.ID {
+	if g := r.ids[l].Load(); g != 0 {
+		return rdf.ID(g - 1)
+	}
+	g := ls.dict.Intern(du.snap.TermOf(l))
+	r.ids[l].Store(uint32(g) + 1)
+	return g
+}
+
+// localPattern resolves a pattern's bound terms (nil = wildcard) in the
+// unit's local ID space through its own snapshot; ok is false when a bound
+// term is not among the unit's, so the pattern matches nothing in it.
+func (du *decodedUnit) localPattern(bound [3]*rdf.Term) (local [3]rdf.ID, ok bool) {
+	for i, t := range bound {
+		local[i] = rdf.NoID
+		if t == nil {
 			continue
 		}
-		if local[i], ok = du.toLocal[g]; !ok {
-			return 0, 0, 0, false
+		if local[i], ok = du.snap.TermID(*t); !ok {
+			return local, false
 		}
 	}
-	return local[0], local[1], local[2], true
+	return local, true
 }
 
 // unitRuns calls fn, in unit order, for each admitted unit whose statistics
@@ -284,9 +322,9 @@ func (du *decodedUnit) localPattern(s, p, o rdf.ID) (ls, lp, lo rdf.ID, ok bool)
 // half of statistics pushdown. A failed load fails the view and ends the
 // walk (results are discarded once the view is failed).
 func (ls *LazySource) unitRuns(s, p, o rdf.ID, fn func(k int, du *decodedUnit, local [3]rdf.ID) bool) {
-	sp, pp, op := ls.termPtr(s), ls.termPtr(p), ls.termPtr(o)
+	bound := [3]*rdf.Term{ls.termPtr(s), ls.termPtr(p), ls.termPtr(o)}
 	for k, lu := range ls.units {
-		if !lu.stats.CanMatch(sp, pp, op) {
+		if !lu.stats.CanMatch(bound[0], bound[1], bound[2]) {
 			continue
 		}
 		du, err := ls.load(lu)
@@ -294,19 +332,19 @@ func (ls *LazySource) unitRuns(s, p, o rdf.ID, fn func(k int, du *decodedUnit, l
 			ls.view.fail(err)
 			return
 		}
-		lsid, lpid, loid, ok := du.localPattern(s, p, o)
-		if ok && !fn(k, du, [3]rdf.ID{lsid, lpid, loid}) {
+		if local, ok := du.localPattern(bound); ok && !fn(k, du, local) {
 			return
 		}
 	}
 }
 
 // emitOwned adapts fn to unit k's local scan: local IDs are translated to
-// global, and an item whose triple an earlier admitted unit also holds
+// the source's, and an item whose triple an earlier admitted unit also holds
 // emits nothing.
 func (ls *LazySource) emitOwned(k int, du *decodedUnit, fn func(s, p, o rdf.ID) bool) func(s, p, o rdf.ID) bool {
+	r := ls.remap(k, du)
 	return func(a, b, c rdf.ID) bool {
-		gs, gp, gob := du.toGlobal[a], du.toGlobal[b], du.toGlobal[c]
+		gs, gp, gob := ls.toGlobal(r, du, a), ls.toGlobal(r, du, b), ls.toGlobal(r, du, c)
 		if ls.ownedByEarlier(k, gs, gp, gob) {
 			return true
 		}
@@ -346,9 +384,10 @@ func (ls *LazySource) ownedByEarlier(k int, gs, gp, go_ rdf.ID) bool {
 	if k == 0 {
 		return false
 	}
-	ts, tp, to := ls.view.dict.TermAt(gs), ls.view.dict.TermAt(gp), ls.view.dict.TermAt(go_)
+	ts, tp, to := ls.dict.TermAt(gs), ls.dict.TermAt(gp), ls.dict.TermAt(go_)
+	bound := [3]*rdf.Term{&ts, &tp, &to}
 	for _, uj := range ls.units[:k] {
-		if !uj.stats.CanMatch(&ts, &tp, &to) {
+		if !uj.stats.CanMatch(bound[0], bound[1], bound[2]) {
 			continue
 		}
 		du, err := ls.load(uj)
@@ -356,8 +395,7 @@ func (ls *LazySource) ownedByEarlier(k int, gs, gp, go_ rdf.ID) bool {
 			ls.view.fail(err)
 			return true // results are discarded once the view is failed
 		}
-		lsid, lpid, loid, ok := du.localPattern(gs, gp, go_)
-		if ok && du.snap.CountMatchIDs(lsid, lpid, loid) > 0 {
+		if l, ok := du.localPattern(bound); ok && du.snap.CountMatchIDs(l[0], l[1], l[2]) > 0 {
 			return true
 		}
 	}
@@ -366,26 +404,26 @@ func (ls *LazySource) ownedByEarlier(k int, gs, gp, go_ rdf.ID) bool {
 
 // ---- sparql.Source / sparql.ScanSource (structural) ----
 
-// TermID resolves t to its global ID. A term already in the view's shared
-// dictionary keeps its ID; any other term is interned only when some
-// admitted unit's statistics admit it in some position. A term no admitted
-// unit can hold answers (0, false), as rdf.Snapshot.TermID does for an
-// absent term, so the planner compiles it into a dead constant and the
-// dictionary, which lives as long as the view, never holds it.
+// TermID resolves t to its ID in the source's dictionary. A term already
+// there keeps its ID; any other term is interned only when some admitted
+// unit's statistics admit it in some position. A term no admitted unit can
+// hold answers (0, false), as rdf.Snapshot.TermID does for an absent term,
+// so the planner compiles it into a dead constant and the dictionary never
+// holds it.
 func (ls *LazySource) TermID(t rdf.Term) (rdf.ID, bool) {
-	if id, ok := ls.view.dict.Lookup(t); ok {
+	if id, ok := ls.dict.Lookup(t); ok {
 		return id, true
 	}
 	for _, lu := range ls.units {
 		if lu.stats.CanMatch(&t, nil, nil) || lu.stats.CanMatch(nil, &t, nil) || lu.stats.CanMatch(nil, nil, &t) {
-			return ls.view.dict.Intern(t), true
+			return ls.dict.Intern(t), true
 		}
 	}
 	return 0, false
 }
 
-// TermOf rehydrates a global dictionary ID.
-func (ls *LazySource) TermOf(id rdf.ID) rdf.Term { return ls.view.dict.TermAt(id) }
+// TermOf rehydrates an ID of the source's dictionary.
+func (ls *LazySource) TermOf(id rdf.ID) rdf.Term { return ls.dict.TermAt(id) }
 
 // ScanLen returns the federated morsel-domain size of a root pattern: the
 // sum of the admitted units' local runs. The first call for a pattern
@@ -401,9 +439,9 @@ func (ls *LazySource) ScanLen(s, p, o rdf.ID) int {
 }
 
 // ScanRange enumerates [lo, hi) of the federated domain: the recorded unit
-// runs overlapping the window in unit order, local IDs translated to global
-// on emit, duplicate items suppressed by ownership. Concatenating adjacent
-// ranges reproduces the full scan exactly.
+// runs overlapping the window in unit order, local IDs translated to the
+// source's on emit, duplicate items suppressed by ownership. Concatenating
+// adjacent ranges reproduces the full scan exactly.
 func (ls *LazySource) ScanRange(s, p, o rdf.ID, lo, hi int, fn func(s, p, o rdf.ID) bool) bool {
 	if ls.view.Err() != nil {
 		return true
@@ -425,8 +463,9 @@ func (ls *LazySource) ScanRange(s, p, o rdf.ID, lo, hi int, fn func(s, p, o rdf.
 }
 
 // ForEachMatchIDs streams every distinct matching triple of the federation
-// in global ID space, unit by unit: the order of ScanRange over the whole
-// domain, but with one cache touch per admitted unit and nothing recorded.
+// in the source's ID space, unit by unit: the order of ScanRange over the
+// whole domain, but with one cache touch per admitted unit and nothing
+// recorded beyond the remap slots.
 func (ls *LazySource) ForEachMatchIDs(s, p, o rdf.ID, fn func(s, p, o rdf.ID) bool) {
 	if ls.view.Err() != nil {
 		return

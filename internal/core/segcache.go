@@ -50,16 +50,13 @@ type unitKey struct {
 }
 
 // decodedUnit is one store unit materialized for querying: its private
-// snapshot plus the bridge between the unit's local term-ID space and the
-// view's shared global dictionary. Both remap directions are immutable once
-// built, and rebuilding from identical bytes against the same (append-only)
-// dictionary reproduces them exactly — so an evicted unit that reloads keeps
-// serving the same global IDs.
+// snapshot, in the unit's own dense local term-ID space, and the footprint
+// the budget charges for it. It holds no global IDs: each LazySource bridges
+// the local IDs into its own dictionary (LazySource.toGlobal), so nothing a
+// query interns outlives the query or escapes the budget.
 type decodedUnit struct {
-	snap     *rdf.Snapshot
-	toGlobal []rdf.ID          // local ID -> global ID (dense)
-	toLocal  map[rdf.ID]rdf.ID // global ID -> local ID (exactly the unit's terms)
-	bytes    int64             // decoded-footprint estimate the budget charges
+	snap  *rdf.Snapshot
+	bytes int64 // decoded-footprint estimate the budget charges
 }
 
 // cacheSlot is one resident cache entry plus its CLOCK reference bit.
@@ -195,18 +192,22 @@ func (c *segCache) forEachResident(fn func(k unitKey, bytes int64)) {
 	}
 }
 
-// decodedBytesEstimate charges a decoded unit for what it actually pins:
-// the snapshot's term table (string headers + bytes) and triple refs, plus
-// the remap tables. The per-triple charge is deliberately on the heavy side:
-// 64 B where the refs (12 B) and the index a scan builds lazily (four 4 B
-// log positions; its offset tables are 12 B per term, not per triple) come
-// to 28 B. It stays at 64 because budgets are sized in these units: a store
-// that fitted a budget of B still does, and true resident memory stays near
-// B rather than a multiple. The per-term charge over-approximates the same
-// way and for the same reason: 48 B + the string bytes was a Term-sized
-// table entry, where the dictionary now keeps a 24 B entry, 11–21 B of
-// hashed ID slots and one copy of each distinct (Lang, Datatype) pair.
-func decodedBytesEstimate(snap *rdf.Snapshot, toLocalLen int) int64 {
+// decodedBytesEstimate charges a decoded unit for what it pins: the
+// snapshot's term table (string headers + bytes) and triple refs, plus 8 +
+// 32 B a term that stand in for remap tables. The per-triple charge is
+// deliberately on the heavy side: 64 B where the refs (12 B) and the index a
+// scan builds lazily (four 4 B log positions; its offset tables are 12 B per
+// term, not per triple) come to 28 B. It stays at 64 because budgets are
+// sized in these units: a store that fitted a budget of B still does, and
+// true resident memory stays near B rather than a multiple. The per-term
+// charge over-approximates the same way and for the same reason: 48 B + the
+// string bytes was a Term-sized table entry, where the dictionary now keeps
+// a 24 B entry, 11–21 B of hashed ID slots and one copy of each distinct
+// (Lang, Datatype) pair. The remap charge stays although the remap tables
+// live on each LazySource, outside the cache, for the same reason: a budget
+// keeps admitting the units it admitted. Making the estimate match what a
+// unit pins is ROADMAP.md item 12(d), budget honesty.
+func decodedBytesEstimate(snap *rdf.Snapshot) int64 {
 	var b int64
 	n := snap.TermCount()
 	for i := 0; i < n; i++ {
@@ -214,7 +215,6 @@ func decodedBytesEstimate(snap *rdf.Snapshot, toLocalLen int) int64 {
 		b += 48 + int64(len(t.Value)+len(t.Lang)+len(t.Datatype))
 	}
 	b += int64(snap.Len()) * 64 // refs + lazily built index, rounded up
-	b += int64(n) * 8           // toGlobal
-	b += int64(toLocalLen) * 32 // toLocal map entries
+	b += int64(n) * (8 + 32)    // remap tables, charged though a source keeps them
 	return b
 }

@@ -4,10 +4,11 @@ package rdf
 // probes and ID semantics as the per-graph term dictionary: dense IDs in
 // allocation order, append-only, safe for concurrent use. It exists so a
 // federation of independently-decoded graphs (each with its own local ID
-// space) can be bridged into one global ID space — core's out-of-core
-// LazySource interns every unit's terms here at decode time and keeps a
-// per-unit remap table, letting the query executor join across units in
-// global ID space without ever merging the graphs.
+// space) can be bridged into one global ID space — each of core's
+// out-of-core LazySources owns one for its query, interns a term into it the
+// first time the query names or emits it, and keeps per unit a local->global
+// table, letting the query executor join across units in global ID space
+// without ever merging the graphs.
 //
 // Because the table is append-only, remap tables built against an earlier
 // state stay valid forever: an ID handed out once never changes meaning.
@@ -53,8 +54,9 @@ func (sd *SharedDict) Count() int {
 //
 // Both sides are immutable once built. Because interning is deterministic
 // in snap's local ID order, re-decoding identical bytes against the same
-// dictionary reproduces the identical tables — the property that lets an
-// evicted-and-reloaded cache unit resume serving the same global IDs.
+// dictionary reproduces the identical tables. No reader calls it (a
+// LazySource fills its own remap slots, one direction only); the perf
+// harness's rdf.remap probe times it.
 func (sd *SharedDict) RemapSnapshot(snap *Snapshot) (toGlobal []ID, toLocal map[ID]ID) {
 	n := snap.TermCount()
 	toGlobal = make([]ID, n)
