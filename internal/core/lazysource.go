@@ -148,6 +148,9 @@ func (v *LazyView) loadUnit(u *scanUnit) (*decodedUnit, error) {
 		if err := u.decodeBytes(data, g); err != nil {
 			return nil, err
 		}
+		// The snapshot pins g through its dictionary, so the table would
+		// stay resident as long as the unit does.
+		g.Trim()
 		snap := g.Snapshot()
 		du := &decodedUnit{snap: snap, bytes: decodedBytesEstimate(snap)}
 		u.lazy.mu.Lock()

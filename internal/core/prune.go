@@ -443,7 +443,9 @@ func (s *Store) decodeUnits(units []*scanUnit, workers int, dst *rdf.Graph) erro
 // exactly the exhaustive merge restricted to triples the pruner's patterns
 // could use — for a nil pruner it IS the exhaustive merge, which is how
 // Merge routes here. Up to `workers` goroutines decode in parallel; the
-// result is triple-identical at any worker count.
+// result is triple-identical at any worker count. The graph comes back
+// trimmed (rdf.Graph.Trim): readers never use its membership table, and a
+// caller that writes to it pays one rebuild.
 func (s *Store) MergePruned(pr *SegmentPruner, workers int) (*rdf.Graph, *ScanStats, error) {
 	l, err := s.listUnits()
 	if err != nil {
@@ -457,5 +459,6 @@ func (s *Store) MergePruned(pr *SegmentPruner, workers int) (*rdf.Graph, *ScanSt
 		return nil, nil, err
 	}
 	st.markDecoded(keep)
+	g.Trim()
 	return g, st, nil
 }

@@ -196,8 +196,9 @@ func (c *segCache) forEachResident(fn func(k unitKey, bytes int64)) {
 // snapshot's term table (string headers + bytes) and triple refs, plus 8 +
 // 32 B a term that stand in for remap tables. The per-triple charge is
 // deliberately on the heavy side: 64 B where the refs (12 B) and the index a
-// scan builds lazily (four 4 B log positions; its offset tables are 12 B per
-// term, not per triple) come to 28 B. It stays at 64 because budgets are
+// scan builds lazily (three 4 B log positions; its offset tables are 8 B per
+// term, not per triple) come to 24 B, the unit's membership table being
+// released before the snapshot is taken. It stays at 64 because budgets are
 // sized in these units: a store that fitted a budget of B still does, and
 // true resident memory stays near B rather than a multiple. The per-term
 // charge over-approximates the same way and for the same reason: 48 B + the

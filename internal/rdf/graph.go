@@ -32,6 +32,7 @@ type termID = ID
 // That is everything the write side maintains: an insert interns its terms,
 // probes the table, and appends to the log — no per-triple heap objects, so
 // the tracker's hot path allocates only when the log or the table grows.
+// Readers never touch the table, so a finished graph releases it (Trim).
 //
 // The graph keeps no adjacency of its own. The SPO/POS/OSP index readers
 // need is derived from the log by Snapshot, and every pattern scan on Graph
@@ -64,7 +65,8 @@ type Graph struct {
 	// table is the membership set: open addressing with linear probing over
 	// a power-of-two slot array. A slot holds 1 + the log position of a
 	// triple (compared by value against the log), or slotEmpty. The table
-	// doubles when the log would pass 3/4 of it.
+	// doubles when the log would pass 3/4 of it. Trim drops it; the next
+	// write or Has rebuilds it from the log.
 	table []uint32
 
 	// snap caches the most recent Snapshot; snapMu serializes its (re)build
@@ -131,10 +133,13 @@ func (g *Graph) refOf(t Triple) (r TripleID, ok bool) {
 	return r, ok
 }
 
-// growLocked doubles the table (or allocates the first one) and re-points a
-// slot at every log position. Caller must hold g.mu for writing.
+// growLocked doubles the table (or sizes a new one to the log) and re-points
+// a slot at every log position. Caller must hold g.mu for writing.
 func (g *Graph) growLocked() {
 	n := max(2*len(g.table), minTable)
+	for (len(g.log)+1)*4 > n*3 {
+		n *= 2
+	}
 	g.table = make([]uint32, n)
 	mask := n - 1
 	for pos, r := range g.log {
@@ -153,12 +158,9 @@ func (g *Graph) addRefLocked(r TripleID) bool {
 	if (len(g.log)+1)*4 > len(g.table)*3 {
 		g.growLocked()
 	}
-	mask := len(g.table) - 1
-	i := int(r.hash()) & mask
-	for ; g.table[i] != slotEmpty; i = (i + 1) & mask {
-		if g.log[g.table[i]-1] == r {
-			return false
-		}
+	i, found := g.findLocked(r)
+	if found {
+		return false
 	}
 	if uint64(len(g.log)) >= maxLogEntries {
 		panic("rdf: graph insertion log exceeds the uint32 position limit")
@@ -166,6 +168,30 @@ func (g *Graph) addRefLocked(r TripleID) bool {
 	g.log = append(g.log, r)
 	g.table[i] = uint32(len(g.log))
 	return true
+}
+
+// findLocked probes the table for r: the slot that holds it, or the empty
+// slot that ended the probe (the log never fills more than 3/4 of the
+// table). The table must exist; caller must hold g.mu.
+func (g *Graph) findLocked(r TripleID) (slot int, found bool) {
+	mask := len(g.table) - 1
+	i := int(r.hash()) & mask
+	for ; g.table[i] != slotEmpty; i = (i + 1) & mask {
+		if g.log[g.table[i]-1] == r {
+			return i, true
+		}
+	}
+	return i, false
+}
+
+// Trim releases the membership table, 5 to 11 bytes per triple that only
+// writers and Has read, for a graph that is done being written (a merged
+// store, a decoded lazy unit). The next write or Has rebuilds it in one pass
+// over the log, so a trimmed graph still behaves as a set.
+func (g *Graph) Trim() {
+	g.mu.Lock()
+	g.table = nil
+	g.mu.Unlock()
 }
 
 // Add inserts a triple. It reports whether the triple was new.
@@ -298,26 +324,27 @@ func (g *Graph) AddRefs(refs []TripleID) int {
 	return n
 }
 
-// Has reports whether the graph contains the triple. The probe ends at the
-// first empty slot; one always exists because the log never fills more than
-// 3/4 of the table.
+// Has reports whether the graph contains the triple. On a trimmed graph the
+// first call rebuilds the membership table.
 func (g *Graph) Has(t Triple) bool {
 	r, ok := g.refOf(t)
 	if !ok {
 		return false
 	}
 	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if len(g.table) == 0 {
-		return false
+	if g.table != nil {
+		defer g.mu.RUnlock()
+		_, found := g.findLocked(r)
+		return found
 	}
-	mask := len(g.table) - 1
-	for i := int(r.hash()) & mask; g.table[i] != slotEmpty; i = (i + 1) & mask {
-		if g.log[g.table[i]-1] == r {
-			return true
-		}
+	g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.table == nil {
+		g.growLocked()
 	}
-	return false
+	_, found := g.findLocked(r)
+	return found
 }
 
 // Len returns the number of triples in the graph: the length of the

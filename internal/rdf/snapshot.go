@@ -9,13 +9,14 @@ import (
 
 // Snapshot is an immutable read view of a Graph, pinned at a prefix of its
 // insertion log, and the home of the only adjacency index there is: the
-// graph itself keeps a log and a membership table, and its pattern scans
-// delegate here. All scan methods run lock-free: a snapshot holds its own
-// term table, triple list, and (lazily built) adjacency index, none of which
-// the live graph ever mutates, so a long query touches the graph mutex
-// exactly once — in Graph.Snapshot — and a scan callback may freely call
-// Add/Flush on the underlying graph without deadlocking (the mutations are
-// simply not visible to the snapshot).
+// graph itself keeps a log and a membership table (which no snapshot reads,
+// so a finished graph may Trim it), and its pattern scans delegate here.
+// All scan methods run lock-free: a snapshot holds its own term table,
+// triple list, and (lazily built) adjacency index, none of which the live
+// graph ever mutates, so a long query touches the graph mutex exactly once
+// — in Graph.Snapshot — and a scan callback may freely call Add/Flush on
+// the underlying graph without deadlocking (the mutations are simply not
+// visible to the snapshot).
 //
 // This is the reader half of the capture-vs-query split: writers keep
 // appending under the graph lock while queries run against a pinned prefix
@@ -53,106 +54,94 @@ func (s *Snapshot) Memo(key string) (any, bool) { return s.memo.Load(key) }
 // SetMemo caches a derived value under key for the snapshot's lifetime.
 func (s *Snapshot) SetMemo(key string, v any) { s.memo.Store(key, v) }
 
-// snapCard is the distinct subject and object count of one predicate.
+// snapCard is one predicate in use: its run [lo, hi) of flat and its
+// distinct subject and object counts.
 type snapCard struct {
 	p                 termID
+	lo, hi            uint32
 	subjects, objects uint32
 }
 
-// snapIndex is a snapshot's adjacency index in CSR form: four permutations
-// of the log positions of the pinned refs, 4 bytes per triple each, and one
-// offset table per key position, indexed by term ID (len(terms)+1 entries,
-// so term k's run is [off[k], off[k+1])). An entry is a position into refs,
-// so the triple it stands for is refs[pos]. Every run is ascending in
-// position, which is insertion-log order; pso is additionally grouped by
-// ascending object inside each predicate's run, which makes (? p o) a binary
-// search. Positions and offsets are 32-bit because log positions are
-// (maxLogEntries).
+// snapIndex is a snapshot's adjacency index in CSR form: three permutations
+// of the log positions of the pinned refs, 4 bytes per triple each. spo and
+// osp have one offset table each, indexed by term ID (len(terms)+1 entries,
+// so term k's run is [off[k], off[k+1])); flat's runs sit on cards, one per
+// predicate in use, because only a few dozen terms are predicates. An entry
+// is a position into refs, so the triple it stands for is refs[pos]. Every
+// run is ascending in position, which is insertion-log order. Positions and
+// offsets are 32-bit because log positions are (maxLogEntries).
 type snapIndex struct {
-	refs             []TripleID // the snapshot's pinned refs, which the positions index
-	sOff, pOff, oOff []uint32
-	spo              []uint32 // by S
-	flat             []uint32 // by P
-	osp              []uint32 // by O
-	pso              []uint32 // by (P, O)
+	refs       []TripleID // the snapshot's pinned refs, which the positions index
+	sOff, oOff []uint32
+	spo        []uint32 // by S
+	flat       []uint32 // by P
+	osp        []uint32 // by O
 
 	cards               []snapCard // ascending p, one per predicate in use
 	nSubjects, nObjects int
 }
 
 // buildSnapIndex derives the index from refs by counting sort: one histogram
-// pass, three stable scatters of the log positions, and a fourth that
-// scatters osp's O-major order stably by refs[pos].P (an LSD radix step) to
-// get pso. The cardinalities fall out of the finished arrays.
-// O(len(refs) + nTerms) time, a fixed number of allocations, 16 bytes per
-// triple and 12 per term retained.
+// pass, then three stable scatters of the log positions. The cardinalities
+// fall out of the finished arrays. O(len(refs) + nTerms) time, a fixed
+// number of allocations, 12 bytes per triple and 8 per term retained.
 func buildSnapIndex(refs []TripleID, nTerms int) *snapIndex {
 	n := len(refs)
 	ix := &snapIndex{
 		refs: refs,
-		sOff: make([]uint32, nTerms+1), pOff: make([]uint32, nTerms+1), oOff: make([]uint32, nTerms+1),
-		spo: make([]uint32, n), flat: make([]uint32, n), osp: make([]uint32, n), pso: make([]uint32, n),
+		sOff: make([]uint32, nTerms+1), oOff: make([]uint32, nTerms+1),
+		spo: make([]uint32, n), flat: make([]uint32, n), osp: make([]uint32, n),
 	}
+	// cur is the predicate histogram, then the write cursor of each scatter
+	// in turn, then the stamp array.
+	cur := make([]uint32, nTerms+1)
 	for _, r := range refs {
 		ix.sOff[r.S+1]++
-		ix.pOff[r.P+1]++
+		cur[r.P+1]++
 		ix.oOff[r.O+1]++
 	}
-	var nPreds int
-	ix.nSubjects, nPreds, ix.nObjects = prefixSum(ix.sOff), prefixSum(ix.pOff), prefixSum(ix.oOff)
-
-	// cur is the write cursor of each scatter in turn, then the stamp array.
-	// Until its own scatter, flat holds the predicate of each osp entry, so
-	// the pso step reads both arrays front to back instead of refs[pos] in
-	// object order.
-	cur := make([]uint32, nTerms)
-	copy(cur, ix.oOff)
-	for i, r := range refs {
-		ix.osp[cur[r.O]] = uint32(i)
-		ix.flat[cur[r.O]] = uint32(r.P)
-		cur[r.O]++
+	nPreds := prefixSum(cur)
+	ix.nSubjects, ix.nObjects = prefixSum(ix.sOff), prefixSum(ix.oOff)
+	ix.cards = make([]snapCard, 0, nPreds)
+	for p := 0; p < nTerms; p++ {
+		if cur[p] != cur[p+1] {
+			ix.cards = append(ix.cards, snapCard{p: termID(p), lo: cur[p], hi: cur[p+1]})
+		}
 	}
-	copy(cur, ix.pOff)
-	for k, pos := range ix.osp {
-		p := ix.flat[k]
-		ix.pso[cur[p]] = pos
-		cur[p]++
+	for i, r := range refs {
+		ix.flat[cur[r.P]] = uint32(i)
+		cur[r.P]++
 	}
 	copy(cur, ix.sOff)
 	for i, r := range refs {
 		ix.spo[cur[r.S]] = uint32(i)
 		cur[r.S]++
 	}
-	copy(cur, ix.pOff)
+	copy(cur, ix.oOff)
 	for i, r := range refs {
-		ix.flat[cur[r.P]] = uint32(i)
-		cur[r.P]++
+		ix.osp[cur[r.O]] = uint32(i)
+		cur[r.O]++
 	}
 
-	// Distinct objects of p are the run boundaries of its pso run; distinct
-	// subjects are counted by stamping cur[s] with p+1 over its flat run, so
-	// a subject with many pairs of several predicates costs one compare per
-	// pair.
+	// Distinct subjects and objects of each predicate are counted by
+	// stamping cur[s] and seen[o] with p+1 over its flat run, so a term with
+	// many pairs of several predicates costs one compare per pair.
 	clear(cur)
-	ix.cards = make([]snapCard, 0, nPreds)
-	for p := 0; p < nTerms; p++ {
-		run := ix.pso[ix.pOff[p]:ix.pOff[p+1]]
-		if len(run) == 0 {
-			continue
-		}
-		c := snapCard{p: termID(p), objects: 1}
-		for i := 1; i < len(run); i++ {
-			if refs[run[i]].O != refs[run[i-1]].O {
+	seen := make([]uint32, nTerms)
+	for i := range ix.cards {
+		c := &ix.cards[i]
+		mark := uint32(c.p) + 1
+		for _, pos := range ix.flat[c.lo:c.hi] {
+			r := refs[pos]
+			if cur[r.S] != mark {
+				cur[r.S] = mark
+				c.subjects++
+			}
+			if seen[r.O] != mark {
+				seen[r.O] = mark
 				c.objects++
 			}
 		}
-		for _, pos := range ix.pred(termID(p)) {
-			if s := refs[pos].S; cur[s] != uint32(p)+1 {
-				cur[s] = uint32(p) + 1
-				c.subjects++
-			}
-		}
-		ix.cards = append(ix.cards, c)
 	}
 	return ix
 }
@@ -169,34 +158,39 @@ func prefixSum(off []uint32) (runs int) {
 	return runs
 }
 
-// The four run lookups return log positions, ascending. IDs must be below
-// the term count (see inRange).
+// The run lookups return log positions, ascending. IDs must be below the
+// term count (see inRange).
 
 func (ix *snapIndex) subj(s termID) []uint32 { return ix.spo[ix.sOff[s]:ix.sOff[s+1]] }
-func (ix *snapIndex) pred(p termID) []uint32 { return ix.flat[ix.pOff[p]:ix.pOff[p+1]] }
 func (ix *snapIndex) obj(o termID) []uint32  { return ix.osp[ix.oOff[o]:ix.oOff[o+1]] }
 
-func (ix *snapIndex) predObj(p, o termID) []uint32 {
-	run := ix.pso[ix.pOff[p]:ix.pOff[p+1]]
-	run = run[ix.firstObj(run, o):]
-	return run[:ix.firstObj(run, o+1)]
+func (ix *snapIndex) pred(p termID) []uint32 {
+	c := ix.card(p)
+	return ix.flat[c.lo:c.hi]
 }
 
-// firstObj returns the index of the first entry of a pso run whose object
-// is at least o: len(run) when there is none.
-func (ix *snapIndex) firstObj(run []uint32, o termID) int {
-	lo, hi := 0, len(run)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); ix.refs[run[m]].O < o {
-			lo = m + 1
-		} else {
-			hi = m
+// domain returns the run a pattern with a bound position walks: the
+// subject's, else the shorter of the predicate's and the object's, else the
+// one that is bound. Positions the run does not discriminate on are the
+// scan's residual filter, so (? p o) costs O(min run).
+func (ix *snapIndex) domain(sid, pid, oid ID) []uint32 {
+	switch {
+	case sid != NoID:
+		return ix.subj(sid)
+	case pid != NoID && oid != NoID:
+		pr, or := ix.pred(pid), ix.obj(oid)
+		if len(or) < len(pr) {
+			return or
 		}
+		return pr
+	case pid != NoID:
+		return ix.pred(pid)
+	default:
+		return ix.obj(oid)
 	}
-	return lo
 }
 
-// card returns the distinct counts of predicate p, zero when p has no triple.
+// card returns predicate p's card, zero when p has no triple.
 func (ix *snapIndex) card(p termID) snapCard {
 	i := sort.Search(len(ix.cards), func(i int) bool { return ix.cards[i].p >= p })
 	if i < len(ix.cards) && ix.cards[i].p == p {
@@ -336,16 +330,10 @@ func (s *Snapshot) ScanLen(sid, pid, oid ID) int {
 	switch {
 	case !s.inRange(sid, pid, oid):
 		return 0
-	case sid != NoID:
-		return len(s.index().subj(sid))
-	case pid != NoID && oid != NoID:
-		return len(s.index().predObj(pid, oid))
-	case pid != NoID:
-		return len(s.index().pred(pid))
-	case oid != NoID:
-		return len(s.index().obj(oid))
-	default:
+	case sid == NoID && pid == NoID && oid == NoID:
 		return len(s.refs)
+	default:
+		return len(s.index().domain(sid, pid, oid))
 	}
 }
 
@@ -355,42 +343,20 @@ func (s *Snapshot) ScanLen(sid, pid, oid ID) int {
 // (a bound position the domain does not already discriminate on) emit
 // nothing, so concatenating adjacent ranges reproduces the full scan.
 func (s *Snapshot) ScanRange(sid, pid, oid ID, lo, hi int, fn func(s, p, o ID) bool) bool {
-	refs := s.refs
 	switch {
 	case !s.inRange(sid, pid, oid):
-	case sid != NoID:
-		for _, pos := range clip(s.index().subj(sid), lo, hi) {
-			r := refs[pos]
-			if pid != NoID && r.P != pid {
-				continue
-			}
-			if oid != NoID && r.O != oid {
-				continue
-			}
-			if !fn(sid, r.P, r.O) {
-				return false
-			}
-		}
-	case pid != NoID && oid != NoID:
-		for _, pos := range clip(s.index().predObj(pid, oid), lo, hi) {
-			if !fn(refs[pos].S, pid, oid) {
-				return false
-			}
-		}
-	case pid != NoID:
-		for _, pos := range clip(s.index().pred(pid), lo, hi) {
-			if r := refs[pos]; !fn(r.S, pid, r.O) {
-				return false
-			}
-		}
-	case oid != NoID:
-		for _, pos := range clip(s.index().obj(oid), lo, hi) {
-			if r := refs[pos]; !fn(r.S, r.P, oid) {
+	case sid == NoID && pid == NoID && oid == NoID:
+		for _, r := range clip(s.refs, lo, hi) {
+			if !fn(r.S, r.P, r.O) {
 				return false
 			}
 		}
 	default:
-		for _, r := range clip(refs, lo, hi) {
+		for _, pos := range clip(s.index().domain(sid, pid, oid), lo, hi) {
+			r := s.refs[pos]
+			if (sid != NoID && r.S != sid) || (pid != NoID && r.P != pid) || (oid != NoID && r.O != oid) {
+				continue
+			}
 			if !fn(r.S, r.P, r.O) {
 				return false
 			}
@@ -409,19 +375,19 @@ func clip[T any](run []T, lo, hi int) []T {
 }
 
 // CountMatchIDs returns the exact number of triples matching the ID pattern
-// (NoID = wildcard). Every shape but a subject with a bound predicate or
-// object is its ScanLen — a run length read off the index; that one walks
-// the subject's adjacency.
+// (NoID = wildcard). A pattern with at most one bound position is its
+// ScanLen, a run length read off the index; any other walks its domain
+// through the residual filter, O(deg s) with a bound subject and
+// O(min run) for (? p o).
 func (s *Snapshot) CountMatchIDs(sid, pid, oid ID) int {
-	if sid == NoID || (pid == NoID && oid == NoID) || !s.inRange(sid, pid, oid) {
+	if (sid == NoID && pid == NoID) || (sid == NoID && oid == NoID) || (pid == NoID && oid == NoID) {
 		return s.ScanLen(sid, pid, oid)
 	}
 	c := 0
-	for _, pos := range s.index().subj(sid) {
-		if r := s.refs[pos]; (pid == NoID || r.P == pid) && (oid == NoID || r.O == oid) {
-			c++
-		}
-	}
+	s.ScanRange(sid, pid, oid, 0, math.MaxInt, func(_, _, _ ID) bool {
+		c++
+		return true
+	})
 	return c
 }
 
@@ -431,9 +397,8 @@ func (s *Snapshot) PredStats(p ID) (triples, subjects, objects int) {
 	if p == NoID || !s.inRange(NoID, p, NoID) {
 		return 0, 0, 0
 	}
-	ix := s.index()
-	c := ix.card(p)
-	return len(ix.pred(p)), int(c.subjects), int(c.objects)
+	c := s.index().card(p)
+	return int(c.hi - c.lo), int(c.subjects), int(c.objects)
 }
 
 // IndexStats returns the snapshot's distinct subject, predicate, and object

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -364,10 +365,10 @@ func TestSnapshotConcurrentIngest(t *testing.T) {
 }
 
 // TestSnapshotIndexLayout pins the CSR invariants the read API leans on:
-// offset tables are monotone over [0, len(refs)], each of the four arrays is
-// a permutation of the log positions 0..len(refs)-1, every run holds exactly
-// its key's triples in ascending position, and a predicate's pso run is
-// grouped by ascending refs[pos].O.
+// the two offset tables are monotone over [0, len(refs)], the cards' runs
+// partition flat in ascending p with no empty run, each of the three arrays
+// is a permutation of the log positions 0..len(refs)-1, and every run holds
+// exactly its key's triples in ascending position.
 func TestSnapshotIndexLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 20; iter++ {
@@ -375,7 +376,7 @@ func TestSnapshotIndexLayout(t *testing.T) {
 		g.Intern(IRI("http://e/in-no-triple"))
 		snap := g.Snapshot()
 		ix, n, refs := snap.index(), snap.TermCount(), snap.refs
-		for name, off := range map[string][]uint32{"sOff": ix.sOff, "pOff": ix.pOff, "oOff": ix.oOff} {
+		for name, off := range map[string][]uint32{"sOff": ix.sOff, "oOff": ix.oOff} {
 			if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(snap.refs) {
 				t.Fatalf("iter %d: %s has %d entries for %d terms, spans [%d, %d] of %d refs",
 					iter, name, len(off), n, off[0], off[len(off)-1], len(snap.refs))
@@ -386,17 +387,31 @@ func TestSnapshotIndexLayout(t *testing.T) {
 				}
 			}
 		}
+		// The cards' runs partition flat in ascending p, none empty; as an
+		// offset table they are flatOff, which the walk below checks like the
+		// other two.
+		flatOff := make([]uint32, n+1)
+		end := uint32(0)
+		for i, c := range ix.cards {
+			if c.lo != end || c.hi <= c.lo || (i > 0 && c.p <= ix.cards[i-1].p) {
+				t.Fatalf("iter %d: card %d (p %d) spans [%d, %d) after a run ending at %d", iter, i, c.p, c.lo, c.hi, end)
+			}
+			flatOff[c.p+1], end = c.hi-c.lo, c.hi
+		}
+		if int(end) != len(refs) {
+			t.Fatalf("iter %d: the cards' runs cover %d of %d refs", iter, end, len(refs))
+		}
+		prefixSum(flatOff)
 		// Walk each array run by run: every entry is its key's triple, and
-		// positions ascend (inside an object group, for pso).
+		// positions ascend.
 		for _, a := range []struct {
 			name     string
 			arr, off []uint32
 			key      func(TripleID) ID
 		}{
 			{"spo", ix.spo, ix.sOff, func(r TripleID) ID { return r.S }},
-			{"flat", ix.flat, ix.pOff, func(r TripleID) ID { return r.P }},
+			{"flat", ix.flat, flatOff, func(r TripleID) ID { return r.P }},
 			{"osp", ix.osp, ix.oOff, func(r TripleID) ID { return r.O }},
-			{"pso", ix.pso, ix.pOff, func(r TripleID) ID { return r.P }},
 		} {
 			name, arr, off := a.name, a.arr, a.off
 			if len(arr) != len(refs) {
@@ -413,17 +428,8 @@ func TestSnapshotIndexLayout(t *testing.T) {
 					if got := a.key(refs[pos]); got != k {
 						t.Fatalf("iter %d: %s run of %d holds position %d, the triple %v of %d", iter, name, k, pos, refs[pos], got)
 					}
-					if i == 0 {
-						continue
-					}
-					prev := run[i-1]
-					ordered := prev < pos
-					if name == "pso" {
-						a, b := refs[prev].O, refs[pos].O
-						ordered = a < b || a == b && prev < pos
-					}
-					if !ordered {
-						t.Fatalf("iter %d: %s run of %d holds position %d (%v) before %d (%v)", iter, name, k, prev, refs[prev], pos, refs[pos])
+					if i > 0 && run[i-1] >= pos {
+						t.Fatalf("iter %d: %s run of %d holds position %d (%v) before %d (%v)", iter, name, k, run[i-1], refs[run[i-1]], pos, refs[pos])
 					}
 				}
 			}
@@ -589,20 +595,21 @@ func indexBytesPerTriple(refs []TripleID, nTerms int) float64 {
 }
 
 // TestSnapshotIndexBytesPerTriple pins what a resident triple costs in the
-// index over the harness's h5bench shape: four 4-byte log positions, plus the
-// offset tables' 12 bytes per term spread over the triples (4.02 here: 32 921
-// terms for 98 304 triples), plus the page rounding of the large arrays —
-// 20.25 in all. An index of 8-byte pairs reads 36.25.
+// index over the harness's h5bench shape: three 4-byte log positions, plus
+// the two offset tables' 8 bytes per term spread over the triples (2.68
+// here: 32 921 terms for 98 304 triples), plus the cards and the page
+// rounding of the large arrays — 14.84 in all. Four permutations with a
+// third, per-term offset table read 20.25; an index of 8-byte pairs 36.25.
 func TestSnapshotIndexBytesPerTriple(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
 	}
-	const budget = 21.0
+	const budget = 15.5
 	refs, nTerms := h5benchShaped(16, 1024)
 	got := indexBytesPerTriple(refs, nTerms)
 	t.Logf("%.2f B per triple retained by the index (%d triples, %d terms)", got, len(refs), nTerms)
 	if got > budget {
-		t.Fatalf("the index keeps %.2f B per triple live, budget %.0f", got, budget)
+		t.Fatalf("the index keeps %.2f B per triple live, budget %.1f", got, budget)
 	}
 }
 
@@ -621,4 +628,110 @@ func BenchmarkSnapshotIndex(b *testing.B) {
 		sinkIndex = buildSnapIndex(refs, nTerms)
 	}
 	b.ReportMetric(perTriple, "B/triple")
+}
+
+// TestSnapshotPredObjRuns: (? p o) walks the shorter of p's and o's runs
+// through the residual filter. Over random graphs whose runs are skewed
+// either way, ScanRange over random partitions of [0, ScanLen) equals
+// ForEachMatchIDs, which equals a filter of the log, and CountMatchIDs is
+// exact.
+func TestSnapshotPredObjRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var predShorter, objShorter int
+	for iter := 0; iter < 40; iter++ {
+		// A hub predicate and a hub object, each dominating its position,
+		// plus a tail of rare predicates and objects.
+		g := NewGraph()
+		for i, n := 0, 200+rng.Intn(600); i < n; i++ {
+			p, o := "hub-p", "hub-o"
+			if rng.Intn(4) > 0 {
+				p = fmt.Sprintf("p%d", rng.Intn(6))
+			}
+			if rng.Intn(4) > 0 {
+				o = fmt.Sprintf("o%d", rng.Intn(8))
+			}
+			g.Add(tr(fmt.Sprintf("s%d", rng.Intn(50)), p, o))
+		}
+		snap := g.Snapshot()
+		ix := snap.index()
+		var preds, objs []ID
+		for _, name := range []string{"hub-p", "p0", "p1", "p5"} {
+			if id, ok := g.TermID(IRI("http://e/" + name)); ok {
+				preds = append(preds, id)
+			}
+		}
+		for _, name := range []string{"hub-o", "o0", "o3", "o7", "s0"} {
+			if id, ok := g.TermID(IRI("http://e/" + name)); ok {
+				objs = append(objs, id)
+			}
+		}
+		for _, p := range preds {
+			for _, o := range objs {
+				if len(ix.pred(p)) <= len(ix.obj(o)) {
+					predShorter++
+				} else {
+					objShorter++
+				}
+				var want []TripleID
+				for _, r := range snap.refs {
+					if r.P == p && r.O == o {
+						want = append(want, r)
+					}
+				}
+				full := idsOf(func(fn func(s, p, o ID) bool) { snap.ForEachMatchIDs(NoID, p, o, fn) })
+				if !slices.Equal(full, want) {
+					t.Fatalf("iter %d (? %d %d): ForEachMatchIDs gave %d rows, the log filter %d, or another order", iter, p, o, len(full), len(want))
+				}
+				if c := snap.CountMatchIDs(NoID, p, o); c != len(want) {
+					t.Fatalf("iter %d (? %d %d): CountMatchIDs = %d, want %d", iter, p, o, c, len(want))
+				}
+				n := snap.ScanLen(NoID, p, o)
+				if m := min(len(ix.pred(p)), len(ix.obj(o))); n != m {
+					t.Fatalf("iter %d (? %d %d): ScanLen = %d, the shorter run holds %d", iter, p, o, n, m)
+				}
+				var cat []TripleID
+				for lo := 0; lo < n; {
+					hi := lo + 1 + rng.Intn(n-lo)
+					snap.ScanRange(NoID, p, o, lo, hi, func(si, pi, oi ID) bool {
+						cat = append(cat, TripleID{si, pi, oi})
+						return true
+					})
+					lo = hi
+				}
+				if !slices.Equal(cat, want) {
+					t.Fatalf("iter %d (? %d %d): partitioned ScanRange gave %d rows, want %d in log order", iter, p, o, len(cat), len(want))
+				}
+			}
+		}
+	}
+	if predShorter == 0 || objShorter == 0 {
+		t.Fatalf("runs never skewed both ways: p shorter %d times, o shorter %d", predShorter, objShorter)
+	}
+}
+
+var sinkCount int
+
+// BenchmarkSnapshotPredObjHub counts (? p o) where p's run and o's run each
+// hold 50 000 triples and share one: the walk of the shorter run is the
+// price of keeping no (P, O)-ordered permutation.
+func BenchmarkSnapshotPredObjHub(b *testing.B) {
+	const k = 50000
+	g := NewGraph()
+	p, o, q := g.Intern(IRI("http://e/p")), g.Intern(IRI("http://e/o")), g.Intern(IRI("http://e/q"))
+	refs := make([]TripleID, 0, 2*k+1)
+	for i := 0; i < k; i++ {
+		refs = append(refs,
+			TripleID{g.Intern(IRI(fmt.Sprintf("http://e/a%d", i))), p, g.Intern(IRI(fmt.Sprintf("http://e/x%d", i)))},
+			TripleID{g.Intern(IRI(fmt.Sprintf("http://e/b%d", i))), q, o})
+	}
+	refs = append(refs, TripleID{p, p, o})
+	g.AddRefs(refs)
+	snap := g.Snapshot()
+	if c := snap.CountMatchIDs(NoID, p, o); c != 1 {
+		b.Fatalf("CountMatchIDs = %d, want 1", c)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkCount = snap.CountMatchIDs(NoID, p, o)
+	}
 }
