@@ -144,10 +144,12 @@ func (v *LazyView) loadUnit(u *scanUnit) (*decodedUnit, error) {
 		if err != nil {
 			return nil, err
 		}
-		g := rdf.NewGraph()
-		if err := u.decodeBytes(data, g); err != nil {
+		c, err := u.columns(data)
+		if err != nil {
 			return nil, err
 		}
+		g := rdf.NewGraph()
+		c.Materialize(g)
 		// The snapshot pins g through its dictionary, so the table would
 		// stay resident as long as the unit does.
 		g.Trim()
@@ -566,7 +568,7 @@ func (v *LazyView) hydrateInto(u *scanUnit, dst *rdf.Graph) error {
 	return nil
 }
 
-// hydrateAll is the lazy counterpart of Store.decodeUnits over the same
+// hydrateAll is the lazy counterpart of Store.mergeUnits over the same
 // pool: every worker hydrates straight into dst — one AddBatch per unit, so
 // private accumulators would only add a second insertion.
 func (v *LazyView) hydrateAll(units []*scanUnit, workers int, dst *rdf.Graph) error {
@@ -576,7 +578,8 @@ func (v *LazyView) hydrateAll(units []*scanUnit, workers int, dst *rdf.Graph) er
 // MaterializeGraph unions every unit of the view into one graph through the
 // cache — the lazy counterpart of Merge for consumers that need the whole
 // graph (provio-stats). Peak decoded-cache residency stays within the
-// budget; the returned graph itself is of course O(store).
+// budget; the returned graph itself is of course O(store). It comes back
+// trimmed, as MergePruned's does.
 func (v *LazyView) MaterializeGraph(workers int) (*rdf.Graph, *ScanStats, error) {
 	st := v.layout.newScanStats()
 	g := rdf.NewGraph()
@@ -585,6 +588,7 @@ func (v *LazyView) MaterializeGraph(workers int) (*rdf.Graph, *ScanStats, error)
 	}
 	st.markDecoded(v.layout.units)
 	v.foldCacheStats(st)
+	g.Trim()
 	return g, st, nil
 }
 

@@ -104,8 +104,7 @@ func mergeFiles(s *Store, files []string, workers int) (*rdf.Graph, error) {
 	for i, f := range files {
 		units[i] = &scanUnit{path: f}
 	}
-	g := rdf.NewGraph()
-	return g, s.decodeUnits(units, workers, g)
+	return s.mergeUnits(units, workers)
 }
 
 // TestMergeOrderIndependent: merging shuffled file lists yields

@@ -18,7 +18,7 @@ import (
 // pruned merge, lazy view — lists the store's units once (listUnits),
 // admits them through one statistics predicate (admit), fans the admitted
 // ones over one worker pool (par.ForEach), and differs only in the leaf
-// that turns one unit into triples: Store.decodeInto here,
+// that turns units into triples: Store.mergeUnits here,
 // LazyView.hydrateInto through the budgeted cache in lazysource.go.
 //
 // Every reader takes pbs v5 only: before it decodes a byte, the listing
@@ -307,28 +307,17 @@ func (u *scanUnit) fetch(s *Store) ([]byte, error) {
 	return data[u.off : u.off+u.size], nil
 }
 
-// decodeBytes decodes the unit's pbs v5 bytes into g.
-func (u *scanUnit) decodeBytes(data []byte, g *rdf.Graph) error {
+// columns decodes the unit's pbs v5 bytes.
+func (u *scanUnit) columns(data []byte) (*segcodec.Columns, error) {
 	c, err := segcodec.DecodeColumns(data)
 	if err != nil {
 		name := u.path
 		if u.member != "" {
 			name += "!" + u.member
 		}
-		return fmt.Errorf("core: parsing %s: %w", name, err)
+		return nil, fmt.Errorf("core: parsing %s: %w", name, err)
 	}
-	c.Materialize(g)
-	return nil
-}
-
-// decodeInto is the eager read path's leaf: fetch the unit and decode it
-// straight into g (binary segments via AddBatch, no string parsing).
-func (s *Store) decodeInto(u *scanUnit, g *rdf.Graph) error {
-	data, err := u.fetch(s)
-	if err != nil {
-		return err
-	}
-	return u.decodeBytes(data, g)
+	return c, nil
 }
 
 // listUnits lists the store's decodable units, expanding packs into member
@@ -416,25 +405,29 @@ func admit(units []*scanUnit, pr *SegmentPruner) (keep []*scanUnit, packsSkipped
 	return keep, packsSkipped
 }
 
-// decodeUnits is the eager way to load units: each is fetched and decoded
-// straight into a graph (decodeInto). Worker 0 writes dst itself; every
-// other worker owns a private accumulator (parsing and union parallelize
-// with no contention) that is folded into dst at the end, already
-// GUID-deduplicated. The result is order-independent: graph union is
-// commutative and idempotent.
-func (s *Store) decodeUnits(units []*scanUnit, workers int, dst *rdf.Graph) error {
-	accs := []*rdf.Graph{dst}
-	for w := 1; w < workers && w < len(units); w++ {
-		accs = append(accs, rdf.NewGraph())
-	}
-	err := par.ForEach(len(units), len(accs), func(w, i int) error { return s.decodeInto(units[i], accs[w]) })
-	if err != nil {
+// mergeUnits is the eager way to load units: each is fetched and decoded to
+// its columns on up to `workers` goroutines, and segcodec.MergeColumns
+// unions them into one sorted graph (rdf.NewSortedGraph). GUID-based node
+// identity makes the union deduplicate shared nodes. The graph is the same
+// whatever the units' order or the worker count: its IDs are term order
+// and its log (S, P, O) order.
+func (s *Store) mergeUnits(units []*scanUnit, workers int) (*rdf.Graph, error) {
+	cols := make([]*segcodec.Columns, len(units))
+	err := par.ForEach(len(units), workers, func(_, i int) error {
+		data, err := units[i].fetch(s)
+		if err == nil {
+			cols[i], err = units[i].columns(data)
+		}
 		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, acc := range accs[1:] {
-		dst.Merge(acc)
+	terms, refs, err := segcodec.MergeColumns(cols)
+	if err != nil {
+		return nil, fmt.Errorf("core: merging %d units: %w", len(units), err)
 	}
-	return nil
+	return rdf.NewSortedGraph(terms, refs), nil
 }
 
 // MergePruned merges the store with statistics pushdown: units whose stats
@@ -443,9 +436,11 @@ func (s *Store) decodeUnits(units []*scanUnit, workers int, dst *rdf.Graph) erro
 // exactly the exhaustive merge restricted to triples the pruner's patterns
 // could use — for a nil pruner it IS the exhaustive merge, which is how
 // Merge routes here. Up to `workers` goroutines decode in parallel; the
-// result is triple-identical at any worker count. The graph comes back
-// trimmed (rdf.Graph.Trim): readers never use its membership table, and a
-// caller that writes to it pays one rebuild.
+// result is the same graph at any worker count. The graph is sorted
+// (rdf.NewSortedGraph) and so comes back trimmed: readers never use a
+// membership table or dictionary slots, and a caller that writes to it
+// pays one rebuild of each. A union past the graph's uint32 limits fails
+// with rdf.ErrGraphFull.
 func (s *Store) MergePruned(pr *SegmentPruner, workers int) (*rdf.Graph, *ScanStats, error) {
 	l, err := s.listUnits()
 	if err != nil {
@@ -454,11 +449,10 @@ func (s *Store) MergePruned(pr *SegmentPruner, workers int) (*rdf.Graph, *ScanSt
 	st := l.newScanStats()
 	var keep []*scanUnit
 	keep, st.PacksSkipped = admit(l.units, pr)
-	g := rdf.NewGraph()
-	if err := s.decodeUnits(keep, workers, g); err != nil {
+	g, err := s.mergeUnits(keep, workers)
+	if err != nil {
 		return nil, nil, err
 	}
 	st.markDecoded(keep)
-	g.Trim()
 	return g, st, nil
 }

@@ -1,5 +1,5 @@
 // Package par is the one worker pool behind the store's bulk paths: the
-// reader's unit decode (core.decodeUnits, LazyView.hydrateAll), the audit's
+// reader's unit decode (core.Store.mergeUnits, LazyView.hydrateAll), the audit's
 // check pass (core.Store.audit) and the stages of segcodec.UnionStats all fan
 // out through ForEach. It sits below both packages so that neither grows a
 // pool of its own.

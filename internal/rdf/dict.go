@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"cmp"
 	"hash/maphash"
 	"math/bits"
 	"strings"
@@ -40,6 +41,10 @@ const (
 	// minDictSlots is the slot count of the first table: a decoded unit's
 	// graph with a few terms holds 64 bytes of slots.
 	minDictSlots = 8
+
+	// sortedHits is the size of a sorted dictionary's lookup cache (hits):
+	// 4 KB, room for a workload's query vocabulary.
+	sortedHits = 512
 
 	// maxDictTerms is the term-count limit implied by slots storing ID + 1 in
 	// 32 bits with NoID reserved (the dictionary's maxLogEntries).
@@ -83,9 +88,25 @@ func locate(id ID) (chunk int, off uint64) {
 // buffer therefore allocates nothing for a term the dictionary already holds
 // and retains nothing of it.
 //
+// A sorted dictionary (initSorted) starts with entries and no slot table:
+// its first sortedN entries ascend under termLess, and lookup bisects them,
+// through a small cache of its recent finds, until the first miss of an
+// intern builds the table from the entries.
+//
 // Nothing iterates the slot table, so nothing observable depends on the seed.
 type termDict struct {
 	seed maphash.Seed
+
+	// sortedN is the length of the sorted prefix initSorted adopted; 0 for a
+	// dictionary built by interning. Set before the dictionary is shared and
+	// never changed.
+	sortedN uint32
+	// hits caches a sorted dictionary's bisections while it has no slot
+	// table: two candidate words per hash, each hash<<32 | 1 + the term's
+	// lower bound in the prefix. A query resolves the same constants over
+	// and over, present or not, and a bisection costs a dozen string
+	// compares where a hit costs one or two. See bisect.
+	hits []atomic.Uint64
 
 	// slots is a power-of-two table, probed linearly and kept at most 3/4
 	// full. Each word is a term's 32-bit hash over 1 + its ID; 0 is empty.
@@ -120,6 +141,34 @@ func (d *termDict) init() {
 	d.chunks.Store(new([][]dictEntry))
 	d.aux.Store(new([]langType))
 	d.auxIDs = make(map[langType]uint32)
+}
+
+// initSorted is init for a dictionary adopting terms, strictly ascending
+// under termLess, as IDs 0..len(terms)-1: their entries and side table are
+// published and no slot table is built. The value strings are shared, not
+// copied; terms itself is not retained. The dictionary is not shared yet,
+// so the side table is filled without tmu.
+func (d *termDict) initSorted(terms []Term) {
+	d.init()
+	var chunks [][]dictEntry
+	for id := range terms {
+		c, off := locate(ID(id))
+		if c == len(chunks) {
+			chunks = append(chunks, make([]dictEntry, 1<<min(c+dictChunkMinBits, dictChunkMaxBits)))
+		}
+		t := &terms[id]
+		e := dictEntry{value: t.Value, kind: t.Kind}
+		if t.Lang != "" || t.Datatype != "" {
+			e.aux = d.auxLocked(langType{t.Lang, t.Datatype})
+		}
+		chunks[c][off] = e
+	}
+	d.chunks.Store(&chunks)
+	d.n.Store(uint32(len(terms)))
+	d.sortedN = uint32(len(terms))
+	if len(terms) > 0 {
+		d.hits = make([]atomic.Uint64, sortedHits)
+	}
 }
 
 // hash mixes all four Term fields: Lang and Datatype by content, not length,
@@ -181,6 +230,25 @@ func (tt termTable) holds(id ID, t Term) bool {
 func (tt termTable) holdsBytes(id ID, t Term, raw []byte) bool {
 	e := tt.entry(id)
 	return e.value == string(raw) && tt.holdsRest(e, t)
+}
+
+// compare orders entry id against t as termLess orders terms: -1, 0 or +1.
+func (tt termTable) compare(id ID, t Term) int {
+	e := tt.entry(id)
+	if e.kind != t.Kind {
+		return cmp.Compare(e.kind, t.Kind)
+	}
+	if c := strings.Compare(e.value, t.Value); c != 0 {
+		return c
+	}
+	var p langType
+	if e.aux != 0 {
+		p = tt.aux[e.aux-1]
+	}
+	if c := strings.Compare(p.lang, t.Lang); c != 0 {
+		return c
+	}
+	return strings.Compare(p.datatype, t.Datatype)
 }
 
 // holdsRest compares everything but the value.
@@ -247,9 +315,60 @@ func free(slots []atomic.Uint64, h uint32) int {
 	return int(i)
 }
 
-// lookup returns the ID for t and whether it is interned.
+// lookup returns the ID for t and whether it is interned. A sorted
+// dictionary whose slot table is not built yet holds nothing but its sorted
+// prefix, so the prefix is bisected; a reader that sees the built table
+// finds every prefix entry there, because the table is published whole.
 func (d *termDict) lookup(t Term) (ID, bool) {
-	return d.find(d.hash(t), t)
+	h := d.hash(t)
+	if d.sortedN != 0 && len(*d.slots.Load()) == 0 {
+		return d.bisect(h, t)
+	}
+	return d.find(h, t)
+}
+
+// bisect finds t, whose hash is h, in the sorted prefix by binary search
+// for its lower bound: its ID if t is there, else where it would sort. The
+// bound goes to the hits cache, in a free candidate word, else the first. A
+// cached bound is proved before it is believed — its entry is t, or its
+// neighbours sort either side of t — so it answers an absent term, such as
+// a vocabulary IRI the store never used, as cheaply as a present one.
+func (d *termDict) bisect(h uint32, t Term) (ID, bool) {
+	tt, n := d.snapshot(), int(d.sortedN)
+	cand := [2]*atomic.Uint64{&d.hits[h%sortedHits], &d.hits[(h>>16)%sortedHits]}
+	for _, c := range cand {
+		w := c.Load()
+		if w == 0 || uint32(w>>32) != h {
+			continue
+		}
+		i := int(uint32(w) - 1)
+		at := 1 // entry i against t; the end sorts after every term
+		if i < n {
+			at = tt.compare(ID(i), t)
+		}
+		if at == 0 {
+			return ID(i), true
+		}
+		if at > 0 && (i == 0 || tt.compare(ID(i-1), t) < 0) {
+			return 0, false
+		}
+	}
+	lo, hi := 0, n
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); tt.compare(ID(m), t) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if cand[0].Load() != 0 && cand[1].Load() == 0 {
+		cand[0] = cand[1]
+	}
+	cand[0].Store(uint64(h)<<32 | uint64(lo) + 1)
+	if lo < n && tt.holds(ID(lo), t) {
+		return ID(lo), true
+	}
+	return 0, false
 }
 
 // intern returns the dictionary ID for t, adding it if new. Safe for
@@ -276,10 +395,14 @@ func (d *termDict) internBytes(t Term, raw []byte) ID {
 
 // add is the miss path of both interns: under tmu it looks again and, still
 // absent, appends the term — its value string(raw) when raw is not nil —
-// publishes it, and then points a slot at it.
+// publishes it, and then points a slot at it. A sorted dictionary's first
+// add builds the slot table first, so the look again sees the prefix.
 func (d *termDict) add(h uint32, t Term, raw []byte) ID {
 	d.tmu.Lock()
 	defer d.tmu.Unlock()
+	if d.sortedN != 0 && len(*d.slots.Load()) == 0 {
+		d.slotSortedLocked()
+	}
 	var id ID
 	var ok bool
 	if raw != nil {
@@ -325,6 +448,23 @@ func (d *termDict) add(h uint32, t Term, raw []byte) ID {
 	d.n.Store(n + 1)
 	slots[free(slots, h)].Store(uint64(h)<<32 | uint64(n) + 1)
 	return ID(n)
+}
+
+// slotSortedLocked builds and publishes the slot table of a sorted
+// dictionary from its entries, sized as interning them would have left it.
+// Caller holds tmu.
+func (d *termDict) slotSortedLocked() {
+	tt := d.snapshot()
+	size := minDictSlots
+	for (tt.len()+1)*4 > size*3 {
+		size *= 2
+	}
+	slots := make([]atomic.Uint64, size)
+	for id := ID(0); int(id) < tt.len(); id++ {
+		h := d.hash(tt.at(id))
+		slots[free(slots, h)].Store(uint64(h)<<32 | uint64(id) + 1)
+	}
+	d.slots.Store(&slots)
 }
 
 // ownLocked returns a copy of raw held in the current string chunk, starting

@@ -1,6 +1,8 @@
 package rdf
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,8 +29,9 @@ type termID = ID
 // Graph is an in-memory, dictionary-encoded RDF graph.
 //
 // Storage layout: a term dictionary (24 bytes per term plus hashed ID
-// slots, see termDict), the insertion log (12 bytes per
-// triple), and one flat open-addressed membership table of log positions.
+// slots, see termDict; a sorted graph has none until written), the
+// insertion log (12 bytes per triple), and one flat open-addressed
+// membership table of log positions.
 // That is everything the write side maintains: an insert interns its terms,
 // probes the table, and appends to the log — no per-triple heap objects, so
 // the tracker's hot path allocates only when the log or the table grows.
@@ -105,6 +108,37 @@ func NewGraph() *Graph {
 	g := &Graph{}
 	g.dict.init()
 	return g
+}
+
+// NewSortedGraph returns a graph that adopts terms as its dictionary (term
+// i gets ID i) and refs as its insertion log. terms must be strictly
+// ascending under TermLess and refs strictly ascending in (S, P, O) over IDs
+// below len(terms) — a k-way merge of sorted segments builds exactly that —
+// and refs is owned by the graph from here on; terms is not retained.
+//
+// Such a graph is built without hashing: its dictionary bisects the sorted
+// terms until the first intern of a new term builds the slot table, its
+// membership table is absent as on a trimmed graph, and a snapshot index
+// over its refs needs no spo permutation (buildSnapIndex). Every write
+// still works and behaves as on a graph built by inserts.
+func NewSortedGraph(terms []Term, refs []TripleID) *Graph {
+	g := &Graph{log: refs}
+	g.dict.initSorted(terms)
+	return g
+}
+
+// ErrGraphFull classifies a graph that would pass the uint32 limits of term
+// IDs or log positions.
+var ErrGraphFull = errors.New("rdf: graph exceeds the uint32 ID limits")
+
+// CheckCapacity returns ErrGraphFull when a graph of terms distinct terms
+// and triples triples would pass the limits the graph's inserts panic at: a
+// bulk builder checks its counts before it allocates.
+func CheckCapacity(terms, triples uint64) error {
+	if terms > maxDictTerms || triples > maxLogEntries {
+		return fmt.Errorf("%w: %d terms, %d triples (at most %d of each)", ErrGraphFull, terms, triples, maxLogEntries)
+	}
+	return nil
 }
 
 // TermID returns the dictionary ID of t and whether t is interned. A term
@@ -185,9 +219,10 @@ func (g *Graph) findLocked(r TripleID) (slot int, found bool) {
 }
 
 // Trim releases the membership table, 5 to 11 bytes per triple that only
-// writers and Has read, for a graph that is done being written (a merged
-// store, a decoded lazy unit). The next write or Has rebuilds it in one pass
-// over the log, so a trimmed graph still behaves as a set.
+// writers and Has read, for a graph that is done being written (a
+// materialized lazy view, a decoded lazy unit). The next write or Has
+// rebuilds it in one pass over the log, so a trimmed graph still behaves as
+// a set.
 func (g *Graph) Trim() {
 	g.mu.Lock()
 	g.table = nil
@@ -442,7 +477,7 @@ func (g *Graph) Subjects() []Term {
 	ix := s.index()
 	out := make([]Term, 0, ix.nSubjects)
 	for id := ID(0); int(id) < s.terms.len(); id++ {
-		if len(ix.subj(id)) > 0 {
+		if ix.sOff[id+1] > ix.sOff[id] {
 			out = append(out, s.terms.at(id))
 		}
 	}

@@ -70,10 +70,14 @@ type snapCard struct {
 // is a position into refs, so the triple it stands for is refs[pos]. Every
 // run is ascending in position, which is insertion-log order. Positions and
 // offsets are 32-bit because log positions are (maxLogEntries).
+//
+// When the refs already ascend in S (a sorted graph's log), spo would be
+// the identity: it is nil, and subject s's run is refs[sOff[s]:sOff[s+1]]
+// itself.
 type snapIndex struct {
 	refs       []TripleID // the snapshot's pinned refs, which the positions index
 	sOff, oOff []uint32
-	spo        []uint32 // by S
+	spo        []uint32 // by S; nil when the refs ascend in S
 	flat       []uint32 // by P
 	osp        []uint32 // by O
 
@@ -82,20 +86,25 @@ type snapIndex struct {
 }
 
 // buildSnapIndex derives the index from refs by counting sort: one histogram
-// pass, then three stable scatters of the log positions. The cardinalities
-// fall out of the finished arrays. O(len(refs) + nTerms) time, a fixed
-// number of allocations, 12 bytes per triple and 8 per term retained.
+// pass, which also notes whether the refs ascend in S, then a stable scatter
+// of the log positions per permutation that is not the identity. The
+// cardinalities fall out of the finished arrays. O(len(refs) + nTerms) time,
+// a fixed number of allocations, 12 bytes per triple (8 without spo) and 8
+// per term retained.
 func buildSnapIndex(refs []TripleID, nTerms int) *snapIndex {
 	n := len(refs)
 	ix := &snapIndex{
 		refs: refs,
 		sOff: make([]uint32, nTerms+1), oOff: make([]uint32, nTerms+1),
-		spo: make([]uint32, n), flat: make([]uint32, n), osp: make([]uint32, n),
+		flat: make([]uint32, n), osp: make([]uint32, n),
 	}
 	// cur is the predicate histogram, then the write cursor of each scatter
 	// in turn, then the stamp array.
 	cur := make([]uint32, nTerms+1)
+	sSorted, prevS := true, ID(0)
 	for _, r := range refs {
+		sSorted = sSorted && prevS <= r.S
+		prevS = r.S
 		ix.sOff[r.S+1]++
 		cur[r.P+1]++
 		ix.oOff[r.O+1]++
@@ -112,10 +121,13 @@ func buildSnapIndex(refs []TripleID, nTerms int) *snapIndex {
 		ix.flat[cur[r.P]] = uint32(i)
 		cur[r.P]++
 	}
-	copy(cur, ix.sOff)
-	for i, r := range refs {
-		ix.spo[cur[r.S]] = uint32(i)
-		cur[r.S]++
+	if !sSorted {
+		ix.spo = make([]uint32, n)
+		copy(cur, ix.sOff)
+		for i, r := range refs {
+			ix.spo[cur[r.S]] = uint32(i)
+			cur[r.S]++
+		}
 	}
 	copy(cur, ix.oOff)
 	for i, r := range refs {
@@ -161,8 +173,17 @@ func prefixSum(off []uint32) (runs int) {
 // The run lookups return log positions, ascending. IDs must be below the
 // term count (see inRange).
 
-func (ix *snapIndex) subj(s termID) []uint32 { return ix.spo[ix.sOff[s]:ix.sOff[s+1]] }
-func (ix *snapIndex) obj(o termID) []uint32  { return ix.osp[ix.oOff[o]:ix.oOff[o+1]] }
+// subj returns subject s's run: its positions from spo, or, when spo is nil,
+// the refs that are the run (pos nil).
+func (ix *snapIndex) subj(s termID) (pos []uint32, run []TripleID) {
+	lo, hi := ix.sOff[s], ix.sOff[s+1]
+	if ix.spo == nil {
+		return nil, ix.refs[lo:hi]
+	}
+	return ix.spo[lo:hi], nil
+}
+
+func (ix *snapIndex) obj(o termID) []uint32 { return ix.osp[ix.oOff[o]:ix.oOff[o+1]] }
 
 func (ix *snapIndex) pred(p termID) []uint32 {
 	c := ix.card(p)
@@ -172,21 +193,22 @@ func (ix *snapIndex) pred(p termID) []uint32 {
 // domain returns the run a pattern with a bound position walks: the
 // subject's, else the shorter of the predicate's and the object's, else the
 // one that is bound. Positions the run does not discriminate on are the
-// scan's residual filter, so (? p o) costs O(min run).
-func (ix *snapIndex) domain(sid, pid, oid ID) []uint32 {
+// scan's residual filter, so (? p o) costs O(min run). The run comes as
+// positions, or as refs for a subject's run without spo (see subj).
+func (ix *snapIndex) domain(sid, pid, oid ID) (pos []uint32, run []TripleID) {
 	switch {
 	case sid != NoID:
 		return ix.subj(sid)
 	case pid != NoID && oid != NoID:
 		pr, or := ix.pred(pid), ix.obj(oid)
 		if len(or) < len(pr) {
-			return or
+			return or, nil
 		}
-		return pr
+		return pr, nil
 	case pid != NoID:
-		return ix.pred(pid)
+		return ix.pred(pid), nil
 	default:
-		return ix.obj(oid)
+		return ix.obj(oid), nil
 	}
 }
 
@@ -333,7 +355,8 @@ func (s *Snapshot) ScanLen(sid, pid, oid ID) int {
 	case sid == NoID && pid == NoID && oid == NoID:
 		return len(s.refs)
 	default:
-		return len(s.index().domain(sid, pid, oid))
+		pos, run := s.index().domain(sid, pid, oid)
+		return len(pos) + len(run)
 	}
 }
 
@@ -352,17 +375,24 @@ func (s *Snapshot) ScanRange(sid, pid, oid ID, lo, hi int, fn func(s, p, o ID) b
 			}
 		}
 	default:
-		for _, pos := range clip(s.index().domain(sid, pid, oid), lo, hi) {
-			r := s.refs[pos]
-			if (sid != NoID && r.S != sid) || (pid != NoID && r.P != pid) || (oid != NoID && r.O != oid) {
-				continue
+		pos, run := s.index().domain(sid, pid, oid) // one of the two is empty
+		for _, r := range clip(run, lo, hi) {
+			if matches(r, sid, pid, oid) && !fn(r.S, r.P, r.O) {
+				return false
 			}
-			if !fn(r.S, r.P, r.O) {
+		}
+		for _, p := range clip(pos, lo, hi) {
+			if r := s.refs[p]; matches(r, sid, pid, oid) && !fn(r.S, r.P, r.O) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// matches is the residual filter: r agrees with every bound position.
+func matches(r TripleID, sid, pid, oid ID) bool {
+	return (sid == NoID || r.S == sid) && (pid == NoID || r.P == pid) && (oid == NoID || r.O == oid)
 }
 
 // clip returns run[lo:hi] with the bounds clamped to the run.
