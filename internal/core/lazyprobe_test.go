@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -572,4 +573,104 @@ func BenchmarkLazyWarmQueries(b *testing.B) {
 			return err
 		})
 	})
+}
+
+// TestLazyUnitIsSorted: a cached unit is a sorted graph built straight from
+// its decoded columns — its IDs follow term order and its log (S, P, O)
+// order, and it holds no dictionary slot table, membership table or spo,
+// even once a probe has built its index — and a LazySource over such units
+// answers every pattern shape exactly as the eager merged graph does, at
+// every cache budget, for constants the store holds and for one it does not.
+func TestLazyUnitIsSorted(t *testing.T) {
+	render := func(ts []rdf.Triple) []string {
+		out := make([]string, len(ts))
+		for i, tr := range ts {
+			out[i] = tr.String()
+		}
+		sort.Strings(out)
+		return out
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		store := buildScatteredStore(t, rng)
+		full, _, err := store.MergePruned(nil, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager := full.Snapshot()
+		ts := full.Triples()
+		total := decodedFootprint(t, store)
+		for _, budget := range []int64{0, 1, total / 2} {
+			tag := fmt.Sprintf("seed %d budget %d", seed, budget)
+			v, err := store.OpenLazy(CacheConfig{MaxBytes: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := v.Source(nil)
+			for k, u := range src.units {
+				du, err := v.loadUnit(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap := du.snap
+				snap.ForEachMatchIDs(0, rdf.NoID, rdf.NoID, func(rdf.ID, rdf.ID, rdf.ID) bool { return true })
+				if slots, table, spo := snap.Tables(); slots != 0 || table != 0 || spo != 0 {
+					t.Fatalf("%s unit %d: %d slots, a %d-slot membership table, a %d-entry spo", tag, k, slots, table, spo)
+				}
+				for id := 1; id < snap.TermCount(); id++ {
+					if a, b := snap.TermOf(rdf.ID(id-1)), snap.TermOf(rdf.ID(id)); !rdf.TermLess(a, b) {
+						t.Fatalf("%s unit %d: term %d %v does not sort before term %d %v", tag, k, id-1, a, id, b)
+					}
+				}
+				prev := [3]rdf.ID{rdf.NoID}
+				snap.ForEachMatchIDs(rdf.NoID, rdf.NoID, rdf.NoID, func(s, p, o rdf.ID) bool {
+					cur := [3]rdf.ID{s, p, o}
+					if prev[0] != rdf.NoID && slices.Compare(prev[:], cur[:]) >= 0 {
+						t.Fatalf("%s unit %d: log holds %v after %v", tag, k, cur, prev)
+					}
+					prev = cur
+					return true
+				})
+			}
+
+			absent := rdf.IRI("urn:absent")
+			for draw := 0; draw < 8; draw++ {
+				tr := ts[rng.Intn(len(ts))]
+				c := [3]rdf.Term{tr.S, tr.P, tr.O}
+				if draw == 0 {
+					c = [3]rdf.Term{absent, absent, absent}
+				}
+				for shape := 0; shape < 8; shape++ {
+					var pat [3]*rdf.Term
+					ids := [3]rdf.ID{rdf.NoID, rdf.NoID, rdf.NoID}
+					held := true
+					for i := range pat {
+						if shape&(1<<i) != 0 {
+							pat[i] = &c[i]
+							var ok bool
+							ids[i], ok = src.TermID(c[i])
+							held = held && ok
+						}
+					}
+					var want, got []rdf.Triple
+					eager.ForEachMatch(pat[0], pat[1], pat[2], func(x rdf.Triple) bool {
+						want = append(want, x)
+						return true
+					})
+					if held {
+						src.ForEachMatchIDs(ids[0], ids[1], ids[2], func(s, p, o rdf.ID) bool {
+							got = append(got, rdf.Triple{S: src.TermOf(s), P: src.TermOf(p), O: src.TermOf(o)})
+							return true
+						})
+					}
+					if g, w := render(got), render(want); !slices.Equal(g, w) {
+						t.Fatalf("%s pattern %v (shape %d): lazy %v, eager %v", tag, c, shape, g, w)
+					}
+				}
+			}
+			if err := v.Err(); err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+		}
+	}
 }

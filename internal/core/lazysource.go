@@ -148,12 +148,14 @@ func (v *LazyView) loadUnit(u *scanUnit) (*decodedUnit, error) {
 		if err != nil {
 			return nil, err
 		}
-		g := rdf.NewGraph()
-		c.Materialize(g)
-		// The snapshot pins g through its dictionary, so the table would
-		// stay resident as long as the unit does.
-		g.Trim()
-		snap := g.Snapshot()
+		// A decoded unit's terms and rows already ascend (DecodeColumns
+		// holds both), so its graph is built sorted: nothing is hashed, and
+		// the unit keeps no dictionary slots, membership table or spo.
+		refs := make([]rdf.TripleID, len(c.Tris))
+		for i, r := range c.Tris {
+			refs[i] = rdf.TripleID{S: rdf.ID(r[0]), P: rdf.ID(r[1]), O: rdf.ID(r[2])}
+		}
+		snap := rdf.NewSortedGraph(c.Terms, refs).Snapshot()
 		du := &decodedUnit{snap: snap, bytes: decodedBytesEstimate(snap)}
 		u.lazy.mu.Lock()
 		if u.lazy.decBytes == 0 {

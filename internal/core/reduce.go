@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -89,7 +90,7 @@ func reduceLineage(src sparql.Source, roots []rdf.Term, maxHops int) *rdf.Graph 
 	out := rdf.NewGraph()
 	for _, n := range reached {
 		src.ForEachMatchIDs(n.ID, rdf.NoID, rdf.NoID, func(s, p, o rdf.ID) bool {
-			if !relations[p] || kept[o] {
+			if !slices.Contains(relations, p) || kept[o] {
 				out.Add(rdf.Triple{S: src.TermOf(s), P: src.TermOf(p), O: src.TermOf(o)})
 			}
 			return true
@@ -98,28 +99,31 @@ func reduceLineage(src sparql.Source, roots []rdf.Term, maxHops int) *rdf.Graph 
 	return out
 }
 
-// lineageRelationIDs resolves the traversable relation predicates to their
-// dictionary IDs in the source. prov:wasMemberOf is classification, not
-// lineage — following it would connect every entity through the shared
-// super-class nodes; it is kept as an annotation of retained nodes instead.
-// Predicates absent from the source are simply omitted.
-func lineageRelationIDs(src sparql.Source) map[rdf.ID]bool {
-	relations := map[rdf.ID]bool{}
-	add := func(t rdf.Term) {
-		if id, ok := src.TermID(t); ok {
-			relations[id] = true
+// lineageIRIs are the traversable relation predicates: every relation but
+// prov:wasMemberOf, which is classification, not lineage — following it
+// would connect every entity through the shared super-class nodes; it is
+// kept as an annotation of retained nodes instead — and the three property
+// relations.
+var lineageIRIs = func() []rdf.Term {
+	var iris []rdf.Term
+	for _, rel := range append(model.AllRelations(), model.PropType, model.PropConfig, model.PropMetric) {
+		if rel != model.WasMemberOf {
+			iris = append(iris, rel.IRI())
 		}
 	}
-	for _, rel := range model.AllRelations() {
-		if rel.IRI() == model.WasMemberOf.IRI() {
-			continue
+	return iris
+}()
+
+// lineageRelationIDs resolves lineageIRIs to their dictionary IDs in the
+// source. Predicates absent from the source are simply omitted.
+func lineageRelationIDs(src sparql.Source) []rdf.ID {
+	ids := make([]rdf.ID, 0, len(lineageIRIs))
+	for _, iri := range lineageIRIs {
+		if id, ok := src.TermID(iri); ok {
+			ids = append(ids, id)
 		}
-		add(rel.IRI())
 	}
-	for _, rel := range []model.Relation{model.PropType, model.PropConfig, model.PropMetric} {
-		add(rel.IRI())
-	}
-	return relations
+	return ids
 }
 
 // MergeStores merges the sub-graphs of several provenance stores — the

@@ -196,18 +196,20 @@ func (c *segCache) forEachResident(fn func(k unitKey, bytes int64)) {
 // snapshot's term table (string headers + bytes) and triple refs, plus 8 +
 // 32 B a term that stand in for remap tables. The per-triple charge is
 // deliberately on the heavy side: 64 B where the refs (12 B) and the index a
-// scan builds lazily (three 4 B log positions; its offset tables are 8 B per
-// term, not per triple) come to 24 B, the unit's membership table being
-// released before the snapshot is taken. It stays at 64 because budgets are
-// sized in these units: a store that fitted a budget of B still does, and
-// true resident memory stays near B rather than a multiple. The per-term
-// charge over-approximates the same way and for the same reason: 48 B + the
-// string bytes was a Term-sized table entry, where the dictionary now keeps
-// a 24 B entry, 11–21 B of hashed ID slots and one copy of each distinct
-// (Lang, Datatype) pair. The remap charge stays although the remap tables
-// live on each LazySource, outside the cache, for the same reason: a budget
-// keeps admitting the units it admitted. Making the estimate match what a
-// unit pins is ROADMAP.md item 12(d), budget honesty.
+// scan builds lazily (two 4 B log positions, flat and osp: a unit is built
+// sorted, so its refs ascend in S and it keeps no spo; its offset tables
+// are 8 B per term, not per triple) come to 20 B, and a unit has no
+// membership table. It stays at 64 because budgets are sized in these
+// units: a store that fitted a budget of B still does, and true resident
+// memory stays near B rather than a multiple. The per-term charge
+// over-approximates the same way and for the same reason: 48 B + the string
+// bytes was a Term-sized table entry, where a unit's dictionary now keeps a
+// 12 B entry, its value bytes on pages cut from one exactly sized block, no
+// hashed ID slots, and one copy of each distinct (Lang, Datatype) pair. The
+// remap charge stays although the remap tables live on each LazySource,
+// outside the cache, for the same reason: a budget keeps admitting the units
+// it admitted. Making the estimate match what a unit pins is ROADMAP.md
+// item 12(d), budget honesty.
 func decodedBytesEstimate(snap *rdf.Snapshot) int64 {
 	var b int64
 	n := snap.TermCount()

@@ -131,17 +131,19 @@ func TestRetrackedValuesRetainNothing(t *testing.T) {
 }
 
 // TestDictBytesPerTerm pins what a resident term costs beyond its value
-// bytes: one 24-byte entry plus its share of the slot table's 8-byte slots
-// at 3/8–3/4 load (100 k terms fill 262 144 slots). The budget must hold whatever the toolchain's built-in map
-// looks like — a dictionary that is a map[Term]ID plus a []Term again reads
-// 120–160 B here, depending on that map.
+// bytes, which the dictionary copies onto its pages and which are subtracted
+// here: one 12-byte entry plus its share of the slot table's 8-byte slots at
+// 3/8–3/4 load (100 k terms fill 262 144 slots) — 33.5 B. A 24-byte entry
+// breaks the budget. The budget must hold whatever the toolchain's built-in
+// map looks like — a dictionary that is a map[Term]ID plus a []Term again
+// reads 120–160 B here, depending on that map.
 func TestDictBytesPerTerm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
 	}
 	const (
 		n      = 100_000
-		budget = 56.0
+		budget = 42.0
 	)
 	names := make([]string, n)
 	for i := range names {
@@ -157,7 +159,7 @@ func TestDictBytesPerTerm(t *testing.T) {
 		t.Fatalf("interned %d terms, want %d", g.TermCount(), n)
 	}
 	runtime.KeepAlive(names)
-	got := float64(after-before) / n
+	got := float64(after-before)/n - float64(len(names[0]))
 	t.Logf("%.1f B per resident term beyond its value", got)
 	if got > budget {
 		t.Fatalf("a resident term costs %.1f B beyond its value, budget %.0f", got, budget)

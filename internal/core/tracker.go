@@ -138,7 +138,7 @@ func (t *Tracker) Stats() (records, triples int64) {
 
 // scratchPool recycles the per-record triple slice and value buffer across
 // tracking calls. AddRefs copies a record's triples into the graph's log and
-// its minted values are copied into the dictionary's string chunks, so once
+// its minted values are copied onto the dictionary's pages, so once
 // addRecord returns nothing references the scratch and it can be handed to the
 // next record. The scratch holds IDs but no graph: it is emptied of meaning
 // the moment its record is inserted.

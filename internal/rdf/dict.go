@@ -7,36 +7,69 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// dictEntry is a resident term: 24 bytes. Lang and Datatype are not stored
-// per term — a workload has a handful of distinct (Lang, Datatype) pairs, so
-// aux names one in the dictionary's side table (pair aux-1; 0 = both empty).
+// dictEntry is a resident term: 12 bytes and no pointer, so the chunks that
+// hold entries are noscan. The value is bytes on one of the dictionary's
+// pages (see termTable.value): page names the page directory slot, and word
+// packs the kind, the value's offset on its page and its length. Lang and
+// Datatype are not stored per term — a workload has a handful of distinct
+// (Lang, Datatype) pairs, so aux names one in the dictionary's side table
+// (pair aux-1; 0 = both empty).
 type dictEntry struct {
-	value string
-	kind  TermKind
-	aux   uint32
+	page uint32
+	word uint32 // kind | off<<kindBits | n<<(kindBits+offBits)
+	aux  uint32
 }
 
 // langType is one distinct (Lang, Datatype) pair of the side table.
 type langType struct{ lang, datatype string }
+
+// The fields of dictEntry.word. None of them limits the dictionary: a page
+// that holds more than one value is at most 1<<offBits bytes, so every
+// offset fits; a value too long for the length field is a page of its own
+// (wholePage); and the page index fits in 32 bits because each term adds at
+// most one page, under the term limit.
+const (
+	kindBits = 8 // all of TermKind
+	offBits  = 14
+	lenBits  = 32 - kindBits - offBits
+
+	// wholePage in the length field says the value is its whole page. A
+	// value of wholePage bytes or more gets a page of its own, exactly its
+	// length; the empty value is page 0, which every directory starts with
+	// and which is empty.
+	wholePage = 1<<lenBits - 1
+)
+
+// packWord packs an entry's word; off and n must fit their fields.
+func packWord(kind TermKind, off, n int) uint32 {
+	return uint32(kind) | uint32(off)<<kindBits | uint32(n)<<(kindBits+offBits)
+}
+
+func (e dictEntry) kind() TermKind { return TermKind(e.word) }
 
 const (
 	// The entry table is a directory of chunks that are never moved or
 	// resized. Chunk c holds 1<<(c+dictChunkMinBits) entries until chunks
 	// reach 1<<dictChunkMaxBits, and that many from there on: a decoded
 	// unit's few hundred terms cost a few small chunks, a large dictionary
-	// wastes at most one 24 KB chunk.
+	// wastes at most one 12 KB chunk.
 	dictChunkMinBits = 4
 	dictChunkMaxBits = 10
 
-	// Values interned from bytes are copied into string chunks the dictionary
-	// owns, sized like the entry chunks: the first holds 1<<strChunkMinBits
-	// bytes, each next one twice that until 1<<strChunkMaxBits, so a tracker
-	// with a handful of terms holds 256 bytes and a large one wastes at most
-	// the tail of one 4 KB chunk.
-	strChunkMinBits = 8
-	strChunkMaxBits = 12
+	// An interned value is copied onto the page being filled. The first
+	// page holds 1<<pageMinBits bytes, each next one twice that until
+	// 1<<offBits, so a tracker with a handful of terms holds 256 bytes and
+	// a large one wastes at most the tail of one 16 KB page.
+	pageMinBits = 8
+
+	// dirInline is the number of page directory slots a dictionary holds
+	// inside itself: one with no more pages — a decoded unit, a lineage
+	// reduction — allocates no directory, and a larger one a doubling
+	// array.
+	dirInline = 8
 
 	// minDictSlots is the slot count of the first table: a decoded unit's
 	// graph with a few terms holds 64 bytes of slots.
@@ -66,27 +99,30 @@ func locate(id ID) (chunk int, off uint64) {
 //
 //   - one open-addressed slot table mapping a term's hash to its ID, which
 //     readers probe without a lock;
-//   - one append-only ID -> entry table (chunks, aux side table, count) whose
-//     IDs are dense indexes in allocation order, which the query planner and
-//     the insertion log rely on.
+//   - one append-only ID -> entry table (chunks, pages, aux side table,
+//     count) whose IDs are dense indexes in allocation order, which the
+//     query planner and the insertion log rely on.
 //
-// Every write — a new entry, a slot, a grown table — happens under tmu and
-// is published by an atomic store; a hit takes no lock at all. Two orders
-// make that safe:
+// Every write — a value's bytes, a new entry, a slot, a grown table —
+// happens under tmu and is published by an atomic store; a hit takes no lock
+// at all. Two orders make that safe:
 //
-//   - an entry is published (n stored) before the slot naming it, so a reader
-//     that loaded the slot and then takes a table view sees the entry;
+//   - a value's bytes and its page are written before its entry, and the
+//     entry is published (n stored) before the slot naming it, so a reader
+//     that loaded the slot and then takes a table view sees the entry, its
+//     page and its bytes;
 //   - a grown slot table is published (one pointer store) after every stored
 //     hash is re-placed in it, so a reader sees a table either before or
 //     after a doubling, whole. A reader still on the old table can miss only
 //     a term whose intern had not returned when it loaded the pointer.
 //
-// A term arrives either as a Term, whose value string the entry then shares
-// with whoever built it, or with its value as bytes (internBytes): the probe
-// (findBytes) compares the bytes in place, and only a miss copies them, into
-// a string chunk the dictionary owns. A caller that formats values into a reused
-// buffer therefore allocates nothing for a term the dictionary already holds
-// and retains nothing of it.
+// The dictionary owns every value's bytes: a miss copies the value, whether
+// it came as a Term or as bytes (internBytes), onto the page being filled,
+// and a page is never moved, resized or written over once a value is on it.
+// A Term handed out shares its value with the page, so it pins that page and
+// nothing else. A bytes probe (findBytes) compares the bytes in place, so a
+// caller that formats values into a reused buffer allocates nothing for a
+// term the dictionary already holds and retains nothing of it.
 //
 // A sorted dictionary (initSorted) starts with entries and no slot table:
 // its first sortedN entries ascend under termLess, and lookup bisects them,
@@ -115,16 +151,28 @@ type termDict struct {
 
 	tmu    sync.Mutex
 	auxIDs map[langType]uint32 // pair -> aux; guarded by tmu
-	// strs is the string chunk being filled; guarded by tmu. A full chunk is
-	// dropped from here and lives on through the entries cut from it.
-	strs strings.Builder
+	// fill is the page being filled, its length the bytes written, and
+	// fillAt its directory slot; npages counts the slots in use. All guarded
+	// by tmu. A full page is dropped from here and lives on in the directory.
+	fill   []byte
+	fillAt uint32
+	npages uint32
+	// dir0 is the directory's first array and dir its header, which pages
+	// points at until the directory outgrows dir0. Neither is written after
+	// it is published: a new page only fills a slot of dir0 no published
+	// entry names yet.
+	dir0 [dirInline][]byte
+	dir  [][]byte
 
 	// Append-only and published by atomic store after the write they cover.
 	// chunks and aux are republished only when they grow (an append into
-	// spare capacity lands beyond every published length); n is stored after
-	// both, so a reader that loads n first sees chunks and aux covering n
-	// entries.
+	// spare capacity lands beyond every published length). pages is
+	// published at the full length of its array and republished only when
+	// the array is replaced: a new page is written into a slot no published
+	// entry names yet. n is stored after all three, so a reader that loads n
+	// first sees chunks, pages and aux covering n entries.
 	chunks atomic.Pointer[[][]dictEntry]
+	pages  atomic.Pointer[[][]byte]
 	aux    atomic.Pointer[[]langType]
 	n      atomic.Uint32
 }
@@ -139,17 +187,35 @@ func (d *termDict) init() {
 	d.seed = maphash.MakeSeed()
 	d.slots.Store(&noSlots)
 	d.chunks.Store(new([][]dictEntry))
+	d.dir = d.dir0[:] // slot 0 is page 0, the empty page of every empty value
+	d.pages.Store(&d.dir)
+	d.npages = 1
 	d.aux.Store(new([]langType))
 	d.auxIDs = make(map[langType]uint32)
 }
 
 // initSorted is init for a dictionary adopting terms, strictly ascending
 // under termLess, as IDs 0..len(terms)-1: their entries and side table are
-// published and no slot table is built. The value strings are shared, not
-// copied; terms itself is not retained. The dictionary is not shared yet,
-// so the side table is filled without tmu.
+// published and no slot table is built. The values are copied, in ID order,
+// into one block of exactly their total size, cut into pages of at most
+// 1<<offBits bytes (a value of wholePage bytes or more is a page of its
+// own), so nothing of terms is retained. The dictionary is not shared yet,
+// so it is filled without tmu.
 func (d *termDict) initSorted(terms []Term) {
 	d.init()
+	size := 0
+	for i := range terms {
+		size += len(terms[i].Value)
+	}
+	block := make([]byte, 0, size)
+	dir := d.dir0[:1] // moves to the heap only past dirInline pages
+	start := 0        // of the page being cut, whose slot is len(dir)
+	cut := func() {
+		if len(block) > start {
+			dir = append(dir, block[start:len(block):len(block)])
+			start = len(block)
+		}
+	}
 	var chunks [][]dictEntry
 	for id := range terms {
 		c, off := locate(ID(id))
@@ -157,12 +223,28 @@ func (d *termDict) initSorted(terms []Term) {
 			chunks = append(chunks, make([]dictEntry, 1<<min(c+dictChunkMinBits, dictChunkMaxBits)))
 		}
 		t := &terms[id]
-		e := dictEntry{value: t.Value, kind: t.Kind}
+		e := dictEntry{word: packWord(t.Kind, 0, wholePage)}
+		switch n := len(t.Value); {
+		case n >= wholePage:
+			cut()
+			block = append(block, t.Value...)
+			e.page = uint32(len(dir))
+			cut()
+		case n > 0:
+			if len(block)+n-start > 1<<offBits {
+				cut()
+			}
+			e.page, e.word = uint32(len(dir)), packWord(t.Kind, len(block)-start, n)
+			block = append(block, t.Value...)
+		}
 		if t.Lang != "" || t.Datatype != "" {
 			e.aux = d.auxLocked(langType{t.Lang, t.Datatype})
 		}
 		chunks[c][off] = e
 	}
+	cut()
+	d.npages = uint32(len(dir))
+	d.dir = dir[:cap(dir)]
 	d.chunks.Store(&chunks)
 	d.n.Store(uint32(len(terms)))
 	d.sortedN = uint32(len(terms))
@@ -193,25 +275,39 @@ func (d *termDict) hashFrom(h uint64, kind TermKind, lang, datatype string) uint
 }
 
 // termTable is an immutable view of the ID -> entry table: the first n
-// entries, which never change once published.
+// entries, which never change once published, and the pages and side table
+// they name.
 type termTable struct {
 	chunks [][]dictEntry
+	pages  [][]byte
 	aux    []langType
 	n      int
 }
 
-func (tt termTable) len() int { return tt.n }
+func (tt *termTable) len() int { return tt.n }
 
 // entry returns the stored entry; id must be below len().
-func (tt termTable) entry(id ID) dictEntry {
+func (tt *termTable) entry(id ID) dictEntry {
 	c, off := locate(id)
 	return tt.chunks[c][off]
 }
 
+// value returns e's value as a string over its page. The bytes were written
+// before e was published and are never written again, which is the rule
+// unsafe.String asks of the bytes under a string.
+func (tt *termTable) value(e dictEntry) string {
+	p := tt.pages[e.page]
+	n := e.word >> (kindBits + offBits)
+	if n == wholePage {
+		return unsafe.String(unsafe.SliceData(p), len(p))
+	}
+	return unsafe.String(&p[e.word>>kindBits&(1<<offBits-1)], n)
+}
+
 // at rebuilds the Term interned under id; id must be below len().
-func (tt termTable) at(id ID) Term {
+func (tt *termTable) at(id ID) Term {
 	e := tt.entry(id)
-	t := Term{Kind: e.kind, Value: e.value}
+	t := Term{Kind: e.kind(), Value: tt.value(e)}
 	if e.aux != 0 {
 		p := tt.aux[e.aux-1]
 		t.Lang, t.Datatype = p.lang, p.datatype
@@ -221,24 +317,24 @@ func (tt termTable) at(id ID) Term {
 
 // holds reports whether entry id is exactly t, comparing all four fields as
 // Term equality does: no normalisation.
-func (tt termTable) holds(id ID, t Term) bool {
+func (tt *termTable) holds(id ID, t Term) bool {
 	e := tt.entry(id)
-	return e.value == t.Value && tt.holdsRest(e, t)
+	return tt.holdsRest(e, t) && tt.value(e) == t.Value
 }
 
 // holdsBytes is holds with string(raw) for t.Value, compared in place.
-func (tt termTable) holdsBytes(id ID, t Term, raw []byte) bool {
+func (tt *termTable) holdsBytes(id ID, t Term, raw []byte) bool {
 	e := tt.entry(id)
-	return e.value == string(raw) && tt.holdsRest(e, t)
+	return tt.holdsRest(e, t) && tt.value(e) == string(raw)
 }
 
 // compare orders entry id against t as termLess orders terms: -1, 0 or +1.
-func (tt termTable) compare(id ID, t Term) int {
+func (tt *termTable) compare(id ID, t Term) int {
 	e := tt.entry(id)
-	if e.kind != t.Kind {
-		return cmp.Compare(e.kind, t.Kind)
+	if k := e.kind(); k != t.Kind {
+		return cmp.Compare(k, t.Kind)
 	}
-	if c := strings.Compare(e.value, t.Value); c != 0 {
+	if c := strings.Compare(tt.value(e), t.Value); c != 0 {
 		return c
 	}
 	var p langType
@@ -252,8 +348,8 @@ func (tt termTable) compare(id ID, t Term) int {
 }
 
 // holdsRest compares everything but the value.
-func (tt termTable) holdsRest(e dictEntry, t Term) bool {
-	if e.kind != t.Kind {
+func (tt *termTable) holdsRest(e dictEntry, t Term) bool {
+	if e.kind() != t.Kind {
 		return false
 	}
 	if e.aux == 0 {
@@ -266,7 +362,7 @@ func (tt termTable) holdsRest(e dictEntry, t Term) bool {
 // snapshot returns the current table view.
 func (d *termDict) snapshot() termTable {
 	n := int(d.n.Load())
-	return termTable{chunks: *d.chunks.Load(), aux: *d.aux.Load(), n: n}
+	return termTable{chunks: *d.chunks.Load(), pages: *d.pages.Load(), aux: *d.aux.Load(), n: n}
 }
 
 // find probes the slot table for t. The table view is taken after the slot
@@ -279,7 +375,10 @@ func (d *termDict) find(h uint32, t Term) (ID, bool) {
 		if w == 0 {
 			break
 		}
-		if uint32(w>>32) == h && d.snapshot().holds(ID(w-1), t) {
+		if uint32(w>>32) != h {
+			continue
+		}
+		if tt := d.snapshot(); tt.holds(ID(w-1), t) {
 			return ID(w - 1), true
 		}
 	}
@@ -297,7 +396,10 @@ func (d *termDict) findBytes(h uint32, t Term, raw []byte) (ID, bool) {
 		if w == 0 {
 			break
 		}
-		if uint32(w>>32) == h && d.snapshot().holdsBytes(ID(w-1), t, raw) {
+		if uint32(w>>32) != h {
+			continue
+		}
+		if tt := d.snapshot(); tt.holdsBytes(ID(w-1), t, raw) {
 			return ID(w - 1), true
 		}
 	}
@@ -383,8 +485,7 @@ func (d *termDict) intern(t Term) ID {
 
 // internBytes is intern for t with string(raw) as its value; t.Value must be
 // empty. Nothing is allocated for a term already held; a new term's value is
-// copied into a string chunk, so raw may be reused as soon as the call
-// returns.
+// copied onto a page, so raw may be reused as soon as the call returns.
 func (d *termDict) internBytes(t Term, raw []byte) ID {
 	h := d.hashFrom(maphash.Bytes(d.seed, raw), t.Kind, t.Lang, t.Datatype)
 	if id, ok := d.findBytes(h, t, raw); ok {
@@ -394,9 +495,10 @@ func (d *termDict) internBytes(t Term, raw []byte) ID {
 }
 
 // add is the miss path of both interns: under tmu it looks again and, still
-// absent, appends the term — its value string(raw) when raw is not nil —
-// publishes it, and then points a slot at it. A sorted dictionary's first
-// add builds the slot table first, so the look again sees the prefix.
+// absent, copies the term's value — string(raw) when raw is not nil — onto a
+// page, appends and publishes its entry, and then points a slot at it. A
+// sorted dictionary's first add builds the slot table first, so the look
+// again sees the prefix.
 func (d *termDict) add(h uint32, t Term, raw []byte) ID {
 	d.tmu.Lock()
 	defer d.tmu.Unlock()
@@ -430,10 +532,8 @@ func (d *termDict) add(h uint32, t Term, raw []byte) ID {
 		slots = grown
 	}
 
-	e := dictEntry{value: t.Value, kind: t.Kind}
-	if raw != nil {
-		e.value = d.ownLocked(raw)
-	}
+	var e dictEntry
+	e.page, e.word = d.placeLocked(t.Kind, t.Value, raw)
 	if t.Lang != "" || t.Datatype != "" {
 		e.aux = d.auxLocked(langType{t.Lang, t.Datatype})
 	}
@@ -467,22 +567,46 @@ func (d *termDict) slotSortedLocked() {
 	d.slots.Store(&slots)
 }
 
-// ownLocked returns a copy of raw held in the current string chunk, starting
-// a new chunk when raw does not fit in what is left of this one. Writing into
-// a Builder's spare capacity never moves what it already holds, so strings
-// cut from it earlier stay valid. Caller holds tmu.
-func (d *termDict) ownLocked(raw []byte) string {
-	if len(raw) == 0 {
-		return ""
+// placeLocked copies a value — s, or b when s is empty — onto the pages
+// and returns the page and word of its entry. A value that does not fit in
+// what is left of the page being filled starts the next one, which is twice
+// the size up to 1<<offBits; a value of wholePage bytes or more gets a page
+// of its own and the page being filled stays. Nothing already on a page is
+// moved or written over. Caller holds tmu.
+func (d *termDict) placeLocked(kind TermKind, s string, b []byte) (page, word uint32) {
+	n := len(s) + len(b)
+	switch {
+	case n == 0:
+		return 0, packWord(kind, 0, wholePage)
+	case n >= wholePage:
+		p := make([]byte, n)
+		copy(p[copy(p, s):], b)
+		return d.addPageLocked(p), packWord(kind, 0, wholePage)
+	case cap(d.fill)-len(d.fill) < n:
+		size := min(max(2*cap(d.fill), 1<<pageMinBits), 1<<offBits)
+		d.fill = make([]byte, 0, max(size, n))
+		d.fillAt = d.addPageLocked(d.fill[:cap(d.fill)])
 	}
-	if d.strs.Cap()-d.strs.Len() < len(raw) {
-		size := min(max(2*d.strs.Cap(), 1<<strChunkMinBits), 1<<strChunkMaxBits)
-		d.strs = strings.Builder{}
-		d.strs.Grow(max(size, len(raw)))
+	off := len(d.fill)
+	d.fill = append(append(d.fill, s...), b...)
+	return d.fillAt, packWord(kind, off, n)
+}
+
+// addPageLocked puts p in the next directory slot and returns its index. The
+// slot lies beyond every page a published entry names, so it is written in
+// place; only a full directory is copied into a twice larger one and
+// republished. Caller holds tmu.
+func (d *termDict) addPageLocked(p []byte) uint32 {
+	dir := *d.pages.Load()
+	if int(d.npages) == len(dir) {
+		grown := make([][]byte, 2*len(dir))
+		copy(grown, dir)
+		d.pages.Store(&grown)
+		dir = grown
 	}
-	at := d.strs.Len()
-	d.strs.Write(raw)
-	return d.strs.String()[at:]
+	dir[d.npages] = p
+	d.npages++
+	return d.npages - 1
 }
 
 // auxLocked returns the side-table reference of a non-empty pair, adding it

@@ -3,10 +3,12 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // dictModel checks a termDict against the obviously right dictionary: a
@@ -212,51 +214,243 @@ func TestDictChunkLayout(t *testing.T) {
 	}
 }
 
-// TestDictStringChunks: values interned from bytes live in chunks that start
-// at 1<<strChunkMinBits bytes and double up to 1<<strChunkMaxBits; a hit
-// copies nothing, a value larger than a chunk gets one of its own, every
-// value survives its chunk being retired, and interning Terms — all a decoded
-// unit's graph ever does — never allocates a chunk.
+// TestDictStringChunks: the dictionary copies every new value onto its
+// pages, whether the value comes as a Term or as bytes. The page being
+// filled starts at 1<<pageMinBits bytes and doubles up to 1<<offBits; a hit
+// copies nothing; a value of wholePage bytes or more gets a page of its own,
+// exactly its length, and the page being filled stays; the empty value takes
+// no bytes; and every value survives its page being retired.
 func TestDictStringChunks(t *testing.T) {
 	m := newDictModel(t)
-	for i := 0; i < 1000; i++ {
-		m.intern(IRI(fmt.Sprintf("http://e/term/%d", i)))
-	}
-	if c := m.d.strs.Cap(); c != 0 {
-		t.Fatalf("interning Terms allocated a %d-byte string chunk", c)
-	}
-
-	var caps []int // of each chunk, as it is started
-	for i, filled := 0, 0; len(caps) < strChunkMaxBits-strChunkMinBits+3; i++ {
-		m.internBytes(IRI(fmt.Sprintf("http://e/bytes/%06d", i))) // 21 bytes
-		at := m.d.strs.Len()
-		if i == 0 || at < filled {
-			caps = append(caps, m.d.strs.Cap())
+	var caps []int // of each page being filled, as it is started
+	at := m.d.fillAt
+	for i := 0; len(caps) < offBits-pageMinBits+3; i++ {
+		term := IRI(fmt.Sprintf("http://e/term/%06d", i)) // 21 bytes
+		if i%2 == 0 {
+			m.intern(term)
+		} else {
+			m.internBytes(term)
 		}
-		filled = at
-		m.internBytes(IRI(fmt.Sprintf("http://e/bytes/%06d", i/2)))
-		m.internBytes(IRI(fmt.Sprintf("http://e/term/%d", i%1000)))
-		if m.d.strs.Len() != at {
-			t.Fatalf("re-interning held values copied %d bytes", m.d.strs.Len()-at)
+		if m.d.fillAt != at {
+			at = m.d.fillAt
+			caps = append(caps, cap(m.d.fill))
+		}
+		filled := len(m.d.fill)
+		m.intern(IRI(fmt.Sprintf("http://e/term/%06d", i/2)))
+		m.internBytes(IRI(fmt.Sprintf("http://e/term/%06d", i/3)))
+		if len(m.d.fill) != filled {
+			t.Fatalf("re-interning held values copied %d bytes", len(m.d.fill)-filled)
 		}
 	}
 	for i, c := range caps {
-		if want := 1 << min(strChunkMinBits+i, strChunkMaxBits); c != want {
-			t.Fatalf("string chunk sizes %v: chunk %d is not %d bytes", caps, i, want)
+		if want := 1 << min(pageMinBits+i, offBits); c != want {
+			t.Fatalf("page sizes %v: page %d is not %d bytes", caps, i, want)
 		}
 	}
 
-	big := strings.Repeat("x", 3<<strChunkMaxBits)
+	own := IRI(strings.Repeat("o", 40))
+	m.intern(own)
+	if v := m.d.termAt(m.ids[own]).Value; unsafe.StringData(v) == unsafe.StringData(own.Value) {
+		t.Fatal("interning a Term shared its value string instead of copying it")
+	}
+
+	filled, fillAt, npages := len(m.d.fill), m.d.fillAt, m.d.npages
+	big := strings.Repeat("x", 3<<offBits)
 	m.internBytes(Literal(big))
-	if c := m.d.strs.Cap(); c != len(big) {
-		t.Fatalf("an oversized value sits in a %d-byte chunk, want its own %d bytes", c, len(big))
+	m.intern(Literal(big + "y"))
+	if len(m.d.fill) != filled || m.d.fillAt != fillAt || m.d.npages != npages+2 {
+		t.Fatalf("two long values: fill %d at page %d, %d pages; want %d at page %d, %d pages",
+			len(m.d.fill), m.d.fillAt, m.d.npages, filled, fillAt, npages+2)
 	}
-	m.internBytes(Literal("after"))
-	if c := m.d.strs.Cap(); c != 1<<strChunkMaxBits {
-		t.Fatalf("the chunk after an oversized value is %d bytes, want %d", c, 1<<strChunkMaxBits)
+	if p := (*m.d.pages.Load())[npages+1]; len(p) != len(big)+1 || cap(p) != len(big)+1 {
+		t.Fatalf("a %d-byte value sits on a page of %d bytes, %d allocated", len(big)+1, len(p), cap(p))
 	}
-	m.internBytes(Literal(""))
+	m.intern(Literal(""))
+	tt := m.d.snapshot()
+	if e := tt.entry(m.ids[Literal("")]); e.page != 0 || len(m.d.fill) != filled {
+		t.Fatalf("the empty value is on page %d and took %d bytes", e.page, len(m.d.fill)-filled)
+	}
 	m.sweep()
+}
+
+// TestDictEntryHoldsNoPointers: an entry is at most 12 bytes and nothing in
+// it is a pointer, so its chunks are noscan and the collector never walks
+// them.
+func TestDictEntryHoldsNoPointers(t *testing.T) {
+	if size := unsafe.Sizeof(dictEntry{}); size > 12 {
+		t.Fatalf("dictEntry is %d bytes, want at most 12", size)
+	}
+	var walk func(reflect.Type, string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		default:
+			t.Errorf("%s is a %s, which holds a pointer", path, ty.Kind())
+		}
+	}
+	walk(reflect.TypeOf(dictEntry{}), "dictEntry")
+}
+
+// TestDictEntryLimits: every width an entry packs holds its extreme values,
+// and the value one past each lands where the layout says: a length of
+// wholePage-1 is stored inline and wholePage makes a page of its own; an
+// offset of 1<<offBits-1 is the last of a page and the next byte starts
+// another, on both the interning and the sorted path; and the kind field
+// holds every TermKind. None of them limits the dictionary below its term
+// count: each term adds at most one page.
+func TestDictEntryLimits(t *testing.T) {
+	for _, c := range []struct {
+		kind   TermKind
+		off, n int
+	}{{255, 1<<offBits - 1, 1}, {LiteralTerm, 0, wholePage - 1}, {IRITerm, 1<<offBits - 1, wholePage}} {
+		w := packWord(c.kind, c.off, c.n)
+		e := dictEntry{word: w}
+		if e.kind() != c.kind || int(w>>kindBits&(1<<offBits-1)) != c.off || int(w>>(kindBits+offBits)) != c.n {
+			t.Fatalf("packWord(%d, %d, %d) = %#x: fields do not come back", c.kind, c.off, c.n, w)
+		}
+	}
+
+	m := newDictModel(t)
+	value := func(n int, b byte) string { return strings.Repeat(string(rune(b)), n) }
+	entry := func(v string) dictEntry {
+		t.Helper()
+		tt := m.d.snapshot()
+		return tt.entry(m.ids[Literal(v)])
+	}
+	m.intern(Literal(value(wholePage-1, 'a')))
+	m.intern(Literal(value(wholePage, 'b')))
+	if e := entry(value(wholePage-1, 'a')); e.word>>(kindBits+offBits) != wholePage-1 {
+		t.Fatalf("a %d-byte value is not stored inline: word %#x", wholePage-1, e.word)
+	}
+	if e := entry(value(wholePage, 'b')); e.word>>(kindBits+offBits) != wholePage || len((*m.d.pages.Load())[e.page]) != wholePage {
+		t.Fatalf("a %d-byte value is not a page of its own: word %#x", wholePage, e.word)
+	}
+	// Fill a page of 1<<offBits bytes to one byte short, then put one value
+	// at its last offset and one on the next page.
+	for i := 0; cap(m.d.fill) != 1<<offBits || len(m.d.fill)+1000 <= cap(m.d.fill); i++ {
+		m.intern(Literal(fmt.Sprintf("c%0999d", i)))
+	}
+	m.intern(Literal(value(cap(m.d.fill)-len(m.d.fill)-1, 'e')))
+	m.intern(Literal("f"))
+	m.intern(Literal("g"))
+	last, next := entry("f"), entry("g")
+	if last.word>>kindBits&(1<<offBits-1) != 1<<offBits-1 || next.page != last.page+1 || next.word>>kindBits&(1<<offBits-1) != 0 {
+		t.Fatalf("the last byte of a page: entries %+v then %+v", last, next)
+	}
+	m.intern(Term{Kind: 255, Value: "k"})
+	m.sweep()
+	if int(m.d.npages) > 1+m.d.count() {
+		t.Fatalf("%d terms made %d pages", m.d.count(), m.d.npages)
+	}
+
+	// The sorted path cuts its pages the same way.
+	var terms []Term
+	for i := 0; i < 1<<offBits/1000; i++ {
+		terms = append(terms, Literal(fmt.Sprintf("a%0999d", i)))
+	}
+	full := len(terms) + 1 // the value that ends the first page
+	terms = append(terms, Literal(value(1<<offBits%1000-1, 'b')), Literal("c"), Literal("d"), Literal(value(wholePage, 'e')))
+	g := NewSortedGraph(terms, nil)
+	tt := g.dict.snapshot()
+	if e := tt.entry(ID(full)); e.page != tt.entry(0).page || e.word>>kindBits&(1<<offBits-1) != 1<<offBits-1 {
+		t.Fatalf("sorted: the value ending a full page is at %+v", e)
+	}
+	if e := tt.entry(ID(full + 1)); e.page != tt.entry(0).page+1 || e.word>>kindBits&(1<<offBits-1) != 0 {
+		t.Fatalf("sorted: the value past a full page is at %+v", e)
+	}
+	if e := tt.entry(ID(full + 2)); len(tt.pages[e.page]) != wholePage {
+		t.Fatalf("sorted: a %d-byte value is on a page of %d bytes", wholePage, len(tt.pages[e.page]))
+	}
+	for id, want := range terms {
+		if got := g.TermOf(ID(id)); got != want {
+			t.Fatalf("sorted: TermOf(%d) is %d bytes of %q, want %d", id, len(got.Value), got.Value[:1], len(want.Value))
+		}
+	}
+}
+
+// TestDictBytesNeverMove: a Term handed out keeps reading the same bytes,
+// at the same address, however many values are interned after it — empty
+// values, values as long as a page, values longer than one — and readers
+// resolve every published ID through TermOf while two writers intern.
+func TestDictBytesNeverMove(t *testing.T) {
+	const more = 10000
+	value := func(w, i int) Term {
+		switch i % 50 {
+		case 0:
+			return Literal("")
+		case 1:
+			return Literal(fmt.Sprintf("%0*d", 1<<offBits, w*more+i))
+		case 2:
+			return Literal(fmt.Sprintf("%0*d", 3<<offBits+7, w*more+i))
+		}
+		return IRI(fmt.Sprintf("http://e/w%d/t%d", w, i))
+	}
+	g := NewGraph()
+	var taken []Term
+	var ids []ID
+	for i := 0; i < 200; i++ {
+		id := g.Intern(value(2, i))
+		taken, ids = append(taken, g.TermOf(id)), append(ids, id)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < more; i++ {
+				tm := value(w, i)
+				if i%2 == 1 {
+					buf = append(buf[:0], tm.Value...)
+					g.InternBytes(tm.Kind, buf, tm.Lang, tm.Datatype)
+				} else {
+					g.Intern(tm)
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var reading sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for last := false; !last; {
+				select {
+				case <-stop:
+					last = true
+				default:
+				}
+				n := g.TermCount()
+				for id := ID(0); int(id) < n; id++ {
+					if tm := g.TermOf(id); tm.Kind == 0 {
+						t.Errorf("TermOf(%d) of %d published terms is zero", id, n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	reading.Wait()
+	for i, tm := range taken {
+		if tm != value(2, i) {
+			t.Fatalf("a Term taken before %d interns now reads %d bytes, want %q", 2*more, len(tm.Value), value(2, i).Value)
+		}
+		if now := g.TermOf(ids[i]); unsafe.StringData(now.Value) != unsafe.StringData(tm.Value) {
+			t.Fatalf("term %d moved: its value was at %p and is at %p", ids[i], unsafe.StringData(tm.Value), unsafe.StringData(now.Value))
+		}
+	}
 }
 
 // TestDictConcurrentIntern: eight goroutines intern overlapping sets — every

@@ -28,8 +28,9 @@ type termID = ID
 
 // Graph is an in-memory, dictionary-encoded RDF graph.
 //
-// Storage layout: a term dictionary (24 bytes per term plus hashed ID
-// slots, see termDict; a sorted graph has none until written), the
+// Storage layout: a term dictionary (a 12-byte entry per term, the value
+// bytes on pages it owns, plus hashed ID slots, see termDict; a sorted
+// graph has no slots until written), the
 // insertion log (12 bytes per triple), and one flat open-addressed
 // membership table of log positions.
 // That is everything the write side maintains: an insert interns its terms,
@@ -114,7 +115,8 @@ func NewGraph() *Graph {
 // i gets ID i) and refs as its insertion log. terms must be strictly
 // ascending under TermLess and refs strictly ascending in (S, P, O) over IDs
 // below len(terms) — a k-way merge of sorted segments builds exactly that —
-// and refs is owned by the graph from here on; terms is not retained.
+// and refs is owned by the graph from here on; terms is not retained (the
+// dictionary copies the values).
 //
 // Such a graph is built without hashing: its dictionary bisects the sorted
 // terms until the first intern of a new term builds the slot table, its
@@ -318,7 +320,8 @@ func (g *Graph) AddBatch(ts []Triple) int {
 
 // Intern returns the dictionary ID of t, interning it if new — the first half
 // of an insert, for bulk loaders that resolve each distinct term once and
-// then insert ID triples with AddRefs.
+// then insert ID triples with AddRefs. A new term's value is copied onto a
+// dictionary page; nothing of t is retained.
 func (g *Graph) Intern(t Term) ID {
 	return g.dict.intern(t)
 }
@@ -327,7 +330,7 @@ func (g *Graph) Intern(t Term) ID {
 // the fields taken as given, no normalisation — of a caller that formats
 // values into a buffer it reuses (the tracker's record builders): a term the
 // graph already holds costs no allocation and keeps nothing of value alive; a
-// new one costs len(value) bytes of a dictionary string chunk. value may be
+// new one costs len(value) bytes of a dictionary page. value may be
 // overwritten as soon as the call returns.
 func (g *Graph) InternBytes(kind TermKind, value []byte, lang, datatype string) ID {
 	return g.dict.internBytes(Term{Kind: kind, Lang: lang, Datatype: datatype}, value)

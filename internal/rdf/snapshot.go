@@ -25,7 +25,7 @@ import (
 // new pin shares the log and the term table with the last one and derives
 // its own index from them in one linear pass (see buildSnapIndex).
 type Snapshot struct {
-	dict  *termDict
+	g     *Graph
 	terms termTable
 	// refs is the pinned triple list: the insertion-log prefix at pin time,
 	// aliasing the log's own backing array. It is the morsel domain of full
@@ -249,7 +249,7 @@ func (g *Graph) Snapshot() *Snapshot {
 		return base
 	}
 
-	ns := &Snapshot{dict: &g.dict, terms: g.dict.snapshot(), refs: refs}
+	ns := &Snapshot{g: g, terms: g.dict.snapshot(), refs: refs}
 	if base != nil && base.idx.Load() != nil {
 		// The graph is being queried between appends: index the new pin now,
 		// under snapMu, not inside the next query's first probe.
@@ -283,6 +283,22 @@ func (s *Snapshot) Len() int { return len(s.refs) }
 // TermCount returns the number of terms in the snapshot's term table.
 func (s *Snapshot) TermCount() int { return s.terms.len() }
 
+// Tables returns the entry counts of the tables a snapshot's graph holds
+// only when something needs them: the dictionary's slot table, the graph's
+// membership table, and the spo permutation of the index (0 while the index
+// is not built). A graph built by NewSortedGraph holds none of the three
+// until it is written to. No reader needs them; tests and diagnostics do.
+func (s *Snapshot) Tables() (slots, membership, spo int) {
+	slots = len(*s.g.dict.slots.Load())
+	s.g.mu.RLock()
+	membership = len(s.g.table)
+	s.g.mu.RUnlock()
+	if ix := s.idx.Load(); ix != nil {
+		spo = len(ix.spo)
+	}
+	return slots, membership, spo
+}
+
 // TermOf returns the term interned under id, or the zero Term if id is
 // outside the snapshot's term table (including NoID).
 func (s *Snapshot) TermOf(id ID) Term {
@@ -295,7 +311,7 @@ func (s *Snapshot) TermOf(id ID) Term {
 // TermID returns the snapshot-visible dictionary ID of t. Terms interned
 // after the snapshot was taken report !ok: the snapshot is self-consistent.
 func (s *Snapshot) TermID(t Term) (ID, bool) {
-	id, ok := s.dict.lookup(t)
+	id, ok := s.g.dict.lookup(t)
 	if !ok || int(id) >= s.terms.len() {
 		return 0, false
 	}

@@ -1,6 +1,10 @@
 package sparql
 
-import "github.com/hpc-io/prov-io/internal/rdf"
+import (
+	"slices"
+
+	"github.com/hpc-io/prov-io/internal/rdf"
+)
 
 // Dir selects the edges a Reach walk follows out of a node.
 type Dir uint8
@@ -20,10 +24,10 @@ type Reached struct {
 
 // Reach is the one lineage walk: a breadth-first search in ID space over
 // any Source — a pinned *rdf.Snapshot or core's out-of-core LazySource —
-// that follows every edge whose predicate is in preds, in the directions
-// dir names, at most maxHops edges from the roots (maxHops <= 0 is
-// unbounded). It returns each node it entered exactly once, in discovery
-// order, with its depth.
+// that follows every edge whose predicate is in preds (a handful of IDs,
+// checked by a linear scan), in the directions dir names, at most maxHops
+// edges from the roots (maxHops <= 0 is unbounded). It returns each node it
+// entered exactly once, in discovery order, with its depth.
 //
 // Roots are entered as given (rdf.NoID is skipped, a repeat counts once);
 // every other node is entered only if it is an IRI or a blank node. A
@@ -34,7 +38,7 @@ type Reached struct {
 // that node bound; the predicate filter runs on the emitted IDs. Over a
 // LazySource a probe decodes only the units whose statistics can hold the
 // node in that position.
-func Reach(src Source, roots []rdf.ID, preds map[rdf.ID]bool, dir Dir, maxHops int) []Reached {
+func Reach(src Source, roots []rdf.ID, preds []rdf.ID, dir Dir, maxHops int) []Reached {
 	seen := make(map[rdf.ID]bool, len(roots))
 	var out []Reached // also the FIFO queue: out[i:] is the frontier
 	for _, r := range roots {
@@ -59,7 +63,7 @@ func Reach(src Source, roots []rdf.ID, preds map[rdf.ID]bool, dir Dir, maxHops i
 		}
 		if dir&Out != 0 {
 			src.ForEachMatchIDs(cur.ID, rdf.NoID, rdf.NoID, func(_, p, o rdf.ID) bool {
-				if preds[p] {
+				if slices.Contains(preds, p) {
 					step(o)
 				}
 				return true
@@ -67,7 +71,7 @@ func Reach(src Source, roots []rdf.ID, preds map[rdf.ID]bool, dir Dir, maxHops i
 		}
 		if dir&In != 0 {
 			src.ForEachMatchIDs(rdf.NoID, rdf.NoID, cur.ID, func(s, p, _ rdf.ID) bool {
-				if preds[p] {
+				if slices.Contains(preds, p) {
 					step(s)
 				}
 				return true

@@ -111,10 +111,10 @@ func TestReach(t *testing.T) {
 		}{{"snapshot", g.Snapshot()}, {"lazy", lazySourceOf(t, rng, ts)}}
 		for _, sc := range sources {
 			src := sc.src
-			preds := map[rdf.ID]bool{}
+			var preds []rdf.ID
 			for p := range predSet {
 				if id, ok := src.TermID(p); ok {
-					preds[id] = true
+					preds = append(preds, id)
 				}
 			}
 			ids := []rdf.ID{rdf.NoID}

@@ -235,8 +235,11 @@ func LineageHighlight(g *rdf.Graph, product rdf.Term) map[string]bool {
 	if !ok {
 		return out
 	}
-	derived, ok := v.TermID(model.WasDerivedFrom.IRI())
-	closure := sparql.Reach(v, []rdf.ID{root}, map[rdf.ID]bool{derived: ok}, sparql.Out, 0)
+	var preds []rdf.ID
+	if derived, ok := v.TermID(model.WasDerivedFrom.IRI()); ok {
+		preds = []rdf.ID{derived}
+	}
+	closure := sparql.Reach(v, []rdf.ID{root}, preds, sparql.Out, 0)
 	attr, aok := v.TermID(model.WasAttributedTo.IRI())
 	for _, n := range closure {
 		out[v.TermOf(n.ID).Value] = true
