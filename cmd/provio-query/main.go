@@ -27,9 +27,9 @@
 // cannot match are never decoded. Results are identical to an exhaustive
 // merge; -no-prune forces the exhaustive path.
 //
-// -lazy switches to out-of-core execution: instead of merging the store up
-// front, the query runs over a lazy view that decodes segments and pack
-// members on demand into a cache bounded by -cache-bytes (0 = unbounded), so
+// -cache-bytes N (N > 0) switches to out-of-core execution: instead of
+// merging the store up front, the query runs over a lazy view that decodes
+// segments and pack members on demand into a cache bounded by N bytes, so
 // peak resident memory tracks the budget rather than the store size. Results
 // are byte-identical to the eager path; the stderr scan line additionally
 // reports the decoded-unit cache's hit ratio and residency.
@@ -54,8 +54,7 @@ func main() {
 	plan := flag.Bool("plan", false, "print the pushdown report and query plan (EXPLAIN) instead of executing")
 	noPrune := flag.Bool("no-prune", false, "disable segment-statistics pushdown (decode every segment)")
 	workers := flag.Int("workers", 1, "parallel query workers (1 = serial executor)")
-	lazy := flag.Bool("lazy", false, "out-of-core execution: decode segments on demand instead of merging up front")
-	cacheBytes := flag.Int64("cache-bytes", 0, "decoded-unit cache budget in bytes for -lazy (0 = unbounded)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "out-of-core execution: decode segments on demand into a cache of this many bytes (0 = merge up front)")
 	repeat := flag.Int("repeat", 1, "run the query this many times in-process (cache demo)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU pprof profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap pprof profile to this file")
@@ -92,7 +91,7 @@ func main() {
 		*repeat = 1
 	}
 
-	src, err := cli.OpenSource(store, pruner, *workers, *lazy, *cacheBytes)
+	src, err := cli.OpenSource(store, pruner, *workers, *cacheBytes)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -145,7 +144,7 @@ func main() {
 		}
 		fmt.Println(strings.Join(cells, "\t"))
 	}
-	// Under -lazy the triple count is a statistics estimate: the store is
+	// Out of core the triple count is a statistics estimate: the store is
 	// never merged.
 	fmt.Fprintf(os.Stderr, "%d solution(s) over %d triples; %s; %s\n", len(res.Rows), src.Query.Len(), info.Summary(), src.Scan())
 }

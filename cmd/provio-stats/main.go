@@ -12,11 +12,13 @@
 // counts (L0 = loose flush segments, L1+ = compacted packs) and the scan line
 // of the merge that fed the statistics (segments decoded vs skipped).
 //
-// -lazy feeds the statistics through an out-of-core view instead of an eager
-// merge: units are decoded through a cache bounded by -cache-bytes (0 =
-// unbounded), and each layout line gains the view's decoded/resident byte
+// -cache-bytes N (N > 0) feeds the statistics through an out-of-core view
+// instead of an eager merge: units are decoded through a cache bounded by N
+// bytes, and each layout line gains the view's decoded/resident byte
 // breakdown — the sizing input for picking a provio-query -cache-bytes
-// budget. The scan line then also carries the cache's hit ratio.
+// budget. Every unit is decoded once, so the decoded column is the whole
+// footprint at any budget; one larger than that keeps every unit resident.
+// The scan line then also carries the cache's hit ratio.
 package main
 
 import (
@@ -30,8 +32,7 @@ import (
 
 func main() {
 	storeSpec := flag.String("store", "", cli.StoreUsage+" (required)")
-	lazy := flag.Bool("lazy", false, "derive statistics through an out-of-core lazy view")
-	cacheBytes := flag.Int64("cache-bytes", 0, "decoded-unit cache budget in bytes for -lazy (0 = unbounded)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "derive statistics through an out-of-core view whose cache holds this many bytes (0 = merge up front)")
 	flag.Parse()
 	store, err := cli.OpenStore(*storeSpec)
 	if err != nil {
@@ -42,7 +43,7 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	src, err := cli.OpenSource(store, nil, 2, *lazy, *cacheBytes)
+	src, err := cli.OpenSource(store, nil, 2, *cacheBytes)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -104,7 +104,7 @@ func TestBinaryMergeMatchesText(t *testing.T) {
 		store := buildFormatStore(b, fc, 4, 50)
 		if fc != segcodec.Binary {
 			if _, err := store.Merge(); !errors.Is(err, segcodec.ErrNeedsMigration) {
-				t.Fatalf("%s store merged before its migration: %v", fc.Name(), err)
+				t.Fatalf("%s store merged before its migration: %v", fc.Ext(), err)
 			}
 			if err := store.Compact(); err != nil {
 				t.Fatal(err)
@@ -114,10 +114,10 @@ func TestBinaryMergeMatchesText(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		graphs[fc.Name()] = g
+		graphs[fc.Ext()] = g
 	}
-	if graphs["pbs"].Len() != graphs["nt"].Len() || graphs["ttl"].Len() != graphs["nt"].Len() {
+	if graphs[".pbs"].Len() != graphs[".nt"].Len() || graphs[".ttl"].Len() != graphs[".nt"].Len() {
 		t.Fatalf("per-format stores diverged: nt=%d ttl=%d pbs=%d triples",
-			graphs["nt"].Len(), graphs["ttl"].Len(), graphs["pbs"].Len())
+			graphs[".nt"].Len(), graphs[".ttl"].Len(), graphs[".pbs"].Len())
 	}
 }

@@ -76,16 +76,3 @@ func Run(id string, s Scale) (*Report, error) {
 	}
 	return r(s)
 }
-
-// RunAll executes every experiment in order, returning the reports.
-func RunAll(s Scale) ([]*Report, error) {
-	var out []*Report
-	for _, id := range order {
-		rep, err := Run(id, s)
-		if err != nil {
-			return out, fmt.Errorf("experiment %s: %w", id, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}

@@ -2,8 +2,7 @@
 // line tools: one place that resolves the -store flag (a spec string; a bare
 // directory path stays a valid alias for dir:), so every tool accepts every
 // backend and their help text stays in sync — and one place (OpenSource)
-// that turns the -lazy/-cache-bytes flags into the source a tool reads
-// through.
+// that turns the -cache-bytes flag into the source a tool reads through.
 package cli
 
 import (
@@ -35,8 +34,8 @@ func OpenStore(spec string) (*core.Store, error) {
 
 // Source is the read side of a store as a tool opened it: the eagerly
 // merged graph, or a lazy view decoding units on demand into a bounded
-// cache. Tools pick one with OpenSource and then read through the same
-// calls either way.
+// cache. The budget a tool passes OpenSource picks one, and the tool then
+// reads through the same calls either way.
 type Source struct {
 	// Query is what provio.Query and provio.Explain run over: the merged
 	// *rdf.Graph, or the view's *core.LazySource.
@@ -48,12 +47,13 @@ type Source struct {
 	cacheBytes int64
 }
 
-// OpenSource opens the store for reading. Eager (lazy=false) merges the
-// units the pruner admits up front with `workers` decode workers; lazy pins
-// the layout in a view whose decoded-unit cache holds at most cacheBytes
-// (0 = unbounded) and admits the same units into a query source.
-func OpenSource(store *core.Store, pruner *core.SegmentPruner, workers int, lazy bool, cacheBytes int64) (*Source, error) {
-	if !lazy {
+// OpenSource opens the store for reading, on the path the decoded-unit
+// cache budget picks. At 0 (or below) it merges the units the pruner admits
+// up front with `workers` decode workers; above 0 it pins the layout in a
+// view whose cache holds at most cacheBytes and admits the same units into
+// a query source.
+func OpenSource(store *core.Store, pruner *core.SegmentPruner, workers int, cacheBytes int64) (*Source, error) {
+	if cacheBytes <= 0 {
 		g, scan, err := store.MergePruned(pruner, workers)
 		if err != nil {
 			return nil, fmt.Errorf("merge: %w", err)
@@ -74,11 +74,7 @@ func (s *Source) Pushdown() string {
 	if !ok {
 		return s.scan.String()
 	}
-	budget := "unbounded"
-	if s.cacheBytes > 0 {
-		budget = fmt.Sprintf("%d bytes", s.cacheBytes)
-	}
-	return fmt.Sprintf("%d/%d unit(s) admitted (lazy view, cache %s)", ls.Admitted(), ls.Stats().Units, budget)
+	return fmt.Sprintf("%d/%d unit(s) admitted (lazy view, cache %d bytes)", ls.Admitted(), ls.Stats().Units, s.cacheBytes)
 }
 
 // Scan reports what reading has touched so far: the eager merge's scan, or

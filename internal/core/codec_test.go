@@ -193,7 +193,7 @@ func TestCompactMigratesTextToBinary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compaction did not produce a .pbs canonical file: %v", err)
 	}
-	if segcodec.Detect(data).Name() != "pbs" {
+	if segcodec.Detect(data) != segcodec.Binary {
 		t.Error("compacted canonical file does not carry the pbs magic")
 	}
 	after, err := bin.Merge()

@@ -147,9 +147,6 @@ func (c *Config) DisableAll() *Config {
 // Enabled reports whether a sub-class is tracked.
 func (c *Config) Enabled(class model.Class) bool { return c.enabled[class.Name] }
 
-// EnabledName reports whether the named sub-class is tracked.
-func (c *Config) EnabledName(name string) bool { return c.enabled[name] }
-
 // EnabledClasses returns the names of all enabled sub-classes in Table 2
 // order.
 func (c *Config) EnabledClasses() []string {

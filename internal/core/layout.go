@@ -179,17 +179,3 @@ func (s *Store) stored() (files []layoutFile, sizes []int64, err error) {
 	}
 	return files, sizes, nil
 }
-
-// checkPackSize holds a pack container's size to the size its header
-// implies, for the reader and the audit alike: shorter is a torn write,
-// longer is damage.
-func checkPackSize(h *segcodec.PackHeader, size int64) error {
-	if size == h.WantSize {
-		return nil
-	}
-	cause := segcodec.ErrCorrupt
-	if size < h.WantSize {
-		cause = segcodec.ErrTruncated
-	}
-	return fmt.Errorf("pack is %d bytes, header implies %d: %w", size, h.WantSize, cause)
-}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -116,26 +117,31 @@ func TestLazyParityProperty(t *testing.T) {
 		if scan.Packs != 1 {
 			t.Fatalf("seed %d: layout lost its pack: %+v", seed, scan)
 		}
-		fullNT := ntBytes(t, full)
 		queries := lazyParityQueries(rng)
 		eager := make([][]byte, len(queries))
 		for i, q := range queries {
 			eager[i] = queryBytes(t, full.Snapshot(), q, 2)
 		}
 
-		// The unbounded view's resident bytes after full materialization are
-		// the store's total decoded footprint — the yardstick the bounded
-		// budgets divide.
-		v0, err := store.OpenLazy(CacheConfig{})
-		if err != nil {
-			t.Fatal(err)
+		// MaterializeGraph is the eager merge ID for ID, whether the cache
+		// keeps every unit or none. The unbounded view's resident bytes after
+		// it are the store's total decoded footprint — the yardstick the
+		// bounded budgets divide.
+		var total int64
+		for _, budget := range []int64{0, 1} {
+			v, err := store.OpenLazy(CacheConfig{MaxBytes: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _, err := v.MaterializeGraph(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameGraph(t, fmt.Sprintf("seed %d budget %d: MaterializeGraph", seed, budget), full, g)
+			if budget == 0 {
+				total = v.Stats().ResidentBytes
+			}
 		}
-		if g0, _, err := v0.MaterializeGraph(2); err != nil {
-			t.Fatal(err)
-		} else if !bytes.Equal(fullNT, ntBytes(t, g0)) {
-			t.Fatalf("seed %d: unbounded MaterializeGraph differs from eager merge", seed)
-		}
-		total := v0.Stats().ResidentBytes
 		if total <= 0 {
 			t.Fatalf("seed %d: empty decoded footprint", seed)
 		}
@@ -160,8 +166,8 @@ func TestLazyParityProperty(t *testing.T) {
 				}
 				if g, _, err := v.MaterializeGraph(workers); err != nil {
 					t.Fatalf("%s: MaterializeGraph: %v", tag, err)
-				} else if !bytes.Equal(fullNT, ntBytes(t, g)) {
-					t.Fatalf("%s: MaterializeGraph differs from eager merge", tag)
+				} else {
+					requireSameGraph(t, tag+": MaterializeGraph", full, g)
 				}
 
 				for trial := 0; trial < 2; trial++ {
@@ -177,8 +183,9 @@ func TestLazyParityProperty(t *testing.T) {
 					}
 				}
 
-				// A pruner admits the same units lazily as eagerly: hydrating
-				// the lazy source's unit list reproduces the pruned merge.
+				// A pruner admits the same units lazily as eagerly: merging
+				// the lazy source's unit list through the cache reproduces
+				// the pruned merge.
 				p := PrunePattern{S: termPtr(node())}
 				if rng.Intn(2) == 0 {
 					p = PrunePattern{O: termPtr(node())}
@@ -188,14 +195,11 @@ func TestLazyParityProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ps := v.Source(pr)
-				gotPruned := rdf.NewGraph()
-				if err := v.hydrateAll(ps.units, workers, gotPruned); err != nil {
-					t.Fatalf("%s: hydrating pruned source: %v", tag, err)
+				gotPruned, err := v.materialize(v.Source(pr).units, workers)
+				if err != nil {
+					t.Fatalf("%s: merging the pruned source's units: %v", tag, err)
 				}
-				if !bytes.Equal(ntBytes(t, wantPruned), ntBytes(t, gotPruned)) {
-					t.Fatalf("%s: pruned lazy source differs from eager pruned merge", tag)
-				}
+				requireSameGraph(t, tag+": pruned source", wantPruned, gotPruned)
 
 				st := v.Stats()
 				if budget > 0 {
@@ -217,6 +221,29 @@ func TestLazyParityProperty(t *testing.T) {
 	}
 	if !sawEviction {
 		t.Fatal("no bounded run ever evicted: the budgets are not exercising the cache")
+	}
+}
+
+// requireSameGraph holds got to want ID for ID: the same terms under the
+// same IDs and the same log. got comes straight from a sorted build, so it
+// holds no dictionary slots, membership table or spo permutation.
+func requireSameGraph(t *testing.T, tag string, want, got *rdf.Graph) {
+	t.Helper()
+	if got.TermCount() != want.TermCount() {
+		t.Fatalf("%s: %d terms, want %d", tag, got.TermCount(), want.TermCount())
+	}
+	for i := 0; i < want.TermCount(); i++ {
+		if g, w := got.TermOf(rdf.ID(i)), want.TermOf(rdf.ID(i)); g != w {
+			t.Fatalf("%s: term %d is %v, want %v", tag, i, g, w)
+		}
+	}
+	gotRefs, _ := got.RefsSince(0)
+	wantRefs, _ := want.RefsSince(0)
+	if !slices.Equal(gotRefs, wantRefs) {
+		t.Fatalf("%s: log of %d triples differs from the merge's %d", tag, len(gotRefs), len(wantRefs))
+	}
+	if slots, membership, spo := got.Snapshot().Tables(); slots+membership+spo != 0 {
+		t.Fatalf("%s: holds %d slots, a %d-slot membership table and a %d-entry spo", tag, slots, membership, spo)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/hpc-io/prov-io/internal/par"
 	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
 
 // Out-of-core read path (DESIGN.md "Out-of-core execution"): a LazyView is a
@@ -552,45 +552,49 @@ func (v *LazyView) foldCacheStats(st *ScanStats) {
 
 // ---- whole-graph consumers over the cache ----
 
-// hydrateInto is the lazy read path's leaf: decode u through the cache and
-// union its triples into dst. Graph union deduplicates, so no ownership
-// filtering is needed here.
-func (v *LazyView) hydrateInto(u *scanUnit, dst *rdf.Graph) error {
-	du, err := v.loadUnit(u)
-	if err != nil {
-		v.fail(err)
-		return err
+// materialize merges units loaded through the cache into one graph, the
+// way MergePruned merges them decoded (mergeUnits). A failed load fails the
+// view.
+func (v *LazyView) materialize(units []*scanUnit, workers int) (*rdf.Graph, error) {
+	return mergeUnits(units, workers, func(u *scanUnit) (*segcodec.Columns, error) {
+		du, err := v.loadUnit(u)
+		if err != nil {
+			v.fail(err)
+			return nil, err
+		}
+		return du.columns(), nil
+	})
+}
+
+// columns hands the unit to a merge: its terms in ID order, which is term
+// order, and its rows as a fresh local-ID table, which the merge rewrites in
+// place while the cached unit stays as it is.
+func (du *decodedUnit) columns() *segcodec.Columns {
+	s := du.snap
+	c := &segcodec.Columns{Terms: make([]rdf.Term, s.TermCount()), Tris: make([][3]uint32, 0, s.Len())}
+	for i := range c.Terms {
+		c.Terms[i] = s.TermOf(rdf.ID(i))
 	}
-	ts := make([]rdf.Triple, 0, du.snap.Len())
-	du.snap.ScanRange(rdf.NoID, rdf.NoID, rdf.NoID, 0, du.snap.Len(), func(a, b, c rdf.ID) bool {
-		ts = append(ts, rdf.Triple{S: du.snap.TermOf(a), P: du.snap.TermOf(b), O: du.snap.TermOf(c)})
+	s.ForEachMatchIDs(rdf.NoID, rdf.NoID, rdf.NoID, func(a, b, o rdf.ID) bool {
+		c.Tris = append(c.Tris, [3]uint32{uint32(a), uint32(b), uint32(o)})
 		return true
 	})
-	dst.AddBatch(ts)
-	return nil
+	return c
 }
 
-// hydrateAll is the lazy counterpart of Store.mergeUnits over the same
-// pool: every worker hydrates straight into dst — one AddBatch per unit, so
-// private accumulators would only add a second insertion.
-func (v *LazyView) hydrateAll(units []*scanUnit, workers int, dst *rdf.Graph) error {
-	return par.ForEach(len(units), workers, func(_, i int) error { return v.hydrateInto(units[i], dst) })
-}
-
-// MaterializeGraph unions every unit of the view into one graph through the
+// MaterializeGraph merges every unit of the view into one graph through the
 // cache — the lazy counterpart of Merge for consumers that need the whole
-// graph (provio-stats). Peak decoded-cache residency stays within the
-// budget; the returned graph itself is of course O(store). It comes back
-// trimmed, as MergePruned's does.
+// graph (provio-stats), and equal to Merge's graph ID for ID. Peak
+// decoded-cache residency stays within the budget; the returned graph
+// itself is of course O(store).
 func (v *LazyView) MaterializeGraph(workers int) (*rdf.Graph, *ScanStats, error) {
-	st := v.layout.newScanStats()
-	g := rdf.NewGraph()
-	if err := v.hydrateAll(v.layout.units, workers, g); err != nil {
+	g, err := v.materialize(v.layout.units, workers)
+	if err != nil {
 		return nil, nil, err
 	}
+	st := v.layout.newScanStats()
 	st.markDecoded(v.layout.units)
 	v.foldCacheStats(st)
-	g.Trim()
 	return g, st, nil
 }
 

@@ -104,7 +104,7 @@ func mergeFiles(s *Store, files []string, workers int) (*rdf.Graph, error) {
 	for i, f := range files {
 		units[i] = &scanUnit{path: f}
 	}
-	return s.mergeUnits(units, workers)
+	return mergeUnits(units, workers, s.decode)
 }
 
 // TestMergeOrderIndependent: merging shuffled file lists yields

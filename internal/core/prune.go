@@ -15,11 +15,13 @@ import (
 
 // This file is the store's one reader (DESIGN.md "Leveled segments &
 // pushdown", paragraph "The store reader"): every read — exhaustive or
-// pruned merge, lazy view — lists the store's units once (listUnits),
-// admits them through one statistics predicate (admit), fans the admitted
-// ones over one worker pool (par.ForEach), and differs only in the leaf
-// that turns units into triples: Store.mergeUnits here,
-// LazyView.hydrateInto through the budgeted cache in lazysource.go.
+// pruned merge, lazy view — lists the store's units once (listUnits) and
+// admits them through one statistics predicate (admit). A read that wants
+// a graph fans the admitted units over one worker pool (mergeUnits) and
+// merges their columns (sortedUnion): the eager merge decodes each unit,
+// LazyView.MaterializeGraph loads it through the budgeted cache in
+// lazysource.go. Compact folds the audit's columns through sortedUnion
+// too.
 //
 // Every reader takes pbs v5 only: before it decodes a byte, the listing
 // refuses a store holding a file only an older build wrote (readable), so
@@ -259,7 +261,7 @@ func (s *Store) readPackHeader(path string) (h *segcodec.PackHeader, data []byte
 		size = int64(len(data))
 	}
 	if err == nil {
-		err = checkPackSize(h, size)
+		err = h.CheckSize(size)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s: %w", path, err)
@@ -405,29 +407,43 @@ func admit(units []*scanUnit, pr *SegmentPruner) (keep []*scanUnit, packsSkipped
 	return keep, packsSkipped
 }
 
-// mergeUnits is the eager way to load units: each is fetched and decoded to
-// its columns on up to `workers` goroutines, and segcodec.MergeColumns
-// unions them into one sorted graph (rdf.NewSortedGraph). GUID-based node
-// identity makes the union deduplicate shared nodes. The graph is the same
-// whatever the units' order or the worker count: its IDs are term order
-// and its log (S, P, O) order.
-func (s *Store) mergeUnits(units []*scanUnit, workers int) (*rdf.Graph, error) {
+// mergeUnits turns units into one graph: columns gives each unit's
+// columns, on up to `workers` goroutines, and sortedUnion merges them. The
+// eager merge decodes each unit's bytes; a lazy view hands over what its
+// cache holds.
+func mergeUnits(units []*scanUnit, workers int, columns func(u *scanUnit) (*segcodec.Columns, error)) (*rdf.Graph, error) {
 	cols := make([]*segcodec.Columns, len(units))
-	err := par.ForEach(len(units), workers, func(_, i int) error {
-		data, err := units[i].fetch(s)
-		if err == nil {
-			cols[i], err = units[i].columns(data)
-		}
+	err := par.ForEach(len(units), workers, func(_, i int) (err error) {
+		cols[i], err = columns(units[i])
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	return sortedUnion(cols)
+}
+
+// sortedUnion is the one way store units become a graph: segcodec.MergeColumns
+// unions their columns and rdf.NewSortedGraph adopts the union. GUID-based
+// node identity makes the union deduplicate shared nodes. The graph is the
+// same whatever the units' order: its IDs are term order and its log (S, P,
+// O) order. The merge rewrites every unit's rows in place, so a caller hands
+// over columns nothing reads afterwards, each one once.
+func sortedUnion(cols []*segcodec.Columns) (*rdf.Graph, error) {
 	terms, refs, err := segcodec.MergeColumns(cols)
 	if err != nil {
-		return nil, fmt.Errorf("core: merging %d units: %w", len(units), err)
+		return nil, fmt.Errorf("core: merging %d units: %w", len(cols), err)
 	}
 	return rdf.NewSortedGraph(terms, refs), nil
+}
+
+// decode is the eager merge's columns: the unit's bytes, decoded.
+func (s *Store) decode(u *scanUnit) (*segcodec.Columns, error) {
+	data, err := u.fetch(s)
+	if err != nil {
+		return nil, err
+	}
+	return u.columns(data)
 }
 
 // MergePruned merges the store with statistics pushdown: units whose stats
@@ -437,10 +453,9 @@ func (s *Store) mergeUnits(units []*scanUnit, workers int) (*rdf.Graph, error) {
 // could use — for a nil pruner it IS the exhaustive merge, which is how
 // Merge routes here. Up to `workers` goroutines decode in parallel; the
 // result is the same graph at any worker count. The graph is sorted
-// (rdf.NewSortedGraph) and so comes back trimmed: readers never use a
-// membership table or dictionary slots, and a caller that writes to it
-// pays one rebuild of each. A union past the graph's uint32 limits fails
-// with rdf.ErrGraphFull.
+// (sortedUnion), so it holds no membership table or dictionary slots,
+// which readers never use; a caller that writes to it pays one build of
+// each. A union past the graph's uint32 limits fails with rdf.ErrGraphFull.
 func (s *Store) MergePruned(pr *SegmentPruner, workers int) (*rdf.Graph, *ScanStats, error) {
 	l, err := s.listUnits()
 	if err != nil {
@@ -449,7 +464,7 @@ func (s *Store) MergePruned(pr *SegmentPruner, workers int) (*rdf.Graph, *ScanSt
 	st := l.newScanStats()
 	var keep []*scanUnit
 	keep, st.PacksSkipped = admit(l.units, pr)
-	g, err := s.mergeUnits(keep, workers)
+	g, err := mergeUnits(keep, workers, s.decode)
 	if err != nil {
 		return nil, nil, err
 	}

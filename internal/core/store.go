@@ -359,9 +359,15 @@ func (s *Store) Compact() error {
 		if !dirty {
 			continue
 		}
-		g := rdf.NewGraph()
+		// The audit decoded each file once, and nothing reads its columns
+		// after this merge rewrites them.
+		var cols []*segcodec.Columns
 		for _, f := range append(append([]*auditFile{}, pa.canonicals...), pa.segs...) {
-			f.cols.Materialize(g)
+			cols = append(cols, f.cols)
+		}
+		g, err := sortedUnion(cols)
+		if err != nil {
+			return err
 		}
 		// Seal the new root against the pid's actual chain head (the newest
 		// authenticated file the audit found), not whatever canonical this

@@ -450,7 +450,7 @@ func (a *storeAudit) addPack(f layoutFile, data []byte) (audit []*auditFile) {
 	a.packs = append(a.packs, auditPack{layoutFile: f})
 	h, err := segcodec.DecodePackHeader(data)
 	if err == nil {
-		err = checkPackSize(h, int64(len(data)))
+		err = h.CheckSize(int64(len(data)))
 	}
 	if err != nil {
 		kind := DefectTampered

@@ -1,8 +1,8 @@
 // Package par is the one worker pool behind the store's bulk paths: the
-// reader's unit decode (core.Store.mergeUnits, LazyView.hydrateAll), the audit's
-// check pass (core.Store.audit) and the stages of segcodec.UnionStats all fan
-// out through ForEach. It sits below both packages so that neither grows a
-// pool of its own.
+// reader's unit loads (core.mergeUnits, for the eager merge and a lazy
+// view's MaterializeGraph), the audit's check pass (core.Store.audit) and
+// the stages of segcodec.UnionStats all fan out through ForEach. It sits
+// below both packages so that neither grows a pool of its own.
 package par
 
 import (

@@ -96,13 +96,6 @@ func (w *Workflow) SetContext(key, value string) {
 	w.mu.Unlock()
 }
 
-// ContextSize returns the number of context fields.
-func (w *Workflow) ContextSize() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.ctx)
-}
-
 // Task is one instrumented workflow step.
 type Task struct {
 	wf      *Workflow

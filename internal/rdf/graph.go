@@ -36,7 +36,7 @@ type termID = ID
 // That is everything the write side maintains: an insert interns its terms,
 // probes the table, and appends to the log — no per-triple heap objects, so
 // the tracker's hot path allocates only when the log or the table grows.
-// Readers never touch the table, so a finished graph releases it (Trim).
+// Readers never touch the table, so a graph built sorted has none.
 //
 // The graph keeps no adjacency of its own. The SPO/POS/OSP index readers
 // need is derived from the log by Snapshot, and every pattern scan on Graph
@@ -69,8 +69,8 @@ type Graph struct {
 	// table is the membership set: open addressing with linear probing over
 	// a power-of-two slot array. A slot holds 1 + the log position of a
 	// triple (compared by value against the log), or slotEmpty. The table
-	// doubles when the log would pass 3/4 of it. Trim drops it; the next
-	// write or Has rebuilds it from the log.
+	// doubles when the log would pass 3/4 of it. A sorted graph starts
+	// without it; the first write or Has builds it from the log.
 	table []uint32
 
 	// snap caches the most recent Snapshot; snapMu serializes its (re)build
@@ -119,8 +119,8 @@ func NewGraph() *Graph {
 // dictionary copies the values).
 //
 // Such a graph is built without hashing: its dictionary bisects the sorted
-// terms until the first intern of a new term builds the slot table, its
-// membership table is absent as on a trimmed graph, and a snapshot index
+// terms until the first intern of a new term builds the slot table, it has
+// no membership table until a write or Has builds one, and a snapshot index
 // over its refs needs no spo permutation (buildSnapIndex). Every write
 // still works and behaves as on a graph built by inserts.
 func NewSortedGraph(terms []Term, refs []TripleID) *Graph {
@@ -218,17 +218,6 @@ func (g *Graph) findLocked(r TripleID) (slot int, found bool) {
 		}
 	}
 	return i, false
-}
-
-// Trim releases the membership table, 5 to 11 bytes per triple that only
-// writers and Has read, for a graph that is done being written (a
-// materialized lazy view, a decoded lazy unit). The next write or Has
-// rebuilds it in one pass over the log, so a trimmed graph still behaves as
-// a set.
-func (g *Graph) Trim() {
-	g.mu.Lock()
-	g.table = nil
-	g.mu.Unlock()
 }
 
 // Add inserts a triple. It reports whether the triple was new.
@@ -362,7 +351,7 @@ func (g *Graph) AddRefs(refs []TripleID) int {
 	return n
 }
 
-// Has reports whether the graph contains the triple. On a trimmed graph the
+// Has reports whether the graph contains the triple. On a sorted graph the
 // first call rebuilds the membership table.
 func (g *Graph) Has(t Triple) bool {
 	r, ok := g.refOf(t)

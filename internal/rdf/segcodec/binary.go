@@ -111,7 +111,6 @@ func pbsBody(data []byte) (version byte, rest []byte, err error) {
 	return version, data[len(pbsMagic)+1:], nil
 }
 
-func (binCodec) Name() string  { return "pbs" }
 func (binCodec) Ext() string   { return ".pbs" }
 func (binCodec) Magic() []byte { return pbsMagic }
 

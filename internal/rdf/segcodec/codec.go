@@ -2,15 +2,17 @@
 // store: it decouples what a store file contains (an RDF sub-graph or delta
 // segment) from how it is laid out on disk.
 //
-// Three codecs are registered: a binary ID-space format ("pbs") that
+// Three codecs are registered: a binary ID-space format (.pbs) that
 // serializes dictionary IDs instead of rendered terms, so the hot
 // flush/merge paths never tokenize, escape, or re-parse term strings — the
 // one format the store writes, and the only one its reads take (v5, through
-// DecodeColumns) — and the text formats older builds wrote, N-Triples ("nt")
-// and Turtle ("ttl"), which export writes and the audit reads (DESIGN.md
-// "Store codecs"). Files an older build wrote reach a decoder only through
-// the audit: text through Detect's fallback, pbs v1–v4 through
-// DecodeAnyVersion (legacy.go).
+// DecodeColumns) — and the text formats older builds wrote, N-Triples (.nt)
+// and Turtle (.ttl), which export writes and the audit reads (DESIGN.md
+// "Store codecs"). The pack container (.psk) is registered beside them for
+// Detect, but neither encodes nor decodes a graph: it is read through its
+// header. Files an older build wrote reach a decoder only through the
+// audit: text through Detect's fallback, pbs v1–v4 through DecodeAnyVersion
+// (legacy.go).
 package segcodec
 
 import (
@@ -24,8 +26,6 @@ import (
 
 // Codec serializes and deserializes one on-disk store format.
 type Codec interface {
-	// Name is the short format name.
-	Name() string
 	// Ext is the file extension including the leading dot.
 	Ext() string
 	// Magic returns the leading bytes identifying the format on disk, or
@@ -83,45 +83,8 @@ var (
 	Pack Codec = packCodec{}
 )
 
-// codecs holds the registry in registration order.
+// codecs is the registry Detect matches magic bytes against.
 var codecs = []Codec{NTriples, Turtle, Binary, Pack}
-
-// All returns the registered codecs in registration order.
-func All() []Codec {
-	out := make([]Codec, len(codecs))
-	copy(out, codecs)
-	return out
-}
-
-// ByName returns the codec registered under the short format name.
-func ByName(name string) (Codec, bool) {
-	for i := len(codecs) - 1; i >= 0; i-- {
-		if codecs[i].Name() == name {
-			return codecs[i], true
-		}
-	}
-	return nil, false
-}
-
-// ByExt returns the codec owning a file extension (leading dot included).
-func ByExt(ext string) (Codec, bool) {
-	for i := len(codecs) - 1; i >= 0; i-- {
-		if codecs[i].Ext() == ext {
-			return codecs[i], true
-		}
-	}
-	return nil, false
-}
-
-// Exts returns every registered file extension in registration order — the
-// store derives its accepted sub-graph extensions from this single list.
-func Exts() []string {
-	out := make([]string, 0, len(codecs))
-	for _, c := range codecs {
-		out = append(out, c.Ext())
-	}
-	return out
-}
 
 // Detect returns the codec for a file's contents: the codec whose magic
 // bytes prefix data, or the N-Triples codec otherwise — its decoder parses

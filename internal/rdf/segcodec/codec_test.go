@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,28 +13,27 @@ import (
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
 
+// TestRegistry: each registered codec owns its extension and magic, and
+// the pack container neither encodes nor decodes a graph — a pack is read
+// through its header (readPack).
 func TestRegistry(t *testing.T) {
-	for _, want := range []struct{ name, ext string }{
-		{"nt", ".nt"}, {"ttl", ".ttl"}, {"pbs", ".pbs"},
+	for _, want := range []struct {
+		c     Codec
+		ext   string
+		magic []byte
+	}{
+		{NTriples, ".nt", nil}, {Turtle, ".ttl", nil}, {Binary, ".pbs", pbsMagic}, {Pack, ".psk", pskMagic},
 	} {
-		c, ok := ByName(want.name)
-		if !ok {
-			t.Fatalf("ByName(%q) not registered", want.name)
-		}
-		if c.Ext() != want.ext {
-			t.Errorf("%s: ext %q, want %q", want.name, c.Ext(), want.ext)
-		}
-		byExt, ok := ByExt(want.ext)
-		if !ok || byExt.Name() != want.name {
-			t.Errorf("ByExt(%q) = %v, want codec %q", want.ext, byExt, want.name)
+		if want.c.Ext() != want.ext || !bytes.Equal(want.c.Magic(), want.magic) {
+			t.Errorf("codec %T: ext %q magic %q, want %q %q", want.c, want.c.Ext(), want.c.Magic(), want.ext, want.magic)
 		}
 	}
-	if _, ok := ByName("bogus"); ok {
-		t.Error("ByName(bogus) should not resolve")
+	pack, union, _ := buildPack(t, 2)
+	if err := Pack.Encode(io.Discard, union, nil); err == nil {
+		t.Error("Pack.Encode wrote a graph")
 	}
-	exts := Exts()
-	if len(exts) < 3 {
-		t.Fatalf("Exts() = %v, want at least nt/ttl/pbs", exts)
+	if err := Pack.Decode(bytes.NewReader(pack), rdf.NewGraph()); err == nil {
+		t.Error("Pack.Decode read a pack as a graph")
 	}
 }
 
@@ -41,14 +41,17 @@ func TestDetect(t *testing.T) {
 	// Any version byte, also one this build cannot read: the file is a binary
 	// segment and its decoder says what is wrong with it.
 	for _, data := range [][]byte{pbsMagic, {'P', 'B', 'S', 1}, {'P', 'B', 'S', 2}, {'P', 'B', 'S', PBSVersion}, {'P', 'B', 'S', 0x7f, 0x00}} {
-		if c := Detect(data); c.Name() != "pbs" {
-			t.Errorf("Detect(%q) = %s, want pbs", data, c.Name())
+		if c := Detect(data); c != Binary {
+			t.Errorf("Detect(%q) = %T, want pbs", data, c)
 		}
 	}
 	for _, text := range []string{"", "<a> <b> <c> .", "@prefix x: <urn:x> .", "PBT not the magic"} {
-		if c := Detect([]byte(text)); c.Name() != "nt" {
-			t.Errorf("Detect(%q) = %s, want nt fallback", text, c.Name())
+		if c := Detect([]byte(text)); c != NTriples {
+			t.Errorf("Detect(%q) = %T, want nt fallback", text, c)
 		}
+	}
+	if pack, _, _ := buildPack(t, 2); Detect(pack) != Pack {
+		t.Errorf("Detect(pack) = %T, want psk", Detect(pack))
 	}
 }
 
@@ -426,7 +429,7 @@ func TestTextTruncationExhaustive(t *testing.T) {
 			}
 			if into.Len() > g.Len() {
 				t.Fatalf("%s: prefix %d decoded MORE triples (%d) than the full file (%d)",
-					codec.Name(), n, into.Len(), g.Len())
+					codec.Ext(), n, into.Len(), g.Len())
 			}
 		}
 	}
@@ -460,14 +463,14 @@ func TestTextCodecsRoundTrip(t *testing.T) {
 	for _, c := range []Codec{NTriples, Turtle} {
 		var buf bytes.Buffer
 		if err := c.Encode(&buf, g, model.Namespaces()); err != nil {
-			t.Fatalf("%s encode: %v", c.Name(), err)
+			t.Fatalf("%s encode: %v", c.Ext(), err)
 		}
 		out := rdf.NewGraph()
 		if err := c.Decode(bytes.NewReader(buf.Bytes()), out); err != nil {
-			t.Fatalf("%s decode: %v", c.Name(), err)
+			t.Fatalf("%s decode: %v", c.Ext(), err)
 		}
 		if got := sortedNT(t, out); got != want {
-			t.Errorf("%s round trip changed the graph", c.Name())
+			t.Errorf("%s round trip changed the graph", c.Ext())
 		}
 	}
 }

@@ -38,20 +38,19 @@ import (
 //	  uvarint packStatsLen | pack stats payload         (0 = no stats)
 //
 // Member names keep their original store-file names; opaque members (chain
-// sidecar files, which are not RDF) ride along for the auditor and are
-// skipped by Decode. Stats payloads are stats frame payloads (stats.go): a
-// member's is its own frame's, byte for byte; the pack's is the union of its
-// members' contents. A pack written by this build holds only pbs v5 members
-// (PackSegments refuses an older one), so both are generation 2, and a read
-// takes no other pack (NeedsMigration). Packs of older builds are the audit's
-// and Compact's: before v5 every stats payload was generation 1, and a pack
-// of v4 and v5 members carries each member's own frame beside a generation 2
+// sidecar files, which are not RDF) ride along for the auditor. Stats
+// payloads are stats frame payloads (stats.go): a member's is its own
+// frame's, byte for byte; the pack's is the union of its members' contents.
+// A pack written by this build holds only pbs v5 members (PackSegments
+// refuses an older one), so both are generation 2, and a read takes no
+// other pack (NeedsMigration). Packs of older builds are the audit's and
+// Compact's: before v5 every stats payload was generation 1, and a pack of
+// v4 and v5 members carries each member's own frame beside a generation 2
 // union. CheckPackStats holds a header to its members.
 type packCodec struct{}
 
 var pskMagic = []byte{'P', 'S', 'K', 0x01}
 
-func (packCodec) Name() string  { return "psk" }
 func (packCodec) Ext() string   { return ".psk" }
 func (packCodec) Magic() []byte { return pskMagic }
 
@@ -61,35 +60,10 @@ func (packCodec) Encode(io.Writer, *rdf.Graph, *rdf.Namespaces) error {
 	return fmt.Errorf("segcodec: psk is a container format; build packs with EncodePack")
 }
 
-// Decode unions every RDF member of the pack into the graph, routing each
-// member through the codec its own magic bytes identify — so an exhaustive
-// (unpruned) read of a leveled store needs no pack-specific logic beyond
-// this method. Non-codec members (integrity sidecars) are skipped.
-func (packCodec) Decode(r io.Reader, into *rdf.Graph) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	h, err := DecodePackHeader(data)
-	if err != nil {
-		return err
-	}
-	if int64(len(data)) < h.WantSize {
-		return fmt.Errorf("%w: pack is %d bytes, header promises %d", ErrTruncated, len(data), h.WantSize)
-	}
-	if int64(len(data)) > h.WantSize {
-		return fmt.Errorf("%w: %d trailing bytes after pack body", ErrCorrupt, int64(len(data))-h.WantSize)
-	}
-	for _, m := range h.Members {
-		if _, ok := ByExt(filepath.Ext(m.Name)); !ok {
-			continue // opaque member (e.g. a chain sidecar)
-		}
-		seg := data[m.Off : m.Off+m.Size]
-		if err := Detect(seg).Decode(bytes.NewReader(seg), into); err != nil {
-			return fmt.Errorf("pack member %s: %w", m.Name, err)
-		}
-	}
-	return nil
+// Decode is not supported either: a pack is read through its header
+// (DecodePackHeader, CheckSize), and each member through its own decoder.
+func (packCodec) Decode(io.Reader, *rdf.Graph) error {
+	return fmt.Errorf("segcodec: psk is a container format; read packs with DecodePackHeader")
 }
 
 // PackEntry is one member handed to EncodePack.
@@ -249,6 +223,20 @@ func DecodePackHeader(data []byte) (*PackHeader, error) {
 	}
 	h.WantSize = off
 	return h, nil
+}
+
+// CheckSize holds the size of the pack's file to the size the header
+// implies, for the reader and the audit alike: shorter is a torn write
+// (ErrTruncated), longer is damage (ErrCorrupt).
+func (h *PackHeader) CheckSize(size int64) error {
+	if size == h.WantSize {
+		return nil
+	}
+	cause := ErrCorrupt
+	if size < h.WantSize {
+		cause = ErrTruncated
+	}
+	return fmt.Errorf("pack is %d bytes, header implies %d: %w", size, h.WantSize, cause)
 }
 
 // NeedsMigration returns ErrNeedsMigration for a pack only an older build

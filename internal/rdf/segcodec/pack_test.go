@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -49,17 +50,39 @@ func buildPack(t testing.TB, n int) ([]byte, *rdf.Graph, []PackEntry) {
 	return pack, union, entries
 }
 
-// TestPackRoundTrip: a pack decodes (through the registered codec machinery)
-// to the union of its RDF members, opaque members skipped; the header
-// reports verbatim member extents.
+// readPack reads a pack the way the store does: its header, the file's size
+// against it, then every pbs member through DecodeColumns, into one graph.
+// Opaque members (sidecars) are the audit's and are skipped.
+func readPack(data []byte) (*rdf.Graph, error) {
+	h, err := DecodePackHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := h.CheckSize(int64(len(data))); err != nil {
+		return nil, err
+	}
+	g := rdf.NewGraph()
+	for _, m := range h.Members {
+		if filepath.Ext(m.Name) != Binary.Ext() {
+			continue
+		}
+		c, err := DecodeColumns(data[m.Off : m.Off+m.Size])
+		if err != nil {
+			return nil, fmt.Errorf("pack member %s: %w", m.Name, err)
+		}
+		c.Materialize(g)
+	}
+	return g, nil
+}
+
+// TestPackRoundTrip: a pack read through its header and its members' own
+// decode is the union of its RDF members, opaque members skipped; the
+// header reports verbatim member extents.
 func TestPackRoundTrip(t *testing.T) {
 	pack, union, entries := buildPack(t, 5)
 
-	if c := Detect(pack); c.Name() != "psk" {
-		t.Fatalf("Detect(pack) = %s, want psk", c.Name())
-	}
-	got := rdf.NewGraph()
-	if err := Pack.Decode(bytes.NewReader(pack), got); err != nil {
+	got, err := readPack(pack)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if sortedNT(t, got) != sortedNT(t, union) {
@@ -120,21 +143,22 @@ func TestPackHeaderFromPrefix(t *testing.T) {
 }
 
 // TestPackCorruption: structural damage anywhere in the pack yields a
-// classified error from Decode, never wrong answers or panics.
+// classified error from its header, its size check or a member's decode,
+// never wrong answers or panics.
 func TestPackCorruption(t *testing.T) {
 	pack, _, _ := buildPack(t, 3)
-	if err := Pack.Decode(bytes.NewReader(pack[:len(pack)-3]), rdf.NewGraph()); !errors.Is(err, ErrTruncated) {
+	if _, err := readPack(pack[:len(pack)-3]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated pack: %v, want ErrTruncated", err)
 	}
-	if err := Pack.Decode(bytes.NewReader(append(append([]byte{}, pack...), 1)), rdf.NewGraph()); !errors.Is(err, ErrCorrupt) {
+	if _, err := readPack(append(append([]byte{}, pack...), 1)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte: %v, want ErrCorrupt", err)
 	}
 	for _, off := range []int{5, 9, 20, len(pack) / 2, len(pack) - 8} {
 		mut := append([]byte{}, pack...)
 		mut[off] ^= 0xFF
-		err := Pack.Decode(bytes.NewReader(mut), rdf.NewGraph())
+		_, err := readPack(mut)
 		if err == nil {
-			// A flip inside an opaque member's bytes is invisible to Decode
+			// A flip inside an opaque member's bytes is invisible to a read
 			// (those bytes are skipped); anywhere else it must fail.
 			h, herr := DecodePackHeader(pack)
 			if herr != nil {
@@ -194,19 +218,16 @@ func wrappingPack() []byte {
 }
 
 // TestPackHeaderRejectsWrappingSizes: a member size that carries the running
-// offset past int64 is ErrCorrupt, from the header parse and from a decode.
+// offset past int64 is ErrCorrupt, from the header parse.
 func TestPackHeaderRejectsWrappingSizes(t *testing.T) {
 	pack := wrappingPack()
 	if _, err := DecodePackHeader(pack); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "member 0 size 9223372036854775808 overflows") {
 		t.Fatalf("DecodePackHeader returned %v, want ErrCorrupt naming member 0's size", err)
 	}
-	if err := Pack.Decode(bytes.NewReader(pack), rdf.NewGraph()); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Pack.Decode returned %v, want ErrCorrupt", err)
-	}
 }
 
 // FuzzPackHeader: parsing a pack header never panics, and neither does
-// decoding the pack; an accepted header's extents are non-negative and
+// reading the pack through it; an accepted header's extents are non-negative and
 // contiguous from BodyOff to WantSize; and an accepted header is what
 // EncodePack writes — given the members' bytes, their stats and the level it
 // reports, EncodePack reproduces the file byte for byte.
@@ -223,7 +244,7 @@ func FuzzPackHeader(f *testing.F) {
 	}
 	f.Add(wrappingPack())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_ = Pack.Decode(bytes.NewReader(data), rdf.NewGraph())
+		_, _ = readPack(data)
 		h, err := DecodePackHeader(data)
 		if err != nil {
 			return

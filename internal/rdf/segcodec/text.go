@@ -12,7 +12,6 @@ import (
 // store reads through (its parser accepts the N-Triples/Turtle superset).
 type ntCodec struct{}
 
-func (ntCodec) Name() string  { return "nt" }
 func (ntCodec) Ext() string   { return ".nt" }
 func (ntCodec) Magic() []byte { return nil }
 
@@ -34,8 +33,7 @@ func (ntCodec) Decode(r io.Reader, into *rdf.Graph) error {
 // does: one parser reads the N-Triples/Turtle superset.
 type ttlCodec struct{ ntCodec }
 
-func (ttlCodec) Name() string { return "ttl" }
-func (ttlCodec) Ext() string  { return ".ttl" }
+func (ttlCodec) Ext() string { return ".ttl" }
 
 func (ttlCodec) Encode(w io.Writer, g *rdf.Graph, ns *rdf.Namespaces) error {
 	return rdf.WriteTurtle(w, g, ns)

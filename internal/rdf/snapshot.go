@@ -10,7 +10,7 @@ import (
 // Snapshot is an immutable read view of a Graph, pinned at a prefix of its
 // insertion log, and the home of the only adjacency index there is: the
 // graph itself keeps a log and a membership table (which no snapshot reads,
-// so a finished graph may Trim it), and its pattern scans delegate here.
+// so a sorted graph has none), and its pattern scans delegate here.
 // All scan methods run lock-free: a snapshot holds its own term table,
 // triple list, and (lazily built) adjacency index, none of which the live
 // graph ever mutates, so a long query touches the graph mutex exactly once

@@ -56,9 +56,10 @@ func sortedRandGraph(rng *rand.Rand, n int) (built, sorted *Graph) {
 
 // TestSortedGraphStaysWritable: a sorted graph starts with no slot table
 // and no membership table, answers TermID, TermOf and Has from its sorted
-// terms and its bisection cache, and after construction Intern, InternBytes, Add, AddBatch, AddRefs
-// and Merge behave as on the graph inserts built: a term it holds keeps its
-// ID, a logged triple is not added again, new terms and triples land.
+// terms and its bisection cache, and after construction Intern, InternBytes,
+// Add, AddBatch, AddRefs and Merge behave as on the graph inserts built: a
+// term it holds keeps its ID, a logged triple is not added again, new terms
+// and triples land, also from four writers racing Snapshot.
 func TestSortedGraphStaysWritable(t *testing.T) {
 	built, _ := sortedRandGraph(rand.New(rand.NewSource(29)), 600)
 	logged := built.SortedTriples()
@@ -163,6 +164,63 @@ func TestSortedGraphStaysWritable(t *testing.T) {
 	if !slices.Equal(into.SortedTriples(), want.SortedTriples()) {
 		t.Fatal("merging a sorted graph into a built one lost triples")
 	}
+
+	// Writers add overlapping batches to a sorted graph, whose first write
+	// builds its membership table, while Snapshot runs beside them (under
+	// -race): every triple lands once, and the graph holds what a serial run
+	// of the same batches holds.
+	const writers, batches = 4, 150
+	batch := func(w, i int) []Triple {
+		out := make([]Triple, 0, 6)
+		for k := 0; k < 6; k++ {
+			out = append(out, tr(fmt.Sprintf("s%d", (w+i+k)%40), fmt.Sprintf("p%d", k%3), fmt.Sprintf("o%d", (i*k)%50)))
+		}
+		return out
+	}
+	serial := built.Clone()
+	for w := 0; w < writers; w++ {
+		for i := 0; i < batches; i++ {
+			serial.AddBatch(batch(w, i))
+		}
+	}
+	conc := sortedOf(built)
+	var added [writers]int
+	var wg, side sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				added[w] += conc.AddBatch(batch(w, i))
+			}
+		}(w)
+	}
+	side.Add(1)
+	go func() {
+		defer side.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if s := conc.Snapshot(); s.Len() > conc.Len() {
+					t.Errorf("snapshot pins %d triples, beyond the log", s.Len())
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	side.Wait()
+	total := built.Len()
+	for _, n := range added {
+		total += n
+	}
+	if total != serial.Len() || conc.Len() != serial.Len() || !slices.Equal(conc.SortedTriples(), serial.SortedTriples()) {
+		t.Fatalf("concurrent writers reached %d triples (Len %d), a serial run %d", total, conc.Len(), serial.Len())
+	}
+	checkTable(t, conc)
 
 	// A reader racing the first Intern never misses a term of the sorted
 	// prefix: it either bisects the prefix or probes a table built whole.

@@ -10,9 +10,8 @@ import (
 // solution row is a fixed-width []rdf.ID register file indexed by the
 // plan's var→slot table (rdf.NoID = unbound), graph probes go through
 // ForEachMatchIDs, and DISTINCT/ORDER BY/aggregation compare raw IDs. Terms
-// are rehydrated — through a per-query cache — only for FILTER expressions,
-// ORDER BY comparisons between distinct IDs, aggregate arithmetic, and final
-// Result materialization. Fixed-width ID keys also close the
+// are rehydrated only for FILTER expressions, ORDER BY comparisons between
+// distinct IDs, aggregate arithmetic, and final Result materialization. Fixed-width ID keys also close the
 // separator-collision hazard of the legacy evaluator's string rowKey.
 //
 // Every operator of the pipeline is implemented exactly once, as a physOp
@@ -34,7 +33,6 @@ type executor struct {
 	g     Source
 	plan  *Plan
 	width int
-	cache map[rdf.ID]rdf.Term
 	// strs caches Term.String() per ID for ORDER BY comparisons — String
 	// re-renders on every call, which would otherwise dominate allocations
 	// when sorting large results.
@@ -51,10 +49,10 @@ type executor struct {
 }
 
 // newExecutor is the one construction site for executors: serial run,
-// per-worker, and merge executors all go through it, so the arena and
-// term-cache setup cannot drift between paths.
+// per-worker, and merge executors all go through it, so their setup cannot
+// drift between paths.
 func newExecutor(g Source, p *Plan) *executor {
-	return &executor{g: g, plan: p, width: len(p.vars), cache: make(map[rdf.ID]rdf.Term)}
+	return &executor{g: g, plan: p, width: len(p.vars)}
 }
 
 // arenaRows is the slab size of the row arena, in rows.
@@ -156,15 +154,8 @@ func clipIDRows(q *Query, rows []idRow) []idRow {
 	return rows
 }
 
-// term rehydrates an ID through the per-query cache.
-func (e *executor) term(id rdf.ID) rdf.Term {
-	if t, ok := e.cache[id]; ok {
-		return t
-	}
-	t := e.g.TermOf(id)
-	e.cache[id] = t
-	return t
-}
+// term rehydrates an ID from the source's dictionary.
+func (e *executor) term(id rdf.ID) rdf.Term { return e.g.TermOf(id) }
 
 // ---- aggregation ----
 
