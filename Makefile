@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-paper perf-smoke perf-compare experiments examples clean
+.PHONY: all build test vet race lines bench bench-paper perf-smoke perf-compare experiments examples clean
 
 all: build test
 
@@ -17,6 +17,14 @@ vet:
 
 race:
 	$(GO) test -race ./internal/mpi/ ./internal/vfs/ ./internal/par/ ./internal/rdf/ ./internal/rdf/segcodec/ ./internal/model/ ./internal/backend/ ./internal/faultfs/ ./internal/core/ ./internal/sparql/ ./internal/vol/
+
+# Non-test Go lines the way ROADMAP counts them: blank lines and whole-line
+# // comments excluded, bench/perf included. One line per package directory,
+# then the tree total.
+lines:
+	@find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | \
+		xargs awk '!/^[ \t]*(\/\/.*)?$$/ { d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++; total++ } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "LC_ALL=C sort -k2"; close("LC_ALL=C sort -k2"); printf "%7d  total\n", total }'
 
 # One iteration of every experiment benchmark at small scale.
 bench:

@@ -18,9 +18,9 @@ func storages(t *testing.T) map[string]Storage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMount(MountRoot,
-		Tier{Name: "hot", Hot: true, B: NewMem(), Root: MountRoot},
-		Tier{Name: "cold", Hot: false, B: NewMem(), Root: MountRoot},
+	m, err := NewMount(mountRoot,
+		Tier{Name: "hot", Hot: true, B: NewMem(), Root: mountRoot},
+		Tier{Name: "cold", Hot: false, B: NewMem(), Root: mountRoot},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -34,9 +34,9 @@ func storages(t *testing.T) map[string]Storage {
 
 func TestStorageContract(t *testing.T) {
 	// Dir gets the same suite via a TempDir root below; the in-memory family
-	// shares MountRoot-style absolute paths.
+	// shares mountRoot-style absolute paths.
 	for name, b := range storages(t) {
-		t.Run(name, func(t *testing.T) { contractSuite(t, b, MountRoot) })
+		t.Run(name, func(t *testing.T) { contractSuite(t, b, mountRoot) })
 	}
 	t.Run("dir", func(t *testing.T) { contractSuite(t, Dir{}, filepath.Join(t.TempDir(), "prov")) })
 }
@@ -137,19 +137,19 @@ func TestArchiveReopenReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.MkdirAll(MountRoot); err != nil {
+	if err := a.MkdirAll(mountRoot); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WriteFile(MountRoot+"/a.nt", []byte("one")); err != nil {
+	if err := a.WriteFile(mountRoot+"/a.nt", []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WriteFile(MountRoot+"/b.nt", []byte("two")); err != nil {
+	if err := a.WriteFile(mountRoot+"/b.nt", []byte("two")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WriteFile(MountRoot+"/a.nt", []byte("three")); err != nil {
+	if err := a.WriteFile(mountRoot+"/a.nt", []byte("three")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Remove(MountRoot + "/b.nt"); err != nil {
+	if err := a.Remove(mountRoot + "/b.nt"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,13 +157,13 @@ func TestArchiveReopenReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data, err := re.ReadFile(MountRoot + "/a.nt"); err != nil || string(data) != "three" {
+	if data, err := re.ReadFile(mountRoot + "/a.nt"); err != nil || string(data) != "three" {
 		t.Fatalf("replayed a.nt = %q, %v", data, err)
 	}
-	if _, err := re.ReadFile(MountRoot + "/b.nt"); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := re.ReadFile(mountRoot + "/b.nt"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("deleted file resurrected: %v", err)
 	}
-	names, err := re.List(MountRoot)
+	names, err := re.List(mountRoot)
 	if err != nil || !reflect.DeepEqual(names, []string{"a.nt"}) {
 		t.Fatalf("List = %v, %v", names, err)
 	}
@@ -171,7 +171,7 @@ func TestArchiveReopenReplay(t *testing.T) {
 	// Reopening must not have grown the journal (MkdirAll of an existing dir
 	// appends nothing).
 	before, _ := os.Stat(path)
-	if err := re.MkdirAll(MountRoot); err != nil {
+	if err := re.MkdirAll(mountRoot); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := os.Stat(path)
@@ -186,13 +186,13 @@ func TestArchiveTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WriteFile(MountRoot+"/a.nt", []byte("keep")); err != nil {
+	if err := a.WriteFile(mountRoot+"/a.nt", []byte("keep")); err != nil {
 		t.Fatal(err)
 	}
 	good, _ := os.Stat(path)
 
 	// Simulate a crash mid-append: a torn copy of a frame at the tail.
-	frame := encodeFrame(opPut, MountRoot+"/b.nt", []byte("torn away"))
+	frame := encodeFrame(opPut, mountRoot+"/b.nt", []byte("torn away"))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -206,22 +206,22 @@ func TestArchiveTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn tail should not fail open: %v", err)
 	}
-	if data, err := re.ReadFile(MountRoot + "/a.nt"); err != nil || string(data) != "keep" {
+	if data, err := re.ReadFile(mountRoot + "/a.nt"); err != nil || string(data) != "keep" {
 		t.Fatalf("pre-crash data lost: %q, %v", data, err)
 	}
-	if _, err := re.ReadFile(MountRoot + "/b.nt"); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := re.ReadFile(mountRoot + "/b.nt"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("torn frame applied: %v", err)
 	}
 
 	// The next mutation truncates the wreckage and lands cleanly.
-	if err := re.WriteFile(MountRoot+"/c.nt", []byte("fresh")); err != nil {
+	if err := re.WriteFile(mountRoot+"/c.nt", []byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
 	re2, err := OpenArchive(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data, err := re2.ReadFile(MountRoot + "/c.nt"); err != nil || string(data) != "fresh" {
+	if data, err := re2.ReadFile(mountRoot + "/c.nt"); err != nil || string(data) != "fresh" {
 		t.Fatalf("post-recovery write lost: %q, %v", data, err)
 	}
 	if fi, _ := os.Stat(path); fi.Size() <= good.Size() {
@@ -235,10 +235,10 @@ func TestArchiveInteriorCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WriteFile(MountRoot+"/a.nt", []byte("first")); err != nil {
+	if err := a.WriteFile(mountRoot+"/a.nt", []byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WriteFile(MountRoot+"/b.nt", []byte("second")); err != nil {
+	if err := a.WriteFile(mountRoot+"/b.nt", []byte("second")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -249,7 +249,7 @@ func TestArchiveInteriorCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastFrame := int64(len(raw)) - int64(len(encodeFrame(opPut, MountRoot+"/b.nt", []byte("second"))))
+	lastFrame := int64(len(raw)) - int64(len(encodeFrame(opPut, mountRoot+"/b.nt", []byte("second"))))
 	for off := int64(len(archiveMagic)); off < lastFrame; off++ {
 		bad := append([]byte(nil), raw...)
 		bad[off] ^= 0x40
@@ -272,10 +272,10 @@ func TestArchiveInteriorCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("damaged final frame should open as torn tail: %v", err)
 	}
-	if data, err := re.ReadFile(MountRoot + "/a.nt"); err != nil || string(data) != "first" {
+	if data, err := re.ReadFile(mountRoot + "/a.nt"); err != nil || string(data) != "first" {
 		t.Fatalf("pre-damage data lost: %q, %v", data, err)
 	}
-	if _, err := re.ReadFile(MountRoot + "/b.nt"); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := re.ReadFile(mountRoot + "/b.nt"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("damaged frame applied: %v", err)
 	}
 }
@@ -296,19 +296,19 @@ func TestArchiveVacuum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.MkdirAll(MountRoot); err != nil {
+	if err := a.MkdirAll(mountRoot); err != nil {
 		t.Fatal(err)
 	}
 	// Pile up superseded frames.
 	for i := 0; i < 20; i++ {
-		if err := a.WriteFile(MountRoot+"/a.nt", []byte(strings.Repeat("x", 512))); err != nil {
+		if err := a.WriteFile(mountRoot+"/a.nt", []byte(strings.Repeat("x", 512))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := a.WriteFile(MountRoot+"/gone.nt", []byte("doomed")); err != nil {
+	if err := a.WriteFile(mountRoot+"/gone.nt", []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Remove(MountRoot + "/gone.nt"); err != nil {
+	if err := a.Remove(mountRoot + "/gone.nt"); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := os.Stat(path)
@@ -321,10 +321,10 @@ func TestArchiveVacuum(t *testing.T) {
 	}
 	// State is intact both live and across a reopen.
 	for _, b := range []Storage{a, mustReopen(t, path)} {
-		if data, err := b.ReadFile(MountRoot + "/a.nt"); err != nil || len(data) != 512 {
+		if data, err := b.ReadFile(mountRoot + "/a.nt"); err != nil || len(data) != 512 {
 			t.Fatalf("post-vacuum read = %d bytes, %v", len(data), err)
 		}
-		if _, err := b.ReadFile(MountRoot + "/gone.nt"); !errors.Is(err, fs.ErrNotExist) {
+		if _, err := b.ReadFile(mountRoot + "/gone.nt"); !errors.Is(err, fs.ErrNotExist) {
 			t.Fatalf("vacuum resurrected deleted file: %v", err)
 		}
 	}
@@ -342,14 +342,14 @@ func mustReopen(t *testing.T, path string) *Archive {
 func testMount(t *testing.T) (*Mount, *Mem, *Mem) {
 	t.Helper()
 	hot, cold := NewMem(), NewMem()
-	m, err := NewMount(MountRoot,
+	m, err := NewMount(mountRoot,
 		Tier{Name: "hot", Hot: true, B: hot, Root: "/hot"},
 		Tier{Name: "cold", Hot: false, B: cold, Root: "/cold"},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MkdirAll(MountRoot); err != nil {
+	if err := m.MkdirAll(mountRoot); err != nil {
 		t.Fatal(err)
 	}
 	return m, hot, cold
@@ -357,10 +357,10 @@ func testMount(t *testing.T) (*Mount, *Mem, *Mem) {
 
 func TestMountRouting(t *testing.T) {
 	m, hot, cold := testMount(t)
-	if err := m.WriteFile(MountRoot+"/prov_p000001.seg0001.nt", []byte("delta")); err != nil {
+	if err := m.WriteFile(mountRoot+"/prov_p000001.seg0001.nt", []byte("delta")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WriteFile(MountRoot+"/prov_p000001.nt", []byte("canonical")); err != nil {
+	if err := m.WriteFile(mountRoot+"/prov_p000001.nt", []byte("canonical")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := hot.ReadFile("/hot/prov_p000001.seg0001.nt"); err != nil {
@@ -370,14 +370,14 @@ func TestMountRouting(t *testing.T) {
 		t.Fatalf("canonical not routed cold: %v", err)
 	}
 	// Sidecars follow their file class.
-	if err := m.WriteFile(MountRoot+"/prov_p000001.seg0001.sum", []byte("h")); err != nil {
+	if err := m.WriteFile(mountRoot+"/prov_p000001.seg0001.sum", []byte("h")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := hot.ReadFile("/hot/prov_p000001.seg0001.sum"); err != nil {
 		t.Fatalf("segment sidecar not routed hot: %v", err)
 	}
 
-	names, err := m.List(MountRoot)
+	names, err := m.List(mountRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,18 +394,18 @@ func TestMountFallbackAndMisplaced(t *testing.T) {
 	if err := hot.WriteFile("/hot/prov_p000002.nt", []byte("old home")); err != nil {
 		t.Fatal(err)
 	}
-	if data, err := m.ReadFile(MountRoot + "/prov_p000002.nt"); err != nil || string(data) != "old home" {
+	if data, err := m.ReadFile(mountRoot + "/prov_p000002.nt"); err != nil || string(data) != "old home" {
 		t.Fatalf("fallback read = %q, %v", data, err)
 	}
-	if n, err := m.Stat(MountRoot + "/prov_p000002.nt"); err != nil || n != 8 {
+	if n, err := m.Stat(mountRoot + "/prov_p000002.nt"); err != nil || n != 8 {
 		t.Fatalf("fallback stat = %d, %v", n, err)
 	}
-	if !m.Misplaced(MountRoot + "/prov_p000002.nt") {
+	if !m.Misplaced(mountRoot + "/prov_p000002.nt") {
 		t.Fatal("canonical on hot tier not reported misplaced")
 	}
 
 	// Writing through the mount homes it and cleans the stale copy.
-	if err := m.WriteFile(MountRoot+"/prov_p000002.nt", []byte("new home")); err != nil {
+	if err := m.WriteFile(mountRoot+"/prov_p000002.nt", []byte("new home")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := hot.ReadFile("/hot/prov_p000002.nt"); !errors.Is(err, fs.ErrNotExist) {
@@ -414,10 +414,10 @@ func TestMountFallbackAndMisplaced(t *testing.T) {
 	if data, _ := cold.ReadFile("/cold/prov_p000002.nt"); string(data) != "new home" {
 		t.Fatalf("cold copy = %q", data)
 	}
-	if m.Misplaced(MountRoot + "/prov_p000002.nt") {
+	if m.Misplaced(mountRoot + "/prov_p000002.nt") {
 		t.Fatal("homed file still reported misplaced")
 	}
-	if m.Misplaced(MountRoot + "/never.nt") {
+	if m.Misplaced(mountRoot + "/never.nt") {
 		t.Fatal("absent file reported misplaced")
 	}
 }
@@ -431,10 +431,10 @@ func TestMountRemoveAllTiers(t *testing.T) {
 	if err := cold.WriteFile("/cold/x.nt", []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Remove(MountRoot + "/x.nt"); err != nil {
+	if err := m.Remove(mountRoot + "/x.nt"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Stat(MountRoot + "/x.nt"); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := m.Stat(mountRoot + "/x.nt"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("copy survived Remove: %v", err)
 	}
 }
@@ -448,9 +448,9 @@ func TestMountCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := NewMount(MountRoot,
+	m2, err := NewMount(mountRoot,
 		Tier{Name: "hot", Hot: true, B: Dir{}, Root: t.TempDir()},
-		Tier{Name: "cold", Hot: false, B: a, Root: MountRoot},
+		Tier{Name: "cold", Hot: false, B: a, Root: mountRoot},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -461,10 +461,10 @@ func TestMountCaps(t *testing.T) {
 }
 
 func TestNewMountNeedsBothClasses(t *testing.T) {
-	if _, err := NewMount(MountRoot, Tier{Hot: true, B: NewMem(), Root: "/a"}); err == nil {
+	if _, err := NewMount(mountRoot, Tier{Hot: true, B: NewMem(), Root: "/a"}); err == nil {
 		t.Fatal("hot-only mount accepted")
 	}
-	if _, err := NewMount(MountRoot, Tier{Hot: false, B: NewMem(), Root: "/a"}); err == nil {
+	if _, err := NewMount(mountRoot, Tier{Hot: false, B: NewMem(), Root: "/a"}); err == nil {
 		t.Fatal("cold-only mount accepted")
 	}
 }
@@ -522,7 +522,7 @@ func TestSpecOpen(t *testing.T) {
 	}
 
 	b, root, err = Open("mem:")
-	if err != nil || root != MountRoot {
+	if err != nil || root != mountRoot {
 		t.Fatalf("mem open: root=%q err=%v", root, err)
 	}
 	if _, ok := b.(*Mem); !ok {
@@ -531,7 +531,7 @@ func TestSpecOpen(t *testing.T) {
 
 	pvs := filepath.Join(dir, "s.pvs")
 	b, root, err = Open("file:" + pvs)
-	if err != nil || root != MountRoot {
+	if err != nil || root != mountRoot {
 		t.Fatalf("file open: root=%q err=%v", root, err)
 	}
 	if a, ok := b.(*Archive); !ok || a.Path() != pvs {
@@ -539,14 +539,14 @@ func TestSpecOpen(t *testing.T) {
 	}
 
 	b, root, err = Open("mount:hot=mem:,cold=file:" + pvs)
-	if err != nil || root != MountRoot {
+	if err != nil || root != mountRoot {
 		t.Fatalf("mount open: root=%q err=%v", root, err)
 	}
 	m, ok := b.(*Mount)
 	if !ok {
 		t.Fatalf("mount spec opened %T", b)
 	}
-	tiers := m.Tiers()
+	tiers := m.tiers
 	if len(tiers) != 2 || !tiers[0].Hot || tiers[1].Hot {
 		t.Fatalf("mount tiers = %+v", tiers)
 	}

@@ -60,9 +60,6 @@ func NewMount(root string, tiers ...Tier) (*Mount, error) {
 	return m, nil
 }
 
-// Tiers returns the mount's tiers in routing order.
-func (m *Mount) Tiers() []Tier { return append([]Tier(nil), m.tiers...) }
-
 // rewrite maps a logical path into tier t's namespace.
 func (m *Mount) rewrite(t Tier, path string) string {
 	if rest, ok := strings.CutPrefix(path, m.root); ok && (rest == "" || strings.HasPrefix(rest, "/")) {

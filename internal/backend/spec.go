@@ -5,10 +5,10 @@ import (
 	"strings"
 )
 
-// MountRoot is the logical store directory used whenever a backend has no
+// mountRoot is the logical store directory used whenever a backend has no
 // host-filesystem root of its own (mem:, file:, mount: specs). Dir stores
 // keep using their real path so existing on-disk layouts stay addressable.
-const MountRoot = "/prov"
+const mountRoot = "/prov"
 
 // Spec is a parsed store spec string. Parsing is pure — no backend is opened
 // and no I/O happens — so config validation can reject a bad spec without
@@ -135,19 +135,19 @@ func (s Spec) String() string {
 // Open constructs the backend the spec describes and returns it together
 // with the logical store directory to pass to the store layer. Directory
 // stores keep their on-disk path as the store directory; every other scheme
-// uses MountRoot.
+// uses mountRoot.
 func (s Spec) Open() (Storage, string, error) {
 	switch s.Scheme {
 	case "dir":
 		return Dir{}, strings.TrimSuffix(s.Path, "/"), nil
 	case "mem":
-		return NewMem(), MountRoot, nil
+		return NewMem(), mountRoot, nil
 	case "file":
 		a, err := OpenArchive(s.Path)
 		if err != nil {
 			return nil, "", err
 		}
-		return a, MountRoot, nil
+		return a, mountRoot, nil
 	case "mount":
 		hot, err := s.Hot.tier("hot", true)
 		if err != nil {
@@ -157,11 +157,11 @@ func (s Spec) Open() (Storage, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		m, err := NewMount(MountRoot, hot, cold)
+		m, err := NewMount(mountRoot, hot, cold)
 		if err != nil {
 			return nil, "", err
 		}
-		return m, MountRoot, nil
+		return m, mountRoot, nil
 	default:
 		return nil, "", fmt.Errorf("backend: cannot open store spec with scheme %q", s.Scheme)
 	}

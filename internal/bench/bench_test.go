@@ -49,7 +49,7 @@ func TestRegistryCoversEveryPaperExhibit(t *testing.T) {
 		t.Fatalf("IDs = %v", ids)
 	}
 	for _, id := range want {
-		if _, ok := Lookup(id); !ok {
+		if _, ok := registry[id]; !ok {
 			t.Errorf("experiment %s missing", id)
 		}
 	}

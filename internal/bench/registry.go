@@ -6,11 +6,8 @@ import (
 	"strings"
 )
 
-// Runner executes one experiment at a scale.
-type Runner func(Scale) (*Report, error)
-
-// registry maps experiment IDs to runners, in paper order.
-var registry = map[string]Runner{
+// registry maps experiment IDs to the runners that execute them at a scale.
+var registry = map[string]func(Scale) (*Report, error){
 	"table1": Table1,
 	"table2": Table2,
 	"table3": Table3,
@@ -52,12 +49,6 @@ func IDs() []string {
 	out := make([]string, len(order))
 	copy(out, order)
 	return out
-}
-
-// Lookup returns the runner for an experiment ID.
-func Lookup(id string) (Runner, bool) {
-	r, ok := registry[id]
-	return r, ok
 }
 
 // Run executes one experiment by ID.

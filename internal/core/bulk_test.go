@@ -533,7 +533,7 @@ func TestCloseEncodesTermSpaceBytes(t *testing.T) {
 	var got []byte
 	for n, data := range storeFiles(t, store) {
 		if strings.HasSuffix(n, ".pbs") {
-			got = segcodec.StripChain(data)
+			got = stripChain(data)
 		}
 	}
 	if !bytes.Equal(got, want.Bytes()) {

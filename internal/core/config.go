@@ -159,20 +159,6 @@ func (c *Config) EnabledClasses() []string {
 	return out
 }
 
-// StoreSpec resolves the config's store selection to a spec string: the
-// store key verbatim when set, otherwise the StoreDir directory.
-func (c *Config) StoreSpec() string {
-	if c.Store != "" {
-		return c.Store
-	}
-	return "dir:" + c.StoreDir
-}
-
-// OpenStore opens the store the config selects.
-func (c *Config) OpenStore() (*Store, error) {
-	return OpenStore(c.StoreSpec(), c.Format)
-}
-
 // Clone returns a deep copy.
 func (c *Config) Clone() *Config {
 	nc := *c

@@ -92,15 +92,12 @@ disable = Open
 		cfg.Mode != ModePeriodic || cfg.FlushEvery != 128 || !cfg.Duration {
 		t.Errorf("config = %+v", cfg)
 	}
-	if got := cfg.StoreSpec(); got != "dir:/run1/prov" {
-		t.Errorf("StoreSpec() = %q, want store_dir as a dir: alias", got)
-	}
 	cfg2, err := LoadConfig(strings.NewReader("store = mount:hot=mem:,cold=file:/hist.pvs\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg2.StoreSpec(); got != "mount:hot=mem:,cold=file:/hist.pvs" {
-		t.Errorf("StoreSpec() = %q, want the configured spec verbatim", got)
+	if got := cfg2.Store; got != "mount:hot=mem:,cold=file:/hist.pvs" {
+		t.Errorf("Store = %q, want the configured spec verbatim", got)
 	}
 	if !cfg.Enabled(model.Create) || !cfg.Enabled(model.File) {
 		t.Error("track/enable lists not applied")

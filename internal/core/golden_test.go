@@ -96,7 +96,7 @@ func TestGoldenMergedRoundTrip(t *testing.T) {
 	}
 	checkGolden(t, "golden_merged.nt", nt.Bytes())
 
-	fromNT, err := rdf.ParseNTriples(bytes.NewReader(nt.Bytes()))
+	fromNT, _, err := rdf.ParseTurtle(bytes.NewReader(nt.Bytes()))
 	if err != nil {
 		t.Fatalf("parsing our own N-Triples: %v", err)
 	}

@@ -614,6 +614,26 @@ func TestEncoderWritesCurrentVersion(t *testing.T) {
 	}
 }
 
+// stripChain returns a binary segment without its trailing chain frame, the
+// unsealed file an older build wrote; other bytes come back unchanged.
+func stripChain(data []byte) []byte {
+	if !bytes.HasPrefix(data, segcodec.Binary.Magic()) {
+		return data
+	}
+	for off, frame := 4, 0; off < len(data); frame++ {
+		n, k := binary.Uvarint(data[off:])
+		end := off + k + int(n) + 4
+		if k <= 0 || end > len(data) {
+			return data
+		}
+		if frame >= 2 && end == len(data) && bytes.HasPrefix(data[off+k:], []byte("CHN\x01")) {
+			return data[:off]
+		}
+		off = end
+	}
+	return data
+}
+
 // statsFrameAt returns where a binary segment's stats frame starts and ends:
 // the frame after the dictionary and triple blocks.
 func statsFrameAt(t *testing.T, data []byte) (start, end int) {

@@ -112,8 +112,8 @@ type ScanStats struct {
 	CacheBudgetBytes   int64  `json:"cache_budget_bytes,omitempty"`
 }
 
-// CacheHitRatio returns the cache hit fraction, or -1 when no lazy read ran.
-func (st *ScanStats) CacheHitRatio() float64 {
+// cacheHitRatio returns the cache hit fraction, or -1 when no lazy read ran.
+func (st *ScanStats) cacheHitRatio() float64 {
 	total := st.CacheHits + st.CacheMisses
 	if total == 0 {
 		return -1
@@ -160,7 +160,7 @@ func (st *ScanStats) String() string {
 	}
 	if st.CacheHits+st.CacheMisses > 0 {
 		fmt.Fprintf(&b, "; cache %d hit / %d miss (%.0f%%), %d evicted, %d bytes resident",
-			st.CacheHits, st.CacheMisses, 100*st.CacheHitRatio(), st.CacheEvictions, st.CacheResidentBytes)
+			st.CacheHits, st.CacheMisses, 100*st.cacheHitRatio(), st.CacheEvictions, st.CacheResidentBytes)
 		if st.CacheBudgetBytes > 0 {
 			fmt.Fprintf(&b, " of %d budget", st.CacheBudgetBytes)
 		}

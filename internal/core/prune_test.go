@@ -191,7 +191,7 @@ func TestMixedFormatPruningNeverDropsResults(t *testing.T) {
 	v1, _ := legacyStoreFiles(t, 1, "loose")
 	old := v1["prov_p000000.pbs"]
 	start, end := statsFrameAt(t, old)
-	combined["prov_p000004.pbs"] = segcodec.StripChain(append(old[:start:start], old[end:]...))
+	combined["prov_p000004.pbs"] = stripChain(append(old[:start:start], old[end:]...))
 	want := rdf.NewGraph()
 	for _, g := range []*rdf.Graph{mustMerge(t, twin), mustMerge(t, binary)} {
 		want.Merge(g)

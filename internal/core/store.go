@@ -160,9 +160,6 @@ func OpenStore(spec string, format Format) (*Store, error) {
 	return NewStore(b, dir, format)
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Backend returns the store's backend.
 func (s *Store) Backend() StoreBackend { return s.backend }
 

@@ -122,9 +122,6 @@ func (t *Tracker) WithClock(clock *simclock.Clock, cost simclock.CostModel) *Tra
 // Config returns the tracker's configuration.
 func (t *Tracker) Config() *Config { return t.cfg }
 
-// PID returns the tracked process ID.
-func (t *Tracker) PID() int { return t.pid }
-
 // Graph returns the live in-memory sub-graph. Callers must treat it as
 // read-only.
 func (t *Tracker) Graph() *rdf.Graph { return t.graph }

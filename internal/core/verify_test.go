@@ -176,7 +176,7 @@ func TestVerifyLegacyUnsealedTolerated(t *testing.T) {
 				if filepath.Ext(n) == ".sum" {
 					continue
 				}
-				legacy[n] = segcodec.StripChain(data)
+				legacy[n] = stripChain(data)
 			}
 			lstore := openDir(t, legacy)
 			rep := mustVerify(t, lstore)
@@ -464,7 +464,7 @@ func TestVerifyCurrentSegmentWithoutStatsIsTruncated(t *testing.T) {
 	sealed := storeFiles(t, store)
 	unsealed := map[string][]byte{}
 	for name, data := range sealed {
-		unsealed[name] = segcodec.StripChain(data)
+		unsealed[name] = stripChain(data)
 	}
 	for what, clean := range map[string]map[string][]byte{"sealed": sealed, "unsealed": unsealed} {
 		var last string

@@ -14,8 +14,6 @@ import (
 const (
 	ProvNS   = "http://www.w3.org/ns/prov#"
 	ProvIONS = "https://github.com/hpc-io/prov-io/ns#"
-	RDFNS    = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-	XSDNS    = "http://www.w3.org/2001/XMLSchema#"
 )
 
 // Namespaces returns the prefix table bound to the PROV-IO vocabulary.
@@ -23,8 +21,8 @@ func Namespaces() *rdf.Namespaces {
 	ns := rdf.NewNamespaces()
 	ns.Bind("prov", ProvNS)
 	ns.Bind("provio", ProvIONS)
-	ns.Bind("rdf", RDFNS)
-	ns.Bind("xsd", XSDNS)
+	ns.Bind("rdf", "http://www.w3.org/1999/02/22-rdf-syntax-ns#")
+	ns.Bind("xsd", "http://www.w3.org/2001/XMLSchema#")
 	return ns
 }
 
@@ -37,7 +35,7 @@ const (
 	SuperActivity
 	SuperAgent
 	SuperExtensible
-	SuperRelation
+	superRelation
 )
 
 // String returns the super-class name as used in the paper.
@@ -51,7 +49,7 @@ func (s Super) String() string {
 		return "Agent"
 	case SuperExtensible:
 		return "Extensible Class"
-	case SuperRelation:
+	case superRelation:
 		return "Relation"
 	default:
 		return "Unknown"
@@ -267,24 +265,8 @@ func IORelationFor(api Class) (Relation, bool) {
 
 // The static vocabulary terms that are neither a Class nor a Relation.
 var (
-	_, vocabRDFType                  = staticTerm(rdf.RDFType)
-	superEntityTerm, vocabEntity     = staticTerm(ProvNS + "Entity")
-	superActivityTerm, vocabActivity = staticTerm(ProvNS + "Activity")
-	superAgentTerm, vocabAgent       = staticTerm(ProvNS + "Agent")
-	superExtensibleTerm              = rdf.IRI(ProvIONS + "ExtensibleClass")
+	_, vocabRDFType  = staticTerm(rdf.RDFType)
+	_, vocabEntity   = staticTerm(ProvNS + "Entity")
+	_, vocabActivity = staticTerm(ProvNS + "Activity")
+	_, vocabAgent    = staticTerm(ProvNS + "Agent")
 )
-
-// SuperIRI returns the W3C PROV super-class IRI for a sub-class, used for
-// prov:wasMemberOf membership triples.
-func SuperIRI(s Super) rdf.Term {
-	switch s {
-	case SuperEntity:
-		return superEntityTerm
-	case SuperActivity:
-		return superActivityTerm
-	case SuperAgent:
-		return superAgentTerm
-	default:
-		return superExtensibleTerm
-	}
-}

@@ -60,7 +60,7 @@ func TestClassByName(t *testing.T) {
 func TestSuperString(t *testing.T) {
 	cases := map[Super]string{
 		SuperEntity: "Entity", SuperActivity: "Activity", SuperAgent: "Agent",
-		SuperExtensible: "Extensible Class", SuperRelation: "Relation", Super(99): "Unknown",
+		SuperExtensible: "Extensible Class", superRelation: "Relation", Super(99): "Unknown",
 	}
 	for s, want := range cases {
 		if got := s.String(); got != want {
@@ -172,7 +172,7 @@ func TestDataObjectRecordTriples(t *testing.T) {
 	if !g.Has(rdf.Triple{S: node, P: rdf.IRI(rdf.RDFType), O: Dataset.IRI()}) {
 		t.Error("missing rdf:type triple")
 	}
-	if !g.Has(rdf.Triple{S: node, P: WasMemberOf.IRI(), O: SuperIRI(SuperEntity)}) {
+	if !g.Has(rdf.Triple{S: node, P: WasMemberOf.IRI(), O: rdf.IRI(ProvNS + "Entity")}) {
 		t.Error("missing membership triple")
 	}
 	if !g.Has(rdf.Triple{S: node, P: PropName.IRI(), O: rdf.Literal("/Timestep_0/x")}) {

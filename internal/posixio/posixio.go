@@ -3,8 +3,8 @@
 // provenance-collecting shim in front of a vfs view; every operation is
 // forwarded unchanged — the wrapper never alters I/O semantics — while the
 // PROV-IO Library is invoked with the corresponding Activity and Data Object
-// records. Like the original wrapper, it is configurable: construction reads
-// environment-style options that can disable interposition entirely.
+// records. Like the original wrapper, it is configurable: its Options can
+// disable interposition entirely or skip the per-call data path.
 package posixio
 
 import (
@@ -37,32 +37,18 @@ func (a Agent) agent() rdf.Term {
 	}
 }
 
-// Options configure the wrapper, mirroring the environment variables the C
-// prototype reads.
+// Options configure the wrapper.
 type Options struct {
-	// Disabled turns the wrapper into a pure passthrough (PROVIO_POSIX=off).
+	// Disabled turns the wrapper into a pure passthrough.
 	Disabled bool
 	// TrackData controls whether individual read/write calls are tracked;
 	// metadata operations (open, rename, fsync, ...) are always tracked
-	// when enabled (PROVIO_POSIX_DATA=off disables the hot path).
+	// when enabled.
 	TrackData bool
 }
 
 // DefaultOptions tracks everything.
 func DefaultOptions() Options { return Options{TrackData: true} }
-
-// OptionsFromEnv builds Options from a lookup function (pass os.LookupEnv in
-// real deployments; tests pass a map lookup).
-func OptionsFromEnv(lookup func(string) (string, bool)) Options {
-	opts := DefaultOptions()
-	if v, ok := lookup("PROVIO_POSIX"); ok && (v == "off" || v == "0" || v == "false") {
-		opts.Disabled = true
-	}
-	if v, ok := lookup("PROVIO_POSIX_DATA"); ok && (v == "off" || v == "0" || v == "false") {
-		opts.TrackData = false
-	}
-	return opts
-}
 
 // FS is the wrapped filesystem handle.
 type FS struct {

@@ -206,23 +206,6 @@ func TestWrapperDataTrackingOff(t *testing.T) {
 	}
 }
 
-func TestOptionsFromEnv(t *testing.T) {
-	env := map[string]string{"PROVIO_POSIX": "off"}
-	lookup := func(k string) (string, bool) { v, ok := env[k]; return v, ok }
-	if opts := OptionsFromEnv(lookup); !opts.Disabled {
-		t.Error("PROVIO_POSIX=off not honored")
-	}
-	env = map[string]string{"PROVIO_POSIX_DATA": "false"}
-	if opts := OptionsFromEnv(lookup); opts.TrackData {
-		t.Error("PROVIO_POSIX_DATA=false not honored")
-	}
-	env = map[string]string{}
-	opts := OptionsFromEnv(lookup)
-	if opts.Disabled || !opts.TrackData {
-		t.Errorf("default env opts = %+v", opts)
-	}
-}
-
 func TestWrapperErrorsNotTracked(t *testing.T) {
 	w, tr, _ := setup(t, DefaultOptions())
 	before := tr.Graph().Len()

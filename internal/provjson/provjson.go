@@ -25,75 +25,75 @@ import (
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
 
-// Document is a W3C PROV-JSON document.
-type Document struct {
+// document is a W3C PROV-JSON document.
+type document struct {
 	Prefix            map[string]string          `json:"prefix,omitempty"`
-	Entity            map[string]Attrs           `json:"entity,omitempty"`
-	Activity          map[string]Attrs           `json:"activity,omitempty"`
-	Agent             map[string]Attrs           `json:"agent,omitempty"`
-	WasDerivedFrom    map[string]DerivationEdge  `json:"wasDerivedFrom,omitempty"`
-	WasAttributedTo   map[string]AttributionEdge `json:"wasAttributedTo,omitempty"`
-	WasAssociatedWith map[string]AssociationEdge `json:"wasAssociatedWith,omitempty"`
-	ActedOnBehalfOf   map[string]DelegationEdge  `json:"actedOnBehalfOf,omitempty"`
-	Used              map[string]UsageEdge       `json:"used,omitempty"`
-	WasGeneratedBy    map[string]GenerationEdge  `json:"wasGeneratedBy,omitempty"`
+	Entity            map[string]attrs           `json:"entity,omitempty"`
+	Activity          map[string]attrs           `json:"activity,omitempty"`
+	Agent             map[string]attrs           `json:"agent,omitempty"`
+	WasDerivedFrom    map[string]derivationEdge  `json:"wasDerivedFrom,omitempty"`
+	WasAttributedTo   map[string]attributionEdge `json:"wasAttributedTo,omitempty"`
+	WasAssociatedWith map[string]associationEdge `json:"wasAssociatedWith,omitempty"`
+	ActedOnBehalfOf   map[string]delegationEdge  `json:"actedOnBehalfOf,omitempty"`
+	Used              map[string]usageEdge       `json:"used,omitempty"`
+	WasGeneratedBy    map[string]generationEdge  `json:"wasGeneratedBy,omitempty"`
 }
 
-// Attrs is a node's attribute map.
-type Attrs map[string]any
+// attrs is a node's attribute map.
+type attrs map[string]any
 
-// DerivationEdge is one prov:wasDerivedFrom record.
-type DerivationEdge struct {
+// derivationEdge is one prov:wasDerivedFrom record.
+type derivationEdge struct {
 	GeneratedEntity string `json:"prov:generatedEntity"`
 	UsedEntity      string `json:"prov:usedEntity"`
 }
 
-// AttributionEdge is one prov:wasAttributedTo record.
-type AttributionEdge struct {
+// attributionEdge is one prov:wasAttributedTo record.
+type attributionEdge struct {
 	Entity string `json:"prov:entity"`
 	Agent  string `json:"prov:agent"`
 }
 
-// AssociationEdge is one prov:wasAssociatedWith record.
-type AssociationEdge struct {
+// associationEdge is one prov:wasAssociatedWith record.
+type associationEdge struct {
 	Activity string `json:"prov:activity"`
 	Agent    string `json:"prov:agent"`
 }
 
-// DelegationEdge is one prov:actedOnBehalfOf record.
-type DelegationEdge struct {
+// delegationEdge is one prov:actedOnBehalfOf record.
+type delegationEdge struct {
 	Delegate    string `json:"prov:delegate"`
 	Responsible string `json:"prov:responsible"`
 }
 
-// UsageEdge is one prov:used record.
-type UsageEdge struct {
+// usageEdge is one prov:used record.
+type usageEdge struct {
 	Activity string `json:"prov:activity"`
 	Entity   string `json:"prov:entity"`
 }
 
-// GenerationEdge is one prov:wasGeneratedBy record.
-type GenerationEdge struct {
+// generationEdge is one prov:wasGeneratedBy record.
+type generationEdge struct {
 	Entity   string `json:"prov:entity"`
 	Activity string `json:"prov:activity"`
 }
 
-// Export builds the PROV-JSON document for a provenance graph.
-func Export(g *rdf.Graph) *Document {
-	doc := &Document{
+// export builds the PROV-JSON document for a provenance graph.
+func export(g *rdf.Graph) *document {
+	doc := &document{
 		Prefix: map[string]string{
 			"prov":   model.ProvNS,
 			"provio": model.ProvIONS,
 		},
-		Entity:            map[string]Attrs{},
-		Activity:          map[string]Attrs{},
-		Agent:             map[string]Attrs{},
-		WasDerivedFrom:    map[string]DerivationEdge{},
-		WasAttributedTo:   map[string]AttributionEdge{},
-		WasAssociatedWith: map[string]AssociationEdge{},
-		ActedOnBehalfOf:   map[string]DelegationEdge{},
-		Used:              map[string]UsageEdge{},
-		WasGeneratedBy:    map[string]GenerationEdge{},
+		Entity:            map[string]attrs{},
+		Activity:          map[string]attrs{},
+		Agent:             map[string]attrs{},
+		WasDerivedFrom:    map[string]derivationEdge{},
+		WasAttributedTo:   map[string]attributionEdge{},
+		WasAssociatedWith: map[string]associationEdge{},
+		ActedOnBehalfOf:   map[string]delegationEdge{},
+		Used:              map[string]usageEdge{},
+		WasGeneratedBy:    map[string]generationEdge{},
 	}
 
 	// Classify nodes.
@@ -124,7 +124,7 @@ func Export(g *rdf.Graph) *Document {
 		return iri
 	}
 
-	section := func(iri string) map[string]Attrs {
+	section := func(iri string) map[string]attrs {
 		switch superOf[iri] {
 		case model.SuperEntity, model.SuperExtensible:
 			return doc.Entity
@@ -142,16 +142,16 @@ func Export(g *rdf.Graph) *Document {
 		if sec == nil {
 			continue
 		}
-		attrs := Attrs{"prov:type": "provio:" + cls}
+		a := attrs{"prov:type": "provio:" + cls}
 		node := rdf.IRI(iri)
 		g.ForEachMatch(&node, nil, nil, func(t rdf.Triple) bool {
 			if !t.O.IsLiteral() || !strings.HasPrefix(t.P.Value, model.ProvIONS) {
 				return true
 			}
-			attrs[qid(t.P.Value)] = t.O.Value
+			a[qid(t.P.Value)] = t.O.Value
 			return true
 		})
-		sec[qid(iri)] = attrs
+		sec[qid(iri)] = a
 	}
 
 	// Relation sections. Edge IDs are deterministic counters per section.
@@ -182,18 +182,18 @@ func Export(g *rdf.Graph) *Document {
 	}
 
 	collect(model.WasDerivedFrom.IRI(), func(s, o string) {
-		doc.WasDerivedFrom[edgeID("wdf")] = DerivationEdge{
+		doc.WasDerivedFrom[edgeID("wdf")] = derivationEdge{
 			GeneratedEntity: qid(s), UsedEntity: qid(o),
 		}
 	})
 	collect(model.WasAttributedTo.IRI(), func(s, o string) {
-		doc.WasAttributedTo[edgeID("wat")] = AttributionEdge{Entity: qid(s), Agent: qid(o)}
+		doc.WasAttributedTo[edgeID("wat")] = attributionEdge{Entity: qid(s), Agent: qid(o)}
 	})
 	collect(model.AssociatedWith.IRI(), func(s, o string) {
-		doc.WasAssociatedWith[edgeID("waw")] = AssociationEdge{Activity: qid(s), Agent: qid(o)}
+		doc.WasAssociatedWith[edgeID("waw")] = associationEdge{Activity: qid(s), Agent: qid(o)}
 	})
 	collect(model.ActedOnBehalfOf.IRI(), func(s, o string) {
-		doc.ActedOnBehalfOf[edgeID("aob")] = DelegationEdge{Delegate: qid(s), Responsible: qid(o)}
+		doc.ActedOnBehalfOf[edgeID("aob")] = delegationEdge{Delegate: qid(s), Responsible: qid(o)}
 	})
 
 	// PROV-IO I/O relations → core PROV usage/generation. The subject is
@@ -202,25 +202,20 @@ func Export(g *rdf.Graph) *Document {
 	use := []model.Relation{model.WasOpenedBy, model.WasReadBy}
 	for _, rel := range generate {
 		collect(rel.IRI(), func(obj, act string) {
-			doc.WasGeneratedBy[edgeID("wgb")] = GenerationEdge{Entity: qid(obj), Activity: qid(act)}
+			doc.WasGeneratedBy[edgeID("wgb")] = generationEdge{Entity: qid(obj), Activity: qid(act)}
 		})
 	}
 	for _, rel := range use {
 		collect(rel.IRI(), func(obj, act string) {
-			doc.Used[edgeID("use")] = UsageEdge{Activity: qid(act), Entity: qid(obj)}
+			doc.Used[edgeID("use")] = usageEdge{Activity: qid(act), Entity: qid(obj)}
 		})
 	}
 	return doc
 }
 
-// Write serializes the document as indented JSON.
-func Write(w io.Writer, doc *Document) error {
+// ExportTo writes the PROV-JSON document for g to w as indented JSON.
+func ExportTo(w io.Writer, g *rdf.Graph) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// ExportTo exports g directly to w.
-func ExportTo(w io.Writer, g *rdf.Graph) error {
-	return Write(w, Export(g))
+	return enc.Encode(export(g))
 }

@@ -25,7 +25,7 @@ func sampleGraph() *rdf.Graph {
 }
 
 func TestExportSections(t *testing.T) {
-	doc := Export(sampleGraph())
+	doc := export(sampleGraph())
 	if len(doc.Entity) != 2 {
 		t.Errorf("entities = %d, want 2 (file, dataset)", len(doc.Entity))
 	}
@@ -56,8 +56,8 @@ func TestExportSections(t *testing.T) {
 }
 
 func TestExportNodeAttributes(t *testing.T) {
-	doc := Export(sampleGraph())
-	var fileAttrs Attrs
+	doc := export(sampleGraph())
+	var fileAttrs attrs
 	for id, a := range doc.Entity {
 		if a["provio:name"] == "/f.h5" {
 			fileAttrs = a
@@ -98,18 +98,18 @@ func TestExportValidJSONAndDeterministic(t *testing.T) {
 }
 
 func TestExportEmptyGraph(t *testing.T) {
-	doc := Export(rdf.NewGraph())
+	doc := export(rdf.NewGraph())
 	if len(doc.Entity)+len(doc.Activity)+len(doc.Agent) != 0 {
 		t.Error("empty graph produced nodes")
 	}
 	var sb strings.Builder
-	if err := Write(&sb, doc); err != nil {
+	if err := ExportTo(&sb, rdf.NewGraph()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEdgeDirections(t *testing.T) {
-	doc := Export(sampleGraph())
+	doc := export(sampleGraph())
 	for _, e := range doc.WasGeneratedBy {
 		if !strings.Contains(e.Activity, "H5Dcreate2") {
 			t.Errorf("generation activity = %q", e.Activity)

@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -154,7 +153,7 @@ func (w *Workflow) emit(r Record) {
 	for k, v := range w.ctx {
 		r.WorkflowCtx[k] = v
 	}
-	data, err := json.Marshal(sortedRecord(r))
+	data, err := json.Marshal(r)
 	if err != nil {
 		// Records are built from marshalable primitives; a failure is a
 		// programming error worth surfacing loudly in experiments.
@@ -171,11 +170,6 @@ func (w *Workflow) emit(r Record) {
 	}
 }
 
-// sortedRecord normalizes map ordering for deterministic output sizes.
-// encoding/json already sorts map keys, so this is the identity; kept as a
-// named seam for future canonicalization.
-func sortedRecord(r Record) Record { return r }
-
 // Stats returns the record and byte counts so far.
 func (w *Workflow) Stats() (records, bytes int64) {
 	w.mu.Lock()
@@ -189,83 +183,4 @@ func (w *Workflow) Close() error {
 	data := append([]byte(nil), w.buf.Bytes()...)
 	w.mu.Unlock()
 	return w.view.WriteFile(w.path, data)
-}
-
-// StorageBytes returns the persisted size.
-func (w *Workflow) StorageBytes() (int64, error) {
-	info, err := w.view.Stat(w.path)
-	if err != nil {
-		return 0, err
-	}
-	return info.Size, nil
-}
-
-// Load parses a persisted JSON-lines provenance file back into records,
-// for query-side tests.
-func Load(view *vfs.View, path string) ([]Record, error) {
-	data, err := view.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []Record
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for dec.More() {
-		var r Record
-		if err := dec.Decode(&r); err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// QueryAccuracies extracts (version, accuracy) pairs from point records —
-// the baseline's answer to the Top Reco provenance need, used to verify the
-// two systems return equivalent information.
-func QueryAccuracies(recs []Record) map[int]float64 {
-	out := map[int]float64{}
-	for _, r := range recs {
-		if r.Kind != "point" || r.Out == nil {
-			continue
-		}
-		v, vok := toInt(r.Out["epoch"])
-		a, aok := toFloat(r.Out["accuracy"])
-		if vok && aok {
-			out[v] = a
-		}
-	}
-	return out
-}
-
-func toInt(v any) (int, bool) {
-	switch x := v.(type) {
-	case int:
-		return x, true
-	case float64:
-		return int(x), true
-	default:
-		return 0, false
-	}
-}
-
-func toFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case int:
-		return float64(x), true
-	default:
-		return 0, false
-	}
-}
-
-// SortRecords orders records by task sequence then kind, for deterministic
-// assertions.
-func SortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].TaskSeq != recs[j].TaskSeq {
-			return recs[i].TaskSeq < recs[j].TaskSeq
-		}
-		return recs[i].Kind < recs[j].Kind
-	})
 }

@@ -1,7 +1,10 @@
 package provlake
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"sort"
 	"testing"
 
 	"github.com/hpc-io/prov-io/internal/simclock"
@@ -29,14 +32,14 @@ func TestTaskLifecycleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := Load(view, "/prov.jsonl")
+	recs, err := load(view, "/prov.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 5 { // begin + 3 points + end
 		t.Fatalf("records = %d, want 5", len(recs))
 	}
-	SortRecords(recs)
+	sortRecords(recs)
 	for _, r := range recs {
 		if r.Workflow != "topreco" {
 			t.Errorf("workflow = %q", r.Workflow)
@@ -45,7 +48,7 @@ func TestTaskLifecycleRoundTrip(t *testing.T) {
 			t.Errorf("record lacks embedded context: %v", r.WorkflowCtx)
 		}
 	}
-	accs := QueryAccuracies(recs)
+	accs := queryAccuracies(recs)
 	if len(accs) != 3 || accs[2] != 0.9 {
 		t.Errorf("accuracies = %v", accs)
 	}
@@ -132,23 +135,23 @@ func TestStorageBytesMatchesFile(t *testing.T) {
 	if err := wf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	onDisk, err := wf.StorageBytes()
+	onDisk, err := storageBytes(wf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, tracked := wf.Stats()
 	if onDisk != tracked {
-		t.Errorf("StorageBytes = %d, Stats bytes = %d", onDisk, tracked)
+		t.Errorf("storageBytes = %d, Stats bytes = %d", onDisk, tracked)
 	}
 }
 
 func TestLoadRejectsCorrupt(t *testing.T) {
 	view := vfs.NewStore().NewView()
 	view.WriteFile("/bad.jsonl", []byte("{not json}\n"))
-	if _, err := Load(view, "/bad.jsonl"); err == nil {
+	if _, err := load(view, "/bad.jsonl"); err == nil {
 		t.Error("corrupt file loaded without error")
 	}
-	if _, err := Load(view, "/missing.jsonl"); err == nil {
+	if _, err := load(view, "/missing.jsonl"); err == nil {
 		t.Error("missing file loaded without error")
 	}
 }
@@ -160,7 +163,7 @@ func TestTaskSequencing(t *testing.T) {
 	t1.End(nil)
 	t2.End(nil)
 	wf.Close()
-	recs, _ := Load(view, "/prov.jsonl")
+	recs, _ := load(view, "/prov.jsonl")
 	seqs := map[string]int{}
 	for _, r := range recs {
 		if r.Kind == "task_begin" {
@@ -170,4 +173,82 @@ func TestTaskSequencing(t *testing.T) {
 	if seqs["a"] == seqs["b"] || seqs["a"] == 0 || seqs["b"] == 0 {
 		t.Errorf("task sequences = %v", seqs)
 	}
+}
+
+// storageBytes returns the persisted size of w's document.
+func storageBytes(w *Workflow) (int64, error) {
+	info, err := w.view.Stat(w.path)
+	if err != nil {
+		return 0, err
+	}
+	return info.Size, nil
+}
+
+// load parses a persisted JSON-lines provenance file back into records.
+func load(view *vfs.View, path string) ([]Record, error) {
+	data, err := view.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var out []Record
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for dec.More() {
+		var r Record
+		if err := dec.Decode(&r); err != nil {
+			return nil, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// queryAccuracies extracts (version, accuracy) pairs from point records —
+// the baseline's answer to the Top Reco provenance need, used to verify the
+// two systems return equivalent information.
+func queryAccuracies(recs []Record) map[int]float64 {
+	out := map[int]float64{}
+	for _, r := range recs {
+		if r.Kind != "point" || r.Out == nil {
+			continue
+		}
+		v, vok := toInt(r.Out["epoch"])
+		a, aok := toFloat(r.Out["accuracy"])
+		if vok && aok {
+			out[v] = a
+		}
+	}
+	return out
+}
+
+func toInt(v any) (int, bool) {
+	switch x := v.(type) {
+	case int:
+		return x, true
+	case float64:
+		return int(x), true
+	default:
+		return 0, false
+	}
+}
+
+func toFloat(v any) (float64, bool) {
+	switch x := v.(type) {
+	case float64:
+		return x, true
+	case int:
+		return float64(x), true
+	default:
+		return 0, false
+	}
+}
+
+// sortRecords orders records by task sequence then kind, for deterministic
+// assertions.
+func sortRecords(recs []Record) {
+	sort.Slice(recs, func(i, j int) bool {
+		if recs[i].TaskSeq != recs[j].TaskSeq {
+			return recs[i].TaskSeq < recs[j].TaskSeq
+		}
+		return recs[i].Kind < recs[j].Kind
+	})
 }

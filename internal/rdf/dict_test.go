@@ -114,7 +114,7 @@ func adversarialTerm(a, b, c byte) Term {
 	switch v := int(c); {
 	case v < 48: // plain: the common case stays common
 	case v == 48:
-		t.Datatype = XSDString
+		t.Datatype = xsdString
 	case v == 49:
 		t.Datatype = XSDInteger
 	case v == 50:
@@ -176,7 +176,7 @@ func TestDictModelEquivalence(t *testing.T) {
 	// Distinct by struct equality, every one of them.
 	for _, term := range []Term{
 		Literal(""), IRI(""), Blank(""),
-		Literal("1"), {Kind: LiteralTerm, Value: "1", Datatype: XSDString}, Integer(1),
+		Literal("1"), {Kind: LiteralTerm, Value: "1", Datatype: xsdString}, Integer(1),
 		LangLiteral("1", "en"), {Kind: LiteralTerm, Value: "1", Datatype: "en"},
 	} {
 		m.lookup(term)

@@ -8,13 +8,13 @@ import (
 	"unicode/utf8"
 )
 
-// ParseError describes a syntax error with its line number.
-type ParseError struct {
+// parseError describes a syntax error with its line number.
+type parseError struct {
 	Line int
 	Msg  string
 }
 
-func (e *ParseError) Error() string {
+func (e *parseError) Error() string {
 	return fmt.Sprintf("rdf: parse error at line %d: %s", e.Line, e.Msg)
 }
 
@@ -35,13 +35,6 @@ func ParseTurtle(r io.Reader) (*Graph, *Namespaces, error) {
 	return p.g, p.ns, nil
 }
 
-// ParseNTriples parses an N-Triples document (a strict Turtle subset) into a
-// new graph.
-func ParseNTriples(r io.Reader) (*Graph, error) {
-	g, _, err := ParseTurtle(r)
-	return g, err
-}
-
 type turtleParser struct {
 	src  string
 	pos  int
@@ -51,7 +44,7 @@ type turtleParser struct {
 }
 
 func (p *turtleParser) errf(format string, args ...any) error {
-	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
+	return &parseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *turtleParser) eof() bool { return p.pos >= len(p.src) }

@@ -27,8 +27,8 @@ import (
 //
 // Text formats cannot carry a binary footer, so their seal lives in a
 // sidecar file (see internal/core's chain sidecars); this package only
-// defines the embedded-footer form and the helpers to add, read, and strip
-// it.
+// defines the embedded-footer form and the helper that appends it; the
+// binary codec's frame reader reads it back.
 type Chain struct {
 	Root bool
 	Seq  uint64
@@ -88,55 +88,4 @@ func parseChainPayload(p []byte) (Chain, error) {
 	}
 	copy(c.Prev[:], p)
 	return c, nil
-}
-
-// chainSplit locates the embedded chain frame of a binary segment: it walks
-// the magic and the two data frames and, if a structurally valid chain frame
-// follows, returns the byte offset where it starts. ok is false when the
-// file carries no (valid, final) chain frame.
-func chainSplit(data []byte) (off int, c Chain, ok bool) {
-	_, rest, err := pbsBody(data)
-	if err != nil {
-		return 0, Chain{}, false
-	}
-	if _, rest, _ = readFrame(rest); rest == nil {
-		return 0, Chain{}, false
-	}
-	if _, rest, _ = readFrame(rest); rest == nil {
-		return 0, Chain{}, false
-	}
-	// Skip the optional stats frame so the seal stays the final frame.
-	if fp, after, err := readFrame(rest); err == nil && bytes.HasPrefix(fp, staTag) {
-		rest = after
-	}
-	off = len(data) - len(rest)
-	if len(rest) == 0 {
-		return 0, Chain{}, false
-	}
-	payload, rest, err := readFrame(rest)
-	if err != nil || len(rest) != 0 {
-		return 0, Chain{}, false
-	}
-	c, perr := parseChainPayload(payload)
-	if perr != nil {
-		return 0, Chain{}, false
-	}
-	return off, c, true
-}
-
-// ChainOf extracts the embedded chain seal of a binary segment file.
-// ok is false for unsealed, non-binary, or damaged files.
-func ChainOf(data []byte) (Chain, bool) {
-	_, c, ok := chainSplit(data)
-	return c, ok
-}
-
-// StripChain returns data without its embedded chain frame (data itself when
-// no valid trailing chain frame is present). The result is the canonical
-// frame sequence Encode produces.
-func StripChain(data []byte) []byte {
-	if off, _, ok := chainSplit(data); ok {
-		return data[:off]
-	}
-	return data
 }

@@ -29,12 +29,12 @@ func TestChainRoundTrip(t *testing.T) {
 	}
 	data := sealedSegment(t, want)
 
-	got, ok := ChainOf(data)
+	got, ok := chainOf(data)
 	if !ok {
-		t.Fatal("ChainOf: no chain found in sealed segment")
+		t.Fatal("chainOf: no chain found in sealed segment")
 	}
 	if got != want {
-		t.Fatalf("ChainOf = %+v, want %+v", got, want)
+		t.Fatalf("chainOf = %+v, want %+v", got, want)
 	}
 	if want.PrevIsZero() {
 		t.Fatal("PrevIsZero true for non-zero prev")
@@ -52,19 +52,19 @@ func TestChainRoundTrip(t *testing.T) {
 	if into.Len() != 2 {
 		t.Fatalf("sealed segment decoded %d triples, want 2", into.Len())
 	}
-	stripped := StripChain(data)
+	stripped := stripChain(data)
 	var re bytes.Buffer
 	if err := Binary.Encode(&re, into, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(stripped, re.Bytes()) {
-		t.Fatal("StripChain does not recover the canonical encoding")
+		t.Fatal("stripChain does not recover the canonical encoding")
 	}
-	if _, ok := ChainOf(stripped); ok {
-		t.Fatal("ChainOf found a chain in a stripped segment")
+	if _, ok := chainOf(stripped); ok {
+		t.Fatal("chainOf found a chain in a stripped segment")
 	}
-	if !bytes.Equal(StripChain(stripped), stripped) {
-		t.Fatal("StripChain of an unsealed segment must be the identity")
+	if !bytes.Equal(stripChain(stripped), stripped) {
+		t.Fatal("stripChain of an unsealed segment must be the identity")
 	}
 }
 
@@ -73,11 +73,11 @@ func TestChainFrameDamage(t *testing.T) {
 
 	// Flipping any byte of the chain frame must make the file unreadable or
 	// the seal unreadable — never silently yield a different seal.
-	body := StripChain(data)
+	body := stripChain(data)
 	for i := len(body); i < len(data); i++ {
 		mut := append([]byte{}, data...)
 		mut[i] ^= 0x40
-		c, ok := ChainOf(mut)
+		c, ok := chainOf(mut)
 		if ok && c == (Chain{Seq: 3}) {
 			t.Fatalf("byte %d: flipped chain frame still reads as the original seal", i)
 		}
@@ -94,9 +94,9 @@ func TestChainFrameDamage(t *testing.T) {
 	if err := Binary.Decode(bytes.NewReader(double), rdf.NewGraph()); err == nil {
 		t.Fatal("Decode accepted two chain frames")
 	}
-	// ChainOf must also refuse: the walk expects the chain frame to be final.
-	if _, ok := ChainOf(double); ok {
-		t.Fatal("ChainOf accepted a double-sealed segment")
+	// chainOf must also refuse: the walk expects the chain frame to be final.
+	if _, ok := chainOf(double); ok {
+		t.Fatal("chainOf accepted a double-sealed segment")
 	}
 }
 
@@ -125,7 +125,7 @@ func TestChainTruncationClassified(t *testing.T) {
 // AppendChain of what it would decode to writes other bytes.
 func TestChainSeqHasOneSpelling(t *testing.T) {
 	canonical := sealedSegment(t, Chain{Seq: 7})
-	body := StripChain(canonical)
+	body := stripChain(canonical)
 	payload := append(append(slices.Clone(chainMagic), 0, 0x87, 0x00), make([]byte, 32)...)
 	padded := appendFrame(slices.Clone(body), payload)
 	if bytes.Equal(padded, canonical) {
@@ -134,10 +134,61 @@ func TestChainSeqHasOneSpelling(t *testing.T) {
 	if _, err := DecodeColumns(padded); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "chain frame: seq: bad uvarint") {
 		t.Fatalf("DecodeColumns returned %v, want ErrCorrupt naming the seq", err)
 	}
-	if c, ok := ChainOf(padded); ok {
-		t.Fatalf("ChainOf read the padded seal as %+v", c)
+	if c, ok := chainOf(padded); ok {
+		t.Fatalf("chainOf read the padded seal as %+v", c)
 	}
 	if c, err := DecodeColumns(canonical); err != nil || c.Chain == nil || c.Chain.Seq != 7 {
 		t.Fatalf("the canonical seal: %v", err)
 	}
+}
+
+// chainSplit locates the embedded chain frame of a binary segment: it walks
+// the magic and the two data frames and, if a structurally valid chain frame
+// follows, returns the byte offset where it starts. ok is false when the
+// file carries no (valid, final) chain frame.
+func chainSplit(data []byte) (off int, c Chain, ok bool) {
+	_, rest, err := pbsBody(data)
+	if err != nil {
+		return 0, Chain{}, false
+	}
+	if _, rest, _ = readFrame(rest); rest == nil {
+		return 0, Chain{}, false
+	}
+	if _, rest, _ = readFrame(rest); rest == nil {
+		return 0, Chain{}, false
+	}
+	// Skip the optional stats frame so the seal stays the final frame.
+	if fp, after, err := readFrame(rest); err == nil && bytes.HasPrefix(fp, staTag) {
+		rest = after
+	}
+	off = len(data) - len(rest)
+	if len(rest) == 0 {
+		return 0, Chain{}, false
+	}
+	payload, rest, err := readFrame(rest)
+	if err != nil || len(rest) != 0 {
+		return 0, Chain{}, false
+	}
+	c, perr := parseChainPayload(payload)
+	if perr != nil {
+		return 0, Chain{}, false
+	}
+	return off, c, true
+}
+
+// chainOf extracts the embedded chain seal of a binary segment file.
+// ok is false for unsealed, non-binary, or damaged files.
+func chainOf(data []byte) (Chain, bool) {
+	_, c, ok := chainSplit(data)
+	return c, ok
+}
+
+// stripChain returns data without its embedded chain frame (data itself when
+// no valid trailing chain frame is present). The result is the canonical
+// frame sequence Encode produces.
+func stripChain(data []byte) []byte {
+	if off, _, ok := chainSplit(data); ok {
+		return data[:off]
+	}
+	return data
 }

@@ -79,8 +79,8 @@ func TestUnknownVersionIsClassified(t *testing.T) {
 		}
 		sealed := AppendChain(good, Chain{Root: true})
 		sealed[3] = v
-		if _, ok := ChainOf(sealed); ok {
-			t.Errorf("version %d: ChainOf read a seal", v)
+		if _, ok := chainOf(sealed); ok {
+			t.Errorf("version %d: chainOf read a seal", v)
 		}
 		if _, err := StatsOf(data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
 			t.Errorf("version %d: StatsOf returned %v, want ErrCorrupt: %s", v, err, want)

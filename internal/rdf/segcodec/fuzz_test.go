@@ -124,7 +124,7 @@ func FuzzSegcodecDecode(f *testing.F) {
 				t.Fatalf("re-encode of accepted input failed: %v", err)
 			}
 			canon := re.Bytes()
-			ch, sealed := ChainOf(data)
+			ch, sealed := chainOf(data)
 			if sealed {
 				canon = AppendChain(canon, ch)
 			}
@@ -156,12 +156,12 @@ func FuzzSegcodecDecode(f *testing.F) {
 		// Accepted current input must re-encode to the identical bytes once
 		// any chain seal is stripped: the payload format is canonical, its
 		// stats frame included (Decode rejects a missing or mismatched one),
-		// so encode(decode(x)) == StripChain(x) for any accepted x, and a
+		// so encode(decode(x)) == stripChain(x) for any accepted x, and a
 		// seal survives a decode/strip round-trip unchanged.
-		if sc := StripChain(data); !bytes.Equal(canon, sc) {
+		if sc := stripChain(data); !bytes.Equal(canon, sc) {
 			t.Fatalf("accepted input is not canonical: %d payload bytes in, %d bytes re-encoded", len(sc), re.Len())
 		}
-		if ch, ok := ChainOf(data); ok {
+		if ch, ok := chainOf(data); ok {
 			resealed := AppendChain(canon, ch)
 			if !bytes.Equal(resealed, data) {
 				t.Fatal("seal did not survive the decode/re-seal round-trip")

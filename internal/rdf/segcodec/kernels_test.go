@@ -70,7 +70,7 @@ func TestRowSortMatchesOracle(t *testing.T) {
 func hostileTerms(rng *rand.Rand, n int) []rdf.Term {
 	alphabet := []byte{0x00, 'a', 'b', 0x7f, 0x80, 0xc3, 0xff}
 	langs := []string{"", "en", "en-US", "\xff"}
-	dts := []string{"", rdf.XSDInteger, rdf.XSDString, "urn:dt"}
+	dts := []string{"", rdf.XSDInteger, "http://www.w3.org/2001/XMLSchema#string", "urn:dt"}
 	terms := make([]rdf.Term, n)
 	for i := range terms {
 		v := make([]byte, rng.Intn(5))

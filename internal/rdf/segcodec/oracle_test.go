@@ -365,7 +365,7 @@ func oracleStatsFrame(terms []rdf.Term, tris [][3]uint32) []byte {
 	filter := newBloom(len(terms) - len(nums))
 	for _, t := range terms {
 		if _, ok := oracleNumeric(&t); !ok {
-			filter.Add(t)
+			filter.add(t)
 		}
 	}
 	b.WriteByte(filter.K)

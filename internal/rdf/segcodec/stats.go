@@ -120,8 +120,8 @@ type Bloom struct {
 	Bits []byte
 }
 
-// Empty reports whether the filter is absent.
-func (b Bloom) Empty() bool { return len(b.Bits) == 0 }
+// empty reports whether the filter is absent.
+func (b Bloom) empty() bool { return len(b.Bits) == 0 }
 
 // newBloom returns a filter sized for n terms.
 func newBloom(n int) Bloom {
@@ -139,8 +139,8 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// termHash is the 64-bit FNV-1a over a term's identity. With Add and Has it
-// is the definition of the filter; addTerms builds the same bits faster.
+// termHash is the 64-bit FNV-1a over a term's identity. With has it is the
+// definition of the filter; addTerms sets the bits has probes.
 func termHash(t rdf.Term) uint64 {
 	h := uint64(fnvOffset)
 	step := func(s string) {
@@ -159,20 +159,9 @@ func termHash(t rdf.Term) uint64 {
 	return h
 }
 
-// Add sets the term's bits.
-func (b Bloom) Add(t rdf.Term) {
-	h := termHash(t)
-	h1, h2 := uint32(h), uint32(h>>32)|1
-	m := uint32(len(b.Bits) * 8)
-	for i := uint32(0); i < uint32(b.K); i++ {
-		idx := (h1 + i*h2) % m
-		b.Bits[idx/8] |= 1 << (idx % 8)
-	}
-}
-
-// Has reports whether the term may be in the set (false = definitely not).
-func (b Bloom) Has(t rdf.Term) bool {
-	if b.Empty() {
+// has reports whether the term may be in the set (false = definitely not).
+func (b Bloom) has(t rdf.Term) bool {
+	if b.empty() {
 		return true
 	}
 	h := termHash(t)
@@ -247,7 +236,7 @@ func (st *SegStats) addNumeric(v int64) {
 	st.NumMin, st.NumMax = min(st.NumMin, v), max(st.NumMax, v)
 }
 
-// addTerms sets the bits Add sets for each of the terms, in any order, but
+// addTerms sets the bits has probes for each of the terms, in any order, but
 // for those whose bit in skip is set (nil skips none). The hashes go through
 // a buffer on the stack, a stretch of consecutive terms at a time; a stretch
 // restarts the prefix walk, which costs one term's full hash per stretch.
@@ -279,7 +268,7 @@ func eachRun(n int, skip []uint64, most int, f func(i, j int)) {
 	}
 }
 
-// bloomSetter sets the bits Add sets for a term, given its termHash. The
+// bloomSetter sets the bits has probes for a term, given its termHash. The
 // seven reductions modulo the filter size multiply by one reciprocal, exact
 // for 32-bit operands (Lemire's fastmod), instead of dividing.
 type bloomSetter struct {
@@ -648,7 +637,7 @@ func (st *SegStats) encode() []byte {
 	if st.Preds != nil {
 		flags |= staPreds
 	}
-	if !st.Bloom.Empty() {
+	if !st.Bloom.empty() {
 		flags |= staBloom
 	}
 	if st.NumOK {
@@ -687,7 +676,7 @@ func (st *SegStats) encode() []byte {
 		b = binary.AppendVarint(b, st.NumMin)
 		b = binary.AppendUvarint(b, uint64(st.NumMax)-uint64(st.NumMin))
 	}
-	if !st.Bloom.Empty() {
+	if !st.Bloom.empty() {
 		b = append(b, st.Bloom.K)
 		b = binary.AppendUvarint(b, uint64(len(st.Bloom.Bits)))
 		b = append(b, st.Bloom.Bits...)
@@ -944,7 +933,7 @@ func (st *SegStats) mayHold(t *rdf.Term) bool {
 			return st.NumMin <= v && v <= st.NumMax
 		}
 	}
-	return st.Bloom.Has(*t)
+	return st.Bloom.has(*t)
 }
 
 // StatsOf returns a pbs v5 file's stats frame, which a read prunes on

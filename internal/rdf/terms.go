@@ -27,7 +27,7 @@ const (
 
 // Common XSD datatype IRIs.
 const (
-	XSDString  = "http://www.w3.org/2001/XMLSchema#string"
+	xsdString  = "http://www.w3.org/2001/XMLSchema#string"
 	XSDInteger = "http://www.w3.org/2001/XMLSchema#integer"
 	XSDDouble  = "http://www.w3.org/2001/XMLSchema#double"
 	XSDBoolean = "http://www.w3.org/2001/XMLSchema#boolean"
@@ -68,7 +68,7 @@ func LangLiteral(lexical, lang string) Term {
 
 // TypedLiteral returns a literal with an explicit datatype IRI.
 func TypedLiteral(lexical, datatype string) Term {
-	if datatype == XSDString {
+	if datatype == xsdString {
 		datatype = ""
 	}
 	return Term{Kind: LiteralTerm, Value: lexical, Datatype: datatype}
@@ -214,7 +214,7 @@ func textError(t Term) error {
 		why = "literal has both a language tag and a datatype"
 	case t.Lang != "" && !isLangTag(t.Lang):
 		why = "language tag is not letters, digits and '-'"
-	case t.Datatype == XSDString:
+	case t.Datatype == xsdString:
 		why = "an xsd:string literal has no datatype"
 	}
 	if why == "" {

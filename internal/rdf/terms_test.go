@@ -48,8 +48,8 @@ func TestTermKindPredicates(t *testing.T) {
 
 func TestTypedLiteralStringCollapses(t *testing.T) {
 	// xsd:string typed literals are normalized to plain literals so that
-	// Literal("a") and TypedLiteral("a", XSDString) compare equal.
-	if TypedLiteral("a", XSDString) != Literal("a") {
+	// Literal("a") and TypedLiteral("a", xsdString) compare equal.
+	if TypedLiteral("a", xsdString) != Literal("a") {
 		t.Error("xsd:string literal did not collapse to plain literal")
 	}
 }
@@ -144,7 +144,7 @@ func TestLiteralEscapeRoundTrip(t *testing.T) {
 		if err := WriteNTriples(&sb, g); err != nil {
 			return false
 		}
-		g2, err := ParseNTriples(strings.NewReader(sb.String()))
+		g2, _, err := ParseTurtle(strings.NewReader(sb.String()))
 		if err != nil {
 			return false
 		}

@@ -91,7 +91,7 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	if err := WriteNTriples(&sb, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ParseNTriples(strings.NewReader(sb.String()))
+	g2, _, err := ParseTurtle(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +179,9 @@ func TestParseTurtleErrors(t *testing.T) {
 func TestParseErrorHasLine(t *testing.T) {
 	doc := "@prefix ex: <http://e/> .\nex:s ex:p \"x\n"
 	_, _, err := ParseTurtle(strings.NewReader(doc))
-	pe, ok := err.(*ParseError)
+	pe, ok := err.(*parseError)
 	if !ok {
-		t.Fatalf("error type = %T, want *ParseError (err=%v)", err, err)
+		t.Fatalf("error type = %T, want *parseError (err=%v)", err, err)
 	}
 	if pe.Line < 2 {
 		t.Errorf("Line = %d, want >= 2", pe.Line)
@@ -273,7 +273,7 @@ func TestTextWritersRefuseWhatWouldNotParseBack(t *testing.T) {
 		Blank("a b"),
 		Blank(""),
 		{Kind: LiteralTerm, Value: "both tags", Lang: "en", Datatype: XSDInteger},
-		{Kind: LiteralTerm, Value: "explicit", Datatype: XSDString},
+		{Kind: LiteralTerm, Value: "explicit", Datatype: xsdString},
 	} {
 		g := NewGraph()
 		g.Add(Triple{s, p, Literal("fine")})
@@ -332,7 +332,7 @@ func TestTextWritersRoundTripOrRefuse(t *testing.T) {
 		case 0:
 			lit.Lang = str()
 		case 1:
-			lit.Datatype = []string{XSDInteger, XSDString, "http://e/dt"}[rng.Intn(3)]
+			lit.Datatype = []string{XSDInteger, xsdString, "http://e/dt"}[rng.Intn(3)]
 		case 2:
 			lit.Datatype = str()
 		case 3:

@@ -178,9 +178,9 @@ func TestAggregateResultsJSONGolden(t *testing.T) {
 		t.Errorf("results JSON drifted from golden\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 	// Round-trip: parsing the golden recovers the typed literals.
-	back, err := ParseResultsJSON(bytes.NewReader(want))
+	back, err := parseResultsJSON(bytes.NewReader(want))
 	if err != nil {
-		t.Fatalf("ParseResultsJSON: %v", err)
+		t.Fatalf("parseResultsJSON: %v", err)
 	}
 	if back.Rows[0]["total"] != rdf.Integer(1300) {
 		t.Errorf("round-trip total = %#v", back.Rows[0]["total"])

@@ -88,11 +88,11 @@ type OrderKey struct {
 // Group is a group graph pattern: a sequence of triple patterns, filters,
 // and nested OPTIONAL/UNION groups, evaluated in order.
 type Group struct {
-	Elems []GroupElem
+	Elems []groupElement
 }
 
-// GroupElem is one element of a group pattern.
-type GroupElem interface{ groupElem() }
+// groupElement is one element of a group pattern.
+type groupElement interface{ groupElem() }
 
 // TriplePattern matches triples; each position is a variable or a term, and
 // the predicate may be a property path.
@@ -133,12 +133,12 @@ type NodePattern struct {
 // IsVar reports whether the pattern is a variable.
 func (n NodePattern) IsVar() bool { return n.Var != "" }
 
-// PathMod is a property-path cardinality modifier.
-type PathMod uint8
+// pathMod is a property-path cardinality modifier.
+type pathMod uint8
 
 // Path modifiers.
 const (
-	PathOnce       PathMod = iota // exactly one step
+	PathOnce       pathMod = iota // exactly one step
 	PathOneOrMore                 // +
 	PathZeroOrMore                // *
 	PathZeroOrOne                 // ?
@@ -157,7 +157,7 @@ func (p PathPattern) IsVar() bool { return p.Var != "" }
 // PathStep is one step of a property path.
 type PathStep struct {
 	IRI     rdf.Term
-	Mod     PathMod
+	Mod     pathMod
 	Inverse bool // ^iri traverses object→subject
 }
 

@@ -19,7 +19,7 @@ func fuzzGraph() *rdf.Graph {
 	prog, user, thread := node(model.Program, "decimate-a1"), node(model.User, "alice"), node(model.Thread, "rank0")
 	read, write := node(model.Read, "H5Dread-1"), node(model.Write, "H5Dwrite-2")
 	cfg1, cfg2 := node(model.Configuration, "lr-v1"), node(model.Configuration, "lr-v2")
-	activity := model.SuperIRI(model.SuperActivity)
+	activity := rdf.IRI(model.ProvNS + "Activity")
 	for _, t := range []rdf.Triple{
 		{S: product, P: model.WasAttributedTo.IRI(), O: prog},
 		{S: product, P: model.WasDerivedFrom.IRI(), O: input},

@@ -43,20 +43,6 @@ func termToJSON(t rdf.Term) jsonTerm {
 	}
 }
 
-func jsonToTerm(t jsonTerm) rdf.Term {
-	switch t.Type {
-	case "uri":
-		return rdf.IRI(t.Value)
-	case "bnode":
-		return rdf.Blank(t.Value)
-	default:
-		if t.Lang != "" {
-			return rdf.LangLiteral(t.Value, t.Lang)
-		}
-		return rdf.TypedLiteral(t.Value, t.Datatype)
-	}
-}
-
 // WriteJSON serializes the result in the W3C SPARQL results JSON format.
 func (r *Result) WriteJSON(w io.Writer) error {
 	doc := jsonResults{Head: jsonHead{Vars: append([]string{}, r.Vars...)}}
@@ -73,22 +59,4 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// ParseResultsJSON parses a W3C SPARQL results JSON document back into a
-// Result, for round-tripping with external endpoints.
-func ParseResultsJSON(r io.Reader) (*Result, error) {
-	var doc jsonResults
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, err
-	}
-	out := &Result{Vars: doc.Head.Vars}
-	for _, b := range doc.Results.Bindings {
-		row := make(Binding, len(b))
-		for v, t := range b {
-			row[v] = jsonToTerm(t)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
 }

@@ -1,7 +1,9 @@
 package sparql
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -508,7 +510,7 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 			t.Errorf("JSON missing %q:\n%s", want, doc)
 		}
 	}
-	back, err := ParseResultsJSON(strings.NewReader(doc))
+	back, err := parseResultsJSON(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +536,7 @@ func TestResultsJSONUnboundOmitted(t *testing.T) {
 	if err := res.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseResultsJSON(strings.NewReader(sb.String()))
+	back, err := parseResultsJSON(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +552,7 @@ func TestResultsJSONUnboundOmitted(t *testing.T) {
 }
 
 func TestParseResultsJSONRejectsGarbage(t *testing.T) {
-	if _, err := ParseResultsJSON(strings.NewReader("not json")); err == nil {
+	if _, err := parseResultsJSON(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
 	}
 }
@@ -594,5 +596,37 @@ func TestSinglePatternMatchesFindOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// parseResultsJSON parses a W3C SPARQL results JSON document back into a
+// Result.
+func parseResultsJSON(r io.Reader) (*Result, error) {
+	var doc jsonResults
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		return nil, err
+	}
+	out := &Result{Vars: doc.Head.Vars}
+	for _, b := range doc.Results.Bindings {
+		row := make(Binding, len(b))
+		for v, t := range b {
+			row[v] = jsonToTerm(t)
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	return out, nil
+}
+
+func jsonToTerm(t jsonTerm) rdf.Term {
+	switch t.Type {
+	case "uri":
+		return rdf.IRI(t.Value)
+	case "bnode":
+		return rdf.Blank(t.Value)
+	default:
+		if t.Lang != "" {
+			return rdf.LangLiteral(t.Value, t.Lang)
+		}
+		return rdf.TypedLiteral(t.Value, t.Datatype)
 	}
 }

@@ -25,15 +25,15 @@ type Summary struct {
 	// provenance was collected without the duration switch).
 	OpTotal map[string]time.Duration
 	// ObjectAccess maps a data object's display name to its access profile.
-	ObjectAccess map[string]*ObjectProfile
+	ObjectAccess map[string]*objectProfile
 	// Activities is the total number of I/O API invocations.
 	Activities int
 	// HasDurations reports whether elapsed times were present.
 	HasDurations bool
 }
 
-// ObjectProfile is one data object's access counts.
-type ObjectProfile struct {
+// objectProfile is one data object's access counts.
+type objectProfile struct {
 	Name    string
 	Class   string // File, Dataset, Attribute, ...
 	Created int
@@ -45,7 +45,7 @@ type ObjectProfile struct {
 }
 
 // total returns the profile's total op count.
-func (p *ObjectProfile) total() int {
+func (p *objectProfile) total() int {
 	return p.Created + p.Opened + p.Reads + p.Writes + p.Flushes + p.Renames
 }
 
@@ -61,7 +61,7 @@ func Compute(g *rdf.Graph) *Summary {
 	s := &Summary{
 		OpCounts:     map[string]int{},
 		OpTotal:      map[string]time.Duration{},
-		ObjectAccess: map[string]*ObjectProfile{},
+		ObjectAccess: map[string]*objectProfile{},
 	}
 
 	idOf := func(t rdf.Term) rdf.ID {
@@ -115,18 +115,18 @@ func Compute(g *rdf.Graph) *Summary {
 	// Per-object access profiles from the six provio relations.
 	rels := []struct {
 		rel   model.Relation
-		field func(*ObjectProfile) *int
+		field func(*objectProfile) *int
 	}{
-		{model.WasCreatedBy, func(p *ObjectProfile) *int { return &p.Created }},
-		{model.WasOpenedBy, func(p *ObjectProfile) *int { return &p.Opened }},
-		{model.WasReadBy, func(p *ObjectProfile) *int { return &p.Reads }},
-		{model.WasWrittenBy, func(p *ObjectProfile) *int { return &p.Writes }},
-		{model.WasFlushedBy, func(p *ObjectProfile) *int { return &p.Flushes }},
-		{model.WasModifiedBy, func(p *ObjectProfile) *int { return &p.Renames }},
+		{model.WasCreatedBy, func(p *objectProfile) *int { return &p.Created }},
+		{model.WasOpenedBy, func(p *objectProfile) *int { return &p.Opened }},
+		{model.WasReadBy, func(p *objectProfile) *int { return &p.Reads }},
+		{model.WasWrittenBy, func(p *objectProfile) *int { return &p.Writes }},
+		{model.WasFlushedBy, func(p *objectProfile) *int { return &p.Flushes }},
+		{model.WasModifiedBy, func(p *objectProfile) *int { return &p.Renames }},
 	}
 	nameID := idOf(model.PropName.IRI())
 	typeID := idOf(rdf.IRI(rdf.RDFType))
-	profiles := map[rdf.ID]*ObjectProfile{}
+	profiles := map[rdf.ID]*objectProfile{}
 	for _, r := range rels {
 		pred := idOf(r.rel.IRI())
 		if pred == rdf.NoID {
@@ -136,7 +136,7 @@ func Compute(g *rdf.Graph) *Summary {
 			prof, ok := profiles[sub]
 			if !ok {
 				key := v.TermOf(sub).Value
-				prof = &ObjectProfile{Name: key, Class: classNameOfID(v, sub, typeID)}
+				prof = &objectProfile{Name: key, Class: classNameOfID(v, sub, typeID)}
 				// Prefer the display name when recorded.
 				if nameID != rdf.NoID {
 					v.ForEachMatchIDs(sub, nameID, rdf.NoID, func(_, _, o rdf.ID) bool {
@@ -187,10 +187,10 @@ func classNameOfID(v *rdf.Snapshot, node, typeID rdf.ID) string {
 	return out
 }
 
-// PerAgent returns per-agent operation counts (keyed by the agent's display
+// perAgent returns per-agent operation counts (keyed by the agent's display
 // name) derived from prov:wasAssociatedWith edges — the Recorder-style
 // per-rank breakdown for workloads tracked with Thread agents enabled.
-func PerAgent(g *rdf.Graph) map[string]int {
+func perAgent(g *rdf.Graph) map[string]int {
 	v := g.Snapshot()
 	out := map[string]int{}
 	assoc, ok := v.TermID(model.AssociatedWith.IRI())
@@ -224,9 +224,9 @@ func PerAgent(g *rdf.Graph) map[string]int {
 	return out
 }
 
-// Bottleneck returns the API with the largest accumulated time (empty when
+// bottleneck returns the API with the largest accumulated time (empty when
 // durations were not tracked).
-func (s *Summary) Bottleneck() (string, time.Duration) {
+func (s *Summary) bottleneck() (string, time.Duration) {
 	var name string
 	var best time.Duration
 	for api, d := range s.OpTotal {
@@ -240,10 +240,10 @@ func (s *Summary) Bottleneck() (string, time.Duration) {
 	return name, best
 }
 
-// HottestObjects returns the n most-accessed objects, sorted by total ops
+// hottestObjects returns the n most-accessed objects, sorted by total ops
 // descending (ties by name).
-func (s *Summary) HottestObjects(n int) []*ObjectProfile {
-	out := make([]*ObjectProfile, 0, len(s.ObjectAccess))
+func (s *Summary) hottestObjects(n int) []*objectProfile {
+	out := make([]*objectProfile, 0, len(s.ObjectAccess))
 	for _, p := range s.ObjectAccess {
 		out = append(out, p)
 	}
@@ -283,10 +283,10 @@ func (s *Summary) Write(w io.Writer) error {
 		}
 		b.WriteByte('\n')
 	}
-	if api, d := s.Bottleneck(); api != "" {
+	if api, d := s.bottleneck(); api != "" {
 		fmt.Fprintf(&b, "\nbottleneck: %s (%s accumulated)\n", api, d)
 	}
-	hot := s.HottestObjects(10)
+	hot := s.hottestObjects(10)
 	if len(hot) > 0 {
 		b.WriteString("\nhottest data objects:\n")
 		for _, p := range hot {
@@ -304,7 +304,7 @@ func (s *Summary) WriteWithAgents(w io.Writer, g *rdf.Graph) error {
 	if err := s.Write(w); err != nil {
 		return err
 	}
-	per := PerAgent(g)
+	per := perAgent(g)
 	if len(per) == 0 {
 		return nil
 	}

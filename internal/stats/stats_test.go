@@ -44,8 +44,8 @@ func TestComputeOpCounts(t *testing.T) {
 	if s.HasDurations {
 		t.Error("durations reported despite duration=off")
 	}
-	if api, _ := s.Bottleneck(); api != "" {
-		t.Errorf("Bottleneck = %q without durations", api)
+	if api, _ := s.bottleneck(); api != "" {
+		t.Errorf("bottleneck = %q without durations", api)
 	}
 }
 
@@ -57,15 +57,15 @@ func TestComputeDurationsAndBottleneck(t *testing.T) {
 	if got := s.OpTotal["H5Dwrite"]; got != 50*time.Millisecond {
 		t.Errorf("H5Dwrite total = %v, want 50ms", got)
 	}
-	api, d := s.Bottleneck()
+	api, d := s.bottleneck()
 	if api != "H5Dwrite" || d != 50*time.Millisecond {
-		t.Errorf("Bottleneck = %s, %v", api, d)
+		t.Errorf("bottleneck = %s, %v", api, d)
 	}
 }
 
 func TestObjectProfiles(t *testing.T) {
 	s := Compute(buildGraph(t, false))
-	hot := s.HottestObjects(0)
+	hot := s.hottestObjects(0)
 	if len(hot) != 2 {
 		t.Fatalf("objects = %d, want 2", len(hot))
 	}
@@ -80,8 +80,8 @@ func TestObjectProfiles(t *testing.T) {
 	if fileProf.Flushes != 1 || fileProf.Renames != 1 || fileProf.Created != 1 {
 		t.Errorf("file profile = %+v", fileProf)
 	}
-	if got := s.HottestObjects(1); len(got) != 1 {
-		t.Errorf("HottestObjects(1) = %d entries", len(got))
+	if got := s.hottestObjects(1); len(got) != 1 {
+		t.Errorf("hottestObjects(1) = %d entries", len(got))
 	}
 }
 
@@ -149,7 +149,7 @@ func TestPerAgentBreakdown(t *testing.T) {
 	}
 	tr.TrackIO(model.Read, "read", rdf.Term{}, t1, 0, 0)
 
-	per := PerAgent(tr.Graph())
+	per := perAgent(tr.Graph())
 	if per["MPI_rank_0"] != 3 {
 		t.Errorf("rank 0 ops = %d, want 3", per["MPI_rank_0"])
 	}

@@ -52,9 +52,6 @@ func NewProvConnector(next Connector, tracker *core.Tracker, ctx Context, clock 
 
 var _ Connector = (*ProvConnector)(nil)
 
-// Tracker returns the underlying tracker.
-func (p *ProvConnector) Tracker() *core.Tracker { return p.tracker }
-
 // now returns the current virtual time (zero without a clock).
 func (p *ProvConnector) now() time.Duration {
 	if p.clock == nil {

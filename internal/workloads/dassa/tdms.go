@@ -33,8 +33,8 @@ type TDMSChannel struct {
 
 const tdmsMagic = "TDSm"
 
-// ErrNotTDMS reports a bad magic header.
-var ErrNotTDMS = errors.New("dassa: not a TDMS file")
+// errNotTDMS reports a bad magic header.
+var errNotTDMS = errors.New("dassa: not a TDMS file")
 
 // WriteTDMS serializes a TDMS container through the (possibly wrapped)
 // POSIX layer.
@@ -73,7 +73,7 @@ func ReadTDMS(fs *posixio.FS, path string) (*TDMS, error) {
 		return nil, err
 	}
 	if len(data) < 8 || string(data[:4]) != tdmsMagic {
-		return nil, ErrNotTDMS
+		return nil, errNotTDMS
 	}
 	pos := 4
 	nCh, pos, err := readU32(data, pos)

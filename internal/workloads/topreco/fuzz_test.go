@@ -18,7 +18,7 @@ func FuzzTFRecordReader(f *testing.F) {
 	view := vfs.NewStore().NewView()
 	tr := core.NewTracker(core.DefaultConfig().DisableAll(), nil, 0)
 	pfs := posixio.Wrap(view, tr, posixio.Agent{}, posixio.Options{Disabled: true})
-	w, _ := NewTFRecordWriter(pfs, "/seed")
+	w, _ := newTFRecordWriter(pfs, "/seed")
 	w.Write([]byte("seed-record"))
 	w.Close()
 	seed, _ := view.ReadFile("/seed")
@@ -32,7 +32,7 @@ func FuzzTFRecordReader(f *testing.F) {
 		view.WriteFile("/in", data)
 		tr := core.NewTracker(core.DefaultConfig().DisableAll(), nil, 0)
 		pfs := posixio.Wrap(view, tr, posixio.Agent{}, posixio.Options{Disabled: true})
-		r, err := NewTFRecordReader(pfs, "/in")
+		r, err := newTFRecordReader(pfs, "/in")
 		if err != nil {
 			t.Fatalf("open in-memory file: %v", err)
 		}
@@ -51,21 +51,21 @@ func FuzzTFRecordReader(f *testing.F) {
 }
 
 // FuzzParseINI shakes the INI parser: no panics, and accepted documents
-// round-trip through WriteINI with the same key count.
+// round-trip through writeINI with the same key count.
 func FuzzParseINI(f *testing.F) {
 	f.Add("[model]\nlearning_rate = 0.1\n")
 	f.Add("key = value\n# comment\n[s]\nk=v")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, doc string) {
-		ini, err := ParseINI(strings.NewReader(doc))
+		ini, err := parseINI(strings.NewReader(doc))
 		if err != nil {
 			return
 		}
 		var sb strings.Builder
-		if err := WriteINI(&sb, ini); err != nil {
-			t.Fatalf("serialize accepted INI: %v", err)
+		if err := writeINI(&sb, ini); err != nil {
+			t.Fatalf("serialize accepted iniConfig: %v", err)
 		}
-		again, err := ParseINI(strings.NewReader(sb.String()))
+		again, err := parseINI(strings.NewReader(sb.String()))
 		if err != nil {
 			t.Fatalf("reparse of own output failed: %v\ndoc %q -> %q", err, doc, sb.String())
 		}

@@ -16,19 +16,19 @@ import (
 	"strings"
 )
 
-// INI is a parsed configuration: section -> key -> value. Keys outside any
-// section live under "".
-type INI struct {
+// iniConfig is a parsed configuration: section -> key -> value. Keys
+// outside any section live under "".
+type iniConfig struct {
 	sections map[string]map[string]string
 }
 
-// NewINI returns an empty configuration.
-func NewINI() *INI {
-	return &INI{sections: map[string]map[string]string{}}
+// newINI returns an empty configuration.
+func newINI() *iniConfig {
+	return &iniConfig{sections: map[string]map[string]string{}}
 }
 
 // Set stores a value.
-func (c *INI) Set(section, key, value string) {
+func (c *iniConfig) Set(section, key, value string) {
 	s, ok := c.sections[section]
 	if !ok {
 		s = map[string]string{}
@@ -38,21 +38,21 @@ func (c *INI) Set(section, key, value string) {
 }
 
 // Get reads a value.
-func (c *INI) Get(section, key string) (string, bool) {
+func (c *iniConfig) Get(section, key string) (string, bool) {
 	v, ok := c.sections[section][key]
 	return v, ok
 }
 
 // GetDefault reads a value with a fallback.
-func (c *INI) GetDefault(section, key, def string) string {
+func (c *iniConfig) GetDefault(section, key, def string) string {
 	if v, ok := c.Get(section, key); ok {
 		return v
 	}
 	return def
 }
 
-// Sections returns the section names, sorted ("" first when present).
-func (c *INI) Sections() []string {
+// sortedSections returns the section names, sorted ("" first when present).
+func (c *iniConfig) sortedSections() []string {
 	out := make([]string, 0, len(c.sections))
 	for s := range c.sections {
 		out = append(out, s)
@@ -61,8 +61,8 @@ func (c *INI) Sections() []string {
 	return out
 }
 
-// Keys returns a section's keys, sorted.
-func (c *INI) Keys(section string) []string {
+// sortedKeys returns a section's keys, sorted.
+func (c *iniConfig) sortedKeys(section string) []string {
 	s := c.sections[section]
 	out := make([]string, 0, len(s))
 	for k := range s {
@@ -73,7 +73,7 @@ func (c *INI) Keys(section string) []string {
 }
 
 // Len returns the total number of keys.
-func (c *INI) Len() int {
+func (c *iniConfig) Len() int {
 	n := 0
 	for _, s := range c.sections {
 		n += len(s)
@@ -81,10 +81,10 @@ func (c *INI) Len() int {
 	return n
 }
 
-// ParseINI parses an INI document: [sections], key = value lines, '#' and
+// parseINI parses an INI document: [sections], key = value lines, '#' and
 // ';' comments, blank lines.
-func ParseINI(r io.Reader) (*INI, error) {
-	c := NewINI()
+func parseINI(r io.Reader) (*iniConfig, error) {
+	c := newINI()
 	sc := bufio.NewScanner(r)
 	section := ""
 	lineNo := 0
@@ -120,16 +120,16 @@ func ParseINI(r io.Reader) (*INI, error) {
 	return c, nil
 }
 
-// WriteINI serializes the configuration deterministically.
-func WriteINI(w io.Writer, c *INI) error {
+// writeINI serializes the configuration deterministically.
+func writeINI(w io.Writer, c *iniConfig) error {
 	bw := bufio.NewWriter(w)
-	for _, sec := range c.Sections() {
+	for _, sec := range c.sortedSections() {
 		if sec != "" {
 			if _, err := fmt.Fprintf(bw, "[%s]\n", sec); err != nil {
 				return err
 			}
 		}
-		for _, k := range c.Keys(sec) {
+		for _, k := range c.sortedKeys(sec) {
 			v, _ := c.Get(sec, k)
 			if _, err := fmt.Fprintf(bw, "%s = %s\n", k, v); err != nil {
 				return err
@@ -141,10 +141,10 @@ func WriteINI(w io.Writer, c *INI) error {
 
 // Flatten returns "section.key" -> value pairs in sorted order — the shape
 // the provenance trackers record.
-func (c *INI) Flatten() [][2]string {
+func (c *iniConfig) Flatten() [][2]string {
 	var out [][2]string
-	for _, sec := range c.Sections() {
-		for _, k := range c.Keys(sec) {
+	for _, sec := range c.sortedSections() {
+		for _, k := range c.sortedKeys(sec) {
 			v, _ := c.Get(sec, k)
 			name := k
 			if sec != "" {

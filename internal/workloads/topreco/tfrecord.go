@@ -28,26 +28,25 @@ func maskedCRC(data []byte) uint32 {
 	return ((c >> 15) | (c << 17)) + crcMaskDelta
 }
 
-// ErrBadTFRecord reports framing or checksum corruption.
-var ErrBadTFRecord = errors.New("topreco: corrupt tfrecord")
+// errBadTFRecord reports framing or checksum corruption.
+var errBadTFRecord = errors.New("topreco: corrupt tfrecord")
 
-// TFRecordWriter frames records onto a wrapped POSIX file.
-type TFRecordWriter struct {
+// tfRecordWriter frames records onto a wrapped POSIX file.
+type tfRecordWriter struct {
 	f *posixio.File
-	n int
 }
 
-// NewTFRecordWriter creates path and returns a writer.
-func NewTFRecordWriter(fs *posixio.FS, path string) (*TFRecordWriter, error) {
+// newTFRecordWriter creates path and returns a writer.
+func newTFRecordWriter(fs *posixio.FS, path string) (*tfRecordWriter, error) {
 	f, err := fs.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	return &TFRecordWriter{f: f}, nil
+	return &tfRecordWriter{f: f}, nil
 }
 
 // Write frames one record.
-func (w *TFRecordWriter) Write(data []byte) error {
+func (w *tfRecordWriter) Write(data []byte) error {
 	var hdr [12]byte
 	binary.LittleEndian.PutUint64(hdr[:8], uint64(len(data)))
 	binary.LittleEndian.PutUint32(hdr[8:], maskedCRC(hdr[:8]))
@@ -62,38 +61,34 @@ func (w *TFRecordWriter) Write(data []byte) error {
 	if _, err := w.f.Write(ftr[:]); err != nil {
 		return err
 	}
-	w.n++
 	return nil
 }
 
-// Count returns the number of records written.
-func (w *TFRecordWriter) Count() int { return w.n }
-
 // Close syncs and closes the file.
-func (w *TFRecordWriter) Close() error {
+func (w *tfRecordWriter) Close() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
 	return w.f.Close()
 }
 
-// TFRecordReader iterates over a framed file.
-type TFRecordReader struct {
+// tfRecordReader iterates over a framed file.
+type tfRecordReader struct {
 	f   *posixio.File
 	off int64
 }
 
-// NewTFRecordReader opens path for reading.
-func NewTFRecordReader(fs *posixio.FS, path string) (*TFRecordReader, error) {
+// newTFRecordReader opens path for reading.
+func newTFRecordReader(fs *posixio.FS, path string) (*tfRecordReader, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return &TFRecordReader{f: f}, nil
+	return &tfRecordReader{f: f}, nil
 }
 
 // Next returns the next record, or io.EOF at end.
-func (r *TFRecordReader) Next() ([]byte, error) {
+func (r *tfRecordReader) Next() ([]byte, error) {
 	var hdr [12]byte
 	n, err := r.f.ReadAt(hdr[:], r.off)
 	if n == 0 && err != nil {
@@ -103,27 +98,27 @@ func (r *TFRecordReader) Next() ([]byte, error) {
 		return nil, err
 	}
 	if n < 12 {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadTFRecord)
+		return nil, fmt.Errorf("%w: truncated header", errBadTFRecord)
 	}
 	length := binary.LittleEndian.Uint64(hdr[:8])
 	if binary.LittleEndian.Uint32(hdr[8:]) != maskedCRC(hdr[:8]) {
-		return nil, fmt.Errorf("%w: header checksum", ErrBadTFRecord)
+		return nil, fmt.Errorf("%w: header checksum", errBadTFRecord)
 	}
 	if length > 1<<30 {
-		return nil, fmt.Errorf("%w: implausible record length %d", ErrBadTFRecord, length)
+		return nil, fmt.Errorf("%w: implausible record length %d", errBadTFRecord, length)
 	}
 	payload := make([]byte, length+4)
 	if m, err := r.f.ReadAt(payload, r.off+12); m < len(payload) {
 		_ = err
-		return nil, fmt.Errorf("%w: truncated payload", ErrBadTFRecord)
+		return nil, fmt.Errorf("%w: truncated payload", errBadTFRecord)
 	}
 	data := payload[:length]
 	if binary.LittleEndian.Uint32(payload[length:]) != maskedCRC(data) {
-		return nil, fmt.Errorf("%w: payload checksum", ErrBadTFRecord)
+		return nil, fmt.Errorf("%w: payload checksum", errBadTFRecord)
 	}
 	r.off += 12 + int64(length) + 4
 	return data, nil
 }
 
 // Close closes the file.
-func (r *TFRecordReader) Close() error { return r.f.Close() }
+func (r *tfRecordReader) Close() error { return r.f.Close() }

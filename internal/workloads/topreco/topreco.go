@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/hpc-io/prov-io/internal/core"
-	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/posixio"
 	"github.com/hpc-io/prov-io/internal/provlake"
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -111,9 +110,9 @@ type Result struct {
 	Reconstructed int
 }
 
-// WriteConfigINI materializes the run's .ini configuration file.
-func WriteConfigINI(w io.Writer, cfg Config) error {
-	ini := NewINI()
+// writeConfigINI materializes the run's .ini configuration file.
+func writeConfigINI(w io.Writer, cfg Config) error {
+	ini := newINI()
 	ini.Set("model", "learning_rate", fmt.Sprintf("%g", cfg.LearningRate))
 	ini.Set("model", "batch_size", strconv.Itoa(cfg.BatchSize))
 	ini.Set("model", "epochs", strconv.Itoa(cfg.Epochs))
@@ -125,7 +124,7 @@ func WriteConfigINI(w io.Writer, cfg Config) error {
 	for i := 0; i < cfg.ExtraConfigs; i++ {
 		ini.Set("extra", fmt.Sprintf("param_%03d", i), fmt.Sprintf("value_%d", i))
 	}
-	return WriteINI(w, ini)
+	return writeINI(w, ini)
 }
 
 // Run executes the workflow: config parse, dataset generation to TFRecord
@@ -141,7 +140,7 @@ func Run(cfg Config) (Result, error) {
 
 	// Stage the .ini configuration.
 	var iniDoc strings.Builder
-	if err := WriteConfigINI(&iniDoc, cfg); err != nil {
+	if err := writeConfigINI(&iniDoc, cfg); err != nil {
 		return Result{}, err
 	}
 	if err := view.WriteFile("/topreco/config.ini", []byte(iniDoc.String())); err != nil {
@@ -183,7 +182,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ini, err := ParseINI(strings.NewReader(string(iniData)))
+	ini, err := parseINI(strings.NewReader(string(iniData)))
 	if err != nil {
 		return Result{}, err
 	}
@@ -212,7 +211,7 @@ func Run(cfg Config) (Result, error) {
 		path   string
 		events []Event
 	}{{"/topreco/train.tfrecord", train}, {"/topreco/test.tfrecord", test}} {
-		w, err := NewTFRecordWriter(pfs, part.path)
+		w, err := newTFRecordWriter(pfs, part.path)
 		if err != nil {
 			return Result{}, err
 		}
@@ -229,7 +228,7 @@ func Run(cfg Config) (Result, error) {
 
 	// Re-read the training data through the TFRecord reader (the training
 	// loop streams from the dataset files).
-	rd, err := NewTFRecordReader(pfs, "/topreco/train.tfrecord")
+	rd, err := newTFRecordReader(pfs, "/topreco/train.tfrecord")
 	if err != nil {
 		return Result{}, err
 	}
@@ -316,10 +315,4 @@ func Run(cfg Config) (Result, error) {
 		res.ProvBytes = bytes
 	}
 	return res, nil
-}
-
-// ModelClasses documents which PROV-IO classes this workflow uses (Table 3
-// row: hyperparameter, preselection, training accuracy).
-func ModelClasses() []model.Class {
-	return []model.Class{model.Type, model.Configuration, model.Metrics}
 }
