@@ -1,6 +1,7 @@
 package provio_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -114,6 +115,15 @@ func TestPublicConfigFile(t *testing.T) {
 	}
 	if !cfg.Enabled(provio.ModelFile) || cfg.Enabled(provio.ModelDataset) || !cfg.Duration {
 		t.Error("config file not applied")
+	}
+	// The commented sample configuration loads as it ships.
+	f, err := os.Open("docs/provio.conf.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if cfg, err := provio.LoadConfig(f); err != nil || !cfg.Duration {
+		t.Errorf("docs/provio.conf.example: %v", err)
 	}
 }
 

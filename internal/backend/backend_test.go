@@ -494,7 +494,7 @@ func TestParseSpec(t *testing.T) {
 		{"mount:tepid=mem:,cold=mem:", ""},
 	}
 	for _, c := range cases {
-		got, err := ParseSpec(c.in)
+		got, err := parseSpec(c.in, true)
 		if c.want == "" {
 			if err == nil {
 				t.Errorf("ParseSpec(%q) accepted, want error", c.in)

@@ -10,9 +10,8 @@ import (
 // keep using their real path so existing on-disk layouts stay addressable.
 const mountRoot = "/prov"
 
-// Spec is a parsed store spec string. Parsing is pure — no backend is opened
-// and no I/O happens — so config validation can reject a bad spec without
-// touching storage; Open constructs the backend it describes.
+// storeSpec is a parsed store spec string. Parsing is pure — no backend is
+// opened and no I/O happens; Open constructs the backend it describes.
 //
 // Grammar:
 //
@@ -23,56 +22,53 @@ const mountRoot = "/prov"
 //	mount:hot=SPEC,cold=SPEC
 //	                   two-tier mounted store; SPEC is any non-mount spec
 //	                   (tier paths therefore cannot contain commas)
-type Spec struct {
-	Scheme string // "dir", "mem", "file", or "mount"
-	Path   string // dir root or archive file; empty for mem and mount
-	Hot    *Spec  // mount tiers
-	Cold   *Spec
+type storeSpec struct {
+	Scheme string     // "dir", "mem", "file", or "mount"
+	Path   string     // dir root or archive file; empty for mem and mount
+	Hot    *storeSpec // mount tiers
+	Cold   *storeSpec
 }
 
-// ParseSpec parses a store spec string. It performs no I/O.
-func ParseSpec(s string) (Spec, error) {
-	return parseSpec(s, true)
-}
-
-func parseSpec(s string, allowMount bool) (Spec, error) {
+// parseSpec parses a store spec string; a mount's tiers are parsed with
+// allowMount false. It performs no I/O.
+func parseSpec(s string, allowMount bool) (storeSpec, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return Spec{}, fmt.Errorf("backend: empty store spec")
+		return storeSpec{}, fmt.Errorf("backend: empty store spec")
 	}
 	scheme, rest, ok := strings.Cut(s, ":")
 	if !ok {
 		// A bare path is a directory store.
-		return Spec{Scheme: "dir", Path: s}, nil
+		return storeSpec{Scheme: "dir", Path: s}, nil
 	}
 	switch scheme {
 	case "dir":
 		if rest == "" {
-			return Spec{}, fmt.Errorf("backend: store spec %q: dir: needs a path", s)
+			return storeSpec{}, fmt.Errorf("backend: store spec %q: dir: needs a path", s)
 		}
-		return Spec{Scheme: "dir", Path: rest}, nil
+		return storeSpec{Scheme: "dir", Path: rest}, nil
 	case "mem":
 		if rest != "" {
-			return Spec{}, fmt.Errorf("backend: store spec %q: mem: takes no path", s)
+			return storeSpec{}, fmt.Errorf("backend: store spec %q: mem: takes no path", s)
 		}
-		return Spec{Scheme: "mem"}, nil
+		return storeSpec{Scheme: "mem"}, nil
 	case "file":
 		if rest == "" {
-			return Spec{}, fmt.Errorf("backend: store spec %q: file: needs an archive path", s)
+			return storeSpec{}, fmt.Errorf("backend: store spec %q: file: needs an archive path", s)
 		}
-		return Spec{Scheme: "file", Path: rest}, nil
+		return storeSpec{Scheme: "file", Path: rest}, nil
 	case "mount":
 		if !allowMount {
-			return Spec{}, fmt.Errorf("backend: store spec %q: mounts cannot nest", s)
+			return storeSpec{}, fmt.Errorf("backend: store spec %q: mounts cannot nest", s)
 		}
 		return parseMount(s, rest)
 	default:
 		// Unknown "scheme" is most likely a path with a colon in it; only
 		// reject when it looks like a scheme attempt (all lowercase letters).
 		if isSchemeLike(scheme) {
-			return Spec{}, fmt.Errorf("backend: store spec %q: unknown scheme %q (want dir, mem, file, or mount)", s, scheme)
+			return storeSpec{}, fmt.Errorf("backend: store spec %q: unknown scheme %q (want dir, mem, file, or mount)", s, scheme)
 		}
-		return Spec{Scheme: "dir", Path: s}, nil
+		return storeSpec{Scheme: "dir", Path: s}, nil
 	}
 }
 
@@ -88,40 +84,40 @@ func isSchemeLike(s string) bool {
 	return true
 }
 
-func parseMount(full, rest string) (Spec, error) {
-	spec := Spec{Scheme: "mount"}
+func parseMount(full, rest string) (storeSpec, error) {
+	spec := storeSpec{Scheme: "mount"}
 	for _, part := range strings.Split(rest, ",") {
 		key, val, ok := strings.Cut(part, "=")
 		if !ok {
-			return Spec{}, fmt.Errorf("backend: store spec %q: mount part %q is not key=spec", full, part)
+			return storeSpec{}, fmt.Errorf("backend: store spec %q: mount part %q is not key=spec", full, part)
 		}
 		sub, err := parseSpec(val, false)
 		if err != nil {
-			return Spec{}, err
+			return storeSpec{}, err
 		}
 		switch key {
 		case "hot":
 			if spec.Hot != nil {
-				return Spec{}, fmt.Errorf("backend: store spec %q: duplicate hot tier", full)
+				return storeSpec{}, fmt.Errorf("backend: store spec %q: duplicate hot tier", full)
 			}
 			spec.Hot = &sub
 		case "cold":
 			if spec.Cold != nil {
-				return Spec{}, fmt.Errorf("backend: store spec %q: duplicate cold tier", full)
+				return storeSpec{}, fmt.Errorf("backend: store spec %q: duplicate cold tier", full)
 			}
 			spec.Cold = &sub
 		default:
-			return Spec{}, fmt.Errorf("backend: store spec %q: unknown mount tier %q (want hot or cold)", full, key)
+			return storeSpec{}, fmt.Errorf("backend: store spec %q: unknown mount tier %q (want hot or cold)", full, key)
 		}
 	}
 	if spec.Hot == nil || spec.Cold == nil {
-		return Spec{}, fmt.Errorf("backend: store spec %q: a mount needs both hot= and cold= tiers", full)
+		return storeSpec{}, fmt.Errorf("backend: store spec %q: a mount needs both hot= and cold= tiers", full)
 	}
 	return spec, nil
 }
 
 // String renders the spec back to its canonical spec-string form.
-func (s Spec) String() string {
+func (s storeSpec) String() string {
 	switch s.Scheme {
 	case "mem":
 		return "mem:"
@@ -136,7 +132,7 @@ func (s Spec) String() string {
 // with the logical store directory to pass to the store layer. Directory
 // stores keep their on-disk path as the store directory; every other scheme
 // uses mountRoot.
-func (s Spec) Open() (Storage, string, error) {
+func (s storeSpec) Open() (Storage, string, error) {
 	switch s.Scheme {
 	case "dir":
 		return Dir{}, strings.TrimSuffix(s.Path, "/"), nil
@@ -169,7 +165,7 @@ func (s Spec) Open() (Storage, string, error) {
 
 // tier opens one mount tier; the tier's root inside its own backend is the
 // backend's natural store directory.
-func (s *Spec) tier(name string, hot bool) (Tier, error) {
+func (s *storeSpec) tier(name string, hot bool) (Tier, error) {
 	b, root, err := s.Open()
 	if err != nil {
 		return Tier{}, err
@@ -179,7 +175,7 @@ func (s *Spec) tier(name string, hot bool) (Tier, error) {
 
 // Open parses and opens a store spec string in one step.
 func Open(spec string) (Storage, string, error) {
-	s, err := ParseSpec(spec)
+	s, err := parseSpec(spec, true)
 	if err != nil {
 		return nil, "", err
 	}

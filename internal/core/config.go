@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/hpc-io/prov-io/internal/backend"
 	"github.com/hpc-io/prov-io/internal/model"
 )
 
@@ -82,13 +81,6 @@ type Config struct {
 	// H5bench usage scenario 2).
 	Duration bool
 
-	// StoreDir is the directory provenance files are written to.
-	StoreDir string
-	// Store, when non-empty, selects the store backend and location as a
-	// spec string (the OpenStore grammar): dir:/path, mem:, file:/path.pvs,
-	// or mount:hot=SPEC,cold=SPEC. It supersedes StoreDir; StoreDir remains
-	// the plain-directory shorthand.
-	Store string
 	// Format is the store codec; pbs, its zero value, is the only one.
 	Format Format
 	Mode   Mode
@@ -97,20 +89,18 @@ type Config struct {
 	FlushEvery int
 	// Pipeline selects how periodic flushes reach the store.
 	Pipeline Pipeline
-	// FlushQueue bounds the async pipeline's writer queue (in delta
-	// segments); <= 0 means the default of 4.
-	FlushQueue int
 }
+
+// flushQueue bounds the async pipeline's writer queue, in delta segments.
+const flushQueue = 4
 
 // DefaultConfig enables every sub-class, at-end flushing.
 func DefaultConfig() *Config {
 	c := &Config{
 		enabled:    make(map[string]bool),
-		StoreDir:   "/provenance",
 		Mode:       ModeAtEnd,
 		FlushEvery: 4096,
 		Pipeline:   PipelineAsync,
-		FlushQueue: 4,
 	}
 	for _, cls := range model.AllClasses() {
 		c.enabled[cls.Name] = true
@@ -159,25 +149,12 @@ func (c *Config) EnabledClasses() []string {
 	return out
 }
 
-// Clone returns a deep copy.
-func (c *Config) Clone() *Config {
-	nc := *c
-	nc.enabled = make(map[string]bool, len(c.enabled))
-	for k, v := range c.enabled {
-		nc.enabled[k] = v
-	}
-	return &nc
-}
-
 // LoadConfig parses the PROV-IO configuration file format: one "key = value"
 // per line, '#' comments. Recognized keys:
 //
-//	store_dir   = /path/to/store
-//	store       = dir:/path | mem: | file:/path.pvs | mount:hot=SPEC,cold=SPEC
 //	mode        = at_end | periodic
 //	flush_every = 4096
 //	pipeline    = async | delta | inline
-//	flush_queue = 4
 //	duration    = on | off
 //	track       = Class[,Class...]     (exclusive allow-list)
 //	enable      = Class[,Class...]
@@ -185,8 +162,8 @@ func (c *Config) Clone() *Config {
 //
 // This is the "configuration file" transparency mechanism Table 4 credits
 // PROV-IO with: users select provenance features without touching workflow
-// source. A format line is an error: the store writes pbs only, and
-// provio-export writes Turtle or N-Triples from it.
+// source. A line naming one of goneKeys is an error that says where its
+// setting went.
 func LoadConfig(r io.Reader) (*Config, error) {
 	cfg := DefaultConfig()
 	sc := bufio.NewScanner(r)
@@ -203,16 +180,10 @@ func LoadConfig(r io.Reader) (*Config, error) {
 		}
 		key = strings.TrimSpace(key)
 		val = strings.TrimSpace(val)
+		if why, ok := goneKeys[key]; ok {
+			return nil, fmt.Errorf("core: config line %d: key %s is gone: %s", lineNo, key, why)
+		}
 		switch key {
-		case "store_dir":
-			cfg.StoreDir = val
-		case "store":
-			if _, err := backend.ParseSpec(val); err != nil {
-				return nil, fmt.Errorf("core: config line %d: key store: %v", lineNo, err)
-			}
-			cfg.Store = val
-		case "format":
-			return nil, fmt.Errorf("core: config line %d: key format is gone: the store writes pbs only (provio-export -o FILE.ttl or FILE.nt writes text)", lineNo)
 		case "mode":
 			switch val {
 			case "at_end":
@@ -239,12 +210,6 @@ func LoadConfig(r io.Reader) (*Config, error) {
 			default:
 				return nil, fmt.Errorf("core: config line %d: unknown pipeline %q", lineNo, val)
 			}
-		case "flush_queue":
-			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("core: config line %d: bad flush_queue %q", lineNo, val)
-			}
-			cfg.FlushQueue = n
 		case "duration":
 			switch val {
 			case "on", "true":
@@ -290,6 +255,16 @@ func LoadConfig(r io.Reader) (*Config, error) {
 	}
 	return cfg, nil
 }
+
+// goneKeys are the keys older builds read, each with where its setting went.
+var goneKeys = map[string]string{
+	"format":      "the store writes pbs only (provio-export -o FILE.ttl or FILE.nt writes text)",
+	"store":       storeChosen,
+	"store_dir":   storeChosen,
+	"flush_queue": "the async writer's queue holds " + strconv.Itoa(flushQueue) + " delta segments",
+}
+
+const storeChosen = "the store is chosen where it is opened (OpenStore's spec, or a tool's -store)"
 
 // ScenarioConfig builds the configurations used throughout the paper's
 // evaluation (Table 3). It starts from everything-off and enables exactly

@@ -23,8 +23,8 @@ func TestStressIngestWithConcurrentReaders(t *testing.T) {
 		workers, perWorker = 4, 50
 	}
 
-	view := vfs.NewStore().NewView()
-	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
+	backend := &queueFiller{VFSBackend: VFSBackend{View: vfs.NewStore().NewView()}}
+	store, err := NewStore(backend, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,8 @@ func TestStressIngestWithConcurrentReaders(t *testing.T) {
 	cfg.Mode = ModePeriodic
 	cfg.FlushEvery = 9
 	cfg.Pipeline = PipelineAsync
-	cfg.FlushQueue = 2
 	tr := NewTracker(cfg, store, 0)
+	backend.tr = tr
 	g := tr.Graph()
 
 	stop := make(chan struct{})
@@ -92,6 +92,7 @@ func TestStressIngestWithConcurrentReaders(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	backend.check(t)
 
 	// Readers must not have perturbed ingest: exact record accounting, and
 	// the store agrees with memory.

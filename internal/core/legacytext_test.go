@@ -329,7 +329,7 @@ func TestNewStoreRefusesOtherFormats(t *testing.T) {
 // an error that names the tool that writes text.
 func TestConfigFormatKeyRefused(t *testing.T) {
 	for _, val := range []string{"ttl", "nt", "pbs", "auto"} {
-		_, err := LoadConfig(strings.NewReader("store_dir = /p\nformat = " + val + "\n"))
+		_, err := LoadConfig(strings.NewReader("mode = at_end\nformat = " + val + "\n"))
 		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "provio-export") {
 			t.Errorf("format = %s: %v", val, err)
 		}

@@ -142,7 +142,7 @@ func NewStore(backend Backend, dir string, format Format) (*Store, error) {
 }
 
 // OpenStore opens a store from a spec string — the URI-style form every CLI
-// tool and the config file accept (backend.ParseSpec grammar):
+// tool's -store accepts (the backend.Open grammar):
 //
 //	dir:/path (or a bare path)   directory store
 //	mem:                         in-memory store

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -17,8 +18,8 @@ import (
 // all agree exactly.
 func stressTracker(t *testing.T, pipeline Pipeline, workers, perWorker int) {
 	t.Helper()
-	view := vfs.NewStore().NewView()
-	store, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
+	backend := &queueFiller{VFSBackend: VFSBackend{View: vfs.NewStore().NewView()}}
+	store, err := NewStore(backend, "/prov", FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +27,10 @@ func stressTracker(t *testing.T, pipeline Pipeline, workers, perWorker int) {
 	cfg.Mode = ModePeriodic
 	cfg.FlushEvery = 7 // deliberately not a divisor of the record count
 	cfg.Pipeline = pipeline
-	cfg.FlushQueue = 2 // small queue to exercise backpressure blocking
 	tr := NewTracker(cfg, store, 0)
+	if pipeline == PipelineAsync {
+		backend.tr = tr // fill the queue to exercise backpressure blocking
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -48,6 +51,7 @@ func stressTracker(t *testing.T, pipeline Pipeline, workers, perWorker int) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	backend.check(t)
 
 	wantRecords := int64(workers * (1 + 2*perWorker))
 	recs, triples := tr.Stats()
@@ -84,6 +88,41 @@ func stressTracker(t *testing.T, pipeline Pipeline, workers, perWorker int) {
 	})
 	if missing > 0 {
 		t.Errorf("%d in-memory triples missing from the store", missing)
+	}
+}
+
+// queueFiller is a store backend whose first write, once tr is set, waits
+// until tr's async writer queue is full. The writer makes that write, so the
+// tracking goroutines fill the queue behind it and then block on it: the
+// stress tests exercise backpressure at the fixed depth flushQueue however
+// fast the backend is.
+type queueFiller struct {
+	VFSBackend
+	tr     *Tracker
+	once   sync.Once
+	filled bool
+}
+
+func (b *queueFiller) WriteFile(path string, data []byte) error {
+	if b.tr != nil {
+		b.once.Do(func() {
+			b.tr.mu.Lock()
+			ch := b.tr.flushCh
+			b.tr.mu.Unlock()
+			for end := time.Now().Add(10 * time.Second); len(ch) < flushQueue && time.Now().Before(end); {
+				time.Sleep(time.Millisecond)
+			}
+			b.filled = len(ch) == flushQueue
+		})
+	}
+	return b.VFSBackend.WriteFile(path, data)
+}
+
+// check fails t if tr was set and its writer queue never filled.
+func (b *queueFiller) check(t *testing.T) {
+	t.Helper()
+	if b.tr != nil && !b.filled {
+		t.Errorf("the async writer queue never held %d delta segments", flushQueue)
 	}
 }
 

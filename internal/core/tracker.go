@@ -230,11 +230,7 @@ func (t *Tracker) addRecord(triples []rdf.TripleID) {
 // its queue. Caller holds t.mu.
 func (t *Tracker) startWriterLocked() chan flushJob {
 	if t.flushCh == nil {
-		qcap := t.cfg.FlushQueue
-		if qcap <= 0 {
-			qcap = 4
-		}
-		t.flushCh = make(chan flushJob, qcap)
+		t.flushCh = make(chan flushJob, flushQueue)
 		go t.writerLoop(t.flushCh)
 	}
 	return t.flushCh
@@ -282,11 +278,7 @@ func (t *Tracker) chargeAsyncFlushLocked(deltaTriples int) {
 	for t.wHead < len(t.wQueue) && t.wQueue[t.wHead] <= now {
 		t.wHead++
 	}
-	qcap := t.cfg.FlushQueue
-	if qcap <= 0 {
-		qcap = 4
-	}
-	if len(t.wQueue)-t.wHead >= qcap {
+	if len(t.wQueue)-t.wHead >= flushQueue {
 		// Queue full: stall until the oldest modeled segment completes.
 		t.clock.AdvanceTo(t.wQueue[t.wHead])
 		now = t.wQueue[t.wHead]
@@ -296,13 +288,14 @@ func (t *Tracker) chargeAsyncFlushLocked(deltaTriples int) {
 	if n := len(t.wQueue); n > t.wHead && t.wQueue[n-1] > start {
 		start = t.wQueue[n-1] // writer busy with earlier segments
 	}
-	// Compact: the live window is at most qcap entries, so slide it back to
-	// the array start whenever the queue drains or the dead prefix grows,
-	// keeping the backing array bounded by O(qcap) instead of O(flushes).
+	// Compact: the live window is at most flushQueue entries, so slide it
+	// back to the array start whenever the queue drains or the dead prefix
+	// grows, keeping the backing array bounded by O(flushQueue) instead of
+	// O(flushes).
 	if t.wHead == len(t.wQueue) {
 		t.wQueue = t.wQueue[:0]
 		t.wHead = 0
-	} else if t.wHead >= 2*qcap {
+	} else if t.wHead >= 2*flushQueue {
 		n := copy(t.wQueue, t.wQueue[t.wHead:])
 		t.wQueue = t.wQueue[:n]
 		t.wHead = 0

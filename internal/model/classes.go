@@ -82,9 +82,6 @@ func (c Class) IRI() rdf.Term { return c.iriTerm }
 // String returns the class name.
 func (c Class) String() string { return c.Name }
 
-// IsZero reports whether c is the zero Class.
-func (c Class) IsZero() bool { return c.Name == "" }
-
 func newClass(super Super, stereotype, name, desc string) Class {
 	c := Class{
 		Super: super, Stereotype: stereotype, Name: name, Description: desc,

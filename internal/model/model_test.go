@@ -52,9 +52,6 @@ func TestClassByName(t *testing.T) {
 	if _, ok := ClassByName("Nope"); ok {
 		t.Error("ClassByName accepted unknown name")
 	}
-	if !(Class{}).IsZero() {
-		t.Error("zero Class not reported zero")
-	}
 }
 
 func TestSuperString(t *testing.T) {

@@ -63,9 +63,6 @@ func Wrap(view *vfs.View, tracker *core.Tracker, agent Agent, opts Options) *FS 
 	return &FS{view: view, tracker: tracker, agent: agent, opts: opts}
 }
 
-// View returns the underlying (unwrapped) view.
-func (w *FS) View() *vfs.View { return w.view }
-
 func (w *FS) now() time.Duration {
 	if c := w.view.Clock(); c != nil {
 		return c.Now()

@@ -542,10 +542,3 @@ func (g *Graph) Merge(other *Graph) int {
 	}
 	return g.AddRefs(refs)
 }
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	ng := NewGraph()
-	ng.Merge(g)
-	return ng
-}

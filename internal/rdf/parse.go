@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 	"unicode"
-	"unicode/utf8"
 )
 
 // parseError describes a syntax error with its line number.
@@ -222,7 +221,7 @@ func (p *turtleParser) parseTerm(subjectPos bool) (Term, error) {
 		return IRI(iri), nil
 	case c == '_':
 		return p.parseBlank()
-	case c == '"':
+	case c == '"' || c == '\'':
 		if subjectPos {
 			return Term{}, p.errf("literal not allowed as subject/predicate")
 		}
@@ -255,60 +254,24 @@ func (p *turtleParser) boundary() bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == ',' || c == ';' || c == '.'
 }
 
-func (p *turtleParser) parseIRIRef() (string, error) {
-	if err := p.expect('<'); err != nil {
-		return "", err
+// scanned moves the cursor past the n bytes a term scanner read, counting the
+// line breaks a string may hold, and places the scanner's error, if any, at
+// the line the cursor reached.
+func (p *turtleParser) scanned(n int, err error) error {
+	p.line += strings.Count(p.src[p.pos:p.pos+n], "\n")
+	p.pos += n
+	if err != nil {
+		return p.errf("%v", err)
 	}
-	var b strings.Builder
-	for {
-		if p.eof() {
-			return "", p.errf("unterminated IRI")
-		}
-		c := p.advance()
-		if c == '>' {
-			return b.String(), nil
-		}
-		if c == '\n' {
-			return "", p.errf("newline in IRI")
-		}
-		if c == '\\' {
-			// The grammar allows no other escape in an IRIREF.
-			if p.eof() || (p.peek() != 'u' && p.peek() != 'U') {
-				return "", p.errf("bad escape in IRI")
-			}
-			r, err := p.parseUChar(p.advance())
-			if err != nil {
-				return "", err
-			}
-			b.WriteRune(r)
-			continue
-		}
-		b.WriteByte(c)
-	}
+	return nil
 }
 
-// parseUChar reads the hex digits of a \uXXXX (e == 'u') or \UXXXXXXXX escape
-// whose introducer was just consumed.
-func (p *turtleParser) parseUChar(e byte) (rune, error) {
-	n := 4
-	if e == 'U' {
-		n = 8
-	}
-	if p.pos+n > len(p.src) {
-		return 0, p.errf("truncated \\%c escape", e)
-	}
-	var r rune
-	for i := 0; i < n; i++ {
-		d := hexVal(p.advance())
-		if d < 0 {
-			return 0, p.errf("bad hex digit in \\%c escape", e)
-		}
-		r = r<<4 | rune(d)
-	}
-	if !utf8.ValidRune(r) {
-		return 0, p.errf("invalid unicode escape")
-	}
-	return r, nil
+// parseIRIRef reads an IRIREF and clones it: a datatype or a prefix keeps its
+// IRI as it is given, which must not pin the document.
+func (p *turtleParser) parseIRIRef() (string, error) {
+	p.skipWS()
+	iri, n, err := ScanIRIRef(p.src[p.pos:])
+	return strings.Clone(iri), p.scanned(n, err)
 }
 
 func (p *turtleParser) parseBlank() (Term, error) {
@@ -328,62 +291,17 @@ func (p *turtleParser) parseBlank() (Term, error) {
 }
 
 func (p *turtleParser) parseStringLiteral() (Term, error) {
-	p.advance() // opening '"'
-	var b strings.Builder
-	for {
-		if p.eof() {
-			return Term{}, p.errf("unterminated string literal")
-		}
-		c := p.advance()
-		if c == '"' {
-			break
-		}
-		if c == '\\' {
-			if p.eof() {
-				return Term{}, p.errf("unterminated escape")
-			}
-			e := p.advance()
-			switch e {
-			case 'n':
-				b.WriteByte('\n')
-			case 'r':
-				b.WriteByte('\r')
-			case 't':
-				b.WriteByte('\t')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			case 'u', 'U':
-				r, err := p.parseUChar(e)
-				if err != nil {
-					return Term{}, err
-				}
-				b.WriteRune(r)
-			default:
-				return Term{}, p.errf("unknown escape \\%c", e)
-			}
-			continue
-		}
-		b.WriteByte(c)
-	}
-	lex := b.String()
-	// The writers refuse a literal that is not UTF-8 (textError), so a
-	// document holding one is not one of theirs; the grammar forbids it too.
-	if !utf8.ValidString(lex) {
-		return Term{}, p.errf("string literal is not valid UTF-8")
+	lex, n, err := ScanString(p.src[p.pos:])
+	if err := p.scanned(n, err); err != nil {
+		return Term{}, err
 	}
 	// Optional language tag or datatype.
-	if !p.eof() && p.peek() == '@' {
-		p.advance()
-		start := p.pos
-		for !p.eof() && (isAlphaNum(p.peek()) || p.peek() == '-') {
-			p.advance()
+	if p.peek() == '@' {
+		tag, n, err := ScanLangTag(p.src[p.pos:])
+		if err := p.scanned(n, err); err != nil {
+			return Term{}, err
 		}
-		if p.pos == start {
-			return Term{}, p.errf("empty language tag")
-		}
-		return LangLiteral(lex, strings.Clone(p.src[start:p.pos])), nil
+		return LangLiteral(lex, strings.Clone(tag)), nil
 	}
 	if strings.HasPrefix(p.src[p.pos:], "^^") {
 		p.pos += 2
@@ -400,43 +318,9 @@ func (p *turtleParser) parseStringLiteral() (Term, error) {
 }
 
 func (p *turtleParser) parseNumber() (Term, error) {
-	start := p.pos
-	if p.peek() == '+' || p.peek() == '-' {
-		p.advance()
-	}
-	seenDot, seenExp := false, false
-	for !p.eof() {
-		c := p.peek()
-		switch {
-		case c >= '0' && c <= '9':
-			p.advance()
-		case c == '.' && !seenDot && !seenExp:
-			// A '.' followed by a non-digit terminates the statement instead.
-			if p.pos+1 >= len(p.src) || p.src[p.pos+1] < '0' || p.src[p.pos+1] > '9' {
-				goto done
-			}
-			seenDot = true
-			p.advance()
-		case (c == 'e' || c == 'E') && !seenExp:
-			seenExp = true
-			p.advance()
-			if !p.eof() && (p.peek() == '+' || p.peek() == '-') {
-				p.advance()
-			}
-		default:
-			goto done
-		}
-	}
-done:
-	lex := p.src[start:p.pos]
-	if lex == "" || lex == "+" || lex == "-" {
-		return Term{}, p.errf("malformed number")
-	}
-	lex = strings.Clone(lex)
-	if seenDot || seenExp {
-		return TypedLiteral(lex, XSDDouble), nil
-	}
-	return TypedLiteral(lex, XSDInteger), nil
+	num, n, err := ScanNumber(p.src[p.pos:])
+	num.Value = strings.Clone(num.Value)
+	return num, p.scanned(n, err)
 }
 
 func (p *turtleParser) parsePrefixedName() (Term, error) {
@@ -473,20 +357,4 @@ func isNameChar(r rune) bool {
 
 func isLocalChar(r rune) bool {
 	return isNameChar(r) || r == '.' || r == '/' || r == '#'
-}
-
-func isAlphaNum(c byte) bool {
-	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-}
-
-func hexVal(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	case c >= 'A' && c <= 'F':
-		return int(c-'A') + 10
-	}
-	return -1
 }

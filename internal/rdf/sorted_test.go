@@ -145,7 +145,7 @@ func TestSortedGraphStaysWritable(t *testing.T) {
 		if added := g.Merge(extra); added != 2 {
 			t.Fatalf("%s: Merge of two new triples and one logged added %d", path.name, added)
 		}
-		want := built.Clone()
+		want := cloneGraph(built)
 		want.Merge(extra)
 		if got := g.SortedTriples(); !slices.Equal(got, want.SortedTriples()) {
 			t.Fatalf("%s: after new writes the graph is not the union", path.name)
@@ -157,9 +157,9 @@ func TestSortedGraphStaysWritable(t *testing.T) {
 	}
 
 	// Merge the other way: a sorted graph's triples into a built graph.
-	into := extra.Clone()
+	into := cloneGraph(extra)
 	into.Merge(sortedOf(built))
-	want := built.Clone()
+	want := cloneGraph(built)
 	want.Merge(extra)
 	if !slices.Equal(into.SortedTriples(), want.SortedTriples()) {
 		t.Fatal("merging a sorted graph into a built one lost triples")
@@ -177,7 +177,7 @@ func TestSortedGraphStaysWritable(t *testing.T) {
 		}
 		return out
 	}
-	serial := built.Clone()
+	serial := cloneGraph(built)
 	for w := 0; w < writers; w++ {
 		for i := 0; i < batches; i++ {
 			serial.AddBatch(batch(w, i))

@@ -9,6 +9,7 @@
 package rdf
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -196,6 +197,213 @@ func quoteLiteral(s string) string {
 	return b.String()
 }
 
+// The scanners below are the one reader of each term production the writers
+// above print, shared by the Turtle parser and the SPARQL lexer. Each reads
+// the token s starts with and returns its value and the bytes it read (up to
+// the fault, on an error); a value with no escape is a substring of s. What
+// depends on the caller's grammar stays with it: when a token starts, line
+// numbers, and the position its errors name.
+
+// ScanIRIRef reads an IRIREF: '<', the IRI, '>'. The \uXXXX and \UXXXXXXXX
+// escapes iriRef writes, the only escapes the grammar has there, are decoded;
+// any other byte but a line break is the IRI's own.
+func ScanIRIRef(s string) (iri string, n int, err error) {
+	if s == "" || s[0] != '<' {
+		return "", 0, errors.New("expected '<'")
+	}
+	i := 1
+	for i < len(s) && s[i] != '>' && s[i] != '\\' && s[i] != '\n' {
+		i++
+	}
+	if i < len(s) && s[i] == '>' {
+		return s[1:i], i + 1, nil
+	}
+	b := []byte(s[1:i])
+	for i < len(s) {
+		switch c := s[i]; c {
+		case '>':
+			return string(b), i + 1, nil
+		case '\n':
+			return "", i, errors.New("newline in IRI")
+		case '\\':
+			if i+1 == len(s) || s[i+1] != 'u' && s[i+1] != 'U' {
+				return "", i, errors.New("bad escape in IRI")
+			}
+			r, w, err := scanUChar(s[i:])
+			if err != nil {
+				return "", i + w, err
+			}
+			b = utf8.AppendRune(b, r)
+			i += w
+		default:
+			b = append(b, c)
+			i++
+		}
+	}
+	return "", i, errors.New("unterminated IRI")
+}
+
+// ScanString reads a string in double or single quotes. The escapes \t \b
+// \n \r \f \" \' \\ and \uXXXX, \UXXXXXXXX are decoded; a raw line break is
+// kept, as both parsers always have. The value must be UTF-8.
+func ScanString(s string) (lex string, n int, err error) {
+	if s == "" || s[0] != '"' && s[0] != '\'' {
+		return "", 0, errors.New("expected a quote")
+	}
+	q, i := s[0], 1
+	for i < len(s) && s[i] != q && s[i] != '\\' {
+		i++
+	}
+	if i < len(s) && s[i] == q {
+		lex, n = s[1:i], i+1
+	} else {
+		if lex, n, err = scanEscapedString(s, i); err != nil {
+			return "", n, err
+		}
+	}
+	if !utf8.ValidString(lex) {
+		return "", n, errors.New("string is not valid UTF-8")
+	}
+	return lex, n, nil
+}
+
+// scanEscapedString is ScanString from s[i], the first backslash or the end.
+func scanEscapedString(s string, i int) (string, int, error) {
+	q := s[0]
+	b := []byte(s[1:i])
+	for i < len(s) {
+		c := s[i]
+		if c == q {
+			return string(b), i + 1, nil
+		}
+		if c != '\\' {
+			b = append(b, c)
+			i++
+			continue
+		}
+		if i+1 == len(s) {
+			return "", i + 1, errors.New("unterminated escape")
+		}
+		switch e := s[i+1]; e {
+		case 'u', 'U':
+			r, w, err := scanUChar(s[i:])
+			if err != nil {
+				return "", i + w, err
+			}
+			b = utf8.AppendRune(b, r)
+			i += w
+			continue
+		case 't':
+			c = '\t'
+		case 'b':
+			c = '\b'
+		case 'n':
+			c = '\n'
+		case 'r':
+			c = '\r'
+		case 'f':
+			c = '\f'
+		case '"', '\'', '\\':
+			c = e
+		default:
+			return "", i + 2, fmt.Errorf("unknown escape \\%c", e)
+		}
+		b = append(b, c)
+		i += 2
+	}
+	return "", i, errors.New("unterminated string")
+}
+
+// scanUChar reads the \uXXXX or \UXXXXXXXX escape s starts with.
+func scanUChar(s string) (r rune, n int, err error) {
+	n = 6
+	if s[1] == 'U' {
+		n = 10
+	}
+	if len(s) < n {
+		return 0, len(s), fmt.Errorf("truncated \\%c escape", s[1])
+	}
+	for i := 2; i < n; i++ {
+		d := hexVal(s[i])
+		if d < 0 {
+			return 0, i, fmt.Errorf("bad hex digit in \\%c escape", s[1])
+		}
+		r = r<<4 | rune(d)
+	}
+	if !utf8.ValidRune(r) {
+		return 0, n, errors.New("invalid unicode escape")
+	}
+	return r, n, nil
+}
+
+// ScanLangTag reads a language tag: '@' and then the letters, digits and '-'
+// isLangTag takes.
+func ScanLangTag(s string) (tag string, n int, err error) {
+	if s == "" || s[0] != '@' {
+		return "", 0, errors.New("expected '@'")
+	}
+	n = 1 + langTagLen(s[1:])
+	if n == 1 {
+		return "", 1, errors.New("empty language tag")
+	}
+	return s[1:n], n, nil
+}
+
+// ScanNumber reads an INTEGER, DECIMAL or DOUBLE with an optional sign, typed
+// xsd:integer, else xsd:double. A '.' belongs to the number only when a digit
+// follows it, and an exponent only when it holds a digit, so "1." and "1e"
+// read as "1".
+func ScanNumber(s string) (num Term, n int, err error) {
+	i := 0
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		i = 1
+	}
+	n, dt := digitsEnd(s, i), XSDInteger
+	if n+1 < len(s) && s[n] == '.' && isDigit(s[n+1]) {
+		n, dt = digitsEnd(s, n+1), XSDDouble
+	}
+	if n == i {
+		return Term{}, n, errors.New("malformed number")
+	}
+	if n < len(s) && (s[n] == 'e' || s[n] == 'E') {
+		e := n + 1
+		if e < len(s) && (s[e] == '+' || s[e] == '-') {
+			e++
+		}
+		if end := digitsEnd(s, e); end > e {
+			n, dt = end, XSDDouble
+		}
+	}
+	return TypedLiteral(s[:n], dt), n, nil
+}
+
+// digitsEnd returns the index of the first byte of s from i on that is not
+// an ASCII digit.
+func digitsEnd(s string, i int) int {
+	for i < len(s) && isDigit(s[i]) {
+		i++
+	}
+	return i
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+func isAlphaNum(c byte) bool {
+	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+}
+
+func hexVal(c byte) int {
+	switch {
+	case c >= '0' && c <= '9':
+		return int(c - '0')
+	case c >= 'a' && c <= 'f':
+		return int(c-'a') + 10
+	case c >= 'A' && c <= 'F':
+		return int(c-'A') + 10
+	}
+	return -1
+}
+
 // textError reports why a term cannot be written as N-Triples or Turtle
 // text that parses back to it, naming the term; nil when it can. The text
 // writers refuse such a term rather than write another in its place: a
@@ -206,6 +414,8 @@ func textError(t Term) error {
 	switch {
 	case t.Kind == BlankTerm && !isBlankLabel(t.Value):
 		why = "blank node label is not a name (letters, digits, '_', '-')"
+	case t.Kind != LiteralTerm && (t.Lang != "" || t.Datatype != ""):
+		why = "only a literal has a language tag or a datatype"
 	case t.Kind != LiteralTerm:
 		// An IRI is always writable: iriRef escapes what IRIREF forbids.
 	case !utf8.ValidString(t.Value):
@@ -235,14 +445,17 @@ func isBlankLabel(s string) bool {
 	return s != ""
 }
 
-// isLangTag reports whether the parser reads s back whole after "@".
-func isLangTag(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if !isAlphaNum(s[i]) && s[i] != '-' {
-			return false
-		}
+// isLangTag reports whether the parsers read s back whole after "@".
+func isLangTag(s string) bool { return s != "" && langTagLen(s) == len(s) }
+
+// langTagLen is the length of the run of letters, digits and '-' s starts
+// with.
+func langTagLen(s string) int {
+	i := 0
+	for i < len(s) && (isAlphaNum(s[i]) || s[i] == '-') {
+		i++
 	}
-	return s != ""
+	return i
 }
 
 // Triple is a single RDF statement.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"github.com/hpc-io/prov-io/internal/rdf"
 )
 
 // Error is a SPARQL syntax or evaluation error.
@@ -173,7 +175,8 @@ func (l *lexer) next() (token, error) {
 	case '<':
 		// IRI ref or less-than. An IRI has no spaces before '>'.
 		if l.looksLikeIRI() {
-			return l.lexIRI()
+			iri, n, err := rdf.ScanIRIRef(l.src[l.pos:])
+			return token{tokIRI, iri, line}, l.scanned(n, err)
 		}
 		l.advance()
 		if l.peek() == '=' {
@@ -191,9 +194,11 @@ func (l *lexer) next() (token, error) {
 	case '?', '$':
 		return l.lexVar()
 	case '"', '\'':
-		return l.lexString()
+		lex, n, err := rdf.ScanString(l.src[l.pos:])
+		return token{tokString, lex, line}, l.scanned(n, err)
 	case '@':
-		return l.lexLangTag()
+		tag, n, err := rdf.ScanLangTag(l.src[l.pos:])
+		return token{tokLangTag, tag, line}, l.scanned(n, err)
 	case '-':
 		return l.lexNumber()
 	case ':':
@@ -211,6 +216,18 @@ func (l *lexer) next() (token, error) {
 	return l.lexWord()
 }
 
+// scanned moves the cursor past the n bytes an internal/rdf term scanner
+// read, counting the line breaks a string may hold, and places the
+// scanner's error, if any, at the line the cursor reached.
+func (l *lexer) scanned(n int, err error) error {
+	l.line += strings.Count(l.src[l.pos:l.pos+n], "\n")
+	l.pos += n
+	if err != nil {
+		return l.errf("%v", err)
+	}
+	return nil
+}
+
 // looksLikeIRI scans ahead from a '<' for a '>' with no whitespace between.
 func (l *lexer) looksLikeIRI() bool {
 	for i := l.pos + 1; i < len(l.src); i++ {
@@ -222,21 +239,6 @@ func (l *lexer) looksLikeIRI() bool {
 		}
 	}
 	return false
-}
-
-func (l *lexer) lexIRI() (token, error) {
-	line := l.line
-	l.advance() // '<'
-	start := l.pos
-	for !l.eof() && l.peek() != '>' {
-		l.advance()
-	}
-	if l.eof() {
-		return token{}, l.errf("unterminated IRI")
-	}
-	iri := l.src[start:l.pos]
-	l.advance() // '>'
-	return token{tokIRI, iri, line}, nil
 }
 
 func (l *lexer) lexVar() (token, error) {
@@ -253,90 +255,11 @@ func (l *lexer) lexVar() (token, error) {
 	return token{tokVar, l.src[start:l.pos], line}, nil
 }
 
-func (l *lexer) lexString() (token, error) {
-	line := l.line
-	quote := l.advance()
-	var b strings.Builder
-	for {
-		if l.eof() {
-			return token{}, l.errf("unterminated string")
-		}
-		c := l.advance()
-		if c == quote {
-			break
-		}
-		if c == '\\' {
-			if l.eof() {
-				return token{}, l.errf("unterminated escape")
-			}
-			e := l.advance()
-			switch e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '\\', '"', '\'':
-				b.WriteByte(e)
-			default:
-				return token{}, l.errf("unknown escape \\%c", e)
-			}
-			continue
-		}
-		b.WriteByte(c)
-	}
-	return token{tokString, b.String(), line}, nil
-}
-
-func (l *lexer) lexLangTag() (token, error) {
-	line := l.line
-	l.advance() // '@'
-	start := l.pos
-	for !l.eof() && (isWordChar(rune(l.peek())) || l.peek() == '-') {
-		l.advance()
-	}
-	if l.pos == start {
-		return token{}, l.errf("empty language tag")
-	}
-	return token{tokLangTag, l.src[start:l.pos], line}, nil
-}
-
+// lexNumber lexes a number, its sign included.
 func (l *lexer) lexNumber() (token, error) {
 	line := l.line
-	start := l.pos
-	if l.peek() == '-' || l.peek() == '+' {
-		l.advance()
-	}
-	digits := false
-	for !l.eof() {
-		c := l.peek()
-		if c >= '0' && c <= '9' {
-			digits = true
-			l.advance()
-			continue
-		}
-		if c == '.' {
-			d := l.peekAt(1)
-			if d >= '0' && d <= '9' {
-				l.advance()
-				continue
-			}
-		}
-		if c == 'e' || c == 'E' {
-			d := l.peekAt(1)
-			if d >= '0' && d <= '9' || d == '+' || d == '-' {
-				l.advance()
-				l.advance()
-				continue
-			}
-		}
-		break
-	}
-	if !digits {
-		return token{}, l.errf("malformed number")
-	}
-	return token{tokNumber, l.src[start:l.pos], line}, nil
+	num, n, err := rdf.ScanNumber(l.src[l.pos:])
+	return token{tokNumber, num.Value, line}, l.scanned(n, err)
 }
 
 // lexWord lexes keywords, the 'a' shortcut, and prefixed names.

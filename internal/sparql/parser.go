@@ -354,7 +354,8 @@ func (p *parser) parseNode() (NodePattern, error) {
 		return NodePattern{Term: rdf.Literal(t.text)}, nil
 	case tokNumber:
 		p.pos++
-		return NodePattern{Term: numberTerm(t.text)}, nil
+		num, _, _ := rdf.ScanNumber(t.text) // the lexer read it whole
+		return NodePattern{Term: num}, nil
 	case tokKeyword:
 		if t.text == "TRUE" || t.text == "FALSE" {
 			p.pos++
@@ -362,13 +363,6 @@ func (p *parser) parseNode() (NodePattern, error) {
 		}
 	}
 	return NodePattern{}, p.errf("expected term or variable, got %q", p.cur().text)
-}
-
-func numberTerm(text string) rdf.Term {
-	if strings.ContainsAny(text, ".eE") {
-		return rdf.TypedLiteral(text, rdf.XSDDouble)
-	}
-	return rdf.TypedLiteral(text, rdf.XSDInteger)
 }
 
 // parsePath parses the predicate position: a variable, 'a', or a property
@@ -611,7 +605,8 @@ func (p *parser) parsePrimaryExpr() (Expr, error) {
 		return TermExpr{Term: rdf.Literal(t.text)}, nil
 	case t.kind == tokNumber:
 		p.pos++
-		return TermExpr{Term: numberTerm(t.text)}, nil
+		num, _, _ := rdf.ScanNumber(t.text) // the lexer read it whole
+		return TermExpr{Term: num}, nil
 	case t.kind == tokIRI:
 		p.pos++
 		return TermExpr{Term: rdf.IRI(t.text)}, nil

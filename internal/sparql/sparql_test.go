@@ -418,6 +418,51 @@ func TestLexerTokens(t *testing.T) {
 	}
 }
 
+// TestOneTermGrammar: the inputs on which the Turtle parser and the SPARQL
+// lexer once read a term differently, from each other or from what the
+// writers print. Each doc is a one-triple Turtle document; each query asks
+// for its subject by the object's text.
+func TestOneTermGrammar(t *testing.T) {
+	cases := []struct {
+		name, doc, query string
+		refused          string // "turtle" or "sparql" when that side must refuse
+	}{
+		{"printed-iri-escape", `<http://e/s> <http://e/p> <http://e/a\u0020b> .`,
+			`SELECT ?s WHERE { ?s <http://e/p> <http://e/a\u0020b> }`, ""},
+		{"sparql-string-uchar", `<http://e/s> <http://e/p> "café" .`,
+			`SELECT ?s WHERE { ?s <http://e/p> "caf\u00E9" }`, ""},
+		{"sparql-exponent-without-digit", `<http://e/s> <http://e/p> 1 .`,
+			`SELECT ?s WHERE { ?s <http://e/p> 1e+ }`, "sparql"},
+		{"turtle-single-quote", `<http://e/s> <http://e/p> 'single' .`,
+			`SELECT ?s WHERE { ?s <http://e/p> "single" }`, ""},
+		{"turtle-exponent-without-digit", `<http://e/s> <http://e/p> 1e .`, "", "turtle"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g, _, err := rdf.ParseTurtle(strings.NewReader(c.doc))
+			if (err != nil) != (c.refused == "turtle") {
+				t.Fatalf("ParseTurtle(%q): %v", c.doc, err)
+			}
+			if c.query == "" {
+				return
+			}
+			res, _, err := ExecParallelInfo(g, c.query, nil, 1)
+			if c.refused == "sparql" {
+				if err == nil {
+					t.Fatalf("%q was not refused", c.query)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 {
+				t.Fatalf("%q returned %d rows, want 1", c.query, len(res.Rows))
+			}
+		})
+	}
+}
+
 func TestLexerErrorsIncludeLine(t *testing.T) {
 	_, err := lexAll("SELECT ?x\nWHERE { ?x & ?y }")
 	if err == nil {
