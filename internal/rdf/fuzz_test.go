@@ -18,6 +18,8 @@ func FuzzParseTurtle(f *testing.F) {
 	f.Add("@prefix : <http://e/> .\n:s :p true .")
 	f.Add(`<http://e/a\u003E\u0020\u003Cb> <http://e/p\U0001F600> "5"^^<http://e/d\u0020t> .`)
 	f.Add(`<http://e/s> <http://e/p> 'it\'s' , "\b\f\u00E9" , -.5 , 1e-3 , 1.5E+2 .`)
+	f.Add("@prefix ex: <http://e/> .\nex:café ex:a:b _:bé , _:b.c , ex:1a , ex:a- .")
+	f.Add("@prefix é: <http://e/> .\né:s·x é:p é:o\u0301 , é:x.y .")
 	f.Fuzz(func(t *testing.T, doc string) {
 		g, ns, err := ParseTurtle(strings.NewReader(doc))
 		if err != nil {

@@ -43,8 +43,8 @@ func (ns *Namespaces) Expand(curie string) (string, bool) {
 }
 
 // Shrink compacts a full IRI into a CURIE using the longest matching base.
-// Returns the original IRI with ok=false when no prefix matches or the local
-// part is not a valid Turtle PN_LOCAL name.
+// Returns the original IRI with ok=false when no prefix matches or the
+// CURIE is not a prefixed name ScanPrefixedName reads back whole.
 func (ns *Namespaces) Shrink(iri string) (string, bool) {
 	bestPrefix, bestBase := "", ""
 	for p, b := range ns.prefixToBase {
@@ -55,33 +55,11 @@ func (ns *Namespaces) Shrink(iri string) (string, bool) {
 	if bestBase == "" {
 		return iri, false
 	}
-	local := iri[len(bestBase):]
-	if !validLocalName(local) {
+	curie := bestPrefix + ":" + iri[len(bestBase):]
+	if _, _, n, err := ScanPrefixedName(curie); err != nil || n < len(curie) {
 		return iri, false
 	}
-	return bestPrefix + ":" + local, true
-}
-
-// validLocalName reports whether s can appear as the local part of a Turtle
-// prefixed name without escaping. We accept a conservative subset.
-func validLocalName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_':
-		case r >= '0' && r <= '9':
-			// digits allowed anywhere in our conservative subset
-		case r == '-' || r == '.':
-			if i == 0 || i == len(s)-1 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
+	return curie, true
 }
 
 // Prefixes returns the bound prefixes in sorted order.

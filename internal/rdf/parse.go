@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"unicode"
 )
 
 // parseError describes a syntax error with its line number.
@@ -95,63 +94,57 @@ func (p *turtleParser) parse() error {
 		if p.eof() {
 			return nil
 		}
-		if p.hasKeyword("@prefix") {
-			if err := p.parsePrefix(); err != nil {
-				return err
-			}
-			continue
+		var err error
+		if p.peek() == '@' {
+			err = p.parseDirective()
+		} else {
+			err = p.parseStatement()
 		}
-		if p.hasKeyword("@base") {
-			return p.errf("@base is not supported")
-		}
-		if err := p.parseStatement(); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 }
 
-// hasKeyword consumes kw if it appears at the cursor.
-func (p *turtleParser) hasKeyword(kw string) bool {
-	if strings.HasPrefix(p.src[p.pos:], kw) {
-		p.pos += len(kw)
-		return true
+// parseDirective reads '@prefix' PNAME_NS IRIREF '.'. The directive's
+// keyword is read as a language tag is, so it is a whole word.
+func (p *turtleParser) parseDirective() error {
+	kw, n, _ := ScanLangTag(p.src[p.pos:])
+	p.pos += n
+	if kw != "prefix" {
+		return p.errf("@%s is not supported", kw)
 	}
-	return false
-}
-
-func (p *turtleParser) parsePrefix() error {
 	p.skipWS()
-	start := p.pos
-	for !p.eof() && p.peek() != ':' {
-		p.advance()
+	prefix, local, n, err := ScanPrefixedName(p.src[p.pos:])
+	if err == nil && (n == len(prefix) || local != "") {
+		err = fmt.Errorf("@prefix needs a prefix and ':', got %q", p.src[p.pos:p.pos+n])
 	}
-	if p.eof() {
-		return p.errf("unterminated @prefix")
+	if err := p.scanned(n, err); err != nil {
+		return err
 	}
-	prefix := strings.Clone(strings.TrimSpace(p.src[start:p.pos]))
-	p.advance() // ':'
-	p.skipWS()
 	iri, err := p.parseIRIRef()
 	if err != nil {
 		return err
 	}
-	p.ns.Bind(prefix, iri)
+	p.ns.Bind(strings.Clone(prefix), iri)
 	return p.expect('.')
 }
 
 func (p *turtleParser) parseStatement() error {
-	subj, err := p.parseTerm(true)
+	subj, err := p.parseTerm(inSubject)
 	if err != nil {
 		return err
 	}
 	for {
-		p.skipWS()
-		pred, err := p.parsePredicate()
+		pred, err := p.parseTerm(inPredicate)
 		if err != nil {
 			return err
 		}
+		if !pred.IsIRI() {
+			return p.errf("predicate must be an IRI")
+		}
 		for {
-			obj, err := p.parseTerm(false)
+			obj, err := p.parseTerm(inObject)
 			if err != nil {
 				return err
 			}
@@ -183,31 +176,17 @@ func (p *turtleParser) parseStatement() error {
 	}
 }
 
-func (p *turtleParser) parsePredicate() (Term, error) {
-	p.skipWS()
-	// 'a' keyword.
-	if p.peek() == 'a' {
-		next := byte(' ')
-		if p.pos+1 < len(p.src) {
-			next = p.src[p.pos+1]
-		}
-		if next == ' ' || next == '\t' || next == '\n' || next == '\r' || next == '<' {
-			p.advance()
-			return IRI(RDFType), nil
-		}
-	}
-	t, err := p.parseTerm(true)
-	if err != nil {
-		return Term{}, err
-	}
-	if !t.IsIRI() {
-		return Term{}, p.errf("predicate must be an IRI")
-	}
-	return t, nil
-}
+// The positions of a term, which decide the literals and bare words it
+// takes: only an object is a literal, 'true' or 'false', and only a
+// predicate is 'a'. A datatype is read in the subject position.
+const (
+	inSubject = iota
+	inPredicate
+	inObject
+)
 
-// parseTerm parses one RDF term. subjectPos restricts literals.
-func (p *turtleParser) parseTerm(subjectPos bool) (Term, error) {
+// parseTerm parses one RDF term in position pos.
+func (p *turtleParser) parseTerm(pos int) (Term, error) {
 	p.skipWS()
 	if p.eof() {
 		return Term{}, p.errf("unexpected end of input")
@@ -222,36 +201,34 @@ func (p *turtleParser) parseTerm(subjectPos bool) (Term, error) {
 	case c == '_':
 		return p.parseBlank()
 	case c == '"' || c == '\'':
-		if subjectPos {
+		if pos != inObject {
 			return Term{}, p.errf("literal not allowed as subject/predicate")
 		}
 		return p.parseStringLiteral()
 	case c == '+' || c == '-' || (c >= '0' && c <= '9'):
-		if subjectPos {
+		if pos != inObject {
 			return Term{}, p.errf("numeric literal not allowed here")
 		}
 		return p.parseNumber()
-	default:
-		// true/false or prefixed name.
-		if !subjectPos {
-			if p.hasKeyword("true") && p.boundary() {
-				return Boolean(true), nil
-			}
-			if p.hasKeyword("false") && p.boundary() {
-				return Boolean(false), nil
-			}
+	}
+	prefix, local, n, err := ScanPrefixedName(p.src[p.pos:])
+	if err := p.scanned(n, err); err != nil {
+		return Term{}, err
+	}
+	if n == len(prefix) {
+		switch {
+		case pos == inPredicate && prefix == "a":
+			return IRI(RDFType), nil
+		case pos == inObject && (prefix == "true" || prefix == "false"):
+			return Boolean(prefix == "true"), nil
 		}
-		return p.parsePrefixedName()
+		return Term{}, p.errf("expected prefixed name, got %q", prefix)
 	}
-}
-
-// boundary reports whether the cursor sits at a token boundary.
-func (p *turtleParser) boundary() bool {
-	if p.eof() {
-		return true
+	base, ok := p.ns.Base(prefix)
+	if !ok {
+		return Term{}, p.errf("unbound prefix %q", prefix)
 	}
-	c := p.peek()
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == ',' || c == ';' || c == '.'
+	return IRI(base + local), nil
 }
 
 // scanned moves the cursor past the n bytes a term scanner read, counting the
@@ -275,19 +252,12 @@ func (p *turtleParser) parseIRIRef() (string, error) {
 }
 
 func (p *turtleParser) parseBlank() (Term, error) {
-	p.advance() // '_'
-	if p.eof() || p.peek() != ':' {
+	if !strings.HasPrefix(p.src[p.pos:], "_:") {
 		return Term{}, p.errf("expected ':' after '_' in blank node")
 	}
-	p.advance()
-	start := p.pos
-	for !p.eof() && isNameChar(rune(p.peek())) {
-		p.advance()
-	}
-	if p.pos == start {
-		return Term{}, p.errf("empty blank node label")
-	}
-	return Blank(strings.Clone(p.src[start:p.pos])), nil
+	p.pos += 2
+	label, n, err := ScanBlankLabel(p.src[p.pos:])
+	return Blank(strings.Clone(label)), p.scanned(n, err)
 }
 
 func (p *turtleParser) parseStringLiteral() (Term, error) {
@@ -305,7 +275,7 @@ func (p *turtleParser) parseStringLiteral() (Term, error) {
 	}
 	if strings.HasPrefix(p.src[p.pos:], "^^") {
 		p.pos += 2
-		dt, err := p.parseTerm(true)
+		dt, err := p.parseTerm(inSubject)
 		if err != nil {
 			return Term{}, err
 		}
@@ -321,40 +291,4 @@ func (p *turtleParser) parseNumber() (Term, error) {
 	num, n, err := ScanNumber(p.src[p.pos:])
 	num.Value = strings.Clone(num.Value)
 	return num, p.scanned(n, err)
-}
-
-func (p *turtleParser) parsePrefixedName() (Term, error) {
-	start := p.pos
-	for !p.eof() && p.peek() != ':' && isNameChar(rune(p.peek())) {
-		p.advance()
-	}
-	if p.eof() || p.peek() != ':' {
-		return Term{}, p.errf("expected prefixed name")
-	}
-	prefix := p.src[start:p.pos]
-	p.advance() // ':'
-	lstart := p.pos
-	for !p.eof() && isLocalChar(rune(p.peek())) {
-		// A trailing '.' ends the statement, it is not part of the name.
-		if p.peek() == '.' {
-			if p.pos+1 >= len(p.src) || !isLocalChar(rune(p.src[p.pos+1])) || p.src[p.pos+1] == '.' {
-				break
-			}
-		}
-		p.advance()
-	}
-	local := p.src[lstart:p.pos]
-	base, ok := p.ns.Base(prefix)
-	if !ok {
-		return Term{}, p.errf("unbound prefix %q", prefix)
-	}
-	return IRI(base + local), nil
-}
-
-func isNameChar(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
-}
-
-func isLocalChar(r rune) bool {
-	return isNameChar(r) || r == '.' || r == '/' || r == '#'
 }

@@ -377,6 +377,110 @@ func ScanNumber(s string) (num Term, n int, err error) {
 	return TypedLiteral(s[:n], dt), n, nil
 }
 
+// ScanPrefixedName reads a prefixed name, PN_PREFIX? ':' PN_LOCAL?, and
+// returns its prefix and local part. Neither part ends in '.', and the
+// PLX escapes (%hh and \) end the name. When no ':' follows the name s
+// starts with, it returns that bare name as prefix, with n == len(prefix),
+// for the caller to match whole against its keywords.
+func ScanPrefixedName(s string) (prefix, local string, n int, err error) {
+	p := nameLen(s, pnBase, false)
+	if p == len(s) || s[p] != ':' {
+		if p == 0 {
+			return "", "", 0, errors.New("expected a prefixed name")
+		}
+		return s[:p], "", p, nil
+	}
+	n = p + 1 + nameLen(s[p+1:], pnFirst, true)
+	return s[:p], s[p+1 : n], n, nil
+}
+
+// ScanBlankLabel reads the label of a BLANK_NODE_LABEL, the name after
+// "_:": PN_CHARS_U or a digit, then PN_CHARS and '.', not ending in '.'.
+func ScanBlankLabel(s string) (label string, n int, err error) {
+	if n = nameLen(s, pnFirst, false); n == 0 {
+		return "", 0, errors.New("expected a blank node label")
+	}
+	return s[:n], n, nil
+}
+
+// The classes of the name productions' runes, as bits: pnBase is
+// PN_CHARS_BASE, which may start a prefix; pnFirst is PN_CHARS_U and the
+// digits, which may start a local name or a blank label; pnChars is
+// PN_CHARS, which may continue and end any name.
+const (
+	pnBase uint8 = 1 << iota
+	pnFirst
+	pnChars
+
+	pnLetter = pnBase | pnFirst | pnChars
+)
+
+// pnClasses is the one class table of the Turtle and SPARQL name grammars,
+// in rune order.
+var pnClasses = [...]struct {
+	lo, hi rune
+	class  uint8
+}{
+	{'-', '-', pnChars}, {'0', '9', pnFirst | pnChars}, {'A', 'Z', pnLetter},
+	{'_', '_', pnFirst | pnChars}, {'a', 'z', pnLetter}, {0xB7, 0xB7, pnChars},
+	{0xC0, 0xD6, pnLetter}, {0xD8, 0xF6, pnLetter}, {0xF8, 0x2FF, pnLetter},
+	{0x300, 0x36F, pnChars}, {0x370, 0x37D, pnLetter}, {0x37F, 0x1FFF, pnLetter},
+	{0x200C, 0x200D, pnLetter}, {0x203F, 0x2040, pnChars}, {0x2070, 0x218F, pnLetter},
+	{0x2C00, 0x2FEF, pnLetter}, {0x3001, 0xD7FF, pnLetter}, {0xF900, 0xFDCF, pnLetter},
+	{0xFDF0, 0xFFFD, pnLetter}, {0x10000, 0xEFFFF, pnLetter},
+}
+
+// pnASCII is pnClasses for the ASCII runes, which most names are made of.
+var pnASCII = func() (t [utf8.RuneSelf]uint8) {
+	for r := range t {
+		t[r] = pnClass(rune(r))
+	}
+	return t
+}()
+
+// pnClass is the class pnClasses gives r, 0 for a rune in no name.
+func pnClass(r rune) uint8 {
+	for _, c := range pnClasses {
+		if r <= c.hi {
+			if r >= c.lo {
+				return c.class
+			}
+			break
+		}
+	}
+	return 0
+}
+
+// nameLen is the length of the name s starts with: a rune of class first,
+// then PN_CHARS, '.' and, when colon is set, ':', up to the last rune that
+// is not '.'. A byte that is not UTF-8 ends the name.
+func nameLen(s string, first uint8, colon bool) int {
+	n, end := 0, 0
+	for n < len(s) {
+		r, w, class := rune(s[n]), 1, uint8(0)
+		switch {
+		case colon && r == ':':
+			class = pnFirst | pnChars
+		case r < utf8.RuneSelf:
+			class = pnASCII[r]
+		default:
+			if r, w = utf8.DecodeRuneInString(s[n:]); w > 1 {
+				class = pnClass(r)
+			}
+		}
+		switch {
+		case n == 0 && class&first == 0:
+			return 0
+		case class&pnChars != 0:
+			end = n + w
+		case r != '.':
+			return end
+		}
+		n += w
+	}
+	return end
+}
+
 // digitsEnd returns the index of the first byte of s from i on that is not
 // an ASCII digit.
 func digitsEnd(s string, i int) int {
@@ -411,9 +515,14 @@ func hexVal(c byte) int {
 // and a language tag or blank-node label outside the grammar would not parse.
 func textError(t Term) error {
 	var why string
+	labelOK := true
+	if t.Kind == BlankTerm {
+		_, n, err := ScanBlankLabel(t.Value)
+		labelOK = err == nil && n == len(t.Value)
+	}
 	switch {
-	case t.Kind == BlankTerm && !isBlankLabel(t.Value):
-		why = "blank node label is not a name (letters, digits, '_', '-')"
+	case !labelOK:
+		why = "blank node label is outside the BLANK_NODE_LABEL grammar"
 	case t.Kind != LiteralTerm && (t.Lang != "" || t.Datatype != ""):
 		why = "only a literal has a language tag or a datatype"
 	case t.Kind != LiteralTerm:
@@ -432,17 +541,6 @@ func textError(t Term) error {
 	}
 	return fmt.Errorf("rdf: cannot write term (kind %d, value %q, lang %q, datatype %q) as text: %s",
 		t.Kind, t.Value, t.Lang, t.Datatype, why)
-}
-
-// isBlankLabel reports whether the parser reads s back whole after "_:". It
-// tests each byte as the parser does.
-func isBlankLabel(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if !isNameChar(rune(s[i])) {
-			return false
-		}
-	}
-	return s != ""
 }
 
 // isLangTag reports whether the parsers read s back whole after "@".

@@ -163,3 +163,41 @@ func isValidUTF8ForTest(s string) bool {
 	}
 	return true
 }
+
+// TestScanNames: the name scanners at the edges of the PN_CHARS class table
+// and of the productions: what starts a prefix, a local name and a blank
+// label, what only continues one, a '.' that is not last, and the bytes
+// that end a name (PLX escapes, '/', '#', a byte that is not UTF-8).
+func TestScanNames(t *testing.T) {
+	for _, c := range []struct{ in, prefix, local string }{
+		{"ex:a", "ex", "a"}, {":a", "", "a"}, {"ex:", "ex", ""}, {"ex:a.b.", "ex", "a.b"},
+		{"ex:a:b:", "ex", "a:b:"}, {"ex::a", "ex", ":a"}, {"ex:1a-", "ex", "1a-"}, {"ex:_a", "ex", "_a"},
+		{"é·x:café", "é·x", "café"}, {"ex:á‿", "ex", "á‿"}, {"ex:\U00010000", "ex", "\U00010000"},
+		{"ex:a%20", "ex", "a"}, {"ex:a\\_", "ex", "a"}, {"ex:a/b", "ex", "a"}, {"ex:a#b", "ex", "a"},
+		{"ex:-a", "ex", ""}, {"ex:·a", "ex", ""}, {"ex:.a", "ex", ""}, {"ex:a×b", "ex", "a"}, {"ex:a\xffb", "ex", "a"},
+		{"a.b:c", "a.b", "c"}, {"true", "true", ""}, {"truex:y", "truex", "y"}, {"a<b>", "a", ""}, {"a.:b", "a", ""},
+	} {
+		want := len(c.prefix) // a bare name
+		if strings.HasPrefix(c.in[len(c.prefix):], ":") {
+			want += 1 + len(c.local)
+		}
+		prefix, local, n, err := ScanPrefixedName(c.in)
+		if err != nil || prefix != c.prefix || local != c.local || n != want {
+			t.Errorf("ScanPrefixedName(%q) = %q, %q, %d, %v; want %q, %q, %d", c.in, prefix, local, n, err, c.prefix, c.local, want)
+		}
+	}
+	for _, in := range []string{"", "1a:b", "_a:b", "-a", ".a", "·a", "\u0301a", "/", "\xff"} {
+		if _, _, n, err := ScanPrefixedName(in); err == nil {
+			t.Errorf("ScanPrefixedName(%q) read %d bytes, want an error", in, n)
+		}
+	}
+	for _, c := range []struct{ in, label string }{
+		{"b0", "b0"}, {"0b", "0b"}, {"_b", "_b"}, {"bé", "bé"}, {"b.c", "b.c"}, {"b.", "b"}, {"b-", "b-"},
+		{"b·\u0300", "b·\u0300"}, {"b:c", "b"}, {"-b", ""}, {".b", ""}, {"·b", ""}, {"", ""},
+	} {
+		label, n, err := ScanBlankLabel(c.in)
+		if label != c.label || n != len(label) || (err != nil) != (label == "") {
+			t.Errorf("ScanBlankLabel(%q) = %q, %d, %v; want %q", c.in, label, n, err, c.label)
+		}
+	}
+}

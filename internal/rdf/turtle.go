@@ -82,8 +82,8 @@ func writeSubjectBlock(bw *bufio.Writer, ts []Triple, ns *Namespaces) error {
 }
 
 // renderTerm renders a term in Turtle, compacting IRIs with the prefix table.
-// An IRI iriRef would escape is never compacted: Shrink takes only local names
-// of letters, digits, '_', '-' and '.'.
+// An IRI iriRef would escape is never compacted: no byte it escapes is in a
+// name Shrink takes.
 func renderTerm(t Term, ns *Namespaces) string {
 	switch t.Kind {
 	case IRITerm:

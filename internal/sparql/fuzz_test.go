@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -88,6 +90,9 @@ func fuzzSeeds() []string {
 		`SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p ORDER BY DESC(?n) ?p LIMIT 3 OFFSET 1`,
 		`PREFIX q: <http://example.org/> SELECT * WHERE { ?s q:size ?o . FILTER(?o >= 100 && ?o <= 500) }`,
 		`SELECT ?s WHERE { ?s a provio:File ; ?p "0.84"^^xsd:decimal . }`,
+		`SELECT ?f WHERE { ?f ex:size ?o . FILTER(?o<600||?o>650) }`,
+		`SELECT ?f WHERE { ?f ex:size ?o . FILTER(?o<=600||?o>=650) }`,
+		`SELECT ?f WHERE { ?f ex:size ?o . FILTER(?o<300&&?o>0&&?f!=ex:decimate.h5) }`,
 	}
 	for _, c := range parseErrorCases {
 		seeds = append(seeds, c.q)
@@ -142,7 +147,8 @@ func FuzzParseQuery(f *testing.F) {
 
 // termSeeds are FuzzTermText's seeds, as (kind, value, lang, datatype): every
 // TermKind, every byte an IRIREF must escape, each string escape, language
-// tags, integer, double and other typed literals, and blank nodes.
+// tags, integer, double and other typed literals, blank nodes, and local
+// names and blank labels in and out of PN_LOCAL and BLANK_NODE_LABEL.
 func termSeeds() [][4]string {
 	seeds := [][4]string{
 		{"0", "x", "", ""},
@@ -175,19 +181,29 @@ func termSeeds() [][4]string {
 			seeds = append(seeds, [4]string{"1", "http://ex.org/a" + string(rune(c)) + "b", "", ""})
 		}
 	}
+	for _, local := range []string{"café", "a.b", "a-", "1a", "a:b", "a.", "-a", "a/b", "·a"} {
+		seeds = append(seeds, [4]string{"1", "http://ex.org/" + local, "", ""})
+	}
+	for _, label := range []string{"bé", "b.c", "-b", "b."} {
+		seeds = append(seeds, [4]string{"2", label, "", ""})
+	}
 	return seeds
 }
 
 // FuzzTermText: a term the text writers accept prints, as t.String(), text
 // that both parsers read back to it — the Turtle parser as the object of a
 // one-triple document, the SPARQL lexer as the object of a triple pattern
-// that then matches the one triple of a graph holding t. SPARQL has no blank
-// nodes in this subset, so they take the Turtle check only.
+// that then matches the one triple of a graph holding t. An IRI WriteTurtle
+// prints as ex:local under ex: <http://ex.org/> reads back the same way,
+// from the document and as ex:local in a query. SPARQL has no blank nodes in
+// this subset, so they take the Turtle checks only.
 func FuzzTermText(f *testing.F) {
 	for _, s := range termSeeds() {
 		f.Add(s[0][0]-'0', s[1], s[2], s[3])
 	}
 	s, p := rdf.IRI("http://ex.org/s"), rdf.IRI("http://ex.org/p")
+	ex := rdf.NewNamespaces()
+	ex.Bind("ex", "http://ex.org/")
 	f.Fuzz(func(t *testing.T, kind uint8, value, lang, datatype string) {
 		term := rdf.Term{Kind: rdf.TermKind(kind), Value: value, Lang: lang, Datatype: datatype}
 		g := rdf.NewGraph()
@@ -195,28 +211,72 @@ func FuzzTermText(f *testing.F) {
 			return
 		}
 		text := term.String()
-		doc := s.String() + " " + p.String() + " " + text + " .\n"
-		back, _, err := rdf.ParseTurtle(strings.NewReader(doc))
-		if err != nil {
-			t.Fatalf("ParseTurtle(%q): %v", doc, err)
+		var ttl strings.Builder
+		if err := rdf.WriteTurtle(&ttl, g, ex); err != nil {
+			t.Fatal(err)
 		}
-		if got := back.Triples(); len(got) != 1 || got[0].O != term {
-			t.Fatalf("ParseTurtle(%q) = %v, want the object %#v", doc, got, term)
+		for _, doc := range []string{s.String() + " " + p.String() + " " + text + " .\n", ttl.String()} {
+			back, _, err := rdf.ParseTurtle(strings.NewReader(doc))
+			if err != nil {
+				t.Fatalf("ParseTurtle(%q): %v", doc, err)
+			}
+			if got := back.Triples(); len(got) != 1 || got[0].O != term {
+				t.Fatalf("ParseTurtle(%q) = %v, want the object %#v", doc, got, term)
+			}
 		}
 		if term.IsBlank() {
 			return
 		}
-		query := "SELECT ?s WHERE { ?s " + p.String() + " " + text + " }"
-		q, err := Parse(query, nil)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", query, err)
-		}
-		res, err := EvalParallel(g, q, 1)
-		if err != nil {
-			t.Fatalf("%q: %v", query, err)
-		}
-		if len(res.Rows) != 1 {
-			t.Fatalf("%q over a graph holding %#v returned %d rows, want 1", query, term, len(res.Rows))
+		matchesOnce(t, g, "SELECT ?s WHERE { ?s "+p.String()+" "+text+" }")
+		if curie, ok := ex.Shrink(value); ok && term.IsIRI() {
+			matchesOnce(t, g, "PREFIX ex: <http://ex.org/> SELECT ?s WHERE { ?s ex:p "+curie+" }")
 		}
 	})
+}
+
+// matchesOnce fails t unless query parses and returns one row over g.
+func matchesOnce(t *testing.T, g *rdf.Graph, query string) {
+	t.Helper()
+	q, err := Parse(query, nil)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", query, err)
+	}
+	res, err := EvalParallel(g, q, 1)
+	if err != nil {
+		t.Fatalf("%q: %v", query, err)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("%q over %v returned %d rows, want 1", query, g.Triples(), len(res.Rows))
+	}
+}
+
+// TestFilterSpacing: every FILTER expression of the fuzz seeds parses to
+// the same Query with one space around each operator and with none, so '<'
+// is read by its position, not by what follows it.
+func TestFilterSpacing(t *testing.T) {
+	ns := model.Namespaces()
+	ns.Bind("ex", exNS)
+	op := regexp.MustCompile(`\s*(\|\||&&|!=|<=|>=|=|<|>)\s*`)
+	filter := regexp.MustCompile(`FILTER\((?:[^()"]|"[^"]*"|\((?:[^()"]|"[^"]*"|\([^()]*\))*\))*\)`)
+	respace := func(q, sep string) string {
+		return filter.ReplaceAllStringFunc(q, func(f string) string {
+			return op.ReplaceAllString(f, sep+"$1"+sep)
+		})
+	}
+	filters := 0
+	for _, seed := range fuzzSeeds() {
+		if !filter.MatchString(seed) {
+			continue
+		}
+		filters++
+		spaced, tight := respace(seed, " "), respace(seed, "")
+		q1, err1 := Parse(spaced, ns)
+		q2, err2 := Parse(tight, ns)
+		if (err1 == nil) != (err2 == nil) || err1 == nil && !reflect.DeepEqual(q1, q2) {
+			t.Errorf("%q and %q parse apart: %v, %v", spaced, tight, err1, err2)
+		}
+	}
+	if filters < 6 {
+		t.Fatalf("%d seeds hold a FILTER, want at least 6", filters)
+	}
 }

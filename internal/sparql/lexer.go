@@ -3,7 +3,7 @@ package sparql
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
@@ -84,23 +84,9 @@ func (l *lexer) skipWS() {
 	}
 }
 
-// lexAll tokenizes the whole input.
-func lexAll(src string) ([]token, error) {
-	l := newLexer(src)
-	var out []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
-		}
-	}
-}
-
-func (l *lexer) next() (token, error) {
+// next lexes the token at the cursor. Where op is set the parser expects an
+// operator, so '<' is less-than; anywhere else it starts an IRIREF.
+func (l *lexer) next(op bool) (token, error) {
 	l.skipWS()
 	if l.eof() {
 		return token{kind: tokEOF, line: l.line}, nil
@@ -173,8 +159,7 @@ func (l *lexer) next() (token, error) {
 		l.advance()
 		return token{tokAndAnd, "&&", line}, nil
 	case '<':
-		// IRI ref or less-than. An IRI has no spaces before '>'.
-		if l.looksLikeIRI() {
+		if !op {
 			iri, n, err := rdf.ScanIRIRef(l.src[l.pos:])
 			return token{tokIRI, iri, line}, l.scanned(n, err)
 		}
@@ -201,14 +186,6 @@ func (l *lexer) next() (token, error) {
 		return token{tokLangTag, tag, line}, l.scanned(n, err)
 	case '-':
 		return l.lexNumber()
-	case ':':
-		// Prefixed name with the empty prefix.
-		l.advance()
-		start := l.pos
-		for !l.eof() && isLocalChar(rune(l.peek())) {
-			l.advance()
-		}
-		return token{tokPName, ":" + l.src[start:l.pos], line}, nil
 	}
 	if c >= '0' && c <= '9' {
 		return l.lexNumber()
@@ -228,31 +205,21 @@ func (l *lexer) scanned(n int, err error) error {
 	return nil
 }
 
-// looksLikeIRI scans ahead from a '<' for a '>' with no whitespace between.
-func (l *lexer) looksLikeIRI() bool {
-	for i := l.pos + 1; i < len(l.src); i++ {
-		switch l.src[i] {
-		case '>':
-			return true
-		case ' ', '\t', '\n', '\r', '"':
-			return false
-		}
-	}
-	return false
-}
-
+// lexVar lexes a variable, or a bare '?': the zero-or-one path modifier.
+// VARNAME is PN_CHARS without '-', so it is the run of a blank label up to
+// its first '-' or '.'.
 func (l *lexer) lexVar() (token, error) {
 	line := l.line
 	l.advance() // '?' or '$'
-	start := l.pos
-	for !l.eof() && isWordChar(rune(l.peek())) {
-		l.advance()
+	name, _, _ := rdf.ScanBlankLabel(l.src[l.pos:])
+	if i := strings.IndexAny(name, "-."); i >= 0 {
+		name = name[:i]
 	}
-	if l.pos == start {
-		// bare '?' is the zero-or-one path modifier
+	l.pos += len(name)
+	if name == "" {
 		return token{tokQuest, "?", line}, nil
 	}
-	return token{tokVar, l.src[start:l.pos], line}, nil
+	return token{tokVar, name, line}, nil
 }
 
 // lexNumber lexes a number, its sign included.
@@ -262,32 +229,19 @@ func (l *lexer) lexNumber() (token, error) {
 	return token{tokNumber, num.Value, line}, l.scanned(n, err)
 }
 
-// lexWord lexes keywords, the 'a' shortcut, and prefixed names.
+// lexWord lexes a prefixed name, or a bare word: the 'a' shortcut or a
+// keyword.
 func (l *lexer) lexWord() (token, error) {
 	line := l.line
-	start := l.pos
-	for !l.eof() && (isWordChar(rune(l.peek())) || l.peek() == '-') {
-		l.advance()
+	word, _, n, err := rdf.ScanPrefixedName(l.src[l.pos:])
+	if err != nil {
+		r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+		return token{}, l.errf("unexpected character %q", string(r))
 	}
-	word := l.src[start:l.pos]
-	if word == "" {
-		return token{}, l.errf("unexpected character %q", string(l.peek()))
-	}
-	// Prefixed name: word followed by ':'.
-	if !l.eof() && l.peek() == ':' {
-		l.advance() // ':'
-		lstart := l.pos
-		for !l.eof() && isLocalChar(rune(l.peek())) {
-			if l.peek() == '.' {
-				// trailing '.' terminates the pattern, not the name
-				d := l.peekAt(1)
-				if !isLocalChar(rune(d)) || d == '.' {
-					break
-				}
-			}
-			l.advance()
-		}
-		return token{tokPName, word + ":" + l.src[lstart:l.pos], line}, nil
+	text := l.src[l.pos : l.pos+n]
+	l.pos += n
+	if n > len(word) {
+		return token{tokPName, text, line}, nil
 	}
 	if word == "a" {
 		return token{tokA, "a", line}, nil
@@ -297,14 +251,4 @@ func (l *lexer) lexWord() (token, error) {
 		return token{tokKeyword, up, line}, nil
 	}
 	return token{}, l.errf("unexpected token %q", word)
-}
-
-func isWordChar(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
-}
-
-// isLocalChar accepts characters of a prefixed-name local part. Unlike
-// Turtle, '/' is excluded because it separates property-path steps.
-func isLocalChar(r rune) bool {
-	return isWordChar(r) || r == '-' || r == '.'
 }

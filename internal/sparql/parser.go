@@ -12,29 +12,54 @@ import (
 // passes the PROV-IO model's namespace table so queries can omit the
 // boilerplate PREFIX block).
 func Parse(src string, base *rdf.Namespaces) (*Query, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
 	ns := rdf.NewNamespaces()
 	if base != nil {
 		ns = base.Clone()
 	}
-	p := &parser{toks: toks, q: &Query{Prefixes: ns, Limit: -1}}
-	if err := p.parseQuery(); err != nil {
+	p := &parser{lex: newLexer(src), q: &Query{Prefixes: ns, Limit: -1}}
+	err := p.parseQuery()
+	if p.lexErr != nil {
+		err = p.lexErr
+	}
+	if err != nil {
 		return nil, err
 	}
 	return p.q, nil
 }
 
+// parser pulls its tokens from the lexer one at a time, when it asks for
+// them, so the lexer knows where an operator may stand (see op).
 type parser struct {
-	toks []token
-	pos  int
-	q    *Query
+	lex    *lexer
+	tok    token // the current token, when lexed
+	lexed  bool
+	lexErr error // the lexer's error: the parser then reads an end of input
+	q      *Query
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+// cur is the current token, lexed in term position if it is not yet lexed.
+func (p *parser) cur() token { return p.lexCur(false) }
+
+// op is the current token, lexed in operator position if it is not yet
+// lexed, so '<' is less-than there. Only parseRelExpr asks for one.
+func (p *parser) op() token { return p.lexCur(true) }
+
+func (p *parser) lexCur(op bool) token {
+	if !p.lexed && p.lexErr == nil {
+		if p.tok, p.lexErr = p.lex.next(op); p.lexErr != nil {
+			p.tok = token{kind: tokEOF, line: p.lex.line}
+		}
+	}
+	p.lexed = true
+	return p.tok
+}
+
+// next consumes the current token and returns it.
+func (p *parser) next() token {
+	t := p.cur()
+	p.lexed = false
+	return t
+}
 
 func (p *parser) errf(format string, args ...any) error {
 	return &Error{Line: p.cur().line, Msg: fmt.Sprintf(format, args...)}
@@ -42,7 +67,7 @@ func (p *parser) errf(format string, args ...any) error {
 
 func (p *parser) acceptKeyword(kw string) bool {
 	if p.cur().kind == tokKeyword && p.cur().text == kw {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -128,14 +153,10 @@ func (p *parser) parsePrefixDecl() error {
 	if err != nil {
 		return err
 	}
-	if !strings.HasSuffix(t.text, ":") {
-		// The lexer emits "prefix:local"; a declaration must have empty local.
-		i := strings.Index(t.text, ":")
-		if i < 0 || t.text[i+1:] != "" {
-			return p.errf("malformed PREFIX declaration %q", t.text)
-		}
+	prefix, local, _ := strings.Cut(t.text, ":")
+	if local != "" {
+		return p.errf("malformed PREFIX declaration %q", t.text)
 	}
-	prefix := strings.TrimSuffix(t.text, ":")
 	iri, err := p.expectKind(tokIRI, "IRI")
 	if err != nil {
 		return err
@@ -146,7 +167,7 @@ func (p *parser) parsePrefixDecl() error {
 
 func (p *parser) parseProjection() error {
 	if p.cur().kind == tokStar {
-		p.pos++
+		p.next()
 		return nil
 	}
 	for {
@@ -176,7 +197,7 @@ var aggFuncs = map[string]AggFunc{
 // parseAggProjection parses one (FUNC(DISTINCT? ?v) AS ?n) projection;
 // COUNT also accepts '*'.
 func (p *parser) parseAggProjection() error {
-	p.pos++ // '('
+	p.next() // '('
 	t := p.cur()
 	fn, ok := AggFunc(0), false
 	if t.kind == tokKeyword {
@@ -185,7 +206,7 @@ func (p *parser) parseAggProjection() error {
 	if !ok {
 		return p.errf("expected aggregate function (COUNT/SUM/MIN/MAX/AVG), got %q", t.text)
 	}
-	p.pos++
+	p.next()
 	agg := Aggregate{Func: fn}
 	if _, err := p.expectKind(tokLParen, "'('"); err != nil {
 		return err
@@ -201,7 +222,7 @@ func (p *parser) parseAggProjection() error {
 		if agg.Distinct {
 			return p.errf("COUNT(DISTINCT *) is not supported")
 		}
-		p.pos++
+		p.next()
 		agg.Star = true
 	case tokVar:
 		agg.Var = p.next().text
@@ -235,19 +256,19 @@ func (p *parser) parseGroup() (*Group, error) {
 	for {
 		switch {
 		case p.cur().kind == tokRBrace:
-			p.pos++
+			p.next()
 			return g, nil
 		case p.cur().kind == tokEOF:
 			return nil, p.errf("unterminated group pattern")
 		case p.cur().kind == tokKeyword && p.cur().text == "FILTER":
-			p.pos++
+			p.next()
 			e, err := p.parseBrackettedExpr()
 			if err != nil {
 				return nil, err
 			}
 			g.Elems = append(g.Elems, FilterElem{Expr: e})
 		case p.cur().kind == tokKeyword && p.cur().text == "OPTIONAL":
-			p.pos++
+			p.next()
 			sub, err := p.parseGroup()
 			if err != nil {
 				return nil, err
@@ -269,7 +290,7 @@ func (p *parser) parseGroup() (*Group, error) {
 			}
 			g.Elems = append(g.Elems, u)
 		case p.cur().kind == tokDot:
-			p.pos++ // stray separator
+			p.next() // stray separator
 		default:
 			if err := p.parseTriplesBlock(g); err != nil {
 				return nil, err
@@ -297,13 +318,13 @@ func (p *parser) parseTriplesBlock(g *Group) error {
 			}
 			g.Elems = append(g.Elems, TriplePattern{S: s, P: path, O: o})
 			if p.cur().kind == tokComma {
-				p.pos++
+				p.next()
 				continue
 			}
 			break
 		}
 		if p.cur().kind == tokSemi {
-			p.pos++
+			p.next()
 			// Allow dangling ';' before '.' or '}'.
 			if p.cur().kind == tokDot || p.cur().kind == tokRBrace {
 				break
@@ -313,7 +334,7 @@ func (p *parser) parseTriplesBlock(g *Group) error {
 		break
 	}
 	if p.cur().kind == tokDot {
-		p.pos++
+		p.next()
 	}
 	return nil
 }
@@ -321,27 +342,27 @@ func (p *parser) parseTriplesBlock(g *Group) error {
 func (p *parser) parseNode() (NodePattern, error) {
 	switch t := p.cur(); t.kind {
 	case tokVar:
-		p.pos++
+		p.next()
 		return NodePattern{Var: t.text}, nil
 	case tokIRI:
-		p.pos++
+		p.next()
 		return NodePattern{Term: rdf.IRI(t.text)}, nil
 	case tokPName:
-		p.pos++
+		p.next()
 		iri, ok := p.q.Prefixes.Expand(t.text)
 		if !ok {
 			return NodePattern{}, p.errf("unbound prefix in %q", t.text)
 		}
 		return NodePattern{Term: rdf.IRI(iri)}, nil
 	case tokString:
-		p.pos++
+		p.next()
 		// optional @lang or ^^datatype
 		if p.cur().kind == tokLangTag {
 			lang := p.next().text
 			return NodePattern{Term: rdf.LangLiteral(t.text, lang)}, nil
 		}
 		if p.cur().kind == tokDTSep {
-			p.pos++
+			p.next()
 			dt, err := p.parseNode()
 			if err != nil {
 				return NodePattern{}, err
@@ -353,12 +374,12 @@ func (p *parser) parseNode() (NodePattern, error) {
 		}
 		return NodePattern{Term: rdf.Literal(t.text)}, nil
 	case tokNumber:
-		p.pos++
+		p.next()
 		num, _, _ := rdf.ScanNumber(t.text) // the lexer read it whole
 		return NodePattern{Term: num}, nil
 	case tokKeyword:
 		if t.text == "TRUE" || t.text == "FALSE" {
-			p.pos++
+			p.next()
 			return NodePattern{Term: rdf.Boolean(t.text == "TRUE")}, nil
 		}
 	}
@@ -380,7 +401,7 @@ func (p *parser) parsePath() (PathPattern, error) {
 		}
 		steps = append(steps, step)
 		if p.cur().kind == tokSlash {
-			p.pos++
+			p.next()
 			continue
 		}
 		break
@@ -391,18 +412,18 @@ func (p *parser) parsePath() (PathPattern, error) {
 func (p *parser) parsePathStep() (PathStep, error) {
 	var step PathStep
 	if p.cur().kind == tokCaret {
-		p.pos++
+		p.next()
 		step.Inverse = true
 	}
 	switch t := p.cur(); t.kind {
 	case tokA:
-		p.pos++
+		p.next()
 		step.IRI = rdf.IRI(rdf.RDFType)
 	case tokIRI:
-		p.pos++
+		p.next()
 		step.IRI = rdf.IRI(t.text)
 	case tokPName:
-		p.pos++
+		p.next()
 		iri, ok := p.q.Prefixes.Expand(t.text)
 		if !ok {
 			return PathStep{}, p.errf("unbound prefix in %q", t.text)
@@ -413,13 +434,13 @@ func (p *parser) parsePathStep() (PathStep, error) {
 	}
 	switch p.cur().kind {
 	case tokPlus:
-		p.pos++
+		p.next()
 		step.Mod = PathOneOrMore
 	case tokStar:
-		p.pos++
+		p.next()
 		step.Mod = PathZeroOrMore
 	case tokQuest:
-		p.pos++
+		p.next()
 		step.Mod = PathZeroOrOne
 	}
 	return step, nil
@@ -450,7 +471,7 @@ func (p *parser) parseSolutionModifiers() error {
 					p.acceptKeyword("ASC")
 				}
 				if p.cur().kind == tokLParen {
-					p.pos++
+					p.next()
 					v, err := p.expectKind(tokVar, "variable")
 					if err != nil {
 						return err
@@ -522,7 +543,7 @@ func (p *parser) parseOrExpr() (Expr, error) {
 		return nil, err
 	}
 	for p.cur().kind == tokOrOr {
-		p.pos++
+		p.next()
 		r, err := p.parseAndExpr()
 		if err != nil {
 			return nil, err
@@ -538,7 +559,7 @@ func (p *parser) parseAndExpr() (Expr, error) {
 		return nil, err
 	}
 	for p.cur().kind == tokAndAnd {
-		p.pos++
+		p.next()
 		r, err := p.parseRelExpr()
 		if err != nil {
 			return nil, err
@@ -554,7 +575,7 @@ func (p *parser) parseRelExpr() (Expr, error) {
 		return nil, err
 	}
 	var op string
-	switch p.cur().kind {
+	switch p.op().kind {
 	case tokEq:
 		op = "="
 	case tokNeq:
@@ -570,7 +591,7 @@ func (p *parser) parseRelExpr() (Expr, error) {
 	default:
 		return l, nil
 	}
-	p.pos++
+	p.next()
 	r, err := p.parsePrimaryExpr()
 	if err != nil {
 		return nil, err
@@ -581,14 +602,14 @@ func (p *parser) parseRelExpr() (Expr, error) {
 func (p *parser) parsePrimaryExpr() (Expr, error) {
 	switch t := p.cur(); {
 	case t.kind == tokBang:
-		p.pos++
+		p.next()
 		x, err := p.parsePrimaryExpr()
 		if err != nil {
 			return nil, err
 		}
 		return NotExpr{X: x}, nil
 	case t.kind == tokLParen:
-		p.pos++
+		p.next()
 		e, err := p.parseOrExpr()
 		if err != nil {
 			return nil, err
@@ -598,27 +619,27 @@ func (p *parser) parsePrimaryExpr() (Expr, error) {
 		}
 		return e, nil
 	case t.kind == tokVar:
-		p.pos++
+		p.next()
 		return VarExpr{Name: t.text}, nil
 	case t.kind == tokString:
-		p.pos++
+		p.next()
 		return TermExpr{Term: rdf.Literal(t.text)}, nil
 	case t.kind == tokNumber:
-		p.pos++
+		p.next()
 		num, _, _ := rdf.ScanNumber(t.text) // the lexer read it whole
 		return TermExpr{Term: num}, nil
 	case t.kind == tokIRI:
-		p.pos++
+		p.next()
 		return TermExpr{Term: rdf.IRI(t.text)}, nil
 	case t.kind == tokPName:
-		p.pos++
+		p.next()
 		iri, ok := p.q.Prefixes.Expand(t.text)
 		if !ok {
 			return nil, p.errf("unbound prefix in %q", t.text)
 		}
 		return TermExpr{Term: rdf.IRI(iri)}, nil
 	case t.kind == tokKeyword && t.text == "REGEX":
-		p.pos++
+		p.next()
 		if _, err := p.expectKind(tokLParen, "'('"); err != nil {
 			return nil, err
 		}
@@ -635,7 +656,7 @@ func (p *parser) parsePrimaryExpr() (Expr, error) {
 		}
 		flags := ""
 		if p.cur().kind == tokComma {
-			p.pos++
+			p.next()
 			f, err := p.expectKind(tokString, "flags string")
 			if err != nil {
 				return nil, err
@@ -647,7 +668,7 @@ func (p *parser) parsePrimaryExpr() (Expr, error) {
 		}
 		return RegexExpr{X: x, Pattern: pat.text, Flags: flags}, nil
 	case t.kind == tokKeyword && t.text == "BOUND":
-		p.pos++
+		p.next()
 		if _, err := p.expectKind(tokLParen, "'('"); err != nil {
 			return nil, err
 		}
@@ -660,7 +681,7 @@ func (p *parser) parsePrimaryExpr() (Expr, error) {
 		}
 		return BoundExpr{Name: v.text}, nil
 	case t.kind == tokKeyword && t.text == "STR":
-		p.pos++
+		p.next()
 		if _, err := p.expectKind(tokLParen, "'('"); err != nil {
 			return nil, err
 		}
@@ -673,7 +694,7 @@ func (p *parser) parsePrimaryExpr() (Expr, error) {
 		}
 		return StrExpr{X: x}, nil
 	case t.kind == tokKeyword && (t.text == "TRUE" || t.text == "FALSE"):
-		p.pos++
+		p.next()
 		return TermExpr{Term: rdf.Boolean(t.text == "TRUE")}, nil
 	}
 	return nil, p.errf("unexpected token %q in expression", p.cur().text)

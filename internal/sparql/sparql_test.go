@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -401,27 +402,40 @@ func TestDeterministicOrderWithoutOrderBy(t *testing.T) {
 	}
 }
 
+// lexTokens pulls every token of src from the lexer in term position.
+func lexTokens(src string) ([]token, error) {
+	l := newLexer(src)
+	for toks := []token(nil); ; {
+		tok, err := l.next(false)
+		if err != nil {
+			return nil, err
+		}
+		if toks = append(toks, tok); tok.kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexerTokens(t *testing.T) {
-	toks, err := lexAll(`SELECT ?x WHERE { ?x <http://e/p> "s\n" ; a ex:C . FILTER(?x != 3.5) } # c`)
+	toks, err := lexTokens(`SELECT ?x WHERE { ?x <http://e/p> "s\n" ; a ex:C . FILTER(?x != 3.5) } # c`)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if toks[len(toks)-1].kind != tokEOF {
-		t.Error("missing EOF token")
 	}
 	var kinds []tokenKind
 	for _, tok := range toks {
 		kinds = append(kinds, tok.kind)
 	}
-	if kinds[0] != tokKeyword || kinds[1] != tokVar {
-		t.Errorf("unexpected token kinds: %v", kinds)
+	want := []tokenKind{tokKeyword, tokVar, tokKeyword, tokLBrace, tokVar, tokIRI, tokString, tokSemi, tokA, tokPName, tokDot,
+		tokKeyword, tokLParen, tokVar, tokNeq, tokNumber, tokRParen, tokRBrace, tokEOF}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Errorf("token kinds %v, want %v", kinds, want)
 	}
 }
 
 // TestOneTermGrammar: the inputs on which the Turtle parser and the SPARQL
-// lexer once read a term differently, from each other or from what the
-// writers print. Each doc is a one-triple Turtle document; each query asks
-// for its subject by the object's text.
+// lexer once read a term differently, from each other, from the grammars or
+// from what the writers print. Each doc is a Turtle document of one triple;
+// each query asks for its subject by the object's text.
 func TestOneTermGrammar(t *testing.T) {
 	cases := []struct {
 		name, doc, query string
@@ -436,6 +450,36 @@ func TestOneTermGrammar(t *testing.T) {
 		{"turtle-single-quote", `<http://e/s> <http://e/p> 'single' .`,
 			`SELECT ?s WHERE { ?s <http://e/p> "single" }`, ""},
 		{"turtle-exponent-without-digit", `<http://e/s> <http://e/p> 1e .`, "", "turtle"},
+		// '<' after an expression is an operator, however it is spaced.
+		{"unspaced-lt-or", `<http://e/s> <http://e/p> 700 .`,
+			`SELECT ?s WHERE { ?s <http://e/p> ?o FILTER(?o<600||?o>650) }`, ""},
+		{"unspaced-le-or", `<http://e/s> <http://e/p> 700 .`,
+			`SELECT ?s WHERE { ?s <http://e/p> ?o FILTER(?o<=600||?o>650) }`, ""},
+		{"unspaced-lt-and", `<http://e/s> <http://e/p> 1 .`,
+			`SELECT ?s WHERE { ?s <http://e/p> ?o FILTER(?o<3&&?o>0) }`, ""},
+		// Names are read as runes, from the PN_CHARS class table.
+		{"non-ascii-local", "@prefix ex: <http://e/> .\n<http://e/s> <http://e/p> ex:café .",
+			`PREFIX ex: <http://e/> SELECT ?s WHERE { ?s <http://e/p> ex:café }`, ""},
+		{"non-ascii-prefix", "@prefix é: <http://e/> .\n<http://e/s> <http://e/p> é:o·x .",
+			`PREFIX é: <http://e/> SELECT ?s WHERE { ?s <http://e/p> <http://e/o·x> }`, ""},
+		{"non-ascii-var", `<http://e/s> <http://e/p> <http://e/o> .`,
+			`SELECT ?café WHERE { ?café <http://e/p> ?o FILTER(BOUND(?café)) }`, ""},
+		{"colon-in-local", "@prefix ex: <http://e/> .\n<http://e/s> <http://e/p> ex:a:b .",
+			`PREFIX ex: <http://e/> SELECT ?s WHERE { ?s <http://e/p> ex:a:b }`, ""},
+		{"non-ascii-blank", `<http://e/s> <http://e/p> _:bé .`, "", ""},
+		{"dot-in-blank", `<http://e/s> <http://e/p> _:b.c .`, "", ""},
+		{"blank-starts-with-hyphen", `<http://e/s> <http://e/p> _:-b .`, "", "turtle"},
+		{"slash-in-local", "@prefix ex: <http://e/> .\n<http://e/s> <http://e/p> ex:a/b .", "", "turtle"},
+		{"hash-in-local", "@prefix ex: <http://e/> .\n<http://e/s> <http://e/p> ex:a#b .", "", "turtle"},
+		{"local-starts-with-hyphen", "@prefix ex: <http://e/> .\n<http://e/s> <http://e/p> ex:-a .", "", "turtle"},
+		// Keywords are whole words: truex:y is a prefixed name, not true.
+		{"true-starts-a-prefix", "@prefix x: <http://x/> .\n@prefix truex: <http://t/> .\n<http://e/s> <http://e/p> truex:y .",
+			`SELECT ?s WHERE { ?s <http://e/p> <http://t/y> }`, ""},
+		{"false-starts-a-prefix", "@prefix y: <http://y/> .\n@prefix falsey: <http://f/> .\n<http://e/s> <http://e/p> falsey:z .",
+			`SELECT ?s WHERE { ?s <http://e/p> <http://f/z> }`, ""},
+		// A prefix declaration names one PN_PREFIX.
+		{"prefix-of-two-words", "@prefix a b: <http://e/> .\n<http://e/s> <http://e/p> <http://e/o> .", "", "turtle"},
+		{"prefix-with-slash", "@prefix é/x: <http://e/> .\n<http://e/s> <http://e/p> <http://e/o> .", "", "turtle"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -464,7 +508,7 @@ func TestOneTermGrammar(t *testing.T) {
 }
 
 func TestLexerErrorsIncludeLine(t *testing.T) {
-	_, err := lexAll("SELECT ?x\nWHERE { ?x & ?y }")
+	_, err := lexTokens("SELECT ?x\nWHERE { ?x & ?y }")
 	if err == nil {
 		t.Fatal("expected lexer error")
 	}
