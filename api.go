@@ -146,9 +146,9 @@ const (
 func CapsString(caps uint32) string { return core.CapsString(caps) }
 
 // Format names the store's write codec: pbs, the zero value and the only
-// one NewStore accepts, and the only one reads take. A store an older build
-// wrote, as text or in an older pbs version, still opens, verifies and
-// migrates (Store.Compact); its reads return ErrNeedsMigration until then.
+// one NewStore accepts, and the only one reads and the audit take. A store
+// an older build wrote, as text or in an older pbs version, still opens, but
+// every path returns ErrNeedsMigration.
 type Format = core.Format
 
 // FormatBinary is the ID-space binary segment codec (.pbs).
@@ -287,11 +287,13 @@ type LevelResidency = core.LevelResidency
 // Store.OpenLazy.
 var ErrStaleView = core.ErrStaleView
 
-// ErrNeedsMigration classifies a read — a merge, a lazy view or query,
-// PackSegments — of a store holding a file only an older build wrote: a text
-// store file or its sidecar, a pbs v1–v4 file, or a pack of such files.
-// Store.Compact (provio-merge -compact) migrates the store to pbs v5;
-// Store.Verify audits it as it is.
+// ErrNeedsMigration classifies every path — a merge, a lazy view or query,
+// Verify and VerifyAgainst, Compact, PackSegments, a tracker's first write —
+// on a store holding a file only an older build wrote: a text store file or
+// its .sum seal, a pbs v1–v4 file, or a pack of such files. Its message names
+// the build that migrates the store: provio-merge -compact built from commit
+// 93a6ed8 audits it and rewrites it as sealed pbs v5 (DESIGN.md "Migrating
+// an older store").
 var ErrNeedsMigration = segcodec.ErrNeedsMigration
 
 // The federated lazy source must satisfy the morsel-parallel scan surface —

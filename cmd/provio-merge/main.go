@@ -9,10 +9,11 @@
 //	provio-merge -store ./prov [-parallel N] [-compact]
 //	provio-merge -store ./prov -compact -level 1
 //
-// The merged graph is written as prov_merged.pbs. Reads take pbs v5 only:
-// a store an older build wrote, as text or in an older pbs version, refuses
-// the merge until -compact has rewritten its canonical files as pbs v5,
-// which is its migration. provio-export writes Turtle or N-Triples.
+// The merged graph is written as prov_merged.pbs. Every path takes pbs v5
+// only: a store an older build wrote, as text or in an older pbs version,
+// refuses the merge, -compact and -level alike, naming the build that
+// migrates it (DESIGN.md "Migrating an older store"). provio-export writes
+// Turtle or N-Triples.
 //
 // -store accepts a directory or any store spec (dir:/path, file:/run.pvs,
 // mount:hot=...,cold=...). On a mounted store, -compact additionally

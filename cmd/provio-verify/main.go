@@ -1,11 +1,13 @@
 // Command provio-verify audits the integrity of a provenance store: every
-// file must decode through its codec (frames, CRCs), every seal must match
-// its file's bytes, and each process's files must form one continuous hash
-// chain (DESIGN.md "Integrity & fault injection").
+// file must decode as pbs v5 (frames, CRCs) and carry a seal that matches
+// its bytes, and each process's files must form one continuous hash chain
+// (DESIGN.md "Integrity & fault injection"). A store holding a file only an
+// older build wrote is refused (exit 1) with the build that migrates it
+// (DESIGN.md "Migrating an older store").
 //
 // Usage:
 //
-//	provio-verify -store ./prov [-strict] [-q] \
+//	provio-verify -store ./prov [-q] \
 //	    [-write-heads heads.txt] [-heads heads.txt]
 //	provio-verify -selftest
 //
@@ -13,9 +15,8 @@
 // authenticated file) after a run; -heads re-verifies against a recorded
 // anchor, which additionally catches deletion of a chain's newest files and
 // whole processes spliced in or removed — manipulations that are locally
-// self-consistent. -strict additionally flags files carrying no seal (stores
-// written before the integrity layer are otherwise tolerated). -selftest
-// runs the deterministic crash-consistency sweep over every backend kind.
+// self-consistent. -selftest runs the deterministic crash-consistency sweep
+// over every backend kind.
 //
 // -store accepts a directory or any store spec (dir:/path, file:/run.pvs,
 // mount:hot=...,cold=...), so an archive or a mounted hot/cold store audits
@@ -24,11 +25,13 @@
 // The exit code classifies the worst finding:
 //
 //	0  clean
-//	1  operational error (unreadable store, bad flags, failed selftest)
+//	1  operational error (unreadable store, a store that needs migration,
+//	   bad flags, failed selftest)
 //	2  tampered   — content contradicts a seal or the chain
-//	3  truncated  — a file is a strict prefix of its sealed form
-//	4  missing    — chain or sidecar references a file that is gone
-//	5  orphaned   — a file nothing authenticates (includes -strict unsealed)
+//	3  truncated  — a file is a strict prefix of its sealed form (a file
+//	   without its seal included)
+//	4  missing    — the chain references a file that is gone
+//	5  orphaned   — a store file name no read decodes
 package main
 
 import (
@@ -36,12 +39,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	provio "github.com/hpc-io/prov-io"
 	"github.com/hpc-io/prov-io/internal/cli"
-	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
 
 // Exit codes, keyed by the worst defect kind found.
@@ -76,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("provio-verify", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	storeSpec := fl.String("store", "", cli.StoreUsage+" (required)")
-	strict := fl.Bool("strict", false, "treat files without an integrity seal as orphaned")
 	quiet := fl.Bool("q", false, "print defects only")
 	writeHeads := fl.String("write-heads", "", "record the per-process chain heads to this file")
 	headsPath := fl.String("heads", "", "verify against chain heads recorded by -write-heads")
@@ -120,14 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	elapsed := time.Since(start)
-	if *strict {
-		for _, name := range rep.Unsealed {
-			rep.Defects = append(rep.Defects, provio.Defect{
-				Name: name, Kind: provio.DefectOrphaned,
-				Detail: "file carries no integrity seal (strict mode)",
-			})
-		}
-	}
 	if *writeHeads != "" {
 		if err := os.WriteFile(*writeHeads, rep.FormatHeads(), 0o644); err != nil {
 			fmt.Fprintf(stderr, "provio-verify: %v\n", err)
@@ -136,13 +128,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if !*quiet {
-		fmt.Fprintf(stdout, "%s: %d processes, %d files (%d sealed, %d segments, %d packs) [backend: %s]%s\n",
+		fmt.Fprintf(stdout, "%s: %d processes, %d files (%d sealed, %d segments, %d packs) [backend: %s]\n",
 			rep.Dir, rep.Processes, rep.Files, rep.Sealed, rep.Segments, rep.Packs,
-			provio.CapsString(store.Backend().Caps()), legacyNote(rep))
-		if len(rep.Unsealed) > 0 && !*strict {
-			fmt.Fprintf(stdout, "note: %d files carry no seal (pre-integrity store; -strict flags them)\n",
-				len(rep.Unsealed))
-		}
+			provio.CapsString(store.Backend().Caps()))
 		// The audit rate, as bench/perf reports it (verify_mb_per_s). Sizing
 		// the store is best effort: the audit's verdict stands without it.
 		if total, err := store.TotalBytes(); err == nil {
@@ -159,28 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitClean
 	}
 	return exitCode(rep.Worst())
-}
-
-// legacyNote ends the summary line. A store of the current generation prints
-// what it always did; reads refuse a store holding files only an older build
-// wrote until one rewrite, so their count is named: text files first, then
-// each older pbs version, oldest first.
-func legacyNote(rep *provio.VerifyReport) string {
-	var counts []string
-	if rep.Text > 0 {
-		counts = append(counts, fmt.Sprintf("%d text file(s)", rep.Text))
-	}
-	in := "file(s) in legacy pbs"
-	for v := byte(1); v < segcodec.PBSVersion; v++ {
-		if n := rep.PBSVersions[v]; n > 0 {
-			counts = append(counts, fmt.Sprintf("%d %s v%d", n, in, v))
-			in = "in"
-		}
-	}
-	if len(counts) == 0 {
-		return ""
-	}
-	return ", " + strings.Join(counts, ", ") + " (provio-merge -compact rewrites them)"
 }
 
 func runSelftest(stdout, stderr io.Writer) int {

@@ -2,7 +2,7 @@ package main
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	provio "github.com/hpc-io/prov-io"
-	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
 
 // buildStore writes a small two-run history (sealed canonical + sealed delta
@@ -41,33 +40,6 @@ func buildStore(t *testing.T, dir string) {
 	}
 }
 
-// textStore copies the committed loose text store, the store older builds
-// wrote (a Turtle canonical file, N-Triples segments, a .sum sidecar
-// sealing each), into a fresh directory and returns it with its recorded
-// heads file.
-func textStore(t *testing.T) (dir, heads string) {
-	t.Helper()
-	src := filepath.Join("..", "..", "internal", "core", "testdata", "legacy_text", "loose")
-	dir = filepath.Join(t.TempDir(), "prov")
-	if err := os.Mkdir(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err == nil {
-			err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir, src + ".heads"
-}
-
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	var out, errb bytes.Buffer
@@ -84,7 +56,7 @@ func segments(t *testing.T, dir string) []string {
 	}
 	var segs []string
 	for _, e := range entries {
-		if strings.Contains(e.Name(), ".seg") && !strings.HasSuffix(e.Name(), ".sum") {
+		if strings.Contains(e.Name(), ".seg") {
 			segs = append(segs, e.Name())
 		}
 	}
@@ -135,10 +107,8 @@ func TestExitCodes(t *testing.T) {
 }
 
 func TestHeadsAnchoring(t *testing.T) {
-	dir, recorded := textStore(t)
-	if code, out, _ := runCLI(t, "-store", dir, "-heads", recorded); code != exitClean {
-		t.Fatalf("text store against its recorded heads: code %d, output %q", code, out)
-	}
+	dir := filepath.Join(t.TempDir(), "prov")
+	buildStore(t, dir)
 	heads := filepath.Join(t.TempDir(), "heads.txt")
 
 	if code, _, errb := runCLI(t, "-store", dir, "-q", "-write-heads", heads); code != exitClean {
@@ -148,14 +118,11 @@ func TestHeadsAnchoring(t *testing.T) {
 		t.Fatal("clean store failed heads-anchored verification")
 	}
 
-	// Deleting the chain's tail (segment + sidecar) is locally invisible but
-	// must fail against the recorded heads.
+	// Deleting the chain's tail segment is locally invisible but must fail
+	// against the recorded heads.
 	segs := segments(t, dir)
-	tail := segs[len(segs)-1]
-	for _, n := range []string{tail + ".sum", tail} {
-		if err := os.Remove(filepath.Join(dir, n)); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Remove(filepath.Join(dir, segs[len(segs)-1])); err != nil {
+		t.Fatal(err)
 	}
 	if code, _, _ := runCLI(t, "-store", dir); code != exitClean {
 		t.Fatal("tail deletion should be locally invisible (this guards the test's premise)")
@@ -165,29 +132,52 @@ func TestHeadsAnchoring(t *testing.T) {
 	}
 }
 
-func TestStrictFlagsUnsealed(t *testing.T) {
-	dir, _ := textStore(t)
-
-	// Deleting a mid-chain sidecar demotes its file to unsealed: tolerated by
-	// default, orphaned under -strict.
-	segs := segments(t, dir)
-	if err := os.Remove(filepath.Join(dir, segs[0]+".sum")); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := runCLI(t, "-store", dir); code != exitClean {
-		t.Fatal("unsealed file must be tolerated without -strict")
-	}
-	if code, out, _ := runCLI(t, "-store", dir, "-strict"); code != exitOrphaned {
-		t.Fatalf("-strict: code %d, output %q", code, out)
-	}
-}
-
 func TestOperationalErrors(t *testing.T) {
 	if code, _, errb := runCLI(t); code != exitOperational || !strings.Contains(errb, "-store is required") {
 		t.Fatalf("missing -store: code %d, stderr %q", code, errb)
 	}
 	if code, _, _ := runCLI(t, "-store", "x", "-heads", "/does/not/exist"); code != exitOperational {
 		t.Fatal("unreadable heads file must be an operational error")
+	}
+}
+
+// TestStrictFlagsUnsealed: every write appends its seal in the same write,
+// so a file cut exactly before its chain frame is flagged by default — a
+// truncated defect, exit 3 — and there is nothing left for -strict to be
+// strict about: the flag is gone, an operational error.
+func TestStrictFlagsUnsealed(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "prov")
+	buildStore(t, dir)
+	segs := segments(t, dir)
+	newest := filepath.Join(dir, segs[len(segs)-1])
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk the frames (uvarint length, payload, CRC32) to the last, the seal.
+	cut := -1
+	for off := 4; off < len(data); {
+		n, k := binary.Uvarint(data[off:])
+		end := off + k + int(n) + 4
+		if k <= 0 || end > len(data) {
+			t.Fatalf("%s: malformed frame at %d", segs[len(segs)-1], off)
+		}
+		if end == len(data) && bytes.HasPrefix(data[off+k:], []byte("CHN")) {
+			cut = off
+		}
+		off = end
+	}
+	if cut < 0 {
+		t.Fatal("premise: the newest segment ends in its chain frame")
+	}
+	if err := os.WriteFile(newest, data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out, _ := runCLI(t, "-store", dir); code != exitTruncated || !strings.Contains(out, "ends before its chain frame") {
+		t.Fatalf("unsealed newest segment: code %d, output %q", code, out)
+	}
+	if code, _, errb := runCLI(t, "-store", dir, "-strict"); code != exitOperational || !strings.Contains(errb, "-strict") {
+		t.Fatalf("-strict: code %d, stderr %q", code, errb)
 	}
 }
 
@@ -207,50 +197,26 @@ func TestSelftest(t *testing.T) {
 }
 
 // TestStoreGenerations: the summary line of a store this build wrote is what
-// it always was; a store in an older pbs layout, or a text store, verifies
-// just as clean (exit 0: a verdict, not a defect), with its files counted by
-// version or as text, since reads refuse them until the one rewrite; and a
-// segment whose version this build does not know is reported as that —
-// tampered, by its own decoder — not as Turtle syntax in a binary file.
+// it always was; a store an older build wrote, in an older pbs layout or as
+// text, loose or packed, is refused (exit 1: a verdict, not a defect) naming
+// the build that migrates it; and a segment whose version this build does
+// not know is reported as that — tampered, by its own decoder.
 func TestStoreGenerations(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "prov")
 	buildStore(t, dir)
 	code, out, _ := runCLI(t, "-store", dir)
-	if code != exitClean || strings.Contains(out, "legacy") || !strings.Contains(out, "]\nclean") {
+	if code != exitClean || !strings.Contains(out, "]\nclean") {
 		t.Fatalf("current store: code %d, output %q", code, out)
 	}
 
-	for v := 1; v < segcodec.PBSVersion; v++ {
-		legacy := filepath.Join("..", "..", "internal", "core", "testdata", fmt.Sprintf("legacy_pbs_v%d", v))
-		want := fmt.Sprintf(", 3 file(s) in legacy pbs v%d (provio-merge -compact rewrites them)\n", v)
+	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+	for _, old := range []string{"legacy_pbs_v1", "legacy_pbs_v2", "legacy_pbs_v3", "legacy_pbs_v4", "legacy_text"} {
 		for _, layout := range []string{"loose", "packed"} {
-			code, out, _ := runCLI(t, "-store", filepath.Join(legacy, layout), "-heads", filepath.Join(legacy, layout+".heads"))
-			if code != exitClean || !strings.Contains(out, want) {
-				t.Errorf("version %d %s store: code %d, output %q", v, layout, code, out)
+			store := filepath.Join(testdata, old, layout)
+			code, out, errb := runCLI(t, "-store", store, "-heads", store+".heads")
+			if code != exitOperational || out != "" || !strings.Contains(errb, "provio-merge -compact built from commit 93a6ed8") {
+				t.Errorf("%s/%s store: code %d, stdout %q, stderr %q", old, layout, code, out, errb)
 			}
-		}
-	}
-	text := filepath.Join("..", "..", "internal", "core", "testdata", "legacy_text")
-	for _, layout := range []string{"loose", "packed"} {
-		code, out, _ := runCLI(t, "-store", filepath.Join(text, layout), "-heads", filepath.Join(text, layout+".heads"))
-		if code != exitClean || !strings.Contains(out, ", 3 text file(s) (provio-merge -compact rewrites them)\n") {
-			t.Errorf("text %s store: code %d, output %q", layout, code, out)
-		}
-	}
-	for _, tc := range []struct {
-		versions map[byte]int
-		text     int
-		want     string
-	}{
-		{nil, 0, ""},
-		{map[byte]int{segcodec.PBSVersion: 4}, 0, ""},
-		{map[byte]int{2: 5, 1: 3, segcodec.PBSVersion: 2}, 0, ", 3 file(s) in legacy pbs v1, 5 in v2 (provio-merge -compact rewrites them)"},
-		{map[byte]int{2: 5}, 0, ", 5 file(s) in legacy pbs v2 (provio-merge -compact rewrites them)"},
-		{nil, 2, ", 2 text file(s) (provio-merge -compact rewrites them)"},
-		{map[byte]int{4: 1, 3: 6, segcodec.PBSVersion: 2}, 2, ", 2 text file(s), 6 file(s) in legacy pbs v3, 1 in v4 (provio-merge -compact rewrites them)"},
-	} {
-		if got := legacyNote(&provio.VerifyReport{PBSVersions: tc.versions, Text: tc.text}); got != tc.want {
-			t.Errorf("legacyNote(%v, %d text) = %q, want %q", tc.versions, tc.text, got, tc.want)
 		}
 	}
 

@@ -12,9 +12,9 @@ import (
 
 // Archive is the single-file store backend: one append-friendly container
 // (.pvs) packing every segment file — and anything else the store writes,
-// chain sidecars and merged output included — into a journal of CRC-framed
-// records. It is the cold tier of a mounted store and the natural shipping
-// format for a compacted history ("give me the provenance" is one file).
+// merged output included — into a journal of CRC-framed records. It is the
+// cold tier of a mounted store and the natural shipping format for a
+// compacted history ("give me the provenance" is one file).
 //
 // Layout:
 //

@@ -369,12 +369,12 @@ func TestMountRouting(t *testing.T) {
 	if _, err := cold.ReadFile("/cold/prov_p000001.nt"); err != nil {
 		t.Fatalf("canonical not routed cold: %v", err)
 	}
-	// Sidecars follow their file class.
+	// Any name with the segment infix routes hot.
 	if err := m.WriteFile(mountRoot+"/prov_p000001.seg0001.sum", []byte("h")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := hot.ReadFile("/hot/prov_p000001.seg0001.sum"); err != nil {
-		t.Fatalf("segment sidecar not routed hot: %v", err)
+		t.Fatalf("segment-infix name not routed hot: %v", err)
 	}
 
 	names, err := m.List(mountRoot)

@@ -11,11 +11,11 @@ import (
 // Mount overlays several tiers into one logical store namespace, routing by
 // path so hot deltas and compacted history can live on different substrates
 // (HyProv's hot-online/queryable-history split). Writes route
-// deterministically — delta segments (and their sidecars) to the first hot
-// tier, everything else (canonical sub-graphs, merged output) to the first
-// cold tier — while reads, stats, and removes fall back across every tier,
-// so a mount opened over pre-existing data finds files wherever they
-// physically are. List is the union of all tiers.
+// deterministically — delta segments to the first hot tier, everything else
+// (canonical sub-graphs, merged output) to the first cold tier — while
+// reads, stats, and removes fall back across every tier, so a mount opened
+// over pre-existing data finds files wherever they physically are. List is
+// the union of all tiers.
 //
 // A successful routed write removes stale same-name copies from the other
 // tiers, and Misplaced reports files living outside their routed tier; the
@@ -68,9 +68,9 @@ func (m *Mount) rewrite(t Tier, path string) string {
 	return path
 }
 
-// isSegmentName reports whether a store file name is a delta segment or a
-// segment's integrity sidecar — the hot-routed file class. The ".seg" infix
-// is the store's segment naming convention (prov_pNNNNNN.segNNNN.<ext>).
+// isSegmentName reports whether a store file name is a delta segment — the
+// hot-routed file class. The ".seg" infix is the store's segment naming
+// convention (prov_pNNNNNN.segNNNN.pbs).
 func isSegmentName(name string) bool { return strings.Contains(name, ".seg") }
 
 // route picks the tier a path's writes belong to.

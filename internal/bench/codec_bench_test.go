@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -13,11 +12,9 @@ import (
 	"github.com/hpc-io/prov-io/internal/vfs"
 )
 
-// buildFormatStore is buildMergeStore parameterized by codec: nFiles
-// per-process sub-graphs with overlapping nodes, written through the full
-// tracker pipeline, then — for a text codec — each canonical file rewritten
-// in it, the store an older build wrote in that format.
-func buildFormatStore(b *testing.B, codec segcodec.Codec, nFiles, recordsPer int) *core.Store {
+// buildFormatStore writes nFiles per-process sub-graphs with overlapping
+// nodes through the full tracker pipeline.
+func buildFormatStore(b *testing.B, nFiles, recordsPer int) *core.Store {
 	b.Helper()
 	view := vfs.NewStore().NewView()
 	store, err := core.NewStore(core.VFSBackend{View: view}, "/prov", core.FormatBinary)
@@ -35,32 +32,15 @@ func buildFormatStore(b *testing.B, codec segcodec.Codec, nFiles, recordsPer int
 		if err := tr.Close(); err != nil {
 			b.Fatal(err)
 		}
-		if codec == segcodec.Binary {
-			continue
-		}
-		var text bytes.Buffer
-		if err := codec.Encode(&text, tr.Graph(), model.Namespaces()); err != nil {
-			b.Fatal(err)
-		}
-		base := fmt.Sprintf("/prov/prov_p%06d", pid)
-		if err := view.WriteFile(base+codec.Ext(), text.Bytes()); err != nil {
-			b.Fatal(err)
-		}
-		if err := view.Remove(base + segcodec.Binary.Ext()); err != nil {
-			b.Fatal(err)
-		}
 	}
 	return store
 }
 
-var codecBenchFormats = []segcodec.Codec{segcodec.NTriples, segcodec.Turtle, segcodec.Binary}
-
 // BenchmarkMerge measures Store.Merge (sequential decode of every sub-graph
-// into one graph). Reads take pbs only; a text store is Compact's to
-// migrate, so there is no text merge to compare against.
+// into one graph).
 func BenchmarkMerge(b *testing.B) {
 	b.Run("pbs", func(b *testing.B) {
-		store := buildFormatStore(b, segcodec.Binary, 64, 60)
+		store := buildFormatStore(b, 64, 60)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -79,7 +59,7 @@ func BenchmarkMerge(b *testing.B) {
 // the per-file cost Merge is built from, isolated from listing and union.
 func BenchmarkStoreLoad(b *testing.B) {
 	b.Run("pbs", func(b *testing.B) {
-		store := buildFormatStore(b, segcodec.Binary, 1, 4000)
+		store := buildFormatStore(b, 1, 4000)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -94,30 +74,33 @@ func BenchmarkStoreLoad(b *testing.B) {
 	})
 }
 
-// TestBinaryMergeMatchesText guards the format stores' premise: each holds
-// the same triple multiset — a text store read through its migration, which
-// its merge refuses until Compact has run.
+// TestBinaryMergeMatchesText guards the store's premise against its text
+// forms: the pbs store's merge, written by either text codec — what export
+// writes — and parsed back, holds the same triple multiset. (A text store
+// an older build wrote is no longer read: every path refuses it.)
 func TestBinaryMergeMatchesText(t *testing.T) {
-	b := &testing.B{}
-	graphs := map[string]*rdf.Graph{}
-	for _, fc := range codecBenchFormats {
-		store := buildFormatStore(b, fc, 4, 50)
-		if fc != segcodec.Binary {
-			if _, err := store.Merge(); !errors.Is(err, segcodec.ErrNeedsMigration) {
-				t.Fatalf("%s store merged before its migration: %v", fc.Ext(), err)
-			}
-			if err := store.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		g, err := store.Merge()
-		if err != nil {
+	g, err := buildFormatStore(&testing.B{}, 4, 50).Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := segcodec.NTriples.Encode(&want, g, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, codec := range []segcodec.Codec{segcodec.NTriples, segcodec.Turtle} {
+		var text, got bytes.Buffer
+		if err := codec.Encode(&text, g, model.Namespaces()); err != nil {
 			t.Fatal(err)
 		}
-		graphs[fc.Ext()] = g
-	}
-	if graphs[".pbs"].Len() != graphs[".nt"].Len() || graphs[".ttl"].Len() != graphs[".nt"].Len() {
-		t.Fatalf("per-format stores diverged: nt=%d ttl=%d pbs=%d triples",
-			graphs[".nt"].Len(), graphs[".ttl"].Len(), graphs[".pbs"].Len())
+		back := rdf.NewGraph()
+		if err := codec.Decode(&text, back); err != nil {
+			t.Fatalf("%s: %v", codec.Ext(), err)
+		}
+		if err := segcodec.NTriples.Encode(&got, back, nil); err != nil {
+			t.Fatal(err)
+		}
+		if back.Len() != g.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: the pbs merge's %d triples read back as %d, or others", codec.Ext(), g.Len(), back.Len())
+		}
 	}
 }

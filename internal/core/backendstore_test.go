@@ -2,12 +2,13 @@ package core
 
 import (
 	"bytes"
-	"errors"
+	"maps"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/hpc-io/prov-io/internal/backend"
-	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 	"github.com/hpc-io/prov-io/internal/vfs"
 )
 
@@ -65,76 +66,84 @@ func openSnapshotOn(t testing.TB, kind string, files map[string][]byte) *Store {
 // only through the StoreBackend interface, and this pins that. The in-memory
 // substrates run the exhaustive per-byte matrix; the file backend (real disk
 // I/O per snapshot) samples several offsets per file, every file covered.
+//
+// A text store an older build wrote is refused as needing migration on
+// every backend, damaged or not (checkTextDamageRefused).
 func TestVerifyMatrixAcrossBackends(t *testing.T) {
-	for _, layout := range []string{"ttl", "pbs"} {
-		src := newLayoutStore(t, layout)
-		smallHistory(t, src, 0)
-		clean := storeFiles(t, src)
-		srcRep := mustVerify(t, src)
-		heads := srcRep.Heads
+	for _, kind := range []string{"mem", "file", "mount"} {
+		t.Run("ttl/"+kind, func(t *testing.T) {
+			checkRefused(t, "clean", openSnapshotOn(t, kind, asLayout(t, storeFiles(t, demoStore(t, VFSBackend{View: vfs.NewStore().NewView()})), "ttl")))
+			checkTextDamageRefused(t, kind, flipped)
+			checkTextDamageRefused(t, kind, truncated)
+		})
+	}
+	src := newBinaryVFSStore(t)
+	smallHistory(t, src, 0)
+	clean := storeFiles(t, src)
+	srcRep := mustVerify(t, src)
+	heads := srcRep.Heads
 
-		for _, kind := range []string{"mem", "file", "mount"} {
-			t.Run(layout+"/"+kind, func(t *testing.T) {
-				// The untouched snapshot verifies clean with identical heads:
-				// chain digests depend on file bytes, never on the substrate.
-				rep := mustVerify(t, openSnapshotOn(t, kind, clean))
-				if !rep.Clean() {
-					t.Fatalf("clean snapshot has defects on %s: %v", kind, rep.Defects)
-				}
-				if string(rep.FormatHeads()) != string(srcRep.FormatHeads()) {
-					t.Fatalf("heads differ across backends:\n%s\nvs\n%s",
-						rep.FormatHeads(), srcRep.FormatHeads())
-				}
+	for _, kind := range []string{"mem", "file", "mount"} {
+		t.Run("pbs/"+kind, func(t *testing.T) {
+			// The untouched snapshot verifies clean with identical heads:
+			// chain digests depend on file bytes, never on the substrate.
+			rep := mustVerify(t, openSnapshotOn(t, kind, clean))
+			if !rep.Clean() {
+				t.Fatalf("clean snapshot has defects on %s: %v", kind, rep.Defects)
+			}
+			if string(rep.FormatHeads()) != string(srcRep.FormatHeads()) {
+				t.Fatalf("heads differ across backends:\n%s\nvs\n%s",
+					rep.FormatHeads(), srcRep.FormatHeads())
+			}
 
-				offsets := func(n int) []int {
-					if kind != "file" {
-						out := make([]int, n)
-						for i := range out {
-							out[i] = i
-						}
-						return out
-					}
-					set := map[int]bool{0: true, n / 3: true, n / 2: true, 2 * n / 3: true, n - 1: true}
-					out := make([]int, 0, len(set))
-					for i := range set {
-						if i >= 0 && i < n {
-							out = append(out, i)
-						}
+			offsets := func(n int) []int {
+				if kind != "file" {
+					out := make([]int, n)
+					for i := range out {
+						out[i] = i
 					}
 					return out
 				}
-
-				mutate := func(name string, data []byte) map[string][]byte {
-					mut := make(map[string][]byte, len(clean))
-					for n, d := range clean {
-						mut[n] = d
-					}
-					mut[name] = data
-					return mut
-				}
-
-				for name, data := range clean {
-					for _, i := range offsets(len(data)) {
-						flipped := append([]byte(nil), data...)
-						flipped[i] ^= 1 << (i % 8)
-						if rep := mustVerify(t, openSnapshotOn(t, kind, mutate(name, flipped))); rep.Clean() {
-							t.Errorf("%s: flip of %s byte %d verified clean", kind, name, i)
-						}
-
-						tstore := openSnapshotOn(t, kind, mutate(name, append([]byte(nil), data[:i]...)))
-						if rep := mustVerify(t, tstore); rep.Clean() {
-							anchored, err := tstore.VerifyAgainst(heads)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if anchored.Clean() {
-								t.Errorf("%s: truncating %s to %d bytes verified clean even against recorded heads", kind, name, i)
-							}
-						}
+				set := map[int]bool{0: true, n / 3: true, n / 2: true, 2 * n / 3: true, n - 1: true}
+				out := make([]int, 0, len(set))
+				for i := range set {
+					if i >= 0 && i < n {
+						out = append(out, i)
 					}
 				}
-			})
-		}
+				return out
+			}
+
+			mutate := func(name string, data []byte) map[string][]byte {
+				mut := make(map[string][]byte, len(clean))
+				for n, d := range clean {
+					mut[n] = d
+				}
+				mut[name] = data
+				return mut
+			}
+
+			for name, data := range clean {
+				for _, i := range offsets(len(data)) {
+					flipped := append([]byte(nil), data...)
+					flipped[i] ^= 1 << (i % 8)
+					if rep := mustVerify(t, openSnapshotOn(t, kind, mutate(name, flipped))); rep.Clean() {
+						t.Errorf("%s: flip of %s byte %d verified clean", kind, name, i)
+					}
+
+					tstore := openSnapshotOn(t, kind, mutate(name, append([]byte(nil), data[:i]...)))
+					if rep := mustVerify(t, tstore); rep.Clean() {
+						anchored, err := tstore.VerifyAgainst(heads)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if anchored.Clean() {
+							t.Errorf("%s: truncating %s to %d bytes verified clean even against recorded heads", kind, name, i)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -142,14 +151,15 @@ func TestVerifyMatrixAcrossBackends(t *testing.T) {
 // pluggable substrate under the fault injector. The file sweep reopens the
 // on-disk archive for every recovery, putting journal replay inside the
 // crash loop; the mount sweep exercises tier routing and fallback at every
-// crash point. A text store's migration is swept on mem and mount.
+// crash point. A text store an older build wrote is swept through its
+// writing instead, and every crash state is refused (textCrashSweep).
 func TestCrashSweepBackends(t *testing.T) {
 	for _, c := range []struct{ kind, layout string }{
 		{"mem", "pbs"}, {"mem", "ttl"}, {"file", "pbs"}, {"mount", "pbs"}, {"mount", "ttl"},
 	} {
 		t.Run(c.kind+"/"+c.layout, func(t *testing.T) {
 			if c.layout != "pbs" {
-				migrationCrashSweep(t, c.layout, c.kind)
+				textCrashSweep(t, c.layout, c.kind)
 				return
 			}
 			rep, err := RunCrashSweep(CrashSweepConfig{Seed: 1, Torn: true, Backend: c.kind})
@@ -182,75 +192,107 @@ func mergedNT(t *testing.T, s *Store) []byte {
 	return ntBytes(t, g)
 }
 
-// layoutNT is mergedNT of a store of any layout, through mergeLayout: a text
-// store is read, and so rewritten, through its migration.
-func layoutNT(t *testing.T, s *Store) []byte {
-	t.Helper()
-	g, err := mergeLayout(t, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ntBytes(t, g)
-}
-
 // TestMountStoreParity is the mount-spanning round-trip property: the same
 // workload written through a mounted store (hot deltas in mem, compacted
 // history in a .pvs archive) and through a plain directory store must merge
-// to byte-identical output — before Compact (a text store refuses the merge
-// there, and the plain one is read through its migration), after Compact
-// (which drains the hot tier into the archive), and when the archive is
-// reopened cold.
+// to byte-identical output — before Compact, after Compact (which drains the
+// hot tier into the archive), and when the archive is reopened cold.
+//
+// A text store an older build wrote, its segments on a hot tier and its
+// canonical files on a cold one, is refused by every path on the mount,
+// and Compact moves none of its files between the tiers.
 func TestMountStoreParity(t *testing.T) {
-	for _, layout := range []string{"ttl", "pbs"} {
-		t.Run(layout, func(t *testing.T) {
-			plain := newLayoutStore(t, layout)
-			pvs := filepath.Join(t.TempDir(), "cold.pvs")
-			mount, dir, err := backend.Open("mount:hot=mem:,cold=file:" + pvs)
-			if err != nil {
+	t.Run("ttl", func(t *testing.T) {
+		src := newBinaryVFSStore(t)
+		smallHistory(t, src, 0)
+		smallHistory(t, src, 1)
+		hot, cold := backend.NewMem(), backend.NewMem()
+		mount, err := backend.NewMount("/prov",
+			backend.Tier{Name: "hot", Hot: true, B: hot, Root: "/prov"},
+			backend.Tier{Name: "cold", B: cold, Root: "/prov"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range asLayout(t, storeFiles(t, src), "ttl") {
+			if err := mount.WriteFile("/prov/"+name, data); err != nil {
 				t.Fatal(err)
 			}
-			mounted := layoutStoreOn(t, mount, dir, layout)
-			for pid := 0; pid < 2; pid++ {
-				smallHistory(t, plain, pid)
-				smallHistory(t, mounted, pid)
-			}
-
-			want := layoutNT(t, plain)
-			if layout != "pbs" {
-				if _, err := mounted.Merge(); !errors.Is(err, segcodec.ErrNeedsMigration) {
-					t.Fatalf("mounted text store merged before Compact: %v", err)
+		}
+		mounted, err := NewStore(mount, "/prov", FormatBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiers := func() map[string][]byte {
+			out := map[string][]byte{}
+			for tier, b := range map[string]Backend{"hot": hot, "cold": cold} {
+				s, err := NewStore(b, "/prov", FormatBinary)
+				if err != nil {
+					t.Fatal(err)
 				}
-			} else if got := mergedNT(t, mounted); !bytes.Equal(got, want) {
-				t.Fatal("mounted store merge differs from plain store before Compact")
+				for name, data := range storeFiles(t, s) {
+					out[tier+"/"+name] = data
+				}
 			}
-			rep := mustVerify(t, mounted)
-			if !rep.Clean() {
-				t.Fatalf("mounted store defects: %v", rep.Defects)
-			}
+			return out
+		}
+		before := tiers()
+		if !slices.ContainsFunc(fileNames(before), func(n string) bool { return strings.HasPrefix(n, "hot/") }) ||
+			!slices.ContainsFunc(fileNames(before), func(n string) bool { return strings.HasPrefix(n, "cold/") }) {
+			t.Fatalf("premise: files on both tiers, got %v", fileNames(before))
+		}
+		checkRefused(t, "mounted text store", mounted)
+		if after := tiers(); !maps.EqualFunc(before, after, bytes.Equal) {
+			t.Errorf("a refused path moved files between the tiers: %v, was %v", fileNames(after), fileNames(before))
+		}
+	})
+	t.Run("pbs", mountStoreParityPBS)
+}
 
-			// Compact also migrates a text store to pbs.
-			mounted = plainStore(t, mounted)
-			if err := mounted.Compact(); err != nil {
-				t.Fatalf("Compact on mounted store: %v", err)
-			}
-			if got := mergedNT(t, mounted); !bytes.Equal(got, want) {
-				t.Fatal("mounted store merge differs after Compact")
-			}
+// mountStoreParityPBS is TestMountStoreParity on the pbs store.
+func mountStoreParityPBS(t *testing.T) {
+	plain := newBinaryVFSStore(t)
+	pvs := filepath.Join(t.TempDir(), "cold.pvs")
+	mount, dir, err := backend.Open("mount:hot=mem:,cold=file:" + pvs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mounted, err := NewStore(mount, dir, FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid := 0; pid < 2; pid++ {
+		smallHistory(t, plain, pid)
+		smallHistory(t, mounted, pid)
+	}
 
-			// After Compact every segment is folded: the whole history must
-			// now live in the cold archive, readable on its own.
-			cold, err := OpenStore("file:"+pvs, FormatBinary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := mergedNT(t, cold); !bytes.Equal(got, want) {
-				t.Fatal("cold archive alone does not reproduce the merged history")
-			}
-			crep := mustVerify(t, cold)
-			if !crep.Clean() {
-				t.Fatalf("cold archive defects: %v", crep.Defects)
-			}
-		})
+	want := mergedNT(t, plain)
+	if got := mergedNT(t, mounted); !bytes.Equal(got, want) {
+		t.Fatal("mounted store merge differs from plain store before Compact")
+	}
+	rep := mustVerify(t, mounted)
+	if !rep.Clean() {
+		t.Fatalf("mounted store defects: %v", rep.Defects)
+	}
+
+	if err := mounted.Compact(); err != nil {
+		t.Fatalf("Compact on mounted store: %v", err)
+	}
+	if got := mergedNT(t, mounted); !bytes.Equal(got, want) {
+		t.Fatal("mounted store merge differs after Compact")
+	}
+
+	// After Compact every segment is folded: the whole history must now live
+	// in the cold archive, readable on its own.
+	cold, err := OpenStore("file:"+pvs, FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mergedNT(t, cold); !bytes.Equal(got, want) {
+		t.Fatal("cold archive alone does not reproduce the merged history")
+	}
+	crep := mustVerify(t, cold)
+	if !crep.Clean() {
+		t.Fatalf("cold archive defects: %v", crep.Defects)
 	}
 }
 

@@ -175,8 +175,8 @@ func demoStore(t *testing.T, backend Backend) *Store {
 // it) and the level-1 pack, header statistics included. The fixtures change
 // only with the format: the ones each older version wrote — equal to
 // `mkstore` + `provio-merge -compact -level 1` of that version byte for byte
-// — stay beside them as golden_demo_*_vN (see
-// TestLegacyGoldensAreTheFixtures).
+// — are that version's testdata/legacy_pbs_vN/packed store, which every
+// path refuses (TestLegacyReadable).
 func TestGoldenDemoStore(t *testing.T) {
 	store := demoStore(t, VFSBackend{View: vfs.NewStore().NewView()})
 	checkGolden(t, "golden_demo_heads.txt", mustVerify(t, store).FormatHeads())

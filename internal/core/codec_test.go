@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -55,235 +57,58 @@ func canonicalNT(t *testing.T, g *rdf.Graph) string {
 }
 
 // TestBinaryStoreRoundTrip runs the full tracker pipeline against a binary
-// store and checks the merged graph equals a Turtle store fed the same
-// records, read through its migration.
+// store: it holds .pbs files only, each carrying its seal in-band, and its
+// merged graph survives the Turtle round trip export makes.
 func TestBinaryStoreRoundTrip(t *testing.T) {
-	graphs := make(map[string]*rdf.Graph)
-	for layout, wantExts := range map[string][]string{"ttl": {".ttl", ".ttl.sum"}, "pbs": {".pbs"}} {
-		store := newLayoutStore(t, layout)
-		for pid := 0; pid < 2; pid++ {
-			trackInto(t, store, pid, DefaultConfig(), false)
-		}
-		// The canonical files must carry the codec's extension. Text stores
-		// carry a .sum integrity sidecar per file; binary files embed their
-		// seal and must not have one.
-		names, err := store.backend.List("/prov")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range names {
-			if !slices.ContainsFunc(wantExts, func(ext string) bool { return strings.HasSuffix(n, ext) }) {
-				t.Errorf("%s store left unexpected file %s", layout, n)
-			}
-		}
-		g, err := mergeLayout(t, store)
-		if err != nil {
-			t.Fatalf("%s store merge: %v", layout, err)
-		}
-		graphs[layout] = g
-	}
-	if canonicalNT(t, graphs["pbs"]) != canonicalNT(t, graphs["ttl"]) {
-		t.Error("binary store merged to a different graph than the Turtle store")
-	}
-}
-
-// TestMixedFormatMerge is the acceptance pin of the codec layer: a store
-// directory holding .ttl, .nt, and .pbs files at once — canonical sub-graphs
-// AND un-compacted delta segments — is refused by the merge until Compact
-// migrates it, and then merges to a triple multiset identical to an all-pbs
-// baseline fed the same records.
-func TestMixedFormatMerge(t *testing.T) {
-	// Periodic flush with no Close-compaction leaves delta segments behind.
-	segCfg := func() *Config {
-		cfg := DefaultConfig()
-		cfg.Mode = ModePeriodic
-		cfg.FlushEvery = 3
-		return cfg
-	}
-
-	build := func(t *testing.T, layouts []string) *rdf.Graph {
-		t.Helper()
-		view := vfs.NewStore().NewView()
-		for pid, layout := range layouts {
-			store := layoutStoreOn(t, VFSBackend{View: view}, "/prov", layout)
-			cfg, leaveSegments := DefaultConfig(), false
-			if pid%2 == 1 {
-				// Odd pids drain without closing: their delta segments stay
-				// on disk in their store's segment format.
-				cfg, leaveSegments = segCfg(), true
-			}
-			trackInto(t, store, pid, cfg, leaveSegments)
-		}
-		// Read the shared directory back: a text file refuses the read until
-		// Compact migrates the directory.
-		reader, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, _, err := reader.MergePruned(nil, 4)
-		if slices.ContainsFunc(layouts, func(l string) bool { return l != "pbs" }) {
-			if !errors.Is(err, segcodec.ErrNeedsMigration) {
-				t.Fatalf("%v directory merged before its migration: %v", layouts, err)
-			}
-			if err := reader.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			g, _, err = reader.MergePruned(nil, 4)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-
-	baseline := build(t, []string{"pbs", "pbs", "pbs"})
-	mixed := build(t, []string{"ttl", "nt", "pbs"})
-	if canonicalNT(t, mixed) != canonicalNT(t, baseline) {
-		t.Fatal("mixed .ttl/.nt/.pbs directory migrated to a different triple multiset than the all-pbs baseline")
-	}
-	if mixed.Len() == 0 {
-		t.Fatal("merge produced an empty graph")
-	}
-}
-
-// TestCompactMigratesTextToBinary: compacting a text store rewrites the
-// canonical files as .pbs — the codec layer's migration path.
-func TestCompactMigratesTextToBinary(t *testing.T) {
-	view := vfs.NewStore().NewView()
-	text := layoutStoreOn(t, VFSBackend{View: view}, "/prov", "nt")
-	cfg := DefaultConfig()
-	cfg.Mode = ModePeriodic
-	cfg.FlushEvery = 3
-	trackInto(t, text, 0, cfg, true) // leaves un-compacted .nt segments
-	if _, err := text.Merge(); !errors.Is(err, segcodec.ErrNeedsMigration) {
-		t.Fatalf("text store merged before its migration: %v", err)
-	}
-	twin := newLayoutStore(t, "pbs") // the same records, written as pbs
-	trackInto(t, twin, 0, cfg, true)
-	before, err := twin.Merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	names, _ := text.backend.List("/prov")
-	var hadSeg bool
-	for _, n := range names {
-		if strings.Contains(n, ".seg") {
-			hadSeg = true
-		}
-	}
-	if !hadSeg {
-		t.Fatal("test setup: expected un-compacted .nt segments")
-	}
-
-	bin, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bin.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	names, _ = bin.backend.List("/prov")
-	for _, n := range names {
-		if strings.Contains(n, ".seg") {
-			t.Errorf("segment %s survived compaction", n)
-		}
-	}
-	data, err := bin.backend.ReadFile("/prov/prov_p000000.pbs")
-	if err != nil {
-		t.Fatalf("compaction did not produce a .pbs canonical file: %v", err)
-	}
-	if segcodec.Detect(data) != segcodec.Binary {
-		t.Error("compacted canonical file does not carry the pbs magic")
-	}
-	after, err := bin.Merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonicalNT(t, after) != canonicalNT(t, before) {
-		t.Error("text -> binary compaction changed the graph")
-	}
-}
-
-// TestCompactMigratesCanonicalOnly: a text store with NO pending segments —
-// the common provio-merge -compact input — must still have its canonical
-// files rewritten as pbs, with the text files and their sidecars removed;
-// and a second Compact must be a no-op (idempotent migration).
-func TestCompactMigratesCanonicalOnly(t *testing.T) {
-	view := vfs.NewStore().NewView()
-	text := layoutStoreOn(t, VFSBackend{View: view}, "/prov", "ttl")
-	twin := newLayoutStore(t, "pbs") // the same records, written as pbs
+	store := newBinaryVFSStore(t)
 	for pid := 0; pid < 2; pid++ {
-		trackInto(t, text, pid, DefaultConfig(), false) // Close: canonical only
-		trackInto(t, twin, pid, DefaultConfig(), false)
+		trackInto(t, store, pid, DefaultConfig(), false)
 	}
-	before, err := twin.Merge()
+	names, err := store.backend.List("/prov")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	bin, err := NewStore(VFSBackend{View: view}, "/prov", FormatBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bin.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	names, _ := bin.backend.List("/prov")
 	for _, n := range names {
-		if isTextOrSidecar(n) {
-			t.Errorf("text store file %s survived migration", n)
+		if !strings.HasSuffix(n, segcodec.Binary.Ext()) {
+			t.Errorf("pbs store left unexpected file %s", n)
 		}
 	}
-	for pid := 0; pid < 2; pid++ {
-		if _, err := bin.backend.ReadFile(fmt.Sprintf("/prov/prov_p%06d.pbs", pid)); err != nil {
-			t.Errorf("pid %d: no migrated .pbs canonical file: %v", pid, err)
-		}
-	}
-	after, err := bin.Merge()
+	g, err := store.Merge()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canonicalNT(t, after) != canonicalNT(t, before) {
-		t.Error("canonical-only migration changed the graph")
-	}
-
-	// Idempotence: the files must not change on a second Compact.
-	snapshot := make(map[string][]byte)
-	for _, n := range names {
-		data, _ := bin.backend.ReadFile("/prov/" + n)
-		snapshot[n] = data
-	}
-	if err := bin.Compact(); err != nil {
+	var ttl bytes.Buffer
+	if err := segcodec.Turtle.Encode(&ttl, g, model.Namespaces()); err != nil {
 		t.Fatal(err)
 	}
-	names2, _ := bin.backend.List("/prov")
-	if len(names2) != len(names) {
-		t.Fatalf("second Compact changed the file set: %v -> %v", names, names2)
+	back := rdf.NewGraph()
+	if err := segcodec.Turtle.Decode(&ttl, back); err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range names2 {
-		data, _ := bin.backend.ReadFile("/prov/" + n)
-		if !bytes.Equal(data, snapshot[n]) {
-			t.Errorf("second Compact rewrote %s", n)
-		}
+	if g.Len() == 0 || canonicalNT(t, back) != canonicalNT(t, g) {
+		t.Error("the merged graph does not survive the Turtle round trip")
 	}
 }
 
 // TestFormatAutoDetection: there is no format left to detect. Whatever a
-// store directory holds — nothing, text or pbs canonical files or segments,
-// foreign files — a tracker writes its canonical file as pbs.
+// store directory holds — nothing, pbs canonical files or segments, foreign
+// files — a tracker writes its canonical file as pbs; and a directory
+// holding a text store's file refuses the write with ErrNeedsMigration.
 func TestFormatAutoDetection(t *testing.T) {
 	cases := []struct {
 		name  string
 		files []string
+		text  bool
 	}{
-		{"empty", nil},
-		{"canonical ttl", []string{"prov_p000000.ttl"}},
-		{"canonical nt", []string{"prov_p000000.nt"}},
-		{"canonical pbs", []string{"prov_p000000.pbs"}},
-		{"segment only", []string{"prov_p000000.seg0000.pbs"}},
-		{"canonical wins over segment", []string{"prov_p000000.seg0000.nt", "prov_p000001.pbs"}},
-		{"foreign files ignored", []string{"README.txt", "prov_merged.ttl"}},
+		{"empty", nil, false},
+		{"canonical ttl", []string{"prov_p000000.ttl"}, true},
+		{"canonical nt", []string{"prov_p000000.nt"}, true},
+		{"canonical pbs", []string{"prov_p000000.pbs"}, false},
+		{"segment only", []string{"prov_p000000.seg0000.pbs"}, false},
+		{"canonical wins over segment", []string{"prov_p000000.seg0000.pbs", "prov_p000001.pbs"}, false},
+		{"text segment beside pbs", []string{"prov_p000000.seg0000.nt", "prov_p000001.pbs"}, true},
+		{"sidecar", []string{"prov_p000002.ttl.sum"}, true},
+		{"foreign files ignored", []string{"README.txt", "prov_merged.ttl"}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -303,7 +128,14 @@ func TestFormatAutoDetection(t *testing.T) {
 			}
 			tr := NewTracker(DefaultConfig(), store, 2)
 			tr.RegisterUser("u")
-			if err := tr.Close(); err != nil {
+			err = tr.Close()
+			if tc.text {
+				if !errors.Is(err, segcodec.ErrNeedsMigration) || view.Exists("/prov/prov_p000002.pbs") {
+					t.Errorf("a text store took a pbs canonical file: %v", err)
+				}
+				return
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			if !view.Exists("/prov/prov_p000002.pbs") {
@@ -311,6 +143,91 @@ func TestFormatAutoDetection(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMixedFormatMerge: a store directory holding .ttl, .nt and .pbs files
+// at once — canonical sub-graphs AND un-compacted delta segments — is one
+// an older build wrote, and every read of it refuses with ErrNeedsMigration
+// naming the first text file and the migrating build rather than merge the
+// pbs files alone; the same records written as pbs only merge to a
+// non-empty graph.
+func TestMixedFormatMerge(t *testing.T) {
+	build := func(layouts []string) map[string][]byte {
+		files := map[string][]byte{}
+		for pid, layout := range layouts {
+			store := newBinaryVFSStore(t)
+			cfg, leaveSegments := DefaultConfig(), false
+			if pid%2 == 1 {
+				// Odd pids drain without closing: their delta segments stay
+				// on disk in their store's segment format.
+				cfg, leaveSegments = DefaultConfig(), true
+				cfg.Mode, cfg.FlushEvery = ModePeriodic, 3
+			}
+			trackInto(t, store, pid, cfg, leaveSegments)
+			maps.Copy(files, asLayout(t, storeFiles(t, store), layout))
+		}
+		return files
+	}
+	baseline := openDir(t, build([]string{"pbs", "pbs", "pbs"}))
+	if g, _, err := baseline.MergePruned(nil, 4); err != nil || g.Len() == 0 {
+		t.Fatalf("all-pbs directory: %v", err)
+	}
+	files := build([]string{"ttl", "nt", "pbs"})
+	if !slices.ContainsFunc(fileNames(files), func(n string) bool { return strings.Contains(n, ".seg") && filepath.Ext(n) == ".nt" }) {
+		t.Fatalf("premise: un-compacted .nt segments, got %v", fileNames(files))
+	}
+	mixed := openDir(t, files)
+	_, _, err := mixed.MergePruned(nil, 4)
+	if !errors.Is(err, segcodec.ErrNeedsMigration) || !strings.Contains(err.Error(), fileNames(files)[0]+": text store file") {
+		t.Errorf("mixed directory: MergePruned returned %v, want ErrNeedsMigration naming %s", err, fileNames(files)[0])
+	}
+	checkRefused(t, "mixed .ttl/.nt/.pbs directory", mixed)
+}
+
+// TestCompactMigratesTextToBinary: Compact migrates no text store any more
+// — that is the migrating build's provio-merge -compact. On an N-Triples
+// store with un-compacted segments it refuses with ErrNeedsMigration naming
+// that build, writes no .pbs file and leaves every byte as it was, and
+// refuses again on a second run.
+func TestCompactMigratesTextToBinary(t *testing.T) {
+	src := newBinaryVFSStore(t)
+	cfg := DefaultConfig()
+	cfg.Mode = ModePeriodic
+	cfg.FlushEvery = 3
+	trackInto(t, src, 0, cfg, true) // leaves un-compacted segments
+	files := asLayout(t, storeFiles(t, src), "nt")
+	if !slices.Contains(fileNames(files), "prov_p000000.seg0000.nt") {
+		t.Fatalf("premise: un-compacted .nt segments, got %v", fileNames(files))
+	}
+	store := openDir(t, files)
+	for run := 1; run <= 2; run++ {
+		err := store.Compact()
+		if !errors.Is(err, segcodec.ErrNeedsMigration) || !strings.Contains(err.Error(), migratingBuild) {
+			t.Errorf("Compact run %d returned %v, want ErrNeedsMigration naming %q", run, err, migratingBuild)
+		}
+		after := storeFiles(t, store)
+		if !maps.EqualFunc(files, after, bytes.Equal) {
+			t.Errorf("Compact run %d changed the store: %v", run, fileNames(after))
+		}
+	}
+}
+
+// TestCompactMigratesCanonicalOnly: a text store with NO pending segments
+// — the common provio-merge -compact input — is refused like any other
+// store an older build wrote: Compact neither rewrites its canonical files
+// as pbs nor removes the text files or their .sum files, and every other
+// path refuses it too.
+func TestCompactMigratesCanonicalOnly(t *testing.T) {
+	src := newBinaryVFSStore(t)
+	for pid := 0; pid < 2; pid++ {
+		trackInto(t, src, pid, DefaultConfig(), false) // Close: canonical only
+	}
+	files := asLayout(t, storeFiles(t, src), "ttl")
+	want := []string{"prov_p000000.ttl", "prov_p000000.ttl.sum", "prov_p000001.ttl", "prov_p000001.ttl.sum"}
+	if got := fileNames(files); !slices.Equal(got, want) {
+		t.Fatalf("premise: a canonical-only text store, got %v", got)
+	}
+	checkRefused(t, "canonical-only text store", openDir(t, files))
 }
 
 // TestGoldenMergedBinary pins the canonical .pbs bytes of the golden store:
@@ -378,7 +295,7 @@ func TestUnknownPBSVersionIsClassified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[3] = segcodec.PBSVersion + 1
+	data[3] = 6 // the version after the one this build writes
 	if err := store.backend.WriteFile(path, data); err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,8 @@ import (
 )
 
 // Format names the store's write codec. There is one, pbs (DESIGN.md "Store
-// codecs"), and it is the zero Format: NewStore refuses any other value. Text
-// stores an older build wrote are still read, verified and migrated
-// (legacytext.go); text leaves the store through provio-export.
+// codecs"), and it is the zero Format: NewStore refuses any other value.
+// Text leaves the store through provio-export.
 type Format uint8
 
 // FormatBinary is the ID-space binary segment format (.pbs): dictionary-delta

@@ -422,27 +422,27 @@ func TestTrackerCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestNTriplesStoreFormat: an N-Triples store an older build wrote is
-// refused by Merge, naming the file and the migration, and merges once
-// Compact has migrated it.
+// TestNTriplesStoreFormat: an N-Triples store an older build wrote — its
+// canonical file and its .sum file — is refused by every path, Merge naming
+// the file and the migrating build, and left as it was.
 func TestNTriplesStoreFormat(t *testing.T) {
-	view := vfs.NewStore().NewView()
-	store := layoutStoreOn(t, VFSBackend{View: view}, "/prov", "nt")
-	tr := NewTracker(DefaultConfig(), store, 7)
+	src := newTestStore(t)
+	tr := NewTracker(DefaultConfig(), src, 7)
 	tr.RegisterUser("u")
-	tr.Close()
-	if !view.Exists("/prov/prov_p000007.nt") {
-		t.Error(".nt file not written")
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
 	}
-	_, err := plainStore(t, store).Merge()
+	files := asLayout(t, storeFiles(t, src), "nt")
+	if _, ok := files["prov_p000007.nt"]; !ok {
+		t.Fatalf("premise: a .nt canonical file, got %v", fileNames(files))
+	}
+	store := openDir(t, files)
+	_, err := store.Merge()
 	if !errors.Is(err, segcodec.ErrNeedsMigration) || !strings.Contains(err.Error(), "prov_p000007.nt") ||
-		!strings.Contains(err.Error(), "provio-merge -compact") {
-		t.Errorf("merge over ntriples returned %v, want ErrNeedsMigration naming the file", err)
+		!strings.Contains(err.Error(), migratingBuild) {
+		t.Errorf("merge over ntriples returned %v, want ErrNeedsMigration naming the file and %q", err, migratingBuild)
 	}
-	g, err := mergeLayout(t, store)
-	if err != nil || g.Len() == 0 {
-		t.Errorf("merge over the migrated ntriples store failed: %v", err)
-	}
+	checkRefused(t, "ntriples store", store)
 }
 
 func TestOSBackend(t *testing.T) {

@@ -16,13 +16,14 @@ import (
 // members a read decodes. The grammar, with each number zero-padded to its
 // width and never longer unless the value needs the digits:
 //
-//	prov_p<pid:6>.<ext>[.sum]             canonical sub-graph file
-//	prov_p<pid:6>.seg<seg:4>.<ext>[.sum]  delta segment
-//	prov_pack.l<level:2>.<seq:4>.psk      pack container
+//	prov_p<pid:6>.pbs                 canonical sub-graph file
+//	prov_p<pid:6>.seg<seg:4>.pbs      delta segment
+//	prov_pack.l<level:2>.<seq:4>.psk  pack container
 //
-// where <ext> is .pbs, or .ttl/.nt for a text file an older build wrote, and
-// .sum marks the sidecar that sealed a text file (legacytext.go): pbs files
-// carry their seal in-band, so a .pbs.sum name is outside the grammar.
+// The files of a text store an older build wrote — .ttl and .nt files, and
+// the .sum files that sealed them — are outside the grammar but never
+// orphans: the listing refuses a store holding one (olderName), since a read
+// that skipped them would answer from an empty store.
 
 // nameKind is the class of a store file name.
 type nameKind uint8
@@ -37,58 +38,43 @@ const (
 // one parser (parseStoreName) are exact inverses for every non-negative value.
 type storeName struct {
 	kind       nameKind
-	pid, seg   int    // canonical and segment files; seg is -1 for a canonical file
-	level, seq int    // pack containers
-	ext        string // codec extension (.pbs, .ttl, .nt); .psk for a pack
-	sum        bool   // the .sum sidecar of the file the rest names
+	pid, seg   int // canonical and segment files; seg is -1 for a canonical file
+	level, seq int // pack containers
 }
 
 // canonicalName, segmentName and packName name the files the store writes.
 func canonicalName(pid int) string {
-	return storeName{kind: kindCanonical, pid: pid, seg: -1, ext: segcodec.Binary.Ext()}.String()
+	return storeName{kind: kindCanonical, pid: pid, seg: -1}.String()
 }
 
 func segmentName(pid, seg int) string {
-	return storeName{kind: kindSegment, pid: pid, seg: seg, ext: segcodec.Binary.Ext()}.String()
+	return storeName{kind: kindSegment, pid: pid, seg: seg}.String()
 }
 
 func packName(level, seq int) string {
-	return storeName{kind: kindPack, level: level, seq: seq, ext: segcodec.Pack.Ext()}.String()
+	return storeName{kind: kindPack, level: level, seq: seq}.String()
 }
 
 func (n storeName) String() string {
-	var s string
 	switch n.kind {
 	case kindPack:
-		return fmt.Sprintf("prov_pack.l%02d.%04d%s", n.level, n.seq, n.ext)
+		return fmt.Sprintf("prov_pack.l%02d.%04d%s", n.level, n.seq, segcodec.Pack.Ext())
 	case kindSegment:
-		s = fmt.Sprintf("prov_p%06d.seg%04d%s", n.pid, n.seg, n.ext)
-	default:
-		s = fmt.Sprintf("prov_p%06d%s", n.pid, n.ext)
+		return fmt.Sprintf("prov_p%06d.seg%04d%s", n.pid, n.seg, segcodec.Binary.Ext())
 	}
-	if n.sum {
-		s += chainSidecarExt
-	}
-	return s
+	return fmt.Sprintf("prov_p%06d%s", n.pid, segcodec.Binary.Ext())
 }
-
-// unit reports whether the name is a decodable unit: a canonical file or a
-// delta segment, not a sidecar and not a pack.
-func (n storeName) unit() bool { return n.kind != kindPack && !n.sum }
-
-// text reports whether a canonical or segment name is a text file's.
-func (n storeName) text() bool { return n.ext != segcodec.Binary.Ext() }
 
 // parseStoreName parses a store file name; ok is false for every name the
 // grammar does not produce.
 func parseStoreName(name string) (n storeName, ok bool) {
 	if rest, isPack := strings.CutPrefix(name, "prov_pack.l"); isPack {
-		n = storeName{kind: kindPack, ext: segcodec.Pack.Ext()}
+		n = storeName{kind: kindPack}
 		if n.level, rest, ok = cutPadded(rest, 2); !ok || !strings.HasPrefix(rest, ".") {
 			return n, false
 		}
 		n.seq, rest, ok = cutPadded(rest[1:], 4)
-		return n, ok && rest == n.ext
+		return n, ok && rest == segcodec.Pack.Ext()
 	}
 	rest, isProv := strings.CutPrefix(name, "prov_p")
 	n = storeName{kind: kindCanonical, seg: -1}
@@ -101,14 +87,7 @@ func parseStoreName(name string) (n storeName, ok bool) {
 			return n, false
 		}
 	}
-	n.ext, n.sum = strings.CutSuffix(rest, chainSidecarExt)
-	switch n.ext {
-	case segcodec.Turtle.Ext(), segcodec.NTriples.Ext():
-		return n, true
-	case segcodec.Binary.Ext():
-		return n, !n.sum // a pbs file is sealed in-band
-	}
-	return n, false
+	return n, rest == segcodec.Binary.Ext()
 }
 
 // cutPadded cuts the number %0<width>d formats off the front of s: at least
@@ -127,7 +106,21 @@ func cutPadded(s string, width int) (v int, rest string, ok bool) {
 
 // claimedRE matches every name that claims to be a store file: it starts
 // prov_p and ends in a store extension.
-var claimedRE = regexp.MustCompile(`^prov_p.*\.(?:pbs|ttl|nt|psk)(?:\.sum)?$`)
+var claimedRE = regexp.MustCompile(`^prov_p.*\.(?:pbs|psk)$`)
+
+// olderRE matches the names of a text store's files: a Turtle or N-Triples
+// canonical file or segment, or the .sum file that sealed one.
+var olderRE = regexp.MustCompile(`^prov_p.*\.(?:ttl|nt)(?:\.sum)?$`)
+
+// olderName refuses a name only an older build wrote, a text store's file,
+// with ErrNeedsMigration. Every path lists through listLayout, which holds
+// each name to it.
+func olderName(name string) error {
+	if olderRE.MatchString(name) {
+		return fmt.Errorf("%s: text store file: %w", name, segcodec.ErrNeedsMigration)
+	}
+	return nil
+}
 
 // layoutFile is one store file the listing classified.
 type layoutFile struct {
@@ -137,7 +130,8 @@ type layoutFile struct {
 
 // storeLayout is the store directory as one listing saw it: every file the
 // grammar accepts, in the backend's sorted-name order, and every name that
-// claims to be a store file but is not.
+// claims to be a store file but is not. A listing that finds a text store's
+// file refuses the store instead.
 type storeLayout struct {
 	files   []layoutFile
 	orphans []string
@@ -151,6 +145,9 @@ func (s *Store) listLayout() (*storeLayout, error) {
 	}
 	l := &storeLayout{}
 	for _, name := range names {
+		if err := olderName(name); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 		if n, ok := parseStoreName(name); ok {
 			l.files = append(l.files, layoutFile{name: name, storeName: n})
 		} else if claimedRE.MatchString(name) {
@@ -161,16 +158,13 @@ func (s *Store) listLayout() (*storeLayout, error) {
 }
 
 // stored lists the files that hold provenance — canonical files, segments
-// and packs, sidecars left out — with their sizes.
+// and packs — with their sizes.
 func (s *Store) stored() (files []layoutFile, sizes []int64, err error) {
 	l, err := s.listLayout()
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, f := range l.files {
-		if f.sum {
-			continue
-		}
 		n, err := s.backend.Stat(s.path(f.name))
 		if err != nil {
 			return nil, nil, err

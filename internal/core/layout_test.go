@@ -2,11 +2,10 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"testing"
+	"time"
 
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -24,9 +23,7 @@ func provFiles(t testing.TB, s *Store) []string {
 	}
 	var out []string
 	for _, f := range l.files {
-		if !f.sum {
-			out = append(out, s.path(f.name))
-		}
+		out = append(out, s.path(f.name))
 	}
 	return out
 }
@@ -37,18 +34,14 @@ func provFiles(t testing.TB, s *Store) []string {
 func TestStoreNameRoundTrip(t *testing.T) {
 	var names []storeName
 	for _, pid := range []int{0, 999_999, 1_000_000} {
-		for _, ext := range []string{".pbs", ".ttl", ".nt"} {
-			for _, sum := range []bool{false, ext != ".pbs"} {
-				names = append(names, storeName{kind: kindCanonical, pid: pid, seg: -1, ext: ext, sum: sum})
-				for _, seg := range []int{0, 9_999, 10_000, 123_456} {
-					names = append(names, storeName{kind: kindSegment, pid: pid, seg: seg, ext: ext, sum: sum})
-				}
-			}
+		names = append(names, storeName{kind: kindCanonical, pid: pid, seg: -1})
+		for _, seg := range []int{0, 9_999, 10_000, 123_456} {
+			names = append(names, storeName{kind: kindSegment, pid: pid, seg: seg})
 		}
 	}
 	for _, level := range []int{1, 99, 100} {
 		for _, seq := range []int{0, 10_000} {
-			names = append(names, storeName{kind: kindPack, level: level, seq: seq, ext: ".psk"})
+			names = append(names, storeName{kind: kindPack, level: level, seq: seq})
 		}
 	}
 	for _, want := range names {
@@ -72,6 +65,7 @@ func TestStoreNameRoundTrip(t *testing.T) {
 		"prov_p000001.pbs.pbs", "prov_p000001.psk", "prov_p000001.seg00001.pbs", "prov_pack.l01.0000.psk.sum",
 		"prov_pack.l001.0000.psk", "prov_pack.l01.0000.pbs", "prov_p000001.sum", "prov_p000001", "prov_p-00001.pbs", "prov_p000001.pbs.sum",
 		"prov_p000001.seg.pbs", "prov_merged.pbs", "prov_p000000.pbs.tmp3", "prov_p+00001.pbs",
+		"prov_p000001.ttl", "prov_p000001.seg0000.nt", "prov_p000001.ttl.sum",
 	} {
 		if n, ok := parseStoreName(name); ok {
 			t.Errorf("parse(%q) accepted %+v", name, n)
@@ -123,18 +117,30 @@ func TestParseHeadsRoundTrip(t *testing.T) {
 	}
 }
 
+// trackFreshSegments leaves a few sealed delta segments of a new process in
+// the store.
+func trackFreshSegments(t *testing.T, store *Store, pid int) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Mode = ModePeriodic
+	cfg.FlushEvery = 5
+	cfg.Duration = true
+	tr := NewTracker(cfg, store, pid)
+	prog := tr.RegisterProgram("fresh.exe", tr.RegisterUser("demo-user"))
+	for i := 0; i < 10; i++ {
+		obj := tr.TrackDataObject(model.File, fmt.Sprintf("/data/f%d", i%8), "", rdf.Term{}, prog)
+		tr.TrackIO(model.Read, "H5Dread", obj, prog, time.Duration(i)*time.Millisecond, time.Microsecond)
+	}
+	if err := tr.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLayoutAgreement: the audit, the eager and lazy reads, Levels and
-// TotalBytes see one file and unit set on the golden demo-pack store, a
-// fresh store with packs and loose segments, and the migration of every
-// committed fixture store, which both reads refuse before it.
+// TotalBytes see one file and unit set on the golden demo-pack store and a
+// fresh store with packs and loose segments.
 func TestLayoutAgreement(t *testing.T) {
 	stores := map[string]map[string][]byte{}
-	for _, layout := range []string{"loose", "packed"} {
-		for _, v := range legacyVersions() {
-			stores[fmt.Sprintf("legacy_pbs_v%d/%s", v, layout)], _ = legacyStoreFiles(t, v, layout)
-		}
-		stores["legacy_text/"+layout], _ = legacyTextFiles(t, layout)
-	}
 	demo := demoStore(t, VFSBackend{View: vfs.NewStore().NewView()})
 	if _, err := demo.PackSegments(1); err != nil {
 		t.Fatal(err)
@@ -160,18 +166,6 @@ func TestLayoutAgreement(t *testing.T) {
 		if !rep.Clean() {
 			t.Fatalf("%s: %v", what, rep.Defects)
 		}
-		if strings.HasPrefix(what, "legacy_") {
-			if _, _, err := store.MergePruned(nil, 2); !errors.Is(err, segcodec.ErrNeedsMigration) {
-				t.Errorf("%s: merge before migration: %v", what, err)
-			}
-			if _, err := store.OpenLazy(CacheConfig{}); !errors.Is(err, segcodec.ErrNeedsMigration) {
-				t.Errorf("%s: lazy view before migration: %v", what, err)
-			}
-			if err := store.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			files, rep = storeFiles(t, store), mustVerify(t, store)
-		}
 		_, st, err := store.MergePruned(nil, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +190,7 @@ func TestLayoutAgreement(t *testing.T) {
 		var fileBytes int64 // what a plain extension match calls provenance
 		for n, data := range files {
 			switch filepath.Ext(n) {
-			case ".pbs", ".psk", ".ttl", ".nt":
+			case ".pbs", ".psk":
 				fileBytes += int64(len(data))
 			}
 		}

@@ -26,7 +26,7 @@ var ErrNothingToPack = errors.New("core: no segments to pack at this level")
 
 // PackSegments folds every loose delta segment and every pack below the
 // target level into one new level-`level` pack, then removes the sources.
-// Like every reader, it refuses a store holding a file only an older build
+// Like every path, it refuses a store holding a file only an older build
 // wrote (readable, on the audit's read pass, before the check pass opens a
 // file), so a pack it writes holds pbs v5 only; and it refuses on an unclean
 // audit — packing damaged history would seal the damage in. It writes
@@ -44,7 +44,7 @@ func (s *Store) PackSegments(level int) (string, error) {
 	}
 	// The audit is also the read: it holds every file's bytes and decoded
 	// content, so nothing below touches the backend until the pack is written.
-	a, err := s.audit(true, true)
+	a, err := s.audit(true)
 	if err != nil {
 		return "", err
 	}
@@ -149,7 +149,7 @@ func (s *Store) Levels() ([]LevelInfo, error) {
 		li.Files++
 		li.Bytes += sizes[i]
 		for _, m := range h.Members {
-			if n, ok := parseStoreName(m.Name); ok && n.unit() {
+			if _, ok := parseStoreName(m.Name); ok {
 				li.Units++
 			}
 		}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 	"github.com/hpc-io/prov-io/internal/vfs"
 )
 
@@ -151,11 +153,11 @@ func TestMergeParallelPropagatesErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := view.WriteFile("/prov/prov_p000003.ttl", []byte("@prefix broken <oops")); err != nil {
+	if err := view.WriteFile("/prov/prov_p000003.pbs", []byte("PBS\x05 not a segment")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := store.MergePruned(nil, 4); err == nil {
-		t.Error("parallel merge accepted a corrupt sub-graph")
+	if _, _, err := store.MergePruned(nil, 4); !errors.Is(err, segcodec.ErrCorrupt) {
+		t.Errorf("parallel merge of a corrupt sub-graph returned %v, want ErrCorrupt", err)
 	}
 }
 

@@ -24,30 +24,22 @@ import (
 // too.
 //
 // Every reader takes pbs v5 only: before it decodes a byte, the listing
-// refuses a store holding a file only an older build wrote (readable), so
-// every unit it admits carries generation 2 stats. Pushdown consults each
-// segment's embedded stats frame — and each pack's header — to skip whole
-// segments whose zone maps, predicate lists, and Bloom filters prove the
-// answer cannot be there. Pruning is strictly
+// refuses a store holding a file only an older build wrote (olderName,
+// readable, DecodePackHeader), so every unit it admits carries generation 2
+// stats. Pushdown consults each segment's embedded stats frame — and each
+// pack's header — to skip whole segments whose zone maps, predicate lists,
+// and Bloom filters prove the answer cannot be there. Pruning is strictly
 // conservative: a Bloom filter has false positives only, and the codec layer
 // rejects any stats frame that does not byte-match its segment's contents —
 // so a pruned read returns exactly what the exhaustive read would.
 
-// readable is every reader's gate, run on each store file before any is
-// decoded: segcodec.ErrNeedsMigration naming f when it is a file only an
-// older build wrote — a text file or its sidecar, a pbs v1–v4 file (data
-// holds a loose file's bytes), or a pack whose header h carries stats that
-// are not all generation 2. A loose pbs v5 file's stats frame is what a read prunes on:
-// readable returns it, or the damage that keeps it from being read.
-func readable(f layoutFile, data []byte, h *segcodec.PackHeader) (st *segcodec.SegStats, err error) {
-	switch {
-	case f.kind == kindPack:
-		err = h.NeedsMigration()
-	case f.sum || f.text():
-		err = fmt.Errorf("text store file: %w", segcodec.ErrNeedsMigration)
-	default:
-		st, err = segcodec.StatsOf(data)
-	}
+// readable is every reader's gate, run on each loose store file before any
+// is decoded: the stats frame a read prunes on, segcodec.ErrNeedsMigration
+// naming f when it is a pbs v1–v4 file, or the damage that keeps it from
+// being read. (A pack is gated by its header: DecodePackHeader refuses
+// generation 1 stats, and a read refuses an entry without stats.)
+func readable(f layoutFile, data []byte) (*segcodec.SegStats, error) {
+	st, err := segcodec.StatsOf(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", f.name, err)
 	}
@@ -344,8 +336,8 @@ func (s *Store) listUnits() (*unitList, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := readable(f, nil, h); err != nil {
-				return nil, err
+			if err := h.MissingStats(); err != nil {
+				return nil, fmt.Errorf("core: %s: %w", f.name, err)
 			}
 			for i := range h.Members {
 				m := &h.Members[i]
@@ -365,7 +357,7 @@ func (s *Store) listUnits() (*unitList, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := readable(f, data, nil)
+		st, err := readable(f, data)
 		if err != nil {
 			return nil, err
 		}

@@ -158,86 +158,30 @@ func TestCompactFoldsPacks(t *testing.T) {
 	}
 }
 
-// TestMixedFormatPruningNeverDropsResults: a store mixing text segments, a
-// pbs v1 file from before the stats frame, and current binary files — loose,
-// or packed as an older build packed them, stats-less members beside
-// stats-carrying ones — holds units without generation 2 stats, which no
-// read admits: every pruned and exhaustive merge, the lazy view and
-// PackSegments refuse it with ErrNeedsMigration. Compact migrates it to the
-// union of its sources' graphs, which then answers every pattern identically
-// with and without pruning.
+// TestMixedFormatPruningNeverDropsResults: a store mixing N-Triples files,
+// a pbs v1 file stripped of its stats frame and seal (the shape of a store
+// written before both the stats and the integrity layers) and current
+// binary files holds units with no generation 2 stats to prune on. No read
+// drops those units and answers from the rest: every pruned and exhaustive
+// merge, the lazy view and PackSegments refuse the store with
+// ErrNeedsMigration and leave it as it was — with the text files, and with
+// the v1 file alone beside the current ones. The current files on their own
+// answer every pattern identically with and without pruning.
 func TestMixedFormatPruningNeverDropsResults(t *testing.T) {
-	// Text store (pids 0,1) and binary store (pids 2,3), disjoint names,
-	// merged into one directory beside pid 4: the version 1 store's canonical
-	// file with its stats frame and seal stripped, the shape of a store
-	// written before both the stats and the integrity layers.
-	text := newLayoutStore(t, "nt")
-	twin := newBinaryVFSStore(t) // the text store's history, written as pbs
+	text := newBinaryVFSStore(t) // pids 0 and 1, spelled as N-Triples
 	for pid := 0; pid < 2; pid++ {
 		smallHistory(t, text, pid)
-		smallHistory(t, twin, pid)
 	}
 	binary := newBinaryVFSStore(t)
 	smallHistory(t, binary, 2)
 	smallHistory(t, binary, 3)
-
-	combined := map[string][]byte{}
-	for n, data := range storeFiles(t, text) {
-		combined[n] = data
-	}
-	for n, data := range storeFiles(t, binary) {
-		combined[n] = data
-	}
 	v1, _ := legacyStoreFiles(t, 1, "loose")
 	old := v1["prov_p000000.pbs"]
 	start, end := statsFrameAt(t, old)
-	combined["prov_p000004.pbs"] = stripChain(append(old[:start:start], old[end:]...))
-	want := rdf.NewGraph()
-	for _, g := range []*rdf.Graph{mustMerge(t, twin), mustMerge(t, binary)} {
-		want.Merge(g)
-	}
-	cols, err := segcodec.DecodeAnyVersion(combined["prov_p000004.pbs"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols.Materialize(want)
-
-	// The same population with its segments (and sidecars) in one pack, as
-	// an older build packed it: each member's own stats, none for a text one,
-	// and the union of every member's contents.
-	packed := maps.Clone(combined)
-	var entries []segcodec.PackEntry
-	var contents []*segcodec.Columns
-	for _, n := range fileNames(combined) {
-		sn, _ := parseStoreName(n)
-		if sn.kind != kindSegment {
-			continue
-		}
-		e := segcodec.PackEntry{Name: n, Data: combined[n]}
-		switch {
-		case sn.sum:
-		case sn.text():
-			g := rdf.NewGraph()
-			if err := segcodec.NTriples.Decode(bytes.NewReader(e.Data), g); err != nil {
-				t.Fatal(err)
-			}
-			contents = append(contents, segcodec.GraphColumns(g))
-		default:
-			c, err := segcodec.DecodeColumns(e.Data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Stats, contents = c.Stats, append(contents, c)
-		}
-		entries = append(entries, e)
-		delete(packed, n)
-	}
-	union := segcodec.UnionStats(contents, 1)
-	pack, err := segcodec.EncodePack(1, entries, &union)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed[packName(1, 0)] = pack
+	withV1 := storeFiles(t, binary)
+	withV1["prov_p000004.pbs"] = stripChain(append(old[:start:start], old[end:]...))
+	combined := maps.Clone(withV1)
+	maps.Copy(combined, asLayout(t, storeFiles(t, text), "nt"))
 
 	user := rdf.IRI(model.ProvIONS + "user/alice")
 	patterns := []PrunePattern{
@@ -247,41 +191,36 @@ func TestMixedFormatPruningNeverDropsResults(t *testing.T) {
 		{S: termPtr(rdf.IRI("urn:absent"))}, // matches nothing
 		{P: termPtr(rdf.IRI(model.AssociatedWith.IRI().Value))}, // predicate hint
 	}
-	for stage, files := range map[string]map[string][]byte{"loose": combined, "packed": packed} {
+	for what, files := range map[string]map[string][]byte{"text and v1 beside pbs": combined, "v1 beside pbs": withV1} {
 		store := openDir(t, files)
-		if _, _, err := store.MergePruned(nil, 2); !errors.Is(err, segcodec.ErrNeedsMigration) {
-			t.Fatalf("%s: merge before migration: %v", stage, err)
-		}
-		for i, p := range patterns {
-			if _, _, err := store.MergePruned(&SegmentPruner{Patterns: []PrunePattern{p}}, 1); !errors.Is(err, segcodec.ErrNeedsMigration) {
-				t.Fatalf("%s pattern %d: pruned merge before migration: %v", stage, i, err)
+		refused := func(op string, err error) {
+			t.Helper()
+			if !errors.Is(err, segcodec.ErrNeedsMigration) || !strings.Contains(err.Error(), migratingBuild) {
+				t.Errorf("%s: %s returned %v, want ErrNeedsMigration naming %q", what, op, err, migratingBuild)
 			}
 		}
-		if _, err := store.OpenLazy(CacheConfig{}); !errors.Is(err, segcodec.ErrNeedsMigration) {
-			t.Fatalf("%s: lazy view before migration: %v", stage, err)
+		_, _, err := store.MergePruned(nil, 2)
+		refused("exhaustive merge", err)
+		for i, p := range patterns {
+			_, _, err := store.MergePruned(&SegmentPruner{Patterns: []PrunePattern{p}}, 1)
+			refused(fmt.Sprintf("pruned merge, pattern %d", i), err)
 		}
-		if _, err := store.PackSegments(2); !errors.Is(err, segcodec.ErrNeedsMigration) ||
-			!strings.Contains(err.Error(), "provio-merge -compact") {
-			t.Fatalf("%s: PackSegments before migration: %v", stage, err)
-		}
+		_, err = store.OpenLazy(CacheConfig{})
+		refused("lazy view", err)
+		_, err = store.PackSegments(2)
+		refused("PackSegments", err)
 		if after := storeFiles(t, store); !maps.EqualFunc(files, after, bytes.Equal) {
-			t.Fatalf("%s: a refused read changed the store", stage)
+			t.Errorf("%s: a refused read changed the store", what)
 		}
+	}
 
-		if err := store.Compact(); err != nil {
-			t.Fatal(err)
+	full := mustMerge(t, binary)
+	for i, p := range patterns {
+		pruned, _, err := binary.MergePruned(&SegmentPruner{Patterns: []PrunePattern{p}}, 1)
+		if err != nil {
+			t.Fatalf("pattern %d: %v", i, err)
 		}
-		full := mustMerge(t, store)
-		if !bytes.Equal(ntBytes(t, full), ntBytes(t, want)) {
-			t.Fatalf("%s: the migration holds %d triples, its sources %d, or others", stage, full.Len(), want.Len())
-		}
-		for i, p := range patterns {
-			pruned, _, err := store.MergePruned(&SegmentPruner{Patterns: []PrunePattern{p}}, 1)
-			if err != nil {
-				t.Fatalf("%s pattern %d: %v", stage, i, err)
-			}
-			matchSubset(t, full, pruned, p, fmt.Sprintf("%s pattern %d", stage, i))
-		}
+		matchSubset(t, full, pruned, p, fmt.Sprintf("current files, pattern %d", i))
 	}
 }
 

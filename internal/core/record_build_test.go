@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 	"sort"
@@ -13,38 +14,36 @@ import (
 
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 )
 
 // TestUnsafeAPINameRoundTrips: an API name is caller text like a path is, and
-// the activity IRI it is pasted into must survive every store format (a text
-// store's into its migration). Pasted raw, `my api> <x` closed fine under nt
+// the activity IRI it is pasted into must survive the store. Pasted raw, `my api> <x` closed fine under nt
 // and ttl and then failed Merge with "expected ';' or '.' after object".
 func TestUnsafeAPINameRoundTrips(t *testing.T) {
-	for _, format := range layouts {
-		store := newLayoutStore(t, format)
-		cfg := DefaultConfig()
-		cfg.Duration = true
-		tr := NewTracker(cfg, store, 0)
-		prog := tr.RegisterProgram("odd.exe", tr.RegisterUser("alice"))
-		obj := tr.TrackDataObject(model.File, "/odd.h5", "", rdf.Term{}, prog)
-		var acts []rdf.Term
-		for _, api := range []string{"my api> <x", "my api> <y", "quo\"te\\", "H5Dwrite"} {
-			acts = append(acts, tr.TrackIO(model.Write, api, obj, prog, time.Millisecond, time.Microsecond))
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatalf("%v: Close: %v", format, err)
-		}
-		g, err := mergeLayout(t, store)
-		if err != nil {
-			t.Fatalf("%v: Merge: %v", format, err)
-		}
-		if g.Len() != tr.Graph().Len() {
-			t.Errorf("%v: merged %d triples, tracked %d", format, g.Len(), tr.Graph().Len())
-		}
-		for _, act := range acts {
-			if !g.Has(rdf.Triple{S: obj, P: model.WasWrittenBy.IRI(), O: act}) {
-				t.Errorf("%v: merged store lost activity %v", format, act)
-			}
+	store := newBinaryVFSStore(t)
+	cfg := DefaultConfig()
+	cfg.Duration = true
+	tr := NewTracker(cfg, store, 0)
+	prog := tr.RegisterProgram("odd.exe", tr.RegisterUser("alice"))
+	obj := tr.TrackDataObject(model.File, "/odd.h5", "", rdf.Term{}, prog)
+	var acts []rdf.Term
+	for _, api := range []string{"my api> <x", "my api> <y", "quo\"te\\", "H5Dwrite"} {
+		acts = append(acts, tr.TrackIO(model.Write, api, obj, prog, time.Millisecond, time.Microsecond))
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	g, err := store.Merge()
+	if err != nil {
+		t.Fatalf("Merge: %v", err)
+	}
+	if g.Len() != tr.Graph().Len() {
+		t.Errorf("merged %d triples, tracked %d", g.Len(), tr.Graph().Len())
+	}
+	for _, act := range acts {
+		if !g.Has(rdf.Triple{S: obj, P: model.WasWrittenBy.IRI(), O: act}) {
+			t.Errorf("merged store lost activity %v", act)
 		}
 	}
 }
@@ -110,9 +109,8 @@ func buildScript(hostile string) []buildStep {
 var callerTerms = []rdf.Term{{}, rdf.IRI("http://x/a> <http://x/b"), rdf.Blank("b0"), rdf.Literal("lit x")}
 
 // hostileID is an identity with every byte an IRI must escape, and one that
-// is not UTF-8. A text store refuses it where it lands in a literal (rdf
-// textError); textHostileID is the same identity in UTF-8.
-const hostileID, textHostileID = "sp ace<>\"\\\n\xff", "sp ace<>\"\\\nÿ"
+// is not UTF-8, which a pbs store keeps byte for byte.
+const hostileID = "sp ace<>\"\\\n\xff"
 
 // matrixSteps is every tracking call over identities plain, hostile and longer
 // than the builders' stack buffers, with every callerTerms entry in every
@@ -172,90 +170,91 @@ func termTriples(g *rdf.Graph) []rdf.Triple {
 // them (AppendTriples, AddBatch, WriteDeltaSegmentRefs, WriteSubgraph): the
 // two graphs must log the same triples in the same order and count the same
 // records and triples, and delta segments and canonical files must be the
-// same bytes, in all three formats.
+// same bytes.
 func TestTrackerWritesWhatAppendTriplesWrites(t *testing.T) {
 	const flushEvery = 16
-	for _, format := range layouts {
-		newStore := func() *Store { return newLayoutStore(t, format) }
-		hostile := hostileID
-		if format != "pbs" {
-			hostile = textHostileID
+	script := buildScript(hostileID)
+
+	tracked := newBinaryVFSStore(t)
+	cfg := DefaultConfig()
+	cfg.Duration = true
+	cfg.Mode, cfg.FlushEvery, cfg.Pipeline = ModePeriodic, flushEvery, PipelineDelta
+	tr := NewTracker(cfg, tracked, 0)
+
+	byHand := newBinaryVFSStore(t)
+	g := rdf.NewGraph()
+	render := rdf.NewTermRenderer(g)
+	var ts []rdf.Triple
+	cursor, seg, listed := 0, 0, 0
+	for i, step := range script {
+		node := step.track(tr)
+		var want rdf.Term
+		ts, want = step.rec.AppendTriples(ts[:0])
+		if node != want {
+			t.Fatalf("step %d: tracker returned %v, the record's node is %v", i, node, want)
 		}
-		script := buildScript(hostile)
-
-		tracked := newStore()
-		cfg := DefaultConfig()
-		cfg.Duration = true
-		cfg.Mode, cfg.FlushEvery, cfg.Pipeline = ModePeriodic, flushEvery, PipelineDelta
-		tr := NewTracker(cfg, tracked, 0)
-
-		byHand := newStore()
-		g := rdf.NewGraph()
-		render := rdf.NewTermRenderer(g)
-		var ts []rdf.Triple
-		cursor, seg, listed := 0, 0, 0
-		for i, step := range script {
-			node := step.track(tr)
-			var want rdf.Term
-			ts, want = step.rec.AppendTriples(ts[:0])
-			if node != want {
-				t.Fatalf("%v step %d: tracker returned %v, the record's node is %v", format, i, node, want)
+		g.AddBatch(ts)
+		listed += len(ts)
+		if (i+1)%flushEvery == 0 {
+			var refs []rdf.TripleID
+			refs, cursor = g.RefsSince(cursor)
+			if err := byHand.WriteDeltaSegmentRefs(0, seg, refs, render); err != nil {
+				t.Fatal(err)
 			}
-			g.AddBatch(ts)
-			listed += len(ts)
-			if (i+1)%flushEvery == 0 {
-				var refs []rdf.TripleID
-				refs, cursor = g.RefsSince(cursor)
-				if err := byHand.WriteDeltaSegmentRefs(0, seg, refs, render); err != nil {
-					t.Fatal(err)
-				}
-				seg++
-			}
+			seg++
 		}
-		if err := tr.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if seg < 8 {
-			t.Fatalf("%v: only %d delta segments written", format, seg)
-		}
-		if records, triples := tr.Stats(); records != int64(len(script)) || triples != int64(listed) {
-			t.Fatalf("%v: tracker counts %d records and %d triples, the script has %d and AppendTriples lists %d",
-				format, records, triples, len(script), listed)
-		}
-		if got, want := termTriples(tr.Graph()), termTriples(g); !slices.Equal(got, want) {
-			t.Fatalf("%v: the tracker's graph logs %d triples, AddBatch of the same records %d, or in another order",
-				format, len(got), len(want))
-		}
-		sameFiles(t, fmt.Sprintf("%v delta segments", format), storeFiles(t, tracked), storeFiles(t, byHand))
-
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := byHand.WriteSubgraph(0, g); err != nil {
-			t.Fatal(err)
-		}
-		if err := byHand.RemoveSegments(0); err != nil {
-			t.Fatal(err)
-		}
-		sameFiles(t, fmt.Sprintf("%v canonical file", format), storeFiles(t, tracked), storeFiles(t, byHand))
 	}
+	if err := tr.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if seg < 8 {
+		t.Fatalf("only %d delta segments written", seg)
+	}
+	if records, triples := tr.Stats(); records != int64(len(script)) || triples != int64(listed) {
+		t.Fatalf("tracker counts %d records and %d triples, the script has %d and AppendTriples lists %d",
+			records, triples, len(script), listed)
+	}
+	if got, want := termTriples(tr.Graph()), termTriples(g); !slices.Equal(got, want) {
+		t.Fatalf("the tracker's graph logs %d triples, AddBatch of the same records %d, or in another order",
+			len(got), len(want))
+	}
+	sameFiles(t, "delta segments", storeFiles(t, tracked), storeFiles(t, byHand))
+
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := byHand.WriteSubgraph(0, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := byHand.RemoveSegments(0); err != nil {
+		t.Fatal(err)
+	}
+	sameFiles(t, "canonical file", storeFiles(t, tracked), storeFiles(t, byHand))
 }
 
 // TestTextStoresRefuseNonUTF8Literals: a literal that is not UTF-8 is kept
-// byte for byte by a pbs store and refused by a text store, whose writer
-// would have put U+FFFD in its place; the tracker hands the writer's error,
-// which names the term, back to its caller.
+// byte for byte by the pbs store, and refused by both text writers — what
+// export writes, and what the text stores of older builds were — which
+// would have put U+FFFD in its place; the refusal names the term.
 func TestTextStoresRefuseNonUTF8Literals(t *testing.T) {
-	for _, format := range layouts {
-		store := newLayoutStore(t, format)
-		tr := NewTracker(DefaultConfig(), store, 0)
-		tr.TrackType(rdf.IRI("http://x/a"), hostileID)
-		err := tr.Close()
-		switch {
-		case format == "pbs" && err != nil:
-			t.Errorf("%v: %v", format, err)
-		case format != "pbs" && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", hostileID))):
-			t.Errorf("%v: Close returned %v, want the writer's refusal of %q", format, err, hostileID)
+	store := newBinaryVFSStore(t)
+	tr := NewTracker(DefaultConfig(), store, 0)
+	tr.TrackType(rdf.IRI("http://x/a"), hostileID)
+	if err := tr.Close(); err != nil {
+		t.Fatalf("pbs: %v", err)
+	}
+	g := mustMerge(t, store)
+	kept := false
+	for _, tr := range g.Triples() {
+		kept = kept || tr.O.Value == hostileID
+	}
+	if !kept {
+		t.Errorf("pbs: the merged graph lost %q", hostileID)
+	}
+	for _, codec := range []segcodec.Codec{segcodec.Turtle, segcodec.NTriples} {
+		err := codec.Encode(io.Discard, g, model.Namespaces())
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", hostileID)) {
+			t.Errorf("%s: Encode returned %v, want the writer's refusal of %q", codec.Ext(), err, hostileID)
 		}
 	}
 }
@@ -392,38 +391,35 @@ func TestTrackingKeepsCallerTermKinds(t *testing.T) {
 
 // callerIRIRoundTrips tracks value as the IRI of every node a caller supplies
 // — object, agent, container, attribution, owner, product, source — closes the
-// tracker into a store of each format and checks that Merge reads back
-// exactly the tracker's triples, Term-equal (a text store's after its
-// migration).
+// tracker into a store and checks that Merge reads back exactly the
+// tracker's triples, Term-equal.
 func callerIRIRoundTrips(t *testing.T, value string) {
 	t.Helper()
 	x := rdf.IRI(value)
-	for _, format := range layouts {
-		store := newLayoutStore(t, format)
-		cfg := DefaultConfig()
-		cfg.Duration = true
-		tr := NewTracker(cfg, store, 0)
-		tr.RegisterProgram("p", x)
-		ds := tr.TrackDataObject(model.Dataset, "d", "", x, x)
-		tr.TrackIO(model.Write, "H5Dwrite", x, x, time.Millisecond, time.Microsecond)
-		tr.TrackConfiguration(x, "lr", x, 1)
-		tr.TrackDerivation(x, ds)
-		tr.TrackDerivation(ds, x)
-		if err := tr.Close(); err != nil {
-			t.Fatalf("%v, IRI %q: Close: %v", format, value, err)
-		}
-		g, err := mergeLayout(t, store)
-		if err != nil {
-			t.Fatalf("%v, IRI %q: Merge: %v", format, value, err)
-		}
-		if got, want := g.SortedTriples(), tr.Graph().SortedTriples(); !slices.Equal(got, want) {
-			t.Fatalf("%v, IRI %q: merged %d triples, tracked %d, or other ones:\n%v\n%v", format, value, len(got), len(want), got, want)
-		}
+	store := newBinaryVFSStore(t)
+	cfg := DefaultConfig()
+	cfg.Duration = true
+	tr := NewTracker(cfg, store, 0)
+	tr.RegisterProgram("p", x)
+	ds := tr.TrackDataObject(model.Dataset, "d", "", x, x)
+	tr.TrackIO(model.Write, "H5Dwrite", x, x, time.Millisecond, time.Microsecond)
+	tr.TrackConfiguration(x, "lr", x, 1)
+	tr.TrackDerivation(x, ds)
+	tr.TrackDerivation(ds, x)
+	if err := tr.Close(); err != nil {
+		t.Fatalf("IRI %q: Close: %v", value, err)
+	}
+	g, err := store.Merge()
+	if err != nil {
+		t.Fatalf("IRI %q: Merge: %v", value, err)
+	}
+	if got, want := g.SortedTriples(), tr.Graph().SortedTriples(); !slices.Equal(got, want) {
+		t.Fatalf("IRI %q: merged %d triples, tracked %d, or other ones:\n%v\n%v", value, len(got), len(want), got, want)
 	}
 }
 
 // FuzzCallerIRIRoundTrips: any byte string, as the value of a caller-supplied
-// IRI, survives Close and Merge in every format. Written raw between angle
+// IRI, survives Close and Merge. Written raw between angle
 // brackets, `http://x/a> <http://x/b` closed fine under nt and ttl and then
 // failed Merge with "expected ';' or '.' after object".
 func FuzzCallerIRIRoundTrips(f *testing.F) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -113,9 +114,9 @@ type OSBackend = backend.Dir
 // sub-graph files plus merge support.
 //
 // The store writes one codec, pbs v5 (DESIGN.md "Store codecs"), every file
-// sealed in-band, and its reads take nothing else. Files an older build
-// wrote — text (legacytext.go) or older pbs — verify beside pbs v5 ones, and
-// refuse every read until Compact migrates them.
+// sealed in-band, and reads and audits nothing else: a store holding a file
+// only an older build wrote refuses every path with ErrNeedsMigration
+// (DESIGN.md "Migrating an older store").
 type Store struct {
 	backend Backend
 	dir     string
@@ -133,7 +134,7 @@ type Store struct {
 // pbs, the zero Format; any other value is refused.
 func NewStore(backend Backend, dir string, format Format) (*Store, error) {
 	if format != FormatBinary {
-		return nil, fmt.Errorf("core: store format %d: the store writes pbs only (provio-merge -compact migrates text stores)", format)
+		return nil, fmt.Errorf("core: store format %d: the store writes pbs only (provio-export writes Turtle or N-Triples)", format)
 	}
 	if err := backend.MkdirAll(dir); err != nil {
 		return nil, err
@@ -182,8 +183,9 @@ func (s *Store) WriteSubgraph(pid int, g *rdf.Graph) error {
 // chainPrevLocked returns pid's current chain head, lazily initializing it
 // for a store object that did not write the history so far (a restarted
 // process, a recovery tool): the chain continues from the digest of the
-// pid's existing loose canonical file — a pbs one first, then one of an
-// older codec — or from zero for a brand-new process. Caller holds
+// pid's existing loose canonical file, or from zero for a brand-new process.
+// A store holding a text file, or a canonical file of an older pbs version
+// to chain from, refuses the write with ErrNeedsMigration. Caller holds
 // s.chainMu.
 func (s *Store) chainPrevLocked(pid int) ([32]byte, error) {
 	if h, ok := s.chainHead[pid]; ok {
@@ -194,15 +196,15 @@ func (s *Store) chainPrevLocked(pid int) ([32]byte, error) {
 		return [32]byte{}, err
 	}
 	var head [32]byte
-	from := ""
 	for _, f := range l.files {
-		if f.kind == kindCanonical && f.pid == pid && !f.sum && (from == "" || !f.text()) {
-			from = f.name
+		if f.kind != kindCanonical || f.pid != pid {
+			continue
 		}
-	}
-	if from != "" {
-		data, err := s.backend.ReadFile(s.path(from))
+		data, err := s.backend.ReadFile(s.path(f.name))
 		if err != nil {
+			return head, err
+		}
+		if _, err := readable(f, data); errors.Is(err, segcodec.ErrNeedsMigration) {
 			return head, err
 		}
 		head = fileDigest(data)
@@ -246,8 +248,7 @@ func (s *Store) WriteDeltaSegmentRefs(pid, seg int, refs []rdf.TripleID, r *rdf.
 }
 
 // RemoveSegments deletes every delta segment of a process (after its
-// contents were folded into the canonical file), and the sidecars of text
-// segments an older build wrote, each before its segment.
+// contents were folded into the canonical file).
 func (s *Store) RemoveSegments(pid int) error {
 	l, err := s.listLayout()
 	if err != nil {
@@ -258,8 +259,11 @@ func (s *Store) RemoveSegments(pid int) error {
 
 // removeSegments deletes pid's delta segments as the listing l saw them.
 func (s *Store) removeSegments(l *storeLayout, pid int) error {
-	for _, n := range segmentRemovalOrder(l.files, pid) {
-		if err := s.backend.Remove(s.path(n)); err != nil {
+	for _, f := range l.files {
+		if f.kind != kindSegment || f.pid != pid {
+			continue
+		}
+		if err := s.backend.Remove(s.path(f.name)); err != nil {
 			return err
 		}
 	}
@@ -279,25 +283,23 @@ func (s *Store) Merge() (*rdf.Graph, error) {
 // Compact folds every process's delta segments into its canonical sub-graph
 // file and removes the segments. It is the store-level recovery path for
 // runs that crashed between a periodic flush and Close (trackers compact
-// their own process on Close). A pid whose canonical file is a text file an
-// older build wrote, or a .pbs file in an older layout than the encoder
-// writes, is rewritten even when it has no segments, which makes Compact the
-// one migration to the current pbs. Current pids with no segments are left
-// untouched — unless the store is mounted and their files sit outside their
-// routed tier, in which case Compact relocates them verbatim, the
-// cross-backend migration path of the mount layer.
+// their own process on Close). Pids with no segments are left untouched —
+// unless the store is mounted and their files sit outside their routed
+// tier, in which case Compact relocates them verbatim, the cross-backend
+// migration path of the mount layer. Like every path, it refuses a store
+// holding a file only an older build wrote with ErrNeedsMigration, before
+// it changes a byte.
 //
 // Compact audits before it folds (the same audit provio-verify runs) and
 // recovers exactly the damage an interrupted write of unacknowledged data
 // can cause: a defective newest segment — torn, bit-flipped before its seal
 // landed, or sealed-but-unconfirmable — is dropped (it was never
-// acknowledged: acknowledgement happens strictly after the write completes),
-// and stale text-file sidecars a crash stranded are collected. Any other
-// defect means the store's acknowledged history itself is damaged or
+// acknowledged: acknowledgement happens strictly after the write completes).
+// Any other defect means the store's acknowledged history itself is damaged or
 // manipulated; Compact refuses with an *IntegrityError rather than guess,
 // and provio-verify classifies the damage.
 func (s *Store) Compact() error {
-	a, err := s.audit(true, false)
+	a, err := s.audit(true)
 	if err != nil {
 		return err
 	}
@@ -305,18 +307,16 @@ func (s *Store) Compact() error {
 	// then re-audit so chain analysis sees the repaired state.
 	dropped := false
 	for _, pa := range a.pids {
-		if len(pa.defects) == 0 || len(pa.drop) == 0 {
+		if len(pa.defects) == 0 || pa.drop == "" {
 			continue
 		}
-		for _, n := range pa.drop {
-			if err := s.backend.Remove(s.path(n)); err != nil {
-				return err
-			}
+		if err := s.backend.Remove(s.path(pa.drop)); err != nil {
+			return err
 		}
 		dropped = true
 	}
 	if dropped {
-		if a, err = s.audit(true, false); err != nil {
+		if a, err = s.audit(true); err != nil {
 			return err
 		}
 	}
@@ -332,25 +332,17 @@ func (s *Store) Compact() error {
 	mis := misplacer(s.backend)
 	for _, pid := range pids {
 		pa := a.pids[pid]
-		dirty := len(pa.segs) > 0 || len(pa.staleSums) > 0 || len(pa.canonicals) > 1
-		for _, c := range pa.canonicals {
-			if c.version != segcodec.PBSVersion || c.packed != "" {
-				dirty = true
-			}
-		}
+		c := pa.canonical
+		dirty := len(pa.segs) > 0 || c != nil && c.packed != ""
 		// On a mounted store, a clean pid whose canonical file lives outside
 		// its routed tier is migration work: rewrite the same bytes through
 		// the mount, which homes them on the routed tier and drops the stale
 		// copy (write-through cleanup). The files move verbatim — no
 		// re-encode, no new seal — so chain heads survive a cross-backend
 		// migration byte-for-byte.
-		if !dirty && mis != nil {
-			for _, c := range pa.canonicals {
-				if p := s.path(c.name); mis.Misplaced(p) {
-					if err := s.backend.WriteFile(p, c.data); err != nil {
-						return err
-					}
-				}
+		if !dirty && mis != nil && mis.Misplaced(s.path(c.name)) {
+			if err := s.backend.WriteFile(s.path(c.name), c.data); err != nil {
+				return err
 			}
 		}
 		if !dirty {
@@ -359,7 +351,10 @@ func (s *Store) Compact() error {
 		// The audit decoded each file once, and nothing reads its columns
 		// after this merge rewrites them.
 		var cols []*segcodec.Columns
-		for _, f := range append(append([]*auditFile{}, pa.canonicals...), pa.segs...) {
+		if c != nil {
+			cols = append(cols, c.cols)
+		}
+		for _, f := range pa.segs {
 			cols = append(cols, f.cols)
 		}
 		g, err := sortedUnion(cols)
@@ -378,17 +373,6 @@ func (s *Store) Compact() error {
 		}
 		if err := s.removeSegments(a.layout, pid); err != nil {
 			return err
-		}
-		// Drop the text canonical files the rewrite replaced, their sidecars
-		// included. Packed copies have no loose file to remove — their
-		// container goes below.
-		for _, c := range pa.canonicals {
-			if !c.text() || c.packed != "" {
-				continue
-			}
-			if err := s.removeWithSidecar(c); err != nil {
-				return err
-			}
 		}
 	}
 	// Every packed member is folded above (a pid with packed files is always

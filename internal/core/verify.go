@@ -16,23 +16,23 @@ import (
 
 // This file is the store auditor behind provio-verify and the recovery
 // decisions of Compact (DESIGN.md "Integrity & fault injection"). Verify
-// audits a store end-to-end: every file decodes through its codec (frames,
-// CRCs), every seal is consistent with its file's bytes, and every
-// process's files form one continuous hash chain. Defects are classified:
+// audits a store end-to-end: every file decodes as pbs v5 (frames, CRCs),
+// every file carries a seal consistent with its bytes, and every process's
+// files form one continuous hash chain. Defects are classified:
 //
 //   - tampered:  content contradicts its seal or chain — bit flips, CRC
 //     mismatches, reordered or spliced segments, chain-head mismatches.
 //   - truncated: a file is a strict prefix of what its seal or framing
-//     promises — the torn-write signature.
+//     promises — the torn-write signature. A file that decodes but carries
+//     no seal is one: every write appends its seal in the same write.
 //   - missing:   the chain or the name sequence references a file that is
 //     gone — deleted segments, a deleted canonical file.
-//   - orphaned:  a file is present but nothing authenticates it — no seal
-//     of its own and no successor or canonical seal confirms its digest.
+//   - orphaned:  a file is present but no read decodes it — a name that
+//     claims to be a store file outside the name grammar, or such a pack
+//     member.
 //
-// A store written before the integrity layer existed carries no seals at
-// all; such fully-unsealed processes are reported clean (there is nothing
-// to contradict) but count zero sealed files, so auditors can see the
-// difference.
+// A store holding a file only an older build wrote is not audited at all:
+// Verify refuses it with ErrNeedsMigration, as every path does.
 
 // DefectKind classifies one integrity defect.
 type DefectKind uint8
@@ -83,41 +83,16 @@ func (d Defect) String() string {
 type VerifyReport struct {
 	Dir       string
 	Processes int
-	Files     int // provenance files examined (sidecars not counted; pack members counted individually)
+	Files     int // provenance files examined (pack members counted individually)
 	Sealed    int // files carrying a valid chain seal
 	Segments  int // delta segment files among Files
 	Packs     int // pack containers examined (their members audited like loose files)
-	// PBSVersions counts the intact binary files (loose or pack members) by
-	// the format version they were written in, and Text the intact text
-	// files. Reads take pbs v5 only: a store holding a file of an older
-	// version, or a text file, reads as ErrNeedsMigration until Compact
-	// rewrites it.
-	PBSVersions map[byte]int
-	Text        int
-	// Unsealed lists intact files carrying no seal. Tolerated by default —
-	// they are what pre-integrity stores look like — but provio-verify
-	// -strict turns them into orphaned defects, closing the one local gap
-	// tolerance leaves: a binary file truncated exactly at a frame boundary
-	// before its seal is indistinguishable from a legacy file.
-	Unsealed []string
-	Defects  []Defect
+	Defects   []Defect
 	// Heads maps each process to its chain head: the SHA-256 of the newest
 	// authenticated file of its history. Recording heads after a run and
 	// re-verifying with VerifyAgainst closes the one gap local verification
 	// cannot: deletion of an entire chain suffix (or chain).
 	Heads map[int][32]byte
-}
-
-// LegacyPBS returns the number of intact binary files written in a layout
-// older than the one this build writes.
-func (r *VerifyReport) LegacyPBS() int {
-	n := 0
-	for v, files := range r.PBSVersions {
-		if v < segcodec.PBSVersion {
-			n += files
-		}
-	}
-	return n
 }
 
 // Clean reports whether the audit found no defects.
@@ -205,10 +180,11 @@ func (e *IntegrityError) Error() string {
 }
 
 // Verify audits the store and returns the report. The returned error covers
-// operational failures only (unlistable directory, unreadable files);
-// integrity findings land in the report's Defects.
+// operational failures (unlistable directory, unreadable files) and a store
+// holding a file only an older build wrote (ErrNeedsMigration); integrity
+// findings land in the report's Defects.
 func (s *Store) Verify() (*VerifyReport, error) {
-	a, err := s.audit(false, false)
+	a, err := s.audit(false)
 	if err != nil {
 		return nil, err
 	}
@@ -253,13 +229,11 @@ func (s *Store) VerifyAgainst(heads map[int][32]byte) (*VerifyReport, error) {
 // auditFile is one examined store file.
 type auditFile struct {
 	layoutFile
-	data    []byte
-	digest  [32]byte
-	meta    *segcodec.Chain // seal (embedded frame or sidecar), nil if unsealed
-	sumName string          // sidecar name, "" if none
-	version byte            // pbs format version of an intact binary file, else 0
+	data   []byte
+	digest [32]byte
+	meta   *segcodec.Chain // the embedded seal, nil unless the file is intact
 	// cols is the decoded content, retained under audit(keep) when the file
-	// is intact: a binary file's validated columns, a text file's triples.
+	// decodes.
 	cols   *segcodec.Columns
 	packed string // pack file the bytes live in; "" for a loose file
 	// defects are the per-file findings, charged by the check pass to the file
@@ -278,15 +252,14 @@ func (f *auditFile) flag(kind DefectKind, name, format string, args ...any) {
 
 // pidAudit is the audit state of one process.
 type pidAudit struct {
-	pid        int
-	canonicals []*auditFile // canonical files (several only mid-migration)
-	segs       []*auditFile // sorted by segment number
-	staleSums  []string     // leftover text-file sidecars recovery may GC
-	defects    []Defect
-	head       [32]byte
-	// drop lists file names removable as an unacknowledged torn tail: set
-	// only when every defect of the pid is confined to the newest segment.
-	drop []string
+	pid       int
+	canonical *auditFile   // the canonical file, nil if none
+	segs      []*auditFile // sorted by segment number
+	defects   []Defect
+	head      [32]byte
+	// drop names the file removable as an unacknowledged torn tail: set only
+	// when every defect of the pid is confined to the newest segment.
+	drop string
 }
 
 func (pa *pidAudit) addDefect(kind DefectKind, name, format string, args ...any) {
@@ -298,13 +271,11 @@ func (pa *pidAudit) addDefect(kind DefectKind, name, format string, args ...any)
 type storeAudit struct {
 	pids                    map[int]*pidAudit
 	files, sealed, segments int
-	pbsVersions             map[byte]int // intact binary files by format version
 	// What the one read pass saw, for the maintenance steps that run on an
-	// audit instead of listing and reading the store again: the listing, the
-	// pack containers, and every text-file sidecar by name.
+	// audit instead of listing and reading the store again: the listing and
+	// the pack containers.
 	layout *storeLayout
 	packs  []auditPack
-	sums   map[string]*auditFile
 	// audited is every file the check pass audited, by name; inPack the
 	// names some pack holds.
 	audited map[string]*auditFile
@@ -338,19 +309,17 @@ func (a *storeAudit) addPackDefect(kind DefectKind, name, format string, args ..
 // over the store's worker pool, each file collecting its own defects; and a
 // fold that hands files and defects to their process in entry order, then
 // analyses each chain. The result is the same at any worker count. keep
-// retains each intact file's decoded content (and the audit keeps every
-// file's bytes regardless) for the fold steps of Compact and PackSegments.
-// With gate, the read pass holds each file to readable, every reader's gate,
-// and returns its first ErrNeedsMigration before the check pass opens a file:
-// PackSegments, a reader, audits so, and only Verify and Compact (the
-// migration) audit a file only an older build wrote.
-func (s *Store) audit(keep, gate bool) (*storeAudit, error) {
+// retains each decoded file's content (and the audit keeps every file's
+// bytes regardless) for the fold steps of Compact and PackSegments. The read
+// pass holds each loose file to readable, every reader's gate, and each pack
+// to its header, and returns the first ErrNeedsMigration before the check
+// pass opens a file: no path audits a file only an older build wrote.
+func (s *Store) audit(keep bool) (*storeAudit, error) {
 	l, err := s.listLayout()
 	if err != nil {
 		return nil, err
 	}
-	a := &storeAudit{layout: l, pids: make(map[int]*pidAudit), pbsVersions: make(map[byte]int),
-		sums: make(map[string]*auditFile), inPack: make(map[string]bool)}
+	a := &storeAudit{layout: l, pids: make(map[int]*pidAudit), inPack: make(map[string]bool)}
 	for _, n := range l.orphans {
 		a.addPackDefect(DefectOrphaned, n, "not a store file name: no read decodes it")
 	}
@@ -360,47 +329,40 @@ func (s *Store) audit(keep, gate bool) (*storeAudit, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: reading %s: %w", f.name, err)
 		}
-		var h *segcodec.PackHeader
 		if f.kind == kindPack {
-			entries = append(entries, a.addPack(f, data)...)
-			h = a.packs[len(a.packs)-1].header
-		} else {
-			entries = append(entries, &auditFile{layoutFile: f, data: data})
-		}
-		if gate && (h != nil || f.kind != kindPack) {
-			if _, err := readable(f, data, h); errors.Is(err, segcodec.ErrNeedsMigration) {
-				return nil, err // damage is the check pass's to classify
+			members, err := a.addPack(f, data)
+			if err != nil {
+				return nil, err
 			}
+			entries = append(entries, members...)
+			continue
+		}
+		entries = append(entries, &auditFile{layoutFile: f, data: data})
+		if _, err := readable(f, data); errors.Is(err, segcodec.ErrNeedsMigration) {
+			return nil, err // damage is the check pass's to classify
 		}
 	}
 	// Same-name copies (a crash between a pack write and source removal
 	// duplicates members as loose files) audit as one file when byte-identical
 	// — the first copy, which is the loose one when there is one, since
 	// prov_p<digit> lists before prov_pack — and as damage when they conflict.
-	// Sidecars go to a.sums, the seals the check pass looks up.
 	a.audited = make(map[string]*auditFile, len(entries))
 	deduped := entries[:0:0]
 	for _, e := range entries {
-		seen := a.audited
-		if e.sum {
-			seen = a.sums
-		}
-		switch first := seen[e.name]; {
+		switch first := a.audited[e.name]; {
 		case first == nil:
-			seen[e.name] = e
-			if !e.sum {
-				deduped = append(deduped, e)
-			}
+			a.audited[e.name] = e
+			deduped = append(deduped, e)
 		case !bytes.Equal(first.data, e.data):
 			a.addPackDefect(DefectTampered, e.name, "copies differ between %s and %s",
 				packSrc(first.packed), packSrc(e.packed))
 		}
 	}
 	entries = deduped
-	// Check pass: the files are mutually independent, a.sums is read-only from
-	// here on, and a finding is a defect on the file, never an error. A packed
-	// member's content is kept for its pack's stats check below.
-	par.Do(len(entries), runtime.GOMAXPROCS(0), func(i int) { entries[i].check(a.sums, keep || a.inPack[entries[i].name]) })
+	// Check pass: the files are mutually independent, and a finding is a
+	// defect on the file, never an error. A packed member's content is kept
+	// for its pack's stats check below.
+	par.Do(len(entries), runtime.GOMAXPROCS(0), func(i int) { entries[i].check(keep || a.inPack[entries[i].name]) })
 	for i := range a.packs {
 		a.checkPackStats(&a.packs[i])
 	}
@@ -420,21 +382,16 @@ func (s *Store) audit(keep, gate bool) (*storeAudit, error) {
 		if f.meta != nil {
 			a.sealed++
 		}
-		if f.version != 0 {
-			a.pbsVersions[f.version]++
-		}
 		if f.seg >= 0 {
 			a.segments++
 			pa.segs = append(pa.segs, f)
 		} else {
-			pa.canonicals = append(pa.canonicals, f)
+			pa.canonical = f
 		}
 	}
 	for _, pa := range a.pids {
 		sort.Slice(pa.segs, func(i, j int) bool { return pa.segs[i].seg < pa.segs[j].seg })
-		sort.Slice(pa.canonicals, func(i, j int) bool { return pa.canonicals[i].name < pa.canonicals[j].name })
 	}
-	a.routeSidecars(pidOf)
 	for _, pa := range a.pids {
 		s.auditChain(pa)
 		sortDefects(pa.defects)
@@ -445,10 +402,13 @@ func (s *Store) audit(keep, gate bool) (*storeAudit, error) {
 // addPack records a pack container the read pass read: structural checks
 // here, then its members join the audit exactly as if they were loose files —
 // packing must be invisible to chain analysis. It returns the members to
-// audit.
-func (a *storeAudit) addPack(f layoutFile, data []byte) (audit []*auditFile) {
+// audit, or ErrNeedsMigration for a header only an older build wrote.
+func (a *storeAudit) addPack(f layoutFile, data []byte) (audit []*auditFile, err error) {
 	a.packs = append(a.packs, auditPack{layoutFile: f})
 	h, err := segcodec.DecodePackHeader(data)
+	if errors.Is(err, segcodec.ErrNeedsMigration) {
+		return nil, fmt.Errorf("core: %s: %w", f.name, err)
+	}
 	if err == nil {
 		err = h.CheckSize(int64(len(data)))
 	}
@@ -458,7 +418,7 @@ func (a *storeAudit) addPack(f layoutFile, data []byte) (audit []*auditFile) {
 			kind = DefectTruncated
 		}
 		a.addPackDefect(kind, f.name, "%v", err)
-		return nil
+		return nil, nil
 	}
 	p := &a.packs[len(a.packs)-1]
 	p.header, p.members = h, make([]*auditFile, len(h.Members))
@@ -472,7 +432,7 @@ func (a *storeAudit) addPack(f layoutFile, data []byte) (audit []*auditFile) {
 		a.inPack[m.Name] = true
 		audit = append(audit, p.members[i])
 	}
-	return audit
+	return audit, nil
 }
 
 // checkPackStats holds a readable pack's header stats to its members'
@@ -489,9 +449,6 @@ func (a *storeAudit) checkPackStats(p *auditPack) {
 	for i, pf := range p.members {
 		if pf == nil {
 			return
-		}
-		if pf.sum {
-			continue // opaque
 		}
 		f := a.audited[pf.name]
 		if !bytes.Equal(f.data, pf.data) || f.cols == nil {
@@ -514,32 +471,29 @@ func packSrc(pack string) string {
 
 // check integrity-checks a single store file (loose or a pack member — the
 // read pass supplied the bytes either way). It runs on a pool worker: it
-// reads sums, writes only f, and charges what it finds to f's own defect
-// list.
-func (f *auditFile) check(sums map[string]*auditFile, keep bool) {
+// writes only f, and charges what it finds to f's own defect list.
+// Validation needs no graph: the columnar decode makes every check.
+func (f *auditFile) check(keep bool) {
 	name, seg := f.name, f.seg
 	f.digest = fileDigest(f.data)
-	// The pbs format by name: it is read with its own columnar decode and
-	// in-band seal; anything else is a text file an older build wrote. Both
-	// open the frozen readers: the audit holds every file any build wrote to
-	// its seal, which is what makes Compact a trustworthy migration.
-	if f.text() {
-		f.checkText(sums, keep)
-	} else {
-		// Validation needs no graph: the columnar decode makes every check.
-		cols, err := segcodec.DecodeAnyVersion(f.data)
-		if err != nil {
-			kind := DefectTampered
-			if errors.Is(err, segcodec.ErrTruncated) {
-				kind = DefectTruncated
-			}
-			f.flag(kind, name, "decode: %v", err)
-		} else {
-			f.meta, f.version = cols.Chain, cols.Version
-			if keep {
-				f.cols = cols
-			}
+	cols, err := segcodec.DecodeColumns(f.data)
+	switch {
+	case err != nil:
+		kind := DefectTampered
+		if errors.Is(err, segcodec.ErrTruncated) {
+			kind = DefectTruncated
 		}
+		f.flag(kind, name, "decode: %v", err)
+		return
+	case cols.Chain == nil:
+		// Every write appends the seal in the same write, so a file without
+		// one is a prefix of its sealed form.
+		f.flag(DefectTruncated, name, "file ends before its chain frame")
+	default:
+		f.meta = cols.Chain
+	}
+	if keep {
+		f.cols = cols
 	}
 
 	// Seal sanity: a segment's seal must name its own position, a canonical
@@ -571,58 +525,36 @@ func (s *Store) auditChain(pa *pidAudit) {
 		}
 	}
 
-	fileDefects := len(pa.defects) > 0
-
 	// Default head: newest file by write order (segments after canonical).
 	if n := len(pa.segs); n > 0 {
 		pa.head = pa.segs[n-1].digest
-	} else if len(pa.canonicals) > 0 {
-		pa.head = pa.canonicals[len(pa.canonicals)-1].digest
+	} else if pa.canonical != nil {
+		pa.head = pa.canonical.digest
+	}
+	if len(pa.defects) > 0 {
+		pa.markDroppableTail()
+		return // chain evidence untrustworthy
 	}
 
-	sealedAny := false
-	for _, f := range append(append([]*auditFile{}, pa.canonicals...), pa.segs...) {
-		if f.meta != nil {
-			sealedAny = true
-		}
-	}
-	if !sealedAny || fileDefects {
-		if fileDefects {
-			pa.markDroppableTail()
-		}
-		return // fully-unsealed legacy store, or chain evidence untrustworthy
-	}
-
-	// Anchors: digests of the present canonical files; cPrevs: the heads
-	// their root seals superseded (what authenticates stale segment runs).
-	// A canonical file without a seal is tolerated — it is what a process
-	// upgraded from a pre-integrity store chains from — but it vouches for
-	// nothing.
-	anchors := make(map[[32]byte]bool)
-	cPrevs := make(map[[32]byte]bool)
-	for _, c := range pa.canonicals {
-		anchors[c.digest] = true
-		if c.meta != nil {
-			cPrevs[c.meta.Prev] = true
-		}
-	}
+	// Every file is sealed from here on: a file without a seal is a per-file
+	// defect. The canonical file anchors the live run by its digest, and its
+	// root seal names the head it superseded, which authenticates a stale
+	// segment run.
+	c := pa.canonical
 
 	// Link classification per segment position.
 	const (
 		lLinked = iota // prev == digest of the previous present segment
-		lAnchor        // prev == a canonical file's digest (run start)
+		lAnchor        // prev == the canonical file's digest (run start)
 		lZero          // prev == zero at segment 0 (history start)
-		lFloat         // sealed, but prev matches nothing present
-		lNone          // unsealed
+		lFloat         // prev matches nothing present
 	)
 	link := make([]int, len(pa.segs))
 	for i, f := range pa.segs {
 		switch {
-		case f.meta == nil:
-			link[i] = lNone
 		case i > 0 && f.meta.Prev == pa.segs[i-1].digest:
 			link[i] = lLinked
-		case anchors[f.meta.Prev]:
+		case c != nil && f.meta.Prev == c.digest:
 			link[i] = lAnchor
 		case f.meta.PrevIsZero() && f.seg == 0:
 			link[i] = lZero
@@ -635,7 +567,7 @@ func (s *Store) auditChain(pa *pidAudit) {
 	var runs [][2]int // [start, end) index ranges
 	start := 0
 	for i := 1; i < len(pa.segs); i++ {
-		if link[i] != lLinked && link[i] != lNone {
+		if link[i] != lLinked {
 			runs = append(runs, [2]int{start, i})
 			start = i
 		}
@@ -650,11 +582,9 @@ func (s *Store) auditChain(pa *pidAudit) {
 	liveRun := -1
 	for ri, r := range runs {
 		head := link[r[0]]
-		isLast := ri == len(runs)-1
-		if head == lAnchor || (head == lZero && len(pa.canonicals) == 0) {
-			// The live run: the history currently being written. Trailing
-			// unsealed members are checked by the orphan pass below.
-			if !isLast {
+		if head == lAnchor || (head == lZero && c == nil) {
+			// The live run: the history currently being written.
+			if ri != len(runs)-1 {
 				pa.addDefect(DefectTampered, pa.segs[runs[ri+1][0]].name,
 					"chain restarts after the live segment run (spliced or replayed history)")
 			}
@@ -665,69 +595,37 @@ func (s *Store) auditChain(pa *pidAudit) {
 			liveRun = ri
 			continue
 		}
-		if head == lNone {
-			// The run starts with an unsealed segment: a sidecar write that
-			// failed transiently while the run carried on, or a crash inside
-			// segment removal (which deletes sidecars first). Either way its
-			// sealed members still link and its unsealed ones answer to the
-			// orphan pass below, so the run is tolerated like a legacy store;
-			// -strict surfaces the missing seals.
-			continue
-		}
 		if head == lFloat && r[0] > 0 {
 			pa.addDefect(DefectTampered, pa.segs[r[0]].name,
 				"chain broken: seal's predecessor digest matches neither the previous segment nor a canonical file")
 			continue
 		}
 		// Everything else is a stale remnant claim: a run a crash stranded
-		// between a canonical rewrite and segment removal. Its newest sealed
-		// member must be the head some canonical root seal superseded.
-		// Trailing unsealed members (a torn tail on top of the remnant) are
-		// left to the orphan pass.
-		last := r[1] - 1
-		for last >= r[0] && link[last] == lNone {
-			last--
-		}
-		if last < r[0] {
-			continue // fully unsealed run: the orphan pass owns it
-		}
-		if len(pa.canonicals) == 0 {
+		// between a canonical rewrite and segment removal. Its newest member
+		// must be the head the canonical root seal superseded.
+		if c == nil {
 			pa.addDefect(DefectMissing, "",
 				"segments reference history that is gone (no canonical file; run head %s)", pa.segs[r[0]].name)
-		} else if !cPrevs[pa.segs[last].digest] {
+		} else if pa.segs[r[1]-1].digest != c.meta.Prev {
 			pa.addDefect(DefectTampered, pa.segs[r[0]].name,
 				"segment run is not authenticated by any canonical root seal")
 		}
 	}
 
-	// Unsealed segments must be confirmed by a successor's seal or by a
-	// canonical root seal; the one at the very tail has no successor — it is
-	// the torn-tail signature, orphaned and droppable.
-	for i, f := range pa.segs {
-		if link[i] != lNone {
-			continue
-		}
-		confirmed := (i+1 < len(pa.segs) && link[i+1] == lLinked) || cPrevs[f.digest]
-		if !confirmed {
-			pa.addDefect(DefectOrphaned, f.name,
-				"segment has no seal and no successor or root seal confirms it")
-		}
-	}
-
 	// The process head: the tail of the live run; with no live segments, the
-	// newest canonical file.
+	// canonical file.
 	if liveRun >= 0 {
 		pa.head = pa.segs[runs[liveRun][1]-1].digest
-	} else if len(pa.canonicals) > 0 {
-		pa.head = pa.canonicals[len(pa.canonicals)-1].digest
+	} else if c != nil {
+		pa.head = c.digest
 	}
 	pa.markDroppableTail()
 }
 
 // markDroppableTail decides whether every defect of the pid is confined to
-// the newest segment file (or, for a text segment, its sidecar) — the only
-// damage an interrupted write of unacknowledged data can leave — and if so
-// records the files recovery may drop.
+// the newest segment file — the only damage an interrupted write of
+// unacknowledged data can leave — and if so records the file recovery may
+// drop.
 func (pa *pidAudit) markDroppableTail() {
 	if len(pa.defects) == 0 || len(pa.segs) == 0 {
 		return
@@ -737,11 +635,11 @@ func (pa *pidAudit) markDroppableTail() {
 		return // a packed member is not individually removable
 	}
 	for _, d := range pa.defects {
-		if d.Kind == DefectMissing || d.Name != tail.name && d.Name != sidecarName(tail.name) {
+		if d.Kind == DefectMissing || d.Name != tail.name {
 			return
 		}
 	}
-	pa.drop = tail.withSidecar()
+	pa.drop = tail.name
 }
 
 // refuseDefects is the maintenance gate: Compact and PackSegments refuse a
@@ -775,23 +673,13 @@ func (a *storeAudit) report(dir string) *VerifyReport {
 	rep := &VerifyReport{
 		Dir: dir, Processes: len(a.pids),
 		Files: a.files, Sealed: a.sealed, Segments: a.segments, Packs: len(a.packs),
-		PBSVersions: a.pbsVersions,
-		Heads:       make(map[int][32]byte, len(a.pids)),
+		Heads: make(map[int][32]byte, len(a.pids)),
 	}
 	rep.Defects = append(rep.Defects, a.packDefects...)
 	for pid, pa := range a.pids {
 		rep.Defects = append(rep.Defects, pa.defects...)
 		rep.Heads[pid] = pa.head
-		for _, f := range append(append([]*auditFile{}, pa.canonicals...), pa.segs...) {
-			if f.meta == nil && !f.bad() {
-				rep.Unsealed = append(rep.Unsealed, f.name)
-			}
-			if f.text() && !f.bad() {
-				rep.Text++
-			}
-		}
 	}
-	sort.Strings(rep.Unsealed)
 	sortDefects(rep.Defects)
 	return rep
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -46,7 +47,7 @@ func smallHistory(t *testing.T, store *Store, pid int) {
 	}
 }
 
-// storeFiles snapshots every file of a store directory (sidecars included).
+// storeFiles snapshots every file of a store directory.
 func storeFiles(t testing.TB, store *Store) map[string][]byte {
 	t.Helper()
 	names, err := store.backend.List(store.dir)
@@ -103,15 +104,16 @@ func mustVerify(t *testing.T, store *Store) *VerifyReport {
 }
 
 // TestVerifyCleanMatrix pins the zero-false-positive requirement: stores
-// of every layout built by every flush pipeline — canonical-only,
-// segments-only, and full histories, before and after Compact (which
-// migrates a text store) — must verify clean, fully sealed, and stable
-// against their own recorded heads.
+// built by every flush pipeline — canonical-only, segments-only, and full
+// histories, before and after Compact — must verify clean, fully sealed, and
+// stable against their own recorded heads. The same histories in a text
+// layout an older build wrote are refused by every path instead
+// (checkRefused).
 func TestVerifyCleanMatrix(t *testing.T) {
 	for _, format := range layouts {
 		for _, shape := range []string{"close", "drain", "history"} {
 			t.Run(fmt.Sprintf("%v/%s", format, shape), func(t *testing.T) {
-				store := newLayoutStore(t, format)
+				store := newBinaryVFSStore(t)
 				for pid := 0; pid < 2; pid++ {
 					switch shape {
 					case "close":
@@ -125,6 +127,10 @@ func TestVerifyCleanMatrix(t *testing.T) {
 						smallHistory(t, store, pid)
 					}
 				}
+				if format != "pbs" {
+					checkRefused(t, format+" store", openDir(t, asLayout(t, storeFiles(t, store), format)))
+					return
+				}
 				rep := mustVerify(t, store)
 				if !rep.Clean() {
 					t.Fatalf("clean store has defects: %v", rep.Defects)
@@ -132,14 +138,14 @@ func TestVerifyCleanMatrix(t *testing.T) {
 				if rep.Processes != 2 || rep.Files == 0 {
 					t.Fatalf("Processes=%d Files=%d", rep.Processes, rep.Files)
 				}
-				if rep.Sealed != rep.Files || len(rep.Unsealed) != 0 {
-					t.Fatalf("Sealed=%d of %d files, unsealed %v", rep.Sealed, rep.Files, rep.Unsealed)
+				if rep.Sealed != rep.Files {
+					t.Fatalf("Sealed=%d of %d files", rep.Sealed, rep.Files)
 				}
 				if shape == "drain" && rep.Segments == 0 {
 					t.Fatal("drained store has no segments")
 				}
-				// The recorded heads must re-verify, survive the text
-				// round-trip, and stay clean across Compact + re-audit.
+				// The recorded heads must re-verify, survive their text
+				// rendering, and stay clean across Compact + re-audit.
 				heads, err := ParseHeads(rep.FormatHeads())
 				if err != nil {
 					t.Fatal(err)
@@ -147,7 +153,6 @@ func TestVerifyCleanMatrix(t *testing.T) {
 				if rep2, err := store.VerifyAgainst(heads); err != nil || !rep2.Clean() {
 					t.Fatalf("VerifyAgainst own heads: %v, %v", err, rep2.Defects)
 				}
-				store = plainStore(t, store)
 				if err := store.Compact(); err != nil {
 					t.Fatalf("Compact on clean store: %v", err)
 				}
@@ -160,143 +165,168 @@ func TestVerifyCleanMatrix(t *testing.T) {
 	}
 }
 
-// TestVerifyLegacyUnsealedTolerated: a store written before the integrity
-// layer (no seals anywhere) verifies clean — there is nothing to contradict —
-// but every file is reported unsealed, so strict auditing can flag it. New
-// sealed segments written on top of the legacy canonical (the upgrade path)
-// keep the store clean.
+// TestVerifyUnsealedIsTruncated: every write appends its seal in the same
+// write, so a file that decodes but carries no chain frame is a prefix of
+// its sealed form — a truncated defect on its own, without recorded heads.
+// Each store below is one an audit that tolerated unsealed files called
+// clean: a lone canonical file cut exactly before its chain frame; a middle
+// segment cut so, whose successor's seal links to the cut bytes; and a store
+// with every seal stripped. Compact refuses such acknowledged history, and
+// drops only an unsealed newest segment, the unacknowledged torn tail.
+func TestVerifyUnsealedIsTruncated(t *testing.T) {
+	const canonical, middle = "prov_p000000.pbs", "prov_p000000.seg0001.pbs"
+	lone := newBinaryVFSStore(t)
+	trackInto(t, lone, 0, DefaultConfig(), false)
+	loneFiles := storeFiles(t, lone)
+
+	// The middle segment's successor is sealed against the digest of the
+	// segment as it stands without its seal.
+	linked := newBinaryVFSStore(t)
+	trackInto(t, linked, 0, DefaultConfig(), false)
+	row := func(i int) []rdf.Triple {
+		return []rdf.Triple{{S: rdf.IRI(fmt.Sprintf("urn:s%d", i)), P: rdf.IRI("urn:p"), O: rdf.Integer(int64(i))}}
+	}
+	for seg := 0; seg < 3; seg++ {
+		if err := writeDelta(linked, 0, seg, row(seg)); err != nil {
+			t.Fatal(err)
+		}
+		if seg == 1 {
+			cut := stripChain(storeFiles(t, linked)[middle])
+			if err := linked.backend.WriteFile(linked.path(middle), cut); err != nil {
+				t.Fatal(err)
+			}
+			linked.chainHead[0] = fileDigest(cut)
+		}
+	}
+
+	history := newBinaryVFSStore(t)
+	smallHistory(t, history, 0)
+	clean := storeFiles(t, history)
+	unsealed := map[string][]byte{}
+	for name, data := range clean {
+		unsealed[name] = stripChain(data)
+	}
+	for what, c := range map[string]struct {
+		files   map[string][]byte
+		victims []string
+	}{
+		"lone canonical file": {withFile(loneFiles, canonical, stripChain(loneFiles[canonical])), []string{canonical}},
+		"middle segment":      {storeFiles(t, linked), []string{middle}},
+		"every seal gone":     {unsealed, fileNames(unsealed)},
+	} {
+		s := openDir(t, c.files)
+		rep := mustVerify(t, s)
+		var named []string
+		for _, d := range rep.Defects {
+			if d.Kind != DefectTruncated || !strings.Contains(d.Detail, "ends before its chain frame") {
+				t.Errorf("%s: defect %v, want truncated files only", what, d)
+			}
+			named = append(named, d.Name)
+		}
+		if sort.Strings(named); !slices.Equal(named, c.victims) {
+			t.Errorf("%s: defects name %v, want %v", what, named, c.victims)
+		}
+		var ierr *IntegrityError
+		if err := s.Compact(); !errors.As(err, &ierr) {
+			t.Errorf("%s: Compact returned %v, want an IntegrityError", what, err)
+		}
+	}
+
+	const tail = "prov_p000000.seg0002.pbs"
+	torn := openDir(t, withFile(clean, tail, stripChain(clean[tail])))
+	if rep := mustVerify(t, torn); len(rep.Defects) != 1 || rep.Defects[0].Name != tail || rep.Worst() != DefectTruncated {
+		t.Fatalf("unsealed newest segment: defects %v", rep.Defects)
+	}
+	if err := torn.Compact(); err != nil {
+		t.Fatalf("Compact must drop an unsealed newest segment: %v", err)
+	}
+	if rep := mustVerify(t, torn); !rep.Clean() || rep.Sealed != rep.Files {
+		t.Fatalf("after recovery: defects %v, %d of %d sealed", rep.Defects, rep.Sealed, rep.Files)
+	}
+}
+
+// TestVerifyLegacyUnsealedTolerated: a store an older build wrote before
+// the integrity layer — no seals anywhere — is tolerated the one way this
+// build tolerates an older store: every path refuses it as needing
+// migration, and none reports its missing seals as damage. The pbs case is
+// the version 1 store with every chain frame stripped, the ttl case the text
+// store without its .sum files. An unsealed file of this build's version is
+// a truncated defect instead (TestVerifyUnsealedIsTruncated).
 func TestVerifyLegacyUnsealedTolerated(t *testing.T) {
 	for _, format := range []string{"ttl", "pbs"} {
 		t.Run(format, func(t *testing.T) {
-			store := newLayoutStore(t, format)
-			trackInto(t, store, 0, DefaultConfig(), false)
-			// Strip the seals: remove sidecars, strip embedded chain frames.
-			legacy := make(map[string][]byte)
-			for n, data := range storeFiles(t, store) {
-				if filepath.Ext(n) == ".sum" {
-					continue
+			files, _ := legacyTextFiles(t, "loose")
+			if format == "pbs" {
+				files, _ = legacyStoreFiles(t, 1, "loose")
+			}
+			legacy := map[string][]byte{}
+			for name, data := range files {
+				if filepath.Ext(name) != ".sum" {
+					legacy[name] = stripChain(data)
 				}
-				legacy[n] = stripChain(data)
 			}
-			lstore := openDir(t, legacy)
-			rep := mustVerify(t, lstore)
-			if !rep.Clean() {
-				t.Fatalf("legacy store has defects: %v", rep.Defects)
+			if maps.EqualFunc(files, legacy, bytes.Equal) {
+				t.Fatal("premise: the committed store carries seals to strip")
 			}
-			if rep.Sealed != 0 || len(rep.Unsealed) != rep.Files {
-				t.Fatalf("legacy store: sealed %d, unsealed %v of %d files",
-					rep.Sealed, rep.Unsealed, rep.Files)
-			}
-
-			// Upgrade path: a new periodic run chains onto the legacy canonical.
-			cfg := DefaultConfig()
-			cfg.Mode = ModePeriodic
-			cfg.FlushEvery = 1
-			tr := NewTracker(cfg, lstore, 0)
-			tr.TrackIO(model.Write, "write", rdf.Term{}, rdf.Term{}, 0, 0)
-			tr.TrackIO(model.Write, "write", rdf.Term{}, rdf.Term{}, time.Millisecond, 0)
-			if err := tr.Drain(); err != nil {
-				t.Fatal(err)
-			}
-			rep = mustVerify(t, lstore)
-			if !rep.Clean() {
-				t.Fatalf("upgraded store has defects: %v", rep.Defects)
-			}
-			if rep.Sealed == 0 || len(rep.Unsealed) == 0 {
-				t.Fatalf("upgrade should mix sealed segments (%d) with the unsealed canonical (%v)",
-					rep.Sealed, rep.Unsealed)
-			}
+			checkRefused(t, format+" store without seals", openDir(t, legacy))
 		})
 	}
 }
 
 // TestVerifyFlipMatrix is the exhaustive single-byte tamper matrix: for every
-// file of a sealed store — data files and sidecars alike — flipping one bit
-// of any byte must be detected. Detection kinds vary (a flipped frame length
-// reads as truncation), but no flip may verify clean.
+// file of a sealed store, flipping one bit of any byte must be detected.
+// Detection kinds vary (a flipped frame length reads as truncation), but no
+// flip may verify clean.
+// A text store an older build wrote is refused as needing migration
+// whatever byte is flipped (checkTextDamageRefused).
 func TestVerifyFlipMatrix(t *testing.T) {
-	for _, format := range []string{"ttl", "pbs"} {
-		t.Run(format, func(t *testing.T) {
-			store := newLayoutStore(t, format)
-			smallHistory(t, store, 0)
-			clean := storeFiles(t, store)
-			total, missed := 0, 0
-			for name, data := range clean {
-				for i := range data {
-					mut := make(map[string][]byte, len(clean))
-					for n, d := range clean {
-						mut[n] = d
-					}
-					flipped := append([]byte(nil), data...)
-					flipped[i] ^= 1 << (i % 8)
-					mut[name] = flipped
-					total++
-					if rep := mustVerify(t, openDir(t, mut)); rep.Clean() {
-						missed++
-						if missed <= 5 {
-							t.Errorf("flip of %s byte %d verified clean", name, i)
-						}
-					}
-				}
+	t.Run("ttl", func(t *testing.T) { checkTextDamageRefused(t, "vfs", flipped) })
+	t.Run("pbs", verifyFlipMatrixPBS)
+}
+
+// verifyFlipMatrixPBS is TestVerifyFlipMatrix on the pbs store.
+func verifyFlipMatrixPBS(t *testing.T) {
+	store := newBinaryVFSStore(t)
+	smallHistory(t, store, 0)
+	clean := storeFiles(t, store)
+	total, missed := 0, 0
+	for name, data := range clean {
+		for i := range data {
+			mut := make(map[string][]byte, len(clean))
+			for n, d := range clean {
+				mut[n] = d
 			}
-			if missed > 0 {
-				t.Fatalf("%d of %d single-bit flips undetected", missed, total)
-			}
-		})
-	}
-	// The committed text stores, loose and packed: every bit of each sidecar
-	// flipped is tampering (the sidecar's own CRC, or a seal that no longer
-	// holds its file), and so is a bit of a text file, sampled, against the
-	// recorded heads.
-	for _, layout := range []string{"loose", "packed"} {
-		clean, heads := legacyTextFiles(t, layout)
-		for name, data := range clean {
-			step := 7
-			if filepath.Ext(name) == ".sum" {
-				step = 1
-			}
-			for i := 0; i < len(data); i += step {
-				mut := maps.Clone(clean)
-				mut[name] = append([]byte(nil), data...)
-				mut[name][i] ^= 1 << (i % 8)
-				rep, err := openDir(t, mut).VerifyAgainst(heads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Clean() || step == 1 && rep.Worst() != DefectTampered {
-					t.Errorf("text store %s: flip of %s byte %d: defects %v", layout, name, i, rep.Defects)
+			flipped := append([]byte(nil), data...)
+			flipped[i] ^= 1 << (i % 8)
+			mut[name] = flipped
+			total++
+			if rep := mustVerify(t, openDir(t, mut)); rep.Clean() {
+				missed++
+				if missed <= 5 {
+					t.Errorf("flip of %s byte %d verified clean", name, i)
 				}
 			}
 		}
 	}
-
-	// Naming another known layout takes more than one bit flip, so the matrix
-	// above never tries it: a sealed segment under another known version byte
-	// is a defect, never a silent decode as that layout — of a store this
-	// build wrote, and of the committed store of every older version.
-	current := newBinaryVFSStore(t)
-	smallHistory(t, current, 0)
-	stores := map[string]map[string][]byte{"current": storeFiles(t, current)}
-	for _, v := range legacyVersions() {
-		stores[fmt.Sprintf("version %d", v)], _ = legacyStoreFiles(t, v, "loose")
+	if missed > 0 {
+		t.Fatalf("%d of %d single-bit flips undetected", missed, total)
 	}
-	for what, clean := range stores {
-		for name, data := range clean {
-			for v := byte(1); v <= segcodec.PBSVersion; v++ {
-				if v == data[3] {
-					continue
-				}
-				mut := maps.Clone(clean)
-				mut[name] = append([]byte(nil), data...)
-				mut[name][3] = v
-				rep := mustVerify(t, openDir(t, mut))
-				rejected := false
-				for _, d := range rep.Defects {
-					rejected = rejected || d.Name == name && strings.HasPrefix(d.Detail, "decode:")
-				}
-				if !rejected {
-					t.Errorf("%s store: %s under version byte %d was not rejected by its decode: %v", what, name, v, rep.Defects)
-				}
+
+	// Naming an older version takes more than one bit flip, so the matrix
+	// above never tries it: a sealed file under an older version byte is a
+	// defect its decode reports — damage, never a file to migrate.
+	for name, data := range clean {
+		for v := byte(1); v < data[3]; v++ {
+			mut := maps.Clone(clean)
+			mut[name] = append([]byte(nil), data...)
+			mut[name][3] = v
+			rep := mustVerify(t, openDir(t, mut))
+			rejected := false
+			for _, d := range rep.Defects {
+				rejected = rejected || d.Name == name && strings.HasPrefix(d.Detail, "decode:")
+			}
+			if !rejected {
+				t.Errorf("%s under version byte %d was not rejected by its decode: %v", name, v, rep.Defects)
 			}
 		}
 	}
@@ -376,215 +406,128 @@ func TestVerifyChecksPackHeaderStats(t *testing.T) {
 	}
 }
 
-// TestVerifyChecksLegacyPackHeaderStats: an older build's pack is held to
-// its members like a current one. In the packed store of every older
-// version, each of these rewritten behind a valid CRC is the one tampered
-// pack: a generation 1 union that holds no triples; a member's generation 1
-// entry re-spelled as generation 2 with the same fields; and the fixture's
-// own generation 1 union over the same contents once the last member is
-// this build's rewrite of itself, which a pack with a generation 1 union
-// never held. The pack rewritten as it was verifies clean.
+// TestVerifyChecksLegacyPackHeaderStats: a pack whose header stats are
+// generation 1 is one only an older build wrote, and this build holds no
+// such header to its members: Verify and VerifyAgainst refuse the packed
+// store of every older version with ErrNeedsMigration before any check,
+// as written and with a member's byte flipped inside the pack alike — never
+// a tampered pack, which is a verdict only the migrating build can give.
 func TestVerifyChecksLegacyPackHeaderStats(t *testing.T) {
-	for _, v := range legacyVersions() {
-		clean, _ := legacyStoreFiles(t, v, "packed")
-		const name = "prov_pack.l01.0000.psk"
-		h, err := segcodec.DecodePackHeader(clean[name])
-		if err != nil {
-			t.Fatal(err)
+	const name = "prov_pack.l01.0000.psk"
+	for v := 1; v <= 4; v++ {
+		clean, heads := legacyStoreFiles(t, v, "packed")
+		if _, err := segcodec.DecodePackHeader(clean[name]); !errors.Is(err, segcodec.ErrNeedsMigration) {
+			t.Fatalf("version %d: premise: a generation 1 header, DecodePackHeader returned %v", v, err)
 		}
-		if h.Stats.Gen != 1 || len(h.Members) != 2 {
-			t.Fatalf("version %d: premise: a generation 1 union over two members, got generation %d over %d", v, h.Stats.Gen, len(h.Members))
-		}
-		rewrite := func(edit func(entries []segcodec.PackEntry, union *segcodec.SegStats)) map[string][]byte {
-			t.Helper()
-			entries := make([]segcodec.PackEntry, len(h.Members))
-			for i, m := range h.Members {
-				st := m.Stats
-				entries[i] = segcodec.PackEntry{Name: m.Name, Data: clean[name][m.Off : m.Off+m.Size], Stats: &st}
+		flipped := append([]byte(nil), clean[name]...)
+		flipped[len(flipped)-len(flipped)/4] ^= 0x10
+		for what, files := range map[string]map[string][]byte{"as written": clean, "member byte flipped": withFile(clean, name, flipped)} {
+			store := openDir(t, files)
+			_, verr := store.Verify()
+			_, aerr := store.VerifyAgainst(heads)
+			for op, err := range map[string]error{"Verify": verr, "VerifyAgainst": aerr} {
+				if !errors.Is(err, segcodec.ErrNeedsMigration) || errors.Is(err, segcodec.ErrCorrupt) ||
+					!strings.Contains(err.Error(), migratingBuild) {
+					t.Errorf("version %d, %s: %s returned %v, want ErrNeedsMigration naming %q", v, what, op, err, migratingBuild)
+				}
 			}
-			union := h.Stats
-			edit(entries, &union)
-			pack, err := segcodec.EncodePack(h.Level, entries, &union)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files := maps.Clone(clean)
-			files[name] = pack
-			return files
-		}
-		// The last member in this build's version: the same triples and seal,
-		// so the chain holds and only the union's generation is wrong for it.
-		current := func(seg []byte) []byte {
-			c, err := segcodec.DecodeAnyVersion(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := rdf.NewGraph()
-			c.Materialize(g)
-			var buf bytes.Buffer
-			if err := segcodec.Binary.Encode(&buf, g, nil); err != nil {
-				t.Fatal(err)
-			}
-			return segcodec.AppendChain(buf.Bytes(), *c.Chain)
-		}
-		for what, c := range map[string]struct {
-			files map[string][]byte
-			want  string
-		}{
-			"generation 1 union of no triples": {rewrite(func(_ []segcodec.PackEntry, u *segcodec.SegStats) { u.Triples = 0 }),
-				"pack-level stats differ from the union of the members' contents"},
-			"member entry re-spelled in generation 2": {rewrite(func(es []segcodec.PackEntry, _ *segcodec.SegStats) { es[0].Stats.Gen = 2 }),
-				"member " + h.Members[0].Name + ": header stats differ from the member's stats frame"},
-			"generation 1 union beside a current member": {rewrite(func(es []segcodec.PackEntry, _ *segcodec.SegStats) {
-				last := &es[len(es)-1]
-				last.Data = current(last.Data)
-				last.Stats, _ = segcodec.StatsOf(last.Data)
-			}), fmt.Sprintf("pack-level stats of generation 1 beside a pbs v%d member", segcodec.PBSVersion)},
-		} {
-			rep := mustVerify(t, openDir(t, c.files))
-			if len(rep.Defects) != 1 || rep.Defects[0].Name != name || rep.Defects[0].Kind != DefectTampered ||
-				rep.Defects[0].Detail != "header stats: "+c.want {
-				t.Errorf("version %d, %s: defects %v, want the one tampered pack %s: %q", v, what, rep.Defects, name, c.want)
-			}
-		}
-		if rep := mustVerify(t, openDir(t, rewrite(func([]segcodec.PackEntry, *segcodec.SegStats) {}))); !rep.Clean() {
-			t.Errorf("version %d: the pack re-encoded as it was: %v", v, rep.Defects)
 		}
 	}
 }
 
 // TestVerifyCurrentSegmentWithoutStatsIsTruncated: the stats frame is part of
-// the current format, so a current segment cut between its triple block and
-// its stats frame is a torn write on its own, without recorded heads — in a
-// sealed store, and in the same store with every seal stripped, where it
-// would otherwise pass for a clean unsealed file of an older shape.
+// the format, so a segment cut between its triple block and its stats frame
+// is a torn write on its own, without recorded heads.
 func TestVerifyCurrentSegmentWithoutStatsIsTruncated(t *testing.T) {
 	store := newBinaryVFSStore(t)
 	smallHistory(t, store, 0)
-	sealed := storeFiles(t, store)
-	unsealed := map[string][]byte{}
-	for name, data := range sealed {
-		unsealed[name] = stripChain(data)
+	clean := storeFiles(t, store)
+	var last string
+	for name := range clean {
+		if strings.Contains(name, ".seg") && name > last {
+			last = name
+		}
 	}
-	for what, clean := range map[string]map[string][]byte{"sealed": sealed, "unsealed": unsealed} {
-		var last string
-		for name := range clean {
-			if strings.Contains(name, ".seg") && name > last {
-				last = name
-			}
-		}
-		start, _ := statsFrameAt(t, clean[last])
-		cut := maps.Clone(clean)
-		cut[last] = clean[last][:start]
-		rep := mustVerify(t, openDir(t, cut))
-		if len(rep.Defects) != 1 || rep.Defects[0].Name != last || rep.Defects[0].Kind != DefectTruncated ||
-			!strings.Contains(rep.Defects[0].Detail, "ends before its stats frame") {
-			t.Errorf("%s store, %s cut before its stats frame: defects %v, want it truncated", what, last, rep.Defects)
-		}
+	start, _ := statsFrameAt(t, clean[last])
+	rep := mustVerify(t, openDir(t, withFile(clean, last, clean[last][:start])))
+	if len(rep.Defects) != 1 || rep.Defects[0].Name != last || rep.Defects[0].Kind != DefectTruncated ||
+		!strings.Contains(rep.Defects[0].Detail, "ends before its stats frame") {
+		t.Errorf("%s cut before its stats frame: defects %v, want it truncated", last, rep.Defects)
 	}
 }
 
-// TestVerifyTruncationMatrix: every strict prefix of every store file must be
-// detected — locally where possible, and by heads-anchored verification in
-// the one documented blind spot (a binary canonical truncated exactly at a
-// frame boundary is indistinguishable from a legacy unsealed file).
+// TestVerifyTruncationMatrix: every strict prefix of every store file must
+// be detected locally, without recorded heads — a file cut exactly before its
+// seal included, since every write appends the seal in the same write.
+// A text store an older build wrote is refused as needing migration
+// wherever a file is cut (checkTextDamageRefused).
 func TestVerifyTruncationMatrix(t *testing.T) {
-	for _, format := range []string{"ttl", "pbs"} {
-		t.Run(format, func(t *testing.T) {
-			store := newLayoutStore(t, format)
-			smallHistory(t, store, 0)
-			clean := storeFiles(t, store)
-			heads := mustVerify(t, store).Heads
-			total, missed := 0, 0
-			for name, data := range clean {
-				for n := 0; n < len(data); n++ {
-					mut := make(map[string][]byte, len(clean))
-					for fn, d := range clean {
-						mut[fn] = d
-					}
-					mut[name] = append([]byte(nil), data[:n]...)
-					total++
-					tstore := openDir(t, mut)
-					rep := mustVerify(t, tstore)
-					if rep.Clean() {
-						anchored, err := tstore.VerifyAgainst(heads)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if anchored.Clean() {
-							missed++
-							if missed <= 5 {
-								t.Errorf("truncating %s to %d bytes verified clean even against recorded heads", name, n)
-							}
-						}
-					}
+	t.Run("ttl", func(t *testing.T) { checkTextDamageRefused(t, "vfs", truncated) })
+	t.Run("pbs", verifyTruncationMatrixPBS)
+}
+
+// verifyTruncationMatrixPBS is TestVerifyTruncationMatrix on the pbs store.
+func verifyTruncationMatrixPBS(t *testing.T) {
+	store := newBinaryVFSStore(t)
+	smallHistory(t, store, 0)
+	clean := storeFiles(t, store)
+	total, missed := 0, 0
+	for name, data := range clean {
+		for n := 0; n < len(data); n++ {
+			total++
+			if rep := mustVerify(t, openDir(t, withFile(clean, name, data[:n:n]))); rep.Clean() {
+				missed++
+				if missed <= 5 {
+					t.Errorf("truncating %s to %d bytes verified clean", name, n)
 				}
 			}
-			if missed > 0 {
-				t.Fatalf("%d of %d truncations undetected", missed, total)
-			}
-		})
+		}
+	}
+	if missed > 0 {
+		t.Fatalf("%d of %d truncations undetected", missed, total)
 	}
 }
 
-// TestVerifyDeletionMatrix: removing any single chain file (and, for tail
-// files, the whole file+sidecar pair) must be detected locally or against
-// recorded heads; deleting only a sidecar must at least demote its file to
-// the unsealed list so strict auditing flags it.
+// TestVerifyDeletionMatrix: removing any single chain file must be detected
+// locally or against recorded heads.
+// A text store an older build wrote is refused as needing migration
+// whichever file is gone (checkTextDamageRefused).
 func TestVerifyDeletionMatrix(t *testing.T) {
-	for _, format := range []string{"ttl", "pbs"} {
-		t.Run(format, func(t *testing.T) {
-			store := newLayoutStore(t, format)
-			smallHistory(t, store, 0)
-			clean := storeFiles(t, store)
-			heads := mustVerify(t, store).Heads
-			for name := range clean {
-				victims := []string{name}
-				if filepath.Ext(name) != ".sum" {
-					// Also try deleting the file together with its sidecar.
-					if _, ok := clean[name+".sum"]; ok {
-						victims = append(victims, name+".sum")
-					}
-				}
-				for _, pair := range [][]string{victims[:1], victims} {
-					mut := make(map[string][]byte, len(clean))
-					for fn, d := range clean {
-						mut[fn] = d
-					}
-					for _, v := range pair {
-						delete(mut, v)
-					}
-					dstore := openDir(t, mut)
-					rep := mustVerify(t, dstore)
-					detected := !rep.Clean()
-					if !detected {
-						anchored, err := dstore.VerifyAgainst(heads)
-						if err != nil {
-							t.Fatal(err)
-						}
-						detected = !anchored.Clean()
-					}
-					if !detected && filepath.Ext(pair[len(pair)-1]) == ".sum" && len(pair) == 1 {
-						// Sidecar-only deletion: must surface as unsealed.
-						detected = len(rep.Unsealed) > 0
-					}
-					if !detected {
-						t.Errorf("deleting %v verified clean", pair)
-					}
-				}
-			}
+	t.Run("ttl", func(t *testing.T) { checkTextDamageRefused(t, "vfs", deleted) })
+	t.Run("pbs", verifyDeletionMatrixPBS)
+}
 
-			// Deleting an entire process's files is locally invisible but must
-			// fail against recorded heads.
-			empty := openDir(t, map[string][]byte{})
-			rep, err := empty.VerifyAgainst(heads)
+// verifyDeletionMatrixPBS is TestVerifyDeletionMatrix on the pbs store.
+func verifyDeletionMatrixPBS(t *testing.T) {
+	store := newBinaryVFSStore(t)
+	smallHistory(t, store, 0)
+	clean := storeFiles(t, store)
+	heads := mustVerify(t, store).Heads
+	for name := range clean {
+		dstore := openDir(t, withFile(clean, name, nil))
+		rep := mustVerify(t, dstore)
+		detected := !rep.Clean()
+		if !detected {
+			anchored, err := dstore.VerifyAgainst(heads)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Clean() || rep.Worst() != DefectMissing {
-				t.Errorf("whole-chain deletion: defects %v", rep.Defects)
-			}
-		})
+			detected = !anchored.Clean()
+		}
+		if !detected {
+			t.Errorf("deleting %s verified clean", name)
+		}
+	}
+
+	// Deleting an entire process's files is locally invisible but must fail
+	// against recorded heads.
+	empty := openDir(t, map[string][]byte{})
+	rep, err := empty.VerifyAgainst(heads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Clean() || rep.Worst() != DefectMissing {
+		t.Errorf("whole-chain deletion: defects %v", rep.Defects)
 	}
 }
 
@@ -662,58 +605,50 @@ func TestVerifyReorderAndSplice(t *testing.T) {
 // segment and returns the store to a verifiably clean state, but refuses —
 // with an IntegrityError naming the damage — when the defect is not confined
 // to the unacknowledged tail.
+// Recovering a text store an older build wrote is the migrating build's
+// work: Compact refuses it, torn tail and all, and changes no byte
+// (checkTextDamageRefused).
 func TestCompactRecoversDroppableTail(t *testing.T) {
-	for _, format := range []string{"ttl", "pbs"} {
-		t.Run(format, func(t *testing.T) {
-			store := newLayoutStore(t, format)
-			smallHistory(t, store, 0)
-			clean := storeFiles(t, store)
+	t.Run("ttl", func(t *testing.T) { checkTextDamageRefused(t, "vfs", tornTail) })
+	t.Run("pbs", compactRecoversDroppableTailPBS)
+}
 
-			// Tear the newest segment (simulating a crash mid-write).
-			var tail string
-			for n := range clean {
-				if strings.Contains(n, ".seg") && filepath.Ext(n) != ".sum" {
-					if tail == "" || n > tail {
-						tail = n
-					}
-				}
-			}
-			mut := make(map[string][]byte, len(clean))
-			for n, d := range clean {
-				mut[n] = d
-			}
-			mut[tail] = mut[tail][:len(mut[tail])/2]
-			delete(mut, tail+".sum") // the sidecar write never happened
-			tstore := openDir(t, mut)
-			if rep := mustVerify(t, tstore); rep.Clean() {
-				t.Fatal("torn tail verified clean")
-			}
-			if err := tstore.Compact(); err != nil {
-				t.Fatalf("Compact must recover a torn tail: %v", err)
-			}
-			rep := mustVerify(t, tstore)
-			if !rep.Clean() || rep.Segments != 0 {
-				t.Fatalf("post-recovery: defects %v, %d segments", rep.Defects, rep.Segments)
-			}
+// compactRecoversDroppableTailPBS is TestCompactRecoversDroppableTail on the pbs store.
+func compactRecoversDroppableTailPBS(t *testing.T) {
+	store := newBinaryVFSStore(t)
+	smallHistory(t, store, 0)
+	clean := storeFiles(t, store)
 
-			// Acknowledged-history damage: tearing a MIDDLE segment must make
-			// Compact refuse with an IntegrityError.
-			mut = make(map[string][]byte, len(clean))
-			for n, d := range clean {
-				mut[n] = d
-			}
-			first := strings.Replace(tail, ".seg0002", ".seg0000", 1)
-			mut[first] = mut[first][:len(mut[first])/2]
-			bstore := openDir(t, mut)
-			err := bstore.Compact()
-			var ierr *IntegrityError
-			if err == nil || !errors.As(err, &ierr) {
-				t.Fatalf("Compact on damaged history: err=%v, want IntegrityError", err)
-			}
-			if len(ierr.Defects) == 0 {
-				t.Fatal("IntegrityError carries no defects")
-			}
-		})
+	// Tear the newest segment (simulating a crash mid-write).
+	var tail string
+	for n := range clean {
+		if strings.Contains(n, ".seg") && n > tail {
+			tail = n
+		}
+	}
+	tstore := openDir(t, withFile(clean, tail, clean[tail][:len(clean[tail])/2]))
+	if rep := mustVerify(t, tstore); rep.Clean() {
+		t.Fatal("torn tail verified clean")
+	}
+	if err := tstore.Compact(); err != nil {
+		t.Fatalf("Compact must recover a torn tail: %v", err)
+	}
+	rep := mustVerify(t, tstore)
+	if !rep.Clean() || rep.Segments != 0 {
+		t.Fatalf("post-recovery: defects %v, %d segments", rep.Defects, rep.Segments)
+	}
+
+	// Acknowledged-history damage: tearing a MIDDLE segment must make
+	// Compact refuse with an IntegrityError.
+	first := strings.Replace(tail, ".seg0002", ".seg0000", 1)
+	bstore := openDir(t, withFile(clean, first, clean[first][:len(clean[first])/2]))
+	err := bstore.Compact()
+	var ierr *IntegrityError
+	if err == nil || !errors.As(err, &ierr) {
+		t.Fatalf("Compact on damaged history: err=%v, want IntegrityError", err)
+	}
+	if len(ierr.Defects) == 0 {
+		t.Fatal("IntegrityError carries no defects")
 	}
 }
 
@@ -735,14 +670,14 @@ func withFile(files map[string][]byte, name string, data []byte) map[string][]by
 }
 
 // auditFixtures builds the stores the tamper matrices, the pack tests and the
-// codec tests build — clean and damaged, loose and packed, every format —
-// each holding several processes so that the check pass has files to spread.
+// codec tests build — clean and damaged, loose and packed — each holding
+// several processes so that the check pass has files to spread.
 func auditFixtures(t *testing.T) []auditFixture {
 	t.Helper()
 	var fx []auditFixture
 	add := func(name string, files map[string][]byte) { fx = append(fx, auditFixture{name, files}) }
-	history := func(format string, pids ...int) *Store {
-		store := newLayoutStore(t, format)
+	history := func(pids ...int) *Store {
+		store := newBinaryVFSStore(t)
 		for _, pid := range pids {
 			smallHistory(t, store, pid)
 		}
@@ -750,28 +685,26 @@ func auditFixtures(t *testing.T) []auditFixture {
 	}
 
 	// The flip, truncation and deletion matrices, sampled.
-	for _, format := range layouts {
-		clean := storeFiles(t, history(format, 0, 1))
-		add(fmt.Sprintf("%v/clean", format), clean)
-		names := make([]string, 0, len(clean))
-		for n := range clean {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			data := clean[name]
-			for i := 0; i < len(data); i += 1 + len(data)/5 {
-				flipped := append([]byte(nil), data...)
-				flipped[i] ^= 1 << (i % 8)
-				add(fmt.Sprintf("%v/flip %s byte %d", format, name, i), withFile(clean, name, flipped))
-			}
-			for _, n := range []int{0, len(data) / 2, len(data) - 1} {
-				add(fmt.Sprintf("%v/truncate %s to %d", format, name, n), withFile(clean, name, data[:n:n]))
-			}
-			add(fmt.Sprintf("%v/delete %s", format, name), withFile(clean, name, nil))
-		}
+	clean := storeFiles(t, history(0, 1))
+	add("clean", clean)
+	names := make([]string, 0, len(clean))
+	for n := range clean {
+		names = append(names, n)
 	}
-	clean := storeFiles(t, history("pbs", 0, 1))
+	sort.Strings(names)
+	for _, name := range names {
+		data := clean[name]
+		for i := 0; i < len(data); i += 1 + len(data)/5 {
+			flipped := append([]byte(nil), data...)
+			flipped[i] ^= 1 << (i % 8)
+			add(fmt.Sprintf("flip %s byte %d", name, i), withFile(clean, name, flipped))
+		}
+		for _, n := range []int{0, len(data) / 2, len(data) - 1} {
+			add(fmt.Sprintf("truncate %s to %d", name, n), withFile(clean, name, data[:n:n]))
+		}
+		add(fmt.Sprintf("unseal %s", name), withFile(clean, name, stripChain(data)))
+		add(fmt.Sprintf("delete %s", name), withFile(clean, name, nil))
+	}
 	for _, tc := range spliceCases {
 		mut := maps.Clone(clean)
 		tc.mutate(mut)
@@ -780,7 +713,7 @@ func auditFixtures(t *testing.T) []auditFixture {
 
 	// Packed stores: level 1, the crash state that duplicates its members as
 	// loose files, level 1 beside fresh loose segments, and level 2.
-	store := history("pbs", 0, 1, 2)
+	store := history(0, 1, 2)
 	loose := storeFiles(t, store)
 	pack, err := store.PackSegments(1)
 	if err != nil {
@@ -798,15 +731,6 @@ func auditFixtures(t *testing.T) []auditFixture {
 	l1[pack] = append([]byte(nil), l1[pack]...)
 	l1[pack][len(l1[pack])/2] ^= 0x10
 	add("packed/L1 flipped member byte", l1)
-
-	// One directory holding all three formats, sidecars included.
-	mixed := make(map[string][]byte)
-	for pid, format := range layouts {
-		for n, d := range storeFiles(t, history(format, pid)) {
-			mixed[n] = d
-		}
-	}
-	add("mixed formats", mixed)
 	return fx
 }
 
@@ -814,7 +738,7 @@ func auditFixtures(t *testing.T) []auditFixture {
 // workers, and nothing it feeds may depend on how many — Verify returns
 // deep-equal reports (defect order, heads, counts), PackSegments and Compact
 // equal errors and byte-equal stores — at 1, 2 and 8, over clean and damaged
-// stores of every format and layout.
+// stores, loose and packed.
 func TestAuditParallelMatchesSerial(t *testing.T) {
 	type outcome struct {
 		report              *VerifyReport

@@ -80,19 +80,18 @@ import (
 //	uvarint nRuns   | per subject run: uvarint subjectDelta, uvarint shapeIndex
 //	O column        | per row: zig-zag delta from the previous object of the same predicate
 //
-// That is version 5, the only one written and the only one DecodeColumns
-// reads. Versions 1 to 4 open only through DecodeAnyVersion (legacy.go), the
-// audit's door, and nothing outside legacy.go knows how they differ. In every
-// version, each dictionary entry is named by some row.
+// That is version 5, the only one written and the only one read; a file of
+// versions 1 to 4 is refused with ErrNeedsMigration (currentFrames). Each
+// dictionary entry is named by some row.
 type binCodec struct{}
 
 // pbsMagic identifies a binary segment; the byte after it is the format
 // version.
 var pbsMagic = []byte{'P', 'B', 'S'}
 
-// PBSVersion is the format version every encoder entry point writes and
+// pbsVersion is the format version every encoder entry point writes and
 // every reader takes.
-const PBSVersion = 5
+const pbsVersion = 5
 
 // pbsBody splits a binary segment into its format version and the frames
 // after the magic. Every reader of the format enters through it, so an
@@ -105,14 +104,13 @@ func pbsBody(data []byte) (version byte, rest []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: missing PBS magic", ErrCorrupt)
 	}
 	version = data[len(pbsMagic)]
-	if version == 0 || version > PBSVersion {
+	if version == 0 || version > pbsVersion {
 		return 0, nil, fmt.Errorf("%w: unsupported pbs version %d", ErrCorrupt, version)
 	}
 	return version, data[len(pbsMagic)+1:], nil
 }
 
-func (binCodec) Ext() string   { return ".pbs" }
-func (binCodec) Magic() []byte { return pbsMagic }
+func (binCodec) Ext() string { return ".pbs" }
 
 // Encode serializes g from its insertion log: the refs go through
 // the same integer-ID dictionary builder as a delta flush, so closing a
@@ -175,7 +173,7 @@ func writeSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
 	sc := encPool.Get().(*encScratch)
 	col := sc.appendCols(sc.col[:0], tris)
 	out := make([]byte, 0, len(pbsMagic)+1+len(dict)+len(col)+len(sta)+36)
-	out = append(append(out, pbsMagic...), PBSVersion)
+	out = append(append(out, pbsMagic...), pbsVersion)
 	out = appendFrame(out, dict)
 	out = appendFrame(out, col)
 	out = appendFrame(out, sta)
@@ -309,7 +307,7 @@ func encodeDict(terms []rdf.Term) []byte {
 	return dict
 }
 
-// Decode is DecodeColumns followed by Materialize: the segment is validated
+// Decode is DecodeColumns followed by materialize: the segment is validated
 // whole before the first insert, so a rejected segment leaves into untouched.
 func (binCodec) Decode(r io.Reader, into *rdf.Graph) error {
 	data, err := io.ReadAll(r)
@@ -320,7 +318,7 @@ func (binCodec) Decode(r io.Reader, into *rdf.Graph) error {
 	if err != nil {
 		return err
 	}
-	c.Materialize(into)
+	c.materialize(into)
 	return nil
 }
 
@@ -333,21 +331,14 @@ type Columns struct {
 	Terms []rdf.Term
 	// Tris holds the local-ID triples in file order, every one of valid RDF
 	// shape. In a decoded segment they are strictly ascending in (s, p, o)
-	// order (DecodeColumns rejects any other file); GraphColumns returns
+	// order (DecodeColumns rejects any other file); graphColumns returns
 	// them in log order.
 	Tris [][3]uint32
-	// Version is the format version of the file the columns were decoded
-	// from: PBSVersion from DecodeColumns, any from DecodeAnyVersion, zero
-	// for columns that were not decoded (GraphColumns). Besides
-	// operator-facing reporting, Compact reads it (it rewrites an older
-	// file) and so does CheckPackStats (a generation 1 union is an older
-	// pack's, never one beside a current member).
-	Version byte
 	// Stats is the segment's stats frame, verified equal to the stats its
-	// contents derive; nil only for an older file that carries none, which
-	// only DecodeAnyVersion returns.
+	// contents derive; nil for columns that were not decoded (graphColumns).
 	Stats *SegStats
-	// Chain is the embedded seal; nil when the file is unsealed.
+	// Chain is the embedded seal; nil when the file is unsealed, which
+	// decodes but is a defect to the audit (a prefix of its sealed form).
 	Chain *Chain
 }
 
@@ -362,7 +353,7 @@ func DecodeColumns(data []byte) (*Columns, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Columns{Version: PBSVersion, Chain: f.chain}
+	c := &Columns{Chain: f.chain}
 	if c.Terms, c.Tris, err = decodeBlocks(f.dict, f.cols); err != nil {
 		return nil, err
 	}
@@ -382,7 +373,7 @@ func currentFrames(data []byte) (f segFrames, err error) {
 		return f, err
 	}
 	gen := byte(staGenRange)
-	if version < PBSVersion {
+	if version < pbsVersion {
 		gen = staGenBloom
 	}
 	// A current file whose version byte was damaged carries the generation 2
@@ -391,7 +382,7 @@ func currentFrames(data []byte) (f segFrames, err error) {
 	switch {
 	case err != nil:
 		return f, err
-	case version < PBSVersion:
+	case version < pbsVersion:
 		return f, fmt.Errorf("pbs v%d file: %w", version, ErrNeedsMigration)
 	case f.stats == nil && f.chain == nil:
 		return f, fmt.Errorf("%w: pbs v%d file ends before its stats frame", ErrTruncated, version)
@@ -491,12 +482,12 @@ func checkNamed(nTerms int, tris [][3]uint32) error {
 	return nil
 }
 
-// Materialize unions the segment's triples into the graph. Each dictionary
+// materialize unions the segment's triples into the graph. Each dictionary
 // entry is interned once, when a triple first uses it, walking the triples
 // in file order — the order per-triple inserts would intern in — so the IDs
 // into hands out, and its insertion-log order, are a function of the file
 // alone.
-func (c *Columns) Materialize(into *rdf.Graph) {
+func (c *Columns) materialize(into *rdf.Graph) {
 	gids := make([]rdf.ID, len(c.Terms))
 	for i := range gids {
 		gids[i] = rdf.NoID

@@ -25,10 +25,8 @@ import (
 // verifier authenticate segments left behind by a crash between the
 // canonical rewrite and segment removal.
 //
-// Text formats cannot carry a binary footer, so their seal lives in a
-// sidecar file (see internal/core's chain sidecars); this package only
-// defines the embedded-footer form and the helper that appends it; the
-// binary codec's frame reader reads it back.
+// This package defines the embedded-footer form and the helper that appends
+// it; the binary codec's frame reader reads it back.
 type Chain struct {
 	Root bool
 	Seq  uint64

@@ -2,21 +2,17 @@
 // store: it decouples what a store file contains (an RDF sub-graph or delta
 // segment) from how it is laid out on disk.
 //
-// Three codecs are registered: a binary ID-space format (.pbs) that
-// serializes dictionary IDs instead of rendered terms, so the hot
-// flush/merge paths never tokenize, escape, or re-parse term strings — the
-// one format the store writes, and the only one its reads take (v5, through
-// DecodeColumns) — and the text formats older builds wrote, N-Triples (.nt)
-// and Turtle (.ttl), which export writes and the audit reads (DESIGN.md
-// "Store codecs"). The pack container (.psk) is registered beside them for
-// Detect, but neither encodes nor decodes a graph: it is read through its
-// header. Files an older build wrote reach a decoder only through the
-// audit: text through Detect's fallback, pbs v1–v4 through DecodeAnyVersion
-// (legacy.go).
+// The store's one format is a binary ID-space format (.pbs) that serializes
+// dictionary IDs instead of rendered terms, so the hot flush/merge paths
+// never tokenize, escape, or re-parse term strings: the store writes pbs v5
+// and reads nothing else (DecodeColumns). The text codecs, N-Triples (.nt)
+// and Turtle (.ttl), are what export writes (DESIGN.md "Store codecs"). The
+// pack container (.psk) neither encodes nor decodes a graph: it is read
+// through its header. A file only an older build wrote is refused with
+// ErrNeedsMigration, never decoded.
 package segcodec
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -28,9 +24,6 @@ import (
 type Codec interface {
 	// Ext is the file extension including the leading dot.
 	Ext() string
-	// Magic returns the leading bytes identifying the format on disk, or
-	// nil for text formats (which are identified by not matching any magic).
-	Magic() []byte
 	// Encode writes g's triples in this format. ns supplies prefix
 	// compaction for codecs that use it (Turtle); others ignore it.
 	Encode(w io.Writer, g *rdf.Graph, ns *rdf.Namespaces) error
@@ -57,11 +50,15 @@ type RefsEncoder interface {
 // codec: bad magic, truncated frames, CRC mismatches, out-of-range IDs.
 var ErrCorrupt = errors.New("segcodec: corrupt segment")
 
-// ErrNeedsMigration is what every read returns for a file only an older
-// build wrote — a pbs v1–v4 file, a text store file or its sidecar — and
-// what provio-merge -compact (Store.Compact) rewrites as pbs v5. It is a
-// verdict, not damage: it never wraps ErrCorrupt, nor ErrCorrupt it.
-var ErrNeedsMigration = errors.New("store needs migration: run provio-merge -compact first")
+// ErrNeedsMigration is what every path returns for a file only an older
+// build wrote — a pbs v1–v4 file, a pack whose header stats are generation
+// 1, a text store file or the .sum file that sealed it. This build neither
+// reads nor audits such a file: provio-merge -compact built from commit
+// 93a6ed8, the last build that reads them, audits the store against its
+// seals and rewrites it as sealed pbs v5 (DESIGN.md "Migrating an older
+// store"). It is a verdict, not damage: it never wraps ErrCorrupt, nor
+// ErrCorrupt it.
+var ErrNeedsMigration = errors.New("store needs migration: run provio-merge -compact built from commit 93a6ed8, the last build that reads it")
 
 // ErrTruncated is the truncation sub-class of ErrCorrupt: the input is a
 // strict prefix of a well-formed segment (a torn write cut it short).
@@ -82,19 +79,3 @@ var (
 	// verbatim; see pack.go.
 	Pack Codec = packCodec{}
 )
-
-// codecs is the registry Detect matches magic bytes against.
-var codecs = []Codec{NTriples, Turtle, Binary, Pack}
-
-// Detect returns the codec for a file's contents: the codec whose magic
-// bytes prefix data, or the N-Triples codec otherwise — its decoder parses
-// the N-Triples/Turtle text superset, so any non-binary store file decodes
-// through the fallback regardless of extension.
-func Detect(data []byte) Codec {
-	for i := len(codecs) - 1; i >= 0; i-- {
-		if m := codecs[i].Magic(); len(m) > 0 && bytes.HasPrefix(data, m) {
-			return codecs[i]
-		}
-	}
-	return NTriples
-}

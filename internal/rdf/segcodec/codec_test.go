@@ -13,19 +13,17 @@ import (
 	"github.com/hpc-io/prov-io/internal/rdf"
 )
 
-// TestRegistry: each registered codec owns its extension and magic, and
-// the pack container neither encodes nor decodes a graph — a pack is read
-// through its header (readPack).
+// TestRegistry: each codec owns its extension, and the pack container
+// neither encodes nor decodes a graph — a pack is read through its header.
 func TestRegistry(t *testing.T) {
 	for _, want := range []struct {
-		c     Codec
-		ext   string
-		magic []byte
+		c   Codec
+		ext string
 	}{
-		{NTriples, ".nt", nil}, {Turtle, ".ttl", nil}, {Binary, ".pbs", pbsMagic}, {Pack, ".psk", pskMagic},
+		{NTriples, ".nt"}, {Turtle, ".ttl"}, {Binary, ".pbs"}, {Pack, ".psk"},
 	} {
-		if want.c.Ext() != want.ext || !bytes.Equal(want.c.Magic(), want.magic) {
-			t.Errorf("codec %T: ext %q magic %q, want %q %q", want.c, want.c.Ext(), want.c.Magic(), want.ext, want.magic)
+		if want.c.Ext() != want.ext {
+			t.Errorf("codec %T: ext %q, want %q", want.c, want.c.Ext(), want.ext)
 		}
 	}
 	pack, union, _ := buildPack(t, 2)
@@ -37,31 +35,13 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestDetect(t *testing.T) {
-	// Any version byte, also one this build cannot read: the file is a binary
-	// segment and its decoder says what is wrong with it.
-	for _, data := range [][]byte{pbsMagic, {'P', 'B', 'S', 1}, {'P', 'B', 'S', 2}, {'P', 'B', 'S', PBSVersion}, {'P', 'B', 'S', 0x7f, 0x00}} {
-		if c := Detect(data); c != Binary {
-			t.Errorf("Detect(%q) = %T, want pbs", data, c)
-		}
-	}
-	for _, text := range []string{"", "<a> <b> <c> .", "@prefix x: <urn:x> .", "PBT not the magic"} {
-		if c := Detect([]byte(text)); c != NTriples {
-			t.Errorf("Detect(%q) = %T, want nt fallback", text, c)
-		}
-	}
-	if pack, _, _ := buildPack(t, 2); Detect(pack) != Pack {
-		t.Errorf("Detect(pack) = %T, want psk", Detect(pack))
-	}
-}
-
 // TestUnknownVersionIsClassified: a segment of a version this build does not
-// know is reported as exactly that — by the columnar decode, by the codec
-// Detect routes it to, and by the stats probe, while the seal probe sees no
-// frame — and never handed to the text parser or read as another layout.
+// know is reported as exactly that — by the columnar decode, by the codec,
+// and by the stats probe, while the seal probe sees no frame — and never
+// read as another layout.
 func TestUnknownVersionIsClassified(t *testing.T) {
 	good := validSegment(t)
-	for _, v := range []byte{0, PBSVersion + 1, 0x7f, 0xff} {
+	for _, v := range []byte{0, pbsVersion + 1, 0x7f, 0xff} {
 		data := append([]byte{}, good...)
 		data[3] = v
 		want := fmt.Sprintf("unsupported pbs version %d", v)
@@ -70,9 +50,9 @@ func TestUnknownVersionIsClassified(t *testing.T) {
 			t.Errorf("version %d: DecodeColumns returned %v, want ErrCorrupt: %s", v, err, want)
 		}
 		into := rdf.NewGraph()
-		err = Detect(data).Decode(bytes.NewReader(data), into)
+		err = Binary.Decode(bytes.NewReader(data), into)
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
-			t.Errorf("version %d: Detect(data).Decode returned %v, want ErrCorrupt: %s", v, err, want)
+			t.Errorf("version %d: Binary.Decode returned %v, want ErrCorrupt: %s", v, err, want)
 		}
 		if into.Len() != 0 {
 			t.Errorf("version %d: %d triples decoded", v, into.Len())
@@ -88,17 +68,12 @@ func TestUnknownVersionIsClassified(t *testing.T) {
 	}
 }
 
-// TestVersionByteSwapIsRejected: the same frames under another known version
-// byte are that layout's garbage — a v3 triple block read as v2, the v2
-// golden read as v3 or v1, any generation under any other — and the audit's
-// door must fail on them, not decode to something else; a read refuses them
-// all. No CRC covers the version byte, so this holds only because no two
-// layouts spell a segment alike: a version 4 dictionary block without
-// literals still carries its run count, 0, where version 3 starts the
-// entries; and versions 4 and 5, whose blocks are the same, carry stats
-// frames of different generations, so a swap between them is the stats
-// frame's to refuse — which is also what keeps a current file under an older
-// version byte damage, not an older file, for the read.
+// TestVersionByteSwapIsRejected: no CRC covers the version byte, so a
+// current segment under an older version byte is refused as damage only
+// because it carries the generation 2 stats frame no older version carries:
+// readFrames refuses it before the version is looked at, so it never reads
+// as a file that needs migration. And every golden an older encoder wrote,
+// under any version byte, is refused by the read.
 func TestVersionByteSwapIsRejected(t *testing.T) {
 	ab := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b")}
 	samples := map[string][]byte{
@@ -106,27 +81,25 @@ func TestVersionByteSwapIsRejected(t *testing.T) {
 		"empty segment":        handBuiltSegment(t, nil, nil),
 		"literal-free segment": handBuiltSegment(t, ab, [][3]uint32{{0, 1, 1}}),
 		"integer-only segment": handBuiltSegment(t, append(ab, rdf.TypedLiteral("7", rdf.XSDInteger)), [][3]uint32{{0, 1, 2}}),
-	}
-	for i, data := range goldenGenerations(t) {
-		samples[fmt.Sprintf("golden v%d", i+1)] = data
+		"golden":               coreGolden(t, "golden_merged.pbs"),
 	}
 	for name, data := range samples {
-		for v := byte(1); v <= PBSVersion; v++ {
-			if v == data[3] {
-				continue
-			}
+		for v := byte(1); v < pbsVersion; v++ {
 			swapped := append([]byte{}, data...)
 			swapped[3] = v
-			_, err := DecodeAnyVersion(swapped)
-			if !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s under version byte %d: DecodeAnyVersion returned %v, want ErrCorrupt", name, v, err)
+			_, err := DecodeColumns(swapped)
+			if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNeedsMigration) || !strings.Contains(err.Error(), "stats frame: a pbs v") {
+				t.Errorf("%s under version byte %d: DecodeColumns returned %v, want the stats frame's generation rule", name, v, err)
 			}
-			if v >= 4 && data[3] >= 4 && !strings.Contains(err.Error(), "stats frame: a pbs v") {
-				t.Errorf("%s under version byte %d: rejected with %v, want the stats frame's generation rule", name, v, err)
-			}
-			_, err = DecodeColumns(swapped)
-			if data[3] == PBSVersion && !errors.Is(err, ErrCorrupt) || err == nil {
-				t.Errorf("%s under version byte %d: DecodeColumns returned %v", name, v, err)
+		}
+	}
+	for v := 1; v < pbsVersion; v++ {
+		data := coreGolden(t, fmt.Sprintf("golden_merged_v%d.pbs", v))
+		for w := byte(1); w <= pbsVersion; w++ {
+			swapped := append([]byte{}, data...)
+			swapped[3] = w
+			if _, err := DecodeColumns(swapped); err == nil {
+				t.Errorf("golden v%d under version byte %d decoded", v, w)
 			}
 		}
 	}
@@ -321,20 +294,14 @@ func TestBinaryDecodeCorruption(t *testing.T) {
 		"truncated mid":   good[: len(good)/2 : len(good)/2],
 		"missing crc":     good[:len(good)-2],
 		"trailing bytes":  append(append([]byte{}, good...), 0x00),
-		"unknown version": append([]byte{'P', 'B', 'S', PBSVersion + 1}, good[4:]...),
+		"unknown version": append([]byte{'P', 'B', 'S', pbsVersion + 1}, good[4:]...),
 	}
 	// Flip a byte inside the dictionary payload so the CRC no longer holds.
 	crcFlip := append([]byte{}, good...)
 	crcFlip[8] ^= 0xFF
 	cases["crc mismatch"] = crcFlip
 
-	// Kind counts that announce two IRIs over a version 3 block that holds
-	// one entry, behind valid CRCs (TestDecodeRejectsNonCanonicalDictBlock
-	// has the variants).
 	ab := []rdf.Term{rdf.IRI("urn:a"), rdf.IRI("urn:b")}
-	abRows := [][3]uint32{{0, 1, 1}}
-	cases["kind counts != entries"] = handFramedSegment(3,
-		handBuiltDict([4]uint64{2, 0, 0, 0}, nil, []dictEntry{{0, "urn:a", -1}}), new(encScratch).appendCols(nil, abRows), ab, abRows)
 
 	// Well-framed, CRCs and stats frame consistent, rows not strictly
 	// ascending (TestDecodeRejectsUnsortedRows has the variants).
@@ -343,7 +310,7 @@ func TestBinaryDecodeCorruption(t *testing.T) {
 
 	for name, data := range cases {
 		g := rdf.NewGraph()
-		err := decodeAny(data, g)
+		err := Binary.Decode(bytes.NewReader(data), g)
 		if err == nil {
 			t.Errorf("%s: decode accepted corrupt input", name)
 			continue
@@ -363,7 +330,7 @@ func TestBinaryDecodeCorruption(t *testing.T) {
 // sealed or unsealed — must be rejected with an error wrapping ErrCorrupt.
 // The one exception is a structural frame boundary: cutting a sealed segment
 // at its payload/seal boundary yields the valid unsealed payload, which the
-// store auditor tells apart with chain analysis (internal/core verify). The
+// store auditor reports as truncated (internal/core verify). The
 // cut at the end of the triple block is torn: the stats frame is part of
 // the format, so it is ErrTruncated, and the seal right after the triple
 // block is damage.
@@ -409,9 +376,9 @@ func TestBinaryTruncationExhaustive(t *testing.T) {
 }
 
 // TestTextTruncationExhaustive: the text codecs have no framing, so a torn
-// line-oriented file may parse as a smaller valid graph — the reason text
-// stores carry .sum sidecars. The codec-level contract is only: never panic,
-// and any accepted prefix decodes to a subset of the full graph.
+// line-oriented file may parse as a smaller valid graph. The codec-level
+// contract is only: never panic, and any accepted prefix decodes to a subset
+// of the full graph.
 func TestTextTruncationExhaustive(t *testing.T) {
 	g := rdf.NewGraph()
 	g.Add(rdf.Triple{S: rdf.IRI("urn:a"), P: rdf.IRI("urn:p"), O: rdf.Literal("x")})

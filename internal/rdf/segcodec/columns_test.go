@@ -31,57 +31,25 @@ func handBuiltSegment(t testing.TB, terms []rdf.Term, tris [][3]uint32) []byte {
 	return buf.Bytes()
 }
 
-// dictEntry is one entry of a hand-built dictionary block: the front-coded
-// value and, for a literal of a version 2 or 3 block, the tag index it names.
-type dictEntry struct {
-	shared int
-	suffix string
-	tag    int // < 0: not a literal, no index written
-}
-
-// handBuiltDict serializes a version 2 or 3 dictionary block field by field,
-// with whatever counts, table and indexes it is given.
-func handBuiltDict(counts [4]uint64, tags []tagPair, entries []dictEntry) []byte {
-	var b []byte
-	for _, c := range counts {
-		b = binary.AppendUvarint(b, c)
-	}
-	for _, tag := range tags {
-		b = appendTag(b, tag)
-	}
-	for _, e := range entries {
-		b = binary.AppendUvarint(b, uint64(e.shared))
-		b = binary.AppendUvarint(b, uint64(len(e.suffix)))
-		b = append(b, e.suffix...)
-		if e.tag >= 0 {
-			b = binary.AppendUvarint(b, uint64(e.tag))
-		}
-	}
-	return b
-}
-
-// handFramedSegment frames a raw dictionary block and a raw triple block,
-// under any version byte, with the stats frame (terms, tris) derive — terms
-// and tris being what the blocks mean to spell — so every CRC holds and the
-// stats frame is self-consistent: only the blocks can be wrong.
-func handFramedSegment(version byte, dict, cols []byte, terms []rdf.Term, tris [][3]uint32) []byte {
+// handFramedSegment frames a raw dictionary block and a raw triple block
+// with the stats frame (terms, tris) derive — terms and tris being what the
+// blocks mean to spell — so every CRC holds and the stats frame is
+// self-consistent: only the blocks can be wrong.
+func handFramedSegment(dict, cols []byte, terms []rdf.Term, tris [][3]uint32) []byte {
 	st := ComputeStats(terms, tris)
-	if version < PBSVersion {
-		st = legacyStats(terms, tris)
-	}
-	return handFramedStats(version, dict, cols, st.encode())
+	return handFramedStats(dict, cols, st.encode())
 }
 
 // handFramedStats frames a raw dictionary block, triple block and stats frame
-// payload under any version byte, every CRC valid.
-func handFramedStats(version byte, dict, cols, sta []byte) []byte {
-	out := append(append([]byte{}, pbsMagic...), version)
+// payload, every CRC valid.
+func handFramedStats(dict, cols, sta []byte) []byte {
+	out := append(append([]byte{}, pbsMagic...), pbsVersion)
 	out = appendFrame(out, dict)
 	out = appendFrame(out, cols)
 	return appendFrame(out, sta)
 }
 
-// runsBlock is a version 3 triple block field by field, every list already
+// runsBlock is a triple block field by field, every list already
 // delta-coded and written as given: shapes holds each shape's flat
 // (predIndexDelta, count) pairs, runs each (subjectDelta, shapeIndex).
 type runsBlock struct {
@@ -123,7 +91,7 @@ type blockCase struct {
 	data       []byte
 }
 
-// runsCases are the tamper shapes of the version 3 triple block over the
+// runsCases are the tamper shapes of the triple block over the
 // dictionary <urn:a> <urn:b> <urn:p> <urn:q> _:x "1" "2" and eight rows:
 //
 //	a p "1", a p "2", a q <urn:b>   shape 0: (p, 2) (q, 1)
@@ -146,7 +114,7 @@ func runsCases() []blockCase {
 	}
 	dict := encodeDict(terms)
 	framed := func(name, want string, cols []byte) blockCase {
-		return blockCase{name, want, handFramedSegment(PBSVersion, dict, cols, terms, tris)}
+		return blockCase{name, want, handFramedSegment(dict, cols, terms, tris)}
 	}
 	build := func(name, want string, edit func(b *runsBlock)) blockCase {
 		b := canon()
@@ -218,16 +186,14 @@ func runsCases() []blockCase {
 // broken rule is an ErrCorrupt from that block naming the rule, behind valid
 // CRCs and a self-consistent stats frame, with nothing left in the caller's
 // graph, no panic, and no allocation sized by a count the payload does not
-// back. The canonical spelling decodes and is what its version's encoder
-// writes: Binary.Encode for the current version, segmentOf (held to each
-// golden generation's bytes) for an older one.
+// back. The canonical spelling decodes and is what Binary.Encode writes.
 func checkBlockCases(t *testing.T, block string, cases []blockCase) {
 	t.Helper()
 	for i, tc := range cases {
 		into := rdf.NewGraph()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := decodeAny(tc.data, into)
+		err := Binary.Decode(bytes.NewReader(tc.data), into)
 		runtime.ReadMemStats(&after)
 		if allocated := after.TotalAlloc - before.TotalAlloc; allocated > 1<<20 {
 			t.Errorf("%s: decoding %d bytes allocated %d", tc.name, len(tc.data), allocated)
@@ -237,19 +203,11 @@ func checkBlockCases(t *testing.T, block string, cases []blockCase) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			var enc bytes.Buffer
-			if v := tc.data[3]; v == PBSVersion {
-				if err := Binary.Encode(&enc, into, nil); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				c, err := DecodeAnyVersion(tc.data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				enc.Write(segmentOf(v, c.Terms, c.Tris))
+			if err := Binary.Encode(&enc, into, nil); err != nil {
+				t.Fatal(err)
 			}
 			if !bytes.Equal(enc.Bytes(), tc.data) {
-				t.Fatalf("%s: the hand-built block is not what the version %d encoder writes", tc.name, tc.data[3])
+				t.Fatalf("%s: the hand-built block is not what the encoder writes", tc.name)
 			}
 			continue
 		}
@@ -266,54 +224,10 @@ func checkBlockCases(t *testing.T, block string, cases []blockCase) {
 	}
 }
 
-// TestDecodeRejectsHostileRunsBlock: the version 3 triple block is canonical
+// TestDecodeRejectsHostileRunsBlock: the triple block is canonical
 // by rejection.
 func TestDecodeRejectsHostileRunsBlock(t *testing.T) {
 	checkBlockCases(t, "triple block", runsCases())
-}
-
-// tagTableCases are the tamper shapes of the version 2 and 3 dictionary
-// block, under version byte 3: <urn:p> <urn:s> "1"^^xsd:integer "x"@en with
-// the rows (s p "1"), (s p "x"), spelled canonically once and then with one
-// rule broken at a time.
-func tagTableCases() []blockCase {
-	integer, en := tagPair{"", rdf.XSDInteger}, tagPair{"en", ""}
-	terms := []rdf.Term{rdf.IRI("urn:p"), rdf.IRI("urn:s"), rdf.TypedLiteral("1", rdf.XSDInteger), rdf.LangLiteral("x", "en")}
-	bothInteger := append(append([]rdf.Term{}, terms[:3]...), rdf.TypedLiteral("x", rdf.XSDInteger))
-	tris := [][3]uint32{{1, 0, 2}, {1, 0, 3}}
-	entries := func(tag1, tagX int) []dictEntry {
-		return []dictEntry{{0, "urn:p", -1}, {4, "s", -1}, {0, "1", tag1}, {0, "x", tagX}}
-	}
-	counts := [4]uint64{2, 0, 2, 2}
-	with := func(i int, v uint64) [4]uint64 {
-		c := counts
-		c[i] = v
-		return c
-	}
-	build := func(name, want string, counts [4]uint64, tags []tagPair, e []dictEntry, terms []rdf.Term) blockCase {
-		return blockCase{name, want, handFramedSegment(3, handBuiltDict(counts, tags, e), new(encScratch).appendCols(nil, tris), terms, tris)}
-	}
-	return []blockCase{
-		build("canonical", "", counts, []tagPair{integer, en}, entries(0, 1), terms),
-		build("tag table unsorted", "tag table is not strictly ascending", counts, []tagPair{en, integer}, entries(1, 0), terms),
-		build("tag table repeats a pair", "tag table is not strictly ascending", counts, []tagPair{integer, integer}, entries(0, 1), bothInteger),
-		build("pair no literal uses", "no literal uses", counts, []tagPair{integer, en}, entries(0, 0), bothInteger),
-		build("index = nTags", "out of range", counts, []tagPair{integer, en}, entries(0, 2), terms),
-		build("nTags beyond the payload", "exceed", with(3, 1<<40), []tagPair{integer, en}, entries(0, 1), terms),
-		build("nTags beyond the literals", "3 tags for 2 literals", with(3, 3), []tagPair{integer, en, {"fr", ""}}, entries(0, 1), terms),
-		build("kind counts overflow", "exceeds payload", [4]uint64{1 << 63, 1 << 63, 2, 2}, []tagPair{integer, en}, entries(0, 1), terms),
-		build("kind counts sum past the payload", "exceed", with(0, 30), []tagPair{integer, en}, entries(0, 1), terms),
-		build("one entry fewer than counted", "", with(0, 3), []tagPair{integer, en}, entries(0, 1), terms),
-		build("one entry more than counted", "", with(0, 1), []tagPair{integer, en}, entries(0, 1), terms),
-	}
-}
-
-// TestDecodeRejectsNonCanonicalDictBlock: the version 2 and 3 dictionary
-// block is canonical by rejection — an unsorted or repeating tag table, a
-// pair nothing names, an index past the table, counts that lie about the
-// payload or about the entries.
-func TestDecodeRejectsNonCanonicalDictBlock(t *testing.T) {
-	checkBlockCases(t, "dictionary block", tagTableCases())
 }
 
 // manyTagsGraph holds n literals of one value, each under a language tag of
@@ -424,7 +338,7 @@ func TestDecodeRejectsBeforeFirstInsert(t *testing.T) {
 
 // coreGolden reads one of internal/core's golden segment fixtures: the
 // current golden_merged.pbs, or an older generation golden_merged_vN.pbs,
-// written by the last encoder that wrote that layout.
+// which this build refuses.
 func coreGolden(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "core", "testdata", name))
@@ -432,70 +346,6 @@ func coreGolden(t testing.TB, name string) []byte {
 		t.Fatal(err)
 	}
 	return data
-}
-
-// goldenGenerations returns the golden segment in every version this build
-// reads, oldest first: element v-1 is version v.
-func goldenGenerations(t testing.TB) [][]byte {
-	var out [][]byte
-	for v := 1; v < PBSVersion; v++ {
-		out = append(out, coreGolden(t, fmt.Sprintf("golden_merged_v%d.pbs", v)))
-	}
-	return append(out, coreGolden(t, "golden_merged.pbs"))
-}
-
-// TestLegacyDictBlockDecodesTheSame: the golden segment in versions 1 to 5
-// holds the same dictionary, rows and stats — term for term, and the stats
-// frames byte for byte within a frame generation (versions 1 to 4 carry the
-// first, version 5 the second) — and every older file re-encodes to the
-// current bytes. Only Version tells the decodes apart, and segmentOf spells
-// each version as its encoder did.
-func TestLegacyDictBlockDecodesTheSame(t *testing.T) {
-	gens := goldenGenerations(t)
-	cur, err := DecodeColumns(gens[PBSVersion-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := map[byte][]byte{} // the stats frame payload of each generation
-	for _, v := range []byte{1, PBSVersion} {
-		sta, _, ok := statsSplit(gens[v-1])
-		if !ok {
-			t.Fatalf("the version %d golden carries no stats frame", v)
-		}
-		frames[genOf(v)] = sta
-	}
-	if bytes.Equal(frames[staGenBloom], frames[staGenRange]) {
-		t.Fatal("both stats frame generations spell the golden alike")
-	}
-	for i, data := range gens {
-		v := byte(i + 1)
-		if data[3] != v {
-			t.Fatalf("fixture of version %d carries version byte %d", v, data[3])
-		}
-		c, err := DecodeAnyVersion(data)
-		if err != nil {
-			t.Fatalf("version %d: %v", v, err)
-		}
-		if c.Version != v {
-			t.Errorf("version %d: Columns.Version = %d", v, c.Version)
-		}
-		if !slices.Equal(c.Terms, cur.Terms) || !slices.Equal(c.Tris, cur.Tris) {
-			t.Fatalf("version %d decodes to other columns than version %d", v, PBSVersion)
-		}
-		if sta, _, ok := statsSplit(data); !ok || !bytes.Equal(sta, frames[genOf(v)]) {
-			t.Errorf("version %d carries another stats frame than the other versions of generation %d", v, genOf(v))
-		}
-		if !bytes.Equal(segmentOf(v, c.Terms, c.Tris), data) {
-			t.Errorf("segmentOf spells version %d otherwise than its encoder did", v)
-		}
-		var re bytes.Buffer
-		if err := writeSegment(&re, c.Terms, c.Tris); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re.Bytes(), gens[PBSVersion-1]) {
-			t.Errorf("re-encoding the version %d golden does not give the current golden", v)
-		}
-	}
 }
 
 // referenceMaterialize is the decoder's insert step as it was before the
@@ -518,10 +368,7 @@ func referenceMaterialize(c *Columns, into *rdf.Graph) {
 // TermID for every term and log the triples in the same order as per-triple
 // inserts did, or result order without ORDER BY drifts.
 func TestMaterializeKeepsIDOrder(t *testing.T) {
-	segments := map[string][]byte{}
-	for i, data := range goldenGenerations(t) {
-		segments[fmt.Sprintf("golden segment, version %d", i+1)] = data
-	}
+	segments := map[string][]byte{"golden segment": coreGolden(t, "golden_merged.pbs")}
 	for seed := int64(1); seed <= 3; seed++ {
 		var buf bytes.Buffer
 		if err := Binary.Encode(&buf, randomGraph(rand.New(rand.NewSource(seed)), 2500), nil); err != nil {
@@ -530,7 +377,7 @@ func TestMaterializeKeepsIDOrder(t *testing.T) {
 		segments[fmt.Sprintf("random seed %d", seed)] = buf.Bytes()
 	}
 	for name, data := range segments {
-		c, err := DecodeAnyVersion(data)
+		c, err := DecodeColumns(data)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -544,7 +391,7 @@ func TestMaterializeKeepsIDOrder(t *testing.T) {
 				got.Add(tr)
 				want.Add(tr)
 			}
-			if err := decodeAny(data, got); err != nil {
+			if err := Binary.Decode(bytes.NewReader(data), got); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			referenceMaterialize(c, want)
@@ -601,11 +448,11 @@ func TestGraphEncodeMatchesTermSpace(t *testing.T) {
 // last and alone, members whose column boundaries are terms too long for a
 // zone map (their own zone maps are omitted; shorter terms beyond them in
 // another member decide the union's), and members each under the predicate
-// cap whose union may exceed it. Any member may be graph-backed (text). One
-// worker and four give the same bytes, and so does a table in which every
-// term but the numeric literals, which are keyed by value, hashes alike —
-// where only comparing terms tells them apart. (legacyUnion, the generation 1
-// union, is TestLegacyUnionMatchesUnionGraph'.)
+// cap whose union may exceed it. Any member may be graph-backed
+// (graphColumns, its rows in log order). One worker and four give the same
+// bytes, and so does a table in which every term but the numeric literals,
+// which are keyed by value, hashes alike — where only comparing terms tells
+// them apart.
 func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 	counts := []int{1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33}
 	shapes := []string{"shared", "identical", "disjoint", "subset", "empty ends", "long boundaries", "many predicates"}
@@ -659,7 +506,7 @@ func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 		return dst
 	}
 	withoutBloom := func(st SegStats) []byte {
-		st.Bloom = Bloom{}
+		st.Bloom = bloomFilter{}
 		return st.encode()
 	}
 	var reopened, overCap, underCap int // zone maps the union restored; predicate lists it omitted / kept
@@ -703,7 +550,7 @@ func TestUnionStatsMatchesUnionGraph(t *testing.T) {
 			union.Merge(g)
 			own[m] = ComputeGraphStats(g)
 			if rng.Intn(3) == 0 {
-				members[m] = GraphColumns(g)
+				members[m] = graphColumns(g)
 			} else {
 				var buf bytes.Buffer
 				if err := Binary.Encode(&buf, g, nil); err != nil {

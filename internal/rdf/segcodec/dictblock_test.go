@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -61,6 +62,37 @@ func (b dictBlock) bytes() []byte {
 	return out
 }
 
+// dictFixture returns dictCases' block: its canonical fields, and the
+// segment that frames a dictionary block over its rows.
+func dictFixture() (canon func() dictBlock, framed func(name, want string, dict []byte) blockCase) {
+	integer, en := tagPair{"", rdf.XSDInteger}, tagPair{"en", ""}
+	num := func(v string) rdf.Term { return rdf.TypedLiteral(v, rdf.XSDInteger) }
+	terms := []rdf.Term{rdf.IRI("urn:p"), rdf.IRI("urn:s"),
+		num("+5"), num("-0"), num("-2"), num("-9223372036854775808"), num("-9223372036854775809"), num("007"),
+		num("1"), rdf.LangLiteral("1", "en"), num("10"), num("9223372036854775807"), num("9223372036854775808"),
+		rdf.Literal("x")}
+	var tris [][3]uint32
+	for o := range uint32(len(terms) - 2) {
+		tris = append(tris, [3]uint32{1, 0, o + 2})
+	}
+	cols := new(encScratch).appendCols(nil, tris)
+	canon = func() dictBlock {
+		return dictBlock{
+			counts: [3]uint64{2, 0, 12},
+			tags:   []tagPair{{}, integer, en},
+			runs:   [][2]uint64{{2, 2}, {3, 2}, {2, 2}, {3, 1}, {4, 1}, {3, 2}, {2, 1}, {0, 1}},
+			entries: []v4Entry{text(0, "urn:p"), text(4, "s"),
+				text(0, "+5"), text(0, "-0"), delta(-2), delta(math.MinInt64 + 2), text(19, "9"), text(0, "007"),
+				delta(math.MinInt64 + 1), // 1 - (-2⁶³), modulo 2⁶⁴
+				text(1, ""), delta(9), delta(math.MaxInt64 - 10), text(18, "8"), text(0, "x")},
+		}
+	}
+	framed = func(name, want string, dict []byte) blockCase {
+		return blockCase{name, want, handFramedSegment(dict, cols, terms, tris)}
+	}
+	return canon, framed
+}
+
 // dictCases are the tamper shapes of the version 4 dictionary block over
 // <urn:p> <urn:s> and twelve literals, each the object of one (s p) row:
 //
@@ -75,31 +107,7 @@ func (b dictBlock) bytes() []byte {
 //
 // spelled canonically once and then with one rule broken at a time.
 func dictCases() []blockCase {
-	integer, en := tagPair{"", rdf.XSDInteger}, tagPair{"en", ""}
-	num := func(v string) rdf.Term { return rdf.TypedLiteral(v, rdf.XSDInteger) }
-	terms := []rdf.Term{rdf.IRI("urn:p"), rdf.IRI("urn:s"),
-		num("+5"), num("-0"), num("-2"), num("-9223372036854775808"), num("-9223372036854775809"), num("007"),
-		num("1"), rdf.LangLiteral("1", "en"), num("10"), num("9223372036854775807"), num("9223372036854775808"),
-		rdf.Literal("x")}
-	var tris [][3]uint32
-	for o := range uint32(len(terms) - 2) {
-		tris = append(tris, [3]uint32{1, 0, o + 2})
-	}
-	cols := new(encScratch).appendCols(nil, tris)
-	canon := func() dictBlock {
-		return dictBlock{
-			counts: [3]uint64{2, 0, 12},
-			tags:   []tagPair{{}, integer, en},
-			runs:   [][2]uint64{{2, 2}, {3, 2}, {2, 2}, {3, 1}, {4, 1}, {3, 2}, {2, 1}, {0, 1}},
-			entries: []v4Entry{text(0, "urn:p"), text(4, "s"),
-				text(0, "+5"), text(0, "-0"), delta(-2), delta(math.MinInt64 + 2), text(19, "9"), text(0, "007"),
-				delta(math.MinInt64 + 1), // 1 - (-2⁶³), modulo 2⁶⁴
-				text(1, ""), delta(9), delta(math.MaxInt64 - 10), text(18, "8"), text(0, "x")},
-		}
-	}
-	framed := func(name, want string, dict []byte) blockCase {
-		return blockCase{name, want, handFramedSegment(PBSVersion, dict, cols, terms, tris)}
-	}
+	canon, framed := dictFixture()
 	build := func(name, want string, edit func(b *dictBlock)) blockCase {
 		b := canon()
 		edit(&b)
@@ -190,6 +198,52 @@ func TestDecodeRejectsHostileDictBlock(t *testing.T) {
 	}
 }
 
+// tagTableCases are the tamper shapes of the dictionary block's head over
+// dictCases' block: the kind counts and the tag table before the literal
+// runs, spelled canonically once and then with one rule broken at a time.
+func tagTableCases() []blockCase {
+	canon, framed := dictFixture()
+	build := func(name, want string, edit func(b *dictBlock)) blockCase {
+		b := canon()
+		edit(&b)
+		return framed(name, want, b.bytes())
+	}
+	// The block with its tag count, one byte after the three kind counts,
+	// replaced by a lie.
+	lyingTags := func(name, want string, count uint64) blockCase {
+		dict := canon().bytes()
+		return framed(name, want, append(binary.AppendUvarint(dict[:3:3], count), dict[4:]...))
+	}
+	return []blockCase{
+		build("canonical", "", func(*dictBlock) {}),
+		build("tag table unsorted", "tag 2: tag table is not strictly ascending", func(b *dictBlock) {
+			b.tags[1], b.tags[2] = b.tags[2], b.tags[1]
+		}),
+		build("tag table repeats a pair", "tag 2: tag table is not strictly ascending", func(b *dictBlock) {
+			b.tags[2] = b.tags[1]
+		}),
+		build("nTags beyond the literals", "13 tags for 12 literals", func(b *dictBlock) {
+			for i := range 10 {
+				b.tags = append(b.tags, tagPair{fmt.Sprintf("f%d", i), ""})
+			}
+		}),
+		lyingTags("nTags beyond the payload", "count 1099511627776 exceeds payload", 1<<40),
+		build("kind counts overflow", "count 9223372036854775808 exceeds payload", func(b *dictBlock) {
+			b.counts = [3]uint64{1 << 63, 1 << 63, 12}
+		}),
+		build("kind counts sum past the payload", "exceed payload", func(b *dictBlock) { b.counts[0] = 60 }),
+		build("one entry fewer than counted", "", func(b *dictBlock) { b.counts[0] = 3 }),
+		build("one entry more than counted", "", func(b *dictBlock) { b.counts[0] = 1 }),
+	}
+}
+
+// TestDecodeRejectsNonCanonicalDictBlock: the dictionary block's head is
+// canonical by rejection — an unsorted or repeating tag table, more pairs
+// than literals, counts that lie about the payload or about the entries.
+func TestDecodeRejectsNonCanonicalDictBlock(t *testing.T) {
+	checkBlockCases(t, "dictionary block", tagTableCases())
+}
+
 // TestCanonicalInt: the digit scan says yes exactly where strconv reads a
 // value back to the same text, and allocates on neither answer.
 func TestCanonicalInt(t *testing.T) {
@@ -218,67 +272,10 @@ func TestCanonicalInt(t *testing.T) {
 	}
 }
 
-// segmentOf frames a dictionary and rows, canonical or not, in the layout of
-// any version, with the stats frame they derive in that version's generation:
-// version 5 as the encoder writes it, the older ones as their encoders did.
-func segmentOf(version byte, terms []rdf.Term, tris [][3]uint32) []byte {
-	var dict []byte
-	switch {
-	case version >= 4:
-		dict = encodeDict(terms)
-	case version >= 2:
-		var counts [4]uint64 // IRIs, blank nodes, literals, tags
-		for _, t := range terms {
-			counts[t.Kind-rdf.IRITerm]++
-		}
-		tags := collectTags(nil, terms[counts[0]+counts[1]:])
-		counts[3] = uint64(len(tags))
-		entries := make([]dictEntry, len(terms))
-		prev := ""
-		for i, t := range terms {
-			shared := commonPrefixLen(prev, t.Value)
-			entries[i] = dictEntry{shared, t.Value[shared:], -1}
-			if t.Kind == rdf.LiteralTerm {
-				entries[i].tag, _ = slices.BinarySearchFunc(tags, tagOf(&t), tagPair.compare)
-			}
-			prev = t.Value
-		}
-		dict = handBuiltDict(counts, tags, entries)
-	default: // version 1: each term's kind byte, each literal's pair inline
-		dict = binary.AppendUvarint(dict, uint64(len(terms)))
-		prev := ""
-		for i := range terms {
-			t := &terms[i]
-			shared := commonPrefixLen(prev, t.Value)
-			dict = append(dict, byte(t.Kind))
-			dict = binary.AppendUvarint(dict, uint64(shared))
-			dict = binary.AppendUvarint(dict, uint64(len(t.Value)-shared))
-			dict = append(dict, t.Value[shared:]...)
-			if t.Kind == rdf.LiteralTerm {
-				dict = appendTag(dict, tagOf(t))
-			}
-			prev = t.Value
-		}
-	}
-	var cols []byte
-	if version >= 3 {
-		cols = new(encScratch).appendCols(nil, tris)
-	} else {
-		cols = binary.AppendUvarint(nil, uint64(len(tris)))
-		var s uint32
-		for _, t := range tris {
-			cols = binary.AppendUvarint(cols, uint64(t[0]-s))
-			s = t[0]
-		}
-		for c := 1; c < 3; c++ {
-			var prev int64
-			for _, t := range tris {
-				cols = binary.AppendVarint(cols, int64(t[c])-prev)
-				prev = int64(t[c])
-			}
-		}
-	}
-	return handFramedSegment(version, dict, cols, terms, tris)
+// segmentOf frames a dictionary and rows, canonical or not, with the stats
+// frame they derive, as the encoder writes them.
+func segmentOf(terms []rdf.Term, tris [][3]uint32) []byte {
+	return handFramedSegment(encodeDict(terms), new(encScratch).appendCols(nil, tris), terms, tris)
 }
 
 // unnamedEntry is the regression of a dictionary entry no row names:
@@ -291,22 +288,20 @@ func unnamedEntry() (withZZ, without []rdf.Term, tris [][3]uint32) {
 	return withZZ, without, [][3]uint32{{0, 1, 2}}
 }
 
-// TestDecodeRejectsUnnamedDictEntry: in every version, a dictionary entry no
-// row names is an ErrCorrupt naming the entry, with nothing left in the
-// caller's graph; the same segment without it decodes.
+// TestDecodeRejectsUnnamedDictEntry: a dictionary entry no row names is an
+// ErrCorrupt naming the entry, with nothing left in the caller's graph; the
+// same segment without it decodes.
 func TestDecodeRejectsUnnamedDictEntry(t *testing.T) {
 	withZZ, without, tris := unnamedEntry()
-	for v := byte(1); v <= PBSVersion; v++ {
-		if _, err := DecodeAnyVersion(segmentOf(v, without, tris)); err != nil {
-			t.Fatalf("version %d without the unnamed entry: %v", v, err)
-		}
-		into := rdf.NewGraph()
-		err := decodeAny(segmentOf(v, withZZ, [][3]uint32{{0, 1, 3}}), into)
-		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "dictionary block: term 2: no triple names it") {
-			t.Errorf("version %d: Decode returned %v, want ErrCorrupt naming term 2", v, err)
-		}
-		if into.Len() != 0 || into.TermCount() != 0 {
-			t.Errorf("version %d: rejected segment left %d triples, %d terms behind", v, into.Len(), into.TermCount())
-		}
+	if _, err := DecodeColumns(segmentOf(without, tris)); err != nil {
+		t.Fatalf("without the unnamed entry: %v", err)
+	}
+	into := rdf.NewGraph()
+	err := Binary.Decode(bytes.NewReader(segmentOf(withZZ, [][3]uint32{{0, 1, 3}})), into)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "dictionary block: term 2: no triple names it") {
+		t.Errorf("Decode returned %v, want ErrCorrupt naming term 2", err)
+	}
+	if into.Len() != 0 || into.TermCount() != 0 {
+		t.Errorf("rejected segment left %d triples, %d terms behind", into.Len(), into.TermCount())
 	}
 }

@@ -14,14 +14,13 @@ import (
 // long as it needs to be.
 //
 // Each unit's dictionary is strictly ascending (every decoder holds that,
-// and so does GraphColumns), and so are its rows when DecodeColumns
+// and so does graphColumns), and so are its rows when DecodeColumns
 // returned them. A k-way merge of the dictionaries therefore numbers the
 // union's terms in order and makes every unit's local -> global remap
 // monotone, so each unit's remapped rows keep their order. A counting sort
 // on S then gathers each subject's rows; a run that several units fill, or
-// that came out of GraphColumns in log order (an older text file Compact
-// folds), is sorted, and then a triple two units share sits next to its
-// twin.
+// that came out of graphColumns in log order, is sorted, and then a triple
+// two units share sits next to its twin.
 // Nothing is hashed. The merge consumes the units: their Tris are rewritten
 // to global IDs in place.
 //

@@ -37,22 +37,17 @@ import (
 //	              uvarint statsLen | stats payload      (0 = no stats)
 //	  uvarint packStatsLen | pack stats payload         (0 = no stats)
 //
-// Member names keep their original store-file names; opaque members (chain
-// sidecar files, which are not RDF) ride along for the auditor. Stats
-// payloads are stats frame payloads (stats.go): a member's is its own
-// frame's, byte for byte; the pack's is the union of its members' contents.
-// A pack written by this build holds only pbs v5 members (PackSegments
-// refuses an older one), so both are generation 2, and a read takes no
-// other pack (NeedsMigration). Packs of older builds are the audit's and
-// Compact's: before v5 every stats payload was generation 1, and a pack of
-// v4 and v5 members carries each member's own frame beside a generation 2
-// union. CheckPackStats holds a header to its members.
+// Member names keep their original store-file names. Stats payloads are
+// stats frame payloads (stats.go): a member's is its own frame's, byte for
+// byte; the pack's is the union of its members' contents. A pack holds pbs
+// v5 members only, so both are generation 2; a payload of generation 1 is
+// an older build's pack, which DecodePackHeader refuses with
+// ErrNeedsMigration. CheckPackStats holds a header to its members.
 type packCodec struct{}
 
 var pskMagic = []byte{'P', 'S', 'K', 0x01}
 
-func (packCodec) Ext() string   { return ".psk" }
-func (packCodec) Magic() []byte { return pskMagic }
+func (packCodec) Ext() string { return ".psk" }
 
 // Encode is not supported: packs hold files, not graphs. Build them with
 // EncodePack.
@@ -70,8 +65,8 @@ func (packCodec) Decode(io.Reader, *rdf.Graph) error {
 type PackEntry struct {
 	Name string
 	Data []byte
-	// Stats is the member's stats block; nil writes none, as a pack of an
-	// older build's members carries, which every read refuses.
+	// Stats is the member's stats block; nil writes none, which every read
+	// refuses and the audit reports as damage.
 	Stats *SegStats
 }
 
@@ -146,7 +141,8 @@ func EncodePack(level int, entries []PackEntry, packStats *SegStats) ([]byte, er
 // offsets; member bytes need not be present in data. A header EncodePack
 // would not write — level 0, a member that is a pack, an extent past the
 // largest int64 offset — is ErrCorrupt, so the extents of an accepted header
-// are non-negative and contiguous up to WantSize.
+// are non-negative and contiguous up to WantSize. Stats of generation 1 are
+// an older build's pack: ErrNeedsMigration, never damage.
 func DecodePackHeader(data []byte) (*PackHeader, error) {
 	if !bytes.HasPrefix(data, pskMagic) {
 		if len(data) < len(pskMagic) && bytes.HasPrefix(pskMagic, data) {
@@ -200,10 +196,8 @@ func DecodePackHeader(data []byte) (*PackHeader, error) {
 		if sp, payload, err = getBytes(payload); err != nil {
 			return nil, fmt.Errorf("%w: member %d stats: %v", ErrCorrupt, i, err)
 		}
-		if len(sp) > 0 {
-			if m.Stats, err = parseStatsPayload(sp); err != nil {
-				return nil, fmt.Errorf("%w: member %d stats: %v", ErrCorrupt, i, err)
-			}
+		if m.Stats, err = headerStats(sp); err != nil {
+			return nil, fmt.Errorf("member %s stats: %w", m.Name, err)
 		}
 		m.Off, m.Size = off, int64(size)
 		off += int64(size)
@@ -213,10 +207,8 @@ func DecodePackHeader(data []byte) (*PackHeader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: pack stats: %v", ErrCorrupt, err)
 	}
-	if len(sp) > 0 {
-		if h.Stats, err = parseStatsPayload(sp); err != nil {
-			return nil, fmt.Errorf("%w: pack stats: %v", ErrCorrupt, err)
-		}
+	if h.Stats, err = headerStats(sp); err != nil {
+		return nil, fmt.Errorf("pack stats: %w", err)
 	}
 	if len(payload) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes in pack header", ErrCorrupt, len(payload))
@@ -239,18 +231,35 @@ func (h *PackHeader) CheckSize(size int64) error {
 	return fmt.Errorf("pack is %d bytes, header implies %d: %w", size, h.WantSize, cause)
 }
 
-// NeedsMigration returns ErrNeedsMigration for a pack only an older build
-// wrote — one whose pack stats, or a member's, are missing or generation 1,
-// which no pbs v5 member's are — naming the first such member; nil for a pack
-// of this build.
-func (h *PackHeader) NeedsMigration() error {
-	if h.Stats.Gen != staGenRange {
-		return fmt.Errorf("pack stats older than generation %d: %w", staGenRange, ErrNeedsMigration)
+// headerStats parses one stats payload of a pack header: the zero SegStats
+// when there is none, ErrNeedsMigration when it is generation 1, which only
+// an older build wrote.
+func headerStats(sp []byte) (SegStats, error) {
+	if len(sp) == 0 {
+		return SegStats{}, nil
 	}
+	if len(sp) > len(staTag) && bytes.HasPrefix(sp, staTag) && sp[len(staTag)] == staGenBloom {
+		return SegStats{}, fmt.Errorf("generation %d: %w", staGenBloom, ErrNeedsMigration)
+	}
+	st, err := parseStatsPayload(sp)
+	if err != nil {
+		return st, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return st, nil
+}
+
+// MissingStats returns ErrCorrupt naming the first member whose header
+// entry carries no stats, or the pack-level union when it carries none; nil
+// when every entry has stats. Every pack this build writes carries them, and
+// a read prunes on them: a pack without them is refused, never read.
+func (h *PackHeader) MissingStats() error {
 	for _, m := range h.Members {
-		if m.Stats.Gen != staGenRange {
-			return fmt.Errorf("member %s: stats older than generation %d: %w", m.Name, staGenRange, ErrNeedsMigration)
+		if m.Stats.Gen == 0 {
+			return fmt.Errorf("%w: member %s carries no stats", ErrCorrupt, m.Name)
 		}
+	}
+	if h.Stats.Gen == 0 {
+		return fmt.Errorf("%w: no pack-level stats", ErrCorrupt)
 	}
 	return nil
 }
@@ -258,42 +267,20 @@ func (h *PackHeader) NeedsMigration() error {
 // CheckPackStats reports whether a pack header's stats are the ones its
 // members' contents derive: a pruned or lazy read trusts them without
 // fetching a member, so a header that says less than the members hold would
-// drop answers. members[i] is the content of h.Members[i] — a validated binary
-// member's columns, whose Stats are its own frame; a text member's
-// GraphColumns; nil for an opaque member. Each member's header stats must
-// equal its own stats frame, and be absent exactly when it carries none. The
-// pack's stats must be present and equal the union of the members' contents
-// in their own generation; a generation 1 union is an older pack's, checked
-// by legacyUnion.
+// drop answers. members[i] is the validated columns of h.Members[i], whose
+// Stats are its own frame. Every stats entry must be present, each member's
+// equal to its own stats frame, and the pack's to the union of the members'
+// contents.
 func CheckPackStats(h *PackHeader, members []*Columns, workers int) error {
-	var union []*Columns
+	if err := h.MissingStats(); err != nil {
+		return err
+	}
 	for i := range h.Members {
-		m, c := &h.Members[i], members[i]
-		var own *SegStats
-		if c != nil {
-			own = c.Stats
-			union = append(union, c)
-		}
-		switch {
-		case m.Stats.Gen != 0 && own == nil:
-			return fmt.Errorf("member %s: header carries stats, the member no stats frame", m.Name)
-		case m.Stats.Gen == 0 && own != nil:
-			return fmt.Errorf("member %s: header carries no stats, the member a stats frame", m.Name)
-		case own != nil && !bytes.Equal(m.Stats.encode(), own.encode()):
+		if m := &h.Members[i]; !bytes.Equal(m.Stats.encode(), members[i].Stats.encode()) {
 			return fmt.Errorf("member %s: header stats differ from the member's stats frame", m.Name)
 		}
 	}
-	if h.Stats.Gen == 0 {
-		return fmt.Errorf("no pack-level stats")
-	}
-	var want SegStats
-	var err error
-	if h.Stats.Gen != staGenBloom {
-		want = UnionStats(union, workers)
-	} else if want, err = legacyUnion(union); err != nil {
-		return err
-	}
-	if !bytes.Equal(h.Stats.encode(), want.encode()) {
+	if want := UnionStats(members, workers); !bytes.Equal(h.Stats.encode(), want.encode()) {
 		return fmt.Errorf("pack-level stats differ from the union of the members' contents")
 	}
 	return nil

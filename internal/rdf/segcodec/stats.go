@@ -52,13 +52,12 @@ import (
 // against Min and each predicate (an IRI) against the one before it, the
 // first against "". The range is present exactly when the segment holds a
 // numeric literal, and the Bloom filter, sized newBloom(terms − numerics),
-// leaves the numeric literals out. Generation 1 ('STA\x01', pbs v1–v4) spells
-// Max and every predicate like Min, has no range, and puts every term in a
-// filter sized newBloom(terms): encode and parseStatsPayload spell both, and
-// the pruner trusts both, but only legacy.go computes generation 1.
+// leaves the numeric literals out. Generation 1 ('STA\x01') is what pbs
+// v1–v4 wrote: this build reads none of it, and a pack header carrying it
+// refuses with ErrNeedsMigration (DecodePackHeader).
 type SegStats struct {
-	// Gen is the frame generation the stats are spelled in: staGenBloom or
-	// staGenRange.
+	// Gen is the frame generation the stats are spelled in, staGenRange;
+	// zero where a pack header carries no stats.
 	Gen     byte
 	Triples uint64
 	Terms   uint64
@@ -78,14 +77,15 @@ type SegStats struct {
 	NumMin, NumMax int64
 	// Bloom is the term membership filter; an empty filter means absent. In
 	// generation 2 it holds every term but the numeric literals.
-	Bloom Bloom
+	Bloom bloomFilter
 }
 
 // staTag leads the stats frame payload, distinguishing it from the chain
 // frame and from a stray data frame; the byte after it is the generation.
 var staTag = []byte{'S', 'T', 'A'}
 
-// Stats frame generations: pbs v1–v4 carry the first, v5 the second.
+// Stats frame generations: pbs v1–v4 carry the first, v5 the second, the
+// only one this build spells.
 const (
 	staGenBloom = 1 // every term in the Bloom filter
 	staGenRange = 2 // numeric literals in a range, front-coded bounds and predicates
@@ -110,27 +110,27 @@ const (
 	staZoneO
 	staPreds
 	staBloom
-	staNums // generation 2 only
+	staNums
 )
 
-// Bloom is a split Bloom filter over term identities (double hashing over a
-// 64-bit FNV-1a of the term's kind, value, language, and datatype).
-type Bloom struct {
+// bloomFilter is a split Bloom filter over term identities (double hashing
+// over a 64-bit FNV-1a of the term's kind, value, language, and datatype).
+type bloomFilter struct {
 	K    uint8
 	Bits []byte
 }
 
 // empty reports whether the filter is absent.
-func (b Bloom) empty() bool { return len(b.Bits) == 0 }
+func (b bloomFilter) empty() bool { return len(b.Bits) == 0 }
 
 // newBloom returns a filter sized for n terms.
-func newBloom(n int) Bloom {
+func newBloom(n int) bloomFilter {
 	bits := n * bloomBitsPerTerm
 	if bits < 64 {
 		bits = 64
 	}
 	bits = (bits + 63) &^ 63
-	return Bloom{K: bloomHashes, Bits: make([]byte, bits/8)}
+	return bloomFilter{K: bloomHashes, Bits: make([]byte, bits/8)}
 }
 
 // FNV-1a, 64 bits.
@@ -160,7 +160,7 @@ func termHash(t rdf.Term) uint64 {
 }
 
 // has reports whether the term may be in the set (false = definitely not).
-func (b Bloom) has(t rdf.Term) bool {
+func (b bloomFilter) has(t rdf.Term) bool {
 	if b.empty() {
 		return true
 	}
@@ -240,7 +240,7 @@ func (st *SegStats) addNumeric(v int64) {
 // for those whose bit in skip is set (nil skips none). The hashes go through
 // a buffer on the stack, a stretch of consecutive terms at a time; a stretch
 // restarts the prefix walk, which costs one term's full hash per stretch.
-func (b Bloom) addTerms(terms []rdf.Term, skip []uint64) {
+func (b bloomFilter) addTerms(terms []rdf.Term, skip []uint64) {
 	set := b.setter()
 	var buf [256]uint64
 	eachRun(len(terms), skip, len(buf), func(i, j int) {
@@ -277,7 +277,7 @@ type bloomSetter struct {
 	k        uint32
 }
 
-func (b Bloom) setter() bloomSetter {
+func (b bloomFilter) setter() bloomSetter {
 	m := uint64(len(b.Bits) * 8)
 	return bloomSetter{filter: b.Bits, m: m, recip: ^uint64(0)/m + 1, k: uint32(b.K)}
 }
@@ -422,16 +422,14 @@ func (st *SegStats) setZone(c int, lo, hi rdf.Term) {
 // ComputeGraphStats is ComputeStats over a whole graph, read off its
 // insertion log like Encode.
 func ComputeGraphStats(g *rdf.Graph) SegStats {
-	c := GraphColumns(g)
+	c := graphColumns(g)
 	return ComputeStats(c.Terms, sortDedupTriples(c.Tris, len(c.Terms)))
 }
 
-// GraphColumns returns a graph's contents in segment shape, read off its
+// graphColumns returns a graph's contents in segment shape, read off its
 // insertion log through the EncodeRefs dictionary builder: what Encode
-// serializes, and how a member that is not a binary segment (a text file,
-// which decodes only into a graph) takes part in UnionStats. The rows are
-// distinct, in log order.
-func GraphColumns(g *rdf.Graph) *Columns {
+// serializes. The rows are distinct, in log order.
+func graphColumns(g *rdf.Graph) *Columns {
 	refs, _ := g.RefsSince(0)
 	terms, tris := refTriples(refs, g)
 	return &Columns{Terms: terms, Tris: tris}
@@ -440,7 +438,7 @@ func GraphColumns(g *rdf.Graph) *Columns {
 // UnionStats computes the stats of the union of the members' triples — the
 // pack-level stats block — without building the union: there is no union
 // dictionary and no union row array, sorted or not. Every member's terms
-// are distinct and so are its rows (DecodeColumns and GraphColumns both
+// are distinct and so are its rows (DecodeColumns and graphColumns both
 // guarantee it), and no field of the stats needs the union in order:
 //
 //   - Terms: one open-addressed table, keyed by each member term's termHash
@@ -614,8 +612,8 @@ func unionStats(members []*Columns, workers int, hash func(dst []uint64, terms [
 	return st
 }
 
-// encode renders the canonical stats frame payload of the stats' generation,
-// in one buffer sized up front.
+// encode renders the canonical stats frame payload, in one buffer sized up
+// front.
 func (st *SegStats) encode() []byte {
 	size := len(staTag) + 2 + 5*binary.MaxVarintLen64 + len(st.Bloom.Bits)
 	for c := 0; c < 3; c++ {
@@ -644,16 +642,11 @@ func (st *SegStats) encode() []byte {
 		flags |= staNums
 	}
 	b = append(b, flags)
-	ranged := st.Gen == staGenRange
 	for c := 0; c < 3; c++ {
 		if !st.ZoneOK[c] {
 			continue
 		}
 		b = appendTerm(b, st.Min[c])
-		if !ranged {
-			b = appendTerm(b, st.Max[c])
-			continue
-		}
 		hi := &st.Max[c]
 		b = appendFrontCoded(append(b, byte(hi.Kind)), st.Min[c].Value, hi.Value)
 		if hi.Kind == rdf.LiteralTerm {
@@ -664,10 +657,6 @@ func (st *SegStats) encode() []byte {
 		b = binary.AppendUvarint(b, uint64(len(st.Preds)))
 		prev := ""
 		for _, p := range st.Preds {
-			if !ranged {
-				b = appendTerm(b, p)
-				continue
-			}
 			b = appendFrontCoded(b, prev, p.Value)
 			prev = p.Value
 		}
@@ -684,12 +673,12 @@ func (st *SegStats) encode() []byte {
 	return b
 }
 
-// parseStatsPayload decodes a stats frame payload (after the CRC check) of
-// either generation. It rejects what no encoder writes and a pack header's
-// stats must not carry either: an unknown generation or flag, a zone map
-// whose Max sorts before its Min, and in generation 2 a front-coded prefix
-// that is not the longest, predicates that do not ascend, and a range whose
-// maximum overflows int64. What only the contents can tell — which
+// parseStatsPayload decodes a generation 2 stats frame payload (after the
+// CRC check). It rejects what no encoder writes and a pack header's stats
+// must not carry either: another generation or an unknown flag, a zone map
+// whose Max sorts before its Min, a front-coded prefix that is not the
+// longest, predicates that do not ascend, and a range whose maximum
+// overflows int64. What only the contents can tell — which
 // terms are numeric, the filter's size — DecodeColumns checks.
 func parseStatsPayload(p []byte) (SegStats, error) {
 	var st SegStats
@@ -697,10 +686,9 @@ func parseStatsPayload(p []byte) (SegStats, error) {
 		return st, fmt.Errorf("missing stats magic")
 	}
 	st.Gen = p[len(staTag)]
-	if st.Gen != staGenBloom && st.Gen != staGenRange {
+	if st.Gen != staGenRange {
 		return st, fmt.Errorf("unknown stats frame generation %d", st.Gen)
 	}
-	ranged := st.Gen == staGenRange
 	p = p[len(staTag)+1:]
 	var err error
 	if st.Triples, p, err = getUvarint(p); err != nil {
@@ -714,11 +702,7 @@ func parseStatsPayload(p []byte) (SegStats, error) {
 	}
 	flags := p[0]
 	p = p[1:]
-	known := byte(staZoneS | staZoneP | staZoneO | staPreds | staBloom)
-	if ranged {
-		known |= staNums
-	}
-	if flags&^known != 0 {
+	if flags&^byte(staZoneS|staZoneP|staZoneO|staPreds|staBloom|staNums) != 0 {
 		return st, fmt.Errorf("unknown stats flags %#02x", flags)
 	}
 	var val []byte // a front-coded value, over the bytes of the one before it
@@ -730,11 +714,7 @@ func parseStatsPayload(p []byte) (SegStats, error) {
 		if st.Min[c], p, err = getTerm(p); err != nil {
 			return st, fmt.Errorf("zone %d min: %v", c, err)
 		}
-		if !ranged {
-			if st.Max[c], p, err = getTerm(p); err != nil {
-				return st, fmt.Errorf("zone %d max: %v", c, err)
-			}
-		} else if st.Max[c], p, err = getFrontCodedTerm(append(val[:0], st.Min[c].Value...), p); err != nil {
+		if st.Max[c], p, err = getFrontCodedTerm(append(val[:0], st.Min[c].Value...), p); err != nil {
 			return st, fmt.Errorf("zone %d max: %v", c, err)
 		}
 		if rdf.TermLess(st.Max[c], st.Min[c]) {
@@ -753,9 +733,7 @@ func parseStatsPayload(p []byte) (SegStats, error) {
 		val = val[:0]
 		for i := uint64(0); i < n; i++ {
 			var t rdf.Term
-			if !ranged {
-				t, p, err = getTerm(p)
-			} else if val, p, err = frontCoded(val, p); err == nil {
+			if val, p, err = frontCoded(val, p); err == nil {
 				t = rdf.IRI(string(val))
 				if i > 0 && st.Preds[i-1].Value >= t.Value {
 					err = fmt.Errorf("predicate list is not strictly ascending")
@@ -923,8 +901,7 @@ func (st *SegStats) CanMatch(s, p, o *rdf.Term) bool {
 
 // mayHold reports whether the term can be one of the segment's at all: a
 // numeric literal against the range when the frame has one, any other term
-// against the Bloom filter. That is sound for every frame: a generation 1
-// filter holds every term, and a generation 2 frame without a range
+// against the Bloom filter. That is sound: a frame without a range
 // describes a segment without numeric literals, where the filter's "no" is
 // right.
 func (st *SegStats) mayHold(t *rdf.Term) bool {

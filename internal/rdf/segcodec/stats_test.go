@@ -53,43 +53,41 @@ func TestStatsNeverFalseNegative(t *testing.T) {
 			}
 			g.Add(rdf.Triple{S: rdf.IRI(fmt.Sprintf("urn:n%d", rng.Intn(5))), P: rdf.IRI("urn:at"), O: o})
 		}
-		c := GraphColumns(g)
+		c := graphColumns(g)
 		tris := sortDedupTriples(c.Tris, len(c.Terms))
-		for _, computed := range []SegStats{legacyStats(c.Terms, tris), ComputeStats(c.Terms, tris)} {
-			gen := computed.Gen
-			st, err := parseStatsPayload(computed.encode())
-			if err != nil {
-				t.Fatalf("seed %d, generation %d: %v", seed, gen, err)
+		computed := ComputeStats(c.Terms, tris)
+		st, err := parseStatsPayload(computed.encode())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, tr := range g.Triples() {
+			s, p, o := tr.S, tr.P, tr.O
+			if !st.CanMatch(&s, nil, nil) {
+				t.Fatalf("seed %d: subject %v pruned despite being present", seed, s)
 			}
-			for _, tr := range g.Triples() {
-				s, p, o := tr.S, tr.P, tr.O
-				if !st.CanMatch(&s, nil, nil) {
-					t.Fatalf("seed %d, generation %d: subject %v pruned despite being present", seed, gen, s)
-				}
-				if !st.CanMatch(nil, &p, nil) {
-					t.Fatalf("seed %d, generation %d: predicate %v pruned despite being present", seed, gen, p)
-				}
-				if !st.CanMatch(nil, nil, &o) {
-					t.Fatalf("seed %d, generation %d: object %v pruned despite being present", seed, gen, o)
-				}
-				if !st.CanMatch(&s, &p, &o) {
-					t.Fatalf("seed %d, generation %d: full triple pruned despite being present", seed, gen)
-				}
+			if !st.CanMatch(nil, &p, nil) {
+				t.Fatalf("seed %d: predicate %v pruned despite being present", seed, p)
 			}
-			if !st.CanMatch(nil, nil, nil) && g.Len() > 0 {
-				t.Fatalf("seed %d, generation %d: wildcard pattern pruned a non-empty segment", seed, gen)
+			if !st.CanMatch(nil, nil, &o) {
+				t.Fatalf("seed %d: object %v pruned despite being present", seed, o)
 			}
-			if gen == staGenBloom || !st.NumOK {
-				continue
+			if !st.CanMatch(&s, &p, &o) {
+				t.Fatalf("seed %d: full triple pruned despite being present", seed)
 			}
-			for _, v := range []int64{st.NumMin - 1, st.NumMax + 1} {
-				if v < st.NumMin || v > st.NumMax { // not wrapped into a range that spans int64
-					x := rdf.Integer(v)
-					if st.CanMatch(nil, nil, &x) {
-						t.Fatalf("seed %d: %d outside the range [%d, %d] not pruned", seed, v, st.NumMin, st.NumMax)
-					}
-					outside++
+		}
+		if !st.CanMatch(nil, nil, nil) && g.Len() > 0 {
+			t.Fatalf("seed %d: wildcard pattern pruned a non-empty segment", seed)
+		}
+		if !st.NumOK {
+			continue
+		}
+		for _, v := range []int64{st.NumMin - 1, st.NumMax + 1} {
+			if v < st.NumMin || v > st.NumMax { // not wrapped into a range that spans int64
+				x := rdf.Integer(v)
+				if st.CanMatch(nil, nil, &x) {
+					t.Fatalf("seed %d: %d outside the range [%d, %d] not pruned", seed, v, st.NumMin, st.NumMax)
 				}
+				outside++
 			}
 		}
 	}
@@ -147,15 +145,15 @@ func TestStatsRoundTrip(t *testing.T) {
 // wrong stats, never ErrNeedsMigration, never a panic.
 func TestStatsFrameCorruptionMatrix(t *testing.T) {
 	good := validSegment(t)
-	legacyLen := len(stripStats(good))
-	if legacyLen == len(good) {
+	blocksLen := len(stripStats(good))
+	if blocksLen == len(good) {
 		t.Fatal("segment carries no stats frame")
 	}
 	want, err := StatsOf(good)
 	if err != nil {
 		t.Fatalf("intact segment must expose stats: %v", err)
 	}
-	for off := legacyLen; off < len(good); off++ {
+	for off := blocksLen; off < len(good); off++ {
 		for bit := uint(0); bit < 8; bit++ {
 			mut := append([]byte{}, good...)
 			mut[off] ^= 1 << bit
@@ -213,7 +211,7 @@ type staFrame struct {
 	preds          []v4Entry
 	numMin         int64
 	span           uint64
-	bloom          Bloom
+	bloom          bloomFilter
 }
 
 // staZone is one zone map of a staFrame: Min whole, Max as its kind and tags
@@ -318,14 +316,16 @@ func staCases(t *testing.T) []blockCase {
 	build := func(name, want string, edit func(f *staFrame)) blockCase {
 		f := frameOf(st)
 		edit(&f)
-		return blockCase{name, want, handFramedStats(PBSVersion, dict, cols, f.bytes())}
+		return blockCase{name, want, handFramedStats(dict, cols, f.bytes())}
 	}
 	plain := rdf.NewGraph()
 	plain.Add(rdf.Triple{S: s1, P: pa, O: rdf.Literal("x")})
 	plainDict, plainCols, plainSt := framed(plain)
-	everyTerm := legacyStats([]rdf.Term{pa, pb, s1, s2, rdf.Integer(-3), rdf.Integer(5), rdf.Literal("x")}, nil).Bloom
-	generation1 := legacyStats([]rdf.Term{pa, pb, s1, s2, rdf.Integer(-3), rdf.Integer(5), rdf.Literal("x")},
-		[][3]uint32{{2, 0, 5}, {2, 1, 6}, {3, 0, 4}, {3, 1, 2}})
+	all := []rdf.Term{pa, pb, s1, s2, rdf.Integer(-3), rdf.Integer(5), rdf.Literal("x")}
+	everyTerm := newBloom(len(all))
+	everyTerm.addTerms(all, nil)
+	generation1 := st
+	generation1.Gen = staGenBloom
 	return []blockCase{
 		build("canonical", "", func(*staFrame) {}),
 		build("Max's prefix shorter than the longest", "zone 0 max: shared prefix 5 is not the longest", func(f *staFrame) {
@@ -361,11 +361,11 @@ func staCases(t *testing.T) []blockCase {
 		build("unknown flag bit", "unknown stats flags 0x7f", func(f *staFrame) {
 			f.flags |= 0x40
 		}),
-		{"generation 1 frame", "a pbs v5 file carries generation 2 only", handFramedStats(PBSVersion, dict, cols, generation1.encode())},
+		{"generation 1 frame", "a pbs v5 file carries generation 2 only", handFramedStats(dict, cols, generation1.encode())},
 		{"range over a segment without numeric literals", "numeric range over a segment without numeric literals", func() []byte {
 			f := frameOf(plainSt)
 			f.flags |= staNums
-			return handFramedStats(PBSVersion, plainDict, plainCols, f.bytes())
+			return handFramedStats(plainDict, plainCols, f.bytes())
 		}()},
 	}
 }
@@ -393,30 +393,25 @@ func TestDecodeRejectsHostileStatsFrame(t *testing.T) {
 }
 
 // TestStatsLegacySegmentsAlwaysMatch: files without a generation 2 stats
-// frame — pbs v1 from before the frame existed, sealed or not, and text —
-// give a read no stats to prune on, so StatsOf refuses them: the older pbs
-// file with ErrNeedsMigration, which the audit's door still decodes, and text
-// as the damage a pbs reader sees in it. The seal still resolves on both
-// sides of the frame.
+// frame — an older pbs file, with its own stats frame or without one,
+// sealed or not, and text — give a read no stats to prune on, so StatsOf
+// refuses them: the older pbs file with ErrNeedsMigration, text as the
+// damage a pbs reader sees in it. The seal still resolves on both sides of
+// the frame.
 func TestStatsLegacySegmentsAlwaysMatch(t *testing.T) {
-	c, err := DecodeColumns(validSegment(t))
-	if err != nil {
-		t.Fatal(err)
+	old := coreGolden(t, "golden_merged_v1.pbs")
+	legacy := stripStats(old)
+	if bytes.Equal(legacy, old) {
+		t.Fatal("premise: the version 1 golden carries a stats frame")
 	}
-	legacy := stripStats(segmentOf(1, c.Terms, c.Tris))
-	if old, err := DecodeAnyVersion(legacy); err != nil || old.Stats != nil {
-		t.Fatalf("a version 1 segment without a stats frame: %v", err)
-	}
-	if _, err := StatsOf(legacy); !errors.Is(err, ErrNeedsMigration) {
-		t.Fatalf("legacy segment without a stats frame: StatsOf returned %v", err)
+	sealedLegacy := AppendChain(legacy, Chain{Seq: 1, Prev: [32]byte{4}})
+	for what, data := range map[string][]byte{"version 1 file": old, "version 1 file without stats": legacy, "sealed": sealedLegacy} {
+		if _, err := StatsOf(data); !errors.Is(err, ErrNeedsMigration) || errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: StatsOf returned %v, want ErrNeedsMigration", what, err)
+		}
 	}
 	if _, err := StatsOf([]byte("<urn:a> <urn:p> <urn:b> .\n")); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("text file: StatsOf returned %v", err)
-	}
-	// Sealed legacy file: chain frame present, no stats frame.
-	sealedLegacy := AppendChain(legacy, Chain{Seq: 1, Prev: [32]byte{4}})
-	if _, err := StatsOf(sealedLegacy); !errors.Is(err, ErrNeedsMigration) {
-		t.Fatalf("sealed legacy segment: StatsOf returned %v", err)
 	}
 	if _, ok := chainOf(sealedLegacy); !ok {
 		t.Fatal("chain seal lost on a legacy segment")
@@ -572,7 +567,7 @@ func BenchmarkTermBloom(b *testing.B) {
 
 // add sets the term's bits one at a time, straight from the definition: the
 // oracle addTerms is held to.
-func (b Bloom) add(t rdf.Term) {
+func (b bloomFilter) add(t rdf.Term) {
 	h := termHash(t)
 	h1, h2 := uint32(h), uint32(h>>32)|1
 	m := uint32(len(b.Bits) * 8)
@@ -580,4 +575,37 @@ func (b Bloom) add(t rdf.Term) {
 		idx := (h1 + i*h2) % m
 		b.Bits[idx/8] |= 1 << (idx % 8)
 	}
+}
+
+// statsSplit locates the stats frame of a binary segment: payload is the
+// frame payload, off the byte offset where the frame starts. ok is false
+// when no structurally valid stats frame is present.
+func statsSplit(data []byte) (payload []byte, off int, ok bool) {
+	_, rest, err := pbsBody(data)
+	if err != nil {
+		return nil, 0, false
+	}
+	if _, rest, _ = readFrame(rest); rest == nil {
+		return nil, 0, false
+	}
+	if _, rest, _ = readFrame(rest); rest == nil {
+		return nil, 0, false
+	}
+	off = len(data) - len(rest)
+	payload, _, err = readFrame(rest)
+	if err != nil || !bytes.HasPrefix(payload, staTag) {
+		return nil, 0, false
+	}
+	return payload, off, true
+}
+
+// stripStats returns data without its stats frame (data itself when none is
+// present).
+func stripStats(data []byte) []byte {
+	payload, off, ok := statsSplit(data)
+	if !ok {
+		return data
+	}
+	frameLen := len(appendFrame(nil, payload))
+	return append(append([]byte{}, data[:off]...), data[off+frameLen:]...)
 }

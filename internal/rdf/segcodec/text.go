@@ -7,13 +7,10 @@ import (
 )
 
 // ntCodec is the N-Triples text codec: one triple per line, deterministic
-// (S, P, O) order. It is the delta-segment format of text stores and Detect's
-// fallback decoder for every non-binary file, which the audit of a text
-// store reads through (its parser accepts the N-Triples/Turtle superset).
+// (S, P, O) order. Its decoder parses the N-Triples/Turtle superset.
 type ntCodec struct{}
 
-func (ntCodec) Ext() string   { return ".nt" }
-func (ntCodec) Magic() []byte { return nil }
+func (ntCodec) Ext() string { return ".nt" }
 
 func (ntCodec) Encode(w io.Writer, g *rdf.Graph, _ *rdf.Namespaces) error {
 	return rdf.WriteNTriples(w, g)

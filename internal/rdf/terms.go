@@ -206,13 +206,14 @@ func quoteLiteral(s string) string {
 
 // ScanIRIRef reads an IRIREF: '<', the IRI, '>'. The \uXXXX and \UXXXXXXXX
 // escapes iriRef writes, the only escapes the grammar has there, are decoded;
-// any other byte but a line break is the IRI's own.
+// a byte iriRef escapes (iriUnsafe) is refused raw, and any other byte is
+// the IRI's own.
 func ScanIRIRef(s string) (iri string, n int, err error) {
 	if s == "" || s[0] != '<' {
 		return "", 0, errors.New("expected '<'")
 	}
 	i := 1
-	for i < len(s) && s[i] != '>' && s[i] != '\\' && s[i] != '\n' {
+	for i < len(s) && !iriUnsafe[s[i]] {
 		i++
 	}
 	if i < len(s) && s[i] == '>' {
@@ -223,8 +224,6 @@ func ScanIRIRef(s string) (iri string, n int, err error) {
 		switch c := s[i]; c {
 		case '>':
 			return string(b), i + 1, nil
-		case '\n':
-			return "", i, errors.New("newline in IRI")
 		case '\\':
 			if i+1 == len(s) || s[i+1] != 'u' && s[i+1] != 'U' {
 				return "", i, errors.New("bad escape in IRI")
@@ -236,6 +235,9 @@ func ScanIRIRef(s string) (iri string, n int, err error) {
 			b = utf8.AppendRune(b, r)
 			i += w
 		default:
+			if iriUnsafe[c] {
+				return "", i, fmt.Errorf("character %q not allowed in IRI", c)
+			}
 			b = append(b, c)
 			i++
 		}

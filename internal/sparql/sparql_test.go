@@ -480,6 +480,13 @@ func TestOneTermGrammar(t *testing.T) {
 		// A prefix declaration names one PN_PREFIX.
 		{"prefix-of-two-words", "@prefix a b: <http://e/> .\n<http://e/s> <http://e/p> <http://e/o> .", "", "turtle"},
 		{"prefix-with-slash", "@prefix é/x: <http://e/> .\n<http://e/s> <http://e/p> <http://e/o> .", "", "turtle"},
+		// An IRIREF holds no raw byte the writers escape: space, <, ", {, }, |, ^, `.
+		{"raw-space-in-iri", `<http://e/s> <http://e/p> <http://e/a\u0020b> .`,
+			`SELECT ?s WHERE { ?s <http://e/p> <http://e/a b> }`, "sparql"},
+		{"turtle-raw-space-in-iri", `<http://e/s> <http://e/p> <http://e/a b> .`, "", "turtle"},
+		{"lt-in-prefix-iri", `<http://e/s> <http://e/p> <http://e/o> .`,
+			`PREFIX :< a <http://e/> SELECT ?s WHERE { ?s <http://e/p> :o }`, "sparql"},
+		{"turtle-lt-in-prefix-iri", "@prefix : < a <http://e/> .\n<http://e/s> <http://e/p> :o .", "", "turtle"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

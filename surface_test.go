@@ -26,7 +26,6 @@ var exportedAllowlist = map[string]string{
 	// Public through a type alias in package provio.
 	"internal/core.Config.Enable":           "public via provio: selects tracked classes",
 	"internal/core.Config.Disable":          "public via provio: deselects tracked classes",
-	"internal/core.VerifyReport.LegacyPBS":  "public via provio: counts files to migrate",
 	"internal/posixio.FS.Getxattr":          "public via provio: syscall-wrapper counterpart",
 	"internal/posixio.FS.Listxattr":         "public via provio: syscall-wrapper counterpart",
 	"internal/posixio.FS.Setxattr":          "public via provio: syscall-wrapper counterpart",
