@@ -28,7 +28,9 @@ import (
 //
 // Contract:
 //   - WriteFile replaces the whole file; whether the replacement is atomic
-//     is advertised by CapAtomicWrite.
+//     is advertised by CapAtomicWrite. It keeps no reference to data after
+//     it returns: the caller may overwrite the buffer, as the store does
+//     with the pooled buffer it builds and seals each file in.
 //   - ReadFile and Stat report a missing file with an error satisfying
 //     errors.Is(err, fs.ErrNotExist).
 //   - List returns the sorted file names (not paths) directly inside dir,

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/hpc-io/prov-io/internal/backend"
+	"github.com/hpc-io/prov-io/internal/faultfs"
 	"github.com/hpc-io/prov-io/internal/vfs"
 )
 
@@ -58,6 +59,63 @@ func openSnapshotOn(t testing.TB, kind string, files map[string][]byte) *Store {
 		t.Fatal(err)
 	}
 	return store
+}
+
+// TestWriteFileKeepsNoReference: every backend, and the fault injector
+// wrapped around one, is done with a buffer once WriteFile returns — the
+// store writes every file from a pooled buffer the next write overwrites.
+func TestWriteFileKeepsNoReference(t *testing.T) {
+	tmp := t.TempDir()
+	archive, err := backend.OpenArchive(filepath.Join(tmp, "store.pvs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mount, err := backend.NewMount("/prov",
+		backend.Tier{Name: "hot", Hot: true, B: backend.NewMem(), Root: "/prov"},
+		backend.Tier{Name: "cold", Hot: false, B: backend.NewMem(), Root: "/prov"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		b    Backend
+		dir  string
+	}{
+		{"mem", backend.NewMem(), "/prov"},
+		{"dir", OSBackend{}, filepath.Join(tmp, "prov")},
+		{"file", archive, "/prov"},
+		{"mount", mount, "/prov"},
+		{"vfs", VFSBackend{View: vfs.NewStore().NewView()}, "/prov"},
+		{"faultfs", faultfs.New(backend.NewMem(), 1), "/prov"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.b.MkdirAll(c.dir); err != nil {
+				t.Fatal(err)
+			}
+			want := []byte("PBS\x05 the bytes a store file holds")
+			buf := append(make([]byte, 0, 2*len(want)), want...)
+			for i, name := range []string{"prov_p000000.pbs", "prov_p000000.seg0000.pbs"} {
+				path := c.dir + "/" + name
+				if err := c.b.WriteFile(path, buf); err != nil {
+					t.Fatal(err)
+				}
+				// Overwrite the buffer, and grow it in place, the way the next
+				// pooled write does.
+				for j := range buf {
+					buf[j] ^= byte(0x5a + i)
+				}
+				buf = append(buf, "more"...)
+				got, err := c.b.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s reads %q after its buffer was overwritten, want %q", name, got, want)
+				}
+				buf = append(buf[:0], want...)
+			}
+		})
+	}
 }
 
 // TestVerifyMatrixAcrossBackends re-runs the single-byte tamper and

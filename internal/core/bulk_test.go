@@ -336,8 +336,8 @@ func trackDassaRank(store *Store, pid int) *Tracker {
 }
 
 // BenchmarkTrackIO is the harness's ingest in one rank, at its two shapes:
-// each iteration tracks about 1024 records, flushing every 512 to a mem:
-// store. /h5bench is all but eleven of them timed TrackIO over 8 datasets;
+// each iteration tracks about 1024 records, flushing every 512 to a fresh
+// mem: store. /h5bench is all but eleven of them timed TrackIO over 8 datasets;
 // /dassa is 9-record groups of every record kind the DASSA workloads track,
 // a third of them TrackIO. allocs/op ÷ 1024 is the harness's
 // track_allocs_per_record, flush encoding included.
@@ -347,13 +347,17 @@ func BenchmarkTrackIO(b *testing.B) {
 		track func(*Store, int) *Tracker
 	}{{"h5bench", trackH5benchRank}, {"dassa", trackDassaRank}} {
 		b.Run(shape.name, func(b *testing.B) {
-			store, err := OpenStore("mem:", FormatBinary)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.ReportAllocs()
 			var records int64
 			for i := 0; i < b.N; i++ {
+				// A store of its own, so a rank's chain init lists no
+				// earlier rank's files.
+				b.StopTimer()
+				store, err := OpenStore("mem:", FormatBinary)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 				tr := shape.track(store, i)
 				if err := tr.Drain(); err != nil {
 					b.Fatal(err)
@@ -376,7 +380,9 @@ func BenchmarkTrackIO(b *testing.B) {
 // the median of five ranks after those two. Collection is off while they run:
 // a collection during a rank empties the pools, and refilling them adds up to
 // 60 objects to that rank. A term dictionary that grew 16 slot tables of its
-// own read 237–240 for h5bench here (and 654–657 for dassa).
+// own read 237–240 for h5bench here (and 654–657 for dassa); a flush that
+// copied its delta, and encoded, sealed and wrote it through five buffers,
+// read 153–156 (and 578–581).
 func TestTrackerRankAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -387,7 +393,7 @@ func TestTrackerRankAllocs(t *testing.T) {
 		name   string
 		track  func(*Store, int) *Tracker
 		budget uint64
-	}{{"h5bench", trackH5benchRank, 200}, {"dassa", trackDassaRank, 750}} {
+	}{{"h5bench", trackH5benchRank, 135}, {"dassa", trackDassaRank, 600}} {
 		t.Run(c.name, func(t *testing.T) {
 			store, err := OpenStore("mem:", FormatBinary)
 			if err != nil {
@@ -415,6 +421,49 @@ func TestTrackerRankAllocs(t *testing.T) {
 				t.Fatalf("one rank allocates %d heap objects, budget %d", got, c.budget)
 			}
 		})
+	}
+}
+
+// TestWarmDeltaWriteAllocs pins what one periodic flush's write costs once
+// the pools are warm: the delta is encoded, sealed and written from one
+// pooled buffer, so what is left is the path and the backend's own copy. It
+// counts like TestTrackerRankAllocs: collection off, the median of five
+// writes after two.
+func TestWarmDeltaWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const warm, writes, budget = 2, 5, 3
+	store, err := OpenStore("mem:", FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trackH5benchRank(store, 0)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refs, _ := tr.Graph().LogSince(0)
+	refs = refs[len(refs)/2:]
+	render := rdf.NewTermRenderer(tr.Graph())
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var counts []uint64
+	for seg := 0; seg < warm+writes; seg++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := store.WriteDeltaSegmentRefs(0, seg, refs, render)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg >= warm {
+			counts = append(counts, after.Mallocs-before.Mallocs)
+		}
+	}
+	sort.Slice(counts, func(i, j int) bool { return counts[i] < counts[j] })
+	got := counts[writes/2]
+	t.Logf("%d heap objects for one %d-triple delta write (of %v)", got, len(refs), counts)
+	if got > budget {
+		t.Fatalf("one delta write allocates %d heap objects, budget %d", got, budget)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -42,13 +41,14 @@ type storeName struct {
 	level, seq int // pack containers
 }
 
-// canonicalName, segmentName and packName name the files the store writes.
-func canonicalName(pid int) string {
-	return storeName{kind: kindCanonical, pid: pid, seg: -1}.String()
+// canonicalName, segmentName and packName name the files the store writes;
+// a tracker's writes format theirs straight into their path (namePath).
+func canonicalName(pid int) storeName {
+	return storeName{kind: kindCanonical, pid: pid, seg: -1}
 }
 
-func segmentName(pid, seg int) string {
-	return storeName{kind: kindSegment, pid: pid, seg: seg}.String()
+func segmentName(pid, seg int) storeName {
+	return storeName{kind: kindSegment, pid: pid, seg: seg}
 }
 
 func packName(level, seq int) string {
@@ -56,13 +56,37 @@ func packName(level, seq int) string {
 }
 
 func (n storeName) String() string {
-	switch n.kind {
-	case kindPack:
-		return fmt.Sprintf("prov_pack.l%02d.%04d%s", n.level, n.seq, segcodec.Pack.Ext())
-	case kindSegment:
-		return fmt.Sprintf("prov_p%06d.seg%04d%s", n.pid, n.seg, segcodec.Binary.Ext())
+	var buf [48]byte
+	return string(n.appendTo(buf[:0]))
+}
+
+// appendTo appends the name to dst.
+func (n storeName) appendTo(dst []byte) []byte {
+	if n.kind == kindPack {
+		dst = appendPadded(append(dst, "prov_pack.l"...), n.level, 2)
+		dst = appendPadded(append(dst, '.'), n.seq, 4)
+		return append(dst, segcodec.Pack.Ext()...)
 	}
-	return fmt.Sprintf("prov_p%06d%s", n.pid, segcodec.Binary.Ext())
+	dst = appendPadded(append(dst, "prov_p"...), n.pid, 6)
+	if n.kind == kindSegment {
+		dst = appendPadded(append(dst, ".seg"...), n.seg, 4)
+	}
+	return append(dst, segcodec.Binary.Ext()...)
+}
+
+// appendPadded appends v as %0<width>d formats it: zero-padded to width
+// characters, a sign included, never cut.
+func appendPadded(dst []byte, v, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst, u, width = append(dst, '-'), -u, width-1
+	}
+	for digits, x := 1, u; digits < width; digits++ {
+		if x /= 10; x == 0 {
+			dst = append(dst, '0')
+		}
+	}
+	return strconv.AppendUint(dst, u, 10)
 }
 
 // parseStoreName parses a store file name; ok is false for every name the
@@ -104,22 +128,35 @@ func cutPadded(s string, width int) (v int, rest string, ok bool) {
 	return v, s[end:], err == nil
 }
 
-// claimedRE matches every name that claims to be a store file: it starts
+// claimedName reports whether a name claims to be a store file: it starts
 // prov_p and ends in a store extension.
-var claimedRE = regexp.MustCompile(`^prov_p.*\.(?:pbs|psk)$`)
-
-// olderRE matches the names of a text store's files: a Turtle or N-Triples
-// canonical file or segment, or the .sum file that sealed one.
-var olderRE = regexp.MustCompile(`^prov_p.*\.(?:ttl|nt)(?:\.sum)?$`)
+func claimedName(name string) bool { return provName(name, ".pbs", ".psk") }
 
 // olderName refuses a name only an older build wrote, a text store's file,
-// with ErrNeedsMigration. Every path lists through listLayout, which holds
-// each name to it.
+// with ErrNeedsMigration: a Turtle or N-Triples canonical file or segment,
+// or the .sum file that sealed one. Every path lists through listLayout,
+// which holds each name to it.
 func olderName(name string) error {
-	if olderRE.MatchString(name) {
+	if provName(strings.TrimSuffix(name, ".sum"), ".ttl", ".nt") {
 		return fmt.Errorf("%s: text store file: %w", name, segcodec.ErrNeedsMigration)
 	}
 	return nil
+}
+
+// provName reports whether name is prov_p, then anything without a newline,
+// then one of the extensions: what the pattern ^prov_p.*\.(?:ext|...)$
+// matches.
+func provName(name string, exts ...string) bool {
+	rest, ok := strings.CutPrefix(name, "prov_p")
+	if !ok {
+		return false
+	}
+	for _, ext := range exts {
+		if mid, ok := strings.CutSuffix(rest, ext); ok {
+			return !strings.Contains(mid, "\n")
+		}
+	}
+	return false
 }
 
 // layoutFile is one store file the listing classified.
@@ -143,14 +180,14 @@ func (s *Store) listLayout() (*storeLayout, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &storeLayout{}
+	l := &storeLayout{files: make([]layoutFile, 0, len(names))}
 	for _, name := range names {
 		if err := olderName(name); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		if n, ok := parseStoreName(name); ok {
 			l.files = append(l.files, layoutFile{name: name, storeName: n})
-		} else if claimedRE.MatchString(name) {
+		} else if claimedName(name) {
 			l.orphans = append(l.orphans, name)
 		}
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"path/filepath"
+	"regexp"
 	"testing"
 	"time"
 
@@ -51,10 +53,10 @@ func TestStoreNameRoundTrip(t *testing.T) {
 		}
 	}
 	for name, want := range map[string]string{
-		canonicalName(1_000_000): "prov_p1000000.pbs",
-		segmentName(7, 10_000):   "prov_p000007.seg10000.pbs",
-		packName(100, 10_000):    "prov_pack.l100.10000.psk",
-		packName(1, 0):           "prov_pack.l01.0000.psk",
+		canonicalName(1_000_000).String(): "prov_p1000000.pbs",
+		segmentName(7, 10_000).String():   "prov_p000007.seg10000.pbs",
+		packName(100, 10_000):             "prov_pack.l100.10000.psk",
+		packName(1, 0):                    "prov_pack.l01.0000.psk",
 	} {
 		if name != want {
 			t.Errorf("formatted %q, want %q", name, want)
@@ -73,6 +75,88 @@ func TestStoreNameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreNameFormatsLikeSprintf: the formatter spells every number the
+// way %0<width>d does, at and past its width and below zero.
+func TestStoreNameFormatsLikeSprintf(t *testing.T) {
+	for _, v := range []int{0, 1, 9, 10, 99, 100, 9_999, 10_000, 999_999, 1_000_000, 123_456_789, -1, -10, -99_999, -100_000, -1_234_567} {
+		for _, c := range []struct {
+			name storeName
+			want string
+		}{
+			{storeName{kind: kindCanonical, pid: v, seg: -1}, fmt.Sprintf("prov_p%06d.pbs", v)},
+			{storeName{kind: kindSegment, pid: v, seg: v}, fmt.Sprintf("prov_p%06d.seg%04d.pbs", v, v)},
+			{storeName{kind: kindPack, level: v, seq: v}, fmt.Sprintf("prov_pack.l%02d.%04d.psk", v, v)},
+		} {
+			if got := c.name.String(); got != c.want {
+				t.Errorf("%+v formats as %q, want %q", c.name, got, c.want)
+			}
+		}
+	}
+	s := &Store{prefix: "/prov/"}
+	if got, want := s.namePath(storeName{kind: kindSegment, pid: 3, seg: 12}), "/prov/prov_p000003.seg0012.pbs"; got != want {
+		t.Errorf("namePath = %q, want %q", got, want)
+	}
+}
+
+// TestStorePathIsJoin: a store's path of a file name is filepath.Join of its
+// directory and the name, slash-separated, for every directory spelling.
+func TestStorePathIsJoin(t *testing.T) {
+	for _, dir := range []string{"", ".", "/", "/prov", "/prov/", "prov", "./prov", "a/../prov", "//prov//x/", ".."} {
+		s := &Store{prefix: dirPrefix(dir)}
+		for _, name := range []string{"prov_p000001.pbs", "prov_pack.l01.0000.psk", "x"} {
+			if got, want := s.path(name), filepath.ToSlash(filepath.Join(dir, name)); got != want {
+				t.Errorf("dir %q: path(%q) = %q, want %q", dir, name, got, want)
+			}
+		}
+	}
+}
+
+// The patterns the listing's name tests replaced, which they must match
+// name for name.
+var (
+	claimedRE = regexp.MustCompile(`^prov_p.*\.(?:pbs|psk)$`)
+	olderRE   = regexp.MustCompile(`^prov_p.*\.(?:ttl|nt)(?:\.sum)?$`)
+)
+
+// TestNameTestsMatchPatterns: olderName refuses, and claimedName claims,
+// exactly the names the patterns match — every file of the committed older
+// stores, the grammar's names, and their near misses.
+func TestNameTestsMatchPatterns(t *testing.T) {
+	names := []string{
+		"prov_px.nt", "prov_p000001.ttl.sum.x", "prov_p000001.seg0000.pbs",
+		"prov_p.nt", "prov_p.ttl.sum", "prov_p.sum", "prov_p", "prov_.nt", "xprov_p1.nt",
+		"prov_p1.NT", "prov_p1.ttl.sum.sum", "prov_p1.nt.sum\n", "prov_p\n1.nt", "prov_p1\n.ttl.sum",
+		"prov_p1.sum.nt", "prov_p1.ttlx", "prov_p1.xnt", "prov_p\xff\xfe.nt", "prov_p1\r.nt",
+		"prov_p.pbs", "prov_p.psk", "prov_p1\n.pbs", "prov_p1.pbs.sum", "prov_pack.l01.0000.psk",
+		"prov_merged.pbs", "prov_p000000.pbs.tmp3", "prov_p\xff.psk",
+	}
+	for _, dir := range []string{"legacy_pbs_v1", "legacy_pbs_v2", "legacy_pbs_v3", "legacy_pbs_v4", "legacy_text"} {
+		err := filepath.WalkDir(filepath.Join("testdata", dir), func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				names = append(names, d.Name())
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	older := 0
+	for _, name := range names {
+		if got, want := olderName(name) != nil, olderRE.MatchString(name); got != want {
+			t.Errorf("olderName(%q) refuses: %v, pattern matches: %v", name, got, want)
+		} else if got {
+			older++
+		}
+		if got, want := claimedName(name), claimedRE.MatchString(name); got != want {
+			t.Errorf("claimedName(%q) = %v, pattern matches: %v", name, got, want)
+		}
+	}
+	if older < 10 {
+		t.Errorf("only %d of %d names are a text store's: the older stores went missing", older, len(names))
+	}
+}
+
 // FuzzStoreName: a name the parser accepts formats back to itself, and a
 // name it rejects is one no formatter call produced.
 func FuzzStoreName(f *testing.F) {
@@ -83,6 +167,9 @@ func FuzzStoreName(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, name string) {
+		if (olderName(name) != nil) != olderRE.MatchString(name) || claimedName(name) != claimedRE.MatchString(name) {
+			t.Fatalf("%q: the name tests and the patterns disagree", name)
+		}
 		n, ok := parseStoreName(name)
 		if !ok {
 			return
@@ -90,7 +177,7 @@ func FuzzStoreName(f *testing.F) {
 		if got := n.String(); got != name {
 			t.Fatalf("parse(%q) = %+v, which formats as %q", name, n, got)
 		}
-		if !claimedRE.MatchString(name) {
+		if !claimedName(name) {
 			t.Fatalf("%q parses but does not claim to be a store name", name)
 		}
 	})
@@ -241,7 +328,7 @@ func TestOutOfGrammarNamesAreOrphans(t *testing.T) {
 	for _, n := range []string{"prov_p1.pbs", "prov_p0000001.pbs", "prov_p000001.seg1.pbs", "prov_p000001.pbs.pbs", "prov_p000000.seg10000.pbs.pbs"} {
 		plants = append(plants, plant{name: n, file: n}, plant{name: n, file: packName(1, 0)})
 	}
-	plants = append(plants, plant{name: segmentName(1, 0), file: "prov_pack.l1.0.psk"})
+	plants = append(plants, plant{name: segmentName(1, 0).String(), file: "prov_pack.l1.0.psk"})
 	for _, p := range plants {
 		what, data := p.name, pbs
 		if p.file != p.name {

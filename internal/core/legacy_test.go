@@ -41,7 +41,7 @@ func olderFixtures(t *testing.T) map[string]map[string][]byte {
 		out["text/"+layout], _ = legacyTextFiles(t, layout)
 	}
 	for v := 1; v <= 4; v++ {
-		out[fmt.Sprintf("golden_merged_v%d", v)] = map[string][]byte{canonicalName(0): olderGolden(t, v)}
+		out[fmt.Sprintf("golden_merged_v%d", v)] = map[string][]byte{canonicalName(0).String(): olderGolden(t, v)}
 	}
 	return out
 }

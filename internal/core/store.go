@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -120,6 +119,7 @@ type OSBackend = backend.Dir
 type Store struct {
 	backend Backend
 	dir     string
+	prefix  string // dirPrefix(dir)
 
 	// Per-process hash-chain heads (DESIGN.md "Integrity & fault
 	// injection"): the SHA-256 of the last file sealed for each pid. Every
@@ -139,7 +139,14 @@ func NewStore(backend Backend, dir string, format Format) (*Store, error) {
 	if err := backend.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	return &Store{backend: backend, dir: dir, chainHead: make(map[int][32]byte)}, nil
+	return &Store{backend: backend, dir: dir, prefix: dirPrefix(dir), chainHead: make(map[int][32]byte)}, nil
+}
+
+// dirPrefix is dir as a path prefix: dirPrefix(dir)+name is
+// filepath.Join(dir, name), slash-separated, for every file name.
+func dirPrefix(dir string) string {
+	p := filepath.ToSlash(filepath.Join(dir, "_"))
+	return p[:len(p)-1]
 }
 
 // OpenStore opens a store from a spec string — the URI-style form every CLI
@@ -165,19 +172,27 @@ func OpenStore(spec string, format Format) (*Store, error) {
 func (s *Store) Backend() StoreBackend { return s.backend }
 
 // path returns the path of a file in the store directory.
-func (s *Store) path(name string) string { return filepath.ToSlash(filepath.Join(s.dir, name)) }
+func (s *Store) path(name string) string { return s.prefix + name }
+
+// namePath returns the path of a store file, formatted in one allocation.
+func (s *Store) namePath(n storeName) string {
+	var buf [128]byte
+	return string(n.appendTo(append(buf[:0], s.prefix...)))
+}
+
+// fileBufs recycles the buffers store files are encoded, sealed and written
+// from. A backend keeps no reference to the bytes WriteFile was handed
+// (backend.Storage), so a buffer is free again once the write returns.
+var fileBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // WriteSubgraph serializes a process sub-graph to its canonical store file,
 // replacing any previous flush from the same process. The write seals a new
 // chain root: its seal's prev is the chain head it supersedes, which is what
 // authenticates segments a crash strands between the canonical rewrite and
-// their removal.
+// their removal. The graph is encoded from its insertion log, read in place.
 func (s *Store) WriteSubgraph(pid int, g *rdf.Graph) error {
-	var buf bytes.Buffer
-	if err := segcodec.Binary.Encode(&buf, g, nil); err != nil {
-		return err
-	}
-	return s.writeChained(canonicalName(pid), buf.Bytes(), true, 0, pid)
+	refs, _ := g.LogSince(0)
+	return s.writeChained(canonicalName(pid), refs, g, segcodec.Chain{Root: true})
 }
 
 // chainPrevLocked returns pid's current chain head, lazily initializing it
@@ -213,21 +228,27 @@ func (s *Store) chainPrevLocked(pid int) ([32]byte, error) {
 	return head, nil
 }
 
-// writeChained writes one pbs file sealed into pid's hash chain: the seal is
-// a trailing chain frame, so file and seal land in one atomic write.
-func (s *Store) writeChained(name string, payload []byte, root bool, seq uint64, pid int) error {
+// writeChained encodes refs as the pbs file n and writes it sealed into its
+// pid's hash chain: the seal, c with the chain head as its prev, is a
+// trailing chain frame appended in the room the encoder left, so the file
+// is built, sealed, hashed and written in one buffer, and file and seal land
+// in one atomic write.
+func (s *Store) writeChained(n storeName, refs []rdf.TripleID, src segcodec.TermSource, c segcodec.Chain) error {
+	buf := fileBufs.Get().(*[]byte)
+	file := segcodec.AppendSegment((*buf)[:0], refs, src)
+	path := s.namePath(n)
 	s.chainMu.Lock()
-	defer s.chainMu.Unlock()
-	prev, err := s.chainPrevLocked(pid)
-	if err != nil {
-		return err
+	var err error
+	if c.Prev, err = s.chainPrevLocked(n.pid); err == nil {
+		file = segcodec.Seal(file, c)
+		if err = s.backend.WriteFile(path, file); err == nil {
+			s.chainHead[n.pid] = fileDigest(file)
+		}
 	}
-	sealed := segcodec.AppendChain(payload, segcodec.Chain{Root: root, Seq: seq, Prev: prev})
-	if err := s.backend.WriteFile(s.path(name), sealed); err != nil {
-		return err
-	}
-	s.chainHead[pid] = fileDigest(sealed)
-	return nil
+	s.chainMu.Unlock()
+	*buf = file[:0]
+	fileBufs.Put(buf)
+	return err
 }
 
 // WriteDeltaSegmentRefs appends one delta segment for a process: the
@@ -240,11 +261,7 @@ func (s *Store) writeChained(name string, payload []byte, root bool, seq uint64,
 // The refs are serialized straight to ID columns with no term rendering at
 // all; the renderer only names the graph whose dictionary they index.
 func (s *Store) WriteDeltaSegmentRefs(pid, seg int, refs []rdf.TripleID, r *rdf.TermRenderer) error {
-	var buf bytes.Buffer
-	if err := segcodec.Binary.(segcodec.RefsEncoder).EncodeRefs(&buf, refs, r.Graph()); err != nil {
-		return err
-	}
-	return s.writeChained(segmentName(pid, seg), buf.Bytes(), false, uint64(seg), pid)
+	return s.writeChained(segmentName(pid, seg), refs, r.Graph(), segcodec.Chain{Seq: uint64(seg)})
 }
 
 // RemoveSegments deletes every delta segment of a process (after its
@@ -392,11 +409,13 @@ func (s *Store) WriteMergedParallel(workers int) (*rdf.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := segcodec.Binary.Encode(&buf, g, nil); err != nil {
-		return nil, err
-	}
-	if err := s.backend.WriteFile(s.path("prov_merged"+segcodec.Binary.Ext()), buf.Bytes()); err != nil {
+	refs, _ := g.LogSince(0)
+	buf := fileBufs.Get().(*[]byte)
+	file := segcodec.AppendSegment((*buf)[:0], refs, g)
+	err = s.backend.WriteFile(s.path("prov_merged"+segcodec.Binary.Ext()), file)
+	*buf = file[:0]
+	fileBufs.Put(buf)
+	if err != nil {
 		return nil, err
 	}
 	return g, nil

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/hpc-io/prov-io/internal/backend"
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
 	"github.com/hpc-io/prov-io/internal/vfs"
 )
 
@@ -254,5 +258,124 @@ func TestConcurrentFlushRemovesSegmentsOnce(t *testing.T) {
 	}
 	if acts := merged.Find(nil, rdf.IRI(rdf.RDFType).Ptr(), model.Write.IRI().Ptr()); len(acts) != rounds*segsPerRound {
 		t.Errorf("persisted activities = %d, want %d", len(acts), rounds*segsPerRound)
+	}
+}
+
+// writeLog is a backend that keeps a copy of every file written through it,
+// in the order the writes completed.
+type writeLog struct {
+	Backend
+	mu     sync.Mutex
+	writes []loggedWrite
+}
+
+type loggedWrite struct {
+	name string
+	data []byte
+}
+
+func (b *writeLog) WriteFile(path string, data []byte) error {
+	if err := b.Backend.WriteFile(path, data); err != nil {
+		return err
+	}
+	b.mu.Lock()
+	b.writes = append(b.writes, loggedWrite{filepath.Base(path), bytes.Clone(data)})
+	b.mu.Unlock()
+	return nil
+}
+
+// TestConcurrentFlushesMatchEncoder: four goroutines each run a periodic
+// async tracker on one store, close it, and track on, so their delta
+// segments, canonical files and post-Close inline segments are encoded,
+// sealed and written from the shared pools at once. Every file a tracker
+// wrote is byte for byte what EncodeRefs and AppendChain make of the same
+// stretch of its insertion log, chained on the file it wrote before.
+func TestConcurrentFlushesMatchEncoder(t *testing.T) {
+	const workers = 4
+	rec := &writeLog{Backend: backend.NewMem()}
+	store, err := NewStore(rec, "/prov", FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trackers := make([]*Tracker, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for pid := range trackers {
+		cfg := DefaultConfig()
+		cfg.Mode = ModePeriodic
+		cfg.FlushEvery = 5 + 2*pid
+		cfg.Pipeline = PipelineAsync
+		cfg.Duration = true
+		trackers[pid] = NewTracker(cfg, store, pid)
+		wg.Add(1)
+		go func(tr *Tracker) {
+			defer wg.Done()
+			prog := tr.RegisterProgram(fmt.Sprintf("rank%d.exe", tr.pid), tr.RegisterUser("alice"))
+			track := func(from, to int) {
+				for i := from; i < to; i++ {
+					obj := tr.TrackDataObject(model.File, fmt.Sprintf("/data/r%d/f%d", tr.pid, i%11), "", rdf.Term{}, prog)
+					tr.TrackIO(model.Write, "H5Dwrite", obj, prog, time.Duration(i)*time.Millisecond, time.Microsecond)
+				}
+			}
+			track(0, 150)
+			if errs[tr.pid] = tr.Close(); errs[tr.pid] != nil {
+				return
+			}
+			track(150, 190) // periodic flushes after Close write inline
+			errs[tr.pid] = tr.Drain()
+		}(trackers[pid])
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	enc := segcodec.Binary.(segcodec.RefsEncoder)
+	written := make([]int, workers)
+	for pid, tr := range trackers {
+		g := tr.Graph()
+		log, _ := g.LogSince(0)
+		var prev [32]byte
+		end := 0 // the log position the last file reached
+		for _, w := range rec.writes {
+			n, ok := parseStoreName(w.name)
+			if !ok || n.pid != pid {
+				continue
+			}
+			written[pid]++
+			c, err := segcodec.DecodeColumns(w.data)
+			if err != nil {
+				t.Fatalf("%s: %v", w.name, err)
+			}
+			// A graph logs each triple once, so a file of k triples holds the
+			// k log entries after the previous file's, or from the start for
+			// a canonical file.
+			from, seal := end, segcodec.Chain{Seq: uint64(n.seg), Prev: prev}
+			if n.kind == kindCanonical {
+				from, seal = 0, segcodec.Chain{Root: true, Prev: prev}
+			}
+			end = from + len(c.Tris)
+			if end > len(log) {
+				t.Fatalf("%s holds %d triples past the end of the log", w.name, end-len(log))
+			}
+			var buf bytes.Buffer
+			if err := enc.EncodeRefs(&buf, log[from:end], g); err != nil {
+				t.Fatal(err)
+			}
+			if want := segcodec.AppendChain(buf.Bytes(), seal); !bytes.Equal(w.data, want) {
+				t.Fatalf("%s (%d bytes) differs from EncodeRefs + AppendChain of log [%d, %d) (%d bytes)", w.name, len(w.data), from, end, len(want))
+			}
+			prev = fileDigest(w.data)
+		}
+		if end != tr.cursor {
+			t.Fatalf("pid %d: its files reach log position %d, its flush cursor %d", pid, end, tr.cursor)
+		}
+	}
+	for pid, n := range written {
+		if n < 10 {
+			t.Errorf("pid %d wrote %d files, want segments before and after its canonical file", pid, n)
+		}
 	}
 }

@@ -83,8 +83,8 @@ type Tracker struct {
 }
 
 // flushJob is one delta segment handed to the background writer: the
-// insertion-log refs of the delta (12 bytes per triple, encoded straight
-// to ID columns at write time).
+// insertion-log refs of the delta, read in place (the log is append-only),
+// and encoded straight to ID columns at write time.
 type flushJob struct {
 	seg  int
 	refs []rdf.TripleID
@@ -177,12 +177,12 @@ func (t *Tracker) addRecord(triples []rdf.TripleID) {
 		case PipelineInline:
 			// Handled below, outside the lock (full re-serialization).
 		default:
-			// Snapshot the delta since the last flush under mu: RefsSince
+			// Pin the delta since the last flush under mu: LogSince
 			// captures the refs and the end-of-log position under one graph
-			// lock, and the cursor advances atomically with the extraction
+			// lock, and the cursor advances atomically with the capture
 			// under mu, so concurrent periodic flushes produce disjoint
 			// segments and no record is lost or duplicated.
-			job.refs, t.cursor = t.graph.RefsSince(t.cursor)
+			job.refs, t.cursor = t.graph.LogSince(t.cursor)
 			if len(job.refs) == 0 {
 				needFlush = false
 				break
@@ -501,8 +501,8 @@ func (t *Tracker) Flush() error {
 	t.mu.Unlock()
 	// The graph is internally synchronized and is serialized without cloning
 	// it (cloning would double peak memory when thousands of rank trackers
-	// flush together): the encoder works from one copy of the insertion
-	// log's 12-byte refs and builds no reader-side index.
+	// flush together): the encoder reads the insertion log in place and
+	// builds no reader-side index.
 	if t.charge {
 		t.clock.Advance(t.cost.SerializeCost(t.graph.Len()))
 	}

@@ -3,6 +3,7 @@ package rdf
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,7 +92,7 @@ const (
 
 // TripleID is a triple in dictionary-ID form: one insertion-log entry. The
 // delta flush pipeline serializes segments straight from these 12-byte refs
-// (RefsSince) instead of materializing []Triple.
+// (LogSince) instead of materializing []Triple.
 type TripleID struct{ S, P, O ID }
 
 // hash mixes the three IDs. IDs are dense allocation-order indexes and a
@@ -388,17 +389,20 @@ func (g *Graph) TermCount() int {
 	return g.dict.count()
 }
 
-// RefsSince returns an owned copy of the insertion-log entries at positions
-// >= n as 12-byte TripleIDs, plus the log position the delta extends to (the
-// caller's next cursor). Capturing the end position under the same lock as
-// the refs means no insert can slip between the copy and the cursor advance.
+// LogSince returns the insertion-log entries at positions >= n in place,
+// plus the log position the delta extends to (the caller's next cursor).
+// Capturing the end position under the same lock as the refs means no
+// insert can slip between the capture and the cursor advance. The refs are
+// pinned the way Snapshot pins its prefix: capped, so nothing appends
+// through them, and immutable, because the log is append-only and a growth
+// abandons the old array. Callers must treat them as read-only.
 //
 // This is the delta cursor of the incremental flush pipeline: serializing
-// RefsSince(c) and advancing c to the returned end after each flush yields
+// LogSince(c) and advancing c to the returned end after each flush yields
 // delta segments whose union equals the full graph, while each flush stays
-// O(new triples) instead of O(graph). The flusher encodes the refs straight
-// to ID columns instead of materializing a []Triple per delta.
-func (g *Graph) RefsSince(n int) (refs []TripleID, end int) {
+// O(new triples) instead of O(graph) and copies no ref. The flusher encodes
+// the refs straight to ID columns instead of materializing a []Triple.
+func (g *Graph) LogSince(n int) (refs []TripleID, end int) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	n = max(n, 0)
@@ -406,7 +410,14 @@ func (g *Graph) RefsSince(n int) (refs []TripleID, end int) {
 	if n >= end {
 		return nil, end
 	}
-	return append(make([]TripleID, 0, end-n), g.log[n:]...), end
+	return g.log[n:end:end], end
+}
+
+// RefsSince is LogSince returning an owned copy, for a caller that rewrites
+// the refs.
+func (g *Graph) RefsSince(n int) (refs []TripleID, end int) {
+	refs, end = g.LogSince(n)
+	return slices.Clone(refs), end
 }
 
 // Find returns all triples matching the pattern. A nil pointer matches any

@@ -131,6 +131,7 @@ func TestGraphModelEquivalence(t *testing.T) {
 			return tr(fmt.Sprintf("s%d", rng.Intn(60)), fmt.Sprintf("p%d", rng.Intn(5)), fmt.Sprintf("o%d", rng.Intn(30)))
 		}
 		var pins []pinned
+		var views [][2][]TripleID // a LogSince view and the copy RefsSince took with it
 		maxTable := 0
 		for step := 0; step < 3000; step++ {
 			switch op := rng.Intn(7); {
@@ -202,6 +203,11 @@ func TestGraphModelEquivalence(t *testing.T) {
 			if got := deltaOf(g, n); !slices.Equal(got, m.log[n:]) {
 				t.Fatalf("%s: RefsSince(%d) is not the model's log from %d in order", at, n, n)
 			}
+			if view, vend := g.LogSince(n); vend != end || !slices.Equal(view, refs) || cap(view) != len(view) {
+				t.Fatalf("%s: LogSince(%d) = %d refs (cap %d) to %d, RefsSince %d to %d", at, n, len(view), cap(view), vend, len(refs), end)
+			} else {
+				views = append(views, [2][]TripleID{view, refs})
+			}
 
 			// Three merges and a rebuilt reference graph per call: every fourth
 			// checkpoint keeps the test's time under the race detector.
@@ -229,6 +235,11 @@ func TestGraphModelEquivalence(t *testing.T) {
 			checkPinned(t, p.snap, p.want, fmt.Sprintf("seed %d: snapshot %d after the run", seed, i))
 			if !slices.Equal(p.want, m.log[:len(p.want)]) {
 				t.Fatalf("seed %d: snapshot %d is not a prefix of the final log", seed, i)
+			}
+		}
+		for i, v := range views {
+			if !slices.Equal(v[0], v[1]) {
+				t.Fatalf("seed %d: LogSince view %d changed after the run", seed, i)
 			}
 		}
 		if maxTable <= minTable {

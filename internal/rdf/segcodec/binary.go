@@ -112,11 +112,11 @@ func pbsBody(data []byte) (version byte, rest []byte, err error) {
 
 func (binCodec) Ext() string { return ".pbs" }
 
-// Encode serializes g from its insertion log: the refs go through
-// the same integer-ID dictionary builder as a delta flush, so closing a
-// tracker builds no snapshot index and hashes no term.
+// Encode serializes g from its insertion log, read in place: the refs go
+// through the same integer-ID dictionary builder as a delta flush, so
+// closing a tracker builds no snapshot index and hashes no term.
 func (c binCodec) Encode(w io.Writer, g *rdf.Graph, _ *rdf.Namespaces) error {
-	refs, _ := g.RefsSince(0)
+	refs, _ := g.LogSince(0)
 	return c.EncodeRefs(w, refs, g)
 }
 
@@ -126,8 +126,21 @@ func (c binCodec) Encode(w io.Writer, g *rdf.Graph, _ *rdf.Namespaces) error {
 // and deduplicated, so the output is a function of the triple set alone,
 // whichever entry point and whatever log order produced it.
 func (binCodec) EncodeRefs(w io.Writer, refs []rdf.TripleID, src TermSource) error {
-	terms, tris := refTriples(refs, src)
-	return writeSegment(w, terms, sortDedupTriples(tris, len(terms)))
+	_, err := w.Write(AppendSegment(nil, refs, src))
+	return err
+}
+
+// AppendSegment appends to dst the file EncodeRefs writes for refs, with
+// room left after it for the chain frame Seal appends: a store builds, seals
+// and writes a segment in one buffer. Everything else the build needs is
+// the pooled scratch's, so with a dst large enough it allocates nothing.
+func AppendSegment(dst []byte, refs []rdf.TripleID, src TermSource) []byte {
+	sc := encPool.Get().(*encScratch)
+	terms, tris := sc.refTriples(refs, src)
+	tris = sc.sortDedup(tris, len(terms))
+	dst = sc.appendSegment(dst, terms, tris, terms[len(terms):len(terms)])
+	sc.release()
+	return dst
 }
 
 // tagPair is the (Lang, Datatype) pair of a literal: one entry of a
@@ -159,28 +172,26 @@ func collectTags(tags []tagPair, literals []rdf.Term) []tagPair {
 	return slices.Compact(tags)
 }
 
-// writeSegment emits the framed segment of a canonical dictionary and its
-// sorted, distinct local-ID rows (indexes into terms), exactly as given. A
-// stats frame summarizing the segment (see SegStats) follows the triple
-// block.
-func writeSegment(w io.Writer, terms []rdf.Term, tris [][3]uint32) error {
-	dict := encodeDict(terms)
-	st := ComputeStats(terms, tris)
-	sta := st.encode()
+// appendSegment appends the framed segment of a canonical dictionary and
+// its sorted, distinct local-ID rows (indexes into terms), exactly as given,
+// and leaves room for a chain frame after it. A stats frame summarizing the
+// segment (see SegStats) follows the triple block; its predicate list is
+// appended to preds. The three payloads are built end to end in the
+// scratch, so the file is framed from them in one copy. The triple block
+// goes first: the room it takes covers the other two.
+func (sc *encScratch) appendSegment(dst []byte, terms []rdf.Term, tris [][3]uint32, preds []rdf.Term) []byte {
+	blocks := sc.appendCols(sc.blocks[:0], tris)
+	cols := len(blocks)
+	blocks = sc.appendDict(blocks, terms)
+	dict := len(blocks)
+	blocks = sc.appendStats(blocks, terms, tris, preds)
+	sc.blocks = blocks
 
-	// The triple block is built in the scratch, so the file is the one buffer
-	// a segment allocates beyond the dictionary block and the stats.
-	sc := encPool.Get().(*encScratch)
-	col := sc.appendCols(sc.col[:0], tris)
-	out := make([]byte, 0, len(pbsMagic)+1+len(dict)+len(col)+len(sta)+36)
-	out = append(append(out, pbsMagic...), pbsVersion)
-	out = appendFrame(out, dict)
-	out = appendFrame(out, col)
-	out = appendFrame(out, sta)
-	sc.col = col
-	encPool.Put(sc)
-	_, err := w.Write(out)
-	return err
+	dst = grow(dst, len(pbsMagic)+1+3*frameOverhead+len(blocks)+chainFrameRoom)
+	dst = append(append(dst, pbsMagic...), pbsVersion)
+	dst = appendFrame(dst, blocks[cols:dict])
+	dst = appendFrame(dst, blocks[:cols])
+	return appendFrame(dst, blocks[dict:])
 }
 
 // integerTag is the pair of the literals a dictionary block may store as
@@ -227,18 +238,17 @@ func numericValue(t *rdf.Term) (int64, bool) {
 	return canonicalInt(t.Value)
 }
 
-// encodeDict renders the dictionary block of a dictionary in the canonical
-// order. The block is sized up front so a flush does not double it up from
-// empty: tracked provenance measures 3.7–8.1 bytes per term (front-coded
-// IRIs, an integer literal's delta in a few bytes) after a tag table of some
-// 50 bytes; a richer dictionary grows the slice.
-func encodeDict(terms []rdf.Term) []byte {
+// appendDict appends the dictionary block of a dictionary in the canonical
+// order. Room for the block is made up front so a flush does not double it
+// up: tracked provenance measures 3.7–8.1 bytes per term (front-coded IRIs,
+// an integer literal's delta in a few bytes) after a tag table of some 50
+// bytes; a richer dictionary grows the slice.
+func (sc *encScratch) appendDict(dict []byte, terms []rdf.Term) []byte {
 	// Sorted kind-first, so the kinds are two boundaries.
 	nonLiterals := sort.Search(len(terms), func(i int) bool { return terms[i].Kind > rdf.BlankTerm })
 	iris := sort.Search(nonLiterals, func(i int) bool { return terms[i].Kind > rdf.IRITerm })
 	literals := terms[nonLiterals:]
 
-	sc := encPool.Get().(*encScratch)
 	tags := collectTags(sc.tags[:0], literals)
 	integer, ok := slices.BinarySearchFunc(tags, integerTag, tagPair.compare)
 	if !ok {
@@ -246,7 +256,7 @@ func encodeDict(terms []rdf.Term) []byte {
 	}
 	// The run table: a literal's head is its tag index and whether it is
 	// numeric, and the literals of one head in a row are one run.
-	runs := sc.litRuns[:0]
+	runs := sc.runs[:0]
 	at := -1 // the previous literal's index in tags
 	for i := range literals {
 		t := &literals[i]
@@ -266,7 +276,7 @@ func encodeDict(terms []rdf.Term) []byte {
 		}
 	}
 
-	dict := make([]byte, 0, 10*len(terms)+64)
+	dict = grow(dict, 10*len(terms)+64)
 	dict = binary.AppendUvarint(dict, uint64(iris))
 	dict = binary.AppendUvarint(dict, uint64(nonLiterals-iris))
 	dict = binary.AppendUvarint(dict, uint64(len(literals)))
@@ -302,8 +312,7 @@ func encodeDict(terms []rdf.Term) []byte {
 	// The pairs point at the source dictionary's strings: drop them before the
 	// scratch goes back, so the pool never keeps a graph's memory alive.
 	clear(tags)
-	sc.tags, sc.litRuns = tags, runs
-	encPool.Put(sc)
+	sc.tags, sc.runs = tags, runs
 	return dict
 }
 
@@ -331,8 +340,8 @@ type Columns struct {
 	Terms []rdf.Term
 	// Tris holds the local-ID triples in file order, every one of valid RDF
 	// shape. In a decoded segment they are strictly ascending in (s, p, o)
-	// order (DecodeColumns rejects any other file); graphColumns returns
-	// them in log order.
+	// order (DecodeColumns rejects any other file); the tests' graphColumns
+	// returns them in log order.
 	Tris [][3]uint32
 	// Stats is the segment's stats frame, verified equal to the stats its
 	// contents derive; nil for columns that were not decoded (graphColumns).
@@ -742,6 +751,10 @@ func appendFrontCoded(dst []byte, prev, v string) []byte {
 // ---- framing and varint primitives ----
 
 var crcTable = crc32.IEEETable
+
+// frameOverhead bounds the bytes a frame adds to its payload: the length
+// varint of a payload under 4 GiB and the CRC.
+const frameOverhead = 5 + 4
 
 // appendFrame appends uvarint(len) | payload | crc32(payload) to dst.
 func appendFrame(dst, payload []byte) []byte {

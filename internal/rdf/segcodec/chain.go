@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 )
 
 // Chain is the per-file hash-chain seal of the provenance store's integrity
@@ -43,22 +44,34 @@ const chainRootFlag = 0x01
 // start of a process's history.
 func (c Chain) PrevIsZero() bool { return c.Prev == [32]byte{} }
 
-// AppendChain returns file with an embedded chain frame appended. file must
-// be a complete binary segment (magic + data frames + optional stats frame);
-// the result still decodes via the binary codec, which tolerates exactly one
-// trailing chain frame.
-func AppendChain(file []byte, c Chain) []byte {
+// chainFrameRoom bounds a chain frame — its length byte, a payload of
+// magic, flags, seq and prev, and the CRC — and is the room AppendSegment
+// leaves after a segment for Seal.
+const chainFrameRoom = 1 + (4 + 1 + binary.MaxVarintLen64 + 32) + 4
+
+// Seal appends c's chain frame to file, a complete binary segment (magic +
+// data frames + stats frame), in place when its capacity holds the frame,
+// which a file from AppendSegment's does. The result still decodes via the
+// binary codec, which tolerates exactly one trailing chain frame.
+func Seal(file []byte, c Chain) []byte {
 	var flags byte
 	if c.Root {
 		flags |= chainRootFlag
 	}
-	p := make([]byte, 0, len(chainMagic)+1+binary.MaxVarintLen64+len(c.Prev))
-	p = append(append(p, chainMagic...), flags)
-	p = binary.AppendUvarint(p, c.Seq)
-	p = append(p, c.Prev[:]...)
+	// The frame as appendFrame spells it, its payload written in place.
+	var seq [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(seq[:], c.Seq)
+	file = binary.AppendUvarint(file, uint64(len(chainMagic)+1+n+len(c.Prev)))
+	at := len(file)
+	file = append(append(file, chainMagic...), flags)
+	file = append(append(file, seq[:n]...), c.Prev[:]...)
+	return binary.LittleEndian.AppendUint32(file, crc32.Checksum(file[at:], crcTable))
+}
 
-	out := make([]byte, 0, len(file)+len(p)+12)
-	return appendFrame(append(out, file...), p)
+// AppendChain returns a copy of file with c's chain frame appended: Seal,
+// leaving file as it was.
+func AppendChain(file []byte, c Chain) []byte {
+	return Seal(append(make([]byte, 0, len(file)+chainFrameRoom), file...), c)
 }
 
 // parseChainPayload decodes the chain frame payload (after CRC check).

@@ -9,7 +9,7 @@ import (
 
 // The three kernels every binary-segment writer shares: the dictionary
 // builder (refTriples), the dictionary order (sortTermPerm) and the row sort
-// (sortDedupTriples). A segment's bytes are a function of its triple set
+// (sortDedup). A segment's bytes are a function of its triple set
 // alone, so the kernels only have to agree with rdf.TermLess and with the
 // (s, p, o) row order; how they get there is free. They get there without
 // hashing, without reflection and without a comparator on the rows: the rows
@@ -17,36 +17,42 @@ import (
 // each term's distinguishing bytes once.
 
 // encScratch is the working memory of one segment build, pooled so a flush
-// allocates only what it returns. Nothing in it points into a graph between
-// builds.
+// allocates nothing but the file it returns. Nothing in it points into a
+// graph between builds: terms, the one slice of graph values, is cleared
+// before it goes back (release).
 type encScratch struct {
 	// local maps a graph ID to its segment-local ID plus one. It is all zero
 	// between builds: a build clears only the entries it set (gids), so its
 	// cost follows the delta it encodes, not the graph the delta came from.
 	local []uint32
-	gids  []rdf.ID    // the distinct graph IDs of a build, in first-mention order
-	perm  []uint32    // the dictionary order, as positions in gids
+	gids  []rdf.ID // the distinct graph IDs of a build, in first-mention order
+	// perm is the dictionary order, as positions in gids, and then the row
+	// sort's three histograms, which the dictionary builder sizes it for.
+	perm  []uint32
+	terms []rdf.Term  // the dictionary, then room for the stats' predicate list
+	tris  [][3]uint32 // the local-ID rows
 	rows  [][3]uint32 // the row sort's second buffer
-	count []uint32    // the row sort's three histograms
-	tags  []tagPair   // the dictionary block's tag table (encodeDict clears it)
-	// The dictionary block's literal runs: (tagIndex<<1 | numeric, count).
-	litRuns [][2]uint32
+	tags  []tagPair   // the dictionary block's tag table (appendDict clears it)
 
 	// The triple block's: predAt maps a predicate's local ID to its table
 	// position plus one (all zero between builds, like local), preds is the
-	// table, lastO the last object per table entry, runs the (subject, shape)
-	// of every subject run, and col the block writeSegment frames.
+	// table followed by the last object per table entry, and runs the
+	// (subject, shape) of every subject run; before them, runs held the
+	// dictionary block's literal runs, (tagIndex<<1 | numeric, count).
 	predAt []uint32
 	preds  []uint32
-	lastO  []uint32
 	runs   [][2]uint32
 	shapes shapeSet
-	col    []byte
+
+	// blocks holds the dictionary, triple and stats frame payloads of one
+	// segment end to end, and bits the stats' predicate and numeric marks.
+	blocks []byte
+	bits   []uint64
 }
 
-// encPool lends a scratch to one kernel call. A kernel puts it back on its
-// way out, never deferred: a call that panicked leaves local dirty, and such
-// a scratch must not reach the next build.
+// encPool lends a scratch to one segment build. The build puts it back on
+// its way out, never deferred: a build that panicked leaves local dirty, and
+// such a scratch must not reach the next build.
 //
 // Whether a call finds a used scratch or a fresh one depends on the P it runs
 // on and on the collections since the last Put, not on the segment, so a
@@ -70,9 +76,10 @@ func grow[S ~[]E, E any](s S, n int) S {
 // refTriples builds the canonically sorted segment-local dictionary of the
 // terms the refs name, and the refs as local-ID rows in the order given
 // (unsorted, undeduplicated). Every ID must be one src has handed out. Terms
-// are fetched from src once per distinct ID; both results are the caller's.
-func refTriples(refs []rdf.TripleID, src TermSource) ([]rdf.Term, [][3]uint32) {
-	sc := encPool.Get().(*encScratch)
+// are fetched from src once per distinct ID. Both results are the scratch's,
+// and the dictionary leaves room after it for the predicate list of its
+// stats (maxPredList + 1 terms).
+func (sc *encScratch) refTriples(refs []rdf.TripleID, src TermSource) ([]rdf.Term, [][3]uint32) {
 	var top rdf.ID
 	for _, r := range refs {
 		top = max(top, r.S, r.P, r.O)
@@ -93,8 +100,8 @@ func refTriples(refs []rdf.TripleID, src TermSource) ([]rdf.Term, [][3]uint32) {
 			}
 		}
 	}
-	terms := make([]rdf.Term, len(gids))
-	perm := grow(sc.perm[:0], len(gids))
+	terms := grow(sc.terms[:0], len(gids)+maxPredList+1)[:len(gids)]
+	perm := grow(sc.perm[:0], 3*(len(gids)+1))
 	for i, id := range gids {
 		terms[i] = src.TermOf(id)
 		perm = append(perm, uint32(i))
@@ -103,7 +110,7 @@ func refTriples(refs []rdf.TripleID, src TermSource) ([]rdf.Term, [][3]uint32) {
 	for li, at := range perm {
 		local[gids[at]] = uint32(li) + 1
 	}
-	tris := make([][3]uint32, len(refs))
+	tris := grow(sc.tris[:0], len(refs))[:len(refs)]
 	for i, r := range refs {
 		tris[i] = [3]uint32{local[r.S] - 1, local[r.P] - 1, local[r.O] - 1}
 	}
@@ -111,9 +118,15 @@ func refTriples(refs []rdf.TripleID, src TermSource) ([]rdf.Term, [][3]uint32) {
 		local[id] = 0
 	}
 	permuteTerms(terms, perm)
-	sc.gids, sc.perm = gids, perm
-	encPool.Put(sc)
+	sc.gids, sc.perm, sc.terms, sc.tris = gids, perm, terms, tris
 	return terms, tris
+}
+
+// release clears the graph's terms out of the scratch, the dictionary and
+// the predicate list after it, and puts the scratch back.
+func (sc *encScratch) release() {
+	clear(sc.terms[:len(sc.terms)+maxPredList+1])
+	encPool.Put(sc)
 }
 
 // permuteTerms moves terms[perm[i]] to terms[i] for every i, in place, by
@@ -220,20 +233,19 @@ func sortByTermLess(terms []rdf.Term, perm []uint32) {
 	})
 }
 
-// sortDedupTriples sorts local-ID rows, every ID below nTerms, into the
-// canonical (s, p, o) order and drops duplicates, in place. It is an LSD
-// counting sort — three stable scatters, by O, then P, then S — so it takes
-// O(rows + nTerms) steps and compares nothing.
-func sortDedupTriples(tris [][3]uint32, nTerms int) [][3]uint32 {
+// sortDedup sorts local-ID rows, every ID below nTerms, into the canonical
+// (s, p, o) order and drops duplicates, in place. It is an LSD counting sort
+// — three stable scatters, by O, then P, then S — so it takes O(rows +
+// nTerms) steps and compares nothing.
+func (sc *encScratch) sortDedup(tris [][3]uint32, nTerms int) [][3]uint32 {
 	if len(tris) < 2 {
 		return tris
 	}
-	sc := encPool.Get().(*encScratch)
 	// start[c][k] becomes the position of column c's first row with key k.
 	n := nTerms + 1
-	sc.count = grow(sc.count[:0], 3*n)[:3*n]
-	clear(sc.count)
-	start := [3][]uint32{sc.count[:n], sc.count[n : 2*n], sc.count[2*n:]}
+	count := grow(sc.perm[:0], 3*n)[:3*n]
+	clear(count)
+	start := [3][]uint32{count[:n], count[n : 2*n], count[2*n:]}
 	for _, t := range tris {
 		start[0][t[0]+1]++
 		start[1][t[1]+1]++
@@ -261,6 +273,6 @@ func sortDedupTriples(tris [][3]uint32, nTerms int) [][3]uint32 {
 			dedup = append(dedup, t)
 		}
 	}
-	encPool.Put(sc)
+	sc.perm = count
 	return dedup
 }

@@ -14,7 +14,7 @@ import (
 // long as it needs to be.
 //
 // Each unit's dictionary is strictly ascending (every decoder holds that,
-// and so does graphColumns), and so are its rows when DecodeColumns
+// and so does the tests' graphColumns), and so are its rows when DecodeColumns
 // returned them. A k-way merge of the dictionaries therefore numbers the
 // union's terms in order and makes every unit's local -> global remap
 // monotone, so each unit's remapped rows keep their order. A counting sort

@@ -125,12 +125,13 @@ func (b bloomFilter) empty() bool { return len(b.Bits) == 0 }
 
 // newBloom returns a filter sized for n terms.
 func newBloom(n int) bloomFilter {
-	bits := n * bloomBitsPerTerm
-	if bits < 64 {
-		bits = 64
-	}
-	bits = (bits + 63) &^ 63
-	return bloomFilter{K: bloomHashes, Bits: make([]byte, bits/8)}
+	return bloomFilter{K: bloomHashes, Bits: make([]byte, bloomBytes(n))}
+}
+
+// bloomBytes is the size of a filter for n terms.
+func bloomBytes(n int) int {
+	bits := max(n*bloomBitsPerTerm, 64)
+	return (bits + 63) &^ 63 / 8
 }
 
 // FNV-1a, 64 bits.
@@ -178,23 +179,45 @@ func (b bloomFilter) has(t rdf.Term) bool {
 
 // ComputeStats derives the stats block of a segment from its sorted term
 // dictionary and its sorted, deduplicated local-ID triples — the exact arrays
-// writeSegment serializes, so encode and decode agree byte-for-byte on the
+// a segment serializes, so encode and decode agree byte-for-byte on the
 // canonical stats frame. It is two independent halves: the range and the
 // Bloom filter read only the dictionary, everything else only the rows and
 // the boundary terms they name.
 func ComputeStats(terms []rdf.Term, tris [][3]uint32) SegStats {
-	st := rowStats(terms, tris)
-	st.Gen = staGenRange
-	var stack [64]uint64
-	var numeric []uint64 // a bit per term; on the stack for a flush-sized dictionary
-	if words := (len(terms) + 63) / 64; words <= len(stack) {
-		numeric = stack[:words]
-	} else {
-		numeric = make([]uint64, words)
-	}
-	st.Bloom = newBloom(len(terms) - st.markNumeric(terms, numeric, nil))
+	st, numeric, filtered := segStats(terms, tris, make([]uint64, 2*((len(terms)+63)/64)), make([]rdf.Term, 0, 16))
+	st.Bloom = newBloom(filtered)
 	st.Bloom.addTerms(terms, numeric)
 	return st
+}
+
+// segStats is ComputeStats up to the Bloom filter, in memory the caller
+// lends: bits, zeroed, holds two bits per term — which stand as predicates,
+// and which are numeric literals — and the predicate list is appended to
+// preds. It returns the numeric marks, which the filter skips, and how many
+// terms the filter holds.
+func segStats(terms []rdf.Term, tris [][3]uint32, bits []uint64, preds []rdf.Term) (st SegStats, numeric []uint64, filtered int) {
+	words := len(bits) / 2
+	st = rowStats(terms, tris, bits[:words], preds)
+	st.Gen = staGenRange
+	numeric = bits[words:]
+	return st, numeric, len(terms) - st.markNumeric(terms, numeric, nil)
+}
+
+// appendStats appends the stats frame payload of a segment, as ComputeStats
+// and encode spell it, with the scratch's memory: the Bloom filter's bits
+// are set in place, in the payload's tail.
+func (sc *encScratch) appendStats(dst []byte, terms []rdf.Term, tris [][3]uint32, preds []rdf.Term) []byte {
+	words := 2 * ((len(terms) + 63) / 64)
+	sc.bits = grow(sc.bits[:0], words)[:words]
+	clear(sc.bits)
+	st, numeric, filtered := segStats(terms, tris, sc.bits, preds)
+	st.Bloom.K = bloomHashes
+	n := bloomBytes(filtered)
+	dst = st.appendHead(grow(dst, st.headBound()+n), n)
+	at := len(dst)
+	dst = append(dst, make([]byte, n)...)
+	bloomFilter{K: bloomHashes, Bits: dst[at:]}.addTerms(terms, numeric)
+	return dst
 }
 
 // markNumeric sets the bit in mark (a bit per term) of every numeric literal
@@ -362,14 +385,15 @@ func hashTags(lane *[4]uint64, lang, datatype string) {
 }
 
 // rowStats is ComputeStats without the Bloom filter: the counts, the zone
-// maps and the predicate list.
-func rowStats(terms []rdf.Term, tris [][3]uint32) SegStats {
+// maps and the predicate list, appended to preds. isPred is a zeroed bit
+// per term.
+func rowStats(terms []rdf.Term, tris [][3]uint32, isPred []uint64, preds []rdf.Term) SegStats {
 	st := SegStats{Triples: uint64(len(tris)), Terms: uint64(len(terms))}
 	if len(tris) == 0 {
 		st.Preds = []rdf.Term{}
 		return st
 	}
-	b := boundsOf(terms, tris)
+	b := boundsOf(tris, isPred)
 	// The dictionary is sorted in canonical term order, so the boundary
 	// local IDs map straight to boundary terms.
 	for c := 0; c < 3; c++ {
@@ -378,7 +402,6 @@ func rowStats(terms []rdf.Term, tris [][3]uint32) SegStats {
 	// For the same reason the set bits, walked upward, are the predicate
 	// list in its canonical order; one predicate past the cap settles that
 	// the list is omitted.
-	preds := make([]rdf.Term, 0, 16)
 	for w, word := range b.isPred {
 		for ; word != 0 && len(preds) <= maxPredList; word &= word - 1 {
 			preds = append(preds, terms[w*64+bits.TrailingZeros64(word)])
@@ -398,9 +421,10 @@ type rowBounds struct {
 	isPred   []uint64
 }
 
-// boundsOf reads the bounds off non-empty rows over a dictionary of terms.
-func boundsOf(terms []rdf.Term, tris [][3]uint32) rowBounds {
-	b := rowBounds{min: tris[0], max: tris[0], isPred: make([]uint64, (len(terms)+63)/64)}
+// boundsOf reads the bounds off non-empty rows, marking the predicates in
+// isPred, a zeroed bit per term of their dictionary.
+func boundsOf(tris [][3]uint32, isPred []uint64) rowBounds {
+	b := rowBounds{min: tris[0], max: tris[0], isPred: isPred}
 	for _, t := range tris {
 		for c := 0; c < 3; c++ {
 			b.min[c] = min(b.min[c], t[c])
@@ -420,26 +444,22 @@ func (st *SegStats) setZone(c int, lo, hi rdf.Term) {
 }
 
 // ComputeGraphStats is ComputeStats over a whole graph, read off its
-// insertion log like Encode.
+// insertion log through the EncodeRefs dictionary builder, like Encode.
 func ComputeGraphStats(g *rdf.Graph) SegStats {
-	c := graphColumns(g)
-	return ComputeStats(c.Terms, sortDedupTriples(c.Tris, len(c.Terms)))
-}
-
-// graphColumns returns a graph's contents in segment shape, read off its
-// insertion log through the EncodeRefs dictionary builder: what Encode
-// serializes. The rows are distinct, in log order.
-func graphColumns(g *rdf.Graph) *Columns {
-	refs, _ := g.RefsSince(0)
-	terms, tris := refTriples(refs, g)
-	return &Columns{Terms: terms, Tris: tris}
+	refs, _ := g.LogSince(0)
+	sc := encPool.Get().(*encScratch)
+	terms, tris := sc.refTriples(refs, g)
+	st := ComputeStats(terms, sc.sortDedup(tris, len(terms)))
+	sc.release()
+	return st
 }
 
 // UnionStats computes the stats of the union of the members' triples — the
 // pack-level stats block — without building the union: there is no union
 // dictionary and no union row array, sorted or not. Every member's terms
-// are distinct and so are its rows (DecodeColumns and graphColumns both
-// guarantee it), and no field of the stats needs the union in order:
+// are distinct and so are its rows (DecodeColumns and the tests'
+// graphColumns both guarantee it), and no field of the stats needs the
+// union in order:
 //
 //   - Terms: one open-addressed table, keyed by each member term's termHash
 //     and settled by comparing the terms, numbers the distinct terms and
@@ -486,7 +506,7 @@ func unionStats(members []*Columns, workers int, hash func(dst []uint64, terms [
 		eachRun(len(c.Terms), numeric[m], len(c.Terms), func(i, j int) { hash(keys[i:i], c.Terms[i:j]) })
 		hashes[m] = keys
 		if len(c.Tris) > 0 {
-			bounds[m] = boundsOf(c.Terms, c.Tris)
+			bounds[m] = boundsOf(c.Tris, make([]uint64, (len(c.Terms)+63)/64))
 		}
 	})
 
@@ -615,14 +635,26 @@ func unionStats(members []*Columns, workers int, hash func(dst []uint64, terms [
 // encode renders the canonical stats frame payload, in one buffer sized up
 // front.
 func (st *SegStats) encode() []byte {
-	size := len(staTag) + 2 + 5*binary.MaxVarintLen64 + len(st.Bloom.Bits)
+	b := st.appendHead(make([]byte, 0, st.headBound()+len(st.Bloom.Bits)), len(st.Bloom.Bits))
+	return append(b, st.Bloom.Bits...)
+}
+
+// headBound is an upper bound on the bytes appendHead writes.
+func (st *SegStats) headBound() int {
+	size := len(staTag) + 2 + 5*binary.MaxVarintLen64
 	for c := 0; c < 3; c++ {
 		size += termBound(st.Min[c]) + termBound(st.Max[c])
 	}
 	for _, p := range st.Preds {
 		size += termBound(p)
 	}
-	b := append(make([]byte, 0, size), staTag...)
+	return size
+}
+
+// appendHead appends the stats frame payload up to the Bloom filter's bits,
+// which are bloomLen bytes (none: no filter) and the payload's tail.
+func (st *SegStats) appendHead(b []byte, bloomLen int) []byte {
+	b = append(b, staTag...)
 	b = append(b, st.Gen)
 	b = binary.AppendUvarint(b, st.Triples)
 	b = binary.AppendUvarint(b, st.Terms)
@@ -635,7 +667,7 @@ func (st *SegStats) encode() []byte {
 	if st.Preds != nil {
 		flags |= staPreds
 	}
-	if !st.Bloom.empty() {
+	if bloomLen > 0 {
 		flags |= staBloom
 	}
 	if st.NumOK {
@@ -665,10 +697,9 @@ func (st *SegStats) encode() []byte {
 		b = binary.AppendVarint(b, st.NumMin)
 		b = binary.AppendUvarint(b, uint64(st.NumMax)-uint64(st.NumMin))
 	}
-	if !st.Bloom.empty() {
+	if bloomLen > 0 {
 		b = append(b, st.Bloom.K)
-		b = binary.AppendUvarint(b, uint64(len(st.Bloom.Bits)))
-		b = append(b, st.Bloom.Bits...)
+		b = binary.AppendUvarint(b, uint64(bloomLen))
 	}
 	return b
 }

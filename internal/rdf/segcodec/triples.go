@@ -49,7 +49,8 @@ func (sc *encScratch) appendCols(dst []byte, tris [][3]uint32) []byte {
 	if need := int(top) + 1; len(tris) > 0 && need > len(sc.predAt) {
 		sc.predAt = make([]uint32, 2*need)
 	}
-	predAt, preds := sc.predAt, grow(sc.preds[:0], min(int(top)+1, len(tris)))
+	// Twice the entries: the last objects follow the table.
+	predAt, preds := sc.predAt, grow(sc.preds[:0], 2*min(int(top)+1, len(tris)))
 	for _, t := range tris {
 		if predAt[t[1]] == 0 {
 			predAt[t[1]] = 1
@@ -110,7 +111,7 @@ func (sc *encScratch) appendCols(dst []byte, tris [][3]uint32) []byte {
 		prev = r[0]
 	}
 
-	last := grow(sc.lastO[:0], len(preds))[:len(preds)]
+	last := preds[len(preds) : 2*len(preds)]
 	clear(last)
 	for _, t := range tris {
 		k := predAt[t[1]] - 1
@@ -120,7 +121,7 @@ func (sc *encScratch) appendCols(dst []byte, tris [][3]uint32) []byte {
 	for _, p := range preds {
 		predAt[p] = 0
 	}
-	sc.preds, sc.lastO = preds, last
+	sc.preds = preds
 	return dst
 }
 

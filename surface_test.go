@@ -47,8 +47,11 @@ var exportedAllowlist = map[string]string{
 	"internal/model.ExtensibleRecord.AppendTriples": "named by bench/perf, ROADMAP item 6",
 	"internal/model.IOActivityRecord.AppendTriples": "named by bench/perf, ROADMAP item 6",
 	"internal/rdf.Graph.AddBatch":                   "named by bench/perf, ROADMAP item 6",
+	"internal/rdf.Graph.RefsSince":                  "named by bench/perf, whose replay copies the delta it encodes",
 	"internal/rdf.SharedDict.RemapSnapshot":         "named by bench/perf, ROADMAP item 6",
+	"internal/rdf/segcodec.AppendChain":             "named by bench/perf, which seals its replayed segments with it",
 	"internal/rdf/segcodec.ComputeGraphStats":       "named by bench/perf, ROADMAP item 6",
+	"internal/rdf/segcodec.RefsEncoder":             "named by bench/perf, which encodes its replayed segments through it",
 
 	// Reached through an exported signature the name-level scan cannot see.
 	"internal/backend.Archive":         "OpenArchive's result; core's crash harness opens one",
